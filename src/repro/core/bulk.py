@@ -43,23 +43,31 @@ the table:
     suspended index layer (one rebuild per write-then-read boundary);
     ``check_completeness`` falls back to the retained full scan.
 
-:func:`load_item_states`
-    the shared one-shot state materializer: replaces a database's item
-    records wholesale from frozen states and rewires parents, name
-    index, incidence, patterns, and indexes in one pass. Version
-    checkout (``restore_from_view``), image deserialization
-    (``database_from_dict`` and the streaming
-    ``database_from_records``), replay of journaled ``restore``
-    deltas, and multi-user check-out all route through it. The state
-    arguments are consumed strictly sequentially — objects first,
-    then relationships — so lazy iterators (e.g. sections of one
-    streamed image-record cursor) work at O(1) extra memory.
+:func:`wire_item_states`
+    the one create-or-thaw-and-wire primitive, and the only function
+    that builds a record *from a frozen state*: it finds or creates the
+    record, hands the state to ``thaw`` (the single inverse of
+    ``freeze`` on :class:`SeedObject` / :class:`SeedRelationship`), and
+    wires what ``thaw`` newly pointed the record at — parent child
+    list, independent-name index, incidence, ``_next_id`` floor,
+    pattern index. States are consumed strictly sequentially, objects
+    before relationships, so lazy iterators (sections of one streamed
+    image-record cursor) cost O(1) extra memory. Each caller adds only
+    its policy:
 
-Bulk ingest of *streamed image records* into a **live** database
-(``SeedDatabase.bulk_load(records=...)``) is the third lane: it runs
-through :class:`BulkContext` via
-:func:`repro.core.storage.serialize.ingest_image_records`, keeping
-whole-batch failure atomicity while never materializing the item list.
+    * :func:`load_item_states` — **wholesale replace** (registries
+      emptied first, one index rebuild after): version checkout
+      (``restore_from_view``), the image decoder
+      (``database_from_records``, which ``database_from_dict`` feeds),
+      replay of ``restore`` deltas, multi-user check-out;
+    * :meth:`BulkContext.restore` — **identity-preserving rollback**:
+      the pre-batch records are detached and thawed back in place;
+    * ``serialize.apply_txn_delta`` — **upsert** of a journaled
+      transaction's after-states (indexes marked stale);
+    * ``serialize.ingest_image_records`` — **insert-only** ingest of
+      streamed item records into a live database inside one batch
+      (``SeedDatabase.bulk_load(records=...)``), refusing id and name
+      collisions.
 """
 
 from __future__ import annotations
@@ -73,7 +81,66 @@ from repro.core.versions.store import ItemKey
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.database import SeedDatabase, _Transaction
 
-__all__ = ["BulkContext", "load_item_states"]
+__all__ = ["BulkContext", "load_item_states", "wire_item_states"]
+
+
+def wire_item_states(
+    db: "SeedDatabase",
+    object_states: Iterable[tuple[int, ObjectState]],
+    relationship_states: Iterable[tuple[int, RelationshipState]],
+) -> None:
+    """Create-or-thaw every state's record and wire it into *db*.
+
+    Objects must list parents before their children (creation order).
+    A record is wired by what ``thaw`` changed: an object joins its
+    parent's child list when its parent pointer is new (a fresh or
+    detached record), a live independent owns its name-index entry,
+    and a relationship joins the incidence list of every endpoint it
+    was not bound to before (tombstones included).
+    """
+    objects = db._objects  # noqa: SLF001
+    name_index = db._name_index  # noqa: SLF001
+    schema = db.schema
+    next_id = db._next_id  # noqa: SLF001
+    for oid, state in object_states:
+        obj = objects.get(oid)
+        if obj is None:
+            obj = objects[oid] = SeedObject(
+                db, oid, schema.entity_class(state.class_name), state.name
+            )
+            next_id = max(next_id, oid + 1)
+        elif name_index.get(obj.simple_name) == oid:
+            del name_index[obj.simple_name]  # thaw may rename or tombstone
+        attached_to = obj.parent
+        obj.thaw(state)
+        if obj.parent is None:
+            # pattern independents are indexed too: find_object filters
+            # them out unless include_patterns is passed
+            if not obj.deleted:
+                name_index[state.name] = oid
+        elif obj.parent is not attached_to:
+            obj.parent._attach_child(obj)  # noqa: SLF001
+    relationships = db._relationships  # noqa: SLF001
+    incidence = db._incidence  # noqa: SLF001
+    for rid, state in relationship_states:
+        rel = relationships.get(rid)
+        if rel is None:
+            rel = relationships[rid] = SeedRelationship(
+                db,
+                rid,
+                schema.association(state.association_name),
+                {role: objects[oid] for role, oid in state.bindings},
+            )
+            wired: tuple[SeedObject, ...] = ()
+            next_id = max(next_id, rid + 1)
+        else:
+            wired = tuple(rel._bindings.values())  # noqa: SLF001
+        rel.thaw(state)
+        for endpoint in rel._bindings.values():  # noqa: SLF001
+            if endpoint not in wired:
+                incidence.setdefault(endpoint.oid, []).append(rid)
+    db._next_id = next_id  # noqa: SLF001
+    db.patterns.rebuild_index()
 
 
 def load_item_states(
@@ -85,54 +152,17 @@ def load_item_states(
 ) -> None:
     """Replace *db*'s item records wholesale from frozen states.
 
-    One-shot wiring: records are constructed, parents attached and the
-    name index filled in input order (which must therefore list parents
-    before their children), incidence lists include tombstoned
-    relationships (mirroring the live invariant), and the pattern and
-    index layers are rebuilt exactly once at the end. Dirty tracking
-    and completeness invalidation stay with the caller — checkout
-    clears them, image load restores them from the image.
+    Empties the registries, restarts ids at *next_id_floor*, wires the
+    states, and rebuilds the index layer once. Dirty tracking and
+    completeness invalidation stay with the caller — checkout clears
+    them, image load restores them from the image.
     """
     db._objects.clear()  # noqa: SLF001
     db._relationships.clear()  # noqa: SLF001
     db._name_index.clear()  # noqa: SLF001
     db._incidence.clear()  # noqa: SLF001
-    max_id = 0
-    records: list[tuple[SeedObject, ObjectState]] = []
-    for oid, state in object_states:
-        entity_class = db.schema.entity_class(state.class_name)
-        obj = SeedObject(db, oid, entity_class, state.name, index=state.index)
-        obj.value = state.value
-        obj.deleted = state.deleted
-        obj.is_pattern = state.is_pattern
-        obj.inherited_patterns = list(state.inherited_pattern_oids)
-        db._objects[oid] = obj  # noqa: SLF001
-        records.append((obj, state))
-        max_id = max(max_id, oid)
-    for obj, state in records:
-        if state.parent_oid is not None:
-            parent = db._objects[state.parent_oid]  # noqa: SLF001
-            obj.parent = parent
-            parent._attach_child(obj)  # noqa: SLF001
-        elif not obj.deleted:
-            # pattern independents are indexed too: find_object filters
-            # them out unless include_patterns is passed
-            db._name_index[obj.simple_name] = obj.oid  # noqa: SLF001
-    for rid, state in relationship_states:
-        association = db.schema.association(state.association_name)
-        bindings = {
-            role: db._objects[oid] for role, oid in state.bindings  # noqa: SLF001
-        }
-        rel = SeedRelationship(db, rid, association, bindings)
-        rel.deleted = state.deleted
-        rel.is_pattern = state.is_pattern
-        rel._attributes = dict(state.attributes)  # noqa: SLF001
-        db._relationships[rid] = rel  # noqa: SLF001
-        for endpoint in rel.bound_objects():
-            db._incidence.setdefault(endpoint.oid, []).append(rid)  # noqa: SLF001
-        max_id = max(max_id, rid)
-    db._next_id = max(next_id_floor, max_id + 1)  # noqa: SLF001
-    db.patterns.rebuild_index()
+    db._next_id = max(next_id_floor, 1)  # noqa: SLF001
+    wire_item_states(db, object_states, relationship_states)
     db.indexes.rebuild()
 
 
@@ -202,40 +232,18 @@ class BulkContext:
         }
         db._name_index.clear()  # noqa: SLF001
         db._incidence.clear()  # noqa: SLF001
-        for obj, state in self._objects_before:
-            obj.entity_class = db.schema.entity_class(state.class_name)
-            obj._rename(state.name)  # noqa: SLF001
-            obj.index = state.index
-            obj.value = state.value
-            obj.deleted = state.deleted
-            obj.is_pattern = state.is_pattern
-            obj.inherited_patterns = list(state.inherited_pattern_oids)
-            obj._children.clear()  # noqa: SLF001
-            obj.parent = (
-                db._objects[state.parent_oid]  # noqa: SLF001
-                if state.parent_oid is not None
-                else None
-            )
+        # detach the survivors so thawing re-wires every one of them
         for obj, __ in self._objects_before:
-            if obj.parent is not None:
-                obj.parent._attach_child(obj)  # noqa: SLF001
-            elif not obj.deleted:
-                db._name_index[obj.simple_name] = obj.oid  # noqa: SLF001
-        for rel, state in self._relationships_before:
-            rel.association = db.schema.association(state.association_name)
-            rel._bindings = {  # noqa: SLF001
-                role: db._objects[oid]  # noqa: SLF001
-                for role, oid in state.bindings
-            }
-            rel._attributes = dict(state.attributes)  # noqa: SLF001
-            rel.deleted = state.deleted
-            rel.is_pattern = state.is_pattern
-            for endpoint in rel.bound_objects():
-                db._incidence.setdefault(  # noqa: SLF001
-                    endpoint.oid, []
-                ).append(rel.rid)
+            obj.parent = None
+            obj._children.clear()  # noqa: SLF001
+        for rel, __ in self._relationships_before:
+            rel._bindings = {}  # noqa: SLF001
+        wire_item_states(
+            db,
+            ((obj.oid, state) for obj, state in self._objects_before),
+            ((rel.rid, state) for rel, state in self._relationships_before),
+        )
         db._next_id = self._next_id_before  # noqa: SLF001
         db._dirty = set(self._dirty_before)  # noqa: SLF001
-        db.patterns.rebuild_index()
         db.indexes.cancel_suspension()
         db.indexes.rebuild()

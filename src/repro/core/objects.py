@@ -313,6 +313,27 @@ class SeedObject:
             inherited_pattern_oids=tuple(self.inherited_patterns),
         )
 
+    def thaw(self, state: ObjectState) -> None:
+        """Assign every field of *state* — the inverse of :meth:`freeze`.
+
+        The only code that writes a state onto a live object. Derived
+        structure (the parent's child list, the name index) is wired
+        by :func:`repro.core.bulk.wire_item_states`.
+        """
+        database = self._database
+        self.entity_class = database.schema.entity_class(state.class_name)
+        self._name = state.name
+        self.index = state.index
+        self.parent = (
+            database._objects[state.parent_oid]  # noqa: SLF001
+            if state.parent_oid is not None
+            else None
+        )
+        self.value = state.value
+        self.deleted = state.deleted
+        self.is_pattern = state.is_pattern
+        self.inherited_patterns = list(state.inherited_pattern_oids)
+
     # -- internal hooks for the database -------------------------------------------------------
 
     def _attach_child(self, child: "SeedObject") -> None:

@@ -190,6 +190,23 @@ class SeedRelationship:
             is_pattern=self.is_pattern,
         )
 
+    def thaw(self, state: RelationshipState) -> None:
+        """Assign every field of *state* — the inverse of :meth:`freeze`.
+
+        The only code that writes a state onto a live relationship —
+        role bindings included, so a replayed re-classification binds
+        under the new role names. Incidence lists are wired by
+        :func:`repro.core.bulk.wire_item_states`.
+        """
+        database = self._database
+        objects = database._objects  # noqa: SLF001
+        self.association = database.schema.association(state.association_name)
+        # a state lists its bindings in positional role order already
+        self._bindings = {role: objects[oid] for role, oid in state.bindings}
+        self._attributes = dict(state.attributes)
+        self.deleted = state.deleted
+        self.is_pattern = state.is_pattern
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         ends = ", ".join(
             f"{role}={obj.name}" for role, obj in self._bindings.items()

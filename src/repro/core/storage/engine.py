@@ -41,15 +41,18 @@ Recovery contract (shared by :func:`load_database` and
 :class:`~repro.core.storage.recordfile.RecordFile`):
 
 1. The **base** is the newest *complete* image anywhere in the file —
-   a monolithic image record or a complete streamed group. The scan
-   resynchronizes past corrupt regions, so corruption cannot shadow a
-   newer intact checkpoint; an incomplete streamed group is never a
-   base.
+   a monolithic image record or a complete streamed group, both loaded
+   as one record stream by the one image decoder
+   (:func:`~repro.core.storage.serialize.database_from_records`). The
+   scan resynchronizes past corrupt regions, so corruption cannot
+   shadow a newer intact checkpoint; an incomplete streamed group is
+   never a base.
 2. Deltas *after* the base replay in file order: check-in deltas each
    in their own transaction, skipping aborted seqs (a live abort whose
    marker was lost re-fails deterministically); txn deltas as direct
-   state upserts of their committed after-states; schema, restore, and
-   version deltas through their
+   state upserts of their committed after-states (``thaw``-based, via
+   :func:`repro.core.bulk.wire_item_states` — as is the base load and
+   restore replay); schema, restore, and version deltas through their
    :mod:`~repro.core.storage.serialize` appliers, interleaved exactly
    where they committed.
 3. Replay stops at the first corrupt region after the base: deltas
@@ -104,7 +107,6 @@ style while making every committed change durable at O(change).
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
 from contextlib import contextmanager
@@ -126,7 +128,7 @@ from repro.core.storage.serialize import (
     apply_schema_delta,
     apply_txn_delta,
     apply_version_delta,
-    database_from_dict,
+    _image_dict_records,
     database_from_records,
     database_to_dict,
     iter_image_records,
@@ -198,11 +200,13 @@ def _image_units(record_events: list) -> list[dict]:
     A unit is either a monolithic ``image`` record or a complete
     streamed checkpoint group (``image.begin`` .. ``image.end`` with a
     matching ``cp`` id and part count). Returns dicts with ``start`` /
-    ``end`` byte offsets, ``start_index`` into *record_events*, and
-    either ``image`` (monolithic payload) or ``parts`` (the streamed
-    image records). Incomplete groups — a crash mid-stream, or
-    corruption that ate a part or endpoint — yield no unit, exactly
-    like a torn monolithic append.
+    ``end`` byte offsets, ``start_index`` into *record_events*, the
+    group's ``cp`` id (None for a monolithic image), and ``records`` —
+    the unit as one image-record stream for
+    :func:`~repro.core.storage.serialize.database_from_records`,
+    whichever way it was written. Incomplete groups — a crash
+    mid-stream, or corruption that ate a part or endpoint — yield no
+    unit, exactly like a torn monolithic append.
     """
     units: list[dict] = []
     pending: dict[Any, dict] = {}
@@ -217,7 +221,7 @@ def _image_units(record_events: list) -> list[dict]:
                     "start": event.offset,
                     "end": event.end,
                     "start_index": index,
-                    "image": record.get("image"),
+                    "records": _image_dict_records(record.get("image")),
                     "cp": None,
                 }
             )
@@ -239,7 +243,7 @@ def _image_units(record_events: list) -> list[dict]:
                         "start": group["start"],
                         "end": event.end,
                         "start_index": group["start_index"],
-                        "parts": group["parts"],
+                        "records": group["parts"],
                         "cp": record.get("cp"),
                     }
                 )
@@ -424,10 +428,7 @@ def _load_journal_state(
         and event.record.get("kind") in _DELTA_KINDS
     )
 
-    if base["cp"] is None:
-        db = database_from_dict(base["image"], registry)
-    else:
-        db = database_from_records(base["parts"], registry)
+    db = database_from_records(base["records"], registry)
     aborted_seqs = {
         event.record.get("seq")
         for event in window
@@ -563,7 +564,9 @@ class JournaledDatabase:
         #: batches durably appended so far (one fsync each)
         self.group_flushes = 0
         self._clock = clock if clock is not None else time.monotonic
-        self._pending: list[dict] = []
+        #: encoded payloads of buffered txn records (encoded once: the
+        #: same bytes size the batch and are framed at flush)
+        self._pending: list[bytes] = []
         self._pending_bytes = 0
         self._pending_since: Optional[float] = None
         # byte accounting: everything before the newest image record is
@@ -764,10 +767,10 @@ class JournaledDatabase:
             if self.byte_budget is not None:
                 self.enforce_budget(self.byte_budget)
             return
-        encoded = json.dumps(record, separators=(",", ":"), sort_keys=True)
+        payload = RecordFile.encode(record)
         now = self._clock()
-        self._pending.append(record)
-        self._pending_bytes += len(encoded)
+        self._pending.append(payload)
+        self._pending_bytes += len(payload)
         if self._pending_since is None:
             self._pending_since = now
         if (
@@ -793,7 +796,7 @@ class JournaledDatabase:
         """
         if not self._pending:
             return 0
-        count = self._file.append_many(self._pending)
+        count = self._file.append_encoded(self._pending)
         self._pending = []
         self._pending_bytes = 0
         self._pending_since = None
@@ -806,13 +809,14 @@ class JournaledDatabase:
         """Append one record, draining any buffered txns ahead of it.
 
         The buffered records and *record* land in a single
-        :meth:`~repro.core.storage.recordfile.RecordFile.append_many`
+        :meth:`~repro.core.storage.recordfile.RecordFile.append_encoded`
         call — one open, one fsync — preserving commit order in the
         file. With an empty buffer this is a plain append.
         """
         if self._pending:
-            batch = self._pending + [record]
-            self._file.append_many(batch)
+            self._file.append_encoded(
+                self._pending + [RecordFile.encode(record)]
+            )
             self._pending = []
             self._pending_bytes = 0
             self._pending_since = None

@@ -180,11 +180,8 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def _frame(record: Any) -> bytes:
-    """Serialise one record into its framed on-disk bytes."""
-    payload = json.dumps(record, separators=(",", ":"), sort_keys=True).encode(
-        "utf-8"
-    )
+def _frame(payload: bytes) -> bytes:
+    """Wrap one encoded payload into its framed on-disk bytes."""
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     return f"{len(payload):08d} {crc:08x}\n".encode("ascii") + payload + b"\n"
 
@@ -202,19 +199,29 @@ class RecordFile:
 
         Returns the appended record's byte range ``(offset, end)``.
         """
-        return self._append_blob(_frame(record))
+        return self._append_blob(_frame(self.encode(record)))
 
     def append_many(self, records: Iterator[Any] | list[Any]) -> int:
         """Append several records with one open/fsync; returns the count."""
-        chunks = []
-        count = 0
-        for record in records:
-            chunks.append(_frame(record))
-            count += 1
-        if not chunks:
+        return self.append_encoded([self.encode(record) for record in records])
+
+    @staticmethod
+    def encode(record: Any) -> bytes:
+        """The payload bytes (single-line JSON) every append writes.
+
+        For callers that buffer records: size the buffer from these
+        bytes, then hand them to :meth:`append_encoded` unchanged.
+        """
+        return json.dumps(
+            record, separators=(",", ":"), sort_keys=True
+        ).encode("utf-8")
+
+    def append_encoded(self, payloads: list[bytes]) -> int:
+        """:meth:`append_many` for payloads :meth:`encode` already made."""
+        if not payloads:
             return 0
-        self._append_blob(b"".join(chunks))
-        return count
+        self._append_blob(b"".join(map(_frame, payloads)))
+        return len(payloads)
 
     def append_stream(self, records: Iterator[Any] | list[Any]) -> int:
         """Append records one frame at a time with a single fsync.
@@ -233,7 +240,7 @@ class RecordFile:
         count = 0
         with open(self.path, "ab") as handle:
             for record in records:
-                blob = _frame(record)
+                blob = _frame(self.encode(record))
                 if faults._PLAN is not None:  # noqa: SLF001
                     try:
                         blob = faults.fire("recordfile.append.pre_write", blob)

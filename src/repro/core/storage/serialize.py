@@ -9,6 +9,16 @@ procedure names), live items, tombstones, the delta version store
 chains round-trip), the version tree, pattern links, and the dirty
 set — a load is a faithful resumption point.
 
+There is one frozen-state path. Item states cross every boundary —
+images, ``txn``/``restore``/``version`` deltas, check-in packages, wire
+tickets — through one codec (:func:`state_to_dict` /
+:func:`state_from_dict`), and reach live records one way: every loader
+here hands decoded states to :func:`repro.core.bulk.wire_item_states`
+(wholesale loads via ``load_item_states``), which applies them with the
+records' ``thaw``. :func:`database_from_records` is the one image
+decoder; :func:`database_from_dict` only re-shapes a monolithic image
+into that stream.
+
 Attached procedures serialise by *name*; loading re-binds them against a
 :class:`~repro.core.schema.attached.ProcedureRegistry` (the process-wide
 default unless one is passed). Unknown names are an error — silently
@@ -23,11 +33,11 @@ from __future__ import annotations
 import datetime
 from typing import Any, Iterable, Iterator, Optional
 
-from repro.core.bulk import load_item_states
+from repro.core.bulk import load_item_states, wire_item_states
 from repro.core.database import SeedDatabase
 from repro.core.errors import StorageError
 from repro.core.objects import ObjectState, SeedObject
-from repro.core.relationships import RelationshipState, SeedRelationship
+from repro.core.relationships import RelationshipState
 from repro.core.schema.association import Association, Attribute, Role
 from repro.core.schema.attached import ProcedureRegistry, default_registry
 from repro.core.schema.entity_class import EntityClass
@@ -52,6 +62,8 @@ __all__ = [
     "apply_restore_delta",
     "version_delta_from_db",
     "apply_version_delta",
+    "state_to_dict",
+    "state_from_dict",
 ]
 
 FORMAT_VERSION = 1
@@ -277,6 +289,54 @@ def _relationship_state_from_dict(data: dict) -> RelationshipState:
     )
 
 
+# The one state<->dict codec, by item kind (``"o"`` / ``"r"``): images,
+# every journaled delta kind, check-in packages and wire tickets all
+# carry states in this form.
+
+_STATE_KEYS = {
+    "o": frozenset(
+        "class name index parent value deleted pattern inherits".split()
+    ),
+    "r": frozenset("association bindings attributes deleted pattern".split()),
+}
+#: long spellings written by pre-PR-12 ``checkin`` journal records
+_LEGACY_STATE_KEYS = {
+    "class_name": "class",
+    "parent_oid": "parent",
+    "is_pattern": "pattern",
+    "inherited_pattern_oids": "inherits",
+    "association_name": "association",
+}
+
+
+def state_to_dict(kind: str, state: Any) -> dict:
+    """JSON-compatible form of one frozen item state."""
+    if kind == "o":
+        return _object_state_to_dict(state)
+    return _relationship_state_to_dict(state)
+
+
+def state_from_dict(kind: str, data: dict) -> Any:
+    """Inverse of :func:`state_to_dict`; legacy long key names are
+    accepted, unknown or missing keys raise ``StorageError``."""
+    keys = _STATE_KEYS[kind]
+    if data.keys() != keys:
+        data = {_LEGACY_STATE_KEYS.get(key, key): data[key] for key in data}
+        if data.keys() != keys:
+            raise StorageError(
+                f"malformed item state: missing keys {sorted(keys - data.keys())}, "
+                f"unknown keys {sorted(data.keys() - keys)}"
+            )
+    if kind == "o":
+        return _object_state_from_dict(data)
+    return _relationship_state_from_dict(data)
+
+
+def _decoded(kind: str, pairs: Iterable) -> Iterator[tuple[int, Any]]:
+    """``[id, state dict]`` pairs of a delta as ``(id, state)`` tuples."""
+    return ((item_id, state_from_dict(kind, data)) for item_id, data in pairs)
+
+
 # ---------------------------------------------------------------------------
 # transaction deltas (write-ahead ``txn`` journal records)
 # ---------------------------------------------------------------------------
@@ -292,20 +352,14 @@ def txn_delta_from_txn(db: SeedDatabase, txn) -> dict:
     set at commit time so the replayed database's dirty tracking (a
     serialised part of the canonical image) matches the live one.
     """
-    objects = []
-    relationships = []
-    for key in sorted(txn.touched):
-        item = txn.touched[key][0]
-        if key[0] == "o":
-            objects.append([key[1], _object_state_to_dict(item.freeze())])
-        else:
-            relationships.append(
-                [key[1], _relationship_state_to_dict(item.freeze())]
-            )
+    items: dict[str, list] = {"o": [], "r": []}
+    for kind, item_id in sorted(txn.touched):
+        state = txn.touched[kind, item_id][0].freeze()
+        items[kind].append([item_id, state_to_dict(kind, state)])
     dirty = db._dirty  # noqa: SLF001 - dirty parity is part of the delta
     return {
-        "objects": objects,
-        "relationships": relationships,
+        "objects": items["o"],
+        "relationships": items["r"],
         "dirty": [list(key) for key in sorted(txn.touched) if key in dirty],
     }
 
@@ -314,89 +368,26 @@ def apply_txn_delta(db: SeedDatabase, delta: dict) -> int:
     """Replay one ``txn`` delta against *db*; returns items applied.
 
     The delta carries committed *after* states keyed by stable item
-    ids, so replay is a direct state upsert — no consistency
+    ids, so replay is a direct state upsert through
+    :func:`~repro.core.bulk.wire_item_states` — no consistency
     re-validation (the states were validated when they committed) and
     no id translation (unlike check-in packages, direct transactions
     run on the master itself). Objects apply in ascending oid order,
     which lists parents before their transaction-created children.
-    Index layers are marked stale rather than rebuilt eagerly; the
-    next index-backed read (including a later check-in delta's
+    The policy added here: the delta's dirty keys merge into the dirty
+    set, and index layers are marked stale rather than rebuilt eagerly
+    — the next index-backed read (including a later check-in delta's
     validation) rebuilds once.
     """
-    applied = 0
-    max_id = 0
-    for oid, data in delta.get("objects", ()):
-        state = _object_state_from_dict(data)
-        obj = db._objects.get(oid)  # noqa: SLF001
-        if obj is None:
-            parent = (
-                db._objects[state.parent_oid]  # noqa: SLF001
-                if state.parent_oid is not None
-                else None
-            )
-            obj = SeedObject(
-                db,
-                oid,
-                db.schema.entity_class(state.class_name),
-                state.name,
-                parent=parent,
-                index=state.index,
-            )
-            db._objects[oid] = obj  # noqa: SLF001
-            if parent is not None:
-                parent._attach_child(obj)  # noqa: SLF001
-            elif not state.deleted:
-                db._name_index[state.name] = oid  # noqa: SLF001
-        else:
-            if obj.parent is None:
-                old_name = obj.simple_name
-                if (
-                    db._name_index.get(old_name) == oid  # noqa: SLF001
-                    and (state.deleted or state.name != old_name)
-                ):
-                    del db._name_index[old_name]  # noqa: SLF001
-                if not state.deleted:
-                    db._name_index[state.name] = oid  # noqa: SLF001
-            obj._rename(state.name)  # noqa: SLF001
-            obj.entity_class = db.schema.entity_class(state.class_name)
-            obj.index = state.index
-        obj.value = state.value
-        obj.deleted = state.deleted
-        obj.is_pattern = state.is_pattern
-        obj.inherited_patterns = list(state.inherited_pattern_oids)
-        applied += 1
-        max_id = max(max_id, oid)
-    for rid, data in delta.get("relationships", ()):
-        state = _relationship_state_from_dict(data)
-        rel = db._relationships.get(rid)  # noqa: SLF001
-        if rel is None:
-            bindings = {
-                role: db._objects[oid]  # noqa: SLF001
-                for role, oid in state.bindings
-            }
-            rel = SeedRelationship(
-                db, rid, db.schema.association(state.association_name), bindings
-            )
-            db._relationships[rid] = rel  # noqa: SLF001
-            for endpoint in rel.bound_objects():
-                db._incidence.setdefault(  # noqa: SLF001
-                    endpoint.oid, []
-                ).append(rid)
-        else:
-            rel.association = db.schema.association(state.association_name)
-        rel.deleted = state.deleted
-        rel.is_pattern = state.is_pattern
-        rel._attributes = dict(state.attributes)  # noqa: SLF001
-        applied += 1
-        max_id = max(max_id, rid)
-    db._next_id = max(db._next_id, max_id + 1)  # noqa: SLF001
+    objects = delta.get("objects", ())
+    relationships = delta.get("relationships", ())
+    wire_item_states(db, _decoded("o", objects), _decoded("r", relationships))
     db._dirty.update(  # noqa: SLF001
         tuple(key) for key in delta.get("dirty", ())
     )
-    db.patterns.rebuild_index()
     db.indexes.mark_stale()
     db.completeness.invalidate()
-    return applied
+    return len(objects) + len(relationships)
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +482,8 @@ def apply_restore_delta(db: SeedDatabase, delta: dict) -> int:
     db._dirty.clear()  # noqa: SLF001
     load_item_states(
         db,
-        (
-            (oid, _object_state_from_dict(data))
-            for oid, data in delta.get("objects", ())
-        ),
-        (
-            (rid, _relationship_state_from_dict(data))
-            for rid, data in delta.get("relationships", ())
-        ),
+        _decoded("o", delta.get("objects", ())),
+        _decoded("r", delta.get("relationships", ())),
         next_id_floor=delta.get("next_id", 0),
     )
     db.completeness.invalidate()
@@ -527,12 +512,11 @@ def version_delta_from_db(db: SeedDatabase, vid: VersionId) -> dict:
         for version, state, materialized in store.entries_of(key):
             if version != vid:
                 continue
-            encoded = (
-                _object_state_to_dict(state)
-                if kind == "o"
-                else _relationship_state_to_dict(state)  # type: ignore[arg-type]
-            )
-            cell = {"kind": kind, "id": item_id, "state": encoded}
+            cell = {
+                "kind": kind,
+                "id": item_id,
+                "state": state_to_dict(kind, state),
+            }
             if materialized:
                 cell["materialized"] = True
             cells.append(cell)
@@ -560,15 +544,7 @@ def apply_version_delta(db: SeedDatabase, delta: dict) -> VersionId:
     manager = db.versions
     manager.tree.add(vid, parent)
     for cell in delta.get("cells", ()):
-        key = (cell["kind"], cell["id"])
-        state = (
-            _object_state_from_dict(cell["state"])
-            if cell["kind"] == "o"
-            else _relationship_state_from_dict(cell["state"])
-        )
-        manager.store.record(vid, key, state)
-        if cell.get("materialized"):
-            manager.store.mark_materialized(vid, key)
+        _record_cell_state(db, vid, cell["kind"], cell["id"], cell)
     if delta.get("snapshot"):
         manager.store.mark_snapshot(vid)
     manager.schema_version_of[vid] = delta["schema_version"]
@@ -640,64 +616,27 @@ def database_to_dict(db: SeedDatabase) -> dict:
     }
 
 
+def _image_dict_records(data: dict) -> Iterator[dict]:
+    """One monolithic image dict as its :func:`iter_image_records` stream."""
+    items = ("objects", "relationships", "version_cells")
+    yield {"h": {key: data[key] for key in data if key not in items}}
+    for record in data["objects"]:
+        state = dict(record)
+        yield {"o": state.pop("oid"), "s": state}
+    for record in data["relationships"]:
+        state = dict(record)
+        yield {"r": state.pop("rid"), "s": state}
+    for cell in data["version_cells"]:
+        yield {"c": cell}
+    yield {"end": {tag: len(data[key]) for tag, key in zip("orc", items)}}
+
+
 def database_from_dict(
     data: dict, registry: Optional[ProcedureRegistry] = None
 ) -> SeedDatabase:
-    """Rebuild a database (inverse of :func:`database_to_dict`)."""
-    if data.get("format") != FORMAT_VERSION:
-        raise StorageError(
-            f"unsupported database image format {data.get('format')!r}"
-        )
-    schemas = [
-        schema_from_dict(schema_data, registry)
-        for schema_data in data["schema_versions"]
-    ]
-    db = SeedDatabase(schemas[-1], data["name"])
-    db.versions.schema_versions = schemas
-    # rebuild live items through the shared one-shot state materializer
-    # (bypassing the operational interface: the image is trusted to be
-    # consistent — it was checked when built); parents, name index,
-    # incidence, patterns, and indexes are wired in a single pass
-    load_item_states(
-        db,
-        (
-            (record["oid"], _object_state_from_dict(record))
-            for record in data["objects"]
-        ),
-        (
-            (record["rid"], _relationship_state_from_dict(record))
-            for record in data["relationships"]
-        ),
-    )
-    # version store, tree, stamps
-    for node in data["version_tree"]:
-        db.versions.tree.add(
-            VersionId.parse(node["version"]),
-            VersionId.parse(node["parent"]) if node["parent"] else None,
-        )
-    for cell in data["version_cells"]:
-        key = (cell["kind"], cell["id"])
-        for entry in cell["states"]:
-            state = (
-                _object_state_from_dict(entry["state"])
-                if cell["kind"] == "o"
-                else _relationship_state_from_dict(entry["state"])
-            )
-            version = VersionId.parse(entry["version"])
-            db.versions.store.record(version, key, state)
-            if entry.get("materialized"):
-                db.versions.store.mark_materialized(version, key)
-    for version in data.get("snapshot_versions", ()):
-        db.versions.store.mark_snapshot(VersionId.parse(version))
-    db.versions.schema_version_of = {
-        VersionId.parse(version): index
-        for version, index in data["schema_version_of"].items()
-    }
-    db.versions.current_base = (
-        VersionId.parse(data["current_base"]) if data["current_base"] else None
-    )
-    db._dirty = {tuple(key) for key in data["dirty"]}  # noqa: SLF001
-    return db
+    """Rebuild a database (inverse of :func:`database_to_dict`): the
+    dict replays as its record stream into :func:`database_from_records`."""
+    return database_from_records(_image_dict_records(data), registry)
 
 
 # ---------------------------------------------------------------------------
@@ -771,12 +710,10 @@ def iter_image_records(db: SeedDatabase) -> Iterator[dict]:
         kind, item_id = key
         entries = []
         for version, state, materialized in store.entries_of(key):
-            encoded = (
-                _object_state_to_dict(state)
-                if kind == "o"
-                else _relationship_state_to_dict(state)  # type: ignore[arg-type]
-            )
-            entry = {"version": str(version), "state": encoded}
+            entry = {
+                "version": str(version),
+                "state": state_to_dict(kind, state),
+            }
             if materialized:
                 entry["materialized"] = True
             entries.append(entry)
@@ -785,23 +722,68 @@ def iter_image_records(db: SeedDatabase) -> Iterator[dict]:
     yield {"end": dict(counts)}
 
 
+class _ImageCursor:
+    """One-record lookahead over a streamed image, cut into sections."""
+
+    def __init__(self, records: Iterable[dict]) -> None:
+        self._records = iter(records)
+        self.head: Any = next(self._records, None)
+        self.counts = {"o": 0, "r": 0, "c": 0}
+
+    def tagged(self, tag: str) -> bool:
+        """True when the record under the cursor carries *tag*."""
+        return isinstance(self.head, dict) and tag in self.head
+
+    def advance(self) -> None:
+        """Move the cursor to the next record (None past the end)."""
+        self.head = next(self._records, None)
+
+    def section(self, tag: str) -> Iterator[dict]:
+        """The contiguous run of *tag* records, counted; stops before
+        the first record of the next section."""
+        while self.tagged(tag):
+            self.counts[tag] += 1
+            yield self.head
+            self.advance()
+
+    def states(self, kind: str) -> Iterator[tuple[int, Any]]:
+        """``(id, state)`` for every record of the item section *kind*."""
+        return (
+            (record[kind], state_from_dict(kind, record["s"]))
+            for record in self.section(kind)
+        )
+
+
+def _record_cell_state(
+    db: SeedDatabase, version: VersionId, kind: str, item_id: int, entry: dict
+) -> None:
+    """Store one encoded version-cell state (and its materialized mark)."""
+    key = (kind, item_id)
+    store = db.versions.store
+    store.record(version, key, state_from_dict(kind, entry["state"]))
+    if entry.get("materialized"):
+        store.mark_materialized(version, key)
+
+
 def database_from_records(
     records: Iterable[dict], registry: Optional[ProcedureRegistry] = None
 ) -> SeedDatabase:
     """Rebuild a database from a streamed image (single pass).
 
-    Inverse of :func:`iter_image_records`: consumes the iterator once,
-    feeding item states straight into the shared one-shot materializer
-    without ever holding the full image in memory. A stream that is
-    malformed, out of order, truncated, or whose footer counts do not
-    match raises :class:`~repro.core.errors.StorageError` — a partial
-    image must never load silently.
+    The one image decoder: inverse of :func:`iter_image_records`, and
+    of :func:`database_to_dict` through :func:`database_from_dict`.
+    Item states stream straight into
+    :func:`~repro.core.bulk.load_item_states` (an image is trusted to
+    be consistent — it was checked when built), never holding the full
+    image in memory. A stream that is malformed, out of order,
+    truncated, or whose footer counts do not match raises
+    :class:`~repro.core.errors.StorageError` — a partial image must
+    never load silently.
     """
-    iterator = iter(records)
-    first = next(iterator, None)
-    if not isinstance(first, dict) or "h" not in first:
+    cursor = _ImageCursor(records)
+    if not cursor.tagged("h"):
         raise StorageError("image stream does not start with a header record")
-    header = first["h"]
+    header = cursor.head["h"]
     if header.get("format") != FORMAT_VERSION:
         raise StorageError(
             f"unsupported database image format {header.get('format')!r}"
@@ -812,60 +794,29 @@ def database_from_records(
     ]
     db = SeedDatabase(schemas[-1], header["name"])
     db.versions.schema_versions = schemas
-
-    cursor: dict[str, Optional[dict]] = {"record": next(iterator, None)}
-    counts = {"o": 0, "r": 0, "c": 0}
-
-    def section(tag: str) -> Iterator[dict]:
-        # yields the records of one contiguous stream section, leaving
-        # the first record of the *next* section in the cursor
-        while True:
-            record = cursor["record"]
-            if not isinstance(record, dict) or tag not in record:
-                return
-            counts[tag] += 1
-            yield record
-            cursor["record"] = next(iterator, None)
-
-    load_item_states(
-        db,
-        (
-            (record["o"], _object_state_from_dict(record["s"]))
-            for record in section("o")
-        ),
-        (
-            (record["r"], _relationship_state_from_dict(record["s"]))
-            for record in section("r")
-        ),
-    )
+    cursor.advance()
+    load_item_states(db, cursor.states("o"), cursor.states("r"))
     for node in header["version_tree"]:
         db.versions.tree.add(
             VersionId.parse(node["version"]),
             VersionId.parse(node["parent"]) if node["parent"] else None,
         )
-    for record in section("c"):
+    for record in cursor.section("c"):
         cell = record["c"]
-        key = (cell["kind"], cell["id"])
         for entry in cell["states"]:
-            state = (
-                _object_state_from_dict(entry["state"])
-                if cell["kind"] == "o"
-                else _relationship_state_from_dict(entry["state"])
+            _record_cell_state(
+                db, VersionId.parse(entry["version"]), cell["kind"], cell["id"], entry
             )
-            version = VersionId.parse(entry["version"])
-            db.versions.store.record(version, key, state)
-            if entry.get("materialized"):
-                db.versions.store.mark_materialized(version, key)
-    footer = cursor["record"]
-    if not isinstance(footer, dict) or "end" not in footer:
+    counts = cursor.counts
+    if not cursor.tagged("end"):
         raise StorageError(
             "truncated image stream: no footer record "
             f"(read {counts['o']} object(s), {counts['r']} relationship(s), "
             f"{counts['c']} version cell(s))"
         )
-    if footer["end"] != counts:
+    if cursor.head["end"] != counts:
         raise StorageError(
-            f"incomplete image stream: footer declares {footer['end']}, "
+            f"incomplete image stream: footer declares {cursor.head['end']}, "
             f"read {counts}"
         )
     for version in header.get("snapshot_versions", ()):
@@ -895,113 +846,62 @@ def ingest_image_records(
     inside one bulk batch, so ingest never holds more than a single
     record beyond the database being built. A header is skipped, a
     counted footer is verified when present, and version-cell records
-    are refused — version history belongs to images, not ingest. Item
-    ids are taken from the records and must not collide with existing
-    items; the whole ingest is atomic (any error rolls the batch back).
+    are refused — version history belongs to images, not ingest. The
+    policy over :func:`~repro.core.bulk.wire_item_states` is
+    insert-only: item ids are taken from the records and must not
+    collide with existing items (nor a live independent's name); the
+    whole ingest is atomic (any error rolls the batch back).
     Returns the ingested independent objects by name.
     """
+    cursor = _ImageCursor(records)
     created: dict[str, SeedObject] = {}
     with db.bulk() as batch:
         txn = batch.txn
         dirty = db._dirty  # noqa: SLF001
         db.indexes.mark_stale()  # the raw lane bypasses the mutators
 
-        def register(item: Any, key: tuple[str, int]) -> None:
-            txn.touched[key] = (item, {"create"})
-            if key not in dirty:
-                dirty.add(key)
-                txn.dirty_added.add(key)
-
-        counts = {"o": 0, "r": 0}
-        footer = None
-        max_id = 0
-        for record in records:
-            if not isinstance(record, dict):
-                raise StorageError(f"not an image record: {record!r}")
-            if "h" in record:
-                continue  # the header carries no items
-            if "end" in record:
-                footer = record["end"]
-                continue
-            if "c" in record:
-                raise StorageError(
-                    "version-cell records cannot be bulk-ingested into a "
-                    "live database; load them through an image instead"
+        def fresh(kind: str, registry: dict, what: str) -> Iterator:
+            for item_id, state in cursor.states(kind):
+                if item_id in registry:
+                    raise StorageError(f"{what} id {item_id} already exists")
+                named = (
+                    kind == "o" and state.parent_oid is None and not state.deleted
                 )
-            if "o" in record:
-                oid = record["o"]
-                if oid in db._objects:  # noqa: SLF001
-                    raise StorageError(f"object id {oid} already exists")
-                state = _object_state_from_dict(record["s"])
-                parent = (
-                    db._objects[state.parent_oid]  # noqa: SLF001
-                    if state.parent_oid is not None
-                    else None
-                )
-                obj = SeedObject(
-                    db,
-                    oid,
-                    db.schema.entity_class(state.class_name),
-                    state.name,
-                    parent=parent,
-                    index=state.index,
-                )
-                obj.value = state.value
-                obj.deleted = state.deleted
-                obj.is_pattern = state.is_pattern
-                obj.inherited_patterns = list(state.inherited_pattern_oids)
-                db._objects[oid] = obj  # noqa: SLF001
-                if parent is not None:
-                    parent._attach_child(obj)  # noqa: SLF001
-                elif not state.deleted:
-                    if state.name in db._name_index:  # noqa: SLF001
-                        raise StorageError(
-                            f"an object named {state.name!r} already exists"
-                        )
-                    db._name_index[state.name] = oid  # noqa: SLF001
-                    created[state.name] = obj
-                register(obj, ("o", oid))
-                counts["o"] += 1
-                max_id = max(max_id, oid)
-            elif "r" in record:
-                rid = record["r"]
-                if rid in db._relationships:  # noqa: SLF001
+                if named and state.name in db._name_index:  # noqa: SLF001
                     raise StorageError(
-                        f"relationship id {rid} already exists"
+                        f"an object named {state.name!r} already exists"
                     )
-                state = _relationship_state_from_dict(record["s"])
-                bindings = {
-                    role: db._objects[oid]  # noqa: SLF001
-                    for role, oid in state.bindings
-                }
-                rel = SeedRelationship(
-                    db,
-                    rid,
-                    db.schema.association(state.association_name),
-                    bindings,
-                )
-                rel.deleted = state.deleted
-                rel.is_pattern = state.is_pattern
-                rel._attributes = dict(state.attributes)  # noqa: SLF001
-                db._relationships[rid] = rel  # noqa: SLF001
-                for endpoint in rel.bound_objects():
-                    db._incidence.setdefault(  # noqa: SLF001
-                        endpoint.oid, []
-                    ).append(rid)
-                register(rel, ("r", rid))
-                counts["r"] += 1
-                max_id = max(max_id, rid)
-            else:
-                raise StorageError(
-                    f"unknown image record shape: {sorted(record)}"
-                )
-        if footer is not None and (
-            footer.get("o") != counts["o"] or footer.get("r") != counts["r"]
-        ):
+                yield item_id, state
+                # resumed once the primitive has created the record:
+                # the new item registers with the batch here
+                key = (kind, item_id)
+                txn.touched[key] = (registry[item_id], {"create"})
+                if key not in dirty:
+                    dirty.add(key)
+                    txn.dirty_added.add(key)
+                if named:
+                    created[state.name] = registry[item_id]
+
+        if cursor.tagged("h"):
+            cursor.advance()  # the header carries no items
+        wire_item_states(
+            db,
+            fresh("o", db._objects, "object"),  # noqa: SLF001
+            fresh("r", db._relationships, "relationship"),  # noqa: SLF001
+        )
+        if cursor.tagged("c"):
             raise StorageError(
-                f"incomplete image stream: footer declares {footer}, "
-                f"ingested {counts}"
+                "version-cell records cannot be bulk-ingested into a "
+                "live database; load them through an image instead"
             )
-        db._next_id = max(db._next_id, max_id + 1)  # noqa: SLF001
-        db.patterns.rebuild_index()
+        if cursor.tagged("end"):
+            footer = cursor.head["end"]
+            counts = cursor.counts
+            if footer.get("o") != counts["o"] or footer.get("r") != counts["r"]:
+                raise StorageError(
+                    f"incomplete image stream: footer declares {footer}, "
+                    f"ingested {counts}"
+                )
+        elif cursor.head is not None:
+            raise StorageError(f"not an image record: {cursor.head!r}")
     return created

@@ -7,7 +7,8 @@ single check-in transaction, translating client-local ids of created
 items to fresh master ids.
 
 Packages also serialise (:func:`package_to_dict` /
-:func:`package_from_dict`): a journal-bound server appends each package
+:func:`package_from_dict`, carrying states in the image state codec of
+:mod:`repro.core.storage.serialize`): a journal-bound server appends each package
 as a write-ahead ``{"kind": "checkin"}`` delta record before applying
 it, making accepted check-ins durable at O(change) cost; the engine
 replays the same records on load. ``apply_to`` is deterministic given
@@ -26,7 +27,7 @@ from repro.core.database import SeedDatabase
 from repro.core.errors import CheckInError
 from repro.core.objects import ObjectState
 from repro.core.relationships import RelationshipState
-from repro.core.storage.serialize import decode_value, encode_value
+from repro.core.storage.serialize import state_from_dict, state_to_dict
 from repro.core.versions.store import ItemKey
 
 __all__ = [
@@ -34,10 +35,6 @@ __all__ = [
     "build_package",
     "package_to_dict",
     "package_from_dict",
-    "object_state_to_dict",
-    "object_state_from_dict",
-    "relationship_state_to_dict",
-    "relationship_state_from_dict",
 ]
 
 
@@ -219,113 +216,37 @@ class CheckInPackage:
 # serialisation (write-ahead check-in deltas)
 # ---------------------------------------------------------------------------
 
-def _object_state_to_dict(state: ObjectState) -> dict:
-    return {
-        "class_name": state.class_name,
-        "name": state.name,
-        "index": state.index,
-        "parent_oid": state.parent_oid,
-        "value": encode_value(state.value),
-        "deleted": state.deleted,
-        "is_pattern": state.is_pattern,
-        "inherited_pattern_oids": list(state.inherited_pattern_oids),
-    }
-
-
-def _object_state_from_dict(data: dict) -> ObjectState:
-    return ObjectState(
-        class_name=data["class_name"],
-        name=data["name"],
-        index=data["index"],
-        parent_oid=data["parent_oid"],
-        value=decode_value(data["value"]),
-        deleted=data["deleted"],
-        is_pattern=data["is_pattern"],
-        inherited_pattern_oids=tuple(data["inherited_pattern_oids"]),
-    )
-
-
-def _relationship_state_to_dict(state: RelationshipState) -> dict:
-    return {
-        "association_name": state.association_name,
-        "bindings": [[role, oid] for role, oid in state.bindings],
-        "attributes": [
-            [name, encode_value(value)] for name, value in state.attributes
-        ],
-        "deleted": state.deleted,
-        "is_pattern": state.is_pattern,
-    }
-
-
-def _relationship_state_from_dict(data: dict) -> RelationshipState:
-    return RelationshipState(
-        association_name=data["association_name"],
-        bindings=tuple((role, oid) for role, oid in data["bindings"]),
-        attributes=tuple(
-            (name, decode_value(value)) for name, value in data["attributes"]
-        ),
-        deleted=data["deleted"],
-        is_pattern=data["is_pattern"],
-    )
-
-
-# public names: the wire protocol (multiuser.protocol) serializes
-# check-out tickets with the same state codecs the journal deltas use
-object_state_to_dict = _object_state_to_dict
-object_state_from_dict = _object_state_from_dict
-relationship_state_to_dict = _relationship_state_to_dict
-relationship_state_from_dict = _relationship_state_from_dict
+#: package field -> the item kind of its entries; created entries are
+#: ``[id, state]``, modified ones ``[id, before, after]``
+_PACKAGE_FIELDS = {
+    "created_objects": "o",
+    "created_relationships": "r",
+    "modified_objects": "o",
+    "modified_relationships": "r",
+}
 
 
 def package_to_dict(package: CheckInPackage) -> dict:
     """JSON-compatible form of a package (the journal delta payload)."""
     return {
-        "created_objects": [
-            [oid, _object_state_to_dict(state)]
-            for oid, state in package.created_objects
-        ],
-        "created_relationships": [
-            [rid, _relationship_state_to_dict(state)]
-            for rid, state in package.created_relationships
-        ],
-        "modified_objects": [
-            [oid, _object_state_to_dict(before), _object_state_to_dict(after)]
-            for oid, before, after in package.modified_objects
-        ],
-        "modified_relationships": [
-            [
-                rid,
-                _relationship_state_to_dict(before),
-                _relationship_state_to_dict(after),
-            ]
-            for rid, before, after in package.modified_relationships
-        ],
+        field: [
+            [item_id, *(state_to_dict(kind, state) for state in states)]
+            for item_id, *states in getattr(package, field)
+        ]
+        for field, kind in _PACKAGE_FIELDS.items()
     }
 
 
 def package_from_dict(data: dict) -> CheckInPackage:
     """Inverse of :func:`package_to_dict` (the journal replay path)."""
     return CheckInPackage(
-        created_objects=[
-            (oid, _object_state_from_dict(state))
-            for oid, state in data["created_objects"]
-        ],
-        created_relationships=[
-            (rid, _relationship_state_from_dict(state))
-            for rid, state in data["created_relationships"]
-        ],
-        modified_objects=[
-            (oid, _object_state_from_dict(before), _object_state_from_dict(after))
-            for oid, before, after in data["modified_objects"]
-        ],
-        modified_relationships=[
-            (
-                rid,
-                _relationship_state_from_dict(before),
-                _relationship_state_from_dict(after),
-            )
-            for rid, before, after in data["modified_relationships"]
-        ],
+        **{
+            field: [
+                (item_id, *(state_from_dict(kind, state) for state in states))
+                for item_id, *states in data[field]
+            ]
+            for field, kind in _PACKAGE_FIELDS.items()
+        }
     )
 
 

@@ -17,10 +17,10 @@ class again (:func:`raise_remote_error`), so wire clients see the same
 error surface as in-process clients — ``SessionError`` for a zombie
 token is an ``SessionError`` on both sides of the socket.
 
-Payload codecs reuse the journal's state serializers
-(:mod:`repro.multiuser.checkin`): a check-out ticket travels as the same
-frozen-state dictionaries a write-ahead delta uses, and a check-in
-package travels as its ``package_to_dict`` form. Item keys — tuples
+Payload codecs reuse the one state codec of
+:mod:`repro.core.storage.serialize`: a check-out ticket travels as the
+same frozen-state dictionaries images and write-ahead deltas use, and a
+check-in package travels as its ``package_to_dict`` form. Item keys — tuples
 ``("o", id)`` / ``("r", id)`` in memory — become two-element lists in
 JSON and are restored on decode.
 """
@@ -38,12 +38,7 @@ from repro.core.errors import (
     SessionError,
     VersionError,
 )
-from repro.multiuser.checkin import (
-    object_state_from_dict,
-    object_state_to_dict,
-    relationship_state_from_dict,
-    relationship_state_to_dict,
-)
+from repro.core.storage.serialize import state_from_dict, state_to_dict
 from repro.multiuser.server import CheckOutTicket
 
 __all__ = [
@@ -133,11 +128,11 @@ def ticket_to_dict(ticket: CheckOutTicket) -> dict[str, Any]:
     """JSON form of a check-out ticket (frozen states + keys + floor)."""
     return {
         "objects": [
-            [oid, object_state_to_dict(state)]
+            [oid, state_to_dict("o", state)]
             for oid, state in ticket.objects
         ],
         "relationships": [
-            [rid, relationship_state_to_dict(state)]
+            [rid, state_to_dict("r", state)]
             for rid, state in ticket.relationships
         ],
         "keys": [[kind, item_id] for kind, item_id in ticket.keys],
@@ -149,11 +144,11 @@ def ticket_from_dict(data: dict[str, Any]) -> CheckOutTicket:
     """Inverse of :func:`ticket_to_dict`."""
     return CheckOutTicket(
         objects=[
-            (oid, object_state_from_dict(state))
+            (oid, state_from_dict("o", state))
             for oid, state in data["objects"]
         ],
         relationships=[
-            (rid, relationship_state_from_dict(state))
+            (rid, state_from_dict("r", state))
             for rid, state in data["relationships"]
         ],
         keys=[(kind, item_id) for kind, item_id in data["keys"]],

@@ -493,6 +493,17 @@ def matrix_schema_v2():
         SchemaBuilder("crash")
         .entity_class("Item", sort="STRING")
         .entity_class("Extra", sort="STRING")
+        # role names differ along the generalization: a replayed
+        # relationship re-classification must re-bind, not just re-label
+        .association(
+            "Link", ("source", "Item", "0..*"), ("target", "Item", "0..*")
+        )
+        .association(
+            "Strong",
+            ("origin", "Item", "0..*"),
+            ("dest", "Item", "0..*"),
+            specializes="Link",
+        )
         .build()
     )
 
@@ -671,6 +682,23 @@ def change_corpus(tmp_path_factory):
     sync()
     assert not pending_states
 
+    # a relationship created vague, then re-classified in its own
+    # transaction (its role bindings change names: source/target ->
+    # origin/dest), then a third commit to flush the batch
+    with db.transaction():
+        link = db.relate(
+            "Link", source=db.get_object("A"), target=db.get_object("B")
+        )
+    buffered()
+    with db.transaction():
+        link.reclassify("Strong")
+    buffered()
+    with db.transaction():
+        db.get_object("B").set_value("b4")
+    buffered()
+    sync()
+    assert not pending_states
+
     db.create_version()
     sync()
 
@@ -715,7 +743,7 @@ def change_corpus(tmp_path_factory):
     assert kinds.count("image.begin") == 1
     assert kinds.count("image.end") == 1
     assert kinds.count("image.rec") >= 3
-    assert kinds.count("txn") == 7
+    assert kinds.count("txn") == 10
     assert records[-1][1] == len(data)
     return RecordCorpus(path, data, records, rec_states, empty_state)
 

@@ -8,11 +8,14 @@ DESIGN.md section 6 lists the invariants; each gets a property here:
 * random accepted update sequences keep full consistency re-validation
   empty, and rejected updates leave the database unchanged;
 * serialisation round-trips the complete state;
+* ``thaw`` inverts ``freeze`` on every state field;
 * the ACYCLIC check agrees with networkx on random edge sets;
 * pattern propagation keeps all inheritors' views equal to the pattern.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import networkx
 import pytest
@@ -21,6 +24,8 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import FullCopyVersioning
 from repro.core import ConsistencyError, SeedDatabase, figure2_schema
 from repro.core.identifiers import DottedName, NamePart
+from repro.core.objects import ObjectState
+from repro.core.relationships import RelationshipState
 from repro.core.storage import database_from_dict, database_to_dict
 from repro.spades import spades_schema
 
@@ -133,6 +138,31 @@ random_ops = st.lists(
 )
 
 
+def _apply_random_op(db, kind, a, b, serial):
+    """One ``random_ops`` step; rejected updates raise ConsistencyError."""
+    if kind == "data":
+        db.create_object("Data", f"D{serial}")
+    elif kind == "action":
+        db.create_object("Action", f"A{serial}")
+    elif kind in ("read", "write"):
+        data = db.objects("Data", include_specials=False)
+        actions = db.objects("Action", include_specials=False)
+        if data and actions:
+            bindings = {
+                "from" if kind == "read" else "to": data[a % len(data)],
+                "by": actions[b % len(actions)],
+            }
+            db.relate(kind.capitalize(), bindings)
+    elif kind == "contain":
+        actions = db.objects("Action", include_specials=False)
+        if len(actions) >= 2:
+            db.relate(
+                "Contained",
+                contained=actions[a % len(actions)],
+                container=actions[b % len(actions)],
+            )
+
+
 class TestConsistencyPreservation:
     @settings(max_examples=40, deadline=None)
     @given(random_ops)
@@ -142,27 +172,7 @@ class TestConsistencyPreservation:
         for kind, a, b in operations:
             serial += 1
             try:
-                if kind == "data":
-                    db.create_object("Data", f"D{serial}")
-                elif kind == "action":
-                    db.create_object("Action", f"A{serial}")
-                elif kind in ("read", "write"):
-                    data = db.objects("Data", include_specials=False)
-                    actions = db.objects("Action", include_specials=False)
-                    if data and actions:
-                        bindings = {
-                            "from" if kind == "read" else "to": data[a % len(data)],
-                            "by": actions[b % len(actions)],
-                        }
-                        db.relate(kind.capitalize(), bindings)
-                elif kind == "contain":
-                    actions = db.objects("Action", include_specials=False)
-                    if len(actions) >= 2:
-                        db.relate(
-                            "Contained",
-                            contained=actions[a % len(actions)],
-                            container=actions[b % len(actions)],
-                        )
+                _apply_random_op(db, kind, a, b, serial)
             except ConsistencyError:
                 pass  # rejected updates are fine; state must stay clean
             assert db.check_consistency() == []
@@ -204,6 +214,61 @@ class TestSerialisationRoundTrip:
                 db.create_version()
         image = database_to_dict(db)
         assert database_to_dict(database_from_dict(image)) == image
+
+
+# -- thaw is the inverse of freeze, field by field ------------------------------
+
+def _varied_database(operations):
+    """A SPADES database whose records differ in *every* state field.
+
+    The fixed part guarantees the variety (so a field added to a state
+    class fails the coverage assertion below until someone varies it
+    here); the ``random_ops`` part widens the population.
+    """
+    db = SeedDatabase(spades_schema(), "thaw")
+    alarms = db.create_object("Data", "Alarms")
+    handler = db.create_object("Action", "Handler")
+    alarms.add_sub_object("Note", "first")  # index 0, a parent, a value
+    alarms.add_sub_object("Note", "second")  # index 1
+    template = db.create_object("Action", "Template", pattern=True)
+    db.inherit(template, handler)
+    write = db.relate("Write", {"to": alarms, "by": handler})
+    write.set_attribute("NumberOfWrites", 2)
+    db.relate("Triggers", trigger=template, triggered=template, pattern=True)
+    db.relate("Read", {"from": alarms, "by": handler}).delete()
+    db.create_object("Module", "Gone").delete()
+    for serial, (kind, a, b) in enumerate(operations):
+        try:
+            _apply_random_op(db, kind, a, b, serial)
+        except ConsistencyError:
+            pass
+    return db
+
+
+class TestThawInvertsFreeze:
+    @settings(max_examples=25, deadline=None)
+    @given(random_ops)
+    def test_every_state_field_round_trips(self, operations):
+        db = _varied_database(operations)
+        for records, state_class in (
+            (list(db.all_objects_raw()), ObjectState),
+            (list(db.all_relationships_raw()), RelationshipState),
+        ):
+            states = [record.freeze() for record in records]
+            for field in dataclasses.fields(state_class):
+                differing = [
+                    (source, target)
+                    for source in range(len(states))
+                    for target in range(len(states))
+                    if getattr(states[source], field.name)
+                    != getattr(states[target], field.name)
+                ]
+                assert differing, f"no two records differ in {field.name}"
+                for source, target in differing[:: len(differing) // 8 + 1]:
+                    record = records[target]
+                    record.thaw(states[source])
+                    assert record.freeze() == states[source], field.name
+                    record.thaw(states[target])  # leave the record as it was
 
 
 # -- ACYCLIC against networkx ------------------------------------------------------

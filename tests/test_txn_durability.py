@@ -8,20 +8,27 @@ byte-level recovery sweeps; these tests pin the API behaviour.
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.core import RecoveryWarning, SchemaBuilder
-from repro.core.errors import VersionError
+from repro.core.errors import StorageError, VersionError
 from repro.core.faults import FaultPlan
 from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict
 from repro.core.versions.compaction import RetentionPolicy
 from repro.multiuser.server import SeedServer
 from repro.multiuser.service import SeedService, ServiceClient
+from repro.spades.model import spades_schema
+from repro.spades.tool import SpadesTool
 
 
 def record_kinds(path) -> list:
     return [record.get("kind") for record in RecordFile(path).records()]
+
+
+def canonical(db) -> str:
+    return json.dumps(database_to_dict(db), sort_keys=True)
 
 
 def item_schema():
@@ -77,6 +84,27 @@ class TestTxnSink:
         reopened = JournaledDatabase.open(journal.path)
         assert reopened.db.find_object("Unlogged") is not None
 
+    def test_relationship_reclassify_replays_with_its_role_bindings(
+        self, tmp_path
+    ):
+        # PR 12 regression: the txn-delta applier used to set a
+        # re-classified relationship's association but not its role
+        # bindings, so the reopened Write still bound role "data" and
+        # imaging it raised KeyError: 'to'
+        journal = JournaledDatabase.open(
+            tmp_path / "spec.journal", schema=spades_schema(), name="spec"
+        )
+        tool = SpadesTool(db=journal.db)
+        tool.note_thing("Alarms")
+        tool.note_thing("Handler")
+        flow = tool.note_dataflow("Alarms", "Handler")
+        tool.refine_flow_to_write(flow, times=3)
+        reopened = JournaledDatabase.open(journal.path)
+        assert canonical(reopened.db) == canonical(journal.db)
+        (write,) = reopened.db.relationships("Write")
+        assert write.bound("to").simple_name == "Alarms"
+        assert write.attribute("NumberOfWrites") == 3
+
     def test_suspension_is_reentrant(self, journal):
         with journal.suspended_txn_sink():
             with journal.suspended_txn_sink():
@@ -113,6 +141,77 @@ class TestCheckInInterplay:
         reopened = JournaledDatabase.open(server.journal.path)
         assert reopened.db.find_object("ByCheckIn") is not None
         assert reopened.db.find_object("ByTxn") is not None
+
+
+def _long_keys(state: dict) -> dict:
+    """One encoded state under the pre-PR-12 check-in spellings."""
+    legacy = {
+        "class": "class_name",
+        "parent": "parent_oid",
+        "pattern": "is_pattern",
+        "inherits": "inherited_pattern_oids",
+        "association": "association_name",
+    }
+    return {legacy.get(key, key): value for key, value in state.items()}
+
+
+class TestLegacyCheckinSpellings:
+    """Journals written before the check-in codec was folded into the
+    image state codec spell state keys the long way; they still replay."""
+
+    def checked_in_journal(self, tmp_path):
+        server = SeedServer.open(
+            tmp_path / "srv.journal", schema=spades_schema()
+        )
+        tool = SpadesTool(db=server.master)
+        tool.note_thing("Alarms")
+        tool.note_thing("Handler")
+        tool.note_dataflow("Alarms", "Handler")
+        alice = server.connect("alice")
+        local = alice.check_out("Alarms", "Handler")
+        (flow,) = local.relationships("Access")
+        flow.reclassify("Write")  # a modified relationship ...
+        local.get_object("Alarms").add_sub_object("Note", "n")  # created object
+        local.create_object("Action", "Fresh")
+        alice.check_in()
+        return server.journal.path
+
+    def rewrite_checkins(self, path, respell):
+        records = list(RecordFile(path).records())
+        rewritten = 0
+        for record in records:
+            if record.get("kind") != "checkin":
+                continue
+            for entries in record["delta"].values():
+                for entry in entries:
+                    entry[1:] = [respell(state) for state in entry[1:]]
+                    rewritten += len(entry) - 1
+        RecordFile(path).rewrite(records)
+        return rewritten
+
+    def test_long_key_record_replays_to_the_same_image(self, tmp_path):
+        path = self.checked_in_journal(tmp_path)
+        expected = canonical(JournaledDatabase.open(path).db)
+        assert self.rewrite_checkins(path, _long_keys) >= 4
+        text = path.read_text()
+        assert "association_name" in text and "inherited_pattern_oids" in text
+        reopened = JournaledDatabase.open(path)
+        assert reopened.recovery.applied_deltas == 1
+        assert canonical(reopened.db) == expected
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda state: {**state, "colour": "red"},  # unknown key
+            lambda state: {k: v for k, v in state.items() if k != "deleted"},
+        ],
+        ids=["unknown-key", "missing-key"],
+    )
+    def test_malformed_state_keys_raise_storage_error(self, tmp_path, damage):
+        path = self.checked_in_journal(tmp_path)
+        self.rewrite_checkins(path, damage)
+        with pytest.raises(StorageError, match="malformed item state"):
+            JournaledDatabase.open(path)
 
 
 class TestByteBudget:
