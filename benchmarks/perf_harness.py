@@ -25,11 +25,12 @@ reader threads retrieving while a writer applies bulk check-ins, MVCC
 pinned-snapshot reads (which never block on an apply) against the
 pre-PR-7 serialized live reads — and the PR-8 scenario
 ``multijoin_parallel``: a selective multi-join whose driving extent
-scan the optimizer shards across a worker pool with fused per-shard
-scan kernels (:mod:`repro.core.query.parallel`), timed against the
-serial streaming executor on the identical query; below the costing
-threshold the parallel config deliberately stays serial, so the small
-sizes double as a no-overhead regression check. Sizes at or above
+scan the optimizer fans over a worker pool, timed against the same
+query with that scan run in-thread — one fused kernel
+(:mod:`repro.core.query.parallel`) on both sides since PR 13, so the
+ratio is what the pool adds or costs, not what fusion saves; below the
+costing threshold a parallel config resolves to the in-thread plan, so
+the small sizes double as a no-overhead regression check. Sizes at or above
 ``PARALLEL_ONLY_SIZE`` (the 1M tier) run **only** this section — the
 brute-force baselines of the earlier sections are infeasible there —
 and the PR-9 scenario ``durability_txn``: making one *direct*
@@ -45,7 +46,9 @@ records framed straight off the item tables) against the monolithic
 full-image dict.
 Results are written to ``BENCH_PR10.json`` at the repository root so
 future PRs have a perf trajectory to compare against
-(``BENCH_PR1.json``..``BENCH_PR9.json`` hold the earlier runs;
+(``BENCH_PR1.json``..``BENCH_PR9.json`` hold the earlier runs, and
+``BENCH_PR13.json`` the 1M ``multijoin_parallel`` tier re-measured
+under its pool-vs-in-thread meaning;
 ``benchmarks/compare_bench.py`` gates CI on the trajectory, since PR 5
 fails when a gated baseline section vanishes from the fresh run, and
 since PR 8 also fails in reverse when an undeclared section name
@@ -866,23 +869,25 @@ def parallel_schema():
 
 
 def bench_multijoin_parallel(size: int, repeats: int) -> dict:
-    """Sharded parallel scan kernels vs the serial streaming executor.
+    """The fused scan kernel fanned over a pool vs run in-thread.
 
     ``size`` value-typed notes (~1000 distinct tags), one ``Covers``
     edge per note onto ``size/10`` docs, six ``Mentions`` per doc:
     the query "codes mentioned by docs covered by tag7 notes" is
     dominated by the selective σ over the full Note extent — exactly
     the Select-over-ExtentScan chain :func:`repro.core.query.planner.
-    _parallelize` shards. Both paths run the *same* optimized join
-    order (the ``Parallel`` wrapper only replaces the driving scan);
-    the parallel side dispatches fused per-shard kernels that test
-    specialized predicates in a tight loop over the shard's oid list
-    instead of streaming rows through the generator protocol, and adds
-    pool-level concurrency on multi-core hosts. Below the default
-    costing threshold (sizes < 100k) the config deliberately resolves
-    to the serial plan, so small sizes gate dispatch overhead staying
-    at zero rather than a speedup. Row multisets are verified
-    identical before timing.
+    _parallelize` wraps. Both paths run the *same* optimized join
+    order and the *same* kernel over the driving scan (specialized
+    predicates in a tight loop over the oid list); the ``Parallel``
+    wrapper only moves that loop from the calling thread onto a worker
+    pool, one contiguous oid range per shard. The ratio therefore
+    measures pool-level concurrency minus dispatch cost: ~1 on a GIL
+    build with the thread backend, above 1 where shards truly overlap
+    (until PR 13 the in-thread side was the generator executor, and
+    the x3.2 recorded at 1M in ``BENCH_PR8.json`` was fusion). Below
+    the costing threshold (sizes < 100k) the config resolves to the
+    in-thread plan, so small sizes gate dispatch overhead staying at
+    zero. Row multisets are verified identical before timing.
     """
     db = SeedDatabase(parallel_schema(), f"parq-{size}")
     doc_count = max(size // 10, 5)
@@ -1328,8 +1333,10 @@ def main(argv=None) -> int:
         acceptance["multijoin_parallel_speedup_at_1m"] = at_1m[
             "multijoin_parallel"
         ]["speedup"]
+        # pool vs in-thread over one shared kernel: the pool must not
+        # cost more than it returns (>= 0.8 = no overhead beyond noise)
         acceptance["multijoin_parallel_speedup_ok"] = (
-            at_1m["multijoin_parallel"]["speedup"] >= 2
+            at_1m["multijoin_parallel"]["speedup"] >= 0.8
         )
     report["acceptance"] = acceptance
 

@@ -190,10 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--parallel", action="store_true",
                        help="allow sharded parallel execution of large "
                             "scans (cost-gated; small scans stay serial)")
-    query.add_argument("--shards", type=int, default=4, metavar="N",
+    query.add_argument("--shards", type=int, metavar="N",
                        help="shard count for --parallel (default: 4)")
     query.add_argument("--backend", choices=("auto", "thread", "process"),
-                       default="auto",
                        help="worker backend for --parallel (default: auto — "
                             "threads when free-threaded or single-core, "
                             "forked processes otherwise)")
@@ -206,7 +205,11 @@ def _open_tool(path: Path) -> SpadesTool:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "query" and not args.parallel:
+        if args.shards is not None or args.backend is not None:
+            parser.error("--shards/--backend only apply with --parallel")
     try:
         return _dispatch(args)
     except (SeedError, OSError) as exc:
@@ -461,8 +464,9 @@ def _run_query(args: argparse.Namespace) -> int:
     from repro.core.query.predicates import name_prefix
 
     db = load_database(args.database)
+    given = {"shards": args.shards, "backend": args.backend}
     parallel = (
-        ParallelConfig(shards=args.shards, backend=args.backend)
+        ParallelConfig(**{k: v for k, v in given.items() if v is not None})
         if args.parallel
         else None
     )

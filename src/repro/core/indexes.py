@@ -146,24 +146,14 @@ def value_key(value: object) -> tuple:
     return (type(value).__name__, value)
 
 
-def _split_ids(ids: list[int], shards: int, split: str) -> list[list[int]]:
-    """Deterministically partition a sorted id list into *shards* lists.
+def _split_ids(ids: list[int], shards: int) -> list[list[int]]:
+    """Cut a sorted id list into *shards* contiguous, near-equal slices.
 
-    ``range``: contiguous near-equal slices (order-preserving under
-    in-order concatenation). ``hash``: bucket by ``id % shards``.
-    Shards may come back empty when there are fewer ids than shards.
+    Concatenating the slices in order gives back *ids*. Slices come
+    back empty when there are fewer ids than shards.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        return [list(ids)]
-    if split == "hash":
-        buckets: list[list[int]] = [[] for _ in range(shards)]
-        for identifier in ids:
-            buckets[identifier % shards].append(identifier)
-        return buckets
-    if split != "range":
-        raise ValueError(f"unknown split {split!r} (expected 'range' or 'hash')")
     base, extra = divmod(len(ids), shards)
     slices: list[list[int]] = []
     start = 0
@@ -338,29 +328,26 @@ class IndexLayer:
         wanted: "EntityClass",
         shards: int,
         include_specials: bool = True,
-        split: str = "range",
     ) -> list[list[int]]:
         """Shard-stable partition of an extent's oids into *shards* lists.
 
-        ``split="range"`` cuts the sorted oid list into contiguous,
-        near-equal slices — concatenating the shards in order reproduces
-        the exact serial scan order. ``split="hash"`` buckets by
-        ``oid % shards`` — multiset-equal to the serial scan but
-        order-free. Both are deterministic functions of the extent
-        contents, so repeated calls against unchanged data partition
-        identically (shard-stable).
+        The sorted oid list is cut into contiguous, near-equal slices —
+        concatenating the shards in order reproduces the exact scan
+        order. A deterministic function of the extent contents, so
+        repeated calls against unchanged data partition identically
+        (shard-stable).
         """
-        return _split_ids(self.extent_oids(wanted, include_specials), shards, split)
+        return _split_ids(self.extent_oids(wanted, include_specials), shards)
 
     def family_relationship_shards(
-        self, root_name: str, shards: int, split: str = "range"
+        self, root_name: str, shards: int
     ) -> list[list[int]]:
         """Shard-stable partition of a family's relationship ids.
 
         Same contract as :meth:`extent_shards`, over the sorted rid list
         of :meth:`family_relationship_ids`.
         """
-        return _split_ids(self.family_relationship_ids(root_name), shards, split)
+        return _split_ids(self.family_relationship_ids(root_name), shards)
 
     # ------------------------------------------------------------------
     # sorted name index

@@ -11,10 +11,11 @@
 * :mod:`~repro.core.query.planner` — the cost-based planner: the same
   algebra built as a logical plan, optimized with index-layer
   statistics (selection pushdown, indexed scans, join reordering) and
-  executed through streaming generators;
-* :mod:`~repro.core.query.parallel` — sharded execution of large scans
-  on thread/process worker pools, cost-gated by the planner
-  (``plan(db, ParallelConfig())``).
+  executed through streaming generators over fused scan leaves;
+* :mod:`~repro.core.query.parallel` — the fused scan kernel every
+  ``Select``-over-scan leaf runs through: in-thread for plain plans,
+  fanned over a thread/process worker pool where the planner finds a
+  scan large enough (``plan(db, ParallelConfig())``).
 
 Planner example — the builder mirrors the ``Relation`` API, and
 ``explain()`` shows what the optimizer did::
@@ -40,13 +41,12 @@ larger input and materializes only the smaller.
 """
 
 from repro.core.query.algebra import Relation, extent, relationship_relation
-from repro.core.query.parallel import ParallelConfig, Partitioner
+from repro.core.query.parallel import ParallelConfig
 from repro.core.query.planner import Plan, PlanBuilder, on, plan
 from repro.core.query.retrieval import Retrieval
 
 __all__ = [
     "ParallelConfig",
-    "Partitioner",
     "Relation",
     "extent",
     "relationship_relation",

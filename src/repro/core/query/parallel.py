@@ -1,34 +1,31 @@
-"""Parallel execution of partitioned scans for the cost-based planner.
+"""The fused scan kernel: one implementation, run in-thread or pooled.
 
-The planner's streaming executor (PR 2/5) evaluates one row at a time
-through nested generators — clean, but every row pays generator resume,
-tuple construction, and dynamic predicate dispatch. At the million-object
-scale the ROADMAP asks for, the leaf scans dominate total query time, and
-they are embarrassingly parallel: a class extent or an association family
-is just a sorted id list the :class:`~repro.core.indexes.IndexLayer`
-already maintains.
+A *shardable scan* — zero or more ``Select`` nodes over a bare extent or
+association scan, what the planner decomposes into a :class:`ShardSpec`
+— is evaluated by exactly one piece of code, :func:`run_kernel`: a tight
+loop over a sorted id list that checks liveness (deleted /
+pattern-context rows are skipped), ``include_specials`` family
+membership, and the peeled predicates inline, without a generator per
+operator. The id list comes from the :class:`~repro.core.indexes.
+IndexLayer`, which already maintains every class extent and association
+family as a sorted id set.
 
-This module supplies the machinery behind the planner's ``Parallel`` plan
-node (see :mod:`repro.core.query.planner` for the costing model that
-decides *when* to use it):
+The kernel runs in one of two ways, and nothing else differs between a
+serial and a parallel plan:
 
-* :class:`ParallelConfig` — shard count, backend, split strategy, the
-  cost-model constants, and the failure policy;
-* :class:`Partitioner` — shard-stable partitioning of extents and
-  association families over the index layer (``range`` split preserves
-  the serial scan order under in-order merge; ``hash`` split is
-  multiset-equal);
-* :class:`ShardSpec` + :func:`run_sharded` — the shard kernel and the
-  worker pools that run it.
-
-**Why this is fast (two stacked mechanisms).** Each shard runs a *fused*
-kernel: one tight loop over the shard's id list that applies the peeled
-``Select`` predicates inline, replicating the executor's per-row
-semantics (deleted / pattern-context filtering, ``include_specials``
-family checks) without the generator pipeline. Fusion alone is a
-multiple-times single-core win over the generic executor; the worker
-pool then adds near-linear scaling across cores on multi-core hosts.
-On a single-core host the thread backend still delivers the fusion win.
+* **in-thread** (:func:`run_in_thread`) — on the calling thread, over
+  consecutive :data:`CHUNK`-sized slices of the id list, yielding each
+  slice's rows before evaluating the next: rows stream, memory is
+  O(chunk), and a consumer that stops early stops the scan. Every plain
+  plan executes its scans this way.
+* **pooled** (:func:`run_sharded`) — the id list is cut into contiguous
+  near-equal ranges (``IndexLayer.extent_shards`` /
+  ``family_relationship_shards``), each range is one kernel call on a
+  worker pool, and the results concatenate in shard order — which, for
+  contiguous ranges of a sorted list, is the in-thread row order. The
+  planner places a ``Parallel`` node where this pays (see
+  :func:`pool_pays`); empty ranges are never dispatched, and a scan with
+  at most one non-empty range runs in-thread.
 
 **Backends.** ``thread`` uses a :class:`~concurrent.futures.
 ThreadPoolExecutor`: zero serialization, the natural choice under
@@ -45,15 +42,14 @@ is unavailable silently degrades to threads.
 **Failure policy.** The pool is wired through :mod:`repro.core.faults`
 failpoints — ``parallel.shard.dispatch`` fires before each shard is
 submitted, ``parallel.shard.result`` before each shard's result is
-collected — and every result wait is bounded by ``timeout_s``, so a
-poisoned or crashed worker can never hang the merge. On an infrastructure
-failure (I/O error, broken pool, timeout, result-pickling failure) the
-run either falls back to the serial executor (``fallback=True``, the
-default, counted in :data:`stats`) or surfaces a clean
-:class:`~repro.core.errors.QueryError` chained to the cause.
-:class:`~repro.core.faults.SimulatedCrash` and errors raised by the
-query itself (e.g. a predicate rejecting its input) propagate unchanged
-— they are deterministic and would recur serially.
+collected — and every result wait is bounded by :data:`TIMEOUT_S`, so a
+poisoned or crashed worker can never hang the merge. On an
+infrastructure failure (I/O error, broken pool, timeout,
+result-pickling failure) the scan is simply run in-thread instead
+(counted in :data:`stats`). :class:`~repro.core.faults.SimulatedCrash`
+and errors raised by the query itself (e.g. a predicate rejecting its
+input) propagate unchanged — they are deterministic and would recur
+in-thread.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ import pickle
 import sys
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.core import faults
 from repro.core.errors import QueryError
@@ -88,8 +84,11 @@ __all__ = [
     "RESULT_POINT",
     "ParallelConfig",
     "ParallelStats",
-    "Partitioner",
     "ShardSpec",
+    "pool_pays",
+    "row_filter",
+    "run_in_thread",
+    "run_kernel",
     "run_sharded",
     "stats",
 ]
@@ -100,7 +99,17 @@ DISPATCH_POINT = "parallel.shard.dispatch"
 RESULT_POINT = "parallel.shard.result"
 
 _BACKENDS = ("auto", "thread", "process")
-_SPLITS = ("range", "hash")
+
+#: the pooled-vs-in-thread cost model, in scanned-row units: a base scan
+#: of ``S`` rows goes to the pool only when ``S >= THRESHOLD`` (below it
+#: pool spin-up dominates) and ``S / shards + DISPATCH_OVERHEAD < S``
+#: (the per-shard cost plus a fixed dispatch charge must beat one thread)
+THRESHOLD = 100_000
+DISPATCH_OVERHEAD = 25_000
+#: bound on every wait for one shard's result (seconds)
+TIMEOUT_S = 60.0
+#: ids one in-thread kernel call evaluates before its rows are yielded
+CHUNK = 1024
 
 
 def _fork_available() -> bool:
@@ -114,23 +123,15 @@ def _gil_disabled() -> bool:
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Knobs for parallel execution; hashable, so plans cache per config.
+    """How many shards a pooled scan is cut into, and on which backend.
 
-    The cost-model fields feed the planner's parallel-vs-serial
-    decision: a shardable scan of ``S`` rows parallelizes only when
-    ``S >= threshold`` and ``S / shards + dispatch_overhead < S``
-    (both in scanned-row units). The defaults keep 10k–50k workloads
-    serial — below the threshold the pool spin-up costs more than the
-    fused shards save — and kick in around the 100k mark.
+    Hashable, so plans cache per config. Whether a scan is pooled at
+    all is not configured: the planner decides it per scan from the
+    extent size (:func:`pool_pays`).
     """
 
     shards: int = 4
     backend: str = "auto"  # auto | thread | process
-    split: str = "range"  # range | hash
-    threshold: int = 100_000
-    dispatch_overhead: int = 25_000
-    fallback: bool = True
-    timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
         if not 1 <= self.shards <= 64:
@@ -139,14 +140,6 @@ class ParallelConfig:
             raise QueryError(
                 f"unknown backend {self.backend!r} (expected one of {_BACKENDS})"
             )
-        if self.split not in _SPLITS:
-            raise QueryError(
-                f"unknown split {self.split!r} (expected one of {_SPLITS})"
-            )
-        if self.threshold < 0 or self.dispatch_overhead < 0:
-            raise QueryError("threshold and dispatch_overhead must be >= 0")
-        if self.timeout_s <= 0:
-            raise QueryError(f"timeout_s must be > 0, got {self.timeout_s}")
 
     def resolved_backend(self) -> str:
         """The concrete backend ``auto`` resolves to on this host."""
@@ -179,51 +172,13 @@ class ParallelStats:
 stats = ParallelStats()
 
 
-# ----------------------------------------------------------------------
-# partitioning
-# ----------------------------------------------------------------------
-
-
-class Partitioner:
-    """Shard-stable partitioning of scan id lists over the index layer."""
-
-    def __init__(
-        self, db: "SeedDatabase", shards: int, split: str = "range"
-    ) -> None:
-        self._db = db
-        self.shards = shards
-        self.split = split
-
-    def object_shards(
-        self, class_name: str, include_specials: bool = True
-    ) -> list[list[int]]:
-        """Partition a class extent's oids (see ``IndexLayer.extent_shards``)."""
-        wanted = self._db.schema.entity_class(class_name)
-        return self._db.indexes.extent_shards(
-            wanted, self.shards, include_specials, self.split
-        )
-
-    def relationship_shards(self, association: str) -> list[list[int]]:
-        """Partition an association family's rids.
-
-        Sharding happens at family granularity (like the serial scan);
-        the kernel applies the ``include_specials`` association check
-        per relationship.
-        """
-        wanted = self._db.schema.association(association)
-        root_name = wanted.family_root().name
-        return self._db.indexes.family_relationship_shards(
-            root_name, self.shards, self.split
-        )
-
-    def shards_for(self, spec: "ShardSpec") -> list[list[int]]:
-        if spec.kind == "extent":
-            return self.object_shards(spec.name, spec.include_specials)
-        return self.relationship_shards(spec.name)
+def pool_pays(scanned: int, shards: int) -> bool:
+    """Whether a base scan of *scanned* rows is worth a worker pool."""
+    return scanned >= THRESHOLD and scanned / shards + DISPATCH_OVERHEAD < scanned
 
 
 # ----------------------------------------------------------------------
-# the shard kernel
+# the kernel
 # ----------------------------------------------------------------------
 
 
@@ -284,12 +239,13 @@ def _specialize(predicate: Any) -> Callable[[SeedObject], bool]:
 
 
 def run_kernel(db: "SeedDatabase", spec: ShardSpec, ids: list[int]) -> list[tuple]:
-    """Evaluate one shard: fused scan + peeled predicates, materialized.
+    """Evaluate *spec* over *ids*: fused scan + peeled predicates.
 
-    Replicates ``SeedDatabase.iter_objects`` / ``iter_relationships``
+    The one implementation of a shardable scan. Rows come out in *ids*
+    order with ``SeedDatabase.iter_objects`` / ``iter_relationships``
     row-level semantics (deleted and pattern-context rows skipped,
-    ``include_specials`` family membership) so a shard concatenation is
-    row-equal to the serial scan of the same ids.
+    ``include_specials`` family membership), so the concatenation of
+    consecutive id ranges is row-equal to one call over the whole list.
     """
     if spec.kind == "extent":
         return _extent_kernel(db, spec, ids)
@@ -305,10 +261,9 @@ def _extent_kernel(
     # extent members overwhelmingly have no parent — only that rare
     # case falls back to the property for the full ancestor chain
     objects = db._objects  # noqa: SLF001 - kernel-internal hot path
-    row_test = _row_test(spec)
     rows: list[tuple] = []
     append = rows.append
-    if len(spec.cell_tests) == 1 and row_test is None:
+    if len(spec.cell_tests) == 1 and not spec.row_tests:
         predicate = spec.cell_tests[0][1]
         if isinstance(predicate, ValueEquals) and isinstance(
             predicate.expected, (str, int, float)
@@ -331,20 +286,7 @@ def _extent_kernel(
                 ):
                     append((obj,))
             return rows
-        test = _specialize(predicate)
-        for oid in ids:
-            obj = objects[oid]
-            if (
-                obj.deleted
-                or obj.is_pattern
-                or obj.parent is not None
-                and obj.in_pattern_context
-            ):
-                continue
-            if test(obj):
-                append((obj,))
-        return rows
-    tests = [_specialize(predicate) for __, predicate in spec.cell_tests]
+    keep = _object_test(spec)
     for oid in ids:
         obj = objects[oid]
         if (
@@ -354,11 +296,23 @@ def _extent_kernel(
             and obj.in_pattern_context
         ):
             continue
-        if all(test(obj) for test in tests):
-            row = (obj,)
-            if row_test is None or row_test(row):
-                append(row)
+        if keep is None or keep(obj):
+            append((obj,))
     return rows
+
+
+def _object_test(spec: ShardSpec) -> Optional[Callable[[SeedObject], bool]]:
+    """An extent spec's peeled predicates as one test (None: keep all)."""
+    tests = [_specialize(predicate) for __, predicate in spec.cell_tests]
+    if spec.row_tests:
+        column = spec.columns[0]  # an extent scan has exactly one column
+        row_tests = spec.row_tests
+        tests.append(lambda obj: all(test({column: obj}) for test in row_tests))
+    if not tests:
+        return None
+    if len(tests) == 1:
+        return tests[0]
+    return lambda obj: all(test(obj) for test in tests)
 
 
 def _rel_kernel(db: "SeedDatabase", spec: ShardSpec, ids: list[int]) -> list[tuple]:
@@ -366,8 +320,7 @@ def _rel_kernel(db: "SeedDatabase", spec: ShardSpec, ids: list[int]) -> list[tup
     wanted = db.schema.association(spec.name)
     include_specials = spec.include_specials
     attributes = spec.with_attributes
-    cell_tests = spec.cell_tests
-    row_test = _row_test(spec)
+    keep = row_filter(spec)
     rows: list[tuple] = []
     for rid in ids:
         rel = relationships[rid]
@@ -379,32 +332,64 @@ def _rel_kernel(db: "SeedDatabase", spec: ShardSpec, ids: list[int]) -> list[tup
         elif rel.association is not wanted:
             continue
         row = relationship_row(rel, attributes)
-        if all(predicate(row[index]) for index, predicate in cell_tests):
-            if row_test is None or row_test(row):
-                rows.append(row)
+        if keep is None or keep(row):
+            rows.append(row)
     return rows
 
 
-def _row_test(spec: ShardSpec) -> Optional[Callable[[tuple], bool]]:
-    if not spec.row_tests:
-        return None
+def row_filter(spec: ShardSpec) -> Optional[Callable[[tuple], bool]]:
+    """The spec's peeled predicates as one test over a produced row.
+
+    ``None`` when nothing was peeled (every row passes). The planner's
+    index join applies this to the rows it fetches instead of scanning.
+    """
+    cell_tests = spec.cell_tests
     columns = spec.columns
-    predicates = spec.row_tests
+    row_tests = spec.row_tests
+    if not row_tests:
+        if not cell_tests:
+            return None
+        if len(cell_tests) == 1:  # the common shape: no genexpr per row
+            ((index, test),) = cell_tests
+            return lambda row: test(row[index])
+        return lambda row: all(test(row[index]) for index, test in cell_tests)
 
-    def test(row: tuple) -> bool:
+    def keep(row: tuple) -> bool:
+        if not all(test(row[index]) for index, test in cell_tests):
+            return False
         row_dict = dict(zip(columns, row))
-        return all(predicate(row_dict) for predicate in predicates)
+        return all(test(row_dict) for test in row_tests)
 
-    return test
+    return keep
+
+
+def _scan_ids(db: "SeedDatabase", spec: ShardSpec, shards: int) -> list[list[int]]:
+    """The spec's base scan ids, cut into *shards* consecutive ranges.
+
+    Association scans shard at family granularity (like the index); the
+    kernel applies the ``include_specials`` association check per row.
+    """
+    if spec.kind == "extent":
+        wanted = db.schema.entity_class(spec.name)
+        return db.indexes.extent_shards(wanted, shards, spec.include_specials)
+    root_name = db.schema.association(spec.name).family_root().name
+    return db.indexes.family_relationship_shards(root_name, shards)
+
+
+def run_in_thread(db: "SeedDatabase", spec: ShardSpec) -> Iterator[tuple]:
+    """Stream *spec*'s rows from the calling thread, a chunk at a time."""
+    (ids,) = _scan_ids(db, spec, 1)
+    for start in range(0, len(ids), CHUNK):
+        yield from run_kernel(db, spec, ids[start : start + CHUNK])
 
 
 # ----------------------------------------------------------------------
 # worker pools
 # ----------------------------------------------------------------------
 
-#: infrastructure failures that trigger the serial fallback; anything
-#: else (SimulatedCrash, query-level SeedErrors, predicate bugs) is
-#: deterministic and propagates unchanged
+#: infrastructure failures after which the scan is run in-thread;
+#: anything else (SimulatedCrash, query-level SeedErrors, predicate
+#: bugs) is deterministic and propagates unchanged
 _FALLBACK_ERRORS = (
     OSError,
     TimeoutError,
@@ -445,93 +430,80 @@ def _decode_row(db: "SeedDatabase", row: tuple) -> tuple:
 
 
 def run_sharded(
-    db: "SeedDatabase",
-    spec: ShardSpec,
-    *,
-    shards: int,
-    backend: str,
-    split: str,
-    timeout_s: float,
-    fallback: bool,
-    serial: Callable[[], Iterable[tuple]],
+    db: "SeedDatabase", spec: ShardSpec, *, shards: int, backend: str
 ) -> list[tuple]:
     """Run *spec* across a worker pool; the planner's Parallel runtime.
 
-    Returns the merged rows in shard order (serial scan order for the
-    ``range`` split). *serial* re-evaluates the subtree on the calling
-    thread and is used when an infrastructure failure occurs and
-    *fallback* is enabled; with *fallback* disabled the failure
-    surfaces as a :class:`QueryError` chained to the cause.
+    Returns the merged rows in shard order — the in-thread row order.
+    Only non-empty shards are dispatched; with at most one of them, or
+    after an infrastructure failure in the pool, the scan runs in-thread.
     """
-    shard_ids = Partitioner(db, shards, split).shards_for(spec)
-    try:
-        if backend == "process":
-            return _run_process(db, spec, shard_ids, timeout_s)
-        return _run_thread(db, spec, shard_ids, timeout_s)
-    except _FALLBACK_ERRORS as exc:
-        if fallback:
+    shard_ids = [ids for ids in _scan_ids(db, spec, shards) if ids]
+    if len(shard_ids) > 1:
+        try:
+            if backend == "process":
+                return _run_process(db, spec, shard_ids)
+            return _run_thread(db, spec, shard_ids)
+        except _FALLBACK_ERRORS:
             stats.fallbacks += 1
-            return list(serial())
-        raise QueryError(
-            f"parallel execution failed ({type(exc).__name__}: {exc}); "
-            "fallback disabled"
-        ) from exc
+    return list(run_in_thread(db, spec))
+
+
+def _collect(
+    pool: concurrent.futures.Executor,
+    submit: Callable[[int], concurrent.futures.Future],
+    shard_count: int,
+) -> list:
+    """Dispatch every shard through *submit*, merge results in shard order."""
+    try:
+        futures = []
+        for index in range(shard_count):
+            if faults._PLAN is not None:  # noqa: SLF001 - documented guard idiom
+                faults.fire(DISPATCH_POINT)
+            futures.append(submit(index))
+            stats.dispatched_shards += 1
+        rows: list = []
+        for future in futures:
+            if faults._PLAN is not None:  # noqa: SLF001
+                faults.fire(RESULT_POINT)
+            rows.extend(future.result(timeout=TIMEOUT_S))
+            stats.completed_shards += 1
+        return rows
+    finally:
+        # wait=False: a hung worker must not block the in-thread rerun;
+        # surviving threads park on the (finished) queue and exit
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _run_thread(
-    db: "SeedDatabase", spec: ShardSpec, shard_ids: list[list[int]], timeout_s: float
+    db: "SeedDatabase", spec: ShardSpec, shard_ids: list[list[int]]
 ) -> list[tuple]:
     workers = max(1, min(len(shard_ids), (os.cpu_count() or 1), 8))
     pool = concurrent.futures.ThreadPoolExecutor(
         max_workers=workers, thread_name_prefix="repro-shard"
     )
-    try:
-        futures = []
-        for index in range(len(shard_ids)):
-            if faults._PLAN is not None:  # noqa: SLF001 - documented guard idiom
-                faults.fire(DISPATCH_POINT)
-            futures.append(pool.submit(run_kernel, db, spec, shard_ids[index]))
-            stats.dispatched_shards += 1
-        rows: list[tuple] = []
-        for future in futures:
-            if faults._PLAN is not None:  # noqa: SLF001
-                faults.fire(RESULT_POINT)
-            rows.extend(future.result(timeout=timeout_s))
-            stats.completed_shards += 1
-        return rows
-    finally:
-        # wait=False: a hung worker must not block the fallback path;
-        # surviving threads park on the (finished) queue and exit
-        pool.shutdown(wait=False, cancel_futures=True)
+    return _collect(
+        pool,
+        lambda index: pool.submit(run_kernel, db, spec, shard_ids[index]),
+        len(shard_ids),
+    )
 
 
 def _run_process(
-    db: "SeedDatabase", spec: ShardSpec, shard_ids: list[list[int]], timeout_s: float
+    db: "SeedDatabase", spec: ShardSpec, shard_ids: list[list[int]]
 ) -> list[tuple]:
     global _FORK_STATE
     context = multiprocessing.get_context("fork")
     workers = max(1, min(len(shard_ids), os.cpu_count() or 1))
     with _FORK_LOCK:
         _FORK_STATE = (db, spec, shard_ids)
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        )
         try:
-            futures = []
-            for index in range(len(shard_ids)):
-                if faults._PLAN is not None:  # noqa: SLF001
-                    faults.fire(DISPATCH_POINT)
-                futures.append(pool.submit(_forked_shard, index))
-                stats.dispatched_shards += 1
-            rows: list[tuple] = []
-            for future in futures:
-                if faults._PLAN is not None:  # noqa: SLF001
-                    faults.fire(RESULT_POINT)
-                rows.extend(
-                    _decode_row(db, row) for row in future.result(timeout=timeout_s)
-                )
-                stats.completed_shards += 1
-            return rows
+            pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, mp_context=context
+            )
+            encoded = _collect(
+                pool, lambda index: pool.submit(_forked_shard, index), len(shard_ids)
+            )
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
             _FORK_STATE = None
+    return [_decode_row(db, row) for row in encoded]

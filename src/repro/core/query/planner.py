@@ -50,15 +50,25 @@ a planned evaluation path with three layers:
    histogram). Opaque callables keep the 1/3 heuristic.
 
 3. **A streaming executor** that yields rows through generators.
-   Selections, projections, renames, value dereferences, and the probe
-   side of every join stream; only pipeline breakers materialize (the
-   build side of a join — chosen as the smaller estimated input — the
-   subtrahend of a difference, and the duplicate-elimination sets of
-   union/projection). A join whose driving side is far smaller than a
-   bare association scan skips the scan entirely: it fetches each
-   driving object's incident relationships from the incidence index
-   (index nested-loop join), turning the join cost from O(association)
-   into O(matching edges).
+   The leaves are *shardable scans* — zero or more selections over a
+   bare extent or association scan, peeled once by ``_shard_spec`` —
+   and every one of them runs through the fused kernel of
+   :mod:`repro.core.query.parallel` (liveness, family membership and
+   the peeled predicates in one loop over the sorted id list), on the
+   calling thread, a chunk of ids at a time: rows stream, memory stays
+   O(chunk), and a consumer that stops early stops the scan. The
+   executor itself only scans the bisected name-index slice of a
+   prefix-rewritten extent. Above the leaves, selections (over
+   anything that is not a bare scan), projections, renames, value
+   dereferences, and the probe side of every join stream; only
+   pipeline breakers materialize (the build side of a join — chosen as
+   the smaller estimated input — the subtrahend of a difference, and
+   the duplicate-elimination sets of union/projection). A join whose
+   driving side is far smaller than a bare association scan skips the
+   scan entirely: it fetches each driving object's incident
+   relationships from the incidence index (index nested-loop join),
+   filters them with the scan's peeled predicates, and turns the join
+   cost from O(association) into O(matching edges).
 
 Equivalence contract: for any query built both ways, the planner's
 :meth:`Plan.execute` returns a relation whose row *multiset* equals the
@@ -99,32 +109,31 @@ testing.
    database inflates. Soundness never depends on this: a stale plan
    returns correct rows, just slower.
 
-5. **Parallel execution over partitioned scans (PR 8).** With a
-   :class:`~repro.core.query.parallel.ParallelConfig`, the optimizer
-   runs a final pass that wraps *shardable* subtrees — a chain of
-   selections over a bare extent scan or association scan — in a
-   :class:`Parallel` node. The decision is costed in scanned-row
-   units from the same maintained statistics: a base scan of ``S``
-   rows parallelizes only when
-
-   * ``S >= threshold`` (default 100 000 — small scans never
-     parallelize; pool spin-up would dominate), and
-   * ``S / shards + dispatch_overhead < S`` — the per-shard cost plus
-     a fixed dispatch constant (default 25 000 row-units per run)
-     must beat the serial scan.
+5. **Pooled scans.** With a
+   :class:`~repro.core.query.parallel.ParallelConfig` (shard count and
+   backend — nothing else is configurable), the optimizer runs a final
+   pass that wraps a shardable scan in a :class:`Parallel` node when a
+   worker pool pays for it. That is decided per scan from the
+   maintained statistics, in scanned-row units
+   (:func:`~repro.core.query.parallel.pool_pays`): a base scan of
+   ``S`` rows is pooled only when ``S >= 100 000`` (below that, pool
+   spin-up dominates) and ``S / shards + 25 000 < S`` (the per-shard
+   cost plus a fixed dispatch charge must beat one thread). Every
+   other scan runs in-thread — the *same* kernel, so the two choices
+   differ in where the loop runs and in nothing else.
 
    ``explain()`` renders the choice deterministically
-   (``Parallel shards=4 backend=thread split=range per-shard~S/n+C``).
-   Execution partitions the scan's id list through the index layer
-   (shard-stable; ``range`` split preserves serial row order, ``hash``
-   is multiset-equal), runs a fused per-shard kernel on a thread or
-   fork-process pool, and merges in shard order — a pipeline breaker,
-   so everything above (``Project``/``Union``/``Difference``, join
-   probe/build) streams unchanged. Worker failures are bounded by
-   failpoints and a result timeout, falling back to serial execution
-   (see :mod:`repro.core.query.parallel`). Cached plans key on the
-   config, so the same logical tree can hold serial and parallel
-   optimizations side by side.
+   (``Parallel shards=4 backend=thread per-shard~S/n+C dispatch``).
+   Execution cuts the scan's sorted id list into contiguous ranges
+   through the index layer, runs one kernel call per non-empty range
+   on a thread or fork-process pool, and merges in range order — the
+   in-thread row order. The node is a pipeline breaker, so everything
+   above (``Project``/``Union``/``Difference``, join probe/build)
+   streams unchanged. Worker failures are bounded by failpoints and a
+   result timeout, after which the scan just runs in-thread (see
+   :mod:`repro.core.query.parallel`). Cached plans key on the config,
+   so the same logical tree can hold plain and pooled optimizations
+   side by side.
 """
 
 from __future__ import annotations
@@ -138,7 +147,8 @@ from repro.core.errors import QueryError
 from repro.core.indexes import value_key
 from repro.core.objects import SeedObject
 from repro.core.query.algebra import Relation, dereference, relationship_row
-from repro.core.query.parallel import ParallelConfig, ShardSpec, run_sharded
+from repro.core.query import parallel as kernel
+from repro.core.query.parallel import ParallelConfig, ShardSpec
 from repro.core.query.predicates import (
     And,
     HasValue,
@@ -312,16 +322,12 @@ class Parallel(PlanNode):
     """Run a shardable subtree across a worker pool (optimizer-placed).
 
     ``backend`` is already resolved (``thread`` or ``process``) so the
-    node executes — and ``explain()`` renders — deterministically. The
-    carried config supplies the runtime failure policy (fallback,
-    timeout).
+    node executes — and ``explain()`` renders — deterministically.
     """
 
     child: PlanNode
     shards: int
     backend: str
-    split: str
-    config: ParallelConfig
 
 
 # ----------------------------------------------------------------------
@@ -628,8 +634,8 @@ def optimize(
 ) -> PlanNode:
     """Full rewrite pipeline: pushdown, indexed scans, semi-join
     reduction for value dereferences, join order, and — when a
-    :class:`ParallelConfig` is given — parallelization of shardable
-    scans that cost out (see module docstring, layer 5)."""
+    :class:`ParallelConfig` is given — pooling of the shardable scans
+    large enough to pay for it (see module docstring, layer 5)."""
     node = _push_selections(db, node)
     node = _rewrite_scans(db, node)
     node = _reduce_values_joins(db, node)
@@ -930,9 +936,10 @@ def _shard_spec(db: SeedDatabase, node: PlanNode) -> Optional[ShardSpec]:
     """Decompose a shardable subtree into a kernel spec, else ``None``.
 
     Shardable = a (possibly empty) chain of selections over a bare
-    extent scan or association scan. Prefix-rewritten extent scans are
-    excluded — they already read a bisected slice of the name index,
-    which the oid-keyed partitioner cannot split.
+    extent scan or association scan — what the fused kernel evaluates,
+    in-thread or pooled. Prefix-rewritten extent scans are excluded:
+    they read a bisected slice of the name index, not an id list. This
+    is the only place a Select chain is peeled.
     """
     columns = _columns_of(db, node)
     cell_tests: list[tuple[int, Any]] = []
@@ -972,8 +979,8 @@ def _shard_spec(db: SeedDatabase, node: PlanNode) -> Optional[ShardSpec]:
 
 
 def _base_scan_size(db: SeedDatabase, spec: ShardSpec) -> int:
-    """Rows the spec's base scan reads — the unit of the parallel cost
-    model (parallelism saves scan + predicate work, not output rows)."""
+    """Rows the spec's base scan reads — the unit of the pooled-scan
+    cost model (a pool saves scan + predicate work, not output rows)."""
     if spec.kind == "extent":
         wanted = db.schema.entity_class(spec.name)
         return db.indexes.extent_size(wanted, spec.include_specials)
@@ -983,20 +990,15 @@ def _base_scan_size(db: SeedDatabase, spec: ShardSpec) -> int:
 def _parallelize(
     db: SeedDatabase, node: PlanNode, config: ParallelConfig
 ) -> PlanNode:
-    """Wrap shardable subtrees whose scans cost out in Parallel nodes."""
+    """Wrap shardable subtrees whose scans pay for a pool in Parallel
+    nodes; every other scan runs the same kernel in-thread."""
     backend = config.resolved_backend()
 
     def wrap(current: PlanNode) -> PlanNode:
         spec = _shard_spec(db, current)
         if spec is not None:
-            scanned = _base_scan_size(db, spec)
-            if (
-                scanned >= config.threshold
-                and scanned / config.shards + config.dispatch_overhead < scanned
-            ):
-                return Parallel(
-                    current, config.shards, backend, config.split, config
-                )
+            if kernel.pool_pays(_base_scan_size(db, spec), config.shards):
+                return Parallel(current, config.shards, backend)
             return current  # the whole chain shares one base: decided
         if isinstance(current, (Select, Project, Rename, Values, Reorder)):
             return replace(current, child=wrap(current.child))
@@ -1059,13 +1061,7 @@ def _plan_key(node: PlanNode) -> tuple:
     if isinstance(node, Difference):
         return ("difference", _plan_key(node.left), _plan_key(node.right))
     if isinstance(node, Parallel):
-        return (
-            "parallel",
-            _plan_key(node.child),
-            node.shards,
-            node.backend,
-            node.split,
-        )
+        return ("parallel", _plan_key(node.child), node.shards, node.backend)
     raise AssertionError(f"unhandled node {type(node).__name__}")  # pragma: no cover
 
 
@@ -1317,12 +1313,14 @@ class _Executor:
         self._db = db
 
     def rows(self, node: PlanNode) -> Iterator[tuple]:
-        if isinstance(node, ExtentScan):
-            yield from self._scan_extent(node)
-        elif isinstance(node, RelScan):
-            yield from self._scan_relationships(node)
-        elif isinstance(node, Select):
-            yield from self._select(node)
+        if isinstance(node, (ExtentScan, RelScan, Select)):
+            spec = _shard_spec(self._db, node)
+            if spec is not None:
+                yield from kernel.run_in_thread(self._db, spec)
+            elif isinstance(node, Select):
+                yield from self._select(node)
+            else:
+                yield from self._scan_prefix(node)
         elif isinstance(node, Project):
             yield from self._project(node)
         elif isinstance(node, Rename):
@@ -1344,13 +1342,8 @@ class _Executor:
 
     # -- scans ---------------------------------------------------------
 
-    def _scan_extent(self, node: ExtentScan) -> Iterator[tuple]:
-        if node.prefix is None:
-            for obj in self._db.iter_objects(
-                node.class_name, include_specials=node.include_specials
-            ):
-                yield (obj,)
-            return
+    def _scan_prefix(self, node: ExtentScan) -> Iterator[tuple]:
+        """The bisected name-index scan (the one scan with no id list)."""
         wanted = self._db.schema.entity_class(node.class_name)
         for obj in self._db.objects_by_name_prefix(node.prefix):
             if node.include_specials:
@@ -1360,14 +1353,8 @@ class _Executor:
                 continue
             yield (obj,)
 
-    def _scan_relationships(self, node: RelScan) -> Iterator[tuple]:
-        for rel in self._db.iter_relationships(
-            node.association, include_specials=node.include_specials
-        ):
-            yield relationship_row(rel, node.with_attributes)
-
     def _parallel(self, node: Parallel) -> Iterator[tuple]:
-        """Dispatch a Parallel node to the sharded worker runtime.
+        """Fan the child's kernel over the worker pool.
 
         A pipeline breaker: the shards materialize before the first row
         is yielded, so worker pools wind down deterministically instead
@@ -1377,15 +1364,8 @@ class _Executor:
         if spec is None:  # pragma: no cover - optimizer only wraps shardable
             yield from self.rows(node.child)
             return
-        yield from run_sharded(
-            self._db,
-            spec,
-            shards=node.shards,
-            backend=node.backend,
-            split=node.split,
-            timeout_s=node.config.timeout_s,
-            fallback=node.config.fallback,
-            serial=lambda: self.rows(node.child),
+        yield from kernel.run_sharded(
+            self._db, spec, shards=node.shards, backend=node.backend
         )
 
     # -- streaming operators -------------------------------------------
@@ -1447,19 +1427,17 @@ class _Executor:
         # the index join is chosen — probing incidence lists beats
         # sharding a scan the join would not perform)
         if len(shared) == 1:
-            right_base, right_filter = self._peel_selects(
-                _strip_parallel(node.right), right_columns
-            )
+            right_scan = _shard_spec(self._db, _strip_parallel(node.right))
             if (
-                isinstance(right_base, RelScan)
+                right_scan is not None
+                and right_scan.kind == "rel"
                 and left_estimate
-                <= self._db.indexes.association_size(right_base.association) // 2
+                <= self._db.indexes.association_size(right_scan.name) // 2
                 and shared[0] in right_columns[:2]
             ):
                 yield from self._index_join(
                     drive=node.left,
-                    scan=right_base,
-                    scan_filter=right_filter,
+                    scan=right_scan,
                     position=right_columns[:2].index(shared[0]),
                     source=left_columns.index(shared[0]),
                     # the scanned side is the join's right: keep its
@@ -1468,19 +1446,17 @@ class _Executor:
                     + tuple(rel_row[i] for i in right_extra),
                 )
                 return
-            left_base, left_filter = self._peel_selects(
-                _strip_parallel(node.left), left_columns
-            )
+            left_scan = _shard_spec(self._db, _strip_parallel(node.left))
             if (
-                isinstance(left_base, RelScan)
+                left_scan is not None
+                and left_scan.kind == "rel"
                 and right_estimate
-                <= self._db.indexes.association_size(left_base.association) // 2
+                <= self._db.indexes.association_size(left_scan.name) // 2
                 and shared[0] in left_columns[:2]
             ):
                 yield from self._index_join(
                     drive=node.right,
-                    scan=left_base,
-                    scan_filter=left_filter,
+                    scan=left_scan,
                     position=left_columns[:2].index(shared[0]),
                     source=right_columns.index(shared[0]),
                     # the scanned side is the join's left: its row
@@ -1517,8 +1493,7 @@ class _Executor:
         self,
         *,
         drive: PlanNode,
-        scan: RelScan,
-        scan_filter: Callable[[tuple], bool],
+        scan: ShardSpec,
         position: int,
         source: int,
         emit: Callable[[tuple, tuple], tuple],
@@ -1528,52 +1503,29 @@ class _Executor:
         Both join orientations share this loop; only the parameters
         (which role position anchors, where the anchor sits in the
         driving row, and how the output row is assembled) differ.
+        *scan* is the association side's kernel spec: its peeled
+        selections apply to the few fetched rows.
         """
+        keep = kernel.row_filter(scan)
         for row in self.rows(drive):
             anchor = row[source]
             if not isinstance(anchor, SeedObject):
                 continue  # value cell: can never match a role
             for rel_row in self._incident_rows(scan, anchor, position):
-                if scan_filter(rel_row):
+                if keep is None or keep(rel_row):
                     yield emit(row, rel_row)
 
-    @staticmethod
-    def _peel_selects(
-        node: PlanNode, columns: tuple[str, ...]
-    ) -> tuple[PlanNode, Callable[[tuple], bool]]:
-        """Strip Select wrappers, returning the base and a row filter.
-
-        Selections preserve columns, so the peeled predicates can be
-        re-applied to rows produced for the base node.
-        """
-        tests: list[Callable[[tuple], bool]] = []
-        while isinstance(node, Select):
-            predicate = node.predicate
-            if isinstance(predicate, ColumnPredicate):
-                index = columns.index(predicate.column)
-                tests.append(
-                    lambda row, i=index, f=predicate.predicate: bool(f(row[i]))
-                )
-            else:
-                tests.append(
-                    lambda row, f=predicate: bool(f(dict(zip(columns, row))))
-                )
-            node = node.child
-        if not tests:
-            return node, lambda row: True
-        return node, lambda row: all(test(row) for test in tests)
-
     def _incident_rows(
-        self, scan: RelScan, anchor: SeedObject, position: int
+        self, scan: ShardSpec, anchor: SeedObject, position: int
     ) -> Iterator[tuple]:
-        """RelScan rows whose role at *position* binds *anchor*.
+        """Association-scan rows whose role at *position* binds *anchor*.
 
         Served from the incidence index — O(degree of *anchor*) instead
         of O(association). The bound-object identity check (not a role
         lookup) keeps self-loop relationships correct.
         """
-        wanted = self._db.schema.association(scan.association)
-        for rel in self._db.relationships_of_object(anchor, scan.association):
+        wanted = self._db.schema.association(scan.name)
+        for rel in self._db.relationships_of_object(anchor, scan.name):
             if not scan.include_specials and rel.association is not wanted:
                 continue
             if rel.bound_at(position).oid != anchor.oid:
@@ -1663,8 +1615,7 @@ def _node_label(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -> str:
         per_shard = scanned // node.shards
         detail = (
             f"Parallel shards={node.shards} backend={node.backend} "
-            f"split={node.split} "
-            f"per-shard~{per_shard}+{node.config.dispatch_overhead} dispatch"
+            f"per-shard~{per_shard}+{kernel.DISPATCH_OVERHEAD} dispatch"
         )
     else:  # pragma: no cover - exhaustive
         raise AssertionError(f"unhandled node {type(node).__name__}")

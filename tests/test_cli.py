@@ -187,6 +187,18 @@ class TestQueryCommand:
         assert "by\tdata" in out
         assert "(2 rows)" in out  # Handler reads and writes Alarms
 
+    @pytest.mark.parametrize("option", [["--shards", "2"], ["--backend", "thread"]])
+    def test_pool_options_without_parallel_are_a_usage_error(
+        self, db_file, capsys, option
+    ):
+        with pytest.raises(SystemExit) as usage:
+            main(["query", str(db_file), "--extent", "Data", *option])
+        assert usage.value.code == 2
+        assert "only apply with --parallel" in capsys.readouterr().err
+        assert main([
+            "query", str(db_file), "--extent", "Data", "--parallel", *option,
+        ]) == 0
+
     def test_via_with_unbound_class_is_error(self, db_file, capsys):
         assert main([
             "query", str(db_file), "--extent", "Module", "--via", "Read",

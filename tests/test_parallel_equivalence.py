@@ -1,24 +1,27 @@
-"""Parallel executor equivalence, determinism, and failure handling.
+"""Pooled-scan equivalence, determinism, and failure handling.
 
-The sharded runtime (:mod:`repro.core.query.parallel`) must be
-row-multiset identical to the serial streaming executor for *any*
+The fused kernel (:mod:`repro.core.query.parallel`) runs every
+shardable scan, in-thread or pooled; the pooled runs must be
+row-multiset identical to the eager ``Relation`` algebra for *any*
 query, on both backends, across shard counts — including mid-transaction
 reads and the vague/undefined data shapes the randomized planner
-populations carry. Beyond equivalence, this suite pins down:
+populations carry — and row-*order* identical to the in-thread run.
+Beyond equivalence, this suite pins down:
 
 * explain determinism — the ``Parallel`` rendering is byte-identical
   run to run;
-* the costing threshold — small scans never parallelize under the
-  default config;
+* the costing constants — small scans never reach a pool under the
+  shipped ``THRESHOLD`` / ``DISPATCH_OVERHEAD``;
 * the failure contract — failpoint-injected I/O errors, poisoned
-  (exiting) workers, and hung workers fall back to serial execution
-  (or surface a clean ``QueryError`` when fallback is disabled), and
-  :class:`~repro.core.faults.SimulatedCrash` always propagates;
+  (exiting) workers, and hung workers end in an in-thread run of the
+  same kernel, and :class:`~repro.core.faults.SimulatedCrash` always
+  propagates;
 * process-backend hygiene — structured predicates pickle round-trip.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import random
@@ -31,12 +34,13 @@ from repro.core import SchemaBuilder, SeedDatabase
 from repro.core import faults
 from repro.core.errors import QueryError
 from repro.core.query import parallel as parallel_mod
-from repro.core.query.parallel import ParallelConfig, Partitioner
+from repro.core.query.parallel import ParallelConfig
 from repro.core.query.planner import (
     Parallel,
     _children_of,
     on,
     plan,
+    plan_cache,
 )
 from repro.core.query.predicates import (
     And,
@@ -54,8 +58,26 @@ from repro.core.query.predicates import (
     value_is,
 )
 
-#: force parallelization of every shardable subtree, however small
-FORCE = dict(threshold=0, dispatch_overhead=0)
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Send every shardable scan to the pool, however small.
+
+    The cost constants are module state, so a plan cached under the
+    shipped values would be served stale: the shared populations' plan
+    caches are emptied on the way in and on the way out.
+    """
+
+    def clear_caches():
+        for db in _populations.values():
+            plan_cache(db).clear()
+
+    clear_caches()
+    monkeypatch.setattr(parallel_mod, "THRESHOLD", 0)
+    monkeypatch.setattr(parallel_mod, "DISPATCH_OVERHEAD", 0)
+    yield
+    clear_caches()
+
 
 _MAIN_PID = os.getpid()
 
@@ -111,8 +133,9 @@ def population(seed: int):
     return _populations[seed]
 
 
+@pytest.mark.usefixtures("force_pool")
 class TestRandomizedParallelEquivalence:
-    """Parallel vs. serial on the seeded random populations/queries.
+    """Pooled vs. eager on the seeded random populations/queries.
 
     Shard counts {1, 2, 7} and both backends rotate deterministically
     through the (population, query) grid, so every combination is
@@ -138,7 +161,7 @@ class TestRandomizedParallelEquivalence:
         shards, backend = self.GRID[
             (population_seed * len(self.CASES) // 8 + query_seed) % len(self.GRID)
         ]
-        config = ParallelConfig(shards=shards, backend=backend, **FORCE)
+        config = ParallelConfig(shards=shards, backend=backend)
         parallel_result = query.plan.execute(parallel=config)
         assert parallel_result.columns == query.relation.columns
         assert row_multiset(parallel_result) == row_multiset(query.relation), (
@@ -148,15 +171,16 @@ class TestRandomizedParallelEquivalence:
         )
 
     def test_grid_actually_parallelizes(self):
-        """Coverage guard: the forced config does wrap scans."""
+        """Coverage guard: the forced constants do wrap scans."""
         db = population(0)
         rng = random.Random(7)
         query = random_query(rng, db)
-        config = ParallelConfig(shards=2, backend="thread", **FORCE)
+        config = ParallelConfig(shards=2, backend="thread")
         optimized = query.plan.optimized(parallel=config)
         assert count_parallel(optimized) >= 1
 
 
+@pytest.mark.usefixtures("force_pool")
 class TestDirectedSemantics:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("shards", [1, 2, 7])
@@ -167,30 +191,15 @@ class TestDirectedSemantics:
             .extent("Note", column="note")
             .select(on("note", value_is("tag3")))
         )
-        config = ParallelConfig(
-            shards=shards, backend=backend, split="range", **FORCE
-        )
+        config = ParallelConfig(shards=shards, backend=backend)
         serial_rows = list(query.rows(parallel=None))
         parallel_rows = list(query.rows(parallel=config))
         assert parallel_rows == serial_rows  # order, not just multiset
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_hash_split_is_multiset_equal(self, backend):
-        db = small_db()
-        query = (
-            plan(db)
-            .extent("Note", column="note")
-            .select(on("note", has_value()))
-        )
-        config = ParallelConfig(shards=3, backend=backend, split="hash", **FORCE)
-        assert row_multiset(query.execute(parallel=config)) == row_multiset(
-            query.execute(parallel=None)
-        )
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_mid_transaction_reads(self, backend):
         db = small_db(40)
-        config = ParallelConfig(shards=2, backend=backend, **FORCE)
+        config = ParallelConfig(shards=2, backend=backend)
         query = (
             plan(db)
             .extent("Note", column="note")
@@ -219,10 +228,16 @@ class TestDirectedSemantics:
             .select(on("note", opaque))
             .select(lambda row: row["note"].value != "tag4")
         )
-        config = ParallelConfig(shards=4, backend="thread", **FORCE)
-        assert row_multiset(query.execute(parallel=config)) == row_multiset(
-            query.execute(parallel=None)
-        )
+        config = ParallelConfig(shards=4, backend="thread")
+        pooled = query.execute(parallel=config)
+        assert row_multiset(pooled) == row_multiset(query.execute(parallel=None))
+        # shard-order merge against the database's own scan order
+        assert [obj for (obj,) in pooled.rows] == [
+            obj
+            for obj in db.iter_objects("Note")
+            if obj.value not in (None, "tag4")
+            and str(obj.name).endswith(("0", "2"))
+        ]
 
     def test_join_over_parallel_leaf(self):
         db = small_db()
@@ -233,7 +248,7 @@ class TestDirectedSemantics:
             .join(plan(db).relationship("Covers"))
             .project("doc")
         )
-        config = ParallelConfig(shards=3, backend="thread", **FORCE)
+        config = ParallelConfig(shards=3, backend="thread")
         assert row_multiset(query.execute(parallel=config)) == row_multiset(
             query.execute(parallel=None)
         )
@@ -250,35 +265,43 @@ class TestCostModel:
         optimized = query.optimized(parallel=ParallelConfig())
         assert count_parallel(optimized) == 0
 
-    def test_threshold_zero_parallelizes(self):
+    def test_shipped_constants(self):
+        # bench/workloads/query_mix.py sizes its population against these
+        assert parallel_mod.THRESHOLD == 100_000
+        assert parallel_mod.DISPATCH_OVERHEAD == 25_000
+        assert parallel_mod.TIMEOUT_S == 60.0
+
+    def test_threshold_zero_parallelizes(self, force_pool):
         db = small_db()
         query = plan(db).extent("Note", column="note")
-        optimized = query.optimized(parallel=ParallelConfig(**FORCE))
+        optimized = query.optimized(parallel=ParallelConfig())
         assert count_parallel(optimized) == 1
 
-    def test_dispatch_overhead_blocks_non_paying_scans(self):
+    def test_dispatch_overhead_blocks_non_paying_scans(self, monkeypatch):
         db = small_db(100)
         query = plan(db).extent("Note", column="note")
         # threshold passes, but S/shards + overhead >= S: never pays
-        config = ParallelConfig(shards=2, threshold=0, dispatch_overhead=10_000)
+        monkeypatch.setattr(parallel_mod, "THRESHOLD", 0)
+        monkeypatch.setattr(parallel_mod, "DISPATCH_OVERHEAD", 10_000)
+        config = ParallelConfig(shards=2)
         assert count_parallel(query.optimized(parallel=config)) == 0
 
-    def test_prefix_scans_are_not_sharded(self):
+    def test_prefix_scans_are_not_sharded(self, force_pool):
         db = small_db()
         query = (
             plan(db)
             .extent("Note", column="note")
             .select(on("note", name_prefix("N1")))
         )
-        optimized = query.optimized(parallel=ParallelConfig(**FORCE))
+        optimized = query.optimized(parallel=ParallelConfig())
         # the rewrite wins: a bisected prefix scan stays serial
         assert count_parallel(optimized) == 0
-        assert "prefix='N1'" in query.explain(parallel=ParallelConfig(**FORCE))
+        assert "prefix='N1'" in query.explain(parallel=ParallelConfig())
 
-    def test_cache_keeps_serial_and_parallel_plans_apart(self):
+    def test_cache_keeps_serial_and_parallel_plans_apart(self, force_pool):
         db = small_db()
         query = plan(db).extent("Note", column="note")
-        config = ParallelConfig(**FORCE)
+        config = ParallelConfig()
         serial_tree = query.optimized()
         parallel_tree = query.optimized(parallel=config)
         assert count_parallel(serial_tree) == 0
@@ -288,9 +311,10 @@ class TestCostModel:
         assert query.optimized(parallel=config) is parallel_tree
 
 
+@pytest.mark.usefixtures("force_pool")
 class TestExplainDeterminism:
     def test_explain_is_byte_identical_run_to_run(self):
-        config = ParallelConfig(shards=4, backend="thread", **FORCE)
+        config = ParallelConfig(shards=4, backend="thread")
 
         def render() -> str:
             db = small_db()
@@ -304,18 +328,18 @@ class TestExplainDeterminism:
 
         first, second = render(), render()
         assert first == second
-        assert "Parallel shards=4 backend=thread split=range" in first
-        assert "per-shard~" in first
+        assert "Parallel shards=4 backend=thread per-shard~30+0 dispatch" in first
 
     def test_parallel_node_renders_in_tree_position(self):
         db = small_db()
-        config = ParallelConfig(shards=2, backend="thread", **FORCE)
+        config = ParallelConfig(shards=2, backend="thread")
         text = plan(db).extent("Note", column="note").explain(parallel=config)
         lines = text.splitlines()
-        assert lines[0].startswith("Parallel shards=2")
+        assert lines[0].startswith("Parallel shards=2 backend=thread per-shard~60")
         assert lines[1].strip().startswith("└─ ExtentScan Note")
 
 
+@pytest.mark.usefixtures("force_pool")
 class TestFailureContract:
     def setup_method(self):
         parallel_mod.stats.reset()
@@ -330,30 +354,20 @@ class TestFailureContract:
             .extent("Note", column="note")
             .select(on("note", value_is("tag2")))
         )
-        expected = row_multiset(query.execute(parallel=None))
-        config = ParallelConfig(shards=3, backend=backend, **FORCE)
+        expected = list(query.rows(parallel=None))
+        config = ParallelConfig(shards=3, backend=backend)
         fault_plan = faults.FaultPlan(seed=11)
         fault_plan.fail_io(point, at=2)
         with fault_plan:
             result = query.execute(parallel=config)
-        assert row_multiset(result) == expected
+        assert list(result.rows) == expected  # the fallback keeps row order
         assert fault_plan.triggered, "failpoint never fired"
         assert parallel_mod.stats.fallbacks == 1
-
-    def test_fail_io_without_fallback_raises_query_error(self):
-        db = small_db()
-        query = plan(db).extent("Note", column="note")
-        config = ParallelConfig(shards=2, backend="thread", fallback=False, **FORCE)
-        fault_plan = faults.FaultPlan(seed=5)
-        fault_plan.fail_io(parallel_mod.DISPATCH_POINT)
-        with fault_plan:
-            with pytest.raises(QueryError, match="fallback disabled"):
-                query.execute(parallel=config)
 
     def test_simulated_crash_always_propagates(self):
         db = small_db()
         query = plan(db).extent("Note", column="note")
-        config = ParallelConfig(shards=2, backend="thread", **FORCE)
+        config = ParallelConfig(shards=2, backend="thread")
         fault_plan = faults.FaultPlan(seed=5)
         fault_plan.crash(parallel_mod.RESULT_POINT)
         with fault_plan:
@@ -365,29 +379,20 @@ class TestFailureContract:
         db = small_db(30)
         poison = FunctionPredicate(_exit_in_worker, "exit-in-worker")
         query = plan(db).extent("Note", column="note").select(on("note", poison))
-        config = ParallelConfig(shards=2, backend="process", **FORCE)
+        config = ParallelConfig(shards=2, backend="process")
         result = query.execute(parallel=config)  # BrokenProcessPool inside
-        assert len(result.rows) == 30  # serial fallback in the parent
+        assert len(result.rows) == 30  # in-thread rerun in the parent
         assert parallel_mod.stats.fallbacks == 1
 
-    def test_poisoned_worker_without_fallback_raises(self):
-        db = small_db(30)
-        poison = FunctionPredicate(_exit_in_worker, "exit-in-worker")
-        query = plan(db).extent("Note", column="note").select(on("note", poison))
-        config = ParallelConfig(
-            shards=2, backend="process", fallback=False, **FORCE
-        )
-        with pytest.raises(QueryError, match="fallback disabled"):
-            query.execute(parallel=config)
-
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_hung_worker_times_out_instead_of_hanging_the_merge(self, backend):
+    def test_hung_worker_times_out_instead_of_hanging_the_merge(
+        self, backend, monkeypatch
+    ):
         db = small_db(6)
         sleepy = FunctionPredicate(_sleepy, "sleepy")
         query = plan(db).extent("Note", column="note").select(on("note", sleepy))
-        config = ParallelConfig(
-            shards=2, backend=backend, timeout_s=0.01, **FORCE
-        )
+        monkeypatch.setattr(parallel_mod, "TIMEOUT_S", 0.01)
+        config = ParallelConfig(shards=2, backend=backend)
         started = time.monotonic()
         result = query.execute(parallel=config)
         elapsed = time.monotonic() - started
@@ -396,47 +401,67 @@ class TestFailureContract:
         assert elapsed < 10  # bounded: no full-queue wait, no deadlock
 
 
-class TestPartitioner:
+@pytest.mark.usefixtures("force_pool")
+class TestEmptyShards:
+    """Fewer ids than shards: empty ranges never reach the pool."""
+
+    def setup_method(self):
+        parallel_mod.stats.reset()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_empty_shards_are_not_dispatched(self, backend):
+        db = small_db(3)  # three Notes
+        query = plan(db).extent("Note", column="note")
+        config = ParallelConfig(shards=7, backend=backend)
+        assert list(query.rows(parallel=config)) == list(query.rows(parallel=None))
+        assert parallel_mod.stats.dispatched_shards == 3
+        assert parallel_mod.stats.completed_shards == 3
+
+    def test_single_non_empty_shard_runs_in_thread(self):
+        db = small_db(3)  # one Doc
+        query = plan(db).extent("Doc", column="doc")
+        config = ParallelConfig(shards=7, backend="process")
+        assert count_parallel(query.optimized(parallel=config)) == 1
+        assert len(query.execute(parallel=config).rows) == 1
+        assert parallel_mod.stats.dispatched_shards == 0
+        assert parallel_mod.stats.fallbacks == 0  # not a failure
+
+
+class TestSharding:
     def test_range_shards_concatenate_to_extent_order(self):
         db = small_db(53)
-        partitioner = Partitioner(db, shards=7, split="range")
-        shards = partitioner.object_shards("Note")
         wanted = db.schema.entity_class("Note")
+        shards = db.indexes.extent_shards(wanted, 7)
         flat = [oid for shard in shards for oid in shard]
         assert flat == db.indexes.extent_oids(wanted)
         assert len(shards) == 7
 
-    def test_hash_shards_partition_the_extent(self):
-        db = small_db(53)
-        partitioner = Partitioner(db, shards=4, split="hash")
-        shards = partitioner.object_shards("Note")
-        wanted = db.schema.entity_class("Note")
-        flat = sorted(oid for shard in shards for oid in shard)
-        assert flat == db.indexes.extent_oids(wanted)
-        for index, shard in enumerate(shards):
-            assert all(oid % 4 == index for oid in shard)
-
     def test_more_shards_than_rows_yields_empty_shards(self):
         db = small_db(3)
-        shards = Partitioner(db, shards=7, split="range").object_shards("Doc")
+        shards = db.indexes.extent_shards(db.schema.entity_class("Doc"), 7)
         assert len(shards) == 7
         assert sum(len(shard) for shard in shards) == 1  # one Doc at size 3
 
     def test_partitioning_is_shard_stable(self):
         db = small_db(40)
-        first = Partitioner(db, shards=3).relationship_shards("Covers")
-        second = Partitioner(db, shards=3).relationship_shards("Covers")
+        first = db.indexes.family_relationship_shards("Covers", 3)
+        second = db.indexes.family_relationship_shards("Covers", 3)
         assert first == second
+        assert [rid for shard in first for rid in shard] == (
+            db.indexes.family_relationship_ids("Covers")
+        )
+
+    def test_config_has_exactly_two_options(self):
+        assert tuple(f.name for f in dataclasses.fields(ParallelConfig)) == (
+            "shards",
+            "backend",
+        )
 
     def test_config_validation(self):
         with pytest.raises(QueryError):
             ParallelConfig(shards=0)
         with pytest.raises(QueryError):
             ParallelConfig(backend="gpu")
-        with pytest.raises(QueryError):
-            ParallelConfig(split="modulo")
-        with pytest.raises(QueryError):
-            ParallelConfig(timeout_s=0)
 
 
 class TestProcessBackendHygiene:
@@ -459,7 +484,6 @@ class TestProcessBackendHygiene:
         assert pickle.loads(pickle.dumps(predicate)) == predicate
 
     def test_parallel_config_pickles_and_hashes(self):
-        config = ParallelConfig(shards=7, backend="process", split="hash")
+        config = ParallelConfig(shards=7, backend="process")
         assert pickle.loads(pickle.dumps(config)) == config
-        assert hash(config) == hash(ParallelConfig(shards=7, backend="process",
-                                                   split="hash"))
+        assert hash(config) == hash(ParallelConfig(shards=7, backend="process"))

@@ -8,6 +8,11 @@ tombstoned relationships) and random queries built through both paths
 in lockstep — 240 (population, query) cases — and asserts zero
 divergence, plus directed cases for the semantics the paper calls out
 (vague flows join transparently, undefined values match nothing).
+
+Every scan leaf runs through the fused kernel a chunk of ids at a
+time, so one population is built larger than a chunk — with deleted,
+pattern-context and dependent objects in it — and checked for row
+*order* as well, against the eager algebra and the ``brute_*`` scans.
 """
 
 from __future__ import annotations
@@ -21,9 +26,19 @@ from _planner_gen import (
     random_query,
     row_multiset,
 )
-from repro.core.query.algebra import extent, relationship_relation
+from repro.core import SchemaBuilder, SeedDatabase
+from repro.core.indexes import brute_objects, brute_relationships
+from repro.core.query import parallel
+from repro.core.query.algebra import extent, relationship_relation, relationship_row
 from repro.core.query.planner import on, plan
-from repro.core.query.predicates import in_class, name_prefix
+from repro.core.query.predicates import (
+    FunctionPredicate,
+    has_value,
+    in_class,
+    name_prefix,
+    participates_in,
+    value_is,
+)
 
 POPULATION_COUNT = 30
 QUERIES_PER_POPULATION = 8
@@ -136,3 +151,137 @@ class TestDirectedEquivalence:
         )
         assert planned.execute().columns == eager.columns
         assert row_multiset(planned.execute()) == row_multiset(eager)
+
+
+def build_chunked_population() -> SeedDatabase:
+    """Scans of more than one kernel chunk each, with every row kind the
+    kernel must skip: tombstones, patterns, sub-objects of patterns, and
+    relationships bound to either."""
+    schema = (
+        SchemaBuilder("chunked")
+        .entity_class("Item")
+        .entity_class("Rare", specializes="Item")
+        .dependent("Item", "Tag", "0..*", sort="STRING")
+        .association("Links", ("src", "Item", "0..*"), ("dst", "Item", "0..*"))
+        .build()
+    )
+    db = SeedDatabase(schema, name="chunked")
+    rng = random.Random(1986)
+    items = []
+    with db.bulk():
+        for index in range(2 * parallel.CHUNK + 317):
+            item = db.create_object(
+                "Rare" if index % 11 == 0 else "Item", f"I{index}"
+            )
+            if index % 3:  # every seventh of these tags is left undefined
+                item.add_sub_object("Tag", f"t{index % 5}" if index % 7 else None)
+            items.append(item)
+        links = [
+            db.relate("Links", {"src": rng.choice(items), "dst": rng.choice(items)})
+            for __ in range(2 * parallel.CHUNK + 90)
+        ]
+    for item in rng.sample(items, 40):
+        db.mark_pattern(item)  # its Tag and its Links turn pattern-context
+    for link in rng.sample(links, 60):
+        if not link.deleted:
+            db.delete(link)
+    for item in rng.sample(items, 120):
+        if not item.deleted and not item.is_pattern:
+            db.delete(item)  # cascades to its Tag and its Links
+    return db
+
+
+def _third(obj) -> bool:
+    return obj.oid % 3 == 0
+
+
+class TestChunkedScans:
+    """The in-thread kernel over scans longer than one chunk."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return build_chunked_population()
+
+    def test_population_has_every_skipped_row_kind(self, db):
+        raw = list(db.all_objects_raw())
+        assert any(obj.deleted for obj in raw)
+        assert any(obj.is_pattern for obj in raw)
+        assert any(
+            obj.parent is not None and obj.in_pattern_context and not obj.deleted
+            for obj in raw
+        )
+        assert any(
+            rel.in_pattern_context and not rel.deleted
+            for rel in db.all_relationships_raw()
+        )
+        assert len(brute_objects(db, "Item")) > 2 * parallel.CHUNK
+        assert len(brute_objects(db, "Item.Tag")) > parallel.CHUNK
+        assert len(brute_relationships(db, "Links")) > parallel.CHUNK
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_extent_rows_and_order_match_eager_and_brute(self, db, seed):
+        rng = random.Random(seed)
+        class_name = rng.choice(("Item", "Rare", "Item.Tag"))
+        include_specials = rng.random() < 0.7
+        tests = rng.sample(
+            [
+                has_value(),
+                value_is(f"t{rng.randrange(5)}"),
+                in_class("Rare"),
+                participates_in("Links", "src"),
+                FunctionPredicate(_third, "third"),
+            ],
+            rng.randrange(3),
+        )
+        eager = extent(db, class_name, column="x", include_specials=include_specials)
+        planned = plan(db).extent(
+            class_name, column="x", include_specials=include_specials
+        )
+        brute = brute_objects(db, class_name, include_specials=include_specials)
+        for test in tests:
+            eager = eager.select(on("x", test))
+            planned = planned.select(on("x", test))
+            brute = [obj for obj in brute if test(obj)]
+        if rng.random() < 0.5:  # an opaque row predicate on top
+            odd = lambda row: row["x"].oid % 2 == 1  # noqa: E731
+            eager, planned = eager.select(odd), planned.select(odd)
+            brute = [obj for obj in brute if obj.oid % 2 == 1]
+        rows = list(planned.rows())
+        assert rows == list(eager.rows)  # order, not just multiset
+        assert rows == [(obj,) for obj in brute]
+        assert rows == list(planned.rows(optimized=False))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_relationship_rows_and_order_match_eager_and_brute(self, db, seed):
+        rng = random.Random(seed)
+        role = rng.choice(("src", "dst"))
+        test = rng.choice((in_class("Rare"), FunctionPredicate(_third, "third")))
+        filtered = seed % 2 == 0
+        eager = relationship_relation(db, "Links")
+        planned = plan(db).relationship("Links")
+        brute = [relationship_row(rel, ()) for rel in brute_relationships(db, "Links")]
+        if filtered:
+            eager = eager.select(on(role, test))
+            planned = planned.select(on(role, test))
+            position = eager.columns.index(role)
+            brute = [row for row in brute if test(row[position])]
+        rows = list(planned.rows())
+        assert rows == list(eager.rows)
+        assert rows == brute
+
+    def test_first_row_evaluates_at_most_one_chunk(self, db):
+        seen = []
+
+        def counted(obj) -> bool:
+            seen.append(obj.oid)
+            return True
+
+        query = plan(db).extent("Item", column="x").select(
+            on("x", FunctionPredicate(counted, "counted"))
+        )
+        rows = query.rows()
+        assert not seen  # a generator: nothing runs before the first next()
+        first = next(rows)
+        assert first == (brute_objects(db, "Item")[0],)
+        assert 0 < len(seen) <= parallel.CHUNK
+        rows.close()
