@@ -43,10 +43,13 @@ GroupCommitPolicy` batching (one fsync per drained batch) against the
 strict per-commit-fsync default, plus the peak traced memory of a
 streamed ``checkpoint(streamed=True)`` (schema header and per-item
 records framed straight off the item tables) against the monolithic
-full-image dict.
-Results are written to ``BENCH_PR10.json`` at the repository root so
+full-image dict — and the PR-14 scenario ``selective_join``: a
+name-prefix selection on a role column and a three-way chain written
+worst-first, the planner's name-index and incidence-index reads
+(``IndexJoin``) against the eager algebra's scans.
+Results are written to ``BENCH_PR14.json`` at the repository root so
 future PRs have a perf trajectory to compare against
-(``BENCH_PR1.json``..``BENCH_PR9.json`` hold the earlier runs, and
+(``BENCH_PR1.json``..``BENCH_PR10.json`` hold the earlier runs, and
 ``BENCH_PR13.json`` the 1M ``multijoin_parallel`` tier re-measured
 under its pool-vs-in-thread meaning;
 ``benchmarks/compare_bench.py`` gates CI on the trajectory, since PR 5
@@ -570,6 +573,93 @@ def bench_multijoin_drift(size: int, repeats: int) -> dict:
         "bruteforce_s": stale_time,
         "indexed_s": drift_aware,
         "speedup": round(stale_time / drift_aware, 1) if drift_aware else None,
+    }
+
+
+def bench_selective_join(size: int, repeats: int) -> dict:
+    """Selective joins the planner reads through indexes, vs. the eager
+    algebra's scans (PR 14's read-cost model and plan-time ``IndexJoin``).
+
+    Two shapes over ``size`` notes, each covering one of ``size / 10``
+    docs that each mention six codes: a name-prefix selection on a role
+    column (``σ note^='Note10' (Covers)`` — the optimizer reads the
+    matching notes from the name index and only their edges), and a
+    three-way chain written worst-first (``Mentions ⋈ Covers ⋈ Note``
+    with the same selection on top — the optimizer starts from the
+    prefix extent and reaches both associations through the incidence
+    index, where evaluation as written joins the two whole associations
+    first). Both are verified row-identical against the eager algebra;
+    the timed ratio is over the two shapes together.
+    """
+    db = SeedDatabase(harness_schema(), f"selective-{size}")
+    doc_count = max(size // 10, 10)
+    db.bulk_load(
+        objects=[{"class": "Doc", "name": f"Doc{i}"} for i in range(doc_count)]
+        + [{"class": "Code", "name": f"Code{i}"} for i in range(doc_count)]
+        + [{"class": "Note", "name": f"Note{i}"} for i in range(size)],
+        relationships=[
+            {
+                "association": "Mentions",
+                "bindings": {
+                    "doc": f"Doc{i}",
+                    "code": f"Code{(i * 6 + offset) % doc_count}",
+                },
+            }
+            for i in range(doc_count)
+            for offset in range(6)
+        ]
+        + [
+            {
+                "association": "Covers",
+                "bindings": {"note": f"Note{i}", "doc": f"Doc{i % doc_count}"},
+            }
+            for i in range(size)
+        ],
+    )
+    predicate = on("note", name_prefix("Note10"))
+
+    def eager_role() -> Relation:
+        return relationship_relation(db, "Covers").select(predicate)
+
+    def eager_chain() -> Relation:
+        return (
+            relationship_relation(db, "Mentions")
+            .join(relationship_relation(db, "Covers"))
+            .join(extent(db, "Note", column="note"))
+            .select(predicate)
+        )
+
+    planned_role = plan(db).relationship("Covers").select(predicate)
+    planned_chain = (
+        plan(db)
+        .relationship("Mentions")
+        .join(plan(db).relationship("Covers"))
+        .join(plan(db).extent("Note", column="note"))
+        .select(predicate)
+    )
+
+    def cells(relation: Relation) -> list:
+        return sorted(tuple(cell.oid for cell in row) for row in relation.rows)
+
+    assert cells(planned_role.execute()) == cells(eager_role())
+    assert cells(planned_chain.execute()) == cells(eager_chain())
+    role_planned = median_time(planned_role.execute, repeats)
+    chain_planned = median_time(planned_chain.execute, repeats)
+    role_eager = median_time(eager_role, repeats)
+    chain_eager = median_time(eager_chain, repeats)
+    planned = role_planned + chain_planned
+    eager = role_eager + chain_eager
+    return {
+        "joined_relationships": doc_count * 6 + size,
+        "role_selection_rows": len(planned_role.execute()),
+        "chain_rows": len(planned_chain.execute()),
+        "role_selection_plan": planned_role.explain().splitlines(),
+        "chain_plan": planned_chain.explain().splitlines(),
+        "role_selection_speedup": round(role_eager / role_planned, 1),
+        "chain_speedup": round(chain_eager / chain_planned, 1),
+        "planner_s": planned,
+        "eager_s": eager,
+        "speedup": round(eager / planned, 1) if planned else None,
     }
 
 
@@ -1166,7 +1256,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=REPO_ROOT / "BENCH_PR10.json",
+        default=REPO_ROOT / "BENCH_PR14.json",
         help="where to write the JSON report",
     )
     parser.add_argument(
@@ -1184,7 +1274,7 @@ def main(argv=None) -> int:
 
     report = {
         "benchmark": (
-            "PR10: group-commit batching and streamed checkpoint images"
+            "PR14: read-cost join ordering and plan-time index joins"
         ),
         "quick": args.quick,
         "python": sys.version.split()[0],
@@ -1208,6 +1298,7 @@ def main(argv=None) -> int:
         data["bulk_ingest"] = bench_bulk_ingest(size, repeats)
         data["checkout_cold"] = bench_checkout_cold(size, repeats)
         data["multijoin_drift"] = bench_multijoin_drift(size, repeats)
+        data["selective_join"] = bench_selective_join(size, repeats)
         data["durability"] = bench_durability(size, repeats)
         data["durability_txn"] = bench_durability_txn(size, repeats)
         data["durability_group_commit"] = bench_durability_group_commit(
@@ -1265,6 +1356,12 @@ def main(argv=None) -> int:
         ]["speedup"]
         acceptance["multijoin_drift_speedup_ok"] = (
             at_10k["multijoin_drift"]["speedup"] >= 2
+        )
+        acceptance["selective_join_speedup_at_10k"] = at_10k["selective_join"][
+            "speedup"
+        ]
+        acceptance["selective_join_speedup_ok"] = (
+            at_10k["selective_join"]["speedup"] >= 5
         )
         acceptance["durability_speedup_at_10k"] = at_10k["durability"][
             "speedup"
@@ -1363,6 +1460,7 @@ def main(argv=None) -> int:
             f"bulk ingest x{data['bulk_ingest']['speedup']}, "
             f"checkout cold x{data['checkout_cold']['speedup']}, "
             f"multijoin drift x{data['multijoin_drift']['speedup']}, "
+            f"selective join x{data['selective_join']['speedup']}, "
             f"durability x{data['durability']['speedup']}, "
             f"txn durability x{data['durability_txn']['speedup']}, "
             f"group commit x{data['durability_group_commit']['speedup']}, "

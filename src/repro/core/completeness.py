@@ -175,6 +175,9 @@ class CompletenessEngine:
         self._gaps_by_item: dict[ItemKey, tuple[Gap, ...]] = {}
         #: keys whose gaps must be re-derived before the next report
         self._dirty: set[ItemKey] = set()
+        #: the map's gaps in report order; None whenever the map changed
+        #: since they were assembled
+        self._assembled: Optional[list[Gap]] = None
         #: False until the map was primed by one full scan
         self._primed = False
 
@@ -187,9 +190,12 @@ class CompletenessEngine:
         are re-analysed; the report is assembled from the maintained
         per-item gap map (deterministic key order — objects before
         relationships, ids ascending). The first call primes the map
-        with a full scan. Inside an open bulk batch the maintained map
-        has not yet absorbed the batch's touched set, so the retained
-        full scan answers instead (read-your-writes).
+        with a full scan. The assembled gap list is kept beside the map
+        until the map next changes, so a clean call only copies it (a
+        fresh list each time: callers may mutate their report). Inside
+        an open bulk batch the maintained map has not yet absorbed the
+        batch's touched set, so the retained full scan answers instead
+        (read-your-writes).
         """
         if self._db._bulk is not None:  # noqa: SLF001
             return self.check_database_scan()
@@ -199,10 +205,12 @@ class CompletenessEngine:
             for key in self._dirty:
                 self._recompute(key)
             self._dirty.clear()
-        report = CompletenessReport()
-        for key in sorted(self._gaps_by_item):
-            report.gaps.extend(self._gaps_by_item[key])
-        return report
+        if self._assembled is None:
+            gaps: list[Gap] = []
+            for key in sorted(self._gaps_by_item):
+                gaps.extend(self._gaps_by_item[key])
+            self._assembled = gaps
+        return CompletenessReport(list(self._assembled))
 
     def check_database_scan(self) -> CompletenessReport:
         """The seed's full scan — kept as the equivalence reference."""
@@ -279,6 +287,7 @@ class CompletenessEngine:
         """Forget everything (bulk state replacement); next check re-primes."""
         self._gaps_by_item.clear()
         self._dirty.clear()
+        self._assembled = None
         self._primed = False
 
     def dirty_count(self) -> int:
@@ -294,6 +303,7 @@ class CompletenessEngine:
         """Fill the gap map with one full scan."""
         self._gaps_by_item.clear()
         self._dirty.clear()
+        self._assembled = None
         for obj in self._db.objects(include_patterns=False):
             gaps = self.object_gaps(obj)
             if gaps:
@@ -313,6 +323,7 @@ class CompletenessEngine:
         else:
             rel = self._db._relationships.get(item_id)  # noqa: SLF001
             gaps = self.relationship_gaps(rel) if rel is not None else []
+        self._assembled = None
         if gaps:
             self._gaps_by_item[key] = tuple(gaps)
         else:

@@ -1447,9 +1447,9 @@ class SeedDatabase:
             rel = self._relationships[rid]
             if rel.deleted:
                 continue
-            if rel.in_pattern_context and not include_patterns:
-                continue
             if wanted is not None and not rel.association.is_kind_of(wanted):
+                continue
+            if not include_patterns and rel.in_pattern_context:
                 continue
             if role is not None and rel.role_of(obj) != role:
                 continue

@@ -733,6 +733,18 @@ class IndexLayer:
         )
         return sorted(rids)
 
+    def family_size(self, root_name: str) -> int:
+        """How many ids :meth:`family_relationship_ids` returns, in O(1).
+
+        The rows an association scan reads whichever member of the
+        family it asks for: a relationship is indexed under exactly one
+        of the two statuses, so the sets are disjoint.
+        """
+        self._ensure_fresh()
+        return len(self.family_rids.get(root_name, ())) + len(
+            self.pattern_rids.get(root_name, ())
+        )
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------

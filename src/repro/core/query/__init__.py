@@ -10,8 +10,9 @@
   implementation;
 * :mod:`~repro.core.query.planner` — the cost-based planner: the same
   algebra built as a logical plan, optimized with index-layer
-  statistics (selection pushdown, indexed scans, join reordering) and
-  executed through streaming generators over fused scan leaves;
+  statistics (selection pushdown, indexed scans, joins ordered by what
+  they read, index joins) and executed through streaming generators
+  over fused scan leaves;
 * :mod:`~repro.core.query.parallel` — the fused scan kernel every
   ``Select``-over-scan leaf runs through: in-thread for plain plans,
   fanned over a thread/process worker pool where the planner finds a
@@ -37,7 +38,10 @@ Planner example — the builder mirrors the ``Relation`` API, and
 
 The selection was pushed below the join and rewritten from a full
 extent scan into a bisected name-index range scan; the join streams the
-larger input and materializes only the smaller.
+larger input and materializes only the smaller. On a database with
+more than a handful of flows the same query plans as ``IndexJoin
+Access.data`` over the prefix scan: only the edges of the matching data
+objects are fetched, and ``Access`` is never scanned.
 """
 
 from repro.core.query.algebra import Relation, extent, relationship_relation

@@ -64,9 +64,9 @@ def relationship_row(rel: Any, attributes: Sequence[str]) -> tuple:
     Shared by :func:`relationship_relation` and the planner's
     association scans (full and incidence-indexed).
     """
-    row = [rel.bound_at(0), rel.bound_at(1)]
-    row.extend(rel.attribute(attr) for attr in attributes)
-    return tuple(row)
+    if not attributes:
+        return rel.endpoints()
+    return rel.endpoints() + tuple(rel.attribute(attr) for attr in attributes)
 
 
 @dataclass(frozen=True)

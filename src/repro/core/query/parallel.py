@@ -90,6 +90,7 @@ __all__ = [
     "run_in_thread",
     "run_kernel",
     "run_sharded",
+    "scan_size",
     "stats",
 ]
 
@@ -316,24 +317,23 @@ def _object_test(spec: ShardSpec) -> Optional[Callable[[SeedObject], bool]]:
 
 
 def _rel_kernel(db: "SeedDatabase", spec: ShardSpec, ids: list[int]) -> list[tuple]:
+    # the id list is the whole family's, so membership in the wanted
+    # association's own family is tested first: one ``in`` rejects every
+    # sibling association's rows
     relationships = db._relationships  # noqa: SLF001 - kernel-internal hot path
     wanted = db.schema.association(spec.name)
-    include_specials = spec.include_specials
+    family = {wanted, *wanted.all_specials()} if spec.include_specials else {wanted}
     attributes = spec.with_attributes
     keep = row_filter(spec)
     rows: list[tuple] = []
+    append = rows.append
     for rid in ids:
         rel = relationships[rid]
-        if rel.deleted or rel.in_pattern_context:
-            continue
-        if include_specials:
-            if not rel.association.is_kind_of(wanted):
-                continue
-        elif rel.association is not wanted:
+        if rel.association not in family or rel.deleted or rel.in_pattern_context:
             continue
         row = relationship_row(rel, attributes)
         if keep is None or keep(row):
-            rows.append(row)
+            append(row)
     return rows
 
 
@@ -374,6 +374,19 @@ def _scan_ids(db: "SeedDatabase", spec: ShardSpec, shards: int) -> list[list[int
         return db.indexes.extent_shards(wanted, shards, spec.include_specials)
     root_name = db.schema.association(spec.name).family_root().name
     return db.indexes.family_relationship_shards(root_name, shards)
+
+
+def scan_size(
+    db: "SeedDatabase", kind: str, name: str, include_specials: bool = True
+) -> int:
+    """Rows the kernel reads for a base scan: the length of the id list
+    :func:`_scan_ids` cuts up — for an association scan the whole
+    family's, whichever member is asked for. The unit of the planner's
+    read-cost model and the input of :func:`pool_pays`."""
+    if kind == "extent":
+        return db.indexes.extent_size(db.schema.entity_class(name), include_specials)
+    root_name = db.schema.association(name).family_root().name
+    return db.indexes.family_size(root_name)
 
 
 def run_in_thread(db: "SeedDatabase", spec: ShardSpec) -> Iterator[tuple]:

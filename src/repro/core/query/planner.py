@@ -31,10 +31,43 @@ a planned evaluation path with three layers:
      put), so the probe side is reduced by the join keys *before* role
      paths materialize values (only surviving rows pay the
      dereference);
-   * reorder join trees greedily — smallest estimated input first,
-     always preferring join partners that share a column (no accidental
-     cartesian products) — restoring the original column order with an
-     internal :class:`Reorder` node.
+   * order join chains — of two factors as of ten — by what each step
+     **reads**, and pick every step's join method (below), always
+     preferring join partners that share a column (no accidental
+     cartesian products) and restoring the original column order with
+     an internal :class:`Reorder` node;
+   * give every selection over an association scan that is still in
+     the tree its cheaper access path: ``σ role: name^='p'`` over an
+     association whose role classes are all independent is read from
+     the name index (:class:`IndexJoin` from the objects named ``p*``)
+     when that reads fewer than half the rows the scan would —
+     wherever the selection sits (join input, under a rename, union
+     arm).
+
+   **Read-cost model.** Output estimates say how many rows a subtree
+   returns; they do not say what producing them costs — ``σ by:
+   name^='Alert883'`` over a ``Read`` scan returns one row and reads
+   the whole ``Access`` family. Joins are therefore ordered by *read
+   cost*, in scanned-row units (the unit of
+   :func:`~repro.core.query.parallel.pool_pays`): a shardable scan
+   costs the rows its kernel reads
+   (:func:`~repro.core.query.parallel.scan_size` — for an association
+   scan the whole family), whatever is selected from them; a prefix
+   extent scan costs its slice of the name index; a hash join costs
+   both inputs; an :class:`IndexJoin` costs its driving side plus
+   ``est(drive) × association_size / distinct_participants(assoc,
+   role)``, the edges it fetches. Every row a step returns is work for
+   the next one, so a step's work is the rows it adds to what the plan
+   reads *plus* its output estimate (read cost alone would start
+   ``σ tag (Note) ⋈ Covers ⋈ Mentions`` from the 6 000-row ``Mentions``
+   scan instead of the 11 notes that cost 10 000 rows to find): the
+   chain starts from the factor with the least work and is extended
+   greedily by the step that adds the least. Each step is a hash :class:`Join` — smaller estimated input on the left,
+   which the executor builds — or, when the factor is an association
+   scan joined through one role column and probing reads fewer than
+   half the rows scanning would, an :class:`IndexJoin` from the chain so
+   far. The join method is thus part of the optimized tree: rendered
+   by ``explain()``, cached with the plan, never decided at run time.
 
    **Statistics model (PR 5).** Selection selectivities are no longer a
    fixed 1/3: structured predicates are costed from maintained
@@ -63,12 +96,13 @@ a planned evaluation path with three layers:
    dereferences, and the probe side of every join stream; only
    pipeline breakers materialize (the build side of a join — chosen as
    the smaller estimated input — the subtrahend of a difference, and
-   the duplicate-elimination sets of union/projection). A join whose
-   driving side is far smaller than a bare association scan skips the
-   scan entirely: it fetches each driving object's incident
-   relationships from the incidence index (index nested-loop join),
-   filters them with the scan's peeled predicates, and turns the join
-   cost from O(association) into O(matching edges).
+   the duplicate-elimination sets of union/projection). A hash
+   :class:`Join` builds its left input and probes with its right. An
+   :class:`IndexJoin` never scans its association: it streams the
+   driving side, fetches each driving object's incident relationships
+   from the incidence index, keeps those bound at the join role,
+   filters them with the scan side's peeled predicates, and so turns
+   the join from O(family) into O(matching edges).
 
 Equivalence contract: for any query built both ways, the planner's
 :meth:`Plan.execute` returns a relation whose row *multiset* equals the
@@ -91,7 +125,10 @@ testing.
    **Drift-invalidation contract (PR 5).** Cached plans embed the join
    order chosen from the statistics at caching time; each entry also
    records the statistics snapshot it was optimized under — one count
-   per scanned extent / association, plus the selectivity inputs of
+   per scanned extent / association (for an association also what an
+   ``IndexJoin`` into it is costed from: the family size a scan would
+   read and the distinct participants per role, so a fan-out change
+   re-optimizes a probe plan), plus the selectivity inputs of
    every structured selection predicate (prefix counts, defined-value
    counts, value frequencies, distinct participants), so pure name
    churn or mass re-valuation drifts too, not only row-count growth.
@@ -181,6 +218,7 @@ __all__ = [
     "Difference",
     "Values",
     "Reorder",
+    "IndexJoin",
     "Parallel",
     "ParallelConfig",
 ]
@@ -318,6 +356,24 @@ class Reorder(PlanNode):
 
 
 @dataclass(frozen=True, eq=False)
+class IndexJoin(PlanNode):
+    """Index nested-loop join (optimizer-placed): stream ``drive`` and,
+    for each of its rows, fetch the relationships of ``scan``'s
+    association that bind the ``column`` cell at that role — from the
+    incidence index, never by scanning the association.
+
+    ``scan`` is a shardable association scan (selections over a bare
+    :class:`RelScan`); its selections filter the fetched rows. The
+    result is the natural join of the two on ``column``, their only
+    shared column: the drive row followed by ``scan``'s other columns.
+    """
+
+    drive: PlanNode
+    scan: PlanNode
+    column: str
+
+
+@dataclass(frozen=True, eq=False)
 class Parallel(PlanNode):
     """Run a shardable subtree across a worker pool (optimizer-placed).
 
@@ -351,9 +407,10 @@ def _columns_of(db: SeedDatabase, node: PlanNode) -> tuple[str, ...]:
         return tuple(
             mapping.get(column, column) for column in _columns_of(db, node.child)
         )
-    if isinstance(node, Join):
-        left = _columns_of(db, node.left)
-        right = _columns_of(db, node.right)
+    if isinstance(node, (Join, IndexJoin)):
+        left, right = _join_sides(node)
+        left = _columns_of(db, left)
+        right = _columns_of(db, right)
         return left + tuple(column for column in right if column not in left)
     if isinstance(node, (Union, Difference)):
         return _columns_of(db, node.left)
@@ -362,6 +419,13 @@ def _columns_of(db: SeedDatabase, node: PlanNode) -> tuple[str, ...]:
     if isinstance(node, Parallel):
         return _columns_of(db, node.child)
     raise AssertionError(f"unhandled node {type(node).__name__}")  # pragma: no cover
+
+
+def _join_sides(node: PlanNode) -> tuple[PlanNode, PlanNode]:
+    """The two inputs of a join of either kind, leading columns first."""
+    if isinstance(node, IndexJoin):
+        return node.drive, node.scan
+    return node.left, node.right
 
 
 def _family_is_independent(db: SeedDatabase, scan: ExtentScan) -> bool:
@@ -406,10 +470,11 @@ def _column_class(db: SeedDatabase, node: PlanNode, column: str) -> Optional[str
     if isinstance(node, Rename):
         inverse = {new: old for old, new in node.renames}
         return _column_class(db, node.child, inverse.get(column, column))
-    if isinstance(node, Join):
-        if column in _columns_of(db, node.left):
-            return _column_class(db, node.left, column)
-        return _column_class(db, node.right, column)
+    if isinstance(node, (Join, IndexJoin)):
+        left, right = _join_sides(node)
+        if column in _columns_of(db, left):
+            return _column_class(db, left, column)
+        return _column_class(db, right, column)
     if isinstance(node, (Union, Difference)):
         return _column_class(db, node.left, column)
     if isinstance(node, Values):
@@ -543,11 +608,12 @@ def _estimate_uncached(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -
         return max(1, round(child * selectivity))
     if isinstance(node, (Project, Rename, Reorder, Values)):
         return _estimate(db, node.child, memo)
-    if isinstance(node, Join):
-        left = _estimate(db, node.left, memo)
-        right = _estimate(db, node.right, memo)
-        left_columns = _columns_of(db, node.left)
-        right_columns = _columns_of(db, node.right)
+    if isinstance(node, (Join, IndexJoin)):
+        left_node, right_node = _join_sides(node)
+        left = _estimate(db, left_node, memo)
+        right = _estimate(db, right_node, memo)
+        left_columns = _columns_of(db, left_node)
+        right_columns = _columns_of(db, right_node)
         shared = [column for column in right_columns if column in left_columns]
         if shared:
             # |L ⋈ R| ≈ |L|·|R| / ∏ max(V(L,c), V(R,c)) — the classical
@@ -556,8 +622,8 @@ def _estimate_uncached(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -
             denominator = 1
             for column in shared:
                 denominator *= max(
-                    _distinct_of(db, node.left, column, memo),
-                    _distinct_of(db, node.right, column, memo),
+                    _distinct_of(db, left_node, column, memo),
+                    _distinct_of(db, right_node, column, memo),
                     1,
                 )
             return max(1, (left * right) // denominator) if left and right else 0
@@ -601,11 +667,9 @@ def _distinct_of(
     if isinstance(node, Rename):
         inverse = {new: old for old, new in node.renames}
         return _distinct_of(db, node.child, inverse.get(column, column), memo)
-    if isinstance(node, Join):
-        if column in _columns_of(db, node.left):
-            owner: PlanNode = node.left
-        else:
-            owner = node.right
+    if isinstance(node, (Join, IndexJoin)):
+        left, right = _join_sides(node)
+        owner = left if column in _columns_of(db, left) else right
         return min(
             _distinct_of(db, owner, column, memo), _estimate(db, node, memo)
         )
@@ -633,13 +697,14 @@ def optimize(
     db: SeedDatabase, node: PlanNode, parallel: Optional[ParallelConfig] = None
 ) -> PlanNode:
     """Full rewrite pipeline: pushdown, indexed scans, semi-join
-    reduction for value dereferences, join order, and — when a
+    reduction for value dereferences, join order, join methods and
+    association access paths, and — when a
     :class:`ParallelConfig` is given — pooling of the shardable scans
     large enough to pay for it (see module docstring, layer 5)."""
     node = _push_selections(db, node)
     node = _rewrite_scans(db, node)
     node = _reduce_values_joins(db, node)
-    node = _reorder_joins(db, node)
+    node = _plan_joins(db, node)
     if parallel is not None:
         node = _parallelize(db, node, parallel)
     return node
@@ -738,13 +803,8 @@ def _absorb_into_scan(
     db: SeedDatabase, scan: ExtentScan, predicate: ColumnPredicate
 ) -> PlanNode:
     """Fold the indexable parts of *predicate* into *scan*."""
-    parts = (
-        list(predicate.predicate.parts)
-        if isinstance(predicate.predicate, And)
-        else [predicate.predicate]
-    )
     residual: list[Callable[[Any], bool]] = []
-    for part in parts:
+    for part in _conjuncts(predicate.predicate):
         if isinstance(part, NamePrefix) and _family_is_independent(db, scan):
             if scan.prefix is None or part.prefix.startswith(scan.prefix):
                 scan = replace(scan, prefix=part.prefix)
@@ -816,12 +876,6 @@ def _strip_reorders(node: PlanNode) -> PlanNode:
     return node
 
 
-def _strip_parallel(node: PlanNode) -> PlanNode:
-    while isinstance(node, Parallel):
-        node = node.child
-    return node
-
-
 def _hoist_values(db: SeedDatabase, node: PlanNode) -> PlanNode:
     """Pull Values nodes out of a join tree (see _reduce_values_joins).
 
@@ -861,70 +915,278 @@ def _hoist_values(db: SeedDatabase, node: PlanNode) -> PlanNode:
     return node
 
 
-def _reorder_joins(db: SeedDatabase, node: PlanNode) -> PlanNode:
-    """Greedily reorder maximal join chains, smallest estimate first."""
+def _plan_joins(db: SeedDatabase, node: PlanNode) -> PlanNode:
+    """Order maximal join chains by what each step reads, pick every
+    step's join method, and give every selection over an association
+    scan its cheaper access path — wherever it sits: join input, under
+    a rename, union arm (see the module docstring, layer 2)."""
+    if isinstance(node, Select):
+        base = _rel_base(node)
+        if base is not None:
+            return _leaf_access(db, node, base)[0]
     if isinstance(node, (Select, Project, Rename, Values, Reorder)):
-        return replace(node, child=_reorder_joins(db, node.child))
+        return replace(node, child=_plan_joins(db, node.child))
     if isinstance(node, (Union, Difference)):
         return replace(
             node,
-            left=_reorder_joins(db, node.left),
-            right=_reorder_joins(db, node.right),
+            left=_plan_joins(db, node.left),
+            right=_plan_joins(db, node.right),
         )
     if not isinstance(node, Join):
         return node
 
-    factors = [_reorder_joins(db, factor) for factor in _flatten_join(node)]
-    if len(factors) < 3:
-        rebuilt: PlanNode = factors[0]
-        for factor in factors[1:]:
-            rebuilt = Join(rebuilt, factor)
-        return rebuilt
-
-    original_columns = _columns_of(db, node)
     memo: dict[int, int] = {}
-    estimates = [_estimate(db, factor, memo) for factor in factors]
+    factors = [_Factor.of(db, factor, memo) for factor in _flatten_join(node)]
     remaining = list(range(len(factors)))
-    start = min(remaining, key=lambda i: (estimates[i], i))
+    start = min(remaining, key=lambda i: (factors[i].cost + factors[i].rows, i))
     remaining.remove(start)
-    tree: PlanNode = factors[start]
-    tree_columns = set(_columns_of(db, factors[start]))
+    tree = factors[start].planned
+    tree_columns = factors[start].columns
 
-    # every candidate Join built for costing must outlive the loop: the
+    # every candidate join built for costing must outlive the loop: the
     # estimate memo keys by id(), so a freed transient's address could
     # be reused by a later node, which would then hit the stale entry
     keepalive: list[PlanNode] = []
     while remaining:
-        connected = [
-            i
-            for i in remaining
-            if tree_columns & set(_columns_of(db, factors[i]))
-        ]
+        connected = [i for i in remaining if tree_columns & factors[i].columns]
         candidates = connected or remaining  # cartesian only when forced
-        # cost each candidate with the same containment-of-value-sets
-        # estimate the rest of the optimizer uses — a private
-        # max(L, R) shortcut here would under-cost fan-out joins and
-        # disagree with the Values-hoist gate about the same join's size
-        candidate_joins = {i: Join(tree, factors[i]) for i in candidates}
-        keepalive.extend(candidate_joins.values())
-        sizes = {
-            i: _estimate(db, candidate, memo)
-            for i, candidate in candidate_joins.items()
+        tree_rows = _estimate(db, tree, memo)
+        # (rows the step adds to what the plan reads, the joined node);
+        # a step's work is those plus the rows it hands on
+        steps = {
+            i: _cheapest_join(
+                db, tree, tree_rows, factors[i], tree_columns & factors[i].columns
+            )
+            for i in candidates
         }
-        chosen = min(candidates, key=lambda i: (sizes[i], estimates[i], i))
+        keepalive.extend(joined for __, joined in steps.values())
+        # output sizes come from the same containment-of-value-sets
+        # estimate the rest of the optimizer uses, so this loop and the
+        # Values-hoist gate agree about the same join's size
+        chosen = candidates[0]
+        if len(candidates) > 1:
+            chosen = min(
+                candidates,
+                key=lambda i: (steps[i][0] + _estimate(db, steps[i][1], memo), i),
+            )
         remaining.remove(chosen)
-        tree = candidate_joins[chosen]
-        tree_columns |= set(_columns_of(db, factors[chosen]))
+        tree = steps[chosen][1]
+        tree_columns = tree_columns | factors[chosen].columns
 
+    original_columns = _columns_of(db, node)
     if _columns_of(db, tree) != original_columns:
         tree = Reorder(tree, original_columns)
     return tree
+
+
+@dataclass
+class _Factor:
+    """One input of a join chain, as the join planner sees it."""
+
+    #: as written — what an :class:`IndexJoin` into it probes
+    logical: PlanNode
+    #: with joins and access paths planned — what a hash join reads
+    planned: PlanNode
+    columns: set[str]
+    rows: int  #: output estimate
+    cost: float  #: read cost of ``planned``
+
+    @classmethod
+    def of(cls, db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -> "_Factor":
+        base = _rel_base(node)
+        if base is not None and isinstance(node, Select):
+            planned, cost = _leaf_access(db, node, base)
+        else:
+            planned = _plan_joins(db, node)
+            cost = _read_cost(db, planned)
+        return cls(
+            node, planned, set(_columns_of(db, node)), _estimate(db, node, memo), cost
+        )
+
+
+def _cheapest_join(
+    db: SeedDatabase,
+    tree: PlanNode,
+    tree_rows: int,
+    factor: _Factor,
+    shared: set[str],
+) -> tuple[float, PlanNode]:
+    """Join *factor* onto *tree* by the method that reads least.
+
+    A hash join reads the factor by its cheapest access path and builds
+    its left input, so the smaller estimated side goes there. When the
+    factor is an association scan joined through one role column, an
+    :class:`IndexJoin` reads only the edges incident to the tree's
+    rows; it is taken when those are fewer than the factor's own cost
+    and than half the rows its kernel would scan.
+    """
+    base = _rel_base(factor.logical)
+    if base is not None and len(shared) == 1:
+        (column,) = shared
+        if column in db.schema.association(base.association).role_names():
+            probed = _probe_cost(db, tree_rows, base, column)
+            if probed <= factor.cost and 2 * probed < _scanned_rows(db, base):
+                return probed, IndexJoin(tree, factor.logical, column)
+    if factor.rows < tree_rows:
+        return factor.cost, Join(factor.planned, tree)
+    return factor.cost, Join(tree, factor.planned)
 
 
 def _flatten_join(node: PlanNode) -> list[PlanNode]:
     if isinstance(node, Join):
         return _flatten_join(node.left) + _flatten_join(node.right)
     return [node]
+
+
+# ----------------------------------------------------------------------
+# read cost and access paths
+# ----------------------------------------------------------------------
+
+
+def _scan_base(node: PlanNode) -> PlanNode:
+    """What a chain of selections selects from."""
+    while isinstance(node, Select):
+        node = node.child
+    return node
+
+
+def _rel_base(node: PlanNode) -> Optional[RelScan]:
+    """The bare association scan under a chain of selections, if any."""
+    base = _scan_base(node)
+    return base if isinstance(base, RelScan) else None
+
+
+def _scanned_rows(db: SeedDatabase, base: PlanNode) -> int:
+    """Rows the kernel reads to scan *base* (a bare extent or
+    association scan), whatever is selected from them."""
+    if isinstance(base, ExtentScan):
+        return kernel.scan_size(
+            db, "extent", base.class_name, base.include_specials
+        )
+    return kernel.scan_size(db, "rel", base.association, base.include_specials)
+
+
+def _probe_cost(
+    db: SeedDatabase, driving_rows: int, base: RelScan, column: str
+) -> float:
+    """Edges an :class:`IndexJoin` fetches for *driving_rows* anchors:
+    the association's average fan-out per participant of that role."""
+    assoc = db.schema.association(base.association)
+    position = assoc.role_names().index(column)
+    participants = db.indexes.distinct_participants(assoc.name, position)
+    edges = db.indexes.association_size(assoc.name)
+    return driving_rows * edges / max(participants, 1)
+
+
+def _read_cost(db: SeedDatabase, node: PlanNode) -> float:
+    """Rows *node*'s plan reads to produce its output, in scanned-row
+    units (the unit of :func:`~repro.core.query.parallel.pool_pays`).
+
+    What a plan *reads*, not what it returns: a selection costs its
+    whole input however few rows survive, a prefix extent scan costs
+    its slice of the name index, a hash join both inputs, an index
+    join its driving side plus the edges it fetches.
+    """
+    if isinstance(node, Select):
+        return _read_cost(db, node.child)
+    if isinstance(node, ExtentScan) and node.prefix is not None:
+        return db.indexes.name_prefix_count(node.prefix)
+    if isinstance(node, (ExtentScan, RelScan)):
+        return _scanned_rows(db, node)
+    if isinstance(node, IndexJoin):
+        driving_rows = _estimate(db, node.drive, {})
+        return _read_cost(db, node.drive) + _probe_cost(
+            db, driving_rows, _rel_base(node.scan), node.column
+        )
+    if isinstance(node, (Project, Rename, Reorder, Values, Parallel)):
+        return _read_cost(db, node.child)
+    # Join / Union / Difference read both inputs
+    return _read_cost(db, node.left) + _read_cost(db, node.right)
+
+
+def _leaf_access(
+    db: SeedDatabase, node: Select, base: RelScan
+) -> tuple[PlanNode, float]:
+    """The cheaper access path of a selection chain over an association
+    scan, and its read cost.
+
+    The kernel reads the scan's whole family. ``σ role: name^=p`` can
+    be read from the name index instead: the objects named ``p*`` drive
+    an :class:`IndexJoin` into the association, so only their edges are
+    fetched. Sound when every class the role can bind is independent
+    (all of them are in the name index — the guard of the prefix extent
+    scan); taken when it reads fewer than half the rows the kernel
+    would.
+    """
+    assoc = db.schema.association(base.association)
+    roles = assoc.role_names()
+    scanned = _scanned_rows(db, base)
+    cost, served = scanned / 2, None  # what a name-index path must beat
+    current: PlanNode = node
+    while isinstance(current, Select):
+        predicate = current.predicate
+        if isinstance(predicate, ColumnPredicate) and predicate.column in roles:
+            for part in _conjuncts(predicate.predicate):
+                if not isinstance(part, NamePrefix):
+                    continue
+                drive = _name_index_drive(assoc, predicate.column, part)
+                if not _family_is_independent(db, drive):
+                    continue
+                named = _estimate(db, drive, {})
+                path_cost = named + _probe_cost(db, named, base, predicate.column)
+                if path_cost < cost:
+                    cost, served = path_cost, (current, part, drive)
+        current = current.child
+    if served is None:
+        return node, scanned
+    return _name_index_path(db, node, *served), cost
+
+
+def _conjuncts(predicate: Any) -> tuple:
+    """The parts of an ``And``; any other predicate is its own part."""
+    return predicate.parts if isinstance(predicate, And) else (predicate,)
+
+
+def _name_index_drive(assoc: Any, column: str, prefix: NamePrefix) -> ExtentScan:
+    """The name-index scan of the objects a role can bind named ``p*``."""
+    target = assoc.role_at(assoc.role_names().index(column)).target
+    return ExtentScan(target.full_name, column, True, prefix.prefix)
+
+
+def _name_index_path(
+    db: SeedDatabase,
+    node: Select,
+    select: Select,
+    prefix: NamePrefix,
+    drive: ExtentScan,
+) -> PlanNode:
+    """*node* with *select*'s *prefix* part served by *drive*, the scan
+    of the name index.
+
+    ``And`` parts are split as in :func:`_absorb_into_scan`: whatever
+    is not the prefix — and every other selection of the chain — stays
+    a filter over the fetched rows.
+    """
+    column = drive.column
+
+    def without_prefix(current: Select) -> PlanNode:
+        if current is not select:
+            return Select(without_prefix(current.child), current.predicate)
+        rest = tuple(
+            part
+            for part in _conjuncts(current.predicate.predicate)
+            if part is not prefix
+        )
+        if not rest:
+            return current.child
+        remaining = rest[0] if len(rest) == 1 else And(rest)
+        return Select(current.child, ColumnPredicate(column, remaining))
+
+    path: PlanNode = IndexJoin(drive, without_prefix(node), column)
+    columns = _columns_of(db, node)
+    if _columns_of(db, path) != columns:
+        path = Reorder(path, columns)
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -978,15 +1240,6 @@ def _shard_spec(db: SeedDatabase, node: PlanNode) -> Optional[ShardSpec]:
     return None
 
 
-def _base_scan_size(db: SeedDatabase, spec: ShardSpec) -> int:
-    """Rows the spec's base scan reads — the unit of the pooled-scan
-    cost model (a pool saves scan + predicate work, not output rows)."""
-    if spec.kind == "extent":
-        wanted = db.schema.entity_class(spec.name)
-        return db.indexes.extent_size(wanted, spec.include_specials)
-    return db.indexes.association_size(spec.name)
-
-
 def _parallelize(
     db: SeedDatabase, node: PlanNode, config: ParallelConfig
 ) -> PlanNode:
@@ -997,11 +1250,14 @@ def _parallelize(
     def wrap(current: PlanNode) -> PlanNode:
         spec = _shard_spec(db, current)
         if spec is not None:
-            if kernel.pool_pays(_base_scan_size(db, spec), config.shards):
+            scanned = _scanned_rows(db, _scan_base(current))
+            if kernel.pool_pays(scanned, config.shards):
                 return Parallel(current, config.shards, backend)
             return current  # the whole chain shares one base: decided
         if isinstance(current, (Select, Project, Rename, Values, Reorder)):
             return replace(current, child=wrap(current.child))
+        if isinstance(current, IndexJoin):  # its scan side is never scanned
+            return replace(current, drive=wrap(current.drive))
         if isinstance(current, (Join, Union, Difference)):
             return replace(
                 current, left=wrap(current.left), right=wrap(current.right)
@@ -1060,6 +1316,13 @@ def _plan_key(node: PlanNode) -> tuple:
         return ("union", _plan_key(node.left), _plan_key(node.right))
     if isinstance(node, Difference):
         return ("difference", _plan_key(node.left), _plan_key(node.right))
+    if isinstance(node, IndexJoin):
+        return (
+            "indexjoin",
+            _plan_key(node.drive),
+            _plan_key(node.scan),
+            node.column,
+        )
     if isinstance(node, Parallel):
         return ("parallel", _plan_key(node.child), node.shards, node.backend)
     raise AssertionError(f"unhandled node {type(node).__name__}")  # pragma: no cover
@@ -1141,7 +1404,10 @@ def _collect_predicate_stats(
 def _stats_snapshot(db: SeedDatabase, node: PlanNode) -> tuple:
     """The statistics a plan's optimization depended on.
 
-    One ``(key, count)`` pair per scanned extent / association, plus
+    One ``(key, count)`` pair per scanned extent / association — an
+    association also records its family size and its distinct
+    participants per role, the inputs of every ``IndexJoin`` costed
+    into it — plus
     the selectivity inputs of every structured selection predicate
     (prefix counts, defined-value counts, value frequencies, distinct
     participants) — the snapshot is taken on the *logical* tree (what
@@ -1171,12 +1437,19 @@ def _stats_snapshot(db: SeedDatabase, node: PlanNode) -> tuple:
                 )
             return
         if isinstance(current, RelScan):
-            pairs.append(
-                (
-                    ("assoc", current.association),
-                    indexes.association_size(current.association),
+            name = current.association
+            pairs.append((("assoc", name), indexes.association_size(name)))
+            # what an IndexJoin into this scan was costed from: the rows
+            # the kernel would read instead, and the fan-out per role
+            root_name = db.schema.association(name).family_root().name
+            pairs.append((("family", root_name), indexes.family_size(root_name)))
+            for position in (0, 1):
+                pairs.append(
+                    (
+                        ("participants", name, position),
+                        indexes.distinct_participants(name, position),
+                    )
                 )
-            )
             return
         if isinstance(current, Select):
             _collect_predicate_stats(
@@ -1186,6 +1459,10 @@ def _stats_snapshot(db: SeedDatabase, node: PlanNode) -> tuple:
             return
         if isinstance(current, (Project, Rename, Values, Reorder, Parallel)):
             walk(current.child)
+            return
+        if isinstance(current, IndexJoin):
+            walk(current.drive)
+            walk(current.scan)
             return
         walk(current.left)  # Join / Union / Difference
         walk(current.right)
@@ -1329,6 +1606,8 @@ class _Executor:
             yield from self._reorder(node)
         elif isinstance(node, Join):
             yield from self._join(node)
+        elif isinstance(node, IndexJoin):
+            yield from self._index_join(node)
         elif isinstance(node, Union):
             yield from self._union(node)
         elif isinstance(node, Difference):
@@ -1402,118 +1681,54 @@ class _Executor:
             yield tuple(row[i] for i in indices)
 
     def _join(self, node: Join) -> Iterator[tuple]:
+        """Hash join: materialize (build) the left input, stream (probe)
+        the right. The optimizer puts the smaller estimated input on
+        the left, so the pipeline breaker is the smaller side."""
         left_columns = _columns_of(self._db, node.left)
         right_columns = _columns_of(self._db, node.right)
         shared = [column for column in left_columns if column in right_columns]
-        right_only = [c for c in right_columns if c not in shared]
         left_key = [left_columns.index(column) for column in shared]
         right_key = [right_columns.index(column) for column in shared]
-        right_extra = [right_columns.index(column) for column in right_only]
-        memo: dict[int, int] = {}
-        left_estimate = _estimate(self._db, node.left, memo)
-        right_estimate = _estimate(self._db, node.right, memo)
-
-        # index nested-loop join: when one input is far smaller and the
-        # other is an association scan (possibly under selections, which
-        # then apply to the few fetched rows) joined through a role
-        # column, fetch only the incident relationships (incidence
-        # index) per driving row instead of scanning the whole family.
-        # The threshold compares the driving side against the *scan*
-        # size of the association (what a hash join would actually
-        # read), not the post-selection output estimate — a highly
-        # selective filter over a huge scan still costs the scan
-        # an index join never scans the association, so a Parallel
-        # wrapper on the scan side is looked through (and dropped when
-        # the index join is chosen — probing incidence lists beats
-        # sharding a scan the join would not perform)
-        if len(shared) == 1:
-            right_scan = _shard_spec(self._db, _strip_parallel(node.right))
-            if (
-                right_scan is not None
-                and right_scan.kind == "rel"
-                and left_estimate
-                <= self._db.indexes.association_size(right_scan.name) // 2
-                and shared[0] in right_columns[:2]
-            ):
-                yield from self._index_join(
-                    drive=node.left,
-                    scan=right_scan,
-                    position=right_columns[:2].index(shared[0]),
-                    source=left_columns.index(shared[0]),
-                    # the scanned side is the join's right: keep its
-                    # extra columns after the driving (left) row
-                    emit=lambda drive_row, rel_row: drive_row
-                    + tuple(rel_row[i] for i in right_extra),
-                )
-                return
-            left_scan = _shard_spec(self._db, _strip_parallel(node.left))
-            if (
-                left_scan is not None
-                and left_scan.kind == "rel"
-                and right_estimate
-                <= self._db.indexes.association_size(left_scan.name) // 2
-                and shared[0] in left_columns[:2]
-            ):
-                yield from self._index_join(
-                    drive=node.right,
-                    scan=left_scan,
-                    position=left_columns[:2].index(shared[0]),
-                    source=right_columns.index(shared[0]),
-                    # the scanned side is the join's left: its row
-                    # leads, the driving (right) row supplies extras
-                    emit=lambda drive_row, rel_row: rel_row
-                    + tuple(drive_row[i] for i in right_extra),
-                )
-                return
-
-        # hash join: materialize (build) the smaller estimated side,
-        # stream (probe) the larger — the pipeline breaker is half-size
-        build_left = left_estimate < right_estimate
-        if build_left:
-            table: dict[tuple, list[tuple]] = {}
-            for row in self.rows(node.left):
-                key = tuple(_cell_key(row[i]) for i in left_key)
-                table.setdefault(key, []).append(row)
-            for row in self.rows(node.right):
-                key = tuple(_cell_key(row[i]) for i in right_key)
+        right_extra = [
+            index
+            for index, column in enumerate(right_columns)
+            if column not in shared
+        ]
+        table: dict[tuple, list[tuple]] = {}
+        for row in self.rows(node.left):
+            key = tuple(_cell_key(row[i]) for i in left_key)
+            table.setdefault(key, []).append(row)
+        for row in self.rows(node.right):
+            matches = table.get(tuple(_cell_key(row[i]) for i in right_key))
+            if matches:
                 extra = tuple(row[i] for i in right_extra)
-                for match in table.get(key, ()):
+                for match in matches:
                     yield match + extra
-        else:
-            table = {}
-            for row in self.rows(node.right):
-                key = tuple(_cell_key(row[i]) for i in right_key)
-                table.setdefault(key, []).append(row)
-            for row in self.rows(node.left):
-                key = tuple(_cell_key(row[i]) for i in left_key)
-                for match in table.get(key, ()):
-                    yield row + tuple(match[i] for i in right_extra)
 
-    def _index_join(
-        self,
-        *,
-        drive: PlanNode,
-        scan: ShardSpec,
-        position: int,
-        source: int,
-        emit: Callable[[tuple, tuple], tuple],
-    ) -> Iterator[tuple]:
-        """Index nested-loop join core: stream *drive*, probe incidence.
+    def _index_join(self, node: IndexJoin) -> Iterator[tuple]:
+        """Index nested-loop join: stream the drive, probe incidence.
 
-        Both join orientations share this loop; only the parameters
-        (which role position anchors, where the anchor sits in the
-        driving row, and how the output row is assembled) differ.
-        *scan* is the association side's kernel spec: its peeled
-        selections apply to the few fetched rows.
+        The scan side's peeled selections apply to the few fetched
+        rows; the association itself is never scanned.
         """
+        drive_columns = _columns_of(self._db, node.drive)
+        scan_columns = _columns_of(self._db, node.scan)
+        source = drive_columns.index(node.column)
+        position = scan_columns.index(node.column)  # role columns lead
+        extra = [
+            index
+            for index, column in enumerate(scan_columns)
+            if column != node.column
+        ]
+        scan = _shard_spec(self._db, node.scan)
         keep = kernel.row_filter(scan)
-        for row in self.rows(drive):
+        for row in self.rows(node.drive):
             anchor = row[source]
             if not isinstance(anchor, SeedObject):
                 continue  # value cell: can never match a role
             for rel_row in self._incident_rows(scan, anchor, position):
                 if keep is None or keep(rel_row):
-                    yield emit(row, rel_row)
+                    yield row + tuple(rel_row[i] for i in extra)
 
     def _incident_rows(
         self, scan: ShardSpec, anchor: SeedObject, position: int
@@ -1522,14 +1737,20 @@ class _Executor:
 
         Served from the incidence index — O(degree of *anchor*) instead
         of O(association). The bound-object identity check (not a role
-        lookup) keeps self-loop relationships correct.
+        lookup) keeps self-loop relationships correct; the incidence
+        list names a self-loop once per end, and it is one row.
         """
         wanted = self._db.schema.association(scan.name)
+        loops: set[int] = set()
         for rel in self._db.relationships_of_object(anchor, scan.name):
             if not scan.include_specials and rel.association is not wanted:
                 continue
             if rel.bound_at(position).oid != anchor.oid:
                 continue
+            if rel.bound_at(1 - position).oid == anchor.oid:
+                if rel.rid in loops:
+                    continue
+                loops.add(rel.rid)
             yield relationship_row(rel, scan.with_attributes)
 
     def _union(self, node: Union) -> Iterator[tuple]:
@@ -1603,6 +1824,17 @@ def _node_label(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -> str:
         left = _columns_of(db, node.left)
         shared = [c for c in _columns_of(db, node.right) if c in left]
         detail = f"Join on [{', '.join(shared)}]" if shared else "Join cartesian"
+    elif isinstance(node, IndexJoin):
+        filters = []
+        scan = node.scan
+        while isinstance(scan, Select):
+            filters.append(describe_predicate(scan.predicate))
+            scan = scan.child
+        detail = f"IndexJoin {scan.association}.{node.column}"
+        if not scan.include_specials:
+            detail += " exact"
+        if filters:
+            detail += f" filter {' and '.join(reversed(filters))}"
     elif isinstance(node, Union):
         detail = "Union"
     elif isinstance(node, Difference):
@@ -1610,9 +1842,7 @@ def _node_label(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -> str:
     elif isinstance(node, Values):
         detail = f"Values {node.column}.{node.role_path} -> {node.into}"
     elif isinstance(node, Parallel):
-        spec = _shard_spec(db, node.child)
-        scanned = _base_scan_size(db, spec) if spec is not None else estimate
-        per_shard = scanned // node.shards
+        per_shard = _scanned_rows(db, _scan_base(node.child)) // node.shards
         detail = (
             f"Parallel shards={node.shards} backend={node.backend} "
             f"per-shard~{per_shard}+{kernel.DISPATCH_OVERHEAD} dispatch"
@@ -1627,6 +1857,8 @@ def _children_of(node: PlanNode) -> tuple[PlanNode, ...]:
         return (node.child,)
     if isinstance(node, (Join, Union, Difference)):
         return (node.left, node.right)
+    if isinstance(node, IndexJoin):  # the scan side is in the label
+        return (node.drive,)
     return ()
 
 

@@ -115,7 +115,9 @@ class SeedRelationship:
 
     def endpoints(self) -> tuple["SeedObject", "SeedObject"]:
         """Both bound objects in positional role order."""
-        return (self.bound_at(0), self.bound_at(1))
+        # the binding dict is kept in that order (constructor, thaw,
+        # reclassification), so no role lookup is needed
+        return tuple(self._bindings.values())  # type: ignore[return-value]
 
     def bound_objects(self) -> Iterator["SeedObject"]:
         """Iterate the bound objects in positional role order."""
@@ -137,7 +139,13 @@ class SeedRelationship:
         """
         if self.is_pattern:
             return True
-        return any(obj.in_pattern_context for obj in self._bindings.values())
+        # inline slot loads: bound objects overwhelmingly have no parent
+        # and are no patterns, and this runs once per relationship in
+        # every incidence walk (navigation, index-join probes)
+        for obj in self._bindings.values():
+            if obj.is_pattern or obj.parent is not None and obj.in_pattern_context:
+                return True
+        return False
 
     # -- attributes ------------------------------------------------------------------
 

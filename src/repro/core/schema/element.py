@@ -75,6 +75,8 @@ class SchemaElement:
         Every element is a kind of itself; otherwise the generalization
         chain is followed upward (``OutputData.is_kind_of(Thing)``).
         """
+        if self is other:  # the common case, without walking the chain
+            return True
         return any(element is other for element in self.kind_chain())
 
     def all_specials(self) -> Iterator["SchemaElement"]:

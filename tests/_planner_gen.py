@@ -178,7 +178,10 @@ def _leaf(rng: random.Random, db, fresh) -> BothWays:
             ),
             {column: OBJ},
         )
-    association = rng.choice(ASSOC_CHOICES)
+    return _leaf_of(rng, db, rng.choice(ASSOC_CHOICES))
+
+
+def _leaf_of(rng: random.Random, db, association: str) -> BothWays:
     attributes = (
         ("NumberOfWrites",)
         if association == "Write" and rng.random() < 0.5
@@ -298,6 +301,52 @@ def _read_write_union(rng: random.Random, db, fresh) -> BothWays:
     )
 
 
+def _role_prefix_query(rng: random.Random, db) -> BothWays:
+    """A name-prefix selection on a role column of an association,
+    alone or joined with an extent written on either side of it.
+
+    These are the shapes the optimizer serves from the name index and
+    the incidence index (``IndexJoin``): the prefix is cut from a name
+    the role really binds, so it is selective often enough for the
+    index path to win, and the association is the left factor as often
+    as the right one.
+    """
+    query = _leaf_of(rng, db, rng.choice(ASSOC_CHOICES))
+    role = rng.choice(query.columns[:2])
+    bound = [str(row[query.columns.index(role)].name) for row in query.relation.rows]
+    if bound and rng.random() < 0.8:
+        name = rng.choice(bound)
+        prefix = name[: rng.randrange(1, len(name) + 1)]
+    else:
+        prefix = rng.choice(NAME_PREFIXES + ("",))
+    test = name_prefix(prefix)
+    if rng.random() < 0.3:  # the prefix as one part of a conjunction
+        test = both(test, _object_predicate(rng))
+    predicate = on(role, test)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return BothWays(
+            query.relation.select(predicate), query.plan.select(predicate), query.kinds
+        )
+    class_name = rng.choice(CLASS_CHOICES)
+    extent_side = BothWays(
+        extent(db, class_name, column=role),
+        plan(db).extent(class_name, column=role),
+        {role: OBJ},
+    )
+    if shape == 1:  # selection below the join, association on the right
+        selected = BothWays(
+            query.relation.select(predicate), query.plan.select(predicate), query.kinds
+        )
+        return _apply_join(extent_side, selected)
+    joined = (
+        _apply_join(extent_side, query) if shape == 2 else _apply_join(query, extent_side)
+    )
+    return BothWays(
+        joined.relation.select(predicate), joined.plan.select(predicate), joined.kinds
+    )
+
+
 def random_query(rng: random.Random, db, depth: int = 0, fresh=None) -> BothWays:
     """A random logical query built through both evaluation paths."""
     if fresh is None:
@@ -317,6 +366,7 @@ def random_query(rng: random.Random, db, depth: int = 0, fresh=None) -> BothWays
             "union",
             "difference",
             "rw_setop",
+            "role_prefix",
         )
     )
     if op == "select":
@@ -342,6 +392,8 @@ def random_query(rng: random.Random, db, depth: int = 0, fresh=None) -> BothWays
         return query
     if op == "rw_setop":
         return _read_write_union(rng, db, fresh)
+    if op == "role_prefix":
+        return _role_prefix_query(rng, db)
     return _apply_set_op(
         rng, random_query(rng, db, depth + 1, fresh), op
     )

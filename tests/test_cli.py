@@ -155,6 +155,29 @@ class TestQueryCommand:
         assert "ExtentScan Data as data prefix='Al'" in out
         assert "RelScan Access (data, by)" in out
 
+    def test_explain_shows_index_join(self, tmp_path, capsys):
+        # enough flows that probing the one matching data item's edges
+        # beats scanning the Access family: the join method is a node
+        lines = ['action Handler "handles everything"']
+        for index in range(24):
+            lines += [f"data Signal{index} input", f"read Handler <- Signal{index}"]
+        spec_path = tmp_path / "signals.spades"
+        spec_path.write_text("\n".join(lines) + "\n")
+        db_path = tmp_path / "signals.seed"
+        assert main(["load", str(spec_path), "-o", str(db_path)]) == 0
+        capsys.readouterr()
+        assert main([
+            "query", str(db_path),
+            "--extent", "Data", "--prefix", "Signal7", "--via", "Access",
+            "--explain",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "IndexJoin Access.data" in out
+        assert "└─ ExtentScan Data as data prefix='Signal7'" in out
+        assert "RelScan" not in out
+        assert "Signal7\tHandler" in out
+        assert "(1 rows)" in out
+
     def test_association_scan(self, db_file, capsys):
         assert main(["query", str(db_file), "--association", "Write"]) == 0
         out = capsys.readouterr().out

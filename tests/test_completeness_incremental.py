@@ -161,6 +161,65 @@ class TestTransactionsAndBulkPaths:
         )
 
 
+class TestAssembledReportCache:
+    """A clean call copies the assembled gap list; every path that
+    changes the gap map drops it."""
+
+    @staticmethod
+    def warm(db):
+        db.create_object("Data", "Kept")
+        first = db.check_completeness()
+        assert db.completeness.dirty_count() == 0
+        return first
+
+    def test_clean_calls_return_equal_but_distinct_lists(self, fig2_db):
+        first = self.warm(fig2_db)
+        second = fig2_db.check_completeness()
+        assert second.gaps == first.gaps and second.gaps
+        assert second.gaps is not first.gaps
+        # a caller may do what it likes with its report
+        first.gaps.clear()
+        second.gaps.reverse()
+        third = fig2_db.check_completeness()
+        assert gap_multiset(third) == gap_multiset(fig2_db.check_completeness_scan())
+
+    def test_commit_after_cache(self, fig2_db):
+        self.warm(fig2_db)
+        with fig2_db.transaction():
+            fig2_db.create_object("Data", "Added")
+        assert fig2_db.check_completeness().for_item("Added")
+        assert_equivalent(fig2_db, "after a commit on a cached report")
+        fig2_db.delete(fig2_db.get_object("Added"))
+        assert not fig2_db.check_completeness().for_item("Added")
+        assert_equivalent(fig2_db, "after healing a cached report")
+
+    def test_rollback_after_cache(self, fig2_db):
+        before = gap_multiset(self.warm(fig2_db))
+        with pytest.raises(RuntimeError, match="boom"):
+            with fig2_db.transaction():
+                fig2_db.create_object("Data", "Gone")
+                raise RuntimeError("boom")
+        assert gap_multiset(fig2_db.check_completeness()) == before
+        assert_equivalent(fig2_db, "after a rollback on a cached report")
+
+    def test_bulk_finalize_after_cache(self, fig2_db):
+        self.warm(fig2_db)
+        with fig2_db.bulk():
+            fig2_db.create_object("Data", "Batched")
+            # read-your-writes inside the batch: the scan answers
+            assert fig2_db.check_completeness().for_item("Batched")
+        assert fig2_db.check_completeness().for_item("Batched")
+        assert_equivalent(fig2_db, "after a bulk finalize on a cached report")
+
+    def test_schema_migration_after_cache(self, fig2_db):
+        self.warm(fig2_db)
+        fig2_db.migrate_schema(figure3_schema())
+        assert_equivalent(fig2_db, "after a migration on a cached report")
+        fig2_db.create_object("OutputData", "Out")
+        assert fig2_db.check_completeness().for_item("Out")
+        assert_equivalent(fig2_db)
+
+
 class TestPatterns:
     def test_pattern_content_invisible_until_inherited(self, fig2_db):
         pattern = fig2_db.create_object("Data", "Template", pattern=True)

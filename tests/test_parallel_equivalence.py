@@ -171,13 +171,16 @@ class TestRandomizedParallelEquivalence:
         )
 
     def test_grid_actually_parallelizes(self):
-        """Coverage guard: the forced constants do wrap scans."""
-        db = population(0)
-        rng = random.Random(7)
-        query = random_query(rng, db)
+        """Coverage guard: the forced constants do wrap scans — of most
+        of the grid's queries (a plan read wholly through the name and
+        incidence indexes has no scan to wrap)."""
         config = ParallelConfig(shards=2, backend="thread")
-        optimized = query.plan.optimized(parallel=config)
-        assert count_parallel(optimized) >= 1
+        wrapped = 0
+        for population_seed, query_seed in self.CASES:
+            rng = random.Random(population_seed * 1009 + query_seed)
+            query = random_query(rng, population(population_seed))
+            wrapped += bool(count_parallel(query.plan.optimized(parallel=config)))
+        assert wrapped > len(self.CASES) // 2
 
 
 @pytest.mark.usefixtures("force_pool")

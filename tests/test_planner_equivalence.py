@@ -30,7 +30,14 @@ from repro.core import SchemaBuilder, SeedDatabase
 from repro.core.indexes import brute_objects, brute_relationships
 from repro.core.query import parallel
 from repro.core.query.algebra import extent, relationship_relation, relationship_row
-from repro.core.query.planner import on, plan
+from repro.core.query.planner import (
+    ExtentScan,
+    IndexJoin,
+    Reorder,
+    _children_of,
+    on,
+    plan,
+)
 from repro.core.query.predicates import (
     FunctionPredicate,
     has_value,
@@ -82,6 +89,39 @@ class TestRandomizedEquivalence:
             query = random_query(rng, db)
             raw = query.plan.execute(optimized=False)
             assert row_multiset(raw) == row_multiset(query.relation)
+
+
+    def test_grid_reaches_index_joins(self):
+        """Coverage guard: the grid's plans include index joins driven
+        from the name index and from a join chain, with the association
+        written on either side of the join (a ``Reorder`` restores the
+        layout when it led)."""
+        from_names = from_chain = restored = 0
+        for population_seed in range(POPULATION_COUNT):
+            for query_seed in range(QUERIES_PER_POPULATION):
+                rng = random.Random(population_seed * 1009 + query_seed)
+                query = random_query(rng, population(population_seed))
+                nodes = list(_walk(query.plan.optimized()))
+                joins = [node for node in nodes if isinstance(node, IndexJoin)]
+                from_names += any(
+                    isinstance(join.drive, ExtentScan)
+                    and join.drive.prefix is not None
+                    for join in joins
+                )
+                from_chain += any(
+                    not isinstance(join.drive, ExtentScan) for join in joins
+                )
+                restored += any(
+                    isinstance(node, Reorder) and isinstance(node.child, IndexJoin)
+                    for node in nodes
+                )
+        assert from_names >= 10 and from_chain >= 3 and restored >= 5
+
+
+def _walk(node):
+    yield node
+    for child in _children_of(node):
+        yield from _walk(child)
 
 
 class TestDirectedEquivalence:

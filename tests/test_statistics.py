@@ -564,6 +564,10 @@ class TestDriftAwareCache:
         snapshot = _stats_snapshot(db, query.node)
         keys = [key for key, __ in snapshot]
         assert ("assoc", "Covers") in keys
+        # what an index join into the association is costed from
+        assert ("family", "Covers") in keys
+        assert ("participants", "Covers", 0) in keys
+        assert ("participants", "Covers", 1) in keys
         assert ("extent", "Note", True) in keys
         # prefix selectivity lives in the Select on the logical tree:
         # the snapshot must record its count, or pure name churn could
@@ -590,6 +594,31 @@ class TestDriftAwareCache:
             db.set_value(label, "hot")  # 1 -> 60 objects holding "hot"
         query.optimized()
         assert cache.reoptimizations == 1
+
+    def test_fan_out_drift_reoptimizes(self):
+        # the same number of edges re-pointed at one doc changes no
+        # association or family size and no name count — only the
+        # fan-out the index join was costed from; serving the cached
+        # probe plan would now fetch every edge through one anchor
+        db = SeedDatabase(drift_schema(), "drift-fanout")
+        docs = [db.create_object("Doc", f"D{i}") for i in range(40)]
+        notes = [db.create_object("Note", f"N{i}") for i in range(200)]
+        edges = [
+            db.relate("Covers", note=note, doc=docs[i % 40])
+            for i, note in enumerate(notes)
+        ]
+        query = plan(db).relationship("Covers").select(on("doc", name_prefix("D7")))
+        cache = plan_cache(db)
+        assert "IndexJoin Covers.doc" in query.explain()
+        assert query.optimized() is query.optimized()
+        for edge in edges:
+            db.delete(edge)
+        for note in notes:
+            db.relate("Covers", note=note, doc=docs[7])
+        assert db.indexes.association_size("Covers") == 200
+        assert "IndexJoin" not in query.explain()
+        assert cache.reoptimizations == 1
+        assert len(query.execute()) == 200
 
     def test_prefix_only_drift_reoptimizes(self):
         # mass renames change no extent or association size — only the
