@@ -46,8 +46,13 @@ records framed straight off the item tables) against the monolithic
 full-image dict — and the PR-14 scenario ``selective_join``: a
 name-prefix selection on a role column and a three-way chain written
 worst-first, the planner's name-index and incidence-index reads
-(``IndexJoin``) against the eager algebra's scans.
-Results are written to ``BENCH_PR14.json`` at the repository root so
+(``IndexJoin``) against the eager algebra's scans — and the PR-15
+scenario ``publish_snapshot``: what a server builds per accepted
+check-in (the new version's journal record and its pinned view), from
+the version's own states — the store's per-version index and a
+successor of the previous view — against a full-store scan plus a cold
+view build.
+Results are written to ``BENCH_PR15.json`` at the repository root so
 future PRs have a perf trajectory to compare against
 (``BENCH_PR1.json``..``BENCH_PR10.json`` hold the earlier runs, and
 ``BENCH_PR13.json`` the 1M ``multijoin_parallel`` tier re-measured
@@ -81,6 +86,7 @@ import json
 import statistics
 import sys
 import time
+from operator import itemgetter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +102,10 @@ from repro.core.query.planner import execute_node, on, plan, plan_cache  # noqa:
 from repro.core.query.predicates import name_prefix, value_is  # noqa: E402
 from repro.core.query.retrieval import Retrieval  # noqa: E402
 from repro.core.schema.builder import SchemaBuilder  # noqa: E402
+from repro.core.storage.serialize import (  # noqa: E402
+    state_to_dict,
+    version_delta_from_db,
+)
 
 FULL_SIZES = (1_000, 10_000, 50_000)
 QUICK_SIZES = (1_000,)
@@ -701,6 +711,98 @@ def bench_checkout_cold(size: int, repeats: int) -> dict:
     }
 
 
+def version_cells_scan(db: SeedDatabase, vid) -> list[dict]:
+    """The pre-PR-15 way to list a ``version`` record's cells, kept as
+    the reference: walks every cell of the store to find the states
+    recorded at *vid* (so they come in store order, not record order)."""
+    store = db.versions.store
+    cells = []
+    for key in store.keys():
+        kind, item_id = key
+        for version, state, materialized in store.entries_of(key):
+            if version != vid:
+                continue
+            cell = {"kind": kind, "id": item_id, "state": state_to_dict(kind, state)}
+            if materialized:
+                cell["materialized"] = True
+            cells.append(cell)
+    return cells
+
+
+def bench_publish_snapshot(size: int, repeats: int) -> dict:
+    """Per-publication artefacts: O(change) vs a pass over the master.
+
+    A journal-bound server with ``size`` objects in the master; each
+    round checks in three new items and publishes. What a publication
+    builds beyond ``create_version`` itself is the ``version`` journal
+    record and the pinned view. Since PR 15 both come from the states
+    stored at the new version: the record through the store's
+    per-version index, the view as a successor of the previously
+    published view (tables copied, the delta applied). The reference is
+    what every publication did before: :func:`version_cells_scan` over
+    every store cell plus a cold ``version_view`` resolving the whole
+    chain. ``publish_ms`` is one whole ``publish_snapshot`` call
+    (version creation, journal append and flush included).
+    """
+    import tempfile
+
+    from repro.multiuser import SeedServer
+
+    with tempfile.TemporaryDirectory(prefix="seed-bench-") as tmp:
+        server = SeedServer.open(
+            Path(tmp) / "central.seed",
+            schema=harness_schema(),
+            name=f"publish-{size}",
+        )
+        master = server.master
+        master.bulk_load(
+            [{"class": "Note", "name": f"Note{i}"} for i in range(size)], []
+        )
+        server.publish_snapshot()  # the cold first pin
+        few = max(3, repeats // 2)
+        publish_samples = []
+        for round_number in range(few + 1):
+            client = server.connect(f"writer{round_number}")
+            local = client.check_out()
+            for item in range(3):
+                local.create_object("Note", f"Delta{round_number}x{item}")
+            client.check_in()
+            started = time.perf_counter()
+            version = server.publish_snapshot()
+            publish_samples.append(time.perf_counter() - started)
+            server.disconnect(f"writer{round_number}")
+        base = server.snapshot(master.versions.tree.parent(version), build=False)
+        published = server.snapshot(version, build=False)
+        assert list(published.item_states()) == list(
+            master.version_view(version).item_states()
+        )
+        by_key = itemgetter("kind", "id")
+        assert sorted(
+            version_delta_from_db(master, version)["cells"], key=by_key
+        ) == sorted(version_cells_scan(master, version), key=by_key)
+
+        def incremental() -> None:
+            version_delta_from_db(master, version)
+            master.version_view(version, base)
+
+        def full_pass() -> None:
+            version_cells_scan(master, version)
+            master.version_view(version)
+
+        successor = median_time(incremental, few)
+        cold = median_time(full_pass, few)
+        return {
+            "objects": size,
+            "states_touched": master.versions.delta_size(version),
+            "publish_ms": round(statistics.median(publish_samples[1:]) * 1e3, 3),
+            "incremental_ms": round(successor * 1e3, 3),
+            "full_pass_ms": round(cold * 1e3, 3),
+            "bruteforce_s": cold,
+            "indexed_s": successor,
+            "speedup": round(cold / successor, 1) if successor else None,
+        }
+
+
 def bench_version_walk(size: int, repeats: int) -> dict:
     """``state_on_chain`` over a long chain, raw vs snapshot-consolidated.
 
@@ -1256,7 +1358,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=REPO_ROOT / "BENCH_PR14.json",
+        default=REPO_ROOT / "BENCH_PR15.json",
         help="where to write the JSON report",
     )
     parser.add_argument(
@@ -1274,7 +1376,8 @@ def main(argv=None) -> int:
 
     report = {
         "benchmark": (
-            "PR14: read-cost join ordering and plan-time index joins"
+            "PR15: O(change) snapshot publication (per-version store "
+            "index, successor views)"
         ),
         "quick": args.quick,
         "python": sys.version.split()[0],
@@ -1297,6 +1400,7 @@ def main(argv=None) -> int:
         data["completeness_incremental"] = bench_completeness(size, repeats)
         data["bulk_ingest"] = bench_bulk_ingest(size, repeats)
         data["checkout_cold"] = bench_checkout_cold(size, repeats)
+        data["publish_snapshot"] = bench_publish_snapshot(size, repeats)
         data["multijoin_drift"] = bench_multijoin_drift(size, repeats)
         data["selective_join"] = bench_selective_join(size, repeats)
         data["durability"] = bench_durability(size, repeats)
@@ -1350,6 +1454,12 @@ def main(argv=None) -> int:
         ]
         acceptance["checkout_cold_speedup_ok"] = (
             at_10k["checkout_cold"]["speedup"] >= 10
+        )
+        acceptance["publish_incremental_speedup_at_10k"] = at_10k[
+            "publish_snapshot"
+        ]["speedup"]
+        acceptance["publish_incremental_speedup_ok"] = (
+            at_10k["publish_snapshot"]["speedup"] >= 10
         )
         acceptance["multijoin_drift_speedup_at_10k"] = at_10k[
             "multijoin_drift"
@@ -1459,6 +1569,8 @@ def main(argv=None) -> int:
             f"completeness x{data['completeness_incremental']['speedup']}, "
             f"bulk ingest x{data['bulk_ingest']['speedup']}, "
             f"checkout cold x{data['checkout_cold']['speedup']}, "
+            f"publish snapshot x{data['publish_snapshot']['speedup']} "
+            f"({data['publish_snapshot']['publish_ms']} ms), "
             f"multijoin drift x{data['multijoin_drift']['speedup']}, "
             f"selective join x{data['selective_join']['speedup']}, "
             f"durability x{data['durability']['speedup']}, "

@@ -1564,9 +1564,13 @@ class SeedDatabase:
             raise TransactionError("cannot select a version inside a bulk batch")
         return self.versions.select_version(version, discard_changes=discard_changes)
 
-    def version_view(self, version: str | VersionId) -> VersionView:
-        """Read-only view of a saved version."""
-        return self.versions.view(version)
+    def version_view(
+        self, version: str | VersionId, base: Optional[VersionView] = None
+    ) -> VersionView:
+        """Read-only view of a saved version (*base*: the parent
+        version's view to derive it from at O(change), see
+        :meth:`VersionManager.view`)."""
+        return self.versions.view(version, base)
 
     def delete_version(self, version: str | VersionId) -> None:
         """Delete a leaf version."""

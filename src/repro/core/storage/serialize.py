@@ -500,32 +500,32 @@ def version_delta_from_db(db: SeedDatabase, vid: VersionId) -> dict:
 
     Captured *after* the manager recorded the snapshot: the delta
     carries the version's identity (id, parent, schema version,
-    snapshot flag) plus exactly the cell states the store holds for it
-    (dirty-item deltas and any states an online snapshot consolidation
-    materialized), in store insertion order so replay reproduces the
-    canonical image byte-for-byte.
+    snapshot flag) plus exactly the cell states the store holds for it,
+    read from the store's per-version index at O(states of the version)
+    — in record order: the dirty-item deltas in sorted key order, then
+    any states an online snapshot consolidation materialized. Replay
+    records them in that order, and since only the dirty items can open
+    new cells (a materialized state copies one an existing cell already
+    holds), the replayed store lists its cells in the same order as the
+    live one: the canonical image is byte-identical.
     """
     store = db.versions.store
     cells = []
-    for key in store.keys():
-        kind, item_id = key
-        for version, state, materialized in store.entries_of(key):
-            if version != vid:
-                continue
-            cell = {
-                "kind": kind,
-                "id": item_id,
-                "state": state_to_dict(kind, state),
-            }
-            if materialized:
-                cell["materialized"] = True
-            cells.append(cell)
+    for (kind, item_id), state, materialized in store.states_at(vid):
+        cell = {
+            "kind": kind,
+            "id": item_id,
+            "state": state_to_dict(kind, state),
+        }
+        if materialized:
+            cell["materialized"] = True
+        cells.append(cell)
     parent = db.versions.tree.parent(vid)
     return {
         "version": str(vid),
         "parent": str(parent) if parent else None,
         "schema_version": db.versions.schema_version_of[vid],
-        "snapshot": vid in set(store.snapshot_versions()),
+        "snapshot": store.is_snapshot(vid),
         "cells": cells,
     }
 

@@ -217,8 +217,9 @@ class Compactor:
 
         Versions are processed newest-first, so by the time a version is
         folded its sole child is already the run's terminal survivor —
-        every state moves exactly once, making a whole pass O(stored
-        states) regardless of run lengths.
+        every state moves exactly once, and the store finds a version's
+        states through its per-version index, so a whole pass costs
+        O(states of the squashed versions) regardless of run lengths.
         """
         manager = self._manager
         protected = self.protected_versions()

@@ -133,13 +133,34 @@ class VersionManager:
 
     # -- views -----------------------------------------------------------------------
 
-    def view(self, version: str | VersionId) -> VersionView:
-        """A read-only view of a saved version."""
+    def view(
+        self, version: str | VersionId, base: Optional[VersionView] = None
+    ) -> VersionView:
+        """A read-only view of a saved version.
+
+        With *base* the view of the version's parent (under the same
+        schema version), the result is derived from it at O(change):
+        the base's tables are copied and only the states stored at
+        *version* applied. Any other *base* — another branch, a parent
+        since squashed away, a schema boundary, None — is ignored and
+        the view is built cold from the resolved chain. Both ways give
+        the same view, and *base* itself is never modified. (*base* is
+        matched by version id: pass only views this manager built, and
+        not one held across a ``delete_version`` of its own version.)
+        """
         vid = VersionId.parse(version)
         if vid not in self.tree:
             raise VersionError(f"version {vid} does not exist")
         schema = self.schema_versions[self.schema_version_of[vid]]
-        return VersionView(vid, self.tree.chain(vid), self.store, schema)
+        if (
+            base is not None
+            and base.version == self.tree.parent(vid)
+            and base.schema is schema
+        ):
+            delta = ((key, state) for key, state, __ in self.store.states_at(vid))
+            return VersionView(vid, schema, delta, base)
+        resolved = self.store.resolve_chain(self.tree.chain(vid))
+        return VersionView(vid, schema, resolved.items())
 
     # -- deletion ------------------------------------------------------------------------
 

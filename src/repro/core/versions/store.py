@@ -14,6 +14,20 @@ state. Tombstones are ordinary states with ``deleted=True``.
 Item keys are ``("o", oid)`` for objects and ``("r", rid)`` for
 relationships.
 
+Beside the cells the store keeps a **per-version index**: for every
+version, the keys holding a state exactly there, in the order they were
+recorded, each flagged *materialized* when snapshot consolidation put
+the state there rather than a change. The index is maintained by every
+writer (``record``, ``materialize_snapshot``, ``mark_materialized``,
+``fold_version``, ``drop_version``, ``drop_cell``), so a version's
+delta is addressable at O(states at that version):
+:meth:`states_at` hands it to the journal record and to successor
+views, :meth:`resolve_chain` overlays the chain's deltas without
+visiting cells of other branches, and ``drop_version`` /
+``fold_version`` cost O(states of the version dropped or folded)
+instead of a pass over every cell. :meth:`keys_in_version_scan` is the
+retained cell scan the index is tested against.
+
 Compaction support (see :mod:`repro.core.versions.compaction`): a
 version may be marked as a **snapshot** — it then holds the *complete*
 resolved state of every item existing on its chain (tombstones
@@ -46,11 +60,12 @@ class VersionStore:
         self._cells: dict[ItemKey, dict[VersionId, ItemState]] = {}
         #: versions holding a complete resolved state of their chain
         self._snapshots: set[VersionId] = set()
-        #: version -> keys whose state there was *materialized* by
-        #: snapshot consolidation rather than recorded as a change;
+        #: version -> {key: materialized?} for every state stored exactly
+        #: there, in record order. A *materialized* state was put there
+        #: by snapshot consolidation rather than recorded as a change;
         #: history operations filter these so "find all versions of X"
         #: keeps listing real changes only
-        self._materialized: dict[VersionId, set[ItemKey]] = {}
+        self._by_version: dict[VersionId, dict[ItemKey, bool]] = {}
 
     # -- writing -------------------------------------------------------------
 
@@ -68,6 +83,7 @@ class VersionStore:
                 "versions cannot be modified"
             )
         cell[version] = state
+        self._by_version.setdefault(version, {})[key] = False
 
     def record_many(
         self, version: VersionId, states: Iterable[tuple[ItemKey, ItemState]]
@@ -87,19 +103,14 @@ class VersionStore:
         and ``cell_count()`` stay accurate after heavy version
         deletion. Returns the number of states erased.
         """
-        count = 0
-        emptied: list[ItemKey] = []
-        for key, cell in self._cells.items():
-            if version in cell:
-                del cell[version]
-                count += 1
-                if not cell:
-                    emptied.append(key)
-        for key in emptied:
-            del self._cells[key]
+        keys = self._by_version.pop(version, {})
+        for key in keys:
+            cell = self._cells[key]
+            del cell[version]
+            if not cell:
+                del self._cells[key]
         self._snapshots.discard(version)
-        self._materialized.pop(version, None)
-        return count
+        return len(keys)
 
     # -- snapshots (compaction support) --------------------------------------
 
@@ -129,19 +140,19 @@ class VersionStore:
                 f"chain {chain} does not end in snapshot version {version}"
             )
         added = 0
-        materialized = self._materialized.setdefault(version, set())
         # one-pass chain resolution: O(states) instead of one chain
         # walk per cell (items recorded at *version* keep their delta
         # state — resolve_chain returns exactly that state for them)
-        for key, state in self.resolve_chain(chain).items():
-            cell = self._cells[key]
-            if version in cell:
+        resolved = self.resolve_chain(chain)
+        at_version = self._by_version.setdefault(version, {})
+        for key, state in resolved.items():
+            if key in at_version:
                 continue
-            cell[version] = state
-            materialized.add(key)
+            self._cells[key][version] = state
+            at_version[key] = True
             added += 1
-        if not materialized:
-            del self._materialized[version]
+        if not at_version:
+            del self._by_version[version]
         self._snapshots.add(version)
         return added
 
@@ -187,29 +198,22 @@ class VersionStore:
         """
         moved = 0
         discarded = 0
-        folded_materialized = self._materialized.get(version, set())
-        for key, cell in self._cells.items():
-            state = cell.pop(version, None)
-            if state is None:
-                continue
-            if into in cell:
+        folded = self._by_version.pop(version, {})
+        at_into = self._by_version.setdefault(into, {}) if folded else {}
+        for key, materialized in folded.items():
+            cell = self._cells[key]
+            state = cell.pop(version)
+            if key in at_into:
                 discarded += 1
-                if key not in folded_materialized:
+                if not materialized:
                     # a real change was folded away; if the surviving
                     # entry was merely materialized, it now records that
                     # change (same state: nothing sat between the two)
-                    into_materialized = self._materialized.get(into)
-                    if into_materialized is not None:
-                        into_materialized.discard(key)
+                    at_into[key] = False
             else:
                 cell[into] = state
+                at_into[key] = materialized
                 moved += 1
-                if key in folded_materialized:
-                    self._materialized.setdefault(into, set()).add(key)
-        self._materialized.pop(version, None)
-        into_materialized = self._materialized.get(into)
-        if into_materialized is not None and not into_materialized:
-            del self._materialized[into]
         if version in self._snapshots:
             self._snapshots.discard(version)
             self._snapshots.add(into)
@@ -243,33 +247,28 @@ class VersionStore:
     def resolve_chain(self, chain: list[VersionId]) -> dict[ItemKey, ItemState]:
         """Resolved state of **every** item at the end of *chain*.
 
-        One pass over the stored cells instead of one
-        :meth:`state_on_chain` walk per cell: entries recorded at chain
-        versions are bucketed by chain position and overlaid oldest to
-        newest, starting at the nearest snapshot (snapshots are
-        complete, so nothing below one can be visible). Cost is
-        O(stored states + cells), independent of chain length — this is
-        what makes cold version checkout and snapshot materialization
-        run at index-rebuild speed. Tombstoned states are included,
+        One overlay of the chain's per-version deltas instead of one
+        :meth:`state_on_chain` walk per cell: the states indexed at
+        each chain version are laid over each other oldest to newest,
+        starting at the nearest snapshot (snapshots are complete, so
+        nothing below one can be visible). Cost is O(states stored on
+        the walked part of the chain) — cells of other branches are
+        never visited — which is what makes cold version checkout and
+        snapshot materialization run at index-rebuild speed.
+        Tombstoned states are included,
         matching ``state_on_chain``; returns exactly the keys whose
         per-key walk would return a state.
         """
-        positions = {version: position for position, version in enumerate(chain)}
         start = 0
         for position in range(len(chain) - 1, -1, -1):
             if chain[position] in self._snapshots:
                 start = position
                 break
-        per_position: dict[int, list[tuple[ItemKey, ItemState]]] = {}
-        for key, cell in self._cells.items():
-            for version, state in cell.items():
-                position = positions.get(version)
-                if position is not None and position >= start:
-                    per_position.setdefault(position, []).append((key, state))
+        cells = self._cells
         resolved: dict[ItemKey, ItemState] = {}
-        for position in sorted(per_position):
-            for key, state in per_position[position]:
-                resolved[key] = state
+        for version in chain[start:]:
+            for key in self._by_version.get(version, ()):
+                resolved[key] = cells[key][version]
         return resolved
 
     def resolve_chain_scan(self, chain: list[VersionId]) -> dict[ItemKey, ItemState]:
@@ -293,10 +292,11 @@ class VersionStore:
         they duplicate an earlier change for walk-termination purposes
         and must not surface as history events.
         """
+        by_version = self._by_version
         return {
             version: state
             for version, state in self._cells.get(key, {}).items()
-            if key not in self._materialized.get(version, ())
+            if not by_version[version][key]
         }
 
     def entries_of(self, key: ItemKey) -> list[tuple[VersionId, ItemState, bool]]:
@@ -305,9 +305,10 @@ class VersionStore:
         Sorted by version; the serializer uses this to round-trip
         consolidated stores faithfully.
         """
+        by_version = self._by_version
         return sorted(
             (
-                (version, state, key in self._materialized.get(version, ()))
+                (version, state, by_version[version][key])
                 for version, state in self._cells.get(key, {}).items()
             ),
             key=lambda entry: entry[0],
@@ -321,18 +322,41 @@ class VersionStore:
         """All item keys with at least one stored state."""
         return iter(self._cells)
 
+    def states_at(
+        self, version: VersionId
+    ) -> Iterator[tuple[ItemKey, ItemState, bool]]:
+        """The states stored exactly at *version*, in record order, as
+        (key, state, materialized) — the version's delta (for a
+        snapshot version: its complete state). O(states at *version*).
+        """
+        cells = self._cells
+        for key, materialized in self._by_version.get(version, {}).items():
+            yield key, cells[key][version], materialized
+
     def keys_in_version(self, version: VersionId) -> Iterator[ItemKey]:
         """Item keys with a state stored exactly at *version*.
 
         Raw storage view: materialized snapshot states count too.
         """
+        return iter(self._by_version.get(version, ()))
+
+    def keys_in_version_scan(self, version: VersionId) -> Iterator[ItemKey]:
+        """Cell-scan reference for :meth:`keys_in_version` (the pre-index
+        path): one pass over every cell. Retained as the oracle the
+        per-version index is tested against."""
         for key, cell in self._cells.items():
             if version in cell:
                 yield key
 
     def mark_materialized(self, version: VersionId, key: ItemKey) -> None:
         """Flag a stored state as snapshot-materialized (image load)."""
-        self._materialized.setdefault(version, set()).add(key)
+        at_version = self._by_version.get(version, {})
+        if key not in at_version:
+            raise VersionError(
+                f"item {key} has no state at version {version} to mark "
+                "as materialized"
+            )
+        at_version[key] = True
 
     # -- tombstone garbage collection (compaction support) --------------------
 
@@ -352,18 +376,17 @@ class VersionStore:
     def drop_cell(self, key: ItemKey) -> int:
         """Erase every stored state of one item (tombstone GC).
 
-        Scrubs the materialized-state bookkeeping too. Returns the
-        number of states erased.
+        Scrubs the per-version index too. Returns the number of states
+        erased.
         """
         cell = self._cells.pop(key, None)
         if cell is None:
             return 0
         for version in cell:
-            materialized = self._materialized.get(version)
-            if materialized is not None:
-                materialized.discard(key)
-                if not materialized:
-                    del self._materialized[version]
+            at_version = self._by_version[version]
+            del at_version[key]
+            if not at_version:
+                del self._by_version[version]
         return len(cell)
 
     def stored_state_count(self) -> int:
@@ -373,7 +396,7 @@ class VersionStore:
         ``versions × live items``. Snapshot consolidation deliberately
         trades this metric up for O(K) chain walks.
         """
-        return sum(len(cell) for cell in self._cells.values())
+        return sum(len(keys) for keys in self._by_version.values())
 
     def cell_count(self) -> int:
         """Number of items with at least one stored state."""

@@ -21,14 +21,24 @@ lease-expired one, or a stale pre-disconnect handle after a reconnect
 cannot check in anything (create-only packages included) or touch the
 successor session's locks.
 
-**MVCC snapshot reads.** :meth:`publish_snapshot` materializes a
+**MVCC snapshot reads.** :meth:`publish_snapshot` publishes a
 consistent read view from the version store (which already keeps every
 committed state); :meth:`snapshot` serves pinned views from a bounded
-cache. A pinned view is a fully materialized, immutable object — reads
-against it never block on (and are never torn by) an in-flight check-in
-or ``bulk()`` batch. The wire layer
-(:mod:`repro.multiuser.service`) applies check-ins in a worker thread
-while the event loop keeps answering snapshot reads.
+cache. Publication is O(change): the new version's journal record and
+its view are both built from the states the version store indexes
+under that version — the view as a *successor* of the view published
+before it (:meth:`VersionManager.view
+<repro.core.versions.manager.VersionManager.view>` with ``base``), so
+no pass over the master happens per accepted check-in. A pinned view
+shares with its successor the frozen item states and every child and
+incidence list the check-in did not touch; it is still immutable,
+because states are frozen, the successor owns copies of the five
+tables, and a list it has to change is replaced by a new one rather
+than edited. Reads against a pinned view therefore never block on (and
+are never torn by) an in-flight check-in, ``bulk()`` batch or
+publication. The wire layer (:mod:`repro.multiuser.service`) applies
+check-ins in a worker thread while the event loop keeps answering
+snapshot reads.
 
 **Background maintenance.** :meth:`maintain` runs version-store
 compaction + tombstone GC between check-ins (the service schedules it
@@ -266,19 +276,31 @@ class SeedServer:
         publication (or none exists yet); otherwise the existing
         publication stands. Returns the published version id. Writers
         call this after each accepted check-in; readers pin whatever is
-        published and keep reading it — a fully materialized
+        published and keep reading it — a
         :class:`~repro.core.versions.view.VersionView` is immutable, so
         pinned reads proceed while the next check-in or ``bulk()``
-        batch is applying.
+        batch is applying. The new view is derived from the previously
+        published one, so a publication costs O(items the check-in
+        changed), not O(master).
         """
         if (
             version is not None
             or self._published is None
             or self.master.has_unsaved_changes()
         ):
+            # the view published last is the new version's parent view
+            # whenever versions are only created here: deriving from it
+            # costs O(change) (any other base falls back to a cold build)
+            base = (
+                None
+                if self._published is None
+                else self._views.get(str(self._published))
+            )
             published = self.master.create_version(version)
             self._published = published
-            self._cache_view(published, self.master.version_view(published))
+            self._cache_view(
+                published, self.master.version_view(published, base)
+            )
         if self.journal is not None:
             # pinning is a durability barrier: a reader must never see
             # state whose commits are still buffered by group commit

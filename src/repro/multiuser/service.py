@@ -367,18 +367,21 @@ class SeedService:
         token = self._token(request)
         package = package_from_dict(request["package"])
         bulk = request.get("bulk")
-        loop = asyncio.get_running_loop()
-        async with self._write_lock:
-            # apply in the executor: the event loop stays free to serve
-            # pinned snapshot reads while the master mutates
-            translation = await loop.run_in_executor(
-                None,
-                lambda: self.server.apply_check_in(
-                    token, package, force_bulk=bulk
-                ),
+
+        def apply_and_publish():
+            # a rejected apply raises before anything is published
+            translation = self.server.apply_check_in(
+                token, package, force_bulk=bulk
             )
-            version = await loop.run_in_executor(
-                None, self.server.publish_snapshot
+            return translation, self.server.publish_snapshot()
+
+        async with self._write_lock:
+            # apply and publish in the executor, one hand-off: the event
+            # loop stays free to serve pinned snapshot reads while the
+            # master mutates
+            loop = asyncio.get_running_loop()
+            translation, version = await loop.run_in_executor(
+                None, apply_and_publish
             )
         self._accepted_since_maintain += 1
         if (

@@ -28,6 +28,8 @@ import pytest
 
 from repro.core import SchemaBuilder, SeedDatabase, figure3_schema
 from repro.core.errors import RecoveryWarning, SeedError, StorageError
+from repro.core.versions.compaction import RetentionPolicy
+from repro.core.versions.version_id import VersionId
 from repro.core.storage import (
     GroupCommitPolicy,
     JournaledDatabase,
@@ -148,6 +150,60 @@ class TestStreamedImageEquivalence:
             database_from_records(iter([{"o": 1, "s": {}}]))
         with pytest.raises(StorageError):
             database_from_records(iter([]))
+
+
+class TestVersionRecords:
+    def test_record_ordered_cells_replay_byte_identical(self, tmp_path):
+        """A ``version`` record lists its cells in record order — the
+        sorted dirty keys, then whatever online consolidation
+        materialized — and a journal of such records reopens to the
+        live database's canonical image, cell order included."""
+        path = tmp_path / "versions.seed"
+        journal = JournaledDatabase.open(
+            path, schema=figure3_schema(), name="vr"
+        )
+        db = journal.db
+        db.versions.retention = RetentionPolicy(snapshot_interval=2)
+        oldest = db.create_object("Action", "Oldest")
+        described = oldest.add_sub_object("Description", "first")
+        for round_number in range(4):
+            populate(db, seed=5 + round_number, ops=25, versions=0)
+            data = db.create_object("Data", f"Flow{round_number}")
+            db.relate("Access", {"data": data, "by": oldest})
+            db.create_version()
+        described.set_value("edited late")  # a dirty key with an old cell
+        db.create_object("Action", "Newest")
+        db.create_version()
+        store = db.versions.store
+        records = [
+            record["delta"]
+            for record in RecordFile(path).records()
+            if record.get("kind") == "version"
+        ]
+        assert len(records) == len(db.saved_versions()) >= 5
+        materialized_cells = 0
+        for delta in records:
+            keys = [(cell["kind"], cell["id"]) for cell in delta["cells"]]
+            recorded = [
+                key
+                for key, cell in zip(keys, delta["cells"])
+                if not cell.get("materialized")
+            ]
+            assert recorded == sorted(recorded)
+            assert keys[: len(recorded)] == recorded
+            materialized_cells += len(keys) - len(recorded)
+            version = VersionId.parse(delta["version"])
+            assert keys == list(store.keys_in_version(version))
+            assert delta["snapshot"] == store.is_snapshot(version)
+        assert materialized_cells  # consolidation rode in a record
+        assert [d["snapshot"] for d in records].count(True) >= 2
+        reopened = JournaledDatabase.open(path).db
+        assert canonical_bytes(reopened) == canonical_bytes(db)
+        assert list(reopened.versions.store.keys()) == list(store.keys())
+        for version in db.saved_versions():
+            assert list(reopened.versions.store.states_at(version)) == list(
+                store.states_at(version)
+            )
 
 
 class TestBulkIngest:

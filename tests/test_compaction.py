@@ -11,12 +11,18 @@ tree primitives.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.core import SeedDatabase, figure2_schema
 from repro.core.errors import VersionError
-from repro.core.storage.serialize import database_from_dict, database_to_dict
+from repro.core.storage.serialize import (
+    database_from_dict,
+    database_from_records,
+    database_to_dict,
+    iter_image_records,
+)
 from repro.core.versions.compaction import RetentionPolicy
 from repro.core.versions.store import VersionStore
 from repro.core.versions.tree import VersionTree
@@ -537,3 +543,125 @@ class TestTombstoneGC:
         # collected items must not resurface through an image round-trip
         rebuilt = clone(db)
         assert database_to_dict(rebuilt) == database_to_dict(db)
+
+
+# ---------------------------------------------------------------------------
+# the per-version index is the store
+# ---------------------------------------------------------------------------
+
+
+def assert_index_matches_cells(store: VersionStore) -> None:
+    """The per-version index against the retained cell scan: same keys
+    per version, no phantom or empty version, flags and states agree
+    with the per-cell entries, and the state count adds up."""
+    by_cell = {key: store.entries_of(key) for key in store.keys()}
+    versions = {version for entries in by_cell.values() for version, *__ in entries}
+    assert set(store._by_version) == versions  # noqa: SLF001
+    for version in versions:
+        indexed = list(store.keys_in_version(version))
+        assert len(indexed) == len(set(indexed))
+        assert sorted(indexed) == sorted(store.keys_in_version_scan(version))
+        for key, state, materialized in store.states_at(version):
+            assert (version, state, materialized) in by_cell[key]
+    assert store.stored_state_count() == sum(map(len, by_cell.values()))
+    absent = V("99.0")
+    assert list(store.keys_in_version(absent)) == list(store.states_at(absent)) == []
+
+
+class TestPerVersionIndex:
+    def test_states_at_lists_the_delta_in_record_order(self):
+        store = VersionStore()
+        store.record(V("1.0"), ("o", 3), make_state("c"))
+        store.record(V("1.0"), ("o", 1), make_state("a"))
+        store.record(V("2.0"), ("o", 2), make_state("b"))
+        store.materialize_snapshot(V("2.0"), [V("1.0"), V("2.0")])
+        assert [(key, state.value, flag) for key, state, flag in store.states_at(V("2.0"))] == [
+            (("o", 2), "b", False),
+            (("o", 3), "c", True),
+            (("o", 1), "a", True),
+        ]
+        assert list(store.keys_in_version(V("1.0"))) == [("o", 3), ("o", 1)]
+        assert_index_matches_cells(store)
+
+    def test_mark_materialized_needs_a_recorded_state(self):
+        store = VersionStore()
+        store.record(V("1.0"), ("o", 1), make_state())
+        with pytest.raises(VersionError):
+            store.mark_materialized(V("1.0"), ("o", 2))
+        with pytest.raises(VersionError):
+            store.mark_materialized(V("2.0"), ("o", 1))
+        store.mark_materialized(V("1.0"), ("o", 1))
+        assert store.states_of(("o", 1)) == {}
+        assert_index_matches_cells(store)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_store_operations(self, seed):
+        """record / materialize_snapshot / fold_version / drop_version /
+        drop_cell in random order over one linear chain."""
+        rng = random.Random(seed)
+        store = VersionStore()
+        chain: list[VersionId] = []
+        serial = 0
+        for step in range(60):
+            roll = rng.random()
+            if roll < 0.45 or len(chain) < 3:
+                serial += 1
+                version = V(f"{serial}.0")
+                chain.append(version)
+                for item in rng.sample(range(1, 25), rng.randint(1, 6)):
+                    store.record(
+                        version,
+                        (rng.choice("or"), item),
+                        make_state(f"{serial}/{item}", deleted=rng.random() < 0.2),
+                    )
+            elif roll < 0.6:
+                position = rng.randrange(len(chain))
+                store.materialize_snapshot(chain[position], chain[: position + 1])
+            elif roll < 0.8:
+                position = rng.randrange(len(chain) - 1)
+                store.fold_version(chain[position], chain[position + 1])
+                del chain[position]
+            elif roll < 0.9:
+                store.drop_version(chain.pop())
+            else:
+                keys = list(store.keys())
+                if keys:
+                    store.drop_cell(rng.choice(keys))
+            assert_index_matches_cells(store)
+            for version in chain:
+                upto = chain[: chain.index(version) + 1]
+                assert store.resolve_chain(upto) == store.resolve_chain_scan(upto)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_database_operations_and_image_round_trips(self, seed):
+        rng = random.Random(seed + 77)
+        db = build_random_versioned_db(seed)
+        db.versions.retention = RetentionPolicy(snapshot_interval=3)
+        for __ in range(4):
+            roll = rng.random()
+            if roll < 0.5:
+                db.compact(
+                    replace(random_policy(rng), gc_tombstones=rng.random() < 0.5)
+                )
+            elif roll < 0.7:
+                leaves = [
+                    version
+                    for version in db.saved_versions()
+                    if db.versions.tree.is_leaf(version)
+                    and version != db.versions.current_base
+                ]
+                if leaves:
+                    db.delete_version(rng.choice(leaves))
+            else:
+                db.create_object("Data", f"Late{rng.randrange(10**9)}")
+                db.create_version()
+            assert_index_matches_cells(db.versions.store)
+        for loaded in (clone(db), database_from_records(iter_image_records(db))):
+            assert_index_matches_cells(loaded.versions.store)
+            for version in db.saved_versions():
+                assert sorted(loaded.versions.store.keys_in_version(version)) == sorted(
+                    db.versions.store.keys_in_version(version)
+                )
+                assert loaded.versions.delta_size(version) == db.versions.delta_size(
+                    version
+                )

@@ -11,6 +11,7 @@ check-ins land after it.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -211,6 +212,57 @@ class TestMVCCReads:
                     reader.counts()
                 assert reader.pin() != stale
                 assert reader.find("Churn2") is not None
+
+
+    def test_pin_answers_the_same_until_the_cache_moves_past_it(self, service):
+        """Each check-in publishes a successor of the reader's pinned
+        view and edits the very objects the reader reads: the pin's
+        answers stay byte-identical for the 7 further publications the
+        8-view cache holds beside it, and the 8th evicts it."""
+
+        def answers(reader):
+            return json.dumps(
+                [
+                    reader.find("AlarmHandler.Description"),
+                    reader.find("Sensor"),
+                    reader.find("Alarms"),
+                    reader.objects("Data"),
+                    reader.objects("Action"),
+                    reader.objects(),
+                    reader.counts(),
+                ],
+                sort_keys=True,
+            ).encode()
+
+        def edit(writer, round_number):
+            names = ["AlarmHandler", "Alarms"] + ["Sensor"] * (round_number <= 2)
+            local = writer.check_out(*names)
+            local.get_object("AlarmHandler.Description").set_value(
+                f"round {round_number}"
+            )
+            if round_number == 2:
+                local.delete(local.get_object("Sensor"))
+            else:
+                local.create_object("Data", f"Alarms{round_number}")
+            writer.check_in()
+
+        assert service.server.snapshot_cache_size == 8
+        with ServiceClient.for_service(service, "reader") as reader, \
+                ServiceClient.for_service(service, "writer") as writer:
+            pinned = reader.pin()
+            before = answers(reader)
+            assert b"handles" in before
+            for round_number in range(7):
+                edit(writer, round_number)
+                assert answers(reader) == before
+            assert reader.pinned == pinned
+            assert pinned in writer.stats()["pinned"]
+            edit(writer, 7)  # the 9th view: the pin is the oldest, evicted
+            with pytest.raises(VersionError, match="no longer pinned"):
+                reader.counts()
+            assert reader.pin() != pinned
+            assert reader.find("AlarmHandler.Description")["value"] == "round 7"
+            assert reader.find("Sensor") is None
 
 
 class TestBackgroundMaintenance:
