@@ -277,7 +277,9 @@ def _run_compact(args: argparse.Namespace) -> int:
         # so the flag forces journal mode even without a budget
         from repro.core.storage import JournaledDatabase
 
-        journal = JournaledDatabase.open(args.database)
+        journal = JournaledDatabase.open(
+            args.database, byte_budget=args.byte_budget
+        )
         db = journal.db
     else:
         db = load_database(args.database)
@@ -300,7 +302,6 @@ def _run_compact(args: argparse.Namespace) -> int:
         keep_last=args.keep_last,
         pins=frozenset(args.pin),
         gc_tombstones=args.gc_tombstones,
-        journal_byte_budget=args.byte_budget,
     )
     result = db.compact(policy)
     if journal is not None:
@@ -309,7 +310,6 @@ def _run_compact(args: argparse.Namespace) -> int:
         # is intact (compact() falls back to the live state)
         journal.checkpoint(streamed=args.streamed_checkpoint)
         size = journal.compact()
-        journal.enforce_budget(args.byte_budget)
     else:
         size = save_database(db, args.database)
     print(f"compacted: {result.summary()}")
@@ -329,12 +329,13 @@ def _run_fsck(args: argparse.Namespace) -> int:
     record_file = RecordFile(args.database)
     if not record_file.exists():
         raise SeedError(f"no database file at {args.database}")
-    report = record_file.verify()
+    events = list(record_file.scan())  # the one scan everything below folds
+    report = record_file.verify(events)
     print(report.render())
     # unknown record kinds (a journal written by a newer build) are
     # intact records — report them as advisory, never as corruption
     unknown: dict[str, int] = {}
-    for event in record_file.scan():
+    for event in events:
         if event.kind != "record" or not isinstance(event.record, dict):
             continue
         kind = event.record.get("kind")

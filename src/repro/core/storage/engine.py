@@ -80,10 +80,9 @@ drain the buffer first, so a crash can only lose the last
 partial batch of *direct* commits — never a check-in, never anything
 after a barrier. The strict default is opt-out, not weakened.
 
-The journal is self-bounding. A ``byte_budget`` (settable directly or
-via :attr:`~repro.core.versions.compaction.RetentionPolicy.
-journal_byte_budget` through the service maintenance path) makes
-:class:`JournaledDatabase` track live-vs-superseded bytes on every
+The journal is self-bounding. A ``byte_budget`` (set on the journal
+and nowhere else) makes :class:`JournaledDatabase` track
+live-vs-superseded bytes on every
 append: bytes before the newest image are superseded (a load never
 replays them), everything from it on is the live tail. When total file
 size exceeds the budget, the journal auto-compacts — first appending a
@@ -93,11 +92,13 @@ rewrite actually shrinks the file. The trigger points are post-commit
 maintenance (:meth:`~JournaledDatabase.enforce_budget`) — never inside
 :meth:`~JournaledDatabase.append_delta`, where a checkpoint would
 supersede a write-ahead record whose apply has not happened yet.
-Crash safety of compaction itself rides on the atomic temp-and-rename
-of :meth:`~repro.core.storage.recordfile.RecordFile.rewrite`
-(exercised via the ``journal.compact.rewrite`` failpoint): a crash
-mid-compaction leaves either the old file or the new one, both of
-which recover the same committed state.
+Compaction copies frames: it hands
+:meth:`~repro.core.storage.recordfile.RecordFile.rewrite` the byte
+ranges of the records it keeps and never re-encodes one. Its crash
+safety rides on that rewrite's atomic temp-and-rename (exercised via
+the ``journal.compact.rewrite`` failpoint): a crash mid-compaction
+leaves either the old file or the new one, both of which recover the
+same committed state.
 
 A full write-ahead log of individual updates would exceed the paper
 ("SEED does not keep a log of every database update"); the checkpoint
@@ -118,11 +119,7 @@ from repro.core import faults
 from repro.core.database import SeedDatabase
 from repro.core.errors import RecoveryWarning, SeedError, StorageError
 from repro.core.schema.attached import ProcedureRegistry
-from repro.core.storage.recordfile import (
-    CorruptRange,
-    IntegrityReport,
-    RecordFile,
-)
+from repro.core.storage.recordfile import IntegrityReport, RecordFile
 from repro.core.storage.serialize import (
     apply_restore_delta,
     apply_schema_delta,
@@ -367,20 +364,7 @@ def _load_journal_state(
     Returns ``(db or None, RecoveryInfo, next delta seq)``.
     """
     events = list(record_file.scan())
-    report = IntegrityReport(
-        path=record_file.path, total_bytes=record_file.size_bytes()
-    )
-    for event in events:
-        if event.kind == "record":
-            report.intact_records += 1
-        elif event.kind == "corrupt":
-            report.corrupt_ranges.append(
-                CorruptRange(event.offset, event.end, event.problem)
-            )
-        else:
-            report.tail_problem = event.problem
-            report.tail_offset = event.offset
-    info = RecoveryInfo(report=report)
+    info = RecoveryInfo(report=record_file.verify(events))
 
     record_events = [event for event in events if event.kind == "record"]
     max_seq = 0
@@ -548,6 +532,10 @@ class JournaledDatabase:
         clock: Optional[Callable[[], float]] = None,
         streamed_checkpoints: bool = False,
     ) -> None:
+        if byte_budget is not None and byte_budget <= 0:
+            raise StorageError(
+                f"byte_budget must be positive, got {byte_budget}"
+            )
         self.db = db
         self._file = record_file
         #: what the load found; a fresh journal reports a clean scan
@@ -748,7 +736,7 @@ class JournaledDatabase:
         self._next_seq += 1
         self._append_record({"kind": kind, "seq": seq, "delta": delta})
         if self.byte_budget is not None:
-            self.enforce_budget(self.byte_budget)
+            self.enforce_budget()
 
     def _on_txn_commit(self, txn) -> None:
         """Append (or buffer) a ``txn`` delta for a committed transaction."""
@@ -765,7 +753,7 @@ class JournaledDatabase:
         if policy is None:
             self._file.append(record)
             if self.byte_budget is not None:
-                self.enforce_budget(self.byte_budget)
+                self.enforce_budget()
             return
         payload = RecordFile.encode(record)
         now = self._clock()
@@ -790,39 +778,38 @@ class JournaledDatabase:
         """Durably append every buffered txn record with one fsync.
 
         Returns the number of records flushed (0 when the buffer is
-        empty — a no-op without touching the file). The buffer is
-        cleared only after the append succeeds, so a transient I/O
-        failure leaves the records buffered for the next barrier.
+        empty — a no-op without touching the file).
         """
         if not self._pending:
             return 0
-        count = self._file.append_encoded(self._pending)
-        self._pending = []
-        self._pending_bytes = 0
-        self._pending_since = None
-        self.group_flushes += 1
+        count = self._drain()
         if enforce and self.byte_budget is not None:
-            self.enforce_budget(self.byte_budget)
+            self.enforce_budget()
         return count
 
     def _append_record(self, record: dict) -> None:
         """Append one record, draining any buffered txns ahead of it.
 
-        The buffered records and *record* land in a single
-        :meth:`~repro.core.storage.recordfile.RecordFile.append_encoded`
-        call — one open, one fsync — preserving commit order in the
-        file. With an empty buffer this is a plain append.
+        The buffered records and *record* land in one fsync'd append,
+        preserving commit order in the file. With an empty buffer this
+        is a plain append.
         """
         if self._pending:
-            self._file.append_encoded(
-                self._pending + [RecordFile.encode(record)]
-            )
-            self._pending = []
-            self._pending_bytes = 0
-            self._pending_since = None
-            self.group_flushes += 1
+            self._drain(RecordFile.encode(record))
         else:
             self._file.append(record)
+
+    def _drain(self, *trailing: bytes) -> int:
+        """Append the buffered payloads (+ *trailing*) as one fsync'd
+        batch. The buffer is cleared only after the append succeeds, so
+        an I/O failure leaves the records buffered for the next barrier.
+        """
+        count = self._file.append_encoded([*self._pending, *trailing])
+        self._pending = []
+        self._pending_bytes = 0
+        self._pending_since = None
+        self.group_flushes += 1
+        return count
 
     @contextmanager
     def suspended_txn_sink(self) -> Iterator[None]:
@@ -870,10 +857,11 @@ class JournaledDatabase:
         """Drop superseded records; returns the new file size.
 
         Flush barrier: buffered group-commit records are appended
-        before the scan, so none can be dropped by the rewrite. Keeps
-        the newest complete image unit (monolithic record or streamed
-        group) plus the deltas after it, minus aborted delta/marker
-        pairs and minus any incomplete streamed-checkpoint leftovers.
+        before the scan, so none can be dropped by the rewrite. Copies
+        (as byte ranges, never re-encoding) the newest complete image
+        unit (monolithic record or streamed group) plus the deltas
+        after it, minus aborted delta/marker pairs and minus any
+        incomplete streamed-checkpoint leftovers.
         Corrupt regions are implicitly dropped by the rewrite;
         quarantine first via
         :meth:`~repro.core.storage.recordfile.RecordFile.salvage` if
@@ -884,13 +872,12 @@ class JournaledDatabase:
         loaded journal can always be bounded.
         """
         self.flush(enforce=False)
-        record_events = [
-            event for event in self._file.scan() if event.kind == "record"
-        ]
+        record_events = self._record_events()
         units = _image_units(record_events)
+        fresh, keep = [], []
         if not units:
             dropped = self._file.size_bytes()
-            kept = [{"kind": "image", "image": database_to_dict(self.db)}]
+            fresh = [{"kind": "image", "image": database_to_dict(self.db)}]
             warnings.warn(
                 RecoveryWarning(
                     f"journal {self._file.path} holds no intact image; "
@@ -901,15 +888,12 @@ class JournaledDatabase:
             )
         else:
             base = units[-1]
-            tail = [
-                event.record
-                for event in record_events[base["start_index"]:]
-            ]
+            tail = record_events[base["start_index"]:]
             aborted = {
-                record.get("seq")
-                for record in tail
-                if isinstance(record, dict)
-                and record.get("kind") == "checkin.abort"
+                event.record.get("seq")
+                for event in tail
+                if isinstance(event.record, dict)
+                and event.record.get("kind") == "checkin.abort"
             }
             # image-family records in the tail that are not part of the
             # (complete) base unit belong to an interrupted streamed
@@ -929,38 +913,34 @@ class JournaledDatabase:
                     return base_cp is not None and record.get("cp") == base_cp
                 return True
 
-            kept = [record for record in tail if keeps(record)]
+            keep = [(e.offset, e.end) for e in tail if keeps(e.record)]
         if faults._PLAN is not None:  # noqa: SLF001 - zero-cost guard
             faults.fire("journal.compact.rewrite")
-        self._file.rewrite(kept)
+        self._file.rewrite(fresh, keep=keep)
         # the rewrite starts the file at its newest image: nothing is
         # superseded until the next checkpoint
         self._superseded_bytes = 0
         return self._file.size_bytes()
 
+    def _record_events(self) -> list:
+        return [e for e in self._file.scan() if e.kind == "record"]
+
     def checkpoints(self) -> int:
         """Number of complete images (monolithic or streamed groups)."""
-        record_events = [
-            event for event in self._file.scan() if event.kind == "record"
-        ]
-        return len(_image_units(record_events))
+        return len(_image_units(self._record_events()))
 
     def deltas(self) -> int:
         """Number of intact check-in delta records in the journal."""
-        return sum(
-            1
-            for event in self._file.scan()
-            if event.kind == "record"
-            and isinstance(event.record, dict)
-            and event.record.get("kind") == "checkin"
-        )
+        return self._count_kind("checkin")
 
     def txn_deltas(self) -> int:
         """Number of intact direct-transaction delta records."""
+        return self._count_kind("txn")
+
+    def _count_kind(self, kind: str) -> int:
         return sum(
             1
-            for event in self._file.scan()
-            if event.kind == "record"
-            and isinstance(event.record, dict)
-            and event.record.get("kind") == "txn"
+            for event in self._record_events()
+            if isinstance(event.record, dict)
+            and event.record.get("kind") == kind
         )

@@ -19,14 +19,40 @@ Format, per record::
 The ASCII framing keeps files inspectable with standard tools while
 remaining strict enough for reliable recovery.
 
+One writer, one parser
+----------------------
+
+The surface is append (``append``, ``append_many``/``append_encoded``),
+stream (``append_stream``) and replace (``rewrite``) — the seam a
+``StorageBackend`` protocol would name; nothing is built behind it.
+
+* ``RecordFile._write`` is the only code that opens a record file for
+  writing: open-append, write each blob, one fsync, plus a directory
+  fsync when the call created the file. Failpoints (armed via
+  :mod:`repro.core.faults`): ``recordfile.append.pre_write`` per blob
+  (a torn write persists the truncated prefix and crashes),
+  ``recordfile.append.pre_fsync`` per call. ``append``, ``append_many``
+  (all frames joined) and ``rewrite`` (the whole replacement, into the
+  temp file; none when empty) write one blob, ``append_stream`` one per
+  frame. ``rewrite`` fsyncs the directory again after ``os.replace``
+  (failpoints ``recordfile.rewrite.replace`` / ``.post_replace`` either
+  side), so the atomic replacement survives power loss.
+* ``_parse_record`` is the only code that reads a frame header:
+  ``scan()`` drives it, ``records()`` is ``scan()`` up to the first
+  non-record event (raising there with ``strict=True``), ``verify()``
+  the one fold from scan events to an :class:`IntegrityReport`.
+* Kept means copied: ``rewrite(records, keep=[(offset, end), ...])``
+  carries byte ranges of the current file over verbatim; compaction
+  and ``salvage()`` pass only ranges, so a frame that was CRC-checked
+  on scan is never re-serialized.
+
 Recovery contract
 -----------------
 
 * **Detection** — every single-byte corruption is detected: payload
   bytes by the CRC (CRC32 catches all error bursts <= 32 bits), header
   bytes by the digit/hex/framing checks, and truncation by the length
-  prefix. :meth:`RecordFile.records` streams the file and stops at the
-  first problem (raising with ``strict=True``).
+  prefix.
 * **Resynchronization** — :meth:`RecordFile.scan` does not stop: after
   a corrupt region it searches forward for the next *plausible header*
   (17 digit/space/hex bytes followed by a newline whose framed payload
@@ -42,18 +68,9 @@ Recovery contract
   (e.g. a checksum mismatch with all bytes present) via
   :attr:`IntegrityReport.tail_is_torn` — only the former is the normal
   crash-recovery case that loaders may stay silent about.
-* **Salvage** — :meth:`RecordFile.salvage` rewrites the file with the
-  intact records only (atomic replace + directory fsync) after
-  quarantining every corrupt byte range, losslessly, into a
-  ``<name>.corrupt`` sidecar record file.
-* **Durability** — appends fsync the file (and the parent directory
-  when the append created it); :meth:`RecordFile.rewrite` fsyncs the
-  temp file *and* the parent directory after ``os.replace``, so the
-  atomic replacement survives power loss.
-
-Failpoints (armed via :mod:`repro.core.faults`):
-``recordfile.append.pre_write``, ``recordfile.append.pre_fsync``,
-``recordfile.rewrite.replace``, ``recordfile.rewrite.post_replace``.
+* **Salvage** — :meth:`RecordFile.salvage` quarantines every corrupt
+  byte range, losslessly, into a ``<name>.corrupt`` sidecar record
+  file, then replaces the file with its intact frames.
 """
 
 from __future__ import annotations
@@ -64,7 +81,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.core import faults
 from repro.core.errors import StorageError
@@ -199,7 +216,7 @@ class RecordFile:
 
         Returns the appended record's byte range ``(offset, end)``.
         """
-        return self._append_blob(_frame(self.encode(record)))
+        return self._write([_frame(self.encode(record))])[:2]
 
     def append_many(self, records: Iterator[Any] | list[Any]) -> int:
         """Append several records with one open/fsync; returns the count."""
@@ -218,96 +235,78 @@ class RecordFile:
 
     def append_encoded(self, payloads: list[bytes]) -> int:
         """:meth:`append_many` for payloads :meth:`encode` already made."""
-        if not payloads:
-            return 0
-        self._append_blob(b"".join(map(_frame, payloads)))
+        if payloads:
+            self._write([b"".join(map(_frame, payloads))])
         return len(payloads)
 
     def append_stream(self, records: Iterator[Any] | list[Any]) -> int:
         """Append records one frame at a time with a single fsync.
 
-        The streaming sibling of :meth:`append_many`: frames are
-        written to the open handle as the iterator produces them, so an
-        arbitrarily large record stream appends at O(largest record)
-        memory instead of materializing the joined blob. The
-        ``recordfile.append.pre_write`` failpoint fires once per frame
-        (a torn write crashes mid-stream, leaving the already-written
-        frames plus a torn prefix — exactly what a power loss leaves),
-        and ``recordfile.append.pre_fsync`` fires once before the
-        single fsync. Returns the number of records appended.
+        The streaming sibling of :meth:`append_many`: each frame is its
+        own blob, written as the iterator produces it — O(largest
+        record) memory, and a torn write leaves the frames already
+        written plus a torn prefix. Returns the number appended.
         """
+        return self._write(_frame(self.encode(r)) for r in records)[2]
+
+    def _write(self, blobs: Iterable[bytes]) -> tuple[int, int, int]:
+        """The one durable writer; returns ``(offset, end, blobs written)``."""
         creating = not self.path.exists()
         count = 0
         with open(self.path, "ab") as handle:
-            for record in records:
-                blob = _frame(self.encode(record))
-                if faults._PLAN is not None:  # noqa: SLF001
+            offset = end = handle.tell()
+            for count, blob in enumerate(blobs, 1):
+                if faults._PLAN is not None:  # noqa: SLF001 - zero-cost guard
                     try:
                         blob = faults.fire("recordfile.append.pre_write", blob)
                     except TornWrite as torn:
+                        # power loss mid-write: a prefix reaches the platter
                         handle.write(torn.data)
                         handle.flush()
                         os.fsync(handle.fileno())
                         raise SimulatedCrash(
-                            f"torn streamed append to {self.path}: "
+                            f"torn write to {self.path}: "
                             f"{len(torn.data)}/{len(blob)} bytes survive"
                         ) from None
                 handle.write(blob)
-                count += 1
+                end += len(blob)
             if faults._PLAN is not None:  # noqa: SLF001
                 faults.fire("recordfile.append.pre_fsync")
             handle.flush()
             os.fsync(handle.fileno())
         if creating:
             _fsync_directory(self.path.parent)
-        return count
+        return offset, end, count
 
-    def _append_blob(self, blob: bytes) -> tuple[int, int]:
-        """The one durable append path (failpoint-instrumented)."""
-        creating = not self.path.exists()
-        with open(self.path, "ab") as handle:
-            offset = handle.tell()
-            if faults._PLAN is not None:  # noqa: SLF001 - zero-cost guard
-                try:
-                    blob = faults.fire("recordfile.append.pre_write", blob)
-                except TornWrite as torn:
-                    # power loss mid-write: a prefix reaches the platter
-                    handle.write(torn.data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                    raise SimulatedCrash(
-                        f"torn append to {self.path}: "
-                        f"{len(torn.data)}/{len(blob)} bytes survive"
-                    ) from None
-            handle.write(blob)
-            if faults._PLAN is not None:  # noqa: SLF001
-                faults.fire("recordfile.append.pre_fsync")
-            handle.flush()
-            os.fsync(handle.fileno())
-        if creating:
-            _fsync_directory(self.path.parent)
-        return offset, offset + len(blob)
+    def _read_ranges(self, ranges: list[tuple[int, int]]) -> list[bytes]:
+        """The current file's bytes at each ``(offset, end)`` range."""
+        chunks = []
+        with open(self.path, "rb") as handle:
+            for offset, end in ranges:
+                handle.seek(offset)
+                chunks.append(handle.read(end - offset))
+        return chunks
 
-    def rewrite(self, records: list[Any]) -> None:
+    def rewrite(
+        self, records: Iterable[Any] = (), *, keep: list[tuple[int, int]] = ()
+    ) -> None:
         """Atomically replace the file's contents (write-temp-and-rename).
 
-        Durable: the temp file is fsync'd by its appends (or explicitly
-        for the empty case), and the parent directory is fsync'd after
-        ``os.replace`` so the rename itself survives power loss.
+        The new contents: the *keep* byte ranges of the current file,
+        copied verbatim in the order given, then the encoded *records*.
+        The writer fsyncs the temp file; the directory is fsync'd again
+        after ``os.replace``.
         """
-        temp_path = self.path.with_suffix(self.path.suffix + ".tmp")
-        temp = RecordFile(temp_path)
-        if temp_path.exists():
-            temp_path.unlink()
-        temp.append_many(records)
-        if not records:
-            # the fsync'd-append path never ran; create + sync explicitly
-            with open(temp_path, "wb") as handle:
-                handle.flush()
-                os.fsync(handle.fileno())
+        blob = b"".join(
+            (self._read_ranges(keep) if keep else [])
+            + [_frame(self.encode(record)) for record in records]
+        )
+        temp = RecordFile(self.path.with_suffix(self.path.suffix + ".tmp"))
+        temp.path.unlink(missing_ok=True)  # a crashed rewrite's leftover
+        temp._write([blob] if blob else [])  # noqa: SLF001 - same class
         if faults._PLAN is not None:  # noqa: SLF001
             faults.fire("recordfile.rewrite.replace")
-        os.replace(temp_path, self.path)
+        os.replace(temp.path, self.path)
         if faults._PLAN is not None:  # noqa: SLF001
             faults.fire("recordfile.rewrite.post_replace")
         _fsync_directory(self.path.parent)
@@ -315,62 +314,29 @@ class RecordFile:
     # -- reading ------------------------------------------------------------
 
     def records(self, *, strict: bool = False) -> Iterator[Any]:
-        """Stream all intact records in order (no whole-file read).
+        """The intact records before :meth:`scan`'s first problem.
 
-        Stops at the first problem: a torn/corrupt tail is silently
-        ignored (crash recovery); with ``strict=True`` any corruption
-        raises :class:`~repro.core.errors.StorageError`. Use
-        :meth:`scan`/:meth:`verify` to resynchronize past mid-file
-        corruption instead of stopping.
+        A torn/corrupt tail is silently ignored (crash recovery); with
+        ``strict=True`` any corruption raises
+        :class:`~repro.core.errors.StorageError`.
         """
-        if not self.path.exists():
-            return
-        with open(self.path, "rb") as handle:
-            while True:
-                header = handle.read(_HEADER_LENGTH)
-                if not header:
-                    return
-                if len(header) < _HEADER_LENGTH:
-                    self._tail_problem(strict, "truncated header")
-                    return
-                try:
-                    length = int(header[0:8])
-                    crc_expected = int(header[9:17], 16)
-                except ValueError:
-                    self._tail_problem(strict, "unparseable header")
-                    return
-                if header[8:9] != b" " or header[17:18] != b"\n":
-                    self._tail_problem(strict, "malformed header framing")
-                    return
-                body = handle.read(length + 1)
-                if len(body) < length + 1:
-                    self._tail_problem(strict, "truncated payload")
-                    return
-                payload = body[:length]
-                if zlib.crc32(payload) & 0xFFFFFFFF != crc_expected:
-                    self._tail_problem(strict, "checksum mismatch")
-                    return
-                if body[length:] != b"\n":
-                    self._tail_problem(strict, "missing record terminator")
-                    return
-                yield json.loads(payload.decode("utf-8"))
-
-    @staticmethod
-    def _tail_problem(strict: bool, problem: str) -> None:
-        if strict:
-            raise StorageError(f"corrupt record file: {problem}")
+        for event in self.scan():
+            if event.kind != "record":
+                if strict:
+                    raise StorageError(f"corrupt record file: {event.problem}")
+                return
+            yield event.record
 
     # -- salvage scan -------------------------------------------------------
 
     def scan(self) -> Iterator[ScanEvent]:
         """Full salvage scan: records *and* skipped ranges, with resync.
 
-        Unlike :meth:`records`, corruption does not end the scan: the
-        corrupt region is reported as one ``"corrupt"`` event and the
-        scan resumes at the next plausible record header. A trailing
-        region with no further header is a single ``"tail"`` event.
-        (The repair path reads the whole file; the happy path,
-        :meth:`records`, streams.)
+        Corruption does not end the scan: the corrupt region is
+        reported as one ``"corrupt"`` event and the scan resumes at the
+        next plausible record header. A trailing region with no further
+        header is a single ``"tail"`` event. Events tile the file: each
+        starts where the previous ended.
         """
         if not self.path.exists():
             return
@@ -390,12 +356,17 @@ class RecordFile:
             yield ScanEvent("record", offset, end, record=record)
             offset = end
 
-    def verify(self) -> IntegrityReport:
-        """Scan the whole file and report its integrity (read-only)."""
-        report = IntegrityReport(
-            path=self.path, total_bytes=self.size_bytes()
-        )
-        for event in self.scan():
+    def verify(
+        self, events: Optional[Iterable[ScanEvent]] = None
+    ) -> IntegrityReport:
+        """Fold scan events into an :class:`IntegrityReport` (read-only).
+
+        Over a fresh :meth:`scan`, or the *events* of one the caller
+        already made (they tile the file: the last end is its size).
+        """
+        report = IntegrityReport(path=self.path)
+        for event in self.scan() if events is None else events:
+            report.total_bytes = event.end
             if event.kind == "record":
                 report.intact_records += 1
             elif event.kind == "corrupt":
@@ -410,52 +381,36 @@ class RecordFile:
     def salvage(
         self, quarantine: Optional[str | Path] = None
     ) -> IntegrityReport:
-        """Repair in place: keep intact records, quarantine the rest.
+        """Repair in place: keep intact frames, quarantine the rest.
 
         Every corrupt byte range is preserved losslessly (base64) in a
         ``<name>.corrupt`` sidecar record file — one record per range,
         with its original offset and problem — then the file is
-        atomically rewritten with only the intact records. Returns the
-        pre-salvage :class:`IntegrityReport`; its
+        atomically replaced by its intact frames, copied verbatim.
+        Returns the pre-salvage :class:`IntegrityReport`; its
         :attr:`~IntegrityReport.intact_records` is the surviving count.
         A clean file is left untouched (no rewrite, no sidecar).
         """
         if quarantine is None:
             quarantine = self.path.with_name(self.path.name + ".corrupt")
-        data = self.path.read_bytes() if self.path.exists() else b""
-        report = IntegrityReport(path=self.path, total_bytes=len(data))
-        intact: list[Any] = []
-        skipped: list[CorruptRange] = []
-        for event in self.scan():
-            if event.kind == "record":
-                report.intact_records += 1
-                intact.append(event.record)
-            elif event.kind == "corrupt":
-                report.corrupt_ranges.append(
-                    CorruptRange(event.offset, event.end, event.problem)
-                )
-                skipped.append(CorruptRange(event.offset, event.end, event.problem))
-            else:
-                report.tail_problem = event.problem
-                report.tail_offset = event.offset
-                skipped.append(
-                    CorruptRange(event.offset, len(data), event.problem)
-                )
-        if not skipped:
+        events = list(self.scan())
+        report = self.verify(events)
+        if report.is_clean:
             return report
-        sidecar = RecordFile(quarantine)
-        sidecar.append_many(
+        skipped = [event for event in events if event.kind != "record"]
+        chunks = self._read_ranges([(e.offset, e.end) for e in skipped])
+        RecordFile(quarantine).append_many(
             {
-                "offset": corrupt.offset,
-                "length": corrupt.length,
-                "problem": corrupt.problem,
-                "data_b64": base64.b64encode(
-                    data[corrupt.offset : corrupt.end]
-                ).decode("ascii"),
+                "offset": event.offset,
+                "length": len(data),
+                "problem": event.problem,
+                "data_b64": base64.b64encode(data).decode("ascii"),
             }
-            for corrupt in skipped
+            for event, data in zip(skipped, chunks)
         )
-        self.rewrite(intact)
+        self.rewrite(
+            keep=[(e.offset, e.end) for e in events if e.kind == "record"]
+        )
         return report
 
     def count(self) -> int:
@@ -472,7 +427,7 @@ class RecordFile:
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers (module-level: shared by the stream and salvage paths)
+# parsing helpers (the one frame parser and its resync search)
 # ---------------------------------------------------------------------------
 
 def _parse_record(data: bytes, offset: int) -> tuple[Any, int] | str:

@@ -52,12 +52,6 @@ Policy knobs (also exposed via the ``repro compact`` CLI subcommand):
     invisible in all of them either way; only per-item history
     operations stop listing it (that is the point of the collection).
     Exposed via ``repro compact --gc-tombstones``.
-``journal_byte_budget``
-    bound the *journal file*, not the version store: maintenance
-    (:meth:`repro.multiuser.server.SeedServer.maintain`, the service's
-    background loop) auto-checkpoints and compacts a
-    :class:`~repro.core.storage.engine.JournaledDatabase` whose file
-    exceeds this many bytes (None = unbounded, the default).
 
 Entry points: :meth:`repro.core.database.SeedDatabase.compact` /
 :meth:`repro.core.versions.manager.VersionManager.compact`.
@@ -91,11 +85,6 @@ class RetentionPolicy:
     pins: frozenset[VersionId] = field(default_factory=frozenset)
     #: drop items dead in every surviving version (and live tombstones)
     gc_tombstones: bool = False
-    #: journal size (bytes) past which maintenance auto-checkpoints and
-    #: compacts the journal file (None = unbounded); consumed by
-    #: :meth:`repro.multiuser.server.SeedServer.maintain` and
-    #: :meth:`repro.core.storage.engine.JournaledDatabase.enforce_budget`
-    journal_byte_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.snapshot_interval < 0:
@@ -104,14 +93,6 @@ class RetentionPolicy:
             )
         if self.keep_last < 0:
             raise VersionError(f"keep_last must be >= 0, got {self.keep_last}")
-        if (
-            self.journal_byte_budget is not None
-            and self.journal_byte_budget <= 0
-        ):
-            raise VersionError(
-                "journal_byte_budget must be positive, got "
-                f"{self.journal_byte_budget}"
-            )
         object.__setattr__(
             self,
             "pins",

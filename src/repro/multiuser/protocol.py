@@ -43,6 +43,7 @@ from repro.multiuser.server import CheckOutTicket
 
 __all__ = [
     "ERROR_CODES",
+    "MAX_REQUEST_BYTES",
     "encode_message",
     "decode_message",
     "error_response",
@@ -65,6 +66,11 @@ ERROR_CODES: dict[str, type[SeedError]] = {
 }
 
 _CLASS_TO_CODE = {cls: code for code, cls in ERROR_CODES.items()}
+
+#: the largest request frame the service reads — ~100 000 created
+#: objects of a bulk check-in (~130 bytes each); a longer frame gets a
+#: typed "request too large" error on a connection that stays usable
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------

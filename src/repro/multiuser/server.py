@@ -51,8 +51,8 @@ Durability: bind a
 write-ahead deltas — and so are *direct* master transactions, through
 the journal's post-commit txn sink (suspended while a check-in package
 applies, since the check-in delta already covers those commits).
-:meth:`maintain` additionally enforces the policy's
-``journal_byte_budget`` so a long-lived server's journal stays bounded.
+:meth:`maintain` additionally enforces the journal's ``byte_budget``
+so a long-lived server's journal stays bounded.
 Liveness is unchanged from PR 6: pass ``lease_seconds`` and a crashed
 client's locks — and, since PR 7, its check-out standing — expire
 together.
@@ -374,11 +374,10 @@ class SeedServer:
         under *policy* (default :data:`DEFAULT_MAINTENANCE`), with every
         cached snapshot version pinned so concurrent pinned readers
         survive; stale cache entries for squashed-away versions are
-        dropped afterwards. When the policy sets ``journal_byte_budget``
-        (or the journal carries its own budget), the journal file is
-        bounded too — checkpoint-then-compact once it exceeds the
-        budget. The wire service schedules this automatically every
-        ``maintain_every`` accepted check-ins.
+        dropped afterwards. When the journal carries a ``byte_budget``,
+        the journal file is bounded too — checkpoint-then-compact once
+        it exceeds the budget. The wire service schedules this
+        automatically every ``maintain_every`` accepted check-ins.
         """
         policy = policy or self.maintenance_policy
         if self._views:
@@ -390,14 +389,8 @@ class SeedServer:
         for key in [k for k in self._views if k not in surviving]:
             del self._views[key]  # pragma: no cover - pins protect these
         if self.journal is not None:
-            # maintenance is a flush barrier whether or not a budget is
-            # set; enforce_budget flushes too, but only when it runs
-            self.journal.flush()
-            budget = policy.journal_byte_budget
-            if budget is None:
-                budget = self.journal.byte_budget
-            if budget is not None:
-                self.journal.enforce_budget(budget)
+            # a flush barrier always; bounds the file when a budget is set
+            self.journal.enforce_budget()
         self.maintenance_runs += 1
         return stats
 

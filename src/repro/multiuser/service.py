@@ -54,6 +54,7 @@ from repro.multiuser.checkin import (
 )
 from repro.multiuser.client import RetryPolicy, materialize_ticket
 from repro.multiuser.protocol import (
+    MAX_REQUEST_BYTES,
     decode_message,
     encode_message,
     error_response,
@@ -119,7 +120,8 @@ class SeedService:
         self._loop = asyncio.get_running_loop()
         self._write_lock = asyncio.Lock()
         self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=MAX_REQUEST_BYTES,
         )
         self.port = self._asyncio_server.sockets[0].getsockname()[1]
 
@@ -273,10 +275,10 @@ class SeedService:
         self._connections.add(asyncio.current_task())
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break  # EOF: client closed (or crashed)
                 try:
+                    line = await self._read_frame(reader)
+                    if not line:
+                        break  # EOF: client closed (or crashed)
                     request = decode_message(line)
                     response = await self._dispatch(request, opened_tokens)
                 except SeedError as exc:
@@ -286,8 +288,8 @@ class SeedService:
                 self.requests_served += 1
                 writer.write(encode_message(response))
                 await writer.drain()
-        except asyncio.CancelledError:
-            pass  # service shutdown: fall through to session cleanup
+        except (asyncio.CancelledError, ConnectionError):
+            pass  # shutdown or a vanished peer: on to session cleanup
         finally:
             self._connections.discard(asyncio.current_task())
             # a dropped socket closes every session it opened: the
@@ -308,6 +310,28 @@ class SeedService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+
+    @staticmethod
+    async def _read_frame(reader: asyncio.StreamReader) -> bytes:
+        """One request line, ``b""`` at EOF. A frame over the limit is
+        discarded through its newline (outside the write lock, like every
+        read), then raises the typed error; the next frame parses cleanly.
+        """
+        oversized = False
+        while True:
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # EOF (a partial last line, as readline)
+            except asyncio.LimitOverrunError as exc:
+                await reader.readexactly(exc.consumed)  # buffered: discard
+                oversized = True
+                continue
+            if oversized:
+                raise SeedError(
+                    f"request too large: over {MAX_REQUEST_BYTES} bytes"
+                )
+            return line
 
     async def _dispatch(
         self, request: dict[str, Any], opened_tokens: set[str]

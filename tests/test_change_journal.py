@@ -451,3 +451,141 @@ class TestUnknownRecordKinds:
         assert main(["fsck", str(path)]) == 0
         out = capsys.readouterr().out
         assert "unknown kind 'replica.hint'" in out
+
+
+# ---------------------------------------------------------------------------
+# kept means copied: compaction and salvage never re-serialize a frame
+# ---------------------------------------------------------------------------
+
+def parent_compaction_bytes(path) -> bytes:
+    """What the pre-copy ``compact()`` wrote: decode, filter, re-encode.
+
+    The reference the copying rewrite is held against — the record-list
+    rewrite this repo used before ``rewrite(keep=...)`` existed.
+    """
+    from repro.core.storage.engine import _image_units
+    from repro.core.storage.recordfile import _frame
+
+    events = [e for e in RecordFile(path).scan() if e.kind == "record"]
+    base = _image_units(events)[-1]
+    tail = [e.record for e in events[base["start_index"]:]]
+    aborted = {
+        r.get("seq") for r in tail
+        if isinstance(r, dict) and r.get("kind") == "checkin.abort"
+    }
+
+    def keeps(record):
+        if not isinstance(record, dict):
+            return True
+        kind = record.get("kind")
+        if kind in ("checkin", "checkin.abort") and record.get("seq") in aborted:
+            return False
+        if kind in ("image.begin", "image.rec", "image.end"):
+            return base["cp"] is not None and record.get("cp") == base["cp"]
+        return True
+
+    return b"".join(
+        _frame(RecordFile.encode(record)) for record in tail if keeps(record)
+    )
+
+
+class TestCompactionCopiesFrames:
+    def build(self, path, *, streamed_base):
+        """A journal with one of everything ``compact()`` must judge."""
+        from repro.core.faults import FaultPlan, SimulatedCrash
+
+        journal = JournaledDatabase.open(path, schema=item_schema(), name="g")
+        commit(journal.db, "Old", "superseded by the base")
+        journal.checkpoint(streamed=streamed_base)  # the base unit
+        commit(journal.db, "A", "ä non-ascii value \U0010ffff")
+        journal.append_abort(journal.append_delta({"never": "applied"}))
+        # a streamed checkpoint interrupted after begin + 2 parts
+        plan = FaultPlan().crash("recordfile.append.pre_write", at=4)
+        with plan, pytest.raises(SimulatedCrash):
+            journal.checkpoint(streamed=True)
+        journal = JournaledDatabase.open(path, name="g")
+        RecordFile(path).append({"kind": "replica.hint", "seq": 999})
+        RecordFile(path).append(["not", "a", "record", "object"])
+        commit(journal.db, "B", "after the junk")
+        journal.db.create_version()
+        return journal
+
+    def frames(self, path):
+        data = path.read_bytes()
+        return [
+            (event.record, data[event.offset:event.end])
+            for event in RecordFile(path).scan()
+        ]
+
+    @pytest.mark.parametrize("streamed_base", [False, True])
+    def test_compacted_file_is_the_kept_frames_verbatim(
+        self, tmp_path, streamed_base
+    ):
+        path = tmp_path / "c.seed"
+        journal = self.build(path, streamed_base=streamed_base)
+        before = self.frames(path)
+        kinds = [
+            r.get("kind") if isinstance(r, dict) else None for r, __ in before
+        ]
+        # the journal really holds everything the rule has to judge
+        for expected in (
+            "checkin", "checkin.abort", "image.rec", "replica.hint", None,
+            "image.begin" if streamed_base else "image", "version",
+        ):
+            assert expected in kinds
+        reference = parent_compaction_bytes(path)
+        journal.compact()
+        after = path.read_bytes()
+        assert after == reference
+        # ... and it is a subsequence of the original frames, byte for byte
+        original = [blob for __, blob in before]
+        position = 0
+        for record, blob in self.frames(path):
+            position = original.index(blob, position) + 1
+            if isinstance(record, dict):
+                assert record.get("kind") not in ("checkin", "checkin.abort")
+        with pytest.warns(RecoveryWarning, match="unknown kind"):
+            reopened = JournaledDatabase.open(path, name="g")
+        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
+        assert reopened.recovery.unknown_records == 2  # alien + non-dict
+
+    def test_compact_encodes_nothing_when_an_image_is_intact(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "spy.seed"
+        journal = self.build(path, streamed_base=False)
+        calls = []
+        real_dumps = json.dumps
+        monkeypatch.setattr(
+            json, "dumps",
+            lambda *a, **kw: (calls.append(1), real_dumps(*a, **kw))[1],
+        )
+        journal.compact()
+        assert calls == []
+        # the no-intact-image fallback is the one path that encodes
+        data = bytearray(path.read_bytes())
+        data[30] ^= 0xFF  # inside the base image's payload
+        path.write_bytes(bytes(data))
+        with pytest.warns(RecoveryWarning, match="no intact image"):
+            journal.compact()
+        assert calls
+
+    def test_salvage_copies_the_intact_frames(self, tmp_path):
+        path = tmp_path / "s.seed"
+        self.build(path, streamed_base=True)
+        frames = self.frames(path)
+        victim = len(frames) // 2
+        offset = sum(len(blob) for __, blob in frames[:victim]) + 25
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 0xFF
+        path.write_bytes(bytes(data))
+        survivors = frames[:victim] + frames[victim + 1:]
+        from repro.core.storage.recordfile import _frame
+
+        report = RecordFile(path).salvage()
+        assert report.intact_records == len(survivors)
+        salvaged = path.read_bytes()
+        assert salvaged == b"".join(blob for __, blob in survivors)
+        assert salvaged == b"".join(
+            _frame(RecordFile.encode(record)) for record, __ in survivors
+        )

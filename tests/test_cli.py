@@ -116,6 +116,38 @@ class TestCommands:
         reloaded = load_database(db_file)
         assert victim.oid not in reloaded._objects  # noqa: SLF001
 
+    def test_compact_byte_budget_opens_the_journal_with_it(
+        self, db_file, capsys, monkeypatch
+    ):
+        from repro.core.storage import JournaledDatabase, load_database
+
+        budgets = []
+        real_open = JournaledDatabase.open.__func__
+
+        def spying_open(cls, path, **kwargs):
+            budgets.append(kwargs.get("byte_budget"))
+            return real_open(cls, path, **kwargs)
+
+        monkeypatch.setattr(JournaledDatabase, "open", classmethod(spying_open))
+        journal = JournaledDatabase.open(db_file)
+        journal.db.create_object("Data", "Tail")
+        budgets.clear()
+        assert main(["compact", str(db_file), "--byte-budget", "1"]) == 0
+        assert budgets == [1]  # the budget's one home is the journal
+        assert "bytes on disk" in capsys.readouterr().out
+        assert main(["fsck", str(db_file)]) == 0
+        assert "1 intact record(s)" in capsys.readouterr().out
+        assert load_database(db_file).find_object("Tail") is not None
+
+    @pytest.mark.parametrize("bad", ["0", "-5"])
+    def test_compact_rejects_a_non_positive_byte_budget(
+        self, db_file, capsys, bad
+    ):
+        before = db_file.read_bytes()
+        assert main(["compact", str(db_file), "--byte-budget", bad]) == 1
+        assert "byte_budget must be positive" in capsys.readouterr().err
+        assert db_file.read_bytes() == before
+
     def test_missing_database_is_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent.seed")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -126,6 +158,78 @@ class TestCommands:
         db_path = tmp_path / "gappy.seed"
         main(["load", str(spec_path), "-o", str(db_path)])
         assert main(["completeness", str(db_path)]) == 2
+
+
+class TestFsckScansOnce:
+    """``fsck`` folds one list of scan events; ``--salvage`` adds one."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        from repro.core.storage import RecordFile
+
+        calls = []
+        real_scan = RecordFile.scan
+
+        def counting_scan(self):
+            calls.append(self.path)
+            return real_scan(self)
+
+        monkeypatch.setattr(RecordFile, "scan", counting_scan)
+        return calls
+
+    @staticmethod
+    def flip(path, offset):
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 0xFF
+        path.write_bytes(bytes(data))
+
+    @pytest.fixture
+    def journal_file(self, db_file):
+        """Two images and an unknown-kind record: room to damage one."""
+        from repro.core.storage import JournaledDatabase, RecordFile
+
+        JournaledDatabase.open(db_file).checkpoint()
+        RecordFile(db_file).append({"kind": "replica.hint", "seq": 9})
+        return db_file
+
+    def test_report_only_scans_once(self, journal_file, scans, capsys):
+        assert main(["fsck", str(journal_file)]) == 0
+        out = capsys.readouterr().out
+        assert "3 intact record(s)" in out and "clean" in out
+        assert "note: 1 intact record(s) of unknown kind 'replica.hint'" in out
+        assert scans == [journal_file]
+
+    def test_corruption_exit_code_from_the_same_scan(
+        self, journal_file, scans, capsys
+    ):
+        self.flip(journal_file, 40)
+        assert main(["fsck", str(journal_file)]) == 2
+        out = capsys.readouterr().out
+        assert "corrupt [0:" in out and "--salvage" in out
+        assert "unknown kind 'replica.hint'" in out
+        assert scans == [journal_file]
+
+    def test_torn_tail_only_exits_zero_in_one_scan(
+        self, journal_file, scans, capsys
+    ):
+        with open(journal_file, "r+b") as handle:
+            handle.truncate(journal_file.stat().st_size - 5)
+        assert main(["fsck", str(journal_file)]) == 0
+        assert "torn tail only" in capsys.readouterr().out
+        assert scans == [journal_file]
+
+    def test_salvage_scans_at_most_twice(self, journal_file, scans, capsys):
+        from repro.core.storage import RecordFile, load_database
+
+        self.flip(journal_file, 40)
+        assert main(["fsck", str(journal_file), "--salvage"]) == 0
+        out = capsys.readouterr().out
+        assert "salvaged: kept 2 record(s)" in out
+        assert 1 <= len(scans) <= 2 and set(scans) == {journal_file}
+        scans.clear()
+        assert RecordFile(journal_file).verify().is_clean
+        with pytest.warns(Warning, match="unknown kind"):
+            assert load_database(journal_file).find_object("Alarms")
 
 
 class TestQueryCommand:

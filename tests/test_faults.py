@@ -192,6 +192,132 @@ class TestRecordFileFaults:
 
 
 # ---------------------------------------------------------------------------
+# the one writer: every entry point's failpoint hit counts, pinned
+# ---------------------------------------------------------------------------
+
+PRE_WRITE = "recordfile.append.pre_write"
+PRE_FSYNC = "recordfile.append.pre_fsync"
+N = 5
+
+
+def _recs(n=N):
+    return [{"n": index, "pad": "x" * (7 * index)} for index in range(n)]
+
+
+def _seeded(path):
+    """A file holding N records; returns (file, their byte ranges)."""
+    rf = RecordFile(path)
+    return rf, [rf.append(record) for record in _recs()]
+
+
+#: entry point -> (call on a seeded file, pre_write hits, records after)
+WRITER_TABLE = {
+    "append": (lambda rf, ranges: rf.append({"n": "a"}), 1, _recs() + [{"n": "a"}]),
+    "append_many": (lambda rf, ranges: rf.append_many(_recs()), 1, _recs() * 2),
+    "append_encoded": (
+        lambda rf, ranges: rf.append_encoded([RecordFile.encode(r) for r in _recs()]),
+        1,
+        _recs() * 2,
+    ),
+    "append_stream": (
+        lambda rf, ranges: rf.append_stream(iter(_recs())), N, _recs() * 2,
+    ),
+    "rewrite(records)": (lambda rf, ranges: rf.rewrite(_recs(2)), 1, _recs(2)),
+    "rewrite(keep)": (
+        lambda rf, ranges: rf.rewrite(keep=[ranges[1], ranges[2], ranges[4]]),
+        1,
+        [_recs()[1], _recs()[2], _recs()[4]],
+    ),
+    "rewrite(keep+records)": (
+        lambda rf, ranges: rf.rewrite([{"n": "z"}], keep=ranges[3:]),
+        1,
+        _recs()[3:] + [{"n": "z"}],
+    ),
+    "rewrite(empty)": (lambda rf, ranges: rf.rewrite(), 0, []),
+}
+
+
+class TestTheOneWriter:
+    @pytest.mark.parametrize("name", sorted(WRITER_TABLE))
+    def test_hit_counts_per_entry_point(self, tmp_path, name):
+        call, pre_write_hits, expected = WRITER_TABLE[name]
+        rf, ranges = _seeded(tmp_path / "j.seed")
+        with FaultPlan() as plan:
+            call(rf, ranges)
+        assert plan.hits.get(PRE_WRITE, 0) == pre_write_hits
+        assert plan.hits[PRE_FSYNC] == 1
+        assert list(rf.records(strict=True)) == expected
+
+    def test_empty_appends_do_not_touch_the_file(self, tmp_path):
+        rf = RecordFile(tmp_path / "j.seed")
+        with FaultPlan() as plan:
+            assert rf.append_many([]) == 0
+            assert rf.append_encoded([]) == 0
+        assert plan.hits == {}
+        assert not rf.exists()
+
+    def test_kept_ranges_are_copied_not_reencoded(self, tmp_path, monkeypatch):
+        rf, ranges = _seeded(tmp_path / "j.seed")
+        original = rf.path.read_bytes()
+        monkeypatch.setattr(
+            RecordFile, "encode",
+            staticmethod(lambda record: pytest.fail("re-encoded a kept frame")),
+        )
+        rf.rewrite(keep=[ranges[0], ranges[2], ranges[3]])
+        assert rf.path.read_bytes() == b"".join(
+            original[start:end] for start, end in (ranges[0], ranges[2], ranges[3])
+        )
+
+    @pytest.mark.parametrize("k", range(1, N + 1))
+    def test_torn_stream_leaves_whole_frames_plus_the_torn_prefix(
+        self, tmp_path, k
+    ):
+        rf, __ = _seeded(tmp_path / "j.seed")
+        before = rf.path.read_bytes()
+        frames = [
+            before[start:end]
+            for start, end in [
+                (event.offset, event.end) for event in rf.scan()
+            ]
+        ]
+        plan = FaultPlan().torn_write(PRE_WRITE, keep=9, at=k)
+        with plan, pytest.raises(SimulatedCrash):
+            rf.append_stream(iter(_recs()))
+        assert plan.hits[PRE_WRITE] == k
+        assert PRE_FSYNC not in plan.hits  # crashed before the fsync
+        assert rf.path.read_bytes() == (
+            before + b"".join(frames[: k - 1]) + frames[k - 1][:9]
+        )
+        assert rf.count() == N + k - 1
+        assert rf.verify().tail_is_torn
+
+    @pytest.mark.parametrize(
+        "name", ["append", "append_many", "append_stream", "rewrite(records)"]
+    )
+    def test_a_created_file_fsyncs_its_directory_exactly_once(
+        self, tmp_path, monkeypatch, name
+    ):
+        import repro.core.storage.recordfile as recordfile_module
+
+        synced = []
+        real = recordfile_module._fsync_directory
+        monkeypatch.setattr(
+            recordfile_module, "_fsync_directory",
+            lambda directory: (synced.append(directory), real(directory)),
+        )
+        call = WRITER_TABLE[name][0]
+        rf = RecordFile(tmp_path / "fresh.seed")
+        call(rf, [])
+        # a rewrite creates its temp file (one sync) and then renames it
+        # into place (the post-replace sync)
+        creations = 2 if name.startswith("rewrite") else 1
+        assert synced == [tmp_path] * creations
+        synced.clear()
+        rf.append({"n": "again"})  # not creating: no directory sync
+        assert synced == []
+
+
+# ---------------------------------------------------------------------------
 # salvage scan: resync past corruption, quarantine sidecar
 # ---------------------------------------------------------------------------
 

@@ -24,6 +24,7 @@ from repro.core.errors import (
     VersionError,
 )
 from repro.multiuser import SeedServer, SeedService, ServiceClient
+from repro.multiuser.protocol import MAX_REQUEST_BYTES, encode_message
 from repro.spades import spades_schema
 
 
@@ -139,6 +140,72 @@ class TestWireErrors:
         walker.close()  # no disconnect: the socket just dies
         assert wait_until(lambda: service.server.clients() == [])
         assert len(service.server.locks) == 0
+
+
+class TestRequestSizeLimit:
+    """A frame's size is a stated limit, not asyncio's 64 KiB default."""
+
+    def test_large_bulk_check_in_applies_over_the_wire(self, service):
+        # 600 objects (a ~77 KB frame) used to reset the connection
+        with ServiceClient.for_service(service, "loader") as loader:
+            local = loader.check_out()
+            for i in range(2000):
+                local.create_object("Data", f"Big{i}")
+            translation = loader.check_in(bulk=True)
+            assert loader.ping()
+        assert len(translation) == 2000
+        assert service.server.master.find_object("Big1999") is not None
+        assert service.server.checkins_applied == 1
+
+    def test_oversized_frame_gets_typed_error_and_connection_survives(
+        self, service
+    ):
+        with ServiceClient.for_service(service, "alice") as alice:
+            alice.check_out("Alarms")
+            alice.local.create_object("Data", "AfterTheFlood")
+            # one frame just past the limit, newline-terminated
+            alice._file.write(b"x" * (MAX_REQUEST_BYTES + 1) + b"\n")
+            alice._file.flush()
+            response = json.loads(alice._file.readline())
+            assert response["ok"] is False
+            assert response["error"] == "seed"
+            assert response["message"].startswith("request too large")
+            # same socket, same session, same locks: all still usable
+            assert alice.ping()
+            assert service.server.clients() == ["alice"]
+            assert len(service.server.locks) > 0
+            alice.check_in()
+        assert service.server.master.find_object("AfterTheFlood") is not None
+
+    def test_oversized_frame_maps_to_seed_error_in_the_client(self, service):
+        with ServiceClient.for_service(service, "alice") as alice:
+            with pytest.raises(SeedError, match="request too large"):
+                alice._call("ping", padding="x" * (MAX_REQUEST_BYTES + 1))
+            assert alice.ping()
+
+    def test_write_lock_is_free_while_an_oversized_frame_is_discarded(
+        self, service
+    ):
+        with ServiceClient.for_service(service, "slow") as slow, \
+                ServiceClient.for_service(service, "bob") as bob:
+            # an over-limit frame with no newline yet: the service is
+            # mid-discard on this connection ...
+            slow._file.write(b"x" * (MAX_REQUEST_BYTES + 4096))
+            slow._file.flush()
+            # ... while a writer on another connection goes through
+            # connect -> check-out -> check-in, all under the write lock
+            assert not service._write_lock.locked()
+            local = bob.check_out("Alarms")
+            local.create_object("Data", "Meanwhile")
+            bob.check_in()
+            assert service.server.master.find_object("Meanwhile") is not None
+            # ending the frame yields the typed error; then business as usual
+            slow._file.write(b"tail\n" + encode_message({"op": "ping"}))
+            slow._file.flush()
+            assert json.loads(slow._file.readline())["ok"] is False
+            assert json.loads(slow._file.readline()) == {
+                "ok": True, "result": {"pong": True},
+            }
 
 
 class TestMVCCReads:

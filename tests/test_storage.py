@@ -1,8 +1,11 @@
 """Tests for persistence: serialisation, record files, the engine."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import SeedDatabase, StorageError, figure3_schema
 from repro.core.schema.attached import AttachedProcedure, ProcedureRegistry
@@ -175,6 +178,53 @@ class TestRecordFile:
         assert list(record_file.records()) == []
         assert not record_file.exists()
         assert record_file.size_bytes() == 0
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+#: damage: ("cut", fraction of the file kept) or ("flip", fraction, mask)
+_damage = st.lists(
+    st.tuples(st.just("cut"), st.floats(0, 1))
+    | st.tuples(st.just("flip"), st.floats(0, 1), st.integers(1, 255)),
+    max_size=3,
+)
+
+
+class TestRecordsIsAScanPrefix:
+    """``records()`` is ``scan()`` up to its first non-record event."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(_json_values, max_size=8), damage=_damage)
+    def test_records_equals_the_scan_prefix(self, records, damage):
+        with tempfile.TemporaryDirectory() as directory:
+            record_file = RecordFile(Path(directory) / "log.rec")
+            record_file.append_many(records)
+            if record_file.exists():
+                data = bytearray(record_file.path.read_bytes())
+                for kind, where, *mask in damage:
+                    if kind == "cut":
+                        del data[int(where * len(data)):]
+                    elif data:
+                        data[int(where * (len(data) - 1))] ^= mask[0]
+                record_file.path.write_bytes(bytes(data))
+            prefix, problem = [], None
+            for event in record_file.scan():
+                if event.kind != "record":
+                    problem = event.problem
+                    break
+                prefix.append(event.record)
+            assert list(record_file.records()) == prefix
+            assert record_file.count() == len(prefix)
+            assert prefix == records[:len(prefix)]
+            if problem is None:
+                assert list(record_file.records(strict=True)) == prefix
+            else:
+                with pytest.raises(StorageError, match=problem):
+                    list(record_file.records(strict=True))
 
 
 class TestEngine:

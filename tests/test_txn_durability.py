@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core import RecoveryWarning, SchemaBuilder
-from repro.core.errors import StorageError, VersionError
+from repro.core.errors import StorageError
 from repro.core.faults import FaultPlan
 from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict
 from repro.core.versions.compaction import RetentionPolicy
@@ -272,21 +272,46 @@ class TestByteBudget:
         assert reopened.db.find_object("W11") is not None
 
     def test_maintain_enforces_policy_budget(self, tmp_path):
+        # the budget has one home, the journal: maintain() enforces
+        # whatever the journal carries (no policy field any more)
         server = SeedServer.open(
-            tmp_path / "srv.journal", schema=item_schema()
+            tmp_path / "srv.journal", schema=item_schema(),
+            byte_budget=10**9,
         )
         for index in range(20):
             server.master.create_object("Item", f"M{index}")
         grown = server.journal._file.size_bytes()
-        server.maintain(RetentionPolicy(journal_byte_budget=grown // 4))
+        assert len(record_kinds(server.journal.path)) == 21
+        server.journal.byte_budget = grown // 4
+        server.maintain()
         assert server.journal._file.size_bytes() < grown
         assert record_kinds(server.journal.path) == ["image"]
+        assert not hasattr(RetentionPolicy(), "journal_byte_budget")
 
-    def test_policy_rejects_non_positive_budget(self):
-        with pytest.raises(VersionError, match="journal_byte_budget"):
-            RetentionPolicy(journal_byte_budget=0)
-        with pytest.raises(VersionError, match="journal_byte_budget"):
-            RetentionPolicy(journal_byte_budget=-1)
+    def test_maintain_without_budget_only_flushes(self, tmp_path):
+        server = SeedServer.open(
+            tmp_path / "srv.journal", schema=item_schema()
+        )
+        for index in range(5):
+            server.master.create_object("Item", f"M{index}")
+        before = record_kinds(server.journal.path)
+        server.maintain()
+        assert record_kinds(server.journal.path) == before
+
+    def test_policy_rejects_non_positive_budget(self, tmp_path):
+        # the positive-value check moved with the value
+        for bad in (0, -1):
+            with pytest.raises(StorageError, match="byte_budget"):
+                JournaledDatabase.open(
+                    tmp_path / "bad.journal", schema=item_schema(),
+                    byte_budget=bad,
+                )
+            with pytest.raises(StorageError, match="byte_budget"):
+                SeedServer.open(
+                    tmp_path / "bad.journal", schema=item_schema(),
+                    byte_budget=bad,
+                )
+        assert not (tmp_path / "bad.journal").exists()
 
 
 class TestCompactFallback:
