@@ -68,6 +68,13 @@ the table:
       streamed item records into a live database inside one batch
       (``SeedDatabase.bulk_load(records=...)``), refusing id and name
       collisions.
+
+    These from-state lanes are the only code that creates items without
+    going through the create mutators (and, with ``apply_txn_delta``,
+    the only callers of ``IndexLayer.mark_stale``).
+    ``SeedDatabase.bulk_load(objects, relationships)`` is not one of
+    them: it walks its specs through ``create_object`` /
+    ``create_sub_object`` / ``relate`` inside one batch.
 """
 
 from __future__ import annotations

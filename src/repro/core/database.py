@@ -51,11 +51,19 @@ single set-union completeness merge. Semantics:
   run inside a batch; an explicit :meth:`transaction` inside a batch
   adds no boundary (its validation is the batch's).
 
-Prefer ``bulk()`` (or the :meth:`SeedDatabase.bulk_load` convenience
-wrapper) whenever many items are written before the next read barrier:
-ingest, image load, restore, multi-user check-in, workload population.
-For a handful of mutations the per-item path is cheaper — the batch
-pays a pre-batch snapshot plus a full index rebuild.
+Prefer ``bulk()`` whenever many items are written before the next read
+barrier: ingest, multi-user check-in, workload population. For a
+handful of mutations the per-item path is cheaper — the batch pays a
+pre-batch snapshot plus a full index rebuild.
+
+There is one way to create an item inside a batch, the same as outside
+it: :meth:`create_object`, :meth:`create_sub_object`, :meth:`relate`.
+:meth:`SeedDatabase.bulk_load` is a convenience walker over exactly
+those — it opens one batch and feeds nested spec mappings to the public
+mutators, constructing no record itself. The only code that bypasses
+the mutators builds records *from frozen states*, through
+:func:`repro.core.bulk.wire_item_states` (image load, checkout, restore,
+journal replay, and ``bulk_load(records=...)``).
 """
 
 from __future__ import annotations
@@ -133,6 +141,30 @@ def _key_of(item: Item) -> ItemKey:
     return ("r", item.rid)
 
 
+#: the keys a ``bulk_load`` spec of each kind may carry
+_SPEC_KEYS = {
+    "object": {"class", "name", "value", "pattern", "sub_objects"},
+    "sub-object": {"role", "value", "index", "sub_objects"},
+    "relationship": {"association", "bindings", "attributes", "pattern"},
+}
+
+
+def _check_spec_keys(spec: dict, what: str) -> None:
+    """Reject a ``bulk_load`` spec of kind *what* carrying unknown keys."""
+    unknown = spec.keys() - _SPEC_KEYS[what]
+    if unknown:
+        raise SeedError(f"unknown {what} spec keys: {sorted(unknown)}")
+
+
+def _consistency_error(headline: str, violations: list[Violation]) -> ConsistencyError:
+    """*headline*, then one line per violation — the one such format."""
+    return ConsistencyError(
+        f"{headline}:\n  "
+        + "\n  ".join(str(violation) for violation in violations),
+        violations,
+    )
+
+
 class SeedDatabase:
     """A single-user SEED database over a fixed (but evolvable) schema."""
 
@@ -202,31 +234,10 @@ class SeedDatabase:
         boundary of its own: its updates join the batch, and validation
         happens once at batch finalize.
         """
-        if self._bulk is not None:
-            with self._operation() as txn:
-                yield txn
-            return
         if self._txn is not None:
             raise TransactionError("transactions cannot be nested")
-        txn = _Transaction()
-        self._txn = txn
-        try:
+        with self._operation("transaction") as txn:
             yield txn
-        except BaseException:
-            self._txn = None
-            self._rollback(txn)
-            raise
-        self._txn = None
-        violations = self._validate(txn)
-        if violations:
-            self._rollback(txn)
-            raise ConsistencyError(
-                "transaction violates consistency:\n  "
-                + "\n  ".join(str(violation) for violation in violations),
-                violations,
-            )
-        self.completeness.note_commit(txn.touched, txn.structural)
-        self._notify_commit(txn)
 
     @contextmanager
     def bulk(self) -> Iterator[BulkContext]:
@@ -275,11 +286,7 @@ class SeedDatabase:
         violations = self._validate(txn, batched_acyclic=True)
         if violations:
             context.restore()
-            raise ConsistencyError(
-                "bulk batch violates consistency:\n  "
-                + "\n  ".join(str(violation) for violation in violations),
-                violations,
-            )
+            raise _consistency_error("bulk batch violates consistency", violations)
         total_items = len(self._objects) + len(self._relationships)
         if len(txn.touched) * 2 >= total_items:
             # the batch touched most of the database: re-priming at the
@@ -298,6 +305,13 @@ class SeedDatabase:
         records: Optional[Iterable[dict]] = None,
     ) -> dict[str, SeedObject]:
         """Create many items in one :meth:`bulk` batch.
+
+        A walker over the operational interface: every spec becomes
+        calls to :meth:`create_object` / :meth:`set_value` /
+        :meth:`create_sub_object` / :meth:`relate`, in spec order (an
+        object, its sub-tree depth-first, then the relationships), so
+        ids, errors and the resulting state are those of entering the
+        same data by hand inside ``bulk()``.
 
         *objects* are mappings with ``class`` and ``name`` keys and
         optional ``value``, ``pattern``, and ``sub_objects`` (a list of
@@ -327,177 +341,49 @@ class SeedDatabase:
 
             return ingest_image_records(self, records)
         created: dict[str, SeedObject] = {}
-        with self.bulk() as batch:
-            txn = batch.txn
-            dirty = self._dirty
-            # per-load memoization: schema lookups and sibling-index
-            # assignment are O(1) per item here instead of a schema walk
-            # / child enumeration per call on the per-item path
-            dependent_cache: dict[tuple[str, str], Any] = {}
-            index_counters: dict[tuple[int, str], int] = {}
 
-            self.indexes.mark_stale()  # the raw lane bypasses the mutators
+        def load_subs(parent: SeedObject, specs: Iterable[dict]) -> None:
+            for spec in specs:
+                _check_spec_keys(spec, "sub-object")
+                child = self.create_sub_object(
+                    parent, spec["role"], spec.get("value"),
+                    index=spec.get("index"),
+                )
+                load_subs(child, spec.get("sub_objects") or ())
 
-            def register(item: Item, key: ItemKey) -> None:
-                txn.touched[key] = (item, {"create"})
-                if key not in dirty:
-                    dirty.add(key)
-                    txn.dirty_added.add(key)
-
-            sub_spec_keys = frozenset(
-                ("role", "value", "index", "sub_objects")
+        def resolve(target: Union[str, SeedObject]) -> SeedObject:
+            if isinstance(target, SeedObject):
+                return target
+            return created.get(target) or self.get_object(
+                target, include_patterns=True
             )
 
-            def load_sub(parent: SeedObject, spec: dict) -> None:
-                if not spec.keys() <= sub_spec_keys:
-                    raise SeedError(
-                        "unknown sub-object spec keys: "
-                        f"{sorted(spec.keys() - sub_spec_keys)}"
-                    )
-                role = spec["role"]
-                # keyed by the class object (identity): full_name is a
-                # computed property and this lookup runs once per item
-                cache_key = (parent.entity_class, role)
-                dependent_class = dependent_cache.get(cache_key)
-                if dependent_class is None:
-                    dependent_class = self.consistency.resolve_dependent_class(
-                        parent.entity_class, role
-                    )
-                    if dependent_class is None:
-                        raise SchemaError(
-                            f"class {parent.entity_class.name!r} declares "
-                            f"no dependent class {role!r}"
-                        )
-                    dependent_cache[cache_key] = dependent_class
-                multi = (
-                    dependent_class.cardinality is None
-                    or dependent_class.cardinality.maximum != 1
-                )
-                index = spec.get("index")
-                if multi:
-                    counter_key = (parent.oid, role)
-                    if index is None:
-                        index = index_counters.get(counter_key)
-                        if index is None:
-                            index = self._assign_index(parent, role, None)
-                        index_counters[counter_key] = index + 1
-                    else:
-                        # duplicate check against the siblings loaded so
-                        # far, and the auto counter must skip past the
-                        # explicit index (per-item parity: consecutive
-                        # assignment continues after the maximum)
-                        index = self._assign_index(parent, role, index)
-                        index_counters[counter_key] = max(
-                            index_counters.get(counter_key, 0), index + 1
-                        )
-                elif index is not None:
-                    raise SchemaError(
-                        f"dependent class {dependent_class.full_name!r} "
-                        "admits a single instance; indices are not used"
-                    )
-                child = SeedObject(
-                    self,
-                    self._allocate_id(),
-                    dependent_class,
-                    role,
-                    parent=parent,
-                    index=index,
-                )
-                value = spec.get("value")
-                if value is not None:
-                    child.value = dependent_class.accepts_value(value)
-                self._objects[child.oid] = child
-                parent._attach_child(child)
-                register(child, ("o", child.oid))
-                sub_specs = spec.get("sub_objects")
-                if sub_specs:
-                    txn.touch(child, "update")  # per-item parity: a
-                    # parent gaining children is touched as updated
-                    for sub_spec in sub_specs:
-                        load_sub(child, sub_spec)
-
+        with self.bulk():
             for spec in objects:
-                spec = dict(spec)
-                entity_class = self.schema.entity_class(spec.pop("class"))
-                if entity_class.is_dependent:
-                    raise SchemaError(
-                        f"class {entity_class.name!r} is dependent; give "
-                        "it as a sub_objects entry of its parent"
-                    )
-                name = spec.pop("name")
-                check_simple_name(name, "object name")
-                if name in self._name_index:
-                    raise ConsistencyError(
-                        f"an object named {name!r} already exists",
-                        [
-                            Violation(
-                                "structure", name, "duplicate independent name"
-                            )
-                        ],
-                    )
-                obj = SeedObject(self, self._allocate_id(), entity_class, name)
-                obj.is_pattern = spec.pop("pattern", False)
-                value = spec.pop("value", None)
-                if value is not None:
-                    obj.value = entity_class.accepts_value(value)
-                self._objects[obj.oid] = obj
-                self._name_index[name] = obj.oid
-                register(obj, ("o", obj.oid))
-                created[name] = obj
-                sub_specs = spec.pop("sub_objects", ())
-                if spec:
-                    raise SeedError(
-                        f"unknown object spec keys: {sorted(spec)}"
-                    )
-                if sub_specs:
-                    txn.touch(obj, "update")
-                    for sub_spec in sub_specs:
-                        load_sub(obj, sub_spec)
-            for spec in relationships:
-                spec = dict(spec)
-                association = self.schema.association(spec.pop("association"))
-                bindings = {}
-                for role, target in dict(spec.pop("bindings")).items():
-                    if not isinstance(target, SeedObject):
-                        target = created.get(target) or self.get_object(
-                            target, include_patterns=True
-                        )
-                    self._require_live(target)
-                    bindings[role] = target
-                if set(bindings) != set(association.role_names()):
-                    raise SchemaError(
-                        f"association {association.name!r} requires "
-                        f"bindings for roles "
-                        f"{sorted(association.role_names())}, got "
-                        f"{sorted(bindings)}"
-                    )
-                rel = SeedRelationship(
-                    self, self._allocate_id(), association, bindings
+                _check_spec_keys(spec, "object")
+                obj = created[spec["name"]] = self.create_object(
+                    spec["class"], spec["name"],
+                    pattern=spec.get("pattern", False),
                 )
-                rel.is_pattern = spec.pop("pattern", False)
-                attributes = spec.pop("attributes", None)
-                if attributes:
-                    for attr_name, attr_value in attributes.items():
-                        attribute = association.attribute(attr_name)
-                        if attr_value is not None:
-                            rel._attributes[attr_name] = attribute.sort.coerce(
-                                attr_value
-                            )
-                self._relationships[rel.rid] = rel
-                for endpoint in rel.bound_objects():
-                    self._incidence.setdefault(endpoint.oid, []).append(
-                        rel.rid
-                    )
-                register(rel, ("r", rel.rid))
-                if spec:
-                    raise SeedError(
-                        f"unknown relationship spec keys: {sorted(spec)}"
-                    )
+                if spec.get("value") is not None:
+                    self.set_value(obj, spec["value"])
+                load_subs(obj, spec.get("sub_objects") or ())
+            for spec in relationships:
+                _check_spec_keys(spec, "relationship")
+                self.relate(
+                    spec["association"],
+                    {r: resolve(t) for r, t in spec["bindings"].items()},
+                    attributes=spec.get("attributes"),
+                    pattern=spec.get("pattern", False),
+                )
         return created
 
     @contextmanager
-    def _operation(self) -> Iterator[_Transaction]:
+    def _operation(self, what: str = "update") -> Iterator[_Transaction]:
         """One primitive update: immediate check unless inside a transaction.
+
+        An explicit :meth:`transaction` is the same unit under another
+        name (*what* only words the violation message).
 
         Inside a bulk batch the shared batch transaction is handed out
         and nothing is validated here; a mutation that raises poisons
@@ -535,15 +421,15 @@ class SeedDatabase:
             self._txn = None
             self._rollback(txn)
             raise
+        self._commit(txn, what)
+
+    def _commit(self, txn: _Transaction, what: str) -> None:
+        """End *txn*: validate, then roll back and raise or publish it."""
         self._txn = None
         violations = self._validate(txn)
         if violations:
             self._rollback(txn)
-            raise ConsistencyError(
-                "update violates consistency:\n  "
-                + "\n  ".join(str(violation) for violation in violations),
-                violations,
-            )
+            raise _consistency_error(f"{what} violates consistency", violations)
         self.completeness.note_commit(txn.touched, txn.structural)
         self._notify_commit(txn)
 
@@ -1681,10 +1567,8 @@ class SeedDatabase:
             self.indexes.rebuild()
             violations = self.check_consistency()
             if violations:
-                raise ConsistencyError(
-                    "existing data violates the new schema:\n  "
-                    + "\n  ".join(str(violation) for violation in violations),
-                    violations,
+                raise _consistency_error(
+                    "existing data violates the new schema", violations
                 )
         except (SchemaError, ConsistencyError):
             # roll the rebinding back

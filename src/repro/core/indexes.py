@@ -218,11 +218,13 @@ class IndexLayer:
             self.rebuild()
 
     def mark_stale(self) -> None:
-        """Record that raw-lane mutations bypassed the mutators.
+        """Record that records changed without the mutators being called.
 
-        ``bulk_load`` constructs records directly (no per-item mutator
-        calls, so nothing else would flag the divergence); the next
-        read or :meth:`resume` then rebuilds.
+        Only the from-state lanes do that — ``serialize.apply_txn_delta``
+        and ``serialize.ingest_image_records`` wire frozen states in
+        through ``bulk.wire_item_states``, so no maintenance hook fires
+        and nothing else would flag the divergence; the next read or
+        :meth:`resume` then rebuilds.
         """
         self._stale = True
 

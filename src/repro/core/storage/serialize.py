@@ -839,8 +839,8 @@ def ingest_image_records(
 ) -> dict[str, SeedObject]:
     """Bulk-ingest streamed item records into a *live* database.
 
-    The streaming counterpart of the spec-based
-    :meth:`~repro.core.database.SeedDatabase.bulk_load` raw lane
+    The from-state counterpart of the spec-walking
+    :meth:`~repro.core.database.SeedDatabase.bulk_load`
     (which dispatches here for its ``records=`` form): consumes an
     :func:`iter_image_records`-style iterator one record at a time
     inside one bulk batch, so ingest never holds more than a single
@@ -857,8 +857,7 @@ def ingest_image_records(
     created: dict[str, SeedObject] = {}
     with db.bulk() as batch:
         txn = batch.txn
-        dirty = db._dirty  # noqa: SLF001
-        db.indexes.mark_stale()  # the raw lane bypasses the mutators
+        db.indexes.mark_stale()  # wiring from states calls no mutator
 
         def fresh(kind: str, registry: dict, what: str) -> Iterator:
             for item_id, state in cursor.states(kind):
@@ -874,13 +873,11 @@ def ingest_image_records(
                 yield item_id, state
                 # resumed once the primitive has created the record:
                 # the new item registers with the batch here
-                key = (kind, item_id)
-                txn.touched[key] = (registry[item_id], {"create"})
-                if key not in dirty:
-                    dirty.add(key)
-                    txn.dirty_added.add(key)
+                item = registry[item_id]
+                txn.touch(item, "create")
+                db._mark_dirty(txn, item)  # noqa: SLF001
                 if named:
-                    created[state.name] = registry[item_id]
+                    created[state.name] = item
 
         if cursor.tagged("h"):
             cursor.advance()  # the header carries no items

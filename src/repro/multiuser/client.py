@@ -15,9 +15,10 @@ abandon. A handle that outlives its session — its client disconnected,
 its session or lease expired, or its client id reconnected and got a
 fresh token — fails every operation with
 :class:`~repro.core.errors.SessionError` instead of acting on locks it
-no longer owns. The same handle class also backs the wire client
-(:class:`~repro.multiuser.service.ServiceClient` materializes local
-copies through the shared :func:`materialize_ticket`).
+no longer owns. The copy-holding state machine itself is
+:class:`CopyHolder`, shared with the wire client
+(:class:`~repro.multiuser.service.ServiceClient`): the two differ only
+in how they reach the server.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from repro.core.objects import ObjectState, SeedObject
 from repro.core.relationships import RelationshipState
 from repro.core.schema.schema import Schema
 from repro.core.versions.version_id import VersionId
-from repro.multiuser.checkin import build_package
+from repro.multiuser.checkin import CheckInPackage, build_package
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.multiuser.server import CheckOutTicket, SeedServer
 
-__all__ = ["SeedClient", "RetryPolicy", "materialize_ticket"]
+__all__ = ["CopyHolder", "SeedClient", "RetryPolicy", "materialize_ticket"]
 
 
 @dataclass
@@ -114,35 +115,38 @@ def materialize_ticket(
     return local
 
 
-class SeedClient:
-    """One user's session-bound handle on the central database."""
+class CopyHolder:
+    """The copy-holding state machine of a client, kept once.
 
-    def __init__(
-        self, server: "SeedServer", client_id: str, token: str
-    ) -> None:
-        self._server = server
-        self.client_id = client_id
-        #: the session credential; every server operation presents it
-        self.token = token
+    Check-out materializes a private local database and remembers the
+    baseline it was copied from; check-in diffs the copy against that
+    baseline and ships the package; abandon drops it. A subclass says
+    only how the server is reached — :meth:`_fetch_ticket`,
+    :meth:`_submit_package`, :meth:`_release_copy` — and what the copy
+    is built from: ``schema`` (the master's) and ``_origin`` (the local
+    database is named ``<origin>@<client id>``).
+    """
+
+    def __init__(self) -> None:
         self._local: Optional[SeedDatabase] = None
         self._baseline_objects: dict[int, ObjectState] = {}
         self._baseline_relationships: dict[int, RelationshipState] = {}
 
-    # -- retrieval ----------------------------------------------------------
+    # -- how the server is reached (the subclass's whole job) ---------------
 
-    def find_object(self, name: str) -> Optional[SeedObject]:
-        """Retrieval against the live central database (read-only use!)."""
-        return self._server.find_object(name)
+    def _fetch_ticket(self, names: tuple[str, ...]) -> "CheckOutTicket":
+        """Check *names* out under the session; the frozen copy set."""
+        raise NotImplementedError
 
-    def snapshot(self, version=None):
-        """A pinned MVCC read view (see :meth:`SeedServer.snapshot`)."""
-        return self._server.snapshot(version)
+    def _submit_package(
+        self, package: CheckInPackage, bulk: Optional[bool]
+    ) -> dict[int, int]:
+        """Check *package* in; the local → master id translation."""
+        raise NotImplementedError
 
-    # -- session ------------------------------------------------------------
-
-    def renew(self) -> int:
-        """Keep the session and its lock leases (and standing) alive."""
-        return self._server.renew(self.token)
+    def _release_copy(self) -> None:
+        """Give the locks back without applying anything."""
+        raise NotImplementedError
 
     # -- check-out ------------------------------------------------------------
 
@@ -183,10 +187,9 @@ class SeedClient:
                 f"client {self.client_id!r} already holds a copy; check it "
                 "in or abandon it first"
             )
-        ticket = self._server.check_out(self.token, names)
-        master = self._server.master
+        ticket = self._fetch_ticket(names)
         self._local = materialize_ticket(
-            master.schema, f"{master.name}@{self.client_id}", ticket
+            self.schema, f"{self._origin}@{self.client_id}", ticket
         )
         self._baseline_objects = dict(ticket.objects)
         self._baseline_relationships = dict(ticket.relationships)
@@ -206,13 +209,10 @@ class SeedClient:
         ``bulk=False`` forces the per-item transaction; ``None`` lets
         the server's size heuristic decide.
         """
-        local = self.local
         package = build_package(
-            local, self._baseline_objects, self._baseline_relationships
+            self.local, self._baseline_objects, self._baseline_relationships
         )
-        translation = self._server.apply_check_in(
-            self.token, package, force_bulk=bulk
-        )
+        translation = self._submit_package(package, bulk)
         self._drop_copy()
         return translation
 
@@ -220,13 +220,62 @@ class SeedClient:
         """Discard the local copy and release all locks (nothing applied)."""
         if self._local is None:
             raise SeedError(f"client {self.client_id!r} has no copy to abandon")
-        self._server.abandon(self.token)
+        self._release_copy()
         self._drop_copy()
 
     def _drop_copy(self) -> None:
         self._local = None
         self._baseline_objects = {}
         self._baseline_relationships = {}
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        state = "holding copy" if self.has_copy else "idle"
+        return f"<{type(self).__name__} {self.client_id!r} ({state})>"
+
+
+class SeedClient(CopyHolder):
+    """One user's session-bound handle on the central database."""
+
+    def __init__(
+        self, server: "SeedServer", client_id: str, token: str
+    ) -> None:
+        super().__init__()
+        self._server = server
+        self._origin = server.master.name
+        self.client_id = client_id
+        #: the session credential; every server operation presents it
+        self.token = token
+
+    @property
+    def schema(self) -> Schema:
+        return self._server.master.schema
+
+    def _fetch_ticket(self, names: tuple[str, ...]) -> "CheckOutTicket":
+        return self._server.check_out(self.token, names)
+
+    def _submit_package(
+        self, package: CheckInPackage, bulk: Optional[bool]
+    ) -> dict[int, int]:
+        return self._server.apply_check_in(self.token, package, force_bulk=bulk)
+
+    def _release_copy(self) -> None:
+        self._server.abandon(self.token)
+
+    # -- retrieval ----------------------------------------------------------
+
+    def find_object(self, name: str) -> Optional[SeedObject]:
+        """Retrieval against the live central database (read-only use!)."""
+        return self._server.find_object(name)
+
+    def snapshot(self, version=None):
+        """A pinned MVCC read view (see :meth:`SeedServer.snapshot`)."""
+        return self._server.snapshot(version)
+
+    # -- session ------------------------------------------------------------
+
+    def renew(self) -> int:
+        """Keep the session and its lock leases (and standing) alive."""
+        return self._server.renew(self.token)
 
     # -- local versions ("kept locally under control of the user") -------------------------
 
@@ -237,7 +286,3 @@ class SeedClient:
     def local_versions(self) -> list[VersionId]:
         """Local snapshots taken during this check-out."""
         return self.local.saved_versions()
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        state = "holding copy" if self.has_copy else "idle"
-        return f"<SeedClient {self.client_id!r} ({state})>"

@@ -17,6 +17,38 @@ class again (:func:`raise_remote_error`), so wire clients see the same
 error surface as in-process clients — ``SessionError`` for a zombie
 token is an ``SessionError`` on both sides of the socket.
 
+The request table
+-----------------
+
+What a request may look like is declared once, in
+:data:`REQUEST_FIELDS` (op → field → type tag) and
+:data:`READ_QUERY_FIELDS` (the ``read`` op's query kind → field → type
+tag), and checked once, by :func:`check_request`, which the service
+calls on every decoded frame before it takes any lock or touches the
+server. A type tag is a key of ``_FIELD_TYPES`` — ``str`` (non-empty),
+``bool``, ``object``, ``[str]`` — and a trailing ``?`` makes the field
+optional (absent or ``null``). Fields the table does not name are
+ignored; a missing or ill-typed field, an unknown op and an unknown
+query kind are each a :class:`SeedError` (wire code ``seed``) naming
+the op and the field:
+
+================  =====================================================
+op                fields
+================  =====================================================
+``ping``          —
+``connect``       ``client_id`` str
+``disconnect``    ``token`` str
+``renew``         ``token`` str
+``check_out``     ``token`` str, ``names`` [str]
+``check_in``      ``token`` str, ``package`` object, ``bulk`` bool?
+``abandon``       ``token`` str
+``pin``           —
+``read``          ``version`` str, ``query`` object with ``kind`` one
+                  of ``find`` (``name`` str), ``objects``
+                  (``class_name`` str?), ``count``
+``stats``         —
+================  =====================================================
+
 Payload codecs reuse the one state codec of
 :mod:`repro.core.storage.serialize`: a check-out ticket travels as the
 same frozen-state dictionaries images and write-ahead deltas use, and a
@@ -44,6 +76,9 @@ from repro.multiuser.server import CheckOutTicket
 __all__ = [
     "ERROR_CODES",
     "MAX_REQUEST_BYTES",
+    "REQUEST_FIELDS",
+    "READ_QUERY_FIELDS",
+    "check_request",
     "encode_message",
     "decode_message",
     "error_response",
@@ -71,6 +106,76 @@ _CLASS_TO_CODE = {cls: code for code, cls in ERROR_CODES.items()}
 #: objects of a bulk check-in (~130 bytes each); a longer frame gets a
 #: typed "request too large" error on a connection that stays usable
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
+
+#: op -> field -> type tag: the shape of every request the service
+#: accepts (see "The request table" in the module docstring)
+REQUEST_FIELDS: dict[str, dict[str, str]] = {
+    "ping": {},
+    "connect": {"client_id": "str"},
+    "disconnect": {"token": "str"},
+    "renew": {"token": "str"},
+    "check_out": {"token": "str", "names": "[str]"},
+    "check_in": {"token": "str", "package": "object", "bulk": "bool?"},
+    "abandon": {"token": "str"},
+    "pin": {},
+    "read": {"version": "str", "query": "object"},
+    "stats": {},
+}
+
+#: ``read`` query kind -> field -> type tag
+READ_QUERY_FIELDS: dict[str, dict[str, str]] = {
+    "find": {"name": "str"},
+    "objects": {"class_name": "str?"},
+    "count": {},
+}
+
+#: type tag -> (what an error message calls it, the test)
+_FIELD_TYPES = {
+    "str": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "[str]": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+    ),
+}
+
+
+def _check_fields(where: str, data: dict, fields: dict[str, str]) -> None:
+    for name, tag in fields.items():
+        value = data.get(name)
+        if value is None:
+            if not tag.endswith("?"):
+                raise SeedError(f"{where}: field {name!r} is required")
+            continue
+        expected, accepts = _FIELD_TYPES[tag.rstrip("?")]
+        if not accepts(value):
+            raise SeedError(
+                f"{where}: field {name!r} must be {expected}, "
+                f"got {type(value).__name__}"
+            )
+
+
+def check_request(request: dict[str, Any]) -> None:
+    """Check a decoded request against the request table.
+
+    Raises :class:`SeedError` naming the op and the offending field;
+    returns normally only for a request every ``_op_*`` handler can
+    read its fields from without looking at their types again.
+    """
+    op = request.get("op")
+    fields = REQUEST_FIELDS.get(op) if isinstance(op, str) else None
+    if fields is None:
+        raise SeedError(f"unknown operation {op!r}")
+    _check_fields(op, request, fields)
+    if op == "read":
+        query = request["query"]
+        _check_fields("read query", query, {"kind": "str"})
+        kind_fields = READ_QUERY_FIELDS.get(query["kind"])
+        if kind_fields is None:
+            raise SeedError(f"read query: unknown kind {query['kind']!r}")
+        _check_fields(f"read query {query['kind']!r}", query, kind_fields)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ so any connection may present one (the in-process tests do).
 
 :class:`ServiceClient` is the blocking wire client: the same check-out /
 work-local / check-in surface as the in-process
-:class:`~repro.multiuser.client.SeedClient`, materializing its local
-copy from the wire ticket through the shared
-:func:`~repro.multiuser.client.materialize_ticket`.
+:class:`~repro.multiuser.client.SeedClient` — both are the one
+:class:`~repro.multiuser.client.CopyHolder` state machine; this one
+reaches the server through :meth:`ServiceClient._call`.
 """
 
 from __future__ import annotations
@@ -42,19 +42,19 @@ import socket
 import threading
 from typing import Any, Optional
 
-from repro.core.database import SeedDatabase
 from repro.core.errors import SeedError
 from repro.core.schema.schema import Schema
 from repro.core.storage.serialize import decode_value, encode_value
 from repro.core.versions.compaction import RetentionPolicy
 from repro.multiuser.checkin import (
-    build_package,
+    CheckInPackage,
     package_from_dict,
     package_to_dict,
 )
-from repro.multiuser.client import RetryPolicy, materialize_ticket
+from repro.multiuser.client import CopyHolder
 from repro.multiuser.protocol import (
     MAX_REQUEST_BYTES,
+    check_request,
     decode_message,
     encode_message,
     error_response,
@@ -63,7 +63,7 @@ from repro.multiuser.protocol import (
     ticket_from_dict,
     ticket_to_dict,
 )
-from repro.multiuser.server import SeedServer
+from repro.multiuser.server import CheckOutTicket, SeedServer
 
 __all__ = ["SeedService", "ServiceClient"]
 
@@ -336,20 +336,10 @@ class SeedService:
     async def _dispatch(
         self, request: dict[str, Any], opened_tokens: set[str]
     ) -> dict[str, Any]:
-        op = request.get("op")
-        handler = getattr(self, f"_op_{op}", None) if op else None
-        if handler is None:
-            raise SeedError(f"unknown operation {op!r}")
+        # the one place a request's shape is checked — before any lock
+        check_request(request)
+        handler = getattr(self, f"_op_{request['op']}")
         return await handler(request, opened_tokens)
-
-    @staticmethod
-    def _token(request: dict[str, Any]) -> str:
-        token = request.get("token")
-        if not isinstance(token, str) or not token:
-            raise SeedError(
-                f"operation {request.get('op')!r} needs a session token"
-            )
-        return token
 
     # -- session ops (serialized writers) ------------------------------------
 
@@ -357,39 +347,38 @@ class SeedService:
         return ok_response({"pong": True})
 
     async def _op_connect(self, request, opened_tokens) -> dict[str, Any]:
-        client_id = request.get("client_id")
-        if not isinstance(client_id, str) or not client_id:
-            raise SeedError("connect needs a non-empty client_id")
         async with self._write_lock:
-            session = self.server.open_session(client_id)
+            session = self.server.open_session(request["client_id"])
         opened_tokens.add(session.token)
         return ok_response({"token": session.token})
 
     async def _op_disconnect(self, request, opened_tokens) -> dict[str, Any]:
-        token = self._token(request)
+        token = request["token"]
         async with self._write_lock:
             self.server.close_session(token)
         opened_tokens.discard(token)
         return ok_response({"closed": True})
 
     async def _op_renew(self, request, opened_tokens) -> dict[str, Any]:
-        token = self._token(request)
         async with self._write_lock:
-            renewed = self.server.renew(token)
+            renewed = self.server.renew(request["token"])
         return ok_response({"renewed": renewed})
 
     # -- check-out / check-in (serialized writers) ---------------------------
 
     async def _op_check_out(self, request, opened_tokens) -> dict[str, Any]:
-        token = self._token(request)
-        names = request.get("names", [])
         async with self._write_lock:
-            ticket = self.server.check_out(token, names)
+            ticket = self.server.check_out(request["token"], request["names"])
         return ok_response({"ticket": ticket_to_dict(ticket)})
 
     async def _op_check_in(self, request, opened_tokens) -> dict[str, Any]:
-        token = self._token(request)
-        package = package_from_dict(request["package"])
+        token = request["token"]
+        try:
+            package = package_from_dict(request["package"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SeedError(
+                f"check_in: field 'package' is malformed: {exc!r}"
+            ) from None
         bulk = request.get("bulk")
 
         def apply_and_publish():
@@ -424,9 +413,8 @@ class SeedService:
         )
 
     async def _op_abandon(self, request, opened_tokens) -> dict[str, Any]:
-        token = self._token(request)
         async with self._write_lock:
-            self.server.abandon(token)
+            self.server.abandon(request["token"])
         return ok_response({"abandoned": True})
 
     # -- MVCC reads (never queue on the write lock) --------------------------
@@ -443,14 +431,11 @@ class SeedService:
         return ok_response({"version": str(version)})
 
     async def _op_read(self, request, opened_tokens) -> dict[str, Any]:
-        version = request.get("version")
-        if not version:
-            raise SeedError("read needs a pinned snapshot version (pin first)")
         # cached-only: a read never materializes a view concurrently
         # with a writer; an evicted pin errors and the client re-pins
-        view = self.server.snapshot(version, build=False)
-        query = request.get("query") or {}
-        kind = query.get("kind")
+        view = self.server.snapshot(request["version"], build=False)
+        query = request["query"]
+        kind = query["kind"]
         self.reads_served += 1
         if kind == "find":
             obj = view.find(query["name"])
@@ -461,14 +446,12 @@ class SeedService:
             return ok_response(
                 {"objects": [_view_object_summary(obj) for obj in objects]}
             )
-        if kind == "count":
-            return ok_response(
-                {
-                    "objects": view.object_count(),
-                    "relationships": view.relationship_count(),
-                }
-            )
-        raise SeedError(f"unknown read kind {kind!r}")
+        return ok_response(  # kind == "count": the table admits no other
+            {
+                "objects": view.object_count(),
+                "relationships": view.relationship_count(),
+            }
+        )
 
     async def _op_stats(self, request, opened_tokens) -> dict[str, Any]:
         server = self.server
@@ -511,15 +494,17 @@ class SeedService:
 # the blocking wire client
 # ---------------------------------------------------------------------------
 
-class ServiceClient:
+class ServiceClient(CopyHolder):
     """A client of a remote :class:`SeedService` (blocking socket).
 
-    The update surface mirrors the in-process
-    :class:`~repro.multiuser.client.SeedClient`: ``connect`` mints the
-    session, ``check_out`` materializes a local
-    :class:`~repro.core.database.SeedDatabase` copy from the wire
-    ticket, ``check_in`` diffs it against the baseline and ships the
-    package (``bulk=True`` forces the server's bulk apply path). The
+    The update surface is the in-process
+    :class:`~repro.multiuser.client.SeedClient`'s — the shared
+    :class:`~repro.multiuser.client.CopyHolder`, reaching the server
+    through :meth:`_call`: ``connect`` mints the session, ``check_out``
+    materializes a local :class:`~repro.core.database.SeedDatabase`
+    copy from the wire ticket, ``check_in`` diffs it against the
+    baseline and ships the package (``bulk=True`` forces the server's
+    bulk apply path). The
     read surface is MVCC: ``pin`` publishes-or-reuses a snapshot and
     subsequent ``find``/``objects``/``counts`` answer from that pinned
     version until ``pin`` is called again — consistent-as-of-pin by
@@ -536,15 +521,13 @@ class ServiceClient:
         client_id: Optional[str] = None,
         timeout: Optional[float] = 30.0,
     ) -> None:
+        super().__init__()
         self.schema = schema
         self.client_id = client_id
         self.token: Optional[str] = None
         self.pinned: Optional[str] = None
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rwb")
-        self._local: Optional[SeedDatabase] = None
-        self._baseline_objects: dict = {}
-        self._baseline_relationships: dict = {}
         if client_id is not None:
             self.connect(client_id)
 
@@ -610,66 +593,24 @@ class ServiceClient:
         """Keep the session, its lock leases, and standing alive."""
         return self._call("renew")["renewed"]
 
-    # -- check-out / check-in ------------------------------------------------
+    # -- check-out / check-in: CopyHolder, reached over the wire -------------
 
-    @property
-    def has_copy(self) -> bool:
-        return self._local is not None
+    _origin = "wire"
 
-    @property
-    def local(self) -> SeedDatabase:
-        if self._local is None:
-            raise SeedError(
-                f"client {self.client_id!r} has no checked-out copy"
-            )
-        return self._local
-
-    def check_out(
-        self, *names: str, retry: Optional[RetryPolicy] = None
-    ) -> SeedDatabase:
-        """Copy the named objects' closure for local update (see
-        :meth:`SeedClient.check_out <repro.multiuser.client.SeedClient.check_out>`)."""
-        if retry is not None:
-            return retry.run(lambda: self.check_out(*names))
-        if self._local is not None:
-            raise SeedError(
-                f"client {self.client_id!r} already holds a copy; check it "
-                "in or abandon it first"
-            )
+    def _fetch_ticket(self, names: tuple[str, ...]) -> CheckOutTicket:
         result = self._call("check_out", names=list(names))
-        ticket = ticket_from_dict(result["ticket"])
-        self._local = materialize_ticket(
-            self.schema, f"wire@{self.client_id}", ticket
-        )
-        self._baseline_objects = dict(ticket.objects)
-        self._baseline_relationships = dict(ticket.relationships)
-        return self._local
+        return ticket_from_dict(result["ticket"])
 
-    def check_in(self, *, bulk: Optional[bool] = None) -> dict[int, int]:
-        """Ship the updated copy; returns the local->master id map."""
-        local = self.local
-        package = build_package(
-            local, self._baseline_objects, self._baseline_relationships
-        )
+    def _submit_package(
+        self, package: CheckInPackage, bulk: Optional[bool]
+    ) -> dict[int, int]:
         result = self._call(
             "check_in", package=package_to_dict(package), bulk=bulk
         )
-        self._drop_copy()
-        return {local_id: master_id for local_id, master_id in result["translation"]}
+        return dict(result["translation"])
 
-    def abandon(self) -> None:
-        """Discard the copy, release the locks (nothing applied)."""
-        if self._local is None:
-            raise SeedError(
-                f"client {self.client_id!r} has no copy to abandon"
-            )
+    def _release_copy(self) -> None:
         self._call("abandon")
-        self._drop_copy()
-
-    def _drop_copy(self) -> None:
-        self._local = None
-        self._baseline_objects = {}
-        self._baseline_relationships = {}
 
     # -- MVCC reads ----------------------------------------------------------
 
@@ -707,7 +648,3 @@ class ServiceClient:
     def stats(self) -> dict[str, Any]:
         """Service counters (diagnostics)."""
         return self._call("stats")
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        state = "holding copy" if self.has_copy else "idle"
-        return f"<ServiceClient {self.client_id!r} ({state})>"

@@ -11,18 +11,23 @@ tests pin its contract:
   swallowed mutation error) rolls the whole batch back in place,
   byte-identical, with surviving handles still valid;
 * mid-batch reads see the batch's writes;
-* ``bulk_load`` (the raw ingestion lane) is equivalent to the same
-  data entered through the operational interface;
+* ``bulk_load`` (a convenience walker: it feeds its specs to the public
+  mutators inside one batch) is equivalent to the same data entered
+  through the operational interface, and constructs no record itself —
+  only the three create mutators and ``wire_item_states`` do;
 * ``VersionStore.resolve_chain`` (what cold checkout builds on) always
   agrees with the per-cell ``state_on_chain`` reference.
 """
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import SeedDatabase, figure3_schema
 from repro.core.errors import (
     ConsistencyError,
@@ -32,6 +37,10 @@ from repro.core.errors import (
 )
 from repro.core.schema.builder import SchemaBuilder
 from repro.core.storage.serialize import database_to_dict
+from repro.spades import spades_schema
+from repro.workloads.specgen import SpecShape, generate_spec
+
+SRC = Path(repro.__file__).parent
 
 
 def acyclic_schema():
@@ -419,8 +428,103 @@ class TestBatchSemantics:
 
 
 # ---------------------------------------------------------------------------
-# bulk_load (the raw ingestion lane)
+# bulk_load (the spec walker over the operational interface)
 # ---------------------------------------------------------------------------
+
+
+def spades_population(seed: int) -> tuple[list[dict], list[dict]]:
+    """A generated SPADES specification in ``bulk_load`` spec form:
+    keyword sub-trees, read/write/vague flows, containments, a pattern."""
+    spec = generate_spec(
+        SpecShape(actions=30, data=30, flows=80, keywords_per_data=2.0), seed
+    )
+    keywords: dict[str, list[str]] = {}
+    for data, keyword in spec.keywords:
+        keywords.setdefault(data, []).append(keyword)
+    assert keywords and spec.containments
+    assert {kind for kind, __, __ in spec.flows} == {"read", "write", "vague"}
+    objects: list[dict] = [
+        {
+            "class": "Action",
+            "name": name,
+            "sub_objects": [{"role": "Description", "value": f"does {name}"}],
+        }
+        for name in spec.action_names
+    ]
+    for name in spec.data_names:
+        body = [{"role": "Contents", "value": f"about {name}"}] + [
+            {"role": "Keywords", "value": keyword}
+            for keyword in keywords.get(name, ())
+        ]
+        objects.append(
+            {
+                "class": "Data",
+                "name": name,
+                "sub_objects": [
+                    {"role": "Text",
+                     "sub_objects": [{"role": "Body", "sub_objects": body}]}
+                ],
+            }
+        )
+    objects.append({"class": "Data", "name": "Template", "pattern": True})
+    flow_shapes = {
+        "read": ("Read", "from", None),
+        "write": ("Write", "to", {"NumberOfWrites": 2}),
+        "vague": ("Access", "data", None),
+    }
+    relationships: list[dict] = []
+    for kind, data, action in spec.flows:
+        association, data_role, attributes = flow_shapes[kind]
+        relationships.append(
+            {
+                "association": association,
+                "bindings": {data_role: data, "by": action},
+                "attributes": attributes,
+            }
+        )
+    relationships += [
+        {
+            "association": "Contained",
+            "bindings": {"container": container, "contained": contained},
+        }
+        for container, contained in spec.containments
+    ]
+    relationships.append(
+        {
+            "association": "Access",
+            "bindings": {"data": "Template", "by": spec.action_names[0]},
+            "pattern": True,
+        }
+    )
+    return objects, relationships
+
+
+def enter_through_mutators(db, objects, relationships) -> None:
+    """The same specs, one public mutator call per item."""
+
+    def enter_subs(parent, specs):
+        for spec in specs:
+            child = db.create_sub_object(
+                parent, spec["role"], spec.get("value"), index=spec.get("index")
+            )
+            enter_subs(child, spec.get("sub_objects", ()))
+
+    for spec in objects:
+        obj = db.create_object(
+            spec["class"], spec["name"], pattern=spec.get("pattern", False)
+        )
+        enter_subs(obj, spec.get("sub_objects", ()))
+    for spec in relationships:
+        db.relate(
+            spec["association"],
+            {
+                role: db.get_object(name, include_patterns=True)
+                for role, name in spec["bindings"].items()
+            },
+            attributes=spec.get("attributes"),
+            pattern=spec.get("pattern", False),
+        )
+
 
 
 class TestBulkLoad:
@@ -581,6 +685,66 @@ class TestBulkLoad:
                 ],
             )
         assert canonical_image(db) == before
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generated_population_three_ways(self, seed):
+        """bulk_load(specs) ≡ mutators in one bulk() ≡ mutators per item:
+        same ids, sibling order and dirty set; every index verifies."""
+        objects, relationships = spades_population(seed)
+        replicas = {}
+        for way in ("bulk_load", "batched", "per-item"):
+            db = replicas[way] = SeedDatabase(spades_schema(), way)
+            db.create_object("Module", "Existing")
+            if way == "bulk_load":
+                created = db.bulk_load(objects, relationships)
+                assert list(created) == [spec["name"] for spec in objects]
+                assert created["Template"].is_pattern
+            elif way == "batched":
+                with db.bulk():
+                    enter_through_mutators(db, objects, relationships)
+            else:
+                enter_through_mutators(db, objects, relationships)
+            db.indexes.verify()
+        assert_states_identical(replicas["per-item"], replicas["bulk_load"])
+        assert_states_identical(replicas["batched"], replicas["bulk_load"])
+        # a failing load leaves the image identical and handles valid
+        db = replicas["bulk_load"]
+        before = canonical_image(db)
+        existing = db.get_object("Existing")
+        first, second = objects[0]["name"], objects[1]["name"]
+        with pytest.raises(ConsistencyError):
+            db.bulk_load(
+                [{"class": "Module", "name": "Late"}],
+                [
+                    {"association": "Contained",
+                     "bindings": {"container": a, "contained": b}}
+                    for a, b in ((first, "Late"), (first, second), (second, first))
+                ],
+            )
+        assert canonical_image(db) == before
+        assert db.get_object("Existing") is existing and not existing.deleted
+        db.indexes.verify()
+
+    def test_records_are_constructed_in_two_places(self):
+        """Structural pin: only the three create mutators and the
+        from-state primitive call a record constructor."""
+        sites = set()
+        for path in sorted(SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for function in ast.walk(tree):
+                if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", None)
+                    ) in ("SeedObject", "SeedRelationship"):
+                        sites.add((path.name, function.name))
+        assert sites == {
+            ("database.py", "create_object"),
+            ("database.py", "create_sub_object"),
+            ("database.py", "relate"),
+            ("bulk.py", "wire_item_states"),
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ check-ins land after it.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
@@ -24,7 +25,13 @@ from repro.core.errors import (
     VersionError,
 )
 from repro.multiuser import SeedServer, SeedService, ServiceClient
-from repro.multiuser.protocol import MAX_REQUEST_BYTES, encode_message
+from repro.multiuser.protocol import (
+    ERROR_CODES,
+    MAX_REQUEST_BYTES,
+    READ_QUERY_FIELDS,
+    REQUEST_FIELDS,
+    encode_message,
+)
 from repro.spades import spades_schema
 
 
@@ -206,6 +213,127 @@ class TestRequestSizeLimit:
             assert json.loads(slow._file.readline()) == {
                 "ok": True, "result": {"pong": True},
             }
+
+
+# ---------------------------------------------------------------------------
+# the request table: every malformed envelope, derived from the table
+# ---------------------------------------------------------------------------
+
+#: a well-typed value per type tag, and values no tag but "object" admits
+WELL_TYPED = {
+    "str": "x", "bool": True, "object": {"kind": "count"}, "[str]": ["Alarms"],
+}
+ILL_TYPED = (None, 7, ["x", 7], {"a": {"b": 1}})
+
+
+def _malformed(where, fields, put):
+    """Cases for one field table: each required field missing, each
+    field ill-typed. *put* builds the frame with one field replaced
+    (or, given ``...``, left out)."""
+    for name, tag in fields.items():
+        if not tag.endswith("?"):
+            yield f"{where}-{name}-missing", put(name, ...), (where, name)
+        for bad in ILL_TYPED:
+            if bad is None and tag.endswith("?"):
+                continue  # null is how an optional field is left out
+            named = name
+            if tag == "object" and isinstance(bad, dict) and name == "query":
+                named = "kind"  # an object: refused one level down
+            yield f"{where}-{name}-{type(bad).__name__}", put(name, bad), (where, named)
+
+
+def malformed_requests():
+    """(label, frame, substrings the error message must contain)."""
+    for op, fields in REQUEST_FIELDS.items():
+        good = {"op": op, **{n: WELL_TYPED[t.rstrip("?")] for n, t in fields.items()}}
+
+        def put(name, value, good=good):
+            frame = {k: v for k, v in good.items() if k != name}
+            return frame if value is ... else {**frame, name: value}
+
+        yield from _malformed(op, fields, put)
+    for kind, fields in READ_QUERY_FIELDS.items():
+        query = {"kind": kind, **{n: WELL_TYPED[t.rstrip("?")] for n, t in fields.items()}}
+
+        def put(name, value, query=query):
+            inner = {k: v for k, v in query.items() if k != name}
+            if value is not ...:
+                inner[name] = value
+            return {"op": "read", "version": "x", "query": inner}
+
+        yield from _malformed("read", fields, put)
+    yield "unknown-op", {"op": "self_destruct"}, ("unknown operation", "self_destruct")
+    yield "ill-typed-op", {"op": ["ping"]}, ("unknown operation",)
+    yield "non-object-frame", [1, 2], ("JSON object",)
+    yield (
+        "unknown-read-kind",
+        {"op": "read", "version": "x", "query": {"kind": "drop"}},
+        ("read", "unknown kind", "drop"),
+    )
+
+
+MALFORMED = list(malformed_requests())
+
+
+@pytest.fixture(scope="module")
+def journaled_service(tmp_path_factory):
+    """A journal-bound service with one client holding locks."""
+    path = tmp_path_factory.mktemp("wire") / "central.seed"
+    server = SeedServer.open(path, schema=spades_schema())
+    populate(server.master)
+    with SeedService(server, maintain_every=0) as running:
+        with ServiceClient.for_service(running, "holder", timeout=5.0) as holder:
+            holder.check_out("Alarms")
+            yield running, holder, path
+
+
+class TestRequestTable:
+    @pytest.mark.parametrize(
+        "frame, mentions",
+        [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    def test_malformed_envelope_gets_a_typed_error(
+        self, journaled_service, frame, mentions
+    ):
+        service, holder, path = journaled_service
+        if isinstance(frame, dict) and frame.get("token") == WELL_TYPED["str"]:
+            # a live credential: only the rest of the envelope is wrong
+            frame = {**frame, "token": holder.token}
+        locks, journal_bytes = len(service.server.locks), path.stat().st_size
+        assert locks > 0
+        holder._file.write(encode_message(frame))
+        holder._file.flush()
+        response = json.loads(holder._file.readline())
+        assert response["ok"] is False
+        assert response["error"] in ERROR_CODES
+        for text in mentions:
+            assert text in response["message"], response["message"]
+        # same connection, same session, same locks, same journal
+        assert holder.ping()
+        assert holder.stats()["live_locks"] == locks
+        assert holder.has_copy and holder.renew() == locks
+        assert path.stat().st_size == journal_bytes
+
+    def test_requests_are_checked_before_the_write_lock(self, journaled_service):
+        service, holder, __ = journaled_service
+        lock = service._write_lock
+        asyncio.run_coroutine_threadsafe(lock.acquire(), service._loop).result(5)
+        try:
+            for frame in (
+                {"op": "connect"},
+                {"op": "check_out", "token": holder.token, "names": "Alarms"},
+                {"op": "check_in", "token": holder.token, "package": []},
+                {"op": "abandon"},
+            ):
+                holder._file.write(encode_message(frame))
+                holder._file.flush()
+                # answered while the lock is held (a 5 s socket timeout
+                # would fail the readline otherwise)
+                assert json.loads(holder._file.readline())["ok"] is False
+        finally:
+            service._loop.call_soon_threadsafe(lock.release)
+        assert holder.renew() > 0
 
 
 class TestMVCCReads:
