@@ -329,7 +329,7 @@ def _run_fsck(args: argparse.Namespace) -> int:
     record_file = RecordFile(args.database)
     if not record_file.exists():
         raise SeedError(f"no database file at {args.database}")
-    events = list(record_file.scan())  # the one scan everything below folds
+    events = list(record_file.decoded())  # the one scan everything below folds
     report = record_file.verify(events)
     print(report.render())
     # unknown record kinds (a journal written by a newer build) are

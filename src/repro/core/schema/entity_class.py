@@ -48,8 +48,12 @@ class EntityClass(SchemaElement):
         doc: str = "",
     ) -> None:
         super().__init__(name, doc=doc)
-        #: parent class when this is a dependent class, else None
+        #: parent class when this is a dependent class, else None;
+        #: assigned once, by the parent's :meth:`add_dependent`
         self.parent: Optional[EntityClass] = None
+        #: dotted path from the independent ancestor (``Data.Text.Body``);
+        #: fixed where :attr:`parent` is — every ``freeze()`` reads it
+        self.full_name = name
         #: per-parent instance count bound; None for independent classes
         self.cardinality: Optional[Cardinality] = None
         #: value sort for leaf classes whose instances carry values
@@ -72,16 +76,6 @@ class EntityClass(SchemaElement):
     def has_value(self) -> bool:
         """True when instances of this class carry a typed value."""
         return self.value_sort is not None
-
-    @property
-    def full_name(self) -> str:
-        """Dotted path from the independent ancestor (``Data.Text.Body``)."""
-        parts: list[str] = []
-        node: Optional[EntityClass] = self
-        while node is not None:
-            parts.append(node.name)
-            node = node.parent
-        return ".".join(reversed(parts))
 
     @property
     def root_class(self) -> "EntityClass":
@@ -117,6 +111,7 @@ class EntityClass(SchemaElement):
             )
         dependent = EntityClass(name, value_sort=value_sort, doc=doc)
         dependent.parent = self
+        dependent.full_name = f"{self.full_name}.{name}"
         dependent.cardinality = Cardinality.parse(cardinality)
         self._dependents[name] = dependent
         return dependent

@@ -80,11 +80,13 @@ drain the buffer first, so a crash can only lose the last
 partial batch of *direct* commits — never a check-in, never anything
 after a barrier. The strict default is opt-out, not weakened.
 
-The journal is self-bounding. A ``byte_budget`` (set on the journal
-and nowhere else) makes :class:`JournaledDatabase` track
-live-vs-superseded bytes on every
-append: bytes before the newest image are superseded (a load never
-replays them), everything from it on is the live tail. When total file
+The journal is self-bounding. :class:`JournaledDatabase` remembers
+its **base unit** — the byte range (and streamed-group id) of the
+newest image, as :meth:`~JournaledDatabase.checkpoint` appended it or
+:meth:`~JournaledDatabase.open` found it: bytes before it are
+superseded (a load never replays them), everything from it on is the
+live tail. A ``byte_budget`` (set on the journal and nowhere else) is
+checked against that on every append. When total file
 size exceeds the budget, the journal auto-compacts — first appending a
 fresh checkpoint if the live tail alone exceeds the budget, so the
 rewrite actually shrinks the file. The trigger points are post-commit
@@ -94,7 +96,14 @@ maintenance (:meth:`~JournaledDatabase.enforce_budget`) — never inside
 supersede a write-ahead record whose apply has not happened yet.
 Compaction copies frames: it hands
 :meth:`~repro.core.storage.recordfile.RecordFile.rewrite` the byte
-ranges of the records it keeps and never re-encodes one. Its crash
+ranges of the records it keeps and never re-encodes one — and it
+decodes only what it must judge. Its scan validates framing (length,
+CRC, terminator); when intact frames cover the remembered base unit
+exactly, that unit is kept by range unparsed, nothing before it is
+looked at, and only the records after it (small deltas, abort markers,
+stray group parts) are decoded. A base that no longer passes its CRC
+is never kept: compaction then decodes every record and searches for
+the newest complete unit, as every load does. Its crash
 safety rides on that rewrite's atomic temp-and-rename (exercised via
 the ``journal.compact.rewrite`` failpoint): a crash mid-compaction
 leaves either the old file or the new one, both of which recover the
@@ -113,7 +122,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from repro.core import faults
 from repro.core.database import SeedDatabase
@@ -140,6 +149,7 @@ __all__ = [
     "load_database",
     "GroupCommitPolicy",
     "JournaledDatabase",
+    "BaseUnit",
     "RecoveryInfo",
     "KNOWN_RECORD_KINDS",
 ]
@@ -189,6 +199,31 @@ class GroupCommitPolicy:
     max_bytes: int = 64 * 1024
     #: flush once the oldest buffered commit is this old (seconds)
     max_delay_s: float = 0.05
+
+
+class BaseUnit(NamedTuple):
+    """Where a journal's base image unit sits: one monolithic ``image``
+    frame, or the contiguous frames of one complete streamed group."""
+
+    offset: int
+    end: int
+    #: the streamed group's id; None for a monolithic image
+    cp: Optional[int]
+
+
+def _holds(events: list, base: BaseUnit) -> bool:
+    """True when intact frames among scan *events* tile *base* exactly.
+
+    Framing only: a remembered unit that passes is the bytes that were
+    written (every frame's CRC holds), so nobody has to decode it.
+    """
+    unit = [e for e in events if base.offset <= e.offset < base.end]
+    return (
+        bool(unit)
+        and unit[0].offset == base.offset
+        and unit[-1].end == base.end
+        and all(e.kind == "record" for e in unit)
+    )
 
 
 def _image_units(record_events: list) -> list[dict]:
@@ -252,8 +287,8 @@ class RecoveryInfo:
     """What a journal load found and did (attached to the loaded db)."""
 
     report: IntegrityReport
-    #: byte offset of the base image record, None when no image survived
-    base_offset: Optional[int] = None
+    #: the image unit the load started from, None when no image survived
+    base: Optional[BaseUnit] = None
     #: check-in deltas replayed successfully after the base image
     applied_deltas: int = 0
     #: direct-transaction deltas replayed successfully after the base
@@ -274,6 +309,11 @@ class RecoveryInfo:
     unknown_records: int = 0
     #: the distinct unknown kinds encountered (stringified)
     unknown_kinds: list[str] = field(default_factory=list)
+
+    @property
+    def base_offset(self) -> Optional[int]:
+        """Byte offset of the base image unit (None without one)."""
+        return None if self.base is None else self.base.offset
 
     @property
     def clean(self) -> bool:
@@ -363,7 +403,7 @@ def _load_journal_state(
 
     Returns ``(db or None, RecoveryInfo, next delta seq)``.
     """
-    events = list(record_file.scan())
+    events = list(record_file.decoded())
     info = RecoveryInfo(report=record_file.verify(events))
 
     record_events = [event for event in events if event.kind == "record"]
@@ -380,7 +420,7 @@ def _load_journal_state(
     if not units:
         return None, info, max_seq + 1
     base = units[-1]
-    info.base_offset = base["start"]
+    info.base = BaseUnit(base["start"], base["end"], base["cp"])
 
     first_corrupt = [event for event in events if event.kind == "corrupt"]
     info.recovered_records = sum(
@@ -557,11 +597,10 @@ class JournaledDatabase:
         self._pending: list[bytes] = []
         self._pending_bytes = 0
         self._pending_since: Optional[float] = None
-        # byte accounting: everything before the newest image record is
-        # superseded (a load never replays it); the rest is live tail
-        self._superseded_bytes = (
-            recovery.base_offset if recovery and recovery.base_offset else 0
-        )
+        # the newest image unit: everything before it is superseded (a
+        # load never replays it), the rest is live tail; None only
+        # until a fresh journal's first checkpoint
+        self._base = self.recovery.base
         # sink suspension depth: >0 while a check-in apply runs (the
         # check-in delta already covers those commits write-ahead)
         self._sink_suspended = 0
@@ -652,26 +691,25 @@ class JournaledDatabase:
         if streamed is None:
             streamed = self.streamed_checkpoints
         if not streamed:
-            offset, __ = self._file.append(
+            cp = None
+            offset, end = self._file.append(
                 {"kind": "image", "image": database_to_dict(self.db)}
             )
-            self._superseded_bytes = offset
-            return self._file.size_bytes()
-        cp = self._next_seq
-        self._next_seq += 1
-        offset = self._file.size_bytes()
+        else:
+            cp = self._next_seq
+            self._next_seq += 1
 
-        def group() -> Iterator[dict]:
-            yield {"kind": "image.begin", "cp": cp}
-            count = 0
-            for rec in iter_image_records(self.db):
-                count += 1
-                yield {"kind": "image.rec", "cp": cp, "rec": rec}
-            yield {"kind": "image.end", "cp": cp, "n": count}
+            def group() -> Iterator[dict]:
+                yield {"kind": "image.begin", "cp": cp}
+                count = 0
+                for rec in iter_image_records(self.db):
+                    count += 1
+                    yield {"kind": "image.rec", "cp": cp, "rec": rec}
+                yield {"kind": "image.end", "cp": cp, "n": count}
 
-        self._file.append_stream(group())
-        self._superseded_bytes = offset
-        return self._file.size_bytes()
+            offset, end, __ = self._file.append_stream(group())
+        self._base = BaseUnit(offset, end, cp)
+        return end
 
     def append_delta(self, delta: dict[str, Any]) -> int:
         """Durably append one check-in delta; returns its sequence number.
@@ -829,7 +867,8 @@ class JournaledDatabase:
 
     def tail_bytes(self) -> int:
         """Bytes a load would actually replay (newest image onward)."""
-        return self._file.size_bytes() - self._superseded_bytes
+        superseded = 0 if self._base is None else self._base.offset
+        return self._file.size_bytes() - superseded
 
     def enforce_budget(self, budget: Optional[int] = None) -> int:
         """Compact if the journal exceeds *budget* bytes; returns size.
@@ -862,6 +901,13 @@ class JournaledDatabase:
         unit (monolithic record or streamed group) plus the deltas
         after it, minus aborted delta/marker pairs and minus any
         incomplete streamed-checkpoint leftovers.
+
+        The scan checks framing only. The remembered base unit, when
+        intact frames still cover it exactly, is kept without being
+        decoded and nothing before it is read as a record; only the
+        records after it are decoded, to be judged. A remembered unit
+        that rotted (or none) means decoding every record to find the
+        newest complete unit — the search a load makes.
         Corrupt regions are implicitly dropped by the rewrite;
         quarantine first via
         :meth:`~repro.core.storage.recordfile.RecordFile.salvage` if
@@ -872,23 +918,38 @@ class JournaledDatabase:
         loaded journal can always be bounded.
         """
         self.flush(enforce=False)
-        record_events = self._record_events()
-        units = _image_units(record_events)
+        events = list(self._file.scan())
+        base = self._base
         fresh, keep = [], []
-        if not units:
-            dropped = self._file.size_bytes()
+        if base is not None and _holds(events, base):
+            # intact frames tile the remembered unit exactly: keep it by
+            # range, look at nothing before it, decode only what follows
+            keep = [(base.offset, base.end)]
+            tail = self._record_events(
+                e for e in events if e.offset >= base.end
+            )
+        else:
+            # no remembered unit, or it rotted since it was written:
+            # search every record for the newest one that is complete
+            tail = self._record_events(events)
+            units = _image_units(tail)
+            if units:
+                found = units[-1]
+                base = BaseUnit(found["start"], found["end"], found["cp"])
+                tail = tail[found["start_index"]:]
+            else:
+                base = tail = None
+        if base is None:
             fresh = [{"kind": "image", "image": database_to_dict(self.db)}]
             warnings.warn(
                 RecoveryWarning(
                     f"journal {self._file.path} holds no intact image; "
                     "compacted to a fresh checkpoint of the live state "
-                    f"(dropped damaged bytes [0:{dropped}])"
+                    f"(dropped damaged bytes [0:{self._file.size_bytes()}])"
                 ),
                 stacklevel=2,
             )
         else:
-            base = units[-1]
-            tail = record_events[base["start_index"]:]
             aborted = {
                 event.record.get("seq")
                 for event in tail
@@ -898,7 +959,7 @@ class JournaledDatabase:
             # image-family records in the tail that are not part of the
             # (complete) base unit belong to an interrupted streamed
             # checkpoint: state no-ops a load ignores — drop the junk
-            base_cp = base["cp"]
+            base_cp = base.cp
 
             def keeps(record: Any) -> bool:
                 if not isinstance(record, dict):
@@ -913,17 +974,23 @@ class JournaledDatabase:
                     return base_cp is not None and record.get("cp") == base_cp
                 return True
 
-            keep = [(e.offset, e.end) for e in tail if keeps(e.record)]
+            keep += [(e.offset, e.end) for e in tail if keeps(e.record)]
         if faults._PLAN is not None:  # noqa: SLF001 - zero-cost guard
             faults.fire("journal.compact.rewrite")
         self._file.rewrite(fresh, keep=keep)
-        # the rewrite starts the file at its newest image: nothing is
+        # the rewrite starts the file at its base unit: nothing is
         # superseded until the next checkpoint
-        self._superseded_bytes = 0
-        return self._file.size_bytes()
+        size = self._file.size_bytes()
+        self._base = (
+            BaseUnit(0, size, None)
+            if base is None
+            else BaseUnit(0, base.end - base.offset, base.cp)
+        )
+        return size
 
-    def _record_events(self) -> list:
-        return [e for e in self._file.scan() if e.kind == "record"]
+    def _record_events(self, events=None) -> list:
+        """The intact, decodable records of a scan (or of *events*)."""
+        return [e for e in self._file.decoded(events) if e.kind == "record"]
 
     def checkpoints(self) -> int:
         """Number of complete images (monolithic or streamed groups)."""

@@ -37,10 +37,19 @@ stream (``append_stream``) and replace (``rewrite``) — the seam a
   frame. ``rewrite`` fsyncs the directory again after ``os.replace``
   (failpoints ``recordfile.rewrite.replace`` / ``.post_replace`` either
   side), so the atomic replacement survives power loss.
-* ``_parse_record`` is the only code that reads a frame header:
-  ``scan()`` drives it, ``records()`` is ``scan()`` up to the first
-  non-record event (raising there with ``strict=True``), ``verify()``
-  the one fold from scan events to an :class:`IntegrityReport`.
+* ``_parse_record`` is the only code that reads a frame header, and
+  it validates framing only — length, CRC, terminator. ``scan()``
+  drives it and yields :class:`ScanEvent` objects that carry their
+  payload undecoded; decoding belongs to whoever reads
+  ``event.record`` (once, cached). ``decoded()`` is ``scan()`` with
+  every record decoded — the
+  one place that decides what an intact frame holding something other
+  than JSON is (a corrupt region, as ever). ``records()`` is
+  ``decoded()`` up to the first non-record event (raising there with
+  ``strict=True``), ``verify()`` the one fold from decoded events to an
+  :class:`IntegrityReport`. A reader that needs only byte ranges (the
+  journal keeping its base image through a compaction) takes ``scan()``
+  and never pays for the JSON in a frame it copies.
 * Kept means copied: ``rewrite(records, keep=[(offset, end), ...])``
   carries byte ranges of the current file over verbatim; compaction
   and ``salvage()`` pass only ranges, so a frame that was CRC-checked
@@ -49,17 +58,21 @@ stream (``append_stream``) and replace (``rewrite``) — the seam a
 Recovery contract
 -----------------
 
-* **Detection** — every single-byte corruption is detected: payload
-  bytes by the CRC (CRC32 catches all error bursts <= 32 bits), header
-  bytes by the digit/hex/framing checks, and truncation by the length
-  prefix.
+* **Detection** — every single-byte corruption is detected by the
+  framing alone, without parsing a payload: payload bytes by the CRC
+  (CRC32 catches all error bursts <= 32 bits), header bytes by the
+  digit/hex/framing checks, and truncation by the length prefix. What
+  the CRC cannot vouch for is a writer that framed something other
+  than JSON; that surfaces where the payload is decoded, and
+  :meth:`RecordFile.decoded` reports such a frame as a corrupt region
+  (``"unparseable payload"``) to every reader that decodes.
 * **Resynchronization** — :meth:`RecordFile.scan` does not stop: after
   a corrupt region it searches forward for the next *plausible header*
   (17 digit/space/hex bytes followed by a newline whose framed payload
-  passes the CRC, terminator, and JSON checks) and resumes there.
+  passes the length, CRC and terminator checks) and resumes there.
   Payloads are single-line JSON, so an intact record can never contain
   a raw newline — the next real header is always found, and a false
-  resync would additionally need a 1-in-2^32 CRC collision.
+  resync would need a 1-in-2^32 CRC collision.
 * **Classification** — :meth:`RecordFile.verify` folds the scan into an
   :class:`IntegrityReport`: mid-file corruption (``corrupt_ranges``,
   always suspicious) is distinguished from a trailing problem, and a
@@ -114,15 +127,45 @@ class CorruptRange:
         return f"[{self.offset}:{self.end}] {self.problem}"
 
 
-@dataclass(frozen=True)
 class ScanEvent:
-    """One event of a salvage scan: an intact record or a skipped range."""
+    """One event of a salvage scan: an intact frame or a skipped range.
 
-    kind: str  # "record" | "corrupt" | "tail"
-    offset: int
-    end: int
-    record: Any = None
-    problem: str = ""
+    A ``"record"`` event is a frame whose length, CRC and terminator
+    hold. It carries the payload bytes undecoded: :attr:`record` parses
+    them on first access and caches the result, so a reader that only
+    needs a frame's byte range (compaction keeping its base image)
+    never pays for the JSON inside it.
+    """
+
+    __slots__ = ("kind", "offset", "end", "problem", "_payload", "_record")
+
+    def __init__(
+        self,
+        kind: str,  # "record" | "corrupt" | "tail"
+        offset: int,
+        end: int,
+        payload: Optional[memoryview] = None,
+        problem: str = "",
+    ) -> None:
+        self.kind = kind
+        self.offset = offset
+        self.end = end
+        self.problem = problem
+        self._payload = payload
+        self._record: Any = None
+
+    @property
+    def record(self) -> Any:
+        """The decoded payload (None for a skipped range).
+
+        Raises ``ValueError`` when the frame is intact but its payload
+        is not UTF-8 JSON; :meth:`RecordFile.decoded` is where that
+        case is decided for every reader.
+        """
+        if self._payload is not None:
+            self._record = json.loads(str(self._payload, "utf-8"))
+            self._payload = None
+        return self._record
 
 
 @dataclass
@@ -239,15 +282,18 @@ class RecordFile:
             self._write([b"".join(map(_frame, payloads))])
         return len(payloads)
 
-    def append_stream(self, records: Iterator[Any] | list[Any]) -> int:
+    def append_stream(
+        self, records: Iterator[Any] | list[Any]
+    ) -> tuple[int, int, int]:
         """Append records one frame at a time with a single fsync.
 
         The streaming sibling of :meth:`append_many`: each frame is its
         own blob, written as the iterator produces it — O(largest
         record) memory, and a torn write leaves the frames already
-        written plus a torn prefix. Returns the number appended.
+        written plus a torn prefix. Returns the group's byte range and
+        the number appended: ``(offset, end, count)``.
         """
-        return self._write(_frame(self.encode(r)) for r in records)[2]
+        return self._write(_frame(self.encode(r)) for r in records)
 
     def _write(self, blobs: Iterable[bytes]) -> tuple[int, int, int]:
         """The one durable writer; returns ``(offset, end, blobs written)``."""
@@ -320,7 +366,7 @@ class RecordFile:
         ``strict=True`` any corruption raises
         :class:`~repro.core.errors.StorageError`.
         """
-        for event in self.scan():
+        for event in self.decoded():
             if event.kind != "record":
                 if strict:
                     raise StorageError(f"corrupt record file: {event.problem}")
@@ -330,13 +376,15 @@ class RecordFile:
     # -- salvage scan -------------------------------------------------------
 
     def scan(self) -> Iterator[ScanEvent]:
-        """Full salvage scan: records *and* skipped ranges, with resync.
+        """Full salvage scan: frames *and* skipped ranges, with resync.
 
-        Corruption does not end the scan: the corrupt region is
-        reported as one ``"corrupt"`` event and the scan resumes at the
-        next plausible record header. A trailing region with no further
-        header is a single ``"tail"`` event. Events tile the file: each
-        starts where the previous ended.
+        Framing only — length, CRC, terminator; no payload is decoded
+        (see :attr:`ScanEvent.record`, :meth:`decoded`). Corruption
+        does not end the scan: the corrupt region is reported as one
+        ``"corrupt"`` event and the scan resumes at the next plausible
+        record header. A trailing region with no further header is a
+        single ``"tail"`` event. Events tile the file: each starts
+        where the previous ended.
         """
         if not self.path.exists():
             return
@@ -352,20 +400,55 @@ class RecordFile:
                 yield ScanEvent("corrupt", offset, resync, problem=parsed)
                 offset = resync
                 continue
-            record, end = parsed
-            yield ScanEvent("record", offset, end, record=record)
+            payload, end = parsed
+            yield ScanEvent("record", offset, end, payload)
             offset = end
+
+    def decoded(
+        self, events: Optional[Iterable[ScanEvent]] = None
+    ) -> Iterator[ScanEvent]:
+        """:meth:`scan` (or the *events* of one) with every record decoded.
+
+        The one place a failed decode is decided. A frame that passes
+        its CRC but does not hold JSON is to every reader what it
+        always was, a corrupt region: it is folded back into the event
+        stream as one (problem ``"unparseable payload"``), merged with
+        any skipped range it touches so events still tile the file and
+        a region reports the first problem found in it. A region with
+        no intact record after it is the ``"tail"``.
+        """
+        start, problem, end = 0, "", 0  # the open problem region, if any
+        for event in self.scan() if events is None else events:
+            bad = event.problem
+            if event.kind == "record":
+                try:
+                    event.record
+                except ValueError:
+                    bad = "unparseable payload"
+            if not bad:
+                if problem:
+                    yield ScanEvent(
+                        "corrupt", start, event.offset, problem=problem
+                    )
+                    problem = ""
+                yield event
+            elif not problem:
+                start, problem = event.offset, bad
+            end = event.end
+        if problem:
+            yield ScanEvent("tail", start, end, problem=problem)
 
     def verify(
         self, events: Optional[Iterable[ScanEvent]] = None
     ) -> IntegrityReport:
         """Fold scan events into an :class:`IntegrityReport` (read-only).
 
-        Over a fresh :meth:`scan`, or the *events* of one the caller
-        already made (they tile the file: the last end is its size).
+        Over a fresh :meth:`decoded` scan, or the *events* of one the
+        caller already made (they tile the file: the last end is its
+        size).
         """
         report = IntegrityReport(path=self.path)
-        for event in self.scan() if events is None else events:
+        for event in self.decoded() if events is None else events:
             report.total_bytes = event.end
             if event.kind == "record":
                 report.intact_records += 1
@@ -393,7 +476,7 @@ class RecordFile:
         """
         if quarantine is None:
             quarantine = self.path.with_name(self.path.name + ".corrupt")
-        events = list(self.scan())
+        events = list(self.decoded())
         report = self.verify(events)
         if report.is_clean:
             return report
@@ -430,8 +513,12 @@ class RecordFile:
 # parsing helpers (the one frame parser and its resync search)
 # ---------------------------------------------------------------------------
 
-def _parse_record(data: bytes, offset: int) -> tuple[Any, int] | str:
-    """Parse one framed record at *offset*; a problem string on failure."""
+def _parse_record(data: bytes, offset: int) -> tuple[memoryview, int] | str:
+    """Validate one frame at *offset*: ``(payload, end)`` or a problem.
+
+    The payload is checksummed and handed on as a view into *data*,
+    never copied, never decoded.
+    """
     remaining = len(data) - offset
     if remaining < _HEADER_LENGTH:
         return "truncated header"
@@ -447,25 +534,21 @@ def _parse_record(data: bytes, offset: int) -> tuple[Any, int] | str:
     end = start + length
     if end + 1 > len(data):
         return "truncated payload"
-    payload = data[start:end]
+    payload = memoryview(data)[start:end]
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_expected:
         return "checksum mismatch"
     if data[end : end + 1] != b"\n":
         return "missing record terminator"
-    try:
-        record = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return "unparseable payload"
-    return record, end + 1
+    return payload, end + 1
 
 
 def _find_resync(data: bytes, start: int) -> Optional[int]:
-    """Next offset >= *start* where a fully valid record begins.
+    """Next offset >= *start* where a fully valid frame begins.
 
     Headers end with a newline at byte 17, and intact payloads are
     single-line JSON (never a raw newline), so scanning the newline
     positions finds every candidate; a candidate only counts when the
-    complete record (CRC, terminator, JSON) validates.
+    complete frame (length, CRC, terminator) validates.
     """
     search_from = start + _HEADER_LENGTH - 1
     while True:

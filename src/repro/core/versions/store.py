@@ -305,14 +305,12 @@ class VersionStore:
         Sorted by version; the serializer uses this to round-trip
         consolidated stores faithfully.
         """
+        cells = self._cells.get(key, {})
         by_version = self._by_version
-        return sorted(
-            (
-                (version, state, by_version[version][key])
-                for version, state in self._cells.get(key, {}).items()
-            ),
-            key=lambda entry: entry[0],
-        )
+        return [
+            (version, cells[version], by_version[version][key])
+            for version in sorted(cells)
+        ]
 
     def versions_touching(self, key: ItemKey) -> list[VersionId]:
         """Versions at which the item's state was *changed* (sorted)."""

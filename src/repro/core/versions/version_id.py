@@ -12,7 +12,7 @@ restricts the comparison to the ancestry chain.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 
 from repro.core.errors import VersionError
@@ -28,6 +28,8 @@ class VersionId:
     """An immutable decimal-classification version identifier."""
 
     parts: tuple[int, ...]
+    #: the dotted text, joined once: an image prints an id per stored state
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.parts:
@@ -35,6 +37,7 @@ class VersionId:
         for part in self.parts:
             if not isinstance(part, int) or part < 0:
                 raise VersionError(f"illegal version component {part!r}")
+        object.__setattr__(self, "_text", ".".join(map(str, self.parts)))
 
     # -- construction ------------------------------------------------------
 
@@ -92,7 +95,7 @@ class VersionId:
         return self.parts < other.parts
 
     def __str__(self) -> str:
-        return ".".join(str(part) for part in self.parts)
+        return self._text
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"VersionId.parse({str(self)!r})"

@@ -457,17 +457,24 @@ class TestUnknownRecordKinds:
 # kept means copied: compaction and salvage never re-serialize a frame
 # ---------------------------------------------------------------------------
 
-def parent_compaction_bytes(path) -> bytes:
-    """What the pre-copy ``compact()`` wrote: decode, filter, re-encode.
+def parent_compaction_bytes(path, live=None) -> bytes:
+    """What the eager ``compact()`` wrote: decode, filter, re-encode.
 
-    The reference the copying rewrite is held against — the record-list
-    rewrite this repo used before ``rewrite(keep=...)`` existed.
+    The reference the copying, lazily decoding rewrite is held against
+    — decode every record of the file, search all of them for the
+    newest complete image unit (none: a fresh image of *live*), and
+    re-encode what is kept, as this repo did before
+    ``rewrite(keep=...)`` and the remembered base unit existed.
     """
     from repro.core.storage.engine import _image_units
     from repro.core.storage.recordfile import _frame
 
-    events = [e for e in RecordFile(path).scan() if e.kind == "record"]
-    base = _image_units(events)[-1]
+    events = [e for e in RecordFile(path).decoded() if e.kind == "record"]
+    units = _image_units(events)
+    if not units:
+        image = {"kind": "image", "image": database_to_dict(live)}
+        return _frame(RecordFile.encode(image))
+    base = units[-1]
     tail = [e.record for e in events[base["start_index"]:]]
     aborted = {
         r.get("seq") for r in tail
