@@ -41,9 +41,9 @@ cost O(answer) or O(1):
     value key → live count over the same objects the extent holds) and
     per ``(association element, position)`` distinct-participant
     counters, maintained on the same mutation paths as the structures
-    above. The query planner reads them through the histogram
-    accessors (:meth:`value_frequency` serves a **top-K + remainder**
-    summary; :meth:`defined_count`, :meth:`distinct_participants`)
+    above. The query planner reads them through the statistics
+    accessors (:meth:`value_frequency`, :meth:`defined_count`,
+    :meth:`distinct_participants`)
     to estimate selection selectivities and join fan-outs instead of a
     fixed heuristic. The maintained counters are exact, so the mirror
     invariant covers them too; :func:`brute_value_counts` and
@@ -91,7 +91,6 @@ write-then-read boundary.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from heapq import nlargest
 from typing import Iterator, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -579,6 +578,12 @@ class IndexLayer:
         low, high = self._prefix_range(prefix)
         return high - low
 
+    def name_count(self) -> int:
+        """Number of indexed independent names (what a prefix count is
+        a fraction of)."""
+        self._ensure_fresh()
+        return len(self.names)
+
     def total_objects(self) -> int:
         """All live objects across every extent bucket (O(#classes))."""
         self._ensure_fresh()
@@ -611,9 +616,8 @@ class IndexLayer:
         (count-descending, key-ascending for determinism) and the
         remainder buckets summarize everything else. Full ranked view
         (O(distinct · log distinct)) for introspection and tests; the
-        planner's hot path is :meth:`value_frequency`, which answers
-        single-value questions without sorting. The maintained
-        counters underneath are exact.
+        planner asks :meth:`value_frequency`, which answers
+        single-value questions exactly from the maintained counters.
         """
         self._ensure_fresh()
         merged = self._merged_value_counts(wanted, include_specials)
@@ -623,44 +627,25 @@ class IndexLayer:
         return top, sum(count for __, count in rest), len(rest)
 
     def value_frequency(
-        self,
-        wanted: "EntityClass",
-        value: object,
-        include_specials: bool = True,
-        k: int = TOP_K,
+        self, wanted: "EntityClass", value: object, include_specials: bool = True
     ) -> float:
-        """Estimated live objects of *wanted* holding *value*.
-
-        Top-K + remainder semantics: exact for values whose count
-        reaches the K-th largest, the remainder average below it, and
-        exactly 0.0 for values never seen (the maintained counters can
-        tell absence apart from the tail). One hash lookup plus an
-        O(distinct · log K) heap pass (no full sort, no merged-dict
-        copy in the common case — value-typed classes cannot have
-        specializations, so the rollup almost never merges), since the
-        planner calls this per Select estimate.
-        """
+        """Live objects of *wanted* holding *value*: the maintained
+        count, exact (0.0 for a value never seen), one hash lookup per
+        class of the rollup. The planner calls this per Select estimate
+        and the plan cache on every hit."""
         self._ensure_fresh()
-        own = self.value_counts.get(wanted.full_name, {})
-        merged = own
+        key = value_key(value)
+        count = self.value_counts.get(wanted.full_name, {}).get(key, 0)
         if include_specials:
             for special in wanted.all_specials():
-                bucket = self.value_counts.get(special.full_name)
-                if bucket:
-                    if merged is own:
-                        merged = dict(own)
-                    for key, count in bucket.items():
-                        merged[key] = merged.get(key, 0) + count
-        count = merged.get(value_key(value))
-        if count is None:
-            return 0.0
-        if len(merged) <= k:
-            return float(count)
-        top_counts = nlargest(k, merged.values())
-        if count >= top_counts[-1]:
-            return float(count)
-        remainder_count = sum(merged.values()) - sum(top_counts)
-        return remainder_count / (len(merged) - k)
+                count += self.value_counts.get(special.full_name, {}).get(key, 0)
+        return float(count)
+
+    def total_value_frequency(self, value: object) -> float:
+        """:meth:`value_frequency` over every class (untraceable columns)."""
+        self._ensure_fresh()
+        key = value_key(value)
+        return float(sum(bucket.get(key, 0) for bucket in self.value_counts.values()))
 
     def defined_count(
         self, wanted: "EntityClass", include_specials: bool = True
@@ -678,6 +663,11 @@ class IndexLayer:
                     self.value_counts.get(special.full_name, {}).values()
                 )
         return total
+
+    def total_defined(self) -> int:
+        """:meth:`defined_count` over every class (untraceable columns)."""
+        self._ensure_fresh()
+        return sum(sum(bucket.values()) for bucket in self.value_counts.values())
 
     def distinct_participants(
         self, element_name: str, position: Optional[int] = None

@@ -73,8 +73,7 @@ a planned evaluation path with three layers:
    fixed 1/3: structured predicates are costed from maintained
    statistics — ``NamePrefix`` from the bisected name-index count,
    ``InClass`` from extent sizes, ``HasValue`` / ``ValueEquals`` from
-   the per-class **top-K + remainder value histogram** (exact counts
-   for the K most frequent values, remainder average for the tail),
+   the per-class value counters (exact counts),
    ``ParticipatesIn`` from the distinct-participant counters, and
    ``And``/``Or``/``Not`` compose by the independence rules. Join
    output sizes use the containment-of-value-sets estimate
@@ -122,29 +121,16 @@ testing.
    plan object hits, a structurally identical rebuild with fresh
    lambdas misses.
 
-   **Drift-invalidation contract (PR 5).** Cached plans embed the join
-   order chosen from the statistics at caching time; each entry also
-   records the statistics snapshot it was optimized under — one count
-   per scanned extent / association (for an association also what an
-   ``IndexJoin`` into it is costed from: the family size a scan would
-   read and the distinct participants per role, so a fan-out change
-   re-optimizes a probe plan), plus the selectivity inputs of
-   every structured selection predicate (prefix counts, defined-value
-   counts, value frequencies, distinct participants), so pure name
-   churn or mass re-valuation drifts too, not only row-count growth.
-   A lookup
-   re-reads those counts and serves the cached plan only while none
-   has drifted past the threshold — drift meaning an absolute change
-   above ``drift_min_delta`` rows **and** a ratio above
-   ``drift_ratio`` (with +1 smoothing so a near-empty snapshot still
-   compares). On drift the entry is re-optimized in place (counted in
-   :attr:`PlanCache.reoptimizations`). Consequently ``bulk()`` /
-   ``bulk_load()`` finalize, compaction GC, and large multi-user
-   check-ins invalidate exactly the stale plans — no explicit
-   invalidation calls, no wholesale clears — while a plan cached
-   against a near-empty database can no longer stay pinned after the
-   database inflates. Soundness never depends on this: a stale plan
-   returns correct rows, just slower.
+   **Drift rule.** An entry is served while none of the statistics its
+   optimization read has drifted. Every index-layer statistic the
+   optimizer consults passes one recording seam, the entry keeps
+   ``{(accessor, *args): value}``, and a lookup re-reads exactly those
+   keys: one that moved by more than :data:`DRIFT_MIN_DELTA` rows
+   **and** by more than :data:`DRIFT_RATIO`× (+1-smoothed, so a
+   near-empty reading still compares) re-optimizes the entry in place
+   (:attr:`PlanCache.reoptimizations`). What the cost model reads is
+   what the cache watches — there is no second list to keep in step.
+   Soundness never depends on it: a stale plan is correct, just slower.
 
 5. **Pooled scans.** With a
    :class:`~repro.core.query.parallel.ParallelConfig` (shard count and
@@ -176,12 +162,12 @@ testing.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.core.database import SeedDatabase
 from repro.core.errors import QueryError
-from repro.core.indexes import value_key
 from repro.core.objects import SeedObject
 from repro.core.query.algebra import Relation, dereference, relationship_row
 from repro.core.query import parallel as kernel
@@ -259,9 +245,41 @@ def on(column: str, predicate: Callable[[Any], bool]) -> ColumnPredicate:
 # ----------------------------------------------------------------------
 
 
+#: memo of :func:`_shape`, per node type
+_SHAPES: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+
+
+def _shape(node: "PlanNode") -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Every field name of *node*'s type, and the names of the fields
+    that hold plan nodes — they do in every instance of a type, so both
+    are read off the first instance seen."""
+    shape = _SHAPES.get(type(node))
+    if shape is None:
+        names = tuple(field.name for field in fields(node))
+        shape = _SHAPES[type(node)] = (
+            names,
+            tuple(n for n in names if isinstance(getattr(node, n), PlanNode)),
+        )
+    return shape
+
+
 @dataclass(frozen=True, eq=False)
 class PlanNode:
-    """Base of all logical plan nodes (immutable, identity-hashed)."""
+    """Base of all logical plan nodes (immutable, identity-hashed).
+
+    The tree shape is read off the dataclass fields: a field that holds
+    a plan node is a child, in field order. Keying, rewriting and
+    rendering walk :attr:`children`, so a new node type needs no
+    traversal code of its own.
+    """
+
+    @property
+    def children(self) -> tuple["PlanNode", ...]:
+        return tuple([getattr(self, name) for name in _shape(self)[1]])
+
+    def with_children(self, children: Sequence["PlanNode"]) -> "PlanNode":
+        """This node over *children*, one per :attr:`children` slot."""
+        return replace(self, **dict(zip(_shape(self)[1], children)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,34 +416,18 @@ def _columns_of(db: SeedDatabase, node: PlanNode) -> tuple[str, ...]:
     if isinstance(node, RelScan):
         assoc = db.schema.association(node.association)
         return assoc.role_names() + node.with_attributes
-    if isinstance(node, Select):
-        return _columns_of(db, node.child)
     if isinstance(node, (Project, Reorder)):
         return node.columns
+    columns = _columns_of(db, node.children[0])
     if isinstance(node, Rename):
         mapping = dict(node.renames)
-        return tuple(
-            mapping.get(column, column) for column in _columns_of(db, node.child)
-        )
+        return tuple(mapping.get(column, column) for column in columns)
     if isinstance(node, (Join, IndexJoin)):
-        left, right = _join_sides(node)
-        left = _columns_of(db, left)
-        right = _columns_of(db, right)
-        return left + tuple(column for column in right if column not in left)
-    if isinstance(node, (Union, Difference)):
-        return _columns_of(db, node.left)
+        right = _columns_of(db, node.children[1])
+        return columns + tuple(column for column in right if column not in columns)
     if isinstance(node, Values):
-        return _columns_of(db, node.child) + (node.into,)
-    if isinstance(node, Parallel):
-        return _columns_of(db, node.child)
-    raise AssertionError(f"unhandled node {type(node).__name__}")  # pragma: no cover
-
-
-def _join_sides(node: PlanNode) -> tuple[PlanNode, PlanNode]:
-    """The two inputs of a join of either kind, leading columns first."""
-    if isinstance(node, IndexJoin):
-        return node.drive, node.scan
-    return node.left, node.right
+        return columns + (node.into,)
+    return columns  # pass-through nodes; both sides of a union / difference
 
 
 def _family_is_independent(db: SeedDatabase, scan: ExtentScan) -> bool:
@@ -465,25 +467,23 @@ def _column_class(db: SeedDatabase, node: PlanNode, column: str) -> Optional[str
         if column in roles:
             return assoc.role_at(roles.index(column)).target.full_name
         return None
-    if isinstance(node, (Select, Project, Reorder)):
-        return _column_class(db, node.child, column)
+    if isinstance(node, Values) and column == node.into:
+        return None
+    return _column_class(db, *_column_source(db, node, column))
+
+
+def _column_source(
+    db: SeedDatabase, node: PlanNode, column: str
+) -> tuple[PlanNode, str]:
+    """The child of *node* that *column* comes from, and its name there:
+    the first child, unless only a join's second input carries it."""
+    owner = node.children[0]
     if isinstance(node, Rename):
-        inverse = {new: old for old, new in node.renames}
-        return _column_class(db, node.child, inverse.get(column, column))
-    if isinstance(node, (Join, IndexJoin)):
-        left, right = _join_sides(node)
-        if column in _columns_of(db, left):
-            return _column_class(db, left, column)
-        return _column_class(db, right, column)
-    if isinstance(node, (Union, Difference)):
-        return _column_class(db, node.left, column)
-    if isinstance(node, Values):
-        if column == node.into:
-            return None
-        return _column_class(db, node.child, column)
-    if isinstance(node, Parallel):
-        return _column_class(db, node.child, column)
-    return None  # pragma: no cover - exhaustive
+        column = {new: old for old, new in node.renames}.get(column, column)
+    elif isinstance(node, (Join, IndexJoin)):
+        if column not in _columns_of(db, owner):
+            owner = node.children[1]
+    return owner, column
 
 
 def _predicate_selectivity(
@@ -511,7 +511,7 @@ def _predicate_selectivity(
             0.0, 1.0 - _predicate_selectivity(db, predicate.part, class_name)
         )
     if isinstance(predicate, NamePrefix):
-        total = len(indexes.names)
+        total = indexes.name_count()
         if not total:
             return DEFAULT_SELECTIVITY
         return indexes.name_prefix_count(predicate.prefix) / total
@@ -530,9 +530,7 @@ def _predicate_selectivity(
             defined = indexes.defined_count(wanted)
         else:  # aggregate over every class
             total = indexes.total_objects()
-            defined = sum(
-                sum(bucket.values()) for bucket in indexes.value_counts.values()
-            )
+            defined = indexes.total_defined()
         if not total:
             return DEFAULT_SELECTIVITY
         if isinstance(predicate, HasValue):
@@ -541,13 +539,7 @@ def _predicate_selectivity(
             if wanted is not None:
                 matching = indexes.value_frequency(wanted, predicate.expected)
             else:
-                key = value_key(predicate.expected)
-                matching = float(
-                    sum(
-                        bucket.get(key, 0)
-                        for bucket in indexes.value_counts.values()
-                    )
-                )
+                matching = indexes.total_value_frequency(predicate.expected)
         except TypeError:
             # unhashable expected value (e.g. a list): the predicate is
             # still a valid filter — it just cannot be histogram-costed
@@ -606,10 +598,8 @@ def _estimate_uncached(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -
         child = _estimate(db, node.child, memo)
         selectivity = _selectivity_of(db, node.child, node.predicate)
         return max(1, round(child * selectivity))
-    if isinstance(node, (Project, Rename, Reorder, Values)):
-        return _estimate(db, node.child, memo)
     if isinstance(node, (Join, IndexJoin)):
-        left_node, right_node = _join_sides(node)
+        left_node, right_node = node.children
         left = _estimate(db, left_node, memo)
         right = _estimate(db, right_node, memo)
         left_columns = _columns_of(db, left_node)
@@ -630,11 +620,9 @@ def _estimate_uncached(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -
         return left * right
     if isinstance(node, Union):
         return _estimate(db, node.left, memo) + _estimate(db, node.right, memo)
-    if isinstance(node, Difference):
-        return _estimate(db, node.left, memo)
-    if isinstance(node, Parallel):
-        return _estimate(db, node.child, memo)
-    raise AssertionError(f"unhandled node {type(node).__name__}")  # pragma: no cover
+    # pass-through nodes keep their input's rows; so, at most, does the
+    # minuend of a difference
+    return _estimate(db, node.children[0], memo)
 
 
 def _distinct_of(
@@ -647,8 +635,6 @@ def _distinct_of(
     everything else delegates toward its scans, capped by the node's
     own row estimate.
     """
-    if isinstance(node, ExtentScan):
-        return _estimate(db, node, memo)
     if isinstance(node, RelScan):
         assoc = db.schema.association(node.association)
         roles = assoc.role_names()
@@ -657,35 +643,18 @@ def _distinct_of(
                 assoc.name, roles.index(column)
             )
         return _estimate(db, node, memo)
-    if isinstance(node, Select):
-        return min(
-            _distinct_of(db, node.child, column, memo),
-            _estimate(db, node, memo),
-        )
-    if isinstance(node, (Project, Reorder)):
-        return _distinct_of(db, node.child, column, memo)
-    if isinstance(node, Rename):
-        inverse = {new: old for old, new in node.renames}
-        return _distinct_of(db, node.child, inverse.get(column, column), memo)
-    if isinstance(node, (Join, IndexJoin)):
-        left, right = _join_sides(node)
-        owner = left if column in _columns_of(db, left) else right
-        return min(
-            _distinct_of(db, owner, column, memo), _estimate(db, node, memo)
-        )
+    if isinstance(node, ExtentScan) or (
+        isinstance(node, Values) and column == node.into
+    ):
+        return _estimate(db, node, memo)
     if isinstance(node, Union):
         return _distinct_of(db, node.left, column, memo) + _distinct_of(
             db, node.right, column, memo
         )
-    if isinstance(node, Difference):
-        return _distinct_of(db, node.left, column, memo)
-    if isinstance(node, Values):
-        if column == node.into:
-            return _estimate(db, node, memo)
-        return _distinct_of(db, node.child, column, memo)
-    if isinstance(node, Parallel):
-        return _distinct_of(db, node.child, column, memo)
-    return _estimate(db, node, memo)  # pragma: no cover - exhaustive
+    distinct = _distinct_of(db, *_column_source(db, node, column), memo)
+    if isinstance(node, (Select, Join, IndexJoin)):  # the nodes that drop rows
+        return min(distinct, _estimate(db, node, memo))
+    return distinct
 
 
 # ----------------------------------------------------------------------
@@ -710,19 +679,41 @@ def optimize(
     return node
 
 
+def _rebuilt(
+    node: PlanNode,
+    rewrite: Callable[..., PlanNode],
+    *args: Any,
+    only: Optional[Sequence[PlanNode]] = None,
+) -> PlanNode:
+    """*node* over its children as ``rewrite(*args, child)`` returns
+    them (with *only*, just those of them; the others stay) — the one
+    place a plan tree is rebuilt; every pass recurses through it. A node
+    none of whose children changed is returned as it is."""
+    children = node.children
+    rewritten = tuple(
+        [
+            rewrite(*args, child) if only is None or child in only else child
+            for child in children
+        ]
+    )
+    if rewritten == children:  # nodes compare by identity
+        return node
+    return node.with_children(rewritten)
+
+
+def _inputs(node: PlanNode) -> tuple[PlanNode, ...]:
+    """The children *node* runs. An index join probes its scan side and
+    never runs it: that child is keyed and rebuilt like any other, but
+    no pass gives it an access path and ``explain()`` renders it in the
+    join's label, not as a branch."""
+    return node.children[:1] if isinstance(node, IndexJoin) else node.children
+
+
 def _push_selections(db: SeedDatabase, node: PlanNode) -> PlanNode:
     """Sink every Select as deep as soundness allows."""
+    node = _rebuilt(node, _push_selections, db)
     if isinstance(node, Select):
-        child = _push_selections(db, node.child)
-        return _sink(db, node.predicate, child)
-    if isinstance(node, (Project, Rename, Values, Reorder)):
-        return replace(node, child=_push_selections(db, node.child))
-    if isinstance(node, (Join, Union, Difference)):
-        return replace(
-            node,
-            left=_push_selections(db, node.left),
-            right=_push_selections(db, node.right),
-        )
+        return _sink(db, node.predicate, node.child)
     return node
 
 
@@ -732,70 +723,43 @@ def _sink(
     """Place *predicate* as low in *node*'s tree as it stays sound."""
     column = predicate.column if isinstance(predicate, ColumnPredicate) else None
 
-    if isinstance(node, Select):
-        # slide below sibling selections so scans end up directly under
-        # their filters (predicates are pure; order cannot matter)
-        return Select(_sink(db, predicate, node.child), node.predicate)
-    if isinstance(node, (Union, Difference)):
-        # σ(A ∪ B) = σA ∪ σB and σ(A − B) = σA − σB (key-equal rows give
+    if isinstance(node, (Select, Union, Difference)):
+        # below sibling selections, so scans end up directly under their
+        # filters (predicates are pure; order cannot matter); and
+        # σ(A ∪ B) = σA ∪ σB, σ(A − B) = σA − σB (key-equal rows give
         # equal predicate results, so filtering the subtrahend is sound)
-        return replace(
-            node,
-            left=_sink(db, predicate, node.left),
-            right=_sink(db, predicate, node.right),
-        )
+        return _rebuilt(node, _sink, db, predicate)
     if column is None:
-        # opaque row predicate: only union/difference pushes are sound
+        # opaque row predicate: only the pushes above are sound
         return Select(node, predicate)
     if isinstance(node, Rename):
         inverse = {new: old for old, new in node.renames}
         renamed = ColumnPredicate(inverse.get(column, column), predicate.predicate)
-        return replace(node, child=_sink(db, renamed, node.child))
-    if isinstance(node, Reorder):
-        return replace(node, child=_sink(db, predicate, node.child))
-    if isinstance(node, Project):
-        if column in node.columns:
-            return replace(node, child=_sink(db, predicate, node.child))
-        return Select(node, predicate)
-    if isinstance(node, Values):
-        if column != node.into:
-            return replace(node, child=_sink(db, predicate, node.child))
-        return Select(node, predicate)
+        return _rebuilt(node, _sink, db, renamed)
+    if (
+        isinstance(node, Reorder)
+        or (isinstance(node, Project) and column in node.columns)
+        or (isinstance(node, Values) and column != node.into)
+    ):
+        return _rebuilt(node, _sink, db, predicate)
     if isinstance(node, Join):
-        left_columns = _columns_of(db, node.left)
-        right_columns = _columns_of(db, node.right)
-        left, right = node.left, node.right
-        pushed = False
-        if column in left_columns:
-            left = _sink(db, predicate, left)
-            pushed = True
-        if column in right_columns:
-            right = _sink(db, predicate, right)
-            pushed = True
-        if pushed:
-            return Join(left, right)
-        return Select(node, predicate)  # pragma: no cover - unknown column
+        sides = [side for side in node.children if column in _columns_of(db, side)]
+        joined = _rebuilt(node, _sink, db, predicate, only=sides)
+        if joined is not node:
+            return joined
     return Select(node, predicate)
 
 
 def _rewrite_scans(db: SeedDatabase, node: PlanNode) -> PlanNode:
     """Turn recognizable selections over extent scans into indexed scans."""
-    if isinstance(node, Select):
-        child = _rewrite_scans(db, node.child)
-        if isinstance(child, ExtentScan) and isinstance(
-            node.predicate, ColumnPredicate
-        ):
-            if node.predicate.column == child.column:
-                return _absorb_into_scan(db, child, node.predicate)
-        return Select(child, node.predicate)
-    if isinstance(node, (Project, Rename, Values, Reorder)):
-        return replace(node, child=_rewrite_scans(db, node.child))
-    if isinstance(node, (Join, Union, Difference)):
-        return replace(
-            node,
-            left=_rewrite_scans(db, node.left),
-            right=_rewrite_scans(db, node.right),
-        )
+    node = _rebuilt(node, _rewrite_scans, db)
+    if (
+        isinstance(node, Select)
+        and isinstance(node.child, ExtentScan)
+        and isinstance(node.predicate, ColumnPredicate)
+        and node.predicate.column == node.child.column
+    ):
+        return _absorb_into_scan(db, node.child, node.predicate)
     return node
 
 
@@ -847,24 +811,11 @@ def _reduce_values_joins(db: SeedDatabase, node: PlanNode) -> PlanNode:
     both sides all hoist; the join reorderer then sees the bare join
     chain and can reorder through it.
     """
-    if isinstance(node, (Select, Project, Rename, Values, Reorder)):
-        return replace(node, child=_reduce_values_joins(db, node.child))
-    if isinstance(node, (Union, Difference)):
-        return replace(
-            node,
-            left=_reduce_values_joins(db, node.left),
-            right=_reduce_values_joins(db, node.right),
-        )
-    if not isinstance(node, Join):
+    node = _rebuilt(node, _reduce_values_joins, db)
+    hoisted = _hoist_values(db, node)
+    if hoisted is node:
         return node
-    rebuilt = Join(
-        _reduce_values_joins(db, node.left),
-        _reduce_values_joins(db, node.right),
-    )
-    hoisted = _hoist_values(db, rebuilt)
-    if hoisted is rebuilt:
-        return rebuilt
-    original = _columns_of(db, rebuilt)
+    original = _columns_of(db, node)
     if _columns_of(db, hoisted) != original:
         hoisted = Reorder(hoisted, original)
     return hoisted
@@ -903,15 +854,13 @@ def _hoist_values(db: SeedDatabase, node: PlanNode) -> PlanNode:
         and left.into not in _columns_of(db, right)
         and reduces(left, right)
     ):
-        inner = _hoist_values(db, Join(left.child, right))
-        return Values(inner, left.column, left.role_path, left.into)
+        return left.with_children([_hoist_values(db, Join(left.child, right))])
     if (
         isinstance(right, Values)
         and right.into not in _columns_of(db, left)
         and reduces(right, left)
     ):
-        inner = _hoist_values(db, Join(left, right.child))
-        return Values(inner, right.column, right.role_path, right.into)
+        return right.with_children([_hoist_values(db, Join(left, right.child))])
     return node
 
 
@@ -924,16 +873,8 @@ def _plan_joins(db: SeedDatabase, node: PlanNode) -> PlanNode:
         base = _rel_base(node)
         if base is not None:
             return _leaf_access(db, node, base)[0]
-    if isinstance(node, (Select, Project, Rename, Values, Reorder)):
-        return replace(node, child=_plan_joins(db, node.child))
-    if isinstance(node, (Union, Difference)):
-        return replace(
-            node,
-            left=_plan_joins(db, node.left),
-            right=_plan_joins(db, node.right),
-        )
     if not isinstance(node, Join):
-        return node
+        return _rebuilt(node, _plan_joins, db, only=_inputs(node))
 
     memo: dict[int, int] = {}
     factors = [_Factor.of(db, factor, memo) for factor in _flatten_join(node)]
@@ -1087,21 +1028,16 @@ def _read_cost(db: SeedDatabase, node: PlanNode) -> float:
     its slice of the name index, a hash join both inputs, an index
     join its driving side plus the edges it fetches.
     """
-    if isinstance(node, Select):
-        return _read_cost(db, node.child)
     if isinstance(node, ExtentScan) and node.prefix is not None:
         return db.indexes.name_prefix_count(node.prefix)
     if isinstance(node, (ExtentScan, RelScan)):
         return _scanned_rows(db, node)
+    # every other node reads what its inputs read
+    cost = sum(_read_cost(db, child) for child in _inputs(node))
     if isinstance(node, IndexJoin):
         driving_rows = _estimate(db, node.drive, {})
-        return _read_cost(db, node.drive) + _probe_cost(
-            db, driving_rows, _rel_base(node.scan), node.column
-        )
-    if isinstance(node, (Project, Rename, Reorder, Values, Parallel)):
-        return _read_cost(db, node.child)
-    # Join / Union / Difference read both inputs
-    return _read_cost(db, node.left) + _read_cost(db, node.right)
+        cost += _probe_cost(db, driving_rows, _rel_base(node.scan), node.column)
+    return cost
 
 
 def _leaf_access(
@@ -1171,7 +1107,7 @@ def _name_index_path(
 
     def without_prefix(current: Select) -> PlanNode:
         if current is not select:
-            return Select(without_prefix(current.child), current.predicate)
+            return _rebuilt(current, without_prefix)
         rest = tuple(
             part
             for part in _conjuncts(current.predicate.predicate)
@@ -1254,15 +1190,7 @@ def _parallelize(
             if kernel.pool_pays(scanned, config.shards):
                 return Parallel(current, config.shards, backend)
             return current  # the whole chain shares one base: decided
-        if isinstance(current, (Select, Project, Rename, Values, Reorder)):
-            return replace(current, child=wrap(current.child))
-        if isinstance(current, IndexJoin):  # its scan side is never scanned
-            return replace(current, drive=wrap(current.drive))
-        if isinstance(current, (Join, Union, Difference)):
-            return replace(
-                current, left=wrap(current.left), right=wrap(current.right)
-            )
-        return current
+        return _rebuilt(current, wrap, only=_inputs(current))
 
     return wrap(node)
 
@@ -1275,64 +1203,27 @@ def _parallelize(
 def _plan_key(node: PlanNode) -> tuple:
     """Structural, hashable key of a logical tree (cache identity).
 
-    Plan nodes are identity-hashed (``eq=False``), so the key recurses
-    over their fields instead. Raises ``TypeError`` for unhashable
-    predicate payloads — the cache then bypasses itself for that plan.
+    Plan nodes are identity-hashed (``eq=False``), so the key folds
+    their fields instead: the node type, then each field in order — a
+    child by its own key, anything else by :func:`_predicate_key`.
+    Raises ``TypeError`` for unhashable predicate payloads — the cache
+    then bypasses itself for that plan.
     """
-    if isinstance(node, ExtentScan):
-        return (
-            "extent",
-            node.class_name,
-            node.column,
-            node.include_specials,
-            node.prefix,
+    key: list[Any] = [type(node)]
+    for name in _shape(node)[0]:
+        value = getattr(node, name)
+        key.append(
+            _plan_key(value) if isinstance(value, PlanNode) else _predicate_key(value)
         )
-    if isinstance(node, RelScan):
-        return (
-            "rel",
-            node.association,
-            node.include_specials,
-            node.with_attributes,
-        )
-    if isinstance(node, Select):
-        return ("select", _plan_key(node.child), _predicate_key(node.predicate))
-    if isinstance(node, Project):
-        return ("project", _plan_key(node.child), node.columns)
-    if isinstance(node, Rename):
-        return ("rename", _plan_key(node.child), node.renames)
-    if isinstance(node, Reorder):
-        return ("reorder", _plan_key(node.child), node.columns)
-    if isinstance(node, Values):
-        return (
-            "values",
-            _plan_key(node.child),
-            node.column,
-            node.role_path,
-            node.into,
-        )
-    if isinstance(node, Join):
-        return ("join", _plan_key(node.left), _plan_key(node.right))
-    if isinstance(node, Union):
-        return ("union", _plan_key(node.left), _plan_key(node.right))
-    if isinstance(node, Difference):
-        return ("difference", _plan_key(node.left), _plan_key(node.right))
-    if isinstance(node, IndexJoin):
-        return (
-            "indexjoin",
-            _plan_key(node.drive),
-            _plan_key(node.scan),
-            node.column,
-        )
-    if isinstance(node, Parallel):
-        return ("parallel", _plan_key(node.child), node.shards, node.backend)
-    raise AssertionError(f"unhandled node {type(node).__name__}")  # pragma: no cover
+    return tuple(key)
 
 
 def _predicate_key(predicate: Any) -> Any:
     """Hashable cache key of a predicate.
 
     Structured predicates are frozen dataclasses and key by value;
-    opaque callables key by their (default, identity-based) hash. The
+    opaque callables key by their (default, identity-based) hash, and a
+    plain field value (a name, a column tuple) is its own key. The
     cache keeps a reference to every keyed predicate via the stored
     plan, so an identity key can never be reused by a new object while
     its entry lives.
@@ -1343,165 +1234,72 @@ def _predicate_key(predicate: Any) -> Any:
     return predicate
 
 
-def _collect_predicate_stats(
-    db: SeedDatabase,
-    child: PlanNode,
-    predicate: Any,
-    class_name: Optional[str],
-    pairs: list[tuple[tuple, float]],
-) -> None:
-    """Selectivity inputs reachable inside a structured predicate.
+#: plans one database's cache keeps (least recently used go first)
+CAPACITY = 256
+#: a statistic has drifted when it moved by more than DRIFT_MIN_DELTA
+#: rows *and* by more than DRIFT_RATIO× (+1-smoothed); both are read at
+#: call time
+DRIFT_RATIO = 2.0
+DRIFT_MIN_DELTA = 16
 
-    One pair per NamePrefix (matching-name count), HasValue
-    (defined-value count of the traced class), ValueEquals (histogram
-    frequency of the expected value), and ParticipatesIn
-    (distinct-participant count) — the statistics whose drift can turn
-    a cached ordering stale without any extent or association size
-    moving (mass renames, mass re-valuations, participation churn).
-    """
+
+class _RecordingIndexes:
+    """``db.indexes`` for the length of one optimization: every
+    statistic accessor answers from the real index layer and notes
+    ``(accessor, *args) -> value`` in :attr:`reads` — what the plan
+    cache then watches for drift. An accessor that rejects an
+    unhashable argument raises before anything is noted, so such a
+    read is simply not recorded."""
+
+    def __init__(self, indexes: Any) -> None:
+        self._indexes = indexes
+        self.reads: dict[tuple, float] = {}
+
+    def __getattr__(self, accessor: str) -> Callable[..., float]:
+        lookup, reads = getattr(self._indexes, accessor), self.reads
+
+        def read(*args: Any) -> float:
+            value = lookup(*args)
+            reads.setdefault((accessor, *args), value)
+            return value
+
+        setattr(self, accessor, read)  # found without __getattr__ from now on
+        return read
+
+
+def _drifted(db: SeedDatabase, reads: dict[tuple, float]) -> bool:
+    """Has any statistic in *reads* moved past the drift threshold?"""
     indexes = db.indexes
-    if isinstance(predicate, ColumnPredicate):
-        _collect_predicate_stats(
-            db,
-            child,
-            predicate.predicate,
-            _column_class(db, child, predicate.column),
-            pairs,
-        )
-    elif isinstance(predicate, NamePrefix):
-        pairs.append(
-            (
-                ("prefix", predicate.prefix),
-                indexes.name_prefix_count(predicate.prefix),
-            )
-        )
-    elif isinstance(predicate, (HasValue, ValueEquals)) and class_name:
-        wanted = db.schema.entity_class(class_name)
-        if isinstance(predicate, HasValue):
-            pairs.append(
-                (("defined", class_name), indexes.defined_count(wanted))
-            )
-        else:
-            try:
-                frequency = indexes.value_frequency(wanted, predicate.expected)
-            except TypeError:  # unhashable expected value: not costed
-                return
-            pairs.append((("valfreq", class_name), frequency))
-    elif isinstance(predicate, ParticipatesIn):
-        pairs.append(
-            (
-                ("participants", predicate.association),
-                indexes.distinct_participants(predicate.association),
-            )
-        )
-    elif isinstance(predicate, (And, Or)):
-        for part in predicate.parts:
-            _collect_predicate_stats(db, child, part, class_name, pairs)
-    elif isinstance(predicate, Not):
-        _collect_predicate_stats(db, child, predicate.part, class_name, pairs)
-
-
-def _stats_snapshot(db: SeedDatabase, node: PlanNode) -> tuple:
-    """The statistics a plan's optimization depended on.
-
-    One ``(key, count)`` pair per scanned extent / association — an
-    association also records its family size and its distinct
-    participants per role, the inputs of every ``IndexJoin`` costed
-    into it — plus
-    the selectivity inputs of every structured selection predicate
-    (prefix counts, defined-value counts, value frequencies, distinct
-    participants) — the snapshot is taken on the *logical* tree (what
-    the cache keys on), where that selectivity still lives in the
-    Select predicates. Stored next to each cached plan so a lookup can
-    detect drift: the same walk over current statistics yields pairs
-    in the same order, making the comparison positional.
-    """
-    pairs: list[tuple[tuple, float]] = []
-    indexes = db.indexes
-
-    def walk(current: PlanNode) -> None:
-        if isinstance(current, ExtentScan):
-            wanted = db.schema.entity_class(current.class_name)
-            pairs.append(
-                (
-                    ("extent", current.class_name, current.include_specials),
-                    indexes.extent_size(wanted, current.include_specials),
-                )
-            )
-            if current.prefix is not None:
-                pairs.append(
-                    (
-                        ("prefix", current.prefix),
-                        indexes.name_prefix_count(current.prefix),
-                    )
-                )
-            return
-        if isinstance(current, RelScan):
-            name = current.association
-            pairs.append((("assoc", name), indexes.association_size(name)))
-            # what an IndexJoin into this scan was costed from: the rows
-            # the kernel would read instead, and the fan-out per role
-            root_name = db.schema.association(name).family_root().name
-            pairs.append((("family", root_name), indexes.family_size(root_name)))
-            for position in (0, 1):
-                pairs.append(
-                    (
-                        ("participants", name, position),
-                        indexes.distinct_participants(name, position),
-                    )
-                )
-            return
-        if isinstance(current, Select):
-            _collect_predicate_stats(
-                db, current.child, current.predicate, None, pairs
-            )
-            walk(current.child)
-            return
-        if isinstance(current, (Project, Rename, Values, Reorder, Parallel)):
-            walk(current.child)
-            return
-        if isinstance(current, IndexJoin):
-            walk(current.drive)
-            walk(current.scan)
-            return
-        walk(current.left)  # Join / Union / Difference
-        walk(current.right)
-
-    walk(node)
-    return tuple(pairs)
+    for (accessor, *args), old in reads.items():
+        new = getattr(indexes, accessor)(*args)
+        if abs(new - old) <= DRIFT_MIN_DELTA:
+            continue
+        low, high = sorted((old, new))
+        if (high + 1) / (low + 1) > DRIFT_RATIO:
+            return True
+    return False
 
 
 class PlanCache:
     """LRU memo of optimizer output for one database, drift-aware.
 
-    Keys are ``(structural plan key, schema epoch)``; the epoch is the
-    database's current schema version index, so entries cached under a
-    pre-migration schema can never be served afterwards (and
-    ``migrate_schema`` clears the cache anyway). Correctness does not
-    depend on statistics: a cached plan stays *sound* as data changes,
-    merely possibly non-optimal.
+    Keys are ``(structural plan key, schema epoch, parallel config)``;
+    the epoch is the database's current schema version index, so
+    entries cached under a pre-migration schema can never be served
+    afterwards (and ``migrate_schema`` clears the cache anyway).
+    Correctness does not depend on statistics: a cached plan stays
+    *sound* as data changes, merely possibly non-optimal.
 
-    **Drift invalidation** closes the staleness hole: each entry
-    records the :func:`_stats_snapshot` it was optimized under, and a
-    lookup whose *current* leaf cardinalities drifted past the
-    threshold (any pair changing by more than ``drift_min_delta`` rows
-    *and* more than ``drift_ratio``×, with +1 smoothing so near-empty
-    snapshots still compare) re-optimizes in place instead of serving
-    the pinned plan. Bulk-load finalize, compaction GC, and large
-    check-ins thereby invalidate exactly the plans whose inputs they
-    changed — no wholesale clears, small oscillations never thrash.
+    Each entry keeps the statistics its optimization read; a lookup
+    serves it while none of them has drifted (module docstring, layer
+    4) and otherwise re-optimizes in place. Bulk-load finalize,
+    compaction GC, and large check-ins thereby invalidate exactly the
+    plans whose inputs they changed — no wholesale clears, small
+    oscillations never thrash.
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        drift_ratio: float = 2.0,
-        drift_min_delta: int = 16,
-    ) -> None:
-        self.capacity = capacity
-        self.drift_ratio = drift_ratio
-        self.drift_min_delta = drift_min_delta
-        self._entries: "OrderedDict[tuple, tuple[PlanNode, tuple]]" = OrderedDict()
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[tuple, tuple[PlanNode, dict]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
@@ -1513,15 +1311,6 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every cached plan (schema migration)."""
         self._entries.clear()
-
-    def _drifted(self, before: tuple, current: tuple) -> bool:
-        for (__, old), (__, new) in zip(before, current):
-            if abs(new - old) <= self.drift_min_delta:
-                continue
-            low, high = sorted((old, new))
-            if (high + 1) / (low + 1) > self.drift_ratio:
-                return True
-        return False
 
     def optimized(
         self,
@@ -1541,23 +1330,22 @@ class PlanCache:
             self.bypasses += 1
             return optimize(db, node, parallel)
         entry = self._entries.get(key)
-        current: Optional[tuple] = None
-        if entry is not None:
-            cached, snapshot = entry
-            current = _stats_snapshot(db, node)
-            if not self._drifted(snapshot, current):
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return cached
+        if entry is None:
+            self.misses += 1
+        elif _drifted(db, entry[1]):
             self.reoptimizations += 1
         else:
-            self.misses += 1
-        result = optimize(db, node, parallel)
-        if current is None:
-            current = _stats_snapshot(db, node)
-        self._entries[key] = (result, current)
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return entry[0]
+        # the optimizer reads a database's schema and statistics, nothing
+        # else: hand it the statistics through the recording seam
+        indexes = _RecordingIndexes(db.indexes)
+        seen = SimpleNamespace(schema=db.schema, indexes=indexes)
+        result = optimize(seen, node, parallel)
+        self._entries[key] = (result, indexes.reads)
         self._entries.move_to_end(key)
-        if len(self._entries) > self.capacity:
+        if len(self._entries) > CAPACITY:
             self._entries.popitem(last=False)
         return result
 
@@ -1835,10 +1623,6 @@ def _node_label(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -> str:
             detail += " exact"
         if filters:
             detail += f" filter {' and '.join(reversed(filters))}"
-    elif isinstance(node, Union):
-        detail = "Union"
-    elif isinstance(node, Difference):
-        detail = "Difference"
     elif isinstance(node, Values):
         detail = f"Values {node.column}.{node.role_path} -> {node.into}"
     elif isinstance(node, Parallel):
@@ -1847,19 +1631,9 @@ def _node_label(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -> str:
             f"Parallel shards={node.shards} backend={node.backend} "
             f"per-shard~{per_shard}+{kernel.DISPATCH_OVERHEAD} dispatch"
         )
-    else:  # pragma: no cover - exhaustive
-        raise AssertionError(f"unhandled node {type(node).__name__}")
+    else:
+        detail = type(node).__name__
     return f"{detail}  est~{estimate}"
-
-
-def _children_of(node: PlanNode) -> tuple[PlanNode, ...]:
-    if isinstance(node, (Select, Project, Rename, Values, Reorder, Parallel)):
-        return (node.child,)
-    if isinstance(node, (Join, Union, Difference)):
-        return (node.left, node.right)
-    if isinstance(node, IndexJoin):  # the scan side is in the label
-        return (node.drive,)
-    return ()
 
 
 def _render(
@@ -1872,7 +1646,7 @@ def _render(
     follow: str,
 ) -> None:
     lines.append(indent + branch + _node_label(db, node, memo))
-    children = _children_of(node)
+    children = _inputs(node)
     for position, child in enumerate(children):
         last = position == len(children) - 1
         _render(

@@ -209,7 +209,7 @@ class ValueEquals(ObjectPredicate):
     """Match defined values equal to *expected* (undefined matches nothing).
 
     Recognized by the planner's cost model: selectivity comes from the
-    class's top-K + remainder value histogram.
+    class's maintained (exact) count of objects holding the value.
     """
 
     expected: Any

@@ -37,7 +37,6 @@ from repro.core.query import parallel as parallel_mod
 from repro.core.query.parallel import ParallelConfig
 from repro.core.query.planner import (
     Parallel,
-    _children_of,
     on,
     plan,
     plan_cache,
@@ -96,7 +95,7 @@ def _exit_in_worker(obj) -> bool:
 
 def count_parallel(node) -> int:
     total = 1 if isinstance(node, Parallel) else 0
-    return total + sum(count_parallel(child) for child in _children_of(node))
+    return total + sum(count_parallel(child) for child in node.children)
 
 
 def small_db(size: int = 120) -> SeedDatabase:

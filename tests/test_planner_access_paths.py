@@ -29,7 +29,6 @@ from repro.core.query.planner import (
     Parallel,
     RelScan,
     Select,
-    _children_of,
     execute_node,
     on,
     plan,
@@ -109,7 +108,7 @@ def family_rows(monkeypatch) -> list[int]:
 
 def _nodes(node):
     yield node
-    for child in _children_of(node):
+    for child in node.children:
         yield from _nodes(child)
 
 

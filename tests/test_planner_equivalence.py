@@ -34,7 +34,6 @@ from repro.core.query.planner import (
     ExtentScan,
     IndexJoin,
     Reorder,
-    _children_of,
     on,
     plan,
 )
@@ -120,7 +119,7 @@ class TestRandomizedEquivalence:
 
 def _walk(node):
     yield node
-    for child in _children_of(node):
+    for child in node.children:
         yield from _walk(child)
 
 

@@ -9,6 +9,7 @@ plan objects, runs, and identically-built databases (golden snapshots).
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -16,9 +17,13 @@ from _planner_gen import build_population, random_query, row_multiset
 from repro.core.database import SeedDatabase
 from repro.core.errors import QueryError
 from repro.core.indexes import brute_objects, brute_relationships
+from repro.core.query import planner
 from repro.core.query.planner import (
     ExtentScan,
+    IndexJoin,
     Join,
+    PlanNode,
+    RelScan,
     Reorder,
     Select,
     Union,
@@ -422,12 +427,12 @@ class TestPlanCache:
         rows = query.execute().rows  # served via the cached plan
         assert [str(row[0].name) for row in rows] == ["NewInput"]
 
-    def test_lru_eviction(self):
+    def test_lru_eviction(self, monkeypatch):
         from repro.core.query.planner import plan_cache
 
         db = make_db()
         cache = plan_cache(db)
-        cache.capacity = 2
+        monkeypatch.setattr(planner, "CAPACITY", 2)
         for prefix in ("A", "B", "C"):
             plan(db).extent("Data", column="d").select(
                 on("d", name_prefix(prefix))
@@ -439,3 +444,58 @@ class TestPlanCache:
             on("d", name_prefix("A"))
         ).optimized()
         assert cache.misses == misses_before + 1
+
+
+class TestTreeWalk:
+    """The tree shape is said once: ``PlanNode.children``, off the fields."""
+
+    def test_new_unary_node_is_keyed_rewritten_and_rendered(self, db):
+        # a node type the planner has never heard of
+        @dataclass(frozen=True, eq=False)
+        class Tagged(PlanNode):
+            child: PlanNode
+            tag: str
+
+        def tagged(tag: str, prefix: str) -> Tagged:
+            scan = plan(db).extent("Data", column="d")
+            return Tagged(scan.select(on("d", name_prefix(prefix))).node, tag)
+
+        node = tagged("t", "Al")
+        assert node.children == (node.child,)
+        key = planner._plan_key(node)
+        assert key == planner._plan_key(tagged("t", "Al"))
+        assert key != planner._plan_key(tagged("u", "Al"))
+        assert key != planner._plan_key(tagged("t", "St"))
+        # the mapper walked through it: the selection underneath became
+        # the indexed scan, the node itself was rebuilt around it
+        optimized = planner.optimize(db, node)
+        assert isinstance(optimized, Tagged) and optimized.tag == "t"
+        assert isinstance(optimized.child, ExtentScan)
+        assert optimized.child.prefix == "Al"
+        assert planner.explain(db, optimized) == "\n".join(
+            [
+                "Tagged  est~1",
+                "└─ ExtentScan Data as d prefix='Al'  est~1",
+            ]
+        )
+
+    def test_index_join_scan_side_is_a_child_but_not_a_branch(self, db):
+        drive = ExtentScan("Action", "by", True, "Han")
+        scan = Select(RelScan("Read"), on("from", name_prefix("St")))
+        join = IndexJoin(drive, scan, "by")
+        assert join.children == (drive, scan)
+        other = Select(RelScan("Read"), on("from", name_prefix("Zz")))
+        assert planner._plan_key(join) != planner._plan_key(
+            IndexJoin(drive, other, "by")
+        )
+        swapped = planner._rebuilt(
+            join, lambda child: other if child is scan else child
+        )
+        assert (swapped.drive, swapped.scan, swapped.column) == (drive, other, "by")
+        # explain() renders the scan side in the label, the drive below
+        assert planner.explain(db, join) == "\n".join(
+            [
+                "IndexJoin Read.by filter from: name^='St'  est~1",
+                "└─ ExtentScan Action as by prefix='Han'  est~1",
+            ]
+        )

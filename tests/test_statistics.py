@@ -34,11 +34,13 @@ from repro.core.indexes import (
     brute_value_counts,
     prefix_upper_bound,
 )
+from repro.core.query import planner
 from repro.core.query.planner import (
     Join,
+    RelScan,
     Reorder,
+    Select,
     Values,
-    _stats_snapshot,
     execute_node,
     on,
     plan,
@@ -46,6 +48,7 @@ from repro.core.query.planner import (
 )
 from repro.core.query.predicates import (
     has_value,
+    in_class,
     name_prefix,
     participates_in,
     value_is,
@@ -298,11 +301,16 @@ class TestHistogramAccessors:
 
     def test_value_frequency_exact_and_tail(self, db):
         wanted = db.schema.entity_class("Label")
-        assert db.indexes.value_frequency(wanted, "hot", k=2) == 12.0
-        # tail values estimate at the remainder average
-        assert db.indexes.value_frequency(wanted, "cold20", k=2) == 1.0
-        # a class with no remainder: unseen values estimate to zero
-        assert db.indexes.value_frequency(wanted, "unseen", k=24) == 0.0
+        assert db.indexes.value_frequency(wanted, "hot") == 12.0
+        # a tail value is its maintained count, not a remainder average
+        db.set_value(db.get_object("H19"), "cold20")
+        assert db.indexes.value_frequency(wanted, "cold20") == 2.0
+        assert db.indexes.value_frequency(wanted, "cold21") == 1.0
+        assert db.indexes.value_frequency(wanted, "unseen") == 0.0
+        # the all-class sums behind an untraceable column agree
+        assert db.indexes.total_value_frequency("hot") == 12.0
+        assert db.indexes.total_defined() == db.indexes.defined_count(wanted)
+        assert db.indexes.name_count() == len(db.indexes.names)
 
     def test_defined_count_tracks_clears(self, db):
         label = db.schema.entity_class("Label")
@@ -545,11 +553,11 @@ class TestDriftAwareCache:
         db.create_object("Doc", "OnlyDoc")
         assert query.optimized() is cached
 
-    def test_drift_knobs(self):
+    def test_drift_knobs(self, monkeypatch):
         db = SeedDatabase(drift_schema(), "drift-knobs")
         cache = plan_cache(db)
-        cache.drift_min_delta = 0
-        cache.drift_ratio = 1.0
+        monkeypatch.setattr(planner, "DRIFT_MIN_DELTA", 0)
+        monkeypatch.setattr(planner, "DRIFT_RATIO", 1.0)
         db.create_object("Note", "Hot0")
         query = drift_query(db)
         query.optimized()
@@ -561,18 +569,81 @@ class TestDriftAwareCache:
         db = SeedDatabase(drift_schema(), "drift-snap")
         db.create_object("Note", "Hot0")
         query = drift_query(db)
-        snapshot = _stats_snapshot(db, query.node)
-        keys = [key for key, __ in snapshot]
-        assert ("assoc", "Covers") in keys
+        query.optimized()
+        ((__, reads),) = plan_cache(db)._entries.values()
+        note = db.schema.entity_class("Note")
+        assert ("association_size", "Covers") in reads
         # what an index join into the association is costed from
-        assert ("family", "Covers") in keys
-        assert ("participants", "Covers", 0) in keys
-        assert ("participants", "Covers", 1) in keys
-        assert ("extent", "Note", True) in keys
-        # prefix selectivity lives in the Select on the logical tree:
-        # the snapshot must record its count, or pure name churn could
-        # never trip the drift threshold
-        assert ("prefix", "Hot") in keys
+        assert ("family_size", "Covers") in reads
+        assert ("distinct_participants", "Covers", 0) in reads
+        assert ("extent_size", note, True) in reads
+        # prefix selectivity: pure name churn must be able to drift
+        assert ("name_prefix_count", "Hot") in reads
+        assert ("name_count",) in reads
+        # every recorded key re-reads to the value it was recorded with
+        for (accessor, *args), value in reads.items():
+            assert getattr(db.indexes, accessor)(*args) == value
+
+    def test_mass_reclassification_reoptimizes(self):
+        # `in_class` on a role column of a RelScan, no extent scan in
+        # the query: its selectivity is extent_size(Hot) / total_objects
+        # — the re-classification the paper is about must drift the plan
+        builder = SchemaBuilder("reclass")
+        builder.entity_class("Thing")
+        builder.entity_class("Hot", specializes="Thing")
+        builder.entity_class("Doc")
+        builder.association(
+            "Covers", ("note", "Thing", "0..*"), ("doc", "Doc", "0..*")
+        )
+        builder.association(
+            "Cites", ("doc", "Doc", "0..*"), ("source", "Doc", "0..*")
+        )
+        db = SeedDatabase(builder.build(), "drift-reclass")
+        things = [db.create_object("Thing", f"T{i}") for i in range(300)]
+        docs = [db.create_object("Doc", f"D{i}") for i in range(30)]
+        for i, thing in enumerate(things):
+            db.relate("Covers", note=thing, doc=docs[i % 30])
+        for i, doc in enumerate(docs):
+            db.relate("Cites", doc=doc, source=docs[(i + 1) % 30])
+        query = (
+            plan(db)
+            .relationship("Covers")
+            .select(on("note", in_class("Hot")))
+            .join(plan(db).relationship("Cites"))
+        )
+        cache = plan_cache(db)
+        stale = query.optimized()
+        assert "Select note: in_class(Hot)  est~1\n" in query.explain()
+        assert isinstance(stale.left, Select)  # builds the one selected row
+        for thing in things[:250]:
+            db.reclassify(thing, "Hot")
+        fresh = query.optimized()
+        assert cache.reoptimizations == 1
+        # 227 selected rows now: the 30 citations are the build side
+        assert isinstance(fresh, Reorder) and isinstance(fresh.child.left, RelScan)
+
+    def test_role_participation_drift_reoptimizes(self):
+        # `participates_in(assoc, role=...)` on a role column is costed
+        # from the per-position distinct participants and the role
+        # class's extent — neither an association nor a family size
+        db = SeedDatabase(drift_schema(), "drift-role")
+        docs = [db.create_object("Doc", f"D{i}") for i in range(120)]
+        notes = [db.create_object("Note", f"N{i}") for i in range(120)]
+        edges = [db.relate("Covers", note=notes[i], doc=docs[0]) for i in range(120)]
+        query = (
+            plan(db)
+            .relationship("Covers")
+            .select(on("doc", participates_in("Covers", role="doc")))
+            .join(plan(db).extent("Note", column="note"))
+        )
+        cache = plan_cache(db)
+        assert query.optimized() is query.optimized()
+        for i, edge in enumerate(edges):  # the same edges, fanned over every doc
+            db.delete(edge)
+            db.relate("Covers", note=notes[i], doc=docs[i])
+        assert db.indexes.association_size("Covers") == 120
+        query.optimized()
+        assert cache.reoptimizations == 1
 
     def test_value_distribution_drift_reoptimizes(self):
         # mass re-valuation changes no extent, association, or name
