@@ -103,13 +103,17 @@ def wire_item_states(
     parent's child list when its parent pointer is new (a fresh or
     detached record), a live independent owns its name-index entry,
     and a relationship joins the incidence list of every endpoint it
-    was not bound to before (tombstones included).
+    was not bound to before (tombstones included). Every key written is
+    reported to the database's ``_state_sink`` when one is bound.
     """
     objects = db._objects  # noqa: SLF001
     name_index = db._name_index  # noqa: SLF001
     schema = db.schema
     next_id = db._next_id  # noqa: SLF001
+    sink = db._state_sink  # noqa: SLF001
     for oid, state in object_states:
+        if sink is not None:
+            sink(("o", oid))
         obj = objects.get(oid)
         if obj is None:
             obj = objects[oid] = SeedObject(
@@ -130,6 +134,8 @@ def wire_item_states(
     relationships = db._relationships  # noqa: SLF001
     incidence = db._incidence  # noqa: SLF001
     for rid, state in relationship_states:
+        if sink is not None:
+            sink(("r", rid))
         rel = relationships.get(rid)
         if rel is None:
             rel = relationships[rid] = SeedRelationship(

@@ -69,7 +69,7 @@ journal replay, and ``bulk_load(records=...)``).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from repro.core.bulk import BulkContext, load_item_states
 from repro.core.completeness import CompletenessEngine, CompletenessReport
@@ -199,6 +199,13 @@ class SeedDatabase:
         #: record per event, making *every* committed mutation —
         #: transactional or not — durable at O(change).
         self._change_sink: Optional[Any] = None
+        #: called with the key of every item whose state may have been
+        #: written: each key a unit of work touched, committed or rolled
+        #: back (before the change sink hears of a commit), and each
+        #: item :func:`~repro.core.bulk.wire_item_states` thawed. None
+        #: unless a journal keeps encoded image fragments (it drops the
+        #: item's fragment)
+        self._state_sink: Optional[Callable[[ItemKey], None]] = None
         self.indexes = IndexLayer(self)
         self.consistency = ConsistencyEngine(self)
         self.completeness = CompletenessEngine(self)
@@ -439,6 +446,7 @@ class SeedDatabase:
         Runs after the commit is fully applied in memory; a no-op
         commit (nothing touched) emits nothing.
         """
+        self._report_touched(txn)
         if txn.touched:
             self._emit_change("txn", txn)
 
@@ -455,9 +463,17 @@ class SeedDatabase:
         if sink is not None:
             sink(kind, payload)
 
+    def _report_touched(self, txn: _Transaction) -> None:
+        """Hand every key *txn* touched to the state sink (if bound)."""
+        sink = self._state_sink
+        if sink is not None:
+            for key in txn.touched:
+                sink(key)
+
     def _rollback(self, txn: _Transaction) -> None:
         self._undo_to(txn, 0)
         self._dirty -= txn.dirty_added
+        self._report_touched(txn)
 
     def _undo_to(self, txn: _Transaction, mark: int) -> None:
         while len(txn.undo) > mark:

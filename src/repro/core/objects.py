@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SeedObject", "ObjectState"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectState:
     """Immutable snapshot of an object's mutable fields.
 

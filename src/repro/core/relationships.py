@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SeedRelationship", "RelationshipState"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationshipState:
     """Immutable snapshot of a relationship for the version store."""
 

@@ -10,7 +10,19 @@ in one journal file:
   database image (the canonical dict of
   :mod:`repro.core.storage.serialize`), appended by
   :meth:`JournaledDatabase.checkpoint` and written/read whole by
-  :func:`save_database` / :func:`load_database`. A *streamed*
+  :func:`save_database` / :func:`load_database`. The journal's
+  checkpoint does not rebuild that dict: it keeps one encoded JSON
+  fragment per object, relationship and version-store cell
+  (:class:`~repro.core.storage.serialize.ImageFragments`), drops a
+  fragment wherever state is written — every key a unit of work
+  touched (committed or rolled back, check-in applies included),
+  every item ``wire_item_states`` thawed, every cell a
+  :class:`~repro.core.versions.store.VersionStore` writer changed, all
+  live items on a ``restore`` or ``schema`` event — and joins the kept
+  fragments with a freshly encoded header, re-encoding only the
+  dropped ones. The payload equals ``RecordFile.encode`` of the
+  :func:`~repro.core.storage.serialize.database_to_dict` record byte
+  for byte; that from-scratch encode stays as the oracle. A *streamed*
   checkpoint instead appends a counted group —
   ``{"kind": "image.begin", "cp": k}``, one ``{"kind": "image.rec",
   "cp": k, "rec": ...}`` per streamed image record, ``{"kind":
@@ -67,6 +79,16 @@ Recovery contract (shared by :func:`load_database` and
    (or raised, with ``strict=True``). A *torn tail* (the clean prefix
    an interrupted append leaves) stays silent: that is ordinary crash
    recovery, not data loss.
+6. :meth:`JournaledDatabase.open` — the one loader that goes on to
+   append — never appends behind damage a load stops at, so a commit
+   acknowledged after a damaged open survives the next reopen (and a
+   compaction). It truncates a torn tail to the end of the last intact
+   frame (fsync'd), and after a corrupt region past the base (or a
+   rotted tail) it checkpoints the recovered state before returning —
+   a fresh base past the damage, which stays in the file for
+   ``repro fsck --salvage`` to quarantine. :func:`load_database` and
+   ``repro fsck`` stay read-only, and a ``strict=True`` open that
+   raises writes nothing.
 
 **Group commit.** By default every committed transaction is its own
 fsync'd append — the strict PR 9 contract. Opting in to a
@@ -130,6 +152,7 @@ from repro.core.errors import RecoveryWarning, SeedError, StorageError
 from repro.core.schema.attached import ProcedureRegistry
 from repro.core.storage.recordfile import IntegrityReport, RecordFile
 from repro.core.storage.serialize import (
+    ImageFragments,
     apply_restore_delta,
     apply_schema_delta,
     apply_txn_delta,
@@ -516,6 +539,15 @@ def _load_journal_state(
     return db, info, max_seq + 1
 
 
+def _damaged_after(report: IntegrityReport, base: BaseUnit) -> bool:
+    """True when damage a load stops at sits after *base*: a corrupt
+    region, or a tail that rotted rather than tore (once something is
+    appended, it is a corrupt region too)."""
+    return any(r.offset > base.offset for r in report.corrupt_ranges) or (
+        report.tail_problem is not None and not report.tail_is_torn
+    )
+
+
 def _surface_recovery(
     info: RecoveryInfo, path: str | Path, strict: bool
 ) -> None:
@@ -604,7 +636,12 @@ class JournaledDatabase:
         # sink suspension depth: >0 while a check-in apply runs (the
         # check-in delta already covers those commits write-ahead)
         self._sink_suspended = 0
+        # the monolithic checkpoint's encoded items and cells; every
+        # state write drops the fragment it may have changed
+        self._fragments = ImageFragments()
         db._change_sink = self._on_change_event  # noqa: SLF001 - the seam
+        db._state_sink = self._fragments.item_changed  # noqa: SLF001
+        db.versions.store._cell_sink = self._fragments.cell_changed  # noqa: SLF001
 
     @classmethod
     def open(
@@ -628,14 +665,26 @@ class JournaledDatabase:
         is written. A file that exists but contains no intact record at
         all (e.g. a crash tore the very first checkpoint) counts as
         fresh: recovering to the empty pre-first-commit state is the
-        prefix-consistent answer.
+        prefix-consistent answer. Before appending anything, a torn tail
+        is cut and damage past the base is stepped over with a fresh
+        checkpoint (recovery contract, point 6).
         """
         record_file = RecordFile(path)
         if record_file.exists():
             db, info, next_seq = _load_journal_state(record_file, registry)
+            report = info.report
             if db is not None:
                 _surface_recovery(info, path, strict)
-                return cls(
+            elif report.intact_records > 0:
+                # intact records but no image: not a journal we can
+                # resume, and not safe to clobber with a fresh one
+                raise StorageError(f"no intact database image in {path}")
+            # what follows appends to the file, and a load replays
+            # nothing past damage: the appends must not land behind any
+            if report.tail_is_torn:
+                record_file.truncate(report.tail_offset)
+            if db is not None:
+                journal = cls(
                     db,
                     record_file,
                     recovery=info,
@@ -645,10 +694,11 @@ class JournaledDatabase:
                     clock=clock,
                     streamed_checkpoints=streamed_checkpoints,
                 )
-            if info.report.intact_records > 0:
-                # intact records but no image: not a journal we can
-                # resume, and not safe to clobber with a fresh one
-                raise StorageError(f"no intact database image in {path}")
+                if _damaged_after(report, info.base):
+                    # a fresh base past the damage, which stays in
+                    # place for ``fsck --salvage`` to quarantine
+                    journal.checkpoint()
+                return journal
         if schema is None:
             raise StorageError(
                 f"no journal at {path} and no schema given to create one"
@@ -675,7 +725,9 @@ class JournaledDatabase:
 
         The image supersedes every earlier record on load (deltas
         before it replay into it implicitly). Flush barrier: any
-        buffered group-commit records are appended first.
+        buffered group-commit records are appended first. A monolithic
+        image is joined from the journal's cached per-item fragments:
+        only what changed since the last checkpoint is encoded again.
 
         With ``streamed=True`` (or :attr:`streamed_checkpoints`), the
         image is appended as a counted ``image.begin`` / ``image.rec``
@@ -692,9 +744,7 @@ class JournaledDatabase:
             streamed = self.streamed_checkpoints
         if not streamed:
             cp = None
-            offset, end = self._file.append(
-                {"kind": "image", "image": database_to_dict(self.db)}
-            )
+            offset, end = self._file.append(self._fragments.encode(self.db))
         else:
             cp = self._next_seq
             self._next_seq += 1
@@ -751,6 +801,9 @@ class JournaledDatabase:
         — draining any buffered txns in the same fsync'd batch — before
         returning.
         """
+        if kind in ("restore", "schema"):
+            # every live item was rewritten or re-bound
+            self._fragments.items_replaced()
         if self._sink_suspended:
             return
         if kind == "txn":

@@ -23,11 +23,12 @@ One writer, one parser
 ----------------------
 
 The surface is append (``append``, ``append_many``/``append_encoded``),
-stream (``append_stream``) and replace (``rewrite``) — the seam a
-``StorageBackend`` protocol would name; nothing is built behind it.
+stream (``append_stream``), replace (``rewrite``) and cut a torn tail
+(``truncate``) — the seam a ``StorageBackend`` protocol would name;
+nothing is built behind it.
 
-* ``RecordFile._write`` is the only code that opens a record file for
-  writing: open-append, write each blob, one fsync, plus a directory
+* ``RecordFile._write`` is the only code that adds bytes to a record
+  file: open-append, write each blob, one fsync, plus a directory
   fsync when the call created the file. Failpoints (armed via
   :mod:`repro.core.faults`): ``recordfile.append.pre_write`` per blob
   (a torn write persists the truncated prefix and crashes),
@@ -255,11 +256,14 @@ class RecordFile:
     # -- writing ------------------------------------------------------------
 
     def append(self, record: Any) -> tuple[int, int]:
-        """Append one JSON-serialisable record, fsync'd.
+        """Append one record, fsync'd: a JSON-serialisable value, or the
+        payload bytes :meth:`encode` would make of one (a checkpoint
+        joins its image from cached per-item fragments).
 
         Returns the appended record's byte range ``(offset, end)``.
         """
-        return self._write([_frame(self.encode(record))])[:2]
+        payload = record if isinstance(record, bytes) else self.encode(record)
+        return self._write([_frame(payload)])[:2]
 
     def append_many(self, records: Iterator[Any] | list[Any]) -> int:
         """Append several records with one open/fsync; returns the count."""
@@ -323,6 +327,17 @@ class RecordFile:
         if creating:
             _fsync_directory(self.path.parent)
         return offset, end, count
+
+    def truncate(self, end: int) -> None:
+        """Cut the file back to its first *end* bytes, fsync'd.
+
+        How a torn tail (the partial frame an interrupted append left)
+        is dropped, so the next append follows the last intact frame.
+        """
+        with open(self.path, "r+b") as handle:
+            handle.truncate(end)
+            handle.flush()
+            os.fsync(handle.fileno())
 
     def _read_ranges(self, ranges: list[tuple[int, int]]) -> list[bytes]:
         """The current file's bytes at each ``(offset, end)`` range."""

@@ -17,7 +17,10 @@ here hands decoded states to :func:`repro.core.bulk.wire_item_states`
 (wholesale loads via ``load_item_states``), which applies them with the
 records' ``thaw``. :func:`database_from_records` is the one image
 decoder; :func:`database_from_dict` only re-shapes a monolithic image
-into that stream.
+into that stream. :class:`ImageFragments` is the one other image
+encoder: it keeps each item's and cell's encoded bytes and produces the
+monolithic record of :func:`database_to_dict` byte for byte, re-encoding
+only what was reported changed.
 
 Attached procedures serialise by *name*; loading re-binds them against a
 :class:`~repro.core.schema.attached.ProcedureRegistry` (the process-wide
@@ -31,19 +34,21 @@ are tagged (``{"$date": "1986-02-05"}``).
 from __future__ import annotations
 
 import datetime
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, KeysView, Optional
 
 from repro.core.bulk import load_item_states, wire_item_states
 from repro.core.database import SeedDatabase
 from repro.core.errors import StorageError
 from repro.core.objects import ObjectState, SeedObject
-from repro.core.relationships import RelationshipState
+from repro.core.relationships import RelationshipState, SeedRelationship
 from repro.core.schema.association import Association, Attribute, Role
 from repro.core.schema.attached import ProcedureRegistry, default_registry
 from repro.core.schema.entity_class import EntityClass
 from repro.core.schema.generalization import specialize
 from repro.core.schema.schema import Schema
+from repro.core.storage.recordfile import RecordFile
 from repro.core.values import sort_by_name
+from repro.core.versions.store import ItemKey, VersionStore
 from repro.core.versions.version_id import VersionId
 
 __all__ = [
@@ -51,6 +56,7 @@ __all__ = [
     "schema_from_dict",
     "database_to_dict",
     "database_from_dict",
+    "ImageFragments",
     "iter_image_records",
     "database_from_records",
     "ingest_image_records",
@@ -559,32 +565,8 @@ def apply_version_delta(db: SeedDatabase, delta: dict) -> VersionId:
 # whole database
 # ---------------------------------------------------------------------------
 
-def database_to_dict(db: SeedDatabase) -> dict:
-    """Serialise the complete database state."""
-    objects = [
-        {"oid": obj.oid, **_object_state_to_dict(obj.freeze())}
-        for obj in db.all_objects_raw()
-    ]
-    relationships = [
-        {"rid": rel.rid, **_relationship_state_to_dict(rel.freeze())}
-        for rel in db.all_relationships_raw()
-    ]
-    store = db.versions.store
-    cells = []
-    for key in store.keys():
-        kind, item_id = key
-        entries = []
-        for version, state, materialized in store.entries_of(key):
-            encoded = (
-                _object_state_to_dict(state)
-                if kind == "o"
-                else _relationship_state_to_dict(state)  # type: ignore[arg-type]
-            )
-            entry = {"version": str(version), "state": encoded}
-            if materialized:
-                entry["materialized"] = True
-            entries.append(entry)
-        cells.append({"kind": kind, "id": item_id, "states": entries})
+def _image_header(db: SeedDatabase) -> dict:
+    """Everything of an image except its three per-item collections."""
     tree = db.versions.tree
     return {
         "format": FORMAT_VERSION,
@@ -592,9 +574,6 @@ def database_to_dict(db: SeedDatabase) -> dict:
         "schema_versions": [
             schema_to_dict(schema) for schema in db.versions.schema_versions
         ],
-        "objects": objects,
-        "relationships": relationships,
-        "version_cells": cells,
         "version_tree": [
             {
                 "version": str(version),
@@ -603,7 +582,7 @@ def database_to_dict(db: SeedDatabase) -> dict:
             for version in tree.in_creation_order()
         ],
         "snapshot_versions": [
-            str(version) for version in store.snapshot_versions()
+            str(version) for version in db.versions.store.snapshot_versions()
         ],
         "schema_version_of": {
             str(version): index
@@ -614,6 +593,128 @@ def database_to_dict(db: SeedDatabase) -> dict:
         else None,
         "dirty": sorted(list(key) for key in db._dirty),  # noqa: SLF001
     }
+
+
+def _object_record(obj: SeedObject) -> dict:
+    """One member of an image's ``objects`` list."""
+    return {"oid": obj.oid, **_object_state_to_dict(obj.freeze())}
+
+
+def _relationship_record(rel: SeedRelationship) -> dict:
+    """One member of an image's ``relationships`` list."""
+    return {"rid": rel.rid, **_relationship_state_to_dict(rel.freeze())}
+
+
+def _cell_record(store: VersionStore, key: ItemKey) -> dict:
+    """One version-store cell: every stored state of one item."""
+    kind, item_id = key
+    entries = []
+    for version, state, materialized in store.entries_of(key):
+        entry = {"version": str(version), "state": state_to_dict(kind, state)}
+        if materialized:
+            entry["materialized"] = True
+        entries.append(entry)
+    return {"kind": kind, "id": item_id, "states": entries}
+
+
+def database_to_dict(db: SeedDatabase) -> dict:
+    """Serialise the complete database state."""
+    store = db.versions.store
+    return {
+        **_image_header(db),
+        "objects": [_object_record(obj) for obj in db.all_objects_raw()],
+        "relationships": [
+            _relationship_record(rel) for rel in db.all_relationships_raw()
+        ],
+        "version_cells": [_cell_record(store, key) for key in store.keys()],
+    }
+
+
+class ImageFragments:
+    """A monolithic image record, re-encoded only where state changed.
+
+    Holds one encoded JSON fragment per object, relationship (keyed by
+    id) and version-store cell (keyed by item key) — exactly the bytes
+    :meth:`RecordFile.encode` gives that member of the
+    :func:`database_to_dict` lists — and nothing else: no frozen state
+    is kept to compare against. Whoever writes state reports the key
+    (:meth:`item_changed`, :meth:`cell_changed`, :meth:`items_replaced`)
+    and the fragment is dropped; :meth:`encode` re-encodes the dropped
+    ones, encodes the small header afresh and joins everything in image
+    order. The result is byte-identical to
+    ``RecordFile.encode({"kind": "image", "image": database_to_dict(db)})``
+    as long as every write was reported, which
+    :class:`~repro.core.storage.engine.JournaledDatabase` arranges
+    through the database's ``_state_sink`` and the store's
+    ``_cell_sink``.
+    """
+
+    __slots__ = ("_objects", "_relationships", "_cells")
+
+    def __init__(self) -> None:
+        self._objects: dict[int, bytes] = {}
+        self._relationships: dict[int, bytes] = {}
+        self._cells: dict[ItemKey, bytes] = {}
+
+    def item_changed(self, key: ItemKey) -> None:
+        """Drop the fragment of a live item whose state may have changed."""
+        kind, item_id = key
+        (self._objects if kind == "o" else self._relationships).pop(item_id, None)
+
+    def cell_changed(self, key: ItemKey) -> None:
+        """Drop the fragment of a version-store cell that changed."""
+        self._cells.pop(key, None)
+
+    def items_replaced(self) -> None:
+        """Drop every live item's fragment (restore, schema migration)."""
+        self._objects.clear()
+        self._relationships.clear()
+
+    def encode(self, db: SeedDatabase) -> bytes:
+        """The payload of *db*'s monolithic ``image`` record."""
+        encode = RecordFile.encode
+        objects = db._objects  # noqa: SLF001
+        relationships = db._relationships  # noqa: SLF001
+        store = db.versions.store
+        image = {key: encode(value) for key, value in _image_header(db).items()}
+        image["objects"] = _joined(
+            self._objects, objects.keys(),
+            lambda oid: _object_record(objects[oid]),
+        )
+        image["relationships"] = _joined(
+            self._relationships, relationships.keys(),
+            lambda rid: _relationship_record(relationships[rid]),
+        )
+        image["version_cells"] = _joined(
+            self._cells, store.keys(), lambda key: _cell_record(store, key)
+        )
+        return _json_object({"image": _json_object(image), "kind": encode("image")})
+
+
+def _joined(
+    cache: dict, keys: KeysView, record_of: Callable[[Any], dict]
+) -> bytes:
+    """The JSON list of the records of *keys*, in their order, encoding
+    only those *cache* lacks; fragments of keys that left *keys* (tombstone
+    GC, a restore) are dropped."""
+    blobs = []
+    for key in keys:
+        blob = cache.get(key)
+        if blob is None:
+            blob = cache[key] = RecordFile.encode(record_of(key))
+        blobs.append(blob)
+    if len(cache) > len(blobs):
+        for gone in cache.keys() - keys:
+            del cache[gone]
+    return b"[" + b",".join(blobs) + b"]"
+
+
+def _json_object(members: dict[str, bytes]) -> bytes:
+    """A JSON object from encoded member values, keys in the order
+    ``sort_keys=True`` writes them."""
+    return b"{" + b",".join(
+        RecordFile.encode(key) + b":" + members[key] for key in sorted(members)
+    ) + b"}"
 
 
 def _image_dict_records(data: dict) -> Iterator[dict]:
@@ -668,37 +769,8 @@ def iter_image_records(db: SeedDatabase) -> Iterator[dict]:
     * ``{"end": {"o": n, "r": n, "c": n}}`` — counted footer; a stream
       that stops early is detectably truncated.
     """
-    tree = db.versions.tree
     store = db.versions.store
-    yield {
-        "h": {
-            "format": FORMAT_VERSION,
-            "name": db.name,
-            "schema_versions": [
-                schema_to_dict(schema) for schema in db.versions.schema_versions
-            ],
-            "version_tree": [
-                {
-                    "version": str(version),
-                    "parent": str(tree.parent(version))
-                    if tree.parent(version)
-                    else None,
-                }
-                for version in tree.in_creation_order()
-            ],
-            "snapshot_versions": [
-                str(version) for version in store.snapshot_versions()
-            ],
-            "schema_version_of": {
-                str(version): index
-                for version, index in db.versions.schema_version_of.items()
-            },
-            "current_base": str(db.versions.current_base)
-            if db.versions.current_base
-            else None,
-            "dirty": sorted(list(key) for key in db._dirty),  # noqa: SLF001
-        }
-    }
+    yield {"h": _image_header(db)}
     counts = {"o": 0, "r": 0, "c": 0}
     for obj in db.all_objects_raw():
         counts["o"] += 1
@@ -707,18 +779,8 @@ def iter_image_records(db: SeedDatabase) -> Iterator[dict]:
         counts["r"] += 1
         yield {"r": rel.rid, "s": _relationship_state_to_dict(rel.freeze())}
     for key in store.keys():
-        kind, item_id = key
-        entries = []
-        for version, state, materialized in store.entries_of(key):
-            entry = {
-                "version": str(version),
-                "state": state_to_dict(kind, state),
-            }
-            if materialized:
-                entry["materialized"] = True
-            entries.append(entry)
         counts["c"] += 1
-        yield {"c": {"kind": kind, "id": item_id, "states": entries}}
+        yield {"c": _cell_record(store, key)}
     yield {"end": dict(counts)}
 
 

@@ -26,7 +26,10 @@ views, :meth:`resolve_chain` overlays the chain's deltas without
 visiting cells of other branches, and ``drop_version`` /
 ``fold_version`` cost O(states of the version dropped or folded)
 instead of a pass over every cell. :meth:`keys_in_version_scan` is the
-retained cell scan the index is tested against.
+retained cell scan the index is tested against. The same writers report
+every key whose cell they change to ``_cell_sink`` — ``None`` unless a
+journal keeps the cells' encoded image fragments
+(:class:`~repro.core.storage.serialize.ImageFragments`).
 
 Compaction support (see :mod:`repro.core.versions.compaction`): a
 version may be marked as a **snapshot** — it then holds the *complete*
@@ -40,7 +43,7 @@ version into its surviving descendant.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, KeysView, Optional, Union
 
 from repro.core.errors import VersionError
 from repro.core.objects import ObjectState
@@ -66,6 +69,9 @@ class VersionStore:
         #: history operations filter these so "find all versions of X"
         #: keeps listing real changes only
         self._by_version: dict[VersionId, dict[ItemKey, bool]] = {}
+        #: called with the key of every cell a writer changes; None
+        #: unless a journal keeps encoded cells (it drops that one)
+        self._cell_sink: Optional[Callable[[ItemKey], None]] = None
 
     # -- writing -------------------------------------------------------------
 
@@ -84,6 +90,8 @@ class VersionStore:
             )
         cell[version] = state
         self._by_version.setdefault(version, {})[key] = False
+        if self._cell_sink is not None:
+            self._cell_sink(key)
 
     def record_many(
         self, version: VersionId, states: Iterable[tuple[ItemKey, ItemState]]
@@ -109,6 +117,9 @@ class VersionStore:
             del cell[version]
             if not cell:
                 del self._cells[key]
+        if self._cell_sink is not None:
+            for key in keys:
+                self._cell_sink(key)
         self._snapshots.discard(version)
         return len(keys)
 
@@ -151,6 +162,8 @@ class VersionStore:
             self._cells[key][version] = state
             at_version[key] = True
             added += 1
+            if self._cell_sink is not None:
+                self._cell_sink(key)
         if not at_version:
             del self._by_version[version]
         self._snapshots.add(version)
@@ -214,6 +227,9 @@ class VersionStore:
                 cell[into] = state
                 at_into[key] = materialized
                 moved += 1
+        if self._cell_sink is not None:
+            for key in folded:
+                self._cell_sink(key)
         if version in self._snapshots:
             self._snapshots.discard(version)
             self._snapshots.add(into)
@@ -316,9 +332,10 @@ class VersionStore:
         """Versions at which the item's state was *changed* (sorted)."""
         return sorted(self.states_of(key))
 
-    def keys(self) -> Iterator[ItemKey]:
-        """All item keys with at least one stored state."""
-        return iter(self._cells)
+    def keys(self) -> KeysView[ItemKey]:
+        """All item keys with at least one stored state, in insertion
+        order (a live view)."""
+        return self._cells.keys()
 
     def states_at(
         self, version: VersionId
@@ -355,6 +372,8 @@ class VersionStore:
                 "as materialized"
             )
         at_version[key] = True
+        if self._cell_sink is not None:
+            self._cell_sink(key)
 
     # -- tombstone garbage collection (compaction support) --------------------
 
@@ -385,6 +404,8 @@ class VersionStore:
             del at_version[key]
             if not at_version:
                 del self._by_version[version]
+        if self._cell_sink is not None:
+            self._cell_sink(key)
         return len(cell)
 
     def stored_state_count(self) -> int:

@@ -529,7 +529,13 @@ class ServiceClient(CopyHolder):
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rwb")
         if client_id is not None:
-            self.connect(client_id)
+            try:
+                self.connect(client_id)
+            except BaseException:
+                # nobody gets a handle to close: a refused session
+                # (a duplicate client id, say) must not leak the socket
+                self.close()
+                raise
 
     @classmethod
     def for_service(

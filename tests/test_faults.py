@@ -518,6 +518,95 @@ class TestEngineRecovery:
         assert database_to_dict(load_database(path)) == database_to_dict(db)
 
 
+class TestCommitsAfterADamagedOpen:
+    """A commit acknowledged after opening a damaged journal is present
+    after the next reopen: ``open()`` never appends behind damage a load
+    stops at (it cuts a torn tail, and checkpoints past a corrupt gap)."""
+
+    def build(self, tmp_path):
+        """An image, then one txn record per item A, B, C."""
+        path = tmp_path / "db.seed"
+        journal = JournaledDatabase.open(path, schema=tiny_schema(), name="t")
+        for name in "ABC":
+            journal.db.create_object("Item", name)
+        txns = [
+            (event.offset, event.end)
+            for event in RecordFile(path).scan()
+            if event.record.get("kind") == "txn"
+        ]
+        return path, txns
+
+    @staticmethod
+    def names(db):
+        return sorted(obj.simple_name for obj in db.objects("Item"))
+
+    def reopen_and_commit(self, path):
+        journal = JournaledDatabase.open(path)
+        before = self.names(journal.db)
+        journal.db.create_object("Item", "D")
+        return journal, before
+
+    def test_a_commit_after_a_torn_tail_survives_the_reopen(self, tmp_path, recwarn):
+        path, txns = self.build(tmp_path)
+        start, end = txns[-1]
+        with open(path, "r+b") as handle:  # the crash tore C's append
+            handle.truncate((start + end) // 2)
+        journal, before = self.reopen_and_commit(path)
+        assert before == ["A", "B"]
+        reopened = JournaledDatabase.open(path)
+        assert self.names(reopened.db) == ["A", "B", "D"]
+        assert database_to_dict(reopened.db) == database_to_dict(journal.db)
+        assert RecordFile(path).verify().is_clean  # the torn bytes were cut
+        assert not [w for w in recwarn if isinstance(w.message, RecoveryWarning)]
+
+    def test_a_commit_after_a_corrupt_txn_survives_the_reopen(self, tmp_path):
+        path, txns = self.build(tmp_path)
+        start, end = txns[1]
+        flip_byte(path, (start + end) // 2)  # B's record rots; C is stranded
+        with pytest.warns(RecoveryWarning, match="not replayed"):
+            journal, before = self.reopen_and_commit(path)
+        assert before == ["A"]
+        with pytest.warns(RecoveryWarning):  # the damage stays for fsck
+            reopened = JournaledDatabase.open(path)
+        assert self.names(reopened.db) == ["A", "D"]
+        assert database_to_dict(reopened.db) == database_to_dict(journal.db)
+
+    def test_compaction_does_not_resurrect_the_stranded_delta(self, tmp_path):
+        path, txns = self.build(tmp_path)
+        start, end = txns[1]
+        flip_byte(path, (start + end) // 2)
+        with pytest.warns(RecoveryWarning):
+            journal, __ = self.reopen_and_commit(path)
+        journal.compact()
+        reopened = JournaledDatabase.open(path)
+        # C was never applied live: it must not come back
+        assert self.names(reopened.db) == ["A", "D"]
+        assert database_to_dict(reopened.db) == database_to_dict(journal.db)
+
+    def test_salvage_still_finds_the_damage_open_stepped_over(self, tmp_path):
+        path, txns = self.build(tmp_path)
+        start, end = txns[1]
+        flip_byte(path, (start + end) // 2)
+        with pytest.warns(RecoveryWarning):
+            self.reopen_and_commit(path)
+        report = RecordFile(path).salvage()
+        assert len(report.corrupt_ranges) == 1
+        assert self.names(load_database(path, strict=True)) == ["A", "D"]
+
+    def test_loads_and_strict_opens_write_nothing(self, tmp_path):
+        path, txns = self.build(tmp_path)
+        start, end = txns[-1]
+        flip_byte(path, txns[1][0] + 20)
+        with open(path, "r+b") as handle:
+            handle.truncate((start + end) // 2)
+        damaged = path.read_bytes()
+        with pytest.warns(RecoveryWarning):
+            load_database(path)
+        with pytest.raises(StorageError, match="past corruption"):
+            JournaledDatabase.open(path, strict=True)
+        assert path.read_bytes() == damaged
+
+
 # ---------------------------------------------------------------------------
 # the fsck CLI
 # ---------------------------------------------------------------------------

@@ -1,0 +1,380 @@
+"""A checkpoint re-encodes only what changed, byte-identical to a full encode.
+
+``JournaledDatabase.checkpoint()`` joins cached per-item JSON fragments
+(:class:`~repro.core.storage.serialize.ImageFragments`) instead of
+building and dumping :func:`database_to_dict`. The oracle is that
+from-scratch encode: over seeded random histories that run every
+mutator — committed and rolled-back transactions, failing bulk batches,
+check-ins applied through :class:`SeedServer`, version selection,
+schema migration, version-store compaction with squashing, snapshots
+and tombstone GC, patterns, reclassification — the cached payload must
+equal ``RecordFile.encode({"kind": "image", "image": database_to_dict(db)})``
+after every step. A checkpoint with nothing changed since the last one
+must encode only the header.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+from repro.core import SeedDatabase, figure3_schema
+from repro.core.errors import SeedError
+from repro.core.faults import FaultPlan
+from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict
+from repro.core.versions.compaction import RetentionPolicy
+from repro.multiuser import SeedServer
+
+
+def full_image(db) -> bytes:
+    """The from-scratch encode every cached payload must equal."""
+    return RecordFile.encode({"kind": "image", "image": database_to_dict(db)})
+
+
+def cached_image(journal) -> bytes:
+    return journal._fragments.encode(journal.db)  # noqa: SLF001
+
+
+def last_frame_payload(path) -> bytes:
+    events = [e for e in RecordFile(path).scan() if e.kind == "record"]
+    return bytes(events[-1]._payload)  # noqa: SLF001 - undecoded on purpose
+
+
+class History:
+    """Seeded random mutations of one journaled figure-3 database.
+
+    Every step is one mutator (or one unit of work holding several);
+    a step the database refuses is rolled back by it and still counts
+    — rollbacks must leave the cached fragments right too.
+    """
+
+    def __init__(self, seed: int, tmp_path) -> None:
+        self.rng = random.Random(seed)
+        self.path = tmp_path / f"fragments-{seed}.seed"
+        self.journal = JournaledDatabase.open(
+            self.path, schema=figure3_schema(), name=f"h{seed}"
+        )
+        self.server = SeedServer(journal=self.journal)
+        self.counter = 0
+
+    @property
+    def db(self) -> SeedDatabase:
+        return self.journal.db
+
+    def roots(self, *classes):
+        return [
+            obj
+            for name in classes
+            for obj in self.db.objects(name, include_specials=False)
+            if obj.parent is None
+        ]
+
+    def name(self, stem: str) -> str:
+        self.counter += 1
+        return f"{stem}{self.counter}"
+
+    # -- single mutators ---------------------------------------------------
+
+    def create(self):
+        kind = self.rng.choice(["Thing", "Data", "Action", "InputData", "OutputData"])
+        return self.db.create_object(kind, self.name("Item"))
+
+    def edit(self) -> None:
+        rng, db = self.rng, self.db
+        data = self.roots("Data", "InputData", "OutputData")
+        actions = self.roots("Action")
+        outputs = self.roots("OutputData")
+        roll = rng.random()
+        if roll < 0.14 or not data or not actions:
+            obj = self.create()
+            if obj.entity_class.name == "Action":
+                obj.add_sub_object("Description", "new")
+        elif roll < 0.20:
+            text = rng.choice(data).add_sub_object("Text")
+            text.add_sub_object("Body").add_sub_object("Contents", "body")
+        elif roll < 0.27:
+            target = rng.choice(actions)
+            described = target.sub_objects("Description")
+            if described:
+                db.set_value(described[0], f"text {rng.random():.4f}")
+            else:
+                target.add_sub_object("Description", "first")
+        elif roll < 0.35:
+            db.relate("Access", {"data": rng.choice(data), "by": rng.choice(actions)})
+        elif roll < 0.40 and outputs:
+            db.relate(
+                "Write",
+                {"to": rng.choice(outputs), "by": rng.choice(actions)},
+                attributes={"NumberOfWrites": rng.randrange(1, 9)},
+            )
+        elif roll < 0.44:
+            writes = db.relationships("Write")
+            if writes:
+                db.set_attribute(rng.choice(writes), "ErrorHandling", "repeat")
+        elif roll < 0.48:
+            first, second = rng.sample(actions, 2) if len(actions) > 1 else (None, None)
+            if first is not None:
+                db.relate("Contained", contained=first, container=second)
+        elif roll < 0.54:
+            db.delete(rng.choice(data + actions + self.roots("Thing")))
+        elif roll < 0.58:
+            rels = db.relationships()
+            if rels:
+                db.delete(rng.choice(rels))
+        elif roll < 0.66:
+            things, plain = self.roots("Thing"), self.roots("Data")
+            if things and rng.random() < 0.5:
+                db.reclassify(rng.choice(things), rng.choice(["Data", "Action"]))
+            elif plain:
+                db.reclassify(rng.choice(plain), rng.choice(["InputData", "OutputData"]))
+        elif roll < 0.72:
+            vague = db.relationships("Access", include_specials=False)
+            if vague:
+                db.reclassify(rng.choice(vague), "Read")
+        elif roll < 0.80:
+            patterns = [
+                o for o in db.objects(include_patterns=True)
+                if o.is_pattern and o.parent is None
+            ]
+            if patterns and rng.random() < 0.4:
+                pattern = rng.choice(patterns)
+                inheritors = db.patterns.inheritors_of(pattern)
+                if inheritors:
+                    db.uninherit(pattern, inheritors[0])
+                else:
+                    db.unmark_pattern(pattern)
+            elif patterns and rng.random() < 0.5:
+                db.inherit(rng.choice(patterns), rng.choice(data + actions))
+            else:
+                db.mark_pattern(rng.choice(data + actions))
+        else:
+            db.rename(rng.choice(data + actions), self.name("Renamed"))
+
+    # -- units of work and whole-database operations ---------------------------
+
+    def transaction(self) -> None:
+        """Several edits committed as one unit, or rolled back."""
+        rolled_back = self.rng.random() < 0.5
+        try:
+            with self.db.transaction():
+                for __ in range(self.rng.randrange(1, 4)):
+                    try:
+                        self.edit()
+                    except SeedError:
+                        pass
+                if rolled_back:
+                    raise RuntimeError("abandon the transaction")
+        except RuntimeError:
+            pass
+
+    def cycle(self) -> None:
+        """A commit the consistency check refuses (a containment cycle)."""
+        first, second = self.create(), self.create()
+        for obj in (first, second):
+            if obj.entity_class.name != "Action":
+                return
+        self.db.relate("Contained", contained=first, container=second)
+        self.db.relate("Contained", contained=second, container=first)
+
+    def bulk(self) -> None:
+        """A bulk batch that commits, or fails half-way and rolls back."""
+        failing = self.rng.random() < 0.6
+        try:
+            with self.db.bulk():
+                for __ in range(self.rng.randrange(1, 5)):
+                    obj = self.create()
+                    if self.rng.random() < 0.5 and obj.entity_class.name == "Action":
+                        obj.add_sub_object("Description", "bulk")
+                victims = self.roots("Data")
+                if victims:
+                    self.db.delete(self.rng.choice(victims))
+                if failing:
+                    raise RuntimeError("the batch fails")
+        except RuntimeError:
+            pass
+
+    def check_in(self) -> None:
+        """A check-in applied by the server (its txn sink suspended)."""
+        client = self.server.connect(self.name("client"))
+        names = [str(o.name) for o in self.roots("Data", "Action")]
+        local = client.check_out(*self.rng.sample(names, min(2, len(names))))
+        obj = local.create_object("Data", self.name("Remote"))
+        obj.add_sub_object("Text")
+        for existing in local.objects("Action"):
+            for described in existing.sub_objects("Description"):
+                local.set_value(described, "edited remotely")
+        client.check_in(bulk=self.rng.random() < 0.5)
+        self.server.disconnect(client.client_id)
+
+    def version(self) -> None:
+        if self.db.has_unsaved_changes():
+            self.db.create_version()
+
+    def select(self) -> None:
+        versions = self.db.saved_versions()
+        if versions:
+            self.db.select_version(self.rng.choice(versions), discard_changes=True)
+
+    def migrate(self) -> None:
+        schema = self.db.schema.copy(self.name("v"))
+        schema.entity_class("Data").add_dependent(self.name("Note"), "0..1")
+        self.db.migrate_schema(schema)
+
+    def compact_versions(self) -> None:
+        self.db.compact(
+            RetentionPolicy(
+                squash_chains=True,
+                snapshot_interval=self.rng.choice([0, 2, 3]),
+                keep_last=1,
+                gc_tombstones=self.rng.random() < 0.7,
+            )
+        )
+
+    def drop_version(self) -> None:
+        versions = [
+            v for v in self.db.saved_versions()
+            if not self.db.versions.tree.children(v)
+            and v != self.db.versions.current_base
+        ]
+        if versions:
+            self.db.delete_version(self.rng.choice(versions))
+
+    def save_point(self) -> None:
+        self.journal.checkpoint()
+        assert last_frame_payload(self.path) == full_image(self.db)
+        if self.rng.random() < 0.5:
+            self.journal.compact()
+
+    def step(self) -> str:
+        steps = [
+            ("edit", 30), ("transaction", 10), ("cycle", 2), ("bulk", 6),
+            ("check_in", 5), ("version", 8), ("select", 3), ("migrate", 1),
+            ("compact_versions", 3), ("drop_version", 2), ("save_point", 4),
+        ]
+        name = self.rng.choices(
+            [n for n, __ in steps], weights=[w for __, w in steps]
+        )[0]
+        try:
+            getattr(self, name)()
+        except SeedError:
+            pass
+        return name
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cached_payload_equals_the_full_encode_after_every_step(seed, tmp_path):
+    history = History(seed, tmp_path)
+    for index in range(120):
+        name = history.step()
+        assert cached_image(history.journal) == full_image(history.db), (
+            f"step {index} ({name}) left a stale fragment"
+        )
+    history.save_point()
+    reopened = JournaledDatabase.open(history.path)
+    assert full_image(reopened.db) == full_image(history.db)
+
+
+def test_the_checkpoint_frame_is_the_full_encode(tmp_path):
+    history = History(99, tmp_path)
+    for __ in range(40):
+        history.step()
+    journal = history.journal
+    journal.checkpoint()
+    assert last_frame_payload(history.path) == full_image(history.db)
+    journal.db.create_object("Data", "AfterTheCheckpoint")
+    journal.checkpoint()
+    assert last_frame_payload(history.path) == full_image(history.db)
+
+
+def test_the_checkpoint_frame_goes_through_the_one_writer(tmp_path):
+    journal = JournaledDatabase.open(tmp_path / "j.seed", schema=figure3_schema())
+    journal.db.create_object("Data", "D")
+    with FaultPlan() as plan:
+        journal.checkpoint()
+    assert plan.hits == {
+        "recordfile.append.pre_write": 1,
+        "recordfile.append.pre_fsync": 1,
+    }
+
+
+@pytest.fixture
+def dumps_spy(monkeypatch):
+    """Every value ``json.dumps`` is asked to encode, while armed."""
+    encoded = []
+    real = json.dumps
+
+    def spy(value, *args, **kwargs):
+        encoded.append(value)
+        return real(value, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    return encoded
+
+
+def _item_records(values):
+    """The item and cell records among encoded values."""
+    return [
+        value for value in values
+        if isinstance(value, dict) and value.keys() & {"oid", "rid", "states"}
+    ]
+
+
+def test_an_unchanged_database_encodes_only_the_header(tmp_path, dumps_spy):
+    history = History(5, tmp_path)
+    for __ in range(60):
+        history.step()
+    history.journal.checkpoint()
+    dumps_spy.clear()
+    history.journal.checkpoint()
+    assert dumps_spy, "the spy saw nothing: the checkpoint bypassed json.dumps"
+    assert _item_records(dumps_spy) == []
+    assert last_frame_payload(history.path) == full_image(history.db)
+
+
+def test_one_edit_re_encodes_one_fragment(tmp_path, dumps_spy):
+    journal = JournaledDatabase.open(tmp_path / "j.seed", schema=figure3_schema())
+    db = journal.db
+    for index in range(20):
+        db.create_object("Data", f"D{index}")
+    db.create_version()
+    journal.checkpoint()
+    db.rename(db.get_object("D7"), "Renamed")
+    dumps_spy.clear()
+    journal.checkpoint()
+    # the txn delta encodes the renamed state once; the image once more
+    records = _item_records(dumps_spy)
+    assert [record["name"] for record in records] == ["Renamed"]
+    assert last_frame_payload(journal.path) == full_image(db)
+
+
+def test_fragments_of_collected_items_are_dropped(tmp_path):
+    journal = JournaledDatabase.open(tmp_path / "j.seed", schema=figure3_schema())
+    db = journal.db
+    for index in range(6):
+        db.create_object("Data", f"D{index}")
+    db.create_version()
+    for index in range(3):
+        db.delete(db.get_object(f"D{index}"))
+    db.create_version()
+    journal.checkpoint()
+    fragments = journal._fragments  # noqa: SLF001
+    assert len(fragments._objects) == 6  # noqa: SLF001
+    stats = db.compact(RetentionPolicy(keep_last=0, gc_tombstones=True))
+    assert stats.collected_objects == 3
+    journal.checkpoint()
+    assert len(fragments._objects) == 3  # noqa: SLF001
+    assert len(fragments._cells) == db.versions.store.cell_count()  # noqa: SLF001
+    assert last_frame_payload(journal.path) == full_image(db)
+
+
+def test_sinks_are_unarmed_unless_a_journal_is_bound(tmp_path):
+    db = SeedDatabase(figure3_schema())
+    assert db._state_sink is None  # noqa: SLF001
+    assert db.versions.store._cell_sink is None  # noqa: SLF001
+    journal = JournaledDatabase(db, RecordFile(tmp_path / "j.seed"))
+    assert db._state_sink is not None  # noqa: SLF001
+    assert db.versions.store._cell_sink is not None  # noqa: SLF001
+    journal.checkpoint()
+    assert last_frame_payload(journal.path) == full_image(db)

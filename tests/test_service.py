@@ -12,9 +12,11 @@ check-ins land after it.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -132,8 +134,12 @@ class TestWireErrors:
 
     def test_duplicate_client_id_over_the_wire(self, service):
         with ServiceClient.for_service(service, "alice"):
-            with pytest.raises(SessionError, match="already connected"):
-                ServiceClient.for_service(service, "alice")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(SessionError, match="already connected"):
+                    ServiceClient.for_service(service, "alice")
+                gc.collect()  # the refused client's socket, if it leaked
+        assert [w for w in caught if w.category is ResourceWarning] == []
 
     def test_unknown_op_is_a_seed_error(self, service):
         with ServiceClient.for_service(service, "alice") as alice:
