@@ -21,7 +21,7 @@ pinned stale plan — and the PR-6 scenario ``durability``: making one
 check-in durable via a write-ahead delta record (O(change)) versus the
 only pre-PR-6 durability mechanism, a full-image checkpoint
 (O(database)) — and the PR-7 scenario ``multiuser_concurrent``: eight
-reader threads retrieving while a writer applies bulk check-ins, MVCC
+reader threads retrieving while a writer applies large check-ins, MVCC
 pinned-snapshot reads (which never block on an apply) against the
 pre-PR-7 serialized live reads — and the PR-8 scenario
 ``multijoin_parallel``: a selective multi-join whose driving extent
@@ -386,9 +386,9 @@ def bench_bulk_ingest(size: int, repeats: int) -> dict:
     over the whole family regardless of depth). The database is primed
     (one completeness check) before population, as after any real
     session start — so the per-item path pays its per-commit costs in
-    full: an undo closure and index update per mutation, endpoint
-    re-validation per relate, one reachability probe per edge, and one
-    completeness fan-out per commit. The bulk path pays one index
+    full: an index update per mutation, endpoint re-validation per
+    relate, one reachability probe per edge, and one completeness
+    fan-out per commit. The bulk path pays one index
     rebuild, one validation pass, one cycle DFS, and one dirty merge.
     Both paths are verified to land in the identical state. Specs are
     prepared outside the timed regions.
@@ -893,7 +893,7 @@ def bench_multiuser_concurrent(size: int, repeats: int) -> dict:
     """MVCC snapshot reads vs serialized live reads under a hot writer.
 
     Eight reader threads retrieve from a server whose writer applies
-    bulk check-ins at a ~50% duty cycle (each apply is followed by an
+    large check-ins at a ~50% duty cycle (each apply is followed by an
     equal pause — a structural, machine-independent load shape). Two
     read models over a fixed wall-clock window:
 
@@ -927,7 +927,7 @@ def bench_multiuser_concurrent(size: int, repeats: int) -> dict:
         server.publish_snapshot()
         return server
 
-    # calibrate: one bulk check-in apply at this size bounds the window
+    # calibrate: one check-in apply at this size bounds the window
     # (the window must span several apply+pause cycles)
     calibration = build_server()
     cal_client = calibration.connect("cal")
@@ -936,7 +936,7 @@ def bench_multiuser_concurrent(size: int, repeats: int) -> dict:
     for j in range(batch):
         cal_local.create_object("Note", f"Cal{j}")
     started = time.perf_counter()
-    cal_client.check_in(bulk=True)
+    cal_client.check_in()
     apply_s = time.perf_counter() - started
     window = max(0.25, 4 * apply_s)
 
@@ -944,7 +944,7 @@ def bench_multiuser_concurrent(size: int, repeats: int) -> dict:
         """(reads completed, reads mid-apply, check-ins applied)."""
         server = build_server()
         # pin before the writer starts: publication is a write and must
-        # not race a bulk apply; the pinned view itself is immutable
+        # not race an apply; the pinned view itself is immutable
         pinned = server.snapshot() if mvcc else None
         mutex = threading.Lock()
         stop = threading.Event()
@@ -964,14 +964,14 @@ def bench_multiuser_concurrent(size: int, repeats: int) -> dict:
                 applied_at = time.perf_counter()
                 if mvcc:
                     in_apply.set()
-                    client.check_in(bulk=True)
+                    client.check_in()
                     server.publish_snapshot()
                     in_apply.clear()
                 else:
                     writer_waiting.set()
                     with mutex:
                         in_apply.set()
-                        client.check_in(bulk=True)
+                        client.check_in()
                         in_apply.clear()
                     writer_waiting.clear()
                 server.disconnect(f"w{n}")

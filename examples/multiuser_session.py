@@ -97,13 +97,13 @@ def main() -> None:
         print(f"bob's locks after the drop: "
               f"{len(server.locks)} held centrally")
 
-        # -- bulk ingest over the wire ---------------------------------
+        # -- a large check-in over the wire ----------------------------
         loader = ServiceClient.for_service(service, "loader")
         local = loader.check_out()
         for i in range(80):
             local.create_object("Data", f"Imported{i}")
-        loader.check_in(bulk=True)  # the deferred-maintenance apply path
-        print(f"\nloader bulk-ingested 80 objects; service stats:")
+        loader.check_in()  # one master transaction, like every check-in
+        print(f"\nloader checked in 80 new objects; service stats:")
         stats = loader.stats()
         print(f"  check-ins applied: {stats['checkins_applied']}, "
               f"maintenance runs: {stats['maintenance_runs']}, "

@@ -1,47 +1,41 @@
-"""The deferred-maintenance bulk write path.
+"""The deferred-maintenance bulk write path and the from-state lanes.
 
 PRs 1–3 made reads and single-mutation commits sublinear, but every
 *bulk* write path (image load, version checkout, schema migration,
-multi-user check-in, workload population) still paid per-item overhead:
-index undo closures, incremental ACYCLIC reachability probes, and
-completeness dirty fan-out once per item. This module trades that
+workload population) still paid per-item overhead: incremental ACYCLIC
+reachability probes, per-item index maintenance and completeness dirty
+fan-out. :meth:`repro.core.database.SeedDatabase.bulk` trades that
 per-item work for one-shot batch work — the classic deferred-
 maintenance/bulk-load trade the paper's seed-database design leaves on
-the table:
+the table. For the duration of a batch it
 
-:class:`BulkContext`
-    the engine behind :meth:`repro.core.database.SeedDatabase.bulk`.
-    For the duration of a batch it
+* suspends :class:`~repro.core.indexes.IndexLayer` maintenance (one
+  rebuild at the end instead of per-item updates) — including the PR-5
+  planner statistics (value histograms and distinct-participant
+  counters), whose settling at finalize is what lets the drift-aware
+  plan cache notice the batch's cardinality shift on the next lookup;
+* defers consistency validation to batch finalize, where each touched
+  item is validated **once** and every touched ACYCLIC family gets
+  **one** full DFS instead of one reachability probe per inserted edge;
+* defers :meth:`~repro.core.completeness.CompletenessEngine.
+  note_commit` to a single set-union dirty merge over the whole batch's
+  touched map.
 
-    * suspends :class:`~repro.core.indexes.IndexLayer` maintenance
-      (one rebuild at the end instead of per-item updates) — including
-      the PR-5 planner statistics (value histograms and
-      distinct-participant counters), whose settling at finalize is
-      what lets the drift-aware plan cache notice the batch's
-      cardinality shift on the next lookup;
-    * suppresses undo-closure allocation (the batch transaction's undo
-      log is ``None``; mutation paths skip their closures);
-    * defers consistency validation to batch finalize, where each
-      touched item is validated **once** and every touched ACYCLIC
-      family gets **one** full DFS instead of one reachability probe
-      per inserted edge;
-    * defers :meth:`~repro.core.completeness.CompletenessEngine.
-      note_commit` to a single set-union dirty merge over the whole
-      batch's touched map.
+**Failure atomicity** is that of every unit of work (see "Units of work
+and rollback" in :mod:`repro.core.database`): the batch logs the
+before-image of each pre-existing item it changes — nothing on entry,
+nothing for the items it creates — and any exception escaping the
+batch body, a swallowed error of an update that had changed state, or
+a validation failure at finalize rolls the **whole batch** back in
+place from that log: surviving item handles remain valid. The rollback
+first resumes index maintenance (one rebuild if the layer is stale),
+then repairs the index entries of the logged items only.
 
-    **Failure atomicity**: the context captures a frozen snapshot of
-    every pre-batch item on entry. Any exception escaping the batch
-    body, a validation failure at finalize, or an exception *swallowed*
-    inside the body (the batch is then poisoned — partial effects of
-    the failed mutation cannot be unwound without undo closures) rolls
-    the **whole batch** back, in place: surviving item handles remain
-    valid, exactly as after a rolled-back transaction.
-
-    **Mid-batch reads** see every batch mutation applied so far
-    (read-your-writes): name lookups and raw scans are served from the
-    live records; index-backed queries transparently rebuild the
-    suspended index layer (one rebuild per write-then-read boundary);
-    ``check_completeness`` falls back to the retained full scan.
+**Mid-batch reads** see every batch mutation applied so far
+(read-your-writes): name lookups and raw scans are served from the live
+records; index-backed queries transparently rebuild the suspended index
+layer (one rebuild per write-then-read boundary); ``check_completeness``
+falls back to the retained full scan.
 
 :func:`wire_item_states`
     the one create-or-thaw-and-wire primitive, and the only function
@@ -60,8 +54,6 @@ the table:
       (``restore_from_view``), the image decoder
       (``database_from_records``, which ``database_from_dict`` feeds),
       replay of ``restore`` deltas, multi-user check-out;
-    * :meth:`BulkContext.restore` — **identity-preserving rollback**:
-      the pre-batch records are detached and thawed back in place;
     * ``serialize.apply_txn_delta`` — **upsert** of a journaled
       transaction's after-states (indexes marked stale);
     * ``serialize.ingest_image_records`` — **insert-only** ingest of
@@ -83,12 +75,11 @@ from typing import Iterable, TYPE_CHECKING
 
 from repro.core.objects import ObjectState, SeedObject
 from repro.core.relationships import RelationshipState, SeedRelationship
-from repro.core.versions.store import ItemKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.database import SeedDatabase, _Transaction
+    from repro.core.database import SeedDatabase
 
-__all__ = ["BulkContext", "load_item_states", "wire_item_states"]
+__all__ = ["load_item_states", "wire_item_states"]
 
 
 def wire_item_states(
@@ -177,86 +168,3 @@ def load_item_states(
     db._next_id = max(next_id_floor, 1)  # noqa: SLF001
     wire_item_states(db, object_states, relationship_states)
     db.indexes.rebuild()
-
-
-class BulkContext:
-    """One open bulk batch over a database (see module docstring).
-
-    Created by :meth:`repro.core.database.SeedDatabase.bulk`; user code
-    receives it as the context value but normally just mutates the
-    database through the ordinary operational interface.
-    """
-
-    __slots__ = (
-        "db",
-        "txn",
-        "failed",
-        "_objects_before",
-        "_relationships_before",
-        "_next_id_before",
-        "_dirty_before",
-    )
-
-    def __init__(self, db: "SeedDatabase", txn: "_Transaction") -> None:
-        self.db = db
-        self.txn = txn
-        #: set when an exception escaped a mutation but was swallowed
-        #: by the batch body — the batch can then only be rolled back
-        self.failed = False
-        # pre-batch snapshot: frozen states in record order (insertion
-        # order equals creation/attach order, so children re-attach in
-        # their original sibling order on restore)
-        self._objects_before = [
-            (obj, obj.freeze()) for obj in db._objects.values()  # noqa: SLF001
-        ]
-        self._relationships_before = [
-            (rel, rel.freeze())
-            for rel in db._relationships.values()  # noqa: SLF001
-        ]
-        self._next_id_before = db._next_id  # noqa: SLF001
-        self._dirty_before = set(db._dirty)  # noqa: SLF001
-
-    # -- statistics --------------------------------------------------------
-
-    @property
-    def touched_count(self) -> int:
-        """Items the batch has touched so far."""
-        return len(self.txn.touched)
-
-    # -- rollback ----------------------------------------------------------
-
-    def restore(self) -> None:
-        """Roll the whole batch back, in place.
-
-        Items created by the batch are dropped; pre-existing items keep
-        their instance identity and get their frozen pre-batch states
-        re-applied, so handles held across the ``bulk()`` boundary stay
-        valid (the same guarantee a rolled-back transaction gives).
-        Derived structures (children lists, name index, incidence,
-        pattern index, index layer) are rebuilt from the restored
-        states in one pass.
-        """
-        db = self.db
-        db._objects = {  # noqa: SLF001
-            obj.oid: obj for obj, __ in self._objects_before
-        }
-        db._relationships = {  # noqa: SLF001
-            rel.rid: rel for rel, __ in self._relationships_before
-        }
-        db._name_index.clear()  # noqa: SLF001
-        db._incidence.clear()  # noqa: SLF001
-        # detach the survivors so thawing re-wires every one of them
-        for obj, __ in self._objects_before:
-            obj.parent = None
-            obj._children.clear()  # noqa: SLF001
-        for rel, __ in self._relationships_before:
-            rel._bindings = {}  # noqa: SLF001
-        wire_item_states(
-            db,
-            ((obj.oid, state) for obj, state in self._objects_before),
-            ((rel.rid, state) for rel, state in self._relationships_before),
-        )
-        db._next_id = self._next_id_before  # noqa: SLF001
-        db._dirty = set(self._dirty_before)  # noqa: SLF001
-        db.indexes.cancel_suspension()
-        db.indexes.rebuild()

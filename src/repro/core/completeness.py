@@ -244,9 +244,7 @@ class CompletenessEngine:
         Called by the database once per *successful* commit with the
         transaction's touched-item map (the same map consistency
         validation runs over); rolled-back transactions never reach
-        this point, so the dirty set stays exact — the undo-closure
-        discipline of the index layer, expressed at the commit boundary
-        instead of per mutation. Bulk batches call this exactly once at
+        this point, so the dirty set stays exact. Bulk batches call this exactly once at
         finalize with the union of all their touches (the set-union
         dirty merge).
 

@@ -26,24 +26,46 @@ version, pattern, and completeness operations:
 * schema evolution: :meth:`migrate_schema` (generates a schema version).
 
 All mutation funnels through the private ``_operation`` context so that
-undo logging (atomicity), dirty tracking (delta versioning), and
-consistency validation happen uniformly.
+dirty tracking (delta versioning), consistency validation and rollback
+happen uniformly.
+
+Units of work and rollback
+--------------------------
+
+Every update runs in a unit of work: a single operation, an explicit
+:meth:`transaction`, or a :meth:`bulk` batch. There is one way to roll
+a unit back. Before an operation first changes an item that existed
+when the unit began, the unit logs the item's ``freeze()`` — its
+before-image — once; an item the unit created logs nothing. Items
+touched only so that commit re-validates them (a parent that gains a
+sub-object, the endpoints of a deleted relationship) are not logged
+either. Rollback drops each created item and thaws each before-image
+back onto the same record, so held handles stay valid, repairing only
+the derived state of those items (name index, child lists, incidence,
+inherits links, index entries, and the index status of relationships
+whose pattern context a restored flag decides). Its cost is O(items
+touched); it rebuilds no index.
+
+An operation that raises before changing anything (an argument or
+lookup check) leaves its unit usable. One that raises after changing
+state *poisons* the unit, even if the caller swallows the error: the
+unit then rolls back whole at its end and raises
+:class:`~repro.core.errors.TransactionError`.
 
 Bulk operations
 ---------------
 
 :meth:`SeedDatabase.bulk` opens a **deferred-maintenance batch**: for
-its duration, per-mutation index maintenance, undo-closure allocation,
-incremental ACYCLIC checks, and completeness dirty fan-out are
-suspended; the batch finalizes with one-shot work instead — a single
-index rebuild from the final state, one validation pass over the
-touched items (one full cycle check per touched ACYCLIC family), and a
-single set-union completeness merge. Semantics:
+its duration, per-mutation index maintenance, incremental ACYCLIC
+checks, and completeness dirty fan-out are suspended; the batch
+finalizes with one-shot work instead — a single index rebuild from the
+final state, one validation pass over the touched items (one full
+cycle check per touched ACYCLIC family), and a single set-union
+completeness merge. Semantics:
 
-* **atomicity** — any exception escaping the batch body, any
-  validation failure at finalize, and any mutation error swallowed
-  *inside* the body roll the whole batch back in place (surviving item
-  handles stay valid);
+* **atomicity** — like any unit: an exception escaping the batch body,
+  a validation failure at finalize, or a poisoned batch rolls the whole
+  batch back in place;
 * **mid-batch reads** see all batch mutations so far; index-backed
   queries transparently rebuild once per write-then-read boundary, and
   ``check_completeness`` falls back to the retained full scan;
@@ -52,9 +74,8 @@ single set-union completeness merge. Semantics:
   adds no boundary (its validation is the batch's).
 
 Prefer ``bulk()`` whenever many items are written before the next read
-barrier: ingest, multi-user check-in, workload population. For a
-handful of mutations the per-item path is cheaper — the batch pays a
-pre-batch snapshot plus a full index rebuild.
+barrier: ingest and workload population. For a handful of mutations
+the per-item path is cheaper — the batch pays a full index rebuild.
 
 There is one way to create an item inside a batch, the same as outside
 it: :meth:`create_object`, :meth:`create_sub_object`, :meth:`relate`.
@@ -71,7 +92,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
-from repro.core.bulk import BulkContext, load_item_states
+from repro.core.bulk import load_item_states
 from repro.core.completeness import CompletenessEngine, CompletenessReport
 from repro.core.consistency import ConsistencyEngine, Violation
 from repro.core.errors import (
@@ -103,15 +124,28 @@ Item = Union[SeedObject, SeedRelationship]
 
 
 class _Transaction:
-    """Bookkeeping for one (explicit or implicit) update transaction."""
+    """Bookkeeping for one unit of work: a single operation, an explicit
+    transaction, or a bulk batch (see "Units of work and rollback")."""
 
-    __slots__ = ("undo", "touched", "dirty_added", "force_acyclic", "structural")
+    __slots__ = (
+        "before", "next_id", "changes", "failed",
+        "touched", "dirty_added", "force_acyclic", "structural",
+    )
 
-    def __init__(self, *, record_undo: bool = True) -> None:
-        #: undo closures in application order; ``None`` for bulk batches
-        #: (mutation paths then skip closure allocation entirely — the
-        #: batch rolls back from its pre-batch snapshot instead)
-        self.undo: Optional[list] = [] if record_undo else None
+    def __init__(self, next_id: int) -> None:
+        #: the before-image log: item key -> (item, its state when the
+        #: unit first changed it), for items that existed when the unit
+        #: began; the items it created are the "create"-tagged entries
+        #: of :attr:`touched`
+        self.before: dict[ItemKey, tuple[Item, Any]] = {}
+        #: the database's id counter when the unit began
+        self.next_id = next_id
+        #: state changes made so far (compared across one operation to
+        #: tell whether it raised before or after changing anything)
+        self.changes = 0
+        #: set when an operation raised after changing state: the unit
+        #: can then only roll back whole
+        self.failed = False
         #: item key -> (item, set of operations applied to it)
         self.touched: dict[ItemKey, tuple[Item, set[str]]] = {}
         #: dirty keys newly added by this transaction (for rollback)
@@ -126,13 +160,28 @@ class _Transaction:
         #: engine uses this to narrow its inheritor dirty fan-out
         self.structural: set[ItemKey] = set()
 
+    def keep(self, item: Item) -> None:
+        """Log *item*'s before-image the first time the unit changes it;
+        call it just before the change. An item the unit created logs
+        nothing: rollback drops it."""
+        self.changes += 1
+        key = _key_of(item)
+        if key not in self.before:
+            entry = self.touched.get(key)
+            if entry is None or "create" not in entry[1]:
+                self.before[key] = (item, item.freeze())
+
     def touch(self, item: Item, operation: str) -> None:
+        """Queue *item* for validation at commit; tag ``"create"`` when
+        the unit just created it."""
         key = _key_of(item)
         entry = self.touched.get(key)
         if entry is None:
             self.touched[key] = (item, {operation})
         else:
             entry[1].add(operation)
+        if operation == "create":
+            self.changes += 1
 
 
 def _key_of(item: Item) -> ItemKey:
@@ -179,7 +228,7 @@ class SeedDatabase:
         self._next_id = 1
         self._dirty: set[ItemKey] = set()
         self._txn: Optional[_Transaction] = None
-        self._bulk: Optional["BulkContext"] = None
+        self._bulk: Optional[_Transaction] = None
         #: the change-capture seam: a callable ``(kind, payload)`` fed
         #: every committed mutation, typed by kind —
         #:
@@ -231,11 +280,14 @@ class SeedDatabase:
     def transaction(self) -> Iterator[_Transaction]:
         """Group updates; consistency is checked once, at commit.
 
-        On any exception, or when the combined result violates
-        consistency, *all* updates of the transaction are rolled back.
-        The paper's refinement example needs this: re-classifying
-        ``Alarms`` to ``OutputData`` and its ``Access`` relationship to
-        ``Write`` is only consistent as a unit.
+        On any exception leaving the body, when an update inside it
+        raised after changing state (even if the body swallowed the
+        error: the commit then raises :class:`TransactionError`), or
+        when the combined result violates consistency, *all* updates of
+        the transaction are rolled back. The paper's refinement example
+        needs this: re-classifying ``Alarms`` to ``OutputData`` and its
+        ``Access`` relationship to ``Write`` is only consistent as a
+        unit.
 
         Inside a :meth:`bulk` batch an explicit transaction adds no
         boundary of its own: its updates join the batch, and validation
@@ -247,17 +299,17 @@ class SeedDatabase:
             yield txn
 
     @contextmanager
-    def bulk(self) -> Iterator[BulkContext]:
+    def bulk(self) -> Iterator[_Transaction]:
         """Open a deferred-maintenance batch (see "Bulk operations").
 
-        Per-mutation index maintenance, undo logging, incremental
-        ACYCLIC checks, and completeness fan-out are suspended until
-        the batch ends; finalize then rebuilds the indexes once,
-        validates every touched item once (one full cycle check per
-        touched ACYCLIC family), and merges the completeness dirty set
-        in one union. Any failure — an exception leaving the body, a
-        swallowed mutation error, or a validation violation — rolls
-        the whole batch back in place.
+        Per-mutation index maintenance, incremental ACYCLIC checks, and
+        completeness fan-out are suspended until the batch ends;
+        finalize then rebuilds the indexes once, validates every
+        touched item once (one full cycle check per touched ACYCLIC
+        family), and merges the completeness dirty set in one union.
+        Any failure — an exception leaving the body, a swallowed error
+        of an update that had changed state, or a validation violation
+        — rolls the whole batch back in place.
         """
         if self._txn is not None:
             raise TransactionError(
@@ -265,44 +317,22 @@ class SeedDatabase:
             )
         if self._bulk is not None:
             raise TransactionError("bulk batches cannot be nested")
-        context = BulkContext(self, _Transaction(record_undo=False))
-        self._bulk = context
+        txn = self._bulk = _Transaction(self._next_id)
         self.indexes.suspend()
         try:
-            yield context
+            yield txn
         except BaseException:
             self._bulk = None
-            context.restore()
+            self.indexes.resume()
+            self._rollback(txn)
             raise
         self._bulk = None
-        self._finalize_bulk(context)
+        self._finalize_bulk(txn)
 
-    def _finalize_bulk(self, context: BulkContext) -> None:
-        """One-shot index rebuild, validation, and completeness merge."""
-        if context.failed:
-            # restore() rebuilds from the restored records itself —
-            # resuming first would rebuild doomed state for nothing
-            context.restore()
-            raise TransactionError(
-                "a mutation inside the bulk batch failed and its partial "
-                "effects cannot be unwound individually; the whole batch "
-                "was rolled back"
-            )
+    def _finalize_bulk(self, txn: _Transaction) -> None:
+        """One-shot index rebuild, then the batch ends like any unit."""
         self.indexes.resume()
-        txn = context.txn
-        violations = self._validate(txn, batched_acyclic=True)
-        if violations:
-            context.restore()
-            raise _consistency_error("bulk batch violates consistency", violations)
-        total_items = len(self._objects) + len(self._relationships)
-        if len(txn.touched) * 2 >= total_items:
-            # the batch touched most of the database: re-priming at the
-            # next check costs the same as re-deriving a near-total
-            # dirty set, so skip the per-key merge entirely
-            self.completeness.invalidate()
-        else:
-            self.completeness.note_commit(txn.touched, txn.structural)
-        self._notify_commit(txn)
+        self._commit(txn, "bulk batch", batched=True)
 
     def bulk_load(
         self,
@@ -387,41 +417,27 @@ class SeedDatabase:
 
     @contextmanager
     def _operation(self, what: str = "update") -> Iterator[_Transaction]:
-        """One primitive update: immediate check unless inside a transaction.
+        """One primitive update: immediate check unless inside a unit.
 
         An explicit :meth:`transaction` is the same unit under another
         name (*what* only words the violation message).
 
-        Inside a bulk batch the shared batch transaction is handed out
-        and nothing is validated here; a mutation that raises poisons
-        the batch (its partial effects have no undo closures), forcing
-        a whole-batch rollback even if the caller swallows the error.
+        Inside an open transaction or bulk batch that unit is handed
+        out and nothing is validated here. An update that raises after
+        changing state poisons the unit, which then rolls back whole at
+        its end even if the caller swallows the error.
         """
-        if self._txn is not None:
-            txn = self._txn
-            undo_mark = len(txn.undo)
+        unit = self._txn or self._bulk
+        if unit is not None:
+            changes = unit.changes
             try:
-                yield txn
+                yield unit
             except BaseException:
-                self._undo_to(txn, undo_mark)
+                if unit.changes != changes:
+                    unit.failed = True
                 raise
             return
-        if self._bulk is not None:
-            context = self._bulk
-            txn = context.txn
-            touched_before = len(txn.touched)
-            try:
-                yield txn
-            except BaseException:
-                # errors raised before the first touch left no effects
-                # (argument/lookup checks); later ones partially mutated
-                # and poison the batch — no undo closures exist to unwind
-                if len(txn.touched) > touched_before:
-                    context.failed = True
-                raise
-            return
-        txn = _Transaction()
-        self._txn = txn
+        txn = self._txn = _Transaction(self._next_id)
         try:
             yield txn
         except BaseException:
@@ -430,14 +446,32 @@ class SeedDatabase:
             raise
         self._commit(txn, what)
 
-    def _commit(self, txn: _Transaction, what: str) -> None:
-        """End *txn*: validate, then roll back and raise or publish it."""
+    def _commit(
+        self, txn: _Transaction, what: str, *, batched: bool = False
+    ) -> None:
+        """End *txn*: roll back and raise if it is poisoned or violates
+        consistency, else publish it. A *batched* unit (a bulk batch)
+        checks ACYCLIC families whole and merges completeness at once."""
         self._txn = None
-        violations = self._validate(txn)
+        if txn.failed:
+            self._rollback(txn)
+            raise TransactionError(
+                f"an update inside the {what} raised after changing state; "
+                f"the whole {what} was rolled back"
+            )
+        violations = self._validate(txn, batched_acyclic=batched)
         if violations:
             self._rollback(txn)
             raise _consistency_error(f"{what} violates consistency", violations)
-        self.completeness.note_commit(txn.touched, txn.structural)
+        if batched and len(txn.touched) * 2 >= len(self._objects) + len(
+            self._relationships
+        ):
+            # the batch touched most of the database: re-priming at the
+            # next check costs the same as re-deriving a near-total
+            # dirty set, so skip the per-key merge entirely
+            self.completeness.invalidate()
+        else:
+            self.completeness.note_commit(txn.touched, txn.structural)
         self._notify_commit(txn)
 
     def _notify_commit(self, txn: _Transaction) -> None:
@@ -471,13 +505,77 @@ class SeedDatabase:
                 sink(key)
 
     def _rollback(self, txn: _Transaction) -> None:
-        self._undo_to(txn, 0)
+        """Undo *txn* in place from its before-image log.
+
+        Every item the unit created is dropped: its derived entries are
+        withdrawn and its record unregistered. Every logged item has its
+        entries withdrawn while it still holds its current state, its
+        before-image thawed back onto the same record, and its entries
+        re-entered. Relationships whose pattern context a restored flag
+        decides are re-indexed as the forward path did. O(items the
+        unit touched); the index layer must be live (not suspended).
+        """
+        for item, operations in txn.touched.values():
+            if "create" in operations:
+                self._withdraw(item)
+                self._unregister(item)
+        restored = []
+        for item, state in txn.before.values():
+            self._withdraw(item)
+            restored.append((item, state, item.is_pattern))
+        for item, state, __ in restored:
+            item.thaw(state)
+        for item, __, was_pattern in restored:
+            self._enter(item)
+            if isinstance(item, SeedObject) and item.is_pattern != was_pattern:
+                self._refresh_pattern_status(item)
+        self._next_id = txn.next_id
         self._dirty -= txn.dirty_added
         self._report_touched(txn)
 
-    def _undo_to(self, txn: _Transaction, mark: int) -> None:
-        while len(txn.undo) > mark:
-            txn.undo.pop()()
+    def _enter(self, item: Item) -> None:
+        """Enter a live item's derived entries: its index-layer entries
+        and, for an object, its name (if independent) and its inherits
+        links."""
+        if item.deleted:
+            return
+        if isinstance(item, SeedRelationship):
+            self.indexes.index_relationship(item)
+            return
+        self.indexes.add_object(item)
+        if item.parent is None:
+            self._name_index[item.simple_name] = item.oid
+            self.indexes.add_name(item.simple_name)
+        for pattern_oid in item.inherited_patterns:
+            self.patterns.register_inheritance(pattern_oid, item.oid)
+
+    def _withdraw(self, item: Item) -> None:
+        """The inverse of :meth:`_enter`, from the item's current state."""
+        if item.deleted:
+            return
+        if isinstance(item, SeedRelationship):
+            self.indexes.unindex_relationship(item)
+            return
+        self.indexes.remove_object(item)
+        if item.parent is None:
+            del self._name_index[item.simple_name]
+            self.indexes.remove_name(item.simple_name)
+        for pattern_oid in item.inherited_patterns:
+            self.patterns.unregister_inheritance(pattern_oid, item.oid)
+
+    def _unregister(self, item: Item) -> None:
+        """Drop a created item's record (its entries already withdrawn)."""
+        if isinstance(item, SeedObject):
+            del self._objects[item.oid]
+            if item.parent is not None:
+                item.parent._detach_child(item)
+            return
+        del self._relationships[item.rid]
+        for obj in item.bound_objects():
+            incident = self._incidence[obj.oid]
+            incident.remove(item.rid)
+            if not incident:
+                del self._incidence[obj.oid]
 
     def _mark_dirty(self, txn: _Transaction, item: Item) -> None:
         key = _key_of(item)
@@ -629,25 +727,10 @@ class SeedDatabase:
             obj = SeedObject(self, self._allocate_id(), entity_class, name)
             obj.is_pattern = pattern
             self._objects[obj.oid] = obj
-            self._name_index[name] = obj.oid
-            self.indexes.add_object(obj)
-            self.indexes.add_name(name)
-            if txn.undo is not None:
-                txn.undo.append(lambda: self._unregister_object(obj))
+            self._enter(obj)
             txn.touch(obj, "create")
             self._mark_dirty(txn, obj)
             return obj
-
-    def _unregister_object(self, obj: SeedObject) -> None:
-        self._objects.pop(obj.oid, None)
-        self.indexes.remove_object(obj)
-        if obj.parent is None and self._name_index.get(obj.simple_name) == obj.oid:
-            del self._name_index[obj.simple_name]
-            self.indexes.remove_name(obj.simple_name)
-        if obj.parent is not None:
-            siblings = obj.parent._children_of_role(obj.simple_name)
-            if obj in siblings:
-                siblings.remove(obj)
 
     def create_sub_object(
         self,
@@ -685,6 +768,8 @@ class SeedDatabase:
                     f"dependent class {dependent_class.full_name!r} admits "
                     "a single instance; indices are not used"
                 )
+            if value is not None:
+                value = dependent_class.accepts_value(value)
             obj = SeedObject(
                 self,
                 self._allocate_id(),
@@ -693,13 +778,10 @@ class SeedDatabase:
                 parent=parent,
                 index=index,
             )
-            if value is not None:
-                obj.value = dependent_class.accepts_value(value)
+            obj.value = value
             self._objects[obj.oid] = obj
             parent._attach_child(obj)
-            self.indexes.add_object(obj)
-            if txn.undo is not None:
-                txn.undo.append(lambda: self._unregister_object(obj))
+            self._enter(obj)
             txn.touch(obj, "create")
             txn.touch(parent, "update")
             self._mark_dirty(txn, obj)
@@ -757,23 +839,13 @@ class SeedDatabase:
             self._relationships[rel.rid] = rel
             for obj in rel.bound_objects():
                 self._incidence.setdefault(obj.oid, []).append(rel.rid)
-            self.indexes.index_relationship(rel)
-            if txn.undo is not None:
-                txn.undo.append(lambda: self._unregister_relationship(rel))
+            self._enter(rel)
             txn.touch(rel, "create")
             self._mark_dirty(txn, rel)
             if attributes:
                 for attr_name, attr_value in attributes.items():
                     self._set_attribute_inner(txn, rel, attr_name, attr_value)
             return rel
-
-    def _unregister_relationship(self, rel: SeedRelationship) -> None:
-        self.indexes.unindex_relationship(rel)
-        self._relationships.pop(rel.rid, None)
-        for obj in rel.bound_objects():
-            incident = self._incidence.get(obj.oid)
-            if incident and rel.rid in incident:
-                incident.remove(rel.rid)
 
     # ------------------------------------------------------------------
     # update
@@ -785,16 +857,10 @@ class SeedDatabase:
             self._require_live(obj)
             if value is not None:
                 value = obj.entity_class.accepts_value(value)
+            txn.keep(obj)
             old_value = obj.value
             obj.value = value
             self.indexes.update_value(obj, old_value, value)
-
-            def undo() -> None:
-                obj.value = old_value
-                self.indexes.update_value(obj, value, old_value)
-
-            if txn.undo is not None:
-                txn.undo.append(undo)
             txn.touch(obj, "update")
             self._mark_dirty(txn, obj)
 
@@ -808,21 +874,13 @@ class SeedDatabase:
         self, txn: _Transaction, rel: SeedRelationship, name: str, value: Any
     ) -> None:
         attribute = rel.association.attribute(name)  # raises for unknown names
-        had = name in rel._attributes
-        old_value = rel._attributes.get(name)
+        if value is not None:
+            value = attribute.sort.coerce(value)
+        txn.keep(rel)
         if value is None:
             rel._attributes.pop(name, None)
         else:
-            rel._attributes[name] = attribute.sort.coerce(value)
-
-        def undo() -> None:
-            if had:
-                rel._attributes[name] = old_value
-            else:
-                rel._attributes.pop(name, None)
-
-        if txn.undo is not None:
-            txn.undo.append(undo)
+            rel._attributes[name] = value
         txn.touch(rel, "update")
         self._mark_dirty(txn, rel)
 
@@ -843,22 +901,13 @@ class SeedDatabase:
                     f"an object named {new_name!r} already exists",
                     [Violation("structure", new_name, "duplicate independent name")],
                 )
+            txn.keep(obj)
             old_name = obj.simple_name
             del self._name_index[old_name]
             self._name_index[new_name] = obj.oid
             self.indexes.remove_name(old_name)
             self.indexes.add_name(new_name)
             obj._rename(new_name)
-
-            def undo() -> None:
-                del self._name_index[new_name]
-                self._name_index[old_name] = obj.oid
-                self.indexes.remove_name(new_name)
-                self.indexes.add_name(old_name)
-                obj._rename(old_name)
-
-            if txn.undo is not None:
-                txn.undo.append(undo)
             txn.touch(obj, "update")
             self._mark_dirty(txn, obj)
 
@@ -893,59 +942,22 @@ class SeedDatabase:
             rel = self._relationships[rid]
             if not rel.deleted:
                 self._tombstone_relationship(txn, rel)
-        removed_links: list[tuple[SeedObject, int]] = []
-        for inheritor_oid in [
-            inheritor.oid for inheritor in self.patterns.inheritors_of(obj)
-        ]:  # pragma: no cover - guarded by delete()
-            inheritor = self._objects[inheritor_oid]
-            inheritor.inherited_patterns.remove(obj.oid)
-            self.patterns.unregister_inheritance(obj.oid, inheritor_oid)
-            removed_links.append((inheritor, obj.oid))
-        # drop this object's own inherits links; the patterns lose an
-        # inheritor, shrinking the virtual participations of objects
-        # bound to them (completeness fan-out)
-        own_links = list(obj.inherited_patterns)
-        for pattern_oid in own_links:
-            self.patterns.unregister_inheritance(pattern_oid, obj.oid)
+        txn.keep(obj)
+        self._withdraw(obj)
+        # the patterns it inherited lose an inheritor, shrinking the
+        # virtual participations of objects bound to them (completeness
+        # fan-out)
+        for pattern_oid in obj.inherited_patterns:
             txn.touch(self._objects[pattern_oid], "update")
         obj.inherited_patterns = []
         obj.deleted = True
-        self.indexes.remove_object(obj)
-        removed_name = False
-        if obj.parent is None and self._name_index.get(obj.simple_name) == obj.oid:
-            del self._name_index[obj.simple_name]
-            self.indexes.remove_name(obj.simple_name)
-            removed_name = True
-
-        def undo() -> None:
-            obj.deleted = False
-            self.indexes.add_object(obj)
-            obj.inherited_patterns = own_links
-            for pattern_oid in own_links:
-                self.patterns.register_inheritance(pattern_oid, obj.oid)
-            for inheritor, pattern_oid in removed_links:
-                inheritor.inherited_patterns.append(pattern_oid)
-                self.patterns.register_inheritance(pattern_oid, inheritor.oid)
-            if obj.parent is None:
-                self._name_index[obj.simple_name] = obj.oid
-                if removed_name:
-                    self.indexes.add_name(obj.simple_name)
-
-        if txn.undo is not None:
-            txn.undo.append(undo)
         txn.touch(obj, "delete")
         self._mark_dirty(txn, obj)
 
     def _tombstone_relationship(self, txn: _Transaction, rel: SeedRelationship) -> None:
+        txn.keep(rel)
+        self._withdraw(rel)
         rel.deleted = True
-        self.indexes.unindex_relationship(rel)
-
-        def undo() -> None:
-            rel.deleted = False
-            self.indexes.index_relationship(rel)
-
-        if txn.undo is not None:
-            txn.undo.append(undo)
         txn.touch(rel, "delete")
         self._mark_dirty(txn, rel)
         for endpoint in rel.bound_objects():
@@ -969,16 +981,10 @@ class SeedDatabase:
                 check_reclassification(
                     item.entity_class, new_class, allow_generalize=allow_generalize
                 )
+                txn.keep(item)
                 old_class = item.entity_class
                 item.entity_class = new_class
                 self.indexes.move_object(item, old_class, new_class)
-
-                def undo_object() -> None:
-                    item.entity_class = old_class
-                    self.indexes.move_object(item, new_class, old_class)
-
-                if txn.undo is not None:
-                    txn.undo.append(undo_object)
                 txn.touch(item, "reclassify")
                 self._mark_dirty(txn, item)
                 for rid in self._incidence.get(item.oid, ()):
@@ -992,9 +998,7 @@ class SeedDatabase:
                     new_association,
                     allow_generalize=allow_generalize,
                 )
-                old_association = item.association
-                old_bindings = dict(item._bindings)
-                old_attributes = dict(item._attributes)
+                txn.keep(item)
                 # roles correspond positionally; rebind under the new names
                 new_bindings = {
                     new_association.role_at(position).name: item.bound_at(position)
@@ -1007,20 +1011,10 @@ class SeedDatabase:
                 # validation reports them if this loses information
                 item._attributes = {
                     attr_name: attr_value
-                    for attr_name, attr_value in old_attributes.items()
+                    for attr_name, attr_value in item._attributes.items()
                     if new_association.has_attribute(attr_name)
                 }
                 self.indexes.index_relationship(item)
-
-                def undo() -> None:
-                    self.indexes.unindex_relationship(item)
-                    item.association = old_association
-                    item._bindings = old_bindings
-                    item._attributes = old_attributes
-                    self.indexes.index_relationship(item)
-
-                if txn.undo is not None:
-                    txn.undo.append(undo)
                 txn.touch(item, "reclassify")
                 self._mark_dirty(txn, item)
 
@@ -1039,13 +1033,9 @@ class SeedDatabase:
                     "an object inheriting patterns cannot itself become a "
                     "pattern"
                 )
+            txn.keep(item)
             item.is_pattern = True
-            if isinstance(item, SeedObject) and item.parent is None:
-                # patterns are invisible to retrieval by name
-                pass
-            if txn.undo is not None:
-                txn.undo.append(lambda: setattr(item, "is_pattern", False))
-            self._refresh_pattern_status(txn, item)
+            self._refresh_pattern_status(item)
             txn.touch(item, "update")
             # flipping the flag changes a whole context's visibility —
             # structural for completeness despite the "update" tag
@@ -1062,28 +1052,28 @@ class SeedDatabase:
                 raise PatternError(
                     "the pattern is inherited; remove the inherits links first"
                 )
+            txn.keep(item)
             item.is_pattern = False
-            if txn.undo is not None:
-                txn.undo.append(lambda: setattr(item, "is_pattern", True))
-            self._refresh_pattern_status(txn, item, recheck_acyclic=True)
+            self._refresh_pattern_status(item, txn.force_acyclic)
             txn.touch(item, "update")
             txn.structural.add(_key_of(item))
             self._mark_dirty(txn, item)
 
     def _refresh_pattern_status(
-        self, txn: _Transaction, item: Item, *, recheck_acyclic: bool = False
+        self, item: Item, force_acyclic: Optional[dict[str, Any]] = None
     ) -> None:
         """Re-index relationships whose pattern context the flag flip changed.
 
         Marking an object affects every relationship bound to it or to
-        any of its descendants. Un-marking (``recheck_acyclic=True``)
-        can add effective edges to a family graph even for
-        relationships that *stay* in pattern context — a formerly
-        suppressed endpoint now substitutes for itself while the other
-        endpoint still expands to its inheritors — so every incident
-        ACYCLIC family is queued for a full re-check at commit, not
-        just the ones whose indexed status flipped. Marking only ever
-        removes or preserves effective edges and needs no re-check.
+        any of its descendants (so does a rollback restoring the flag).
+        Un-marking (given the unit's *force_acyclic* map) can add
+        effective edges to a family graph even for relationships that
+        *stay* in pattern context — a formerly suppressed endpoint now
+        substitutes for itself while the other endpoint still expands
+        to its inheritors — so every incident ACYCLIC family is queued
+        there for a full re-check at commit, not just the ones whose
+        indexed status flipped. Marking only ever removes or preserves
+        effective edges and needs no re-check.
         """
         if isinstance(item, SeedObject):
             rids = sorted(
@@ -1099,19 +1089,10 @@ class SeedDatabase:
             rel = self._relationships[rid]
             if rel.deleted:
                 continue
-            if recheck_acyclic and rel.association.effective_acyclic():
+            if force_acyclic is not None and rel.association.effective_acyclic():
                 root = rel.association.family_root()
-                txn.force_acyclic[root.name] = rel.association
-            change = self.indexes.refresh_relationship(rel)
-            if change is None:
-                continue
-            old_status = change[0]
-
-            def undo(rel: SeedRelationship = rel, status: str = old_status) -> None:
-                self.indexes.set_relationship_status(rel, status)
-
-            if txn.undo is not None:
-                txn.undo.append(undo)
+                force_acyclic[root.name] = rel.association
+            self.indexes.refresh_relationship(rel)
 
     def inherit(self, pattern: SeedObject, inheritor: SeedObject) -> None:
         """Establish the inherits-relationship pattern → inheritor.
@@ -1124,6 +1105,7 @@ class SeedDatabase:
             self._require_live(pattern)
             self._require_live(inheritor)
             self.patterns.check_inheritance_allowed(pattern, inheritor)
+            txn.keep(inheritor)
             inheritor.inherited_patterns.append(pattern.oid)
             self.patterns.register_inheritance(pattern.oid, inheritor.oid)
             # the new inheritor materialises virtual edges out of every
@@ -1133,13 +1115,6 @@ class SeedDatabase:
                 if rel.association.effective_acyclic():
                     root = rel.association.family_root()
                     txn.force_acyclic[root.name] = rel.association
-
-            def undo() -> None:
-                inheritor.inherited_patterns.remove(pattern.oid)
-                self.patterns.unregister_inheritance(pattern.oid, inheritor.oid)
-
-            if txn.undo is not None:
-                txn.undo.append(undo)
             txn.touch(inheritor, "update")
             # the pattern's effective neighbourhood changed too: objects
             # bound to it by pattern relationships gain one virtual
@@ -1159,15 +1134,9 @@ class SeedDatabase:
                     f"object {inheritor.name} does not inherit "
                     f"pattern {pattern.name}"
                 )
+            txn.keep(inheritor)
             inheritor.inherited_patterns.remove(pattern.oid)
             self.patterns.unregister_inheritance(pattern.oid, inheritor.oid)
-
-            def undo() -> None:
-                inheritor.inherited_patterns.append(pattern.oid)
-                self.patterns.register_inheritance(pattern.oid, inheritor.oid)
-
-            if txn.undo is not None:
-                txn.undo.append(undo)
             txn.touch(inheritor, "update")
             txn.touch(pattern, "update")  # virtual participations shrink
             txn.structural.add(_key_of(pattern))

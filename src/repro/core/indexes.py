@@ -57,10 +57,13 @@ tests in ``tests/test_indexes.py``):
    structure equals what :meth:`rebuild` would compute from the raw
    records. Mutation paths in :class:`~repro.core.database.SeedDatabase`
    update the indexes in the same code paths that update the records.
-2. **Rollback invariant** — every index mutation inside a transaction
-   is paired with an undo closure in the transaction's undo log, so a
-   rolled-back transaction leaves all structures byte-identical to the
-   pre-transaction state.
+2. **Rollback invariant** — a rolled-back unit of work leaves all
+   structures equal to their pre-unit state. The unit's rollback
+   withdraws the entries of every item it logged (from the item's
+   current state), thaws the before-images, and re-enters them —
+   through the same maintenance hooks the mutators call, O(items
+   changed), no :meth:`rebuild` (a bulk batch resumes maintenance
+   first, which rebuilds once if the suspended layer is stale).
 3. **Status invariant** — each live relationship is indexed under
    exactly one status, ``normal`` or ``pattern`` (cached in
    ``_rel_status``); pattern-flag changes re-index through
@@ -227,11 +230,6 @@ class IndexLayer:
         """
         self._stale = True
 
-    def cancel_suspension(self) -> None:
-        """Clear suspension without refreshing (bulk rollback rebuilds)."""
-        self._suspended = False
-        self._stale = False
-
     def _ensure_fresh(self) -> None:
         if self._stale:
             self.rebuild()
@@ -284,8 +282,8 @@ class IndexLayer:
     ) -> None:
         """Re-count a live object's value after ``set_value``.
 
-        Called (and undone) by the database in the same code path that
-        flips ``obj.value``, mirroring the other maintained structures.
+        Called by the database in the same code path that flips
+        ``obj.value``, mirroring the other maintained structures.
         """
         if self._suspended:
             self._stale = True
@@ -411,8 +409,8 @@ class IndexLayer:
     def unindex_relationship(self, rel: "SeedRelationship") -> None:
         """Remove a relationship using the status it was indexed under.
 
-        The cached status, not the current flags, drives removal so the
-        call stays correct while flags are mid-rollback.
+        The cached status, not one recomputed from the current flags,
+        drives removal, so a removal always mirrors its insertion.
         """
         if self._suspended:
             self._stale = True
@@ -437,10 +435,8 @@ class IndexLayer:
         return (old_status, new_status)
 
     def set_relationship_status(self, rel: "SeedRelationship", status: str) -> None:
-        """Force a relationship's indexed status (used by undo closures)."""
-        if self._suspended:  # pragma: no cover - undo never runs in bulk
-            self._stale = True
-            return
+        """Re-index a relationship under *status* (what
+        :meth:`refresh_relationship` applies)."""
         current = self._rel_status.pop(rel.rid, None)
         if current is not None:
             self._unindex_as(rel, current)

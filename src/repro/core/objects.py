@@ -8,13 +8,16 @@ of that class exist (figure 1's ``Alarms.Text.Body.Keywords[1]``).
 
 Objects are *owned by the database*: all mutation goes through
 :class:`~repro.core.database.SeedDatabase` so that consistency checking,
-undo logging, dirty tracking for versions, and pattern propagation stay
+rollback, dirty tracking for versions, and pattern propagation stay
 centralised. The convenience mutators on :class:`SeedObject` delegate to
 the owning database.
 
 The module also defines :class:`ObjectState`, the immutable snapshot of
-an object's fields used by the version store (delta snapshots freeze
-states of changed items only).
+an object's fields that :meth:`SeedObject.freeze` takes and
+:meth:`SeedObject.thaw` writes back. The version store keeps the states
+of changed items only, a unit of work keeps the before-image of each
+item it changes (its rollback thaws them), and images and journal
+deltas encode them.
 """
 
 from __future__ import annotations
@@ -338,6 +341,13 @@ class SeedObject:
 
     def _attach_child(self, child: "SeedObject") -> None:
         self._children.setdefault(child.simple_name, []).append(child)
+
+    def _detach_child(self, child: "SeedObject") -> None:
+        """The inverse of :meth:`_attach_child` (a rolled-back creation)."""
+        siblings = self._children[child.simple_name]
+        siblings.remove(child)
+        if not siblings:
+            del self._children[child.simple_name]
 
     def _children_of_role(self, role: str) -> list["SeedObject"]:
         return self._children.get(role, [])

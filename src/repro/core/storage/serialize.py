@@ -917,14 +917,20 @@ def ingest_image_records(
     """
     cursor = _ImageCursor(records)
     created: dict[str, SeedObject] = {}
-    with db.bulk() as batch:
-        txn = batch.txn
+    with db.bulk() as txn:
         db.indexes.mark_stale()  # wiring from states calls no mutator
 
         def fresh(kind: str, registry: dict, what: str) -> Iterator:
             for item_id, state in cursor.states(kind):
                 if item_id in registry:
                     raise StorageError(f"{what} id {item_id} already exists")
+                parent = state.parent_oid if kind == "o" else None
+                if parent is not None and parent not in registry:
+                    # refused here: a record the primitive registers
+                    # but cannot wire would escape the batch's rollback
+                    raise StorageError(
+                        f"object {item_id} comes before its parent {parent}"
+                    )
                 named = (
                     kind == "o" and state.parent_oid is None and not state.deleted
                 )

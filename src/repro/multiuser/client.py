@@ -138,9 +138,7 @@ class CopyHolder:
         """Check *names* out under the session; the frozen copy set."""
         raise NotImplementedError
 
-    def _submit_package(
-        self, package: CheckInPackage, bulk: Optional[bool]
-    ) -> dict[int, int]:
+    def _submit_package(self, package: CheckInPackage) -> dict[int, int]:
         """Check *package* in; the local → master id translation."""
         raise NotImplementedError
 
@@ -197,22 +195,18 @@ class CopyHolder:
 
     # -- check-in ---------------------------------------------------------------------
 
-    def check_in(self, *, bulk: Optional[bool] = None) -> dict[int, int]:
+    def check_in(self) -> dict[int, int]:
         """Send the updated copy back; the server applies it atomically.
 
         Returns the id translation map for locally created items. On
         success the local copy is dropped and all locks are released; on
         failure (consistency violation or stale data) the copy and locks
-        survive so the client can repair and retry. ``bulk=True`` forces
-        the master's deferred-maintenance bulk path regardless of
-        package size (the right call for large ingest-style check-ins);
-        ``bulk=False`` forces the per-item transaction; ``None`` lets
-        the server's size heuristic decide.
+        survive so the client can repair and retry.
         """
         package = build_package(
             self.local, self._baseline_objects, self._baseline_relationships
         )
-        translation = self._submit_package(package, bulk)
+        translation = self._submit_package(package)
         self._drop_copy()
         return translation
 
@@ -253,10 +247,8 @@ class SeedClient(CopyHolder):
     def _fetch_ticket(self, names: tuple[str, ...]) -> "CheckOutTicket":
         return self._server.check_out(self.token, names)
 
-    def _submit_package(
-        self, package: CheckInPackage, bulk: Optional[bool]
-    ) -> dict[int, int]:
-        return self._server.apply_check_in(self.token, package, force_bulk=bulk)
+    def _submit_package(self, package: CheckInPackage) -> dict[int, int]:
+        return self._server.apply_check_in(self.token, package)
 
     def _release_copy(self) -> None:
         self._server.abandon(self.token)

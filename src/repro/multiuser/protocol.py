@@ -26,11 +26,11 @@ What a request may look like is declared once, in
 tag), and checked once, by :func:`check_request`, which the service
 calls on every decoded frame before it takes any lock or touches the
 server. A type tag is a key of ``_FIELD_TYPES`` — ``str`` (non-empty),
-``bool``, ``object``, ``[str]`` — and a trailing ``?`` makes the field
-optional (absent or ``null``). Fields the table does not name are
-ignored; a missing or ill-typed field, an unknown op and an unknown
-query kind are each a :class:`SeedError` (wire code ``seed``) naming
-the op and the field:
+``object``, ``[str]`` — and a trailing ``?`` makes the field optional
+(absent or ``null``). Fields the table does not name are ignored (an
+older client's ``check_in`` field ``bulk`` among them); a missing or
+ill-typed field, an unknown op and an unknown query kind are each a
+:class:`SeedError` (wire code ``seed``) naming the op and the field:
 
 ================  =====================================================
 op                fields
@@ -40,7 +40,7 @@ op                fields
 ``disconnect``    ``token`` str
 ``renew``         ``token`` str
 ``check_out``     ``token`` str, ``names`` [str]
-``check_in``      ``token`` str, ``package`` object, ``bulk`` bool?
+``check_in``      ``token`` str, ``package`` object
 ``abandon``       ``token`` str
 ``pin``           —
 ``read``          ``version`` str, ``query`` object with ``kind`` one
@@ -103,7 +103,7 @@ ERROR_CODES: dict[str, type[SeedError]] = {
 _CLASS_TO_CODE = {cls: code for code, cls in ERROR_CODES.items()}
 
 #: the largest request frame the service reads — ~100 000 created
-#: objects of a bulk check-in (~130 bytes each); a longer frame gets a
+#: objects of a large check-in (~130 bytes each); a longer frame gets a
 #: typed "request too large" error on a connection that stays usable
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
@@ -116,7 +116,7 @@ REQUEST_FIELDS: dict[str, dict[str, str]] = {
     "disconnect": {"token": "str"},
     "renew": {"token": "str"},
     "check_out": {"token": "str", "names": "[str]"},
-    "check_in": {"token": "str", "package": "object", "bulk": "bool?"},
+    "check_in": {"token": "str", "package": "object"},
     "abandon": {"token": "str"},
     "pin": {},
     "read": {"version": "str", "query": "object"},
@@ -133,7 +133,6 @@ READ_QUERY_FIELDS: dict[str, dict[str, str]] = {
 #: type tag -> (what an error message calls it, the test)
 _FIELD_TYPES = {
     "str": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
-    "bool": ("a boolean", lambda v: isinstance(v, bool)),
     "object": ("an object", lambda v: isinstance(v, dict)),
     "[str]": (
         "a list of strings",

@@ -521,11 +521,7 @@ class SeedServer:
     # -- check-in ----------------------------------------------------------------------
 
     def apply_check_in(
-        self,
-        token: str,
-        changes: "CheckInPackage",
-        *,
-        force_bulk: Optional[bool] = None,
+        self, token: str, changes: "CheckInPackage"
     ) -> dict[int, int]:
         """Apply a session's updated copy in a single master transaction.
 
@@ -536,17 +532,10 @@ class SeedServer:
         held-lock validation (which only ever saw modified keys) runs.
 
         Returns the id translation map (local id -> master id) for items
-        the client created. Large packages replay through the master's
-        deferred-maintenance bulk path — ``force_bulk`` overrides the
-        size heuristic in either direction (the client API's ``bulk()``
-        exposure for large check-ins): no per-item index undo closures
-        or incremental ACYCLIC probes while the package applies, one
-        index rebuild plus one validation pass at the end. Small
-        packages (the lock-a-few-items common case) stay on the
-        per-item transaction — a bulk batch pays an O(master) pre-batch
-        snapshot plus a full index rebuild, which only amortizes once
-        the package is a sizeable fraction of the master. Either way
-        the semantics are identical: any consistency violation or
+        the client created. The package replays through the master's
+        operational interface inside one :meth:`SeedDatabase.transaction`
+        whatever its size: its rollback costs O(items the package
+        changed), never O(master). Any consistency violation or
         stale-copy conflict rolls everything back in place — the master
         is left unchanged (surviving handles stay valid) and the client
         keeps its locks and standing (it can fix the copy and retry).
@@ -571,20 +560,6 @@ class SeedServer:
                     f"client {client_id!r} modified {key} without holding "
                     "its lock"
                 )
-        package_size = (
-            len(changes.created_objects)
-            + len(changes.created_relationships)
-            + len(changes.modified_objects)
-            + len(changes.modified_relationships)
-        )
-        master_items = len(self.master._objects) + len(  # noqa: SLF001
-            self.master._relationships  # noqa: SLF001
-        )
-        if force_bulk is None:
-            use_bulk = package_size >= 64 and package_size * 8 >= master_items
-        else:
-            use_bulk = force_bulk and package_size > 0
-        boundary = self.master.bulk if use_bulk else self.master.transaction
         seq = None
         if self.journal is not None and not changes.is_empty():
             # write-ahead: the delta is durable before the master
@@ -599,7 +574,7 @@ class SeedServer:
             else nullcontext()
         )
         try:
-            with suspend, boundary():
+            with suspend, self.master.transaction():
                 translation = changes.apply_to(self.master)
         except BaseException:
             self.checkins_rejected += 1

@@ -12,7 +12,7 @@ two-level sketch:
   snapshot views* (fully materialized, immutable
   :class:`~repro.core.versions.view.VersionView` objects), so a reader
   holding a pin keeps getting consistent answers while a check-in —
-  even a large ``bulk()`` batch — is applying. The check-in itself runs
+  even a large one — is applying. The check-in itself runs
   in a thread executor, so the event loop keeps answering reads
   mid-apply;
 * **maintenance runs between check-ins** — every ``maintain_every``
@@ -379,13 +379,10 @@ class SeedService:
             raise SeedError(
                 f"check_in: field 'package' is malformed: {exc!r}"
             ) from None
-        bulk = request.get("bulk")
 
         def apply_and_publish():
             # a rejected apply raises before anything is published
-            translation = self.server.apply_check_in(
-                token, package, force_bulk=bulk
-            )
+            translation = self.server.apply_check_in(token, package)
             return translation, self.server.publish_snapshot()
 
         async with self._write_lock:
@@ -503,8 +500,7 @@ class ServiceClient(CopyHolder):
     through :meth:`_call`: ``connect`` mints the session, ``check_out``
     materializes a local :class:`~repro.core.database.SeedDatabase`
     copy from the wire ticket, ``check_in`` diffs it against the
-    baseline and ships the package (``bulk=True`` forces the server's
-    bulk apply path). The
+    baseline and ships the package. The
     read surface is MVCC: ``pin`` publishes-or-reuses a snapshot and
     subsequent ``find``/``objects``/``counts`` answer from that pinned
     version until ``pin`` is called again — consistent-as-of-pin by
@@ -607,12 +603,8 @@ class ServiceClient(CopyHolder):
         result = self._call("check_out", names=list(names))
         return ticket_from_dict(result["ticket"])
 
-    def _submit_package(
-        self, package: CheckInPackage, bulk: Optional[bool]
-    ) -> dict[int, int]:
-        result = self._call(
-            "check_in", package=package_to_dict(package), bulk=bulk
-        )
+    def _submit_package(self, package: CheckInPackage) -> dict[int, int]:
+        result = self._call("check_in", package=package_to_dict(package))
         return dict(result["translation"])
 
     def _release_copy(self) -> None:

@@ -34,8 +34,9 @@ def load_into_spades(spec: GeneratedSpec, tool: SpadesTool) -> SpadesTool:
 
     The whole population runs in one deferred-maintenance bulk batch
     (:meth:`~repro.core.database.SeedDatabase.bulk`): per-item index
-    maintenance, undo closures, and incremental ACYCLIC checks are
-    suspended, and the load finalizes with one index rebuild, one
+    maintenance and incremental ACYCLIC checks are suspended, every
+    item is created in the batch (so it logs no before-image), and the
+    load finalizes with one index rebuild, one
     validation pass, and one completeness merge. Generated specs are
     valid by construction, so the deferred validation is equivalent to
     the per-item checks — and the load is atomic either way.

@@ -1,8 +1,8 @@
 """The bulk write path vs. the per-item path — equivalence forever.
 
-``SeedDatabase.bulk()`` defers index maintenance, undo logging, ACYCLIC
-checks, and completeness fan-out to one-shot batch finalize. These
-tests pin its contract:
+``SeedDatabase.bulk()`` defers index maintenance, ACYCLIC checks, and
+completeness fan-out to one-shot batch finalize. These tests pin its
+contract:
 
 * a successful batch lands in a state *identical* to replaying the
   same operations one by one (records, indexes, completeness, version
@@ -824,7 +824,8 @@ def test_checkin_failure_leaves_master_unchanged():
     assert canonical_image(master) != before  # only the server's change
 
 
-def test_large_checkin_routes_through_bulk_and_succeeds():
+def test_large_checkin_applies_in_one_transaction(monkeypatch):
+    from repro.core.indexes import IndexLayer
     from repro.multiuser.server import SeedServer
 
     server = SeedServer(acyclic_schema(), "central")
@@ -833,8 +834,8 @@ def test_large_checkin_routes_through_bulk_and_succeeds():
     client = server.connect("bob")
     client.check_out("Root")
     local = client.local
-    # a package big enough for the bulk threshold (>= 64 items, and a
-    # sizeable fraction of the 2-item master)
+    # a package of ~120 items, 60 times the 2-item master: still one
+    # transaction, maintained per item — no bulk batch, no rebuild
     previous = None
     for i in range(40):
         task = local.create_object("Task", f"New{i}")
@@ -842,7 +843,14 @@ def test_large_checkin_routes_through_bulk_and_succeeds():
         if previous is not None:
             local.relate("DependsOn", prereq=task, dependent=previous)
         previous = task
+    rebuilds = []
+    real_rebuild = IndexLayer.rebuild
+    monkeypatch.setattr(
+        IndexLayer, "rebuild",
+        lambda layer: rebuilds.append(layer) or real_rebuild(layer),
+    )
     translation = client.check_in()
+    assert [layer for layer in rebuilds if layer is server.master.indexes] == []
     assert len(translation) >= 80
     master = server.master
     assert master.find_object("New39") is not None

@@ -242,6 +242,20 @@ class TestBulkIngest:
             dst.bulk_load(records=iter(records[:-2] + [records[-1]]))
         assert canonical_bytes(dst) == before  # whole-batch rollback
 
+    def test_an_orphaned_object_record_rolls_the_batch_back(self):
+        src = SeedDatabase(figure3_schema(), "src")
+        populate(src, seed=7, ops=30, versions=0)
+        records = list(iter_image_records(src))
+        child = next(r for r in records if r.get("s", {}).get("parent") is not None)
+        orphaned = [r for r in records if r.get("o") != child["s"]["parent"]]
+        dst = SeedDatabase(figure3_schema(), "dst")
+        before = canonical_bytes(dst)
+        with pytest.raises(StorageError, match="before its parent"):
+            dst.bulk_load(records=iter(orphaned))
+        assert canonical_bytes(dst) == before
+        assert dst.statistics()["objects"] == 0
+        dst.indexes.verify()
+
 
 def open_group(path, **kwargs):
     clock = kwargs.pop("clock", None) or (lambda: 0.0)

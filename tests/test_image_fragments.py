@@ -11,12 +11,20 @@ and tombstone GC, patterns, reclassification — the cached payload must
 equal ``RecordFile.encode({"kind": "image", "image": database_to_dict(db)})``
 after every step. A checkpoint with nothing changed since the last one
 must encode only the header.
+
+The same histories carry the rollback oracle: after every rolled-back
+unit of work — a refused single update, a transaction abandoned,
+poisoned or refused at commit, a failing bulk batch — the image, the
+index layer, the name index, incidence, child lists and inherits links
+equal what they were when the unit began, and every held handle is
+still the same record.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -134,40 +142,51 @@ class History:
             if vague:
                 db.reclassify(rng.choice(vague), "Read")
         elif roll < 0.80:
-            patterns = [
-                o for o in db.objects(include_patterns=True)
-                if o.is_pattern and o.parent is None
-            ]
-            if patterns and rng.random() < 0.4:
-                pattern = rng.choice(patterns)
-                inheritors = db.patterns.inheritors_of(pattern)
-                if inheritors:
-                    db.uninherit(pattern, inheritors[0])
-                else:
-                    db.unmark_pattern(pattern)
-            elif patterns and rng.random() < 0.5:
-                db.inherit(rng.choice(patterns), rng.choice(data + actions))
-            else:
-                db.mark_pattern(rng.choice(data + actions))
+            self.pattern_edit()
         else:
             db.rename(rng.choice(data + actions), self.name("Renamed"))
 
+    def pattern_edit(self) -> None:
+        rng, db = self.rng, self.db
+        candidates = self.roots("Data", "InputData", "OutputData", "Action")
+        if not candidates:
+            return
+        patterns = [
+            o for o in db.objects(include_patterns=True)
+            if o.is_pattern and o.parent is None
+        ]
+        if patterns and rng.random() < 0.4:
+            pattern = rng.choice(patterns)
+            inheritors = db.patterns.inheritors_of(pattern)
+            if inheritors:
+                db.uninherit(pattern, inheritors[0])
+            else:
+                db.unmark_pattern(pattern)
+        elif patterns and rng.random() < 0.5:
+            db.inherit(rng.choice(patterns), rng.choice(candidates))
+        else:
+            db.mark_pattern(rng.choice(candidates))
+
     # -- units of work and whole-database operations ---------------------------
 
-    def transaction(self) -> None:
+    def transaction(self, edit=None) -> None:
         """Several edits committed as one unit, or rolled back."""
         rolled_back = self.rng.random() < 0.5
         try:
             with self.db.transaction():
                 for __ in range(self.rng.randrange(1, 4)):
                     try:
-                        self.edit()
+                        (edit or self.edit)()
                     except SeedError:
                         pass
                 if rolled_back:
                     raise RuntimeError("abandon the transaction")
         except RuntimeError:
             pass
+
+    def pattern_transaction(self) -> None:
+        """Pattern edits only, committed as one unit or rolled back."""
+        self.transaction(self.pattern_edit)
 
     def cycle(self) -> None:
         """A commit the consistency check refuses (a containment cycle)."""
@@ -205,7 +224,7 @@ class History:
         for existing in local.objects("Action"):
             for described in existing.sub_objects("Description"):
                 local.set_value(described, "edited remotely")
-        client.check_in(bulk=self.rng.random() < 0.5)
+        client.check_in()
         self.server.disconnect(client.client_id)
 
     def version(self) -> None:
@@ -249,7 +268,8 @@ class History:
 
     def step(self) -> str:
         steps = [
-            ("edit", 30), ("transaction", 10), ("cycle", 2), ("bulk", 6),
+            ("edit", 30), ("transaction", 10), ("pattern_transaction", 5),
+            ("cycle", 2), ("bulk", 6),
             ("check_in", 5), ("version", 8), ("select", 3), ("migrate", 1),
             ("compact_versions", 3), ("drop_version", 2), ("save_point", 4),
         ]
@@ -274,6 +294,86 @@ def test_cached_payload_equals_the_full_encode_after_every_step(seed, tmp_path):
     history.save_point()
     reopened = JournaledDatabase.open(history.path)
     assert full_image(reopened.db) == full_image(history.db)
+
+
+def unit_state(db) -> dict:
+    """Everything a rolled-back unit of work must leave as it found it."""
+    return {
+        "image": full_image(db),
+        "indexes": db.indexes.snapshot(),
+        "names": dict(db._name_index),  # noqa: SLF001
+        "incidence": {
+            oid: list(rids) for oid, rids in db._incidence.items()  # noqa: SLF001
+        },
+        "children": {
+            obj.oid: {
+                role: [child.oid for child in children]
+                for role, children in obj._children.items()  # noqa: SLF001
+            }
+            for obj in db.all_objects_raw()
+        },
+        # the order of a pattern's inheritors is not kept
+        "inherits": {
+            pattern: sorted(inheritors)
+            for pattern, inheritors in db.patterns._inheritors.items()  # noqa: SLF001
+        },
+        "next_id": db._next_id,  # noqa: SLF001
+        # SeedObject / SeedRelationship compare by identity
+        "handles": (dict(db._objects), dict(db._relationships)),  # noqa: SLF001
+    }
+
+
+def check_every_rollback(monkeypatch, db) -> list:
+    """Compare *db* after each rolled-back unit with its state when the
+    unit began; returns the list of units checked so far."""
+    began: dict[int, dict] = {}
+    checked: list = []
+    real_rollback = SeedDatabase._rollback  # noqa: SLF001
+
+    def spying(real):
+        @contextmanager
+        def unit(database, *args):
+            outermost = (
+                database is db
+                and database._txn is None  # noqa: SLF001
+                and database._bulk is None  # noqa: SLF001
+            )
+            if not outermost:  # an update joining an open unit
+                with real(database, *args) as txn:
+                    yield txn
+                return
+            state = unit_state(database)
+            txn = None
+            try:
+                with real(database, *args) as txn:
+                    began[id(txn)] = state
+                    yield txn
+            finally:
+                began.pop(id(txn), None)
+
+        return unit
+
+    def rollback(database, txn) -> None:
+        real_rollback(database, txn)
+        expected = began.pop(id(txn), None)
+        if expected is not None:
+            assert unit_state(database) == expected
+            database.indexes.verify()
+            checked.append(txn)
+
+    monkeypatch.setattr(SeedDatabase, "_operation", spying(SeedDatabase._operation))  # noqa: SLF001
+    monkeypatch.setattr(SeedDatabase, "bulk", spying(SeedDatabase.bulk))
+    monkeypatch.setattr(SeedDatabase, "_rollback", rollback)
+    return checked
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_rolled_back_unit_leaves_no_trace(seed, tmp_path, monkeypatch):
+    history = History(seed, tmp_path)
+    checked = check_every_rollback(monkeypatch, history.db)
+    for __ in range(120):
+        history.step()
+    assert len(checked) >= 3, "the history rolled back too few units"
 
 
 def test_the_checkpoint_frame_is_the_full_encode(tmp_path):

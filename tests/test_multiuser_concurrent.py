@@ -1,8 +1,8 @@
 """Randomized concurrency harness: N wire clients against one service.
 
 Each client thread runs a seeded random mix of MVCC snapshot reads,
-contended check-outs (with bounded retry), check-ins (some forced down
-the bulk path), and abandons, while the service runs background
+contended check-outs (with bounded retry), check-ins, and abandons,
+while the service runs background
 compaction between check-ins. Two oracles close the loop:
 
 * **snapshot consistency** — within one pin, every read answers
@@ -42,15 +42,13 @@ class RecordingServer(SeedServer):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.accepted: list = []  # (package, force_bulk)
+        self.accepted: list = []  # packages
 
-    def apply_check_in(self, token, changes, *, force_bulk=None):
-        translation = super().apply_check_in(
-            token, changes, force_bulk=force_bulk
-        )
+    def apply_check_in(self, token, changes):
+        translation = super().apply_check_in(token, changes)
         # the service holds its write lock here: append order is the
         # serialization order of the concurrent run
-        self.accepted.append((changes, force_bulk))
+        self.accepted.append(changes)
         return translation
 
 
@@ -88,22 +86,8 @@ def replay_serially(accepted):
     replay = SeedServer(spades_schema())
     populate(replay.master)
     master = replay.master
-    for package, force_bulk in accepted:
-        package_size = (
-            len(package.created_objects)
-            + len(package.created_relationships)
-            + len(package.modified_objects)
-            + len(package.modified_relationships)
-        )
-        # the server's own boundary choice, replicated: identical
-        # master state -> identical heuristic -> identical path
-        master_items = len(master._objects) + len(master._relationships)  # noqa: SLF001
-        if force_bulk is None:
-            use_bulk = package_size >= 64 and package_size * 8 >= master_items
-        else:
-            use_bulk = force_bulk and package_size > 0
-        boundary = master.bulk if use_bulk else master.transaction
-        with boundary():
+    for package in accepted:
+        with master.transaction():
             package.apply_to(master)
     return master
 
@@ -169,8 +153,7 @@ class ClientWorker(threading.Thread):
             if self.rng.random() < 0.1:
                 client.abandon()
                 return
-            bulk = True if self.rng.random() < 0.2 else None
-            client.check_in(bulk=bulk)
+            client.check_in()
             self.commits += 1
         except BaseException:
             if client.has_copy:

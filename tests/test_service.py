@@ -27,6 +27,7 @@ from repro.core.errors import (
     VersionError,
 )
 from repro.multiuser import SeedServer, SeedService, ServiceClient
+from repro.multiuser.checkin import package_to_dict
 from repro.multiuser.protocol import (
     ERROR_CODES,
     MAX_REQUEST_BYTES,
@@ -101,11 +102,27 @@ class TestWireRoundTrip:
             for i in range(40):
                 obj = local.create_object("Data", f"Bulk{i}")
                 local.set_value(obj, None)
-            translation = loader.check_in(bulk=True)
+            translation = loader.check_in()
         master = service.server.master
         assert len(translation) == 40
         assert master.find_object("Bulk39") is not None
         assert service.server.checkins_applied == 1
+
+    def test_an_old_clients_bulk_field_is_accepted(self, service):
+        class OldClient(ServiceClient):
+            """Sends ``bulk``, a check-in field the table no longer names."""
+
+            def _submit_package(self, package):
+                result = self._call(
+                    "check_in", package=package_to_dict(package), bulk=True
+                )
+                return dict(result["translation"])
+
+        with OldClient.for_service(service, "old") as old:
+            old.check_out().create_object("Data", "FromAnOldClient")
+            translation = old.check_in()
+        assert len(translation) == 1
+        assert service.server.master.find_object("FromAnOldClient") is not None
 
 
 class TestWireErrors:
@@ -164,7 +181,7 @@ class TestRequestSizeLimit:
             local = loader.check_out()
             for i in range(2000):
                 local.create_object("Data", f"Big{i}")
-            translation = loader.check_in(bulk=True)
+            translation = loader.check_in()
             assert loader.ping()
         assert len(translation) == 2000
         assert service.server.master.find_object("Big1999") is not None
@@ -227,7 +244,7 @@ class TestRequestSizeLimit:
 
 #: a well-typed value per type tag, and values no tag but "object" admits
 WELL_TYPED = {
-    "str": "x", "bool": True, "object": {"kind": "count"}, "[str]": ["Alarms"],
+    "str": "x", "object": {"kind": "count"}, "[str]": ["Alarms"],
 }
 ILL_TYPED = (None, 7, ["x", 7], {"a": {"b": 1}})
 
