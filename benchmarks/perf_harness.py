@@ -778,7 +778,7 @@ def bench_publish_snapshot(size: int, repeats: int) -> dict:
         )
         by_key = itemgetter("kind", "id")
         assert sorted(
-            version_delta_from_db(master, version)["cells"], key=by_key
+            json.loads(version_delta_from_db(master, version))["cells"], key=by_key
         ) == sorted(version_cells_scan(master, version), key=by_key)
 
         def incremental() -> None:

@@ -13,24 +13,29 @@ in one journal file:
   :func:`save_database` / :func:`load_database`. The journal's
   checkpoint does not rebuild that dict: it keeps one encoded JSON
   fragment per object, relationship and version-store cell
-  (:class:`~repro.core.storage.serialize.ImageFragments`), drops a
-  fragment wherever state is written — every key a unit of work
-  touched (committed or rolled back, check-in applies included),
-  every item ``wire_item_states`` thawed, every cell a
-  :class:`~repro.core.versions.store.VersionStore` writer changed, all
-  live items on a ``restore`` or ``schema`` event — and joins the kept
-  fragments with a freshly encoded header, re-encoding only the
+  (:class:`~repro.core.storage.serialize.ImageFragments`). A state is
+  encoded once, when it is journaled: the fragment is *filled* where a
+  record encodes the state — every item a ``txn`` record carries, with
+  its id spliced into the state kernel's bytes, and every cell a
+  ``version`` record opens — and *dropped* elsewhere state is written:
+  every key a unit of work touched (committed or rolled back, check-in
+  applies included), every item ``wire_item_states`` thawed (replay),
+  every cell a :class:`~repro.core.versions.store.VersionStore` writer
+  changed (a cell that gains a second entry, compaction), all live
+  items on a ``restore`` or ``schema`` event. A checkpoint joins the
+  kept fragments with a freshly encoded header, re-encoding only the
   dropped ones. The payload equals ``RecordFile.encode`` of the
   :func:`~repro.core.storage.serialize.database_to_dict` record byte
   for byte; that from-scratch encode stays as the oracle. A *streamed*
   checkpoint instead appends a counted group —
   ``{"kind": "image.begin", "cp": k}``, one ``{"kind": "image.rec",
   "cp": k, "rec": ...}`` per streamed image record, ``{"kind":
-  "image.end", "cp": k, "n": count}`` — emitted straight from
-  :func:`~repro.core.storage.serialize.iter_image_records` at O(1)
-  extra memory. Only a *complete* group (matching ``cp`` and count)
-  counts as an image; a crash mid-stream leaves an incomplete group
-  that recovery ignores, exactly like a torn monolithic append;
+  "image.end", "cp": k, "n": count}`` — one frame at a time, joined
+  from the same fragments; ``RecordFile.encode`` of the group built
+  from :func:`~repro.core.storage.serialize.iter_image_records` is its
+  oracle. Only a *complete* group (matching ``cp`` and count) counts
+  as an image; a crash mid-stream leaves an incomplete group that
+  recovery ignores, exactly like a torn monolithic append;
 * **check-in deltas** — ``{"kind": "checkin", "seq": n, "delta": ...}``
   appended by :meth:`JournaledDatabase.append_delta` *before* the
   master applies a multi-user check-in (write-ahead); a failed apply
@@ -160,7 +165,6 @@ from repro.core.storage.serialize import (
     _image_dict_records,
     database_from_records,
     database_to_dict,
-    iter_image_records,
     restore_delta_from_db,
     schema_delta_from_migration,
     txn_delta_from_txn,
@@ -232,6 +236,12 @@ class BaseUnit(NamedTuple):
     end: int
     #: the streamed group's id; None for a monolithic image
     cp: Optional[int]
+
+
+def _delta_record(kind: str, seq: int, delta: bytes) -> bytes:
+    """``RecordFile.encode({"kind": kind, "seq": seq, "delta": ...})``
+    for a delta that is already encoded."""
+    return b'{"delta":%b,"kind":%b,"seq":%d}' % (delta, RecordFile.encode(kind), seq)
 
 
 def _holds(events: list, base: BaseUnit) -> bool:
@@ -636,8 +646,9 @@ class JournaledDatabase:
         # sink suspension depth: >0 while a check-in apply runs (the
         # check-in delta already covers those commits write-ahead)
         self._sink_suspended = 0
-        # the monolithic checkpoint's encoded items and cells; every
-        # state write drops the fragment it may have changed
+        # the checkpoints' encoded items and cells: the txn and version
+        # records fill them, every other state write drops the fragment
+        # it may have changed
         self._fragments = ImageFragments()
         db._change_sink = self._on_change_event  # noqa: SLF001 - the seam
         db._state_sink = self._fragments.item_changed  # noqa: SLF001
@@ -731,10 +742,9 @@ class JournaledDatabase:
 
         With ``streamed=True`` (or :attr:`streamed_checkpoints`), the
         image is appended as a counted ``image.begin`` / ``image.rec``
-        / ``image.end`` group emitted straight from
-        :func:`~repro.core.storage.serialize.iter_image_records`, so
-        checkpointing never materializes the monolithic image dict —
-        O(1) extra memory in the database size. Recovery treats only a
+        / ``image.end`` group, one frame per
+        :func:`~repro.core.storage.serialize.iter_image_records` record,
+        joined from the same fragments. Recovery treats only a
         complete group as an image; a crash mid-stream is a torn
         checkpoint and the previous base still recovers the same
         committed state (checkpoints change no state).
@@ -749,13 +759,16 @@ class JournaledDatabase:
             cp = self._next_seq
             self._next_seq += 1
 
-            def group() -> Iterator[dict]:
-                yield {"kind": "image.begin", "cp": cp}
+            def group() -> Iterator[bytes]:
+                # RecordFile.encode of {"kind": "image.begin", "cp": cp},
+                # {"kind": "image.rec", "cp": cp, "rec": ...} per image
+                # record and {"kind": "image.end", "cp": cp, "n": count}
+                yield b'{"cp":%d,"kind":"image.begin"}' % cp
                 count = 0
-                for rec in iter_image_records(self.db):
+                for rec in self._fragments.records(self.db):
                     count += 1
-                    yield {"kind": "image.rec", "cp": cp, "rec": rec}
-                yield {"kind": "image.end", "cp": cp, "n": count}
+                    yield b'{"cp":%d,"kind":"image.rec","rec":%b}' % (cp, rec)
+                yield b'{"cp":%d,"kind":"image.end","n":%d}' % (cp, count)
 
             offset, end, __ = self._file.append_stream(group())
         self._base = BaseUnit(offset, end, cp)
@@ -781,12 +794,14 @@ class JournaledDatabase:
         """
         seq = self._next_seq
         self._next_seq += 1
-        self._append_record({"kind": "checkin", "seq": seq, "delta": delta})
+        self._append_record(
+            RecordFile.encode({"kind": "checkin", "seq": seq, "delta": delta})
+        )
         return seq
 
     def append_abort(self, seq: int) -> None:
         """Mark delta *seq* as never-applied (its check-in was rejected)."""
-        self._append_record({"kind": "checkin.abort", "seq": seq})
+        self._append_record(RecordFile.encode({"kind": "checkin.abort", "seq": seq}))
 
     # -- the change sink ----------------------------------------------------
 
@@ -811,11 +826,14 @@ class JournaledDatabase:
             return
         if kind == "schema":
             new_schema, index = payload
-            delta = schema_delta_from_migration(self.db, new_schema, index)
+            delta = RecordFile.encode(
+                schema_delta_from_migration(self.db, new_schema, index)
+            )
         elif kind == "restore":
-            delta = restore_delta_from_db(self.db, payload)
+            delta = RecordFile.encode(restore_delta_from_db(self.db, payload))
         elif kind == "version":
-            delta = version_delta_from_db(self.db, payload)
+            # the cells this version opened keep the bytes the record has
+            delta = version_delta_from_db(self.db, payload, self._fragments)
         else:
             raise StorageError(
                 f"change sink received unknown event kind {kind!r}: "
@@ -825,28 +843,30 @@ class JournaledDatabase:
             faults.fire("change.journal.pre_append")
         seq = self._next_seq
         self._next_seq += 1
-        self._append_record({"kind": kind, "seq": seq, "delta": delta})
+        self._append_record(_delta_record(kind, seq, delta))
         if self.byte_budget is not None:
             self.enforce_budget()
 
     def _on_txn_commit(self, txn) -> None:
-        """Append (or buffer) a ``txn`` delta for a committed transaction."""
+        """Append (or buffer) a ``txn`` delta for a committed transaction.
+
+        Every touched item's image fragment is kept from the bytes the
+        delta encodes its state with, so the next checkpoint encodes
+        none of them again.
+        """
         if faults._PLAN is not None:  # noqa: SLF001 - zero-cost guard
             faults.fire("txn.journal.pre_append")
         seq = self._next_seq
         self._next_seq += 1
-        record = {
-            "kind": "txn",
-            "seq": seq,
-            "delta": txn_delta_from_txn(self.db, txn),
-        }
+        payload = _delta_record(
+            "txn", seq, txn_delta_from_txn(self.db, txn, self._fragments)
+        )
         policy = self.group_commit
         if policy is None:
-            self._file.append(record)
+            self._file.append(payload)
             if self.byte_budget is not None:
                 self.enforce_budget()
             return
-        payload = RecordFile.encode(record)
         now = self._clock()
         self._pending.append(payload)
         self._pending_bytes += len(payload)
@@ -878,17 +898,18 @@ class JournaledDatabase:
             self.enforce_budget()
         return count
 
-    def _append_record(self, record: dict) -> None:
-        """Append one record, draining any buffered txns ahead of it.
+    def _append_record(self, payload: bytes) -> None:
+        """Append one encoded record, draining any buffered txns ahead
+        of it.
 
-        The buffered records and *record* land in one fsync'd append,
+        The buffered records and *payload* land in one fsync'd append,
         preserving commit order in the file. With an empty buffer this
         is a plain append.
         """
         if self._pending:
-            self._drain(RecordFile.encode(record))
+            self._drain(payload)
         else:
-            self._file.append(record)
+            self._file.append(payload)
 
     def _drain(self, *trailing: bytes) -> int:
         """Append the buffered payloads (+ *trailing*) as one fsync'd

@@ -105,6 +105,10 @@ __all__ = ["RecordFile", "IntegrityReport", "CorruptRange", "ScanEvent"]
 
 _HEADER_LENGTH = 8 + 1 + 8 + 1
 
+#: the one canonical JSON encoder (``json.dumps`` would build a new
+#: encoder for these arguments on every call)
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
 #: tail problems a clean prefix of an interrupted append can produce —
 #: the normal crash case, as opposed to in-place corruption
 _TORN_TAIL_PROBLEMS = frozenset(
@@ -244,7 +248,8 @@ def _fsync_directory(directory: Path) -> None:
 def _frame(payload: bytes) -> bytes:
     """Wrap one encoded payload into its framed on-disk bytes."""
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return f"{len(payload):08d} {crc:08x}\n".encode("ascii") + payload + b"\n"
+    # one copy of the payload (a checkpoint's is megabytes)
+    return b"%08d %08x\n%b\n" % (len(payload), crc, payload)
 
 
 class RecordFile:
@@ -276,9 +281,7 @@ class RecordFile:
         For callers that buffer records: size the buffer from these
         bytes, then hand them to :meth:`append_encoded` unchanged.
         """
-        return json.dumps(
-            record, separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
+        return _ENCODER.encode(record).encode("utf-8")
 
     def append_encoded(self, payloads: list[bytes]) -> int:
         """:meth:`append_many` for payloads :meth:`encode` already made."""
@@ -294,10 +297,14 @@ class RecordFile:
         The streaming sibling of :meth:`append_many`: each frame is its
         own blob, written as the iterator produces it — O(largest
         record) memory, and a torn write leaves the frames already
-        written plus a torn prefix. Returns the group's byte range and
-        the number appended: ``(offset, end, count)``.
+        written plus a torn prefix. Like :meth:`append`, a record may
+        be the payload bytes :meth:`encode` would make of it. Returns
+        the group's byte range and the number appended: ``(offset,
+        end, count)``.
         """
-        return self._write(_frame(self.encode(r)) for r in records)
+        return self._write(
+            _frame(r if isinstance(r, bytes) else self.encode(r)) for r in records
+        )
 
     def _write(self, blobs: Iterable[bytes]) -> tuple[int, int, int]:
         """The one durable writer; returns ``(offset, end, blobs written)``."""

@@ -17,10 +17,18 @@ here hands decoded states to :func:`repro.core.bulk.wire_item_states`
 (wholesale loads via ``load_item_states``), which applies them with the
 records' ``thaw``. :func:`database_from_records` is the one image
 decoder; :func:`database_from_dict` only re-shapes a monolithic image
-into that stream. :class:`ImageFragments` is the one other image
-encoder: it keeps each item's and cell's encoded bytes and produces the
-monolithic record of :func:`database_to_dict` byte for byte, re-encoding
-only what was reported changed.
+into that stream.
+
+A state is encoded once, by one kernel: :func:`encode_state` writes a
+frozen state's canonical JSON straight from its fields, byte for byte
+what ``RecordFile.encode(state_to_dict(kind, state))`` writes (the
+oracle). The ``txn`` and ``version`` deltas are joined from its bytes,
+and so is :class:`ImageFragments`, the journal's image encoder: it
+keeps each item's and cell's encoded bytes — filled from the bytes a
+``txn`` or ``version`` record has just written, dropped where state is
+written otherwise — and produces the monolithic record of
+:func:`database_to_dict` and the records of :func:`iter_image_records`
+byte for byte, encoding only what is not cached.
 
 Attached procedures serialise by *name*; loading re-binds them against a
 :class:`~repro.core.schema.attached.ProcedureRegistry` (the process-wide
@@ -34,6 +42,7 @@ are tagged (``{"$date": "1986-02-05"}``).
 from __future__ import annotations
 
 import datetime
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable, Iterator, KeysView, Optional
 
 from repro.core.bulk import load_item_states, wire_item_states
@@ -70,6 +79,7 @@ __all__ = [
     "apply_version_delta",
     "state_to_dict",
     "state_from_dict",
+    "encode_state",
 ]
 
 FORMAT_VERSION = 1
@@ -344,10 +354,146 @@ def _decoded(kind: str, pairs: Iterable) -> Iterator[tuple[int, Any]]:
 
 
 # ---------------------------------------------------------------------------
+# the state kernel: a frozen state's canonical JSON, written from its fields
+# ---------------------------------------------------------------------------
+#
+# What ``RecordFile.encode(state_to_dict(kind, state))`` writes, without
+# the dict and without the generic encoder's per-call set-up: keys in the
+# order ``sort_keys=True`` puts them, strings escaped by the same function
+# the encoder uses. Every state a journal record or an image carries is
+# encoded here; ``state_to_dict`` + ``RecordFile.encode`` is the oracle.
+
+def _json_scalar(value: Any) -> str:
+    """The canonical JSON of one field value.
+
+    ``True``/``False`` are tested before ``int``: ``int.__repr__(True)``
+    is ``'True'``. Floats, subclasses and containers take the generic
+    encoder, which spells them the way it always has.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    cls = type(value)
+    if cls is str:
+        return _quote(value)
+    if cls is int:
+        return repr(value)
+    return RecordFile.encode(value).decode("ascii")
+
+
+def _json_value(value: Any) -> str:
+    """The canonical JSON of a stored value (:func:`encode_value`)."""
+    if type(value) is str:
+        return _quote(value)
+    return _json_scalar(encode_value(value))
+
+
+def _object_json(state: ObjectState) -> tuple[str, int]:
+    head = '{"class":%s,"deleted":%s,"index":%s,"inherits":[%s],"name":%s' % (
+        _json_scalar(state.class_name),
+        _json_scalar(state.deleted),
+        _json_scalar(state.index),
+        ",".join(map(_json_scalar, state.inherited_pattern_oids)),
+        _json_scalar(state.name),
+    )
+    return head + ',"parent":%s,"pattern":%s,"value":%s}' % (
+        _json_scalar(state.parent_oid),
+        _json_scalar(state.is_pattern),
+        _json_value(state.value),
+    ), len(head)
+
+
+def _relationship_json(state: RelationshipState) -> tuple[str, int]:
+    text = (
+        '{"association":%s,"attributes":[%s],"bindings":[%s],'
+        '"deleted":%s,"pattern":%s}'
+    ) % (
+        _json_scalar(state.association_name),
+        ",".join([
+            "[%s,%s]" % (_json_scalar(name), _json_value(value))
+            for name, value in state.attributes
+        ]),
+        ",".join([
+            "[%s,%s]" % (_json_scalar(role), _json_scalar(oid))
+            for role, oid in state.bindings
+        ]),
+        _json_scalar(state.deleted),
+        _json_scalar(state.is_pattern),
+    )
+    return text, len(text) - 1
+
+
+def _encode_state(kind: str, state: Any) -> tuple[bytes, int]:
+    """The state kernel: :func:`encode_state`'s bytes, plus the offset
+    where the item's id key goes in its image member (before
+    ``"parent"`` in an object, before the closing brace in a
+    relationship — see :func:`_member`)."""
+    text, split = (_object_json if kind == "o" else _relationship_json)(state)
+    return text.encode("ascii"), split
+
+
+def encode_state(kind: str, state: Any) -> bytes:
+    """Canonical JSON bytes of one frozen item state: byte for byte
+    ``RecordFile.encode(state_to_dict(kind, state))``."""
+    return _encode_state(kind, state)[0]
+
+
+#: an item kind as a JSON string, and the id member an image splices
+#: into an item's state
+_KINDS = {"o": b'"o"', "r": b'"r"'}
+_ID_KEYS = {"o": b',"oid":', "r": b',"rid":'}
+
+
+def _member(kind: str, item_id: int, state: bytes, split: int) -> bytes:
+    """An item's member of an image's ``objects``/``relationships``
+    list (:func:`_object_record`, :func:`_relationship_record`): its
+    encoded state with the id spliced in at the kernel's *split*."""
+    return b"%b%b%d%b" % (state[:split], _ID_KEYS[kind], item_id, state[split:])
+
+
+def _live_member(kind: str, item_id: int, item: Any) -> bytes:
+    """:func:`_member` of a live object or relationship, encoded now."""
+    return _member(kind, item_id, *_encode_state(kind, item.freeze()))
+
+
+def _unspliced(kind: str, item_id: int, member: bytes) -> bytes:
+    """The encoded state inside an image *member* (inverse of
+    :func:`_member`). The id key is found by search: ``,"oid":`` /
+    ``,"rid":`` occur once, as that key — inside an escaped string a
+    quote always follows a backslash, never a comma."""
+    tag = b"%b%d" % (_ID_KEYS[kind], item_id)
+    at = member.index(tag)
+    return member[:at] + member[at + len(tag):]
+
+
+def _cell_json(key: ItemKey, entries: Iterable[tuple[Any, bytes, bool]]) -> bytes:
+    """A version-store cell (:func:`_cell_record`) from its entries as
+    ``(version, encoded state, materialized)``."""
+    kind, item_id = key
+    return b'{"id":%d,"kind":%b,"states":[%b]}' % (
+        item_id,
+        _KINDS[kind],
+        b",".join([
+            b'{%b"state":%b,"version":%b}' % (
+                b'"materialized":true,' if materialized else b"",
+                state,
+                _quote(str(version)).encode("ascii"),
+            )
+            for version, state, materialized in entries
+        ]),
+    )
+
+
+# ---------------------------------------------------------------------------
 # transaction deltas (write-ahead ``txn`` journal records)
 # ---------------------------------------------------------------------------
 
-def txn_delta_from_txn(db: SeedDatabase, txn) -> dict:
+def txn_delta_from_txn(
+    db: SeedDatabase, txn, fragments: Optional[ImageFragments] = None
+) -> bytes:
     """Serialise one committed transaction's item-state changes.
 
     *txn* is the committed ``_Transaction`` handed to the database's
@@ -357,17 +503,31 @@ def txn_delta_from_txn(db: SeedDatabase, txn) -> dict:
     reproduce. ``dirty`` records which touched keys are in the dirty
     set at commit time so the replayed database's dirty tracking (a
     serialised part of the canonical image) matches the live one.
+
+    Returns the delta's canonical JSON (``{"dirty": [[kind, id], ...],
+    "objects": [[oid, state], ...], "relationships": [[rid, state],
+    ...]}`` as :meth:`RecordFile.encode` writes it), joined from the
+    state kernel's bytes. With *fragments*, each item's image member
+    is kept there, made from the same bytes.
     """
+    keys = sorted(txn.touched)
     items: dict[str, list] = {"o": [], "r": []}
-    for kind, item_id in sorted(txn.touched):
-        state = txn.touched[kind, item_id][0].freeze()
-        items[kind].append([item_id, state_to_dict(kind, state)])
+    for key in keys:
+        kind, item_id = key
+        state, split = _encode_state(kind, txn.touched[key][0].freeze())
+        items[kind].append(b"[%d,%b]" % (item_id, state))
+        if fragments is not None:
+            fragments.keep_item(kind, item_id, state, split)
     dirty = db._dirty  # noqa: SLF001 - dirty parity is part of the delta
-    return {
-        "objects": items["o"],
-        "relationships": items["r"],
-        "dirty": [list(key) for key in sorted(txn.touched) if key in dirty],
-    }
+    return b'{"dirty":[%b],"objects":[%b],"relationships":[%b]}' % (
+        b",".join([
+            b"[%b,%d]" % (_KINDS[kind], item_id)
+            for kind, item_id in keys
+            if (kind, item_id) in dirty
+        ]),
+        b",".join(items["o"]),
+        b",".join(items["r"]),
+    )
 
 
 def apply_txn_delta(db: SeedDatabase, delta: dict) -> int:
@@ -501,7 +661,9 @@ def apply_restore_delta(db: SeedDatabase, delta: dict) -> int:
     return len(delta.get("objects", ())) + len(delta.get("relationships", ()))
 
 
-def version_delta_from_db(db: SeedDatabase, vid: VersionId) -> dict:
+def version_delta_from_db(
+    db: SeedDatabase, vid: VersionId, fragments: Optional[ImageFragments] = None
+) -> bytes:
     """Serialise one committed ``create_version`` (``version`` record).
 
     Captured *after* the manager recorded the snapshot: the delta
@@ -514,26 +676,37 @@ def version_delta_from_db(db: SeedDatabase, vid: VersionId) -> dict:
     new cells (a materialized state copies one an existing cell already
     holds), the replayed store lists its cells in the same order as the
     live one: the canonical image is byte-identical.
+
+    Returns the delta's canonical JSON (``{"cells": [{"id", "kind",
+    "materialized"?, "state"}, ...], "parent", "schema_version",
+    "snapshot", "version"}``), joined from the state kernel's bytes.
+    With *fragments*, every cell this version opened — its one entry
+    is the state just encoded — is kept there, made from the same
+    bytes; a cell that gained a further entry is re-encoded whole by
+    the next save point.
     """
     store = db.versions.store
     cells = []
-    for (kind, item_id), state, materialized in store.states_at(vid):
-        cell = {
-            "kind": kind,
-            "id": item_id,
-            "state": state_to_dict(kind, state),
-        }
-        if materialized:
-            cell["materialized"] = True
-        cells.append(cell)
+    for key, state, materialized in store.states_at(vid):
+        kind, item_id = key
+        blob = _encode_state(kind, state)[0]
+        cells.append(b'{"id":%d,"kind":%b,%b"state":%b}' % (
+            item_id,
+            _KINDS[kind],
+            b'"materialized":true,' if materialized else b"",
+            blob,
+        ))
+        if fragments is not None and len(store._cells[key]) == 1:  # noqa: SLF001
+            fragments.keep_cell(key, vid, blob, materialized)
     parent = db.versions.tree.parent(vid)
-    return {
-        "version": str(vid),
-        "parent": str(parent) if parent else None,
-        "schema_version": db.versions.schema_version_of[vid],
-        "snapshot": store.is_snapshot(vid),
-        "cells": cells,
-    }
+    encode = RecordFile.encode
+    return _json_object({
+        "cells": b"[%b]" % b",".join(cells),
+        "parent": encode(str(parent) if parent else None),
+        "schema_version": encode(db.versions.schema_version_of[vid]),
+        "snapshot": encode(store.is_snapshot(vid)),
+        "version": encode(str(vid)),
+    })
 
 
 def apply_version_delta(db: SeedDatabase, delta: dict) -> VersionId:
@@ -630,20 +803,30 @@ def database_to_dict(db: SeedDatabase) -> dict:
     }
 
 
+#: an image's three per-item lists, in image order
+_ITEM_LISTS = ("objects", "relationships", "version_cells")
+
+
 class ImageFragments:
-    """A monolithic image record, re-encoded only where state changed.
+    """Both kinds of checkpoint image, joined from encoded fragments.
 
     Holds one encoded JSON fragment per object, relationship (keyed by
     id) and version-store cell (keyed by item key) — exactly the bytes
     :meth:`RecordFile.encode` gives that member of the
     :func:`database_to_dict` lists — and nothing else: no frozen state
-    is kept to compare against. Whoever writes state reports the key
-    (:meth:`item_changed`, :meth:`cell_changed`, :meth:`items_replaced`)
-    and the fragment is dropped; :meth:`encode` re-encodes the dropped
-    ones, encodes the small header afresh and joins everything in image
-    order. The result is byte-identical to
+    is kept to compare against. A fragment is *filled* where a journal
+    record has just encoded the state, from the same bytes
+    (:meth:`keep_item` for every item a ``txn`` delta carries,
+    :meth:`keep_cell` for every cell a ``version`` delta opens), and
+    *dropped* wherever state is written otherwise: the writer reports
+    the key (:meth:`item_changed`, :meth:`cell_changed`,
+    :meth:`items_replaced`). :meth:`encode` (the monolithic ``image``
+    record) and :meth:`records` (the streamed image records) encode the
+    small header afresh, re-encode only the dropped fragments, and join
+    the rest in image order. The results are byte-identical to
     ``RecordFile.encode({"kind": "image", "image": database_to_dict(db)})``
-    as long as every write was reported, which
+    and to ``RecordFile.encode`` of each :func:`iter_image_records`
+    record as long as every write was reported, which
     :class:`~repro.core.storage.engine.JournaledDatabase` arranges
     through the database's ``_state_sink`` and the store's
     ``_cell_sink``.
@@ -670,57 +853,105 @@ class ImageFragments:
         self._objects.clear()
         self._relationships.clear()
 
-    def encode(self, db: SeedDatabase) -> bytes:
-        """The payload of *db*'s monolithic ``image`` record."""
-        encode = RecordFile.encode
+    def keep_item(self, kind: str, item_id: int, state: bytes, split: int) -> None:
+        """Keep the member of an item whose current state a record has
+        just encoded (*state*, *split* as the state kernel made them)."""
+        (self._objects if kind == "o" else self._relationships)[item_id] = (
+            _member(kind, item_id, state, split)
+        )
+
+    def keep_cell(
+        self, key: ItemKey, version: VersionId, state: bytes, materialized: bool
+    ) -> None:
+        """Keep a cell whose one entry — the encoded *state* at
+        *version* — a record has just encoded."""
+        self._cells[key] = _cell_json(key, ((version, state, materialized),))
+
+    def _lists(self, db: SeedDatabase) -> tuple[list[bytes], ...]:
+        """The fragments of *db*'s objects, relationships and cells in
+        image order, encoding only the missing ones."""
         objects = db._objects  # noqa: SLF001
         relationships = db._relationships  # noqa: SLF001
         store = db.versions.store
-        image = {key: encode(value) for key, value in _image_header(db).items()}
-        image["objects"] = _joined(
-            self._objects, objects.keys(),
-            lambda oid: _object_record(objects[oid]),
+        return (
+            _cached(
+                self._objects, objects.keys(),
+                lambda oid: _live_member("o", oid, objects[oid]),
+            ),
+            _cached(
+                self._relationships, relationships.keys(),
+                lambda rid: _live_member("r", rid, relationships[rid]),
+            ),
+            _cached(
+                self._cells, store.keys(),
+                lambda key: _cell_json(key, [
+                    (version, _encode_state(key[0], state)[0], materialized)
+                    for version, state, materialized in store.entries_of(key)
+                ]),
+            ),
         )
-        image["relationships"] = _joined(
-            self._relationships, relationships.keys(),
-            lambda rid: _relationship_record(relationships[rid]),
+
+    def encode(self, db: SeedDatabase) -> bytes:
+        """The payload of *db*'s monolithic ``image`` record.
+
+        Joined once: the image is megabytes, and each concatenation
+        would copy it again.
+        """
+        encode = RecordFile.encode
+        image = {key: [encode(value)] for key, value in _image_header(db).items()}
+        for name, blobs in zip(_ITEM_LISTS, self._lists(db)):
+            image[name] = [b"[", b",".join(blobs), b"]"]
+        pieces = [b'{"image":{']
+        for key in sorted(image):
+            pieces += (encode(key), b":", *image[key], b",")
+        pieces[-1] = b'},"kind":"image"}'  # in place of the last comma
+        return b"".join(pieces)
+
+    def records(self, db: SeedDatabase) -> Iterator[bytes]:
+        """The payload of every :func:`iter_image_records` record of
+        *db*, in order — what a streamed checkpoint frames."""
+        objects, relationships, cells = self._lists(db)
+        # the header is encoded afresh at every save point: it is the
+        # oracle stream's own first record
+        yield RecordFile.encode(next(iter_image_records(db)))
+        for oid, member in zip(db._objects, objects):  # noqa: SLF001
+            yield b'{"o":%d,"s":%b}' % (oid, _unspliced("o", oid, member))
+        for rid, member in zip(db._relationships, relationships):  # noqa: SLF001
+            yield b'{"r":%d,"s":%b}' % (rid, _unspliced("r", rid, member))
+        for cell in cells:
+            yield b'{"c":%b}' % cell
+        yield b'{"end":{"c":%d,"o":%d,"r":%d}}' % (
+            len(cells), len(objects), len(relationships)
         )
-        image["version_cells"] = _joined(
-            self._cells, store.keys(), lambda key: _cell_record(store, key)
-        )
-        return _json_object({"image": _json_object(image), "kind": encode("image")})
 
 
-def _joined(
-    cache: dict, keys: KeysView, record_of: Callable[[Any], dict]
-) -> bytes:
-    """The JSON list of the records of *keys*, in their order, encoding
-    only those *cache* lacks; fragments of keys that left *keys* (tombstone
-    GC, a restore) are dropped."""
+def _cached(cache: dict, keys: KeysView, encode: Callable[[Any], bytes]) -> list:
+    """The fragments of *keys*, in their order, encoding only those
+    *cache* lacks; fragments of keys that left *keys* (tombstone GC, a
+    restore) are dropped."""
     blobs = []
     for key in keys:
         blob = cache.get(key)
         if blob is None:
-            blob = cache[key] = RecordFile.encode(record_of(key))
+            blob = cache[key] = encode(key)
         blobs.append(blob)
     if len(cache) > len(blobs):
         for gone in cache.keys() - keys:
             del cache[gone]
-    return b"[" + b",".join(blobs) + b"]"
+    return blobs
 
 
 def _json_object(members: dict[str, bytes]) -> bytes:
     """A JSON object from encoded member values, keys in the order
     ``sort_keys=True`` writes them."""
-    return b"{" + b",".join(
-        RecordFile.encode(key) + b":" + members[key] for key in sorted(members)
-    ) + b"}"
+    return b"{%b}" % b",".join([
+        b"%b:%b" % (RecordFile.encode(key), members[key]) for key in sorted(members)
+    ])
 
 
 def _image_dict_records(data: dict) -> Iterator[dict]:
     """One monolithic image dict as its :func:`iter_image_records` stream."""
-    items = ("objects", "relationships", "version_cells")
-    yield {"h": {key: data[key] for key in data if key not in items}}
+    yield {"h": {key: data[key] for key in data if key not in _ITEM_LISTS}}
     for record in data["objects"]:
         state = dict(record)
         yield {"o": state.pop("oid"), "s": state}
@@ -729,7 +960,7 @@ def _image_dict_records(data: dict) -> Iterator[dict]:
         yield {"r": state.pop("rid"), "s": state}
     for cell in data["version_cells"]:
         yield {"c": cell}
-    yield {"end": {tag: len(data[key]) for tag, key in zip("orc", items)}}
+    yield {"end": {tag: len(data[key]) for tag, key in zip("orc", _ITEM_LISTS)}}
 
 
 def database_from_dict(

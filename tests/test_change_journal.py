@@ -576,10 +576,10 @@ class TestCompactionCopiesFrames:
         path = tmp_path / "spy.seed"
         journal = self.build(path, streamed_base=False)
         calls = []
-        real_dumps = json.dumps
+        real_encode = RecordFile.encode
         monkeypatch.setattr(
-            json, "dumps",
-            lambda *a, **kw: (calls.append(1), real_dumps(*a, **kw))[1],
+            RecordFile, "encode",
+            staticmethod(lambda record: (calls.append(1), real_encode(record))[1]),
         )
         journal.compact()
         assert calls == []

@@ -1,16 +1,24 @@
-"""A checkpoint re-encodes only what changed, byte-identical to a full encode.
+"""A state is encoded once, when it is journaled; save points only join.
 
-``JournaledDatabase.checkpoint()`` joins cached per-item JSON fragments
+``JournaledDatabase.checkpoint()`` — monolithic or streamed — joins
+cached per-item JSON fragments
 (:class:`~repro.core.storage.serialize.ImageFragments`) instead of
-building and dumping :func:`database_to_dict`. The oracle is that
-from-scratch encode: over seeded random histories that run every
+building and dumping :func:`database_to_dict` or
+:func:`iter_image_records`. A ``txn`` record fills the fragment of every
+item it carries, a ``version`` record every cell it opens, from the
+same bytes; every other write drops the fragment. The oracles are the
+from-scratch encodes: over seeded random histories that run every
 mutator — committed and rolled-back transactions, failing bulk batches,
 check-ins applied through :class:`SeedServer`, version selection,
 schema migration, version-store compaction with squashing, snapshots
-and tombstone GC, patterns, reclassification — the cached payload must
-equal ``RecordFile.encode({"kind": "image", "image": database_to_dict(db)})``
-after every step. A checkpoint with nothing changed since the last one
-must encode only the header.
+and tombstone GC, patterns, reclassification — after every step each
+cached fragment must equal its own from-scratch encode, the joined
+payload must equal ``RecordFile.encode({"kind": "image", "image":
+database_to_dict(db)})``, the streamed records must equal
+``RecordFile.encode`` of each :func:`iter_image_records` record, and
+every frame the journal wrote must hold canonical JSON. A save point
+after the load and the baseline version, or after an edit, encodes no
+item state: the records already did.
 
 The same histories carry the rollback oracle: after every rolled-back
 unit of work — a refused single update, a transaction abandoned,
@@ -32,8 +40,20 @@ from repro.core import SeedDatabase, figure3_schema
 from repro.core.errors import SeedError
 from repro.core.faults import FaultPlan
 from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict
+from repro.core.storage import serialize
+from repro.core.storage.recordfile import _frame
+from repro.core.storage.serialize import (
+    _cell_record,
+    _object_record,
+    _relationship_record,
+    iter_image_records,
+)
 from repro.core.versions.compaction import RetentionPolicy
 from repro.multiuser import SeedServer
+from repro.spades.model import spades_schema
+from repro.spades.tool import SpadesTool
+from repro.workloads.drivers import load_into_spades
+from repro.workloads.specgen import SpecShape, generate_spec
 
 
 def full_image(db) -> bytes:
@@ -48,6 +68,48 @@ def cached_image(journal) -> bytes:
 def last_frame_payload(path) -> bytes:
     events = [e for e in RecordFile(path).scan() if e.kind == "record"]
     return bytes(events[-1]._payload)  # noqa: SLF001 - undecoded on purpose
+
+
+def streamed_group(db, cp) -> bytes:
+    """The frames of streamed checkpoint *cp*, from the oracle stream."""
+    records = [
+        {"kind": "image.begin", "cp": cp},
+        *({"kind": "image.rec", "cp": cp, "rec": rec} for rec in iter_image_records(db)),
+    ]
+    records.append({"kind": "image.end", "cp": cp, "n": len(records) - 1})
+    return b"".join(_frame(RecordFile.encode(record)) for record in records)
+
+
+def written_base(journal) -> bytes:
+    """The bytes of the journal's newest image unit, as written."""
+    base = journal._base  # noqa: SLF001
+    return journal.path.read_bytes()[base.offset:base.end]
+
+
+def stale_fragments(journal) -> list:
+    """Every cached fragment that differs from its from-scratch encode.
+
+    Fragments of items or cells that left the database are not judged:
+    the next join drops them.
+    """
+    fragments, db = journal._fragments, journal.db  # noqa: SLF001
+    store = db.versions.store
+    tables = [
+        ("o", fragments._objects, db._objects, _object_record),  # noqa: SLF001
+        ("r", fragments._relationships, db._relationships, _relationship_record),  # noqa: SLF001
+    ]
+    stale = [
+        (kind, item_id)
+        for kind, cache, items, record_of in tables
+        for item_id, blob in cache.items()
+        if item_id in items and blob != RecordFile.encode(record_of(items[item_id]))
+    ]
+    stale += [
+        key
+        for key, blob in fragments._cells.items()  # noqa: SLF001
+        if key in store.keys() and blob != RecordFile.encode(_cell_record(store, key))
+    ]
+    return stale
 
 
 class History:
@@ -66,6 +128,7 @@ class History:
         )
         self.server = SeedServer(journal=self.journal)
         self.counter = 0
+        self.judged: set[bytes] = set()  # frame payloads already checked
 
     @property
     def db(self) -> SeedDatabase:
@@ -261,10 +324,26 @@ class History:
             self.db.delete_version(self.rng.choice(versions))
 
     def save_point(self) -> None:
-        self.journal.checkpoint()
-        assert last_frame_payload(self.path) == full_image(self.db)
+        if self.rng.random() < 0.5:
+            self.journal.checkpoint(streamed=True)
+            cp = self.journal._base.cp  # noqa: SLF001
+            assert written_base(self.journal) == streamed_group(self.db, cp)
+        else:
+            self.journal.checkpoint()
+            assert last_frame_payload(self.path) == full_image(self.db)
         if self.rng.random() < 0.5:
             self.journal.compact()
+
+    def unjudged_frames(self) -> list[bytes]:
+        """Payloads of the journal's frames no earlier call returned."""
+        payloads = [
+            bytes(event._payload)  # noqa: SLF001 - undecoded on purpose
+            for event in RecordFile(self.path).scan()
+            if event.kind == "record"
+        ]
+        fresh = [payload for payload in payloads if payload not in self.judged]
+        self.judged.update(fresh)
+        return fresh
 
     def step(self) -> str:
         steps = [
@@ -286,11 +365,20 @@ class History:
 @pytest.mark.parametrize("seed", range(8))
 def test_cached_payload_equals_the_full_encode_after_every_step(seed, tmp_path):
     history = History(seed, tmp_path)
+    journal, db = history.journal, history.db
     for index in range(120):
         name = history.step()
-        assert cached_image(history.journal) == full_image(history.db), (
-            f"step {index} ({name}) left a stale fragment"
-        )
+        where = f"step {index} ({name})"
+        # each fragment on its own, before the join below refills any
+        assert stale_fragments(journal) == [], f"{where} left a stale fragment"
+        assert cached_image(journal) == full_image(db), f"{where}: monolithic image"
+        assert list(journal._fragments.records(db)) == [  # noqa: SLF001
+            RecordFile.encode(record) for record in iter_image_records(db)
+        ], f"{where}: streamed image records"
+        for payload in history.unjudged_frames():
+            assert payload == RecordFile.encode(json.loads(payload)), (
+                f"{where} wrote a frame that is not canonical JSON"
+            )
     history.save_point()
     reopened = JournaledDatabase.open(history.path)
     assert full_image(reopened.db) == full_image(history.db)
@@ -399,54 +487,125 @@ def test_the_checkpoint_frame_goes_through_the_one_writer(tmp_path):
     }
 
 
+class EncodeSpy:
+    """Every state the kernel encodes (``states``: ``(kind, state)``)
+    and every value ``RecordFile.encode`` is handed (``values``)."""
+
+    def __init__(self) -> None:
+        self.states: list = []
+        self.values: list = []
+
+    def clear(self) -> None:
+        self.states.clear()
+        self.values.clear()
+
+
 @pytest.fixture
-def dumps_spy(monkeypatch):
-    """Every value ``json.dumps`` is asked to encode, while armed."""
-    encoded = []
-    real = json.dumps
+def encode_spy(monkeypatch):
+    seen = EncodeSpy()
+    real_state, real_encode = serialize._encode_state, RecordFile.encode  # noqa: SLF001
 
-    def spy(value, *args, **kwargs):
-        encoded.append(value)
-        return real(value, *args, **kwargs)
+    def state_spy(kind, state):
+        seen.states.append((kind, state))
+        return real_state(kind, state)
 
-    monkeypatch.setattr(json, "dumps", spy)
-    return encoded
+    def encode_spy(value):
+        seen.values.append(value)
+        return real_encode(value)
+
+    monkeypatch.setattr(serialize, "_encode_state", state_spy)
+    monkeypatch.setattr(RecordFile, "encode", staticmethod(encode_spy))
+    return seen
 
 
 def _item_records(values):
-    """The item and cell records among encoded values."""
+    """The item states and item or cell records among encoded values."""
     return [
         value for value in values
-        if isinstance(value, dict) and value.keys() & {"oid", "rid", "states"}
+        if isinstance(value, dict)
+        and value.keys() & {"oid", "rid", "states", "class", "association"}
     ]
 
 
-def test_an_unchanged_database_encodes_only_the_header(tmp_path, dumps_spy):
+def _encodes_no_state(spy) -> None:
+    assert spy.values, "the spy saw nothing: the header bypassed RecordFile.encode"
+    assert spy.states == []
+    assert _item_records(spy.values) == []
+
+
+def test_an_unchanged_database_encodes_only_the_header(tmp_path, encode_spy):
     history = History(5, tmp_path)
     for __ in range(60):
         history.step()
-    history.journal.checkpoint()
-    dumps_spy.clear()
-    history.journal.checkpoint()
-    assert dumps_spy, "the spy saw nothing: the checkpoint bypassed json.dumps"
-    assert _item_records(dumps_spy) == []
-    assert last_frame_payload(history.path) == full_image(history.db)
+    journal = history.journal
+    journal.checkpoint()
+    encode_spy.clear()
+    journal.checkpoint()
+    _encodes_no_state(encode_spy)
+    encode_spy.clear()
+    journal.checkpoint(streamed=True)
+    _encodes_no_state(encode_spy)
+    assert written_base(journal) == streamed_group(history.db, journal._base.cp)  # noqa: SLF001
 
 
-def test_one_edit_re_encodes_one_fragment(tmp_path, dumps_spy):
+def test_one_edit_re_encodes_one_fragment(tmp_path, encode_spy):
+    """One edit encodes its state once, in its ``txn`` record; the next
+    save point encodes no state at all."""
     journal = JournaledDatabase.open(tmp_path / "j.seed", schema=figure3_schema())
     db = journal.db
     for index in range(20):
         db.create_object("Data", f"D{index}")
     db.create_version()
     journal.checkpoint()
+    encode_spy.clear()
     db.rename(db.get_object("D7"), "Renamed")
-    dumps_spy.clear()
+    assert [(kind, state.name) for kind, state in encode_spy.states] == [
+        ("o", "Renamed")
+    ]
+    encode_spy.clear()
     journal.checkpoint()
-    # the txn delta encodes the renamed state once; the image once more
-    records = _item_records(dumps_spy)
-    assert [record["name"] for record in records] == ["Renamed"]
+    _encodes_no_state(encode_spy)
     assert last_frame_payload(journal.path) == full_image(db)
+
+
+def test_a_loaded_and_versioned_database_saves_without_encoding_a_state(
+    tmp_path, encode_spy
+):
+    """The bulk load's ``txn`` record and the baseline ``version`` record
+    encode every item and every cell: the first save point after them,
+    monolithic or streamed, only joins."""
+    journal = JournaledDatabase.open(
+        tmp_path / "spec.seed", schema=spades_schema(), name="spec"
+    )
+    db = journal.db
+    load_into_spades(
+        generate_spec(SpecShape(actions=30, data=15, flows=45), seed=4),
+        SpadesTool(db=db),
+    )
+    db.create_version()
+    encode_spy.clear()
+    journal.checkpoint()
+    _encodes_no_state(encode_spy)
+    assert last_frame_payload(journal.path) == full_image(db)
+    encode_spy.clear()
+    journal.checkpoint(streamed=True)
+    _encodes_no_state(encode_spy)
+    assert written_base(journal) == streamed_group(db, journal._base.cp)  # noqa: SLF001
+
+
+def test_the_streamed_checkpoint_frames_are_the_oracle_group(tmp_path):
+    history = History(17, tmp_path)
+    for __ in range(40):
+        history.step()
+    journal, db = history.journal, history.db
+    journal.checkpoint(streamed=True)
+    assert written_base(journal) == streamed_group(db, journal._base.cp)  # noqa: SLF001
+    db.create_object("Data", "AfterTheCheckpoint")
+    journal.checkpoint(streamed=True)
+    assert written_base(journal) == streamed_group(db, journal._base.cp)  # noqa: SLF001
+    reopened = JournaledDatabase.open(history.path)
+    assert reopened.recovery.base.cp == journal._base.cp  # noqa: SLF001
+    assert full_image(reopened.db) == full_image(db)
 
 
 def test_fragments_of_collected_items_are_dropped(tmp_path):
