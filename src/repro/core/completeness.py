@@ -34,54 +34,78 @@ Gap kinds:
 Incremental maintenance
 -----------------------
 
-The seed answered :meth:`CompletenessEngine.check_database` by scanning
-every live item — O(database × schema) per check. The engine now keeps a
-per-item gap map (item key → its current gaps) and a dirty set,
-maintained through every :class:`~repro.core.database.SeedDatabase`
-mutation path: when a transaction commits, the database hands the
-engine its touched-item set (:meth:`CompletenessEngine.note_commit`)
-and the engine marks every item whose gaps could have changed —
-the touched item and its sub-tree, the owning parent (sub-object
-minima), relationship endpoints (participation minima), and, for
-pattern-context items, every inheritor of the pattern root (effective
-views). Rolled-back transactions mark nothing, mirroring the
-transaction-safety of the PR-1 index layer. ``check_database`` then
-re-derives gaps for dirty items only and assembles the report from the
-map — O(dirty × schema + gaps) instead of O(database × schema).
+:meth:`CompletenessEngine.check_database` does not scan. The engine
+keeps a per-item gap map (item key → its current gaps), the map's keys
+in report order (objects before relationships, ids ascending), and a
+dirty set. When a unit of work commits, the database hands the engine
+its touched-item map (:meth:`CompletenessEngine.note_commit`) and the
+engine marks every item whose gaps could have changed; rolled-back
+units mark nothing. A check re-derives the dirty items only, so it
+costs O(changed items × their own rules) plus one copy of the gap list.
 
-The inheritor fan-out is *narrowed* for pattern-heavy databases
-(PR 4): an inheritor's gaps depend only on the pattern's **structure**
-— which sub-objects and relationships exist and how they are bound —
-never on values or relationship attributes inside the pattern
-(value/attribute gaps are per-item and pattern-context items report
-none; sub-object minima and participation minima count items, not
-values). A commit therefore dirties inheritor sub-trees only when the
-touched pattern-context item changed structurally: a create, delete,
-or re-classification, or one of the flag/link operations the database
-explicitly marks (pattern mark/unmark, inherit/uninherit). Value
-updates inside a pattern leave the inheritors' cached gaps untouched.
-The equivalence property tests in
-``tests/test_completeness_incremental.py`` pin this against the scan.
+*Compiled rules.* The rules an item is checked against depend on its
+schema element alone, so they are derived once per element and kept
+in a table keyed by the element object: for a class, the dependent
+classes along its kind chain with a minimum above zero, the
+association roles with a minimum above zero whose target it is a kind
+of, whether it is value-typed, and its covering gap with the message
+already rendered; for an association, its covering gap and its
+mandatory attributes. The table is dropped by :meth:`invalidate` and
+whenever ``db.schema`` is no longer the schema it was built from. An
+item's dotted name (or ``Association#rid``) is rendered only when it
+has a gap.
+
+*Dirty fan-out.* A commit dirties each touched object with its
+sub-tree (gap texts embed dotted names) and its parent (sub-object
+minima), and each touched relationship. Participation minima and a
+relationship's own gaps change only when the relationship itself is
+created, deleted or reclassified; those touches also dirty its two
+endpoints. An object touch walks its incident relationships and their
+endpoints only when it flips what is visible around it: a pattern
+mark/unmark (every relationship bound into the sub-tree changes
+context) or an inherits-link change, including a deleted inheritor
+(objects bound to the pattern by pattern relationships gain or lose
+one virtual participation per inheritor). The database lists those
+keys in the unit's ``structural`` set.
+
+Pattern-context items additionally dirty every inheritor of their
+pattern root (effective views), but only for *structural* touches —
+create, delete, reclassify, or a key in ``structural``. An inheritor's
+gaps depend on the pattern's structure (which sub-objects and
+relationships exist and how they are bound), never on values or
+relationship attributes inside it, so value updates inside a pattern
+leave the inheritors' cached gaps alone.
+
+*Assembly.* The report is the gap lists of the map's keys in order.
+The key list is kept sorted with :mod:`bisect` as items enter and
+leave the map, and the assembled list is rebuilt only when some item's
+gaps actually changed; a clean check copies it.
 
 Bulk batches (:meth:`repro.core.database.SeedDatabase.bulk`) defer
-``note_commit`` to one set-union merge over the whole batch's touched
-map at finalize; a ``check_database`` issued *inside* an open batch
-falls back to the full scan (the gap map is not yet merged).
+``note_commit`` to one merge over the whole batch's touched map at
+finalize; a ``check_database`` issued *inside* an open batch falls back
+to the full scan (the gap map is not yet merged). Bulk state
+replacement (version selection, schema migration, image load,
+checkout) calls :meth:`CompletenessEngine.invalidate`; the next check
+primes the map with one pass over the live items on the compiled
+rules.
 
-Bulk state replacement (version selection, schema migration, image
-load, checkout) calls :meth:`CompletenessEngine.invalidate`; the next
-check primes the map with one full scan.
-
-The seed's full scanner is retained verbatim as
-:meth:`CompletenessEngine.check_database_scan` — the reference the
-equivalence property tests in
-``tests/test_completeness_incremental.py`` compare against forever.
+*The oracle.* :meth:`CompletenessEngine.check_database_scan` keeps the
+seed's rule-walking derivation (:meth:`~CompletenessEngine.
+object_gaps_scan`, :meth:`~CompletenessEngine.relationship_gaps_scan`),
+which reads the schema afresh for every item. It shares no code with
+the compiled path, so the equivalence suites in
+``tests/test_completeness_incremental.py`` compare two
+implementations: the report must equal the scan and a freshly primed
+engine's report, in order, after every step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, TYPE_CHECKING
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.core.patterns import pattern_root
 from repro.core.schema.association import Association
@@ -91,6 +115,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.database import SeedDatabase
     from repro.core.objects import SeedObject
     from repro.core.relationships import SeedRelationship
+    from repro.core.schema.entity_class import EntityClass
 
 __all__ = ["Gap", "CompletenessReport", "CompletenessEngine"]
 
@@ -166,6 +191,77 @@ class CompletenessReport:
         return len(self.gaps)
 
 
+class _ClassRules(NamedTuple):
+    """The completeness rules of one entity class, derived once."""
+
+    #: ``(role, minimum, dependent full name)`` per dependent class
+    #: along the kind chain whose minimum is above zero
+    dependents: tuple[tuple[str, int, str], ...]
+    #: ``(association, position, minimum, role name)`` per association
+    #: role whose minimum is above zero and whose target the class is a
+    #: kind of
+    roles: tuple[tuple[Association, int, int, str], ...]
+    #: the class's full name when it is value-typed, else None
+    value_element: Optional[str]
+    #: ``(element, message)`` of the covering gap, or None
+    covering: Optional[tuple[str, str]]
+
+
+class _AssociationRules(NamedTuple):
+    """The completeness rules of one association, derived once."""
+
+    #: ``(element, message)`` of the covering gap, or None
+    covering: Optional[tuple[str, str]]
+    #: ``(attribute name, message)`` per mandatory attribute
+    mandatory: tuple[tuple[str, str], ...]
+
+
+def _covering_gap(
+    element: "EntityClass | Association", what: str
+) -> tuple[str, str]:
+    specials = ", ".join(special.name for special in element.specials)
+    return (
+        element.name,
+        f"is still classified in covering {what} {element.name!r}; must be "
+        f"specialized (to one of: {specials})",
+    )
+
+
+def _compile_class(
+    entity_class: "EntityClass", associations: list[Association]
+) -> _ClassRules:
+    dependents = tuple(
+        (dependent.name, dependent.cardinality.minimum, dependent.full_name)
+        for element in entity_class.kind_chain()
+        for dependent in getattr(element, "dependents", [])
+        if dependent.cardinality.minimum != 0
+    )
+    roles = []
+    for association in associations:
+        for position in (0, 1):
+            role = association.role_at(position)
+            minimum = role.cardinality.minimum
+            if minimum != 0 and entity_class.is_kind_of(role.target):
+                roles.append((association, position, minimum, role.name))
+    return _ClassRules(
+        dependents,
+        tuple(roles),
+        entity_class.full_name if entity_class.has_value else None,
+        _covering_gap(entity_class, "class") if entity_class.covering else None,
+    )
+
+
+def _compile_association(association: Association) -> _AssociationRules:
+    return _AssociationRules(
+        _covering_gap(association, "association") if association.covering else None,
+        tuple(
+            (attribute.name, f"mandatory attribute {attribute.name!r} has no value")
+            for attribute in association.all_attributes()
+            if attribute.mandatory
+        ),
+    )
+
+
 class CompletenessEngine:
     """Derives completeness rules from the schema and checks them."""
 
@@ -173,13 +269,18 @@ class CompletenessEngine:
         self._db = database
         #: item key -> its current gaps; only incomplete items appear
         self._gaps_by_item: dict[ItemKey, tuple[Gap, ...]] = {}
+        #: the keys of the gap map, sorted (report order)
+        self._order: list[ItemKey] = []
         #: keys whose gaps must be re-derived before the next report
         self._dirty: set[ItemKey] = set()
         #: the map's gaps in report order; None whenever the map changed
         #: since they were assembled
         self._assembled: Optional[list[Gap]] = None
-        #: False until the map was primed by one full scan
+        #: False until the map was primed by one pass over all items
         self._primed = False
+        #: schema element -> its compiled rules, for :attr:`_rules_schema`
+        self._rules: dict[object, "_ClassRules | _AssociationRules"] = {}
+        self._rules_schema: object = None
 
     # -- entry points ------------------------------------------------------
 
@@ -189,36 +290,33 @@ class CompletenessEngine:
         Incremental: only items marked dirty since the previous check
         are re-analysed; the report is assembled from the maintained
         per-item gap map (deterministic key order — objects before
-        relationships, ids ascending). The first call primes the map
-        with a full scan. The assembled gap list is kept beside the map
-        until the map next changes, so a clean call only copies it (a
-        fresh list each time: callers may mutate their report). Inside
-        an open bulk batch the maintained map has not yet absorbed the
-        batch's touched set, so the retained full scan answers instead
+        relationships, ids ascending). The first call primes the map.
+        The assembled gap list is kept beside the map until some item's
+        gaps change, so a clean call only copies it (a fresh list each
+        time: callers may mutate their report). Inside an open bulk
+        batch the maintained map has not yet absorbed the batch's
+        touched set, so the retained full scan answers instead
         (read-your-writes).
         """
         if self._db._bulk is not None:  # noqa: SLF001
             return self.check_database_scan()
         if not self._primed:
             self._prime()
-        else:
-            for key in self._dirty:
-                self._recompute(key)
-            self._dirty.clear()
+        elif self._dirty:
+            self._refresh()
         if self._assembled is None:
-            gaps: list[Gap] = []
-            for key in sorted(self._gaps_by_item):
-                gaps.extend(self._gaps_by_item[key])
-            self._assembled = gaps
+            self._assembled = list(
+                chain.from_iterable(map(self._gaps_by_item.__getitem__, self._order))
+            )
         return CompletenessReport(list(self._assembled))
 
     def check_database_scan(self) -> CompletenessReport:
         """The seed's full scan — kept as the equivalence reference."""
         report = CompletenessReport()
         for obj in self._db.objects(include_patterns=False):
-            report.gaps.extend(self.object_gaps(obj))
+            report.gaps.extend(self.object_gaps_scan(obj))
         for rel in self._db.relationships(include_patterns=False):
-            report.gaps.extend(self.relationship_gaps(rel))
+            report.gaps.extend(self.relationship_gaps_scan(rel))
         return report
 
     def check_items(self, items: Iterable[object]) -> CompletenessReport:
@@ -248,34 +346,36 @@ class CompletenessEngine:
         finalize with the union of all their touches (the set-union
         dirty merge).
 
-        *structural* lists keys whose touch changed inheritor-visible
-        structure despite carrying only an "update" tag (pattern
-        mark/unmark, inherit-link changes); together with the
-        create/delete/reclassify tags it gates the inheritor fan-out —
-        value-only updates inside a pattern skip it (see the module
-        docstring).
+        *structural* lists keys whose touch changed what is visible
+        around them despite carrying only an "update" tag (pattern
+        mark/unmark, inherit-link changes): only those walk incident
+        relationships, and together with the create/delete/reclassify
+        tags they gate the inheritor fan-out (see the module docstring).
         """
         if not self._primed:
-            return  # nothing cached yet; priming scans everything anyway
+            return  # nothing cached yet; priming derives everything anyway
         # per-commit visited sets keep the fan-out linear: a cascading
         # delete touches every node of a subtree individually, and
         # without them each touched node would re-walk its whole
-        # subtree (quadratic in depth). Object marking and
-        # inheritor marking track separate sets because they cover
-        # different things (incident relationships vs. nodes only).
+        # subtree (quadratic in depth). Sub-tree marking, incidence
+        # walking and inheritor marking each keep their own set because
+        # they cover different things.
         marked_objects: set[int] = set()
+        marked_incident: set[int] = set()
         marked_inheritor_nodes: set[int] = set()
         for key, (item, operations) in touched.items():
-            is_structural = (
-                bool(operations & STRUCTURAL_OPERATIONS) or key in structural
+            flips_context = key in structural
+            is_structural = flips_context or not operations.isdisjoint(
+                STRUCTURAL_OPERATIONS
             )
             if hasattr(item, "walk"):
-                self._mark_object(  # type: ignore[arg-type]
-                    item,
-                    marked_objects,
-                    marked_inheritor_nodes,
-                    structural=is_structural,
-                )
+                self._mark_object(item, marked_objects)  # type: ignore[arg-type]
+                if flips_context:
+                    self._mark_incident(item, marked_incident)  # type: ignore[arg-type]
+                if is_structural:
+                    self._mark_inheritors_of_context(
+                        item, marked_inheritor_nodes  # type: ignore[arg-type]
+                    )
             else:
                 self._mark_relationship(  # type: ignore[arg-type]
                     item, marked_inheritor_nodes, structural=is_structural
@@ -284,9 +384,12 @@ class CompletenessEngine:
     def invalidate(self) -> None:
         """Forget everything (bulk state replacement); next check re-primes."""
         self._gaps_by_item.clear()
+        self._order.clear()
         self._dirty.clear()
         self._assembled = None
         self._primed = False
+        self._rules.clear()
+        self._rules_schema = None
 
     def dirty_count(self) -> int:
         """Items pending re-analysis (statistics/benchmarks)."""
@@ -298,55 +401,92 @@ class CompletenessEngine:
         return len(self._gaps_by_item)
 
     def _prime(self) -> None:
-        """Fill the gap map with one full scan."""
-        self._gaps_by_item.clear()
+        """Fill the gap map with one pass over every live item."""
+        gaps_by_item = self._gaps_by_item
+        gaps_by_item.clear()
         self._dirty.clear()
         self._assembled = None
         for obj in self._db.objects(include_patterns=False):
             gaps = self.object_gaps(obj)
             if gaps:
-                self._gaps_by_item[("o", obj.oid)] = tuple(gaps)
+                gaps_by_item[("o", obj.oid)] = tuple(gaps)
         for rel in self._db.relationships(include_patterns=False):
             gaps = self.relationship_gaps(rel)
             if gaps:
-                self._gaps_by_item[("r", rel.rid)] = tuple(gaps)
+                gaps_by_item[("r", rel.rid)] = tuple(gaps)
+        self._order = sorted(gaps_by_item)
         self._primed = True
 
-    def _recompute(self, key: ItemKey) -> None:
-        """Re-derive one item's gaps and update the map."""
-        kind, item_id = key
-        if kind == "o":
-            item = self._db._objects.get(item_id)  # noqa: SLF001
-            gaps = self.object_gaps(item) if item is not None else []
-        else:
-            rel = self._db._relationships.get(item_id)  # noqa: SLF001
-            gaps = self.relationship_gaps(rel) if rel is not None else []
-        self._assembled = None
-        if gaps:
-            self._gaps_by_item[key] = tuple(gaps)
-        else:
-            self._gaps_by_item.pop(key, None)
+    def _refresh(self) -> None:
+        """Re-derive every dirty item's gaps and update the map.
 
-    def _mark_object(
-        self,
-        obj: "SeedObject",
-        marked: set[int],
-        marked_nodes: set[int],
-        *,
-        structural: bool = True,
-    ) -> None:
-        """Dirty an object, its sub-tree, parent, incident items.
+        The key order changes only when an item enters or leaves the
+        map, and the assembled report is dropped only when some item's
+        gaps actually changed.
+        """
+        objects = self._db._objects  # noqa: SLF001
+        relationships = self._db._relationships  # noqa: SLF001
+        gaps_by_item = self._gaps_by_item
+        order = self._order
+        changed = False
+        for key in self._dirty:
+            kind, item_id = key
+            if kind == "o":
+                obj = objects.get(item_id)
+                gaps = self.object_gaps(obj) if obj is not None else None
+            else:
+                rel = relationships.get(item_id)
+                gaps = self.relationship_gaps(rel) if rel is not None else None
+            old = gaps_by_item.get(key)
+            if gaps:
+                new = tuple(gaps)
+                if new == old:
+                    continue
+                if old is None:
+                    insort(order, key)
+                gaps_by_item[key] = new
+            elif old is not None:
+                del gaps_by_item[key]
+                del order[bisect_left(order, key)]
+            else:
+                continue
+            changed = True
+        self._dirty.clear()
+        if changed:
+            self._assembled = None
+
+    def _mark_object(self, obj: "SeedObject", marked: set[int]) -> None:
+        """Dirty an object, its sub-tree and its parent.
 
         The sub-tree covers renames (gap texts embed dotted names) and
         pattern-flag flips (a whole context changes visibility); the
-        parent covers sub-object minima; incident relationships and
-        their endpoints cover participation minima and pattern-context
-        flips of relationships the transaction never touched directly.
-        Nodes in *marked* were fully covered earlier in the same commit
-        (e.g. by a touched ancestor) and are pruned with their subtrees.
-        Only *structural* touches fan out to pattern inheritors —
-        value updates inside a pattern cannot change inheritor gaps.
+        parent covers sub-object minima. Nodes in *marked* were covered
+        earlier in the same commit (e.g. by a touched ancestor) and are
+        pruned with their subtrees.
         """
+        dirty = self._dirty
+        stack = [obj]
+        while stack:
+            node = stack.pop()
+            if node.oid in marked:
+                continue
+            marked.add(node.oid)
+            dirty.add(("o", node.oid))
+            stack.extend(node.sub_objects())
+        if obj.parent is not None:
+            dirty.add(("o", obj.parent.oid))
+
+    def _mark_incident(self, obj: "SeedObject", marked: set[int]) -> None:
+        """Dirty every relationship bound into *obj*'s sub-tree and both
+        of its endpoints.
+
+        Only for touches that flip what surrounds the sub-tree — a
+        pattern mark/unmark changes every such relationship's context,
+        an inherits-link change the virtual participations of objects
+        bound to the pattern — which relationships nobody touched
+        cannot otherwise learn of.
+        """
+        dirty = self._dirty
         incidence = self._db._incidence  # noqa: SLF001
         relationships = self._db._relationships  # noqa: SLF001
         stack = [obj]
@@ -355,16 +495,11 @@ class CompletenessEngine:
             if node.oid in marked:
                 continue
             marked.add(node.oid)
-            self._dirty.add(("o", node.oid))
             for rid in incidence.get(node.oid, ()):
-                self._dirty.add(("r", rid))
+                dirty.add(("r", rid))
                 for endpoint in relationships[rid].bound_objects():
-                    self._dirty.add(("o", endpoint.oid))
+                    dirty.add(("o", endpoint.oid))
             stack.extend(node.sub_objects())
-        if obj.parent is not None:
-            self._dirty.add(("o", obj.parent.oid))
-        if structural:
-            self._mark_inheritors_of_context(obj, marked_nodes)
 
     def _mark_relationship(
         self,
@@ -373,17 +508,20 @@ class CompletenessEngine:
         *,
         structural: bool = True,
     ) -> None:
-        """Dirty a relationship and both endpoints (participation minima).
+        """Dirty a relationship; a structural touch (create, delete,
+        reclassify, pattern flip) also dirties both endpoints, whose
+        participation counts it changed.
 
         The endpoint inheritor fan-out (pattern relationships only) is
-        gated like the object one: attribute-only updates of a pattern
+        gated the same way: attribute-only updates of a pattern
         relationship cannot change inheritor gaps.
         """
         self._dirty.add(("r", rel.rid))
+        if not structural:
+            return
         for endpoint in rel.bound_objects():
             self._dirty.add(("o", endpoint.oid))
-            if structural:
-                self._mark_inheritors_of_context(endpoint, marked_nodes)
+            self._mark_inheritors_of_context(endpoint, marked_nodes)
 
     def _mark_inheritors_of_context(
         self, obj: "SeedObject", marked_nodes: set[int]
@@ -409,10 +547,88 @@ class CompletenessEngine:
                 self._dirty.add(("o", node.oid))
                 stack.extend(node.sub_objects())
 
-    # -- objects --------------------------------------------------------------
+    # -- compiled rules ---------------------------------------------------------
+
+    def _rules_of(self, element: object) -> "_ClassRules | _AssociationRules":
+        """The compiled rules of a class or association of ``db.schema``."""
+        schema = self._db.schema
+        if schema is not self._rules_schema:
+            self._rules.clear()
+            self._rules_schema = schema
+        rules = self._rules.get(element)
+        if rules is None:
+            if isinstance(element, Association):
+                rules = _compile_association(element)
+            else:
+                rules = _compile_class(
+                    element, schema.associations  # type: ignore[arg-type]
+                )
+            self._rules[element] = rules
+        return rules
 
     def object_gaps(self, obj: "SeedObject") -> list[Gap]:
-        """All completeness gaps of one object."""
+        """All completeness gaps of one object, from its class's
+        compiled rules (the fast path; see :meth:`object_gaps_scan`)."""
+        if obj.deleted or obj.in_pattern_context:
+            return []
+        rules: _ClassRules = self._rules_of(  # type: ignore[assignment]
+            obj.entity_class
+        )
+        patterns = self._db.patterns
+        found: list[tuple[str, str, str]] = []
+        for role, minimum, element in rules.dependents:
+            count = len(patterns.effective_sub_objects(obj, role))
+            if count < minimum:
+                found.append((
+                    "sub-object-minimum",
+                    element,
+                    f"has {count} {role!r} sub-objects, minimum is {minimum}",
+                ))
+        if rules.value_element is not None and obj.value is None:
+            found.append((
+                "undefined-value",
+                rules.value_element,
+                "exists but its value is still undefined",
+            ))
+        for association, position, minimum, role in rules.roles:
+            count = patterns.count_participations(obj, association, position)
+            if count < minimum:
+                found.append((
+                    "relationship-minimum",
+                    association.name,
+                    f"participates in {count} {association.name!r} "
+                    f"relationships at role {role!r}, minimum is {minimum}",
+                ))
+        if rules.covering is not None:
+            found.append(("covering", *rules.covering))
+        if not found:
+            return []
+        name = str(obj.name)
+        return [Gap(kind, name, element, text) for kind, element, text in found]
+
+    def relationship_gaps(self, rel: "SeedRelationship") -> list[Gap]:
+        """All completeness gaps of one relationship, from its
+        association's compiled rules (see :meth:`relationship_gaps_scan`)."""
+        if rel.deleted or rel.in_pattern_context:
+            return []
+        association = rel.association
+        rules: _AssociationRules = self._rules_of(  # type: ignore[assignment]
+            association
+        )
+        found = [] if rules.covering is None else [("covering", *rules.covering)]
+        for attribute, message in rules.mandatory:
+            if not rel.has_attribute(attribute):
+                found.append(("attribute-minimum", association.name, message))
+        if not found:
+            return []
+        ref = f"{association.name}#{rel.rid}"
+        return [Gap(kind, ref, element, text) for kind, element, text in found]
+
+    # -- the seed's derivation, kept as the oracle ---------------------------------
+
+    def object_gaps_scan(self, obj: "SeedObject") -> list[Gap]:
+        """All completeness gaps of one object, rules re-derived from the
+        schema (the seed's derivation)."""
         if obj.deleted or obj.in_pattern_context:
             return []
         gaps: list[Gap] = []
@@ -486,10 +702,9 @@ class CompletenessEngine:
                 f"(to one of: {specials})",
             )
 
-    # -- relationships ------------------------------------------------------------
-
-    def relationship_gaps(self, rel: "SeedRelationship") -> list[Gap]:
-        """All completeness gaps of one relationship."""
+    def relationship_gaps_scan(self, rel: "SeedRelationship") -> list[Gap]:
+        """All completeness gaps of one relationship, rules re-derived
+        from the schema (the seed's derivation)."""
         if rel.deleted or rel.in_pattern_context:
             return []
         gaps: list[Gap] = []

@@ -946,9 +946,10 @@ class SeedDatabase:
         self._withdraw(obj)
         # the patterns it inherited lose an inheritor, shrinking the
         # virtual participations of objects bound to them (completeness
-        # fan-out)
+        # fan-out): an inherits-link change, structural like uninherit
         for pattern_oid in obj.inherited_patterns:
             txn.touch(self._objects[pattern_oid], "update")
+            txn.structural.add(("o", pattern_oid))
         obj.inherited_patterns = []
         obj.deleted = True
         txn.touch(obj, "delete")

@@ -1,12 +1,15 @@
 """Incremental completeness vs. the seed's full scan — equivalence forever.
 
-``SeedDatabase.check_completeness`` now assembles its report from a
-per-item gap map maintained through every mutation path;
-``check_completeness_scan`` is the retained seed implementation. These
-property tests drive randomized mutation sequences — creations,
-deletions, renames, reclassification, pattern marking/inheritance,
-transactions (committed and rolled back), version selection, schema
-migration — and assert the two reports agree at every step.
+``SeedDatabase.check_completeness`` assembles its report from a
+per-item gap map maintained through every mutation path, on rules
+compiled once per schema element; ``check_completeness_scan`` is the
+retained seed implementation, which re-derives the rules for every
+item. These property tests drive randomized mutation sequences —
+creations, deletions, renames, reclassification, pattern
+marking/inheritance, transactions (committed and rolled back), version
+selection, schema migration — and assert at every step that the
+maintained report equals the scan as a multiset and a freshly primed
+engine's report as an ordered list.
 """
 
 from __future__ import annotations
@@ -16,7 +19,10 @@ import random
 import pytest
 
 from repro.core import SeedDatabase, figure2_schema, figure3_schema
+from repro.core.cardinality import Cardinality
+from repro.core.completeness import CompletenessEngine
 from repro.core.errors import SeedError
+from repro.core.schema import set_covering
 
 
 def gap_multiset(report):
@@ -27,12 +33,19 @@ def gap_multiset(report):
 
 
 def assert_equivalent(db, context=""):
-    incremental = gap_multiset(db.check_completeness())
+    report = db.check_completeness()
+    incremental = gap_multiset(report)
     scan = gap_multiset(db.check_completeness_scan())
     assert incremental == scan, (
         f"incremental completeness diverged from the full scan {context}:\n"
         f"  incremental only: {[g for g in incremental if g not in scan]}\n"
         f"  scan only:        {[g for g in scan if g not in incremental]}"
+    )
+    # order too: a stale assembled list or a broken key order would
+    # pass the multiset comparison above
+    fresh = CompletenessEngine(db).check_database()
+    assert report.gaps == fresh.gaps, (
+        f"maintained report is not the freshly primed one, in order {context}"
     )
 
 
@@ -145,6 +158,40 @@ class TestTransactionsAndBulkPaths:
         fig2_db.check_completeness()
         fig2_db.migrate_schema(figure3_schema())
         assert_equivalent(fig2_db)
+
+    def test_compiled_rules_follow_the_schema(self, fig3_db):
+        # a migration that raises a dependent minimum and sets a
+        # covering flag, then a version selection back across the
+        # schema boundary: each report must come from the schema the
+        # database holds at that moment, never from a cached table
+        data = fig3_db.create_object("Data", "D")
+        data.add_sub_object("Text").add_sub_object("Body").add_sub_object(
+            "Contents", "c"
+        )
+        fig3_db.create_object("Action", "A").add_sub_object("Description", "d")
+        assert_equivalent(fig3_db, "(before the migration)")
+        before = fig3_db.create_version()
+        stricter = fig3_db.schema.copy("stricter")
+        stricter.entity_class("Data").dependent("Text").dependent(
+            "Selector"
+        ).cardinality = Cardinality.parse("1..1")
+        set_covering(stricter.entity_class("Data"))
+        fig3_db.migrate_schema(stricter)
+        assert_equivalent(fig3_db, "(after the migration)")
+        report = fig3_db.check_completeness()
+        assert [g.item for g in report.by_kind("sub-object-minimum")] == ["D.Text[0]"]
+        assert [g.item for g in report.by_kind("covering")] == ["D"]
+        assert fig3_db.completeness._rules_schema is stricter  # noqa: SLF001
+        fig3_db.create_version()
+        fig3_db.create_object("Data", "Later")
+        fig3_db.select_version(before, discard_changes=True)
+        assert_equivalent(fig3_db, "(after selecting back across the boundary)")
+        assert not fig3_db.check_completeness().for_item("Later")
+        fig3_db.migrate_schema(figure3_schema())
+        assert_equivalent(fig3_db, "(after migrating back)")
+        report = fig3_db.check_completeness()
+        assert not report.by_kind("sub-object-minimum")
+        assert not report.by_kind("covering")
 
     def test_image_roundtrip(self, fig2_db):
         from repro.core.storage.serialize import (
@@ -365,8 +412,7 @@ def test_randomized_mutations_stay_equivalent(seed):
     db.check_completeness()  # prime early so increments carry the weight
     for step in range(60):
         random_step(db, rng, counter)
-        if step % 5 == 0:
-            assert_equivalent(db, context=f"(seed {seed}, step {step})")
+        assert_equivalent(db, context=f"(seed {seed}, step {step})")
         if rng.random() < 0.08:
             db.create_version()
         if rng.random() < 0.04 and len(db.saved_versions()) > 1:
@@ -465,6 +511,209 @@ class TestNarrowedPatternFanOut:
                 target = rng.choice(patterns)
                 if len(target.sub_objects("Text")) < 4:
                     target.add_sub_object("Text")
-            if step % 5 == 0:
-                assert_equivalent(db, f"(seed {seed}, step {step})")
+            assert_equivalent(db, f"(seed {seed}, step {step})")
         assert_equivalent(db, f"(seed {seed}, final)")
+
+
+# ---------------------------------------------------------------------------
+# the dirty fan-out follows only what a touch can change
+# ---------------------------------------------------------------------------
+
+
+def dirty_keys(db):
+    return set(db.completeness._dirty)  # noqa: SLF001
+
+
+class TestDirtyFanOut:
+    """Only a relationship's own create/delete/reclassify, a pattern
+    flip or an inherits-link change reaches across a relationship."""
+
+    K = 4
+
+    def test_annotating_an_action_dirties_the_sub_object_and_parent(self, fig2_db):
+        action = fig2_db.create_object("Action", "A")
+        for i in range(self.K):
+            fig2_db.relate(
+                "Read", {"from": fig2_db.create_object("Data", f"D{i}"), "by": action}
+            )
+        fig2_db.check_completeness()
+        description = action.add_sub_object("Description", "annotated")
+        assert dirty_keys(fig2_db) == {("o", description.oid), ("o", action.oid)}
+        assert_equivalent(fig2_db, "(after annotating)")
+
+    def test_reclassifying_dirties_the_object_and_its_relationships(self, fig3_db):
+        data = fig3_db.create_object("Data", "D")
+        flows, actions = [], []
+        for i in range(self.K):
+            action = fig3_db.create_object("Action", f"A{i}")
+            actions.append(action)
+            flows.append(fig3_db.relate("Access", data=data, by=action))
+        fig3_db.check_completeness()
+        fig3_db.reclassify(data, "InputData")
+        dirty = dirty_keys(fig3_db)
+        assert dirty == {("o", data.oid)} | {("r", rel.rid) for rel in flows}
+        assert not dirty & {("o", action.oid) for action in actions}
+        assert_equivalent(fig3_db, "(after reclassifying)")
+
+    def test_relationship_reclassification_dirties_its_endpoints(self, fig3_db):
+        data = fig3_db.create_object("InputData", "D")
+        action = fig3_db.create_object("Action", "A")
+        access = fig3_db.relate("Access", data=data, by=action)
+        fig3_db.check_completeness()
+        fig3_db.reclassify(access, "Read")
+        assert dirty_keys(fig3_db) == {
+            ("r", access.rid), ("o", data.oid), ("o", action.oid)
+        }
+        assert_equivalent(fig3_db, "(after reclassifying the relationship)")
+
+    def test_attribute_update_dirties_only_the_relationship(self, fig3_db):
+        out = fig3_db.create_object("OutputData", "Out")
+        action = fig3_db.create_object("Action", "A")
+        write = fig3_db.relate("Write", {"to": out, "by": action})
+        fig3_db.check_completeness()
+        write.set_attribute("NumberOfWrites", 2)
+        assert dirty_keys(fig3_db) == {("r", write.rid)}
+        assert_equivalent(fig3_db, "(after setting an attribute)")
+
+    def test_pattern_flip_still_reaches_the_far_endpoints(self, fig2_db):
+        data = fig2_db.create_object("Data", "D")
+        text = data.add_sub_object("Text")
+        actions = [fig2_db.create_object("Action", f"A{i}") for i in range(self.K)]
+        flows = [fig2_db.relate("Read", {"from": data, "by": a}) for a in actions]
+        fig2_db.check_completeness()
+        fig2_db.mark_pattern(data)
+        dirty = dirty_keys(fig2_db)
+        assert {("o", data.oid), ("o", text.oid)} <= dirty
+        assert {("r", rel.rid) for rel in flows} <= dirty
+        assert {("o", action.oid) for action in actions} <= dirty
+        assert_equivalent(fig2_db, "(after marking a pattern)")
+
+    def test_rename_re_renders_the_whole_sub_tree(self, fig2_db):
+        data = fig2_db.create_object("Data", "Before")
+        text = data.add_sub_object("Text")
+        body = text.add_sub_object("Body")
+        contents = body.add_sub_object("Contents")  # undefined value
+        fig2_db.check_completeness()
+        fig2_db.rename(data, "After")
+        assert {
+            ("o", node.oid) for node in (data, text, body, contents)
+        } <= dirty_keys(fig2_db)
+        assert_equivalent(fig2_db, "(after a rename)")
+        items = {gap.item for gap in fig2_db.check_completeness()}
+        assert "After.Text[0].Body.Contents" in items
+        assert not any(item.startswith("Before") for item in items)
+
+
+# ---------------------------------------------------------------------------
+# randomized property test over figure 3: reclassification, covering,
+# attributes, pattern marks, transactions
+# ---------------------------------------------------------------------------
+
+_FIG3_REFINEMENTS = {
+    "Thing": ["Data", "Action"],
+    "Data": ["InputData", "OutputData"],
+    "Access": ["Read", "Write"],
+}
+
+
+def random_step_fig3(db: SeedDatabase, rng: random.Random, counter: list[int]) -> None:
+    """One random figure-3 mutation; rejected updates are no-ops."""
+    objects = [o for o in db.objects(include_patterns=True) if o.parent is None]
+    relationships = db.relationships(include_patterns=True)
+    data = [o for o in objects if o.is_instance_of("Data")]
+    actions = [o for o in objects if o.is_instance_of("Action")]
+    roll = rng.random()
+    try:
+        if roll < 0.22 or not objects:
+            counter[0] += 1
+            db.create_object(
+                rng.choice(["Thing", "Data", "InputData", "OutputData", "Action"]),
+                f"Obj{counter[0]}",
+                pattern=rng.random() < 0.1,
+            )
+        elif roll < 0.34:
+            target = rng.choice(objects)
+            if target.is_instance_of("Action"):
+                if not target.sub_objects("Description"):
+                    target.add_sub_object("Description", "described")
+            elif target.is_instance_of("Data"):
+                if len(target.sub_objects("Text")) < 3:
+                    body = target.add_sub_object("Text").add_sub_object("Body")
+                    if rng.random() < 0.5:
+                        body.add_sub_object("Contents", "filled")
+        elif roll < 0.5:
+            if data and actions:
+                datum, action = rng.choice(data), rng.choice(actions)
+                association = rng.choice(
+                    {"InputData": ["Access", "Read"], "OutputData": ["Access", "Write"]}
+                    .get(datum.class_name, ["Access"])
+                )
+                role = {"Access": "data", "Read": "from", "Write": "to"}[association]
+                attributes = (
+                    {"NumberOfWrites": 1}
+                    if association == "Write" and rng.random() < 0.5
+                    else None
+                )
+                db.relate(
+                    association, {role: datum, "by": action}, attributes=attributes
+                )
+        elif roll < 0.56:
+            writes = [r for r in relationships if r.association.name == "Write"]
+            if writes:
+                db.set_attribute(
+                    rng.choice(writes), "NumberOfWrites", rng.randint(1, 3)
+                )
+        elif roll < 0.7:
+            refinable = {
+                item: _FIG3_REFINEMENTS[name]
+                for item in objects + relationships
+                if (name := getattr(item, "class_name", None) or item.association.name)
+                in _FIG3_REFINEMENTS
+            }
+            if refinable:
+                item = rng.choice(list(refinable))
+                with db.transaction():
+                    db.reclassify(item, rng.choice(refinable[item]))
+                    if rng.random() < 0.3:
+                        raise RuntimeError("roll the refinement back")
+        elif roll < 0.78:
+            item = rng.choice(objects)
+            if item.is_pattern:
+                db.unmark_pattern(item)
+            else:
+                db.mark_pattern(item)
+        elif roll < 0.84:
+            patterns = [o for o in objects if o.is_pattern]
+            normals = [o for o in objects if not o.is_pattern]
+            if patterns and normals:
+                pattern, inheritor = rng.choice(patterns), rng.choice(normals)
+                if pattern.oid in inheritor.inherited_patterns:
+                    db.uninherit(pattern, inheritor)
+                else:
+                    db.inherit(pattern, inheritor)
+        elif roll < 0.92:
+            if relationships and rng.random() < 0.7:
+                db.delete(rng.choice(relationships))
+            else:
+                db.delete(rng.choice(objects))
+        else:
+            counter[0] += 1
+            db.rename(rng.choice(objects), f"Renamed{counter[0]}")
+    except (SeedError, RuntimeError):
+        pass
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_randomized_figure3_mutations_stay_equivalent(seed):
+    rng = random.Random(seed)
+    db = SeedDatabase(figure3_schema(), f"fig3-prop-{seed}")
+    counter = [0]
+    db.check_completeness()
+    for step in range(70):
+        random_step_fig3(db, rng, counter)
+        assert_equivalent(db, context=f"(seed {seed}, step {step})")
+        if rng.random() < 0.06:
+            db.create_version()
+        if rng.random() < 0.03 and len(db.saved_versions()) > 1:
+            db.select_version(rng.choice(db.saved_versions()), discard_changes=True)
+            assert_equivalent(db, context=f"(seed {seed}, after select)")
