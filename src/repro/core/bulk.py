@@ -102,6 +102,7 @@ def wire_item_states(
     schema = db.schema
     next_id = db._next_id  # noqa: SLF001
     sink = db._state_sink  # noqa: SLF001
+    db._writes += 1  # noqa: SLF001
     for oid, state in object_states:
         if sink is not None:
             sink(("o", oid))

@@ -255,6 +255,11 @@ class SeedDatabase:
         #: unless a journal keeps encoded image fragments (it drops the
         #: item's fragment)
         self._state_sink: Optional[Callable[[ItemKey], None]] = None
+        #: goes up wherever live item state may change: on entry to every
+        #: primitive update, in every rollback, in ``wire_item_states``,
+        #: ``migrate_schema`` and tombstone collection. Equal values mean
+        #: an unchanged database (the process scan pool's snapshot key)
+        self._writes = 0
         self.indexes = IndexLayer(self)
         self.consistency = ConsistencyEngine(self)
         self.completeness = CompletenessEngine(self)
@@ -427,6 +432,7 @@ class SeedDatabase:
         changing state poisons the unit, which then rolls back whole at
         its end even if the caller swallows the error.
         """
+        self._writes += 1
         unit = self._txn or self._bulk
         if unit is not None:
             changes = unit.changes
@@ -515,6 +521,7 @@ class SeedDatabase:
         decides are re-indexed as the forward path did. O(items the
         unit touched); the index layer must be live (not suspended).
         """
+        self._writes += 1
         for item, operations in txn.touched.values():
             if "create" in operations:
                 self._withdraw(item)
@@ -1530,6 +1537,7 @@ class SeedDatabase:
         if self._bulk is not None:
             raise TransactionError("cannot migrate the schema inside a bulk batch")
         new_schema.check()
+        self._writes += 1
         old_schema = self.schema
         old_classes = {
             obj.oid: obj.entity_class.full_name for obj in self._objects.values()

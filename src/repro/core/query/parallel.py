@@ -28,40 +28,73 @@ serial and a parallel plan:
   at most one non-empty range runs in-thread.
 
 **Backends.** ``thread`` uses a :class:`~concurrent.futures.
-ThreadPoolExecutor`: zero serialization, the natural choice under
-free-threaded CPython (3.13t+) where the shards genuinely overlap.
-``process`` uses a fork-context :class:`~concurrent.futures.
-ProcessPoolExecutor`: workers inherit the database as a copy-on-write
-snapshot (nothing is pickled *into* a worker, so even closure predicates
-work), and ship results back as compact ``("o", oid)`` / ``("v", value)``
-cells the parent decodes through ``object_by_oid``. ``auto`` picks
-threads when the GIL is disabled or the host is single-core /
-fork-less, processes otherwise. Requesting ``process`` where ``fork``
-is unavailable silently degrades to threads.
+ThreadPoolExecutor` per scan: zero serialization, the natural choice
+under free-threaded CPython (3.13t+) where the shards genuinely overlap.
+``process`` uses forked workers that hold the database as a
+copy-on-write snapshot and ship results back as compact ``("o", oid)``
+/ ``("v", value)`` cells the parent decodes through ``object_by_oid``.
+``auto`` picks threads when the GIL is disabled or the host is
+single-core / fork-less, processes otherwise. Requesting ``process``
+where ``fork`` is unavailable silently degrades to threads.
+
+**Pool lifetime.** The process backend keeps one warm pool per process
+and reuses it while the database it was forked from is unchanged. Its
+key is the database (held by weak reference, so a new database at a
+recycled address never matches), the database's write counter at fork
+time, and the worker count. ``SeedDatabase._writes`` goes up wherever
+live item state can change: on entry to every primitive update (inside
+a unit of work or not, so a scan inside an open transaction never reads
+a snapshot taken before the transaction's own updates), in every
+rollback, in :func:`~repro.core.bulk.wire_item_states` (replay,
+check-out, image load, version selection, view restore), in
+``migrate_schema``, and where tombstone collection drops records. A
+pooled scan whose key matches sends each worker only ``(spec, its shard
+indices, shard count)`` — the parent needs nothing but
+:func:`scan_size` to know which shards are non-empty — and the worker
+cuts its ranges from its own snapshot with :func:`_scan_ids`, keeping
+the cut for the pool's lifetime. A key mismatch retires the pool (its
+idle workers see their pipe close and exit, and are reaped) and the
+scan forks a fresh one; ``stats.pools_started`` counts the forks. A
+pool also ends at interpreter exit, and a forked child never inherits
+its parent's pool.
+
+**What pickles.** The spec — its cell and row predicates — is pickled
+to reach a warm worker. Structured predicates and module-level
+functions pickle; a closure or lambda does not, and such a scan runs
+in-thread and counts as a fallback. Result rows and a query error
+raised in a worker are pickled back.
 
 **Failure policy.** The pool is wired through :mod:`repro.core.faults`
 failpoints — ``parallel.shard.dispatch`` fires before each shard is
 submitted, ``parallel.shard.result`` before each shard's result is
 collected — and every result wait is bounded by :data:`TIMEOUT_S`, so a
 poisoned or crashed worker can never hang the merge. On an
-infrastructure failure (I/O error, broken pool, timeout,
-result-pickling failure) the scan is simply run in-thread instead
-(counted in :data:`stats`). :class:`~repro.core.faults.SimulatedCrash`
-and errors raised by the query itself (e.g. a predicate rejecting its
-input) propagate unchanged — they are deterministic and would recur
+infrastructure failure (I/O error, broken pool, timeout, a spec or
+result that does not pickle) the scan is simply run in-thread instead
+(counted in :data:`stats`). A process pool that failed or timed out,
+or whose scan raised, is torn down with its workers killed and reaped,
+never reused. :class:`~repro.core.faults.SimulatedCrash` and errors
+raised by the query itself (e.g. a predicate rejecting its input)
+propagate unchanged — they are deterministic and would recur
 in-thread.
 """
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
+import contextlib
+import gc
 import multiprocessing
 import os
 import pickle
+import signal
 import sys
 import threading
+import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from multiprocessing.connection import Connection
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn, Optional
 
 from repro.core import faults
 from repro.core.errors import QueryError
@@ -162,11 +195,14 @@ class ParallelStats:
     dispatched_shards: int = 0
     completed_shards: int = 0
     fallbacks: int = 0
+    #: process pools forked (a warm pool serves many scans)
+    pools_started: int = 0
 
     def reset(self) -> None:
         self.dispatched_shards = 0
         self.completed_shards = 0
         self.fallbacks = 0
+        self.pools_started = 0
 
 
 #: module-global counters (reset freely in tests)
@@ -412,20 +448,137 @@ _FALLBACK_ERRORS = (
     EOFError,
 )
 
-#: (db, spec, shard id lists) inherited by forked workers; guarded by
-#: _FORK_LOCK, so concurrent process-backed queries serialize on entry
-_FORK_STATE: Optional[tuple] = None
-_FORK_LOCK = threading.Lock()
+#: the process backend's warm pool (see "Pool lifetime"); guarded by
+#: _POOL_LOCK, so concurrent process-backed scans serialize on entry
+_POOL: Optional["_Pool"] = None
+_POOL_LOCK = threading.Lock()
 
 
-def _forked_shard(index: int) -> list[tuple]:
-    """Process-backend worker body: runs in a forked child.
+class _Pool:
+    """Forked workers serving scans over one frozen database state."""
 
-    The database arrives through fork copy-on-write (``_FORK_STATE``),
-    never through pickling; only the encoded result rows travel back.
-    """
-    db, spec, shard_ids = _FORK_STATE
-    return [_encode_row(row) for row in run_kernel(db, spec, shard_ids[index])]
+    def __init__(self, db: "SeedDatabase", workers: int) -> None:
+        self.database = weakref.ref(db)
+        self.writes = db._writes  # noqa: SLF001 - the pool key
+        self.pids: list[int] = []
+        self.conns: list[Connection] = []
+        try:
+            for __ in range(workers):
+                parent_end, child_end = multiprocessing.Pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(db, child_end, [parent_end, *self.conns])
+                child_end.close()
+                self.pids.append(pid)
+                self.conns.append(parent_end)
+        except BaseException:
+            self.close(kill=True)
+            raise
+        stats.pools_started += 1
+
+    def serves(self, db: "SeedDatabase", workers: int) -> bool:
+        """Whether this pool's snapshot is *db*'s current state."""
+        return (
+            self.database() is db
+            and self.writes == db._writes  # noqa: SLF001
+            and len(self.pids) == workers
+        )
+
+    def result(self, worker: int) -> list:
+        """*worker*'s next shard reply, waited for at most TIMEOUT_S."""
+        conn = self.conns[worker]
+        if not conn.poll(TIMEOUT_S):
+            raise TimeoutError(
+                f"shard worker {self.pids[worker]} sent nothing in {TIMEOUT_S} s"
+            )
+        reply = conn.recv_bytes()
+        try:
+            ok, payload = pickle.loads(reply)
+        except Exception as error:  # an error class that cannot be rebuilt here
+            raise pickle.PicklingError(f"a shard reply does not unpickle: {error}")
+        if not ok:
+            raise payload
+        return payload
+
+    def close(self, *, kill: bool) -> None:
+        """Stop and reap the workers. An idle worker exits when its pipe
+        closes; *kill* stops a busy or stuck one first."""
+        for pid, conn in zip(self.pids, self.conns):
+            if kill:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            conn.close()
+        for pid in self.pids:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _serve(
+    db: "SeedDatabase", conn: Connection, inherited: list[Connection]
+) -> NoReturn:
+    """A pool worker's life, in the forked child: answer each scan
+    message with one reply per shard until the parent closes the pipe."""
+    try:
+        for other in inherited:  # other workers' parent ends: their EOF
+            other.close()
+        # the inherited heap is never garbage here, and a full collection
+        # would write to — and so copy — every page of the snapshot
+        gc.freeze()
+        cuts: dict[tuple, list[list[int]]] = {}
+        while True:
+            try:
+                message = conn.recv_bytes()
+            except EOFError:
+                break
+            spec, indices, shards = pickle.loads(message)
+            for index in indices:
+                conn.send_bytes(_shard_reply(db, spec, index, shards, cuts))
+    finally:
+        os._exit(0)
+
+
+def _shard_reply(
+    db: "SeedDatabase", spec: ShardSpec, index: int, shards: int, cuts: dict
+) -> bytes:
+    """Shard *index* of *shards*, pickled: ``(True, encoded rows)``, or
+    ``(False, the error)`` for the parent to raise."""
+    try:
+        key = (spec.kind, spec.name, spec.include_specials, shards)
+        cut = cuts.get(key)
+        if cut is None:
+            cut = cuts[key] = _scan_ids(db, spec, shards)
+        reply = (True, [_encode_row(row) for row in run_kernel(db, spec, cut[index])])
+    except Exception as error:  # the worker's boundary: the parent decides
+        reply = (False, error)
+    try:
+        return pickle.dumps(reply)
+    except Exception as error:  # rows or an error that do not pickle
+        return pickle.dumps(
+            (False, pickle.PicklingError(f"shard {index} does not pickle: {error}"))
+        )
+
+
+def _retire(kill: bool) -> None:
+    """Drop the warm pool and stop its workers."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.close(kill=kill)
+
+
+def _forget_pool() -> None:
+    """In a forked child: the pool's workers are its parent's."""
+    global _POOL
+    if _POOL is not None:
+        for conn in _POOL.conns:
+            conn.close()
+        _POOL = None
+
+
+# the workers hold nothing to flush: at exit they are killed, not waited for
+atexit.register(_retire, True)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _encode_row(row: tuple) -> tuple:
@@ -451,12 +604,14 @@ def run_sharded(
     Only non-empty shards are dispatched; with at most one of them, or
     after an infrastructure failure in the pool, the scan runs in-thread.
     """
-    shard_ids = [ids for ids in _scan_ids(db, spec, shards) if ids]
-    if len(shard_ids) > 1:
+    # the ranges are filled first to last: with fewer ids than shards,
+    # only the first scan_size of them are non-empty
+    busy = min(scan_size(db, spec.kind, spec.name, spec.include_specials), shards)
+    if busy > 1:
         try:
             if backend == "process":
-                return _run_process(db, spec, shard_ids)
-            return _run_thread(db, spec, shard_ids)
+                return _run_process(db, spec, busy, shards)
+            return _run_thread(db, spec, _scan_ids(db, spec, shards)[:busy])
         except _FALLBACK_ERRORS:
             stats.fallbacks += 1
     return list(run_in_thread(db, spec))
@@ -503,20 +658,39 @@ def _run_thread(
 
 
 def _run_process(
-    db: "SeedDatabase", spec: ShardSpec, shard_ids: list[list[int]]
+    db: "SeedDatabase", spec: ShardSpec, busy: int, shards: int
 ) -> list[tuple]:
-    global _FORK_STATE
-    context = multiprocessing.get_context("fork")
-    workers = max(1, min(len(shard_ids), os.cpu_count() or 1))
-    with _FORK_LOCK:
-        _FORK_STATE = (db, spec, shard_ids)
+    """Run the first *busy* of *shards* ranges on the warm pool, forking
+    it first when *db* changed since (see "Pool lifetime")."""
+    global _POOL
+    workers = min(busy, os.cpu_count() or 1)
+    try:  # worker w runs shards w, w + workers, ...: one message each
+        messages = [
+            pickle.dumps((spec, range(worker, busy, workers), shards))
+            for worker in range(workers)
+        ]
+    except (AttributeError, TypeError) as error:  # a closure, a lock, ...
+        raise pickle.PicklingError(f"the scan does not pickle: {error}")
+    with _POOL_LOCK:
+        if _POOL is None or not _POOL.serves(db, workers):
+            _retire(kill=False)
+            _POOL = _Pool(db, workers)
+        pool = _POOL
         try:
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=context
-            )
-            encoded = _collect(
-                pool, lambda index: pool.submit(_forked_shard, index), len(shard_ids)
-            )
-        finally:
-            _FORK_STATE = None
+            for __ in range(busy):
+                if faults._PLAN is not None:  # noqa: SLF001 - documented guard idiom
+                    faults.fire(DISPATCH_POINT)
+                stats.dispatched_shards += 1
+            for conn, message in zip(pool.conns, messages):
+                conn.send_bytes(message)
+            encoded: list = []
+            for index in range(busy):
+                if faults._PLAN is not None:  # noqa: SLF001
+                    faults.fire(RESULT_POINT)
+                encoded.extend(pool.result(index % workers))
+                stats.completed_shards += 1
+        except BaseException:
+            # replies may still be in flight, or a worker hangs: never reuse
+            _retire(kill=True)
+            raise
     return [_decode_row(db, row) for row in encoded]

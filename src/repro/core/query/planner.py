@@ -1424,8 +1424,8 @@ class _Executor:
         """Fan the child's kernel over the worker pool.
 
         A pipeline breaker: the shards materialize before the first row
-        is yielded, so worker pools wind down deterministically instead
-        of living as long as a half-consumed generator.
+        is yielded, so no worker pool is held busy by a half-consumed
+        generator.
         """
         spec = _shard_spec(self._db, node.child)
         if spec is None:  # pragma: no cover - optimizer only wraps shardable

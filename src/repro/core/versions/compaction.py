@@ -273,6 +273,7 @@ class Compactor:
             if not store.cell_states_all_deleted(key):
                 continue
             stats.tombstone_states_dropped += store.drop_cell(key)
+            db._writes += 1  # noqa: SLF001
             del db._relationships[rid]  # noqa: SLF001
             for endpoint in rel.bound_objects():
                 incident = db._incidence.get(endpoint.oid)  # noqa: SLF001
@@ -295,6 +296,7 @@ class Compactor:
             if db.patterns._inheritors.get(oid):  # noqa: SLF001
                 continue  # pragma: no cover - dead patterns have none
             stats.tombstone_states_dropped += store.drop_cell(key)
+            db._writes += 1  # noqa: SLF001
             del db._objects[oid]  # noqa: SLF001
             if obj.parent is not None:
                 siblings = obj.parent._children_of_role(  # noqa: SLF001
