@@ -25,7 +25,6 @@ from typing import Iterable, Optional, TYPE_CHECKING
 from repro.core.errors import ConsistencyError, ValueTypeError
 from repro.core.schema.association import Association
 from repro.core.schema.attached import UpdateContext
-from repro.core.schema.entity_class import EntityClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.database import SeedDatabase
@@ -99,7 +98,7 @@ class ConsistencyEngine:
         for child in obj.sub_objects():
             role = child.simple_name
             counts[role] = counts.get(role, 0) + 1
-            declared = self.resolve_dependent_class(entity_class, role)
+            declared = entity_class.resolve_dependent(role)
             if declared is None:
                 violations.append(
                     Violation(
@@ -124,7 +123,7 @@ class ConsistencyEngine:
                 role = child.simple_name
                 counts[role] = counts.get(role, 0) + 1
         for role, count in counts.items():
-            declared = self.resolve_dependent_class(entity_class, role)
+            declared = entity_class.resolve_dependent(role)
             if declared is None or declared.cardinality is None:
                 continue  # membership check reports unknown roles
             if not declared.cardinality.allows_more(count - 1):
@@ -154,20 +153,6 @@ class ConsistencyEngine:
             obj.entity_class.value_sort.coerce(obj.value)
         except ValueTypeError as exc:
             violations.append(Violation("value-sort", str(obj.name), str(exc)))
-
-    def resolve_dependent_class(
-        self, entity_class: EntityClass, role: str
-    ) -> Optional[EntityClass]:
-        """The dependent class *role* resolves to along the kind chain.
-
-        An ``OutputData`` object owns ``Text`` sub-objects because its
-        general ``Data`` declares them; the lookup therefore walks the
-        generalization chain from the object's own class upward.
-        """
-        for element in entity_class.kind_chain():
-            if isinstance(element, EntityClass) and element.has_dependent(role):
-                return element.dependent(role)
-        return None
 
     # -- relationships -------------------------------------------------------
 
@@ -223,7 +208,7 @@ class ConsistencyEngine:
     ) -> Iterable[Violation]:
         # A Read relationship counts toward Read's own maxima and toward
         # the maxima of every general (Access): walk the kind chain.
-        for element in rel.association.kind_chain():
+        for element in rel.association.kinds():
             association = element
             if not isinstance(association, Association):  # pragma: no cover
                 continue

@@ -756,9 +756,7 @@ class SeedDatabase:
         """
         with self._operation() as txn:
             self._require_live(parent)
-            dependent_class = self.consistency.resolve_dependent_class(
-                parent.entity_class, role
-            )
+            dependent_class = parent.entity_class.resolve_dependent(role)
             if dependent_class is None:
                 raise SchemaError(
                     f"class {parent.entity_class.name!r} declares no "
@@ -1162,14 +1160,20 @@ class SeedDatabase:
 
         Patterns are invisible unless ``include_patterns=True``.
         """
-        dotted = DottedName.parse(name) if isinstance(name, str) else name
-        oid = self._name_index.get(str(dotted.root))
+        # only validated simple names are indexed, so a hit on the text as
+        # given is the parser's answer; a miss falls back to the parser
+        oid = self._name_index.get(name) if isinstance(name, str) else None
+        path = ()
         if oid is None:
-            return None
+            dotted = DottedName.parse(name) if isinstance(name, str) else name
+            oid = self._name_index.get(str(dotted.root))
+            if oid is None:
+                return None
+            path = dotted.parts[1:]
         obj = self._objects[oid]
         if obj.is_pattern and not include_patterns:
             return None
-        for part in dotted.parts[1:]:
+        for part in path:
             child = obj.find_sub_object(part.name, part.index)
             if child is None:
                 return None

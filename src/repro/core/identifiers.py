@@ -35,8 +35,9 @@ __all__ = [
     "DottedName",
 ]
 
-_SIMPLE_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_PART_RE = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\[(?P<index>\d+)\])?$")
+# used with ``fullmatch``: a ``$`` anchor also matches before a final "\n"
+_SIMPLE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_PART_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\[(?P<index>\d+)\])?")
 
 
 def is_simple_name(text: str) -> bool:
@@ -46,7 +47,7 @@ def is_simple_name(text: str) -> bool:
     shape used throughout the paper's examples (``Alarms``,
     ``AlarmHandler``, ``Keywords``).
     """
-    return isinstance(text, str) and bool(_SIMPLE_NAME_RE.match(text))
+    return isinstance(text, str) and bool(_SIMPLE_NAME_RE.fullmatch(text))
 
 
 def check_simple_name(text: str, what: str = "name") -> str:
@@ -90,7 +91,7 @@ class NamePart:
     @classmethod
     def parse(cls, text: str) -> "NamePart":
         """Parse ``"Keywords[1]"`` or ``"Body"`` into a NamePart."""
-        match = _PART_RE.match(text)
+        match = _PART_RE.fullmatch(text)
         if not match:
             raise IdentifierError(f"illegal name part: {text!r}")
         index = match.group("index")

@@ -453,7 +453,7 @@ class IndexLayer:
                 )
             return
         self.family_rids.setdefault(root_name, set()).add(rel.rid)
-        for element in rel.association.kind_chain():
+        for element in rel.association.kinds():
             self.assoc_counts[element.name] = self.assoc_counts.get(element.name, 0) + 1
             for position in (0, 1):
                 key = (element.name, rel.bound_at(position).oid, position)
@@ -489,7 +489,7 @@ class IndexLayer:
             rids.discard(rel.rid)
             if not rids:
                 del self.family_rids[root_name]
-        for element in rel.association.kind_chain():
+        for element in rel.association.kinds():
             left = self.assoc_counts.get(element.name, 0) - 1
             if left > 0:
                 self.assoc_counts[element.name] = left

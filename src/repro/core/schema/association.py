@@ -193,7 +193,7 @@ class Association(SchemaElement):
         An instance of ``Write`` may of course also carry attributes
         declared on ``Access``.
         """
-        for element in self.kind_chain():
+        for element in self.kinds():
             if isinstance(element, Association) and name in element._attributes:
                 return element._attributes[name]
         known = ", ".join(sorted(self.attribute_names())) or "(none)"
@@ -206,7 +206,7 @@ class Association(SchemaElement):
         """True when *name* resolves on this association or a general."""
         return any(
             isinstance(element, Association) and name in element._attributes
-            for element in self.kind_chain()
+            for element in self.kinds()
         )
 
     @property
@@ -217,7 +217,7 @@ class Association(SchemaElement):
     def attribute_names(self) -> list[str]:
         """Names of all attributes, including inherited ones."""
         names: list[str] = []
-        for element in self.kind_chain():
+        for element in self.kinds():
             if isinstance(element, Association):
                 names.extend(element._attributes)
         return names
@@ -244,7 +244,7 @@ class Association(SchemaElement):
         binds the specialization too.
         """
         return any(
-            getattr(element, "acyclic", False) for element in self.kind_chain()
+            getattr(element, "acyclic", False) for element in self.kinds()
         )
 
     def roles_for_class(self, entity_class: EntityClass) -> list[Role]:

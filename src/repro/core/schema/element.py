@@ -9,6 +9,11 @@ Generalization links are doubly linked: a specialized element knows its
 ``general`` and a generalized element lists its ``specials``. The links
 are maintained by :class:`repro.core.schema.builder.SchemaBuilder` /
 :class:`repro.core.schema.schema.Schema`; elements only store them.
+
+What the links imply — the kind chain, the kind-of set, the family root
+and, for a class, the dependent class each role resolves to — is
+compiled once from :meth:`SchemaElement.kind_chain` and reused until
+:func:`schema_changed` is called, which every in-place link change does.
 """
 
 from __future__ import annotations
@@ -21,7 +26,31 @@ from repro.core.identifiers import check_simple_name
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.schema.attached import AttachedProcedure
 
-__all__ = ["SchemaElement"]
+__all__ = ["SchemaElement", "schema_changed"]
+
+#: advanced by every ``specialize``, ``remove_specialization`` and
+#: ``add_dependent``; facts compiled under an older value are stale
+_generation = 0
+
+
+def schema_changed() -> None:
+    """Drop every element's compiled facts (they recompile on next use)."""
+    global _generation
+    _generation += 1
+
+
+class _Facts:
+    """What an element's kind chain implies, as of one generation."""
+
+    __slots__ = ("generation", "chain", "kinds", "root", "dependents")
+
+    def __init__(self, generation: int, chain: tuple["SchemaElement", ...]) -> None:
+        self.generation = generation
+        self.chain = chain
+        self.kinds = frozenset(chain)
+        self.root = chain[-1]
+        #: role -> dependent class, filled for classes only
+        self.dependents: dict[str, "SchemaElement"] = {}
 
 
 class SchemaElement:
@@ -44,6 +73,7 @@ class SchemaElement:
         self.covering: bool = False
         #: attached procedures, run on updates of instances of this element
         self.attached_procedures: list["AttachedProcedure"] = []
+        self._compiled: Optional[_Facts] = None
 
     @property
     def name(self) -> str:
@@ -56,7 +86,9 @@ class SchemaElement:
         """Yield this element, its general, its general's general, ...
 
         The chain enumerates every element an instance of this element
-        is also an instance of (transitive 'is-a').
+        is also an instance of (transitive 'is-a'). It is walked only to
+        compile the facts :meth:`kinds`, :meth:`is_kind_of` and
+        :meth:`family_root` answer from.
         """
         element: Optional[SchemaElement] = self
         seen: set[int] = set()
@@ -69,15 +101,28 @@ class SchemaElement:
             yield element
             element = element.general
 
+    def _facts(self) -> _Facts:
+        facts = self._compiled
+        if facts is None or facts.generation != _generation:
+            facts = self._compiled = self._compile(_generation)
+        return facts
+
+    def _compile(self, generation: int) -> _Facts:
+        return _Facts(generation, tuple(self.kind_chain()))
+
+    def kinds(self) -> tuple["SchemaElement", ...]:
+        """The :meth:`kind_chain` as a tuple, compiled once."""
+        return self._facts().chain
+
     def is_kind_of(self, other: "SchemaElement") -> bool:
         """True when instances of this element are also instances of *other*.
 
-        Every element is a kind of itself; otherwise the generalization
-        chain is followed upward (``OutputData.is_kind_of(Thing)``).
+        Every element is a kind of itself; otherwise *other* must be on
+        the generalization chain (``OutputData.is_kind_of(Thing)``).
         """
-        if self is other:  # the common case, without walking the chain
+        if self is other:
             return True
-        return any(element is other for element in self.kind_chain())
+        return other in self._facts().kinds
 
     def all_specials(self) -> Iterator["SchemaElement"]:
         """Yield all transitive specializations (excluding this element)."""
@@ -99,14 +144,11 @@ class SchemaElement:
 
     def family_root(self) -> "SchemaElement":
         """The most general element of this element's hierarchy."""
-        root = self
-        for element in self.kind_chain():
-            root = element
-        return root
+        return self._facts().root
 
     def depth_in_hierarchy(self) -> int:
         """Number of generalization steps from this element to the root."""
-        return sum(1 for __ in self.kind_chain()) - 1
+        return len(self.kinds()) - 1
 
     # -- attached procedures ----------------------------------------------
 
@@ -137,7 +179,7 @@ class SchemaElement:
         An instance of ``Read`` is also an instance of ``Access``, so
         procedures attached to ``Access`` fire for ``Read`` updates too.
         """
-        for element in self.kind_chain():
+        for element in self.kinds():
             yield from element.attached_procedures
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

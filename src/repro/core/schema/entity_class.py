@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 from repro.core.cardinality import Cardinality
 from repro.core.errors import SchemaError
 from repro.core.identifiers import check_simple_name
-from repro.core.schema.element import SchemaElement
+from repro.core.schema.element import SchemaElement, _Facts, schema_changed
 from repro.core.values import ValueSort
 
 __all__ = ["EntityClass"]
@@ -114,6 +114,7 @@ class EntityClass(SchemaElement):
         dependent.full_name = f"{self.full_name}.{name}"
         dependent.cardinality = Cardinality.parse(cardinality)
         self._dependents[name] = dependent
+        schema_changed()  # the specials of this class resolve the role too
         return dependent
 
     def dependent(self, name: str) -> "EntityClass":
@@ -134,6 +135,20 @@ class EntityClass(SchemaElement):
     def has_dependent(self, name: str) -> bool:
         """True when a direct dependent class named *name* exists."""
         return name in self._dependents
+
+    def _compile(self, generation: int) -> _Facts:
+        facts = super()._compile(generation)
+        for element in reversed(facts.chain):  # the most special wins
+            facts.dependents.update(element._dependents)
+        return facts
+
+    def resolve_dependent(self, role: str) -> Optional["EntityClass"]:
+        """The dependent class *role* resolves to along the kind chain.
+
+        An ``OutputData`` object owns ``Text`` sub-objects because its
+        general ``Data`` declares them; the nearest declaration wins.
+        """
+        return self._facts().dependents.get(role)
 
     @property
     def dependents(self) -> list["EntityClass"]:

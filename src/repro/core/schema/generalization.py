@@ -24,7 +24,7 @@ from typing import Optional
 
 from repro.core.errors import ClassificationError, SchemaError
 from repro.core.schema.association import Association
-from repro.core.schema.element import SchemaElement
+from repro.core.schema.element import SchemaElement, schema_changed
 from repro.core.schema.entity_class import EntityClass
 
 __all__ = [
@@ -76,6 +76,7 @@ def specialize(general: SchemaElement, special: SchemaElement) -> None:
         _check_association_specialization(general, special)  # type: ignore[arg-type]
     special.general = general
     general.specials.append(special)
+    schema_changed()
 
 
 def _check_class_specialization(general: EntityClass, special: EntityClass) -> None:
@@ -114,6 +115,7 @@ def remove_specialization(special: SchemaElement) -> None:
         raise SchemaError(f"{special.kind} {special.name!r} has no general")
     general.specials = [el for el in general.specials if el is not special]
     special.general = None
+    schema_changed()
 
 
 def set_covering(general: SchemaElement, covering: bool = True) -> None:
@@ -135,10 +137,8 @@ def common_general(
     first: SchemaElement, second: SchemaElement
 ) -> Optional[SchemaElement]:
     """The most specific element both arguments are kinds of, if any."""
-    ancestors = list(first.kind_chain())
-    ancestor_ids = {id(el): el for el in ancestors}
-    for element in second.kind_chain():
-        if id(element) in ancestor_ids:
+    for element in second.kinds():
+        if first.is_kind_of(element):
             return element
     return None
 

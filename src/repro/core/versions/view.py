@@ -362,12 +362,17 @@ class VersionView:
 
     def find(self, name: str | DottedName) -> Optional[ViewObject]:
         """Resolve a dotted name in this version (None when absent)."""
-        dotted = DottedName.parse(name) if isinstance(name, str) else name
-        oid = self._name_index.get(str(dotted.root))
+        # indexed names are simple: a hit on the text as given is exact
+        oid = self._name_index.get(name) if isinstance(name, str) else None
+        path = ()
         if oid is None:
-            return None
+            dotted = DottedName.parse(name) if isinstance(name, str) else name
+            oid = self._name_index.get(str(dotted.root))
+            if oid is None:
+                return None
+            path = dotted.parts[1:]
         states = self._object_states
-        for part in dotted.parts[1:]:
+        for part in path:
             for child in self._children.get(oid, ()):
                 state = states[child]
                 if state.name == part.name and (

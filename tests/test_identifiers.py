@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import IdentifierError
 from repro.core.identifiers import DottedName, NamePart, check_simple_name, is_simple_name
+from repro.core.schema.entity_class import EntityClass
 
 
 class TestSimpleNames:
@@ -18,6 +19,40 @@ class TestSimpleNames:
     def test_check_mentions_what(self):
         with pytest.raises(IdentifierError, match="class name"):
             check_simple_name("a-b", "class name")
+
+
+class TestTrailingNewline:
+    """A ``$`` anchor matches before a final newline; names must not."""
+
+    def test_simple_name(self):
+        assert not is_simple_name("Alarms\n")
+        with pytest.raises(IdentifierError):
+            check_simple_name("Alarms\n")
+
+    def test_name_parts(self):
+        for text in ("Body\n", "Keywords[1]\n", "Alarms.Text\n"):
+            with pytest.raises(IdentifierError):
+                DottedName.parse(text)
+
+    def test_object_cannot_be_created(self, fig2_db):
+        with pytest.raises(IdentifierError):
+            fig2_db.create_object("Action", "Alarms\n")
+        assert fig2_db.find_object("Alarms") is None
+
+    def test_lookup_is_not_answered_by_another_name(self, fig1_db):
+        with pytest.raises(IdentifierError):
+            fig1_db.find_object("Alarms\n")
+        with pytest.raises(IdentifierError):
+            fig1_db.get_object("Alarms\n", include_patterns=True)
+        view = fig1_db.version_view(fig1_db.create_version())
+        with pytest.raises(IdentifierError):
+            view.find("Alarms\n")
+
+    def test_class_name(self):
+        with pytest.raises(IdentifierError):
+            EntityClass("Bad\n")
+        with pytest.raises(IdentifierError):
+            EntityClass("Good").add_dependent("Bad\n")
 
 
 class TestNamePart:

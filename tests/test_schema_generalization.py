@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import SeedDatabase, figure2_schema, figure3_schema
 from repro.core.errors import ClassificationError, SchemaError
+from repro.core.schema.association import Association, Role
 from repro.core.schema.entity_class import EntityClass
 from repro.core.schema.generalization import (
     check_reclassification,
@@ -11,7 +13,8 @@ from repro.core.schema.generalization import (
     set_covering,
     specialize,
 )
-from repro.core.values import STRING
+from repro.core.values import DATE, STRING
+from repro.spades import spades_schema
 
 
 @pytest.fixture
@@ -174,3 +177,105 @@ class TestReclassificationRules:
         other = EntityClass("Other")
         with pytest.raises(ClassificationError, match="family"):
             check_reclassification(data, other, allow_generalize=True)
+
+
+def assert_facts_match_walk(schema):
+    """Every compiled fact of every element equals the kind_chain() walk."""
+    elements = [*schema.all_classes(), *schema.associations]
+    for element in elements:
+        chain = tuple(element.kind_chain())
+        assert element.kinds() == chain
+        assert element.family_root() is chain[-1]
+        assert element.depth_in_hierarchy() == len(chain) - 1
+        assert [other for other in elements if element.is_kind_of(other)] == [
+            other for other in elements if any(kind is other for kind in chain)
+        ]
+        if isinstance(element, EntityClass):
+            roles = {dependent.name for kind in chain for dependent in kind.dependents}
+            for role in sorted(roles | {"Undeclared"}):
+                walked = next(
+                    (kind.dependent(role) for kind in chain if kind.has_dependent(role)),
+                    None,
+                )
+                assert element.resolve_dependent(role) is walked
+
+
+class TestCompiledFacts:
+    """Kind-of, family roots and dependent roles are compiled once per
+    schema generation; every in-place link change must drop them."""
+
+    @pytest.mark.parametrize(
+        "make", [figure2_schema, figure3_schema, spades_schema],
+        ids=["figure2", "figure3", "spades"],
+    )
+    def test_facts_follow_every_in_place_change(self, make):
+        schema = make()
+        check = lambda: assert_facts_match_walk(schema)  # noqa: E731
+        check()  # compiles every element's facts
+        base = next(c for c in schema.classes if c.general is None and not c.has_value)
+        middle = schema.add_class(EntityClass("Middle"))
+        leaf = schema.add_class(EntityClass("Leaf"))
+        check()
+        specialize(base, middle)
+        check()
+        specialize(middle, leaf)
+        check()
+        base.add_dependent("Added", "0..1")
+        check()
+        middle.add_dependent("Added", "0..2")  # nearer than base's
+        check()
+        remove_specialization(middle)
+        check()
+        specialize(base, middle)
+        check()
+        general = schema.associations[0]
+        special = schema.add_association(
+            Association(
+                "Special",
+                Role("one", general.roles[0].target, "0..*"),
+                Role("two", general.roles[1].target, "0..*"),
+            )
+        )
+        check()
+        specialize(general, special)
+        check()
+        remove_specialization(special)
+        check()
+        for element in [*schema.classes, *schema.associations]:
+            if element.general is not None:
+                above = element.general
+                remove_specialization(element)
+                check()
+                specialize(above, element)
+                check()
+
+    def test_a_migrated_database_answers_from_the_new_schema(self):
+        db = SeedDatabase(figure2_schema(), "migrating")
+        data = db.create_object("Data", "D")
+        action = db.create_object("Action", "A")
+        db.relate("Read", {"from": data, "by": action})
+        old = db.schema
+        assert_facts_match_walk(old)
+        new = old.copy()
+        thing = new.add_class(EntityClass("Thing"))
+        thing.add_dependent("Revised", "0..1", value_sort=DATE)
+        specialize(thing, new.entity_class("Data"))
+        specialize(thing, new.entity_class("Action"))
+        access = new.add_association(
+            Association(
+                "Access",
+                Role("data", new.entity_class("Data"), "0..*"),
+                Role("by", new.entity_class("Action"), "0..*"),
+            )
+        )
+        specialize(access, new.association("Read"))
+        db.migrate_schema(new)
+        assert_facts_match_walk(new)
+        assert_facts_match_walk(old)
+        assert data.entity_class.family_root() is thing
+        assert {obj.simple_name for obj in db.objects("Thing")} == {"D", "A"}
+        assert len(db.relationships_of_object(data, "Access")) == 1
+        assert len(db.relationships("Access")) == 1
+        assert data.add_sub_object("Revised").entity_class is thing.dependent("Revised")
+        assert not old.entity_class("Data").is_kind_of(thing)
+        db.indexes.verify()
