@@ -1071,15 +1071,16 @@ def bench_multijoin_parallel(size: int, repeats: int) -> dict:
     _parallelize` wraps. Both paths run the *same* optimized join
     order and the *same* kernel over the driving scan (specialized
     predicates in a tight loop over the oid list); the ``Parallel``
-    wrapper only moves that loop from the calling thread onto a worker
-    pool, one contiguous oid range per shard. The ratio therefore
-    measures pool-level concurrency minus dispatch cost: ~1 on a GIL
-    build with the thread backend, above 1 where shards truly overlap
-    (until PR 13 the in-thread side was the generator executor, and
-    the x3.2 recorded at 1M in ``BENCH_PR8.json`` was fusion). Below
-    the costing threshold (sizes < 100k) the config resolves to the
-    in-thread plan, so small sizes gate dispatch overhead staying at
-    zero. Row multisets are verified identical before timing.
+    wrapper only moves that loop from the calling thread onto the warm
+    forked pool, one contiguous oid range per shard. The ratio
+    therefore measures pool-level concurrency minus dispatch cost (until
+    PR 13 the in-thread side was the generator executor, and the x3.2
+    recorded at 1M in ``BENCH_PR8.json`` was fusion). Below the costing
+    threshold (sizes < 100k), and on a host without ``fork`` or with
+    one CPU, the config yields the in-thread plan, so small sizes gate
+    dispatch overhead staying at zero. ``backend`` reports what ran:
+    ``process`` or ``in-thread``. Row multisets are verified identical
+    before timing.
     """
     db = SeedDatabase(parallel_schema(), f"parq-{size}")
     doc_count = max(size // 10, 5)
@@ -1110,24 +1111,27 @@ def bench_multijoin_parallel(size: int, repeats: int) -> dict:
             for i in range(size)
         ],
     )
-    query = (
-        plan(db)
-        .extent("Note", column="note")
-        .select(on("note", value_is("tag7")))
-        .join(plan(db).relationship("Covers"))
-        .join(plan(db).relationship("Mentions"))
-        .project("code")
-    )
+
+    def build(builder):
+        return (
+            builder.extent("Note", column="note")
+            .select(on("note", value_is("tag7")))
+            .join(builder.relationship("Covers"))
+            .join(builder.relationship("Mentions"))
+            .project("code")
+        )
+
     config = ParallelConfig()  # default costing decides serial vs parallel
+    query, pooled = build(plan(db)), build(plan(db, config))
     serial_rows = query.execute()
-    parallel_rows = query.execute(parallel=config)
+    parallel_rows = pooled.execute()
     assert sorted(o.oid for o in serial_rows.column("code")) == sorted(
         o.oid for o in parallel_rows.column("code")
     )
-    parallelized = "Parallel" in query.explain(parallel=config)
+    parallelized = "Parallel" in pooled.explain()
     few = max(3, repeats // 2)
-    serial_s = median_time(lambda: query.execute(), few)
-    parallel_s = median_time(lambda: query.execute(parallel=config), few)
+    serial_s = median_time(query.execute, few)
+    parallel_s = median_time(pooled.execute, few)
     return {
         "notes": size,
         "covers": size,
@@ -1135,7 +1139,7 @@ def bench_multijoin_parallel(size: int, repeats: int) -> dict:
         "result_rows": len(parallel_rows),
         "parallelized": parallelized,
         "shards": config.shards,
-        "backend": config.resolved_backend(),
+        "backend": "process" if parallelized else "in-thread",
         "bruteforce_s": serial_s,
         "indexed_s": parallel_s,
         "speedup": round(serial_s / parallel_s, 1) if parallel_s else None,

@@ -189,13 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the optimized plan tree before the rows")
     query.add_argument("--parallel", action="store_true",
                        help="allow sharded parallel execution of large "
-                            "scans (cost-gated; small scans stay serial)")
+                            "scans (cost-gated; small scans, and every scan "
+                            "on a one-CPU or fork-less host, run in-thread)")
     query.add_argument("--shards", type=int, metavar="N",
                        help="shard count for --parallel (default: 4)")
-    query.add_argument("--backend", choices=("auto", "thread", "process"),
-                       help="worker backend for --parallel (default: auto — "
-                            "threads when free-threaded or single-core, "
-                            "forked processes otherwise)")
     return parser
 
 
@@ -208,8 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "query" and not args.parallel:
-        if args.shards is not None or args.backend is not None:
-            parser.error("--shards/--backend only apply with --parallel")
+        if args.shards is not None:
+            parser.error("--shards only applies with --parallel")
     try:
         return _dispatch(args)
     except (SeedError, OSError) as exc:
@@ -465,12 +462,11 @@ def _run_query(args: argparse.Namespace) -> int:
     from repro.core.query.predicates import name_prefix
 
     db = load_database(args.database)
-    given = {"shards": args.shards, "backend": args.backend}
-    parallel = (
-        ParallelConfig(**{k: v for k, v in given.items() if v is not None})
-        if args.parallel
-        else None
-    )
+    parallel = None
+    if args.parallel:
+        parallel = (
+            ParallelConfig() if args.shards is None else ParallelConfig(args.shards)
+        )
     if args.extent and args.association:
         raise QueryError("use either --extent or --association, not both")
     if args.association and (args.prefix or args.via):

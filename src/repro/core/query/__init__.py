@@ -15,8 +15,9 @@
   over fused scan leaves;
 * :mod:`~repro.core.query.parallel` — the fused scan kernel every
   ``Select``-over-scan leaf runs through: in-thread for plain plans,
-  fanned over a thread/process worker pool where the planner finds a
-  scan large enough (``plan(db, ParallelConfig())``).
+  fanned over a warm forked worker pool where the planner finds a scan
+  large enough and the host has ``fork`` and more than one CPU
+  (``plan(db, ParallelConfig())``).
 
 Planner example — the builder mirrors the ``Relation`` API, and
 ``explain()`` shows what the optimizer did::

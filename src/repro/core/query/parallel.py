@@ -21,24 +21,23 @@ serial and a parallel plan:
 * **pooled** (:func:`run_sharded`) — the id list is cut into contiguous
   near-equal ranges (``IndexLayer.extent_shards`` /
   ``family_relationship_shards``), each range is one kernel call on a
-  worker pool, and the results concatenate in shard order — which, for
-  contiguous ranges of a sorted list, is the in-thread row order. The
-  planner places a ``Parallel`` node where this pays (see
-  :func:`pool_pays`); empty ranges are never dispatched, and a scan with
-  at most one non-empty range runs in-thread.
+  forked worker, and the results concatenate in shard order — which,
+  for contiguous ranges of a sorted list, is the in-thread row order.
+  The workers hold the database as a copy-on-write snapshot and ship
+  results back as compact ``("o", oid)`` / ``("v", value)`` cells the
+  parent decodes through ``object_by_oid``. Empty ranges are never
+  dispatched, and a scan with at most one non-empty range runs
+  in-thread.
 
-**Backends.** ``thread`` uses a :class:`~concurrent.futures.
-ThreadPoolExecutor` per scan: zero serialization, the natural choice
-under free-threaded CPython (3.13t+) where the shards genuinely overlap.
-``process`` uses forked workers that hold the database as a
-copy-on-write snapshot and ship results back as compact ``("o", oid)``
-/ ``("v", value)`` cells the parent decodes through ``object_by_oid``.
-``auto`` picks threads when the GIL is disabled or the host is
-single-core / fork-less, processes otherwise. Requesting ``process``
-where ``fork`` is unavailable silently degrades to threads.
+**Where a pool runs.** The planner places a ``Parallel`` node only
+where the pool pays (:func:`pool_pays`) and the host can run it
+(:func:`host_can_pool`: ``fork`` exists and there is more than one
+CPU). Anywhere else the same config yields the serial plan, which runs
+the same kernel in-thread. Under the GIL a thread fan-out loses to no
+fan-out at all, so there is none.
 
-**Pool lifetime.** The process backend keeps one warm pool per process
-and reuses it while the database it was forked from is unchanged. Its
+**Pool lifetime.** The runtime keeps one warm pool per process and
+reuses it while the database it was forked from is unchanged. Its
 key is the database (held by weak reference, so a new database at a
 recycled address never matches), the database's write counter at fork
 time, and the worker count. ``SeedDatabase._writes`` goes up wherever
@@ -71,8 +70,8 @@ collected — and every result wait is bounded by :data:`TIMEOUT_S`, so a
 poisoned or crashed worker can never hang the merge. On an
 infrastructure failure (I/O error, broken pool, timeout, a spec or
 result that does not pickle) the scan is simply run in-thread instead
-(counted in :data:`stats`). A process pool that failed or timed out,
-or whose scan raised, is torn down with its workers killed and reaped,
+(counted in :data:`stats`). A pool that failed or timed out, or whose
+scan raised, is torn down with its workers killed and reaped,
 never reused. :class:`~repro.core.faults.SimulatedCrash` and errors
 raised by the query itself (e.g. a predicate rejecting its input)
 propagate unchanged — they are deterministic and would recur
@@ -82,14 +81,12 @@ in-thread.
 from __future__ import annotations
 
 import atexit
-import concurrent.futures
 import contextlib
 import gc
 import multiprocessing
 import os
 import pickle
 import signal
-import sys
 import threading
 import weakref
 from dataclasses import dataclass
@@ -118,6 +115,7 @@ __all__ = [
     "ParallelConfig",
     "ParallelStats",
     "ShardSpec",
+    "host_can_pool",
     "pool_pays",
     "row_filter",
     "run_in_thread",
@@ -132,8 +130,6 @@ DISPATCH_POINT = "parallel.shard.dispatch"
 #: failpoint fired before each shard's result is collected from the pool
 RESULT_POINT = "parallel.shard.result"
 
-_BACKENDS = ("auto", "thread", "process")
-
 #: the pooled-vs-in-thread cost model, in scanned-row units: a base scan
 #: of ``S`` rows goes to the pool only when ``S >= THRESHOLD`` (below it
 #: pool spin-up dominates) and ``S / shards + DISPATCH_OVERHEAD < S``
@@ -146,46 +142,21 @@ TIMEOUT_S = 60.0
 CHUNK = 1024
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _gil_disabled() -> bool:
-    checker = getattr(sys, "_is_gil_enabled", None)
-    return checker is not None and not checker()
-
-
 @dataclass(frozen=True)
 class ParallelConfig:
-    """How many shards a pooled scan is cut into, and on which backend.
+    """How many shards a pooled scan is cut into.
 
     Hashable, so plans cache per config. Whether a scan is pooled at
     all is not configured: the planner decides it per scan from the
-    extent size (:func:`pool_pays`).
+    extent size (:func:`pool_pays`) and the host (:func:`host_can_pool`).
     """
 
     shards: int = 4
-    backend: str = "auto"  # auto | thread | process
 
     def __post_init__(self) -> None:
-        if not 1 <= self.shards <= 64:
-            raise QueryError(f"shards must be in 1..64, got {self.shards}")
-        if self.backend not in _BACKENDS:
-            raise QueryError(
-                f"unknown backend {self.backend!r} (expected one of {_BACKENDS})"
-            )
-
-    def resolved_backend(self) -> str:
-        """The concrete backend ``auto`` resolves to on this host."""
-        if self.backend == "thread":
-            return "thread"
-        if self.backend == "process":
-            return "process" if _fork_available() else "thread"
-        if _gil_disabled():
-            return "thread"  # free-threaded: shared memory, true overlap
-        if _fork_available() and (os.cpu_count() or 1) > 1:
-            return "process"
-        return "thread"
+        # exactly int: a bool or a float would validate as a number
+        if type(self.shards) is not int or not 1 <= self.shards <= 64:
+            raise QueryError(f"shards must be an int in 1..64, got {self.shards!r}")
 
 
 @dataclass
@@ -195,7 +166,7 @@ class ParallelStats:
     dispatched_shards: int = 0
     completed_shards: int = 0
     fallbacks: int = 0
-    #: process pools forked (a warm pool serves many scans)
+    #: pools forked (a warm pool serves many scans)
     pools_started: int = 0
 
     def reset(self) -> None:
@@ -212,6 +183,15 @@ stats = ParallelStats()
 def pool_pays(scanned: int, shards: int) -> bool:
     """Whether a base scan of *scanned* rows is worth a worker pool."""
     return scanned >= THRESHOLD and scanned / shards + DISPATCH_OVERHEAD < scanned
+
+
+def host_can_pool() -> bool:
+    """Whether this host can run a pooled scan to any gain: the workers
+    are forked, and on one CPU they would only take turns."""
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and (os.cpu_count() or 1) > 1
+    )
 
 
 # ----------------------------------------------------------------------
@@ -433,23 +413,16 @@ def run_in_thread(db: "SeedDatabase", spec: ShardSpec) -> Iterator[tuple]:
 
 
 # ----------------------------------------------------------------------
-# worker pools
+# the worker pool
 # ----------------------------------------------------------------------
 
 #: infrastructure failures after which the scan is run in-thread;
 #: anything else (SimulatedCrash, query-level SeedErrors, predicate
 #: bugs) is deterministic and propagates unchanged
-_FALLBACK_ERRORS = (
-    OSError,
-    TimeoutError,
-    concurrent.futures.TimeoutError,
-    concurrent.futures.BrokenExecutor,
-    pickle.PicklingError,
-    EOFError,
-)
+_FALLBACK_ERRORS = (OSError, TimeoutError, pickle.PicklingError, EOFError)
 
-#: the process backend's warm pool (see "Pool lifetime"); guarded by
-#: _POOL_LOCK, so concurrent process-backed scans serialize on entry
+#: the warm pool (see "Pool lifetime"); guarded by _POOL_LOCK, so
+#: concurrent pooled scans serialize on entry
 _POOL: Optional["_Pool"] = None
 _POOL_LOCK = threading.Lock()
 
@@ -595,10 +568,8 @@ def _decode_row(db: "SeedDatabase", row: tuple) -> tuple:
     )
 
 
-def run_sharded(
-    db: "SeedDatabase", spec: ShardSpec, *, shards: int, backend: str
-) -> list[tuple]:
-    """Run *spec* across a worker pool; the planner's Parallel runtime.
+def run_sharded(db: "SeedDatabase", spec: ShardSpec, *, shards: int) -> list[tuple]:
+    """Run *spec* across the warm pool; the planner's Parallel runtime.
 
     Returns the merged rows in shard order — the in-thread row order.
     Only non-empty shards are dispatched; with at most one of them, or
@@ -609,55 +580,13 @@ def run_sharded(
     busy = min(scan_size(db, spec.kind, spec.name, spec.include_specials), shards)
     if busy > 1:
         try:
-            if backend == "process":
-                return _run_process(db, spec, busy, shards)
-            return _run_thread(db, spec, _scan_ids(db, spec, shards)[:busy])
+            return _run_pooled(db, spec, busy, shards)
         except _FALLBACK_ERRORS:
             stats.fallbacks += 1
     return list(run_in_thread(db, spec))
 
 
-def _collect(
-    pool: concurrent.futures.Executor,
-    submit: Callable[[int], concurrent.futures.Future],
-    shard_count: int,
-) -> list:
-    """Dispatch every shard through *submit*, merge results in shard order."""
-    try:
-        futures = []
-        for index in range(shard_count):
-            if faults._PLAN is not None:  # noqa: SLF001 - documented guard idiom
-                faults.fire(DISPATCH_POINT)
-            futures.append(submit(index))
-            stats.dispatched_shards += 1
-        rows: list = []
-        for future in futures:
-            if faults._PLAN is not None:  # noqa: SLF001
-                faults.fire(RESULT_POINT)
-            rows.extend(future.result(timeout=TIMEOUT_S))
-            stats.completed_shards += 1
-        return rows
-    finally:
-        # wait=False: a hung worker must not block the in-thread rerun;
-        # surviving threads park on the (finished) queue and exit
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_thread(
-    db: "SeedDatabase", spec: ShardSpec, shard_ids: list[list[int]]
-) -> list[tuple]:
-    workers = max(1, min(len(shard_ids), (os.cpu_count() or 1), 8))
-    pool = concurrent.futures.ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="repro-shard"
-    )
-    return _collect(
-        pool,
-        lambda index: pool.submit(run_kernel, db, spec, shard_ids[index]),
-        len(shard_ids),
-    )
-
-
-def _run_process(
+def _run_pooled(
     db: "SeedDatabase", spec: ShardSpec, busy: int, shards: int
 ) -> list[tuple]:
     """Run the first *busy* of *shards* ranges on the warm pool, forking

@@ -133,30 +133,33 @@ testing.
    Soundness never depends on it: a stale plan is correct, just slower.
 
 5. **Pooled scans.** With a
-   :class:`~repro.core.query.parallel.ParallelConfig` (shard count and
-   backend — nothing else is configurable), the optimizer runs a final
-   pass that wraps a shardable scan in a :class:`Parallel` node when a
+   :class:`~repro.core.query.parallel.ParallelConfig` (the shard count
+   — nothing else is configurable), the optimizer runs a final pass
+   that wraps a shardable scan in a :class:`Parallel` node when a
    worker pool pays for it. That is decided per scan from the
    maintained statistics, in scanned-row units
    (:func:`~repro.core.query.parallel.pool_pays`): a base scan of
    ``S`` rows is pooled only when ``S >= 100 000`` (below that, pool
    spin-up dominates) and ``S / shards + 25 000 < S`` (the per-shard
-   cost plus a fixed dispatch charge must beat one thread). Every
-   other scan runs in-thread — the *same* kernel, so the two choices
-   differ in where the loop runs and in nothing else.
+   cost plus a fixed dispatch charge must beat one thread). A host
+   without ``fork`` or with one CPU never pools
+   (:func:`~repro.core.query.parallel.host_can_pool`). Every other scan
+   runs in-thread — the *same* kernel, so the two choices differ in
+   where the loop runs and in nothing else.
 
    ``explain()`` renders the choice deterministically
-   (``Parallel shards=4 backend=thread per-shard~S/n+C dispatch``).
-   Execution cuts the scan's sorted id list into contiguous ranges
-   through the index layer, runs one kernel call per non-empty range
-   on a thread or fork-process pool, and merges in range order — the
-   in-thread row order. The node is a pipeline breaker, so everything
-   above (``Project``/``Union``/``Difference``, join probe/build)
-   streams unchanged. Worker failures are bounded by failpoints and a
-   result timeout, after which the scan just runs in-thread (see
-   :mod:`repro.core.query.parallel`). Cached plans key on the config,
-   so the same logical tree can hold plain and pooled optimizations
-   side by side.
+   (``Parallel shards=4 per-shard~S/n+C dispatch``). Execution cuts
+   the scan's sorted id list into contiguous ranges through the index
+   layer, runs one kernel call per non-empty range on the warm forked
+   pool, and merges in range order — the in-thread row order. The node
+   is a pipeline breaker, so everything above
+   (``Project``/``Union``/``Difference``, join probe/build) streams
+   unchanged. Worker failures are bounded by failpoints and a result
+   timeout, after which the scan just runs in-thread (see
+   :mod:`repro.core.query.parallel`). A plan is pooled or not by how it
+   was built — ``plan(db, config)`` or ``plan(db)`` — and cached plans
+   key on the config, so the same logical tree can hold plain and
+   pooled optimizations side by side.
 """
 
 from __future__ import annotations
@@ -393,15 +396,10 @@ class IndexJoin(PlanNode):
 
 @dataclass(frozen=True, eq=False)
 class Parallel(PlanNode):
-    """Run a shardable subtree across a worker pool (optimizer-placed).
-
-    ``backend`` is already resolved (``thread`` or ``process``) so the
-    node executes — and ``explain()`` renders — deterministically.
-    """
+    """Run a shardable subtree across the worker pool (optimizer-placed)."""
 
     child: PlanNode
     shards: int
-    backend: str
 
 
 # ----------------------------------------------------------------------
@@ -1181,14 +1179,15 @@ def _parallelize(
 ) -> PlanNode:
     """Wrap shardable subtrees whose scans pay for a pool in Parallel
     nodes; every other scan runs the same kernel in-thread."""
-    backend = config.resolved_backend()
+    if not kernel.host_can_pool():
+        return node
 
     def wrap(current: PlanNode) -> PlanNode:
         spec = _shard_spec(db, current)
         if spec is not None:
             scanned = _scanned_rows(db, _scan_base(current))
             if kernel.pool_pays(scanned, config.shards):
-                return Parallel(current, config.shards, backend)
+                return Parallel(current, config.shards)
             return current  # the whole chain shares one base: decided
         return _rebuilt(current, wrap, only=_inputs(current))
 
@@ -1431,9 +1430,7 @@ class _Executor:
         if spec is None:  # pragma: no cover - optimizer only wraps shardable
             yield from self.rows(node.child)
             return
-        yield from kernel.run_sharded(
-            self._db, spec, shards=node.shards, backend=node.backend
-        )
+        yield from kernel.run_sharded(self._db, spec, shards=node.shards)
 
     # -- streaming operators -------------------------------------------
 
@@ -1628,7 +1625,7 @@ def _node_label(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -> str:
     elif isinstance(node, Parallel):
         per_shard = _scanned_rows(db, _scan_base(node.child)) // node.shards
         detail = (
-            f"Parallel shards={node.shards} backend={node.backend} "
+            f"Parallel shards={node.shards} "
             f"per-shard~{per_shard}+{kernel.DISPATCH_OVERHEAD} dispatch"
         )
     else:
@@ -1673,10 +1670,6 @@ def explain(db: SeedDatabase, node: PlanNode) -> str:
 # ----------------------------------------------------------------------
 
 
-#: sentinel distinguishing "parameter not passed" from an explicit None
-_UNSET: Any = object()
-
-
 class Plan:
     """An immutable logical query plan bound to one database.
 
@@ -1695,8 +1688,8 @@ class Plan:
     ) -> None:
         self._db = db
         self.node = node
-        #: default ParallelConfig for evaluation (None = serial); every
-        #: composition inherits it, every evaluation can override it
+        #: the ParallelConfig this plan is optimized under (None =
+        #: serial); every composition inherits it
         self._parallel = parallel
 
     # -- composition (mirrors Relation) --------------------------------
@@ -1771,22 +1764,16 @@ class Plan:
 
     # -- evaluation ----------------------------------------------------
 
-    def _parallel_config(self, parallel: Any) -> Optional[ParallelConfig]:
-        return self._parallel if parallel is _UNSET else parallel
-
-    def optimized(self, *, parallel: Any = _UNSET) -> PlanNode:
+    def optimized(self) -> PlanNode:
         """The optimizer's output for this plan (a new node tree).
 
         Served from the database's :class:`PlanCache` when the logical
         tree is keyable, so persistent/repeated queries skip
-        re-optimization. *parallel* overrides the plan's default
-        :class:`ParallelConfig` (pass ``None`` to force serial).
+        re-optimization.
         """
-        return plan_cache(self._db).optimized(
-            self._db, self.node, self._parallel_config(parallel)
-        )
+        return plan_cache(self._db).optimized(self._db, self.node, self._parallel)
 
-    def explain(self, *, optimized: bool = True, parallel: Any = _UNSET) -> str:
+    def explain(self, *, optimized: bool = True) -> str:
         """Deterministic plan-tree rendering with cardinality estimates.
 
         Example::
@@ -1796,24 +1783,16 @@ class Plan:
             ...          .explain())
             ExtentScan Data as d prefix='Al'  est~1
         """
-        node = self.optimized(parallel=parallel) if optimized else self.node
-        return explain(self._db, node)
+        return explain(self._db, self.optimized() if optimized else self.node)
 
-    def rows(
-        self, *, optimized: bool = True, parallel: Any = _UNSET
-    ) -> Iterator[tuple]:
+    def rows(self, *, optimized: bool = True) -> Iterator[tuple]:
         """Stream result rows (tuples aligned with :attr:`columns`)."""
-        node = self.optimized(parallel=parallel) if optimized else self.node
+        node = self.optimized() if optimized else self.node
         return _Executor(self._db).rows(node)
 
-    def execute(
-        self, *, optimized: bool = True, parallel: Any = _UNSET
-    ) -> Relation:
+    def execute(self, *, optimized: bool = True) -> Relation:
         """Materialize the (by default optimized) plan into a Relation."""
-        return Relation(
-            self.columns,
-            tuple(self.rows(optimized=optimized, parallel=parallel)),
-        )
+        return Relation(self.columns, tuple(self.rows(optimized=optimized)))
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
         columns = self.columns
@@ -1843,9 +1822,8 @@ class Plan:
 class PlanBuilder:
     """Entry point producing leaf plans for one database.
 
-    A :class:`ParallelConfig` given here becomes the default for every
-    plan built through the builder (inherited by composition, still
-    overridable per evaluation call).
+    A :class:`ParallelConfig` given here is the config of every plan
+    built through the builder (inherited by composition).
     """
 
     def __init__(
@@ -1895,6 +1873,7 @@ def plan(
     """Start building a planned query: ``plan(db).extent("Data")...``.
 
     With *parallel*, evaluation may use the sharded worker runtime
-    (cost-gated): ``plan(db, ParallelConfig()).extent(...)``.
+    where it pays and the host can run it:
+    ``plan(db, ParallelConfig()).extent(...)``.
     """
     return PlanBuilder(db, parallel)

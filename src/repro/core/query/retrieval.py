@@ -90,7 +90,8 @@ class Retrieval:
         plan the cost-based optimizer evaluates through the index layer;
         see :mod:`repro.core.query.planner`. With *parallel* (a
         :class:`~repro.core.query.parallel.ParallelConfig`) the built
-        plans may execute large shardable scans on a worker pool.
+        plans run large shardable scans on the warm forked pool where
+        it pays and the host can run it, and in-thread everywhere else.
         """
         return PlanBuilder(self._db, parallel)
 

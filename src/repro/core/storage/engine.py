@@ -10,10 +10,11 @@ in one journal file:
   database image (the canonical dict of
   :mod:`repro.core.storage.serialize`), appended by
   :meth:`JournaledDatabase.checkpoint` and written/read whole by
-  :func:`save_database` / :func:`load_database`. The journal's
-  checkpoint does not rebuild that dict: it keeps one encoded JSON
+  :func:`save_database` / :func:`load_database`. No writer rebuilds
+  that dict: each joins the image from one encoded JSON
   fragment per object, relationship and version-store cell
-  (:class:`~repro.core.storage.serialize.ImageFragments`). A state is
+  (:class:`~repro.core.storage.serialize.ImageFragments`), which
+  :func:`save_database` encodes afresh and the journal keeps. A state is
   encoded once, when it is journaled: the fragment is *filled* where a
   record encodes the state — every item a ``txn`` record carries, with
   its id spliced into the state kernel's bytes, and every cell a
@@ -164,7 +165,6 @@ from repro.core.storage.serialize import (
     apply_version_delta,
     _image_dict_records,
     database_from_records,
-    database_to_dict,
     restore_delta_from_db,
     schema_delta_from_migration,
     txn_delta_from_txn,
@@ -401,7 +401,7 @@ def save_database(db: SeedDatabase, path: str | Path) -> int:
     Returns the image size in bytes.
     """
     record_file = RecordFile(path)
-    record_file.rewrite([{"kind": "image", "image": database_to_dict(db)}])
+    record_file.rewrite([ImageFragments().encode(db)])
     return record_file.size_bytes()
 
 
@@ -1014,7 +1014,7 @@ class JournaledDatabase:
             else:
                 base = tail = None
         if base is None:
-            fresh = [{"kind": "image", "image": database_to_dict(self.db)}]
+            fresh = [self._fragments.encode(self.db)]
             warnings.warn(
                 RecoveryWarning(
                     f"journal {self._file.path} holds no intact image; "

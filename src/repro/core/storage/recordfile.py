@@ -361,13 +361,14 @@ class RecordFile:
         """Atomically replace the file's contents (write-temp-and-rename).
 
         The new contents: the *keep* byte ranges of the current file,
-        copied verbatim in the order given, then the encoded *records*.
-        The writer fsyncs the temp file; the directory is fsync'd again
-        after ``os.replace``.
+        copied verbatim in the order given, then the encoded *records*
+        (like :meth:`append`, a record may be the payload bytes
+        :meth:`encode` would make of it). The writer fsyncs the temp
+        file; the directory is fsync'd again after ``os.replace``.
         """
         blob = b"".join(
             (self._read_ranges(keep) if keep else [])
-            + [_frame(self.encode(record)) for record in records]
+            + [_frame(r if isinstance(r, bytes) else self.encode(r)) for r in records]
         )
         temp = RecordFile(self.path.with_suffix(self.path.suffix + ".tmp"))
         temp.path.unlink(missing_ok=True)  # a crashed rewrite's leftover

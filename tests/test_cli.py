@@ -314,17 +314,27 @@ class TestQueryCommand:
         assert "by\tdata" in out
         assert "(2 rows)" in out  # Handler reads and writes Alarms
 
-    @pytest.mark.parametrize("option", [["--shards", "2"], ["--backend", "thread"]])
+    @pytest.mark.parametrize("option", [["--shards", "2"]])
     def test_pool_options_without_parallel_are_a_usage_error(
         self, db_file, capsys, option
     ):
         with pytest.raises(SystemExit) as usage:
             main(["query", str(db_file), "--extent", "Data", *option])
         assert usage.value.code == 2
-        assert "only apply with --parallel" in capsys.readouterr().err
+        assert "only applies with --parallel" in capsys.readouterr().err
         assert main([
             "query", str(db_file), "--extent", "Data", "--parallel", *option,
         ]) == 0
+
+    @pytest.mark.parametrize("parallel", [[], ["--parallel"]])
+    def test_backend_is_not_an_option(self, db_file, capsys, parallel):
+        with pytest.raises(SystemExit) as usage:
+            main([
+                "query", str(db_file), "--extent", "Data", *parallel,
+                "--backend", "process",
+            ])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_via_with_unbound_class_is_error(self, db_file, capsys):
         assert main([

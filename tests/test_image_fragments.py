@@ -37,9 +37,14 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core import SeedDatabase, figure3_schema
-from repro.core.errors import SeedError
+from repro.core.errors import RecoveryWarning, SeedError
 from repro.core.faults import FaultPlan
-from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict
+from repro.core.storage import (
+    JournaledDatabase,
+    RecordFile,
+    database_to_dict,
+    save_database,
+)
 from repro.core.storage import serialize
 from repro.core.storage.recordfile import _frame
 from repro.core.storage.serialize import (
@@ -474,6 +479,32 @@ def test_the_checkpoint_frame_is_the_full_encode(tmp_path):
     journal.db.create_object("Data", "AfterTheCheckpoint")
     journal.checkpoint()
     assert last_frame_payload(history.path) == full_image(history.db)
+
+
+def test_every_monolithic_image_writer_writes_the_full_encode(tmp_path):
+    """``save_database`` (fresh fragments) and ``compact()``'s
+    no-intact-image fallback (the journal's warm ones) write the oracle
+    frame byte for byte."""
+    history = History(5, tmp_path)
+    db = history.db
+    for __ in range(300):
+        history.step()
+        tombstones = [
+            item
+            for item in (*db.all_objects_raw(), *db.all_relationships_raw())
+            if item.deleted
+        ]
+        if db.saved_versions() and tombstones:
+            break
+    assert db.saved_versions() and tombstones, "the history is too tame"
+    oracle = _frame(full_image(db))
+    saved = tmp_path / "saved.seed"
+    save_database(db, saved)
+    assert saved.read_bytes() == oracle
+    history.path.write_bytes(b"no image here")
+    with pytest.warns(RecoveryWarning, match="no intact image"):
+        history.journal.compact()
+    assert history.path.read_bytes() == oracle
 
 
 def test_the_checkpoint_frame_goes_through_the_one_writer(tmp_path):

@@ -3,7 +3,7 @@
 The fused kernel (:mod:`repro.core.query.parallel`) runs every
 shardable scan, in-thread or pooled; the pooled runs must be
 row-multiset identical to the eager ``Relation`` algebra for *any*
-query, on both backends, across shard counts — including mid-transaction
+query, across shard counts — including mid-transaction
 reads and the vague/undefined data shapes the randomized planner
 populations carry — and row-*order* identical to the in-thread run.
 Beyond equivalence, this suite pins down:
@@ -12,16 +12,19 @@ Beyond equivalence, this suite pins down:
   run to run;
 * the costing constants — small scans never reach a pool under the
   shipped ``THRESHOLD`` / ``DISPATCH_OVERHEAD``;
+* host selection — a host without ``fork`` or with one CPU plans every
+  scan in-thread;
 * the failure contract — failpoint-injected I/O errors, poisoned
   (exiting) workers, and hung workers end in an in-thread run of the
   same kernel, and :class:`~repro.core.faults.SimulatedCrash` always
   propagates;
-* process-backend hygiene — structured predicates pickle round-trip.
+* pool hygiene — structured predicates pickle round-trip.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import pickle
 import random
@@ -37,6 +40,7 @@ from repro.core.query import parallel as parallel_mod
 from repro.core.query.parallel import ParallelConfig
 from repro.core.query.planner import (
     Parallel,
+    Plan,
     on,
     plan,
     plan_cache,
@@ -60,7 +64,8 @@ from repro.core.query.predicates import (
 
 @pytest.fixture
 def force_pool(monkeypatch):
-    """Send every shardable scan to the pool, however small.
+    """Send every shardable scan to the pool, however small, on any
+    host that forks.
 
     The cost constants are module state, so a plan cached under the
     shipped values would be served stale: the shared populations' plan
@@ -74,6 +79,7 @@ def force_pool(monkeypatch):
     clear_caches()
     monkeypatch.setattr(parallel_mod, "THRESHOLD", 0)
     monkeypatch.setattr(parallel_mod, "DISPATCH_OVERHEAD", 0)
+    monkeypatch.setattr(parallel_mod, "host_can_pool", lambda: True)
     yield
     clear_caches()
 
@@ -91,6 +97,19 @@ def _exit_in_worker(obj) -> bool:
     if os.getpid() != _MAIN_PID:
         os._exit(3)
     return True
+
+
+def _name_ends_in_0_or_2(obj) -> bool:
+    return str(obj.name).endswith(("0", "2"))
+
+
+def _not_tag4(row) -> bool:
+    return row["note"].value != "tag4"
+
+
+def notes_tagged(builder, tag: str):
+    """σ value = *tag* over the Note extent, from *builder*."""
+    return builder.extent("Note", column="note").select(on("note", value_is(tag)))
 
 
 def count_parallel(node) -> int:
@@ -136,9 +155,9 @@ def population(seed: int):
 class TestRandomizedParallelEquivalence:
     """Pooled vs. eager on the seeded random populations/queries.
 
-    Shard counts {1, 2, 7} and both backends rotate deterministically
-    through the (population, query) grid, so every combination is
-    exercised without forking a process pool per case.
+    Shard counts {1, 2, 7} rotate deterministically through the
+    (population, query) grid, so every count is exercised without
+    forking a pool per case.
     """
 
     CASES = [
@@ -146,93 +165,80 @@ class TestRandomizedParallelEquivalence:
         for population_seed in range(8)
         for query_seed in range(4)
     ]
-    GRID = [
-        (shards, backend)
-        for backend in ("thread", "process")
-        for shards in (1, 2, 7)
-    ]
+    GRID = (1, 2, 7)
 
     @pytest.mark.parametrize("population_seed,query_seed", CASES)
     def test_parallel_matches_serial(self, population_seed, query_seed):
         db = population(population_seed)
         rng = random.Random(population_seed * 1009 + query_seed)
         query = random_query(rng, db)
-        shards, backend = self.GRID[
+        shards = self.GRID[
             (population_seed * len(self.CASES) // 8 + query_seed) % len(self.GRID)
         ]
-        config = ParallelConfig(shards=shards, backend=backend)
-        parallel_result = query.plan.execute(parallel=config)
+        pooled = Plan(db, query.plan.node, ParallelConfig(shards=shards))
+        parallel_result = pooled.execute()
         assert parallel_result.columns == query.relation.columns
         assert row_multiset(parallel_result) == row_multiset(query.relation), (
-            f"parallel ({shards} shards, {backend}) diverged for population "
-            f"{population_seed}, query {query_seed}:\n"
-            f"{query.plan.explain(parallel=config)}"
+            f"parallel ({shards} shards) diverged for population "
+            f"{population_seed}, query {query_seed}:\n{pooled.explain()}"
         )
 
     def test_grid_actually_parallelizes(self):
         """Coverage guard: the forced constants do wrap scans — of most
         of the grid's queries (a plan read wholly through the name and
         incidence indexes has no scan to wrap)."""
-        config = ParallelConfig(shards=2, backend="thread")
+        config = ParallelConfig(shards=2)
         wrapped = 0
         for population_seed, query_seed in self.CASES:
+            db = population(population_seed)
             rng = random.Random(population_seed * 1009 + query_seed)
-            query = random_query(rng, population(population_seed))
-            wrapped += bool(count_parallel(query.plan.optimized(parallel=config)))
+            query = random_query(rng, db)
+            pooled = Plan(db, query.plan.node, config)
+            wrapped += bool(count_parallel(pooled.optimized()))
         assert wrapped > len(self.CASES) // 2
 
 
 @pytest.mark.usefixtures("force_pool")
 class TestDirectedSemantics:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def setup_method(self):
+        parallel_mod.stats.reset()
+
     @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_range_split_preserves_serial_row_order(self, backend, shards):
+    def test_range_split_preserves_serial_row_order(self, shards):
         db = small_db()
-        query = (
-            plan(db)
-            .extent("Note", column="note")
-            .select(on("note", value_is("tag3")))
-        )
-        config = ParallelConfig(shards=shards, backend=backend)
-        serial_rows = list(query.rows(parallel=None))
-        parallel_rows = list(query.rows(parallel=config))
+        serial_rows = list(notes_tagged(plan(db), "tag3").rows())
+        config = ParallelConfig(shards=shards)
+        parallel_rows = list(notes_tagged(plan(db, config), "tag3").rows())
         assert parallel_rows == serial_rows  # order, not just multiset
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_mid_transaction_reads(self, backend):
+    def test_mid_transaction_reads(self):
         db = small_db(40)
-        config = ParallelConfig(shards=2, backend=backend)
-        query = (
-            plan(db)
-            .extent("Note", column="note")
-            .select(on("note", value_is("fresh")))
-        )
+        serial = notes_tagged(plan(db), "fresh")
+        pooled = notes_tagged(plan(db, ParallelConfig(shards=2)), "fresh")
         with db.transaction():
             created = db.create_object("Note", "Uncommitted")
             created.set_value("fresh")
-            inside = query.execute(parallel=config)
-            assert row_multiset(inside) == row_multiset(
-                query.execute(parallel=None)
-            )
+            inside = pooled.execute()
+            assert row_multiset(inside) == row_multiset(serial.execute())
             assert any(
                 str(cell.name) == "Uncommitted" for (cell,) in inside.rows
             )
+        assert parallel_mod.stats.dispatched_shards == 2
 
     def test_structured_and_opaque_predicates_compose(self):
         db = small_db()
-        opaque = FunctionPredicate(
-            lambda obj: str(obj.name).endswith(("0", "2")), "name-suffix"
-        )
-        query = (
-            plan(db)
-            .extent("Note", column="note")
-            .select(on("note", both(has_value(), name_prefix("N"))))
-            .select(on("note", opaque))
-            .select(lambda row: row["note"].value != "tag4")
-        )
-        config = ParallelConfig(shards=4, backend="thread")
-        pooled = query.execute(parallel=config)
-        assert row_multiset(pooled) == row_multiset(query.execute(parallel=None))
+        opaque = FunctionPredicate(_name_ends_in_0_or_2, "name-suffix")
+
+        def query(builder):
+            return (
+                builder.extent("Note", column="note")
+                .select(on("note", both(has_value(), name_prefix("N"))))
+                .select(on("note", opaque))
+                .select(_not_tag4)
+            )
+
+        pooled = query(plan(db, ParallelConfig(shards=4))).execute()
+        assert row_multiset(pooled) == row_multiset(query(plan(db)).execute())
         # shard-order merge against the database's own scan order
         assert [obj for (obj,) in pooled.rows] == [
             obj
@@ -240,32 +246,34 @@ class TestDirectedSemantics:
             if obj.value not in (None, "tag4")
             and str(obj.name).endswith(("0", "2"))
         ]
+        stats = parallel_mod.stats
+        assert (stats.dispatched_shards, stats.fallbacks) == (4, 0)
 
     def test_join_over_parallel_leaf(self):
         db = small_db()
-        query = (
-            plan(db)
-            .extent("Note", column="note")
-            .select(on("note", value_is("tag1")))
-            .join(plan(db).relationship("Covers"))
-            .project("doc")
-        )
-        config = ParallelConfig(shards=3, backend="thread")
-        assert row_multiset(query.execute(parallel=config)) == row_multiset(
-            query.execute(parallel=None)
-        )
+
+        def query(builder):
+            return (
+                notes_tagged(builder, "tag1")
+                .join(builder.relationship("Covers"))
+                .project("doc")
+            )
+
+        pooled = query(plan(db, ParallelConfig(shards=3))).execute()
+        assert row_multiset(pooled) == row_multiset(query(plan(db)).execute())
+        assert parallel_mod.stats.dispatched_shards > 0
+        assert parallel_mod.stats.fallbacks == 0
 
 
 class TestCostModel:
     def test_small_scans_stay_serial_under_default_config(self):
         db = small_db()  # far below the 100k threshold
         query = (
-            plan(db)
+            plan(db, ParallelConfig())
             .extent("Note", column="note")
             .select(on("note", has_value()))
         )
-        optimized = query.optimized(parallel=ParallelConfig())
-        assert count_parallel(optimized) == 0
+        assert count_parallel(query.optimized()) == 0
 
     def test_shipped_constants(self):
         # bench/workloads/query_mix.py sizes its population against these
@@ -275,69 +283,96 @@ class TestCostModel:
 
     def test_threshold_zero_parallelizes(self, force_pool):
         db = small_db()
-        query = plan(db).extent("Note", column="note")
-        optimized = query.optimized(parallel=ParallelConfig())
-        assert count_parallel(optimized) == 1
+        query = plan(db, ParallelConfig()).extent("Note", column="note")
+        assert count_parallel(query.optimized()) == 1
 
     def test_dispatch_overhead_blocks_non_paying_scans(self, monkeypatch):
         db = small_db(100)
-        query = plan(db).extent("Note", column="note")
+        query = plan(db, ParallelConfig(shards=2)).extent("Note", column="note")
         # threshold passes, but S/shards + overhead >= S: never pays
         monkeypatch.setattr(parallel_mod, "THRESHOLD", 0)
         monkeypatch.setattr(parallel_mod, "DISPATCH_OVERHEAD", 10_000)
-        config = ParallelConfig(shards=2)
-        assert count_parallel(query.optimized(parallel=config)) == 0
+        assert count_parallel(query.optimized()) == 0
 
     def test_prefix_scans_are_not_sharded(self, force_pool):
         db = small_db()
         query = (
-            plan(db)
+            plan(db, ParallelConfig())
             .extent("Note", column="note")
             .select(on("note", name_prefix("N1")))
         )
-        optimized = query.optimized(parallel=ParallelConfig())
         # the rewrite wins: a bisected prefix scan stays serial
-        assert count_parallel(optimized) == 0
-        assert "prefix='N1'" in query.explain(parallel=ParallelConfig())
+        assert count_parallel(query.optimized()) == 0
+        assert "prefix='N1'" in query.explain()
 
     def test_cache_keeps_serial_and_parallel_plans_apart(self, force_pool):
         db = small_db()
-        query = plan(db).extent("Note", column="note")
-        config = ParallelConfig()
-        serial_tree = query.optimized()
-        parallel_tree = query.optimized(parallel=config)
+        serial = plan(db).extent("Note", column="note")
+        pooled = Plan(db, serial.node, ParallelConfig())
+        serial_tree = serial.optimized()
+        parallel_tree = pooled.optimized()
         assert count_parallel(serial_tree) == 0
         assert count_parallel(parallel_tree) == 1
         # both entries are cached independently and served stably
-        assert query.optimized() is serial_tree
-        assert query.optimized(parallel=config) is parallel_tree
+        assert serial.optimized() is serial_tree
+        assert pooled.optimized() is parallel_tree
+
+
+class TestHostSelection:
+    """The pool runs only where ``fork`` exists and there is more than
+    one CPU; anywhere else the same config plans the in-thread kernel."""
+
+    @pytest.fixture(autouse=True)
+    def cheap_pool(self, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "THRESHOLD", 0)
+        monkeypatch.setattr(parallel_mod, "DISPATCH_OVERHEAD", 0)
+        parallel_mod.stats.reset()
+
+    @pytest.mark.parametrize("host", ["no fork", "one CPU"])
+    def test_a_host_that_cannot_pool_plans_in_thread(self, monkeypatch, host):
+        if host == "no fork":
+            monkeypatch.setattr(
+                multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+            )
+        else:
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        db = small_db()
+        pooled = notes_tagged(plan(db, ParallelConfig(shards=2)), "tag3")
+        assert count_parallel(pooled.optimized()) == 0
+        assert list(pooled.rows()) == list(notes_tagged(plan(db), "tag3").rows())
+        assert parallel_mod.stats.dispatched_shards == 0
+
+    def test_a_host_that_can_pool_plans_one_parallel_node(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        db = small_db()
+        pooled = notes_tagged(plan(db, ParallelConfig(shards=2)), "tag3")
+        assert count_parallel(pooled.optimized()) == 1
+        assert list(pooled.rows()) == list(notes_tagged(plan(db), "tag3").rows())
+        assert parallel_mod.stats.dispatched_shards == 2
 
 
 @pytest.mark.usefixtures("force_pool")
 class TestExplainDeterminism:
     def test_explain_is_byte_identical_run_to_run(self):
-        config = ParallelConfig(shards=4, backend="thread")
+        config = ParallelConfig(shards=4)
 
         def render() -> str:
             db = small_db()
-            query = (
-                plan(db)
-                .extent("Note", column="note")
-                .select(on("note", value_is("tag3")))
-                .join(plan(db).relationship("Covers"))
+            query = notes_tagged(plan(db, config), "tag3").join(
+                plan(db).relationship("Covers")
             )
-            return query.explain(parallel=config)
+            return query.explain()
 
         first, second = render(), render()
         assert first == second
-        assert "Parallel shards=4 backend=thread per-shard~30+0 dispatch" in first
+        assert "Parallel shards=4 per-shard~30+0 dispatch" in first
 
     def test_parallel_node_renders_in_tree_position(self):
         db = small_db()
-        config = ParallelConfig(shards=2, backend="thread")
-        text = plan(db).extent("Note", column="note").explain(parallel=config)
+        config = ParallelConfig(shards=2)
+        text = plan(db, config).extent("Note", column="note").explain()
         lines = text.splitlines()
-        assert lines[0].startswith("Parallel shards=2 backend=thread per-shard~60")
+        assert lines[0].startswith("Parallel shards=2 per-shard~60")
         assert lines[1].strip().startswith("└─ ExtentScan Note")
 
 
@@ -348,55 +383,51 @@ class TestFailureContract:
 
     @pytest.mark.parametrize("point", [parallel_mod.DISPATCH_POINT,
                                        parallel_mod.RESULT_POINT])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_fail_io_falls_back_to_serial(self, point, backend):
+    def test_fail_io_falls_back_to_serial(self, point):
         db = small_db()
-        query = (
-            plan(db)
-            .extent("Note", column="note")
-            .select(on("note", value_is("tag2")))
-        )
-        expected = list(query.rows(parallel=None))
-        config = ParallelConfig(shards=3, backend=backend)
+        expected = list(notes_tagged(plan(db), "tag2").rows())
+        query = notes_tagged(plan(db, ParallelConfig(shards=3)), "tag2")
         fault_plan = faults.FaultPlan(seed=11)
         fault_plan.fail_io(point, at=2)
         with fault_plan:
-            result = query.execute(parallel=config)
+            result = query.execute()
         assert list(result.rows) == expected  # the fallback keeps row order
         assert fault_plan.triggered, "failpoint never fired"
         assert parallel_mod.stats.fallbacks == 1
 
     def test_simulated_crash_always_propagates(self):
         db = small_db()
-        query = plan(db).extent("Note", column="note")
-        config = ParallelConfig(shards=2, backend="thread")
+        query = plan(db, ParallelConfig(shards=2)).extent("Note", column="note")
         fault_plan = faults.FaultPlan(seed=5)
         fault_plan.crash(parallel_mod.RESULT_POINT)
         with fault_plan:
             with pytest.raises(faults.SimulatedCrash):
-                query.execute(parallel=config)
+                query.execute()
         assert parallel_mod.stats.fallbacks == 0
 
     def test_poisoned_worker_falls_back(self):
         db = small_db(30)
         poison = FunctionPredicate(_exit_in_worker, "exit-in-worker")
-        query = plan(db).extent("Note", column="note").select(on("note", poison))
-        config = ParallelConfig(shards=2, backend="process")
-        result = query.execute(parallel=config)  # BrokenProcessPool inside
+        query = (
+            plan(db, ParallelConfig(shards=2))
+            .extent("Note", column="note")
+            .select(on("note", poison))
+        )
+        result = query.execute()
         assert len(result.rows) == 30  # in-thread rerun in the parent
         assert parallel_mod.stats.fallbacks == 1
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_hung_worker_times_out_instead_of_hanging_the_merge(
-        self, backend, monkeypatch
-    ):
+    def test_hung_worker_times_out_instead_of_hanging_the_merge(self, monkeypatch):
         db = small_db(6)
         sleepy = FunctionPredicate(_sleepy, "sleepy")
-        query = plan(db).extent("Note", column="note").select(on("note", sleepy))
+        query = (
+            plan(db, ParallelConfig(shards=2))
+            .extent("Note", column="note")
+            .select(on("note", sleepy))
+        )
         monkeypatch.setattr(parallel_mod, "TIMEOUT_S", 0.01)
-        config = ParallelConfig(shards=2, backend=backend)
         started = time.monotonic()
-        result = query.execute(parallel=config)
+        result = query.execute()
         elapsed = time.monotonic() - started
         assert len(result.rows) == 6
         assert parallel_mod.stats.fallbacks == 1
@@ -410,21 +441,19 @@ class TestEmptyShards:
     def setup_method(self):
         parallel_mod.stats.reset()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_empty_shards_are_not_dispatched(self, backend):
+    def test_empty_shards_are_not_dispatched(self):
         db = small_db(3)  # three Notes
-        query = plan(db).extent("Note", column="note")
-        config = ParallelConfig(shards=7, backend=backend)
-        assert list(query.rows(parallel=config)) == list(query.rows(parallel=None))
+        serial = plan(db).extent("Note", column="note")
+        pooled = Plan(db, serial.node, ParallelConfig(shards=7))
+        assert list(pooled.rows()) == list(serial.rows())
         assert parallel_mod.stats.dispatched_shards == 3
         assert parallel_mod.stats.completed_shards == 3
 
     def test_single_non_empty_shard_runs_in_thread(self):
         db = small_db(3)  # one Doc
-        query = plan(db).extent("Doc", column="doc")
-        config = ParallelConfig(shards=7, backend="process")
-        assert count_parallel(query.optimized(parallel=config)) == 1
-        assert len(query.execute(parallel=config).rows) == 1
+        query = plan(db, ParallelConfig(shards=7)).extent("Doc", column="doc")
+        assert count_parallel(query.optimized()) == 1
+        assert len(query.execute().rows) == 1
         assert parallel_mod.stats.dispatched_shards == 0
         assert parallel_mod.stats.fallbacks == 0  # not a failure
 
@@ -453,17 +482,17 @@ class TestSharding:
             db.indexes.family_relationship_ids("Covers")
         )
 
-    def test_config_has_exactly_two_options(self):
+    def test_config_has_exactly_one_option(self):
         assert tuple(f.name for f in dataclasses.fields(ParallelConfig)) == (
             "shards",
-            "backend",
         )
 
     def test_config_validation(self):
-        with pytest.raises(QueryError):
-            ParallelConfig(shards=0)
-        with pytest.raises(QueryError):
-            ParallelConfig(backend="gpu")
+        # only an int (not a bool) in 1..64 is a shard count
+        for shards in (0, 65, 2.5, 2.0, True, "2", None):
+            with pytest.raises(QueryError):
+                ParallelConfig(shards=shards)
+        assert ParallelConfig(shards=64).shards == 64
 
 
 class TestProcessBackendHygiene:
@@ -486,6 +515,6 @@ class TestProcessBackendHygiene:
         assert pickle.loads(pickle.dumps(predicate)) == predicate
 
     def test_parallel_config_pickles_and_hashes(self):
-        config = ParallelConfig(shards=7, backend="process")
+        config = ParallelConfig(shards=7)
         assert pickle.loads(pickle.dumps(config)) == config
-        assert hash(config) == hash(ParallelConfig(shards=7, backend="process"))
+        assert hash(config) == hash(ParallelConfig(shards=7))

@@ -1,6 +1,6 @@
-"""The process backend's warm pool: reuse, staleness and teardown.
+"""The warm pool: reuse, staleness and teardown.
 
-A pooled process-backend scan runs on one forked pool per database
+A pooled scan runs on one forked pool per database
 state (:mod:`repro.core.query.parallel`, "Pool lifetime"): the pool is
 reused while ``SeedDatabase._writes`` is unchanged and forked afresh
 after any write. This suite pins
@@ -67,7 +67,7 @@ def scan(kind, name, *tests, include_specials=True, attributes=()) -> ShardSpec:
 
 
 def pooled(db, spec) -> list[tuple]:
-    return parallel_mod.run_sharded(db, spec, shards=2, backend="process")
+    return parallel_mod.run_sharded(db, spec, shards=2)
 
 
 def in_thread(db, spec) -> list[tuple]:
@@ -233,7 +233,7 @@ class TestTeardown:
                 "extent", "Note", True, (), ("note",),
                 ((0, FunctionPredicate(sleeper, "sleeper")),), (),
             )
-            rows = parallel.run_sharded(db, spec, shards=2, backend="process")
+            rows = parallel.run_sharded(db, spec, shards=2)
             print(len(rows), parallel.stats.fallbacks)
             """
         )

@@ -296,11 +296,12 @@ class TestRewriteSites:
     def test_index_join_side_is_never_pooled(self, db, monkeypatch):
         monkeypatch.setattr(parallel, "THRESHOLD", 0)
         monkeypatch.setattr(parallel, "DISPATCH_OVERHEAD", 0)
-        config = ParallelConfig(shards=2, backend="thread")
-        query = SHAPES["join_action"](plan(db), "Collect27")
-        optimized = query.optimized(parallel=config)
+        monkeypatch.setattr(parallel, "host_can_pool", lambda: True)
+        config = ParallelConfig(shards=2)
+        query = SHAPES["join_action"](plan(db, config), "Collect27")
+        optimized = query.optimized()
         assert not any(isinstance(node, Parallel) for node in _nodes(optimized))
-        assert len(query.execute(parallel=config).rows) == 1
+        assert len(query.execute().rows) == 1
 
 
 def build_links_population() -> SeedDatabase:
@@ -458,9 +459,7 @@ class TestScanSize:
         family = db.indexes.family_size("Access")
         monkeypatch.setattr(parallel, "THRESHOLD", family)
         monkeypatch.setattr(parallel, "DISPATCH_OVERHEAD", 0)
-        config = ParallelConfig(shards=2, backend="thread")
-        optimized = plan(db).relationship("Read").optimized(parallel=config)
-        assert isinstance(optimized, Parallel)
-        assert f"per-shard~{family // 2}+0" in plan(db).relationship("Read").explain(
-            parallel=config
-        )
+        monkeypatch.setattr(parallel, "host_can_pool", lambda: True)
+        query = plan(db, ParallelConfig(shards=2)).relationship("Read")
+        assert isinstance(query.optimized(), Parallel)
+        assert f"per-shard~{family // 2}+0" in query.explain()
