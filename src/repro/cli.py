@@ -305,8 +305,7 @@ def _run_compact(args: argparse.Namespace) -> int:
         # persist the compacted version store, then drop every
         # superseded journal record; works even when no on-disk image
         # is intact (compact() falls back to the live state)
-        journal.checkpoint(streamed=args.streamed_checkpoint)
-        size = journal.compact()
+        size = journal.save_point(streamed=args.streamed_checkpoint)
     else:
         size = save_database(db, args.database)
     print(f"compacted: {result.summary()}")
@@ -447,8 +446,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:  # pragma: no cover - non-POSIX fallback
         if server.journal is not None:
-            server.checkpoint()
-            server.journal.compact()
+            server.journal.save_point()
     print(stopped_stats())
     return 0
 

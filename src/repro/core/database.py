@@ -71,7 +71,17 @@ completeness merge. Semantics:
   ``check_completeness`` falls back to the retained full scan;
 * **restrictions** — versions, compaction, and schema migration cannot
   run inside a batch; an explicit :meth:`transaction` inside a batch
-  adds no boundary (its validation is the batch's).
+  adds no boundary (its validation is the batch's);
+* **allocation** — the batch's log keeps one entry per touched item:
+  its tags are one of a few interned frozensets, and its key tuple is
+  the object the dirty set holds too. The rollback log of dirty keys
+  names only items that existed before the batch; rollback drops the
+  keys of created items by their ``"create"`` tag;
+* **collector pause** — Python's cyclic garbage collector is disabled
+  while the batch is open and restored on every exit. The batch only
+  grows the heap, so a collection inside it would rescan all it has
+  built and free nothing. The pause is process-wide: it holds for every
+  thread until the batch ends.
 
 Prefer ``bulk()`` whenever many items are written before the next read
 barrier: ingest and workload population. For a handful of mutations
@@ -89,6 +99,7 @@ journal replay, and ``bulk_load(records=...)``).
 
 from __future__ import annotations
 
+import gc
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
@@ -146,9 +157,12 @@ class _Transaction:
         #: set when an operation raised after changing state: the unit
         #: can then only roll back whole
         self.failed = False
-        #: item key -> (item, set of operations applied to it)
-        self.touched: dict[ItemKey, tuple[Item, set[str]]] = {}
-        #: dirty keys newly added by this transaction (for rollback)
+        #: item key -> (item, the operations applied to it): an interned
+        #: ``frozenset`` shared by every item with the same tags
+        self.touched: dict[ItemKey, tuple[Item, frozenset[str]]] = {}
+        #: keys of items that existed when the unit began and that it
+        #: added to the dirty set; rollback drops these and the keys of
+        #: the items it created ("create"-tagged in :attr:`touched`)
         self.dirty_added: set[ItemKey] = set()
         #: family root name -> association whose ACYCLIC condition needs
         #: a full re-check (edges appeared outside plain relationship
@@ -171,17 +185,81 @@ class _Transaction:
             if entry is None or "create" not in entry[1]:
                 self.before[key] = (item, item.freeze())
 
-    def touch(self, item: Item, operation: str) -> None:
+    def touch(self, item: Item, operation: str) -> ItemKey:
         """Queue *item* for validation at commit; tag ``"create"`` when
-        the unit just created it."""
+        the unit just created it. Returns the item's key — the object
+        stored in :attr:`touched` when this call made the entry — for
+        the caller to hand on to the dirty set."""
         key = _key_of(item)
-        entry = self.touched.get(key)
+        touched = self.touched
+        entry = touched.get(key)
         if entry is None:
-            self.touched[key] = (item, {operation})
-        else:
-            entry[1].add(operation)
+            touched[key] = (item, _TAGGED[_NO_TAGS, operation])
+        elif operation not in entry[1]:
+            touched[key] = (item, _TAGGED[entry[1], operation])
         if operation == "create":
             self.changes += 1
+        return key
+
+
+class _Operation:
+    """The context of one primitive update (see
+    ``SeedDatabase._operation``): a plain class, not a generator, since
+    every mutator call enters one."""
+
+    __slots__ = ("db", "what", "unit", "joined_at")
+
+    def __init__(self, db: "SeedDatabase", what: str) -> None:
+        self.db = db
+        self.what = what
+
+    def __enter__(self) -> _Transaction:
+        db = self.db
+        db._writes += 1
+        unit = db._txn or db._bulk
+        if unit is None:
+            unit = db._txn = _Transaction(db._next_id)
+            self.joined_at = None  # this operation owns the unit
+        else:
+            self.joined_at = unit.changes
+        self.unit = unit
+        return unit
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        unit, db = self.unit, self.db
+        if self.joined_at is not None:
+            if exc_type is not None and unit.changes != self.joined_at:
+                unit.failed = True
+        elif exc_type is not None:
+            db._txn = None
+            db._rollback(unit)
+        else:
+            db._commit(unit, self.what)
+        return False
+
+
+#: the operation names a unit tags a touched item with
+_OPERATIONS = ("create", "update", "delete", "reclassify")
+_NO_TAGS: frozenset[str] = frozenset()
+
+
+def _tag_table() -> dict[tuple[frozenset[str], str], frozenset[str]]:
+    """(tags, operation) -> the one frozenset holding both, for every
+    combination of :data:`_OPERATIONS`."""
+    tag_sets = [_NO_TAGS]
+    for operation in _OPERATIONS:
+        tag_sets += [tags | {operation} for tags in tag_sets]
+    interned = {tags: tags for tags in tag_sets}
+    return {
+        (tags, operation): interned[tags | {operation}]
+        for tags in tag_sets
+        for operation in _OPERATIONS
+    }
+
+
+#: interned tag sets: a batch log holds a handful of shared frozensets,
+#: not one set per item
+_TAGGED = _tag_table()
 
 
 def _key_of(item: Item) -> ItemKey:
@@ -315,6 +393,11 @@ class SeedDatabase:
         Any failure — an exception leaving the body, a swallowed error
         of an update that had changed state, or a validation violation
         — rolls the whole batch back in place.
+
+        While the batch is open, finalize and rollback included, the
+        cyclic garbage collector is paused, process-wide. On every exit
+        it is left as the batch found it: a batch entered with it
+        disabled leaves it disabled.
         """
         if self._txn is not None:
             raise TransactionError(
@@ -322,17 +405,24 @@ class SeedDatabase:
             )
         if self._bulk is not None:
             raise TransactionError("bulk batches cannot be nested")
-        txn = self._bulk = _Transaction(self._next_id)
-        self.indexes.suspend()
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
         try:
-            yield txn
-        except BaseException:
+            txn = self._bulk = _Transaction(self._next_id)
+            self.indexes.suspend()
+            try:
+                yield txn
+            except BaseException:
+                self._bulk = None
+                self.indexes.resume()
+                self._rollback(txn)
+                raise
             self._bulk = None
-            self.indexes.resume()
-            self._rollback(txn)
-            raise
-        self._bulk = None
-        self._finalize_bulk(txn)
+            self._finalize_bulk(txn)
+        finally:
+            if collecting:
+                gc.enable()
 
     def _finalize_bulk(self, txn: _Transaction) -> None:
         """One-shot index rebuild, then the batch ends like any unit."""
@@ -420,8 +510,7 @@ class SeedDatabase:
                 )
         return created
 
-    @contextmanager
-    def _operation(self, what: str = "update") -> Iterator[_Transaction]:
+    def _operation(self, what: str = "update") -> "_Operation":
         """One primitive update: immediate check unless inside a unit.
 
         An explicit :meth:`transaction` is the same unit under another
@@ -432,25 +521,7 @@ class SeedDatabase:
         changing state poisons the unit, which then rolls back whole at
         its end even if the caller swallows the error.
         """
-        self._writes += 1
-        unit = self._txn or self._bulk
-        if unit is not None:
-            changes = unit.changes
-            try:
-                yield unit
-            except BaseException:
-                if unit.changes != changes:
-                    unit.failed = True
-                raise
-            return
-        txn = self._txn = _Transaction(self._next_id)
-        try:
-            yield txn
-        except BaseException:
-            self._txn = None
-            self._rollback(txn)
-            raise
-        self._commit(txn, what)
+        return _Operation(self, what)
 
     def _commit(
         self, txn: _Transaction, what: str, *, batched: bool = False
@@ -522,10 +593,12 @@ class SeedDatabase:
         unit touched); the index layer must be live (not suspended).
         """
         self._writes += 1
-        for item, operations in txn.touched.values():
+        dirty = self._dirty
+        for key, (item, operations) in txn.touched.items():
             if "create" in operations:
                 self._withdraw(item)
                 self._unregister(item)
+                dirty.discard(key)
         restored = []
         for item, state in txn.before.values():
             self._withdraw(item)
@@ -537,7 +610,7 @@ class SeedDatabase:
             if isinstance(item, SeedObject) and item.is_pattern != was_pattern:
                 self._refresh_pattern_status(item)
         self._next_id = txn.next_id
-        self._dirty -= txn.dirty_added
+        dirty -= txn.dirty_added
         self._report_touched(txn)
 
     def _enter(self, item: Item) -> None:
@@ -584,11 +657,15 @@ class SeedDatabase:
             if not incident:
                 del self._incidence[obj.oid]
 
-    def _mark_dirty(self, txn: _Transaction, item: Item) -> None:
-        key = _key_of(item)
-        if key not in self._dirty:
-            self._dirty.add(key)
-            txn.dirty_added.add(key)
+    def _mark_dirty(self, txn: _Transaction, key: ItemKey) -> None:
+        """Add *key* — as :meth:`_Transaction.touch` returned it — to
+        the dirty set, logging it for rollback unless the unit created
+        the item (rollback drops created keys by their tag)."""
+        dirty = self._dirty
+        if key not in dirty:
+            dirty.add(key)
+            if "create" not in txn.touched[key][1]:
+                txn.dirty_added.add(key)
 
     # ------------------------------------------------------------------
     # validation at commit
@@ -735,8 +812,7 @@ class SeedDatabase:
             obj.is_pattern = pattern
             self._objects[obj.oid] = obj
             self._enter(obj)
-            txn.touch(obj, "create")
-            self._mark_dirty(txn, obj)
+            self._mark_dirty(txn, txn.touch(obj, "create"))
             return obj
 
     def create_sub_object(
@@ -787,10 +863,8 @@ class SeedDatabase:
             self._objects[obj.oid] = obj
             parent._attach_child(obj)
             self._enter(obj)
-            txn.touch(obj, "create")
-            txn.touch(parent, "update")
-            self._mark_dirty(txn, obj)
-            self._mark_dirty(txn, parent)
+            self._mark_dirty(txn, txn.touch(obj, "create"))
+            self._mark_dirty(txn, txn.touch(parent, "update"))
             return obj
 
     def _assign_index(
@@ -845,8 +919,7 @@ class SeedDatabase:
             for obj in rel.bound_objects():
                 self._incidence.setdefault(obj.oid, []).append(rel.rid)
             self._enter(rel)
-            txn.touch(rel, "create")
-            self._mark_dirty(txn, rel)
+            self._mark_dirty(txn, txn.touch(rel, "create"))
             if attributes:
                 for attr_name, attr_value in attributes.items():
                     self._set_attribute_inner(txn, rel, attr_name, attr_value)
@@ -866,8 +939,7 @@ class SeedDatabase:
             old_value = obj.value
             obj.value = value
             self.indexes.update_value(obj, old_value, value)
-            txn.touch(obj, "update")
-            self._mark_dirty(txn, obj)
+            self._mark_dirty(txn, txn.touch(obj, "update"))
 
     def set_attribute(self, rel: SeedRelationship, name: str, value: Any) -> None:
         """Set a relationship attribute declared on its association chain."""
@@ -886,8 +958,7 @@ class SeedDatabase:
             rel._attributes.pop(name, None)
         else:
             rel._attributes[name] = value
-        txn.touch(rel, "update")
-        self._mark_dirty(txn, rel)
+        self._mark_dirty(txn, txn.touch(rel, "update"))
 
     def rename(self, obj: SeedObject, new_name: str) -> None:
         """Rename an independent object (names stay unique)."""
@@ -913,8 +984,7 @@ class SeedDatabase:
             self.indexes.remove_name(old_name)
             self.indexes.add_name(new_name)
             obj._rename(new_name)
-            txn.touch(obj, "update")
-            self._mark_dirty(txn, obj)
+            self._mark_dirty(txn, txn.touch(obj, "update"))
 
     def delete(self, item: Item) -> None:
         """Tombstone an item.
@@ -953,19 +1023,16 @@ class SeedDatabase:
         # virtual participations of objects bound to them (completeness
         # fan-out): an inherits-link change, structural like uninherit
         for pattern_oid in obj.inherited_patterns:
-            txn.touch(self._objects[pattern_oid], "update")
-            txn.structural.add(("o", pattern_oid))
-        obj.inherited_patterns = []
+            txn.structural.add(txn.touch(self._objects[pattern_oid], "update"))
+        obj.inherited_patterns = ()
         obj.deleted = True
-        txn.touch(obj, "delete")
-        self._mark_dirty(txn, obj)
+        self._mark_dirty(txn, txn.touch(obj, "delete"))
 
     def _tombstone_relationship(self, txn: _Transaction, rel: SeedRelationship) -> None:
         txn.keep(rel)
         self._withdraw(rel)
         rel.deleted = True
-        txn.touch(rel, "delete")
-        self._mark_dirty(txn, rel)
+        self._mark_dirty(txn, txn.touch(rel, "delete"))
         for endpoint in rel.bound_objects():
             if not endpoint.deleted:
                 txn.touch(endpoint, "update")
@@ -991,8 +1058,7 @@ class SeedDatabase:
                 old_class = item.entity_class
                 item.entity_class = new_class
                 self.indexes.move_object(item, old_class, new_class)
-                txn.touch(item, "reclassify")
-                self._mark_dirty(txn, item)
+                self._mark_dirty(txn, txn.touch(item, "reclassify"))
                 for rid in self._incidence.get(item.oid, ()):
                     rel = self._relationships[rid]
                     if not rel.deleted:
@@ -1021,8 +1087,7 @@ class SeedDatabase:
                     if new_association.has_attribute(attr_name)
                 }
                 self.indexes.index_relationship(item)
-                txn.touch(item, "reclassify")
-                self._mark_dirty(txn, item)
+                self._mark_dirty(txn, txn.touch(item, "reclassify"))
 
     # ------------------------------------------------------------------
     # patterns
@@ -1042,11 +1107,11 @@ class SeedDatabase:
             txn.keep(item)
             item.is_pattern = True
             self._refresh_pattern_status(item)
-            txn.touch(item, "update")
+            key = txn.touch(item, "update")
             # flipping the flag changes a whole context's visibility —
             # structural for completeness despite the "update" tag
-            txn.structural.add(_key_of(item))
-            self._mark_dirty(txn, item)
+            txn.structural.add(key)
+            self._mark_dirty(txn, key)
 
     def unmark_pattern(self, item: Item) -> None:
         """Turn a pattern back into a normal item (no inheritors allowed)."""
@@ -1061,9 +1126,9 @@ class SeedDatabase:
             txn.keep(item)
             item.is_pattern = False
             self._refresh_pattern_status(item, txn.force_acyclic)
-            txn.touch(item, "update")
-            txn.structural.add(_key_of(item))
-            self._mark_dirty(txn, item)
+            key = txn.touch(item, "update")
+            txn.structural.add(key)
+            self._mark_dirty(txn, key)
 
     def _refresh_pattern_status(
         self, item: Item, force_acyclic: Optional[dict[str, Any]] = None
@@ -1112,7 +1177,7 @@ class SeedDatabase:
             self._require_live(inheritor)
             self.patterns.check_inheritance_allowed(pattern, inheritor)
             txn.keep(inheritor)
-            inheritor.inherited_patterns.append(pattern.oid)
+            inheritor.inherited_patterns += (pattern.oid,)
             self.patterns.register_inheritance(pattern.oid, inheritor.oid)
             # the new inheritor materialises virtual edges out of every
             # relationship bound to the pattern: ACYCLIC families among
@@ -1121,15 +1186,14 @@ class SeedDatabase:
                 if rel.association.effective_acyclic():
                     root = rel.association.family_root()
                     txn.force_acyclic[root.name] = rel.association
-            txn.touch(inheritor, "update")
+            key = txn.touch(inheritor, "update")
             # the pattern's effective neighbourhood changed too: objects
             # bound to it by pattern relationships gain one virtual
             # participation per inheritor (completeness fan-out); the
             # link change is structural despite the "update" tags
-            txn.touch(pattern, "update")
-            txn.structural.add(_key_of(pattern))
-            txn.structural.add(_key_of(inheritor))
-            self._mark_dirty(txn, inheritor)
+            txn.structural.add(txn.touch(pattern, "update"))
+            txn.structural.add(key)
+            self._mark_dirty(txn, key)
 
     def uninherit(self, pattern: SeedObject, inheritor: SeedObject) -> None:
         """Remove an inherits-relationship."""
@@ -1141,13 +1205,15 @@ class SeedDatabase:
                     f"pattern {pattern.name}"
                 )
             txn.keep(inheritor)
-            inheritor.inherited_patterns.remove(pattern.oid)
+            inherited = inheritor.inherited_patterns
+            at = inherited.index(pattern.oid)
+            inheritor.inherited_patterns = inherited[:at] + inherited[at + 1:]
             self.patterns.unregister_inheritance(pattern.oid, inheritor.oid)
-            txn.touch(inheritor, "update")
-            txn.touch(pattern, "update")  # virtual participations shrink
-            txn.structural.add(_key_of(pattern))
-            txn.structural.add(_key_of(inheritor))
-            self._mark_dirty(txn, inheritor)
+            key = txn.touch(inheritor, "update")
+            # virtual participations shrink
+            txn.structural.add(txn.touch(pattern, "update"))
+            txn.structural.add(key)
+            self._mark_dirty(txn, key)
 
     # ------------------------------------------------------------------
     # retrieval by name (the prototype's level)

@@ -110,8 +110,10 @@ class SeedObject:
         self.value: Any = None
         self.deleted = False
         self.is_pattern = False
-        #: oids of patterns this object inherits, in inheritance order
-        self.inherited_patterns: list[int] = []
+        #: oids of patterns this object inherits, in inheritance order;
+        #: immutable — an inherits-link change assigns a new tuple, so
+        #: :meth:`freeze` and :meth:`thaw` share it with the state
+        self.inherited_patterns: tuple[int, ...] = ()
         #: role name -> list of child objects (including tombstones)
         self._children: dict[str, list[SeedObject]] = {}
 
@@ -313,7 +315,7 @@ class SeedObject:
             value=self.value,
             deleted=self.deleted,
             is_pattern=self.is_pattern,
-            inherited_pattern_oids=tuple(self.inherited_patterns),
+            inherited_pattern_oids=self.inherited_patterns,
         )
 
     def thaw(self, state: ObjectState) -> None:
@@ -335,7 +337,7 @@ class SeedObject:
         self.value = state.value
         self.deleted = state.deleted
         self.is_pattern = state.is_pattern
-        self.inherited_patterns = list(state.inherited_pattern_oids)
+        self.inherited_patterns = state.inherited_pattern_oids
 
     # -- internal hooks for the database -------------------------------------------------------
 

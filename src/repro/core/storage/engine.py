@@ -584,6 +584,7 @@ class JournaledDatabase:
         journal.checkpoint()          # appends a recoverable image
         journal.append_delta(pkg)     # durable O(change) check-in record
         journal.compact()             # drops superseded records
+        journal.save_point()          # checkpoint, then compact
 
     Binding installs the database's change sink: every committed
     mutation — direct transaction, schema migration, version restore,
@@ -773,6 +774,12 @@ class JournaledDatabase:
             offset, end, __ = self._file.append_stream(group())
         self._base = BaseUnit(offset, end, cp)
         return end
+
+    def save_point(self, *, streamed: Optional[bool] = None) -> int:
+        """:meth:`checkpoint` (*streamed* as there), then :meth:`compact`:
+        the journal shrinks to one image. Returns the compacted size."""
+        self.checkpoint(streamed=streamed)
+        return self.compact()
 
     def append_delta(self, delta: dict[str, Any]) -> int:
         """Durably append one check-in delta; returns its sequence number.

@@ -1173,8 +1173,7 @@ def ingest_image_records(
                 # resumed once the primitive has created the record:
                 # the new item registers with the batch here
                 item = registry[item_id]
-                txn.touch(item, "create")
-                db._mark_dirty(txn, item)  # noqa: SLF001
+                db._mark_dirty(txn, txn.touch(item, "create"))  # noqa: SLF001
                 if named:
                     created[state.name] = item
 

@@ -179,7 +179,7 @@ class SeedService:
             if drained and self.server.journal is not None:
                 if final_checkpoint:
                     await asyncio.get_running_loop().run_in_executor(
-                        None, self._final_flush
+                        None, self.server.journal.save_point
                     )
                 else:
                     # shutdown drain is a durability barrier even
@@ -198,12 +198,6 @@ class SeedService:
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
-
-    def _final_flush(self) -> None:
-        """Checkpoint and compact the journal (shutdown, in executor)."""
-        journal = self.server.journal
-        journal.checkpoint()
-        journal.compact()
 
     async def serve_forever(self) -> None:
         """Start (if needed) and serve until cancelled — the CLI path."""

@@ -570,6 +570,22 @@ class TestCompactionCopiesFrames:
         assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
         assert reopened.recovery.unknown_records == 2  # alien + non-dict
 
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_a_save_point_is_a_checkpoint_then_a_compaction(
+        self, tmp_path, streamed
+    ):
+        from repro.core.faults import FaultPlan
+
+        by_hand = self.build(tmp_path / "pair.seed", streamed_base=False)
+        saving = self.build(tmp_path / "save.seed", streamed_base=False)
+        with FaultPlan() as pair_plan:
+            by_hand.checkpoint(streamed=streamed)
+            size = by_hand.compact()
+        with FaultPlan() as save_plan:
+            assert saving.save_point(streamed=streamed) == size
+        assert save_plan.hits == pair_plan.hits
+        assert saving.path.read_bytes() == by_hand.path.read_bytes()
+
     def test_compact_encodes_nothing_when_an_image_is_intact(
         self, tmp_path, monkeypatch
     ):

@@ -265,15 +265,44 @@ class History:
         self.db.relate("Contained", contained=first, container=second)
         self.db.relate("Contained", contained=second, container=first)
 
+    def relink(self, candidates) -> None:
+        """Inherit a pattern into one of *candidates* or drop one of
+        their inherits links; with no pattern yet, mark one."""
+        rng, db = self.rng, self.db
+        live = [obj for obj in candidates if not obj.deleted]
+        patterns = [
+            obj for obj in db.all_objects_raw()
+            if obj.is_pattern and obj.parent is None and not obj.deleted
+        ]
+        linked = [
+            (db._objects[oid], obj)  # noqa: SLF001
+            for obj in live
+            for oid in obj.inherited_patterns
+        ]
+        if linked and rng.random() < 0.5:
+            db.uninherit(*rng.choice(linked))
+        elif patterns and live:
+            db.inherit(rng.choice(patterns), rng.choice(live))
+        elif live:
+            db.mark_pattern(rng.choice(live))
+
     def bulk(self) -> None:
-        """A bulk batch that commits, or fails half-way and rolls back."""
+        """A bulk batch that commits, or fails half-way and rolls back.
+        Besides creating, it may change the inherits links of objects
+        that existed before it."""
         failing = self.rng.random() < 0.6
+        existing = self.roots("Data", "InputData", "OutputData", "Action")
         try:
             with self.db.bulk():
                 for __ in range(self.rng.randrange(1, 5)):
                     obj = self.create()
                     if self.rng.random() < 0.5 and obj.entity_class.name == "Action":
                         obj.add_sub_object("Description", "bulk")
+                for __ in range(self.rng.randrange(0, 4)):
+                    try:
+                        self.relink(existing)
+                    except SeedError:
+                        pass
                 victims = self.roots("Data")
                 if victims:
                     self.db.delete(self.rng.choice(victims))
