@@ -123,7 +123,7 @@ __all__ = ["Gap", "CompletenessReport", "CompletenessEngine"]
 STRUCTURAL_OPERATIONS = frozenset({"create", "delete", "reclassify"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gap:
     """One piece of missing information.
 

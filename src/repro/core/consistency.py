@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Violation", "ConsistencyEngine"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One consistency violation.
 
@@ -161,14 +161,16 @@ class ConsistencyEngine:
         violations: list[Violation] = []
         if rel.deleted:
             return violations
-        ref = f"{rel.association.name}#{rel.rid}"
+        # the ``Association#rid`` reference only appears in violation
+        # messages: each check renders it at report time, as
+        # validate_object does with the dotted name
         for role in rel.association.roles:
             bound = rel.bound(role.name)
             if bound.deleted:
                 violations.append(
                     Violation(
                         "structure",
-                        ref,
+                        _rel_ref(rel),
                         f"role {role.name!r} binds deleted object {bound.name}",
                     )
                 )
@@ -176,24 +178,22 @@ class ConsistencyEngine:
                 violations.append(
                     Violation(
                         "membership",
-                        ref,
+                        _rel_ref(rel),
                         f"role {role.name!r} requires {role.target.name!r} "
                         f"but {bound.name} is a {bound.entity_class.name!r}",
                     )
                 )
-        violations.extend(self._check_attributes(rel, ref))
+        violations.extend(self._check_attributes(rel))
         if not rel.in_pattern_context:
-            violations.extend(self._check_participation_maxima(rel, ref))
+            violations.extend(self._check_participation_maxima(rel))
         return violations
 
-    def _check_attributes(
-        self, rel: "SeedRelationship", ref: str
-    ) -> Iterable[Violation]:
+    def _check_attributes(self, rel: "SeedRelationship") -> Iterable[Violation]:
         for attr_name, value in rel.attributes().items():
             if not rel.association.has_attribute(attr_name):
                 yield Violation(
                     "structure",
-                    ref,
+                    _rel_ref(rel),
                     f"association {rel.association.name!r} declares no "
                     f"attribute {attr_name!r}",
                 )
@@ -201,10 +201,10 @@ class ConsistencyEngine:
             try:
                 rel.association.attribute(attr_name).sort.coerce(value)
             except ValueTypeError as exc:
-                yield Violation("value-sort", ref, str(exc))
+                yield Violation("value-sort", _rel_ref(rel), str(exc))
 
     def _check_participation_maxima(
-        self, rel: "SeedRelationship", ref: str
+        self, rel: "SeedRelationship"
     ) -> Iterable[Violation]:
         # A Read relationship counts toward Read's own maxima and toward
         # the maxima of every general (Access): walk the kind chain.
@@ -225,7 +225,7 @@ class ConsistencyEngine:
                 if not role.cardinality.allows_more(count - 1):
                     yield Violation(
                         "max-cardinality",
-                        ref,
+                        _rel_ref(rel),
                         f"object {bound.name} participates in {count} "
                         f"{association.name!r} relationships at role "
                         f"{role.name!r}, exceeding cardinality "
@@ -270,10 +270,11 @@ class ConsistencyEngine:
         new cycle must then pass through at least one inserted edge
         ``source → target`` — and then ``target`` reaches ``source``.
         Only the reachable part of the family graph behind each new
-        edge's target is explored (the edges are already present in the
-        adjacency index), instead of re-deriving and DFS-walking the
-        whole graph. Virtual pattern edges are merged in from the
-        family's (typically empty) pattern-relationship set.
+        edge's target is explored (the edges are already indexed; a
+        node's successors come from its incident relationships),
+        instead of re-deriving and DFS-walking the whole graph. Virtual
+        pattern edges are merged in from the family's (typically empty)
+        pattern-relationship set.
         """
         root = association.family_root()
         if not isinstance(root, Association):  # pragma: no cover - defensive
@@ -353,6 +354,10 @@ class ConsistencyEngine:
                 for message in messages
             )
         return violations
+
+
+def _rel_ref(rel: "SeedRelationship") -> str:
+    return f"{rel.association.name}#{rel.rid}"
 
 
 def _item_ref(item: object) -> str:

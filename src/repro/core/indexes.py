@@ -3,60 +3,58 @@
 The seed answered class-extent queries, participation counts, name
 lookups, and ACYCLIC checks by scanning all objects or all
 relationships — O(database) work per update or query. This layer keeps
-four secondary structures incrementally up to date so the same answers
-cost O(answer) or O(1):
+secondary structures incrementally up to date so the same answers cost
+O(answer), O(degree) or O(1). **Each fact is stored once:** what another
+stored structure, or the database's own records, already answer is
+derived on read instead of kept in a second copy.
+
+Stored (:attr:`IndexLayer.STORED`):
 
 ``extent``
     class full-name → set of live oids classified exactly in that
     class. A query for class ``C`` unions the sets of ``C`` and its
-    transitive specializations (generalization rollup), so extents are
-    read in O(|extent|). The sets include pattern-context objects;
-    visibility filtering stays a query-time concern because marking a
-    pattern flips the context of a whole sub-tree at once.
-
+    transitive specializations (generalization rollup). The sets
+    include pattern-context objects; visibility filtering stays a
+    query-time concern because marking a pattern flips the context of
+    a whole sub-tree at once.
 ``names``
     sorted list of independent-object names, mirroring the database's
-    ``_name_index`` keys exactly. Prefix retrieval bisects instead of
-    scanning.
+    ``_name_index`` keys exactly. Prefix retrieval bisects.
+``participation`` / ``assoc_counts``
+    association element name → ``(by_oid_at_0, by_oid_at_1)``, two
+    ``oid → count`` maps over live **normal** (non-pattern-context)
+    relationships, and element name → their number. Each relationship
+    counts once per element of its association's kind chain.
+    Virtual (pattern-inherited) participations are not counted; the
+    pattern manager falls back to enumeration for the few objects with
+    pattern influence (tracked by ``pattern_incidence``).
+``family_rids`` / ``pattern_rids``
+    live normal and pattern-context relationship ids per association
+    family (by root name). The sets are disjoint; the one that holds a
+    rid *is* the status the relationship is indexed under, and removal
+    reads it back from there, so a removal mirrors its insertion.
+``pattern_incidence``
+    oid → live pattern-context relationships touching it.
+``value_counts``
+    class full-name → type-aware value key → live count over the
+    objects the extent holds; the planner's selectivity statistics.
 
-``participation``
-    ``(association name, oid, position) → count`` over live
-    **normal** (non-pattern-context) relationships. Each relationship
-    contributes one count per element of its association's kind chain,
-    so ``count_participations`` is a dict lookup. Virtual (pattern-
-    inherited) participations are not counted here; the pattern manager
-    falls back to enumeration for the few objects with pattern
-    influence (tracked by ``pattern_incidence``).
-
-``adjacency`` / ``family_rids`` / ``pattern_rids``
-    per association-family edge multigraph (src oid → tgt oid →
-    multiplicity) plus the sets of live normal and pattern relationship
-    ids per family. ACYCLIC validation walks this graph instead of
-    re-deriving it from a full relationship scan, and the incremental
-    check on insert only explores reachability from the new edge's
-    target.
-
-``value_counts`` / ``participation_distinct`` (PR 5: statistics)
-    per-class distinct-value counters (class full-name → type-aware
-    value key → live count over the same objects the extent holds) and
-    per ``(association element, position)`` distinct-participant
-    counters, maintained on the same mutation paths as the structures
-    above. The query planner reads them through the statistics
-    accessors (:meth:`value_frequency`, :meth:`defined_count`,
-    :meth:`distinct_participants`)
-    to estimate selection selectivities and join fan-outs instead of a
-    fixed heuristic. The maintained counters are exact, so the mirror
-    invariant covers them too; :func:`brute_value_counts` and
-    :func:`brute_participation_distinct` are the brute-force recounts
-    the equivalence tests compare against.
+Derived on read: :meth:`distinct_participants` is the size of a
+``participation`` map; :meth:`normal_edges` reads the endpoints of a
+family's ``family_rids``; :meth:`successors` keeps, of the database's
+incidence list of the node, the family's normal relationships that bind
+it at position 0 — O(degree). :func:`brute_value_counts`,
+:func:`brute_participation_distinct` and :func:`brute_relationships` are
+the brute-force recounts the equivalence tests compare against.
 
 Invariants (checked by :meth:`IndexLayer.verify` and the equivalence
 tests in ``tests/test_indexes.py``):
 
-1. **Mirror invariant** — after any committed operation, every
-   structure equals what :meth:`rebuild` would compute from the raw
-   records. Mutation paths in :class:`~repro.core.database.SeedDatabase`
-   update the indexes in the same code paths that update the records.
+1. **Mirror invariant** — after any committed operation, every stored
+   structure equals what :meth:`rebuild` computes from the raw records
+   in one pass over the objects and one over the relationships — a
+   derivation independent of the per-item hooks the mutators of
+   :class:`~repro.core.database.SeedDatabase` call.
 2. **Rollback invariant** — a rolled-back unit of work leaves all
    structures equal to their pre-unit state. The unit's rollback
    withdraws the entries of every item it logged (from the item's
@@ -65,9 +63,9 @@ tests in ``tests/test_indexes.py``):
    changed), no :meth:`rebuild` (a bulk batch resumes maintenance
    first, which rebuilds once if the suspended layer is stale).
 3. **Status invariant** — each live relationship is indexed under
-   exactly one status, ``normal`` or ``pattern`` (cached in
-   ``_rel_status``); pattern-flag changes re-index through
-   :meth:`refresh_relationship` / :meth:`set_relationship_status`.
+   exactly one status, ``normal`` or ``pattern``; pattern-flag changes
+   re-index through :meth:`refresh_relationship` /
+   :meth:`set_relationship_status`.
 4. **Fallback invariant** — indexed fast paths are only taken when
    they provably agree with the brute-force scan; pattern-influenced
    objects (inherited patterns or incident pattern relationships) use
@@ -79,20 +77,20 @@ Bulk loaders that bypass the operational interface (version restore,
 schema migration, image deserialization, multi-user checkout) call
 :meth:`rebuild`.
 
-Deferred maintenance (PR 4): the bulk write path
+Deferred maintenance: the bulk write path
 (:meth:`repro.core.database.SeedDatabase.bulk`) calls :meth:`suspend`
 before a batch and :meth:`resume` after it. While suspended, every
 incremental mutator is a no-op that only marks the layer *stale*; the
 batch then pays **one** :meth:`rebuild` instead of per-item updates.
-Query entry points stay correct throughout: they call
-:meth:`_ensure_fresh`, which rebuilds on demand when a stale layer is
-read mid-batch — so a read inside a bulk batch sees every batch
-mutation applied so far, at the cost of one rebuild per
-write-then-read boundary.
+Query entry points call :meth:`_ensure_fresh`, which rebuilds on demand
+when a stale layer is read mid-batch — so a read inside a bulk batch
+sees every batch mutation applied so far, at the cost of one rebuild
+per write-then-read boundary.
 """
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left, insort
 from typing import Iterator, Optional, TYPE_CHECKING
 
@@ -166,8 +164,31 @@ def _split_ids(ids: list[int], shards: int) -> list[list[int]]:
     return slices
 
 
+def _discard(sets: dict, key: object, member: int) -> None:
+    """Remove *member* from ``sets[key]``, dropping the set once empty."""
+    bucket = sets.get(key)
+    if bucket is not None:
+        bucket.discard(member)
+        if not bucket:
+            del sets[key]
+
+
+def _bump(counts: dict, key: object, delta: int) -> None:
+    """Add *delta* to ``counts[key]``, dropping the key at zero."""
+    remaining = counts.get(key, 0) + delta
+    if remaining > 0:
+        counts[key] = remaining
+    else:
+        counts.pop(key, None)
+
 class IndexLayer:
     """Incrementally maintained secondary indexes for one database."""
+
+    #: every structure the layer stores (what snapshot() and verify() cover)
+    STORED = (
+        "extent", "names", "participation", "value_counts", "assoc_counts",
+        "family_rids", "pattern_rids", "pattern_incidence",
+    )
 
     def __init__(self, database: "SeedDatabase") -> None:
         self._db = database
@@ -175,12 +196,11 @@ class IndexLayer:
         self.extent: dict[str, set[int]] = {}
         #: sorted mirror of the database's independent-name index keys
         self.names: list[str] = []
-        #: (association name, oid, position) -> live normal-rel count
-        self.participation: dict[tuple[str, int, int], int] = {}
+        #: association element name -> (oid -> live normal-rel count at
+        #: position 0, oid -> the same at position 1)
+        self.participation: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
         #: association element name -> live normal-rel count (incl. specials)
         self.assoc_counts: dict[str, int] = {}
-        #: family root name -> src oid -> tgt oid -> edge multiplicity
-        self.adjacency: dict[str, dict[int, dict[int, int]]] = {}
         #: family root name -> live normal relationship ids
         self.family_rids: dict[str, set[int]] = {}
         #: family root name -> live pattern-context relationship ids
@@ -191,11 +211,6 @@ class IndexLayer:
         #: (covers exactly the objects the extent holds; undefined
         #: values are not counted — "undefined matches nothing")
         self.value_counts: dict[str, dict[tuple, int]] = {}
-        #: (association element name, position) -> distinct live oids
-        #: participating there through normal relationships
-        self.participation_distinct: dict[tuple[str, int], int] = {}
-        #: rid -> status the relationship is currently indexed under
-        self._rel_status: dict[int, str] = {}
         #: True while a bulk batch defers maintenance (see suspend())
         self._suspended = False
         #: True when mutations happened while suspended (rebuild needed)
@@ -252,11 +267,7 @@ class IndexLayer:
         if self._suspended:
             self._stale = True
             return
-        bucket = self.extent.get(obj.entity_class.full_name)
-        if bucket is not None:
-            bucket.discard(obj.oid)
-            if not bucket:
-                del self.extent[obj.entity_class.full_name]
+        _discard(self.extent, obj.entity_class.full_name, obj.oid)
         if obj.value is not None:
             self._count_value(obj.entity_class.full_name, obj.value, -1)
 
@@ -267,11 +278,7 @@ class IndexLayer:
         if self._suspended:
             self._stale = True
             return
-        bucket = self.extent.get(old_class.full_name)
-        if bucket is not None:
-            bucket.discard(obj.oid)
-            if not bucket:
-                del self.extent[old_class.full_name]
+        _discard(self.extent, old_class.full_name, obj.oid)
         self.extent.setdefault(new_class.full_name, set()).add(obj.oid)
         if obj.value is not None:
             self._count_value(old_class.full_name, obj.value, -1)
@@ -296,14 +303,9 @@ class IndexLayer:
 
     def _count_value(self, class_name: str, value: object, delta: int) -> None:
         bucket = self.value_counts.setdefault(class_name, {})
-        key = value_key(value)
-        remaining = bucket.get(key, 0) + delta
-        if remaining > 0:
-            bucket[key] = remaining
-        else:
-            bucket.pop(key, None)
-            if not bucket:
-                del self.value_counts[class_name]
+        _bump(bucket, value_key(value), delta)
+        if not bucket:
+            del self.value_counts[class_name]
 
     def extent_oids(
         self, wanted: "EntityClass", include_specials: bool = True
@@ -399,26 +401,34 @@ class IndexLayer:
     def _status_of(rel: "SeedRelationship") -> str:
         return PATTERN if rel.in_pattern_context else NORMAL
 
+    def _indexed_status(self, rel: "SeedRelationship") -> Optional[str]:
+        """The status *rel* is indexed under: the set that holds its rid."""
+        root_name = rel.association.family_root().name
+        if rel.rid in self.pattern_rids.get(root_name, ()):
+            return PATTERN
+        if rel.rid in self.family_rids.get(root_name, ()):
+            return NORMAL
+        return None
+
     def index_relationship(self, rel: "SeedRelationship") -> None:
         """Enter a live relationship under its current pattern status."""
         if self._suspended:
             self._stale = True
             return
-        self._index_as(rel, self._status_of(rel))
+        self._apply(rel, self._status_of(rel))
 
     def unindex_relationship(self, rel: "SeedRelationship") -> None:
         """Remove a relationship using the status it was indexed under.
 
-        The cached status, not one recomputed from the current flags,
+        The indexed status, not one recomputed from the current flags,
         drives removal, so a removal always mirrors its insertion.
         """
         if self._suspended:
             self._stale = True
             return
-        status = self._rel_status.pop(rel.rid, None)
-        if status is None:  # pragma: no cover - defensive
-            return
-        self._unindex_as(rel, status)
+        status = self._indexed_status(rel)
+        if status is not None:
+            self._apply(rel, status, -1)
 
     def refresh_relationship(
         self, rel: "SeedRelationship"
@@ -427,7 +437,7 @@ class IndexLayer:
         if self._suspended:
             self._stale = True
             return None
-        old_status = self._rel_status.get(rel.rid)
+        old_status = self._indexed_status(rel)
         new_status = self._status_of(rel)
         if old_status == new_status or old_status is None:
             return None
@@ -437,92 +447,36 @@ class IndexLayer:
     def set_relationship_status(self, rel: "SeedRelationship", status: str) -> None:
         """Re-index a relationship under *status* (what
         :meth:`refresh_relationship` applies)."""
-        current = self._rel_status.pop(rel.rid, None)
+        current = self._indexed_status(rel)
         if current is not None:
-            self._unindex_as(rel, current)
-        self._index_as(rel, status)
+            self._apply(rel, current, -1)
+        self._apply(rel, status)
 
-    def _index_as(self, rel: "SeedRelationship", status: str) -> None:
-        self._rel_status[rel.rid] = status
-        root_name = rel.association.family_root().name
+    def _apply(self, rel: "SeedRelationship", status: str, delta: int = 1) -> None:
+        """Enter (*delta* +1) or remove (-1) *rel*'s entries under *status*."""
+        association = rel.association
+        root_name = association.family_root().name
+        rids = self.pattern_rids if status == PATTERN else self.family_rids
+        if delta > 0:
+            rids.setdefault(root_name, set()).add(rel.rid)
+        else:
+            _discard(rids, root_name, rel.rid)
+        source, target = rel.endpoints()
         if status == PATTERN:
-            self.pattern_rids.setdefault(root_name, set()).add(rel.rid)
-            for endpoint in rel.bound_objects():
-                self.pattern_incidence[endpoint.oid] = (
-                    self.pattern_incidence.get(endpoint.oid, 0) + 1
-                )
+            _bump(self.pattern_incidence, source.oid, delta)
+            _bump(self.pattern_incidence, target.oid, delta)
             return
-        self.family_rids.setdefault(root_name, set()).add(rel.rid)
-        for element in rel.association.kinds():
-            self.assoc_counts[element.name] = self.assoc_counts.get(element.name, 0) + 1
-            for position in (0, 1):
-                key = (element.name, rel.bound_at(position).oid, position)
-                previous = self.participation.get(key, 0)
-                self.participation[key] = previous + 1
-                if previous == 0:
-                    distinct_key = (element.name, position)
-                    self.participation_distinct[distinct_key] = (
-                        self.participation_distinct.get(distinct_key, 0) + 1
-                    )
-        source_oid = rel.bound_at(0).oid
-        target_oid = rel.bound_at(1).oid
-        targets = self.adjacency.setdefault(root_name, {}).setdefault(source_oid, {})
-        targets[target_oid] = targets.get(target_oid, 0) + 1
-
-    def _unindex_as(self, rel: "SeedRelationship", status: str) -> None:
-        root_name = rel.association.family_root().name
-        if status == PATTERN:
-            rids = self.pattern_rids.get(root_name)
-            if rids is not None:
-                rids.discard(rel.rid)
-                if not rids:
-                    del self.pattern_rids[root_name]
-            for endpoint in rel.bound_objects():
-                remaining = self.pattern_incidence.get(endpoint.oid, 0) - 1
-                if remaining > 0:
-                    self.pattern_incidence[endpoint.oid] = remaining
-                else:
-                    self.pattern_incidence.pop(endpoint.oid, None)
-            return
-        rids = self.family_rids.get(root_name)
-        if rids is not None:
-            rids.discard(rel.rid)
-            if not rids:
-                del self.family_rids[root_name]
-        for element in rel.association.kinds():
-            left = self.assoc_counts.get(element.name, 0) - 1
-            if left > 0:
-                self.assoc_counts[element.name] = left
-            else:
-                self.assoc_counts.pop(element.name, None)
-            for position in (0, 1):
-                key = (element.name, rel.bound_at(position).oid, position)
-                remaining = self.participation.get(key, 0) - 1
-                if remaining > 0:
-                    self.participation[key] = remaining
-                else:
-                    self.participation.pop(key, None)
-                    distinct_key = (element.name, position)
-                    left_distinct = self.participation_distinct.get(distinct_key, 0) - 1
-                    if left_distinct > 0:
-                        self.participation_distinct[distinct_key] = left_distinct
-                    else:
-                        self.participation_distinct.pop(distinct_key, None)
-        source_oid = rel.bound_at(0).oid
-        target_oid = rel.bound_at(1).oid
-        sources = self.adjacency.get(root_name)
-        if sources is not None:
-            targets = sources.get(source_oid)
-            if targets is not None:
-                remaining = targets.get(target_oid, 0) - 1
-                if remaining > 0:
-                    targets[target_oid] = remaining
-                else:
-                    targets.pop(target_oid, None)
-                    if not targets:
-                        del sources[source_oid]
-            if not sources:
-                del self.adjacency[root_name]
+        participation = self.participation
+        for element in association.kinds():
+            name = element.name
+            _bump(self.assoc_counts, name, delta)
+            maps = participation.get(name)
+            if maps is None:
+                maps = participation[name] = ({}, {})
+            _bump(maps[0], source.oid, delta)
+            _bump(maps[1], target.oid, delta)
+            if not maps[0]:
+                del participation[name]
 
     # ------------------------------------------------------------------
     # queries
@@ -531,7 +485,8 @@ class IndexLayer:
     def participations(self, association_name: str, oid: int, position: int) -> int:
         """O(1) participation count over live normal relationships."""
         self._ensure_fresh()
-        return self.participation.get((association_name, oid, position), 0)
+        maps = self.participation.get(association_name)
+        return 0 if maps is None else maps[position].get(oid, 0)
 
     # ------------------------------------------------------------------
     # statistics (cost-model accessors for the query planner)
@@ -670,17 +625,18 @@ class IndexLayer:
     ) -> int:
         """Distinct live oids participating in an association element.
 
-        With a *position* the count is exact (maintained alongside the
-        participation counters); without one the sum over both
+        With a *position* the count is exact (the size of that
+        position's participation map); without one the sum over both
         positions is an upper bound (an object bound at both ends is
         counted twice).
         """
         self._ensure_fresh()
+        maps = self.participation.get(element_name)
+        if maps is None:
+            return 0
         if position is not None:
-            return self.participation_distinct.get((element_name, position), 0)
-        return self.participation_distinct.get(
-            (element_name, 0), 0
-        ) + self.participation_distinct.get((element_name, 1), 0)
+            return len(maps[position])
+        return len(maps[0]) + len(maps[1])
 
     def pattern_influenced(self, obj: "SeedObject") -> bool:
         """True when *obj*'s effective structure may diverge from counters."""
@@ -690,20 +646,32 @@ class IndexLayer:
         )
 
     def normal_edges(self, root_name: str) -> Iterator[tuple[int, int]]:
-        """Edges of a family's normal relationships, with multiplicity."""
+        """Edges of a family's normal relationships, with multiplicity
+        (in no particular order: the ACYCLIC check sorts)."""
         self._ensure_fresh()
-        return self._normal_edges_fresh(root_name)
-
-    def _normal_edges_fresh(self, root_name: str) -> Iterator[tuple[int, int]]:
-        for source_oid, targets in self.adjacency.get(root_name, {}).items():
-            for target_oid, count in targets.items():
-                for __ in range(count):
-                    yield (source_oid, target_oid)
+        relationships = self._db._relationships  # noqa: SLF001
+        ends = (
+            relationships[rid].endpoints()
+            for rid in self.family_rids.get(root_name, ())
+        )
+        return ((source.oid, target.oid) for source, target in ends)
 
     def successors(self, root_name: str, node: int) -> Iterator[int]:
-        """Distinct normal-edge successors of *node* in a family graph."""
+        """Distinct normal-edge successors of *node* in a family graph.
+
+        The family's normal relationships among the node's incident
+        ones that bind it at position 0: O(degree).
+        """
         self._ensure_fresh()
-        return iter(self.adjacency.get(root_name, {}).get(node, ()))
+        family = self.family_rids.get(root_name, ())
+        relationships = self._db._relationships  # noqa: SLF001
+        found: set[int] = set()
+        for rid in self._db._incidence.get(node, ()):  # noqa: SLF001
+            if rid in family:
+                source, target = relationships[rid].endpoints()
+                if source.oid == node:
+                    found.add(target.oid)
+        return iter(found)
 
     def pattern_relationships(self, root_name: str) -> list["SeedRelationship"]:
         """Live pattern-context relationships of a family, by rid order."""
@@ -743,67 +711,93 @@ class IndexLayer:
         Called after bulk state replacement (version selection, schema
         migration, image load, checkout) where incremental maintenance
         is impossible or family roots may have changed, and by
-        :meth:`_ensure_fresh` when a suspended layer is read mid-batch
-        (the suspension guard is lifted for the rebuild itself).
+        :meth:`_ensure_fresh` when a suspended layer is read mid-batch.
+        One pass over the objects and one over the relationships; an
+        association's family root and kind-chain names are looked up
+        once, not per relationship. The per-item hooks are not replayed,
+        so :meth:`verify` compares two independent derivations.
         """
-        suspended = self._suspended
-        self._suspended = False
-        try:
-            self.extent.clear()
-            self.value_counts.clear()
-            self.participation.clear()
-            self.participation_distinct.clear()
-            self.assoc_counts.clear()
-            self.adjacency.clear()
-            self.family_rids.clear()
-            self.pattern_rids.clear()
-            self.pattern_incidence.clear()
-            self._rel_status.clear()
-            self.names = sorted(self._db._name_index)
-            for obj in self._db.all_objects_raw():
-                if not obj.deleted:
-                    self.add_object(obj)
-            for rel in self._db.all_relationships_raw():
-                if not rel.deleted:
-                    self.index_relationship(rel)
-        finally:
-            self._suspended = suspended
-            self._stale = False
+        db = self._db
+        extent: dict[str, set[int]] = {}
+        value_counts: dict[str, dict[tuple, int]] = {}
+        for obj in db.all_objects_raw():
+            if obj.deleted:
+                continue
+            class_name = obj.entity_class.full_name
+            bucket = extent.get(class_name)
+            if bucket is None:
+                bucket = extent[class_name] = set()
+            bucket.add(obj.oid)
+            if obj.value is not None:
+                counts = value_counts.setdefault(class_name, {})
+                key = value_key(obj.value)
+                counts[key] = counts.get(key, 0) + 1
+        participation: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
+        family_rids: dict[str, set[int]] = {}
+        pattern_rids: dict[str, set[int]] = {}
+        pattern_incidence: dict[int, int] = {}
+        facts: dict[int, tuple[str, tuple[str, ...]]] = {}
+        for rel in db.all_relationships_raw():
+            if rel.deleted:
+                continue
+            association = rel.association
+            fact = facts.get(id(association))
+            if fact is None:
+                fact = facts[id(association)] = (
+                    association.family_root().name,
+                    tuple(element.name for element in association.kinds()),
+                )
+            root_name, element_names = fact
+            source, target = rel.endpoints()
+            if rel.in_pattern_context:
+                pattern_rids.setdefault(root_name, set()).add(rel.rid)
+                for oid in (source.oid, target.oid):
+                    pattern_incidence[oid] = pattern_incidence.get(oid, 0) + 1
+                continue
+            family_rids.setdefault(root_name, set()).add(rel.rid)
+            for name in element_names:
+                maps = participation.get(name)
+                if maps is None:
+                    maps = participation[name] = ({}, {})
+                at_source, at_target = maps
+                at_source[source.oid] = at_source.get(source.oid, 0) + 1
+                at_target[target.oid] = at_target.get(target.oid, 0) + 1
+        self.extent = extent
+        self.value_counts = value_counts
+        self.names = sorted(db._name_index)  # noqa: SLF001
+        self.participation = participation
+        # every normal relationship counts once per kind-chain element
+        # at position 0, so an element's size is that map's total
+        self.assoc_counts = {
+            name: sum(maps[0].values()) for name, maps in participation.items()
+        }
+        self.family_rids = family_rids
+        self.pattern_rids = pattern_rids
+        self.pattern_incidence = pattern_incidence
+        self._stale = False
 
     def snapshot(self) -> dict:
-        """Deep copy of every structure (for rollback-identity tests)."""
+        """Deep copy of every stored structure (for rollback-identity tests)."""
         self._ensure_fresh()
-        return {
-            "extent": {name: set(oids) for name, oids in self.extent.items()},
-            "names": list(self.names),
-            "participation": dict(self.participation),
-            "participation_distinct": dict(self.participation_distinct),
-            "value_counts": {
-                name: dict(counts) for name, counts in self.value_counts.items()
-            },
-            "assoc_counts": dict(self.assoc_counts),
-            "adjacency": {
-                root: {src: dict(tgts) for src, tgts in sources.items()}
-                for root, sources in self.adjacency.items()
-            },
-            "family_rids": {root: set(r) for root, r in self.family_rids.items()},
-            "pattern_rids": {root: set(r) for root, r in self.pattern_rids.items()},
-            "pattern_incidence": dict(self.pattern_incidence),
-            "rel_status": dict(self._rel_status),
-        }
+        return {field: copy.deepcopy(getattr(self, field)) for field in self.STORED}
 
     def verify(self) -> None:
-        """Assert the mirror invariant: indexes equal a fresh rebuild."""
-        current = self.snapshot()
+        """Check the mirror invariant: indexes equal a fresh rebuild.
+
+        Raises :class:`AssertionError` on a divergence — explicitly, so
+        the check also runs under ``python -O``.
+        """
+        self._ensure_fresh()
         reference = IndexLayer(self._db)
         reference.rebuild()
-        expected = reference.snapshot()
-        for field in expected:
-            assert current[field] == expected[field], (
-                f"index {field!r} diverged from the raw records:\n"
-                f"  maintained: {current[field]!r}\n"
-                f"  rebuilt:    {expected[field]!r}"
-            )
+        for field in self.STORED:
+            maintained, rebuilt = getattr(self, field), getattr(reference, field)
+            if maintained != rebuilt:
+                raise AssertionError(
+                    f"index {field!r} diverged from the raw records:\n"
+                    f"  maintained: {maintained!r}\n"
+                    f"  rebuilt:    {rebuilt!r}"
+                )
 
 
 # ----------------------------------------------------------------------

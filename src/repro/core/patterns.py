@@ -293,7 +293,7 @@ class PatternManager:
     ) -> Iterator[tuple[int, int]]:
         """Effective edges (oid → oid) of an association family's graph.
 
-        For a family root the adjacency index supplies the normal edges
+        For a family root the indexed normal relationships supply the edges
         and only the family's pattern relationships are expanded; the
         full relationship scan remains for non-root associations and as
         the reference implementation (``use_index=False``).

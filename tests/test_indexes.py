@@ -10,20 +10,36 @@ Two invariants from ``repro.core.indexes`` are exercised here:
   effective edges, family relationship queries, incremental ACYCLIC
   verdicts) equal the brute-force scans the seed used, and a fresh
   rebuild reproduces the maintained structures exactly.
+
+The index oracle (:class:`TestIndexOracle`) compares every accessor —
+participations, distinct participants, normal edges, successors and
+each relationship's indexed status — with a full scan over seeded
+histories, bulk batches read mid-batch included; ``verify()`` must
+still catch a corrupted index under ``python -O``.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core import SeedDatabase, figure3_schema
 from repro.core.errors import ConsistencyError, SeedError
-from repro.core.indexes import brute_objects, brute_relationships
+from repro.core.indexes import (
+    brute_objects,
+    brute_participation_distinct,
+    brute_relationships,
+)
 from repro.core.query.retrieval import Retrieval
 from repro.core.schema.builder import SchemaBuilder
 from repro.spades import spades_schema
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def assert_indexes_equal(before: dict, after: dict) -> None:
@@ -504,3 +520,239 @@ class TestMaxCodePointPrefixes:
             expected = [n for n in names if n.startswith(prefix)]
             assert populated.indexes.names_with_prefix(prefix) == expected
             assert populated.indexes.name_prefix_count(prefix) == len(expected)
+
+
+# ----------------------------------------------------------------------
+# index oracle: every accessor against a full scan, over seeded histories
+# ----------------------------------------------------------------------
+
+
+def assert_accessors_match_scans(db: SeedDatabase) -> None:
+    """Every index accessor equals the brute-force answer from the records."""
+    indexes = db.indexes
+    live = [obj for obj in db.all_objects_raw() if not obj.deleted]
+    normal = brute_relationships(db)
+    distinct = brute_participation_distinct(db)
+    for association in db.schema.associations:
+        name = association.name
+        members = [rel for rel in normal if rel.association.is_kind_of(association)]
+        for position in (0, 1):
+            counts: dict[int, int] = {}
+            for rel in members:
+                oid = rel.bound_at(position).oid
+                counts[oid] = counts.get(oid, 0) + 1
+            for obj in live:
+                assert indexes.participations(name, obj.oid, position) == counts.get(
+                    obj.oid, 0
+                ), (name, obj.oid, position)
+            assert indexes.distinct_participants(name, position) == distinct.get(
+                (name, position), 0
+            )
+        assert indexes.association_size(name) == len(members)
+    for element_name, position in distinct:  # the recount's keys, the other way
+        assert indexes.distinct_participants(element_name, position) == distinct[
+            (element_name, position)
+        ]
+    roots = {association.family_root() for association in db.schema.associations}
+    for root in roots:
+        family = [rel for rel in normal if rel.association.is_kind_of(root)]
+        edges = sorted((rel.bound_at(0).oid, rel.bound_at(1).oid) for rel in family)
+        assert sorted(indexes.normal_edges(root.name)) == edges
+        for obj in live:
+            assert set(indexes.successors(root.name, obj.oid)) == {
+                target for source, target in edges if source == obj.oid
+            }
+    for rel in db.all_relationships_raw():
+        root_name = rel.association.family_root().name
+        as_pattern = rel.rid in indexes.pattern_rids.get(root_name, ())
+        as_normal = rel.rid in indexes.family_rids.get(root_name, ())
+        if rel.deleted:
+            assert not (as_pattern or as_normal), rel
+        else:
+            assert (as_pattern, as_normal) == (
+                rel.in_pattern_context,
+                not rel.in_pattern_context,
+            ), rel
+
+
+def _oracle_step(
+    db: SeedDatabase, rng: random.Random, counter: list[int], batched: bool = False
+) -> None:
+    """One random update of the figure-3 database; rejections are fine.
+
+    A *batched* step (inside ``bulk()``, where consistency is checked
+    once at the end and a failed update dooms the batch) only makes
+    updates that cannot be rejected: no containment, no pattern
+    inheritance or un-marking, no nested unit of work.
+    """
+
+    def live(*class_names: str) -> list:
+        return [
+            obj
+            for obj in db.all_objects_raw()
+            if not obj.deleted
+            and obj.parent is None
+            and (not class_names or obj.entity_class.name in class_names)
+        ]
+
+    counter[0] += 1
+    op = rng.randrange(12)
+    if op <= 2 or not live():
+        name = f"O{counter[0]}"
+        obj = db.create_object(
+            rng.choice(["Data", "InputData", "OutputData", "Action", "Thing"]),
+            name,
+            pattern=rng.random() < 0.15,
+        )
+        if obj.entity_class.name == "Action":
+            obj.add_sub_object("Description", name)
+        return
+    if op <= 5:
+        actions = live("Action")
+        if not actions:
+            return
+        choice = rng.randrange(1 if batched else 0, 4)
+        if choice == 0 and len(actions) >= 2:
+            contained, container = rng.sample(actions, 2)
+            db.relate("Contained", contained=contained, container=container)
+        elif choice == 1 and live("InputData"):
+            inputs = live("InputData")
+            db.relate("Read", {"from": rng.choice(inputs), "by": rng.choice(actions)})
+        elif choice == 2 and live("OutputData"):
+            db.relate(
+                "Write",
+                to=rng.choice(live("OutputData")),
+                by=rng.choice(actions),
+                attributes={"NumberOfWrites": 1},
+            )
+        elif live("Data", "InputData", "OutputData"):
+            db.relate(
+                "Access",
+                data=rng.choice(live("Data", "InputData", "OutputData")),
+                by=rng.choice(actions),
+                pattern=rng.random() < 0.1,
+            )
+        return
+    rels = [rel for rel in db.all_relationships_raw() if not rel.deleted]
+    if op == 6:
+        db.delete(rng.choice(rels) if rels and rng.random() < 0.5 else rng.choice(live()))
+    elif op == 7:
+        obj = rng.choice(live())
+        refinement = {"Thing": ["Data", "Action"], "Data": ["InputData", "OutputData"]}
+        if obj.entity_class.name in refinement:
+            db.reclassify(obj, rng.choice(refinement[obj.entity_class.name]))
+        accesses = [rel for rel in rels if rel.association.name == "Access"]
+        if accesses:
+            rel = rng.choice(accesses)
+            target = {"InputData": "Read", "OutputData": "Write"}.get(
+                rel.bound_at(0).entity_class.name
+            )
+            if target is not None:
+                db.reclassify(rel, target)
+    elif op == 8:
+        obj = rng.choice(live())
+        if obj.is_pattern and not batched:
+            db.unmark_pattern(obj)
+        elif not obj.is_pattern:
+            db.mark_pattern(obj)
+    elif op == 9 and not batched:
+        patterns = [obj for obj in live() if obj.is_pattern]
+        normals = [obj for obj in live() if not obj.in_pattern_context]
+        if patterns and normals:
+            pattern, inheritor = rng.choice(patterns), rng.choice(normals)
+            if pattern.oid in inheritor.inherited_patterns:
+                db.uninherit(pattern, inheritor)
+            else:
+                db.inherit(pattern, inheritor)
+    elif op == 10 and not batched:
+        # a unit of work that is rolled back after a few updates
+        with pytest.raises(SeedError):
+            with db.transaction():
+                for __ in range(rng.randrange(1, 4)):
+                    try:
+                        _oracle_step(db, rng, counter)
+                    except (ConsistencyError, SeedError):
+                        pass
+                raise SeedError("roll the unit back")
+    elif rels and rng.random() < 0.5:
+        db.delete(rng.choice(rels))
+
+
+class TestIndexOracle:
+    """Over seeded histories every accessor equals a full scan."""
+
+    @pytest.mark.parametrize("seed", [5, 29, 71])
+    def test_seeded_history(self, seed):
+        db = SeedDatabase(figure3_schema(), f"oracle-{seed}")
+        rng = random.Random(seed)
+        counter = [0]
+        for step in range(160):
+            try:
+                _oracle_step(db, rng, counter)
+            except (ConsistencyError, SeedError):
+                pass
+            if step % 20 == 19:
+                assert_accessors_match_scans(db)
+                db.indexes.verify()
+        assert_accessors_match_scans(db)
+
+    @pytest.mark.parametrize("seed", [3, 44])
+    def test_bulk_batches_with_a_mid_batch_read(self, seed):
+        db = SeedDatabase(figure3_schema(), f"oracle-bulk-{seed}")
+        rng = random.Random(seed)
+        counter = [0]
+        for __ in range(80):
+            try:
+                _oracle_step(db, rng, counter)
+            except (ConsistencyError, SeedError):
+                pass
+        with db.bulk():
+            for step in range(60):
+                try:
+                    _oracle_step(db, rng, counter, batched=True)
+                except (ConsistencyError, SeedError):
+                    pass
+                if step == 30:
+                    # a read of the suspended, stale layer rebuilds it
+                    assert_accessors_match_scans(db)
+        assert_accessors_match_scans(db)
+        db.indexes.verify()
+
+
+class TestSnapshotCoverage:
+    def test_snapshot_covers_every_stored_structure(self, fig1_db):
+        layer = fig1_db.indexes
+        state = {
+            name
+            for name in vars(layer)
+            if name not in ("_db", "_suspended", "_stale")
+        }
+        assert set(layer.snapshot()) == set(layer.STORED) == state
+
+    def test_verify_catches_a_corrupted_counter_under_optimization(self, tmp_path):
+        """``verify()`` raises, not asserts, so ``python -O`` keeps the check."""
+        script = tmp_path / "corrupt.py"
+        script.write_text(
+            "from repro.core import SeedDatabase, figure2_schema\n"
+            "db = SeedDatabase(figure2_schema(), 'corrupt')\n"
+            "data = db.create_object('Data', 'D')\n"
+            "action = db.create_object('Action', 'A')\n"
+            "db.relate('Read', {'from': data, 'by': action})\n"
+            "db.indexes.verify()\n"
+            "db.indexes.assoc_counts['Read'] += 1\n"
+            "try:\n"
+            "    db.indexes.verify()\n"
+            "except AssertionError as exc:\n"
+            "    print('caught', exc)\n"
+            "    raise SystemExit(3)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", str(script)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 3, result.stdout + result.stderr
+        assert "index 'assoc_counts' diverged" in result.stdout

@@ -4,7 +4,8 @@ Three contracts are exercised here:
 
 * **Statistics mirror invariant** — the incrementally maintained
   per-class value histograms (``IndexLayer.value_counts``) and
-  distinct-participant counters (``participation_distinct``) equal the
+  distinct-participant counts (:meth:`IndexLayer.distinct_participants`,
+  the sizes of the ``participation`` maps) equal the
   brute-force recounts (:func:`repro.core.indexes.brute_value_counts`,
   :func:`~repro.core.indexes.brute_participation_distinct`) after
   arbitrary mutation, transaction-rollback, bulk, version, and
@@ -60,7 +61,16 @@ from repro.core.versions.compaction import RetentionPolicy
 def assert_statistics_match(db: SeedDatabase) -> None:
     """Maintained statistics equal the brute-force recount."""
     assert db.indexes.value_counts == brute_value_counts(db)
-    assert db.indexes.participation_distinct == brute_participation_distinct(db)
+    brute = brute_participation_distinct(db)
+    # every key both ways: each recounted key through the accessor, and
+    # each element the layer holds against the recount (0 when absent)
+    for (element_name, position), distinct in brute.items():
+        assert db.indexes.distinct_participants(element_name, position) == distinct
+    for element_name in db.indexes.participation:
+        for position in (0, 1):
+            assert db.indexes.distinct_participants(
+                element_name, position
+            ) == brute.get((element_name, position), 0)
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +224,7 @@ class TestMaintainedStatisticsEquivalence:
                 raise SeedError("abort the batch")
         after = db.indexes.snapshot()
         assert after["value_counts"] == before["value_counts"]
-        assert after["participation_distinct"] == before["participation_distinct"]
+        assert after["participation"] == before["participation"]
         assert_statistics_match(db)
 
     def test_bulk_load_and_version_cycle(self):
