@@ -29,12 +29,23 @@ serial and a parallel plan:
   dispatched, and a scan with at most one non-empty range runs
   in-thread.
 
+A warm worker narrows an equality scan before it runs the kernel. When
+one of an extent spec's cell tests is a ``ValueEquals`` with a scalar
+``expected`` (the in-thread kernel's fast-path condition), the worker
+searches a cached column of its range's values with ``list.index`` —
+in C — and hands only the ids found there to :func:`run_kernel`. The
+search compares with the same ``==`` as the test, plus an identity
+shortcut, so the candidates are a superset of the matches, in id
+order; the kernel then re-applies liveness, ``include_specials`` and
+every peeled test, so it alone still decides each row, and the rows
+and their order are those of a scan of the whole range.
+
 **Where a pool runs.** The planner places a ``Parallel`` node only
 where the pool pays (:func:`pool_pays`) and the host can run it
-(:func:`host_can_pool`: ``fork`` exists and there is more than one
-CPU). Anywhere else the same config yields the serial plan, which runs
-the same kernel in-thread. Under the GIL a thread fan-out loses to no
-fan-out at all, so there is none.
+(:func:`host_can_pool`: ``fork`` exists and the process may run on
+more than one CPU). Anywhere else the same config yields the serial
+plan, which runs the same kernel in-thread. Under the GIL a thread
+fan-out loses to no fan-out at all, so there is none.
 
 **Pool lifetime.** The runtime keeps one warm pool per process and
 reuses it while the database it was forked from is unchanged. Its
@@ -51,11 +62,14 @@ pooled scan whose key matches sends each worker only ``(spec, its shard
 indices, shard count)`` — the parent needs nothing but
 :func:`scan_size` to know which shards are non-empty — and the worker
 cuts its ranges from its own snapshot with :func:`_scan_ids`, keeping
-the cut for the pool's lifetime. A key mismatch retires the pool (its
-idle workers see their pipe close and exit, and are reaped) and the
-scan forks a fresh one; ``stats.pools_started`` counts the forks. A
-pool also ends at interpreter exit, and a forked child never inherits
-its parent's pool.
+the cut for the pool's lifetime, and with it the value column of each
+range an equality scan has read. Cut and columns live and die
+together: nothing mutates a worker's copy-on-write snapshot, and any
+write retires the pool that holds them. A key mismatch retires the
+pool (its idle workers see their pipe close and exit, and are reaped)
+and the scan forks a fresh one; ``stats.pools_started`` counts the
+forks. A pool also ends at interpreter exit, and a forked child never
+inherits its parent's pool.
 
 **What pickles.** The spec — its cell and row predicates — is pickled
 to reach a warm worker. Structured predicates and module-level
@@ -188,10 +202,15 @@ def pool_pays(scanned: int, shards: int) -> bool:
 def host_can_pool() -> bool:
     """Whether this host can run a pooled scan to any gain: the workers
     are forked, and on one CPU they would only take turns."""
-    return (
-        "fork" in multiprocessing.get_all_start_methods()
-        and (os.cpu_count() or 1) > 1
-    )
+    return "fork" in multiprocessing.get_all_start_methods() and _cpus() > 1
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    host has one (a pinned container), else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ----------------------------------------------------------------------
@@ -282,13 +301,9 @@ def _extent_kernel(
     append = rows.append
     if len(spec.cell_tests) == 1 and not spec.row_tests:
         predicate = spec.cell_tests[0][1]
-        if isinstance(predicate, ValueEquals) and isinstance(
-            predicate.expected, (str, int, float)
-        ):
-            # selectivity-first: for scalar expected values the compare
-            # rejects almost every object with a single slot load, and
-            # comparing a skipped (deleted/pattern) object's value is
-            # harmless for scalars — total, side-effect-free __eq__
+        if _scalar_equality(predicate):
+            # selectivity-first: the compare rejects almost every object
+            # with a single slot load
             expected = predicate.expected
             for oid in ids:
                 obj = objects[oid]
@@ -316,6 +331,16 @@ def _extent_kernel(
         if keep is None or keep(obj):
             append((obj,))
     return rows
+
+
+def _scalar_equality(predicate: Any) -> bool:
+    """Whether *predicate* is a ``ValueEquals`` with a scalar expected
+    value. Its ``==`` is total and side-effect free, so comparing the
+    value of an object the kernel would skip (deleted, pattern) first
+    is harmless."""
+    return isinstance(predicate, ValueEquals) and isinstance(
+        predicate.expected, (str, int, float)
+    )
 
 
 def _object_test(spec: ShardSpec) -> Optional[Callable[[SeedObject], bool]]:
@@ -497,7 +522,7 @@ def _serve(
         # the inherited heap is never garbage here, and a full collection
         # would write to — and so copy — every page of the snapshot
         gc.freeze()
-        cuts: dict[tuple, list[list[int]]] = {}
+        cuts: dict[tuple, list] = {}
         while True:
             try:
                 message = conn.recv_bytes()
@@ -514,13 +539,20 @@ def _shard_reply(
     db: "SeedDatabase", spec: ShardSpec, index: int, shards: int, cuts: dict
 ) -> bytes:
     """Shard *index* of *shards*, pickled: ``(True, encoded rows)``, or
-    ``(False, the error)`` for the parent to raise."""
+    ``(False, the error)`` for the parent to raise.
+
+    *cuts* is what the worker derived from its snapshot, kept for the
+    pool's lifetime: each scan's shard cut, and beside it (keyed by the
+    cut key and the shard index) the shard's value column once an
+    equality scan has read it.
+    """
     try:
         key = (spec.kind, spec.name, spec.include_specials, shards)
         cut = cuts.get(key)
         if cut is None:
             cut = cuts[key] = _scan_ids(db, spec, shards)
-        reply = (True, [_encode_row(row) for row in run_kernel(db, spec, cut[index])])
+        ids = _equality_candidates(db, spec, cut[index], cuts, (key, index))
+        reply = (True, [_encode_row(row) for row in run_kernel(db, spec, ids)])
     except Exception as error:  # the worker's boundary: the parent decides
         reply = (False, error)
     try:
@@ -529,6 +561,34 @@ def _shard_reply(
         return pickle.dumps(
             (False, pickle.PicklingError(f"shard {index} does not pickle: {error}"))
         )
+
+
+def _equality_candidates(
+    db: "SeedDatabase", spec: ShardSpec, ids: list[int], cuts: dict, key: tuple
+) -> list[int]:
+    """The ids of *ids* whose value may equal the scalar an extent spec's
+    ``ValueEquals`` test expects, in id order (a superset of the
+    matches, see "The fused scan kernel"); all of *ids* for any other
+    spec. The shard's value column is built on first use and kept in
+    *cuts* under *key*. Stored values are of SEED's scalar sorts, whose
+    ``==`` does not raise, so a ``ValueError`` ends the search.
+    """
+    equalities = [test for __, test in spec.cell_tests if _scalar_equality(test)]
+    if spec.kind != "extent" or not equalities:
+        return ids
+    expected = equalities[0].expected
+    column = cuts.get(key)
+    if column is None:
+        objects = db._objects  # noqa: SLF001 - kernel-internal hot path
+        column = cuts[key] = [objects[oid].value for oid in ids]
+    found: list[int] = []
+    position = -1
+    try:
+        while True:
+            position = column.index(expected, position + 1)
+            found.append(ids[position])
+    except ValueError:
+        return found
 
 
 def _retire(kill: bool) -> None:
@@ -592,7 +652,7 @@ def _run_pooled(
     """Run the first *busy* of *shards* ranges on the warm pool, forking
     it first when *db* changed since (see "Pool lifetime")."""
     global _POOL
-    workers = min(busy, os.cpu_count() or 1)
+    workers = min(busy, _cpus())
     try:  # worker w runs shards w, w + workers, ...: one message each
         messages = [
             pickle.dumps((spec, range(worker, busy, workers), shards))

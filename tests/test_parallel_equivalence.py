@@ -318,9 +318,22 @@ class TestCostModel:
         assert pooled.optimized() is parallel_tree
 
 
+def pin_cpus(monkeypatch, affinity, cpu_count: int) -> None:
+    """Pretend the host has *cpu_count* CPUs and the process may run on
+    *affinity* of them (``None``: the host has no affinity call)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(affinity), raising=False
+        )
+
+
 class TestHostSelection:
-    """The pool runs only where ``fork`` exists and there is more than
-    one CPU; anywhere else the same config plans the in-thread kernel."""
+    """The pool runs only where ``fork`` exists and the process may run
+    on more than one CPU; anywhere else the same config plans the
+    in-thread kernel."""
 
     @pytest.fixture(autouse=True)
     def cheap_pool(self, monkeypatch):
@@ -328,27 +341,44 @@ class TestHostSelection:
         monkeypatch.setattr(parallel_mod, "DISPATCH_OVERHEAD", 0)
         parallel_mod.stats.reset()
 
-    @pytest.mark.parametrize("host", ["no fork", "one CPU"])
+    @pytest.mark.parametrize(
+        "host", ["no fork", "one CPU", "pinned to one of eight CPUs"]
+    )
     def test_a_host_that_cannot_pool_plans_in_thread(self, monkeypatch, host):
         if host == "no fork":
             monkeypatch.setattr(
                 multiprocessing, "get_all_start_methods", lambda: ["spawn"]
             )
+        elif host == "one CPU":
+            pin_cpus(monkeypatch, None, 1)
         else:
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+            pin_cpus(monkeypatch, {0}, 8)
         db = small_db()
         pooled = notes_tagged(plan(db, ParallelConfig(shards=2)), "tag3")
         assert count_parallel(pooled.optimized()) == 0
         assert list(pooled.rows()) == list(notes_tagged(plan(db), "tag3").rows())
         assert parallel_mod.stats.dispatched_shards == 0
+        assert parallel_mod.stats.pools_started == 0
 
     def test_a_host_that_can_pool_plans_one_parallel_node(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pin_cpus(monkeypatch, {0, 1}, 2)
         db = small_db()
         pooled = notes_tagged(plan(db, ParallelConfig(shards=2)), "tag3")
         assert count_parallel(pooled.optimized()) == 1
         assert list(pooled.rows()) == list(notes_tagged(plan(db), "tag3").rows())
         assert parallel_mod.stats.dispatched_shards == 2
+
+    def test_the_pool_forks_a_worker_per_cpu_the_process_may_run_on(
+        self, monkeypatch
+    ):
+        pin_cpus(monkeypatch, {0, 1}, 8)
+        db = small_db()
+        pooled = notes_tagged(plan(db, ParallelConfig(shards=4)), "tag3")
+        assert count_parallel(pooled.optimized()) == 1
+        assert list(pooled.rows()) == list(notes_tagged(plan(db), "tag3").rows())
+        assert parallel_mod.stats.dispatched_shards == 4
+        assert parallel_mod.stats.pools_started == 1
+        assert len(parallel_mod._POOL.pids) == 2  # noqa: SLF001
 
 
 @pytest.mark.usefixtures("force_pool")

@@ -20,12 +20,19 @@ after any write. This suite pins
   reaped and never reused, so a hung worker cannot delay interpreter
   exit; a forked child does not inherit the pool;
 * what pickles — a scan with a closure predicate runs in-thread as a
-  fallback.
+  fallback;
+* equality narrowing — a warm worker that searches its cached value
+  columns returns what the in-thread kernel and the eager ``Relation``
+  algebra return, in order, across sorts, NaN, ``True``/``1``/``1.0``,
+  signed zeros, duplicates on both sides of a shard boundary, dead and
+  pattern-context matches, conjunctions and row tests; and no column
+  outlives the snapshot it was read from.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 import multiprocessing
 import os
 import random
@@ -41,9 +48,11 @@ import pytest
 from repro.core import SchemaBuilder, SeedDatabase
 from repro.core.errors import SeedError
 from repro.core.query import parallel as parallel_mod
+from repro.core.query.algebra import extent
 from repro.core.query.parallel import ShardSpec
 from repro.core.query.planner import on, plan
 from repro.core.query.predicates import (
+    And,
     FunctionPredicate,
     NamePrefix,
     ValueEquals,
@@ -51,7 +60,7 @@ from repro.core.query.predicates import (
 )
 from repro.core.query.retrieval import Retrieval
 from repro.core.versions.compaction import RetentionPolicy
-from test_parallel_equivalence import small_db
+from test_parallel_equivalence import pin_cpus, small_db
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 _MAIN_PID = os.getpid()
@@ -280,6 +289,210 @@ class TestWhatPickles:
         assert pooled(db, spec) == in_thread(db, spec)
         stats = parallel_mod.stats
         assert (stats.fallbacks, stats.pools_started, stats.dispatched_shards) == (1, 0, 0)
+
+
+# ----------------------------------------------------------------------
+# equality narrowing in a warm worker
+# ----------------------------------------------------------------------
+
+NAN = float("nan")
+
+#: per scalar sort, the values its 32 objects hold in id order (None:
+#: no value); STRING holds a run of "dup" across every 2- and 3-shard
+#: boundary
+TYPED_VALUES = {
+    "Count": [(0, 1, 2, 1, -1, 0, None, 3)[i % 8] for i in range(32)],
+    "Measure": [(0.0, -0.0, 1.0, NAN, 2.5, 1.0, None, -0.0)[i % 8] for i in range(32)],
+    "Flag": [(True, False, None, True)[i % 4] for i in range(32)],
+    "Label": ["dup" if 9 <= i <= 24 and i % 3 else f"v{i % 5}" for i in range(32)],
+}
+
+
+def typed_db() -> SeedDatabase:
+    """One extent per scalar sort (:data:`TYPED_VALUES`) and a dependent
+    ``Holder.Tag``, with matching values on deleted objects, patterns
+    and dependents of patterns."""
+    builder = SchemaBuilder("typed")
+    for name, sort in (
+        ("Count", "INTEGER"), ("Measure", "REAL"), ("Flag", "BOOLEAN"), ("Label", "STRING"),
+    ):
+        builder.entity_class(name, sort=sort)
+    builder.entity_class("Holder")
+    builder.dependent("Holder", "Tag", "0..1", sort="STRING")
+    db = SeedDatabase(builder.build(), name="typed")
+    for name, values in TYPED_VALUES.items():
+        for number, value in enumerate(values):
+            obj = db.create_object(name, f"{name[0]}{number}")
+            if value is not None:
+                db.set_value(obj, value)
+    for number in range(32):
+        holder = db.create_object("Holder", f"H{number}")
+        db.create_sub_object(holder, "Tag", "dup" if number % 2 else "other")
+    for name in ("C1", "M2", "F0", "L10", "L20"):  # all hold a matched value
+        db.delete(db.get_object(name))
+    for name in ("C3", "M5", "F3", "L11", "H1", "H7"):
+        db.mark_pattern(db.get_object(name))
+    return db
+
+
+@pytest.fixture(scope="module")
+def typed():
+    return typed_db()
+
+
+def extent_scan(name, *cell_tests, row_tests=()) -> ShardSpec:
+    """An extent spec with *cell_tests* on its one column, in order."""
+    return ShardSpec(
+        "extent", name, True, (), ("x",),
+        tuple((0, test) for test in cell_tests), tuple(row_tests),
+    )
+
+
+def eager(db, spec) -> list[tuple]:
+    """An extent spec's rows from the eager ``Relation`` algebra."""
+    (column,) = spec.columns
+    relation = extent(db, spec.name, column=column)
+    for __, test in spec.cell_tests:
+        relation = relation.select(on(column, test))
+    for test in spec.row_tests:
+        relation = relation.select(test)
+    return list(relation.rows)
+
+
+def assert_three_ways(db, spec, shards: int = 2) -> list[tuple]:
+    """Pooled ≡ in-thread ≡ eager, rows in order, and the pool ran."""
+    dispatched = parallel_mod.stats.dispatched_shards
+    rows = parallel_mod.run_sharded(db, spec, shards=shards)
+    assert rows == in_thread(db, spec) == eager(db, spec)
+    assert parallel_mod.stats.dispatched_shards == dispatched + shards
+    assert parallel_mod.stats.fallbacks == 0
+    return rows
+
+
+def _only_dup_in_a_worker(obj) -> bool:
+    """Keep everything; in a pool worker, fail on an object whose value
+    the equality search should have ruled out."""
+    if os.getpid() != _MAIN_PID and obj.value != "dup":
+        raise AssertionError(f"the kernel read {obj.name} ({obj.value!r})")
+    return True
+
+
+#: (extent, expected, number of matches)
+EQUALITY_CASES = [
+    ("Count", 1, 6), ("Count", True, 6), ("Count", 1.0, 6),
+    ("Count", 0, 8), ("Count", -0.0, 8), ("Count", False, 8),
+    ("Measure", 1, 6), ("Measure", True, 6), ("Measure", 1.0, 6),
+    ("Measure", 0.0, 12), ("Measure", -0.0, 12), ("Measure", 2.5, 4),
+    ("Measure", NAN, 0),
+    ("Flag", True, 14), ("Flag", 1, 14), ("Flag", 1.0, 14),
+    ("Flag", 0, 8), ("Flag", -0.0, 8),
+    ("Label", "dup", 7), ("Label", "v1", 5), ("Label", "absent", 0),
+    ("Label", 1, 0), ("Count", "1", 0),
+    ("Holder.Tag", "dup", 14),
+]
+
+
+class TestEqualityNarrowing:
+    """A warm worker searches its cached value column, then runs the
+    one kernel on the candidates: the rows are the kernel's and the
+    algebra's over the whole extent, whatever the values compare like."""
+
+    @pytest.mark.parametrize(
+        "name,expected,matches", EQUALITY_CASES,
+        ids=[f"{name}={expected!r}" for name, expected, __ in EQUALITY_CASES],
+    )
+    def test_pooled_equals_in_thread_equals_the_algebra(
+        self, typed, name, expected, matches
+    ):
+        rows = assert_three_ways(typed, extent_scan(name, ValueEquals(expected)))
+        assert len(rows) == matches
+        for (obj,) in rows:
+            assert obj.value == expected
+            assert not (obj.deleted or obj.in_pattern_context)
+
+    def test_a_stored_nan_matches_nothing_not_even_itself(self, typed):
+        stored = typed.get_object("M3").value
+        assert math.isnan(stored)
+        assert assert_three_ways(typed, extent_scan("Measure", ValueEquals(stored))) == []
+
+    def test_a_conjunction_and_a_row_test_keep_their_meaning(self, typed):
+        dup = ValueEquals("dup")
+        prefix = NamePrefix("L1")
+        cases = [
+            extent_scan("Label", And((dup, prefix))),
+            extent_scan("Label", prefix, dup),
+            extent_scan("Label", dup, prefix),
+            extent_scan("Label", dup, row_tests=(on("x", NamePrefix("L2")),)),
+            extent_scan("Label", row_tests=(on("x", dup),)),
+        ]
+        got = [assert_three_ways(typed, spec) for spec in cases]
+        names = [[str(obj.name) for (obj,) in rows] for rows in got]
+        assert names[0] == names[1] == names[2] == ["L13", "L14", "L16", "L17", "L19"]
+        assert names[3] == ["L22", "L23"]
+        assert len(names[4]) == 7
+
+    def test_the_kernel_reads_only_the_candidates(self, typed):
+        spec = extent_scan(
+            "Label", FunctionPredicate(_only_dup_in_a_worker, "only dup"),
+            ValueEquals("dup"),
+        )
+        assert len(assert_three_ways(typed, spec)) == 7
+
+    def test_a_worker_serving_two_shards_keeps_a_column_for_each(
+        self, typed, monkeypatch
+    ):
+        pin_cpus(monkeypatch, {0, 1}, 8)
+        for name, expected, matches in EQUALITY_CASES:
+            rows = assert_three_ways(typed, extent_scan(name, ValueEquals(expected)), 3)
+            assert len(rows) == matches, (name, expected)
+        assert len(parallel_mod._POOL.pids) == 2  # noqa: SLF001
+        assert parallel_mod.stats.pools_started <= 1
+
+
+TAKE = "another object takes the value"
+REVALUE = "a match is re-valued"
+DELETE = "a match is deleted"
+
+
+def change_tag3(db, change: str, matches: list[tuple]) -> None:
+    if change == TAKE:
+        db.set_value(db.get_object("N0"), "tag3")
+    elif change == REVALUE:
+        db.set_value(matches[0][0], "tag1")
+    else:
+        db.delete(matches[-1][0])
+
+
+class TestColumnLifetime:
+    """A cached value column is read from the pool's snapshot, so it
+    dies with it: after any change, committed or rolled back, the scan
+    answers from the new state on a new pool."""
+
+    @pytest.mark.parametrize("change", [TAKE, REVALUE, DELETE])
+    def test_a_committed_change_is_seen(self, change):
+        db = small_db(40)
+        before = pooled(db, TAG3)
+        assert before == in_thread(db, TAG3) and len(before) == 8
+        change_tag3(db, change, before)
+        after = pooled(db, TAG3)
+        assert after == in_thread(db, TAG3) == eager(db, TAG3)
+        assert len(after) == len(before) + (1 if change == TAKE else -1)
+        if change == TAKE:
+            assert after[0] == (db.get_object("N0"),)
+        assert parallel_mod.stats.pools_started == 2
+
+    @pytest.mark.parametrize("change", [TAKE, REVALUE, DELETE])
+    def test_a_rolled_back_change_is_forgotten(self, change):
+        db = small_db(40)
+        before = pooled(db, TAG3)
+        with pytest.raises(_Abandon):
+            with db.transaction():
+                change_tag3(db, change, before)
+                inside = pooled(db, TAG3)
+                assert inside == in_thread(db, TAG3) != before
+                raise _Abandon()
+        assert pooled(db, TAG3) == in_thread(db, TAG3) == before
+        assert parallel_mod.stats.pools_started == 3
 
 
 # ----------------------------------------------------------------------
