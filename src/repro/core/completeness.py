@@ -42,6 +42,8 @@ its touched-item map (:meth:`CompletenessEngine.note_commit`) and the
 engine marks every item whose gaps could have changed; rolled-back
 units mark nothing. A check re-derives the dirty items only, so it
 costs O(changed items × their own rules) plus one copy of the gap list.
+The first check primes the map under the collector rule of
+:mod:`repro.core.bulk`: the map lives as long as the database.
 
 *Compiled rules.* The rules an item is checked against depend on its
 schema element alone, so they are derived once per element and kept
@@ -107,6 +109,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, TYPE_CHECKING
 
+from repro.core.bulk import long_lived
 from repro.core.patterns import pattern_root
 from repro.core.schema.association import Association
 from repro.core.versions.store import ItemKey
@@ -400,6 +403,7 @@ class CompletenessEngine:
         up to the dirty set until the next check)."""
         return len(self._gaps_by_item)
 
+    @long_lived()
     def _prime(self) -> None:
         """Fill the gap map with one pass over every live item."""
         gaps_by_item = self._gaps_by_item

@@ -80,8 +80,9 @@ completeness merge. Semantics:
 * **collector pause** — Python's cyclic garbage collector is disabled
   while the batch is open and restored on every exit. The batch only
   grows the heap, so a collection inside it would rescan all it has
-  built and free nothing. The pause is process-wide: it holds for every
-  thread until the batch ends.
+  built and free nothing; what a large committed batch built is then
+  aged without a walk (:mod:`repro.core.bulk`). The pause is
+  process-wide: it holds for every thread until the batch ends.
 
 Prefer ``bulk()`` whenever many items are written before the next read
 barrier: ingest and workload population. For a handful of mutations
@@ -99,11 +100,10 @@ journal replay, and ``bulk_load(records=...)``).
 
 from __future__ import annotations
 
-import gc
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
-from repro.core.bulk import load_item_states
+from repro.core.bulk import load_item_states, long_lived
 from repro.core.completeness import CompletenessEngine, CompletenessReport
 from repro.core.consistency import ConsistencyEngine, Violation
 from repro.core.errors import (
@@ -395,9 +395,10 @@ class SeedDatabase:
         — rolls the whole batch back in place.
 
         While the batch is open, finalize and rollback included, the
-        cyclic garbage collector is paused, process-wide. On every exit
-        it is left as the batch found it: a batch entered with it
-        disabled leaves it disabled.
+        cyclic garbage collector is paused, process-wide, and a large
+        committed batch's records are then aged, not walked (the
+        collector rule, :func:`repro.core.bulk.long_lived`). On every
+        exit the collector is left as the batch found it.
         """
         if self._txn is not None:
             raise TransactionError(
@@ -405,10 +406,7 @@ class SeedDatabase:
             )
         if self._bulk is not None:
             raise TransactionError("bulk batches cannot be nested")
-        collecting = gc.isenabled()
-        if collecting:
-            gc.disable()
-        try:
+        with long_lived():
             txn = self._bulk = _Transaction(self._next_id)
             self.indexes.suspend()
             try:
@@ -420,9 +418,6 @@ class SeedDatabase:
                 raise
             self._bulk = None
             self._finalize_bulk(txn)
-        finally:
-            if collecting:
-                gc.enable()
 
     def _finalize_bulk(self, txn: _Transaction) -> None:
         """One-shot index rebuild, then the batch ends like any unit."""

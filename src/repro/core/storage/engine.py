@@ -153,6 +153,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from repro.core import faults
+from repro.core.bulk import long_lived
 from repro.core.database import SeedDatabase
 from repro.core.errors import RecoveryWarning, SeedError, StorageError
 from repro.core.schema.attached import ProcedureRegistry
@@ -429,10 +430,12 @@ def load_database(
     return db
 
 
+@long_lived()
 def _load_journal_state(
     record_file: RecordFile, registry: Optional[ProcedureRegistry]
 ) -> tuple[Optional[SeedDatabase], RecoveryInfo, int]:
-    """Shared loader: salvage scan, base image, delta replay.
+    """Shared loader: salvage scan, base image, delta replay — under
+    the collector rule (:func:`repro.core.bulk.long_lived`).
 
     Returns ``(db or None, RecoveryInfo, next delta seq)``.
     """

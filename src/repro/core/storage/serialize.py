@@ -43,9 +43,11 @@ from __future__ import annotations
 
 import datetime
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Iterable, Iterator, KeysView, Optional
+from typing import (
+    Any, Callable, Iterable, Iterator, KeysView, NamedTuple, Optional,
+)
 
-from repro.core.bulk import load_item_states, wire_item_states
+from repro.core.bulk import load_item_states, long_lived, wire_item_states
 from repro.core.database import SeedDatabase
 from repro.core.errors import StorageError
 from repro.core.objects import ObjectState, SeedObject
@@ -1015,6 +1017,18 @@ def iter_image_records(db: SeedDatabase) -> Iterator[dict]:
     yield {"end": dict(counts)}
 
 
+#: the built-in errors a malformed record raises while it is decoded
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, IndexError)
+
+
+def _malformed(kind: str, exc: Exception) -> StorageError:
+    """The error for a *kind* record that raised *exc* while decoding
+    (chain it ``from exc``)."""
+    return StorageError(
+        f"malformed image {kind} record: {type(exc).__name__}: {exc}"
+    )
+
+
 class _ImageCursor:
     """One-record lookahead over a streamed image, cut into sections."""
 
@@ -1040,11 +1054,70 @@ class _ImageCursor:
             self.advance()
 
     def states(self, kind: str) -> Iterator[tuple[int, Any]]:
-        """``(id, state)`` for every record of the item section *kind*."""
-        return (
-            (record[kind], state_from_dict(kind, record["s"]))
-            for record in self.section(kind)
+        """``(id, state)`` for every record of the item section *kind*.
+
+        The record stays under the cursor until the consumer asks for
+        the next one, so an error raised decoding or wiring it is
+        raised while it is the head."""
+        for record in self.section(kind):
+            state = state_from_dict(kind, record["s"])
+            if kind == "o" and not isinstance(state.name, str):
+                raise TypeError(f"object name {state.name!r}")
+            yield record[kind], state
+
+
+class _Header(NamedTuple):
+    """An image header, decoded whole before any item record is read."""
+
+    name: str
+    schemas: list[Schema]
+    tree: list[tuple[VersionId, Optional[VersionId]]]
+    snapshots: list[VersionId]
+    schema_version_of: dict[VersionId, int]
+    current_base: Optional[VersionId]
+    dirty: set[ItemKey]
+
+
+def _decode_header(header: dict, registry: Optional[ProcedureRegistry]) -> _Header:
+    """Decode a header record; a malformed one raises ``StorageError``."""
+    try:
+        if header.get("format") != FORMAT_VERSION:
+            raise StorageError(
+                f"unsupported database image format {header.get('format')!r}"
+            )
+        decoded = _Header(
+            header["name"],
+            [
+                schema_from_dict(schema_data, registry)
+                for schema_data in header["schema_versions"]
+            ],
+            [
+                (
+                    VersionId.parse(node["version"]),
+                    VersionId.parse(node["parent"]) if node["parent"] else None,
+                )
+                for node in header["version_tree"]
+            ],
+            [
+                VersionId.parse(version)
+                for version in header.get("snapshot_versions", ())
+            ],
+            {
+                VersionId.parse(version): index
+                for version, index in header["schema_version_of"].items()
+            },
+            (
+                VersionId.parse(header["current_base"])
+                if header["current_base"]
+                else None
+            ),
+            {tuple(key) for key in header["dirty"]},
         )
+    except _DECODE_ERRORS as exc:
+        raise _malformed("header", exc) from exc
+    if not decoded.schemas:
+        raise StorageError("malformed image header record: no schema version")
+    return decoded
 
 
 def _record_cell_state(
@@ -1058,6 +1131,7 @@ def _record_cell_state(
         store.mark_materialized(version, key)
 
 
+@long_lived()
 def database_from_records(
     records: Iterable[dict], registry: Optional[ProcedureRegistry] = None
 ) -> SeedDatabase:
@@ -1071,35 +1145,43 @@ def database_from_records(
     image in memory. A stream that is malformed, out of order,
     truncated, or whose footer counts do not match raises
     :class:`~repro.core.errors.StorageError` — a partial image must
-    never load silently.
+    never load silently. A built-in error raised while a header, an
+    item record (decoded or wired) or a version cell is decoded (a
+    missing key, an ill-typed field, a dangling id) becomes a
+    ``StorageError`` that names the record kind and chains the cause; a
+    :class:`~repro.core.errors.SeedError` keeps its type, and an error
+    of the pattern or index rebuild propagates unchanged. The decode
+    runs under the collector rule (:func:`repro.core.bulk.long_lived`).
     """
     cursor = _ImageCursor(records)
     if not cursor.tagged("h"):
         raise StorageError("image stream does not start with a header record")
-    header = cursor.head["h"]
-    if header.get("format") != FORMAT_VERSION:
-        raise StorageError(
-            f"unsupported database image format {header.get('format')!r}"
-        )
-    schemas = [
-        schema_from_dict(schema_data, registry)
-        for schema_data in header["schema_versions"]
-    ]
-    db = SeedDatabase(schemas[-1], header["name"])
-    db.versions.schema_versions = schemas
+    header = _decode_header(cursor.head["h"], registry)
+    db = SeedDatabase(header.schemas[-1], header.name)
+    db.versions.schema_versions = header.schemas
     cursor.advance()
-    load_item_states(db, cursor.states("o"), cursor.states("r"))
-    for node in header["version_tree"]:
-        db.versions.tree.add(
-            VersionId.parse(node["version"]),
-            VersionId.parse(node["parent"]) if node["parent"] else None,
-        )
+    try:
+        load_item_states(db, cursor.states("o"), cursor.states("r"))
+    except _DECODE_ERRORS as exc:
+        # an item record under the cursor raised it; past the item
+        # sections, it came from the pattern or index rebuild
+        if cursor.tagged("o"):
+            raise _malformed("object", exc) from exc
+        if cursor.tagged("r"):
+            raise _malformed("relationship", exc) from exc
+        raise
+    for version, parent in header.tree:
+        db.versions.tree.add(version, parent)
     for record in cursor.section("c"):
-        cell = record["c"]
-        for entry in cell["states"]:
-            _record_cell_state(
-                db, VersionId.parse(entry["version"]), cell["kind"], cell["id"], entry
-            )
+        try:
+            cell = record["c"]
+            for entry in cell["states"]:
+                _record_cell_state(
+                    db, VersionId.parse(entry["version"]),
+                    cell["kind"], cell["id"], entry,
+                )
+        except _DECODE_ERRORS as exc:
+            raise _malformed("version-cell", exc) from exc
     counts = cursor.counts
     if not cursor.tagged("end"):
         raise StorageError(
@@ -1112,18 +1194,11 @@ def database_from_records(
             f"incomplete image stream: footer declares {cursor.head['end']}, "
             f"read {counts}"
         )
-    for version in header.get("snapshot_versions", ()):
-        db.versions.store.mark_snapshot(VersionId.parse(version))
-    db.versions.schema_version_of = {
-        VersionId.parse(version): index
-        for version, index in header["schema_version_of"].items()
-    }
-    db.versions.current_base = (
-        VersionId.parse(header["current_base"])
-        if header["current_base"]
-        else None
-    )
-    db._dirty = {tuple(key) for key in header["dirty"]}  # noqa: SLF001
+    for version in header.snapshots:
+        db.versions.store.mark_snapshot(version)
+    db.versions.schema_version_of = header.schema_version_of
+    db.versions.current_base = header.current_base
+    db._dirty = header.dirty  # noqa: SLF001
     return db
 
 

@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core import SeedDatabase, figure2_schema, figure3_schema
 from repro.spades import SpadesTool, spades_schema
+
+
+@pytest.fixture(autouse=True)
+def collector_left_as_found():
+    """Every test leaves the cyclic collector as it found it, with
+    nothing frozen, so a lane that leaks a paused or frozen collector
+    fails in the test that leaked it, not in a later timing."""
+    enabled = gc.isenabled()
+    yield
+    assert gc.isenabled() is enabled, "the collector was left paused or resumed"
+    assert gc.get_freeze_count() == 0, "objects were left frozen"
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Tests for persistence: serialisation, record files, the engine."""
 
+import copy
+import gc
 import json
 import tempfile
 from pathlib import Path
@@ -7,13 +9,23 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import SeedDatabase, StorageError, figure3_schema
+from repro.core import (
+    SchemaError,
+    SeedDatabase,
+    SeedError,
+    StorageError,
+    figure3_schema,
+)
+from repro.core.indexes import IndexLayer
+from repro.core.patterns import PatternManager
 from repro.core.schema.attached import AttachedProcedure, ProcedureRegistry
 from repro.core.storage import (
     JournaledDatabase,
     RecordFile,
     database_from_dict,
+    database_from_records,
     database_to_dict,
+    iter_image_records,
     load_database,
     save_database,
     schema_from_dict,
@@ -132,6 +144,106 @@ class TestDatabaseSerialisation:
         new = rebuilt.create_object("Action", "PostLoad")
         new.add_sub_object("Description", "created after load")
         assert rebuilt.check_consistency() == []
+
+
+def field_paths(node, at=()):
+    """The path of every dict key inside *node*, lists walked through."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield at + (key,)
+            yield from field_paths(value, at + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from field_paths(value, at + (index,))
+
+
+def mutated(records, index, path, how):
+    """A copy of *records* with one field deleted or replaced by *how*."""
+    records = copy.deepcopy(records)
+    node = records[index]
+    for step in path[:-1]:
+        node = node[step]
+    if how == "delete":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = how
+    return records
+
+
+class TestImageDecoderFuzz:
+    """Every single-field mutation of a well-framed image stream (its
+    records pass the CRC; their content lies) loads or raises a
+    ``SeedError``: a raw built-in error never escapes the decoder."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        db = SeedDatabase(figure3_schema(), "fuzz")
+        alarms = db.create_object("Data", "Alarms")
+        sensor = db.create_object("Action", "Sensor")
+        sensor.add_sub_object("Description", "senses")
+        db.create_object("Action", "Handler")
+        db.relate("Access", data=alarms, by=sensor)
+        db.create_version("1.0")
+        return list(iter_image_records(db))
+
+    def test_every_mutation_loads_or_raises_a_seed_error(self, records):
+        collecting = gc.isenabled()
+        escaped, outcomes = [], 0
+        for index, record in enumerate(records):
+            for path in field_paths(record):
+                for how in ("delete", None, "zz"):
+                    outcomes += 1
+                    try:
+                        database_from_records(mutated(records, index, path, how))
+                    except SeedError:
+                        pass
+                    except Exception as exc:  # noqa: BLE001 - the finding
+                        escaped.append((index, path, how, repr(exc)))
+                    assert gc.isenabled() is collecting
+                    assert gc.get_freeze_count() == 0
+        assert outcomes > 800
+        assert escaped == []
+
+    @pytest.mark.parametrize(
+        "index, path, kind",
+        [
+            (0, ("h", "name"), "header"),
+            (0, ("h", "schema_versions"), "header"),
+            (5, ("s",), "relationship"),
+            (6, ("c", "kind"), "version-cell"),
+        ],
+    )
+    def test_the_error_names_the_record_kind_and_chains_the_cause(
+        self, records, index, path, kind
+    ):
+        with pytest.raises(StorageError, match=f"malformed image {kind} record") as info:
+            database_from_records(mutated(records, index, path, "delete"))
+        assert isinstance(info.value.__cause__, KeyError)
+
+    def test_a_dangling_parent_names_the_object_record(self, records):
+        broken = mutated(records, 3, ("s", "parent"), 999)
+        with pytest.raises(StorageError, match="malformed image object record") as info:
+            database_from_records(broken)
+        assert isinstance(info.value.__cause__, KeyError)
+
+    @pytest.mark.parametrize(
+        "layer, method",
+        [(IndexLayer, "rebuild"), (PatternManager, "rebuild_index")],
+    )
+    def test_a_rebuild_defect_is_not_reported_as_a_malformed_record(
+        self, records, monkeypatch, layer, method
+    ):
+        def defect(self):
+            raise AttributeError("a defect in the rebuild")
+
+        monkeypatch.setattr(layer, method, defect)
+        with pytest.raises(AttributeError, match="a defect in the rebuild"):
+            database_from_records(records)
+
+    def test_a_seed_error_keeps_its_type(self, records):
+        broken = mutated(records, 1, ("s", "class"), "zz")
+        with pytest.raises(SchemaError, match="zz"):
+            database_from_records(broken)
 
 
 class TestRecordFile:
