@@ -52,10 +52,16 @@ classes along its kind chain with a minimum above zero, the
 association roles with a minimum above zero whose target it is a kind
 of, whether it is value-typed, and its covering gap with the message
 already rendered; for an association, its covering gap and its
-mandatory attributes. The table is dropped by :meth:`invalidate` and
-whenever ``db.schema`` is no longer the schema it was built from. An
-item's dotted name (or ``Association#rid``) is rendered only when it
-has a gap.
+mandatory attributes; a participation gap's text is rendered once
+per role and count. The table, and the gap map with it, is dropped by
+:meth:`invalidate`, when ``db.schema`` is replaced and when the schema
+generation moves (``add_dependent``, ``specialize`` and
+``remove_specialization`` change a schema in place). One kernel,
+:meth:`~CompletenessEngine.object_gaps`, serves the prime and the
+refresh: an object without pattern influence has its own live children
+counted in place and its participations read from the index maps. An
+item's name is rendered only when it has a gap; an independent,
+unindexed object's dotted name is its simple name.
 
 *Dirty fan-out.* A commit dirties each touched object with its
 sub-tree (gap texts embed dotted names) and its parent (sub-object
@@ -99,7 +105,9 @@ which reads the schema afresh for every item. It shares no code with
 the compiled path, so the equivalence suites in
 ``tests/test_completeness_incremental.py`` compare two
 implementations: the report must equal the scan and a freshly primed
-engine's report, in order, after every step.
+engine's report, in order, after every step;
+``tests/test_completeness_kernel.py`` does so on pattern fixtures, a
+``query_mix``-shaped database, a reopened journal and re-primes.
 """
 
 from __future__ import annotations
@@ -112,6 +120,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, TYPE_CHECKING
 from repro.core.bulk import long_lived
 from repro.core.patterns import pattern_root
 from repro.core.schema.association import Association
+from repro.core.schema.element import schema_generation
 from repro.core.versions.store import ItemKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -200,10 +209,10 @@ class _ClassRules(NamedTuple):
     #: ``(role, minimum, dependent full name)`` per dependent class
     #: along the kind chain whose minimum is above zero
     dependents: tuple[tuple[str, int, str], ...]
-    #: ``(association, position, minimum, role name)`` per association
-    #: role whose minimum is above zero and whose target the class is a
-    #: kind of
-    roles: tuple[tuple[Association, int, int, str], ...]
+    #: ``(association, position, minimum, role name, texts)`` per
+    #: association role whose minimum is above zero and whose target the
+    #: class is a kind of; *texts* maps a count to its rendered gap
+    roles: tuple[tuple[Association, int, int, str, dict], ...]
     #: the class's full name when it is value-typed, else None
     value_element: Optional[str]
     #: ``(element, message)`` of the covering gap, or None
@@ -245,7 +254,7 @@ def _compile_class(
             role = association.role_at(position)
             minimum = role.cardinality.minimum
             if minimum != 0 and entity_class.is_kind_of(role.target):
-                roles.append((association, position, minimum, role.name))
+                roles.append((association, position, minimum, role.name, {}))
     return _ClassRules(
         dependents,
         tuple(roles),
@@ -279,11 +288,15 @@ class CompletenessEngine:
         #: the map's gaps in report order; None whenever the map changed
         #: since they were assembled
         self._assembled: Optional[list[Gap]] = None
-        #: False until the map was primed by one pass over all items
+        #: False until the map was primed by one pass over all items,
+        #: under :attr:`_primed_generation` of the schema
         self._primed = False
-        #: schema element -> its compiled rules, for :attr:`_rules_schema`
-        self._rules: dict[object, "_ClassRules | _AssociationRules"] = {}
+        self._primed_generation = -1
+        #: schema element -> its compiled rules (None: it has none), for
+        #: :attr:`_rules_schema` as of :attr:`_rules_generation`
+        self._rules: dict[object, "_ClassRules | _AssociationRules | None"] = {}
         self._rules_schema: object = None
+        self._rules_generation = -1
 
     # -- entry points ------------------------------------------------------
 
@@ -303,6 +316,8 @@ class CompletenessEngine:
         """
         if self._db._bulk is not None:  # noqa: SLF001
             return self.check_database_scan()
+        if self._primed and self._primed_generation != schema_generation():
+            self.invalidate()  # the schema changed in place
         if not self._primed:
             self._prime()
         elif self._dirty:
@@ -393,6 +408,7 @@ class CompletenessEngine:
         self._primed = False
         self._rules.clear()
         self._rules_schema = None
+        self._rules_generation = -1
 
     def dirty_count(self) -> int:
         """Items pending re-analysis (statistics/benchmarks)."""
@@ -405,21 +421,24 @@ class CompletenessEngine:
 
     @long_lived()
     def _prime(self) -> None:
-        """Fill the gap map with one pass over every live item."""
+        """Fill the gap map with one pass over every item record."""
         gaps_by_item = self._gaps_by_item
         gaps_by_item.clear()
         self._dirty.clear()
         self._assembled = None
-        for obj in self._db.objects(include_patterns=False):
-            gaps = self.object_gaps(obj)
+        object_gaps = self.object_gaps
+        for obj in self._db.all_objects_raw():
+            gaps = object_gaps(obj)
             if gaps:
                 gaps_by_item[("o", obj.oid)] = tuple(gaps)
-        for rel in self._db.relationships(include_patterns=False):
-            gaps = self.relationship_gaps(rel)
+        relationship_gaps = self.relationship_gaps
+        for rel in self._db.all_relationships_raw():
+            gaps = relationship_gaps(rel)
             if gaps:
                 gaps_by_item[("r", rel.rid)] = tuple(gaps)
         self._order = sorted(gaps_by_item)
         self._primed = True
+        self._primed_generation = schema_generation()
 
     def _refresh(self) -> None:
         """Re-derive every dirty item's gaps and update the map.
@@ -534,7 +553,7 @@ class CompletenessEngine:
 
         A change inside a pattern context propagates to all inheritors'
         effective structure — the same fan-out consistency validation
-        performs in ``_validate_object_context``. *marked_nodes* prunes
+        performs in ``SeedDatabase._validate_objects``. *marked_nodes* prunes
         inheritor subtrees already dirtied in this commit (many touched
         pattern nodes share their inheritors).
         """
@@ -553,35 +572,46 @@ class CompletenessEngine:
 
     # -- compiled rules ---------------------------------------------------------
 
-    def _rules_of(self, element: object) -> "_ClassRules | _AssociationRules":
-        """The compiled rules of a class or association of ``db.schema``."""
+    def _rules_of(self, element: object) -> "_ClassRules | _AssociationRules | None":
+        """The compiled rules of a class or association of ``db.schema``,
+        or None when it has none (its items never have a gap)."""
         schema = self._db.schema
-        if schema is not self._rules_schema:
+        generation = schema_generation()
+        if schema is not self._rules_schema or generation != self._rules_generation:
             self._rules.clear()
             self._rules_schema = schema
-        rules = self._rules.get(element)
-        if rules is None:
+            self._rules_generation = generation
+        try:
+            return self._rules[element]
+        except KeyError:
             if isinstance(element, Association):
                 rules = _compile_association(element)
             else:
                 rules = _compile_class(
                     element, schema.associations  # type: ignore[arg-type]
                 )
-            self._rules[element] = rules
-        return rules
+            self._rules[element] = rules if any(rules) else None
+            return self._rules[element]
 
     def object_gaps(self, obj: "SeedObject") -> list[Gap]:
         """All completeness gaps of one object, from its class's
-        compiled rules (the fast path; see :meth:`object_gaps_scan`)."""
-        if obj.deleted or obj.in_pattern_context:
+        compiled rules (the kernel; the oracle is :meth:`object_gaps_scan`)."""
+        if obj.deleted:
             return []
-        rules: _ClassRules = self._rules_of(  # type: ignore[assignment]
-            obj.entity_class
-        )
+        rules: _ClassRules = self._rules_of(obj.entity_class)  # type: ignore[assignment]
+        if rules is None or obj.in_pattern_context:
+            return []
         patterns = self._db.patterns
+        inherited = obj.inherited_patterns
         found: list[tuple[str, str, str]] = []
         for role, minimum, element in rules.dependents:
-            count = len(patterns.effective_sub_objects(obj, role))
+            if inherited:
+                count = len(patterns.effective_sub_objects(obj, role))
+            else:
+                count = 0
+                for child in obj._children_of_role(role):  # noqa: SLF001
+                    if not child.deleted:
+                        count += 1
             if count < minimum:
                 found.append((
                     "sub-object-minimum",
@@ -594,31 +624,43 @@ class CompletenessEngine:
                 rules.value_element,
                 "exists but its value is still undefined",
             ))
-        for association, position, minimum, role in rules.roles:
-            count = patterns.count_participations(obj, association, position)
-            if count < minimum:
-                found.append((
-                    "relationship-minimum",
-                    association.name,
-                    f"participates in {count} {association.name!r} "
-                    f"relationships at role {role!r}, minimum is {minimum}",
-                ))
+        if rules.roles:
+            indexes = self._db.indexes
+            influenced = indexes.pattern_influenced(obj)  # refreshes the maps
+            for association, position, minimum, role, texts in rules.roles:
+                if influenced:
+                    count = patterns.count_participations(obj, association, position)
+                else:
+                    maps = indexes.participation.get(association.name)
+                    count = 0 if maps is None else maps[position].get(obj.oid, 0)
+                if count < minimum:
+                    gap = texts.get(count)
+                    if gap is None:
+                        gap = texts[count] = (
+                            "relationship-minimum",
+                            association.name,
+                            f"participates in {count} {association.name!r} "
+                            f"relationships at role {role!r}, minimum is {minimum}",
+                        )
+                    found.append(gap)
         if rules.covering is not None:
             found.append(("covering", *rules.covering))
         if not found:
             return []
-        name = str(obj.name)
+        # an independent, unindexed object's name was validated as given
+        unindexed = obj.parent is None and obj.index is None
+        name = obj.simple_name if unindexed else str(obj.name)
         return [Gap(kind, name, element, text) for kind, element, text in found]
 
     def relationship_gaps(self, rel: "SeedRelationship") -> list[Gap]:
         """All completeness gaps of one relationship, from its
         association's compiled rules (see :meth:`relationship_gaps_scan`)."""
-        if rel.deleted or rel.in_pattern_context:
+        if rel.deleted:
+            return []
+        rules: _AssociationRules = self._rules_of(rel.association)  # type: ignore[assignment]
+        if rules is None or rel.in_pattern_context:
             return []
         association = rel.association
-        rules: _AssociationRules = self._rules_of(  # type: ignore[assignment]
-            association
-        )
         found = [] if rules.covering is None else [("covering", *rules.covering)]
         for attribute, message in rules.mandatory:
             if not rel.has_attribute(attribute):

@@ -15,6 +15,19 @@ inherited, its content is validated in the context of every inheritor,
 which the engine does by working on *effective* structure (own plus
 pattern-inherited sub-objects and relationships) as computed by the
 pattern manager.
+
+*Compiled plans: decide, then explain.* An item is decided on what its
+schema element compiled — a class's role → dependent class map and
+value sort (plain ``str`` passes STRING and TEXT without a call), an
+association's kind-of sets, bounded role maxima and ACYCLIC flag —
+recompiled when :func:`~repro.core.schema.element.schema_changed`
+moves the generation. Only an item the decision does not accept (a
+rejection, or patterns, attributes or a deleted binding it leaves to
+the rules) runs the rule-walking checks, which word the violations, so
+messages and their order are the rule walk's. Every commit, per edit
+or bulk, takes this path. The rule walk is the oracle
+(``tests/test_consistency_plans.py``): the decision never accepts an
+item it finds a violation in.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ from typing import Iterable, Optional, TYPE_CHECKING
 from repro.core.errors import ConsistencyError, ValueTypeError
 from repro.core.schema.association import Association
 from repro.core.schema.attached import UpdateContext
+from repro.core.values import STRING, TEXT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.database import SeedDatabase
@@ -59,15 +73,84 @@ class ConsistencyEngine:
     def __init__(self, database: "SeedDatabase") -> None:
         self._db = database
 
+    def accepts_object(self, obj: "SeedObject") -> bool:
+        """True when *obj* has no violation, decided on its class's
+        compiled role -> dependent class map and value sort. False hands
+        it to :meth:`explain_object` (a rejection, or inherited patterns)."""
+        if obj.deleted:
+            return True
+        if obj.inherited_patterns:
+            return False
+        entity_class = obj.entity_class
+        value = obj.value
+        if value is not None:
+            sort = entity_class.value_sort
+            if sort is None:
+                return False
+            if type(value) is not str or (sort is not STRING and sort is not TEXT):
+                try:
+                    sort.coerce(value)
+                except ValueTypeError:
+                    return False
+        for role, children in obj._children.items():  # noqa: SLF001
+            declared = entity_class.resolve_dependent(role)
+            count = 0
+            for child in children:
+                if not child.deleted:
+                    if child.entity_class is not declared:
+                        return False  # an undeclared role, or the wrong class
+                    count += 1
+            if count and not declared.cardinality.allows_more(count - 1):
+                return False
+        return True
+
+    def accepts_relationship(self, rel: "SeedRelationship") -> bool:
+        """True when *rel* has no violation, decided on its association's
+        compiled kind-of sets and bounded maxima. False hands it to
+        :meth:`explain_relationship`: a rejection, or attributes, a
+        deleted binding, or a bound object with pattern influence."""
+        if rel.deleted:
+            return True
+        if rel._attributes:  # noqa: SLF001
+            return False
+        first, second = rel._bindings.values()  # noqa: SLF001
+        if first.deleted or second.deleted:
+            return False
+        first_role, second_role = rel.association.roles
+        if not first_role.accepts(first.entity_class):
+            return False
+        if not second_role.accepts(second.entity_class):
+            return False
+        maxima = rel.association.participation_maxima()
+        # pattern content skips the maxima; an accepted binding is of an
+        # independent class, so its own flag decides its pattern context
+        if maxima and not (rel.is_pattern or first.is_pattern or second.is_pattern):
+            indexes = self._db.indexes
+            for name, position, maximum in maxima:
+                bound = second if position else first
+                if indexes.pattern_influenced(bound):  # refreshes the maps
+                    return False
+                maps = indexes.participation.get(name)
+                if maps is not None and maps[position].get(bound.oid, 0) > maximum:
+                    return False
+        return True
+
     # -- objects ---------------------------------------------------------
 
     def validate_object(self, obj: "SeedObject") -> list[Violation]:
-        """All consistency violations of *obj* in its current state.
+        """All consistency violations of *obj*: none when
+        :meth:`accepts_object` decides so, else :meth:`explain_object`."""
+        if self.accepts_object(obj):
+            return []
+        return self.explain_object(obj)
+
+    def explain_object(self, obj: "SeedObject") -> list[Violation]:
+        """The rule-walking checks of *obj*, worded as violations.
 
         Checks sub-object role membership, dependent-class maximum
         cardinalities (on effective structure, i.e. including
         pattern-inherited sub-objects), and value-sort conformance.
-        Relationship-side checks live in :meth:`validate_relationship`.
+        Relationship-side checks live in :meth:`explain_relationship`.
         """
         if obj.deleted:
             return []
@@ -157,7 +240,14 @@ class ConsistencyEngine:
     # -- relationships -------------------------------------------------------
 
     def validate_relationship(self, rel: "SeedRelationship") -> list[Violation]:
-        """All consistency violations of *rel* in its current state."""
+        """All consistency violations of *rel*, decided as
+        :meth:`validate_object` decides an object's."""
+        if self.accepts_relationship(rel):
+            return []
+        return self.explain_relationship(rel)
+
+    def explain_relationship(self, rel: "SeedRelationship") -> list[Violation]:
+        """The rule-walking checks of *rel*, worded as violations."""
         violations: list[Violation] = []
         if rel.deleted:
             return violations

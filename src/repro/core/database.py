@@ -688,14 +688,10 @@ class SeedDatabase:
         run_procedures = not batched_acyclic or self._schema_has_procedures()
         for key, (item, operations) in txn.touched.items():
             if isinstance(item, SeedObject):
-                violations.extend(self._validate_object_context(item, checked_objects))
+                self._validate_objects((item,), checked_objects, violations)
             else:
                 violations.extend(self.consistency.validate_relationship(item))
-                for endpoint in item.bound_objects():
-                    if endpoint.oid not in checked_objects:
-                        violations.extend(
-                            self._validate_object_context(endpoint, checked_objects)
-                        )
+                self._validate_objects(item.endpoints(), checked_objects, violations)
                 association = item.association
                 if (
                     not item.deleted
@@ -740,6 +736,21 @@ class SeedDatabase:
             )
         return violations
 
+    def _validate_objects(
+        self, objects: Iterable[SeedObject], checked: set[int], violations: list
+    ) -> None:
+        """Validate each of *objects* not yet in *checked*; pattern
+        content is validated in the context of each inheritor."""
+        for obj in objects:
+            if obj.oid in checked:
+                continue
+            checked.add(obj.oid)
+            if not obj.in_pattern_context:
+                violations.extend(self.consistency.validate_object(obj))
+            elif not obj.deleted:
+                inheritors = self.patterns.inheritors_of(pattern_root(obj))
+                self._validate_objects(inheritors, checked, violations)
+
     def _schema_has_procedures(self) -> bool:
         """True when any schema element carries an attached procedure.
 
@@ -756,26 +767,6 @@ class SeedDatabase:
             association.attached_procedures
             for association in self.schema.associations
         )
-
-    def _validate_object_context(
-        self, obj: SeedObject, checked: set[int]
-    ) -> list[Violation]:
-        """Validate an object; patterns validate via their inheritors."""
-        violations: list[Violation] = []
-        if obj.oid in checked:
-            return violations
-        checked.add(obj.oid)
-        if obj.deleted:
-            return violations
-        if obj.in_pattern_context:
-            # a pattern is checked in the context of each inheritor
-            for inheritor in self.patterns.inheritors_of(pattern_root(obj)):
-                violations.extend(
-                    self._validate_object_context(inheritor, checked)
-                )
-            return violations
-        violations.extend(self.consistency.validate_object(obj))
-        return violations
 
     # ------------------------------------------------------------------
     # creation
@@ -1439,9 +1430,7 @@ class SeedDatabase:
         tests and the ablation benchmark call it to verify exactly that.
         """
         violations: list[Violation] = []
-        checked: set[int] = set()
-        for obj in self.objects():
-            violations.extend(self._validate_object_context(obj, checked))
+        self._validate_objects(self.objects(), set(), violations)
         for rel in self.relationships():
             violations.extend(self.consistency.validate_relationship(rel))
         seen_roots: set[str] = set()

@@ -31,7 +31,7 @@ from typing import Optional
 from repro.core.cardinality import Cardinality
 from repro.core.errors import SchemaError
 from repro.core.identifiers import check_simple_name
-from repro.core.schema.element import SchemaElement
+from repro.core.schema.element import SchemaElement, _Facts
 from repro.core.schema.entity_class import EntityClass
 from repro.core.values import ValueSort
 
@@ -236,6 +236,17 @@ class Association(SchemaElement):
         """
         return self.roles[general_role.position]
 
+    def _compile(self, generation: int) -> _Facts:
+        facts = super()._compile(generation)
+        facts.acyclic = any(element.acyclic for element in facts.chain)
+        facts.maxima = tuple(
+            (element.name, role.position, role.cardinality.maximum)
+            for element in facts.chain
+            for role in element.roles
+            if not role.cardinality.is_unbounded
+        )
+        return facts
+
     def effective_acyclic(self) -> bool:
         """True when this association or any of its generals is ACYCLIC.
 
@@ -243,9 +254,12 @@ class Association(SchemaElement):
         general association's graph, so a general ACYCLIC constraint
         binds the specialization too.
         """
-        return any(
-            getattr(element, "acyclic", False) for element in self.kinds()
-        )
+        return self._facts().acyclic
+
+    def participation_maxima(self) -> tuple[tuple[str, int, int], ...]:
+        """``(element name, position, maximum)`` per bounded role of this
+        association and its generals (a relationship counts toward all)."""
+        return self._facts().maxima
 
     def roles_for_class(self, entity_class: EntityClass) -> list[Role]:
         """Roles of this association in which *entity_class* may be bound."""

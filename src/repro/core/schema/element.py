@@ -11,7 +11,8 @@ are maintained by :class:`repro.core.schema.builder.SchemaBuilder` /
 :class:`repro.core.schema.schema.Schema`; elements only store them.
 
 What the links imply — the kind chain, the kind-of set, the family root
-and, for a class, the dependent class each role resolves to — is
+and, for a class, the dependent class each role resolves to, for an
+association the ACYCLIC flag and the role maxima along the chain — is
 compiled once from :meth:`SchemaElement.kind_chain` and reused until
 :func:`schema_changed` is called, which every in-place link change does.
 """
@@ -26,7 +27,7 @@ from repro.core.identifiers import check_simple_name
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.schema.attached import AttachedProcedure
 
-__all__ = ["SchemaElement", "schema_changed"]
+__all__ = ["SchemaElement", "schema_changed", "schema_generation"]
 
 #: advanced by every ``specialize``, ``remove_specialization`` and
 #: ``add_dependent``; facts compiled under an older value are stale
@@ -39,10 +40,15 @@ def schema_changed() -> None:
     _generation += 1
 
 
+def schema_generation() -> int:
+    """The current generation (what was compiled under another is stale)."""
+    return _generation
+
+
 class _Facts:
     """What an element's kind chain implies, as of one generation."""
 
-    __slots__ = ("generation", "chain", "kinds", "root", "dependents")
+    __slots__ = ("generation", "chain", "kinds", "root", "dependents", "acyclic", "maxima")
 
     def __init__(self, generation: int, chain: tuple["SchemaElement", ...]) -> None:
         self.generation = generation
@@ -51,6 +57,10 @@ class _Facts:
         self.root = chain[-1]
         #: role -> dependent class, filled for classes only
         self.dependents: dict[str, "SchemaElement"] = {}
+        #: associations only: the chain holds an ACYCLIC element, and its
+        #: bounded roles as ``(element name, position, maximum)``
+        self.acyclic = False
+        self.maxima: tuple[tuple[str, int, int], ...] = ()
 
 
 class SchemaElement:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 
 from repro.core import SeedDatabase, figure2_schema, figure3_schema
 from repro.spades import SpadesTool, spades_schema
+from repro.workloads import SpecShape, generate_spec, load_into_spades
 
 
 @pytest.fixture(autouse=True)
@@ -96,3 +98,33 @@ def alarm_tool(spades_tool):
 def spades_db():
     """An empty database over the SPADES schema."""
     return SeedDatabase(spades_schema(), "spades-test")
+
+
+def load_query_mix_smoke(tool: SpadesTool) -> SpadesTool:
+    """Build into *tool* what the ``query_mix`` benchmark builds, at the
+    benchmark's smoke size: the generated specification in one bulk
+    batch, then 64 modules and an allocation per action one by one."""
+    shape = SpecShape(
+        actions=300, data=60, flows=240, notes_per_item=0.0, keywords_per_data=0.0
+    )
+    spec = generate_spec(shape, seed=3)
+    load_into_spades(spec, tool)
+    rng = random.Random("3:query.modules")
+    modules = [f"Module{index}" for index in range(64)]
+    for module in modules:
+        tool.declare_module(module, "Ada")
+    for action in rng.sample(spec.action_names, len(spec.action_names)):
+        tool.allocate(action, rng.choice(modules))
+    return tool
+
+
+@pytest.fixture
+def query_mix_smoke():
+    """:func:`load_query_mix_smoke`, for a test that brings its own tool."""
+    return load_query_mix_smoke
+
+
+@pytest.fixture
+def query_mix_smoke_db():
+    """A ``query_mix``-shaped database (see :func:`load_query_mix_smoke`)."""
+    return load_query_mix_smoke(SpadesTool("released")).db

@@ -23,6 +23,10 @@ from repro.core.cardinality import Cardinality
 from repro.core.completeness import CompletenessEngine
 from repro.core.errors import SeedError
 from repro.core.schema import set_covering
+from repro.core.schema.entity_class import EntityClass
+from repro.core.schema.generalization import remove_specialization, specialize
+from repro.core.values import STRING
+from repro.spades import spades_schema
 
 
 def gap_multiset(report):
@@ -206,6 +210,53 @@ class TestTransactionsAndBulkPaths:
         assert gap_multiset(loaded.check_completeness()) == gap_multiset(
             fig2_db.check_completeness()
         )
+
+
+class TestSchemaChangedInPlace:
+    """A primed engine re-primes when the schema changes in place: the
+    three in-place mutators only advance the schema generation."""
+
+    @staticmethod
+    def assert_report_is_scan(db):
+        assert db.check_completeness().gaps == db.check_completeness_scan().gaps
+        assert_equivalent(db)
+
+    def test_add_dependent(self):
+        db = SeedDatabase(spades_schema(), name="t")
+        db.create_object("Action", "A1").add_sub_object("Description", "x")
+        db.check_completeness()
+        db.schema.entity_class("Action").add_dependent("Owner", "1..1", value_sort=STRING)
+        db.create_object("Action", "A2").add_sub_object("Description", "y")
+        self.assert_report_is_scan(db)
+        owners = db.check_completeness().by_kind("sub-object-minimum")
+        assert [(gap.item, gap.element) for gap in owners] == [
+            ("A1", "Action.Owner"), ("A2", "Action.Owner"),
+        ]
+
+    def test_specialize(self, fig2_db):
+        db = fig2_db
+        named = db.schema.add_class(EntityClass("Named"))
+        named.add_dependent("Label", "1..1", value_sort=STRING)
+        action = db.create_object("Action", "A1")
+        action.add_sub_object("Description", "x")
+        assert not db.check_completeness().by_kind("sub-object-minimum")
+        specialize(named, db.schema.entity_class("Action"))
+        self.assert_report_is_scan(db)
+        assert [gap.element for gap in db.check_completeness().by_kind(
+            "sub-object-minimum"
+        )] == ["Named.Label"]
+
+    def test_remove_specialization(self):
+        db = SeedDatabase(spades_schema(), name="t")
+        db.create_object("Thing", "T1")
+        db.create_object("Module", "M1")
+        before = db.check_completeness().by_kind("covering")
+        assert before[0].message.endswith("(to one of: Data, Action, Module)")
+        remove_specialization(db.schema.entity_class("Module"))
+        db.create_object("Thing", "T2")
+        self.assert_report_is_scan(db)
+        assert [gap.message[-len("Data, Action)"):] for gap in db.check_completeness()
+                .by_kind("covering")] == ["Data, Action)", "Data, Action)"]
 
 
 class TestAssembledReportCache:
