@@ -336,8 +336,16 @@ class SeedDatabase:
         #: goes up wherever live item state may change: on entry to every
         #: primitive update, in every rollback, in ``wire_item_states``,
         #: ``migrate_schema`` and tombstone collection. Equal values mean
-        #: an unchanged database (the process scan pool's snapshot key)
+        #: an unchanged database (the process scan pool's snapshot key,
+        #: and the guard of :attr:`_committed`)
         self._writes = 0
+        #: ``(_writes, {key: state})``: the states the last commit's
+        #: journal record froze (:meth:`keep_committed_states`), and the
+        #: value of :attr:`_writes` they were frozen at. While it has not
+        #: moved they are the live states, and the next
+        #: :meth:`collect_dirty_states` takes them instead of freezing
+        #: again. None without a journal, and after a version took them
+        self._committed: Optional[tuple[int, dict[ItemKey, Any]]] = None
         self.indexes = IndexLayer(self)
         self.consistency = ConsistencyEngine(self)
         self.completeness = CompletenessEngine(self)
@@ -1531,17 +1539,35 @@ class SeedDatabase:
         """True when items changed since the last snapshot."""
         return bool(self._dirty)
 
+    def keep_committed_states(self, states: dict[ItemKey, Any]) -> None:
+        """Keep the states a commit's journal record has just frozen, by
+        item key, for the next :meth:`collect_dirty_states` (journal
+        hook). They replace any kept before: at most the last unit's
+        touched items are held."""
+        self._committed = (self._writes, states)
+
     def collect_dirty_states(self) -> list[tuple[ItemKey, object]]:
-        """Freeze the states of all changed items (version-manager hook)."""
+        """The states of all changed items, in key order (version-manager
+        hook).
+
+        A dirty item the last commit's journal record froze is taken
+        from :meth:`keep_committed_states` when nothing has been written
+        since — :attr:`_writes` has not moved, so that state is the live
+        one; the rest are frozen here. The kept states are released
+        either way.
+        """
+        kept, self._committed = self._committed, None
+        committed = kept[1] if kept is not None and kept[0] == self._writes else {}
+        tables = {"o": self._objects, "r": self._relationships}
         states: list[tuple[ItemKey, object]] = []
-        for kind, item_id in sorted(self._dirty):
-            if kind == "o":
-                item = self._objects.get(item_id)
-            else:
-                item = self._relationships.get(item_id)
-            if item is None:
-                continue  # rolled-back creation
-            states.append(((kind, item_id), item.freeze()))
+        for key in sorted(self._dirty):
+            state = committed.get(key)
+            if state is None:
+                item = tables[key[0]].get(key[1])
+                if item is None:
+                    continue  # rolled-back creation
+                state = item.freeze()
+            states.append((key, state))
         return states
 
     def clear_dirty(self) -> None:

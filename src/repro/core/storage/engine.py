@@ -23,9 +23,13 @@ in one journal file:
   applies included), every item ``wire_item_states`` thawed (replay),
   every cell a :class:`~repro.core.versions.store.VersionStore` writer
   changed (a cell that gains a second entry, compaction), all live
-  items on a ``restore`` or ``schema`` event. A checkpoint joins the
-  kept fragments with a freshly encoded header, re-encoding only the
-  dropped ones. The payload equals ``RecordFile.encode`` of the
+  items on a ``restore`` or ``schema`` event. A state is frozen once
+  too: the version created right after a commit stores the states the
+  ``txn`` record froze (``SeedDatabase.keep_committed_states``, valid
+  while nothing has been written since), and its ``version`` record
+  takes their bytes from the kept item members. A checkpoint joins
+  the kept fragments with a freshly encoded header, re-encoding only
+  the dropped ones. The payload equals ``RecordFile.encode`` of the
   :func:`~repro.core.storage.serialize.database_to_dict` record byte
   for byte; that from-scratch encode stays as the oracle. A *streamed*
   checkpoint instead appends a counted group —
@@ -842,6 +846,7 @@ class JournaledDatabase:
         elif kind == "restore":
             delta = RecordFile.encode(restore_delta_from_db(self.db, payload))
         elif kind == "version":
+            # recorded live states reuse their kept members' bytes, and
             # the cells this version opened keep the bytes the record has
             delta = version_delta_from_db(self.db, payload, self._fragments)
         else:

@@ -28,7 +28,9 @@ keeps each item's and cell's encoded bytes — filled from the bytes a
 ``txn`` or ``version`` record has just written, dropped where state is
 written otherwise — and produces the monolithic record of
 :func:`database_to_dict` and the records of :func:`iter_image_records`
-byte for byte, encoding only what is not cached.
+byte for byte, encoding only what is not cached. A ``version`` record
+written right after a commit encodes nothing the ``txn`` record did:
+it takes those states' bytes from the kept item members.
 
 Attached procedures serialise by *name*; loading re-binds them against a
 :class:`~repro.core.schema.attached.ProcedureRegistry` (the process-wide
@@ -471,9 +473,14 @@ def _unspliced(kind: str, item_id: int, member: bytes) -> bytes:
     return member[:at] + member[at + len(tag):]
 
 
-def _cell_json(key: ItemKey, entries: Iterable[tuple[Any, bytes, bool]]) -> bytes:
+def _version_json(version: VersionId) -> bytes:
+    """A version id as the JSON string a record or a cell holds."""
+    return _quote(str(version)).encode("ascii")
+
+
+def _cell_json(key: ItemKey, entries: Iterable[tuple[bytes, bytes, bool]]) -> bytes:
     """A version-store cell (:func:`_cell_record`) from its entries as
-    ``(version, encoded state, materialized)``."""
+    ``(version as _version_json, encoded state, materialized)``."""
     kind, item_id = key
     return b'{"id":%d,"kind":%b,"states":[%b]}' % (
         item_id,
@@ -482,7 +489,7 @@ def _cell_json(key: ItemKey, entries: Iterable[tuple[Any, bytes, bool]]) -> byte
             b'{%b"state":%b,"version":%b}' % (
                 b'"materialized":true,' if materialized else b"",
                 state,
-                _quote(str(version)).encode("ascii"),
+                version,
             )
             for version, state, materialized in entries
         ]),
@@ -510,16 +517,22 @@ def txn_delta_from_txn(
     "objects": [[oid, state], ...], "relationships": [[rid, state],
     ...]}`` as :meth:`RecordFile.encode` writes it), joined from the
     state kernel's bytes. With *fragments*, each item's image member
-    is kept there, made from the same bytes.
+    is kept there, made from the same bytes. The frozen states go to
+    ``db.keep_committed_states``, so a version created next records
+    them without freezing the items again.
     """
-    keys = sorted(txn.touched)
+    touched = txn.touched
+    keys = sorted(touched)
+    frozen: dict[ItemKey, Any] = {}
     items: dict[str, list] = {"o": [], "r": []}
     for key in keys:
         kind, item_id = key
-        state, split = _encode_state(kind, txn.touched[key][0].freeze())
-        items[kind].append(b"[%d,%b]" % (item_id, state))
+        frozen[key] = state = touched[key][0].freeze()
+        blob, split = _encode_state(kind, state)
+        items[kind].append(b"[%d,%b]" % (item_id, blob))
         if fragments is not None:
-            fragments.keep_item(kind, item_id, state, split)
+            fragments.keep_item(kind, item_id, blob, split)
+    db.keep_committed_states(frozen)
     dirty = db._dirty  # noqa: SLF001 - dirty parity is part of the delta
     return b'{"dirty":[%b],"objects":[%b],"relationships":[%b]}' % (
         b",".join([
@@ -682,16 +695,26 @@ def version_delta_from_db(
     Returns the delta's canonical JSON (``{"cells": [{"id", "kind",
     "materialized"?, "state"}, ...], "parent", "schema_version",
     "snapshot", "version"}``), joined from the state kernel's bytes.
-    With *fragments*, every cell this version opened — its one entry
-    is the state just encoded — is kept there, made from the same
-    bytes; a cell that gained a further entry is re-encoded whole by
-    the next save point.
+
+    With *fragments*, a recorded (not materialized) state whose item
+    has a kept image member is not encoded again: it is the item's live
+    state, which that member encodes (:meth:`ImageFragments.state_of`).
+    Usually a ``txn`` record has just made it. A materialized state,
+    or an item without a member, goes through the state kernel. Every
+    cell this version opened — its one entry is the state just written
+    — is kept there, made from the same bytes; a cell that gained a
+    further entry is re-encoded whole by the next save point.
     """
     store = db.versions.store
+    version = _version_json(vid)
     cells = []
     for key, state, materialized in store.states_at(vid):
         kind, item_id = key
-        blob = _encode_state(kind, state)[0]
+        blob = None
+        if fragments is not None and not materialized:
+            blob = fragments.state_of(kind, item_id)
+        if blob is None:
+            blob = _encode_state(kind, state)[0]
         cells.append(b'{"id":%d,"kind":%b,%b"state":%b}' % (
             item_id,
             _KINDS[kind],
@@ -699,7 +722,7 @@ def version_delta_from_db(
             blob,
         ))
         if fragments is not None and len(store._cells[key]) == 1:  # noqa: SLF001
-            fragments.keep_cell(key, vid, blob, materialized)
+            fragments.keep_cell(key, version, blob, materialized)
     parent = db.versions.tree.parent(vid)
     encode = RecordFile.encode
     return _json_object({
@@ -707,7 +730,7 @@ def version_delta_from_db(
         "parent": encode(str(parent) if parent else None),
         "schema_version": encode(db.versions.schema_version_of[vid]),
         "snapshot": encode(store.is_snapshot(vid)),
-        "version": encode(str(vid)),
+        "version": version,
     })
 
 
@@ -822,10 +845,14 @@ class ImageFragments:
     :meth:`keep_cell` for every cell a ``version`` delta opens), and
     *dropped* wherever state is written otherwise: the writer reports
     the key (:meth:`item_changed`, :meth:`cell_changed`,
-    :meth:`items_replaced`). :meth:`encode` (the monolithic ``image``
-    record) and :meth:`records` (the streamed image records) encode the
-    small header afresh, re-encode only the dropped fragments, and join
-    the rest in image order. The results are byte-identical to
+    :meth:`items_replaced`). A kept item member therefore always
+    encodes the item's live state, and a ``version`` delta reads it
+    back (:meth:`state_of`) for every state it records from a live
+    item instead of encoding that state again. :meth:`encode` (the
+    monolithic ``image`` record) and :meth:`records` (the streamed
+    image records) encode the small header afresh, re-encode only the
+    dropped fragments, and join the rest in image order. The results
+    are byte-identical to
     ``RecordFile.encode({"kind": "image", "image": database_to_dict(db)})``
     and to ``RecordFile.encode`` of each :func:`iter_image_records`
     record as long as every write was reported, which
@@ -863,11 +890,18 @@ class ImageFragments:
         )
 
     def keep_cell(
-        self, key: ItemKey, version: VersionId, state: bytes, materialized: bool
+        self, key: ItemKey, version: bytes, state: bytes, materialized: bool
     ) -> None:
         """Keep a cell whose one entry — the encoded *state* at
-        *version* — a record has just encoded."""
+        *version* (as :func:`_version_json` writes it) — a record has
+        just encoded."""
         self._cells[key] = _cell_json(key, ((version, state, materialized),))
+
+    def state_of(self, kind: str, item_id: int) -> Optional[bytes]:
+        """The encoded live state of an item whose member is kept (the
+        member with its id taken out again), or None."""
+        member = (self._objects if kind == "o" else self._relationships).get(item_id)
+        return None if member is None else _unspliced(kind, item_id, member)
 
     def _lists(self, db: SeedDatabase) -> tuple[list[bytes], ...]:
         """The fragments of *db*'s objects, relationships and cells in
@@ -887,7 +921,11 @@ class ImageFragments:
             _cached(
                 self._cells, store.keys(),
                 lambda key: _cell_json(key, [
-                    (version, _encode_state(key[0], state)[0], materialized)
+                    (
+                        _version_json(version),
+                        _encode_state(key[0], state)[0],
+                        materialized,
+                    )
                     for version, state, materialized in store.entries_of(key)
                 ]),
             ),

@@ -20,6 +20,14 @@ every frame the journal wrote must hold canonical JSON. A save point
 after the load and the baseline version, or after an edit, encodes no
 item state: the records already did.
 
+A commit and the version that follows it freeze and encode each item
+once: ``create_version`` records the states the ``txn`` record froze
+and writes the bytes it encoded. After every ``create_version`` of the
+histories, and after each kind of write that must make that reuse
+decline, every state recorded at the new version equals a fresh
+``freeze()`` of its item, and the ``version`` frame equals the record
+:func:`version_delta_from_db` builds without fragments.
+
 The same histories carry the rollback oracle: after every rolled-back
 unit of work — a refused single update, a transaction abandoned,
 poisoned or refused at commit, a failing bulk batch — the image, the
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -39,6 +48,8 @@ import pytest
 from repro.core import SeedDatabase, figure3_schema
 from repro.core.errors import RecoveryWarning, SeedError
 from repro.core.faults import FaultPlan
+from repro.core.objects import SeedObject
+from repro.core.relationships import SeedRelationship
 from repro.core.storage import (
     JournaledDatabase,
     RecordFile,
@@ -46,12 +57,15 @@ from repro.core.storage import (
     save_database,
 )
 from repro.core.storage import serialize
+from repro.core.storage.engine import _delta_record
 from repro.core.storage.recordfile import _frame
 from repro.core.storage.serialize import (
+    ImageFragments,
     _cell_record,
     _object_record,
     _relationship_record,
     iter_image_records,
+    version_delta_from_db,
 )
 from repro.core.versions.compaction import RetentionPolicy
 from repro.multiuser import SeedServer
@@ -117,6 +131,24 @@ def stale_fragments(journal) -> list:
     return stale
 
 
+def check_version_record(journal, vid) -> None:
+    """The encode-once oracle, right after ``create_version`` made *vid*:
+    every state recorded (not materialized) at *vid* is its item's live
+    state, and the journal's last frame is the ``version`` record built
+    from scratch, with no fragment."""
+    db = journal.db
+    items = {"o": db._objects, "r": db._relationships}  # noqa: SLF001
+    for (kind, item_id), state, materialized in db.versions.store.states_at(vid):
+        if not materialized:
+            assert state == items[kind][item_id].freeze(), (
+                f"{vid} recorded a stale state of {(kind, item_id)}"
+            )
+    seq = journal._next_seq - 1  # noqa: SLF001
+    assert last_frame_payload(journal.path) == _delta_record(
+        "version", seq, version_delta_from_db(db, vid)
+    ), f"the version record of {vid} is not the from-scratch encode"
+
+
 class History:
     """Seeded random mutations of one journaled figure-3 database.
 
@@ -134,6 +166,8 @@ class History:
         self.server = SeedServer(journal=self.journal)
         self.counter = 0
         self.judged: set[bytes] = set()  # frame payloads already checked
+        #: versions that recorded a state the last commit had frozen
+        self.reused_states = 0
 
     @property
     def db(self) -> SeedDatabase:
@@ -324,9 +358,34 @@ class History:
         client.check_in()
         self.server.disconnect(client.client_id)
 
+    def create_version(self) -> None:
+        """``create_version``, then the encode-once oracle."""
+        db = self.db
+        kept = db._committed  # noqa: SLF001
+        vid = db.create_version()
+        check_version_record(self.journal, vid)
+        if kept is not None:
+            cells = db.versions.store._cells  # noqa: SLF001
+            self.reused_states += any(
+                cells.get(key, {}).get(vid) is state for key, state in kept[1].items()
+            )
+
     def version(self) -> None:
         if self.db.has_unsaved_changes():
-            self.db.create_version()
+            self.create_version()
+
+    def commit_and_version(self) -> None:
+        """A unit of edits committed, then a version at once."""
+        if self.rng.random() < 0.5:
+            self.edit()
+        else:
+            with self.db.transaction():
+                for __ in range(self.rng.randrange(1, 4)):
+                    try:
+                        self.edit()
+                    except SeedError:
+                        pass
+        self.create_version()
 
     def select(self) -> None:
         versions = self.db.saved_versions()
@@ -383,7 +442,8 @@ class History:
         steps = [
             ("edit", 30), ("transaction", 10), ("pattern_transaction", 5),
             ("cycle", 2), ("bulk", 6),
-            ("check_in", 5), ("version", 8), ("select", 3), ("migrate", 1),
+            ("check_in", 5), ("version", 8), ("commit_and_version", 4),
+            ("select", 3), ("migrate", 1),
             ("compact_versions", 3), ("drop_version", 2), ("save_point", 4),
         ]
         name = self.rng.choices(
@@ -396,8 +456,26 @@ class History:
         return name
 
 
+@pytest.fixture
+def reused_bytes(monkeypatch) -> list:
+    """The encoded states a ``version`` record took from kept members."""
+    taken: list = []
+    real = ImageFragments.state_of
+
+    def state_of(self, kind, item_id):
+        state = real(self, kind, item_id)
+        if state is not None:
+            taken.append(state)
+        return state
+
+    monkeypatch.setattr(ImageFragments, "state_of", state_of)
+    return taken
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_cached_payload_equals_the_full_encode_after_every_step(seed, tmp_path):
+def test_cached_payload_equals_the_full_encode_after_every_step(
+    seed, tmp_path, reused_bytes
+):
     history = History(seed, tmp_path)
     journal, db = history.journal, history.db
     for index in range(120):
@@ -413,6 +491,9 @@ def test_cached_payload_equals_the_full_encode_after_every_step(seed, tmp_path):
             assert payload == RecordFile.encode(json.loads(payload)), (
                 f"{where} wrote a frame that is not canonical JSON"
             )
+    # the version oracle above judged reused states and bytes
+    assert history.reused_states > 0, "no version reused a committed state"
+    assert reused_bytes, "no version record reused an encoded state"
     history.save_point()
     reopened = JournaledDatabase.open(history.path)
     assert full_image(reopened.db) == full_image(history.db)
@@ -697,3 +778,170 @@ def test_sinks_are_unarmed_unless_a_journal_is_bound(tmp_path):
     assert db.versions.store._cell_sink is not None  # noqa: SLF001
     journal.checkpoint()
     assert last_frame_payload(journal.path) == full_image(db)
+
+
+# -- a commit and the version that follows it: each state once -------------
+
+
+@pytest.fixture
+def freeze_spy(monkeypatch) -> list:
+    """Every ``freeze()`` of a live item, as ``(key, state)``."""
+    frozen: list = []
+    for cls, kind, id_of in (
+        (SeedObject, "o", lambda obj: obj.oid),
+        (SeedRelationship, "r", lambda rel: rel.rid),
+    ):
+        def freeze(item, real=cls.freeze, kind=kind, id_of=id_of):
+            state = real(item)
+            frozen.append(((kind, id_of(item)), state))
+            return state
+
+        monkeypatch.setattr(cls, "freeze", freeze)
+    return frozen
+
+
+def _each_once(freeze_spy, encode_spy, keys) -> None:
+    """Each of *keys* was frozen once, and the kernel encoded exactly
+    those frozen states, each once."""
+    assert Counter(key for key, __ in freeze_spy) == dict.fromkeys(keys, 1), (
+        "an item was frozen more than once"
+    )
+    encoded = sorted(id(state) for __, state in encode_spy.states)
+    assert encoded == sorted(id(state) for __, state in freeze_spy), (
+        "the kernel encoded a state more than once"
+    )
+
+
+def test_a_load_and_its_baseline_freeze_and_encode_each_item_once(
+    tmp_path, encode_spy, freeze_spy
+):
+    """The bulk load's ``txn`` record freezes and encodes every item; the
+    baseline version records those states and writes those bytes."""
+    journal = JournaledDatabase.open(
+        tmp_path / "spec.seed", schema=spades_schema(), name="spec"
+    )
+    db = journal.db
+    encode_spy.clear()
+    load_into_spades(
+        generate_spec(SpecShape(actions=30, data=15, flows=45), seed=4),
+        SpadesTool(db=db),
+    )
+    vid = db.create_version()
+    keys = [("o", oid) for oid in db._objects] + [  # noqa: SLF001
+        ("r", rid) for rid in db._relationships  # noqa: SLF001
+    ]
+    assert len(keys) > 150
+    _each_once(freeze_spy, encode_spy, keys)
+    check_version_record(journal, vid)
+
+
+def test_a_transaction_and_its_version_freeze_and_encode_each_item_once(
+    tmp_path, encode_spy, freeze_spy
+):
+    """After the before-images, a transaction's ``txn`` record and the
+    version created next freeze and encode each touched item once."""
+    journal = JournaledDatabase.open(tmp_path / "j.seed", schema=figure3_schema())
+    db = journal.db
+    actions = [db.create_object("Action", f"A{index}") for index in range(4)]
+    data = [db.create_object("Data", f"D{index}") for index in range(4)]
+    for action in actions:
+        action.add_sub_object("Description", "first")
+    access = db.relate("Access", {"data": data[0], "by": actions[0]})
+    db.create_version()
+    with db.transaction() as txn:
+        db.set_value(actions[1].sub_objects("Description")[0], "edited")
+        db.rename(data[1], "Renamed")
+        db.create_object("Action", "Fresh").add_sub_object("Description", "new")
+        db.relate("Access", {"data": data[2], "by": actions[2]})
+        db.delete(access)
+        db.reclassify(data[3], "InputData")
+        # the before-images above are the rollback log, not the records
+        freeze_spy.clear()
+        encode_spy.clear()
+    vid = db.create_version()
+    assert len(txn.touched) >= 6
+    _each_once(freeze_spy, encode_spy, txn.touched)
+    check_version_record(journal, vid)
+
+
+def _write_between(tmp_path, write):
+    """Commit edits, run *write*, then create a version; returns the
+    journal and the version for :func:`check_version_record`."""
+    journal = JournaledDatabase.open(tmp_path / "j.seed", schema=figure3_schema())
+    db = journal.db
+    for index in range(4):
+        db.create_object("Action", f"A{index}").add_sub_object("Description", "v1")
+        db.create_object("Data", f"D{index}")
+    db.delete(db.get_object("D3"))  # a tombstone compaction can collect
+    db.create_version()
+    description = db.get_object("A0").sub_objects("Description")[0]
+    db.set_value(description, "v2")
+    db.create_version()
+    with db.transaction():
+        db.set_value(description, "committed")
+        db.rename(db.get_object("A1"), "Renamed")
+        db.create_object("Data", "Fresh")
+    write(journal, description)
+    return journal, db.create_version()
+
+
+def _edit_outside(journal, description) -> None:
+    journal.db.set_value(description, "outside")
+
+
+def _roll_back(journal, description) -> None:
+    with pytest.raises(RuntimeError):
+        with journal.db.transaction():
+            journal.db.set_value(description, "rolled back")
+            journal.db.rename(journal.db.get_object("Renamed"), "Gone")
+            raise RuntimeError("abandon the transaction")
+
+
+def _check_in(journal, description) -> None:
+    """The server applies it with the journal's txn sink suspended: no
+    ``txn`` record, so nothing replaces the states the commit kept."""
+    server = SeedServer(journal=journal)
+    client = server.connect("remote")
+    local = client.check_out("A0", "Renamed")
+    for action in local.objects("Action"):
+        for described in action.sub_objects("Description"):
+            local.set_value(described, "edited remotely")
+    client.check_in()
+    server.disconnect(client.client_id)
+    assert description.value == "edited remotely"
+
+
+def _migrate(journal, description) -> None:
+    schema = journal.db.schema.copy("v2")
+    schema.entity_class("Data").add_dependent("Note", "0..1")
+    journal.db.migrate_schema(schema)
+
+
+def _restore(journal, description) -> None:
+    """A raw restore of the first version leaves the live items unlike
+    the chain the next version materializes: a kept member of such an
+    item (the save point fills them) is not that version's state."""
+    db = journal.db
+    db.versions.retention = RetentionPolicy(snapshot_interval=1)
+    db.restore_from_view(db.version_view(db.saved_versions()[0]))
+    journal.checkpoint()
+    # the restore replaced the records: held handles are stale
+    assert db.get_object("A0").sub_objects("Description")[0].value == "v1"
+
+
+def _collect_tombstones(journal, description) -> None:
+    stats = journal.db.compact(RetentionPolicy(keep_last=0, gc_tombstones=True))
+    assert stats.collected_objects == 1
+
+
+@pytest.mark.parametrize(
+    "write",
+    [_edit_outside, _roll_back, _check_in, _migrate, _restore, _collect_tombstones],
+    ids=lambda write: write.__name__.lstrip("_"),
+)
+def test_a_write_after_the_commit_makes_the_version_record_what_is_live(
+    tmp_path, write
+):
+    journal, vid = _write_between(tmp_path, write)
+    assert journal.db._committed is None  # noqa: SLF001 - released
+    check_version_record(journal, vid)
