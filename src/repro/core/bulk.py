@@ -50,10 +50,11 @@ falls back to the retained full scan.
     its policy:
 
     * :func:`load_item_states` — **wholesale replace** (registries
-      emptied first, one index rebuild after): version checkout
-      (``restore_from_view``), the image decoder
-      (``database_from_records``, which ``database_from_dict`` feeds),
-      replay of ``restore`` deltas, multi-user check-out;
+      emptied first, one index rebuild after): the one restore
+      (``SeedDatabase._restore``: ``restore_from_view``,
+      ``select_version`` and the replay of ``restore`` deltas), the
+      image decoder (``database_from_records``, which
+      ``database_from_dict`` feeds), multi-user check-out;
     * ``serialize.apply_txn_delta`` — **upsert** of a journaled
       transaction's after-states (indexes marked stale);
     * ``serialize.ingest_image_records`` — **insert-only** ingest of
@@ -76,8 +77,8 @@ falls back to the retained full scan.
     lane grew it by :data:`PROMOTE_AT`, move everything into the oldest
     generation in O(1) instead of walking it once per generation. A
     smaller lane only pauses: a promotion keeps tuples of atoms tracked
-    and ages the host's young garbage. Off the rule:
-    ``restore_from_view`` (it drops a whole database; unmeasured),
+    and ages the host's young garbage. Off the rule: a live restore
+    (it drops a whole database; unmeasured),
     ``materialize_ticket`` and a lone ``apply_txn_delta`` (small,
     short-lived copies, once per service cycle).
 """

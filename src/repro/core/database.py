@@ -316,10 +316,14 @@ class SeedDatabase:
         #:   rolled-back transactions never reach the sink;
         #: * ``"schema"`` — a completed :meth:`migrate_schema` (payload:
         #:   ``(new_schema, schema_version_index)``);
-        #: * ``"restore"`` — a completed :meth:`restore_from_view`
-        #:   (payload: the restored version id string or ``None``);
-        #: * ``"version"`` — a completed :meth:`create_version`
-        #:   (payload: the new :class:`VersionId`).
+        #: * ``"restore"`` — a completed :meth:`restore_from_view` or
+        #:   :meth:`select_version` (payload: the base moved to, or
+        #:   ``None``);
+        #: * ``"version"`` / ``"delete_version"`` — a completed
+        #:   :meth:`create_version` / :meth:`delete_version` (payload:
+        #:   the :class:`VersionId`);
+        #: * ``"compact"`` — a :meth:`compact` pass that changed
+        #:   something (payload: the resolved ``RetentionPolicy``).
         #:
         #: A journal-bound database (:class:`~repro.core.storage.engine.
         #: JournaledDatabase`) hooks this to append one write-ahead
@@ -334,8 +338,8 @@ class SeedDatabase:
         #: item's fragment)
         self._state_sink: Optional[Callable[[ItemKey], None]] = None
         #: goes up wherever live item state may change: on entry to every
-        #: primitive update, in every rollback, in ``wire_item_states``,
-        #: ``migrate_schema`` and tombstone collection. Equal values mean
+        #: primitive update, in every rollback and record drop, in
+        #: ``wire_item_states`` and every schema binding. Equal values mean
         #: an unchanged database (the process scan pool's snapshot key,
         #: and the guard of :attr:`_committed`)
         self._writes = 0
@@ -599,8 +603,7 @@ class SeedDatabase:
         dirty = self._dirty
         for key, (item, operations) in txn.touched.items():
             if "create" in operations:
-                self._withdraw(item)
-                self._unregister(item)
+                self._drop_record(item)
                 dirty.discard(key)
         restored = []
         for item, state in txn.before.values():
@@ -646,8 +649,11 @@ class SeedDatabase:
         for pattern_oid in item.inherited_patterns:
             self.patterns.unregister_inheritance(pattern_oid, item.oid)
 
-    def _unregister(self, item: Item) -> None:
-        """Drop a created item's record (its entries already withdrawn)."""
+    def _drop_record(self, item: Item) -> None:
+        """Withdraw an item's entries and drop its record: a created
+        item on rollback, a dead one in tombstone collection."""
+        self._writes += 1
+        self._withdraw(item)
         if isinstance(item, SeedObject):
             del self._objects[item.oid]
             if item.parent is not None:
@@ -1515,7 +1521,9 @@ class SeedDatabase:
 
     def delete_version(self, version: str | VersionId) -> None:
         """Delete a leaf version."""
-        self.versions.delete_version(version)
+        vid = VersionId.parse(version)
+        self.versions.delete_version(vid)
+        self._emit_change("delete_version", vid)
 
     def compact(self, policy: Optional[RetentionPolicy] = None) -> CompactionStats:
         """Compact the version store (chain squashing + snapshots).
@@ -1523,13 +1531,18 @@ class SeedDatabase:
         Uses :attr:`VersionManager.retention` unless *policy* is given;
         see :mod:`repro.core.versions.compaction` for the knobs. Views
         of every surviving version are unchanged. Returns the pass's
-        :class:`~repro.core.versions.compaction.CompactionStats`.
+        :class:`~repro.core.versions.compaction.CompactionStats`; a
+        pass that changed something is a ``"compact"`` change event.
         """
         if self._txn is not None:
             raise TransactionError("cannot compact inside a transaction")
         if self._bulk is not None:
             raise TransactionError("cannot compact inside a bulk batch")
-        return self.versions.compact(policy)
+        policy = policy or self.versions.retention
+        stats = self.versions.compact(policy)
+        if stats.changed:
+            self._emit_change("compact", policy)
+        return stats
 
     def saved_versions(self) -> list[VersionId]:
         """All saved versions in creation order."""
@@ -1575,30 +1588,37 @@ class SeedDatabase:
         self._dirty.clear()
 
     def restore_from_view(self, view: VersionView) -> None:
-        """Replace the live state with a saved version's state.
+        """Replace the live state with a saved version's state; the
+        version base stays where it is (:meth:`select_version` moves it).
 
         Live object/relationship handles held by callers become stale;
-        re-fetch by name. (Version-manager hook; use
-        :meth:`select_version`.) One-shot: the state materializer of
+        re-fetch by name.
+        """
+        self._restore(*view.states())
+
+    def _restore(
+        self,
+        object_states: Iterable[tuple[int, Any]],
+        relationship_states: Iterable[tuple[int, Any]],
+        base: Optional[VersionId] = None,
+        next_id_floor: int = 0,
+    ) -> None:
+        """The one restore: replace every item from frozen states, and
+        move the version base to *base* unless it is None. Serves
+        :meth:`restore_from_view`, ``select_version`` and the replay of
+        a ``restore`` record. One-shot: the state materializer of
         :mod:`repro.core.bulk` wires everything and rebuilds the
         pattern/index layers exactly once.
         """
         self._dirty.clear()
         load_item_states(
-            self,
-            (
-                (view_obj.oid, view_obj.state)
-                for view_obj in view.objects(include_patterns=True)
-            ),
-            (
-                (view_rel.rid, view_rel.state)
-                for view_rel in view.relationships()
-            ),
-            next_id_floor=self._next_id,
+            self, object_states, relationship_states,
+            next_id_floor=max(next_id_floor, self._next_id),
         )
         self.completeness.invalidate()
-        version = getattr(view, "version", None)
-        self._emit_change("restore", str(version) if version else None)
+        if base is not None:
+            self.versions.current_base = base
+        self._emit_change("restore", base)
 
     # ------------------------------------------------------------------
     # schema evolution
@@ -1617,59 +1637,48 @@ class SeedDatabase:
         if self._bulk is not None:
             raise TransactionError("cannot migrate the schema inside a bulk batch")
         new_schema.check()
-        self._writes += 1
         old_schema = self.schema
-        old_classes = {
-            obj.oid: obj.entity_class.full_name for obj in self._objects.values()
-        }
-        old_associations = {
-            rel.rid: rel.association.name for rel in self._relationships.values()
-        }
         try:
-            for obj in self._objects.values():
-                obj.entity_class = new_schema.entity_class(
-                    old_classes[obj.oid]
-                )
-            for rel in self._relationships.values():
-                rel.association = new_schema.association(
-                    old_associations[rel.rid]
-                )
-            self.schema = new_schema
-            # hierarchy shapes (and with them extent keys and family
-            # roots) may have changed: recompute the index layer before
-            # re-validating under the new schema
-            self.indexes.rebuild()
+            self._bind_schema(new_schema)
             violations = self.check_consistency()
             if violations:
                 raise _consistency_error(
                     "existing data violates the new schema", violations
                 )
         except (SchemaError, ConsistencyError):
-            # roll the rebinding back
-            self.schema = old_schema
-            for obj in self._objects.values():
-                obj.entity_class = old_schema.entity_class(old_classes[obj.oid])
-            for rel in self._relationships.values():
-                rel.association = old_schema.association(old_associations[rel.rid])
-            self.indexes.rebuild()
+            self._bind_schema(old_schema)
             raise
-        # every live item now depends on the new schema version; the
-        # completeness rules changed wholesale with the schema, so the
-        # incremental gap map re-primes on the next check
+        index = self._schema_adopted(new_schema)
+        self._emit_change("schema", (new_schema, index))
+        return index
+
+    def _bind_schema(self, schema: Schema) -> None:
+        """Re-bind every item to *schema*'s element of the same name and
+        rebuild the index layer (hierarchy shapes, and with them extent
+        keys and family roots, may differ). Serves a migration, its
+        revert (items bound by a failed migration are re-bound too) and
+        the replay of a ``schema`` record."""
+        self._writes += 1
         for obj in self._objects.values():
-            self._dirty.add(("o", obj.oid))
+            obj.entity_class = schema.entity_class(obj.entity_class.full_name)
         for rel in self._relationships.values():
-            self._dirty.add(("r", rel.rid))
+            rel.association = schema.association(rel.association.name)
+        self.schema = schema
+        self.indexes.rebuild()
+
+    def _schema_adopted(self, schema: Schema) -> int:
+        """Make the bound *schema* the current schema version; returns
+        its index. Every item now depends on it, the completeness rules
+        changed wholesale (the gap map re-primes on the next check), and
+        cached query plans were optimized against the old schema's
+        elements and statistics."""
+        self._dirty.update(("o", oid) for oid in self._objects)
+        self._dirty.update(("r", rid) for rid in self._relationships)
         self.completeness.invalidate()
-        # cached query plans were optimized against the old schema's
-        # element identities and statistics; drop them (the planner's
-        # cache also keys on the schema epoch this call advances)
         plan_cache = getattr(self, "_plan_cache", None)
         if plan_cache is not None:
             plan_cache.clear()
-        index = self.versions.register_schema_version(new_schema)
-        self._emit_change("schema", (new_schema, index))
-        return index
+        return self.versions.register_schema_version(schema)
 
     # ------------------------------------------------------------------
     # helpers

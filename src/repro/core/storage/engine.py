@@ -16,14 +16,15 @@ in one journal file:
   (:class:`~repro.core.storage.serialize.ImageFragments`), which
   :func:`save_database` encodes afresh and the journal keeps. A state is
   encoded once, when it is journaled: the fragment is *filled* where a
-  record encodes the state — every item a ``txn`` record carries, with
-  its id spliced into the state kernel's bytes, and every cell a
-  ``version`` record opens — and *dropped* elsewhere state is written:
-  every key a unit of work touched (committed or rolled back, check-in
-  applies included), every item ``wire_item_states`` thawed (replay),
-  every cell a :class:`~repro.core.versions.store.VersionStore` writer
-  changed (a cell that gains a second entry, compaction), all live
-  items on a ``restore`` or ``schema`` event. A state is frozen once
+  record encodes the state — every item a ``txn`` or ``restore``
+  record carries, with its id spliced into the state kernel's bytes,
+  and every cell a ``version`` record opens — and *dropped* elsewhere
+  state is written: every key a unit of work touched (committed or
+  rolled back, check-in applies included), every item
+  ``wire_item_states`` thawed (a restore, replay), every cell a
+  :class:`~repro.core.versions.store.VersionStore` writer changed (a
+  cell that gains a second entry, compaction). A schema migration
+  re-binds items by name, so no encoded state changes. A state is frozen once
   too: the version created right after a commit stores the states the
   ``txn`` record froze (``SeedDatabase.keep_committed_states``, valid
   while nothing has been written since), and its ``version`` record
@@ -52,11 +53,15 @@ in one journal file:
 * **mutation deltas** — the non-transactional mutators journal
   through the same seam: ``{"kind": "schema", ...}`` (a completed
   ``migrate_schema``: the serialized new schema + migration stats),
-  ``{"kind": "restore", ...}`` (a completed ``restore_from_view``:
-  the restored view delta), ``{"kind": "version", ...}`` (a completed
-  ``create_version``: the snapshot's recorded cells). Each appends
-  exactly one record before control returns, so these operations are
-  durable with **zero** checkpoints.
+  ``{"kind": "restore", ...}`` (a completed ``restore_from_view`` or
+  ``select_version``: the restored items and the base moved to, or
+  null), ``{"kind": "version", ...}`` (a completed ``create_version``:
+  the snapshot's recorded cells), ``{"kind": "delete_version", ...}``
+  (the deleted version id), ``{"kind": "compact", ...}`` (a
+  ``SeedDatabase.compact`` pass that changed something: the resolved
+  ``RetentionPolicy``, pins included). Each appends exactly one record
+  before control returns, so these operations are durable with
+  **zero** checkpoints.
 
 Recovery contract (shared by :func:`load_database` and
 :meth:`JournaledDatabase.open`, built on the salvage scan of
@@ -74,9 +79,12 @@ Recovery contract (shared by :func:`load_database` and
    marker was lost re-fails deterministically); txn deltas as direct
    state upserts of their committed after-states (``thaw``-based, via
    :func:`repro.core.bulk.wire_item_states` — as is the base load and
-   restore replay); schema, restore, and version deltas through their
-   :mod:`~repro.core.storage.serialize` appliers, interleaved exactly
-   where they committed.
+   restore replay); the other kinds interleaved exactly where they
+   committed. **Replay runs the live code:** each kind's applier (the
+   ``_REPLAY`` table) decodes its record and calls the routine the
+   live operation ran — ``_bind_schema`` / ``_schema_adopted``,
+   ``_restore``, ``VersionManager.add_version`` / ``delete_version``
+   / ``compact`` — and keeps no bookkeeping of its own.
 3. Replay stops at the first corrupt region after the base: deltas
    beyond a gap may depend on the lost record, so applying them could
    not be prefix-consistent. They are counted, not applied.
@@ -175,6 +183,7 @@ from repro.core.storage.serialize import (
     txn_delta_from_txn,
     version_delta_from_db,
 )
+from repro.core.versions.compaction import RetentionPolicy
 
 __all__ = [
     "save_database",
@@ -186,25 +195,50 @@ __all__ = [
     "KNOWN_RECORD_KINDS",
 ]
 
+
+def _apply_checkin(db: SeedDatabase, delta: dict, registry: Any) -> bool:
+    """Apply one check-in package in its own transaction; False when it
+    fails (a live abort whose marker did not survive re-fails
+    deterministically here — same committed state either way)."""
+    # imported lazily: the storage layer stays import-independent of
+    # the multiuser package except on this replay path
+    from repro.multiuser.checkin import package_from_dict
+
+    package = package_from_dict(delta)  # a malformed package raises
+    try:
+        with db.transaction():
+            package.apply_to(db)
+    except SeedError:
+        return False
+    return True
+
+
+#: the replay table: delta kind -> (applier ``(db, delta, registry)``,
+#: the :class:`RecoveryInfo` counter it bumps). Each applier runs the
+#: code the live operation ran; the lambdas look the serialize appliers
+#: up per call, so a wrapper installed on this module's names is used
+_CHANGE = "applied_change_deltas"
+_REPLAY: dict[str, tuple[Callable[[SeedDatabase, Any, Any], Any], str]] = {
+    "checkin": (_apply_checkin, "applied_deltas"),
+    "txn": (lambda db, delta, __: apply_txn_delta(db, delta), "applied_txn_deltas"),
+    "schema": (lambda db, delta, reg: apply_schema_delta(db, delta, reg), _CHANGE),
+    "restore": (lambda db, delta, __: apply_restore_delta(db, delta), _CHANGE),
+    "version": (lambda db, delta, __: apply_version_delta(db, delta), _CHANGE),
+    "delete_version": (
+        lambda db, delta, __: db.versions.delete_version(delta["version"]), _CHANGE,
+    ),
+    "compact": (
+        lambda db, delta, __: db.versions.compact(RetentionPolicy(**delta)), _CHANGE,
+    ),
+}
 #: record kinds the replay window treats as deltas (anything of these
 #: kinds stranded past a corrupt gap counts as skipped)
-_DELTA_KINDS = ("checkin", "txn", "schema", "restore", "version")
+_DELTA_KINDS = frozenset(_REPLAY)
 #: every record kind this build understands; anything else in the
 #: replay window is an unknown-future-kind record (skip + surface)
-KNOWN_RECORD_KINDS = frozenset(
-    {
-        "image",
-        "image.begin",
-        "image.rec",
-        "image.end",
-        "checkin",
-        "checkin.abort",
-        "txn",
-        "schema",
-        "restore",
-        "version",
-    }
-)
+KNOWN_RECORD_KINDS = _DELTA_KINDS | {
+    "checkin.abort", "image", "image.begin", "image.rec", "image.end",
+}
 
 
 @dataclass(frozen=True)
@@ -499,11 +533,6 @@ def _load_journal_state(
         if isinstance(event.record, dict)
         and event.record.get("kind") == "checkin.abort"
     }
-    # imported lazily: the delta payload is a multi-user check-in
-    # package; the storage layer stays import-independent of the
-    # multiuser package except on this replay path
-    from repro.multiuser.checkin import package_from_dict
-
     for event in window:
         record = event.record
         if not isinstance(record, dict):
@@ -511,25 +540,7 @@ def _load_journal_state(
             info.unknown_kinds.append("<not a record object>")
             continue
         kind = record.get("kind")
-        if kind == "txn":
-            # committed after-states of a direct transaction: validated
-            # when they committed, so replay is a plain state upsert
-            apply_txn_delta(db, record["delta"])
-            info.applied_txn_deltas += 1
-            continue
-        if kind == "schema":
-            apply_schema_delta(db, record["delta"], registry)
-            info.applied_change_deltas += 1
-            continue
-        if kind == "restore":
-            apply_restore_delta(db, record["delta"])
-            info.applied_change_deltas += 1
-            continue
-        if kind == "version":
-            apply_version_delta(db, record["delta"])
-            info.applied_change_deltas += 1
-            continue
-        if kind != "checkin":
+        if kind not in _REPLAY:
             if kind not in KNOWN_RECORD_KINDS:
                 # a future build's record: skipping it keeps the load
                 # prefix-consistent *as this build understands state*;
@@ -540,19 +551,12 @@ def _load_journal_state(
             # incomplete streamed checkpoint (crash mid-stream): state
             # no-ops, skipped silently like a torn tail
             continue
-        if record.get("seq") in aborted_seqs:
-            info.aborted_deltas += 1
-            continue
-        package = package_from_dict(record["delta"])
-        try:
-            with db.transaction():
-                package.apply_to(db)
-        except SeedError:
-            # a live abort whose marker did not survive re-fails
-            # deterministically here — same committed state either way
-            info.aborted_deltas += 1
-        else:
-            info.applied_deltas += 1
+        apply, counter = _REPLAY[kind]
+        if kind == "checkin" and record.get("seq") in aborted_seqs:
+            counter = "aborted_deltas"
+        elif apply(db, record["delta"], registry) is False:
+            counter = "aborted_deltas"
+        setattr(info, counter, getattr(info, counter) + 1)
     return db, info, max_seq + 1
 
 
@@ -594,9 +598,9 @@ class JournaledDatabase:
         journal.save_point()          # checkpoint, then compact
 
     Binding installs the database's change sink: every committed
-    mutation — direct transaction, schema migration, version restore,
-    version creation — appends a write-ahead delta before control
-    returns to the caller (rollbacks append nothing). With a
+    mutation — direct transaction, schema migration, restore, version
+    creation or deletion, compaction — appends a write-ahead delta
+    before control returns to the caller (rollbacks append nothing). With a
     *byte_budget*, each post-commit append also enforces the budget —
     see :meth:`enforce_budget`.
 
@@ -830,9 +834,6 @@ class JournaledDatabase:
         — draining any buffered txns in the same fsync'd batch — before
         returning.
         """
-        if kind in ("restore", "schema"):
-            # every live item was rewritten or re-bound
-            self._fragments.items_replaced()
         if self._sink_suspended:
             return
         if kind == "txn":
@@ -844,7 +845,14 @@ class JournaledDatabase:
                 schema_delta_from_migration(self.db, new_schema, index)
             )
         elif kind == "restore":
-            delta = RecordFile.encode(restore_delta_from_db(self.db, payload))
+            # every restored item's member is kept from the record's bytes
+            delta = restore_delta_from_db(self.db, payload, self._fragments)
+        elif kind == "delete_version":
+            delta = RecordFile.encode({"version": str(payload)})
+        elif kind == "compact":
+            delta = RecordFile.encode(
+                {**vars(payload), "pins": sorted(map(str, payload.pins))}
+            )
         elif kind == "version":
             # recorded live states reuse their kept members' bytes, and
             # the cells this version opened keep the bytes the record has

@@ -473,6 +473,18 @@ def _unspliced(kind: str, item_id: int, member: bytes) -> bytes:
     return member[:at] + member[at + len(tag):]
 
 
+def _state_pair(
+    kind: str, item_id: int, state: Any, fragments: Optional[ImageFragments]
+) -> bytes:
+    """``[id, state]`` as a ``txn`` or ``restore`` delta lists an item,
+    from the state kernel's bytes. With *fragments*, the item's image
+    member is kept there, made from the same bytes."""
+    blob, split = _encode_state(kind, state)
+    if fragments is not None:
+        fragments.keep_item(kind, item_id, blob, split)
+    return b"[%d,%b]" % (item_id, blob)
+
+
 def _version_json(version: VersionId) -> bytes:
     """A version id as the JSON string a record or a cell holds."""
     return _quote(str(version)).encode("ascii")
@@ -528,10 +540,7 @@ def txn_delta_from_txn(
     for key in keys:
         kind, item_id = key
         frozen[key] = state = touched[key][0].freeze()
-        blob, split = _encode_state(kind, state)
-        items[kind].append(b"[%d,%b]" % (item_id, blob))
-        if fragments is not None:
-            fragments.keep_item(kind, item_id, blob, split)
+        items[kind].append(_state_pair(kind, item_id, state, fragments))
     db.keep_committed_states(frozen)
     dirty = db._dirty  # noqa: SLF001 - dirty parity is part of the delta
     return b'{"dirty":[%b],"objects":[%b],"relationships":[%b]}' % (
@@ -573,7 +582,9 @@ def apply_txn_delta(db: SeedDatabase, delta: dict) -> int:
 
 # ---------------------------------------------------------------------------
 # non-transactional mutation deltas (``schema`` / ``restore`` / ``version``
-# journal records) — the change-event payloads of the generalized seam
+# journal records) — the change-event payloads of the generalized seam.
+# Each applier decodes its record and calls the routine the live
+# operation runs; it keeps no bookkeeping of its own
 # ---------------------------------------------------------------------------
 
 def schema_delta_from_migration(
@@ -601,79 +612,57 @@ def apply_schema_delta(
 ) -> int:
     """Replay one ``schema`` delta; returns the schema version index.
 
-    The migration was validated when it committed, so replay re-binds
-    every live item by name without re-running consistency checks —
-    the same direct-upsert stance as :func:`apply_txn_delta`. Mirrors
-    the post-validation effects of
-    :meth:`~repro.core.database.SeedDatabase.migrate_schema`: rebind,
-    index rebuild, whole-database dirty marking, completeness and plan
-    cache invalidation, schema version registration.
+    The migration was validated when it committed, so replay binds the
+    schema and adopts it as ``migrate_schema`` does, without its
+    consistency check.
     """
     new_schema = schema_from_dict(delta["schema"], registry)
-    for obj in db._objects.values():  # noqa: SLF001
-        obj.entity_class = new_schema.entity_class(obj.entity_class.full_name)
-    for rel in db._relationships.values():  # noqa: SLF001
-        rel.association = new_schema.association(rel.association.name)
-    db.schema = new_schema
-    db.indexes.rebuild()
-    for obj in db._objects.values():  # noqa: SLF001
-        db._dirty.add(("o", obj.oid))  # noqa: SLF001
-    for rel in db._relationships.values():  # noqa: SLF001
-        db._dirty.add(("r", rel.rid))  # noqa: SLF001
-    db.completeness.invalidate()
-    plan_cache = getattr(db, "_plan_cache", None)
-    if plan_cache is not None:
-        plan_cache.clear()
-    return db.versions.register_schema_version(new_schema)
+    db._bind_schema(new_schema)  # noqa: SLF001
+    return db._schema_adopted(new_schema)  # noqa: SLF001
 
 
-def restore_delta_from_db(db: SeedDatabase, version: Optional[str]) -> dict:
-    """Serialise one committed view restore (``restore`` record).
+def restore_delta_from_db(
+    db: SeedDatabase,
+    version: Optional[VersionId],
+    fragments: Optional[ImageFragments] = None,
+) -> bytes:
+    """Serialise one committed restore (``restore`` record).
 
-    Captured *after* :meth:`~repro.core.database.SeedDatabase.
-    restore_from_view` replaced the live items, so freezing the live
-    state *is* the restored view delta — the version store itself may
-    be compacted later, so replay must not depend on walking the chain
-    again. *version* is the restored version id (``None`` for a raw
-    view restore outside :meth:`select_version`).
+    Captured *after* the restore replaced the live items, so freezing
+    the live state *is* the restored view delta — the version store
+    may be compacted later, so replay must not walk the chain again.
+    *version* is the base the restore moved to (``None``: it stayed).
+
+    Returns the canonical JSON of ``{"next_id", "objects": [[oid,
+    state], ...], "relationships": [[rid, state], ...], "version"}``,
+    joined as :func:`_state_pair` writes each item.
     """
-    return {
-        "version": version,
-        "objects": [
-            [obj.oid, _object_state_to_dict(obj.freeze())]
+    return b'{"next_id":%d,"objects":[%b],"relationships":[%b],"version":%b}' % (
+        db._next_id,  # noqa: SLF001
+        b",".join([
+            _state_pair("o", obj.oid, obj.freeze(), fragments)
             for obj in db.all_objects_raw()
-        ],
-        "relationships": [
-            [rel.rid, _relationship_state_to_dict(rel.freeze())]
+        ]),
+        b",".join([
+            _state_pair("r", rel.rid, rel.freeze(), fragments)
             for rel in db.all_relationships_raw()
-        ],
-        "next_id": db._next_id,  # noqa: SLF001
-    }
+        ]),
+        b"null" if version is None else _version_json(version),
+    )
 
 
 def apply_restore_delta(db: SeedDatabase, delta: dict) -> int:
-    """Replay one ``restore`` delta; returns the number of items loaded.
-
-    Mirrors :meth:`~repro.core.database.SeedDatabase.restore_from_view`
-    (dirty set cleared, one-shot state materialisation, completeness
-    invalidated) and, when the restore came from
-    :meth:`select_version`, re-bases the version history on the
-    restored version exactly as the live call did.
-    """
-    db._dirty.clear()  # noqa: SLF001
-    load_item_states(
-        db,
-        _decoded("o", delta.get("objects", ())),
-        _decoded("r", delta.get("relationships", ())),
-        next_id_floor=delta.get("next_id", 0),
-    )
-    db.completeness.invalidate()
+    """Replay one ``restore`` delta; returns the number of items loaded."""
+    objects = delta.get("objects", ())
+    relationships = delta.get("relationships", ())
     version = delta.get("version")
-    if version is not None:
-        vid = VersionId.parse(version)
-        if vid in db.versions.tree:
-            db.versions.current_base = vid
-    return len(delta.get("objects", ())) + len(delta.get("relationships", ()))
+    db._restore(  # noqa: SLF001
+        _decoded("o", objects),
+        _decoded("r", relationships),
+        VersionId.parse(version) if version is not None else None,
+        delta.get("next_id", 0),
+    )
+    return len(objects) + len(relationships)
 
 
 def version_delta_from_db(
@@ -737,25 +726,23 @@ def version_delta_from_db(
 def apply_version_delta(db: SeedDatabase, delta: dict) -> VersionId:
     """Replay one ``version`` delta; returns the recreated version id.
 
-    Mirrors :meth:`~repro.core.versions.manager.VersionManager.
-    create_version` from its recorded outcome: tree node, stored cell
-    states (with materialisation/snapshot markers), schema version
-    stamp, the dirty-set clear, and the current base moving to the new
-    version.
+    The version enters the history through :meth:`~repro.core.versions.
+    manager.VersionManager.add_version`, as in ``create_version``, with
+    the recorded cells, their materialized marks and the snapshot mark.
     """
     vid = VersionId.parse(delta["version"])
-    parent = VersionId.parse(delta["parent"]) if delta.get("parent") else None
-    manager = db.versions
-    manager.tree.add(vid, parent)
-    for cell in delta.get("cells", ()):
-        _record_cell_state(db, vid, cell["kind"], cell["id"], cell)
-    if delta.get("snapshot"):
-        manager.store.mark_snapshot(vid)
-    manager.schema_version_of[vid] = delta["schema_version"]
-    # the live call snapshotted *everything* dirty (items deleted by a
-    # rolled-back creation simply stored nothing), then cleared the set
-    db.clear_dirty()
-    manager.current_base = vid
+    cells = delta.get("cells", ())
+    db.versions.add_version(
+        vid,
+        VersionId.parse(delta["parent"]) if delta.get("parent") else None,
+        [
+            ((cell["kind"], cell["id"]), state_from_dict(cell["kind"], cell["state"]))
+            for cell in cells
+        ],
+        delta["schema_version"],
+        [(c["kind"], c["id"]) for c in cells if c.get("materialized")],
+        bool(delta.get("snapshot")),
+    )
     return vid
 
 
@@ -841,11 +828,12 @@ class ImageFragments:
     :func:`database_to_dict` lists — and nothing else: no frozen state
     is kept to compare against. A fragment is *filled* where a journal
     record has just encoded the state, from the same bytes
-    (:meth:`keep_item` for every item a ``txn`` delta carries,
-    :meth:`keep_cell` for every cell a ``version`` delta opens), and
-    *dropped* wherever state is written otherwise: the writer reports
-    the key (:meth:`item_changed`, :meth:`cell_changed`,
-    :meth:`items_replaced`). A kept item member therefore always
+    (:meth:`keep_item` for every item a ``txn`` or ``restore`` delta
+    carries, :meth:`keep_cell` for every cell a ``version`` delta
+    opens), and *dropped* wherever state is written otherwise: the
+    writer reports the key (:meth:`item_changed`, :meth:`cell_changed`).
+    A schema migration writes no encoded state: it re-binds each item
+    to the element of the same name. A kept item member therefore always
     encodes the item's live state, and a ``version`` delta reads it
     back (:meth:`state_of`) for every state it records from a live
     item instead of encoding that state again. :meth:`encode` (the
@@ -876,11 +864,6 @@ class ImageFragments:
     def cell_changed(self, key: ItemKey) -> None:
         """Drop the fragment of a version-store cell that changed."""
         self._cells.pop(key, None)
-
-    def items_replaced(self) -> None:
-        """Drop every live item's fragment (restore, schema migration)."""
-        self._objects.clear()
-        self._relationships.clear()
 
     def keep_item(self, kind: str, item_id: int, state: bytes, split: int) -> None:
         """Keep the member of an item whose current state a record has
@@ -1158,17 +1141,6 @@ def _decode_header(header: dict, registry: Optional[ProcedureRegistry]) -> _Head
     return decoded
 
 
-def _record_cell_state(
-    db: SeedDatabase, version: VersionId, kind: str, item_id: int, entry: dict
-) -> None:
-    """Store one encoded version-cell state (and its materialized mark)."""
-    key = (kind, item_id)
-    store = db.versions.store
-    store.record(version, key, state_from_dict(kind, entry["state"]))
-    if entry.get("materialized"):
-        store.mark_materialized(version, key)
-
-
 @long_lived()
 def database_from_records(
     records: Iterable[dict], registry: Optional[ProcedureRegistry] = None
@@ -1210,14 +1182,16 @@ def database_from_records(
         raise
     for version, parent in header.tree:
         db.versions.tree.add(version, parent)
+    store = db.versions.store
     for record in cursor.section("c"):
         try:
             cell = record["c"]
+            key = (cell["kind"], cell["id"])
             for entry in cell["states"]:
-                _record_cell_state(
-                    db, VersionId.parse(entry["version"]),
-                    cell["kind"], cell["id"], entry,
-                )
+                version = VersionId.parse(entry["version"])
+                store.record(version, key, state_from_dict(key[0], entry["state"]))
+                if entry.get("materialized"):
+                    store.mark_materialized(version, key)
         except _DECODE_ERRORS as exc:
             raise _malformed("version-cell", exc) from exc
     counts = cursor.counts
@@ -1233,7 +1207,7 @@ def database_from_records(
             f"read {counts}"
         )
     for version in header.snapshots:
-        db.versions.store.mark_snapshot(version)
+        store.mark_snapshot(version)
     db.versions.schema_version_of = header.schema_version_of
     db.versions.current_base = header.current_base
     db._dirty = header.dirty  # noqa: SLF001

@@ -117,6 +117,14 @@ class CompactionStats:
     collected_relationships: int = 0
     tombstone_states_dropped: int = 0
 
+    @property
+    def changed(self) -> bool:
+        """True when the pass changed the history or dropped an item."""
+        return bool(
+            self.squashed_versions or self.snapshots_created
+            or self.collected_objects or self.collected_relationships
+        )
+
     def summary(self) -> str:
         """One line for CLI output and logs."""
         line = (
@@ -273,14 +281,7 @@ class Compactor:
             if not store.cell_states_all_deleted(key):
                 continue
             stats.tombstone_states_dropped += store.drop_cell(key)
-            db._writes += 1  # noqa: SLF001
-            del db._relationships[rid]  # noqa: SLF001
-            for endpoint in rel.bound_objects():
-                incident = db._incidence.get(endpoint.oid)  # noqa: SLF001
-                if incident and rid in incident:
-                    incident.remove(rid)
-                    if not incident:
-                        del db._incidence[endpoint.oid]  # noqa: SLF001
+            db._drop_record(rel)  # noqa: SLF001
             stats.collected_relationships += 1
         for oid in sorted(db._objects, reverse=True):  # noqa: SLF001
             obj = db._objects[oid]  # noqa: SLF001
@@ -296,14 +297,7 @@ class Compactor:
             if db.patterns._inheritors.get(oid):  # noqa: SLF001
                 continue  # pragma: no cover - dead patterns have none
             stats.tombstone_states_dropped += store.drop_cell(key)
-            db._writes += 1  # noqa: SLF001
-            del db._objects[oid]  # noqa: SLF001
-            if obj.parent is not None:
-                siblings = obj.parent._children_of_role(  # noqa: SLF001
-                    obj.simple_name
-                )
-                if obj in siblings:
-                    siblings.remove(obj)
+            db._drop_record(obj)  # noqa: SLF001
             stats.collected_objects += 1
         # cells of items with no live record at all (the record was
         # replaced by a checkout/restore): same rule, store side only

@@ -26,7 +26,7 @@ Responsibilities (paper, "Versions"):
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro.core.errors import VersionError
 from repro.core.versions.compaction import (
@@ -35,7 +35,7 @@ from repro.core.versions.compaction import (
     RetentionPolicy,
     auto_snapshot,
 )
-from repro.core.versions.store import ItemKey, VersionStore
+from repro.core.versions.store import ItemKey, ItemState, VersionStore
 from repro.core.versions.tree import VersionTree
 from repro.core.versions.version_id import VersionId
 from repro.core.versions.view import VersionView
@@ -82,14 +82,36 @@ class VersionManager:
             vid = self.tree.next_id(self.current_base)
         else:
             vid = VersionId.parse(version)
-        self.tree.add(vid, self.current_base)
-        dirty_items = self._db.collect_dirty_states()
-        self.store.record_many(vid, dirty_items)
-        self.schema_version_of[vid] = len(self.schema_versions) - 1
-        self._db.clear_dirty()
-        self.current_base = vid
+        self.add_version(
+            vid, self.current_base, self._db.collect_dirty_states(),
+            len(self.schema_versions) - 1,
+        )
         auto_snapshot(self, vid)
         return vid
+
+    def add_version(
+        self,
+        vid: VersionId,
+        parent: Optional[VersionId],
+        states: Iterable[tuple[ItemKey, ItemState]],
+        schema_version: int,
+        materialized: Iterable[ItemKey] = (),
+        snapshot: bool = False,
+    ) -> None:
+        """Enter *vid* as a child of *parent*, holding *states* — the
+        one way a version enters the history, for ``create_version``
+        and the replay of a ``version`` record. The current state is
+        then based on it, with nothing unsaved. *materialized* keys and
+        the *snapshot* mark restore what a consolidation did."""
+        self.tree.add(vid, parent)
+        self.store.record_many(vid, states)
+        for key in materialized:
+            self.store.mark_materialized(vid, key)
+        if snapshot:
+            self.store.mark_snapshot(vid)
+        self.schema_version_of[vid] = schema_version
+        self._db.clear_dirty()
+        self.current_base = vid
 
     # -- compaction --------------------------------------------------------
 
@@ -126,9 +148,7 @@ class VersionManager:
                 "the current state has unsaved changes; save a version "
                 "first or pass discard_changes=True"
             )
-        view = self.view(vid)
-        self._db.restore_from_view(view)
-        self.current_base = vid
+        self._db._restore(*self.view(vid).states(), vid)  # noqa: SLF001
         return vid
 
     # -- views -----------------------------------------------------------------------

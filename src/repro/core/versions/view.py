@@ -463,6 +463,12 @@ class VersionView:
         """Number of visible relationships."""
         return len(self._relationship_states)
 
+    def states(self) -> tuple[Iterable[tuple[int, object]], ...]:
+        """``(oid, state)`` of every visible object (parents first) and
+        ``(rid, state)`` of every visible relationship: what a restore
+        loads."""
+        return self._object_states.items(), self._relationship_states.items()
+
     def item_states(self) -> Iterator[tuple[ItemKey, object]]:
         """(key, state) pairs of every visible item — for oracles/tests."""
         for oid, state in self._object_states.items():

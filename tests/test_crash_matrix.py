@@ -37,6 +37,7 @@ from repro.core.storage import (
     RecordFile,
     database_to_dict,
 )
+from repro.core.versions.compaction import RetentionPolicy
 from repro.multiuser import SeedServer
 
 
@@ -819,3 +820,84 @@ class TestChangeDeltaCrashMatrix:
         assert reopened.checkpoints() == 1  # only the initial image
         assert canonical(reopened.db) == expected
         assert reopened.recovery.applied_change_deltas == 4
+
+
+# -- the history corpus: restore, version deletion and compaction ------------
+
+
+@pytest.fixture(scope="module")
+def history_corpus(tmp_path_factory):
+    """A raw view restore, a version deletion and a version-store
+    compaction, each one write-ahead record among txn and version
+    records, then a final checkpoint (so a flip in the first image
+    still leaves a base)."""
+    path = tmp_path_factory.mktemp("crash") / "history.seed"
+    record_file = RecordFile(path)
+    journal = JournaledDatabase.open(path, schema=matrix_schema(), name="central")
+    db = journal.db
+    empty_state = canonical(db)
+    rec_states = [empty_state]  # the initial image
+
+    def one_record(operation, *args, **kwargs):
+        # every step appends exactly one record, carrying this state
+        result = operation(*args, **kwargs)
+        count = sum(1 for e in record_file.scan() if e.kind == "record")
+        assert count == len(rec_states) + 1
+        rec_states.append(canonical(db))
+        return result
+
+    def edit(name, value, delete=False):
+        with db.transaction():
+            obj = db.find_object(name) or db.create_object("Item", name)
+            obj.set_value(value)
+            if delete:
+                db.delete(obj)
+
+    one_record(edit, "A", "a1")
+    v1 = one_record(db.create_version)
+    one_record(edit, "B", "b1")
+    v2 = one_record(db.create_version)
+    one_record(db.select_version, v1)  # v2 is now a leaf off the base
+    one_record(db.restore_from_view, db.version_view(v2))  # base stays
+    one_record(db.delete_version, v2)
+    # created and deleted in one unit: only a tombstone is ever
+    # stored, so compaction collects it
+    one_record(edit, "C", "c1", delete=True)
+    one_record(db.create_version)
+    stats = one_record(
+        db.compact, RetentionPolicy(keep_last=0, gc_tombstones=True)
+    )
+    assert stats.squashed_versions and stats.collected_objects
+    one_record(edit, "A", "a3")
+    journal.checkpoint()
+    rec_states.append(canonical(db))
+
+    records = [
+        (event.offset, event.end, event.record.get("kind"), event.record.get("cp"))
+        for event in record_file.scan()
+        if event.kind == "record"
+    ]
+    kinds = [kind for __, ___, kind, ____ in records]
+    assert kinds.count("image") == 2
+    assert kinds.count("restore") == 2
+    assert kinds.count("delete_version") == 1
+    assert kinds.count("compact") == 1
+    assert len(records) == len(rec_states)
+    data = path.read_bytes()
+    assert records[-1][1] == len(data)
+    return RecordCorpus(path, data, records, rec_states, empty_state)
+
+
+class TestHistoryMutatorCrashMatrix:
+    """Exhaustive sweeps over the history corpus: a raw restore, a
+    version deletion and a compaction recover from their records."""
+
+    def test_every_truncation_recovers_the_committed_prefix(
+        self, history_corpus, tmp_path
+    ):
+        assert sweep_truncations(history_corpus, tmp_path / "t.seed") == []
+
+    def test_every_byte_flip_recovers_a_consistent_prefix(
+        self, history_corpus, tmp_path
+    ):
+        assert sweep_flips(history_corpus, tmp_path / "f.seed") == []

@@ -10,13 +10,15 @@ same bytes; every other write drops the fragment. The oracles are the
 from-scratch encodes: over seeded random histories that run every
 mutator — committed and rolled-back transactions, failing bulk batches,
 check-ins applied through :class:`SeedServer`, version selection,
-schema migration, version-store compaction with squashing, snapshots
-and tombstone GC, patterns, reclassification — after every step each
+a raw restore of a version's view, schema migration, version deletion,
+version-store compaction with squashing, snapshots and tombstone GC,
+patterns, reclassification — after every step each
 cached fragment must equal its own from-scratch encode, the joined
 payload must equal ``RecordFile.encode({"kind": "image", "image":
 database_to_dict(db)})``, the streamed records must equal
 ``RecordFile.encode`` of each :func:`iter_image_records` record, and
-every frame the journal wrote must hold canonical JSON. A save point
+every frame the journal wrote must hold canonical JSON, and a reopen
+of the journal must load the live database's image. A save point
 after the load and the baseline version, or after an edit, encodes no
 item state: the records already did.
 
@@ -54,6 +56,7 @@ from repro.core.storage import (
     JournaledDatabase,
     RecordFile,
     database_to_dict,
+    load_database,
     save_database,
 )
 from repro.core.storage import serialize
@@ -392,6 +395,12 @@ class History:
         if versions:
             self.db.select_version(self.rng.choice(versions), discard_changes=True)
 
+    def restore(self) -> None:
+        """A raw restore of a saved version's view: the base stays."""
+        versions = self.db.saved_versions()
+        if versions:
+            self.db.restore_from_view(self.db.version_view(self.rng.choice(versions)))
+
     def migrate(self) -> None:
         schema = self.db.schema.copy(self.name("v"))
         schema.entity_class("Data").add_dependent(self.name("Note"), "0..1")
@@ -443,7 +452,7 @@ class History:
             ("edit", 30), ("transaction", 10), ("pattern_transaction", 5),
             ("cycle", 2), ("bulk", 6),
             ("check_in", 5), ("version", 8), ("commit_and_version", 4),
-            ("select", 3), ("migrate", 1),
+            ("select", 3), ("restore", 2), ("migrate", 1),
             ("compact_versions", 3), ("drop_version", 2), ("save_point", 4),
         ]
         name = self.rng.choices(
@@ -491,6 +500,10 @@ def test_cached_payload_equals_the_full_encode_after_every_step(
             assert payload == RecordFile.encode(json.loads(payload)), (
                 f"{where} wrote a frame that is not canonical JSON"
             )
+        # replay runs the live code: the journal reopens to this state
+        assert full_image(load_database(history.path)) == full_image(db), (
+            f"{where}: the reopened journal differs from the live database"
+        )
     # the version oracle above judged reused states and bytes
     assert history.reused_states > 0, "no version reused a committed state"
     assert reused_bytes, "no version record reused an encoded state"
