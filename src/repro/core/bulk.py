@@ -35,7 +35,7 @@ then repairs the index entries of the logged items only.
 (read-your-writes): name lookups and raw scans are served from the live
 records; index-backed queries transparently rebuild the suspended index
 layer (one rebuild per write-then-read boundary); ``check_completeness``
-falls back to the retained full scan.
+derives every item afresh on the compiled rules.
 
 :func:`wire_item_states`
     the one create-or-thaw-and-wire primitive, and the only function
@@ -56,15 +56,11 @@ falls back to the retained full scan.
       image decoder (``database_from_records``, which
       ``database_from_dict`` feeds), multi-user check-out;
     * ``serialize.apply_txn_delta`` — **upsert** of a journaled
-      transaction's after-states (indexes marked stale);
-    * ``serialize.ingest_image_records`` — **insert-only** ingest of
-      streamed item records into a live database inside one batch
-      (``SeedDatabase.bulk_load(records=...)``), refusing id and name
-      collisions.
+      transaction's after-states (indexes marked stale).
 
-    These from-state lanes are the only code that creates items without
-    going through the create mutators (and, with ``apply_txn_delta``,
-    the only callers of ``IndexLayer.mark_stale``).
+    These two from-state lanes are the only code that creates items
+    without going through the create mutators, and ``apply_txn_delta``
+    is the only caller of ``IndexLayer.mark_stale``.
     ``SeedDatabase.bulk_load(objects, relationships)`` is not one of
     them: it walks its specs through ``create_object`` /
     ``create_sub_object`` / ``relate`` inside one batch.

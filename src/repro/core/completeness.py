@@ -91,8 +91,9 @@ gaps actually changed; a clean check copies it.
 
 Bulk batches (:meth:`repro.core.database.SeedDatabase.bulk`) defer
 ``note_commit`` to one merge over the whole batch's touched map at
-finalize; a ``check_database`` issued *inside* an open batch falls back
-to the full scan (the gap map is not yet merged). Bulk state
+finalize; a ``check_database`` issued *inside* an open batch derives
+every item afresh on the compiled rules and leaves the gap map alone
+(it is not yet merged). Bulk state
 replacement (version selection, schema migration, image load,
 checkout) calls :meth:`CompletenessEngine.invalidate`; the next check
 primes the map with one pass over the live items on the compiled
@@ -311,11 +312,14 @@ class CompletenessEngine:
         gaps change, so a clean call only copies it (a fresh list each
         time: callers may mutate their report). Inside an open bulk
         batch the maintained map has not yet absorbed the batch's
-        touched set, so the retained full scan answers instead
-        (read-your-writes).
+        touched set, so every item is derived afresh on the compiled
+        rules and the map is left alone (read-your-writes).
         """
         if self._db._bulk is not None:  # noqa: SLF001
-            return self.check_database_scan()
+            found = dict(self._item_gaps())
+            return CompletenessReport(
+                list(chain.from_iterable(map(found.__getitem__, sorted(found))))
+            )
         if self._primed and self._primed_generation != schema_generation():
             self.invalidate()  # the schema changed in place
         if not self._primed:
@@ -414,10 +418,19 @@ class CompletenessEngine:
         """Items pending re-analysis (statistics/benchmarks)."""
         return len(self._dirty)
 
-    def incomplete_item_count(self) -> int:
-        """Items currently holding at least one gap (may be stale by
-        up to the dirty set until the next check)."""
-        return len(self._gaps_by_item)
+    def _item_gaps(self) -> Iterator[tuple[ItemKey, tuple[Gap, ...]]]:
+        """``(key, gaps)`` of every item record that has a gap, from
+        one pass on the compiled rules."""
+        object_gaps = self.object_gaps
+        for obj in self._db.all_objects_raw():
+            gaps = object_gaps(obj)
+            if gaps:
+                yield ("o", obj.oid), tuple(gaps)
+        relationship_gaps = self.relationship_gaps
+        for rel in self._db.all_relationships_raw():
+            gaps = relationship_gaps(rel)
+            if gaps:
+                yield ("r", rel.rid), tuple(gaps)
 
     @long_lived()
     def _prime(self) -> None:
@@ -426,16 +439,7 @@ class CompletenessEngine:
         gaps_by_item.clear()
         self._dirty.clear()
         self._assembled = None
-        object_gaps = self.object_gaps
-        for obj in self._db.all_objects_raw():
-            gaps = object_gaps(obj)
-            if gaps:
-                gaps_by_item[("o", obj.oid)] = tuple(gaps)
-        relationship_gaps = self.relationship_gaps
-        for rel in self._db.all_relationships_raw():
-            gaps = relationship_gaps(rel)
-            if gaps:
-                gaps_by_item[("r", rel.rid)] = tuple(gaps)
+        gaps_by_item.update(self._item_gaps())
         self._order = sorted(gaps_by_item)
         self._primed = True
         self._primed_generation = schema_generation()

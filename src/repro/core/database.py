@@ -68,7 +68,8 @@ completeness merge. Semantics:
   batch back in place;
 * **mid-batch reads** see all batch mutations so far; index-backed
   queries transparently rebuild once per write-then-read boundary, and
-  ``check_completeness`` falls back to the retained full scan;
+  ``check_completeness`` derives every item afresh on the compiled
+  rules;
 * **restrictions** — versions, compaction, and schema migration cannot
   run inside a batch; an explicit :meth:`transaction` inside a batch
   adds no boundary (its validation is the batch's);
@@ -94,8 +95,8 @@ it: :meth:`create_object`, :meth:`create_sub_object`, :meth:`relate`.
 those — it opens one batch and feeds nested spec mappings to the public
 mutators, constructing no record itself. The only code that bypasses
 the mutators builds records *from frozen states*, through
-:func:`repro.core.bulk.wire_item_states` (image load, checkout, restore,
-journal replay, and ``bulk_load(records=...)``).
+:func:`repro.core.bulk.wire_item_states` (image load, checkout, restore
+and journal replay).
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ from repro.core.errors import (
     SchemaError,
     SeedError,
     TransactionError,
-    VersionError,
 )
 from repro.core.identifiers import DottedName, check_simple_name
 from repro.core.indexes import IndexLayer
@@ -440,8 +440,6 @@ class SeedDatabase:
         self,
         objects: Iterable[dict] = (),
         relationships: Iterable[dict] = (),
-        *,
-        records: Optional[Iterable[dict]] = None,
     ) -> dict[str, SeedObject]:
         """Create many items in one :meth:`bulk` batch.
 
@@ -460,25 +458,9 @@ class SeedDatabase:
         :class:`SeedObject`) and optional ``attributes``/``pattern``.
         Both may be lazy iterators — specs are consumed one at a time.
 
-        Alternatively, *records* takes a streamed-image record iterator
-        (the :func:`~repro.core.storage.serialize.iter_image_records`
-        format) and ingests the item states directly, never
-        materialising the stream: the O(1)-memory ingest lane for
-        specs exported by another database or emitted by a pipeline.
-
         Returns the created independent objects by name. The whole load
         is atomic: any error rolls everything back.
         """
-        if records is not None:
-            if objects or relationships:
-                raise SeedError(
-                    "bulk_load takes either specs or a record stream, "
-                    "not both"
-                )
-            # imported lazily: serialize sits above the database layer
-            from repro.core.storage.serialize import ingest_image_records
-
-            return ingest_image_records(self, records)
         created: dict[str, SeedObject] = {}
 
         def load_subs(parent: SeedObject, specs: Iterable[dict]) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.core.errors import IdentifierError
 
@@ -225,8 +225,3 @@ class DottedName:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"DottedName({str(self)!r})"
-
-
-def join_names(parts: Iterable[str]) -> str:
-    """Join textual parts into a dotted name string, validating each."""
-    return str(DottedName.of(*parts))

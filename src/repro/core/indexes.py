@@ -237,11 +237,10 @@ class IndexLayer:
     def mark_stale(self) -> None:
         """Record that records changed without the mutators being called.
 
-        Only the from-state lanes do that — ``serialize.apply_txn_delta``
-        and ``serialize.ingest_image_records`` wire frozen states in
-        through ``bulk.wire_item_states``, so no maintenance hook fires
-        and nothing else would flag the divergence; the next read or
-        :meth:`resume` then rebuilds.
+        Only ``serialize.apply_txn_delta`` does that: it wires frozen
+        states in through ``bulk.wire_item_states``, so no maintenance
+        hook fires and nothing else would flag the divergence; the next
+        read or :meth:`resume` then rebuilds.
         """
         self._stale = True
 

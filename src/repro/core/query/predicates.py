@@ -47,12 +47,9 @@ __all__ = [
     "ParticipatesIn",
     "describe_predicate",
     "narrowed_class",
-    "true",
-    "false",
     "both",
     "either",
     "negate",
-    "name_is",
     "name_prefix",
     "name_matches",
     "in_class",
@@ -269,16 +266,6 @@ def narrowed_class(db: Any, base_name: str, predicate: InClass) -> Optional[str]
     return None
 
 
-def true(_obj: SeedObject) -> bool:
-    """Match everything."""
-    return True
-
-
-def false(_obj: SeedObject) -> bool:
-    """Match nothing."""
-    return False
-
-
 def both(*predicates: Predicate) -> And:
     """Conjunction of *predicates*."""
     return And(tuple(predicates))
@@ -292,13 +279,6 @@ def either(*predicates: Predicate) -> Or:
 def negate(predicate: Predicate) -> Not:
     """Negation of *predicate*."""
     return Not(predicate)
-
-
-def name_is(name: str) -> ObjectPredicate:
-    """Match objects whose full dotted name equals *name*."""
-    return FunctionPredicate(
-        lambda obj: str(obj.name) == name, f"name=={name!r}"
-    )
 
 
 def name_prefix(prefix: str) -> NamePrefix:

@@ -29,7 +29,7 @@ methods return the builder so calls can be chained.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.core.cardinality import Cardinality
 from repro.core.errors import SchemaError
@@ -198,14 +198,6 @@ class SchemaBuilder:
             raise SchemaError("this builder has already built its schema")
         self._built = True
         return self._schema.check()
-
-    def peek(self) -> Schema:
-        """Return the schema under construction *without* validation.
-
-        For tests and tooling; production code should call :meth:`build`.
-        """
-        return self._schema
-
 
 def figure2_schema() -> Schema:
     """The paper's figure-2 schema, exactly as printed.

@@ -63,33 +63,6 @@ class Schema:
         self._associations[association.name] = association
         return association
 
-    def remove_class(self, name: str) -> None:
-        """Remove a class; fails while associations or hierarchies use it."""
-        entity_class = self.entity_class(name)
-        for association in self._associations.values():
-            for role in association.roles:
-                if role.target is entity_class:
-                    raise SchemaError(
-                        f"cannot remove class {name!r}: used by role "
-                        f"{role.name!r} of association {association.name!r}"
-                    )
-        if entity_class.general is not None or entity_class.specials:
-            raise SchemaError(
-                f"cannot remove class {name!r}: it participates in a "
-                "generalization hierarchy"
-            )
-        del self._classes[name]
-
-    def remove_association(self, name: str) -> None:
-        """Remove an association not participating in a hierarchy."""
-        association = self.association(name)
-        if association.general is not None or association.specials:
-            raise SchemaError(
-                f"cannot remove association {name!r}: it participates in "
-                "a generalization hierarchy"
-            )
-        del self._associations[name]
-
     def _check_name_free(self, name: str) -> None:
         # Classes and associations share one namespace: the DDL and the
         # operational interface address both by bare name.
@@ -161,12 +134,6 @@ class Schema:
         """Yield every class, independent and dependent, parents first."""
         for entity_class in self._classes.values():
             yield from entity_class.walk()
-
-    def associations_involving(self, entity_class: EntityClass) -> Iterator[Association]:
-        """Associations with a role that accepts instances of *entity_class*."""
-        for association in self._associations.values():
-            if association.roles_for_class(entity_class):
-                yield association
 
     # -- validation ---------------------------------------------------------
 

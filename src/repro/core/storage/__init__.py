@@ -16,7 +16,6 @@ from repro.core.storage.serialize import (
     database_from_dict,
     database_from_records,
     database_to_dict,
-    ingest_image_records,
     iter_image_records,
     schema_from_dict,
     schema_to_dict,
@@ -34,7 +33,6 @@ __all__ = [
     "database_from_dict",
     "database_from_records",
     "database_to_dict",
-    "ingest_image_records",
     "iter_image_records",
     "schema_from_dict",
     "schema_to_dict",

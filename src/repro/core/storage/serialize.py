@@ -72,7 +72,6 @@ __all__ = [
     "ImageFragments",
     "iter_image_records",
     "database_from_records",
-    "ingest_image_records",
     "txn_delta_from_txn",
     "apply_txn_delta",
     "schema_delta_from_migration",
@@ -973,17 +972,35 @@ def _json_object(members: dict[str, bytes]) -> bytes:
 
 
 def _image_dict_records(data: dict) -> Iterator[dict]:
-    """One monolithic image dict as its :func:`iter_image_records` stream."""
-    yield {"h": {key: data[key] for key in data if key not in _ITEM_LISTS}}
-    for record in data["objects"]:
-        state = dict(record)
-        yield {"o": state.pop("oid"), "s": state}
-    for record in data["relationships"]:
-        state = dict(record)
-        yield {"r": state.pop("rid"), "s": state}
-    for cell in data["version_cells"]:
-        yield {"c": cell}
-    yield {"end": {tag: len(data[key]) for tag, key in zip("orc", _ITEM_LISTS)}}
+    """One monolithic image dict as its :func:`iter_image_records` stream.
+
+    A built-in error raised while a record is produced (*data* is not
+    an object, an item list is missing, is not a list or holds a
+    non-object) becomes a ``StorageError`` that names the image section
+    and chains the cause."""
+    if not isinstance(data, dict):
+        raise StorageError(
+            f"malformed image record: the image is {type(data).__name__}, "
+            "not an object"
+        )
+    section = "header"
+    try:
+        yield {"h": {key: data[key] for key in data if key not in _ITEM_LISTS}}
+        section = "objects"
+        for record in data["objects"]:
+            state = dict(record)
+            yield {"o": state.pop("oid"), "s": state}
+        section = "relationships"
+        for record in data["relationships"]:
+            state = dict(record)
+            yield {"r": state.pop("rid"), "s": state}
+        section = "version_cells"
+        for cell in data["version_cells"]:
+            yield {"c": cell}
+        section = "footer"
+        yield {"end": {tag: len(data[key]) for tag, key in zip("orc", _ITEM_LISTS)}}
+    except _DECODE_ERRORS as exc:
+        raise _malformed(section, exc, "section") from exc
 
 
 def database_from_dict(
@@ -1042,11 +1059,11 @@ def iter_image_records(db: SeedDatabase) -> Iterator[dict]:
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, IndexError)
 
 
-def _malformed(kind: str, exc: Exception) -> StorageError:
-    """The error for a *kind* record that raised *exc* while decoding
-    (chain it ``from exc``)."""
+def _malformed(kind: str, exc: Exception, part: str = "record") -> StorageError:
+    """The error for a *kind* record (or image section) that raised
+    *exc* while decoding (chain it ``from exc``)."""
     return StorageError(
-        f"malformed image {kind} record: {type(exc).__name__}: {exc}"
+        f"malformed image {kind} {part}: {type(exc).__name__}: {exc}"
     )
 
 
@@ -1213,77 +1230,3 @@ def database_from_records(
     db._dirty = header.dirty  # noqa: SLF001
     return db
 
-
-def ingest_image_records(
-    db: SeedDatabase, records: Iterable[dict]
-) -> dict[str, SeedObject]:
-    """Bulk-ingest streamed item records into a *live* database.
-
-    The from-state counterpart of the spec-walking
-    :meth:`~repro.core.database.SeedDatabase.bulk_load`
-    (which dispatches here for its ``records=`` form): consumes an
-    :func:`iter_image_records`-style iterator one record at a time
-    inside one bulk batch, so ingest never holds more than a single
-    record beyond the database being built. A header is skipped, a
-    counted footer is verified when present, and version-cell records
-    are refused — version history belongs to images, not ingest. The
-    policy over :func:`~repro.core.bulk.wire_item_states` is
-    insert-only: item ids are taken from the records and must not
-    collide with existing items (nor a live independent's name); the
-    whole ingest is atomic (any error rolls the batch back).
-    Returns the ingested independent objects by name.
-    """
-    cursor = _ImageCursor(records)
-    created: dict[str, SeedObject] = {}
-    with db.bulk() as txn:
-        db.indexes.mark_stale()  # wiring from states calls no mutator
-
-        def fresh(kind: str, registry: dict, what: str) -> Iterator:
-            for item_id, state in cursor.states(kind):
-                if item_id in registry:
-                    raise StorageError(f"{what} id {item_id} already exists")
-                parent = state.parent_oid if kind == "o" else None
-                if parent is not None and parent not in registry:
-                    # refused here: a record the primitive registers
-                    # but cannot wire would escape the batch's rollback
-                    raise StorageError(
-                        f"object {item_id} comes before its parent {parent}"
-                    )
-                named = (
-                    kind == "o" and state.parent_oid is None and not state.deleted
-                )
-                if named and state.name in db._name_index:  # noqa: SLF001
-                    raise StorageError(
-                        f"an object named {state.name!r} already exists"
-                    )
-                yield item_id, state
-                # resumed once the primitive has created the record:
-                # the new item registers with the batch here
-                item = registry[item_id]
-                db._mark_dirty(txn, txn.touch(item, "create"))  # noqa: SLF001
-                if named:
-                    created[state.name] = item
-
-        if cursor.tagged("h"):
-            cursor.advance()  # the header carries no items
-        wire_item_states(
-            db,
-            fresh("o", db._objects, "object"),  # noqa: SLF001
-            fresh("r", db._relationships, "relationship"),  # noqa: SLF001
-        )
-        if cursor.tagged("c"):
-            raise StorageError(
-                "version-cell records cannot be bulk-ingested into a "
-                "live database; load them through an image instead"
-            )
-        if cursor.tagged("end"):
-            footer = cursor.head["end"]
-            counts = cursor.counts
-            if footer.get("o") != counts["o"] or footer.get("r") != counts["r"]:
-                raise StorageError(
-                    f"incomplete image stream: footer declares {footer}, "
-                    f"ingested {counts}"
-                )
-        elif cursor.head is not None:
-            raise StorageError(f"not an image record: {cursor.head!r}")
-    return created

@@ -53,7 +53,6 @@ class VariantFamily:
         self._pattern_objects: list[SeedObject] = []
         self._pattern_relationships: list[SeedRelationship] = []
         self._variants: list[SeedObject] = []
-        self._common_objects: list[SeedObject] = []
 
     # -- construction ------------------------------------------------------
 
@@ -96,9 +95,6 @@ class VariantFamily:
         )
         self._pattern_objects.append(pattern)
         self._pattern_relationships.append(relationship)
-        for common in common_bindings.values():
-            if common not in self._common_objects:
-                self._common_objects.append(common)
         for variant in self._variants:
             self._db.inherit(pattern, variant)
         return relationship
@@ -161,11 +157,6 @@ class VariantFamily:
         return list(self._variants)
 
     @property
-    def common_part(self) -> list[SeedObject]:
-        """Common-part objects referenced by shared relationships."""
-        return list(self._common_objects)
-
-    @property
     def pattern_objects(self) -> list[SeedObject]:
         """The family's pattern objects (PO1, PO2, ... of figure 5)."""
         return list(self._pattern_objects)
@@ -177,14 +168,6 @@ class VariantFamily:
             if isinstance(rel, InheritedRelationship) and rel.base in self._pattern_relationships:
                 results.append(rel)
         return results
-
-    def variant_part_of(self, variant: SeedObject) -> list[SeedRelationship]:
-        """The *own* (non-inherited) relationships of a variant."""
-        return [
-            rel
-            for rel in self._db.patterns.effective_relationships(variant)
-            if isinstance(rel, SeedRelationship)
-        ]
 
     def check_uniformity(self) -> list[str]:
         """Verify all variants share identical relationships to the common part.

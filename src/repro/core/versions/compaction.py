@@ -143,24 +143,6 @@ class CompactionStats:
             )
         return line
 
-    def as_dict(self) -> dict:
-        """JSON-compatible form (benchmark reports)."""
-        return {
-            "versions_before": self.versions_before,
-            "versions_after": self.versions_after,
-            "squashed_versions": [str(v) for v in self.squashed_versions],
-            "folded_states": self.folded_states,
-            "discarded_states": self.discarded_states,
-            "snapshots_created": [str(v) for v in self.snapshots_created],
-            "snapshot_states_added": self.snapshot_states_added,
-            "stored_states_before": self.stored_states_before,
-            "stored_states_after": self.stored_states_after,
-            "collected_objects": self.collected_objects,
-            "collected_relationships": self.collected_relationships,
-            "tombstone_states_dropped": self.tombstone_states_dropped,
-        }
-
-
 class Compactor:
     """One compaction pass over a version manager's store and tree."""
 

@@ -176,10 +176,6 @@ class ViewRelationship:
         """Both bound objects in positional order."""
         return tuple(self.bound(role) for role, __ in self.state.bindings)  # type: ignore[return-value]
 
-    def binds_oid(self, oid: int) -> bool:
-        """True when the object with *oid* is an endpoint."""
-        return any(bound_oid == oid for __, bound_oid in self.state.bindings)
-
     def attribute(self, name: str, default: Any = None) -> Any:
         """Attribute value as of this version."""
         for attr_name, value in self.state.attributes:

@@ -21,9 +21,9 @@ A crashed client must not hold its write locks forever. When the table
 is built with ``lease_seconds`` (or an acquisition passes an explicit
 lease), every lock carries an expiry on the injectable ``clock``:
 
-* an **expired** lock is invisible — ``holder``/``is_locked`` report it
-  free, and a conflicting :meth:`LockTable.acquire` *reclaims* it
-  (purged, counted in :attr:`LockTable.reclaimed`);
+* an **expired** lock is invisible — ``holder`` reports it free, and a
+  conflicting :meth:`LockTable.acquire` *reclaims* it (purged, counted
+  in :attr:`LockTable.reclaimed`);
 * a live client keeps its locks alive by touching them with
   :meth:`LockTable.renew` (check-in does not renew — a client that lets
   its lease lapse must expect to lose the race);
@@ -212,10 +212,6 @@ class LockTable:
     def holder(self, key: ItemKey) -> Optional[str]:
         """The client holding *key*'s lock (lease unexpired), or None."""
         return self._live_holder(key)
-
-    def is_locked(self, key: ItemKey) -> bool:
-        """True when any client holds *key* with an unexpired lease."""
-        return self._live_holder(key) is not None
 
     def held_by(self, client_id: str) -> list[ItemKey]:
         """All keys locked by *client_id* (expired leases excluded)."""

@@ -29,6 +29,7 @@ import pytest
 
 import repro
 from repro.core import SeedDatabase, figure3_schema
+from repro.core.completeness import CompletenessEngine
 from repro.core.errors import (
     ConsistencyError,
     SchemaError,
@@ -37,6 +38,7 @@ from repro.core.errors import (
 )
 from repro.core.schema.builder import SchemaBuilder
 from repro.core.storage.serialize import database_to_dict
+from repro.core.variants import VariantFamily
 from repro.spades import spades_schema
 from repro.workloads.specgen import SpecShape, generate_spec
 
@@ -379,10 +381,49 @@ class TestBatchSemantics:
             assert data in fig2_db.objects("Data")  # triggers a rebuild
             fig2_db.create_object("Data", "Later")
             assert len(fig2_db.objects("Data")) == 2  # rebuilds again
-            report = fig2_db.check_completeness()  # scan fallback
-            assert gap_multiset(report) == gap_multiset(
-                fig2_db.check_completeness_scan()
+            report = fig2_db.check_completeness()  # the compiled kernel
+            assert report.gaps == fig2_db.check_completeness_scan().gaps
+
+    def test_mid_batch_completeness_on_figure5_patterns(self):
+        db = SeedDatabase(spades_schema(), "figure5")
+        db.create_object("Module", "Kernel")
+        primed = db.check_completeness().gaps
+        gap_map = dict(db.completeness._gaps_by_item)
+        with db.bulk():
+            family = VariantFamily(db, "Config", variant_class="Action")
+            family.add_shared_relationship(
+                "AllocatedTo", {"module": db.get_object("Kernel")},
+                variant_role="action",
             )
+            family.add_shared_sub_object("Description", "shared description")
+            family.add_variant(db.create_object("Action", "AlpineConfig"))
+            reader = db.create_object("Action", "ReaderPattern", pattern=True)
+            alarms = db.create_object("InputData", "Alarms")
+            db.relate("Read", {"from": alarms, "by": reader}, pattern=True)
+            db.inherit(reader, db.create_object("Action", "Worker"))
+            db.create_object("Action", "Plain").add_sub_object("Note", "n")
+            report = db.check_completeness()
+            assert report.gaps == db.check_completeness_scan().gaps
+            assert report.gaps != primed
+            assert {"AlpineConfig", "Worker", "Plain"} <= {
+                gap.item for gap in report
+            }
+            assert db.completeness._gaps_by_item == gap_map  # left alone
+        assert db.check_completeness().gaps == report.gaps
+
+    def test_mid_batch_completeness_does_not_run_the_oracle(
+        self, fig2_db, monkeypatch
+    ):
+        with fig2_db.bulk():
+            fig2_db.create_object("Data", "Seen")
+            expected = fig2_db.check_completeness_scan().gaps
+
+            def oracle(self, item):
+                raise AssertionError("the product ran the oracle")
+
+            monkeypatch.setattr(CompletenessEngine, "object_gaps_scan", oracle)
+            monkeypatch.setattr(CompletenessEngine, "relationship_gaps_scan", oracle)
+            assert fig2_db.check_completeness().gaps == expected
 
     def test_restrictions_inside_bulk(self, fig2_db):
         with fig2_db.bulk():

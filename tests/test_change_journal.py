@@ -152,6 +152,65 @@ class TestStreamedImageEquivalence:
             database_from_records(iter([]))
 
 
+def image_units(path):
+    """Each image unit in *path*, in file order: a streamed group's
+    ``cp`` id, or ``"image"`` for a monolithic record."""
+    return [
+        record.get("cp", "image")
+        for record in RecordFile(path).records()
+        if record.get("kind") in ("image", "image.begin")
+    ]
+
+
+class TestStreamedCheckpointsByDefault:
+    """A journal opened with ``streamed_checkpoints=True`` streams every
+    checkpoint it takes; ``checkpoint(streamed=False)`` still writes a
+    monolithic record."""
+
+    def test_every_checkpoint_streams(self, tmp_path):
+        path = tmp_path / "streamed.seed"
+        journal = JournaledDatabase.open(
+            path, schema=figure3_schema(), name="s", streamed_checkpoints=True
+        )
+        (first,) = image_units(path)  # the journal's first checkpoint
+        assert isinstance(first, int)
+        populate(journal.db, seed=11, ops=30)
+        journal.checkpoint()
+        kept, checkpointed = image_units(path)
+        assert kept == first
+        assert isinstance(checkpointed, int) and checkpointed > first
+        journal.save_point()
+        (saved,) = image_units(path)
+        assert isinstance(saved, int) and saved > checkpointed
+        assert journal.checkpoints() == 1
+        reopened = JournaledDatabase.open(path)
+        assert reopened.recovery.base.cp == saved
+        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
+        journal.checkpoint(streamed=False)
+        assert image_units(path) == [saved, "image"]
+        reopened = JournaledDatabase.open(path)
+        assert reopened.recovery.base.cp is None
+        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
+
+    def test_a_budget_triggered_checkpoint_streams(self, tmp_path):
+        path = tmp_path / "budget.seed"
+        journal = JournaledDatabase.open(
+            path, schema=item_schema(), name="b",
+            byte_budget=1, streamed_checkpoints=True,
+        )
+        (first,) = image_units(path)
+        journal.db.create_object("Item", "A").set_value("a")
+        # over budget: a fresh checkpoint superseded the commits, and
+        # the rewrite kept only that group
+        (budgeted,) = image_units(path)
+        assert isinstance(budgeted, int) and budgeted > first
+        kinds = {record["kind"] for record in RecordFile(path).records()}
+        assert kinds == {"image.begin", "image.rec", "image.end"}
+        reopened = JournaledDatabase.open(path)
+        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
+        assert reopened.db.find_object("A").value == "a"
+
+
 class TestVersionRecords:
     def test_record_ordered_cells_replay_byte_identical(self, tmp_path):
         """A ``version`` record lists its cells in record order — the
@@ -204,57 +263,6 @@ class TestVersionRecords:
             assert list(reopened.versions.store.states_at(version)) == list(
                 store.states_at(version)
             )
-
-
-class TestBulkIngest:
-    def test_ingest_equivalence(self):
-        src = SeedDatabase(figure3_schema(), "src")
-        populate(src, seed=3, ops=40, versions=0)
-        dst = SeedDatabase(figure3_schema(), "dst")
-        created = dst.bulk_load(records=iter_image_records(src))
-        a = database_to_dict(src)
-        b = database_to_dict(dst)
-        assert a["objects"] == b["objects"]
-        assert a["relationships"] == b["relationships"]
-        assert all(name in created or "/" in name for name in created)
-
-    def test_ingest_refuses_version_cells(self):
-        src = SeedDatabase(figure3_schema(), "src")
-        populate(src, seed=3, ops=20, versions=1)  # has stored cells
-        dst = SeedDatabase(figure3_schema(), "dst")
-        with pytest.raises(StorageError, match="version-cell"):
-            dst.bulk_load(records=iter_image_records(src))
-
-    def test_records_and_items_are_mutually_exclusive(self):
-        db = SeedDatabase(figure3_schema(), "x")
-        with pytest.raises(SeedError):
-            db.bulk_load(objects=[("Data", "D")], records=iter([]))
-
-    def test_short_stream_rolls_the_batch_back(self):
-        src = SeedDatabase(figure3_schema(), "src")
-        populate(src, seed=7, ops=30, versions=0)
-        records = list(iter_image_records(src))
-        assert "end" in records[-1]
-        dst = SeedDatabase(figure3_schema(), "dst")
-        before = canonical_bytes(dst)
-        # drop one item record but keep the footer: count mismatch
-        with pytest.raises(StorageError):
-            dst.bulk_load(records=iter(records[:-2] + [records[-1]]))
-        assert canonical_bytes(dst) == before  # whole-batch rollback
-
-    def test_an_orphaned_object_record_rolls_the_batch_back(self):
-        src = SeedDatabase(figure3_schema(), "src")
-        populate(src, seed=7, ops=30, versions=0)
-        records = list(iter_image_records(src))
-        child = next(r for r in records if r.get("s", {}).get("parent") is not None)
-        orphaned = [r for r in records if r.get("o") != child["s"]["parent"]]
-        dst = SeedDatabase(figure3_schema(), "dst")
-        before = canonical_bytes(dst)
-        with pytest.raises(StorageError, match="before its parent"):
-            dst.bulk_load(records=iter(orphaned))
-        assert canonical_bytes(dst) == before
-        assert dst.statistics()["objects"] == 0
-        dst.indexes.verify()
 
 
 def open_group(path, **kwargs):

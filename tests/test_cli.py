@@ -148,6 +148,37 @@ class TestCommands:
         assert "byte_budget must be positive" in capsys.readouterr().err
         assert db_file.read_bytes() == before
 
+    def test_compact_reports_a_malformed_image(self, db_file, tmp_path, capsys):
+        from repro.core.storage import RecordFile
+
+        (record,) = RecordFile(db_file).records()
+        record["image"]["objects"] = 5
+        broken = tmp_path / "broken.seed"
+        RecordFile(broken).append(record)
+        assert main(["compact", str(broken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed image objects section")
+        assert "Traceback" not in err
+
+    def test_serve_passes_streamed_checkpoints_to_the_server(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.core.errors import SeedError
+        from repro.multiuser.server import SeedServer
+
+        seen = []
+
+        def spying_open(cls, path, **kwargs):
+            seen.append(kwargs["streamed_checkpoints"])
+            raise SeedError("stopped before serving")
+
+        monkeypatch.setattr(SeedServer, "open", classmethod(spying_open))
+        journal = str(tmp_path / "served.seed")
+        assert main(["serve", journal, "--streamed-checkpoints"]) == 1
+        assert main(["serve", journal]) == 1
+        assert seen == [True, False]
+        assert "stopped before serving" in capsys.readouterr().err
+
     def test_missing_database_is_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent.seed")]) == 1
         assert "error:" in capsys.readouterr().err

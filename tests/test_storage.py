@@ -245,6 +245,67 @@ class TestImageDecoderFuzz:
         with pytest.raises(SchemaError, match="zz"):
             database_from_records(broken)
 
+    @pytest.fixture(scope="class")
+    def image_record(self, records, tmp_path_factory):
+        """The fixture database as one monolithic ``image`` record."""
+        path = tmp_path_factory.mktemp("monolithic") / "image.seed"
+        save_database(database_from_records(records), path)
+        (record,) = RecordFile(path).records()
+        assert record["image"]["version_cells"]
+        return record
+
+    def test_every_monolithic_mutation_loads_or_raises_a_seed_error(
+        self, image_record, tmp_path
+    ):
+        paths = [("image",)]
+        for key in ("objects", "relationships", "version_cells"):
+            paths += [("image", key), ("image", key, 0)]
+        cases = [(path, how) for path in paths for how in (None, 7, "zz", ["zz"])]
+        cases += [((key,), "delete") for key in image_record]
+        cases += [(("image", key), "delete") for key in image_record["image"]]
+        collecting = gc.isenabled()
+        escaped = []
+        for number, (path, how) in enumerate(cases):
+            journal = tmp_path / f"case{number}.seed"
+            RecordFile(journal).append(mutated([image_record], 0, path, how)[0])
+            for load in (load_database, JournaledDatabase.open):
+                try:
+                    load(journal)
+                except SeedError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the finding
+                    escaped.append((path, how, load.__name__, repr(exc)))
+                assert gc.isenabled() is collecting
+                assert gc.get_freeze_count() == 0
+        assert len(cases) == 7 * 4 + 2 + 11
+        assert escaped == []
+
+    @pytest.mark.parametrize(
+        "path, how, message, cause",
+        [
+            (("image",), None, "malformed image record: the image is NoneType", None),
+            (("image", "objects"), 5, "malformed image objects section", TypeError),
+            (("image", "objects"), "delete", "malformed image objects section", KeyError),
+            (("image", "objects", 0), None, "malformed image objects section", TypeError),
+            (
+                ("image", "relationships"), 7,
+                "malformed image relationships section", TypeError,
+            ),
+        ],
+    )
+    def test_a_malformed_image_names_its_section(
+        self, image_record, tmp_path, path, how, message, cause
+    ):
+        journal = tmp_path / "image.seed"
+        RecordFile(journal).append(mutated([image_record], 0, path, how)[0])
+        for load in (load_database, JournaledDatabase.open):
+            with pytest.raises(StorageError, match=message) as info:
+                load(journal)
+            if cause is None:
+                assert info.value.__cause__ is None
+            else:
+                assert isinstance(info.value.__cause__, cause)
+
 
 class TestRecordFile:
     def test_append_and_read(self, tmp_path):
