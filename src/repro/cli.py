@@ -447,6 +447,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:  # pragma: no cover - non-POSIX fallback
         if server.journal is not None:
             server.journal.save_point()
+            server.journal.close()
     print(stopped_stats())
     return 0
 

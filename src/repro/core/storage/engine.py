@@ -18,12 +18,15 @@ in one journal file:
   encoded once, when it is journaled: the fragment is *filled* where a
   record encodes the state — every item a ``txn`` or ``restore``
   record carries, with its id spliced into the state kernel's bytes,
-  and every cell a ``version`` record opens — and *dropped* elsewhere
-  state is written: every key a unit of work touched (committed or
-  rolled back, check-in applies included), every item
-  ``wire_item_states`` thawed (a restore, replay), every cell a
-  :class:`~repro.core.versions.store.VersionStore` writer changed (a
-  cell that gains a second entry, compaction). A schema migration
+  and every cell a ``version`` record opens — *extended* where a
+  ``version`` record adds an entry at a cell's end (the entry's bytes
+  are spliced on), and *dropped* elsewhere state is written: every key
+  a unit of work touched (committed or rolled back, check-in applies
+  included), every item ``wire_item_states`` thawed (a restore,
+  replay), every cell a
+  :class:`~repro.core.versions.store.VersionStore` writer changed
+  otherwise (an entry added in the middle, a version dropped,
+  compaction). A schema migration
   re-binds items by name, so no encoded state changes. A state is frozen once
   too: the version created right after a commit stores the states the
   ``txn`` record froze (``SeedDatabase.keep_committed_states``, valid
@@ -120,6 +123,21 @@ drain the buffer first, so a crash can only lose the last
 partial batch of *direct* commits — never a check-in, never anything
 after a barrier. The strict default is opt-out, not weakened.
 
+**One writer owns the file.** A :class:`JournaledDatabase` is the
+single writer of its journal: every record goes through its
+:class:`~repro.core.storage.recordfile.RecordFile`, which keeps one
+append handle open from the first write until
+:meth:`~JournaledDatabase.close` (a forgotten journal's handle is
+closed by a finalizer). Every write takes its offset from the file's
+real end, and every replacement or cut of the file (compaction, the
+torn-tail truncate of :meth:`~JournaledDatabase.open`, salvage)
+drops the handle first. Nothing locks the file against other
+writers: a write that finds it replaced under the handle (another
+process compacting it, a ``save_database`` on its path) reopens the
+path, so no commit lands in the unlinked file, and the journal
+forgets its remembered base unit. Two writers on one journal are
+still outside this contract: their records interleave.
+
 The journal is self-bounding. :class:`JournaledDatabase` remembers
 its **base unit** — the byte range (and streamed-group id) of the
 newest image, as :meth:`~JournaledDatabase.checkpoint` appended it or
@@ -136,14 +154,16 @@ maintenance (:meth:`~JournaledDatabase.enforce_budget`) — never inside
 supersede a write-ahead record whose apply has not happened yet.
 Compaction copies frames: it hands
 :meth:`~repro.core.storage.recordfile.RecordFile.rewrite` the byte
-ranges of the records it keeps and never re-encodes one — and it
-decodes only what it must judge. Its scan validates framing (length,
-CRC, terminator); when intact frames cover the remembered base unit
-exactly, that unit is kept by range unparsed, nothing before it is
-looked at, and only the records after it (small deltas, abort markers,
-stray group parts) are decoded. A base that no longer passes its CRC
-is never kept: compaction then decodes every record and searches for
-the newest complete unit, as every load does. Its crash
+ranges of the records it keeps, sliced from the bytes its scan read,
+and never re-encodes one — and it decodes only what it must judge.
+Its scan starts at the remembered base unit and validates framing
+(length, CRC, terminator); when intact frames cover that unit
+exactly, it is kept by range unparsed, nothing before it is read, and
+only the records after it (small deltas, abort markers, stray group
+parts) are decoded. A file that already is its base unit alone is left
+as it is. A base that no longer passes its CRC is never kept:
+compaction then scans the whole file, decodes every record and
+searches for the newest complete unit, as every load does. Its crash
 safety rides on that rewrite's atomic temp-and-rename (exercised via
 the ``journal.compact.rewrite`` failpoint): a crash mid-compaction
 leaves either the old file or the new one, both of which recover the
@@ -596,6 +616,7 @@ class JournaledDatabase:
         journal.append_delta(pkg)     # durable O(change) check-in record
         journal.compact()             # drops superseded records
         journal.save_point()          # checkpoint, then compact
+        journal.close()               # release the file handle
 
     Binding installs the database's change sink: every committed
     mutation — direct transaction, schema migration, restore, version
@@ -655,6 +676,8 @@ class JournaledDatabase:
         # load never replays it), the rest is live tail; None only
         # until a fresh journal's first checkpoint
         self._base = self.recovery.base
+        # the file's replacement count the base's offsets belong to
+        self._replacements = record_file.replacements
         # sink suspension depth: >0 while a check-in apply runs (the
         # check-in delta already covers those commits write-ahead)
         self._sink_suspended = 0
@@ -742,6 +765,12 @@ class JournaledDatabase:
     def path(self) -> Path:
         """Where the journal lives on disk."""
         return self._file.path
+
+    def close(self) -> None:
+        """Flush buffered group commits and close the journal file's
+        append handle (idempotent). A later write opens it again."""
+        self.flush(enforce=False)
+        self._file.close()
 
     def checkpoint(self, *, streamed: Optional[bool] = None) -> int:
         """Append a recovery image of the current state; returns file size.
@@ -964,7 +993,8 @@ class JournaledDatabase:
 
     def tail_bytes(self) -> int:
         """Bytes a load would actually replay (newest image onward)."""
-        superseded = 0 if self._base is None else self._base.offset
+        base = self._remembered_base()
+        superseded = 0 if base is None else base.offset
         return self._file.size_bytes() - superseded
 
     def enforce_budget(self, budget: Optional[int] = None) -> int:
@@ -999,12 +1029,15 @@ class JournaledDatabase:
         after it, minus aborted delta/marker pairs and minus any
         incomplete streamed-checkpoint leftovers.
 
-        The scan checks framing only. The remembered base unit, when
-        intact frames still cover it exactly, is kept without being
-        decoded and nothing before it is read as a record; only the
-        records after it are decoded, to be judged. A remembered unit
-        that rotted (or none) means decoding every record to find the
-        newest complete unit — the search a load makes.
+        The scan checks framing only, and starts at the remembered base
+        unit: when intact frames still cover it exactly, it is kept
+        without being decoded and nothing before it is read at all;
+        only the records after it are decoded, to be judged. The
+        rewrite copies the kept frames out of the bytes the scan read.
+        A file that is its base unit and nothing else is not rewritten.
+        A remembered unit that rotted (or none) means scanning the
+        whole file and decoding every record to find the newest
+        complete unit — the search a load makes.
         Corrupt regions are implicitly dropped by the rewrite;
         quarantine first via
         :meth:`~repro.core.storage.recordfile.RecordFile.salvage` if
@@ -1015,19 +1048,24 @@ class JournaledDatabase:
         loaded journal can always be bounded.
         """
         self.flush(enforce=False)
-        events = list(self._file.scan())
-        base = self._base
-        fresh, keep = [], []
+        base = self._remembered_base()
+        events = [] if base is None else list(self._file.scan(base.offset))
+        fresh, keep, source = [], [], None
         if base is not None and _holds(events, base):
+            if base.offset == 0 and events[-1].end == base.end:
+                # the file is its base unit and nothing else: already
+                # compact, so nothing is rewritten
+                return base.end
             # intact frames tile the remembered unit exactly: keep it by
-            # range, look at nothing before it, decode only what follows
+            # range, read nothing before it, decode only what follows;
+            # the rewrite copies the kept frames out of this scan's bytes
             keep = [(base.offset, base.end)]
-            tail = self._record_events(
-                e for e in events if e.offset >= base.end
-            )
+            source = (base.offset, events[0].scanned)
+            tail = self._record_events(e for e in events if e.offset >= base.end)
         else:
             # no remembered unit, or it rotted since it was written:
             # search every record for the newest one that is complete
+            events = list(self._file.scan())
             tail = self._record_events(events)
             units = _image_units(tail)
             if units:
@@ -1074,7 +1112,7 @@ class JournaledDatabase:
             keep += [(e.offset, e.end) for e in tail if keeps(e.record)]
         if faults._PLAN is not None:  # noqa: SLF001 - zero-cost guard
             faults.fire("journal.compact.rewrite")
-        self._file.rewrite(fresh, keep=keep)
+        self._file.rewrite(fresh, keep=keep, source=source)
         # the rewrite starts the file at its base unit: nothing is
         # superseded until the next checkpoint
         size = self._file.size_bytes()
@@ -1084,6 +1122,15 @@ class JournaledDatabase:
             else BaseUnit(0, base.end - base.offset, base.cp)
         )
         return size
+
+    def _remembered_base(self) -> Optional[BaseUnit]:
+        """The remembered base unit, forgotten once a write found the
+        journal file replaced under its handle: its offsets are the
+        old file's, and compaction has to search the new one."""
+        if self._file.replacements != self._replacements:
+            self._replacements = self._file.replacements
+            self._base = None
+        return self._base
 
     def _record_events(self, events=None) -> list:
         """The intact, decodable records of a scan (or of *events*)."""

@@ -28,8 +28,21 @@ stream (``append_stream``), replace (``rewrite``) and cut a torn tail
 nothing is built behind it.
 
 * ``RecordFile._write`` is the only code that adds bytes to a record
-  file: open-append, write each blob, one fsync, plus a directory
-  fsync when the call created the file. Failpoints (armed via
+  file: write each blob, one fsync, plus a directory fsync when the
+  call created the file. The one writer owns one append handle per
+  ``RecordFile``: opened by the first write, kept across writes, and
+  closed by :meth:`RecordFile.close`, by a ``weakref.finalize`` when the
+  object is forgotten, and on *any* exception inside the writer (which
+  also flushes what the interrupted call had written, as closing always
+  did). Each write takes its offset from the file's real end (a seek to
+  the end), never from a remembered position, so an append by another
+  ``RecordFile`` on the same path cannot throw the ranges off. Every
+  replacement or cut of the file — ``rewrite`` (so ``salvage``) and
+  ``truncate`` — drops the handle first, so no write lands in a file
+  that is no longer at the path; a write that finds the file replaced
+  under its handle by anyone else (one ``fstat``: no link left)
+  reopens the path and counts it in ``RecordFile.replacements``.
+  Failpoints (armed via
   :mod:`repro.core.faults`): ``recordfile.append.pre_write`` per blob
   (a torn write persists the truncated prefix and crashes),
   ``recordfile.append.pre_fsync`` per call. ``append``, ``append_many``
@@ -54,7 +67,11 @@ nothing is built behind it.
 * Kept means copied: ``rewrite(records, keep=[(offset, end), ...])``
   carries byte ranges of the current file over verbatim; compaction
   and ``salvage()`` pass only ranges, so a frame that was CRC-checked
-  on scan is never re-serialized.
+  on scan is never re-serialized. Given the bytes of the scan that
+  found the ranges (its start and :attr:`ScanEvent.scanned`), the
+  rewrite slices them from there instead of reading them again;
+  ``scan(start=)`` reads only from *start* on, so a compaction that
+  trusts its remembered base never reads what precedes it.
 
 Recovery contract
 -----------------
@@ -92,10 +109,11 @@ from __future__ import annotations
 import base64
 import json
 import os
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, BinaryIO, Iterable, Iterator, Optional
 
 from repro.core import faults
 from repro.core.errors import StorageError
@@ -140,6 +158,11 @@ class ScanEvent:
     them on first access and caches the result, so a reader that only
     needs a frame's byte range (compaction keeping its base image)
     never pays for the JSON inside it.
+
+    While the payload is undecoded, :attr:`scanned` is the buffer it
+    points into: the bytes the scan read, from its start offset on. A
+    rewrite handed them copies kept ranges out of them instead of
+    reading the file again.
     """
 
     __slots__ = ("kind", "offset", "end", "problem", "_payload", "_record")
@@ -158,6 +181,12 @@ class ScanEvent:
         self.problem = problem
         self._payload = payload
         self._record: Any = None
+
+    @property
+    def scanned(self) -> Optional[bytes]:
+        """The bytes this event's scan read (from the scan's start on),
+        or None once the payload is decoded (or for a skipped range)."""
+        return None if self._payload is None else self._payload.obj
 
     @property
     def record(self) -> Any:
@@ -257,6 +286,14 @@ class RecordFile:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        #: the one writer's append handle (None until the first write
+        #: and after every close), and the finalizer that closes it
+        #: when this object is forgotten
+        self._handle: Optional[BinaryIO] = None
+        self._closer: Optional[weakref.finalize] = None
+        #: writes that found the file at the path replaced (or deleted)
+        #: under the kept handle, and so reopened the path
+        self.replacements = 0
 
     # -- writing ------------------------------------------------------------
 
@@ -271,7 +308,7 @@ class RecordFile:
         return self._write([_frame(payload)])[:2]
 
     def append_many(self, records: Iterator[Any] | list[Any]) -> int:
-        """Append several records with one open/fsync; returns the count."""
+        """Append several records with one write and fsync; returns the count."""
         return self.append_encoded([self.encode(record) for record in records])
 
     @staticmethod
@@ -308,10 +345,24 @@ class RecordFile:
 
     def _write(self, blobs: Iterable[bytes]) -> tuple[int, int, int]:
         """The one durable writer; returns ``(offset, end, blobs written)``."""
-        creating = not self.path.exists()
+        creating = False
         count = 0
-        with open(self.path, "ab") as handle:
-            offset = end = handle.tell()
+        try:
+            handle = self._handle
+            if handle is not None and os.fstat(handle.fileno()).st_nlink == 0:
+                # another writer replaced the file (or deleted it): the
+                # kept handle writes to an unlinked inode, so write to
+                # the file at the path, as a fresh open would
+                self.close()
+                self.replacements += 1
+                handle = None
+            if handle is None:
+                creating = not self.path.exists()
+                handle = self._handle = open(self.path, "ab")
+                self._closer = weakref.finalize(self, handle.close)
+            # the real end, not a remembered one: another appender may
+            # have written since
+            offset = end = handle.seek(0, os.SEEK_END)
             for count, blob in enumerate(blobs, 1):
                 if faults._PLAN is not None:  # noqa: SLF001 - zero-cost guard
                     try:
@@ -331,9 +382,21 @@ class RecordFile:
                 faults.fire("recordfile.append.pre_fsync")
             handle.flush()
             os.fsync(handle.fileno())
+        except BaseException:
+            # closing flushes what this call wrote, and the next write
+            # starts from a fresh handle
+            self.close()
+            raise
         if creating:
             _fsync_directory(self.path.parent)
         return offset, end, count
+
+    def close(self) -> None:
+        """Close the append handle (idempotent); a later write opens a
+        new one."""
+        if self._closer is not None:
+            self._closer()
+        self._handle = self._closer = None
 
     def truncate(self, end: int) -> None:
         """Cut the file back to its first *end* bytes, fsync'd.
@@ -341,13 +404,25 @@ class RecordFile:
         How a torn tail (the partial frame an interrupted append left)
         is dropped, so the next append follows the last intact frame.
         """
+        self.close()
         with open(self.path, "r+b") as handle:
             handle.truncate(end)
             handle.flush()
             os.fsync(handle.fileno())
 
-    def _read_ranges(self, ranges: list[tuple[int, int]]) -> list[bytes]:
-        """The current file's bytes at each ``(offset, end)`` range."""
+    def _read_ranges(
+        self,
+        ranges: list[tuple[int, int]],
+        source: Optional[tuple[int, bytes]] = None,
+    ) -> list[bytes]:
+        """The current file's bytes at each ``(offset, end)`` range:
+        sliced from a scan's *source* (no copy) when given, else read."""
+        if source is not None:
+            start, data = source
+            view = memoryview(data)
+            if any(o < start or e > start + len(data) for o, e in ranges):
+                raise ValueError("a kept range lies outside the scanned bytes")
+            return [view[offset - start : end - start] for offset, end in ranges]
         chunks = []
         with open(self.path, "rb") as handle:
             for offset, end in ranges:
@@ -356,23 +431,33 @@ class RecordFile:
         return chunks
 
     def rewrite(
-        self, records: Iterable[Any] = (), *, keep: list[tuple[int, int]] = ()
+        self,
+        records: Iterable[Any] = (),
+        *,
+        keep: list[tuple[int, int]] = (),
+        source: Optional[tuple[int, bytes]] = None,
     ) -> None:
         """Atomically replace the file's contents (write-temp-and-rename).
 
         The new contents: the *keep* byte ranges of the current file,
         copied verbatim in the order given, then the encoded *records*
         (like :meth:`append`, a record may be the payload bytes
-        :meth:`encode` would make of it). The writer fsyncs the temp
-        file; the directory is fsync'd again after ``os.replace``.
+        :meth:`encode` would make of it). With the *source* of the scan
+        that found the ranges — ``(start, data)``, its start offset and
+        :attr:`ScanEvent.scanned` — they are sliced from the bytes it
+        read. The writer fsyncs the temp file; the directory is fsync'd
+        again after ``os.replace``. The append handle is dropped first:
+        it would write to the replaced file.
         """
+        self.close()
         blob = b"".join(
-            (self._read_ranges(keep) if keep else [])
+            (self._read_ranges(keep, source) if keep else [])
             + [_frame(r if isinstance(r, bytes) else self.encode(r)) for r in records]
         )
         temp = RecordFile(self.path.with_suffix(self.path.suffix + ".tmp"))
         temp.path.unlink(missing_ok=True)  # a crashed rewrite's leftover
         temp._write([blob] if blob else [])  # noqa: SLF001 - same class
+        temp.close()  # before the rename: nothing writes to it after
         if faults._PLAN is not None:  # noqa: SLF001
             faults.fire("recordfile.rewrite.replace")
         os.replace(temp.path, self.path)
@@ -398,7 +483,7 @@ class RecordFile:
 
     # -- salvage scan -------------------------------------------------------
 
-    def scan(self) -> Iterator[ScanEvent]:
+    def scan(self, start: int = 0) -> Iterator[ScanEvent]:
         """Full salvage scan: frames *and* skipped ranges, with resync.
 
         Framing only — length, CRC, terminator; no payload is decoded
@@ -406,24 +491,31 @@ class RecordFile:
         does not end the scan: the corrupt region is reported as one
         ``"corrupt"`` event and the scan resumes at the next plausible
         record header. A trailing region with no further header is a
-        single ``"tail"`` event. Events tile the file: each starts
-        where the previous ended.
+        single ``"tail"`` event. Events tile the file from *start* (a
+        frame boundary; nothing before it is read): each starts where
+        the previous ended. Offsets are the file's.
         """
-        if not self.path.exists():
+        try:
+            with open(self.path, "rb") as handle:
+                handle.seek(start)
+                data = handle.read()
+        except FileNotFoundError:
             return
-        data = self.path.read_bytes()
-        offset = 0
-        while offset < len(data):
-            parsed = _parse_record(data, offset)
+        # file offsets; an event's end is the next one's offset, one int
+        offset, stop = start, start + len(data)
+        while offset < stop:
+            parsed = _parse_record(data, offset - start)
             if isinstance(parsed, str):  # a problem, not a record
-                resync = _find_resync(data, offset + 1)
+                resync = _find_resync(data, offset - start + 1)
                 if resync is None:
-                    yield ScanEvent("tail", offset, len(data), problem=parsed)
+                    yield ScanEvent("tail", offset, stop, problem=parsed)
                     return
+                resync += start
                 yield ScanEvent("corrupt", offset, resync, problem=parsed)
                 offset = resync
                 continue
             payload, end = parsed
+            end += start
             yield ScanEvent("record", offset, end, payload)
             offset = end
 
@@ -505,15 +597,19 @@ class RecordFile:
             return report
         skipped = [event for event in events if event.kind != "record"]
         chunks = self._read_ranges([(e.offset, e.end) for e in skipped])
-        RecordFile(quarantine).append_many(
-            {
-                "offset": event.offset,
-                "length": len(data),
-                "problem": event.problem,
-                "data_b64": base64.b64encode(data).decode("ascii"),
-            }
-            for event, data in zip(skipped, chunks)
-        )
+        sidecar = RecordFile(quarantine)
+        try:
+            sidecar.append_many(
+                {
+                    "offset": event.offset,
+                    "length": len(data),
+                    "problem": event.problem,
+                    "data_b64": base64.b64encode(data).decode("ascii"),
+                }
+                for event, data in zip(skipped, chunks)
+            )
+        finally:
+            sidecar.close()
         self.rewrite(
             keep=[(e.offset, e.end) for e in events if e.kind == "record"]
         )

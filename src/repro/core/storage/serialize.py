@@ -25,7 +25,8 @@ what ``RecordFile.encode(state_to_dict(kind, state))`` writes (the
 oracle). The ``txn`` and ``version`` deltas are joined from its bytes,
 and so is :class:`ImageFragments`, the journal's image encoder: it
 keeps each item's and cell's encoded bytes — filled from the bytes a
-``txn`` or ``version`` record has just written, dropped where state is
+``txn`` or ``version`` record has just written, extended by the entry
+a ``version`` record adds at a cell's end, dropped where state is
 written otherwise — and produces the monolithic record of
 :func:`database_to_dict` and the records of :func:`iter_image_records`
 byte for byte, encoding only what is not cached. A ``version`` record
@@ -489,6 +490,14 @@ def _version_json(version: VersionId) -> bytes:
     return _quote(str(version)).encode("ascii")
 
 
+def _cell_entry(version: bytes, state: bytes, materialized: bool) -> bytes:
+    """One entry of a cell's ``states`` list (*version* as
+    :func:`_version_json` writes it, *state* as the kernel encoded it)."""
+    return b'{%b"state":%b,"version":%b}' % (
+        b'"materialized":true,' if materialized else b"", state, version,
+    )
+
+
 def _cell_json(key: ItemKey, entries: Iterable[tuple[bytes, bytes, bool]]) -> bytes:
     """A version-store cell (:func:`_cell_record`) from its entries as
     ``(version as _version_json, encoded state, materialized)``."""
@@ -496,14 +505,7 @@ def _cell_json(key: ItemKey, entries: Iterable[tuple[bytes, bytes, bool]]) -> by
     return b'{"id":%d,"kind":%b,"states":[%b]}' % (
         item_id,
         _KINDS[kind],
-        b",".join([
-            b'{%b"state":%b,"version":%b}' % (
-                b'"materialized":true,' if materialized else b"",
-                state,
-                version,
-            )
-            for version, state, materialized in entries
-        ]),
+        b",".join([_cell_entry(*entry) for entry in entries]),
     )
 
 
@@ -690,8 +692,9 @@ def version_delta_from_db(
     Usually a ``txn`` record has just made it. A materialized state,
     or an item without a member, goes through the state kernel. Every
     cell this version opened — its one entry is the state just written
-    — is kept there, made from the same bytes; a cell that gained a
-    further entry is re-encoded whole by the next save point.
+    — is kept there, made from the same bytes; a cell that grew by this
+    entry at its end has the same bytes spliced onto its fragment
+    (:meth:`ImageFragments.splice_cell`).
     """
     store = db.versions.store
     version = _version_json(vid)
@@ -709,8 +712,11 @@ def version_delta_from_db(
             b'"materialized":true,' if materialized else b"",
             blob,
         ))
-        if fragments is not None and len(store._cells[key]) == 1:  # noqa: SLF001
-            fragments.keep_cell(key, version, blob, materialized)
+        if fragments is not None:
+            if len(store._cells[key]) == 1:  # noqa: SLF001
+                fragments.keep_cell(key, version, blob, materialized)
+            else:
+                fragments.splice_cell(key, version, blob, materialized)
     parent = db.versions.tree.parent(vid)
     encode = RecordFile.encode
     return _json_object({
@@ -829,8 +835,10 @@ class ImageFragments:
     record has just encoded the state, from the same bytes
     (:meth:`keep_item` for every item a ``txn`` or ``restore`` delta
     carries, :meth:`keep_cell` for every cell a ``version`` delta
-    opens), and *dropped* wherever state is written otherwise: the
-    writer reports the key (:meth:`item_changed`, :meth:`cell_changed`).
+    opens), *extended* where a ``version`` delta adds an entry at a
+    cell's end (:meth:`splice_cell`), and *dropped* wherever state is
+    written otherwise: the writer reports the key (:meth:`item_changed`,
+    :meth:`cell_changed`).
     A schema migration writes no encoded state: it re-binds each item
     to the element of the same name. A kept item member therefore always
     encodes the item's live state, and a ``version`` delta reads it
@@ -848,21 +856,36 @@ class ImageFragments:
     ``_cell_sink``.
     """
 
-    __slots__ = ("_objects", "_relationships", "_cells")
+    __slots__ = ("_objects", "_relationships", "_cells", "_open")
 
     def __init__(self) -> None:
         self._objects: dict[int, bytes] = {}
         self._relationships: dict[int, bytes] = {}
         self._cells: dict[ItemKey, bytes] = {}
+        #: fragments of cells that grew at their end by an entry the
+        #: ``version`` record has not spliced on yet
+        self._open: dict[ItemKey, bytes] = {}
 
     def item_changed(self, key: ItemKey) -> None:
         """Drop the fragment of a live item whose state may have changed."""
         kind, item_id = key
         (self._objects if kind == "o" else self._relationships).pop(item_id, None)
 
-    def cell_changed(self, key: ItemKey) -> None:
-        """Drop the fragment of a version-store cell that changed."""
-        self._cells.pop(key, None)
+    def cell_changed(self, key: ItemKey, at_end: bool = False) -> None:
+        """Drop the fragment of a version-store cell that changed.
+
+        A cell that only gained an entry sorting after all its others
+        (*at_end*) keeps its fragment open until the ``version`` record
+        holding that entry splices it on (:meth:`splice_cell`). The
+        entry's own write is the last change before that splice: any
+        other change of the cell drops the open fragment.
+        """
+        # a key is in at most one of the two tables
+        fragment = self._cells.pop(key, None)
+        if fragment is None:
+            self._open.pop(key, None)  # never spliced: drop it
+        elif at_end:
+            self._open[key] = fragment
 
     def keep_item(self, kind: str, item_id: int, state: bytes, split: int) -> None:
         """Keep the member of an item whose current state a record has
@@ -879,6 +902,20 @@ class ImageFragments:
         just encoded."""
         self._cells[key] = _cell_json(key, ((version, state, materialized),))
 
+    def splice_cell(
+        self, key: ItemKey, version: bytes, state: bytes, materialized: bool
+    ) -> None:
+        """Extend the fragment of a cell that grew at its end by the
+        entry a record has just encoded (*version* as
+        :func:`_version_json` writes it). A cell not open keeps no
+        fragment: the next save point encodes it."""
+        fragment = self._open.pop(key, None)
+        if fragment is not None:
+            # the entry goes before the fragment's closing ``]}``
+            self._cells[key] = b"%b,%b]}" % (
+                memoryview(fragment)[:-2], _cell_entry(version, state, materialized),
+            )
+
     def state_of(self, kind: str, item_id: int) -> Optional[bytes]:
         """The encoded live state of an item whose member is kept (the
         member with its id taken out again), or None."""
@@ -891,6 +928,8 @@ class ImageFragments:
         objects = db._objects  # noqa: SLF001
         relationships = db._relationships  # noqa: SLF001
         store = db.versions.store
+        # a cell still open was not spliced by its version's record
+        self._open.clear()
         return (
             _cached(
                 self._objects, objects.keys(),

@@ -29,7 +29,11 @@ instead of a pass over every cell. :meth:`keys_in_version_scan` is the
 retained cell scan the index is tested against. The same writers report
 every key whose cell they change to ``_cell_sink`` — ``None`` unless a
 journal keeps the cells' encoded image fragments
-(:class:`~repro.core.storage.serialize.ImageFragments`).
+(:class:`~repro.core.storage.serialize.ImageFragments`). A writer that
+only adds an entry which sorts after every other entry of its cell
+(``record`` and ``materialize_snapshot``, nearly always) says so: the
+cell grew at its end, so its fragment can be extended rather than
+encoded again.
 
 Compaction support (see :mod:`repro.core.versions.compaction`): a
 version may be marked as a **snapshot** — it then holds the *complete*
@@ -69,9 +73,10 @@ class VersionStore:
         #: history operations filter these so "find all versions of X"
         #: keeps listing real changes only
         self._by_version: dict[VersionId, dict[ItemKey, bool]] = {}
-        #: called with the key of every cell a writer changes; None
-        #: unless a journal keeps encoded cells (it drops that one)
-        self._cell_sink: Optional[Callable[[ItemKey], None]] = None
+        #: called with the key of every cell a writer changes, and True
+        #: when the change only added an entry at the cell's end; None
+        #: unless a journal keeps encoded cells
+        self._cell_sink: Optional[Callable[..., None]] = None
 
     # -- writing -------------------------------------------------------------
 
@@ -91,7 +96,8 @@ class VersionStore:
         cell[version] = state
         self._by_version.setdefault(version, {})[key] = False
         if self._cell_sink is not None:
-            self._cell_sink(key)
+            # a cell this entry opened had no fragment to extend
+            self._cell_sink(key, len(cell) > 1 and _at_end(cell, version))
 
     def record_many(
         self, version: VersionId, states: Iterable[tuple[ItemKey, ItemState]]
@@ -159,11 +165,12 @@ class VersionStore:
         for key, state in resolved.items():
             if key in at_version:
                 continue
-            self._cells[key][version] = state
+            cell = self._cells[key]
+            cell[version] = state
             at_version[key] = True
             added += 1
             if self._cell_sink is not None:
-                self._cell_sink(key)
+                self._cell_sink(key, _at_end(cell, version))
         if not at_version:
             del self._by_version[version]
         self._snapshots.add(version)
@@ -420,3 +427,10 @@ class VersionStore:
     def cell_count(self) -> int:
         """Number of items with at least one stored state."""
         return len(self._cells)
+
+
+def _at_end(cell: dict[VersionId, ItemState], version: VersionId) -> bool:
+    """True when the entry at *version*, just added to *cell*, sorts
+    after every other (:meth:`VersionStore.entries_of` lists it last)."""
+    parts = version.parts
+    return all(other.parts <= parts for other in cell)

@@ -146,7 +146,9 @@ class SeedService:
         clean stop even without a checkpoint. With *final_checkpoint*,
         it additionally appends a final checkpoint and compacts the
         journal before the remaining connections are closed — the
-        ``repro serve`` SIGTERM/SIGINT path.
+        ``repro serve`` SIGTERM/SIGINT path. Either way a drained stop
+        then closes the journal's file handle
+        (:meth:`~repro.core.storage.engine.JournaledDatabase.close`).
         """
         if self._asyncio_server is None:
             return
@@ -188,6 +190,7 @@ class SeedService:
                     await asyncio.get_running_loop().run_in_executor(
                         None, self.server.journal.flush
                     )
+                self.server.journal.close()
         finally:
             if drained:
                 self._write_lock.release()

@@ -1,6 +1,6 @@
 """The change-capture seam: streamed images, group commit, unknown kinds.
 
-Three claims, each tested against the monolithic reference or a
+Four claims, each tested against the monolithic reference or a
 durability oracle:
 
 * **streamed image equivalence** — `iter_image_records` /
@@ -15,12 +15,18 @@ durability oracle:
   appends, snapshot pins, service shutdown — loses nothing;
 * **unknown record kinds** — a journal written by a newer build is
   skipped-and-surfaced (`RecoveryWarning`, or `StorageError` under
-  ``strict=True``), never crashed on and never silently accepted.
+  ``strict=True``), never crashed on and never silently accepted;
+* **one writer, one handle** — compaction copies the kept frames
+  verbatim and reads nothing before the remembered base, and the
+  journal's one append handle survives foreign appends, its own and
+  foreign file replacements, interrupted writes and being forgotten.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import random
 import warnings
 
@@ -38,6 +44,7 @@ from repro.core.storage import (
     database_to_dict,
     iter_image_records,
 )
+from repro.core.storage.recordfile import _frame
 
 
 def item_schema():
@@ -634,3 +641,235 @@ class TestCompactionCopiesFrames:
         assert salvaged == b"".join(
             _frame(RecordFile.encode(record)) for record, __ in survivors
         )
+
+
+def spy_scans(monkeypatch) -> list:
+    """The start offset of every ``RecordFile.scan``."""
+    starts = []
+    real = RecordFile.scan
+
+    def scan(self, start=0):
+        starts.append(start)
+        return real(self, start)
+
+    monkeypatch.setattr(RecordFile, "scan", scan)
+    return starts
+
+
+class TestCompactionReadsFromItsBase:
+    """``compact()`` scans from the remembered base unit: the bytes
+    before it are never read, and the rewrite copies the kept frames
+    out of what the scan read."""
+
+    @pytest.mark.parametrize("streamed_base", [False, True])
+    def test_the_scan_starts_at_the_remembered_base(
+        self, tmp_path, monkeypatch, streamed_base
+    ):
+        path = tmp_path / "b.seed"
+        journal = TestCompactionCopiesFrames().build(path, streamed_base=streamed_base)
+        journal.checkpoint()
+        commit(journal.db, "C", "after the base")
+        base = journal._base  # noqa: SLF001
+        assert base.offset > 0
+        reference = parent_compaction_bytes(path)
+        starts = spy_scans(monkeypatch)
+        read = []
+        real_read = RecordFile._read_ranges  # noqa: SLF001
+        monkeypatch.setattr(
+            RecordFile, "_read_ranges",
+            lambda self, ranges, source=None: (
+                read.append(source is None), real_read(self, ranges, source)
+            )[1],
+        )
+        journal.compact()
+        assert starts == [base.offset]
+        assert read == [False], "the rewrite read the file again"
+        assert path.read_bytes() == reference
+        reopened = JournaledDatabase.open(path, name="g")
+        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
+
+    def test_a_rotted_base_falls_back_to_the_full_search(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.seed"
+        journal = TestCompactionCopiesFrames().build(path, streamed_base=False)
+        journal.checkpoint()
+        commit(journal.db, "C", "after the base")
+        base = journal._base  # noqa: SLF001
+        data = bytearray(path.read_bytes())
+        data[base.offset + 40] ^= 0xFF  # inside the base image's payload
+        path.write_bytes(bytes(data))
+        reference = parent_compaction_bytes(path)
+        starts = spy_scans(monkeypatch)
+        journal.compact()
+        assert starts == [base.offset, 0]
+        assert path.read_bytes() == reference
+
+    def test_a_compact_journal_is_not_rewritten(self, tmp_path, monkeypatch):
+        from repro.core.faults import FaultPlan
+
+        path = tmp_path / "n.seed"
+        journal = JournaledDatabase.open(path, schema=item_schema(), name="n")
+        commit(journal.db, "A", "a")
+        size = journal.save_point()
+        compacted = path.read_bytes()
+        assert len(compacted) == size
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+        with FaultPlan() as plan:
+            assert journal.compact() == size
+        assert synced == [] and plan.hits == {}
+        assert path.read_bytes() == compacted
+        # a torn or corrupt tail after the base is still cut by a rewrite
+        for tail in (b"00000042 dead", _frame(b'{"kind":"x"}')[:-1] + b"?"):
+            with open(path, "ab") as handle:
+                handle.write(tail)
+            assert journal.compact() == size
+            assert synced and path.read_bytes() == compacted
+            synced.clear()
+
+
+class TestTheAppendHandle:
+    """One append handle per journal file: offsets from the real end,
+    dropped by every replacement or cut and by any failed write, closed
+    by ``close()`` or, for a forgotten journal, by a finalizer."""
+
+    def test_a_foreign_append_between_journal_appends(self, tmp_path):
+        path = tmp_path / "f.seed"
+        journal = JournaledDatabase.open(path, schema=item_schema(), name="f")
+        commit(journal.db, "A", "a")
+        RecordFile(path).append({"kind": "replica.hint", "seq": 999})
+        commit(journal.db, "B", "b")
+        RecordFile(path).append({"kind": "replica.hint", "seq": 1000})
+        journal.checkpoint()
+        events = list(RecordFile(path).scan())
+        assert [e.kind for e in events] == ["record"] * 6
+        base = journal._base  # noqa: SLF001
+        assert (base.offset, base.end) == (events[-1].offset, events[-1].end)
+        reference = parent_compaction_bytes(path)
+        journal.compact()
+        assert path.read_bytes() == reference
+        reopened = JournaledDatabase.open(path)
+        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
+
+    @pytest.mark.parametrize("replacement", ["compact", "truncate", "salvage"])
+    def test_the_next_commit_lands_in_the_current_file(self, tmp_path, replacement):
+        path = tmp_path / "r.seed"
+        journal = JournaledDatabase.open(path, schema=item_schema(), name="r")
+        commit(journal.db, "A", "a")
+        if replacement == "compact":
+            journal.checkpoint()
+            journal.compact()
+        elif replacement == "truncate":
+            commit(journal.db, "Torn", "t")
+            with open(path, "r+b") as handle:
+                handle.truncate(path.stat().st_size - 5)
+            journal = JournaledDatabase.open(path)  # cuts the torn tail
+            assert journal.db.find_object("Torn") is None
+        else:
+            commit(journal.db, "Lost", "l")
+            lost = list(RecordFile(path).scan())[-1]
+            data = bytearray(path.read_bytes())
+            data[lost.offset + 30] ^= 0xFF
+            path.write_bytes(bytes(data))
+            assert not journal._file.salvage().is_clean  # noqa: SLF001
+        commit(journal.db, "After", "lands")
+        last = list(RecordFile(path).decoded())[-1]
+        assert last.kind == "record" and last.record["kind"] == "txn"
+        assert last.end == path.stat().st_size
+        reopened = JournaledDatabase.open(path)
+        assert reopened.recovery.clean
+        assert reopened.db.find_object("After") is not None
+        assert reopened.db.find_object("A") is not None
+
+    @pytest.mark.parametrize("foreign", ["compact", "rewrite"])
+    def test_a_file_replaced_under_the_handle_gets_the_next_commit(
+        self, tmp_path, foreign
+    ):
+        """Another writer replaces the file under the open journal (a
+        second journal compacting it, a raw rewrite): the next commit
+        lands in the file at the path, not in the unlinked one, and
+        the journal's compaction searches the new file."""
+        path = tmp_path / "x.seed"
+        journal = JournaledDatabase.open(path, schema=item_schema(), name="x")
+        commit(journal.db, "A", "a")
+        journal.checkpoint()
+        commit(journal.db, "B", "b")
+        if foreign == "compact":
+            other = JournaledDatabase.open(path)
+            other.compact()
+            other.close()
+        else:
+            scanned = list(RecordFile(path).scan())
+            RecordFile(path).rewrite(keep=[(e.offset, e.end) for e in scanned])
+        commit(journal.db, "After", "lands")
+        assert journal._file.replacements == 1  # noqa: SLF001
+        assert journal._remembered_base() is None  # noqa: SLF001
+        reopened = JournaledDatabase.open(path)
+        assert reopened.db.find_object("After") is not None
+        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
+        journal.compact()
+        commit(journal.db, "Later", "after the compaction")
+        reopened = JournaledDatabase.open(path)
+        assert reopened.recovery.clean
+        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
+
+    @pytest.mark.parametrize("fault", ["crash", "torn"])
+    def test_an_interrupted_stream_keeps_its_frames_and_the_next_append_follows(
+        self, tmp_path, fault
+    ):
+        from repro.core.faults import FaultPlan, SimulatedCrash
+        from repro.core.storage.serialize import iter_image_records
+
+        path = tmp_path / "s.seed"
+        journal = JournaledDatabase.open(path, schema=item_schema(), name="s")
+        for name in "ABC":
+            commit(journal.db, name, name.lower())
+        before = path.read_bytes()
+        cp = journal._next_seq  # noqa: SLF001
+        frames = [
+            _frame(RecordFile.encode(record))
+            for record in (
+                {"kind": "image.begin", "cp": cp},
+                *({"kind": "image.rec", "cp": cp, "rec": rec}
+                  for rec in iter_image_records(journal.db)),
+            )
+        ]
+        plan = FaultPlan()
+        if fault == "torn":
+            plan.torn_write("recordfile.append.pre_write", keep=9, at=3)
+        else:
+            plan.crash("recordfile.append.pre_write", at=3)
+        with plan, pytest.raises(SimulatedCrash):
+            journal.checkpoint(streamed=True)
+        intact = before + frames[0] + frames[1]
+        assert path.read_bytes() == intact + (frames[2][:9] if fault == "torn" else b"")
+        if fault == "torn":
+            journal = JournaledDatabase.open(path)  # cuts the torn prefix
+        commit(journal.db, "D", "d")
+        after = [e for e in RecordFile(path).scan() if e.offset >= len(intact)]
+        assert [e.record["kind"] for e in after] == ["txn"]
+        assert after[0].offset == len(intact)
+        reopened = JournaledDatabase.open(path)
+        assert reopened.db.find_object("D") is not None
+        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
+
+    def test_close_twice_and_a_forgotten_journal_closes_its_handle(self, tmp_path):
+        journal = JournaledDatabase.open(tmp_path / "c.seed", schema=item_schema())
+        commit(journal.db, "A", "a")
+        journal.close()
+        journal.close()
+        commit(journal.db, "B", "after the close")  # opens a new handle
+        journal.close()
+        assert JournaledDatabase.open(journal.path).db.find_object("B") is not None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            forgotten = JournaledDatabase.open(
+                tmp_path / "forgotten.seed", schema=item_schema()
+            )
+            commit(forgotten.db, "A", "a")
+            handle = forgotten._file._handle  # noqa: SLF001
+            assert handle is not None and not handle.closed
+            del forgotten
+            gc.collect()
+        assert handle.closed
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -6,7 +6,8 @@ cached per-item JSON fragments
 building and dumping :func:`database_to_dict` or
 :func:`iter_image_records`. A ``txn`` record fills the fragment of every
 item it carries, a ``version`` record every cell it opens, from the
-same bytes; every other write drops the fragment. The oracles are the
+same bytes, and it splices its entry onto every cell it grows at the
+end; every other write drops the fragment. The oracles are the
 from-scratch encodes: over seeded random histories that run every
 mutator — committed and rolled-back transactions, failing bulk batches,
 check-ins applied through :class:`SeedServer`, version selection,
@@ -720,6 +721,77 @@ def test_one_edit_re_encodes_one_fragment(tmp_path, encode_spy):
     journal.checkpoint()
     _encodes_no_state(encode_spy)
     assert last_frame_payload(journal.path) == full_image(db)
+
+
+def test_a_grown_cell_saves_without_encoding_a_state(tmp_path, encode_spy):
+    """A version that adds an entry to a cell that already has one
+    splices the bytes its ``version`` record encoded onto the kept
+    fragment: the next save point encodes no state at all."""
+    journal = JournaledDatabase.open(tmp_path / "j.seed", schema=figure3_schema())
+    db = journal.db
+    for index in range(20):
+        db.create_object("Data", f"D{index}")
+    db.create_version()
+    journal.checkpoint()
+    key = ("o", db.get_object("D7").oid)
+    db.rename(db.get_object("D7"), "Renamed")
+    db.create_version()
+    assert len(db.versions.store.entries_of(key)) == 2
+    encode_spy.clear()
+    journal.checkpoint()
+    _encodes_no_state(encode_spy)
+    assert last_frame_payload(journal.path) == full_image(db)
+
+
+def test_a_cell_grown_at_every_version_is_spliced_each_time(tmp_path, encode_spy):
+    """A cell that grows at several versions between save points, and a
+    branch version whose entry sorts in the middle of a cell: the save
+    point re-encodes only the second, and writes the full encode either
+    way."""
+    journal = JournaledDatabase.open(tmp_path / "j.seed", schema=figure3_schema())
+    db = journal.db
+    hot = db.create_object("Data", "Hot")
+    db.create_object("Data", "Cold")
+    first = db.create_version()
+    for step in range(4):
+        db.rename(hot, f"Hot{step}")
+        db.create_version()
+    encode_spy.clear()
+    journal.checkpoint()
+    _encodes_no_state(encode_spy)
+    assert last_frame_payload(journal.path) == full_image(db)
+    # 1.0's next child sorts before 2.0 .. 5.0 in Hot's cell
+    db.select_version(first)
+    db.rename(db.get_object("Hot"), "Branched")
+    branch = db.create_version()
+    assert branch < db.versions.store.entries_of(("o", hot.oid))[-1][0]
+    encode_spy.clear()
+    journal.checkpoint()
+    assert [(kind, state.name) for kind, state in encode_spy.states] == [
+        ("o", name) for name in ("Hot", "Branched", "Hot0", "Hot1", "Hot2", "Hot3")
+    ]
+    assert last_frame_payload(journal.path) == full_image(db)
+
+
+def test_cells_grown_by_online_snapshots_are_spliced(tmp_path, encode_spy):
+    """Online snapshot consolidation grows every cell by a materialized
+    entry; the ``version`` record splices those too."""
+    journal = JournaledDatabase.open(tmp_path / "j.seed", schema=figure3_schema())
+    db = journal.db
+    db.versions.retention = RetentionPolicy(snapshot_interval=2)
+    for index in range(6):
+        db.create_object("Data", f"D{index}")
+    db.create_version()
+    materialized = 0
+    for step in range(4):
+        db.rename(db.get_object(f"D{step}"), f"Renamed{step}")
+        vid = db.create_version()
+        materialized += sum(m for __, __, m in db.versions.store.states_at(vid))
+        encode_spy.clear()
+        journal.checkpoint()
+        _encodes_no_state(encode_spy)
+        assert last_frame_payload(journal.path) == full_image(db)
+    assert materialized == 10  # 5 unedited items at each of two snapshots
 
 
 def test_a_loaded_and_versioned_database_saves_without_encoding_a_state(
