@@ -14,8 +14,11 @@ snapshot/restore cycles (the PR-10 ``schema`` / ``version`` /
 compaction cycles.
 
 The driver only *observes* (high-water file size, compaction count);
-the assertions live in the tests and the nightly CI job, which also
-run ``repro fsck`` over the file the soak leaves behind.
+the assertions live in ``benchmarks/test_soak.py`` and the nightly CI
+job, which also runs ``repro fsck`` over the file the soak leaves
+behind. Import it with ``benchmarks/`` on the path
+(``PYTHONPATH=src:benchmarks``, then ``from soak import
+run_durability_soak``).
 """
 
 from __future__ import annotations

@@ -80,7 +80,3 @@ class FullCopyVersioning:
     def stored_state_count(self) -> int:
         """Total stored item states — compare with the delta store's."""
         return sum(len(snapshot) for snapshot in self._snapshots.values())
-
-    def snapshot_size(self, version: str | VersionId) -> int:
-        """Item states stored for one version (= database size then)."""
-        return len(self.snapshot(version))

@@ -160,14 +160,6 @@ class HandCodedSpecStore:
             if flow.data == name or flow.action == name
         ]
 
-    def readers_of(self, data_name: str) -> list[str]:
-        """Actions reading *data_name*."""
-        return [
-            flow.action
-            for flow in self._flows
-            if flow.kind == "read" and flow.data == data_name
-        ]
-
     def dataflow_report(self) -> list[str]:
         """Same shape as the SPADES tool's report, for output parity."""
         lines = []

@@ -156,18 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="batch direct-transaction journal appends "
                             "(one fsync per batch; check-ins, pins, and "
                             "shutdown stay per-operation durable)")
-    serve.add_argument("--group-commit-txns", type=int, default=8,
-                       metavar="N",
-                       help="flush a group-commit batch after N buffered "
-                            "commits (default: 8)")
-    serve.add_argument("--group-commit-bytes", type=int, default=65536,
-                       metavar="BYTES",
-                       help="flush a group-commit batch at BYTES of "
-                            "encoded records (default: 65536)")
-    serve.add_argument("--group-commit-delay", type=float, default=0.05,
-                       metavar="S",
-                       help="flush a group-commit batch once its oldest "
-                            "commit is S seconds old (default: 0.05)")
     serve.add_argument("--streamed-checkpoints", action="store_true",
                        help="stream checkpoint images record by record "
                             "(O(1) extra memory per checkpoint)")
@@ -382,20 +370,13 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.multiuser.service import SeedService
     from repro.spades import spades_schema
 
-    group_commit = None
-    if args.group_commit:
-        group_commit = GroupCommitPolicy(
-            max_txns=args.group_commit_txns,
-            max_bytes=args.group_commit_bytes,
-            max_delay_s=args.group_commit_delay,
-        )
     server = SeedServer.open(
         args.journal,
         schema=spades_schema(),
         lease_seconds=args.lease_seconds,
         session_seconds=args.session_seconds,
         byte_budget=args.journal_byte_budget,
-        group_commit=group_commit,
+        group_commit=GroupCommitPolicy() if args.group_commit else None,
         streamed_checkpoints=args.streamed_checkpoints,
     )
     service = SeedService(

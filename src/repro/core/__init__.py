@@ -2,8 +2,8 @@
 
 The central entry point is :class:`~repro.core.database.SeedDatabase`,
 created against a :class:`~repro.core.schema.Schema` (usually built with
-:class:`~repro.core.schema.SchemaBuilder`). See the package README for a
-quickstart.
+:class:`~repro.core.schema.SchemaBuilder`). ``examples/quickstart.py``
+walks through it.
 """
 
 from repro.core.cardinality import Cardinality

@@ -75,21 +75,6 @@ class Cardinality:
         """``n..n``."""
         return cls(n, n)
 
-    @classmethod
-    def optional(cls) -> "Cardinality":
-        """``0..1``."""
-        return cls(0, 1)
-
-    @classmethod
-    def any_number(cls) -> "Cardinality":
-        """``0..*``."""
-        return cls(0, None)
-
-    @classmethod
-    def at_least_one(cls) -> "Cardinality":
-        """``1..*``."""
-        return cls(1, None)
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -114,10 +99,6 @@ class Cardinality:
         This is the consistency half: only the maximum matters.
         """
         return self.maximum is None or count < self.maximum
-
-    def satisfies_minimum(self, count: int) -> bool:
-        """True when *count* meets the minimum (the completeness half)."""
-        return count >= self.minimum
 
     def widens(self, other: "Cardinality") -> bool:
         """True when this cardinality admits every count *other* admits.

@@ -341,17 +341,6 @@ class CompletenessEngine:
             report.gaps.extend(self.relationship_gaps_scan(rel))
         return report
 
-    def check_items(self, items: Iterable[object]) -> CompletenessReport:
-        """Analyse selected items only (and their sub-trees for objects)."""
-        report = CompletenessReport()
-        for item in items:
-            if hasattr(item, "walk"):  # an object: include its sub-tree
-                for obj in item.walk():
-                    report.gaps.extend(self.object_gaps(obj))
-            else:
-                report.gaps.extend(self.relationship_gaps(item))
-        return report
-
     # -- incremental maintenance -------------------------------------------
 
     def note_commit(

@@ -366,11 +366,6 @@ class SeedDatabase:
         """True while an explicit transaction is open."""
         return self._txn is not None
 
-    @property
-    def in_bulk(self) -> bool:
-        """True while a bulk batch is open."""
-        return self._bulk is not None
-
     @contextmanager
     def transaction(self) -> Iterator[_Transaction]:
         """Group updates; consistency is checked once, at commit.
@@ -1450,10 +1445,6 @@ class SeedDatabase:
     def check_completeness_scan(self) -> CompletenessReport:
         """The seed's full-scan analysis — the equivalence reference."""
         return self.completeness.check_database_scan()
-
-    def check_items_completeness(self, items: list[Item]) -> CompletenessReport:
-        """Completeness analysis restricted to *items* (and sub-trees)."""
-        return self.completeness.check_items(items)
 
     def require_complete(self) -> None:
         """Raise :class:`CompletenessError` unless the database is complete.

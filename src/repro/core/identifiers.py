@@ -185,19 +185,6 @@ class DottedName:
         """Compose the name of a sub-object in role *name* (with *index*)."""
         return DottedName(self.parts + (NamePart(name, index),))
 
-    def with_root(self, root: NamePart | str) -> "DottedName":
-        """Return this name re-rooted at *root* (same dependent path)."""
-        if isinstance(root, str):
-            root = NamePart.parse(root)
-        return DottedName((root,) + self.parts[1:])
-
-    def is_ancestor_of(self, other: "DottedName") -> bool:
-        """True when *other* names a (strict) descendant of this object."""
-        return (
-            len(other.parts) > len(self.parts)
-            and other.parts[: len(self.parts)] == self.parts
-        )
-
     def role_path(self) -> tuple[str, ...]:
         """The dependent-class names along the path, ignoring indices.
 

@@ -55,10 +55,6 @@ class ObjectState:
     is_pattern: bool
     inherited_pattern_oids: tuple[int, ...]
 
-    def differs_from(self, other: "ObjectState") -> bool:
-        """True when any persistent field differs (used by delta tests)."""
-        return self != other
-
 
 class SeedObject:
     """A live object in the database's current version.
@@ -179,13 +175,6 @@ class SeedObject:
 
     # -- structure access ----------------------------------------------------------
 
-    @property
-    def is_defined(self) -> bool:
-        """False for value-typed objects whose value is still undefined."""
-        if self.entity_class.has_value:
-            return self.value is not None
-        return True
-
     def sub_objects(self, role: Optional[str] = None) -> list["SeedObject"]:
         """Live (non-deleted) sub-objects, optionally only of *role*.
 
@@ -243,21 +232,6 @@ class SeedObject:
         yield self
         for child in self.sub_objects():
             yield from child.walk()
-
-    def descendant(self, *path: object) -> "SeedObject":
-        """Resolve a chain of (role, index) steps below this object.
-
-        Steps are role-name strings or ``(role, index)`` tuples:
-        ``alarms.descendant("Text", ("Keywords", 1))``.
-        """
-        node = self
-        for step in path:
-            if isinstance(step, tuple):
-                role, index = step
-                node = node.sub_object(role, index)
-            else:
-                node = node.sub_object(str(step))
-        return node
 
     # -- relationships -----------------------------------------------------------------
 

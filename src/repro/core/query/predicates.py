@@ -27,7 +27,6 @@ values rather than raising.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -36,7 +35,6 @@ from repro.core.objects import SeedObject
 __all__ = [
     "Predicate",
     "ObjectPredicate",
-    "FunctionPredicate",
     "And",
     "Or",
     "Not",
@@ -49,14 +47,10 @@ __all__ = [
     "narrowed_class",
     "both",
     "either",
-    "negate",
     "name_prefix",
-    "name_matches",
     "in_class",
     "has_value",
     "value_is",
-    "value_matches",
-    "sub_object_value",
     "participates_in",
 ]
 
@@ -90,20 +84,6 @@ def describe_predicate(predicate: Any) -> str:
         return predicate.describe()
     name = getattr(predicate, "__name__", None)
     return name if name else "predicate"
-
-
-@dataclass(frozen=True)
-class FunctionPredicate(ObjectPredicate):
-    """Wrap an opaque callable with a stable description."""
-
-    fn: Predicate
-    description: str
-
-    def __call__(self, obj: SeedObject) -> bool:
-        return bool(self.fn(obj))
-
-    def describe(self) -> str:
-        return self.description
 
 
 @dataclass(frozen=True)
@@ -276,23 +256,9 @@ def either(*predicates: Predicate) -> Or:
     return Or(tuple(predicates))
 
 
-def negate(predicate: Predicate) -> Not:
-    """Negation of *predicate*."""
-    return Not(predicate)
-
-
 def name_prefix(prefix: str) -> NamePrefix:
     """Match objects whose full dotted name starts with *prefix*."""
     return NamePrefix(prefix)
-
-
-def name_matches(pattern: str) -> ObjectPredicate:
-    """Match objects whose dotted name matches regex *pattern*."""
-    compiled = re.compile(pattern)
-    return FunctionPredicate(
-        lambda obj: compiled.search(str(obj.name)) is not None,
-        f"name~{pattern!r}",
-    )
 
 
 def in_class(class_name: str, *, include_specials: bool = True) -> InClass:
@@ -314,40 +280,6 @@ def has_value(_obj: Optional[SeedObject] = None) -> Any:
 def value_is(expected: Any) -> ObjectPredicate:
     """Match defined values equal to *expected* (undefined matches nothing)."""
     return ValueEquals(expected)
-
-
-def value_matches(pattern: str) -> ObjectPredicate:
-    """Match defined string values against regex *pattern*."""
-    compiled = re.compile(pattern)
-    return FunctionPredicate(
-        lambda obj: isinstance(obj.value, str)
-        and compiled.search(obj.value) is not None,
-        f"value~{pattern!r}",
-    )
-
-
-def sub_object_value(role_path: str, expected: Any) -> ObjectPredicate:
-    """Match objects with a sub-object at *role_path* holding *expected*.
-
-    ``sub_object_value("Text.Selector", "Representation")`` matches the
-    figure-1 ``Alarms`` object. Effective (pattern-inherited) sub-objects
-    count; an undefined or missing sub-object matches nothing.
-    """
-    steps = role_path.split(".")
-
-    def check(obj: SeedObject) -> bool:
-        frontier = [obj]
-        for step in steps:
-            frontier = [
-                child
-                for node in frontier
-                for child in node.effective_sub_objects(step)
-            ]
-            if not frontier:
-                return False
-        return any(node.value is not None and node.value == expected for node in frontier)
-
-    return FunctionPredicate(check, f"{role_path}=={expected!r}")
 
 
 def participates_in(association: str, role: Optional[str] = None) -> ParticipatesIn:

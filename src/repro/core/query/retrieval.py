@@ -4,7 +4,7 @@
 and simple retrieval by name. Retrieval with complex queries is not
 supported." — the by-name procedures live directly on
 :class:`~repro.core.database.SeedDatabase`; this module layers the
-slightly richer retrieval style tools actually need (name patterns,
+slightly richer retrieval style tools actually need (name prefixes,
 class extents with predicates, role navigation chains) without yet
 being the full algebra (see :mod:`repro.core.query.algebra`).
 
@@ -17,8 +17,6 @@ them from the extent / sorted-name indexes instead of scanning.
 
 from __future__ import annotations
 
-import re
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from repro.core.database import SeedDatabase
@@ -34,45 +32,6 @@ from repro.core.query.predicates import (
 )
 
 __all__ = ["Retrieval"]
-
-
-@lru_cache(maxsize=256)
-def _compiled(pattern: str) -> "re.Pattern[str]":
-    """Compiled-regex cache: repeated name-pattern queries skip re.compile."""
-    return re.compile(pattern)
-
-
-_METACHARACTERS = r".^$*+?{}[]()|\\"
-
-
-def _literal_prefix(pattern: str) -> Optional[str]:
-    """The literal name prefix implied by a ``^``-anchored regex, if any.
-
-    ``^Alarms\\.Text`` implies every match's name starts with
-    ``Alarms.Text``; the planner-style rewrite turns the full scan into
-    a bisected prefix retrieval. Returns None when no safe prefix can be
-    derived (unanchored, alternation, or a leading metacharacter).
-    """
-    if not pattern.startswith("^") or "|" in pattern:
-        return None
-    literal: list[str] = []
-    position = 1
-    while position < len(pattern):
-        char = pattern[position]
-        if char == "\\" and position + 1 < len(pattern):
-            following = pattern[position + 1]
-            if following in _METACHARACTERS:
-                literal.append(following)
-                position += 2
-                continue
-            break  # escape class like \d: not a literal
-        if char in _METACHARACTERS:
-            if char in "*?{" and literal:
-                literal.pop()  # the quantifier makes the last char optional
-            break
-        literal.append(char)
-        position += 1
-    return "".join(literal) or None
 
 
 class Retrieval:
@@ -109,16 +68,6 @@ class Retrieval:
         """
         return self._db.objects_by_name_prefix(prefix)
 
-    def count_by_name_prefix(self, prefix: str) -> int:
-        """Number of indexed independent names starting with *prefix*.
-
-        Two bisections — O(log n), nothing materialized — served from
-        the planner's statistics accessor. Counts the *name index*, so
-        independent pattern objects are included (unlike
-        :meth:`by_name_prefix`, which filters them from its results).
-        """
-        return self._db.indexes.name_prefix_count(prefix)
-
     def by_name_prefix_deep(self, prefix: str) -> list[SeedObject]:
         """All objects (any depth) whose dotted name starts with *prefix*.
 
@@ -152,27 +101,6 @@ class Retrieval:
             )
         results.sort(key=lambda obj: obj.oid)
         return results
-
-    def by_name_pattern(self, pattern: str) -> list[SeedObject]:
-        """All objects (any depth) whose dotted name matches a regex.
-
-        Compiled patterns are cached, and ``^``-anchored patterns with a
-        literal prefix are served from the sorted name index (only the
-        matching subtrees are scanned) — the planner's indexed-rewrite
-        applied to the prototype-level operation.
-        """
-        compiled = _compiled(pattern)
-        prefix = _literal_prefix(pattern)
-        candidates: Iterator[SeedObject] | list[SeedObject]
-        if prefix is not None:
-            candidates = self.by_name_prefix_deep(prefix)
-        else:
-            candidates = self._db.iter_objects()
-        return [
-            obj
-            for obj in candidates
-            if compiled.search(str(obj.name)) is not None
-        ]
 
     # -- class extents ----------------------------------------------------------
 
@@ -219,21 +147,6 @@ class Retrieval:
         """Instances of a class, optionally filtered by a predicate."""
         return list(
             self.iter_instances(
-                class_name, where, include_specials=include_specials
-            )
-        )
-
-    def count_instances(
-        self,
-        class_name: str,
-        where: Optional[Predicate] = None,
-        *,
-        include_specials: bool = True,
-    ) -> int:
-        """Number of matching instances without building a result list."""
-        return sum(
-            1
-            for __ in self.iter_instances(
                 class_name, where, include_specials=include_specials
             )
         )
@@ -300,28 +213,3 @@ class Retrieval:
                         next_frontier.append(found)
             frontier = next_frontier
         return result
-
-    # -- values ----------------------------------------------------------------------------
-
-    def value_of(self, name: str) -> object:
-        """The value stored at a dotted name (None when undefined/absent)."""
-        obj = self._db.find_object(name)
-        return obj.value if obj is not None else None
-
-    def values_of(self, parent_name: str, role_path: str) -> list[object]:
-        """All defined values under ``parent.role_path`` (indexed roles).
-
-        ``values_of("Alarms", "Text.Body.Keywords")`` returns the keyword
-        strings of figure 1.
-        """
-        parent = self._db.find_object(parent_name)
-        if parent is None:
-            return []
-        frontier = [parent]
-        for step in role_path.split("."):
-            frontier = [
-                child
-                for node in frontier
-                for child in node.effective_sub_objects(step)
-            ]
-        return [node.value for node in frontier if node.value is not None]

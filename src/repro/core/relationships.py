@@ -98,10 +98,6 @@ class SeedRelationship:
                 return role_name
         return None
 
-    def binds(self, obj: "SeedObject") -> bool:
-        """True when *obj* is one of the two endpoints."""
-        return any(bound is obj for bound in self._bindings.values())
-
     def other(self, obj: "SeedObject") -> "SeedObject":
         """The endpoint opposite to *obj*."""
         first, second = self.endpoints()

@@ -11,7 +11,7 @@ The public surface of the schema layer:
 * :mod:`~repro.core.schema.generalization` — hierarchy operations;
 * :class:`~repro.core.schema.attached.AttachedProcedure` — update
   triggers expressing complex constraints;
-* :mod:`~repro.core.schema.ddl` — textual schema (de)serialisation;
+* :mod:`~repro.core.schema.ddl` — the schema printed as DDL text;
 * :class:`~repro.core.schema.catalog.SchemaCatalog` — schema versions.
 """
 
@@ -24,7 +24,7 @@ from repro.core.schema.attached import (
     default_registry,
 )
 from repro.core.schema.builder import SchemaBuilder, figure2_schema, figure3_schema
-from repro.core.schema.ddl import parse_ddl, print_ddl
+from repro.core.schema.ddl import print_ddl
 from repro.core.schema.element import SchemaElement
 from repro.core.schema.entity_class import EntityClass
 from repro.core.schema.generalization import (
@@ -48,7 +48,6 @@ __all__ = [
     "SchemaBuilder",
     "figure2_schema",
     "figure3_schema",
-    "parse_ddl",
     "print_ddl",
     "SchemaElement",
     "EntityClass",

@@ -228,14 +228,6 @@ class Association(SchemaElement):
 
     # -- generalization-aware queries -----------------------------------------
 
-    def corresponding_role(self, general_role: Role) -> Role:
-        """This association's role matching *general_role* positionally.
-
-        Used when an instance bound in, say, ``Write.to`` must be counted
-        toward the cardinality of the corresponding ``Access`` role.
-        """
-        return self.roles[general_role.position]
-
     def _compile(self, generation: int) -> _Facts:
         facts = super()._compile(generation)
         facts.acyclic = any(element.acyclic for element in facts.chain)
@@ -260,10 +252,6 @@ class Association(SchemaElement):
         """``(element name, position, maximum)`` per bounded role of this
         association and its generals (a relationship counts toward all)."""
         return self._facts().maxima
-
-    def roles_for_class(self, entity_class: EntityClass) -> list[Role]:
-        """Roles of this association in which *entity_class* may be bound."""
-        return [role for role in self.roles if role.accepts(entity_class)]
 
     def describe(self) -> str:
         """One-line human description (used by reports and DDL printing)."""

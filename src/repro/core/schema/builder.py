@@ -159,17 +159,6 @@ class SchemaBuilder:
 
     # -- hierarchies -----------------------------------------------------------
 
-    def generalize(self, general: str, *specials: str) -> "SchemaBuilder":
-        """Link existing elements: each of *specials* specializes *general*.
-
-        Works uniformly for classes and associations (the paper's
-        extension of generalization to relationship classes).
-        """
-        general_element = self._schema.element(general)
-        for special_name in specials:
-            specialize(general_element, self._schema.element(special_name))
-        return self
-
     def covering(self, general: str, flag: bool = True) -> "SchemaBuilder":
         """Mark the generalization rooted at *general* as covering."""
         set_covering(self._schema.element(general), flag)

@@ -1,188 +1,53 @@
-"""A textual DDL for SEED schemas (parser and printer).
+"""The schema as DDL text: what ``repro ddl`` prints.
 
-Schemas can be written, versioned, and reviewed as plain text. The
-grammar is line-oriented (``#`` starts a comment)::
+The printer writes one declaration per line, the schema's classes
+first, then its associations, each in definition order::
 
     schema <name>
 
     class <Name> [: <General>] [covering]
     sub <Parent.Path>.<Name> [= <SORT>] [<min>..<max|*>]
-    association <Name> [: <General>] (<role>: <Class> [<card>],
-                                      <role>: <Class> [<card>]) [ACYCLIC] [covering]
-    attribute <Association>.<Name> = <SORT> [<card>]
-    attach <Element> <procedure-name>
+    attach <Class or dependent> <procedure-name>
 
-Example (the figure-3 schema)::
+    association <Name> [: <General>] (<role>: <Class> <card>,
+                                      <role>: <Class> <card>) [ACYCLIC] [covering]
+    attribute <Association>.<Name> = <SORT> [<card>]
+    attach <Association> <procedure-name>
+
+A class is followed by its dependent classes (``sub``, depth first),
+each followed by the procedures attached to it, and then by the
+procedures attached to the class itself. An association is followed by
+its attributes and then its procedures. A dependent's cardinality is
+left out when it is ``1..1`` and an attribute's when it is ``0..1``;
+role cardinalities are always written. The figure-3 schema prints as::
 
     schema figure3
+
     class Thing covering
     sub Thing.Revised = DATE 0..1
     class Data : Thing
     sub Data.Text 0..16
     sub Data.Text.Body
     sub Data.Text.Body.Contents = STRING
-    class OutputData : Data
-    class Action : Thing
+    ...
+
     association Access (data: Data 1..*, by: Action 1..*) covering
+    association Read : Access (from: InputData 1..*, by: Action 0..*)
     association Write : Access (to: OutputData 1..*, by: Action 0..*)
     attribute Write.NumberOfWrites = INTEGER 1..1
+    attribute Write.ErrorHandling = STRING
     association Contained (contained: Action 0..1, container: Action 0..*) ACYCLIC
-
-``parse_ddl`` and ``print_ddl`` round-trip: parsing the printer's output
-reproduces an equivalent schema.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Optional
-
-from repro.core.cardinality import Cardinality
-from repro.core.errors import SchemaError
-from repro.core.schema.association import Association, Attribute, Role
-from repro.core.schema.attached import ProcedureRegistry, default_registry
-from repro.core.schema.entity_class import EntityClass
-from repro.core.schema.generalization import set_covering, specialize
 from repro.core.schema.schema import Schema
-from repro.core.values import sort_by_name
 
-__all__ = ["parse_ddl", "print_ddl"]
-
-_CARD_RE = r"\d+\s*\.\.\s*(?:\d+|\*)"
-_CLASS_RE = re.compile(
-    r"^class\s+(?P<name>\w+)"
-    r"(?:\s*:\s*(?P<general>\w+))?"
-    r"(?P<covering>\s+covering)?$"
-)
-_SUB_RE = re.compile(
-    r"^sub\s+(?P<path>\w+(?:\.\w+)*)"
-    r"(?:\s*=\s*(?P<sort>\w+))?"
-    r"(?:\s+(?P<card>" + _CARD_RE + r"))?$"
-)
-_ASSOC_RE = re.compile(
-    r"^association\s+(?P<name>\w+)"
-    r"(?:\s*:\s*(?P<general>\w+))?"
-    r"\s*\(\s*(?P<roles>[^)]*)\)"
-    r"(?P<acyclic>\s+ACYCLIC)?"
-    r"(?P<covering>\s+covering)?$"
-)
-_ROLE_RE = re.compile(
-    r"^(?P<role>\w+)\s*:\s*(?P<target>\w+)(?:\s+(?P<card>" + _CARD_RE + r"))?$"
-)
-_ATTR_RE = re.compile(
-    r"^attribute\s+(?P<assoc>\w+)\.(?P<name>\w+)\s*=\s*(?P<sort>\w+)"
-    r"(?:\s+(?P<card>" + _CARD_RE + r"))?$"
-)
-_ATTACH_RE = re.compile(r"^attach\s+(?P<element>\w+)\s+(?P<proc>\w+)$")
-_SCHEMA_RE = re.compile(r"^schema\s+(?P<name>\w+)$")
-
-
-def parse_ddl(
-    text: str, registry: Optional[ProcedureRegistry] = None
-) -> Schema:
-    """Parse DDL text into a validated schema."""
-    registry = registry or default_registry()
-    schema = Schema("schema")
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            _parse_line(line, schema, registry)
-        except SchemaError as exc:
-            raise SchemaError(
-                f"DDL line {line_number}: {raw_line.strip()!r}: {exc}"
-            ) from exc
-    return schema.check()
-
-
-def _parse_line(line: str, schema: Schema, registry: ProcedureRegistry) -> None:
-    match = _SCHEMA_RE.match(line)
-    if match:
-        schema.name = match.group("name")
-        return
-    match = _CLASS_RE.match(line)
-    if match:
-        entity_class = EntityClass(match.group("name"))
-        schema.add_class(entity_class)
-        if match.group("general"):
-            specialize(schema.entity_class(match.group("general")), entity_class)
-        if match.group("covering"):
-            # covering may precede the specializations; flag directly
-            entity_class.covering = True
-        return
-    match = _SUB_RE.match(line)
-    if match:
-        path = match.group("path")
-        parent_path, __, name = path.rpartition(".")
-        if not parent_path:
-            raise SchemaError(
-                f"sub declaration needs a dotted path, got {path!r}"
-            )
-        parent = schema.entity_class(parent_path)
-        parent.add_dependent(
-            name,
-            match.group("card") or "1..1",
-            value_sort=sort_by_name(match.group("sort"))
-            if match.group("sort")
-            else None,
-        )
-        return
-    match = _ASSOC_RE.match(line)
-    if match:
-        role_chunks = [
-            chunk.strip() for chunk in match.group("roles").split(",") if chunk.strip()
-        ]
-        if len(role_chunks) != 2:
-            raise SchemaError(
-                f"association {match.group('name')!r} needs exactly two "
-                f"roles, got {len(role_chunks)}"
-            )
-        roles = []
-        for chunk in role_chunks:
-            role_match = _ROLE_RE.match(chunk)
-            if not role_match:
-                raise SchemaError(f"bad role declaration: {chunk!r}")
-            roles.append(
-                Role(
-                    role_match.group("role"),
-                    schema.entity_class(role_match.group("target")),
-                    Cardinality.parse(role_match.group("card") or "0..*"),
-                )
-            )
-        association = Association(
-            match.group("name"),
-            roles[0],
-            roles[1],
-            acyclic=bool(match.group("acyclic")),
-        )
-        schema.add_association(association)
-        if match.group("general"):
-            specialize(schema.association(match.group("general")), association)
-        if match.group("covering"):
-            association.covering = True
-        return
-    match = _ATTR_RE.match(line)
-    if match:
-        schema.association(match.group("assoc")).add_attribute(
-            Attribute(
-                match.group("name"),
-                sort_by_name(match.group("sort")),
-                Cardinality.parse(match.group("card") or "0..1"),
-            )
-        )
-        return
-    match = _ATTACH_RE.match(line)
-    if match:
-        schema.element(match.group("element")).attach(
-            registry.get(match.group("proc"))
-        )
-        return
-    raise SchemaError(f"unrecognised DDL statement: {line!r}")
+__all__ = ["print_ddl"]
 
 
 def print_ddl(schema: Schema) -> str:
-    """Render a schema as DDL text (inverse of :func:`parse_ddl`)."""
+    """Render a schema as DDL text (the format in the module docstring)."""
     lines: list[str] = [f"schema {schema.name}", ""]
     for entity_class in schema.classes:
         chunk = f"class {entity_class.name}"
@@ -200,6 +65,8 @@ def print_ddl(schema: Schema) -> str:
             if str(dependent.cardinality) != "1..1":
                 chunk += f" {dependent.cardinality}"
             lines.append(chunk)
+            for procedure in dependent.attached_procedures:
+                lines.append(f"attach {dependent.full_name} {procedure.name}")
         for procedure in entity_class.attached_procedures:
             lines.append(f"attach {entity_class.name} {procedure.name}")
     lines.append("")

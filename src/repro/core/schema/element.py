@@ -156,10 +156,6 @@ class SchemaElement:
         """The most general element of this element's hierarchy."""
         return self._facts().root
 
-    def depth_in_hierarchy(self) -> int:
-        """Number of generalization steps from this element to the root."""
-        return len(self.kinds()) - 1
-
     # -- attached procedures ----------------------------------------------
 
     def attach(self, procedure: "AttachedProcedure") -> None:

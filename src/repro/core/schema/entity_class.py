@@ -77,14 +77,6 @@ class EntityClass(SchemaElement):
         """True when instances of this class carry a typed value."""
         return self.value_sort is not None
 
-    @property
-    def root_class(self) -> "EntityClass":
-        """The independent ancestor of this (possibly dependent) class."""
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
-
     def add_dependent(
         self,
         name: str,
@@ -131,10 +123,6 @@ class EntityClass(SchemaElement):
                 f"class {self.full_name!r} has no dependent {name!r} "
                 f"(available: {available})"
             ) from None
-
-    def has_dependent(self, name: str) -> bool:
-        """True when a direct dependent class named *name* exists."""
-        return name in self._dependents
 
     def _compile(self, generation: int) -> _Facts:
         facts = super()._compile(generation)

@@ -7,7 +7,7 @@ covering conditions, and attached procedures. Databases are created
 instance data relative to it.
 
 Schemas are built with :class:`repro.core.schema.builder.SchemaBuilder`
-or parsed from DDL text (:mod:`repro.core.schema.ddl`); direct use of
+and printed as DDL text by :mod:`repro.core.schema.ddl`; direct use of
 the mutation methods here is possible but the builder is friendlier.
 """
 
@@ -90,14 +90,6 @@ class Schema:
         if rest:
             return entity_class.dependent_path(tuple(rest.split(".")))
         return entity_class
-
-    def has_class(self, name: str) -> bool:
-        """True when a (possibly dotted) class name resolves."""
-        try:
-            self.entity_class(name)
-            return True
-        except SchemaError:
-            return False
 
     def association(self, name: str) -> Association:
         """Resolve an association by name."""

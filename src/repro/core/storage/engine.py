@@ -403,11 +403,6 @@ class RecoveryInfo:
     unknown_kinds: list[str] = field(default_factory=list)
 
     @property
-    def base_offset(self) -> Optional[int]:
-        """Byte offset of the base image unit (None without one)."""
-        return None if self.base is None else self.base.offset
-
-    @property
     def clean(self) -> bool:
         """Nothing to surface: no suspicious corruption, nothing skipped."""
         return (

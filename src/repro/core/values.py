@@ -39,7 +39,6 @@ __all__ = [
     "BOOLEAN",
     "DATE",
     "sort_by_name",
-    "sort_names",
 ]
 
 
@@ -207,8 +206,3 @@ def sort_by_name(name: str) -> ValueSort:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueTypeError(f"unknown value sort {name!r} (known: {known})") from None
-
-
-def sort_names() -> list[str]:
-    """Return the names of all registered sorts, sorted alphabetically."""
-    return sorted(_REGISTRY)

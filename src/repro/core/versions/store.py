@@ -335,10 +335,6 @@ class VersionStore:
             for version in sorted(cells)
         ]
 
-    def versions_touching(self, key: ItemKey) -> list[VersionId]:
-        """Versions at which the item's state was *changed* (sorted)."""
-        return sorted(self.states_of(key))
-
     def keys(self) -> KeysView[ItemKey]:
         """All item keys with at least one stored state, in insertion
         order (a live view)."""

@@ -9,7 +9,7 @@ over and the navigation operations of the history interface.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.core.errors import VersionError
 from repro.core.versions.version_id import VersionId
@@ -123,21 +123,9 @@ class VersionTree:
         """All versions in the order they were created."""
         return list(self._creation_order)
 
-    def latest(self) -> Optional[VersionId]:
-        """The most recently created version, if any."""
-        return self._creation_order[-1] if self._creation_order else None
-
     def is_leaf(self, version: VersionId) -> bool:
         """True when no version evolved from *version*."""
         return not self._children.get(version)
-
-    def descendants(self, version: VersionId) -> Iterator[VersionId]:
-        """All transitive successors of *version* (pre-order)."""
-        stack = list(reversed(self.children(version)))
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(self.children(node)))
 
     def next_id(self, base: Optional[VersionId]) -> VersionId:
         """Derive an unused id for a version evolving from *base*.

@@ -78,17 +78,6 @@ class VersionId:
         """Number of components (2 for the usual ``major.minor``)."""
         return len(self.parts)
 
-    def is_prefix_of(self, other: "VersionId") -> bool:
-        """True when *other*'s classification starts with this id.
-
-        ``1.0`` is a prefix of ``1.0.1`` — used for history retrieval
-        such as "all versions below 1.0".
-        """
-        return (
-            len(other.parts) >= len(self.parts)
-            and other.parts[: len(self.parts)] == self.parts
-        )
-
     def __lt__(self, other: "VersionId") -> bool:
         if not isinstance(other, VersionId):
             return NotImplemented

@@ -274,7 +274,3 @@ class SeedClient(CopyHolder):
     def save_local_version(self, version: Optional[str] = None) -> VersionId:
         """Snapshot the local copy (user-controlled local versions)."""
         return self.local.create_version(version)
-
-    def local_versions(self) -> list[VersionId]:
-        """Local snapshots taken during this check-out."""
-        return self.local.saved_versions()

@@ -69,7 +69,7 @@ class LockTable:
         #: tokens back to client ids so conflicts name the *user*, not
         #: the opaque credential); identity when absent
         self._owner_alias = owner_alias
-        #: expired locks reclaimed by later acquisitions or purges
+        #: expired locks reclaimed by later acquisitions
         self.reclaimed = 0
 
     def _alias(self, owner: str) -> str:
@@ -106,19 +106,6 @@ class LockTable:
         if expires is not None and expires <= self._clock():
             return None
         return holder
-
-    def purge_expired(self) -> list[ItemKey]:
-        """Drop every expired lock; returns the reclaimed keys."""
-        now = self._clock()
-        expired = [
-            key
-            for key, (__, expires) in self._locks.items()
-            if expires is not None and expires <= now
-        ]
-        for key in expired:
-            del self._locks[key]
-        self.reclaimed += len(expired)
-        return expired
 
     # -- acquisition --------------------------------------------------------
 

@@ -11,13 +11,9 @@ from repro.workloads.evolution import (
     EvolutionShape,
     run_evolution,
 )
-from repro.workloads.soak import SoakResult, run_durability_soak, soak_schema
 from repro.workloads.specgen import GeneratedSpec, SpecShape, generate_spec
 
 __all__ = [
-    "SoakResult",
-    "run_durability_soak",
-    "soak_schema",
     "ground_truth_directions",
     "load_into_handcoded",
     "load_into_spades",

@@ -13,18 +13,20 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.errors import SeedError
 from repro.core.query.algebra import Relation, extent, relationship_relation
 from repro.core.query.planner import on, plan
 from repro.core.query.predicates import (
-    FunctionPredicate,
+    Not,
+    ObjectPredicate,
     both,
     either,
     has_value,
     in_class,
     name_prefix,
-    negate,
     participates_in,
 )
 from repro.spades.tool import SpadesTool
@@ -44,6 +46,21 @@ ROLE_PATHS = (
     "Description",
 )
 NAME_PREFIXES = ("Handle", "Mo", "Al", "S", "Con", "Up", "X", "Alarm0")
+
+
+@dataclass(frozen=True)
+class FunctionPredicate(ObjectPredicate):
+    """An opaque predicate: a callable the planner cannot look into,
+    with a stable description for ``explain()``."""
+
+    fn: Callable[[object], object]
+    description: str
+
+    def __call__(self, obj) -> bool:
+        return bool(self.fn(obj))
+
+    def describe(self) -> str:
+        return self.description
 
 
 def build_population(seed: int):
@@ -150,7 +167,7 @@ def _object_predicate(rng: random.Random):
                 in_class(rng.choice(CLASS_CHOICES)),
                 name_prefix(rng.choice(NAME_PREFIXES)),
             ),
-            negate(in_class(rng.choice(CLASS_CHOICES))),
+            Not(in_class(rng.choice(CLASS_CHOICES))),
         )
     )
 

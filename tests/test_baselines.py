@@ -61,10 +61,10 @@ class TestFullCopyVersioning:
     def test_snapshots_store_everything(self, fig1_db):
         versioning = FullCopyVersioning(fig1_db)
         versioning.create_version("1.0")
-        size_before = versioning.snapshot_size("1.0")
+        size_before = len(versioning.snapshot("1.0"))
         fig1_db.get_object("Alarms.Text.Selector").set_value("Changed")
         versioning.create_version("2.0")
-        assert versioning.snapshot_size("2.0") == size_before
+        assert len(versioning.snapshot("2.0")) == size_before
         assert versioning.stored_state_count() == 2 * size_before
 
     def test_delta_store_is_smaller(self, fig1_db):
@@ -178,15 +178,48 @@ class TestHandCodedStore:
         with pytest.raises(ValueError, match="already used"):
             store.declare_data("X")
 
-    def test_readers_of(self):
+    def test_flows_of_an_item(self):
         store = HandCodedSpecStore()
         store.declare_action("R1")
         store.declare_action("R2")
         store.declare_data("D")
+        store.declare_data("E")
         store.add_flow("read", "D", "R1")
         store.add_flow("read", "D", "R2")
         store.add_flow("write", "D", "R1")
-        assert sorted(store.readers_of("D")) == ["R1", "R2"]
+        store.add_flow("write", "E", "R2", times=3)
+        assert [(f.kind, f.action) for f in store.flows_of("D")] == [
+            ("read", "R1"),
+            ("read", "R2"),
+            ("write", "R1"),
+        ]
+        assert [(f.kind, f.data) for f in store.flows_of("R2")] == [
+            ("read", "D"),
+            ("write", "E"),
+        ]
+        assert store.statistics() == {"objects": 4, "relationships": 4}
+
+    def test_flows_need_declared_items(self):
+        store = HandCodedSpecStore()
+        store.declare_action("A")
+        store.declare_data("D")
+        with pytest.raises(ValueError, match="unknown data 'Nope'"):
+            store.add_flow("read", "Nope", "A")
+        with pytest.raises(ValueError, match="unknown action 'Nope'"):
+            store.add_flow("write", "D", "Nope")
+        assert store.flows_of("D") == []
+
+    def test_annotate(self):
+        store = HandCodedSpecStore()
+        store.declare_action("A")
+        store.declare_data("D")
+        store.annotate("A", "first")
+        store.annotate("A", "second")
+        store.annotate("D", "input")
+        assert store.find("A").notes == ["first", "second"]
+        assert store.find("D").notes == ["input"]
+        with pytest.raises(ValueError, match="unknown item 'Nope'"):
+            store.annotate("Nope", "lost")
 
 
 class TestManualCopySharing:

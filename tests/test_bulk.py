@@ -449,7 +449,7 @@ class TestBatchSemantics:
         with fig2_db.bulk():
             with fig2_db.transaction():
                 fig2_db.create_object("Data", "InTxn")
-            assert fig2_db.in_bulk
+            assert fig2_db._bulk is not None  # noqa: SLF001 - the batch is still open
         assert fig2_db.find_object("InTxn") is not None
 
     def test_empty_batch_is_a_no_op(self, fig2_db):
@@ -638,7 +638,8 @@ class TestBulkLoad:
             ],
         )
         alarms = fig3_db.get_object("Alarms")
-        assert alarms.descendant("Text", "Body", "Contents").value == "texts"
+        body = alarms.sub_object("Text").sub_object("Body")
+        assert body.sub_object("Contents").value == "texts"
         (write,) = fig3_db.relationships("Write")
         assert write.attribute("NumberOfWrites") == 3
         fig3_db.indexes.verify()

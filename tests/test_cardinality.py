@@ -38,9 +38,6 @@ class TestConstruction:
 
     def test_helpers(self):
         assert str(Cardinality.exactly(1)) == "1..1"
-        assert str(Cardinality.optional()) == "0..1"
-        assert str(Cardinality.any_number()) == "0..*"
-        assert str(Cardinality.at_least_one()) == "1..*"
 
 
 class TestSemantics:
@@ -60,12 +57,6 @@ class TestSemantics:
 
     def test_allows_more_unbounded(self):
         assert Cardinality.parse("0..*").allows_more(10**9)
-
-    def test_satisfies_minimum_is_min_only(self):
-        card = Cardinality.parse("2..3")
-        assert not card.satisfies_minimum(1)
-        assert card.satisfies_minimum(2)
-        assert card.satisfies_minimum(99)  # completeness ignores the max
 
     def test_mandatory(self):
         assert Cardinality.parse("1..*").is_mandatory

@@ -139,7 +139,7 @@ class TestStreamedImageEquivalence:
         )
         # the streamed load really used the group as its base
         assert (
-            loaded_stream.recovery.base_offset
+            loaded_stream.recovery.base.offset
             > loaded_stream.recovery.report.total_bytes // 4
         )
 

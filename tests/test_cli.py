@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.core.schema import print_ddl
+from repro.spades import spades_schema
 
 SPEC = """
 data Alarms output
@@ -59,6 +61,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "schema spades" in out
         assert "association Write : Access" in out
+
+    def test_ddl_prints_the_stored_schema(self, db_file, capsys):
+        assert main(["ddl", str(db_file)]) == 0
+        assert capsys.readouterr().out == print_ddl(spades_schema())
 
     def test_snapshot_and_history(self, db_file, capsys):
         assert main(["snapshot", str(db_file), "-v", "2.0"]) == 0
@@ -178,6 +184,43 @@ class TestCommands:
         assert main(["serve", journal]) == 1
         assert seen == [True, False]
         assert "stopped before serving" in capsys.readouterr().err
+
+    def test_serve_group_commit_uses_the_default_policy(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.core.errors import SeedError
+        from repro.core.storage import GroupCommitPolicy
+        from repro.multiuser.server import SeedServer
+
+        opened = SeedServer.open.__func__
+        policies = []
+
+        def spying_open(cls, path, **kwargs):
+            server = opened(cls, path, **kwargs)
+            policies.append(server.journal.group_commit)
+            server.journal.close()
+            raise SeedError("stopped before serving")
+
+        monkeypatch.setattr(SeedServer, "open", classmethod(spying_open))
+        journal = str(tmp_path / "served.seed")
+        assert main(["serve", journal, "--group-commit"]) == 1
+        assert main(["serve", journal]) == 1
+        assert policies == [GroupCommitPolicy(), None]
+        assert "stopped before serving" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--group-commit-txns", "8"),
+        ("--group-commit-bytes", "65536"),
+        ("--group-commit-delay", "0.05"),
+    ])
+    def test_group_commit_bounds_are_not_options(
+        self, tmp_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as usage:
+            main(["serve", str(tmp_path / "served.seed"), "--group-commit",
+                  flag, value])
+        assert usage.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_missing_database_is_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent.seed")]) == 1

@@ -73,7 +73,7 @@ class TestStorePrimitives:
         assert (moved, discarded) == (1, 1)
         assert store.state_on_chain(("o", 1), [V("2.0")]).value == "new"
         assert store.state_on_chain(("o", 2), [V("2.0")]).value == "only"
-        assert store.versions_touching(("o", 2)) == [V("2.0")]
+        assert sorted(store.states_of(("o", 2))) == [V("2.0")]
 
     def test_snapshot_terminates_chain_walk(self):
         store = VersionStore()
@@ -93,7 +93,7 @@ class TestStorePrimitives:
         store = VersionStore()
         store.record(V("1.0"), ("o", 1), make_state("root"))
         store.materialize_snapshot(V("2.0"), [V("1.0"), V("2.0")])
-        assert store.versions_touching(("o", 1)) == [V("1.0")]
+        assert sorted(store.states_of(("o", 1))) == [V("1.0")]
         assert list(store.states_of(("o", 1))) == [V("1.0")]
         # ... but they are raw storage, visible to the cost metric
         assert store.stored_state_count() == 2
@@ -110,7 +110,7 @@ class TestStorePrimitives:
         store.record(V("1.0"), ("o", 1), make_state("root"))
         store.materialize_snapshot(V("2.0"), [V("1.0"), V("2.0")])
         store.fold_version(V("1.0"), V("2.0"))
-        assert store.versions_touching(("o", 1)) == [V("2.0")]
+        assert sorted(store.states_of(("o", 1))) == [V("2.0")]
 
     def test_materialize_requires_matching_chain(self):
         store = VersionStore()
@@ -282,9 +282,9 @@ def test_image_roundtrip_preserves_compacted_store(seed):
         )
         # materialized markers round-trip: history answers stay equal
         for key in db.versions.store.keys():
-            assert loaded.versions.store.versions_touching(
-                key
-            ) == db.versions.store.versions_touching(key)
+            assert sorted(loaded.versions.store.states_of(key)) == sorted(
+                db.versions.store.states_of(key)
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -137,12 +137,6 @@ class TestReportApi:
         report = fig2_db.check_completeness()
         assert {g.item for g in report.for_item("Alarms")} == {"Alarms"}
 
-    def test_check_items_scoped(self, fig2_db):
-        alarms = fig2_db.create_object("Data", "Alarms")
-        fig2_db.create_object("Action", "Bare")
-        report = fig2_db.check_items_completeness([alarms])
-        assert all(g.item == "Alarms" for g in report)
-
     def test_require_complete_raises_with_report(self, fig2_db):
         fig2_db.create_object("Data", "Alarms")
         with pytest.raises(CompletenessError) as excinfo:

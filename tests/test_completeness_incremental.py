@@ -552,7 +552,7 @@ class TestNarrowedPatternFanOut:
         flips = 0
         for step in range(40):
             pattern = rng.choice(patterns)
-            contents = pattern.descendant("Text", "Body", "Contents")
+            contents = pattern.sub_object("Text").sub_object("Body").sub_object("Contents")
             flips += 1
             db.set_value(
                 contents, None if flips % 3 == 0 else f"flip {flips}"

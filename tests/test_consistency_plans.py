@@ -359,7 +359,7 @@ def change_schema_in_place(db: SeedDatabase, rng: random.Random, counter: list[i
         # a nearer declaration of Text: existing Data.Text children of
         # this class's objects become wrong-class
         target = schema.entity_class(rng.choice(["InputData", "OutputData"]))
-        if not target.has_dependent("Text"):
+        if "Text" not in {d.name for d in target.dependents}:
             target.add_dependent("Text", rng.choice(["0..1", "0..*"]))
     elif roll < 0.7:
         target = schema.entity_class(rng.choice(["Action", "Thing"]))

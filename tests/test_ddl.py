@@ -1,13 +1,66 @@
-"""Tests for the textual schema DDL."""
+"""Tests for the DDL printer behind ``repro ddl``.
 
-import pytest
+The output format is the one the ``repro.core.schema.ddl`` module
+docstring describes: one declaration per line, classes with their
+dependents and attached procedures first, then associations with their
+attributes and procedures. The SPADES schema and the paper's figure-2
+and figure-3 schemas are pinned byte for byte.
+"""
 
-from repro.core import SchemaError, figure2_schema, figure3_schema
-from repro.core.schema import parse_ddl, print_ddl
-from repro.core.schema.attached import AttachedProcedure, ProcedureRegistry
+from repro.core import SchemaBuilder, figure2_schema, figure3_schema
+from repro.core.schema import print_ddl
+from repro.core.schema.attached import AttachedProcedure
 from repro.spades import spades_schema
 
-FIGURE3_DDL = """
+SPADES_DDL = """\
+schema spades
+
+class Thing covering
+sub Thing.Revised = DATE 0..1
+sub Thing.Note = TEXT 0..*
+sub Thing.Deadline = DATE 0..1
+class Data : Thing
+sub Data.Text 0..16
+sub Data.Text.Body
+sub Data.Text.Body.Contents = STRING
+sub Data.Text.Body.Keywords = STRING 0..*
+sub Data.Text.Selector = STRING 0..1
+class InputData : Data
+class OutputData : Data
+class Action : Thing
+sub Action.Description = STRING
+class Module : Thing
+sub Module.Language = STRING 0..1
+
+association Access (data: Data 1..*, by: Action 1..*) covering
+association Read : Access (from: Data 1..*, by: Action 0..*)
+association Write : Access (to: Data 1..*, by: Action 0..*)
+attribute Write.NumberOfWrites = INTEGER
+attribute Write.ErrorHandling = STRING
+association Contained (contained: Action 0..1, container: Action 0..*) ACYCLIC
+association Triggers (trigger: Action 0..*, triggered: Action 0..*)
+association AllocatedTo (action: Action 0..*, module: Module 0..*)
+"""
+
+
+FIGURE2_DDL = """\
+schema figure2
+
+class Data
+sub Data.Text 0..16
+sub Data.Text.Body
+sub Data.Text.Body.Contents = STRING
+sub Data.Text.Body.Keywords = STRING 0..*
+sub Data.Text.Selector = STRING 0..1
+class Action
+sub Action.Description = STRING
+
+association Read (from: Data 1..*, by: Action 0..*)
+association Write (to: Data 1..*, by: Action 0..*)
+association Contained (contained: Action 0..1, container: Action 0..*) ACYCLIC
+"""
+
+FIGURE3_DDL = """\
 schema figure3
 
 class Thing covering
@@ -32,79 +85,19 @@ association Contained (contained: Action 0..1, container: Action 0..*) ACYCLIC
 """
 
 
-class TestParsing:
-    def test_figure3_from_ddl(self):
-        schema = parse_ddl(FIGURE3_DDL)
-        assert schema.name == "figure3"
-        assert schema.entity_class("OutputData").is_kind_of(
-            schema.entity_class("Thing")
-        )
-        assert schema.entity_class("Thing").covering
-        assert str(schema.entity_class("Data.Text").cardinality) == "0..16"
-        write = schema.association("Write")
-        assert write.general is schema.association("Access")
-        assert write.attribute("NumberOfWrites").mandatory
-        assert schema.association("Contained").acyclic
-        assert str(schema.association("Read").role("by").cardinality) == "0..*"
-
-    def test_comments_and_blank_lines(self):
-        schema = parse_ddl("# a comment\n\nclass A  # trailing comment\n")
-        assert schema.has_class("A")
-
-    def test_default_cardinalities(self):
-        schema = parse_ddl("class A\nsub A.B\nclass C\nassociation R (x: A, y: C)\n")
-        assert str(schema.entity_class("A.B").cardinality) == "1..1"
-        assert str(schema.association("R").role("x").cardinality) == "0..*"
-
-    def test_error_reports_line(self):
-        with pytest.raises(SchemaError, match="DDL line 2"):
-            parse_ddl("class A\nsub A\n")
-
-    def test_unknown_statement(self):
-        with pytest.raises(SchemaError, match="unrecognised"):
-            parse_ddl("table Foo\n")
-
-    def test_unknown_general(self):
-        with pytest.raises(SchemaError, match="no class"):
-            parse_ddl("class B : Missing\n")
-
-    def test_association_needs_two_roles(self):
-        with pytest.raises(SchemaError, match="exactly two"):
-            parse_ddl("class A\nassociation R (x: A)\n")
-
-    def test_attach_via_registry(self):
-        registry = ProcedureRegistry()
-        proc = AttachedProcedure("ddl_guard", lambda ctx: None)
-        registry.register(proc)
-        schema = parse_ddl("class A\nattach A ddl_guard\n", registry)
-        assert schema.entity_class("A").attached_procedures == [proc]
-
-    def test_attach_unknown_procedure(self):
-        with pytest.raises(SchemaError, match="unknown attached procedure"):
-            parse_ddl("class A\nattach A nonexistent_proc_xyz\n", ProcedureRegistry())
+def _guard(name: str) -> AttachedProcedure:
+    return AttachedProcedure(name, lambda ctx: None)
 
 
 class TestPrinting:
-    @pytest.mark.parametrize(
-        "factory", [figure2_schema, figure3_schema, spades_schema]
-    )
-    def test_roundtrip_canned_schemas(self, factory):
-        schema = factory()
-        text = print_ddl(schema)
-        rebuilt = parse_ddl(text)
-        assert print_ddl(rebuilt) == text
-        # structural spot checks
-        assert {c.name for c in rebuilt.classes} == {c.name for c in schema.classes}
-        assert {a.name for a in rebuilt.associations} == {
-            a.name for a in schema.associations
-        }
-        for association in schema.associations:
-            twin = rebuilt.association(association.name)
-            assert twin.acyclic == association.acyclic
-            assert twin.covering == association.covering
-            assert [str(r.cardinality) for r in twin.roles] == [
-                str(r.cardinality) for r in association.roles
-            ]
+    def test_spades_schema_golden(self):
+        assert print_ddl(spades_schema()) == SPADES_DDL
+
+    def test_figure2_schema_golden(self):
+        assert print_ddl(figure2_schema()) == FIGURE2_DDL
+
+    def test_figure3_schema_golden(self):
+        assert print_ddl(figure3_schema()) == FIGURE3_DDL
 
     def test_printed_ddl_is_readable(self):
         text = print_ddl(figure3_schema())
@@ -112,12 +105,29 @@ class TestPrinting:
         assert "association Contained" in text and "ACYCLIC" in text
         assert "attribute Write.NumberOfWrites = INTEGER 1..1" in text
 
-    def test_parse_printed_equals_original_behaviour(self):
-        from repro.core import SeedDatabase
-
-        rebuilt = parse_ddl(print_ddl(figure3_schema()))
-        db = SeedDatabase(rebuilt, "via-ddl")
-        thing = db.create_object("Thing", "Vague")
-        assert db.check_completeness().by_kind("covering")
-        thing.reclassify("Data")
-        assert not db.check_completeness().by_kind("covering")
+    def test_procedures_follow_what_they_are_attached_to(self):
+        schema = (
+            SchemaBuilder("guarded")
+            .entity_class("A")
+            .dependent("A", "B", "0..*")
+            .dependent("A.B", "C")
+            .dependent("A", "D")
+            .association("R", ("x", "A", "0..*"), ("y", "A", "0..*"))
+            .attach("A.B", _guard("sub_guard"))
+            .attach("A", _guard("class_guard"))
+            .attach("R", _guard("assoc_guard"))
+            .build()
+        )
+        assert print_ddl(schema) == (
+            "schema guarded\n"
+            "\n"
+            "class A\n"
+            "sub A.B 0..*\n"
+            "attach A.B sub_guard\n"
+            "sub A.B.C\n"
+            "sub A.D\n"
+            "attach A class_guard\n"
+            "\n"
+            "association R (x: A 0..*, y: A 0..*)\n"
+            "attach R assoc_guard\n"
+        )

@@ -109,17 +109,6 @@ class TestDottedName:
         name = DottedName.parse("Alarms.Text[2].Body.Keywords[1]")
         assert name.role_path() == ("Text", "Body", "Keywords")
 
-    def test_is_ancestor_of(self):
-        parent = DottedName.parse("A.B")
-        child = DottedName.parse("A.B.C")
-        assert parent.is_ancestor_of(child)
-        assert not child.is_ancestor_of(parent)
-        assert not parent.is_ancestor_of(parent)
-
-    def test_with_root(self):
-        name = DottedName.parse("A.B.C").with_root("X")
-        assert str(name) == "X.B.C"
-
     def test_of_mixed_components(self):
         name = DottedName.of("A", NamePart("B"), ("C", 3))
         assert str(name) == "A.B.C[3]"

@@ -443,28 +443,16 @@ class TestLazyRetrieval:
         remaining = list(iterator)
         assert len(remaining) == 24
 
-    def test_count_instances_matches_len(self, populated):
-        retrieval = Retrieval(populated)
-        assert retrieval.count_instances("Item") == len(
-            retrieval.instances("Item")
-        )
-        assert (
-            retrieval.count_instances(
-                "Item", lambda obj: obj.simple_name.endswith("3")
-            )
-            == 3
-        )
-
     def test_by_name_prefix_sorted_and_bisected(self, populated):
         retrieval = Retrieval(populated)
         names = [o.simple_name for o in retrieval.by_name_prefix("Item1")]
         assert names == sorted(names)
         assert len(names) == 11  # Item1 and Item10..Item19
 
-    def test_count_by_name_prefix_matches_retrieval(self, populated):
+    def test_name_prefix_count_matches_retrieval(self, populated):
         retrieval = Retrieval(populated)
         for prefix in ("Item1", "Item", "Nope", ""):
-            assert retrieval.count_by_name_prefix(prefix) == len(
+            assert populated.indexes.name_prefix_count(prefix) == len(
                 retrieval.by_name_prefix(prefix)
             )
 
@@ -505,7 +493,6 @@ class TestMaxCodePointPrefixes:
         assert populated.indexes.name_prefix_count(prefix) == len(expected)
         assert retrieval.by_name_prefix(prefix) == []
         assert retrieval.by_name_prefix_deep(prefix) == []
-        assert retrieval.count_by_name_prefix(prefix) == 0
 
     def test_max_code_point_names_in_the_index(self, populated):
         # the index layer itself accepts arbitrary strings (it mirrors

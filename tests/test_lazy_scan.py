@@ -343,4 +343,4 @@ class TestTailBytes:
         reopened = JournaledDatabase.open(path)
         assert self.check(reopened) == expected == reopened.recovery.base
         assert expected.offset > 0
-        assert reopened.recovery.base_offset == expected.offset
+        assert reopened.recovery.base.offset == expected.offset

@@ -172,7 +172,7 @@ class TestLocalAndGlobalVersions:
         v1 = alice.save_local_version()
         local.get_object("Alarms").sub_objects("Note")[0].set_value("draft 2")
         alice.save_local_version()
-        assert len(alice.local_versions()) == 2
+        assert len(alice.local.saved_versions()) == 2
         view = local.version_view(v1)
         alarms_view = view.find("Alarms")
         notes = [c.value for c in alarms_view.sub_objects("Note")]

@@ -6,7 +6,9 @@ while the service runs background
 compaction between check-ins. Two oracles close the loop:
 
 * **snapshot consistency** — within one pin, every read answers
-  identically no matter how many check-ins commit around it;
+  identically no matter how many check-ins commit around it (a pin that
+  newer snapshots pushed out of the server's bounded view cache errors
+  instead of answering, and the reader re-pins, as the protocol says);
 * **serial replay** — the accepted check-in packages, replayed in
   acceptance order against an identical fresh master, produce the same
   final live state as the concurrent run (``apply_to`` is deterministic
@@ -22,7 +24,7 @@ import time
 
 import pytest
 
-from repro.core.errors import LockError
+from repro.core.errors import LockError, VersionError
 from repro.multiuser import (
     RetryPolicy,
     SeedServer,
@@ -35,6 +37,8 @@ CLIENTS = 6
 ITERATIONS = 10
 #: small root pool so check-outs genuinely contend
 ROOTS = ["Proc0", "Proc1", "Proc2", "Proc3"]
+#: fresh pins a reader takes before an eviction counts as a failure
+PIN_ATTEMPTS = 20
 
 
 class RecordingServer(SeedServer):
@@ -104,6 +108,7 @@ class ClientWorker(threading.Thread):
         self.commits = 0
         self.reads = 0
         self.lock_losses = 0
+        self.pin_evictions = 0
 
     def run(self):
         try:
@@ -119,15 +124,28 @@ class ClientWorker(threading.Thread):
             self.errors.append(exc)
 
     def do_reads(self, client):
-        client.pin()
-        first = client.counts()
         root = self.rng.choice(ROOTS)
-        seen = client.find(root)
-        time.sleep(self.rng.random() * 0.002)  # let writers commit
-        # consistent-as-of-pin: identical answers within one pin
-        assert client.counts() == first
-        assert client.find(root) == seen
-        self.reads += 1
+        pause = self.rng.random() * 0.002
+        for _ in range(PIN_ATTEMPTS):
+            client.pin()
+            try:
+                first = client.counts()
+                seen = client.find(root)
+                time.sleep(pause)  # let writers commit
+                # consistent-as-of-pin: identical answers within one pin
+                assert client.counts() == first
+                assert client.find(root) == seen
+            except VersionError as exc:
+                # a slow reader's pin can fall out of the server's view
+                # cache while writers publish; it errors, never answers
+                # from another snapshot, and the reader pins afresh
+                if "no longer pinned" not in str(exc):
+                    raise
+                self.pin_evictions += 1
+                continue
+            self.reads += 1
+            return
+        raise AssertionError(f"{PIN_ATTEMPTS} pins in a row were evicted")
 
     def do_write(self, client, iteration):
         root = self.rng.choice(ROOTS)

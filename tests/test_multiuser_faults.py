@@ -228,17 +228,20 @@ class TestLockLeases:
         # the blanket renew sees no live locks left to touch
         assert server.locks.renew("alice") == 0
 
-    def test_purge_expired_counts_reclaims(self):
+    def test_expired_locks_are_not_counted(self):
         server, clock = self.make_server()
         alice = server.connect("alice")
         alice.check_out("Alarms")
         held = len(server.locks)
         assert held > 0
+        assert len(server.locks.held_by(alice.token)) == held
         clock.now += 31
         assert len(server.locks) == 0  # expired locks are invisible
-        purged = server.locks.purge_expired()
-        assert len(purged) == held
-        assert server.locks.reclaimed == held
+        assert server.locks.held_by(alice.token) == []
+        bob = server.connect("bob")
+        bob.check_out("Alarms")  # reclaims alice's lapsed locks
+        assert server.locks.reclaimed >= 1
+        assert len(server.locks) == len(server.locks.held_by(bob.token)) > 0
 
     def test_no_lease_means_no_expiry(self):
         server = SeedServer(spades_schema())

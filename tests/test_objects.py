@@ -47,11 +47,6 @@ class TestFigure1Structure:
             "Alarms.Text[0].Selector",
         ]
 
-    def test_descendant_helper(self, fig1_db):
-        alarms = fig1_db.get_object("Alarms")
-        keyword = alarms.descendant("Text", "Body", ("Keywords", 0))
-        assert keyword.value == "Alarmhandling"
-
     def test_sub_objects_by_role(self, fig1_db):
         body = fig1_db.get_object("Alarms.Text.Body")
         keywords = body.sub_objects("Keywords")
@@ -82,14 +77,6 @@ class TestFigure1Structure:
         contents = body.sub_object("Contents")
         assert contents.index is None
         assert str(contents.name) == "Alarms.Text[0].Body.Contents"
-
-    def test_is_defined(self, fig1_db):
-        alarms = fig1_db.get_object("Alarms")
-        undefined = fig1_db.create_sub_object(
-            fig1_db.get_object("Alarms.Text.Body"), "Keywords"
-        )
-        assert not undefined.is_defined  # value-typed, no value yet
-        assert alarms.is_defined  # structured objects are always defined
 
     def test_is_instance_of(self, fig1_db):
         alarms = fig1_db.get_object("Alarms")
@@ -130,5 +117,4 @@ class TestObjectStateFreezing:
         before = keyword.freeze()
         keyword.set_value("Changed")
         after = keyword.freeze()
-        assert before.differs_from(after)
         assert before != after

@@ -32,7 +32,12 @@ import time
 
 import pytest
 
-from _planner_gen import build_population, random_query, row_multiset
+from _planner_gen import (
+    FunctionPredicate,
+    build_population,
+    random_query,
+    row_multiset,
+)
 from repro.core import SchemaBuilder, SeedDatabase
 from repro.core import faults
 from repro.core.errors import QueryError
@@ -47,7 +52,6 @@ from repro.core.query.planner import (
 )
 from repro.core.query.predicates import (
     And,
-    FunctionPredicate,
     HasValue,
     InClass,
     NamePrefix,

@@ -53,13 +53,13 @@ from repro.core.query.parallel import ShardSpec
 from repro.core.query.planner import on, plan
 from repro.core.query.predicates import (
     And,
-    FunctionPredicate,
     NamePrefix,
     ValueEquals,
     value_is,
 )
 from repro.core.query.retrieval import Retrieval
 from repro.core.versions.compaction import RetentionPolicy
+from _planner_gen import FunctionPredicate
 from test_parallel_equivalence import pin_cpus, small_db
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -225,7 +225,6 @@ class TestTeardown:
             from repro.core import SchemaBuilder, SeedDatabase
             from repro.core.query import parallel
             from repro.core.query.parallel import ShardSpec
-            from repro.core.query.predicates import FunctionPredicate
 
             MAIN = os.getpid()
 
@@ -240,7 +239,7 @@ class TestTeardown:
             parallel.TIMEOUT_S = 0.2
             spec = ShardSpec(
                 "extent", "Note", True, (), ("note",),
-                ((0, FunctionPredicate(sleeper, "sleeper")),), (),
+                ((0, sleeper),), (),
             )
             rows = parallel.run_sharded(db, spec, shards=2)
             print(len(rows), parallel.stats.fallbacks)

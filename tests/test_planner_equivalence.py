@@ -22,6 +22,7 @@ import random
 import pytest
 
 from _planner_gen import (
+    FunctionPredicate,
     build_population,
     random_query,
     row_multiset,
@@ -38,7 +39,6 @@ from repro.core.query.planner import (
     plan,
 )
 from repro.core.query.predicates import (
-    FunctionPredicate,
     has_value,
     in_class,
     name_prefix,

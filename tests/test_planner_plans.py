@@ -303,13 +303,6 @@ class TestRetrievalWiring:
         implied = retrieval.instances("OutputData", in_class("Data"))
         assert [o.simple_name for o in implied] == ["Alarms"]
 
-    def test_by_name_pattern_prefix_fast_path(self, db):
-        retrieval = Retrieval(db)
-        anchored = retrieval.by_name_pattern(r"^Alarms\.Text.*Selector")
-        assert [str(o.name) for o in anchored] == ["Alarms.Text[0].Selector"]
-        # unanchored patterns still work via the full scan
-        assert retrieval.by_name_pattern(r"Selector$") == anchored
-
     def test_by_name_prefix_deep(self, db):
         retrieval = Retrieval(db)
         deep = retrieval.by_name_prefix_deep("Alarms.Text[0].B")

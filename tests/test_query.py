@@ -5,15 +5,13 @@ import pytest
 from repro.core import QueryError, SeedDatabase
 from repro.core.query import Relation, Retrieval, extent, relationship_relation
 from repro.core.query.predicates import (
+    Not,
     both,
     either,
     in_class,
-    name_matches,
-    negate,
+    name_prefix,
     participates_in,
-    sub_object_value,
     value_is,
-    value_matches,
 )
 
 
@@ -47,11 +45,6 @@ class TestRetrieval:
         names = sorted(o.simple_name for o in retrieval.by_name_prefix("Al"))
         assert names == ["Alarms"]
 
-    def test_by_name_pattern(self, query_db):
-        retrieval = Retrieval(query_db)
-        hits = retrieval.by_name_pattern(r"Selector$")
-        assert [str(h.name) for h in hits] == ["Alarms.Text[0].Selector"]
-
     def test_instances_with_predicate(self, query_db):
         retrieval = Retrieval(query_db)
         data = retrieval.instances("Data")
@@ -81,36 +74,21 @@ class TestRetrieval:
         containers = retrieval.closure(leaf, "Contained", "container")
         assert [c.simple_name for c in containers] == ["Mid", "Handler"]
 
-    def test_values_of(self, query_db):
-        retrieval = Retrieval(query_db)
-        assert retrieval.values_of("Alarms", "Text.Selector") == ["Representation"]
-        assert retrieval.value_of("Alarms.Text.Selector") == "Representation"
-        assert retrieval.value_of("Nope") is None
-
 
 class TestPredicates:
     def test_combinators(self, query_db):
         retrieval = Retrieval(query_db)
-        p = both(in_class("Data"), name_matches("^A"))
+        p = both(in_class("Data"), name_prefix("A"))
         assert [o.simple_name for o in retrieval.select(p)] == ["Alarms"]
-        q = either(name_matches("^Config$"), name_matches("^Status$"))
+        q = either(name_prefix("Config"), name_prefix("Status"))
         assert {o.simple_name for o in retrieval.select(q)} == {"Config", "Status"}
-        r = both(in_class("Data"), negate(in_class("OutputData")))
+        r = both(in_class("Data"), Not(in_class("OutputData")))
         assert {o.simple_name for o in retrieval.select(r)} == {"Config", "Status"}
 
     def test_value_predicates(self, query_db):
         retrieval = Retrieval(query_db)
         hits = retrieval.select(value_is("Representation"))
         assert [str(h.name) for h in hits] == ["Alarms.Text[0].Selector"]
-        hits = retrieval.select(value_matches("matrix"))
-        assert [str(h.name) for h in hits] == ["Alarms.Text[0].Body.Contents"]
-
-    def test_sub_object_value(self, query_db):
-        retrieval = Retrieval(query_db)
-        hits = retrieval.instances(
-            "Data", sub_object_value("Text.Selector", "Representation")
-        )
-        assert [o.simple_name for o in hits] == ["Alarms"]
 
     def test_participates_in(self, query_db):
         retrieval = Retrieval(query_db)

@@ -29,12 +29,10 @@ class TestBindings:
         assert write.other(alarms) is sensor
         assert write.other(sensor) is alarms
 
-    def test_binds(self, db_with_write):
-        db, alarms, __, write = db_with_write
+    def test_role_of_an_unbound_object(self, db_with_write):
+        db, __, __, write = db_with_write
         other = db.create_object("Action", "Other")
         other.add_sub_object("Description", "x")
-        assert write.binds(alarms)
-        assert not write.binds(other)
         assert write.role_of(other) is None
 
     def test_other_for_unbound_object(self, db_with_write):

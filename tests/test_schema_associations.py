@@ -69,11 +69,6 @@ class TestRoles:
         assert read.role("from").accepts(output)
         assert not read.role("from").accepts(action)
 
-    def test_roles_for_class(self, classes):
-        data, action = classes
-        read = make_read(data, action)
-        assert [r.name for r in read.roles_for_class(data)] == ["from"]
-
     def test_bad_position(self, classes):
         read = make_read(*classes)
         with pytest.raises(SchemaError):
@@ -182,7 +177,7 @@ class TestGeneralizationOfAssociations:
             Role("by", action, Cardinality.parse("0..*")),
         )
         specialize(access, write)
-        assert write.corresponding_role(access.role("data")).name == "to"
+        assert write.role_at(access.role("data").position).name == "to"
         assert write.is_kind_of(access)
 
     def test_role_outside_family_rejected(self, classes):

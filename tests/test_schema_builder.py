@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import SchemaError
 from repro.core.schema import SchemaBuilder, figure2_schema, figure3_schema
-from repro.core.schema.attached import AttachedProcedure
+from repro.core.schema.attached import AttachedProcedure, ProcedureRegistry
 
 
 class TestBuilder:
@@ -16,7 +16,7 @@ class TestBuilder:
             .association("R", ("x", "A", "0..*"), ("y", "B", "0..*"))
             .build()
         )
-        assert schema.has_class("A")
+        assert schema.entity_class("A").name == "A"
         assert schema.has_association("R")
 
     def test_build_only_once(self):
@@ -40,17 +40,6 @@ class TestBuilder:
         with pytest.raises(SchemaError, match="role spec"):
             builder.association("R", ("x", "A"), ("y", "A", "0..*"))
 
-    def test_generalize_after_definition(self):
-        builder = SchemaBuilder("s")
-        builder.entity_class("Thing").entity_class("Data").entity_class("Action")
-        builder.generalize("Thing", "Data", "Action")
-        schema = builder.build()
-        assert schema.entity_class("Data").general.name == "Thing"
-        assert {c.name for c in schema.entity_class("Thing").specials} == {
-            "Data",
-            "Action",
-        }
-
     def test_covering_via_builder(self):
         builder = SchemaBuilder("s")
         builder.entity_class("Thing").entity_class("Data", specializes="Thing")
@@ -70,6 +59,102 @@ class TestBuilder:
         builder.attribute("R", "N", "INTEGER", "1..1")
         schema = builder.build()
         assert schema.association("R").attribute("N").mandatory
+
+
+def _two_classes() -> SchemaBuilder:
+    return SchemaBuilder("s").entity_class("A").entity_class("B")
+
+
+def _proc(name: str) -> AttachedProcedure:
+    return AttachedProcedure(name, lambda ctx: None)
+
+
+class TestBuilderDefaults:
+    def test_dependent_and_attribute_cardinalities(self):
+        schema = (
+            _two_classes()
+            .dependent("A", "Part")
+            .association("R", ("x", "A", "0..*"), ("y", "B", "1..*"))
+            .attribute("R", "Weight", "INTEGER")
+            .build()
+        )
+        assert str(schema.entity_class("A.Part").cardinality) == "1..1"
+        assert str(schema.association("R").attribute("Weight").cardinality) == "0..1"
+        assert [str(role.cardinality) for role in schema.association("R").roles] == [
+            "0..*",
+            "1..*",
+        ]
+
+    def test_attach_by_registered_name(self):
+        registry = ProcedureRegistry()
+        proc = registry.register(_proc("named_guard"))
+        schema = (
+            _two_classes()
+            .dependent("A", "Part", "0..*")
+            .attach("A.Part", "named_guard", registry=registry)
+            .build()
+        )
+        assert schema.entity_class("A.Part").attached_procedures == [proc]
+        assert schema.entity_class("A").attached_procedures == []
+
+
+#: builder steps after ``_two_classes()`` that must be refused, with
+#: the message each refusal carries
+REJECTED = {
+    "unknown-general-class": (
+        lambda b: b.entity_class("C", specializes="Missing"),
+        "no class 'Missing'",
+    ),
+    "unknown-role-class": (
+        lambda b: b.association("R", ("x", "A", "0..*"), ("y", "Nope", "0..*")),
+        "no class 'Nope'",
+    ),
+    "unknown-general-association": (
+        lambda b: b.association(
+            "R", ("x", "A", "0..*"), ("y", "B", "0..*"), specializes="Missing"
+        ),
+        "no association 'Missing'",
+    ),
+    "duplicate-class": (lambda b: b.entity_class("A"), "already has a class named 'A'"),
+    "duplicate-association": (
+        lambda b: b.association("R", ("x", "A", "0..*"), ("y", "B", "0..*")).association(
+            "R", ("u", "A", "0..*"), ("v", "B", "0..*")
+        ),
+        "already has an association named 'R'",
+    ),
+    "duplicate-dependent": (
+        lambda b: b.dependent("A", "Part").dependent("A", "Part", "0..*"),
+        "already has a dependent 'Part'",
+    ),
+    "same-role-names": (
+        lambda b: b.association("R", ("x", "A", "0..*"), ("x", "B", "0..*")),
+        "role names must differ",
+    ),
+    "dependent-of-unknown-class": (
+        lambda b: b.dependent("Nope", "Part"),
+        "no class 'Nope'",
+    ),
+    "attribute-of-unknown-association": (
+        lambda b: b.attribute("Nope", "Weight", "INTEGER"),
+        "no association 'Nope'",
+    ),
+    "covering-unknown-element": (lambda b: b.covering("Nope"), "no class 'Nope'"),
+    "attach-to-unknown-element": (
+        lambda b: b.attach("Nope", _proc("guard")),
+        "no class 'Nope'",
+    ),
+    "attach-unregistered-name": (
+        lambda b: b.attach("A", "nonexistent_proc_xyz", registry=ProcedureRegistry()),
+        "unknown attached procedure 'nonexistent_proc_xyz'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_builder_rejects(case):
+    steps, message = REJECTED[case]
+    with pytest.raises(SchemaError, match=message):
+        steps(_two_classes())
 
 
 class TestFigure2Schema:
@@ -140,7 +225,7 @@ class TestSchemaCopy:
         assert clone.entity_class("Data.Text.Body").full_name == "Data.Text.Body"
         # modifying the copy leaves the original untouched
         clone.entity_class("Data").add_dependent("Extra", "0..1")
-        assert not schema.entity_class("Data").has_dependent("Extra")
+        assert "Extra" not in {d.name for d in schema.entity_class("Data").dependents}
 
     def test_copy_preserves_attributes_and_flags(self):
         schema = figure3_schema()

@@ -46,7 +46,7 @@ class TestDependentClasses:
         assert text.is_dependent
         assert str(text.cardinality) == "0..16"
         assert body.full_name == "Data.Text.Body"
-        assert body.root_class is data
+        assert body.parent.parent is data
         assert [c.full_name for c in data.walk()] == [
             "Data",
             "Data.Text",
@@ -60,8 +60,8 @@ class TestDependentClasses:
         data = EntityClass("Data")
         text = data.add_dependent("Text", "0..16")
         assert data.dependent("Text") is text
-        assert data.has_dependent("Text")
-        assert not data.has_dependent("Body")
+        assert data.resolve_dependent("Text") is text
+        assert data.resolve_dependent("Body") is None
 
     def test_dependent_lookup_error_lists_available(self):
         data = EntityClass("Data")

@@ -50,12 +50,6 @@ class TestLinks:
         assert family == {"Thing", "Data", "InputData", "OutputData", "Action"}
         assert input_data.family_root() is thing
 
-    def test_depth(self, hierarchy):
-        thing, data, input_data, __, __ = hierarchy
-        assert thing.depth_in_hierarchy() == 0
-        assert data.depth_in_hierarchy() == 1
-        assert input_data.depth_in_hierarchy() == 2
-
     def test_all_specials(self, hierarchy):
         thing = hierarchy[0]
         assert {el.name for el in thing.all_specials()} == {
@@ -186,7 +180,6 @@ def assert_facts_match_walk(schema):
         chain = tuple(element.kind_chain())
         assert element.kinds() == chain
         assert element.family_root() is chain[-1]
-        assert element.depth_in_hierarchy() == len(chain) - 1
         assert [other for other in elements if element.is_kind_of(other)] == [
             other for other in elements if any(kind is other for kind in chain)
         ]
@@ -194,7 +187,11 @@ def assert_facts_match_walk(schema):
             roles = {dependent.name for kind in chain for dependent in kind.dependents}
             for role in sorted(roles | {"Undeclared"}):
                 walked = next(
-                    (kind.dependent(role) for kind in chain if kind.has_dependent(role)),
+                    (
+                        kind.dependent(role)
+                        for kind in chain
+                        if any(d.name == role for d in kind.dependents)
+                    ),
                     None,
                 )
                 assert element.resolve_dependent(role) is walked

@@ -13,7 +13,6 @@ from repro.core.values import (
     STRING,
     TEXT,
     sort_by_name,
-    sort_names,
 )
 
 
@@ -131,6 +130,3 @@ class TestRegistry:
     def test_unknown_sort_lists_known(self):
         with pytest.raises(ValueTypeError, match="STRING"):
             sort_by_name("BLOB")
-
-    def test_sort_names_complete(self):
-        assert sort_names() == ["BOOLEAN", "DATE", "INTEGER", "REAL", "STRING", "TEXT"]

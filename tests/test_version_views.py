@@ -88,7 +88,7 @@ class TestDeltaStorage:
             found = view.find("Alarms")
             if found is not None:
                 alarms_oid = found.oid
-        assert store.versions_touching(("o", alarms_oid)) == [VersionId.parse("1.0")]
+        assert sorted(store.states_of(("o", alarms_oid))) == [VersionId.parse("1.0")]
 
     def test_delete_version(self, fig4_db):
         fig4_db.create_version("3.0")
