@@ -8,8 +8,7 @@ Usage (also via ``python -m repro``)::
     python -m repro flows DB.seed                  # dataflow report
     python -m repro history DB.seed [NAME]         # version tree / cluster
     python -m repro snapshot DB.seed [-v VERSION]  # create a version
-    python -m repro compact DB.seed [--snapshot-interval K] [--keep-last N]
-                    [--gc-tombstones] [--byte-budget BYTES]
+    python -m repro compact DB.seed [--pin VERSION] [--dry-run]
                                                    # squash, consolidate, collect
     python -m repro print DB.seed                  # database -> spec text
     python -m repro ddl DB.seed                    # schema as DDL text
@@ -41,6 +40,10 @@ from repro.spades import (
 )
 
 __all__ = ["main"]
+
+#: on SIGTERM/SIGINT, ``repro serve`` waits up to this many seconds for
+#: in-flight check-ins before it closes
+DRAIN_TIMEOUT_S = 10.0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,39 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compact = commands.add_parser(
         "compact",
-        help="compact the version store (chain squashing + snapshots)")
+        help="compact the version store under the server's maintenance "
+             "policy and rewrite the file as one image")
     compact.add_argument("database", type=Path)
-    compact.add_argument("--snapshot-interval", type=int, default=0,
-                         metavar="K",
-                         help="materialize a full snapshot every K versions "
-                              "along a chain (0 = off)")
-    compact.add_argument("--keep-last", type=int, default=2, metavar="N",
-                         help="never squash the newest N versions "
-                              "(default: 2)")
     compact.add_argument("--pin", action="append", default=[],
                          metavar="VERSION",
                          help="protect a version from squashing "
                               "(repeatable)")
-    compact.add_argument("--no-squash", action="store_true",
-                         help="skip chain squashing; snapshots only")
-    compact.add_argument("--gc-tombstones", action="store_true",
-                         help="drop items dead in every surviving version "
-                              "(store cells and live tombstone records)")
     compact.add_argument("--dry-run", action="store_true",
                          help="report store statistics without compacting")
-    compact.add_argument("--byte-budget", type=int, default=None,
-                         metavar="BYTES",
-                         help="treat the file as a journal: after the "
-                              "version-store pass, checkpoint and compact "
-                              "the journal down to at most BYTES of "
-                              "superseded growth (works even when every "
-                              "on-disk image is damaged — the live state "
-                              "is checkpointed fresh)")
-    compact.add_argument("--streamed-checkpoint", action="store_true",
-                         help="journal mode only: write the fresh "
-                              "checkpoint as a streamed image group "
-                              "(O(1) extra memory) instead of one "
-                              "monolithic image record")
 
     fsck = commands.add_parser(
         "fsck",
@@ -147,18 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="auto-checkpoint-and-compact the journal "
                             "whenever it exceeds BYTES (default: "
                             "unbounded)")
-    serve.add_argument("--drain-timeout", type=float, default=10.0,
-                       metavar="S",
-                       help="on SIGTERM/SIGINT, wait up to S seconds for "
-                            "in-flight check-ins before closing "
-                            "(default: 10)")
     serve.add_argument("--group-commit", action="store_true",
                        help="batch direct-transaction journal appends "
                             "(one fsync per batch; check-ins, pins, and "
                             "shutdown stay per-operation durable)")
-    serve.add_argument("--streamed-checkpoints", action="store_true",
-                       help="stream checkpoint images record by record "
-                            "(O(1) extra memory per checkpoint)")
 
     query = commands.add_parser(
         "query", help="run a planned ER-algebra query (cost-based planner)")
@@ -175,12 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scan an association's instances directly")
     query.add_argument("--explain", action="store_true",
                        help="print the optimized plan tree before the rows")
-    query.add_argument("--parallel", action="store_true",
-                       help="allow sharded parallel execution of large "
-                            "scans (cost-gated; small scans, and every scan "
-                            "on a one-CPU or fork-less host, run in-thread)")
-    query.add_argument("--shards", type=int, metavar="N",
-                       help="shard count for --parallel (default: 4)")
     return parser
 
 
@@ -192,9 +157,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "query" and not args.parallel:
-        if args.shards is not None:
-            parser.error("--shards only applies with --parallel")
     try:
         return _dispatch(args)
     except (SeedError, OSError) as exc:
@@ -253,23 +215,19 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _run_compact(args: argparse.Namespace) -> int:
-    """Compact a database's version store and report what changed."""
-    from repro.core.versions.compaction import RetentionPolicy
+    """Compact a database's version store and report what changed.
 
-    journal = None
-    if args.byte_budget is not None or args.streamed_checkpoint:
-        # a streamed checkpoint only exists as a journal record group,
-        # so the flag forces journal mode even without a budget
-        from repro.core.storage import JournaledDatabase
+    The policy is the server's (``DEFAULT_MAINTENANCE``) plus the
+    user's pins. The file is opened as a journal and saved as one
+    image, whether it held one image or a journal with a delta tail.
+    ``--dry-run`` only loads.
+    """
+    from dataclasses import replace
 
-        journal = JournaledDatabase.open(
-            args.database, byte_budget=args.byte_budget
-        )
-        db = journal.db
-    else:
-        db = load_database(args.database)
+    from repro.core.storage import JournaledDatabase
+    from repro.core.versions.compaction import DEFAULT_MAINTENANCE
 
-    def store_stats() -> str:
+    def store_stats(db) -> str:
         stats = db.statistics()
         return (
             f"{stats['saved_versions']} versions, "
@@ -278,26 +236,20 @@ def _run_compact(args: argparse.Namespace) -> int:
             f"{stats['snapshot_versions']} snapshots"
         )
 
-    print(f"before: {store_stats()}")
     if args.dry_run:
+        print(f"before: {store_stats(load_database(args.database))}")
         return 0
-    policy = RetentionPolicy(
-        squash_chains=not args.no_squash,
-        snapshot_interval=args.snapshot_interval,
-        keep_last=args.keep_last,
-        pins=frozenset(args.pin),
-        gc_tombstones=args.gc_tombstones,
-    )
-    result = db.compact(policy)
-    if journal is not None:
-        # persist the compacted version store, then drop every
-        # superseded journal record; works even when no on-disk image
-        # is intact (compact() falls back to the live state)
-        size = journal.save_point(streamed=args.streamed_checkpoint)
-    else:
-        size = save_database(db, args.database)
-    print(f"compacted: {result.summary()}")
-    print(f"after:  {store_stats()} ({size} bytes on disk)")
+    journal = JournaledDatabase.open(args.database)
+    try:
+        print(f"before: {store_stats(journal.db)}")
+        result = journal.db.compact(
+            replace(DEFAULT_MAINTENANCE, pins=frozenset(args.pin))
+        )
+        size = journal.save_point()
+        print(f"compacted: {result.summary()}")
+        print(f"after:  {store_stats(journal.db)} ({size} bytes on disk)")
+    finally:
+        journal.close()
     return 0
 
 
@@ -359,7 +311,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     the journal before it is acknowledged, so a killed server restarts
     from its last acknowledged state.  On a signal the service shuts
     down gracefully: it refuses new connections, drains in-flight
-    check-ins (up to ``--drain-timeout`` seconds), writes a final
+    check-ins (up to ``DRAIN_TIMEOUT_S`` seconds), writes a final
     checkpoint, compacts the journal, and exits 0.
     """
     import asyncio
@@ -377,7 +329,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         session_seconds=args.session_seconds,
         byte_budget=args.journal_byte_budget,
         group_commit=GroupCommitPolicy() if args.group_commit else None,
-        streamed_checkpoints=args.streamed_checkpoints,
     )
     service = SeedService(
         server,
@@ -415,7 +366,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         # connections), drains in-flight check-ins, then runs the
         # final checkpoint + compaction before closing the journal
         await service.stop(
-            drain_timeout_s=args.drain_timeout, final_checkpoint=True
+            drain_timeout_s=DRAIN_TIMEOUT_S, final_checkpoint=True
         )
         serving.cancel()
         try:
@@ -437,16 +388,10 @@ def _run_query(args: argparse.Namespace) -> int:
     """Build, optionally explain, and execute a planned query."""
     from repro.core.errors import QueryError
     from repro.core.objects import SeedObject
-    from repro.core.query.parallel import ParallelConfig
     from repro.core.query.planner import on, plan
     from repro.core.query.predicates import name_prefix
 
     db = load_database(args.database)
-    parallel = None
-    if args.parallel:
-        parallel = (
-            ParallelConfig() if args.shards is None else ParallelConfig(args.shards)
-        )
     if args.extent and args.association:
         raise QueryError("use either --extent or --association, not both")
     if args.association and (args.prefix or args.via):
@@ -471,13 +416,13 @@ def _run_query(args: argparse.Namespace) -> int:
                     f"{', '.join(str(r) for r in association.roles)})"
                 )
             column = matching[0]
-        query = plan(db, parallel).extent(args.extent, column=column)
+        query = plan(db).extent(args.extent, column=column)
         if args.prefix:
             query = query.select(on(column, name_prefix(args.prefix)))
         if args.via:
-            query = query.join(plan(db, parallel).relationship(args.via))
+            query = query.join(plan(db).relationship(args.via))
     elif args.association:
-        query = plan(db, parallel).relationship(args.association)
+        query = plan(db).relationship(args.association)
     else:
         raise QueryError("query needs --extent CLASS or --association ASSOC")
     if args.explain:

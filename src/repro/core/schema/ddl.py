@@ -5,7 +5,7 @@ first, then its associations, each in definition order::
 
     schema <name>
 
-    class <Name> [: <General>] [covering]
+    class <Name> [: <General>] [= <SORT>] [covering]
     sub <Parent.Path>.<Name> [= <SORT>] [<min>..<max|*>]
     attach <Class or dependent> <procedure-name>
 
@@ -53,6 +53,8 @@ def print_ddl(schema: Schema) -> str:
         chunk = f"class {entity_class.name}"
         if entity_class.general is not None:
             chunk += f" : {entity_class.general.name}"
+        if entity_class.value_sort is not None:
+            chunk += f" = {entity_class.value_sort.name}"
         if entity_class.covering:
             chunk += " covering"
         lines.append(chunk)

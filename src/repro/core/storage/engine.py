@@ -147,7 +147,9 @@ live tail. A ``byte_budget`` (set on the journal and nowhere else) is
 checked against that on every append. When total file
 size exceeds the budget, the journal auto-compacts — first appending a
 fresh checkpoint if the live tail alone exceeds the budget, so the
-rewrite actually shrinks the file. The trigger points are post-commit
+rewrite actually shrinks the file. When the base image alone is over
+the budget, that checkpoint waits until the deltas after it are at
+least as large as the image. The trigger points are post-commit
 (after a record's effects are already applied in memory) and explicit
 maintenance (:meth:`~JournaledDatabase.enforce_budget`) — never inside
 :meth:`~JournaledDatabase.append_delta`, where a checkpoint would
@@ -626,6 +628,11 @@ class JournaledDatabase:
     flush barrier. The default (``group_commit=None``) keeps strict
     per-commit durability.
 
+    Checkpoints are monolithic images unless a call asks for a streamed
+    group; :meth:`save_point`, :meth:`enforce_budget` and the damage
+    step-over of :meth:`open` write monolithic ones. A load accepts
+    both.
+
     After :meth:`open`, :attr:`recovery` describes what the load found
     (corruption skipped, deltas replayed/aborted/stranded).
     """
@@ -640,7 +647,6 @@ class JournaledDatabase:
         byte_budget: Optional[int] = None,
         group_commit: Optional[GroupCommitPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
-        streamed_checkpoints: bool = False,
     ) -> None:
         if byte_budget is not None and byte_budget <= 0:
             raise StorageError(
@@ -657,8 +663,6 @@ class JournaledDatabase:
         self.byte_budget = byte_budget
         #: txn batching policy (None = strict per-commit fsync)
         self.group_commit = group_commit
-        #: default checkpoint mode (overridable per call)
-        self.streamed_checkpoints = streamed_checkpoints
         #: batches durably appended so far (one fsync each)
         self.group_flushes = 0
         self._clock = clock if clock is not None else time.monotonic
@@ -696,7 +700,6 @@ class JournaledDatabase:
         byte_budget: Optional[int] = None,
         group_commit: Optional[GroupCommitPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
-        streamed_checkpoints: bool = False,
     ) -> "JournaledDatabase":
         """Open an existing journal or start a fresh one.
 
@@ -733,7 +736,6 @@ class JournaledDatabase:
                     byte_budget=byte_budget,
                     group_commit=group_commit,
                     clock=clock,
-                    streamed_checkpoints=streamed_checkpoints,
                 )
                 if _damaged_after(report, info.base):
                     # a fresh base past the damage, which stays in
@@ -751,7 +753,6 @@ class JournaledDatabase:
             byte_budget=byte_budget,
             group_commit=group_commit,
             clock=clock,
-            streamed_checkpoints=streamed_checkpoints,
         )
         journal.checkpoint()
         return journal
@@ -767,7 +768,7 @@ class JournaledDatabase:
         self.flush(enforce=False)
         self._file.close()
 
-    def checkpoint(self, *, streamed: Optional[bool] = None) -> int:
+    def checkpoint(self, *, streamed: bool = False) -> int:
         """Append a recovery image of the current state; returns file size.
 
         The image supersedes every earlier record on load (deltas
@@ -776,18 +777,15 @@ class JournaledDatabase:
         image is joined from the journal's cached per-item fragments:
         only what changed since the last checkpoint is encoded again.
 
-        With ``streamed=True`` (or :attr:`streamed_checkpoints`), the
-        image is appended as a counted ``image.begin`` / ``image.rec``
-        / ``image.end`` group, one frame per
-        :func:`~repro.core.storage.serialize.iter_image_records` record,
-        joined from the same fragments. Recovery treats only a
+        With ``streamed=True``, the image is appended as a counted
+        ``image.begin`` / ``image.rec`` / ``image.end`` group, one frame
+        per :func:`~repro.core.storage.serialize.iter_image_records`
+        record, joined from the same fragments. Recovery treats only a
         complete group as an image; a crash mid-stream is a torn
         checkpoint and the previous base still recovers the same
         committed state (checkpoints change no state).
         """
         self.flush(enforce=False)
-        if streamed is None:
-            streamed = self.streamed_checkpoints
         if not streamed:
             cp = None
             offset, end = self._file.append(self._fragments.encode(self.db))
@@ -810,10 +808,10 @@ class JournaledDatabase:
         self._base = BaseUnit(offset, end, cp)
         return end
 
-    def save_point(self, *, streamed: Optional[bool] = None) -> int:
-        """:meth:`checkpoint` (*streamed* as there), then :meth:`compact`:
-        the journal shrinks to one image. Returns the compacted size."""
-        self.checkpoint(streamed=streamed)
+    def save_point(self) -> int:
+        """:meth:`checkpoint`, then :meth:`compact`: the journal shrinks
+        to one image. Returns the compacted size."""
+        self.checkpoint()
         return self.compact()
 
     def append_delta(self, delta: dict[str, Any]) -> int:
@@ -1000,9 +998,13 @@ class JournaledDatabase:
         dropped via :meth:`compact`; if the live tail alone already
         exceeds the budget, a fresh checkpoint is appended first so the
         deltas behind it become superseded and the rewrite shrinks the
-        file to one image. A journal whose single image is larger than
-        the budget stays over budget — the budget bounds amplification,
-        it cannot make the data smaller than itself.
+        file to one image. A base image larger than the budget cannot
+        be brought under it: checkpointing then would rewrite the whole
+        file on every commit, so the checkpoint waits until the deltas
+        after the base are at least as large as the image they would
+        fold into, and the file stays under about twice the image — the
+        budget bounds amplification, it cannot make the data smaller
+        than itself.
         """
         self.flush(enforce=False)
         if budget is None:
@@ -1011,7 +1013,12 @@ class JournaledDatabase:
         if budget is None or size <= budget:
             return size
         if self.tail_bytes() > budget:
-            self.checkpoint()
+            base = self._remembered_base()
+            image = 0 if base is None else base.end - base.offset
+            if image <= budget or size - base.end >= image:
+                self.checkpoint()
+            elif base.offset == 0:
+                return size  # nothing is superseded: a rewrite only copies
         return self.compact()
 
     def compact(self) -> int:

@@ -28,7 +28,7 @@ module bounds both, under an explicit, conservative
     instead of O(chain length). Storage is traded up deliberately; the
     policy knob controls the trade.
 
-Policy knobs (also exposed via the ``repro compact`` CLI subcommand):
+Policy knobs:
 
 ``squash_chains``
     enable/disable squashing (default on);
@@ -51,7 +51,10 @@ Policy knobs (also exposed via the ``repro compact`` CLI subcommand):
     surviving version are unchanged — a dead-everywhere item is
     invisible in all of them either way; only per-item history
     operations stop listing it (that is the point of the collection).
-    Exposed via ``repro compact --gc-tombstones``.
+
+The product runs one policy, :data:`DEFAULT_MAINTENANCE`: the server's
+background maintenance and ``repro compact`` (which adds the user's
+``--pin`` versions).
 
 Entry points: :meth:`repro.core.database.SeedDatabase.compact` /
 :meth:`repro.core.versions.manager.VersionManager.compact`.
@@ -68,7 +71,7 @@ from repro.core.versions.version_id import VersionId
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.versions.manager import VersionManager
 
-__all__ = ["RetentionPolicy", "CompactionStats", "Compactor"]
+__all__ = ["RetentionPolicy", "DEFAULT_MAINTENANCE", "CompactionStats", "Compactor"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,13 @@ class RetentionPolicy:
             "pins",
             frozenset(VersionId.parse(pin) for pin in self.pins),
         )
+
+
+#: the policy the product compacts with: the server between check-ins,
+#: and ``repro compact`` with the user's pins added
+DEFAULT_MAINTENANCE = RetentionPolicy(
+    squash_chains=True, snapshot_interval=16, keep_last=2, gc_tombstones=True
+)
 
 
 @dataclass

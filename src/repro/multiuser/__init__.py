@@ -18,7 +18,7 @@ from repro.multiuser.checkin import (
     package_from_dict,
     package_to_dict,
 )
-from repro.multiuser.client import RetryPolicy, SeedClient, materialize_ticket
+from repro.multiuser.client import SeedClient, materialize_ticket
 from repro.multiuser.locks import LockTable
 from repro.multiuser.server import CheckOutTicket, SeedServer
 from repro.multiuser.service import SeedService, ServiceClient
@@ -29,7 +29,6 @@ __all__ = [
     "build_package",
     "package_from_dict",
     "package_to_dict",
-    "RetryPolicy",
     "SeedClient",
     "materialize_ticket",
     "LockTable",

@@ -23,13 +23,11 @@ in how they reach the server.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.core.bulk import load_item_states
 from repro.core.database import SeedDatabase
-from repro.core.errors import LockError, SeedError
+from repro.core.errors import SeedError
 from repro.core.objects import ObjectState, SeedObject
 from repro.core.relationships import RelationshipState
 from repro.core.schema.schema import Schema
@@ -39,58 +37,7 @@ from repro.multiuser.checkin import CheckInPackage, build_package
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.multiuser.server import CheckOutTicket, SeedServer
 
-__all__ = ["CopyHolder", "SeedClient", "RetryPolicy", "materialize_ticket"]
-
-
-@dataclass
-class RetryPolicy:
-    """Bounded retry for contended check-outs (fail-fast stays default).
-
-    ``attempts`` tries in total, sleeping ``backoff * 2**i`` (capped at
-    ``max_backoff``) between them, giving up once ``deadline`` seconds
-    have elapsed since the first attempt — or once the *next* backoff
-    would carry past the deadline: the policy never sleeps beyond it
-    (the PR-7 fix; previously the deadline was only checked after a
-    failed attempt, so the final sleep could overshoot it by a whole
-    ``max_backoff``). ``sleep``/``clock`` are injectable so tests drive
-    a fake clock (shared with the lock table's lease clock) instead of
-    wall-clock waiting — a retry loop against an expiring lease then
-    reclaims a dead client's locks deterministically.
-    """
-
-    attempts: int = 3
-    backoff: float = 0.05
-    max_backoff: float = 1.0
-    deadline: Optional[float] = None
-    sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
-    clock: Callable[[], float] = field(default=time.monotonic, repr=False)
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry number *attempt* (1-based)."""
-        return min(self.max_backoff, self.backoff * (2 ** (attempt - 1)))
-
-    def run(self, operation: Callable[[], "SeedDatabase"]) -> "SeedDatabase":
-        """Call *operation* until it stops raising ``LockError``."""
-        if self.attempts < 1:
-            raise ValueError("RetryPolicy needs at least one attempt")
-        started = self.clock()
-        for attempt in range(1, self.attempts + 1):
-            try:
-                return operation()
-            except LockError:
-                if attempt >= self.attempts:
-                    raise
-                delay = self.delay(attempt)
-                if self.deadline is not None:
-                    elapsed = self.clock() - started
-                    # give up instead of sleeping past the deadline: a
-                    # retry that could only start after it is pointless
-                    if elapsed >= self.deadline or (
-                        elapsed + delay > self.deadline
-                    ):
-                        raise
-                self.sleep(delay)
-        raise AssertionError("unreachable")  # pragma: no cover
+__all__ = ["CopyHolder", "SeedClient", "materialize_ticket"]
 
 
 def materialize_ticket(
@@ -162,9 +109,7 @@ class CopyHolder:
         """True while a local copy is checked out."""
         return self._local is not None
 
-    def check_out(
-        self, *names: str, retry: Optional[RetryPolicy] = None
-    ) -> SeedDatabase:
+    def check_out(self, *names: str) -> SeedDatabase:
         """Copy the named objects (closure) for local update.
 
         The closure comprises the objects' sub-trees, every relationship
@@ -173,13 +118,10 @@ class CopyHolder:
         must be self-contained to be checked for consistency locally.
         Write locks are taken centrally under the session token; a
         conflicting check-out raises
-        :class:`~repro.core.errors.LockError` with the holder —
-        immediately by default, or after the bounded wait of *retry*
-        (each attempt re-resolves the closure, so a retry can succeed
-        once the holder releases, checks in, or lets its lease expire).
+        :class:`~repro.core.errors.LockError` with the holder at once;
+        a caller that wants to wait calls again once the holder
+        releases, checks in, or lets its lease expire.
         """
-        if retry is not None:
-            return retry.run(lambda: self.check_out(*names))
         if self._local is not None:
             raise SeedError(
                 f"client {self.client_id!r} already holds a copy; check it "

@@ -4,9 +4,8 @@
 the central database." The lock table is item-granular: every object or
 relationship checked out for update is locked by exactly one owner;
 conflicting check-outs fail fast with :class:`~repro.core.errors.
-LockError` rather than blocking (the paper sketches no queueing —
-bounded waiting lives client-side, in
-:class:`~repro.multiuser.client.RetryPolicy`).
+LockError` rather than blocking (the paper sketches no queueing; a
+client that wants to wait checks out again).
 
 Owners are opaque strings. Since PR 7 the server keys locks by **session
 token** (one per ``connect``), never by the reusable client id — a stale

@@ -73,7 +73,7 @@ from repro.core.objects import ObjectState, SeedObject
 from repro.core.relationships import RelationshipState
 from repro.core.schema.schema import Schema
 from repro.core.storage.engine import GroupCommitPolicy, JournaledDatabase
-from repro.core.versions.compaction import CompactionStats, RetentionPolicy
+from repro.core.versions.compaction import CompactionStats, DEFAULT_MAINTENANCE
 from repro.core.versions.store import ItemKey
 from repro.core.versions.version_id import VersionId
 from repro.core.versions.view import VersionView
@@ -87,11 +87,6 @@ __all__ = ["CheckOutTicket", "SeedServer"]
 
 #: pinned snapshot views kept hot by default (oldest evicted first)
 DEFAULT_SNAPSHOT_CACHE = 8
-
-#: compaction between check-ins when the caller names no policy
-DEFAULT_MAINTENANCE = RetentionPolicy(
-    squash_chains=True, snapshot_interval=16, keep_last=2, gc_tombstones=True
-)
 
 
 @dataclass
@@ -151,7 +146,6 @@ class SeedServer:
         self._views: "OrderedDict[str, VersionView]" = OrderedDict()
         self._published: Optional[VersionId] = None
         self.snapshot_cache_size = max(1, snapshot_cache_size)
-        self.maintenance_policy = DEFAULT_MAINTENANCE
         # -- service counters (diagnostics, surfaced by `repro serve`) --
         self.checkins_applied = 0
         self.checkins_rejected = 0
@@ -170,7 +164,6 @@ class SeedServer:
         strict: bool = False,
         byte_budget: Optional[int] = None,
         group_commit: Optional[GroupCommitPolicy] = None,
-        streamed_checkpoints: bool = False,
     ) -> "SeedServer":
         """A journal-bound server: open (or create) the journal at *path*.
 
@@ -179,14 +172,12 @@ class SeedServer:
         :class:`~repro.core.storage.engine.GroupCommitPolicy`); check-in
         appends, snapshot pins, maintenance, and shutdown remain hard
         flush barriers, so the bounded durability window only ever
-        covers direct commits. *streamed_checkpoints* makes every
-        checkpoint stream its image records instead of materializing
-        the monolithic image dict.
+        covers direct commits.
         """
         journal = JournaledDatabase.open(
             path, schema=schema, name=name, strict=strict,
             byte_budget=byte_budget, group_commit=group_commit,
-            clock=clock, streamed_checkpoints=streamed_checkpoints,
+            clock=clock,
         )
         return cls(
             journal=journal,
@@ -365,26 +356,21 @@ class SeedServer:
 
     # -- background maintenance ----------------------------------------------
 
-    def maintain(
-        self, policy: Optional[RetentionPolicy] = None
-    ) -> CompactionStats:
+    def maintain(self) -> CompactionStats:
         """Compact the version store between check-ins.
 
         Runs chain squashing, snapshot consolidation, and tombstone GC
-        under *policy* (default :data:`DEFAULT_MAINTENANCE`), with every
-        cached snapshot version pinned so concurrent pinned readers
-        survive; stale cache entries for squashed-away versions are
-        dropped afterwards. When the journal carries a ``byte_budget``,
+        under :data:`~repro.core.versions.compaction.DEFAULT_MAINTENANCE`,
+        with every cached snapshot version pinned so concurrent pinned
+        readers survive; stale cache entries for squashed-away versions
+        are dropped afterwards. When the journal carries a ``byte_budget``,
         the journal file is bounded too — checkpoint-then-compact once
         it exceeds the budget. The wire service schedules this
         automatically every ``maintain_every`` accepted check-ins.
         """
-        policy = policy or self.maintenance_policy
-        if self._views:
-            policy = replace(
-                policy, pins=frozenset(policy.pins) | set(self._views)
-            )
-        stats = self.master.compact(policy)
+        stats = self.master.compact(
+            replace(DEFAULT_MAINTENANCE, pins=frozenset(self._views))
+        )
         surviving = {str(v) for v in self.master.saved_versions()}
         for key in [k for k in self._views if k not in surviving]:
             del self._views[key]  # pragma: no cover - pins protect these

@@ -45,7 +45,6 @@ from typing import Any, Optional
 from repro.core.errors import SeedError
 from repro.core.schema.schema import Schema
 from repro.core.storage.serialize import decode_value, encode_value
-from repro.core.versions.compaction import RetentionPolicy
 from repro.multiuser.checkin import (
     CheckInPackage,
     package_from_dict,
@@ -92,13 +91,11 @@ class SeedService:
         host: str = "127.0.0.1",
         port: int = 0,
         maintain_every: int = DEFAULT_MAINTAIN_EVERY,
-        maintenance_policy: Optional[RetentionPolicy] = None,
     ) -> None:
         self.server = server
         self.host = host
         self.port = port  # 0 = ephemeral; real port known after start()
         self.maintain_every = maintain_every
-        self.maintenance_policy = maintenance_policy
         self._asyncio_server: Optional[asyncio.AbstractServer] = None
         self._write_lock: Optional[asyncio.Lock] = None
         self._maintenance_task: Optional[asyncio.Task] = None
@@ -479,9 +476,7 @@ class SeedService:
     async def _run_maintenance(self) -> None:
         loop = asyncio.get_running_loop()
         async with self._write_lock:
-            await loop.run_in_executor(
-                None, lambda: self.server.maintain(self.maintenance_policy)
-            )
+            await loop.run_in_executor(None, self.server.maintain)
 
 
 # ---------------------------------------------------------------------------

@@ -159,65 +159,6 @@ class TestStreamedImageEquivalence:
             database_from_records(iter([]))
 
 
-def image_units(path):
-    """Each image unit in *path*, in file order: a streamed group's
-    ``cp`` id, or ``"image"`` for a monolithic record."""
-    return [
-        record.get("cp", "image")
-        for record in RecordFile(path).records()
-        if record.get("kind") in ("image", "image.begin")
-    ]
-
-
-class TestStreamedCheckpointsByDefault:
-    """A journal opened with ``streamed_checkpoints=True`` streams every
-    checkpoint it takes; ``checkpoint(streamed=False)`` still writes a
-    monolithic record."""
-
-    def test_every_checkpoint_streams(self, tmp_path):
-        path = tmp_path / "streamed.seed"
-        journal = JournaledDatabase.open(
-            path, schema=figure3_schema(), name="s", streamed_checkpoints=True
-        )
-        (first,) = image_units(path)  # the journal's first checkpoint
-        assert isinstance(first, int)
-        populate(journal.db, seed=11, ops=30)
-        journal.checkpoint()
-        kept, checkpointed = image_units(path)
-        assert kept == first
-        assert isinstance(checkpointed, int) and checkpointed > first
-        journal.save_point()
-        (saved,) = image_units(path)
-        assert isinstance(saved, int) and saved > checkpointed
-        assert journal.checkpoints() == 1
-        reopened = JournaledDatabase.open(path)
-        assert reopened.recovery.base.cp == saved
-        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
-        journal.checkpoint(streamed=False)
-        assert image_units(path) == [saved, "image"]
-        reopened = JournaledDatabase.open(path)
-        assert reopened.recovery.base.cp is None
-        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
-
-    def test_a_budget_triggered_checkpoint_streams(self, tmp_path):
-        path = tmp_path / "budget.seed"
-        journal = JournaledDatabase.open(
-            path, schema=item_schema(), name="b",
-            byte_budget=1, streamed_checkpoints=True,
-        )
-        (first,) = image_units(path)
-        journal.db.create_object("Item", "A").set_value("a")
-        # over budget: a fresh checkpoint superseded the commits, and
-        # the rewrite kept only that group
-        (budgeted,) = image_units(path)
-        assert isinstance(budgeted, int) and budgeted > first
-        kinds = {record["kind"] for record in RecordFile(path).records()}
-        assert kinds == {"image.begin", "image.rec", "image.end"}
-        reopened = JournaledDatabase.open(path)
-        assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
-        assert reopened.db.find_object("A").value == "a"
-
-
 class TestVersionRecords:
     def test_record_ordered_cells_replay_byte_identical(self, tmp_path):
         """A ``version`` record lists its cells in record order — the
@@ -585,19 +526,16 @@ class TestCompactionCopiesFrames:
         assert canonical_bytes(reopened.db) == canonical_bytes(journal.db)
         assert reopened.recovery.unknown_records == 2  # alien + non-dict
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_a_save_point_is_a_checkpoint_then_a_compaction(
-        self, tmp_path, streamed
-    ):
+    def test_a_save_point_is_a_checkpoint_then_a_compaction(self, tmp_path):
         from repro.core.faults import FaultPlan
 
         by_hand = self.build(tmp_path / "pair.seed", streamed_base=False)
         saving = self.build(tmp_path / "save.seed", streamed_base=False)
         with FaultPlan() as pair_plan:
-            by_hand.checkpoint(streamed=streamed)
+            by_hand.checkpoint()
             size = by_hand.compact()
         with FaultPlan() as save_plan:
-            assert saving.save_point(streamed=streamed) == size
+            assert saving.save_point() == size
         assert save_plan.hits == pair_plan.hits
         assert saving.path.read_bytes() == by_hand.path.read_bytes()
 

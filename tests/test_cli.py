@@ -81,10 +81,7 @@ class TestCommands:
         for version in ("2.0", "3.0", "4.0", "5.0"):
             assert main(["snapshot", str(db_file), "-v", version]) == 0
         capsys.readouterr()
-        assert main([
-            "compact", str(db_file),
-            "--snapshot-interval", "2", "--keep-last", "1", "--pin", "1.0",
-        ]) == 0
+        assert main(["compact", str(db_file), "--pin", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "before:" in out and "compacted:" in out and "after:" in out
         from repro.core.storage import load_database
@@ -94,7 +91,8 @@ class TestCommands:
 
         versions = db.saved_versions()
         assert VersionId.parse("1.0") in versions  # pinned
-        assert VersionId.parse("5.0") in versions  # keep-last + leaf
+        assert VersionId.parse("5.0") in versions  # keep_last + leaf
+        assert VersionId.parse("2.0") not in versions  # squashed
         # history still resolves on the compacted image
         assert main(["history", str(db_file), "Alarms"]) == 0
 
@@ -105,7 +103,20 @@ class TestCommands:
         assert db_file.read_bytes() == before
         assert "before:" in capsys.readouterr().out
 
-    def test_compact_gc_tombstones(self, db_file, capsys):
+    def test_compact_dry_run_leaves_a_torn_journal_alone(self, db_file, capsys):
+        # a journal open would cut the torn tail; the dry run only loads
+        from repro.core.storage import JournaledDatabase
+
+        journal = JournaledDatabase.open(db_file)
+        journal.db.create_object("Data", "Torn")
+        journal.close()
+        torn = db_file.read_bytes()[:-5]
+        db_file.write_bytes(torn)
+        assert main(["compact", str(db_file), "--dry-run"]) == 0
+        assert db_file.read_bytes() == torn
+        assert "before:" in capsys.readouterr().out
+
+    def test_compact_collects_dead_items(self, db_file, capsys):
         from repro.core.storage import load_database, save_database
 
         db = load_database(db_file)
@@ -114,45 +125,61 @@ class TestCommands:
         db.create_version("2.0")
         save_database(db, db_file)
         capsys.readouterr()
-        assert main([
-            "compact", str(db_file), "--gc-tombstones", "--keep-last", "0",
-        ]) == 0
+        assert main(["compact", str(db_file)]) == 0
         out = capsys.readouterr().out
         assert "collected 1 dead objects" in out
         reloaded = load_database(db_file)
         assert victim.oid not in reloaded._objects  # noqa: SLF001
 
-    def test_compact_byte_budget_opens_the_journal_with_it(
-        self, db_file, capsys, monkeypatch
-    ):
+    def test_compact_rewrites_a_journal_as_one_image(self, db_file, capsys):
         from repro.core.storage import JournaledDatabase, load_database
 
-        budgets = []
-        real_open = JournaledDatabase.open.__func__
-
-        def spying_open(cls, path, **kwargs):
-            budgets.append(kwargs.get("byte_budget"))
-            return real_open(cls, path, **kwargs)
-
-        monkeypatch.setattr(JournaledDatabase, "open", classmethod(spying_open))
         journal = JournaledDatabase.open(db_file)
         journal.db.create_object("Data", "Tail")
-        budgets.clear()
-        assert main(["compact", str(db_file), "--byte-budget", "1"]) == 0
-        assert budgets == [1]  # the budget's one home is the journal
+        journal.close()
+        assert main(["compact", str(db_file)]) == 0
         assert "bytes on disk" in capsys.readouterr().out
         assert main(["fsck", str(db_file)]) == 0
         assert "1 intact record(s)" in capsys.readouterr().out
         assert load_database(db_file).find_object("Tail") is not None
 
-    @pytest.mark.parametrize("bad", ["0", "-5"])
-    def test_compact_rejects_a_non_positive_byte_budget(
-        self, db_file, capsys, bad
+    def test_compact_of_an_image_equals_compact_of_its_journal(
+        self, tmp_path, capsys
     ):
-        before = db_file.read_bytes()
-        assert main(["compact", str(db_file), "--byte-budget", bad]) == 1
-        assert "byte_budget must be positive" in capsys.readouterr().err
-        assert db_file.read_bytes() == before
+        from dataclasses import replace
+
+        from repro.core.storage import (
+            JournaledDatabase, RecordFile, load_database, save_database,
+        )
+        from repro.core.versions.compaction import DEFAULT_MAINTENANCE
+
+        journaled = tmp_path / "journal.seed"
+        journal = JournaledDatabase.open(
+            journaled, schema=spades_schema(), name="spec"
+        )
+        db = journal.db
+        for index in range(12):
+            db.create_object("Data", f"D{index}")
+            if index % 3 == 0:
+                db.delete(db.create_object("Thing", f"Gone{index}"))
+            db.create_version()
+        journal.close()
+        assert RecordFile(journaled).count() > 1  # a delta tail
+        saved = tmp_path / "image.seed"
+        save_database(load_database(journaled), saved)
+        pin = str(load_database(journaled).saved_versions()[3])
+        expected = load_database(journaled)
+        stats = expected.compact(
+            replace(DEFAULT_MAINTENANCE, pins=frozenset([pin]))
+        )
+        assert stats.squashed_versions and stats.collected_objects
+        reference = tmp_path / "reference.seed"
+        save_database(expected, reference)
+        for path in (journaled, saved):
+            assert main(["compact", str(path), "--pin", pin]) == 0
+        capsys.readouterr()
+        assert journaled.read_bytes() == saved.read_bytes()
+        assert saved.read_bytes() == reference.read_bytes()
 
     def test_compact_reports_a_malformed_image(self, db_file, tmp_path, capsys):
         from repro.core.storage import RecordFile
@@ -165,25 +192,6 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed image objects section")
         assert "Traceback" not in err
-
-    def test_serve_passes_streamed_checkpoints_to_the_server(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.core.errors import SeedError
-        from repro.multiuser.server import SeedServer
-
-        seen = []
-
-        def spying_open(cls, path, **kwargs):
-            seen.append(kwargs["streamed_checkpoints"])
-            raise SeedError("stopped before serving")
-
-        monkeypatch.setattr(SeedServer, "open", classmethod(spying_open))
-        journal = str(tmp_path / "served.seed")
-        assert main(["serve", journal, "--streamed-checkpoints"]) == 1
-        assert main(["serve", journal]) == 1
-        assert seen == [True, False]
-        assert "stopped before serving" in capsys.readouterr().err
 
     def test_serve_group_commit_uses_the_default_policy(
         self, tmp_path, capsys, monkeypatch
@@ -219,6 +227,27 @@ class TestCommands:
         with pytest.raises(SystemExit) as usage:
             main(["serve", str(tmp_path / "served.seed"), "--group-commit",
                   flag, value])
+        assert usage.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("compact", "--snapshot-interval", "2"),
+        ("compact", "--keep-last", "1"),
+        ("compact", "--no-squash", None),
+        ("compact", "--gc-tombstones", None),
+        ("compact", "--byte-budget", "1"),
+        ("compact", "--streamed-checkpoint", None),
+        ("serve", "--streamed-checkpoints", None),
+        ("serve", "--drain-timeout", "10"),
+        ("query", "--parallel", None),
+        ("query", "--shards", "2"),
+    ])
+    def test_retired_options_are_not_options(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        argv = [command, str(tmp_path / "any.seed"), flag]
+        with pytest.raises(SystemExit) as usage:
+            main(argv if value is None else [*argv, value])
         assert usage.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -388,23 +417,10 @@ class TestQueryCommand:
         assert "by\tdata" in out
         assert "(2 rows)" in out  # Handler reads and writes Alarms
 
-    @pytest.mark.parametrize("option", [["--shards", "2"]])
-    def test_pool_options_without_parallel_are_a_usage_error(
-        self, db_file, capsys, option
-    ):
-        with pytest.raises(SystemExit) as usage:
-            main(["query", str(db_file), "--extent", "Data", *option])
-        assert usage.value.code == 2
-        assert "only applies with --parallel" in capsys.readouterr().err
-        assert main([
-            "query", str(db_file), "--extent", "Data", "--parallel", *option,
-        ]) == 0
-
-    @pytest.mark.parametrize("parallel", [[], ["--parallel"]])
-    def test_backend_is_not_an_option(self, db_file, capsys, parallel):
+    def test_backend_is_not_an_option(self, db_file, capsys):
         with pytest.raises(SystemExit) as usage:
             main([
-                "query", str(db_file), "--extent", "Data", *parallel,
+                "query", str(db_file), "--extent", "Data",
                 "--backend", "process",
             ])
         assert usage.value.code == 2

@@ -131,3 +131,18 @@ class TestPrinting:
             "association R (x: A 0..*, y: A 0..*)\n"
             "attach R assoc_guard\n"
         )
+
+    def test_a_value_typed_class_prints_its_sort(self):
+        schema = (
+            SchemaBuilder("tags")
+            .entity_class("Tag", sort="STRING")
+            .entity_class("Box")
+            .build()
+        )
+        assert print_ddl(schema) == (
+            "schema tags\n"
+            "\n"
+            "class Tag = STRING\n"
+            "class Box\n"
+            "\n"
+        )

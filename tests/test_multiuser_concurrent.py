@@ -1,7 +1,7 @@
 """Randomized concurrency harness: N wire clients against one service.
 
 Each client thread runs a seeded random mix of MVCC snapshot reads,
-contended check-outs (with bounded retry), check-ins, and abandons,
+contended check-outs (retried a few times), check-ins, and abandons,
 while the service runs background
 compaction between check-ins. Two oracles close the loop:
 
@@ -25,12 +25,7 @@ import time
 import pytest
 
 from repro.core.errors import LockError, VersionError
-from repro.multiuser import (
-    RetryPolicy,
-    SeedServer,
-    SeedService,
-    ServiceClient,
-)
+from repro.multiuser import SeedServer, SeedService, ServiceClient
 from repro.spades import spades_schema
 
 CLIENTS = 6
@@ -39,6 +34,8 @@ ITERATIONS = 10
 ROOTS = ["Proc0", "Proc1", "Proc2", "Proc3"]
 #: fresh pins a reader takes before an eviction counts as a failure
 PIN_ATTEMPTS = 20
+#: check-outs a writer tries before a contended root counts as lost
+CHECKOUT_ATTEMPTS = 4
 
 
 class RecordingServer(SeedServer):
@@ -149,13 +146,15 @@ class ClientWorker(threading.Thread):
 
     def do_write(self, client, iteration):
         root = self.rng.choice(ROOTS)
-        retry = RetryPolicy(
-            attempts=4, backoff=0.002, max_backoff=0.01
-        )
-        try:
-            local = client.check_out(root, retry=retry)
-        except LockError:
-            self.lock_losses += 1  # contention is expected; move on
+        for attempt in range(CHECKOUT_ATTEMPTS):
+            try:
+                local = client.check_out(root)
+                break
+            except LockError:
+                # contention is expected: back off, or move on
+                time.sleep(min(0.01, 0.002 * 2**attempt))
+        else:
+            self.lock_losses += 1
             return
         try:
             description = local.get_object(f"{root}.Description")

@@ -1,10 +1,10 @@
-"""Fault-injected multi-user flows: rollback equivalence, leases, retry.
+"""Fault-injected multi-user flows: rollback equivalence and leases.
 
 The rollback tests reuse ``tests/test_bulk.py``'s equivalence style: a
 check-in that dies mid-apply must leave the master's canonical image
 *and* its index snapshots byte-identical to the pre-check-in state,
-with the client's copy and locks intact for a retry. Lease and retry
-tests drive an injected fake clock — no wall-clock sleeps anywhere.
+with the client's copy and locks intact for a retry. Lease tests drive
+an injected fake clock — no wall-clock sleeps anywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.core import ConsistencyError, LockError, faults
 from repro.core.errors import CheckInError
 from repro.core.faults import FaultPlan, SimulatedCrash
 from repro.core.storage import JournaledDatabase, database_to_dict
-from repro.multiuser import RetryPolicy, SeedServer
+from repro.multiuser import SeedServer
 from repro.spades import spades_schema
 
 
@@ -51,16 +51,13 @@ def journaled(tmp_path):
 
 
 class FakeClock:
-    """A deterministic monotonic clock; ``sleep`` advances it."""
+    """A deterministic monotonic clock; tests advance ``now``."""
 
     def __init__(self) -> None:
         self.now = 0.0
 
     def __call__(self) -> float:
         return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.now += seconds
 
 
 # ---------------------------------------------------------------------------
@@ -251,127 +248,3 @@ class TestLockLeases:
         bob = server.connect("bob")
         with pytest.raises(LockError):
             bob.check_out("Alarms")
-
-
-# ---------------------------------------------------------------------------
-# bounded retry against contended (and expiring) locks
-# ---------------------------------------------------------------------------
-
-class TestRetryPolicy:
-    def test_backoff_schedule_is_exponential_and_capped(self):
-        policy = RetryPolicy(backoff=0.05, max_backoff=0.3)
-        assert [policy.delay(n) for n in range(1, 6)] == [
-            0.05, 0.1, 0.2, 0.3, 0.3,
-        ]
-
-    def test_zero_attempts_rejected(self):
-        with pytest.raises(ValueError, match="at least one attempt"):
-            RetryPolicy(attempts=0).run(lambda: None)
-
-    def test_retry_exhausts_attempts_then_reraises(self):
-        slept = []
-        policy = RetryPolicy(
-            attempts=3, backoff=0.05, sleep=slept.append, clock=lambda: 0.0
-        )
-        calls = []
-
-        def contended():
-            calls.append(1)
-            raise LockError("held by 'alice'")
-
-        with pytest.raises(LockError):
-            policy.run(contended)
-        assert len(calls) == 3
-        assert slept == [0.05, 0.1]  # no sleep after the final failure
-
-    def test_retry_stops_at_deadline(self):
-        clock = FakeClock()
-        policy = RetryPolicy(
-            attempts=10,
-            backoff=5.0,
-            max_backoff=5.0,
-            deadline=12.0,
-            sleep=clock.sleep,
-            clock=clock,
-        )
-        calls = []
-
-        def contended():
-            calls.append(clock.now)
-            raise LockError("busy")
-
-        with pytest.raises(LockError):
-            policy.run(contended)
-        # attempts at t=0, 5, 10; at t=10 the next backoff would land at
-        # t=15 — past the 12s deadline — so the policy gives up without
-        # sleeping (it never overshoots the deadline)
-        assert calls == [0.0, 5.0, 10.0]
-
-    def test_retry_never_sleeps_past_the_deadline(self):
-        """The fixed invariant, directly: no sleep may overshoot."""
-        clock = FakeClock()
-        slept_until = []
-
-        def sleeping(seconds):
-            clock.sleep(seconds)
-            slept_until.append(clock.now)
-
-        policy = RetryPolicy(
-            attempts=50,
-            backoff=3.0,
-            max_backoff=3.0,
-            deadline=10.0,
-            sleep=sleeping,
-            clock=clock,
-        )
-        with pytest.raises(LockError):
-            policy.run(lambda: (_ for _ in ()).throw(LockError("busy")))
-        assert slept_until  # it did retry before giving up
-        # a backoff landing exactly on the deadline is still allowed;
-        # one that would carry past it is not taken
-        assert all(at <= 10.0 for at in slept_until)
-        assert clock.now <= 10.0
-
-    def test_retry_reclaims_an_expiring_lease(self):
-        clock = FakeClock()
-        server = SeedServer(spades_schema(), lease_seconds=30, clock=clock)
-        populate(server.master)
-        alice = server.connect("alice")
-        stale = alice.check_out("AlarmHandler")
-        stale.get_object("AlarmHandler.Description").set_value("from alice")
-        bob = server.connect("bob")
-        slept = []
-
-        def sleep(seconds):
-            slept.append(seconds)
-            clock.sleep(seconds)
-
-        local = bob.check_out(
-            "AlarmHandler",
-            retry=RetryPolicy(
-                attempts=5, backoff=16.0, max_backoff=100.0,
-                sleep=sleep, clock=clock,
-            ),
-        )
-        # attempts at t=0 (held), t=16 (held), t=48 (lease expired: won)
-        assert slept == [16.0, 32.0]
-        assert local is bob.local
-        assert server.locks.reclaimed >= 1
-        # the dead client's eventual check-in is rejected, not applied
-        with pytest.raises(CheckInError, match="without holding"):
-            alice.check_in()
-        bob.check_in()
-
-    def test_retry_succeeds_after_release(self):
-        server = SeedServer(spades_schema())
-        populate(server.master)
-        alice = server.connect("alice")
-        alice.check_out("Alarms")
-        bob = server.connect("bob")
-
-        def sleep(seconds):
-            if alice.has_copy:
-                alice.abandon()
-
-        bob.check_out("Alarms", retry=RetryPolicy(attempts=2, sleep=sleep))
-        assert bob.has_copy

@@ -9,7 +9,9 @@ of ``src/`` and everything in ``bench/``, ``benchmarks/`` and
 until nothing more is reached, so a helper that only unreached code
 calls is unreached too. Inside ``src/`` an import alias or an
 ``__all__`` string is not a use; a string in ``bench/`` is, because
-``bench/layers.py`` names the functions it traces as strings. A
+``bench/layers.py`` names the functions it traces as strings. A type
+annotation in a ``src/`` module under ``from __future__ import
+annotations`` never runs, so it is not a use either. A
 module-level function is not reached by an attribute of ``self`` or
 ``cls``. Dunders (Python calls them) and the ``_op_*`` wire handlers,
 which ``SeedService._dispatch`` reaches through ``getattr``, are exempt.
@@ -49,12 +51,16 @@ ALLOWED = {
         "oracle", "full-scan reference for the indexed check-out closure"),
     "core.storage.serialize.encode_state": (
         "oracle", "one state's bytes; equals RecordFile.encode(state_to_dict(...))"),
-    "core.faults.FaultPlan.fail_io": (
-        "fault-hook", "arms an I/O error at a failpoint for the crash tests"),
-    "core.faults.FaultPlan.torn_write": (
-        "fault-hook", "arms a torn write at a failpoint for the crash tests"),
     "core.faults.armed": (
         "fault-hook", "whether a FaultPlan is armed (failpoints are live)"),
+    "core.faults.FaultPlan": (
+        "fault-hook", "the seeded schedule of faults the crash tests arm"),
+    "core.faults._Fault": (
+        "fault-hook", "one scheduled fault of a FaultPlan"),
+    "core.faults.arm": (
+        "fault-hook", "arms a FaultPlan process-wide (failpoints go live)"),
+    "core.faults.disarm": (
+        "fault-hook", "disarms the active FaultPlan"),
     "core.cardinality.Cardinality.admits": (
         "feature", "whether a count meets both bounds (the final-state check)"),
     "core.cardinality.Cardinality.widens": (
@@ -71,6 +77,8 @@ ALLOWED = {
         "feature", "a version's predecessor in the version tree"),
     "core.versions.history.HistoryNavigator.diff": (
         "feature", "item-level differences between two saved versions"),
+    "core.versions.history.VersionDiff": (
+        "feature", "what HistoryNavigator.diff returns"),
     "core.versions.history.HistoryNavigator.versions_of_object_named": (
         "feature", "the version history of a named independent object"),
     "core.variants.VariantFamily.remove_variant": (
@@ -83,6 +91,8 @@ ALLOWED = {
         "feature", "the nearest common generalization of two elements"),
     "core.schema.attached.attached_procedure": (
         "feature", "decorator registering a function as an attached procedure"),
+    "core.schema.attached.AttachedProcedure": (
+        "feature", "a named integrity procedure a schema element can carry"),
     "core.query.algebra.Relation.union": (
         "feature", "the algebra's union operator"),
     "core.query.planner.Plan.union": (
@@ -117,8 +127,9 @@ class _Uses(ast.NodeVisitor):
     ``cls``.
     """
 
-    def __init__(self, top: str, module: str, defined: dict, uses: dict):
+    def __init__(self, top: str, module: str, defined: dict, uses: dict, lazy: bool):
         self.in_src, self.strings = top == "src", top == "bench"
+        self.lazy = self.in_src and lazy  # annotations are never evaluated
         self.defined, self.uses = defined, uses
         self.scope = TESTS if top == "tests" else None
         self.prefix, self.in_class = module, False
@@ -131,6 +142,8 @@ class _Uses(ast.NodeVisitor):
         self.uses[qual] = (set(), set())
         outer = self.scope, self.prefix, self.in_class
         for field, value in ast.iter_fields(node):
+            if field == "returns" and self.lazy:
+                continue
             if field == "body":  # decorators, bases and defaults run outside
                 self.scope, self.prefix = qual, qual
                 self.in_class = isinstance(node, ast.ClassDef)
@@ -140,6 +153,17 @@ class _Uses(ast.NodeVisitor):
             self.scope, self.prefix, self.in_class = outer
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _define
+
+    def visit_arg(self, node):
+        if not self.lazy:
+            self.generic_visit(node)
+
+    def visit_AnnAssign(self, node):
+        if not self.lazy:
+            return self.generic_visit(node)
+        self.visit(node.target)
+        if node.value is not None:
+            self.visit(node.value)
 
     def visit_Name(self, node):
         self.uses[self.scope][0].add(node.id)
@@ -175,7 +199,13 @@ def _scan(root: Path = ROOT) -> tuple[dict, dict]:
             module = ""
             if top == "src":
                 module = ".".join(path.relative_to(package).with_suffix("").parts)
-            _Uses(top, module, defined, uses).visit(tree)
+            lazy = any(
+                isinstance(node, ast.ImportFrom)
+                and node.module == "__future__"
+                and any(alias.name == "annotations" for alias in node.names)
+                for node in tree.body
+            )
+            _Uses(top, module, defined, uses, lazy).visit(tree)
     return defined, uses
 
 
@@ -359,3 +389,21 @@ def test_a_keyword_argument_is_a_use(tmp_path):
             "examples/use.py": "from repro.m import Policy\nPolicy(txns=8)\n",
         },
     ) == set()
+
+
+def test_an_annotation_that_never_runs_is_not_a_use(tmp_path):
+    # under the future import an annotation stays a string; without it,
+    # Python evaluates it when the def or the assignment runs
+    uses = (
+        "def f(x: Arg) -> Ret:\n    return x\n\n"
+        "limit: Field = 1\n"
+    )
+    kinds = "class Arg:\n    pass\n\nclass Ret:\n    pass\n\nclass Field:\n    pass\n"
+    files = {
+        "src/repro/kinds.py": kinds,
+        "src/repro/m.py": "from __future__ import annotations\n" + uses,
+        "examples/use.py": "from repro.m import f\nf(1)\n",
+    }
+    assert _unreached_in(tmp_path, files) == {"kinds.Arg", "kinds.Ret", "kinds.Field"}
+    (tmp_path / "src/repro/m.py").write_text(uses, encoding="utf-8")
+    assert _unreached(tmp_path) == set()

@@ -256,6 +256,46 @@ class TestByteBudget:
         reopened = JournaledDatabase.open(path)
         assert reopened.db.find_object("M119") is not None
 
+    def test_an_image_over_budget_waits_for_its_deltas(
+        self, tmp_path, monkeypatch
+    ):
+        # a base image larger than the budget: a checkpoint per commit
+        # would rewrite the whole file each time, so one waits until the
+        # deltas after the base are as large as the image
+        journal = JournaledDatabase.open(
+            tmp_path / "big.journal", schema=item_schema(), name="b"
+        )
+        with journal.db.transaction():
+            for index in range(120):
+                journal.db.create_object("Item", f"B{index}").set_value("x" * 40)
+        image = journal.save_point()
+        journal.byte_budget = image // 2
+        calls = {"checkpoint": 0, "compact": 0}
+
+        def counted(name):
+            real = getattr(JournaledDatabase, name)
+
+            def call(self, *args, **kwargs):
+                calls[name] += 1
+                return real(self, *args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(JournaledDatabase, name, counted(name))
+        sizes = []
+        for index in range(100):
+            journal.db.create_object("Item", f"M{index}")  # one commit
+            sizes.append(journal._file.size_bytes())
+        delta = max(b - a for a, b in zip([image, *sizes], sizes))
+        # one checkpoint per image's worth of deltas, not one per commit
+        assert 1 <= calls["checkpoint"] <= 100 * delta // image + 1
+        # and no rewrite of a file that has nothing superseded
+        assert calls["compact"] == calls["checkpoint"]
+        assert max(sizes) < 2 * image + 2 * delta
+        reopened = JournaledDatabase.open(journal.path)
+        assert reopened.db.find_object("M99") is not None
+
     def test_checkin_path_enforces_budget(self, tmp_path):
         server = SeedServer.open(
             tmp_path / "srv.journal",
