@@ -20,13 +20,16 @@ in one journal file:
   record carries, with its id spliced into the state kernel's bytes,
   and every cell a ``version`` record opens — *extended* where a
   ``version`` record adds an entry at a cell's end (the entry's bytes
-  are spliced on), and *dropped* elsewhere state is written: every key
-  a unit of work touched (committed or rolled back, check-in applies
-  included), every item ``wire_item_states`` thawed (a restore,
-  replay), every cell a
+  are spliced on), *relabeled* where a compaction fold moves an entry
+  to its child version without changing its place in the cell (the
+  entry's version label is replaced in the kept bytes), and *dropped*
+  elsewhere state is written: every key a unit of work touched
+  (committed or rolled back, check-in applies included), every item
+  ``wire_item_states`` thawed (a restore, replay), every cell a
   :class:`~repro.core.versions.store.VersionStore` writer changed
-  otherwise (an entry added in the middle, a version dropped,
-  compaction). A schema migration
+  otherwise (an entry added in the middle, a version dropped, a fold
+  that discards or reorders, snapshot consolidation, tombstone
+  collection). A schema migration
   re-binds items by name, so no encoded state changes. A state is frozen once
   too: the version created right after a commit stores the states the
   ``txn`` record froze (``SeedDatabase.keep_committed_states``, valid
@@ -686,7 +689,7 @@ class JournaledDatabase:
         self._fragments = ImageFragments()
         db._change_sink = self._on_change_event  # noqa: SLF001 - the seam
         db._state_sink = self._fragments.item_changed  # noqa: SLF001
-        db.versions.store._cell_sink = self._fragments.cell_changed  # noqa: SLF001
+        db.versions.store._cell_sink = self._fragments  # noqa: SLF001
 
     @classmethod
     def open(
@@ -780,10 +783,19 @@ class JournaledDatabase:
         With ``streamed=True``, the image is appended as a counted
         ``image.begin`` / ``image.rec`` / ``image.end`` group, one frame
         per :func:`~repro.core.storage.serialize.iter_image_records`
-        record, joined from the same fragments. Recovery treats only a
-        complete group as an image; a crash mid-stream is a torn
-        checkpoint and the previous base still recovers the same
-        committed state (checkpoints change no state).
+        record: :meth:`ImageFragments.records
+        <repro.core.storage.serialize.ImageFragments.records>` joins
+        each frame's payload from the same fragments, wrapping each
+        record once, and :meth:`RecordFile.append_stream` frames and
+        writes them one at a time. Recovery treats only a complete
+        group as an image; a crash mid-stream is a torn checkpoint and
+        the previous base still recovers the same committed state
+        (checkpoints change no state).
+
+        Either kind pays for what changed since the last one: after a
+        compaction, the cells its folds only relabeled are joined as
+        kept, and only cells a fold reordered or discarded from, or
+        consolidation and tombstone collection changed, are encoded.
         """
         self.flush(enforce=False)
         if not streamed:
@@ -792,19 +804,9 @@ class JournaledDatabase:
         else:
             cp = self._next_seq
             self._next_seq += 1
-
-            def group() -> Iterator[bytes]:
-                # RecordFile.encode of {"kind": "image.begin", "cp": cp},
-                # {"kind": "image.rec", "cp": cp, "rec": ...} per image
-                # record and {"kind": "image.end", "cp": cp, "n": count}
-                yield b'{"cp":%d,"kind":"image.begin"}' % cp
-                count = 0
-                for rec in self._fragments.records(self.db):
-                    count += 1
-                    yield b'{"cp":%d,"kind":"image.rec","rec":%b}' % (cp, rec)
-                yield b'{"cp":%d,"kind":"image.end","n":%d}' % (cp, count)
-
-            offset, end, __ = self._file.append_stream(group())
+            offset, end, __ = self._file.append_stream(
+                self._fragments.records(self.db, cp)
+            )
         self._base = BaseUnit(offset, end, cp)
         return end
 

@@ -832,28 +832,31 @@ class ImageFragments:
     :meth:`RecordFile.encode` gives that member of the
     :func:`database_to_dict` lists — and nothing else: no frozen state
     is kept to compare against. A fragment is *filled* where a journal
-    record has just encoded the state, from the same bytes
-    (:meth:`keep_item` for every item a ``txn`` or ``restore`` delta
-    carries, :meth:`keep_cell` for every cell a ``version`` delta
-    opens), *extended* where a ``version`` delta adds an entry at a
-    cell's end (:meth:`splice_cell`), and *dropped* wherever state is
-    written otherwise: the writer reports the key (:meth:`item_changed`,
-    :meth:`cell_changed`).
+    record has just encoded the state (:meth:`keep_item` for every item
+    a ``txn`` or ``restore`` delta carries, :meth:`keep_cell` for every
+    cell a ``version`` delta opens), *extended* where a ``version``
+    delta adds an entry at a cell's end (:meth:`splice_cell`),
+    *relabeled* where a compaction fold moves an entry to its child
+    version without changing its place in the cell
+    (:meth:`cells_relabeled`: the entry's version label is replaced in
+    the kept bytes, no state is encoded), and *dropped* wherever state
+    is written otherwise: the writer reports the key
+    (:meth:`item_changed`, :meth:`cell_changed`).
     A schema migration writes no encoded state: it re-binds each item
     to the element of the same name. A kept item member therefore always
     encodes the item's live state, and a ``version`` delta reads it
     back (:meth:`state_of`) for every state it records from a live
     item instead of encoding that state again. :meth:`encode` (the
-    monolithic ``image`` record) and :meth:`records` (the streamed
-    image records) encode the small header afresh, re-encode only the
-    dropped fragments, and join the rest in image order. The results
+    monolithic ``image`` record) and :meth:`records` (the frames of a
+    streamed image group) encode the small header afresh, re-encode only
+    the dropped fragments, and join the rest in image order. The results
     are byte-identical to
     ``RecordFile.encode({"kind": "image", "image": database_to_dict(db)})``
-    and to ``RecordFile.encode`` of each :func:`iter_image_records`
-    record as long as every write was reported, which
-    :class:`~repro.core.storage.engine.JournaledDatabase` arranges
+    and to ``RecordFile.encode`` of each record of the group built from
+    :func:`iter_image_records` as long as every write was reported,
+    which :class:`~repro.core.storage.engine.JournaledDatabase` arranges
     through the database's ``_state_sink`` and the store's
-    ``_cell_sink``.
+    ``_cell_sink`` (this object).
     """
 
     __slots__ = ("_objects", "_relationships", "_cells", "_open")
@@ -886,6 +889,27 @@ class ImageFragments:
             self._open.pop(key, None)  # never spliced: drop it
         elif at_end:
             self._open[key] = fragment
+
+    def cells_relabeled(
+        self, keys: list[ItemKey], version: VersionId, into: VersionId
+    ) -> None:
+        """A fold moved the entry at *version* of each of *keys* to
+        *into*, keeping its place in the cell: replace the entry's
+        ``,"version":"<version>"}`` with *into*'s label in the kept
+        fragment. The tag occurs once, as that entry's last member — a
+        quote inside an escaped string never follows a comma, and a
+        cell holds one entry per version. An open fragment is dropped,
+        as :meth:`cell_changed` drops it.
+        """
+        old = b',"version":%b}' % _version_json(version)
+        new = b',"version":%b}' % _version_json(into)
+        cells = self._cells
+        for key in keys:
+            fragment = cells.get(key)
+            if fragment is None:
+                self._open.pop(key, None)
+            else:
+                cells[key] = fragment.replace(old, new, 1)
 
     def keep_item(self, kind: str, item_id: int, state: bytes, split: int) -> None:
         """Keep the member of an item whose current state a record has
@@ -968,21 +992,39 @@ class ImageFragments:
         pieces[-1] = b'},"kind":"image"}'  # in place of the last comma
         return b"".join(pieces)
 
-    def records(self, db: SeedDatabase) -> Iterator[bytes]:
-        """The payload of every :func:`iter_image_records` record of
-        *db*, in order — what a streamed checkpoint frames."""
+    def records(self, db: SeedDatabase, cp: int) -> Iterator[bytes]:
+        """The payload of every frame of *db*'s streamed checkpoint *cp*,
+        in order: ``RecordFile.encode`` of ``{"kind": "image.begin",
+        "cp": cp}``, of ``{"kind": "image.rec", "cp": cp, "rec": r}``
+        for each :func:`iter_image_records` record ``r``, and of
+        ``{"kind": "image.end", "cp": cp, "n": count}``. Each record is
+        wrapped once; an item's state is cut out of its kept member
+        through a ``memoryview`` (as :func:`_unspliced` finds it)."""
         objects, relationships, cells = self._lists(db)
+        rec = b'{"cp":%d,"kind":"image.rec","rec":' % cp
+        yield b'{"cp":%d,"kind":"image.begin"}' % cp
         # the header is encoded afresh at every save point: it is the
         # oracle stream's own first record
-        yield RecordFile.encode(next(iter_image_records(db)))
-        for oid, member in zip(db._objects, objects):  # noqa: SLF001
-            yield b'{"o":%d,"s":%b}' % (oid, _unspliced("o", oid, member))
-        for rid, member in zip(db._relationships, relationships):  # noqa: SLF001
-            yield b'{"r":%d,"s":%b}' % (rid, _unspliced("r", rid, member))
+        yield b"%b%b}" % (rec, RecordFile.encode(next(iter_image_records(db))))
+        for kind, ids, members in (
+            ("o", db._objects, objects),  # noqa: SLF001
+            ("r", db._relationships, relationships),  # noqa: SLF001
+        ):
+            head, id_key = b"%b{%b:" % (rec, _KINDS[kind]), _ID_KEYS[kind]
+            for item_id, member in zip(ids, members):
+                tag = b"%b%d" % (id_key, item_id)
+                at = member.index(tag)
+                view = memoryview(member)
+                yield b'%b%d,"s":%b%b}}' % (
+                    head, item_id, view[:at], view[at + len(tag):],
+                )
         for cell in cells:
-            yield b'{"c":%b}' % cell
-        yield b'{"end":{"c":%d,"o":%d,"r":%d}}' % (
-            len(cells), len(objects), len(relationships)
+            yield b'%b{"c":%b}}' % (rec, cell)
+        yield b'%b{"end":{"c":%d,"o":%d,"r":%d}}}' % (
+            rec, len(cells), len(objects), len(relationships)
+        )
+        yield b'{"cp":%d,"kind":"image.end","n":%d}' % (
+            cp, len(objects) + len(relationships) + len(cells) + 2
         )
 
 

@@ -265,20 +265,21 @@ class Compactor:
         db = self._manager._db  # noqa: SLF001
         store = self._manager.store
         dirty = db._dirty  # noqa: SLF001
-        for rid in sorted(db._relationships, reverse=True):  # noqa: SLF001
+        # only tombstoned records are sorted: nothing live is collected
+        for rid in _deleted_ids_descending(db._relationships):  # noqa: SLF001
             rel = db._relationships[rid]  # noqa: SLF001
             key = ("r", rid)
-            if not rel.deleted or key in dirty:
+            if key in dirty:
                 continue
             if not store.cell_states_all_deleted(key):
                 continue
             stats.tombstone_states_dropped += store.drop_cell(key)
             db._drop_record(rel)  # noqa: SLF001
             stats.collected_relationships += 1
-        for oid in sorted(db._objects, reverse=True):  # noqa: SLF001
+        for oid in _deleted_ids_descending(db._objects):  # noqa: SLF001
             obj = db._objects[oid]  # noqa: SLF001
             key = ("o", oid)
-            if not obj.deleted or key in dirty:
+            if key in dirty:
                 continue
             if not store.cell_states_all_deleted(key):
                 continue
@@ -330,6 +331,15 @@ class Compactor:
         stats.versions_after = len(manager.tree)
         stats.stored_states_after = manager.store.stored_state_count()
         return stats
+
+
+def _deleted_ids_descending(records: dict) -> list[int]:
+    """The ids of the tombstoned records of an id → record table,
+    highest first."""
+    return sorted(
+        [item_id for item_id, record in records.items() if record.deleted],
+        reverse=True,
+    )
 
 
 def auto_snapshot(manager: "VersionManager", version: VersionId) -> Optional[int]:

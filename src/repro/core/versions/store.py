@@ -18,9 +18,10 @@ Beside the cells the store keeps a **per-version index**: for every
 version, the keys holding a state exactly there, in the order they were
 recorded, each flagged *materialized* when snapshot consolidation put
 the state there rather than a change. The index is maintained by every
-writer (``record``, ``materialize_snapshot``, ``mark_materialized``,
-``fold_version``, ``drop_version``, ``drop_cell``), so a version's
-delta is addressable at O(states at that version):
+writer (``record``, ``record_many``, ``materialize_snapshot``,
+``mark_materialized``, ``fold_version``, ``drop_version``,
+``drop_cell``), so a version's delta is addressable at O(states at
+that version):
 :meth:`states_at` hands it to the journal record and to successor
 views, :meth:`resolve_chain` overlays the chain's deltas without
 visiting cells of other branches, and ``drop_version`` /
@@ -29,11 +30,16 @@ instead of a pass over every cell. :meth:`keys_in_version_scan` is the
 retained cell scan the index is tested against. The same writers report
 every key whose cell they change to ``_cell_sink`` — ``None`` unless a
 journal keeps the cells' encoded image fragments
-(:class:`~repro.core.storage.serialize.ImageFragments`). A writer that
-only adds an entry which sorts after every other entry of its cell
-(``record`` and ``materialize_snapshot``, nearly always) says so: the
-cell grew at its end, so its fragment can be extended rather than
-encoded again.
+(:class:`~repro.core.storage.serialize.ImageFragments`) — in one of
+three ways. A key is *changed* (``cell_changed``): its fragment must be
+encoded again. A writer that only adds an entry which sorts after every
+other entry of its cell (``record``, ``record_many`` and
+``materialize_snapshot``, nearly always) says the cell *grew at its
+end*: its fragment can be extended rather than encoded again. A fold
+that moves an entry to its new version without changing its place in
+the cell's version order reports the key as *relabeled*
+(``cells_relabeled``, once per fold for all such keys): only the
+entry's version label changed.
 
 Compaction support (see :mod:`repro.core.versions.compaction`): a
 version may be marked as a **snapshot** — it then holds the *complete*
@@ -47,7 +53,7 @@ version into its surviving descendant.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, KeysView, Optional, Union
+from typing import Any, Iterable, Iterator, KeysView, Optional, Union
 
 from repro.core.errors import VersionError
 from repro.core.objects import ObjectState
@@ -73,40 +79,62 @@ class VersionStore:
         #: history operations filter these so "find all versions of X"
         #: keeps listing real changes only
         self._by_version: dict[VersionId, dict[ItemKey, bool]] = {}
-        #: called with the key of every cell a writer changes, and True
-        #: when the change only added an entry at the cell's end; None
-        #: unless a journal keeps encoded cells
-        self._cell_sink: Optional[Callable[..., None]] = None
+        #: told of every cell a writer changes — ``cell_changed(key,
+        #: at_end=False)`` per key, ``cells_relabeled(keys, version,
+        #: into)`` once per fold; None unless a journal keeps encoded
+        #: cells (its ImageFragments)
+        self._cell_sink: Optional[Any] = None
 
     # -- writing -------------------------------------------------------------
 
     def record(self, version: VersionId, key: ItemKey, state: ItemState) -> None:
         """Store *state* as the state of *key* at *version*.
 
-        Called once per changed item when a version is created. Versions
-        are immutable: recording twice for the same (key, version) is a
-        programming error.
+        Versions are immutable: recording twice for the same (key,
+        version) is a programming error. A version's whole delta goes
+        through :meth:`record_many`.
         """
-        cell = self._cells.setdefault(key, {})
-        if version in cell:
-            raise VersionError(
-                f"item {key} already has a state for version {version}; "
-                "versions cannot be modified"
-            )
-        cell[version] = state
-        self._by_version.setdefault(version, {})[key] = False
-        if self._cell_sink is not None:
-            # a cell this entry opened had no fragment to extend
-            self._cell_sink(key, len(cell) > 1 and _at_end(cell, version))
+        self.record_many(version, ((key, state),))
 
     def record_many(
         self, version: VersionId, states: Iterable[tuple[ItemKey, ItemState]]
     ) -> int:
-        """Record a batch of states; returns the number recorded."""
+        """Record a batch of states at *version* (called once per
+        created version with its changed items); returns the number
+        recorded. A state recorded before a duplicate raises stays
+        recorded.
+
+        One pass: *version*'s index entry is fetched once, and each
+        state hashes *version* once (a new cell is made with its entry;
+        an existing one takes it through ``setdefault``, which also
+        finds a duplicate).
+        """
+        cells = self._cells
+        at_version = self._by_version.setdefault(version, {})
+        sink = self._cell_sink
         count = 0
-        for key, state in states:
-            self.record(version, key, state)
-            count += 1
+        try:
+            for key, state in states:
+                cell = cells.get(key)
+                if cell is None:
+                    cells[key] = {version: state}
+                    at_end = False  # a cell this entry opened has no fragment
+                else:
+                    size = len(cell)
+                    cell.setdefault(version, state)
+                    if len(cell) == size:
+                        raise VersionError(
+                            f"item {key} already has a state for version "
+                            f"{version}; versions cannot be modified"
+                        )
+                    at_end = _at_end(cell, version)
+                at_version[key] = False
+                if sink is not None:
+                    sink.cell_changed(key, at_end)
+                count += 1
+        finally:
+            if not at_version:
+                del self._by_version[version]
         return count
 
     def drop_version(self, version: VersionId) -> int:
@@ -125,7 +153,7 @@ class VersionStore:
                 del self._cells[key]
         if self._cell_sink is not None:
             for key in keys:
-                self._cell_sink(key)
+                self._cell_sink.cell_changed(key)
         self._snapshots.discard(version)
         return len(keys)
 
@@ -170,7 +198,7 @@ class VersionStore:
             at_version[key] = True
             added += 1
             if self._cell_sink is not None:
-                self._cell_sink(key, _at_end(cell, version))
+                self._cell_sink.cell_changed(key, _at_end(cell, version))
         if not at_version:
             del self._by_version[version]
         self._snapshots.add(version)
@@ -215,11 +243,21 @@ class VersionStore:
         which case the older one is shadowed everywhere and discarded.
         Returns ``(moved, discarded)``. A snapshot mark on *version*
         transfers to *into* (the fold makes *into* cover the chain).
+
+        The cell sink hears of a moved entry that keeps its place in its
+        cell's version order — always so in a one-entry cell — as
+        *relabeled*, in one call for the whole fold: the entry's state
+        and flag are what they were. A discarded entry (which may flip
+        the surviving entry's flag) or a move that reorders the cell is
+        a change.
         """
         moved = 0
         discarded = 0
         folded = self._by_version.pop(version, {})
         at_into = self._by_version.setdefault(into, {}) if folded else {}
+        changed: list[ItemKey] = []
+        relabeled: list[ItemKey] = []
+        low, high = sorted((version.parts, into.parts))
         for key, materialized in folded.items():
             cell = self._cells[key]
             state = cell.pop(version)
@@ -230,13 +268,22 @@ class VersionStore:
                     # entry was merely materialized, it now records that
                     # change (same state: nothing sat between the two)
                     at_into[key] = False
+                changed.append(key)
             else:
+                # an entry strictly between the two labels: the move
+                # reorders the cell
+                if cell and any(low < other.parts < high for other in cell):
+                    changed.append(key)
+                else:
+                    relabeled.append(key)
                 cell[into] = state
                 at_into[key] = materialized
                 moved += 1
         if self._cell_sink is not None:
-            for key in folded:
-                self._cell_sink(key)
+            for key in changed:
+                self._cell_sink.cell_changed(key)
+            if relabeled:
+                self._cell_sink.cells_relabeled(relabeled, version, into)
         if version in self._snapshots:
             self._snapshots.discard(version)
             self._snapshots.add(into)
@@ -376,7 +423,7 @@ class VersionStore:
             )
         at_version[key] = True
         if self._cell_sink is not None:
-            self._cell_sink(key)
+            self._cell_sink.cell_changed(key)
 
     # -- tombstone garbage collection (compaction support) --------------------
 
@@ -408,7 +455,7 @@ class VersionStore:
             if not at_version:
                 del self._by_version[version]
         if self._cell_sink is not None:
-            self._cell_sink(key)
+            self._cell_sink.cell_changed(key)
         return len(cell)
 
     def stored_state_count(self) -> int:

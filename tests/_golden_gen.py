@@ -1,0 +1,245 @@
+"""Seeded journal histories whose bytes ``tests/golden/`` pins.
+
+Each history drives one journaled figure-3 database through the public
+API with the journal's clock pinned, so the same build writes the same
+bytes every time. ``tests/test_golden_journals.py`` re-runs every
+history and compares the bytes with the committed file (the writer
+test), and loads every committed file through each reader (the reader
+test).
+
+Regenerate the files (only when on-disk bytes change on purpose: add a
+new generation, never rewrite an old file)::
+
+    PYTHONPATH=src python tests/_golden_gen.py
+
+which writes ``tests/golden/NAME.seed`` and, next to it,
+``tests/golden/NAME.json``: the SHA-256 of the canonical image the
+journal loads to and the counts of its ``RecoveryInfo``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from pathlib import Path
+from typing import Callable
+
+from repro.core import SeedDatabase, figure3_schema
+from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict
+from repro.core.versions.compaction import RetentionPolicy
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: ``RecoveryInfo`` fields a reader test compares (the base's ``cp``
+#: and the scan's intact record count come beside them)
+RECOVERY_COUNTS = (
+    "applied_deltas",
+    "applied_txn_deltas",
+    "applied_change_deltas",
+    "aborted_deltas",
+    "skipped_deltas",
+    "recovered_records",
+    "unknown_records",
+)
+
+
+def _clock() -> float:
+    """The pinned journal clock: group-commit deadlines never move."""
+    return 0.0
+
+
+def open_journal(path: Path) -> JournaledDatabase:
+    """A fresh journal at *path*, its clock pinned."""
+    return JournaledDatabase.open(
+        path, schema=figure3_schema(), name=path.stem, clock=_clock
+    )
+
+
+def image_sha256(db: SeedDatabase) -> str:
+    """The SHA-256 of *db*'s canonical image."""
+    return hashlib.sha256(RecordFile.encode(database_to_dict(db))).hexdigest()
+
+
+def recovery_counts(journal: JournaledDatabase) -> dict:
+    """What a reader test compares of a loaded journal's recovery."""
+    info = journal.recovery
+    counts = {name: getattr(info, name) for name in RECOVERY_COUNTS}
+    counts["intact_records"] = info.report.intact_records
+    counts["base_cp"] = info.base.cp if info.base is not None else None
+    return counts
+
+
+# -- the edits the histories are made of ---------------------------------------
+
+
+def _populate(db: SeedDatabase, rng: random.Random, count: int) -> None:
+    """*count* actions with a description and data they access."""
+    for index in range(count):
+        action = db.create_object("Action", f"A{index}")
+        action.add_sub_object("Description", f"performs A{index}")
+        data = db.create_object(rng.choice(["Data", "InputData"]), f"D{index}")
+        db.relate("Access", {"data": data, "by": action})
+
+
+def _edit(db: SeedDatabase, rng: random.Random, round_: int, count: int) -> None:
+    """One transaction of *count* seeded edits."""
+    actions = [obj for obj in db.objects("Action") if obj.parent is None]
+    data = [obj for obj in db.objects("Data") if obj.parent is None]
+    with db.transaction():
+        for index in range(count):
+            roll = rng.random()
+            if roll < 0.5:
+                described = rng.choice(actions).sub_objects("Description")
+                db.set_value(described[0], f"round {round_}.{index}")
+            elif roll < 0.7:
+                db.rename(rng.choice(data), f"R{round_}x{index}")
+            elif roll < 0.85:
+                db.relate("Access", {"data": rng.choice(data), "by": rng.choice(actions)})
+            else:
+                db.create_object("Data", f"N{round_}x{index}")
+
+
+# -- the histories -----------------------------------------------------------
+
+
+def txn_history(path: Path) -> JournaledDatabase:
+    """``txn`` records: commits, and a rolled-back unit that writes none."""
+    rng = random.Random(1)
+    journal = open_journal(path)
+    db = journal.db
+    with db.transaction():
+        _populate(db, rng, 6)
+    for round_ in range(4):
+        _edit(db, rng, round_, 3)
+    try:
+        with db.transaction():
+            db.rename(db.get_object("A0"), "Gone")
+            raise RuntimeError("abandon the transaction")
+    except RuntimeError:
+        pass
+    db.delete(db.get_object("D1"))
+    return journal
+
+
+def version_history(path: Path) -> JournaledDatabase:
+    """``version`` records on a line and a branch (``restore`` too)."""
+    rng = random.Random(2)
+    journal = open_journal(path)
+    db = journal.db
+    with db.transaction():
+        _populate(db, rng, 6)
+    first = db.create_version()
+    for round_ in range(3):
+        _edit(db, rng, round_, 3)
+        db.create_version()
+    db.select_version(first)
+    _edit(db, rng, 9, 2)
+    db.create_version()
+    return journal
+
+
+def compact_history(path: Path) -> JournaledDatabase:
+    """``compact`` records, each followed by a checkpoint of both kinds.
+
+    The first pass folds the one-entry baseline (every cell holds one
+    entry at 1.0) into its child; a cell with an entry at the pinned
+    2.0 and one at 3.0 is relabeled by the fold of 3.0 into 4.0; a
+    collected tombstone drops a cell. The second pass consolidates
+    snapshots as well."""
+    rng = random.Random(3)
+    journal = open_journal(path)
+    db = journal.db
+    with db.transaction():
+        _populate(db, rng, 5)
+    db.create_version()  # 1.0, the baseline
+    db.delete(db.get_object("D2"))
+    _edit(db, rng, 0, 3)
+    pinned = db.create_version()  # 2.0
+    for round_ in range(1, 4):
+        _edit(db, rng, round_, 3)
+        db.create_version()
+    db.compact(RetentionPolicy(
+        squash_chains=True, keep_last=1, pins=frozenset({pinned}), gc_tombstones=True,
+    ))
+    journal.checkpoint()
+    journal.checkpoint(streamed=True)
+    for round_ in range(4, 7):
+        _edit(db, rng, round_, 3)
+        db.create_version()
+    db.compact(RetentionPolicy(
+        squash_chains=True, snapshot_interval=2, keep_last=2, gc_tombstones=True,
+    ))
+    journal.checkpoint(streamed=True)
+    _edit(db, rng, 7, 2)
+    return journal
+
+
+def image_history(path: Path) -> JournaledDatabase:
+    """Monolithic ``image`` records, with deltas between and after."""
+    rng = random.Random(4)
+    journal = open_journal(path)
+    db = journal.db
+    with db.transaction():
+        _populate(db, rng, 6)
+    db.create_version()
+    journal.checkpoint()
+    _edit(db, rng, 0, 4)
+    db.create_version()
+    journal.checkpoint()
+    _edit(db, rng, 1, 2)
+    return journal
+
+
+def streamed_history(path: Path) -> JournaledDatabase:
+    """Streamed ``image.begin``/``image.rec``/``image.end`` groups."""
+    rng = random.Random(5)
+    journal = open_journal(path)
+    db = journal.db
+    with db.transaction():
+        _populate(db, rng, 6)
+    db.create_version()
+    journal.checkpoint(streamed=True)
+    _edit(db, rng, 0, 4)
+    db.create_version()
+    journal.checkpoint(streamed=True)
+    _edit(db, rng, 1, 2)
+    return journal
+
+
+HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
+    "txn": txn_history,
+    "version": version_history,
+    "compact": compact_history,
+    "image": image_history,
+    "streamed": streamed_history,
+}
+
+
+def write(name: str, directory: Path) -> dict:
+    """Run history *name* into ``directory/NAME.seed``; returns its
+    expectation (what ``NAME.json`` holds)."""
+    path = directory / f"{name}.seed"
+    path.unlink(missing_ok=True)
+    journal = HISTORIES[name](path)
+    journal.close()
+    reopened = JournaledDatabase.open(path)
+    expected = {
+        "image_sha256": image_sha256(reopened.db),
+        "recovery": recovery_counts(reopened),
+    }
+    reopened.close()
+    return expected
+
+
+def main() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in HISTORIES:
+        expected = write(name, GOLDEN)
+        (GOLDEN / f"{name}.json").write_text(json.dumps(expected, indent=2) + "\n")
+        size = (GOLDEN / f"{name}.seed").stat().st_size
+        print(f"{name}.seed: {size} bytes, image {expected['image_sha256'][:12]}")
+
+
+if __name__ == "__main__":
+    main()

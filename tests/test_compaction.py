@@ -117,6 +117,38 @@ class TestStorePrimitives:
         with pytest.raises(VersionError):
             store.materialize_snapshot(V("2.0"), [V("1.0")])
 
+    def test_a_fold_reports_relabels_once_and_changes_per_key(self):
+        """A moved entry that keeps its place in its cell is relabeled
+        (one call for the fold); a discarded entry or a move past
+        another entry of the cell is a change."""
+        store = VersionStore()
+        heard = []
+
+        class Sink:
+            def cell_changed(self, key, at_end=False):
+                heard.append(("changed", key))
+
+            def cells_relabeled(self, keys, version, into):
+                heard.append(("relabeled", list(keys), str(version), str(into)))
+
+        store.record(V("1.0"), ("o", 1), make_state("alone"))
+        store.record(V("1.0"), ("o", 2), make_state("shadowed"))
+        store.record(V("5.0"), ("o", 2), make_state("newer"))
+        store.record(V("1.0"), ("o", 3), make_state("passes 3.0"))
+        store.record(V("3.0"), ("o", 3), make_state("other branch"))
+        store.record(V("0.5"), ("o", 4), make_state("earlier"))
+        store.record(V("1.0"), ("o", 4), make_state("keeps its place"))
+        store._cell_sink = Sink()  # noqa: SLF001
+        assert store.fold_version(V("1.0"), V("5.0")) == (3, 1)
+        assert heard == [
+            ("changed", ("o", 2)),
+            ("changed", ("o", 3)),
+            ("relabeled", [("o", 1), ("o", 4)], "1.0", "5.0"),
+        ]
+        heard.clear()
+        assert store.fold_version(V("9.0"), V("10.0")) == (0, 0)
+        assert heard == []
+
     def test_record_still_refuses_duplicates(self):
         store = VersionStore()
         store.record(V("1.0"), ("o", 1), make_state())
@@ -497,6 +529,48 @@ class TestTombstoneGC:
         assert ("o", victim.oid) in set(
             db.versions.store.keys_in_version(version)
         )
+
+    def test_a_collected_leaf_unblocks_its_parent_and_a_binding_holds_an_object(self):
+        """Objects are visited highest id first: the Body leaf goes, so
+        its Text goes, so its Data goes, all in one pass. An object
+        still bound by a relationship the pass keeps stays, with its
+        relationship."""
+        db = SeedDatabase(figure2_schema(), "gc4")
+        db.create_object("Data", "Keeper")
+        db.create_version()
+        parent = db.create_object("Data", "Parent")
+        text = parent.add_sub_object("Text")
+        body = text.add_sub_object("Body")
+        contents = body.add_sub_object("Contents", "c")
+        action = db.create_object("Action", "A")
+        action.add_sub_object("Description", "d")
+        held = db.create_object("Data", "Held")
+        binding = db.relate("Read", {"from": held, "by": action})
+        db.delete(parent)  # cascades to Text, Body and Contents
+        db.delete(held)  # cascades to the binding
+        db.create_version()  # only tombstones ever recorded for them
+        # no public operation leaves a dead relationship's deletion
+        # unsaved on its own: mark it so, and the pass must keep it
+        db._dirty.add(("r", binding.rid))  # noqa: SLF001
+        visited = []
+        real_drop = db._drop_record  # noqa: SLF001
+
+        def drop(record):
+            visited.append(record)
+            real_drop(record)
+
+        db._drop_record = drop  # noqa: SLF001
+        stats = db.compact(RetentionPolicy(squash_chains=False, gc_tombstones=True))
+        assert visited == [contents, body, text, parent]
+        assert (
+            stats.collected_objects,
+            stats.collected_relationships,
+            stats.tombstone_states_dropped,
+        ) == (4, 0, 4)
+        assert held.oid in db._objects  # noqa: SLF001
+        assert binding.rid in db._relationships  # noqa: SLF001
+        db.indexes.verify()
+        clone(db)
 
     def test_gc_off_by_default(self):
         db, keeper, victim = self._db_with_dead_item()

@@ -1,0 +1,80 @@
+"""Committed journals pin the on-disk format across builds.
+
+Every other journal the tests read was written at test time by the same
+build that reads it, so a change to the writer and the reader together
+passes them. The files under ``tests/golden/`` were written once, by
+the histories of ``tests/_golden_gen.py``, and are never rewritten:
+
+* **reader test** — each committed file loads, through
+  :func:`load_database`, :meth:`JournaledDatabase.open` and
+  :meth:`SeedServer.open` (both on a copy: an open may append), to the
+  canonical image whose SHA-256 sits next to it, with the committed
+  ``RecoveryInfo`` counts;
+* **writer test** — re-running each history with this build writes
+  the committed bytes, byte for byte.
+
+A change that alters on-disk bytes on purpose adds a new generation of
+files beside these and keeps them as reader fixtures.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+
+import pytest
+
+from _golden_gen import GOLDEN, HISTORIES, image_sha256, recovery_counts
+from repro.core.storage import JournaledDatabase, load_database
+from repro.multiuser import SeedServer
+
+NAMES = sorted(HISTORIES)
+
+
+def expected(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+def test_every_history_has_a_small_committed_file():
+    files = sorted(path.stem for path in GOLDEN.glob("*.seed"))
+    assert files == NAMES
+    for name in NAMES:
+        assert (GOLDEN / f"{name}.seed").stat().st_size <= 64 * 1024
+        assert set(expected(name)) == {"image_sha256", "recovery"}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_load_database_reads_the_committed_image(name):
+    db = load_database(GOLDEN / f"{name}.seed", strict=True)
+    assert image_sha256(db) == expected(name)["image_sha256"]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_journal_opens_the_committed_file(name, tmp_path):
+    copy = tmp_path / f"{name}.seed"
+    shutil.copyfile(GOLDEN / f"{name}.seed", copy)
+    journal = JournaledDatabase.open(copy, strict=True)
+    try:
+        assert image_sha256(journal.db) == expected(name)["image_sha256"]
+        assert recovery_counts(journal) == expected(name)["recovery"]
+    finally:
+        journal.close()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_server_opens_the_committed_file(name, tmp_path):
+    copy = tmp_path / f"{name}.seed"
+    shutil.copyfile(GOLDEN / f"{name}.seed", copy)
+    server = SeedServer.open(copy, strict=True)
+    try:
+        assert image_sha256(server.journal.db) == expected(name)["image_sha256"]
+        assert recovery_counts(server.journal) == expected(name)["recovery"]
+    finally:
+        server.journal.close()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_history_writes_the_committed_bytes(name, tmp_path):
+    path = tmp_path / f"{name}.seed"
+    HISTORIES[name](path).close()
+    assert path.read_bytes() == (GOLDEN / f"{name}.seed").read_bytes()

@@ -494,9 +494,9 @@ def test_cached_payload_equals_the_full_encode_after_every_step(
         # each fragment on its own, before the join below refills any
         assert stale_fragments(journal) == [], f"{where} left a stale fragment"
         assert cached_image(journal) == full_image(db), f"{where}: monolithic image"
-        assert list(journal._fragments.records(db)) == [  # noqa: SLF001
-            RecordFile.encode(record) for record in iter_image_records(db)
-        ], f"{where}: streamed image records"
+        assert b"".join(
+            _frame(payload) for payload in journal._fragments.records(db, 7)  # noqa: SLF001
+        ) == streamed_group(db, 7), f"{where}: streamed image frames"
         for payload in history.unjudged_frames():
             assert payload == RecordFile.encode(json.loads(payload)), (
                 f"{where} wrote a frame that is not canonical JSON"
@@ -829,8 +829,161 @@ def test_the_streamed_checkpoint_frames_are_the_oracle_group(tmp_path):
     db.create_object("Data", "AfterTheCheckpoint")
     journal.checkpoint(streamed=True)
     assert written_base(journal) == streamed_group(db, journal._base.cp)  # noqa: SLF001
+    # a compaction between two streamed checkpoints: folds relabel or
+    # drop the kept cells, and the next group is the oracle's
+    for __ in range(2):
+        for __ in range(6):
+            try:
+                history.commit_and_version()
+            except SeedError:
+                pass
+        history.compact_versions()
+        journal.checkpoint(streamed=True)
+        assert written_base(journal) == streamed_group(db, journal._base.cp)  # noqa: SLF001
     reopened = JournaledDatabase.open(history.path)
     assert reopened.recovery.base.cp == journal._base.cp  # noqa: SLF001
+    assert full_image(reopened.db) == full_image(db)
+
+
+# -- a fold relabels the cells it moves without reordering ----------------
+
+
+def test_a_save_point_after_folding_the_baseline_encodes_no_state(
+    tmp_path, encode_spy
+):
+    """Compaction folds the ingested baseline into its child, whose
+    version added new items only: every moved entry is the one entry of
+    its cell, so the fold relabels each kept fragment and the next save
+    point, streamed or monolithic, encodes no state."""
+    journal = JournaledDatabase.open(
+        tmp_path / "spec.seed", schema=spades_schema(), name="spec"
+    )
+    db = journal.db
+    load_into_spades(
+        generate_spec(SpecShape(actions=30, data=15, flows=45), seed=4),
+        SpadesTool(db=db),
+    )
+    baseline = db.create_version()
+    for index in range(3):
+        db.create_object("Data", f"Fresh{index}")
+    db.create_version()
+    cells = db.versions.store.cell_count()
+    stats = db.compact(RetentionPolicy(squash_chains=True, keep_last=1))
+    assert stats.squashed_versions == [baseline]
+    assert stats.folded_states == cells - 3 and stats.discarded_states == 0
+    assert len(journal._fragments._cells) == cells  # noqa: SLF001
+    encode_spy.clear()
+    journal.checkpoint(streamed=True)
+    _encodes_no_state(encode_spy)
+    assert written_base(journal) == streamed_group(db, journal._base.cp)  # noqa: SLF001
+    encode_spy.clear()
+    journal.checkpoint()
+    _encodes_no_state(encode_spy)
+    assert last_frame_payload(journal.path) == full_image(db)
+
+
+def _fold_case(tmp_path, build):
+    """A journal *build* fills and versions, checkpointed (so every
+    fragment is kept), then squashed with 1.0 pinned."""
+    journal = JournaledDatabase.open(tmp_path / "fold.seed", schema=figure3_schema())
+    db = journal.db
+    db.create_object("Data", "X")
+    db.create_object("Data", "Y")
+    db.create_version()  # 1.0
+    build(db)
+    journal.checkpoint()
+    stats = db.compact(RetentionPolicy(
+        squash_chains=True, keep_last=1, pins=frozenset({db.saved_versions()[0]}),
+    ))
+    assert stats.squashed_versions, "nothing was folded"
+    return journal
+
+
+def _renamed_then_extended(db) -> None:
+    """X gains an entry at 2.0; 2.0 folds into 3.0, where X has none."""
+    db.rename(db.get_object("X"), "X2")
+    db.create_version()  # 2.0
+    db.create_object("Data", "Z")
+    db.create_version()  # 3.0
+
+
+def _renamed_twice(db) -> None:
+    """X changes at 2.0 and at 3.0: the fold discards the 2.0 entry."""
+    db.rename(db.get_object("X"), "X2")
+    db.create_version()
+    db.rename(db.get_object("X2"), "X3")
+    db.create_version()
+
+
+def _snapshot_moved(db) -> None:
+    """An online snapshot at 2.0 materializes X and Y there; the fold
+    moves both entries, flag and all, and Z's change to 3.0."""
+    db.versions.retention = RetentionPolicy(snapshot_interval=2)
+    db.create_object("Data", "Z")
+    db.create_version()  # 2.0, materialized X and Y
+    db.versions.retention = RetentionPolicy()
+    db.create_object("Data", "W")
+    db.create_version()
+
+
+def _change_onto_a_snapshot(db) -> None:
+    """X changes at 2.0 and 3.0 is an online snapshot: the fold
+    discards X's change and flips 3.0's materialized entry to a change."""
+    db.versions.retention = RetentionPolicy(snapshot_interval=3)
+    db.rename(db.get_object("X"), "X2")
+    db.create_version()  # 2.0
+    db.create_object("Data", "Z")
+    db.create_version()  # 3.0, a snapshot: X and Y materialized
+    db.versions.retention = RetentionPolicy()
+
+
+def _branch_that_reorders(db) -> None:
+    """X has entries at 1.0, 4.0 (one branch) and 5.0 (the other);
+    5.0 folds into its child 3.0, which sorts before 4.0."""
+    db.rename(db.get_object("X"), "X4")
+    db.create_version("4.0")
+    db.select_version("1.0")
+    db.rename(db.get_object("X"), "X5")
+    db.create_version("5.0")
+    db.create_object("Data", "Z")
+    db.create_version("3.0")
+
+
+@pytest.mark.parametrize(
+    ("build", "encoded", "materialized"),
+    [
+        (_renamed_then_extended, [], 0),
+        (_renamed_twice, ["X", "X3"], 0),
+        (_snapshot_moved, [], 2),
+        (_change_onto_a_snapshot, ["X", "X2"], 1),
+        (_branch_that_reorders, ["X", "X5", "X4"], 0),
+    ],
+    ids=lambda value: value.__name__.lstrip("_") if callable(value) else None,
+)
+def test_a_fold_relabels_a_cell_it_keeps_in_order_and_drops_the_rest(
+    tmp_path, encode_spy, build, encoded, materialized
+):
+    """A moved entry that keeps its place is relabeled in the kept
+    bytes: the save point encodes no state of its cell. A discarded
+    entry, a flipped materialized flag and a reordered cell drop the
+    fragment: the save point encodes exactly that cell's states."""
+    journal = _fold_case(tmp_path, build)
+    db = journal.db
+    assert stale_fragments(journal) == []
+    flags = sum(
+        flag
+        for key in db.versions.store.keys()
+        for __, __, flag in db.versions.store.entries_of(key)
+    )
+    assert flags == materialized
+    encode_spy.clear()
+    assert cached_image(journal) == full_image(db)
+    assert [state.name for __, state in encode_spy.states] == encoded
+    frames = b"".join(_frame(payload) for payload in journal._fragments.records(db, 3))  # noqa: SLF001
+    assert frames == streamed_group(db, 3)
+    journal.checkpoint(streamed=True)
+    assert written_base(journal) == streamed_group(db, journal._base.cp)  # noqa: SLF001
+    reopened = JournaledDatabase.open(journal.path)
     assert full_image(reopened.db) == full_image(db)
 
 

@@ -1,5 +1,7 @@
 """Tests for version ids, the history tree, and the delta store."""
 
+import random
+
 import pytest
 
 from repro.core import VersionId
@@ -158,3 +160,74 @@ class TestVersionStore:
         assert store.cell_count() == 2
         assert sorted(store.keys_in_version(v1)) == [("o", 1), ("o", 2)]
         assert sorted(store.states_of(("o", 1))) == [v1]
+
+
+class SinkLog:
+    """A cell sink that logs what the store tells it."""
+
+    def __init__(self) -> None:
+        self.heard: list = []
+
+    def cell_changed(self, key, at_end=False) -> None:
+        self.heard.append((key, at_end))
+
+    def cells_relabeled(self, keys, version, into) -> None:
+        self.heard.append(("relabeled", list(keys), version, into))
+
+
+def record_one(store, version, key, state) -> None:
+    """The per-state reference for ``record_many``: one state, with
+    its own cell lookup, index lookup and at-end scan."""
+    cell = store._cells.setdefault(key, {})  # noqa: SLF001
+    assert version not in cell
+    cell[version] = state
+    store._by_version.setdefault(version, {})[key] = False  # noqa: SLF001
+    store._cell_sink.cell_changed(  # noqa: SLF001
+        key, len(cell) > 1 and all(other <= version for other in cell)
+    )
+
+
+class TestRecordMany:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_pass_is_per_state_record(self, seed):
+        """Batches at versions in shuffled order (so a new entry sorts
+        at a cell's end, in its middle, or opens the cell), empty
+        batches too: the same cells, the same index, and the cell sink
+        hears the same ``(key, at_end)`` sequence as from the per-state
+        reference."""
+        rng = random.Random(seed)
+        versions = [VersionId.parse(f"{n}.0") for n in range(1, 13)]
+        rng.shuffle(versions)
+        batched, single = VersionStore(), VersionStore()
+        batched._cell_sink, single._cell_sink = SinkLog(), SinkLog()  # noqa: SLF001
+        for version in versions:
+            batch = [
+                (("o" if item % 3 else "r", item), make_state(f"{version}/{item}"))
+                for item in rng.sample(range(20), rng.randint(0, 8))
+            ]
+            assert batched.record_many(version, iter(batch)) == len(batch)
+            for key, state in batch:
+                record_one(single, version, key, state)
+        assert batched._cell_sink.heard == single._cell_sink.heard  # noqa: SLF001
+        assert any(at_end for __, at_end in single._cell_sink.heard)  # noqa: SLF001
+        assert not all(at_end for __, at_end in single._cell_sink.heard)  # noqa: SLF001
+        assert batched._cells == single._cells  # noqa: SLF001
+        assert batched._by_version == single._by_version  # noqa: SLF001
+        assert [list(batched.states_at(v)) for v in versions] == [
+            list(single.states_at(v)) for v in versions
+        ]
+
+    def test_a_recorded_version_cannot_be_modified(self):
+        store = VersionStore()
+        v1, v2 = VersionId.parse("1.0"), VersionId.parse("2.0")
+        store.record_many(v1, [(("o", 1), make_state("a"))])
+        with pytest.raises(VersionError, match="cannot be modified"):
+            store.record_many(v1, [(("o", 1), make_state("again"))])
+        assert store.states_of(("o", 1))[v1].value == "a"
+        with pytest.raises(VersionError, match="cannot be modified"):
+            store.record_many(v2, [(("o", 2), make_state()), (("o", 2), make_state())])
+        # the state before the duplicate stays recorded
+        assert list(store.keys_in_version(v2)) == [("o", 2)]
+        store.record_many(VersionId.parse("3.0"), [])
+        assert store.stored_state_count() == 2
+        assert VersionId.parse("3.0") not in store._by_version  # noqa: SLF001
