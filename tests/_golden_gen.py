@@ -28,6 +28,7 @@ from typing import Callable
 from repro.core import SeedDatabase, figure3_schema
 from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict
 from repro.core.versions.compaction import RetentionPolicy
+from repro.multiuser import SeedServer
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -207,12 +208,57 @@ def streamed_history(path: Path) -> JournaledDatabase:
     return journal
 
 
+def maintain_history(path: Path) -> JournaledDatabase:
+    """A journaled server: ``checkin`` records, each check-in published,
+    server maintenance every 8 check-ins, one ``delete_version``, then a
+    checkpoint of both kinds.
+
+    Every maintenance pass folds the baseline version (the ingest) into
+    its child again: the baseline carrier is never pinned. Check-ins
+    edit descriptions, create data objects and delete earlier ones, so
+    the passes also collect tombstones. After the 20th check-in the
+    master is rebased on the version before the newest, the next
+    check-in branches there, and the abandoned leaf is deleted."""
+    rng = random.Random(6)
+    server = SeedServer(journal=open_journal(path), clock=_clock)
+    master = server.master
+    with master.bulk():
+        _populate(master, rng, 3)
+    server.publish_snapshot()
+    client = server.connect("writer")
+    created: list[str] = []
+    for number in range(24):
+        if number == 20:
+            leaf = server.latest_snapshot()
+            master.select_version(master.versions.tree.parent(leaf))
+        action = f"A{rng.randrange(3)}"
+        doomed = created.pop(0) if created and rng.random() < 0.4 else None
+        local = client.check_out(action, *([doomed] if doomed else []))
+        local.set_value(local.get_object(f"{action}.Description"), f"check-in {number}")
+        if doomed:
+            local.delete(local.get_object(doomed))
+        if rng.random() < 0.6:
+            created.append(f"N{number}")
+            local.create_object("Data", created[-1])
+        client.check_in()
+        server.publish_snapshot()
+        if number == 20:
+            master.delete_version(leaf)
+        if number % 8 == 7:
+            server.maintain()
+    server.disconnect("writer")
+    server.checkpoint()
+    server.journal.checkpoint(streamed=True)
+    return server.journal
+
+
 HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
     "txn": txn_history,
     "version": version_history,
     "compact": compact_history,
     "image": image_history,
     "streamed": streamed_history,
+    "maintain": maintain_history,
 }
 
 
