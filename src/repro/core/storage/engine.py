@@ -20,15 +20,18 @@ in one journal file:
   record carries, with its id spliced into the state kernel's bytes,
   and every cell a ``version`` record opens — *extended* where a
   ``version`` record adds an entry at a cell's end (the entry's bytes
-  are spliced on), *relabeled* where a compaction fold moves an entry
-  to its child version without changing its place in the cell (the
-  entry's version label is replaced in the kept bytes), and *dropped*
-  elsewhere state is written: every key a unit of work touched
-  (committed or rolled back, check-in applies included), every item
-  ``wire_item_states`` thawed (a restore, replay), every cell a
+  are spliced on) and where snapshot consolidation adds one there (the
+  next save point encodes only that entry's state), *relabeled* where a
+  compaction fold moves entries to its child version without changing
+  their place in their cells (the entries' version label is replaced
+  in the kept bytes: at once for a few, at the next save point for a
+  renamed delta), and *dropped* elsewhere state is written: every key
+  a unit of work touched (committed or rolled back, check-in applies
+  included), every item ``wire_item_states`` thawed (a restore,
+  replay), every cell a
   :class:`~repro.core.versions.store.VersionStore` writer changed
   otherwise (an entry added in the middle, a version dropped, a fold
-  that discards or reorders, snapshot consolidation, tombstone
+  that discards or reorders, consolidation inside a cell, tombstone
   collection). A schema migration
   re-binds items by name, so no encoded state changes. A state is frozen once
   too: the version created right after a commit stores the states the
@@ -794,8 +797,10 @@ class JournaledDatabase:
 
         Either kind pays for what changed since the last one: after a
         compaction, the cells its folds only relabeled are joined as
-        kept, and only cells a fold reordered or discarded from, or
-        consolidation and tombstone collection changed, are encoded.
+        kept (a renamed delta's labels are replaced here, once), an
+        entry consolidation added at a cell's end is spliced on, and
+        only cells a fold reordered or discarded from, or consolidation
+        and tombstone collection changed otherwise, are encoded.
         """
         self.flush(enforce=False)
         if not streamed:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import datetime
 from json.encoder import encode_basestring_ascii as _quote
 from typing import (
-    Any, Callable, Iterable, Iterator, KeysView, NamedTuple, Optional,
+    Any, Callable, Collection, Iterable, Iterator, KeysView, NamedTuple, Optional,
 )
 
 from repro.core.bulk import load_item_states, long_lived, wire_item_states
@@ -835,13 +835,20 @@ class ImageFragments:
     record has just encoded the state (:meth:`keep_item` for every item
     a ``txn`` or ``restore`` delta carries, :meth:`keep_cell` for every
     cell a ``version`` delta opens), *extended* where a ``version``
-    delta adds an entry at a cell's end (:meth:`splice_cell`),
-    *relabeled* where a compaction fold moves an entry to its child
-    version without changing its place in the cell
-    (:meth:`cells_relabeled`: the entry's version label is replaced in
-    the kept bytes, no state is encoded), and *dropped* wherever state
-    is written otherwise: the writer reports the key
-    (:meth:`item_changed`, :meth:`cell_changed`).
+    delta adds an entry at a cell's end (:meth:`splice_cell`) and where
+    snapshot consolidation does (:meth:`cells_materialized`: the next
+    join encodes only that entry's state), *relabeled* where a
+    compaction fold moves entries to its child version without
+    changing their place in their cells (no state is encoded), and
+    *dropped* wherever state is written otherwise: the writer reports
+    the key (:meth:`item_changed`, :meth:`cell_changed`). A fold that
+    moves a few entries has their labels replaced in the kept bytes at
+    once (:meth:`cells_relabeled`); a fold that renames a large delta
+    (:meth:`cells_renamed`) only records the label change in an alias
+    map and keeps the delta's live index, so a maintenance pass that
+    renames the baseline costs O(1) here. The next join (or a version
+    that takes a label still in the map) relabels each stale fragment
+    once.
     A schema migration writes no encoded state: it re-binds each item
     to the element of the same name. A kept item member therefore always
     encodes the item's live state, and a ``version`` delta reads it
@@ -859,15 +866,32 @@ class ImageFragments:
     ``_cell_sink`` (this object).
     """
 
-    __slots__ = ("_objects", "_relationships", "_cells", "_open")
+    __slots__ = (
+        "_objects", "_relationships", "_cells", "_open", "_grown", "_alias",
+        "_sources", "_renamed",
+    )
 
     def __init__(self) -> None:
         self._objects: dict[int, bytes] = {}
         self._relationships: dict[int, bytes] = {}
         self._cells: dict[ItemKey, bytes] = {}
         #: fragments of cells that grew at their end by an entry the
-        #: ``version`` record has not spliced on yet
+        #: ``version`` record (or, for ``_grown``, the next join) has not
+        #: spliced on yet
         self._open: dict[ItemKey, bytes] = {}
+        #: key -> (version label, state) of a materialized entry at the
+        #: end of an open fragment, spliced on at the next join
+        self._grown: dict[ItemKey, tuple[bytes, Any]] = {}
+        #: version label a kept fragment may still hold -> the label of
+        #: the version that entry now sits at (never itself a key)
+        self._alias: dict[bytes, bytes] = {}
+        #: label -> the labels ``_alias`` maps to it
+        self._sources: dict[bytes, list[bytes]] = {}
+        #: the live indexes of renamed deltas, by identity: together
+        #: they hold every key whose fragment may hold a label of
+        #: ``_alias`` (the store drops a key from one only when it
+        #: reports the key's cell changed)
+        self._renamed: dict[int, Collection[ItemKey]] = {}
 
     def item_changed(self, key: ItemKey) -> None:
         """Drop the fragment of a live item whose state may have changed."""
@@ -886,30 +910,112 @@ class ImageFragments:
         # a key is in at most one of the two tables
         fragment = self._cells.pop(key, None)
         if fragment is None:
-            self._open.pop(key, None)  # never spliced: drop it
+            # never spliced: drop it
+            self._open.pop(key, None)
+            self._grown.pop(key, None)
         elif at_end:
             self._open[key] = fragment
 
+    def cells_materialized(
+        self, grown: list[tuple[ItemKey, Any]], version: VersionId
+    ) -> None:
+        """Snapshot consolidation added an entry at *version* holding
+        the given state at the end of each cell of *grown*: the next
+        join splices it onto the kept fragment, encoding only that
+        state. A cell that changes again before then is encoded whole.
+        """
+        label = self._fresh(_version_json(version))
+        cells, opened, pending = self._cells, self._open, self._grown
+        for key, state in grown:
+            fragment = cells.pop(key, None)
+            if fragment is None:
+                opened.pop(key, None)
+                pending.pop(key, None)
+            else:
+                opened[key] = fragment
+                pending[key] = (label, state)
+
     def cells_relabeled(
-        self, keys: list[ItemKey], version: VersionId, into: VersionId
+        self, keys: Iterable[ItemKey], version: VersionId, into: VersionId
     ) -> None:
         """A fold moved the entry at *version* of each of *keys* to
         *into*, keeping its place in the cell: replace the entry's
         ``,"version":"<version>"}`` with *into*'s label in the kept
-        fragment. The tag occurs once, as that entry's last member — a
-        quote inside an escaped string never follows a comma, and a
-        cell holds one entry per version. An open fragment is dropped,
-        as :meth:`cell_changed` drops it.
+        fragment (see :func:`_relabeler`), and point every alias of
+        *version* at *into*. An open fragment is dropped, as
+        :meth:`cell_changed` drops it.
         """
-        old = b',"version":%b}' % _version_json(version)
-        new = b',"version":%b}' % _version_json(into)
+        old, new = self._moved(version, into)
+        old, new = b',"version":%b}' % old, b',"version":%b}' % new
         cells = self._cells
         for key in keys:
             fragment = cells.get(key)
             if fragment is None:
                 self._open.pop(key, None)
+                self._grown.pop(key, None)
             else:
                 cells[key] = fragment.replace(old, new, 1)
+
+    def cells_renamed(
+        self, keys: Collection[ItemKey], version: VersionId, into: VersionId
+    ) -> None:
+        """A fold gave *version*'s whole delta to *into*: *keys* is the
+        live index of the renamed delta (it holds *into*'s own keys
+        too). Record the label change and keep *keys*, whose fragments
+        may now hold a stale label; each is relabeled once, at the next
+        join, and nothing is rewritten now. A delta renamed again is
+        kept once. A small delta is relabeled at once, as
+        :meth:`cells_relabeled` does."""
+        if len(keys) <= _RELABEL_AT_ONCE:
+            self.cells_relabeled(keys, version, into)
+            return
+        old, new = self._moved(version, into)
+        self._alias[old] = new
+        self._sources.setdefault(new, []).append(old)
+        self._renamed[id(keys)] = keys
+        if len(self._alias) > _ALIAS_LIMIT:
+            self._settle()
+
+    def _moved(self, version: VersionId, into: VersionId) -> tuple[bytes, bytes]:
+        """The labels of a fold of *version* into *into*, after every
+        alias that named *version* was pointed at *into*."""
+        old = self._fresh(_version_json(version))
+        new = self._fresh(_version_json(into))
+        sources = self._sources.pop(old, None)
+        if sources:
+            for source in sources:
+                self._alias[source] = new
+            self._sources.setdefault(new, []).extend(sources)
+        return old, new
+
+    def _fresh(self, label: bytes) -> bytes:
+        """A version *label* about to be written or moved, once no kept
+        fragment holds it as an alias of another version's label (a
+        label re-used after a fold: the aliases are applied first)."""
+        if self._alias and label in self._alias:
+            self._settle()
+        return label
+
+    def _settle(self) -> None:
+        """Splice every materialized entry onto its open fragment, then
+        relabel every stale fragment through the aliases, once."""
+        opened, cells = self._open, self._cells
+        for key, (label, state) in self._grown.items():
+            cells[key] = _spliced(opened.pop(key), _cell_entry(
+                label, _encode_state(key[0], state)[0], True
+            ))
+        self._grown.clear()
+        if self._alias:
+            relabel = _relabeler(self._alias)
+            stale: set[ItemKey] = set()
+            for keys in self._renamed.values():
+                stale.update(keys)
+            for table in (cells, opened):
+                for key in stale.intersection(table):
+                    table[key] = relabel(table[key])
+            self._alias.clear()
+            self._sources.clear()
+            self._renamed.clear()
 
     def keep_item(self, kind: str, item_id: int, state: bytes, split: int) -> None:
         """Keep the member of an item whose current state a record has
@@ -924,7 +1030,7 @@ class ImageFragments:
         """Keep a cell whose one entry — the encoded *state* at
         *version* (as :func:`_version_json` writes it) — a record has
         just encoded."""
-        self._cells[key] = _cell_json(key, ((version, state, materialized),))
+        self._cells[key] = _cell_json(key, ((self._fresh(version), state, materialized),))
 
     def splice_cell(
         self, key: ItemKey, version: bytes, state: bytes, materialized: bool
@@ -933,11 +1039,12 @@ class ImageFragments:
         entry a record has just encoded (*version* as
         :func:`_version_json` writes it). A cell not open keeps no
         fragment: the next save point encodes it."""
+        version = self._fresh(version)
+        self._grown.pop(key, None)
         fragment = self._open.pop(key, None)
         if fragment is not None:
-            # the entry goes before the fragment's closing ``]}``
-            self._cells[key] = b"%b,%b]}" % (
-                memoryview(fragment)[:-2], _cell_entry(version, state, materialized),
+            self._cells[key] = _spliced(
+                fragment, _cell_entry(version, state, materialized)
             )
 
     def state_of(self, kind: str, item_id: int) -> Optional[bytes]:
@@ -952,6 +1059,7 @@ class ImageFragments:
         objects = db._objects  # noqa: SLF001
         relationships = db._relationships  # noqa: SLF001
         store = db.versions.store
+        self._settle()
         # a cell still open was not spliced by its version's record
         self._open.clear()
         return (
@@ -1026,6 +1134,47 @@ class ImageFragments:
         yield b'{"cp":%d,"kind":"image.end","n":%d}' % (
             cp, len(objects) + len(relationships) + len(cells) + 2
         )
+
+
+def _spliced(fragment: bytes, entry: bytes) -> bytes:
+    """A cell fragment with *entry* added as its last entry (before
+    the closing ``]}``)."""
+    return b"%b,%b]}" % (memoryview(fragment)[:-2], entry)
+
+
+#: a renamed delta of at most this many keys is relabeled key by key
+_RELABEL_AT_ONCE = 256
+#: aliases ``ImageFragments`` records before it relabels its stale
+#: fragments without waiting for a join (a server that never takes a
+#: save point renames its baseline on every maintenance pass)
+_ALIAS_LIMIT = 64
+
+
+def _relabeler(alias: dict[bytes, bytes]) -> Callable[[bytes], bytes]:
+    """A function that gives a cell fragment every entry's version
+    label that *alias* names (old label -> new label).
+
+    An entry's label is its ``,"version":<label>}`` tag: the tag occurs
+    once per entry, as its last member — a quote inside an escaped
+    string never follows a comma — and a cell holds one entry per
+    version. One alias is one ``bytes.replace``; more split the
+    fragment at its tags."""
+    if len(alias) == 1:
+        ((old, new),) = alias.items()
+        old, new = b',"version":%b}' % old, b',"version":%b}' % new
+        return lambda fragment: fragment.replace(old, new, 1)
+
+    def relabel(fragment: bytes) -> bytes:
+        pieces = fragment.split(b',"version":')
+        for index in range(1, len(pieces)):
+            piece = pieces[index]
+            end = piece.index(b"}")
+            new = alias.get(piece[:end])
+            if new is not None:
+                pieces[index] = new + piece[end:]
+        return b',"version":'.join(pieces)
+
+    return relabel
 
 
 def _cached(cache: dict, keys: KeysView, encode: Callable[[Any], bytes]) -> list:

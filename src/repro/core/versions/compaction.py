@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.errors import VersionError
+from repro.core.versions.store import ItemKey
 from repro.core.versions.version_id import VersionId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -197,10 +198,15 @@ class Compactor:
         """Fold every unprotected single-child version into its child.
 
         Versions are processed newest-first, so by the time a version is
-        folded its sole child is already the run's terminal survivor —
-        every state moves exactly once, and the store finds a version's
-        states through its per-version index, so a whole pass costs
-        O(states of the squashed versions) regardless of run lengths.
+        folded its sole child is already the run's terminal survivor:
+        within a pass, every state is folded once. Across passes it is
+        not — a survivor that a later pass no longer protects (the
+        baseline carrier of a server, whose pinned views move on) is
+        folded again by every pass. The store moves the smaller of the
+        two deltas of a fold and renames the larger one, so a pass
+        costs O(versions squashed × versions + states of the smaller
+        side of each fold): what changed since the last pass, not the
+        size of the baseline it folds again.
         """
         manager = self._manager
         protected = self.protected_versions()
@@ -261,26 +267,37 @@ class Compactor:
         un-collected child, or live inheritors (impossible for dead
         patterns, but checked) is left in place — the history that
         still references it needs the record.
+
+        Only the store's tombstone candidates are visited: a key that
+        never received a tombstone entry and kept a non-empty cell
+        cannot qualify. So a pass costs O(candidates), not O(master).
         """
         db = self._manager._db  # noqa: SLF001
         store = self._manager.store
         dirty = db._dirty  # noqa: SLF001
-        # only tombstoned records are sorted: nothing live is collected
-        for rid in _deleted_ids_descending(db._relationships):  # noqa: SLF001
-            rel = db._relationships[rid]  # noqa: SLF001
-            key = ("r", rid)
+        objects = db._objects  # noqa: SLF001
+        relationships = db._relationships  # noqa: SLF001
+        dead: dict[str, list[int]] = {"o": [], "r": []}
+        orphans: set[ItemKey] = set()
+        for key in store.tombstone_candidates():
             if key in dirty:
                 continue
+            kind, item_id = key
+            record = (objects if kind == "o" else relationships).get(item_id)
+            if record is None:
+                orphans.add(key)
+            elif record.deleted:
+                dead[kind].append(item_id)
+        for rid in sorted(dead["r"], reverse=True):
+            key = ("r", rid)
             if not store.cell_states_all_deleted(key):
                 continue
             stats.tombstone_states_dropped += store.drop_cell(key)
-            db._drop_record(rel)  # noqa: SLF001
+            db._drop_record(relationships[rid])  # noqa: SLF001
             stats.collected_relationships += 1
-        for oid in _deleted_ids_descending(db._objects):  # noqa: SLF001
-            obj = db._objects[oid]  # noqa: SLF001
+        for oid in sorted(dead["o"], reverse=True):
+            obj = objects[oid]
             key = ("o", oid)
-            if key in dirty:
-                continue
             if not store.cell_states_all_deleted(key):
                 continue
             if db._incidence.get(oid):  # noqa: SLF001
@@ -293,20 +310,18 @@ class Compactor:
             db._drop_record(obj)  # noqa: SLF001
             stats.collected_objects += 1
         # cells of items with no live record at all (the record was
-        # replaced by a checkout/restore): same rule, store side only
-        for key in list(store.keys()):
-            kind, item_id = key
-            live = (
-                db._objects.get(item_id)  # noqa: SLF001
-                if kind == "o"
-                else db._relationships.get(item_id)  # noqa: SLF001
-            )
-            if live is not None or key in dirty:
-                continue
-            if not store.cell_states_all_deleted(key):
-                continue
+        # replaced by a checkout/restore): same rule, store side only,
+        # dropped in store order
+        cells = store.keys()
+        orphans = {
+            key for key in orphans
+            if key in cells and store.cell_states_all_deleted(key)
+        }
+        if not orphans:
+            return
+        for key in list(filter(orphans.__contains__, cells)):
             stats.tombstone_states_dropped += store.drop_cell(key)
-            if kind == "o":
+            if key[0] == "o":
                 stats.collected_objects += 1
             else:
                 stats.collected_relationships += 1
@@ -331,15 +346,6 @@ class Compactor:
         stats.versions_after = len(manager.tree)
         stats.stored_states_after = manager.store.stored_state_count()
         return stats
-
-
-def _deleted_ids_descending(records: dict) -> list[int]:
-    """The ids of the tombstoned records of an id → record table,
-    highest first."""
-    return sorted(
-        [item_id for item_id, record in records.items() if record.deleted],
-        reverse=True,
-    )
 
 
 def auto_snapshot(manager: "VersionManager", version: VersionId) -> Optional[int]:

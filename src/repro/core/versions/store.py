@@ -6,40 +6,52 @@ creation of the previous version. Items that have been deleted in this
 interval must also be recorded. This is made easy by marking items as
 deleted instead of removing them physically." (paper, "Versions")
 
-The store keeps, per item, a *cell*: a mapping from version id to the
-frozen item state at that version. Unchanged items have no entry for a
+The store keeps, per item, a *cell*: the frozen item state at every
+version that recorded one. Unchanged items have no entry for a
 version; a view walks the ancestry chain to find the closest stored
 state. Tombstones are ordinary states with ``deleted=True``.
 
 Item keys are ``("o", oid)`` for objects and ``("r", rid)`` for
 relationships.
 
-Beside the cells the store keeps a **per-version index**: for every
-version, the keys holding a state exactly there, in the order they were
-recorded, each flagged *materialized* when snapshot consolidation put
-the state there rather than a change. The index is maintained by every
-writer (``record``, ``record_many``, ``materialize_snapshot``,
-``mark_materialized``, ``fold_version``, ``drop_version``,
-``drop_cell``), so a version's delta is addressable at O(states at
-that version):
-:meth:`states_at` hands it to the journal record and to successor
-views, :meth:`resolve_chain` overlays the chain's deltas without
-visiting cells of other branches, and ``drop_version`` /
-``fold_version`` cost O(states of the version dropped or folded)
-instead of a pass over every cell. :meth:`keys_in_version_scan` is the
-retained cell scan the index is tested against. The same writers report
-every key whose cell they change to ``_cell_sink`` — ``None`` unless a
-journal keeps the cells' encoded image fragments
-(:class:`~repro.core.storage.serialize.ImageFragments`) — in one of
-three ways. A key is *changed* (``cell_changed``): its fragment must be
-encoded again. A writer that only adds an entry which sorts after every
-other entry of its cell (``record``, ``record_many`` and
-``materialize_snapshot``, nearly always) says the cell *grew at its
-end*: its fragment can be extended rather than encoded again. A fold
-that moves an entry to its new version without changing its place in
-the cell's version order reports the key as *relabeled*
-(``cells_relabeled``, once per fold for all such keys): only the
-entry's version label changed.
+**Delta slots.** A version's delta lives in a *slot*, an internal int;
+the store maps each version holding states to its slot and back. Cells
+are keyed by slot, and so is the **per-version index**: for every slot,
+the keys holding a state there, each flagged *materialized* when
+snapshot consolidation put the state there rather than a change. The
+index is maintained by every writer (``record_many``,
+``materialize_snapshot``, ``mark_materialized``, ``fold_version``,
+``drop_version``, ``drop_cell``), so a version's delta is addressable
+at O(states at that version): :meth:`states_at` hands it to the journal
+record and to successor views, :meth:`resolve_chain` overlays the
+chain's deltas without visiting cells of other branches, and
+``drop_version`` costs O(states of the version dropped).
+:meth:`keys_in_version_scan` is the retained cell scan the index is
+tested against.
+
+**The renaming fold.** Chain squashing folds a version into its
+surviving child (:meth:`fold_version`). The store moves the entries of
+the *smaller* of the two deltas: when the folded version holds more
+states than the child, the child takes over the folded version's slot
+(the slot is renamed) and only the child's own states move into it. A
+fold therefore costs O(the smaller delta + versions), so a baseline
+that every maintenance pass folds into the next surviving version is
+renamed each time, not copied.
+
+**The cell sink.** The writers report every key whose cell they change
+to ``_cell_sink`` — ``None`` unless a journal keeps the cells' encoded
+image fragments (:class:`~repro.core.storage.serialize.ImageFragments`).
+A key is *changed* (``cell_changed``): its fragment must be encoded
+again. A writer that only adds an entry which sorts after every other
+entry of its cell (``record_many``, nearly always) says the cell *grew
+at its end*: its fragment can be extended by the ``version`` record
+rather than encoded again. Snapshot consolidation reports the entries
+it adds at a cell's end in one call (``cells_materialized``). A fold
+that moves entries to the child's version without changing their place
+in their cells' version order reports them in one call: moved entries
+as *relabeled* (``cells_relabeled``, the moved keys), a renamed slot as
+*renamed* (``cells_renamed``, the slot's whole index): only the
+entries' version label changed.
 
 Compaction support (see :mod:`repro.core.versions.compaction`): a
 version may be marked as a **snapshot** — it then holds the *complete*
@@ -47,8 +59,9 @@ resolved state of every item existing on its chain (tombstones
 included), so :meth:`state_on_chain` stops walking as soon as it passes
 a snapshot version instead of descending to the chain root. With a
 snapshot every ``K`` versions, chain walks cost O(K) instead of
-O(chain length). :meth:`fold_version` moves the states of a squashed
-version into its surviving descendant.
+O(chain length). Tombstone collection visits only the store's
+:meth:`tombstone_candidates`: keys that ever received a tombstone
+entry, and keys whose cell ``drop_version`` emptied.
 """
 
 from __future__ import annotations
@@ -67,23 +80,54 @@ ItemState = Union[ObjectState, RelationshipState]
 
 
 class VersionStore:
-    """Per-item state cells, keyed by exact version of change."""
+    """Per-item state cells, keyed by the delta slot of the version of
+    change."""
 
     def __init__(self) -> None:
-        self._cells: dict[ItemKey, dict[VersionId, ItemState]] = {}
+        #: key -> {slot: state}
+        self._cells: dict[ItemKey, dict[int, ItemState]] = {}
+        #: version -> the slot holding its delta, and back (only
+        #: versions that hold states have a slot)
+        self._slot_of: dict[VersionId, int] = {}
+        self._version_of: dict[int, VersionId] = {}
+        self._next_slot = 0
+        #: slot -> {key: materialized?} for every state stored there.
+        #: A *materialized* state was put there by snapshot
+        #: consolidation rather than recorded as a change; history
+        #: operations filter these so "find all versions of X" keeps
+        #: listing real changes only
+        self._by_slot: dict[int, dict[ItemKey, bool]] = {}
         #: versions holding a complete resolved state of their chain
         self._snapshots: set[VersionId] = set()
-        #: version -> {key: materialized?} for every state stored exactly
-        #: there, in record order. A *materialized* state was put there
-        #: by snapshot consolidation rather than recorded as a change;
-        #: history operations filter these so "find all versions of X"
-        #: keeps listing real changes only
-        self._by_version: dict[VersionId, dict[ItemKey, bool]] = {}
-        #: told of every cell a writer changes — ``cell_changed(key,
-        #: at_end=False)`` per key, ``cells_relabeled(keys, version,
-        #: into)`` once per fold; None unless a journal keeps encoded
-        #: cells (its ImageFragments)
+        #: keys tombstone collection visits (see tombstone_candidates)
+        self._tombstoned: set[ItemKey] = set()
+        #: told of every cell a writer changes; None unless a journal
+        #: keeps encoded cells (its ImageFragments)
         self._cell_sink: Optional[Any] = None
+
+    # -- slots ---------------------------------------------------------------
+
+    def _slot(self, version: VersionId) -> tuple[int, dict[ItemKey, bool]]:
+        """*version*'s slot and index entry, made empty if it has none."""
+        slot = self._slot_of.get(version)
+        if slot is None:
+            slot = self._slot_of[version] = self._next_slot
+            self._next_slot += 1
+            self._version_of[slot] = version
+            self._by_slot[slot] = {}
+        return slot, self._by_slot[slot]
+
+    def _release(self, slot: int) -> dict[ItemKey, bool]:
+        """Free *slot*; returns its index entry."""
+        del self._slot_of[self._version_of.pop(slot)]
+        return self._by_slot.pop(slot)
+
+    def _at_end(self, cell: dict[int, ItemState], version: VersionId) -> bool:
+        """True when the entry at *version*, just added to *cell*, sorts
+        after every other (:meth:`entries_of` lists it last)."""
+        parts = version.parts
+        labels = self._version_of
+        return all(labels[slot].parts <= parts for slot in cell)
 
     # -- writing -------------------------------------------------------------
 
@@ -104,37 +148,40 @@ class VersionStore:
         recorded. A state recorded before a duplicate raises stays
         recorded.
 
-        One pass: *version*'s index entry is fetched once, and each
-        state hashes *version* once (a new cell is made with its entry;
-        an existing one takes it through ``setdefault``, which also
-        finds a duplicate).
+        One pass: *version*'s slot is fetched once, and each state
+        hashes it once (a new cell is made with its entry; an existing
+        one takes it through ``setdefault``, which also finds a
+        duplicate).
         """
         cells = self._cells
-        at_version = self._by_version.setdefault(version, {})
+        slot, at_version = self._slot(version)
+        tombstoned = self._tombstoned
         sink = self._cell_sink
         count = 0
         try:
             for key, state in states:
                 cell = cells.get(key)
                 if cell is None:
-                    cells[key] = {version: state}
+                    cells[key] = {slot: state}
                     at_end = False  # a cell this entry opened has no fragment
                 else:
                     size = len(cell)
-                    cell.setdefault(version, state)
+                    cell.setdefault(slot, state)
                     if len(cell) == size:
                         raise VersionError(
                             f"item {key} already has a state for version "
                             f"{version}; versions cannot be modified"
                         )
-                    at_end = _at_end(cell, version)
+                    at_end = self._at_end(cell, version)
                 at_version[key] = False
+                if state.deleted:
+                    tombstoned.add(key)
                 if sink is not None:
                     sink.cell_changed(key, at_end)
                 count += 1
         finally:
             if not at_version:
-                del self._by_version[version]
+                self._release(slot)
         return count
 
     def drop_version(self, version: VersionId) -> int:
@@ -143,14 +190,17 @@ class VersionStore:
         Views then fall through to the closest earlier state on the
         chain. Cells left without any state are pruned so ``keys()``
         and ``cell_count()`` stay accurate after heavy version
-        deletion. Returns the number of states erased.
+        deletion; their keys become tombstone candidates. Returns the
+        number of states erased.
         """
-        keys = self._by_version.pop(version, {})
+        slot = self._slot_of.get(version)
+        keys = {} if slot is None else self._release(slot)
         for key in keys:
             cell = self._cells[key]
-            del cell[version]
+            del cell[slot]
             if not cell:
                 del self._cells[key]
+                self._tombstoned.add(key)
         if self._cell_sink is not None:
             for key in keys:
                 self._cell_sink.cell_changed(key)
@@ -178,29 +228,40 @@ class VersionStore:
         Tombstones are materialized too — history operations must keep
         distinguishing "deleted here" from "never existed". Returns the
         number of states added (items already recorded at *version*
-        keep their delta state).
+        keep their delta state). The cell sink hears of the entries
+        that sort at their cell's end in one ``cells_materialized``
+        call (a materialized state is a state some entry of the cell
+        already holds), and of the others as changes.
         """
         if chain and chain[-1] != version:
             raise VersionError(
                 f"chain {chain} does not end in snapshot version {version}"
             )
-        added = 0
         # one-pass chain resolution: O(states) instead of one chain
         # walk per cell (items recorded at *version* keep their delta
         # state — resolve_chain returns exactly that state for them)
         resolved = self.resolve_chain(chain)
-        at_version = self._by_version.setdefault(version, {})
+        slot, at_version = self._slot(version)
+        cells = self._cells
+        sink = self._cell_sink
+        grown: list[tuple[ItemKey, ItemState]] = []
+        added = 0
         for key, state in resolved.items():
             if key in at_version:
                 continue
-            cell = self._cells[key]
-            cell[version] = state
+            cell = cells[key]
+            cell[slot] = state
             at_version[key] = True
             added += 1
-            if self._cell_sink is not None:
-                self._cell_sink.cell_changed(key, _at_end(cell, version))
+            if sink is not None:
+                if self._at_end(cell, version):
+                    grown.append((key, state))
+                else:
+                    sink.cell_changed(key)
+        if grown:
+            sink.cells_materialized(grown, version)
         if not at_version:
-            del self._by_version[version]
+            self._release(slot)
         self._snapshots.add(version)
         return added
 
@@ -244,23 +305,40 @@ class VersionStore:
         Returns ``(moved, discarded)``. A snapshot mark on *version*
         transfers to *into* (the fold makes *into* cover the chain).
 
-        The cell sink hears of a moved entry that keeps its place in its
-        cell's version order — always so in a one-entry cell — as
-        *relabeled*, in one call for the whole fold: the entry's state
-        and flag are what they were. A discarded entry (which may flip
-        the surviving entry's flag) or a move that reorders the cell is
-        a change.
+        The entries of the smaller delta move: when *version* holds
+        more states than *into*, *into* takes over *version*'s slot and
+        only *into*'s own states move into it. A moved entry changes
+        its place in its cell's version order only if the cell holds an
+        entry at a version whose label lies strictly between the two;
+        those few versions are found first, and only their keys are
+        checked. The cell sink hears of a discarded entry (which may
+        flip the surviving entry's flag) and of a reordering move as a
+        change, and of every other moved entry in one call: the moved
+        keys (``cells_relabeled``) or the renamed slot's index
+        (``cells_renamed``).
         """
-        moved = 0
-        discarded = 0
-        folded = self._by_version.pop(version, {})
-        at_into = self._by_version.setdefault(into, {}) if folded else {}
+        if version in self._snapshots:
+            self._snapshots.discard(version)
+            self._snapshots.add(into)
+        source = self._slot_of.get(version)
+        if source is None:
+            return 0, 0
+        folded = self._release(source)
+        target = self._slot_of.get(into)
+        at_into = {} if target is None else self._by_slot[target]
+        low, high = sorted((version.parts, into.parts))
+        between = [
+            slot for other, slot in self._slot_of.items() if low < other.parts < high
+        ]
+        if len(folded) > len(at_into):
+            return self._rename(source, folded, target, at_into, between, version, into)
+        cells = self._cells
         changed: list[ItemKey] = []
         relabeled: list[ItemKey] = []
-        low, high = sorted((version.parts, into.parts))
+        discarded = 0
         for key, materialized in folded.items():
-            cell = self._cells[key]
-            state = cell.pop(version)
+            cell = cells[key]
+            state = cell.pop(source)
             if key in at_into:
                 discarded += 1
                 if not materialized:
@@ -269,24 +347,65 @@ class VersionStore:
                     # change (same state: nothing sat between the two)
                     at_into[key] = False
                 changed.append(key)
+                continue
+            if between and any(slot in cell for slot in between):
+                changed.append(key)
             else:
-                # an entry strictly between the two labels: the move
-                # reorders the cell
-                if cell and any(low < other.parts < high for other in cell):
-                    changed.append(key)
-                else:
-                    relabeled.append(key)
-                cell[into] = state
-                at_into[key] = materialized
-                moved += 1
-        if self._cell_sink is not None:
+                relabeled.append(key)
+            cell[target] = state
+            at_into[key] = materialized
+        sink = self._cell_sink
+        if sink is not None:
             for key in changed:
-                self._cell_sink.cell_changed(key)
+                sink.cell_changed(key)
             if relabeled:
-                self._cell_sink.cells_relabeled(relabeled, version, into)
-        if version in self._snapshots:
-            self._snapshots.discard(version)
-            self._snapshots.add(into)
+                sink.cells_relabeled(relabeled, version, into)
+        return len(folded) - discarded, discarded
+
+    def _rename(
+        self,
+        source: int,
+        folded: dict[ItemKey, bool],
+        target: Optional[int],
+        at_into: dict[ItemKey, bool],
+        between: list[int],
+        version: VersionId,
+        into: VersionId,
+    ) -> tuple[int, int]:
+        """The fold of a larger delta: *into* takes *version*'s slot
+        *source* (whose index *folded* was released), and *into*'s own
+        states, at *target*, move into it."""
+        cells = self._cells
+        # a moved entry reorders its cell when an entry between the two
+        # labels shares it (*into*'s own states stay where they are)
+        changed = {
+            key: None
+            for slot in between
+            for key in self._by_slot[slot]
+            if key in folded and key not in at_into
+        }
+        discarded = 0
+        for key, materialized in at_into.items():
+            cell = cells[key]
+            cell[source] = cell.pop(target)
+            if key in folded:
+                # *version*'s state is shadowed by *into*'s, which stays
+                # flagged materialized only if the folded one was too
+                discarded += 1
+                changed[key] = None
+                materialized = materialized and folded[key]
+            folded[key] = materialized
+        moved = len(folded) - len(at_into)
+        if target is not None:
+            self._release(target)
+        self._slot_of[into] = source
+        self._version_of[source] = into
+        self._by_slot[source] = folded
+        sink = self._cell_sink
+        if sink is not None:
+            for key in changed:
+                sink.cell_changed(key)
+            sink.cells_renamed(folded, version, into)
         return moved, discarded
 
     # -- reading ----------------------------------------------------------------
@@ -306,8 +425,9 @@ class VersionStore:
         cell = self._cells.get(key)
         if not cell:
             return None
+        slot_of = self._slot_of
         for version in reversed(chain):
-            state = cell.get(version)
+            state = cell.get(slot_of.get(version))
             if state is not None:
                 return state
             if version in self._snapshots:
@@ -337,8 +457,10 @@ class VersionStore:
         cells = self._cells
         resolved: dict[ItemKey, ItemState] = {}
         for version in chain[start:]:
-            for key in self._by_version.get(version, ()):
-                resolved[key] = cells[key][version]
+            slot = self._slot_of.get(version)
+            if slot is not None:
+                for key in self._by_slot[slot]:
+                    resolved[key] = cells[key][slot]
         return resolved
 
     def resolve_chain_scan(self, chain: list[VersionId]) -> dict[ItemKey, ItemState]:
@@ -362,11 +484,12 @@ class VersionStore:
         they duplicate an earlier change for walk-termination purposes
         and must not surface as history events.
         """
-        by_version = self._by_version
+        by_slot = self._by_slot
+        labels = self._version_of
         return {
-            version: state
-            for version, state in self._cells.get(key, {}).items()
-            if not by_version[version][key]
+            labels[slot]: state
+            for slot, state in self._cells.get(key, {}).items()
+            if not by_slot[slot][key]
         }
 
     def entries_of(self, key: ItemKey) -> list[tuple[VersionId, ItemState, bool]]:
@@ -375,11 +498,12 @@ class VersionStore:
         Sorted by version; the serializer uses this to round-trip
         consolidated stores faithfully.
         """
-        cells = self._cells.get(key, {})
-        by_version = self._by_version
+        cell = self._cells.get(key, {})
+        by_slot = self._by_slot
+        labels = self._version_of
         return [
-            (version, cells[version], by_version[version][key])
-            for version in sorted(cells)
+            (version, cell[slot], by_slot[slot][key])
+            for version, slot in sorted((labels[slot], slot) for slot in cell)
         ]
 
     def keys(self) -> KeysView[ItemKey]:
@@ -390,32 +514,39 @@ class VersionStore:
     def states_at(
         self, version: VersionId
     ) -> Iterator[tuple[ItemKey, ItemState, bool]]:
-        """The states stored exactly at *version*, in record order, as
-        (key, state, materialized) — the version's delta (for a
-        snapshot version: its complete state). O(states at *version*).
+        """The states stored exactly at *version*, as (key, state,
+        materialized) — the version's delta (for a snapshot version:
+        its complete state), in record order until a fold renames the
+        version's slot. O(states at *version*).
         """
+        slot = self._slot_of.get(version)
+        if slot is None:
+            return
         cells = self._cells
-        for key, materialized in self._by_version.get(version, {}).items():
-            yield key, cells[key][version], materialized
+        for key, materialized in self._by_slot[slot].items():
+            yield key, cells[key][slot], materialized
 
     def keys_in_version(self, version: VersionId) -> Iterator[ItemKey]:
         """Item keys with a state stored exactly at *version*.
 
         Raw storage view: materialized snapshot states count too.
         """
-        return iter(self._by_version.get(version, ()))
+        slot = self._slot_of.get(version)
+        return iter(() if slot is None else self._by_slot[slot])
 
     def keys_in_version_scan(self, version: VersionId) -> Iterator[ItemKey]:
         """Cell-scan reference for :meth:`keys_in_version` (the pre-index
         path): one pass over every cell. Retained as the oracle the
         per-version index is tested against."""
+        slot = self._slot_of.get(version)
         for key, cell in self._cells.items():
-            if version in cell:
+            if slot in cell:
                 yield key
 
     def mark_materialized(self, version: VersionId, key: ItemKey) -> None:
         """Flag a stored state as snapshot-materialized (image load)."""
-        at_version = self._by_version.get(version, {})
+        slot = self._slot_of.get(version)
+        at_version = {} if slot is None else self._by_slot[slot]
         if key not in at_version:
             raise VersionError(
                 f"item {key} has no state at version {version} to mark "
@@ -426,6 +557,15 @@ class VersionStore:
             self._cell_sink.cell_changed(key)
 
     # -- tombstone garbage collection (compaction support) --------------------
+
+    def tombstone_candidates(self) -> list[ItemKey]:
+        """The keys tombstone collection visits: every key that ever
+        received a tombstone entry (an image load records its cells'
+        entries again) and every key whose cell ``drop_version``
+        emptied, until the collection drops it. An item dead in every
+        saved version has a cell of tombstones or none left, so its key
+        is among them."""
+        return list(self._tombstoned)
 
     def cell_states_all_deleted(self, key: ItemKey) -> bool:
         """True when every stored state of *key* is a tombstone.
@@ -446,14 +586,15 @@ class VersionStore:
         Scrubs the per-version index too. Returns the number of states
         erased.
         """
+        self._tombstoned.discard(key)
         cell = self._cells.pop(key, None)
         if cell is None:
             return 0
-        for version in cell:
-            at_version = self._by_version[version]
+        for slot in cell:
+            at_version = self._by_slot[slot]
             del at_version[key]
             if not at_version:
-                del self._by_version[version]
+                self._release(slot)
         if self._cell_sink is not None:
             self._cell_sink.cell_changed(key)
         return len(cell)
@@ -465,15 +606,8 @@ class VersionStore:
         ``versions × live items``. Snapshot consolidation deliberately
         trades this metric up for O(K) chain walks.
         """
-        return sum(len(keys) for keys in self._by_version.values())
+        return sum(len(keys) for keys in self._by_slot.values())
 
     def cell_count(self) -> int:
         """Number of items with at least one stored state."""
         return len(self._cells)
-
-
-def _at_end(cell: dict[VersionId, ItemState], version: VersionId) -> bool:
-    """True when the entry at *version*, just added to *cell*, sorts
-    after every other (:meth:`VersionStore.entries_of` lists it last)."""
-    parts = version.parts
-    return all(other.parts <= parts for other in cell)

@@ -64,6 +64,17 @@ class TestStorePrimitives:
         assert list(store.keys()) == [("o", 2)]
         assert store.stored_state_count() == 1
 
+    def test_tombstone_candidates_are_tombstoned_and_pruned_keys(self):
+        store = VersionStore()
+        store.record(V("1.0"), ("o", 1), make_state("a"))
+        store.record(V("1.0"), ("o", 2), make_state("b"))
+        store.record(V("2.0"), ("o", 3), make_state("c", deleted=True))
+        assert store.tombstone_candidates() == [("o", 3)]
+        store.drop_version(V("1.0"))
+        assert sorted(store.tombstone_candidates()) == [("o", 1), ("o", 2), ("o", 3)]
+        store.drop_cell(("o", 3))
+        assert sorted(store.tombstone_candidates()) == [("o", 1), ("o", 2)]
+
     def test_fold_moves_unshadowed_states(self):
         store = VersionStore()
         store.record(V("1.0"), ("o", 1), make_state("old"))
@@ -119,8 +130,9 @@ class TestStorePrimitives:
 
     def test_a_fold_reports_relabels_once_and_changes_per_key(self):
         """A moved entry that keeps its place in its cell is relabeled
-        (one call for the fold); a discarded entry or a move past
-        another entry of the cell is a change."""
+        (one call for the fold), a renamed slot is reported once with
+        its whole index; a discarded entry or a move past another entry
+        of the cell is a change."""
         store = VersionStore()
         heard = []
 
@@ -131,6 +143,9 @@ class TestStorePrimitives:
             def cells_relabeled(self, keys, version, into):
                 heard.append(("relabeled", list(keys), str(version), str(into)))
 
+            def cells_renamed(self, keys, version, into):
+                heard.append(("renamed", list(keys), str(version), str(into)))
+
         store.record(V("1.0"), ("o", 1), make_state("alone"))
         store.record(V("1.0"), ("o", 2), make_state("shadowed"))
         store.record(V("5.0"), ("o", 2), make_state("newer"))
@@ -139,12 +154,30 @@ class TestStorePrimitives:
         store.record(V("0.5"), ("o", 4), make_state("earlier"))
         store.record(V("1.0"), ("o", 4), make_state("keeps its place"))
         store._cell_sink = Sink()  # noqa: SLF001
+        # 1.0 holds more than 5.0: 5.0 takes over 1.0's slot
         assert store.fold_version(V("1.0"), V("5.0")) == (3, 1)
         assert heard == [
-            ("changed", ("o", 2)),
             ("changed", ("o", 3)),
-            ("relabeled", [("o", 1), ("o", 4)], "1.0", "5.0"),
+            ("changed", ("o", 2)),
+            ("renamed", [("o", 1), ("o", 2), ("o", 3), ("o", 4)], "1.0", "5.0"),
         ]
+        assert [(v, s.value) for v, s, __ in store.entries_of(("o", 2))] == [
+            (V("5.0"), "newer")
+        ]
+        heard.clear()
+        # 0.5 holds fewer states than 5.0: its entries move, one of
+        # them past 3.0
+        store.record(V("0.5"), ("o", 6), make_state("keeps its place"))
+        store.record(V("0.5"), ("o", 7), make_state("passes 3.0"))
+        store.record(V("3.0"), ("o", 7), make_state("other branch"))
+        heard.clear()
+        assert store.fold_version(V("0.5"), V("5.0")) == (2, 1)
+        assert heard == [
+            ("changed", ("o", 4)),
+            ("changed", ("o", 7)),
+            ("relabeled", [("o", 6)], "0.5", "5.0"),
+        ]
+        assert_index_matches_cells(store)
         heard.clear()
         assert store.fold_version(V("9.0"), V("10.0")) == (0, 0)
         assert heard == []
@@ -630,7 +663,11 @@ def assert_index_matches_cells(store: VersionStore) -> None:
     with the per-cell entries, and the state count adds up."""
     by_cell = {key: store.entries_of(key) for key in store.keys()}
     versions = {version for entries in by_cell.values() for version, *__ in entries}
-    assert set(store._by_version) == versions  # noqa: SLF001
+    # every version holding a state has one slot, and back
+    slots = store._slot_of  # noqa: SLF001
+    assert set(slots) == versions
+    assert store._version_of == {slot: v for v, slot in slots.items()}  # noqa: SLF001
+    assert set(store._by_slot) == set(slots.values())  # noqa: SLF001
     for version in versions:
         indexed = list(store.keys_in_version(version))
         assert len(indexed) == len(set(indexed))

@@ -68,6 +68,7 @@ from repro.core.storage.serialize import (
     _cell_record,
     _object_record,
     _relationship_record,
+    _relabeler,
     iter_image_records,
     version_delta_from_db,
 )
@@ -113,9 +114,12 @@ def stale_fragments(journal) -> list:
     """Every cached fragment that differs from its from-scratch encode.
 
     Fragments of items or cells that left the database are not judged:
-    the next join drops them.
+    the next join drops them. A cell fragment a fold renamed is judged
+    with the relabel the next join gives it.
     """
     fragments, db = journal._fragments, journal.db  # noqa: SLF001
+    relabel = _relabeler(fragments._alias) if fragments._alias else None  # noqa: SLF001
+    renamed = set().union(*fragments._renamed.values())  # noqa: SLF001
     store = db.versions.store
     tables = [
         ("o", fragments._objects, db._objects, _object_record),  # noqa: SLF001
@@ -130,7 +134,9 @@ def stale_fragments(journal) -> list:
     stale += [
         key
         for key, blob in fragments._cells.items()  # noqa: SLF001
-        if key in store.keys() and blob != RecordFile.encode(_cell_record(store, key))
+        if key in store.keys() and (
+            relabel(blob) if relabel and key in renamed else blob
+        ) != RecordFile.encode(_cell_record(store, key))
     ]
     return stale
 
@@ -369,9 +375,9 @@ class History:
         vid = db.create_version()
         check_version_record(self.journal, vid)
         if kept is not None:
-            cells = db.versions.store._cells  # noqa: SLF001
+            recorded = {key: state for key, state, __ in db.versions.store.states_at(vid)}
             self.reused_states += any(
-                cells.get(key, {}).get(vid) is state for key, state in kept[1].items()
+                recorded.get(key) is state for key, state in kept[1].items()
             )
 
     def version(self) -> None:
@@ -985,6 +991,44 @@ def test_a_fold_relabels_a_cell_it_keeps_in_order_and_drops_the_rest(
     assert written_base(journal) == streamed_group(db, journal._base.cp)  # noqa: SLF001
     reopened = JournaledDatabase.open(journal.path)
     assert full_image(reopened.db) == full_image(db)
+
+
+def test_a_save_point_after_consolidation_encodes_only_the_materialized_states(
+    tmp_path, encode_spy
+):
+    """Compaction consolidates a snapshot at the chain tip: every cell
+    gains a materialized entry at its end. The next save point splices
+    each onto the kept fragment and encodes only that entry's state —
+    at most ``snapshot_states_added`` states, not every grown cell."""
+    journal = JournaledDatabase.open(tmp_path / "snap.seed", schema=figure3_schema())
+    db = journal.db
+    rng = random.Random(12)
+    with db.transaction():
+        for index in range(20):
+            action = db.create_object("Action", f"A{index}")
+            action.add_sub_object("Description", f"does {index}")
+            data = db.create_object("Data", f"D{index}")
+            db.relate("Access", {"data": data, "by": action})
+    db.create_version()
+    for round_ in range(3):
+        with db.transaction():
+            for action in rng.sample(db.objects("Action"), 3):
+                described = action.sub_objects("Description")
+                if described:
+                    db.set_value(described[0], f"round {round_}")
+        db.create_version()
+    journal.checkpoint()
+    stats = db.compact(RetentionPolicy(squash_chains=False, snapshot_interval=4))
+    assert stats.snapshots_created == db.saved_versions()[-1:]
+    assert stats.snapshot_states_added > 60
+    assert stale_fragments(journal) == []
+    encode_spy.clear()
+    journal.checkpoint(streamed=True)
+    assert 0 < len(encode_spy.states) <= stats.snapshot_states_added
+    assert written_base(journal) == streamed_group(db, journal._base.cp)  # noqa: SLF001
+    reopened = JournaledDatabase.open(journal.path)
+    assert full_image(reopened.db) == full_image(db)
+    reopened.close()
 
 
 def test_fragments_of_collected_items_are_dropped(tmp_path):

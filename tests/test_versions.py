@@ -178,12 +178,14 @@ class SinkLog:
 def record_one(store, version, key, state) -> None:
     """The per-state reference for ``record_many``: one state, with
     its own cell lookup, index lookup and at-end scan."""
+    slot, at_version = store._slot(version)  # noqa: SLF001
     cell = store._cells.setdefault(key, {})  # noqa: SLF001
-    assert version not in cell
-    cell[version] = state
-    store._by_version.setdefault(version, {})[key] = False  # noqa: SLF001
+    assert slot not in cell
+    cell[slot] = state
+    at_version[key] = False
+    labels = [store._version_of[other] for other in cell]  # noqa: SLF001
     store._cell_sink.cell_changed(  # noqa: SLF001
-        key, len(cell) > 1 and all(other <= version for other in cell)
+        key, len(cell) > 1 and all(other <= version for other in labels)
     )
 
 
@@ -211,8 +213,10 @@ class TestRecordMany:
         assert batched._cell_sink.heard == single._cell_sink.heard  # noqa: SLF001
         assert any(at_end for __, at_end in single._cell_sink.heard)  # noqa: SLF001
         assert not all(at_end for __, at_end in single._cell_sink.heard)  # noqa: SLF001
-        assert batched._cells == single._cells  # noqa: SLF001
-        assert batched._by_version == single._by_version  # noqa: SLF001
+        assert list(batched.keys()) == list(single.keys())
+        assert [batched.entries_of(key) for key in batched.keys()] == [
+            single.entries_of(key) for key in single.keys()
+        ]
         assert [list(batched.states_at(v)) for v in versions] == [
             list(single.states_at(v)) for v in versions
         ]
@@ -230,4 +234,4 @@ class TestRecordMany:
         assert list(store.keys_in_version(v2)) == [("o", 2)]
         store.record_many(VersionId.parse("3.0"), [])
         assert store.stored_state_count() == 2
-        assert VersionId.parse("3.0") not in store._by_version  # noqa: SLF001
+        assert VersionId.parse("3.0") not in store._slot_of  # noqa: SLF001
