@@ -159,14 +159,16 @@ class VersionManager:
         """A read-only view of a saved version.
 
         With *base* the view of the version's parent (under the same
-        schema version), the result is derived from it at O(change):
-        the base's tables are copied and only the states stored at
-        *version* applied. Any other *base* — another branch, a parent
-        since squashed away, a schema boundary, None — is ignored and
-        the view is built cold from the resolved chain. Both ways give
-        the same view, and *base* itself is never modified. (*base* is
-        matched by version id: pass only views this manager built, and
-        not one held across a ``delete_version`` of its own version.)
+        schema version), the result is derived from it at O(pages +
+        change): the base's page directories are copied, only the
+        states stored at *version* applied, and only the pages they
+        write copied; every other page is shared with *base*. Any
+        other *base* — another branch, a parent since squashed away, a
+        schema boundary, None — is ignored and the view is built cold
+        from the resolved chain. Both ways give the same view, and
+        *base* itself is never modified. (*base* is matched by version
+        id: pass only views this manager built, and not one held across
+        a ``delete_version`` of its own version.)
         """
         vid = VersionId.parse(version)
         if vid not in self.tree:

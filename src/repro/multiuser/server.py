@@ -24,21 +24,23 @@ successor session's locks.
 **MVCC snapshot reads.** :meth:`publish_snapshot` publishes a
 consistent read view from the version store (which already keeps every
 committed state); :meth:`snapshot` serves pinned views from a bounded
-cache. Publication is O(change): the new version's journal record and
-its view are both built from the states the version store indexes
-under that version — the view as a *successor* of the view published
-before it (:meth:`VersionManager.view
+cache. Publication is O(pages + change): the new version's journal
+record and its view are both built from the states the version store
+indexes under that version — the view as a *successor* of the view
+published before it (:meth:`VersionManager.view
 <repro.core.versions.manager.VersionManager.view>` with ``base``), so
-no pass over the master happens per accepted check-in. A pinned view
-shares with its successor the frozen item states and every child and
-incidence list the check-in did not touch; it is still immutable,
-because states are frozen, the successor owns copies of the five
-tables, and a list it has to change is replaced by a new one rather
-than edited. Reads against a pinned view therefore never block on (and
-are never torn by) an in-flight check-in, ``bulk()`` batch or
-publication. The wire layer (:mod:`repro.multiuser.service`) applies
-check-ins in a worker thread while the event loop keeps answering
-snapshot reads.
+no pass over the master happens per accepted check-in. A view's tables
+are paged (:mod:`repro.core.versions.view`): the successor copies the
+page directories and the pages the check-in wrote, and shares every
+other page, the frozen item states and every child and incidence list
+the check-in did not touch with the pinned view. That view is still
+immutable, because states are frozen and a page or list the successor
+has to change is replaced by a copy rather than edited; evicting it
+frees only the pages no younger view shares. Reads against a pinned
+view therefore never block on (and are never torn by) an in-flight
+check-in, ``bulk()`` batch or publication. The wire layer
+(:mod:`repro.multiuser.service`) applies check-ins in a worker thread
+while the event loop keeps answering snapshot reads.
 
 **Background maintenance.** :meth:`maintain` runs version-store
 compaction + tombstone GC between check-ins (the service schedules it
@@ -271,8 +273,9 @@ class SeedServer:
         :class:`~repro.core.versions.view.VersionView` is immutable, so
         pinned reads proceed while the next check-in or ``bulk()``
         batch is applying. The new view is derived from the previously
-        published one, so a publication costs O(items the check-in
-        changed), not O(master).
+        published one and shares every page the check-in did not write,
+        so a publication costs O(pages + items the check-in changed):
+        a copy of the page directories, not of the master's tables.
         """
         if (
             version is not None

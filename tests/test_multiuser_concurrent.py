@@ -19,14 +19,17 @@ compaction between check-ins. Two oracles close the loop:
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.core.errors import LockError, VersionError
+from repro.core.versions import view as view_module
 from repro.multiuser import SeedServer, SeedService, ServiceClient
 from repro.spades import spades_schema
+from test_view_successor import observe
 
 CLIENTS = 6
 ITERATIONS = 10
@@ -239,3 +242,85 @@ def test_contention_actually_happened():
     assert live_fingerprint(server.master) == live_fingerprint(
         replay_serially(server.accepted)
     )
+
+
+def test_pinned_reads_under_concurrent_publication(monkeypatch):
+    """Reader threads re-read every view they pin while a writer thread
+    checks in, publishes a successor view per check-in and runs
+    maintenance: each pinned view keeps answering what it answered at
+    pin time, which is what the cold view of its version answers. The
+    publication derives each view from the one before, sharing every
+    page it did not write; pages of four ids make that sharing fine
+    grained on this small master, and a short switch interval makes the
+    threads interleave inside a derivation."""
+    monkeypatch.setattr(view_module, "PAGE_SHIFT", 2)
+    server = SeedServer(spades_schema())
+    populate(server.master)
+    first = server.publish_snapshot()
+    cold = {str(first): observe(server.master.version_view(first))}
+    pins: list = []
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def write():
+        rng = random.Random(42)
+        client = server.connect("writer")
+        try:
+            for number in range(64):
+                root = rng.choice(ROOTS)
+                local = client.check_out(root)
+                action = local.get_object(root)
+                local.set_value(
+                    local.get_object(f"{root}.Description"), f"cycle {number}"
+                )
+                if rng.random() < 0.6:
+                    created = local.create_object("Data", f"New{number}")
+                    local.relate("Read", {"from": created, "by": action})
+                if rng.random() < 0.5:
+                    action.add_sub_object("Note", f"note {number}")
+                client.check_in()
+                version = server.publish_snapshot()
+                cold[str(version)] = observe(server.master.version_view(version))
+                if number % 8 == 7:
+                    server.maintain()
+        except BaseException as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def read():
+        held = []
+        try:
+            while not done.is_set():
+                try:
+                    view = server.snapshot(server.latest_snapshot(), build=False)
+                except VersionError:
+                    continue  # evicted between the two calls: pin afresh
+                held.append((view, observe(view)))
+                for pinned, answers in held[-4:]:
+                    assert observe(pinned) == answers, pinned.version
+        except BaseException as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+        pins.extend(held)
+
+    # one writer and two readers: more threads than a two-core box has cores
+    threads = [threading.Thread(target=write)] + [
+        threading.Thread(target=read) for __ in range(2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    # the cache evicted, and the readers pinned along the way
+    assert len(cold) == 65 > server.snapshot_cache_size
+    assert len({str(view.version) for view, __ in pins}) > 1
+    for view, answers in pins:
+        assert observe(view) == answers
+        assert answers == cold[str(view.version)], view.version

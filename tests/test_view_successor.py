@@ -1,24 +1,29 @@
 """Successor views: derived from the parent's view ≡ built cold.
 
-``VersionManager.view(v, base=view(parent(v)))`` copies the base's
-tables and applies only the states stored at *v*; the cold build applies
-the whole resolved chain to empty tables. The contract checked here over
-randomized histories: both give the same answers to every retrieval —
-as *lists*, so iteration order is part of it — the base view (a reader's
-pin) is not changed by deriving from it, an unusable base falls back to
-the cold build instead of failing, and a publication after a *k*-item
-check-in does O(k) work.
+``VersionManager.view(v, base=view(parent(v)))`` copies the base's page
+directories and applies only the states stored at *v*, copying the pages
+they write; the cold build applies the whole resolved chain to empty
+tables. The contract checked here over randomized histories, at the real
+page size and at pages of two ids: both give the same answers to every
+retrieval — as *lists*, so iteration order is part of it — the base view
+(a reader's pin) is not changed by deriving from it and shares every
+page the delta did not write, an unusable base falls back to the cold
+build instead of failing, and a publication after a *k*-item check-in
+reads O(k) cells and allocates about as much on a master ten times
+larger.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from repro.core import SeedDatabase, figure3_schema
 from repro.core.errors import SeedError
 from repro.core.versions.compaction import RetentionPolicy
+from repro.core.versions import view as view_module
 from repro.core.versions.store import VersionStore
 from repro.multiuser import SeedServer
 from repro.spades import spades_schema
@@ -263,21 +268,90 @@ def test_chain_of_forty_successors_and_pins_that_never_move(seed):
         assert observe(held) == observe(history.db.version_view(held.version))
 
 
-def test_views_share_states_and_untouched_lists():
+@pytest.fixture
+def small_pages(monkeypatch):
+    """Pages of two ids. Every history here stays under ~110 ids, one
+    page at the real size; with two ids a page they span dozens of
+    pages, some emptied, and new ids land below a page's top."""
+    monkeypatch.setattr(view_module, "PAGE_SHIFT", 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("versions,edits", [(8, 3), (14, 6), (10, 25)])
+def test_successor_equals_cold_on_small_pages(small_pages, seed, versions, edits):
+    test_successor_equals_cold_for_every_version(seed, versions, edits)
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_chain_of_forty_successors_on_small_pages(small_pages, seed):
+    test_chain_of_forty_successors_and_pins_that_never_move(seed)
+
+
+def test_views_share_states_and_untouched_lists(monkeypatch):
+    # pages of four ids: the history spans dozens of them, and a child
+    # page holds several parents' lists
+    monkeypatch.setattr(view_module, "PAGE_SHIFT", 2)
     history = History(11)
     for __ in range(12):
         base_version = history.version(6)
     base = history.db.version_view(base_version)
     obj = history.create()
+    parent = history.roots("Data", "InputData", "OutputData")[0]
+    child = parent.add_sub_object("Text")
     version = history.db.create_version()
     successor = history.db.version_view(version, base=base)
     assert successor.object_by_oid(obj.oid) is not None
     assert base.object_by_oid(obj.oid) is None
+    delta = list(history.db.versions.store.states_at(version))
+    changed = {key for key, __, __ in delta}
+    assert changed >= {("o", obj.oid), ("o", child.oid)}
     derived = dict(successor.item_states())
-    assert all(derived[key] is state for key, state in base.item_states())
     assert all(
-        successor._children[oid] is members  # noqa: SLF001
-        for oid, members in base._children.items()  # noqa: SLF001
+        derived[key] is state
+        for key, state in base.item_states()
+        if key not in changed
+    )
+    # the pages the delta wrote, from the delta alone
+    shift = view_module.PAGE_SHIFT
+    assert len(base._object_pages) > 10  # noqa: SLF001
+    assert all(kind == "o" for (kind, __), __, __ in delta)
+    written = {
+        "_object_pages": {oid >> shift for (__, oid), __, __ in delta},
+        "_relationship_pages": set(),
+        "_child_pages": {
+            state.parent_oid >> shift
+            for __, state, __ in delta
+            if state.parent_oid is not None
+        },
+        "_incidence_pages": set(),
+        # a known root's state replaces it in place: only a new root
+        # enters the name index
+        "_name_buckets": {
+            hash(state.name) % view_module.NAME_BUCKETS
+            for (__, oid), state, __ in delta
+            if state.parent_oid is None and base.object_by_oid(oid) is None
+        },
+    }
+    assert written["_child_pages"] == {parent.oid >> shift}
+    for table, pages in written.items():
+        before = getattr(base, table)
+        after = getattr(successor, table)
+        for number, page in enumerate(before):
+            if number in pages:
+                assert after[number] is not page, (table, number)
+            else:
+                assert after[number] is page, (table, number)
+    # inside the one child page written, only the parent's list is new
+    number = parent.oid >> shift
+    before = base._child_pages[number]  # noqa: SLF001
+    after = successor._child_pages[number]  # noqa: SLF001
+    assert child.oid in after[parent.oid]
+    assert child.oid not in before.get(parent.oid, ())
+    assert any(owner != parent.oid for owner in before)
+    assert all(
+        after[owner] is members
+        for owner, members in before.items()
+        if owner != parent.oid
     )
 
 
@@ -447,8 +521,13 @@ def test_successors_interleaved_with_compaction(seed):
         assert observe(pinned) == answers
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_successors_interleaved_with_compaction_on_small_pages(small_pages, seed):
+    test_successors_interleaved_with_compaction(seed)
+
+
 # ---------------------------------------------------------------------------
-# a publication after a k-item check-in does O(k) work
+# a publication after a k-item check-in does O(k) work and copies O(pages)
 # ---------------------------------------------------------------------------
 
 
@@ -486,35 +565,64 @@ class _CountingCells(dict):
         return super().keys()
 
 
-def test_publication_after_a_k_item_check_in_is_o_k(tmp_path, counted_resolves):
-    server = SeedServer.open(tmp_path / "master.seed", schema=spades_schema())
+def _publish_after_a_k_item_check_in(path, roots, counted_resolves):
+    """Publish a 3-item check-in on a master of *roots* described
+    actions whose view cache is full; returns the ``tracemalloc`` peak
+    of the publication, in bytes."""
+    server = SeedServer.open(path, schema=spades_schema())
     master = server.master
     with master.bulk():
-        for i in range(2500):
-            action = master.create_object("Action", f"Act{i:04d}")
+        for i in range(roots):
+            action = master.create_object("Action", f"Act{i:05d}")
             action.add_sub_object("Description", f"does {i}")
-    assert len(master._objects) == 5000  # noqa: SLF001
+    assert len(master._objects) == 2 * roots  # noqa: SLF001
     server.publish_snapshot()  # the cold first pin
+    # fill the view cache, so that the publication also evicts
+    for i in range(server.snapshot_cache_size):
+        master.set_value(master.get_object(f"Act{i + 10:05d}.Description"), "x")
+        server.publish_snapshot()
+    assert len(server.pinned_snapshots()) == server.snapshot_cache_size
     client = server.connect("writer")
-    local = client.check_out("Act0007", "Act0008")
-    local.set_value(local.get_object("Act0007.Description"), "edited")
-    local.set_value(local.get_object("Act0008.Description"), "edited too")
+    local = client.check_out("Act00007", "Act00008")
+    local.set_value(local.get_object("Act00007.Description"), "edited")
+    local.set_value(local.get_object("Act00008.Description"), "edited too")
     local.create_object("Data", "Fresh")
     client.check_in()
     k = 3
     store = master.versions.store
     cells = store._cells = _CountingCells(store._cells)  # noqa: SLF001
     del counted_resolves[:]
-    version = server.publish_snapshot()
+    tracemalloc.start()
+    try:
+        version = server.publish_snapshot()
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert counted_resolves == []
     assert cells.passes == 0
     # the journal record and the successor view read the k cells just
     # recorded, and no other
     assert 0 < len(cells.read) <= k
     assert master.versions.delta_size(version) == k
+    assert len(server.pinned_snapshots()) == server.snapshot_cache_size
     view = server.snapshot(version, build=False)
-    assert view.object_count() == 5001
-    assert view.get("Act0007.Description").value == "edited"
+    assert view.object_count() == 2 * roots + 1
+    assert view.get("Act00007.Description").value == "edited"
     assert list(view.item_states()) == list(
         master.version_view(version).item_states()
     )
+    return peak
+
+
+def test_publication_after_a_k_item_check_in_is_o_k(tmp_path, counted_resolves):
+    """The publication allocates about as much on a master ten times
+    larger: it copies page directories and the pages the check-in
+    wrote, not the tables (copying them showed as 284 KB against
+    4.9 MB)."""
+    small = _publish_after_a_k_item_check_in(
+        tmp_path / "small.seed", 2_500, counted_resolves
+    )
+    large = _publish_after_a_k_item_check_in(
+        tmp_path / "large.seed", 25_000, counted_resolves
+    )
+    assert large < 2 * small, (small, large)
