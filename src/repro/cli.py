@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve",
-        help="serve a journal-bound database to concurrent wire clients")
+        help="serve a journal-bound database to concurrent wire clients "
+             "(one thread per connection)")
     serve.add_argument("journal", type=Path,
                        help="journal file (created if missing)")
     serve.add_argument("--host", default="127.0.0.1",
@@ -119,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="idle session expiry (default: 300)")
     serve.add_argument("--maintain-every", type=int, default=8, metavar="N",
-                       help="background compaction every N accepted "
+                       help="compaction after every N accepted "
                             "check-ins (default: 8; 0 = never)")
     serve.add_argument("--journal-byte-budget", type=int, default=None,
                        metavar="BYTES",
@@ -307,15 +308,16 @@ def _run_fsck(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     """Serve a journal-bound SPADES database over the wire protocol.
 
-    Runs until SIGTERM/SIGINT; every accepted check-in is durable in
-    the journal before it is acknowledged, so a killed server restarts
-    from its last acknowledged state.  On a signal the service shuts
-    down gracefully: it refuses new connections, drains in-flight
-    check-ins (up to ``DRAIN_TIMEOUT_S`` seconds), writes a final
-    checkpoint, compacts the journal, and exits 0.
+    The service serves each client connection on its own thread; this
+    thread only waits for SIGTERM/SIGINT. Every accepted check-in is
+    durable in the journal before it is acknowledged, so a killed
+    server restarts from its last acknowledged state.  On a signal the
+    service shuts down gracefully: it refuses new connections, drains
+    in-flight check-ins (up to ``DRAIN_TIMEOUT_S`` seconds), writes a
+    final checkpoint, compacts the journal, and exits 0.
     """
-    import asyncio
     import signal
+    import threading
 
     from repro.core.storage import GroupCommitPolicy
     from repro.multiuser.server import SeedServer
@@ -336,51 +338,27 @@ def _run_serve(args: argparse.Namespace) -> int:
         port=args.port,
         maintain_every=args.maintain_every,
     )
-
-    def stopped_stats() -> str:
-        return (
-            f"stopped: {server.checkins_applied} check-in(s) applied, "
-            f"{server.checkins_rejected} rejected, "
-            f"{service.reads_served} snapshot read(s) served"
-        )
-
-    async def _serve() -> None:
-        await service.start()
-        stats = server.master.statistics()
-        print(
-            f"serving {args.journal} on {service.host}:{service.port} "
-            f"({stats['objects']} objects, "
-            f"{stats['relationships']} relationships; "
-            f"lease {args.lease_seconds}s, session {args.session_seconds}s)"
-        )
-        loop = asyncio.get_running_loop()
-        shutdown = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, shutdown.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-POSIX loop: fall back to KeyboardInterrupt
-        serving = loop.create_task(service.serve_forever())
-        await shutdown.wait()
-        # graceful: stop() closes the listener first (refusing new
-        # connections), drains in-flight check-ins, then runs the
-        # final checkpoint + compaction before closing the journal
-        await service.stop(
-            drain_timeout_s=DRAIN_TIMEOUT_S, final_checkpoint=True
-        )
-        serving.cancel()
-        try:
-            await serving
-        except asyncio.CancelledError:
-            pass
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - non-POSIX fallback
-        if server.journal is not None:
-            server.journal.save_point()
-            server.journal.close()
-    print(stopped_stats())
+    shutdown = threading.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *__: shutdown.set())
+    service.start_in_thread()
+    stats = server.master.statistics()
+    print(
+        f"serving {args.journal} on {service.host}:{service.port} "
+        f"({stats['objects']} objects, "
+        f"{stats['relationships']} relationships; "
+        f"lease {args.lease_seconds}s, session {args.session_seconds}s)"
+    )
+    shutdown.wait()
+    # graceful: stop() closes the listener first (refusing new
+    # connections), drains in-flight check-ins, then runs the final
+    # checkpoint + compaction before closing the journal
+    service.stop(drain_timeout_s=DRAIN_TIMEOUT_S, final_checkpoint=True)
+    print(
+        f"stopped: {server.checkins_applied} check-in(s) applied, "
+        f"{server.checkins_rejected} rejected, "
+        f"{service.reads_served} snapshot read(s) served"
+    )
     return 0
 
 

@@ -29,8 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SchemaElement", "schema_changed", "schema_generation"]
 
-#: advanced by every ``specialize``, ``remove_specialization`` and
-#: ``add_dependent``; facts compiled under an older value are stale
+#: advanced by every ``specialize``, ``remove_specialization``,
+#: ``set_covering``, ``add_dependent``, ``Schema.add_class`` and
+#: ``Schema.add_association``; facts compiled and schema checks passed
+#: under an older value are stale
 _generation = 0
 
 

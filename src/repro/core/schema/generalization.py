@@ -131,6 +131,7 @@ def set_covering(general: SchemaElement, covering: bool = True) -> None:
             "a covering condition would be unsatisfiable"
         )
     general.covering = covering
+    schema_changed()
 
 
 def common_general(

@@ -17,7 +17,11 @@ from typing import Iterator, Optional
 
 from repro.core.errors import SchemaError
 from repro.core.schema.association import Association, Attribute, Role
-from repro.core.schema.element import SchemaElement
+from repro.core.schema.element import (
+    SchemaElement,
+    schema_changed,
+    schema_generation,
+)
 from repro.core.schema.entity_class import EntityClass
 from repro.core.schema.generalization import validate_hierarchy
 
@@ -35,6 +39,8 @@ class Schema:
         self.name = name
         self._classes: dict[str, EntityClass] = {}
         self._associations: dict[str, Association] = {}
+        #: the schema generation a :meth:`check` last passed at
+        self._checked_at: Optional[int] = None
 
     # -- population -----------------------------------------------------
 
@@ -47,6 +53,7 @@ class Schema:
             )
         self._check_name_free(entity_class.name)
         self._classes[entity_class.name] = entity_class
+        schema_changed()  # validate() reads the registered classes
         return entity_class
 
     def add_association(self, association: Association) -> Association:
@@ -61,6 +68,7 @@ class Schema:
                     f"{self.name!r}"
                 )
         self._associations[association.name] = association
+        schema_changed()
         return association
 
     def _check_name_free(self, name: str) -> None:
@@ -156,12 +164,22 @@ class Schema:
         return problems
 
     def check(self) -> "Schema":
-        """Raise :class:`SchemaError` when :meth:`validate` finds problems."""
+        """Raise :class:`SchemaError` when :meth:`validate` finds problems.
+
+        A check that passed holds until a mutator advances
+        :func:`~repro.core.schema.element.schema_generation` (every one
+        whose effect :meth:`validate` reads does), so the database a
+        check-out materializes does not validate the same schema again.
+        """
+        generation = schema_generation()
+        if self._checked_at == generation:
+            return self
         problems = self.validate()
         if problems:
             raise SchemaError(
                 f"schema {self.name!r} is ill-formed:\n  " + "\n  ".join(problems)
             )
+        self._checked_at = generation
         return self
 
     # -- copying --------------------------------------------------------------

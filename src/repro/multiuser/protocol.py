@@ -75,6 +75,7 @@ from repro.multiuser.server import CheckOutTicket
 
 __all__ = [
     "ERROR_CODES",
+    "MAX_CONNECTIONS",
     "MAX_REQUEST_BYTES",
     "REQUEST_FIELDS",
     "READ_QUERY_FIELDS",
@@ -106,6 +107,13 @@ _CLASS_TO_CODE = {cls: code for code, cls in ERROR_CODES.items()}
 #: objects of a large check-in (~130 bytes each); a longer frame gets a
 #: typed "request too large" error on a connection that stays usable
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
+#: the most connections the service serves at once — each is one OS
+#: thread, so a peer must not be able to start them without bound. A
+#: team is a handful of people with a writer and a reader each; 64
+#: leaves room for scripts and reconnects, and a connection past it
+#: gets one typed error frame and is closed
+MAX_CONNECTIONS = 64
 
 
 #: op -> field -> type tag: the shape of every request the service

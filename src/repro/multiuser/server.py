@@ -39,8 +39,10 @@ has to change is replaced by a copy rather than edited; evicting it
 frees only the pages no younger view shares. Reads against a pinned
 view therefore never block on (and are never torn by) an in-flight
 check-in, ``bulk()`` batch or publication. The wire layer
-(:mod:`repro.multiuser.service`) applies check-ins in a worker thread
-while the event loop keeps answering snapshot reads.
+(:mod:`repro.multiuser.service`) serves each connection on its own
+thread: a check-in applies on the thread that read it, under the write
+lock, while the other connections' threads keep answering snapshot
+reads without it.
 
 **Background maintenance.** :meth:`maintain` runs version-store
 compaction + tombstone GC between check-ins (the service schedules it

@@ -1,25 +1,32 @@
 """The networked multi-user service: many clients, one central server.
 
 :class:`SeedService` exposes a :class:`~repro.multiuser.server.SeedServer`
-over a socket (JSON-lines protocol, :mod:`repro.multiuser.protocol`) on
-an asyncio event loop. The concurrency model mirrors the paper's
-two-level sketch:
+over a socket (JSON-lines protocol, :mod:`repro.multiuser.protocol`),
+serving each accepted connection on its own blocking thread. The
+concurrency model mirrors the paper's two-level sketch:
 
-* **writes are serialized** — connect/disconnect, check-out, check-in,
-  abandon, and snapshot publication queue on one ``asyncio.Lock``; the
+* **writes are serialized** — connect/disconnect, renew, check-out,
+  check-in with its snapshot publication, abandon and pin run under
+  one ``threading.Lock``, on the thread that read their frame; the
   master database is single-writer by construction;
 * **reads never wait for writers** — retrieval runs against *pinned
   snapshot views* (fully materialized, immutable
-  :class:`~repro.core.versions.view.VersionView` objects), so a reader
-  holding a pin keeps getting consistent answers while a check-in —
-  even a large one — is applying. The check-in itself runs
-  in a thread executor, so the event loop keeps answering reads
-  mid-apply;
-* **maintenance runs between check-ins** — every ``maintain_every``
-  accepted check-ins the service queues a background
+  :class:`~repro.core.versions.view.VersionView` objects) without the
+  lock, so a reader holding a pin keeps getting consistent answers on
+  its own thread while a check-in — even a large or stalled one — is
+  applying on another;
+* **maintenance runs between check-ins** — the connection whose
+  check-in is the ``maintain_every``-th since the last pass sends its
+  acknowledgement, then runs a
   :meth:`~repro.multiuser.server.SeedServer.maintain` pass (compaction
-  + tombstone GC) on the same write lock, with every pinned snapshot
-  protected.
+  + tombstone GC) under the write lock before it reads its next frame,
+  with every pinned snapshot protected.
+
+No lock is held while a frame is read or an answer sent. Past
+:data:`~repro.multiuser.protocol.MAX_CONNECTIONS` open connections, a
+new one gets one typed error frame and is closed. ``stats`` reports per
+op kind the requests, their server seconds (parsed frame to encoded
+answer) and the seconds of it spent waiting for the write lock.
 
 Sessions close with their socket: a connection dropping (client crash,
 network cut) closes every session it opened, releasing locks — the
@@ -37,14 +44,15 @@ reaches the server through :meth:`ServiceClient._call`.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import threading
-from typing import Any, Optional
+from time import perf_counter, sleep
+from typing import Any, BinaryIO, Optional
 
 from repro.core.errors import SeedError
 from repro.core.schema.schema import Schema
 from repro.core.storage.serialize import decode_value, encode_value
+from repro.multiuser import protocol
 from repro.multiuser.checkin import (
     CheckInPackage,
     package_from_dict,
@@ -53,6 +61,7 @@ from repro.multiuser.checkin import (
 from repro.multiuser.client import CopyHolder
 from repro.multiuser.protocol import (
     MAX_REQUEST_BYTES,
+    REQUEST_FIELDS,
     check_request,
     decode_message,
     encode_message,
@@ -66,7 +75,7 @@ from repro.multiuser.server import CheckOutTicket, SeedServer
 
 __all__ = ["SeedService", "ServiceClient"]
 
-#: accepted check-ins between background maintenance passes (0 = never)
+#: accepted check-ins between maintenance passes (0 = never)
 DEFAULT_MAINTAIN_EVERY = 8
 
 
@@ -79,6 +88,70 @@ def _view_object_summary(obj) -> dict[str, Any]:
         "value": encode_value(obj.value),
         "is_pattern": obj.is_pattern,
     }
+
+
+def _run_to_completion(coroutine) -> Any:
+    """The result of a coroutine that never suspends (else an error)."""
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    coroutine.close()
+    raise RuntimeError("a service coroutine suspended; nothing resumes it")
+
+
+def _read_frame(rfile: BinaryIO) -> bytes:
+    """One request line, ``b""`` at EOF (a partial last line as is). A
+    frame over the limit is discarded through its newline (outside the
+    write lock, like every read), then raises the typed error; the next
+    frame parses cleanly.
+    """
+    line = rfile.readline(MAX_REQUEST_BYTES + 1)
+    if len(line) <= MAX_REQUEST_BYTES or line.endswith(b"\n"):
+        return line
+    while line and not line.endswith(b"\n"):
+        line = rfile.readline(MAX_REQUEST_BYTES)
+    raise SeedError(f"request too large: over {MAX_REQUEST_BYTES} bytes")
+
+
+def _shut(sock: socket.socket) -> None:
+    """Wake whatever blocks on *sock* (accept or recv) in another thread."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed by its thread, or never connected
+
+
+class _Connection:
+    """One accepted socket and what its thread tracks between frames.
+
+    ``with conn:`` holds the service's write lock for one request: the
+    wait is added to the request's, and once :meth:`SeedService.stop`
+    has drained the service the write is refused instead.
+    """
+
+    __slots__ = ("service", "sock", "tokens", "op", "lock_wait", "maintain_due")
+
+    def __init__(self, service: "SeedService", sock: socket.socket) -> None:
+        self.service = service
+        self.sock = sock
+        self.tokens: set[str] = set()  #: sessions this connection opened
+        self.op: Optional[str] = None  #: the op of the checked request
+        self.lock_wait = 0.0  #: its seconds waiting for the write lock
+        self.maintain_due = False  #: run a pass once the ack is out
+
+    def __enter__(self) -> None:
+        lock = self.service._write_lock
+        if not lock.acquire(blocking=False):  # only a wait is timed
+            started = perf_counter()
+            lock.acquire()
+            self.lock_wait += perf_counter() - started
+        if self.service._stopped:
+            lock.release()
+            raise SeedError("service is stopping: the write was refused")
+
+    def __exit__(self, *exc_info) -> None:
+        self.service._write_lock.release()
 
 
 class SeedService:
@@ -94,35 +167,43 @@ class SeedService:
     ) -> None:
         self.server = server
         self.host = host
-        self.port = port  # 0 = ephemeral; real port known after start()
+        self.port = port  # 0 = ephemeral; real port known once started
         self.maintain_every = maintain_every
-        self._asyncio_server: Optional[asyncio.AbstractServer] = None
-        self._write_lock: Optional[asyncio.Lock] = None
-        self._maintenance_task: Optional[asyncio.Task] = None
+        self._listener: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
+        self._write_lock = threading.Lock()
+        self._stopped = False  #: set by stop(): every later write is refused
         self._accepted_since_maintain = 0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._connections: set[asyncio.Task] = set()
-        # -- service counters (stats op / `repro serve` log) --
+        self._counter_lock = threading.Lock()
+        self._connections: dict[_Connection, threading.Thread] = {}
+        # -- service counters (stats op / `repro serve` log); the write
+        # lock guards the maintenance ones, the counter lock the rest --
         self.requests_served = 0
         self.reads_served = 0
+        self.connections_refused = 0
         self.maintenance_scheduled = 0
+        self.maintenance_failures = 0
+        self.maintenance_error: Optional[str] = None  #: the last failure
+        #: op -> [requests, server seconds, write-lock wait seconds]
+        self._op_times = {op: [0, 0.0, 0.0] for op in REQUEST_FIELDS}
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind and start accepting connections (ephemeral port resolved)."""
-        if self._asyncio_server is not None:
+    def start_in_thread(self) -> "SeedService":
+        """Bind (ephemeral port resolved) and accept on a background thread."""
+        if self._listener is not None:
             raise SeedError("service is already started")
-        self._loop = asyncio.get_running_loop()
-        self._write_lock = asyncio.Lock()
-        self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-            limit=MAX_REQUEST_BYTES,
+        family = socket.getaddrinfo(self.host, self.port, type=socket.SOCK_STREAM)[0][0]
+        self._listener = socket.create_server((self.host, self.port), family=family)
+        self.port = self._listener.getsockname()[1]
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, args=(self._listener,),
+            name="seed-service", daemon=True,
         )
-        self.port = self._asyncio_server.sockets[0].getsockname()[1]
+        self._acceptor.start()
+        return self
 
-    async def stop(
+    def stop(
         self,
         *,
         drain_timeout_s: Optional[float] = None,
@@ -130,130 +211,57 @@ class SeedService:
     ) -> None:
         """Graceful shutdown: refuse, drain, optionally flush, close.
 
-        New connections are refused first; then in-flight work is
-        drained by waiting for pending maintenance and acquiring the
-        write lock (holding it proves no check-in or maintenance pass
-        is mid-apply). *drain_timeout_s* bounds each wait so a hung
-        apply cannot wedge shutdown — on timeout the work is abandoned
-        (its executor thread finishes on its own; the master rolls back
-        on failure as usual, and an un-acked check-in's journal record
-        replays on the next open). A drained journal-bound server
-        always flushes the group-commit buffer — shutdown is a hard
-        durability barrier, so buffered commits are never lost to a
-        clean stop even without a checkpoint. With *final_checkpoint*,
-        it additionally appends a final checkpoint and compacts the
-        journal before the remaining connections are closed — the
-        ``repro serve`` SIGTERM/SIGINT path. Either way a drained stop
-        then closes the journal's file handle
-        (:meth:`~repro.core.storage.engine.JournaledDatabase.close`).
+        New connections are refused first. Then the write lock is taken:
+        holding it proves no check-in or maintenance pass is mid-apply,
+        and every write that reaches it later — a maintenance pass still
+        due included — is refused. *drain_timeout_s* bounds each wait so
+        a hung apply cannot wedge shutdown: its work is abandoned (the
+        master rolls back on failure as usual, and an un-acked check-in's
+        journal record replays on the next open). A drained journal-bound
+        server then flushes the group-commit buffer, so a clean stop never
+        loses buffered commits, or with *final_checkpoint* (the ``repro
+        serve`` SIGTERM/SIGINT path) appends a final checkpoint and
+        compacts the journal; either way it closes the journal's file
+        handle. Last, every open connection is shut down and its thread
+        joined, which closes the sessions it opened.
         """
-        if self._asyncio_server is None:
+        listener, self._listener = self._listener, None
+        if listener is None:
             return
         # refuse new connections; in-flight requests keep running
-        self._asyncio_server.close()
-        await self._asyncio_server.wait_closed()
-        self._asyncio_server = None
-        if self._maintenance_task is not None:
-            try:
-                if drain_timeout_s is None:
-                    await self._maintenance_task
-                else:
-                    await asyncio.wait_for(
-                        self._maintenance_task, drain_timeout_s
-                    )
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                pass  # pragma: no cover - hung/raced maintenance
-            self._maintenance_task = None
-        drained = True
-        try:
-            if drain_timeout_s is None:
-                await self._write_lock.acquire()
-            else:
-                await asyncio.wait_for(
-                    self._write_lock.acquire(), drain_timeout_s
-                )
-        except asyncio.TimeoutError:  # pragma: no cover - hung apply
-            drained = False
+        _shut(listener)
+        listener.close()
+        self._acceptor.join()
+        drained = self._write_lock.acquire(
+            timeout=-1 if drain_timeout_s is None else drain_timeout_s
+        )
+        self._stopped = True
         try:
             if drained and self.server.journal is not None:
                 if final_checkpoint:
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, self.server.journal.save_point
-                    )
+                    self.server.journal.save_point()
                 else:
-                    # shutdown drain is a durability barrier even
-                    # without a checkpoint: flush buffered group
-                    # commits so a clean stop never loses them
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, self.server.journal.flush
-                    )
+                    self.server.journal.flush()  # a durability barrier
                 self.server.journal.close()
         finally:
             if drained:
                 self._write_lock.release()
         # connections still open (clients that never closed their
-        # socket): cancel their handlers so session cleanup runs now
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._connections.clear()
+        # socket): wake their threads so session cleanup runs now
+        with self._counter_lock:
+            connections = dict(self._connections)
+        for conn in connections:
+            _shut(conn.sock)
+        for thread in connections.values():
+            thread.join(drain_timeout_s)
 
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled — the CLI path."""
-        if self._asyncio_server is None:
-            await self.start()
-        await self._asyncio_server.serve_forever()
-
-    # Thread-hosted lifecycle: tests and sync callers run the event loop
-    # in a daemon thread and drive it with blocking wire clients.
-
-    def start_in_thread(self) -> "SeedService":
-        """Run the service on a fresh event loop in a background thread."""
-        if self._thread is not None:
-            raise SeedError("service thread is already running")
-        loop = asyncio.new_event_loop()
-        started = threading.Event()
-        failure: list[BaseException] = []
-
-        def runner() -> None:
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(self.start())
-            except BaseException as exc:  # pragma: no cover - bind failure
-                failure.append(exc)
-                started.set()
-                return
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.stop())
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=runner, name="seed-service", daemon=True
-        )
-        self._thread.start()
-        started.wait()
-        if failure:  # pragma: no cover - bind failure
-            self._thread = None
-            raise failure[0]
-        return self
-
-    def stop_in_thread(self) -> None:
-        """Stop the thread-hosted service and join the thread."""
-        if self._thread is None or self._loop is None:
-            return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._thread = None
+    stop_in_thread = stop  # the name sync callers and the benchmark use
 
     def __enter__(self) -> "SeedService":
         return self.start_in_thread()
 
     def __exit__(self, *exc_info) -> None:
-        self.stop_in_thread()
+        self.stop()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -262,138 +270,143 @@ class SeedService:
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        opened_tokens: set[str] = set()
-        self._connections.add(asyncio.current_task())
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, __ = listener.accept()
+            except OSError:
+                if self._listener is not listener:
+                    return  # stop() shut the listener
+                sleep(0.1)  # out of descriptors, say: back off, then retry
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._counter_lock:
+                refused = len(self._connections) >= protocol.MAX_CONNECTIONS
+                if refused:
+                    self.connections_refused += 1
+                else:
+                    conn = _Connection(self, sock)
+                    thread = self._connections[conn] = threading.Thread(
+                        target=self._serve, args=(conn,),
+                        name="seed-connection", daemon=True,
+                    )
+            if refused:
+                try:
+                    sock.sendall(encode_message(error_response(SeedError(
+                        f"too many connections: {protocol.MAX_CONNECTIONS} are open"
+                    ))))
+                except OSError:  # pragma: no cover - the peer already left
+                    pass
+                sock.close()
+            else:
+                thread.start()
+
+    def _serve(self, conn: _Connection) -> None:
+        """Serve one connection until EOF, its peer vanishing, or stop()."""
+        rfile = conn.sock.makefile("rb")
         try:
             while True:
+                conn.op = None
                 try:
-                    line = await self._read_frame(reader)
+                    line = _read_frame(rfile)
                     if not line:
                         break  # EOF: client closed (or crashed)
                     request = decode_message(line)
-                    response = await self._dispatch(request, opened_tokens)
+                    started = perf_counter()
+                    conn.lock_wait = 0.0
+                    response = _run_to_completion(self._dispatch(request, conn))
                 except SeedError as exc:
                     response = error_response(exc)
                 except Exception as exc:  # pragma: no cover - defensive
                     response = error_response(SeedError(str(exc)))
-                self.requests_served += 1
-                writer.write(encode_message(response))
-                await writer.drain()
-        except (asyncio.CancelledError, ConnectionError):
-            pass  # shutdown or a vanished peer: on to session cleanup
+                frame = encode_message(response)
+                with self._counter_lock:
+                    self.requests_served += 1
+                    if conn.op is not None:
+                        times = self._op_times[conn.op]
+                        times[0] += 1
+                        times[1] += perf_counter() - started
+                        times[2] += conn.lock_wait
+                        if conn.op == "read" and response["ok"]:
+                            self.reads_served += 1
+                try:
+                    conn.sock.sendall(frame)
+                finally:  # the ack first; then the pass, sent or not
+                    if conn.maintain_due:
+                        conn.maintain_due = False
+                        self._maintain()
+        except OSError:
+            pass  # stop() or a vanished peer: on to session cleanup
         finally:
-            self._connections.discard(asyncio.current_task())
+            rfile.close()
             # a dropped socket closes every session it opened: the
             # detectable zombie — its locks and standing are released
             # now rather than waiting for the lease to lapse
-            zombies = [
-                token
-                for token in opened_tokens
-                if self.server.sessions.is_live(token)
-            ]
-            if zombies:
-                async with self._write_lock:
-                    for token in zombies:
-                        if self.server.sessions.is_live(token):
-                            self.server.close_session(token)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    @staticmethod
-    async def _read_frame(reader: asyncio.StreamReader) -> bytes:
-        """One request line, ``b""`` at EOF. A frame over the limit is
-        discarded through its newline (outside the write lock, like every
-        read), then raises the typed error; the next frame parses cleanly.
-        """
-        oversized = False
-        while True:
-            try:
-                line = await reader.readuntil(b"\n")
-            except asyncio.IncompleteReadError as exc:
-                line = exc.partial  # EOF (a partial last line, as readline)
-            except asyncio.LimitOverrunError as exc:
-                await reader.readexactly(exc.consumed)  # buffered: discard
-                oversized = True
-                continue
-            if oversized:
-                raise SeedError(
-                    f"request too large: over {MAX_REQUEST_BYTES} bytes"
-                )
-            return line
+            with self._write_lock:
+                for token in conn.tokens:
+                    if self.server.sessions.is_live(token):
+                        self.server.close_session(token)
+            conn.sock.close()
+            with self._counter_lock:
+                del self._connections[conn]
 
     async def _dispatch(
-        self, request: dict[str, Any], opened_tokens: set[str]
+        self, request: dict[str, Any], conn: _Connection
     ) -> dict[str, Any]:
         # the one place a request's shape is checked — before any lock
         check_request(request)
-        handler = getattr(self, f"_op_{request['op']}")
-        return await handler(request, opened_tokens)
+        conn.op = request["op"]
+        return getattr(self, f"_op_{conn.op}")(request, conn)
 
     # -- session ops (serialized writers) ------------------------------------
 
-    async def _op_ping(self, request, opened_tokens) -> dict[str, Any]:
+    def _op_ping(self, request, conn) -> dict[str, Any]:
         return ok_response({"pong": True})
 
-    async def _op_connect(self, request, opened_tokens) -> dict[str, Any]:
-        async with self._write_lock:
+    def _op_connect(self, request, conn) -> dict[str, Any]:
+        with conn:
             session = self.server.open_session(request["client_id"])
-        opened_tokens.add(session.token)
+        conn.tokens.add(session.token)
         return ok_response({"token": session.token})
 
-    async def _op_disconnect(self, request, opened_tokens) -> dict[str, Any]:
+    def _op_disconnect(self, request, conn) -> dict[str, Any]:
         token = request["token"]
-        async with self._write_lock:
+        with conn:
             self.server.close_session(token)
-        opened_tokens.discard(token)
+        conn.tokens.discard(token)
         return ok_response({"closed": True})
 
-    async def _op_renew(self, request, opened_tokens) -> dict[str, Any]:
-        async with self._write_lock:
+    def _op_renew(self, request, conn) -> dict[str, Any]:
+        with conn:
             renewed = self.server.renew(request["token"])
         return ok_response({"renewed": renewed})
 
     # -- check-out / check-in (serialized writers) ---------------------------
 
-    async def _op_check_out(self, request, opened_tokens) -> dict[str, Any]:
-        async with self._write_lock:
+    def _op_check_out(self, request, conn) -> dict[str, Any]:
+        with conn:
             ticket = self.server.check_out(request["token"], request["names"])
         return ok_response({"ticket": ticket_to_dict(ticket)})
 
-    async def _op_check_in(self, request, opened_tokens) -> dict[str, Any]:
-        token = request["token"]
+    def _op_check_in(self, request, conn) -> dict[str, Any]:
         try:
             package = package_from_dict(request["package"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SeedError(
                 f"check_in: field 'package' is malformed: {exc!r}"
             ) from None
-
-        def apply_and_publish():
+        with conn:
             # a rejected apply raises before anything is published
-            translation = self.server.apply_check_in(token, package)
-            return translation, self.server.publish_snapshot()
-
-        async with self._write_lock:
-            # apply and publish in the executor, one hand-off: the event
-            # loop stays free to serve pinned snapshot reads while the
-            # master mutates
-            loop = asyncio.get_running_loop()
-            translation, version = await loop.run_in_executor(
-                None, apply_and_publish
-            )
-        self._accepted_since_maintain += 1
-        if (
-            self.maintain_every
-            and self._accepted_since_maintain >= self.maintain_every
-        ):
-            self._accepted_since_maintain = 0
-            self._queue_maintenance()
+            translation = self.server.apply_check_in(request["token"], package)
+            version = self.server.publish_snapshot()
+            self._accepted_since_maintain += 1
+            if (
+                self.maintain_every
+                and self._accepted_since_maintain >= self.maintain_every
+            ):
+                self._accepted_since_maintain = 0
+                self.maintenance_scheduled += 1
+                conn.maintain_due = True
         return ok_response(
             {
                 "translation": [
@@ -403,31 +416,30 @@ class SeedService:
             }
         )
 
-    async def _op_abandon(self, request, opened_tokens) -> dict[str, Any]:
-        async with self._write_lock:
+    def _op_abandon(self, request, conn) -> dict[str, Any]:
+        with conn:
             self.server.abandon(request["token"])
         return ok_response({"abandoned": True})
 
     # -- MVCC reads (never queue on the write lock) --------------------------
 
-    async def _op_pin(self, request, opened_tokens) -> dict[str, Any]:
+    def _op_pin(self, request, conn) -> dict[str, Any]:
         """Publish-or-reuse the current snapshot; returns its version.
 
         Publication may create a version (a write), so it serializes
         with the writers; subsequent ``read`` ops against the pinned
         version run lock-free.
         """
-        async with self._write_lock:
+        with conn:
             version = self.server.publish_snapshot()
         return ok_response({"version": str(version)})
 
-    async def _op_read(self, request, opened_tokens) -> dict[str, Any]:
+    def _op_read(self, request, conn) -> dict[str, Any]:
         # cached-only: a read never materializes a view concurrently
         # with a writer; an evicted pin errors and the client re-pins
         view = self.server.snapshot(request["version"], build=False)
         query = request["query"]
         kind = query["kind"]
-        self.reads_served += 1
         if kind == "find":
             obj = view.find(query["name"])
             found = None if obj is None else _view_object_summary(obj)
@@ -444,39 +456,46 @@ class SeedService:
             }
         )
 
-    async def _op_stats(self, request, opened_tokens) -> dict[str, Any]:
+    def _op_stats(self, request, conn) -> dict[str, Any]:
         server = self.server
-        published = server.latest_snapshot()
-        return ok_response(
-            {
+        with conn:  # the session and lock tables hold still
+            published = server.latest_snapshot()
+            result = {
                 "clients": server.clients(),
                 "live_sessions": len(server.sessions),
                 "live_locks": len(server.locks),
                 "checkins_applied": server.checkins_applied,
                 "checkins_rejected": server.checkins_rejected,
                 "maintenance_runs": server.maintenance_runs,
-                "requests_served": self.requests_served,
-                "reads_served": self.reads_served,
+                "maintenance_failures": self.maintenance_failures,
+                "maintenance_error": self.maintenance_error,
                 "published": None if published is None else str(published),
                 "pinned": server.pinned_snapshots(),
             }
-        )
+        with self._counter_lock:
+            result.update(
+                requests_served=self.requests_served,
+                reads_served=self.reads_served,
+                connections_refused=self.connections_refused,
+                ops={
+                    op: {"count": n, "server_s": busy, "lock_wait_s": wait}
+                    for op, (n, busy, wait) in self._op_times.items()
+                },
+            )
+        return ok_response(result)
 
-    # -- background maintenance ----------------------------------------------
+    # -- maintenance between check-ins ---------------------------------------
 
-    def _queue_maintenance(self) -> None:
-        """Queue a compaction pass on the write lock (between check-ins)."""
-        if self._maintenance_task is not None and not self._maintenance_task.done():
-            return  # one pass at a time; the next check-in re-queues
-        self.maintenance_scheduled += 1
-        self._maintenance_task = asyncio.get_running_loop().create_task(
-            self._run_maintenance()
-        )
-
-    async def _run_maintenance(self) -> None:
-        loop = asyncio.get_running_loop()
-        async with self._write_lock:
-            await loop.run_in_executor(None, self.server.maintain)
+    def _maintain(self) -> None:
+        """The pass a check-in made due; a failure is counted, not raised."""
+        with self._write_lock:
+            if self._stopped:
+                return  # the journal is closed; the pass is dropped
+            try:
+                self.server.maintain()
+            except Exception as exc:  # the connection keeps serving
+                self.maintenance_failures += 1
+                self.maintenance_error = f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,8 @@ def test_concurrent_schedule_equals_its_serialization(seed):
         # wait out any maintenance pass still queued behind the lock
         deadline = time.monotonic() + 5
         while (
-            service._maintenance_task is not None
-            and not service._maintenance_task.done()
+            service.maintenance_scheduled
+            > server.maintenance_runs + service.maintenance_failures
             and time.monotonic() < deadline
         ):
             time.sleep(0.01)

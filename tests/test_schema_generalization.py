@@ -276,3 +276,76 @@ class TestCompiledFacts:
         assert data.add_sub_object("Revised").entity_class is thing.dependent("Revised")
         assert not old.entity_class("Data").is_kind_of(thing)
         db.indexes.verify()
+
+
+class TestCheckMemo:
+    """``Schema.check()`` remembers a pass until the schema generation
+    moves; over seeded edit sequences — ill-formed states included — it
+    must raise exactly when a fresh ``validate()`` finds problems."""
+
+    @staticmethod
+    def edit(rng, schema, classes, associations, count):
+        """One random mutator call; a refused one raises SchemaError.
+        Elements are created unregistered and registered by a later
+        edit of their own, so that registering is the only change."""
+        roll = rng.random()
+        if roll < 0.2 or len(classes) < 2:
+            cls = EntityClass(f"C{count}")
+            if classes and rng.random() < 0.5:
+                # its general may be a class the schema does not hold
+                specialize(rng.choice(classes), cls)
+            classes.append(cls)
+        elif roll < 0.3:
+            general = rng.choice(associations) if associations else None
+            if general is not None and rng.random() < 0.5:
+                first, second = (role.target for role in general.roles)
+            else:
+                general, (first, second) = None, rng.sample(classes, 2)
+            association = Association(
+                f"A{count}", Role("a", first, "0..*"), Role("b", second, "0..*")
+            )
+            if general is not None:
+                # its general may be an association the schema lacks
+                specialize(general, association)
+            associations.append(association)
+        elif roll < 0.45:
+            pending = [c for c in classes if c not in schema.classes]
+            schema.add_class(rng.choice(pending or classes))
+        elif roll < 0.55 and associations:
+            pending = [a for a in associations if a not in schema.associations]
+            schema.add_association(rng.choice(pending or associations))
+        elif roll < 0.65:
+            general, special = rng.sample(classes, 2)
+            specialize(general, special)
+        elif roll < 0.75:
+            remove_specialization(rng.choice(classes + associations))
+        elif roll < 0.9:
+            set_covering(rng.choice(classes), rng.random() < 0.7)
+        else:
+            rng.choice(classes).add_dependent(f"D{count}", "0..*")
+
+    def test_memoized_check_raises_exactly_when_validate_finds_problems(self):
+        import random
+
+        from repro.core.schema.schema import Schema
+
+        outcomes = {True: 0, False: 0}
+        for seed in range(12):
+            rng = random.Random(seed)
+            schema = Schema(f"memo{seed}")
+            classes, associations = [], []
+            for count in range(120):
+                try:
+                    self.edit(rng, schema, classes, associations, count)
+                except SchemaError:
+                    pass  # a refused edit leaves the schema as it was
+                for _ in range(2):  # the second call answers from the memo
+                    problems = schema.validate()
+                    if problems:
+                        with pytest.raises(SchemaError, match="ill-formed"):
+                            schema.check()
+                    else:
+                        assert schema.check() is schema
+                outcomes[bool(problems)] += 1
+        # both kinds of state were seen, each many times
+        assert min(outcomes.values()) > 50, outcomes

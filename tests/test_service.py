@@ -1,12 +1,13 @@
 """The wire service: sessions over sockets, MVCC reads, background GC.
 
-These tests run the asyncio service on a background thread and drive it
-with blocking :class:`~repro.multiuser.service.ServiceClient` sockets —
-the same deployment shape as ``repro serve``. The headline property is
-MVCC: a pinned snapshot read completes *while* a check-in is applying
-(the apply runs in a thread executor; the event loop keeps serving
-reads), and a pinned view stays consistent-as-of-pin no matter how many
-check-ins land after it.
+These tests start the service on background threads (one accepting,
+one per connection) and drive it with blocking
+:class:`~repro.multiuser.service.ServiceClient` sockets — the same
+deployment shape as ``repro serve``. The headline property is MVCC: a
+pinned snapshot read completes *while* a check-in is applying (the
+apply holds the write lock on its connection's thread; a reader's
+thread never takes it), and a pinned view stays consistent-as-of-pin no
+matter how many check-ins land after it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import sys
 import threading
 import time
 import warnings
@@ -173,7 +175,7 @@ class TestWireErrors:
 
 
 class TestRequestSizeLimit:
-    """A frame's size is a stated limit, not asyncio's 64 KiB default."""
+    """A frame's size is a stated limit, not a buffer's default."""
 
     def test_large_bulk_check_in_applies_over_the_wire(self, service):
         # 600 objects (a ~77 KB frame) used to reset the connection
@@ -341,7 +343,7 @@ class TestRequestTable:
     def test_requests_are_checked_before_the_write_lock(self, journaled_service):
         service, holder, __ = journaled_service
         lock = service._write_lock
-        asyncio.run_coroutine_threadsafe(lock.acquire(), service._loop).result(5)
+        assert lock.acquire(timeout=5)
         try:
             for frame in (
                 {"op": "connect"},
@@ -355,7 +357,7 @@ class TestRequestTable:
                 # would fail the readline otherwise)
                 assert json.loads(holder._file.readline())["ok"] is False
         finally:
-            service._loop.call_soon_threadsafe(lock.release)
+            lock.release()
         assert holder.renew() > 0
 
 
@@ -513,3 +515,157 @@ class TestBackgroundMaintenance:
                 # compaction pinned every cached snapshot: the reader's
                 # view still answers, consistent as of its pin
                 assert reader.counts() == before
+
+
+class TestThreadPerConnection:
+    """Each connection is served on its own thread: the counters every
+    thread writes stay exact, a failing maintenance pass is counted
+    rather than fatal, the connection cap holds, and a stop leaves no
+    thread or socket behind."""
+
+    def test_counters_are_exact_under_concurrent_clients(self, service):
+        clients = [ServiceClient.for_service(service) for _ in range(4)]
+        clients[0].pin()
+        errors = []
+
+        def hammer(client):
+            try:
+                client.pinned = clients[0].pinned
+                for _ in range(200):
+                    assert client.ping()
+                    assert client.find("Alarms") is not None
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(c,)) for c in clients]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # many more chances to lose an update
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            stats = clients[0].stats()  # counted once its answer is out
+            assert stats["requests_served"] == 1 + 4 * 400
+            assert stats["reads_served"] == 4 * 200
+            assert stats["ops"]["ping"]["count"] == 4 * 200
+            assert stats["ops"]["read"]["count"] == 4 * 200
+        finally:
+            for client in clients:
+                client.close()
+
+    def test_one_pass_per_maintain_every_check_ins_across_writers(self):
+        server = make_server()
+        with SeedService(server, maintain_every=2) as service:
+            def commit(name):
+                with ServiceClient.for_service(service, name) as writer:
+                    for i in range(4):
+                        local = writer.check_out()
+                        local.create_object("Data", f"{name}{i}")
+                        writer.check_in()
+
+            writers = [
+                threading.Thread(target=commit, args=(f"W{n}",))
+                for n in range(2)
+            ]
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in writers)
+            assert server.checkins_applied == 8
+            assert wait_until(lambda: server.maintenance_runs == 4)
+            assert service.maintenance_scheduled == 4
+
+    def test_a_failing_maintenance_pass_is_counted_not_fatal(
+        self, monkeypatch
+    ):
+        server = make_server()
+
+        def broken_maintain():
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(server, "maintain", broken_maintain)
+        with SeedService(server, maintain_every=1) as service:
+            with ServiceClient.for_service(service, "writer") as writer:
+                local = writer.check_out()
+                local.create_object("Data", "BeforeTheFailure")
+                writer.check_in()  # acknowledged before the pass runs
+                # the same connection reads its next frame afterwards
+                assert writer.ping()
+                assert wait_until(
+                    lambda: writer.stats()["maintenance_failures"] == 1
+                )
+                assert writer.stats()["maintenance_error"] == "OSError: disk gone"
+                local = writer.check_out()
+                local.create_object("Data", "AfterTheFailure")
+                writer.check_in()
+            assert server.find_object("AfterTheFailure") is not None
+
+    def test_connections_past_the_cap_get_a_typed_error(
+        self, service, monkeypatch
+    ):
+        from repro.multiuser import protocol
+
+        monkeypatch.setattr(protocol, "MAX_CONNECTIONS", 2)
+        first = ServiceClient.for_service(service, "first")
+        second = ServiceClient.for_service(service, "second")
+        try:
+            with pytest.raises(SeedError, match="too many connections"):
+                ServiceClient.for_service(service, "third")
+            assert first.stats()["connections_refused"] == 1
+            assert service.server.clients() == ["first", "second"]
+            second.close()
+            assert wait_until(lambda: len(service._connections) == 1)
+            with ServiceClient.for_service(service, "fourth") as fourth:
+                assert fourth.ping()
+        finally:
+            first.close()
+            second.close()
+
+    def test_stats_split_a_check_in_into_server_time_and_lock_wait(
+        self, service
+    ):
+        with ServiceClient.for_service(service, "writer") as writer:
+            for expected in (1, 2, 3):
+                local = writer.check_out()
+                local.create_object("Data", f"Split{expected}")
+                writer.check_in()
+                entry = writer.stats()["ops"]["check_in"]
+                assert entry["count"] == expected
+                assert 0 <= entry["lock_wait_s"] <= entry["server_s"]
+            assert writer.stats()["ops"]["check_out"]["count"] == 3
+
+    def test_stop_leaves_no_connection_thread_or_socket(self):
+        service = SeedService(make_server(), maintain_every=0)
+        service.start_in_thread()
+        clients = [ServiceClient.for_service(service, f"c{i}") for i in range(3)]
+        try:
+            assert wait_until(lambda: len(service._connections) == 3)
+            sockets = [conn.sock for conn in service._connections]
+            sockets.append(service._listener)
+            threads = list(service._connections.values())
+            service.stop_in_thread()
+            assert not any(thread.is_alive() for thread in threads)
+            assert not service._acceptor.is_alive()
+            assert all(sock.fileno() == -1 for sock in sockets)
+            assert service._connections == {}
+            assert service.server.clients() == []  # sessions closed
+        finally:
+            for client in clients:
+                client.close()
+
+    def test_dispatch_never_suspends(self):
+        from repro.multiuser.service import _run_to_completion
+
+        async def answer():
+            return 42
+
+        assert _run_to_completion(answer()) == 42
+        with pytest.raises(RuntimeError, match="suspended"):
+            _run_to_completion(asyncio.sleep(0))

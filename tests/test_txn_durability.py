@@ -7,7 +7,6 @@ The crash matrix (:mod:`tests.test_crash_matrix`) covers the
 byte-level recovery sweeps; these tests pin the API behaviour.
 """
 
-import asyncio
 import json
 
 import pytest
@@ -380,10 +379,7 @@ class TestCompactFallback:
 
 class TestGracefulStop:
     def _stop(self, service, **kwargs) -> None:
-        future = asyncio.run_coroutine_threadsafe(
-            service.stop(**kwargs), service._loop
-        )
-        future.result(timeout=30)
+        service.stop(**kwargs)
 
     def test_stop_drains_and_flushes(self, tmp_path):
         server = SeedServer.open(
