@@ -56,9 +56,9 @@ def main() -> None:
         alice_item, bob_item = data_names[0], data_names[1]
         alice_local = alice.check_out(alice_item)
         bob.check_out(bob_item)
+        carol = ServiceClient.for_service(service, "carol")
         try:
-            bob_second = ServiceClient.for_service(service, "carol")
-            bob_second.check_out(alice_item)
+            carol.check_out(alice_item)
         except LockError as exc:
             print(f"carol's conflicting check-out failed fast: {exc}")
 
@@ -109,7 +109,7 @@ def main() -> None:
               f"maintenance runs: {stats['maintenance_runs']}, "
               f"snapshot reads served: {stats['reads_served']}")
 
-        for client in (alice, reader, zombie, loader):
+        for client in (alice, carol, reader, zombie, loader):
             client.close()
 
     # the server object survives the service: global versions and all

@@ -47,7 +47,7 @@ from __future__ import annotations
 import datetime
 from json.encoder import encode_basestring_ascii as _quote
 from typing import (
-    Any, Callable, Collection, Iterable, Iterator, KeysView, NamedTuple, Optional,
+    Any, Callable, Iterable, Iterator, KeysView, NamedTuple, Optional,
 )
 
 from repro.core.bulk import load_item_states, long_lived, wire_item_states
@@ -490,23 +490,34 @@ def _version_json(version: VersionId) -> bytes:
     return _quote(str(version)).encode("ascii")
 
 
-def _cell_entry(version: bytes, state: bytes, materialized: bool) -> bytes:
-    """One entry of a cell's ``states`` list (*version* as
-    :func:`_version_json` writes it, *state* as the kernel encoded it)."""
-    return b'{%b"state":%b,"version":%b}' % (
-        b'"materialized":true,' if materialized else b"", state, version,
+#: what closes a cell's member of an image's ``version_cells`` list and
+#: separates it from the next one: every cell fragment opens with it
+_BETWEEN = b"}]},"
+
+
+def _entry_piece(state: bytes, materialized: bool) -> bytes:
+    """One entry of a cell's ``states`` list up to its version label
+    (*state* as the kernel encoded it)."""
+    return b'{%b"state":%b,"version":' % (
+        b'"materialized":true,' if materialized else b"", state,
     )
 
 
-def _cell_json(key: ItemKey, entries: Iterable[tuple[bytes, bytes, bool]]) -> bytes:
-    """A version-store cell (:func:`_cell_record`) from its entries as
-    ``(version as _version_json, encoded state, materialized)``."""
+def _opened(key: ItemKey, piece: bytes) -> bytes:
+    """The first piece of cell *key*'s fragment: the bytes that close
+    the cell before it, the cell's head and its first entry *piece*."""
     kind, item_id = key
-    return b'{"id":%d,"kind":%b,"states":[%b]}' % (
-        item_id,
-        _KINDS[kind],
-        b",".join([_cell_entry(*entry) for entry in entries]),
+    return b'%b{"id":%d,"kind":%b,"states":[%b' % (
+        _BETWEEN, item_id, _KINDS[kind], piece,
     )
+
+
+def _linked(pieces: list[bytes], labels: list[bytearray]) -> tuple:
+    """A cell fragment (see :class:`ImageFragments`): each of *pieces*
+    followed by the label holder of its entry's delta slot."""
+    fragment = pieces + labels
+    fragment[::2], fragment[1::2] = pieces, labels
+    return tuple(fragment)
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +709,7 @@ def version_delta_from_db(
     """
     store = db.versions.store
     version = _version_json(vid)
+    slot = store._slot_of.get(vid)  # noqa: SLF001
     cells = []
     for key, state, materialized in store.states_at(vid):
         kind, item_id = key
@@ -714,9 +726,9 @@ def version_delta_from_db(
         ))
         if fragments is not None:
             if len(store._cells[key]) == 1:  # noqa: SLF001
-                fragments.keep_cell(key, version, blob, materialized)
+                fragments.keep_cell(key, blob, materialized, slot)
             else:
-                fragments.splice_cell(key, version, blob, materialized)
+                fragments.splice_cell(key, blob, materialized, slot)
     parent = db.versions.tree.parent(vid)
     encode = RecordFile.encode
     return _json_object({
@@ -828,27 +840,30 @@ class ImageFragments:
     """Both kinds of checkpoint image, joined from encoded fragments.
 
     Holds one encoded JSON fragment per object, relationship (keyed by
-    id) and version-store cell (keyed by item key) — exactly the bytes
-    :meth:`RecordFile.encode` gives that member of the
-    :func:`database_to_dict` lists — and nothing else: no frozen state
-    is kept to compare against. A fragment is *filled* where a journal
-    record has just encoded the state (:meth:`keep_item` for every item
-    a ``txn`` or ``restore`` delta carries, :meth:`keep_cell` for every
-    cell a ``version`` delta opens), *extended* where a ``version``
-    delta adds an entry at a cell's end (:meth:`splice_cell`) and where
-    snapshot consolidation does (:meth:`cells_materialized`: the next
-    join encodes only that entry's state), *relabeled* where a
-    compaction fold moves entries to its child version without
-    changing their place in their cells (no state is encoded), and
-    *dropped* wherever state is written otherwise: the writer reports
-    the key (:meth:`item_changed`, :meth:`cell_changed`). A fold that
-    moves a few entries has their labels replaced in the kept bytes at
-    once (:meth:`cells_relabeled`); a fold that renames a large delta
-    (:meth:`cells_renamed`) only records the label change in an alias
-    map and keeps the delta's live index, so a maintenance pass that
-    renames the baseline costs O(1) here. The next join (or a version
-    that takes a label still in the map) relabels each stale fragment
-    once.
+    id) and version-store cell (keyed by item key), and nothing else: no
+    frozen state is kept to compare against. An item's fragment is
+    exactly the bytes :meth:`RecordFile.encode` gives its member of the
+    :func:`database_to_dict` lists. A cell's fragment holds no version
+    label: canonical JSON writes an entry's ``"version"`` member last,
+    so the cell's bytes split cleanly around each label, and the
+    fragment is a tuple of those pieces with, in each label's place, the
+    *label holder* of the entry's delta slot (a ``bytearray`` shared by
+    every fragment naming that slot). Each join first writes every
+    slot's current label into its holder (:attr:`_labels`), so a
+    compaction fold that renames a slot changes no kept byte. A fold
+    that moves entries without reordering their cells frees the slot
+    they left; the join empties a freed slot's holder and relinks the
+    fragments naming it to the holders of the slots their entries moved
+    to, keeping their bytes.
+    A fragment is *filled* where a journal record has just encoded the
+    state (:meth:`keep_item` for every item a ``txn`` or ``restore``
+    delta carries, :meth:`keep_cell` for every cell a ``version`` delta
+    opens), *extended* where a ``version`` delta adds an entry at a
+    cell's end (:meth:`splice_cell`) and where snapshot consolidation
+    does (:meth:`cells_materialized`: the next join encodes only that
+    entry's state), and *dropped* wherever state is written otherwise:
+    the writer reports the key (:meth:`item_changed`,
+    :meth:`cell_changed`).
     A schema migration writes no encoded state: it re-binds each item
     to the element of the same name. A kept item member therefore always
     encodes the item's live state, and a ``version`` delta reads it
@@ -866,32 +881,22 @@ class ImageFragments:
     ``_cell_sink`` (this object).
     """
 
-    __slots__ = (
-        "_objects", "_relationships", "_cells", "_open", "_grown", "_alias",
-        "_sources", "_renamed",
-    )
+    __slots__ = ("_objects", "_relationships", "_cells", "_open", "_grown", "_labels")
 
     def __init__(self) -> None:
         self._objects: dict[int, bytes] = {}
         self._relationships: dict[int, bytes] = {}
-        self._cells: dict[ItemKey, bytes] = {}
+        self._cells: dict[ItemKey, tuple] = {}
         #: fragments of cells that grew at their end by an entry the
         #: ``version`` record (or, for ``_grown``, the next join) has not
         #: spliced on yet
-        self._open: dict[ItemKey, bytes] = {}
-        #: key -> (version label, state) of a materialized entry at the
-        #: end of an open fragment, spliced on at the next join
-        self._grown: dict[ItemKey, tuple[bytes, Any]] = {}
-        #: version label a kept fragment may still hold -> the label of
-        #: the version that entry now sits at (never itself a key)
-        self._alias: dict[bytes, bytes] = {}
-        #: label -> the labels ``_alias`` maps to it
-        self._sources: dict[bytes, list[bytes]] = {}
-        #: the live indexes of renamed deltas, by identity: together
-        #: they hold every key whose fragment may hold a label of
-        #: ``_alias`` (the store drops a key from one only when it
-        #: reports the key's cell changed)
-        self._renamed: dict[int, Collection[ItemKey]] = {}
+        self._open: dict[ItemKey, tuple] = {}
+        #: key -> the state of a materialized entry at the end of an
+        #: open fragment, spliced on at the next join
+        self._grown: dict[ItemKey, Any] = {}
+        #: delta slot -> its label holder: the slot's version id as
+        #: JSON, as of the last join
+        self._labels: dict[int, bytearray] = {}
 
     def item_changed(self, key: ItemKey) -> None:
         """Drop the fragment of a live item whose state may have changed."""
@@ -916,15 +921,12 @@ class ImageFragments:
         elif at_end:
             self._open[key] = fragment
 
-    def cells_materialized(
-        self, grown: list[tuple[ItemKey, Any]], version: VersionId
-    ) -> None:
-        """Snapshot consolidation added an entry at *version* holding
-        the given state at the end of each cell of *grown*: the next
-        join splices it onto the kept fragment, encoding only that
-        state. A cell that changes again before then is encoded whole.
+    def cells_materialized(self, grown: list[tuple[ItemKey, Any]]) -> None:
+        """Snapshot consolidation added an entry holding the given state
+        at the end of each cell of *grown*: the next join splices it
+        onto the kept fragment, encoding only that state. A cell that
+        changes again before then is encoded whole.
         """
-        label = self._fresh(_version_json(version))
         cells, opened, pending = self._cells, self._open, self._grown
         for key, state in grown:
             fragment = cells.pop(key, None)
@@ -933,89 +935,7 @@ class ImageFragments:
                 pending.pop(key, None)
             else:
                 opened[key] = fragment
-                pending[key] = (label, state)
-
-    def cells_relabeled(
-        self, keys: Iterable[ItemKey], version: VersionId, into: VersionId
-    ) -> None:
-        """A fold moved the entry at *version* of each of *keys* to
-        *into*, keeping its place in the cell: replace the entry's
-        ``,"version":"<version>"}`` with *into*'s label in the kept
-        fragment (see :func:`_relabeler`), and point every alias of
-        *version* at *into*. An open fragment is dropped, as
-        :meth:`cell_changed` drops it.
-        """
-        old, new = self._moved(version, into)
-        old, new = b',"version":%b}' % old, b',"version":%b}' % new
-        cells = self._cells
-        for key in keys:
-            fragment = cells.get(key)
-            if fragment is None:
-                self._open.pop(key, None)
-                self._grown.pop(key, None)
-            else:
-                cells[key] = fragment.replace(old, new, 1)
-
-    def cells_renamed(
-        self, keys: Collection[ItemKey], version: VersionId, into: VersionId
-    ) -> None:
-        """A fold gave *version*'s whole delta to *into*: *keys* is the
-        live index of the renamed delta (it holds *into*'s own keys
-        too). Record the label change and keep *keys*, whose fragments
-        may now hold a stale label; each is relabeled once, at the next
-        join, and nothing is rewritten now. A delta renamed again is
-        kept once. A small delta is relabeled at once, as
-        :meth:`cells_relabeled` does."""
-        if len(keys) <= _RELABEL_AT_ONCE:
-            self.cells_relabeled(keys, version, into)
-            return
-        old, new = self._moved(version, into)
-        self._alias[old] = new
-        self._sources.setdefault(new, []).append(old)
-        self._renamed[id(keys)] = keys
-        if len(self._alias) > _ALIAS_LIMIT:
-            self._settle()
-
-    def _moved(self, version: VersionId, into: VersionId) -> tuple[bytes, bytes]:
-        """The labels of a fold of *version* into *into*, after every
-        alias that named *version* was pointed at *into*."""
-        old = self._fresh(_version_json(version))
-        new = self._fresh(_version_json(into))
-        sources = self._sources.pop(old, None)
-        if sources:
-            for source in sources:
-                self._alias[source] = new
-            self._sources.setdefault(new, []).extend(sources)
-        return old, new
-
-    def _fresh(self, label: bytes) -> bytes:
-        """A version *label* about to be written or moved, once no kept
-        fragment holds it as an alias of another version's label (a
-        label re-used after a fold: the aliases are applied first)."""
-        if self._alias and label in self._alias:
-            self._settle()
-        return label
-
-    def _settle(self) -> None:
-        """Splice every materialized entry onto its open fragment, then
-        relabel every stale fragment through the aliases, once."""
-        opened, cells = self._open, self._cells
-        for key, (label, state) in self._grown.items():
-            cells[key] = _spliced(opened.pop(key), _cell_entry(
-                label, _encode_state(key[0], state)[0], True
-            ))
-        self._grown.clear()
-        if self._alias:
-            relabel = _relabeler(self._alias)
-            stale: set[ItemKey] = set()
-            for keys in self._renamed.values():
-                stale.update(keys)
-            for table in (cells, opened):
-                for key in stale.intersection(table):
-                    table[key] = relabel(table[key])
-            self._alias.clear()
-            self._sources.clear()
-            self._renamed.clear()
+                pending[key] = state
 
     def keep_item(self, kind: str, item_id: int, state: bytes, split: int) -> None:
         """Keep the member of an item whose current state a record has
@@ -1025,27 +945,35 @@ class ImageFragments:
         )
 
     def keep_cell(
-        self, key: ItemKey, version: bytes, state: bytes, materialized: bool
+        self, key: ItemKey, state: bytes, materialized: bool, slot: int
     ) -> None:
-        """Keep a cell whose one entry — the encoded *state* at
-        *version* (as :func:`_version_json` writes it) — a record has
-        just encoded."""
-        self._cells[key] = _cell_json(key, ((self._fresh(version), state, materialized),))
+        """Keep a cell whose one entry — the encoded *state*, in delta
+        *slot* — a record has just encoded."""
+        piece = _entry_piece(state, materialized)
+        self._cells[key] = (_opened(key, piece), self._label(slot))
 
     def splice_cell(
-        self, key: ItemKey, version: bytes, state: bytes, materialized: bool
+        self, key: ItemKey, state: bytes, materialized: bool, slot: int
     ) -> None:
         """Extend the fragment of a cell that grew at its end by the
-        entry a record has just encoded (*version* as
-        :func:`_version_json` writes it). A cell not open keeps no
-        fragment: the next save point encodes it."""
-        version = self._fresh(version)
+        entry a record has just encoded, in delta *slot*. A cell not
+        open keeps no fragment: the next save point encodes it."""
         self._grown.pop(key, None)
         fragment = self._open.pop(key, None)
         if fragment is not None:
-            self._cells[key] = _spliced(
-                fragment, _cell_entry(version, state, materialized)
-            )
+            piece = _entry_piece(state, materialized)
+            self._cells[key] = self._spliced(fragment, piece, slot)
+
+    def _spliced(self, fragment: tuple, piece: bytes, slot: int) -> tuple:
+        """*fragment* with the entry *piece*, in delta *slot*, added at its end."""
+        return (*fragment, b"}," + piece, self._label(slot))
+
+    def _label(self, slot: int) -> bytearray:
+        """The label holder of delta *slot* (filled at the next join)."""
+        label = self._labels.get(slot)
+        if label is None:
+            label = self._labels[slot] = bytearray()
+        return label
 
     def state_of(self, kind: str, item_id: int) -> Optional[bytes]:
         """The encoded live state of an item whose member is kept (the
@@ -1053,15 +981,12 @@ class ImageFragments:
         member = (self._objects if kind == "o" else self._relationships).get(item_id)
         return None if member is None else _unspliced(kind, item_id, member)
 
-    def _lists(self, db: SeedDatabase) -> tuple[list[bytes], ...]:
-        """The fragments of *db*'s objects, relationships and cells in
-        image order, encoding only the missing ones."""
+    def _lists(self, db: SeedDatabase) -> tuple[list[bytes], list[bytes], list]:
+        """The fragments of *db*'s objects and relationships in image
+        order, and the pieces of all its cells' fragments in image order
+        (see :meth:`_cell_fragments`), encoding only the missing ones."""
         objects = db._objects  # noqa: SLF001
         relationships = db._relationships  # noqa: SLF001
-        store = db.versions.store
-        self._settle()
-        # a cell still open was not spliced by its version's record
-        self._open.clear()
         return (
             _cached(
                 self._objects, objects.keys(),
@@ -1071,18 +996,56 @@ class ImageFragments:
                 self._relationships, relationships.keys(),
                 lambda rid: _live_member("r", rid, relationships[rid]),
             ),
-            _cached(
-                self._cells, store.keys(),
-                lambda key: _cell_json(key, [
-                    (
-                        _version_json(version),
-                        _encode_state(key[0], state)[0],
-                        materialized,
-                    )
-                    for version, state, materialized in store.entries_of(key)
-                ]),
-            ),
+            self._cell_fragments(db.versions.store),
         )
+
+    def _cell_fragments(self, store: VersionStore) -> list:
+        """The pieces of every cell fragment of *store* in image order,
+        their label holders holding the current labels; fragments of
+        cells that left the store are dropped."""
+        labels, versions = self._labels, store._version_of  # noqa: SLF001
+        freed = labels.keys() - versions.keys()
+        for slot in freed:
+            labels.pop(slot).clear()
+        for slot, version in versions.items():
+            self._label(slot)[:] = _version_json(version)
+        rank = {slot: version.parts for slot, version in versions.items()}
+        cells, cache, opened = store._cells, self._cells, self._open  # noqa: SLF001
+        for key, state in self._grown.items():
+            piece = _entry_piece(_encode_state(key[0], state)[0], True)
+            cache[key] = self._spliced(
+                opened.pop(key), piece, max(cells[key], key=rank.__getitem__)
+            )
+        self._grown.clear()
+        # a cell still open was not spliced by its version's record
+        opened.clear()
+        if freed:
+            # an emptied holder names a freed slot: the entry moved
+            for key, fragment in cache.items():
+                if b"" in fragment and key in cells:
+                    slots = sorted(cells[key], key=rank.__getitem__)
+                    cache[key] = _linked(
+                        list(fragment[::2]), [labels[slot] for slot in slots]
+                    )
+        pieces: list = []
+        add, kept = pieces.extend, cache.get
+        for key in cells:
+            fragment = kept(key)
+            if fragment is None:
+                first, *rest = [
+                    _entry_piece(_encode_state(key[0], state)[0], materialized)
+                    for __, state, materialized in store.entries_of(key)
+                ]
+                # "}," ends the entry before
+                fragment = cache[key] = _linked(
+                    [_opened(key, first), *[b"}," + piece for piece in rest]],
+                    [labels[slot] for slot in sorted(cells[key], key=rank.__getitem__)],
+                )
+            add(fragment)
+        if len(cache) > len(cells):
+            for gone in cache.keys() - cells.keys():
+                del cache[gone]
+        return pieces
 
     def encode(self, db: SeedDatabase) -> bytes:
         """The payload of *db*'s monolithic ``image`` record.
@@ -1091,9 +1054,14 @@ class ImageFragments:
         would copy it again.
         """
         encode = RecordFile.encode
+        objects, relationships, cells = self._lists(db)
         image = {key: [encode(value)] for key, value in _image_header(db).items()}
-        for name, blobs in zip(_ITEM_LISTS, self._lists(db)):
+        for name, blobs in (("objects", objects), ("relationships", relationships)):
             image[name] = [b"[", b",".join(blobs), b"]"]
+        # each cell opens with what closes the one before it
+        image["version_cells"] = [
+            b"[", memoryview(b"".join(cells))[len(_BETWEEN):], b"}]}]"
+        ] if cells else [b"[]"]
         pieces = [b'{"image":{']
         for key in sorted(image):
             pieces += (encode(key), b":", *image[key], b",")
@@ -1108,7 +1076,8 @@ class ImageFragments:
         ``{"kind": "image.end", "cp": cp, "n": count}``. Each record is
         wrapped once; an item's state is cut out of its kept member
         through a ``memoryview`` (as :func:`_unspliced` finds it)."""
-        objects, relationships, cells = self._lists(db)
+        objects, relationships, __ = self._lists(db)
+        cells = db.versions.store.keys()
         rec = b'{"cp":%d,"kind":"image.rec","rec":' % cp
         yield b'{"cp":%d,"kind":"image.begin"}' % cp
         # the header is encoded afresh at every save point: it is the
@@ -1126,55 +1095,16 @@ class ImageFragments:
                 yield b'%b%d,"s":%b%b}}' % (
                     head, item_id, view[:at], view[at + len(tag):],
                 )
-        for cell in cells:
-            yield b'%b{"c":%b}}' % (rec, cell)
+        cut = len(_BETWEEN)
+        for key in cells:
+            cell = memoryview(b"".join(self._cells[key]))
+            yield b'%b{"c":%b}]}}}' % (rec, cell[cut:])
         yield b'%b{"end":{"c":%d,"o":%d,"r":%d}}}' % (
             rec, len(cells), len(objects), len(relationships)
         )
         yield b'{"cp":%d,"kind":"image.end","n":%d}' % (
             cp, len(objects) + len(relationships) + len(cells) + 2
         )
-
-
-def _spliced(fragment: bytes, entry: bytes) -> bytes:
-    """A cell fragment with *entry* added as its last entry (before
-    the closing ``]}``)."""
-    return b"%b,%b]}" % (memoryview(fragment)[:-2], entry)
-
-
-#: a renamed delta of at most this many keys is relabeled key by key
-_RELABEL_AT_ONCE = 256
-#: aliases ``ImageFragments`` records before it relabels its stale
-#: fragments without waiting for a join (a server that never takes a
-#: save point renames its baseline on every maintenance pass)
-_ALIAS_LIMIT = 64
-
-
-def _relabeler(alias: dict[bytes, bytes]) -> Callable[[bytes], bytes]:
-    """A function that gives a cell fragment every entry's version
-    label that *alias* names (old label -> new label).
-
-    An entry's label is its ``,"version":<label>}`` tag: the tag occurs
-    once per entry, as its last member — a quote inside an escaped
-    string never follows a comma — and a cell holds one entry per
-    version. One alias is one ``bytes.replace``; more split the
-    fragment at its tags."""
-    if len(alias) == 1:
-        ((old, new),) = alias.items()
-        old, new = b',"version":%b}' % old, b',"version":%b}' % new
-        return lambda fragment: fragment.replace(old, new, 1)
-
-    def relabel(fragment: bytes) -> bytes:
-        pieces = fragment.split(b',"version":')
-        for index in range(1, len(pieces)):
-            piece = pieces[index]
-            end = piece.index(b"}")
-            new = alias.get(piece[:end])
-            if new is not None:
-                pieces[index] = new + piece[end:]
-        return b',"version":'.join(pieces)
-
-    return relabel
 
 
 def _cached(cache: dict, keys: KeysView, encode: Callable[[Any], bytes]) -> list:

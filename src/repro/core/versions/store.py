@@ -46,12 +46,12 @@ again. A writer that only adds an entry which sorts after every other
 entry of its cell (``record_many``, nearly always) says the cell *grew
 at its end*: its fragment can be extended by the ``version`` record
 rather than encoded again. Snapshot consolidation reports the entries
-it adds at a cell's end in one call (``cells_materialized``). A fold
-that moves entries to the child's version without changing their place
-in their cells' version order reports them in one call: moved entries
-as *relabeled* (``cells_relabeled``, the moved keys), a renamed slot as
-*renamed* (``cells_renamed``, the slot's whole index): only the
-entries' version label changed.
+it adds at a cell's end in one call (``cells_materialized``). A kept
+fragment holds no version label: the image join writes each entry's
+label from :attr:`_version_of`, in :meth:`entries_of` order. So a fold
+that renames a slot, or moves entries without changing their place in
+their cells' version order, reports nothing: no entry's state, flag or
+place changed, only its label.
 
 Compaction support (see :mod:`repro.core.versions.compaction`): a
 version may be marked as a **snapshot** — it then holds the *complete*
@@ -259,7 +259,7 @@ class VersionStore:
                 else:
                     sink.cell_changed(key)
         if grown:
-            sink.cells_materialized(grown, version)
+            sink.cells_materialized(grown)
         if not at_version:
             self._release(slot)
         self._snapshots.add(version)
@@ -313,9 +313,8 @@ class VersionStore:
         those few versions are found first, and only their keys are
         checked. The cell sink hears of a discarded entry (which may
         flip the surviving entry's flag) and of a reordering move as a
-        change, and of every other moved entry in one call: the moved
-        keys (``cells_relabeled``) or the renamed slot's index
-        (``cells_renamed``).
+        change, and of nothing else: every other moved entry keeps its
+        state, flag and place, and a kept fragment holds no label.
         """
         if version in self._snapshots:
             self._snapshots.discard(version)
@@ -331,10 +330,9 @@ class VersionStore:
             slot for other, slot in self._slot_of.items() if low < other.parts < high
         ]
         if len(folded) > len(at_into):
-            return self._rename(source, folded, target, at_into, between, version, into)
+            return self._rename(source, folded, target, at_into, between, into)
         cells = self._cells
-        changed: list[ItemKey] = []
-        relabeled: list[ItemKey] = []
+        sink = self._cell_sink
         discarded = 0
         for key, materialized in folded.items():
             cell = cells[key]
@@ -346,20 +344,13 @@ class VersionStore:
                     # entry was merely materialized, it now records that
                     # change (same state: nothing sat between the two)
                     at_into[key] = False
-                changed.append(key)
-                continue
-            if between and any(slot in cell for slot in between):
-                changed.append(key)
             else:
-                relabeled.append(key)
-            cell[target] = state
-            at_into[key] = materialized
-        sink = self._cell_sink
-        if sink is not None:
-            for key in changed:
+                cell[target] = state
+                at_into[key] = materialized
+                if not (between and any(slot in cell for slot in between)):
+                    continue
+            if sink is not None:
                 sink.cell_changed(key)
-            if relabeled:
-                sink.cells_relabeled(relabeled, version, into)
         return len(folded) - discarded, discarded
 
     def _rename(
@@ -369,12 +360,13 @@ class VersionStore:
         target: Optional[int],
         at_into: dict[ItemKey, bool],
         between: list[int],
-        version: VersionId,
         into: VersionId,
     ) -> tuple[int, int]:
-        """The fold of a larger delta: *into* takes *version*'s slot
-        *source* (whose index *folded* was released), and *into*'s own
-        states, at *target*, move into it."""
+        """The fold of a larger delta: *into* takes the folded version's
+        slot *source* (whose index *folded* was released), and *into*'s
+        own states, at *target*, move into it. Only the keys of
+        discarded and reordered entries are reported to the cell sink:
+        the rename itself changes no kept byte."""
         cells = self._cells
         # a moved entry reorders its cell when an entry between the two
         # labels shares it (*into*'s own states stay where they are)
@@ -405,7 +397,6 @@ class VersionStore:
         if sink is not None:
             for key in changed:
                 sink.cell_changed(key)
-            sink.cells_renamed(folded, version, into)
         return moved, discarded
 
     # -- reading ----------------------------------------------------------------

@@ -28,6 +28,7 @@ from typing import Callable
 from repro.core import SeedDatabase, figure3_schema
 from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict
 from repro.core.versions.compaction import RetentionPolicy
+from repro.core.versions.version_id import VersionId
 from repro.multiuser import SeedServer
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -252,6 +253,55 @@ def maintain_history(path: Path) -> JournaledDatabase:
     return server.journal
 
 
+def relabel_history(path: Path) -> JournaledDatabase:
+    """Folds that move cell entries between versions, then a checkpoint
+    of both kinds; no join runs between the first fold and the save
+    point.
+
+    The baseline 1.0 holds 265 keys. The first pass moves the small
+    2.0 into 3.0 and renames the baseline's delta 3.0. The squashed
+    label 1.0 is then taken by a new child of 3.0, and 2.0 by its
+    child. The second pass (1.0 pinned) renames the baseline's delta
+    1.0, which reorders a cell with an entry at 2.0 and none at 1.0;
+    the third renames it 5.0 and moves the small 2.0 into 5.0. The
+    fourth folds the baseline into 6.0, which deletes its 240 bulk
+    objects, and tombstone collection drops them, so the save point (a
+    monolithic image, the file compacted to it) and the streamed
+    checkpoint after it stay small."""
+    rng = random.Random(7)
+    journal = open_journal(path)
+    db = journal.db
+    with db.transaction():
+        _populate(db, rng, 6)
+        bulk = [db.create_object("Data", f"B{index}") for index in range(240)]
+    db.create_version()  # 1.0, the baseline
+    for round_ in range(2):
+        _edit(db, rng, round_, 2 + round_)
+        db.create_version()  # 2.0, 3.0
+    db.compact(RetentionPolicy(squash_chains=True, keep_last=1))
+    _edit(db, rng, 2, 3)
+    db.create_version("1.0")
+    _edit(db, rng, 3, 3)
+    db.create_version()  # 2.0
+    db.compact(RetentionPolicy(
+        squash_chains=True, keep_last=1, pins=frozenset({VersionId.parse("1.0")}),
+    ))
+    _edit(db, rng, 4, 2)
+    db.create_version("5.0")
+    db.compact(RetentionPolicy(squash_chains=True, keep_last=1))
+    with db.transaction():
+        for obj in bulk:
+            db.delete(obj)
+    db.create_version()  # 6.0
+    db.compact(RetentionPolicy(squash_chains=True, keep_last=1, gc_tombstones=True))
+    journal.save_point()
+    _edit(db, rng, 5, 3)
+    db.create_version()
+    journal.checkpoint(streamed=True)
+    _edit(db, rng, 6, 2)
+    return journal
+
+
 HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
     "txn": txn_history,
     "version": version_history,
@@ -259,6 +309,7 @@ HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
     "image": image_history,
     "streamed": streamed_history,
     "maintain": maintain_history,
+    "relabel": relabel_history,
 }
 
 

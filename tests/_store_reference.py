@@ -36,8 +36,7 @@ class PerKeyStore:
         #: keeps listing real changes only
         self._by_version: dict[VersionId, dict[ItemKey, bool]] = {}
         #: told of every cell a writer changes — ``cell_changed(key,
-        #: at_end=False)`` per key, ``cells_relabeled(keys, version,
-        #: into)`` once per fold; None unless a journal keeps encoded
+        #: at_end=False)`` per key; None unless a journal keeps encoded
         #: cells (its ImageFragments)
         self._cell_sink: Optional[Any] = None
 
@@ -200,19 +199,18 @@ class PerKeyStore:
         Returns ``(moved, discarded)``. A snapshot mark on *version*
         transfers to *into* (the fold makes *into* cover the chain).
 
-        The cell sink hears of a moved entry that keeps its place in its
-        cell's version order — always so in a one-entry cell — as
-        *relabeled*, in one call for the whole fold: the entry's state
-        and flag are what they were. A discarded entry (which may flip
-        the surviving entry's flag) or a move that reorders the cell is
-        a change.
+        The cell sink hears of a discarded entry (which may flip the
+        surviving entry's flag) and of a move that reorders the cell as
+        a change. A moved entry that keeps its place in its cell's
+        version order — always so in a one-entry cell — is not reported:
+        its state and flag are what they were, and a kept fragment
+        holds no version label.
         """
         moved = 0
         discarded = 0
         folded = self._by_version.pop(version, {})
         at_into = self._by_version.setdefault(into, {}) if folded else {}
         changed: list[ItemKey] = []
-        relabeled: list[ItemKey] = []
         low, high = sorted((version.parts, into.parts))
         for key, materialized in folded.items():
             cell = self._cells[key]
@@ -230,16 +228,12 @@ class PerKeyStore:
                 # reorders the cell
                 if cell and any(low < other.parts < high for other in cell):
                     changed.append(key)
-                else:
-                    relabeled.append(key)
                 cell[into] = state
                 at_into[key] = materialized
                 moved += 1
         if self._cell_sink is not None:
             for key in changed:
                 self._cell_sink.cell_changed(key)
-            if relabeled:
-                self._cell_sink.cells_relabeled(relabeled, version, into)
         if version in self._snapshots:
             self._snapshots.discard(version)
             self._snapshots.add(into)

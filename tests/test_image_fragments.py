@@ -41,6 +41,7 @@ still the same record.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from collections import Counter
@@ -68,7 +69,6 @@ from repro.core.storage.serialize import (
     _cell_record,
     _object_record,
     _relationship_record,
-    _relabeler,
     iter_image_records,
     version_delta_from_db,
 )
@@ -114,13 +114,16 @@ def stale_fragments(journal) -> list:
     """Every cached fragment that differs from its from-scratch encode.
 
     Fragments of items or cells that left the database are not judged:
-    the next join drops them. A cell fragment a fold renamed is judged
-    with the relabel the next join gives it.
+    the next join drops them. A cell fragment holds no version label,
+    so each kept one is judged as the next join writes it (a join on a
+    copy: the real one would also fill the missing fragments).
     """
     fragments, db = journal._fragments, journal.db  # noqa: SLF001
-    relabel = _relabeler(fragments._alias) if fragments._alias else None  # noqa: SLF001
-    renamed = set().union(*fragments._renamed.values())  # noqa: SLF001
     store = db.versions.store
+    joined = copy.deepcopy(fragments)
+    joined._lists(db)  # noqa: SLF001
+    # each cell fragment opens with what closes the cell before it
+    joined = {key: b"".join(joined._cells[key])[4:] + b"}]}" for key in store.keys()}  # noqa: SLF001
     tables = [
         ("o", fragments._objects, db._objects, _object_record),  # noqa: SLF001
         ("r", fragments._relationships, db._relationships, _relationship_record),  # noqa: SLF001
@@ -133,10 +136,8 @@ def stale_fragments(journal) -> list:
     ]
     stale += [
         key
-        for key, blob in fragments._cells.items()  # noqa: SLF001
-        if key in store.keys() and (
-            relabel(blob) if relabel and key in renamed else blob
-        ) != RecordFile.encode(_cell_record(store, key))
+        for key in fragments._cells  # noqa: SLF001
+        if key in joined and joined[key] != RecordFile.encode(_cell_record(store, key))
     ]
     return stale
 
@@ -835,7 +836,7 @@ def test_the_streamed_checkpoint_frames_are_the_oracle_group(tmp_path):
     db.create_object("Data", "AfterTheCheckpoint")
     journal.checkpoint(streamed=True)
     assert written_base(journal) == streamed_group(db, journal._base.cp)  # noqa: SLF001
-    # a compaction between two streamed checkpoints: folds relabel or
+    # a compaction between two streamed checkpoints: folds keep or
     # drop the kept cells, and the next group is the oracle's
     for __ in range(2):
         for __ in range(6):
@@ -851,7 +852,7 @@ def test_the_streamed_checkpoint_frames_are_the_oracle_group(tmp_path):
     assert full_image(reopened.db) == full_image(db)
 
 
-# -- a fold relabels the cells it moves without reordering ----------------
+# -- a fold keeps the fragments of the cells it moves without reordering --
 
 
 def test_a_save_point_after_folding_the_baseline_encodes_no_state(
@@ -859,8 +860,8 @@ def test_a_save_point_after_folding_the_baseline_encodes_no_state(
 ):
     """Compaction folds the ingested baseline into its child, whose
     version added new items only: every moved entry is the one entry of
-    its cell, so the fold relabels each kept fragment and the next save
-    point, streamed or monolithic, encodes no state."""
+    its cell, so the fold keeps each fragment and the next save point,
+    streamed or monolithic, encodes no state."""
     journal = JournaledDatabase.open(
         tmp_path / "spec.seed", schema=spades_schema(), name="spec"
     )
@@ -969,10 +970,11 @@ def _branch_that_reorders(db) -> None:
 def test_a_fold_relabels_a_cell_it_keeps_in_order_and_drops_the_rest(
     tmp_path, encode_spy, build, encoded, materialized
 ):
-    """A moved entry that keeps its place is relabeled in the kept
-    bytes: the save point encodes no state of its cell. A discarded
-    entry, a flipped materialized flag and a reordered cell drop the
-    fragment: the save point encodes exactly that cell's states."""
+    """A moved entry that keeps its place keeps its cell's fragment
+    (which holds no label): the save point encodes no state of its
+    cell. A discarded entry, a flipped materialized flag and a
+    reordered cell drop the fragment: the save point encodes exactly
+    that cell's states."""
     journal = _fold_case(tmp_path, build)
     db = journal.db
     assert stale_fragments(journal) == []

@@ -25,7 +25,6 @@ import pytest
 from _store_reference import PerKeyStore, collect_tombstones_full_walk
 from repro.core import SeedDatabase, figure3_schema
 from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict, load_database
-from repro.core.storage import serialize
 from repro.core.objects import ObjectState
 from repro.core.versions.compaction import Compactor, RetentionPolicy
 from repro.core.versions.store import VersionStore
@@ -208,7 +207,7 @@ class Twins:
         assert live.snapshot_versions() == ref.snapshot_versions(), where
         assert live.stored_state_count() == ref.stored_state_count(), where
         assert self.drops[0] == self.drops[1], f"{where}: tombstone drops"
-        # the join on a copy: a real join would settle the aliases
+        # the join on a copy: a real join would fill the missing fragments
         fragments = copy.deepcopy(self.journal._fragments)  # noqa: SLF001
         assert fragments.encode(self.live) == full_image(self.live), where
 
@@ -290,15 +289,7 @@ def test_store_operations_equal_the_per_key_store(seed):
         _same_store(store, reference, where)
 
 
-@pytest.fixture
-def lazy_relabels(monkeypatch):
-    """Every renamed delta takes the alias path (however small), and
-    few aliases are kept before they are applied."""
-    monkeypatch.setattr(serialize, "_RELABEL_AT_ONCE", 0)
-    monkeypatch.setattr(serialize, "_ALIAS_LIMIT", 3)
-
-
-def test_the_slot_store_equals_the_per_key_reference(tmp_path, lazy_relabels):
+def test_the_slot_store_equals_the_per_key_reference(tmp_path):
     """Eight seeded histories, checked after every step. Between them,
     folds rename a larger delta and move a smaller one past an entry
     between the two labels, a squashed label is used again, compaction
@@ -366,18 +357,9 @@ class CountingSink:
         self.keys += 1
         self.fragments.cell_changed(key, at_end)
 
-    def cells_relabeled(self, keys, version, into):
-        self.keys += len(keys)
-        self.fragments.cells_relabeled(keys, version, into)
-
-    def cells_materialized(self, grown, version):
+    def cells_materialized(self, grown):
         self.keys += len(grown)
-        self.fragments.cells_materialized(grown, version)
-
-    def cells_renamed(self, keys, version, into):
-        # a renamed delta is handed over as its live index, not key by
-        # key: the fragments keep the reference until their next join
-        self.fragments.cells_renamed(keys, version, into)
+        self.fragments.cells_materialized(grown)
 
 
 def _entries(store) -> set:
@@ -425,3 +407,41 @@ def test_a_maintenance_pass_does_not_grow_with_the_master(tmp_path):
     assert [cost[:2] for cost in small] == [cost[:2] for cost in large]
     assert all(s[2] + 1500 <= l[2] for s, l in zip(small, large)), (small, large)
     assert max(cost[0] for cost in large) < 200
+
+
+def test_a_maintenance_pass_rewrites_no_kept_cell_fragment(tmp_path):
+    """A pass that renames a baseline delta of 2 000 keys reports none
+    of them, and the next join writes their labels without touching a
+    kept fragment: every fragment the pass kept is the same object after
+    the join as before the pass."""
+    server = _server(tmp_path, 2000)
+    db = server.master
+    fragments = server.journal._fragments  # noqa: SLF001
+    client = server.connect("writer")
+    for number in range(8):
+        local = client.check_out(f"A{number}")
+        local.set_value(local.get_object(f"A{number}.Description"), f"check-in {number}")
+        client.check_in()
+        server.publish_snapshot()
+    server.journal.checkpoint()
+    before = dict(fragments._cells)  # noqa: SLF001
+    renamed = []
+    real = VersionStore._rename  # noqa: SLF001
+
+    def rename(self, source, folded, *args):
+        renamed.append(len(folded))
+        return real(self, source, folded, *args)
+
+    with mock.patch.object(VersionStore, "_rename", rename):
+        server.maintain()
+    assert renamed and max(renamed) >= 2000, renamed
+    kept = {key: before[key] for key in fragments._cells}  # noqa: SLF001
+    assert len(kept) >= 1990
+    server.journal.checkpoint(streamed=True)
+    rewritten = [
+        key for key, fragment in kept.items()
+        if fragments._cells[key] is not fragment  # noqa: SLF001
+    ]
+    assert rewritten == []
+    assert fragments.encode(db) == full_image(db)
+    server.journal.close()

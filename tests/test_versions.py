@@ -171,9 +171,6 @@ class SinkLog:
     def cell_changed(self, key, at_end=False) -> None:
         self.heard.append((key, at_end))
 
-    def cells_relabeled(self, keys, version, into) -> None:
-        self.heard.append(("relabeled", list(keys), version, into))
-
 
 def record_one(store, version, key, state) -> None:
     """The per-state reference for ``record_many``: one state, with
