@@ -36,14 +36,7 @@ brute-force baselines of the earlier sections are infeasible there —
 and the PR-9 scenario ``durability_txn``: making one *direct*
 transaction durable via the post-commit write-ahead txn delta
 (O(change)) versus the only pre-PR-9 mechanism for direct mutations,
-a checkpoint per transaction (O(database)) — and the PR-10 scenario
-``durability_group_commit``: a hot loop of committed direct
-transactions under :class:`~repro.core.storage.engine.
-GroupCommitPolicy` batching (one fsync per drained batch) against the
-strict per-commit-fsync default, plus the peak traced memory of a
-streamed ``checkpoint(streamed=True)`` (schema header and per-item
-records framed straight off the item tables) against the monolithic
-full-image dict — and the PR-14 scenario ``selective_join``: a
+a checkpoint per transaction (O(database)) — and the PR-14 scenario ``selective_join``: a
 name-prefix selection on a role column and a three-way chain written
 worst-first, the planner's name-index and incidence-index reads
 (``IndexJoin``) against the eager algebra's scans — and the PR-15
@@ -1260,92 +1253,6 @@ def bench_durability_txn(size: int, repeats: int) -> dict:
         }
 
 
-def bench_durability_group_commit(size: int, repeats: int) -> dict:
-    """Group commit: one fsync per batch vs one fsync per commit.
-
-    The PR-10 scenario. A journal-bound database with ``size`` objects
-    runs a hot loop of 1 000 committed single-object transactions (200
-    at the small tier), once under the strict default (every commit
-    appends and fsyncs its own ``txn`` record before returning) and
-    once under :class:`~repro.core.storage.engine.GroupCommitPolicy`
-    batching (records buffer until ``max_txns``/``max_bytes``/
-    ``max_delay_s``, then one ``append_many`` — one fsync — drains the
-    batch; the loop ends with an explicit ``flush()`` so both variants
-    finish fully durable). The speedup is the price of per-commit
-    durability, which group commit trades for a bounded loss window.
-
-    The same section also measures streamed checkpoint images: peak
-    traced memory (``tracemalloc``) of one monolithic
-    ``checkpoint()`` — which materializes the full image dict before
-    framing — against one ``checkpoint(streamed=True)``, which frames
-    schema header and per-item records straight off
-    :func:`~repro.core.storage.serialize.iter_image_records`.
-    """
-    import tempfile
-    import tracemalloc
-
-    from repro.core.storage import GroupCommitPolicy, JournaledDatabase
-
-    commits = 1_000 if size >= 10_000 else 200
-
-    def open_journal(tmp: str, policy):
-        journal = JournaledDatabase.open(
-            Path(tmp) / "gc.seed",
-            schema=harness_schema(),
-            name=f"gc-{size}",
-            group_commit=policy,
-        )
-        with journal.suspended_txn_sink():  # setup is not the workload
-            journal.db.bulk_load(
-                [{"class": "Note", "name": f"Note{i}"} for i in range(size)],
-                [],
-            )
-        return journal
-
-    def hot_loop(policy) -> tuple[float, int]:
-        with tempfile.TemporaryDirectory(prefix="seed-bench-") as tmp:
-            journal = open_journal(tmp, policy)
-            db = journal.db
-            started = time.perf_counter()
-            for i in range(commits):
-                with db.transaction():
-                    db.create_object("Note", f"Hot{i}")
-            journal.flush()  # end the loop fully durable in both modes
-            return time.perf_counter() - started, journal.group_flushes
-
-    policy = GroupCommitPolicy(
-        max_txns=128, max_bytes=1 << 20, max_delay_s=10.0
-    )
-    few = max(2, repeats // 3)
-    strict_s = min(hot_loop(None)[0] for _ in range(few))
-    batched = [hot_loop(policy) for _ in range(few)]
-    batched_s = min(elapsed for elapsed, __ in batched)
-
-    with tempfile.TemporaryDirectory(prefix="seed-bench-") as tmp:
-        journal = open_journal(tmp, None)
-        tracemalloc.start()
-        journal.checkpoint()
-        mono_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        journal.checkpoint(streamed=True)
-        streamed_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-
-    return {
-        "objects": size,
-        "commits": commits,
-        "fsyncs_batched": batched[0][1],
-        "bruteforce_s": strict_s,
-        "indexed_s": batched_s,
-        "speedup": round(strict_s / batched_s, 1) if batched_s else None,
-        "checkpoint_peak_bytes": mono_peak,
-        "streamed_checkpoint_peak_bytes": streamed_peak,
-        "checkpoint_memory_ratio": (
-            round(mono_peak / streamed_peak, 1) if streamed_peak else None
-        ),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -1409,9 +1316,6 @@ def main(argv=None) -> int:
         data["selective_join"] = bench_selective_join(size, repeats)
         data["durability"] = bench_durability(size, repeats)
         data["durability_txn"] = bench_durability_txn(size, repeats)
-        data["durability_group_commit"] = bench_durability_group_commit(
-            size, repeats
-        )
         data["multiuser_concurrent"] = bench_multiuser_concurrent(
             size, repeats
         )
@@ -1499,22 +1403,6 @@ def main(argv=None) -> int:
             at_10k["durability_txn"]["delta_bytes"]
             < at_10k["durability_txn"]["image_bytes"] / 10
         )
-        acceptance["group_commit_speedup_at_10k"] = at_10k[
-            "durability_group_commit"
-        ]["speedup"]
-        acceptance["group_commit_speedup_ok"] = (
-            at_10k["durability_group_commit"]["speedup"] >= 3
-        )
-        acceptance["streamed_checkpoint_memory_ratio_at_10k"] = at_10k[
-            "durability_group_commit"
-        ]["checkpoint_memory_ratio"]
-        # streaming must beat the monolithic image dict by at least 2x
-        acceptance["streamed_checkpoint_memory_ok"] = (
-            at_10k["durability_group_commit"][
-                "streamed_checkpoint_peak_bytes"
-            ]
-            < at_10k["durability_group_commit"]["checkpoint_peak_bytes"] / 2
-        )
         acceptance["multiuser_concurrent_speedup_at_10k"] = at_10k[
             "multiuser_concurrent"
         ]["speedup"]
@@ -1579,7 +1467,6 @@ def main(argv=None) -> int:
             f"selective join x{data['selective_join']['speedup']}, "
             f"durability x{data['durability']['speedup']}, "
             f"txn durability x{data['durability_txn']['speedup']}, "
-            f"group commit x{data['durability_group_commit']['speedup']}, "
             f"concurrent reads x{data['multiuser_concurrent']['speedup']}, "
             f"multijoin parallel x{data['multijoin_parallel']['speedup']}"
         )

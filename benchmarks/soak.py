@@ -8,10 +8,8 @@ all with a ``byte_budget`` set, so the journal must keep itself
 bounded by auto-checkpoint-then-compact while the workload runs.
 Optionally the mix also carries schema migrations and version
 snapshot/restore cycles (the PR-10 ``schema`` / ``version`` /
-``restore`` change deltas) and runs the journal under a
-:class:`~repro.core.storage.engine.GroupCommitPolicy`, so batched
-``txn`` records interleave with every other record kind across
-compaction cycles.
+``restore`` change deltas), so they interleave with ``txn`` and
+check-in records across compaction cycles.
 
 The driver only *observes* (high-water file size, compaction count);
 the assertions live in ``benchmarks/test_soak.py`` and the nightly CI
@@ -27,11 +25,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from typing import Optional
-
 from repro.core import SchemaBuilder
 from repro.core.errors import SeedError
-from repro.core.storage.engine import GroupCommitPolicy
 from repro.multiuser.server import SeedServer
 
 __all__ = ["SoakResult", "run_durability_soak", "soak_schema"]
@@ -66,7 +61,6 @@ class SoakResult:
     items: int  #: live objects at the end
     migrations: int = 0  #: applied schema migrations (``schema`` deltas)
     restores: int = 0  #: version snapshot+restore cycles (``restore``)
-    group_flushes: int = 0  #: drained group-commit batches
 
     def summary(self) -> str:
         extras = ""
@@ -75,8 +69,6 @@ class SoakResult:
                 f", {self.migrations} migration(s), "
                 f"{self.restores} restore(s)"
             )
-        if self.group_flushes:
-            extras += f", {self.group_flushes} group flush(es)"
         return (
             f"{self.transactions} txn(s), {self.checkins} check-in(s) "
             f"(+{self.rejected} rejected), {self.compactions} "
@@ -96,7 +88,6 @@ def run_durability_soak(
     seed: int = 0,
     migrations: int = 0,
     restores: int = 0,
-    group_commit: Optional[GroupCommitPolicy] = None,
 ) -> SoakResult:
     """Run the soak; returns observations for the caller to assert on.
 
@@ -111,8 +102,7 @@ def run_durability_soak(
     version snapshot+restore cycles are shuffled into the same op
     stream, so their ``schema`` / ``version`` / ``restore`` deltas land
     interleaved with txn and check-in records across compaction
-    boundaries; *group_commit* runs the whole soak under batched txn
-    appends.
+    boundaries.
     """
     rng = random.Random(seed)
     server = SeedServer.open(
@@ -120,7 +110,6 @@ def run_durability_soak(
         schema=soak_schema(),
         name="soak",
         byte_budget=byte_budget,
-        group_commit=group_commit,
     )
     master = server.master
     pool = [f"Item{index:02d}" for index in range(24)]
@@ -204,8 +193,6 @@ def run_durability_soak(
             server.maintain()
             observe()
 
-    journal.flush()  # end like a service shutdown: drain any batch
-    observe()
     return SoakResult(
         transactions=transactions,
         checkins=accepted,
@@ -218,5 +205,4 @@ def run_durability_soak(
         items=len(master.objects("Item")),
         migrations=migrated,
         restores=restored,
-        group_flushes=journal.group_flushes,
     )

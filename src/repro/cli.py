@@ -127,10 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="auto-checkpoint-and-compact the journal "
                             "whenever it exceeds BYTES (default: "
                             "unbounded)")
-    serve.add_argument("--group-commit", action="store_true",
-                       help="batch direct-transaction journal appends "
-                            "(one fsync per batch; check-ins, pins, and "
-                            "shutdown stay per-operation durable)")
 
     query = commands.add_parser(
         "query", help="run a planned ER-algebra query (cost-based planner)")
@@ -319,7 +315,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.core.storage import GroupCommitPolicy
     from repro.multiuser.server import SeedServer
     from repro.multiuser.service import SeedService
     from repro.spades import spades_schema
@@ -330,7 +325,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         lease_seconds=args.lease_seconds,
         session_seconds=args.session_seconds,
         byte_budget=args.journal_byte_budget,
-        group_commit=GroupCommitPolicy() if args.group_commit else None,
     )
     service = SeedService(
         server,

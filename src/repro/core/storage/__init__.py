@@ -1,7 +1,6 @@
 """Persistence: canonical serialisation, record files, storage engine."""
 
 from repro.core.storage.engine import (
-    GroupCommitPolicy,
     JournaledDatabase,
     RecoveryInfo,
     load_database,
@@ -22,7 +21,6 @@ from repro.core.storage.serialize import (
 )
 
 __all__ = [
-    "GroupCommitPolicy",
     "JournaledDatabase",
     "RecoveryInfo",
     "load_database",

@@ -21,11 +21,12 @@ in one journal file:
   and every cell a ``version`` record opens — *extended* where a
   ``version`` record adds an entry at a cell's end (the entry's bytes
   are spliced on) and where snapshot consolidation adds one there (the
-  next save point encodes only that entry's state), *relabeled* where a
-  compaction fold moves entries to its child version without changing
-  their place in their cells (the entries' version label is replaced
-  in the kept bytes: at once for a few, at the next save point for a
-  renamed delta), and *dropped* elsewhere state is written: every key
+  next save point encodes only that entry's state), *kept as it is*
+  where a compaction fold renames a delta or moves entries to its child
+  version without changing their place in their cells (a kept fragment
+  holds no version label: each join refills every delta slot's label
+  holder and relinks only the cells whose entries a move freed a slot
+  of), and *dropped* elsewhere state is written: every key
   a unit of work touched (committed or rolled back, check-in applies
   included), every item ``wire_item_states`` thawed (a restore,
   replay), every cell a
@@ -117,18 +118,6 @@ Recovery contract (shared by :func:`load_database` and
    ``repro fsck`` stay read-only, and a ``strict=True`` open that
    raises writes nothing.
 
-**Group commit.** By default every committed transaction is its own
-fsync'd append — the strict PR 9 contract. Opting in to a
-:class:`GroupCommitPolicy` batches encoded txn records in memory and
-appends each batch with one fsync, bounding the durability window by
-``max_txns`` / ``max_bytes`` / ``max_delay_s`` (checked at each
-commit against an injectable monotonic clock). Every consistency
-point is a **hard flush barrier**: check-in appends, checkpoints,
-compaction, budget enforcement, snapshot pins, and service shutdown
-drain the buffer first, so a crash can only lose the last
-partial batch of *direct* commits — never a check-in, never anything
-after a barrier. The strict default is opt-out, not weakened.
-
 **One writer owns the file.** A :class:`JournaledDatabase` is the
 single writer of its journal: every record goes through its
 :class:`~repro.core.storage.recordfile.RecordFile`, which keeps one
@@ -185,7 +174,6 @@ style while making every committed change durable at O(change).
 
 from __future__ import annotations
 
-import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -216,7 +204,6 @@ from repro.core.versions.compaction import RetentionPolicy
 __all__ = [
     "save_database",
     "load_database",
-    "GroupCommitPolicy",
     "JournaledDatabase",
     "BaseUnit",
     "RecoveryInfo",
@@ -267,32 +254,6 @@ _DELTA_KINDS = frozenset(_REPLAY)
 KNOWN_RECORD_KINDS = _DELTA_KINDS | {
     "checkin.abort", "image", "image.begin", "image.rec", "image.end",
 }
-
-
-@dataclass(frozen=True)
-class GroupCommitPolicy:
-    """Bounds for batching direct-transaction journal appends.
-
-    With a policy installed, committed ``txn`` records are buffered in
-    memory and appended with **one fsync per batch** instead of one per
-    commit. A buffered commit is applied in memory but not yet durable:
-    the policy bounds that window — a batch flushes when it reaches
-    ``max_txns`` records, ``max_bytes`` of encoded payload, or when
-    ``max_delay_s`` has elapsed since the first buffered commit
-    (checked at each commit against the journal's monotonic clock; no
-    background timer thread — an idle journal flushes at the next
-    commit or barrier). Check-in appends, checkpoints, compaction,
-    budget enforcement, and explicit :meth:`JournaledDatabase.flush`
-    are hard barriers that drain the buffer first, so only the last
-    partial batch of direct commits can ever be lost to a crash.
-    """
-
-    #: flush after this many buffered commits
-    max_txns: int = 8
-    #: flush once the encoded batch reaches this many bytes
-    max_bytes: int = 64 * 1024
-    #: flush once the oldest buffered commit is this old (seconds)
-    max_delay_s: float = 0.05
 
 
 class BaseUnit(NamedTuple):
@@ -624,15 +585,10 @@ class JournaledDatabase:
     Binding installs the database's change sink: every committed
     mutation — direct transaction, schema migration, restore, version
     creation or deletion, compaction — appends a write-ahead delta
-    before control returns to the caller (rollbacks append nothing). With a
-    *byte_budget*, each post-commit append also enforces the budget —
-    see :meth:`enforce_budget`.
-
-    With a :class:`GroupCommitPolicy`, direct-transaction deltas are
-    buffered and appended with one fsync per batch; everything else
-    (check-ins, mutation deltas, checkpoints, compaction) is a hard
-    flush barrier. The default (``group_commit=None``) keeps strict
-    per-commit durability.
+    before control returns to the caller (rollbacks append nothing): one
+    fsync'd record per committed mutation. With a *byte_budget*, each
+    post-commit append also enforces the budget — see
+    :meth:`enforce_budget`.
 
     Checkpoints are monolithic images unless a call asks for a streamed
     group; :meth:`save_point`, :meth:`enforce_budget` and the damage
@@ -651,8 +607,6 @@ class JournaledDatabase:
         recovery: Optional[RecoveryInfo] = None,
         next_seq: int = 1,
         byte_budget: Optional[int] = None,
-        group_commit: Optional[GroupCommitPolicy] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if byte_budget is not None and byte_budget <= 0:
             raise StorageError(
@@ -667,16 +621,6 @@ class JournaledDatabase:
         self._next_seq = next_seq
         #: auto-compaction threshold in bytes (None = unbounded)
         self.byte_budget = byte_budget
-        #: txn batching policy (None = strict per-commit fsync)
-        self.group_commit = group_commit
-        #: batches durably appended so far (one fsync each)
-        self.group_flushes = 0
-        self._clock = clock if clock is not None else time.monotonic
-        #: encoded payloads of buffered txn records (encoded once: the
-        #: same bytes size the batch and are framed at flush)
-        self._pending: list[bytes] = []
-        self._pending_bytes = 0
-        self._pending_since: Optional[float] = None
         # the newest image unit: everything before it is superseded (a
         # load never replays it), the rest is live tail; None only
         # until a fresh journal's first checkpoint
@@ -704,8 +648,6 @@ class JournaledDatabase:
         registry: Optional[ProcedureRegistry] = None,
         strict: bool = False,
         byte_budget: Optional[int] = None,
-        group_commit: Optional[GroupCommitPolicy] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> "JournaledDatabase":
         """Open an existing journal or start a fresh one.
 
@@ -740,8 +682,6 @@ class JournaledDatabase:
                     recovery=info,
                     next_seq=next_seq,
                     byte_budget=byte_budget,
-                    group_commit=group_commit,
-                    clock=clock,
                 )
                 if _damaged_after(report, info.base):
                     # a fresh base past the damage, which stays in
@@ -753,13 +693,7 @@ class JournaledDatabase:
                 f"no journal at {path} and no schema given to create one"
             )
         db = SeedDatabase(schema, name)
-        journal = cls(
-            db,
-            record_file,
-            byte_budget=byte_budget,
-            group_commit=group_commit,
-            clock=clock,
-        )
+        journal = cls(db, record_file, byte_budget=byte_budget)
         journal.checkpoint()
         return journal
 
@@ -769,18 +703,16 @@ class JournaledDatabase:
         return self._file.path
 
     def close(self) -> None:
-        """Flush buffered group commits and close the journal file's
-        append handle (idempotent). A later write opens it again."""
-        self.flush(enforce=False)
+        """Close the journal file's append handle (idempotent). A later
+        write opens it again."""
         self._file.close()
 
     def checkpoint(self, *, streamed: bool = False) -> int:
         """Append a recovery image of the current state; returns file size.
 
         The image supersedes every earlier record on load (deltas
-        before it replay into it implicitly). Flush barrier: any
-        buffered group-commit records are appended first. A monolithic
-        image is joined from the journal's cached per-item fragments:
+        before it replay into it implicitly). A monolithic image is
+        joined from the journal's cached per-item fragments:
         only what changed since the last checkpoint is encoded again.
 
         With ``streamed=True``, the image is appended as a counted
@@ -795,14 +727,14 @@ class JournaledDatabase:
         the previous base still recovers the same committed state
         (checkpoints change no state).
 
-        Either kind pays for what changed since the last one: after a
-        compaction, the cells its folds only relabeled are joined as
-        kept (a renamed delta's labels are replaced here, once), an
-        entry consolidation added at a cell's end is spliced on, and
-        only cells a fold reordered or discarded from, or consolidation
-        and tombstone collection changed otherwise, are encoded.
+        Either kind pays for what changed since the last one. A
+        compaction fold changed no kept byte: the join refills each
+        delta slot's label holder and relinks only the cells whose slot
+        a move freed. An entry consolidation added at a cell's end is
+        spliced on, and only cells a fold reordered or discarded from,
+        or consolidation and tombstone collection changed otherwise,
+        are encoded.
         """
-        self.flush(enforce=False)
         if not streamed:
             cp = None
             offset, end = self._file.append(self._fragments.encode(self.db))
@@ -830,10 +762,6 @@ class JournaledDatabase:
         with :meth:`append_abort` — replay skips marked seqs (and a
         marker lost to a crash re-fails deterministically on replay).
 
-        Hard flush barrier: buffered group-commit records land in the
-        same fsync'd batch, ahead of the check-in record, preserving
-        file order.
-
         Never auto-compacts: the record is write-ahead of its apply, so
         a checkpoint taken here would supersede a delta whose effects
         are not in the image yet. Budget enforcement belongs *after*
@@ -841,14 +769,12 @@ class JournaledDatabase:
         """
         seq = self._next_seq
         self._next_seq += 1
-        self._append_record(
-            RecordFile.encode({"kind": "checkin", "seq": seq, "delta": delta})
-        )
+        self._file.append({"kind": "checkin", "seq": seq, "delta": delta})
         return seq
 
     def append_abort(self, seq: int) -> None:
         """Mark delta *seq* as never-applied (its check-in was rejected)."""
-        self._append_record(RecordFile.encode({"kind": "checkin.abort", "seq": seq}))
+        self._file.append({"kind": "checkin.abort", "seq": seq})
 
     # -- the change sink ----------------------------------------------------
 
@@ -857,11 +783,8 @@ class JournaledDatabase:
 
         Installed as ``db._change_sink``. Runs after the mutation is
         fully applied in memory, so auto-compaction here is safe: a
-        checkpoint taken now already contains the change. Direct
-        transactions (``"txn"``) may buffer under a group-commit
-        policy; every other kind appends exactly one write-ahead record
-        — draining any buffered txns in the same fsync'd batch — before
-        returning.
+        checkpoint taken now already contains the change. Every kind
+        appends exactly one fsync'd record before returning.
         """
         if self._sink_suspended:
             return
@@ -895,12 +818,12 @@ class JournaledDatabase:
             faults.fire("change.journal.pre_append")
         seq = self._next_seq
         self._next_seq += 1
-        self._append_record(_delta_record(kind, seq, delta))
+        self._file.append(_delta_record(kind, seq, delta))
         if self.byte_budget is not None:
             self.enforce_budget()
 
     def _on_txn_commit(self, txn) -> None:
-        """Append (or buffer) a ``txn`` delta for a committed transaction.
+        """Append a ``txn`` delta for a committed transaction.
 
         Every touched item's image fragment is kept from the bytes the
         delta encodes its state with, so the next checkpoint encodes
@@ -910,70 +833,11 @@ class JournaledDatabase:
             faults.fire("txn.journal.pre_append")
         seq = self._next_seq
         self._next_seq += 1
-        payload = _delta_record(
-            "txn", seq, txn_delta_from_txn(self.db, txn, self._fragments)
+        self._file.append(
+            _delta_record("txn", seq, txn_delta_from_txn(self.db, txn, self._fragments))
         )
-        policy = self.group_commit
-        if policy is None:
-            self._file.append(payload)
-            if self.byte_budget is not None:
-                self.enforce_budget()
-            return
-        now = self._clock()
-        self._pending.append(payload)
-        self._pending_bytes += len(payload)
-        if self._pending_since is None:
-            self._pending_since = now
-        if (
-            len(self._pending) >= policy.max_txns
-            or self._pending_bytes >= policy.max_bytes
-            or now - self._pending_since >= policy.max_delay_s
-        ):
-            self.flush()
-
-    # -- group commit --------------------------------------------------------
-
-    def pending_txns(self) -> int:
-        """Buffered (applied-in-memory, not yet durable) txn records."""
-        return len(self._pending)
-
-    def flush(self, *, enforce: bool = True) -> int:
-        """Durably append every buffered txn record with one fsync.
-
-        Returns the number of records flushed (0 when the buffer is
-        empty — a no-op without touching the file).
-        """
-        if not self._pending:
-            return 0
-        count = self._drain()
-        if enforce and self.byte_budget is not None:
+        if self.byte_budget is not None:
             self.enforce_budget()
-        return count
-
-    def _append_record(self, payload: bytes) -> None:
-        """Append one encoded record, draining any buffered txns ahead
-        of it.
-
-        The buffered records and *payload* land in one fsync'd append,
-        preserving commit order in the file. With an empty buffer this
-        is a plain append.
-        """
-        if self._pending:
-            self._drain(payload)
-        else:
-            self._file.append(payload)
-
-    def _drain(self, *trailing: bytes) -> int:
-        """Append the buffered payloads (+ *trailing*) as one fsync'd
-        batch. The buffer is cleared only after the append succeeds, so
-        an I/O failure leaves the records buffered for the next barrier.
-        """
-        count = self._file.append_encoded([*self._pending, *trailing])
-        self._pending = []
-        self._pending_bytes = 0
-        self._pending_since = None
-        self.group_flushes += 1
-        return count
 
     @contextmanager
     def suspended_txn_sink(self) -> Iterator[None]:
@@ -1013,7 +877,6 @@ class JournaledDatabase:
         budget bounds amplification, it cannot make the data smaller
         than itself.
         """
-        self.flush(enforce=False)
         if budget is None:
             budget = self.byte_budget
         size = self._file.size_bytes()
@@ -1031,9 +894,7 @@ class JournaledDatabase:
     def compact(self) -> int:
         """Drop superseded records; returns the new file size.
 
-        Flush barrier: buffered group-commit records are appended
-        before the scan, so none can be dropped by the rewrite. Copies
-        (as byte ranges, never re-encoding) the newest complete image
+        Copies (as byte ranges, never re-encoding) the newest complete image
         unit (monolithic record or streamed group) plus the deltas
         after it, minus aborted delta/marker pairs and minus any
         incomplete streamed-checkpoint leftovers.
@@ -1056,7 +917,6 @@ class JournaledDatabase:
         :class:`~repro.core.errors.RecoveryWarning`) — a damaged-but-
         loaded journal can always be bounded.
         """
-        self.flush(enforce=False)
         base = self._remembered_base()
         events = [] if base is None else list(self._file.scan(base.offset))
         fresh, keep, source = [], [], None

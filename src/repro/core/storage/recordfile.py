@@ -22,7 +22,7 @@ remaining strict enough for reliable recovery.
 One writer, one parser
 ----------------------
 
-The surface is append (``append``, ``append_many``/``append_encoded``),
+The surface is append (``append``, ``append_many``),
 stream (``append_stream``), replace (``rewrite``) and cut a torn tail
 (``truncate``) — the seam a ``StorageBackend`` protocol would name;
 nothing is built behind it.
@@ -309,22 +309,15 @@ class RecordFile:
 
     def append_many(self, records: Iterator[Any] | list[Any]) -> int:
         """Append several records with one write and fsync; returns the count."""
-        return self.append_encoded([self.encode(record) for record in records])
+        frames = [_frame(self.encode(record)) for record in records]
+        if frames:
+            self._write([b"".join(frames)])
+        return len(frames)
 
     @staticmethod
     def encode(record: Any) -> bytes:
-        """The payload bytes (single-line JSON) every append writes.
-
-        For callers that buffer records: size the buffer from these
-        bytes, then hand them to :meth:`append_encoded` unchanged.
-        """
+        """The payload bytes (single-line JSON) every append writes."""
         return _ENCODER.encode(record).encode("utf-8")
-
-    def append_encoded(self, payloads: list[bytes]) -> int:
-        """:meth:`append_many` for payloads :meth:`encode` already made."""
-        if payloads:
-            self._write([b"".join(map(_frame, payloads))])
-        return len(payloads)
 
     def append_stream(
         self, records: Iterator[Any] | list[Any]

@@ -1095,10 +1095,11 @@ class ImageFragments:
                 yield b'%b%d,"s":%b%b}}' % (
                     head, item_id, view[:at], view[at + len(tag):],
                 )
-        cut = len(_BETWEEN)
+        cut, open_cell, close_cell = len(_BETWEEN), b'{"c":', b"}]}}}"
         for key in cells:
-            cell = memoryview(b"".join(self._cells[key]))
-            yield b'%b{"c":%b}]}}}' % (rec, cell[cut:])
+            # one copy of the cell: its pieces joined straight into the frame
+            first, *rest = self._cells[key]
+            yield b"".join((rec, open_cell, memoryview(first)[cut:], *rest, close_cell))
         yield b'%b{"end":{"c":%d,"o":%d,"r":%d}}}' % (
             rec, len(cells), len(objects), len(relationships)
         )

@@ -76,7 +76,7 @@ from repro.core.errors import CheckInError, SeedError, VersionError
 from repro.core.objects import ObjectState, SeedObject
 from repro.core.relationships import RelationshipState
 from repro.core.schema.schema import Schema
-from repro.core.storage.engine import GroupCommitPolicy, JournaledDatabase
+from repro.core.storage.engine import JournaledDatabase
 from repro.core.versions.compaction import CompactionStats, DEFAULT_MAINTENANCE
 from repro.core.versions.store import ItemKey
 from repro.core.versions.version_id import VersionId
@@ -167,21 +167,14 @@ class SeedServer:
         clock: Optional[Callable[[], float]] = None,
         strict: bool = False,
         byte_budget: Optional[int] = None,
-        group_commit: Optional[GroupCommitPolicy] = None,
     ) -> "SeedServer":
         """A journal-bound server: open (or create) the journal at *path*.
 
-        *group_commit* batches direct-transaction journal appends (one
-        fsync per batch, see
-        :class:`~repro.core.storage.engine.GroupCommitPolicy`); check-in
-        appends, snapshot pins, maintenance, and shutdown remain hard
-        flush barriers, so the bounded durability window only ever
-        covers direct commits.
+        *clock* drives the session and lock leases only.
         """
         journal = JournaledDatabase.open(
             path, schema=schema, name=name, strict=strict,
-            byte_budget=byte_budget, group_commit=group_commit,
-            clock=clock,
+            byte_budget=byte_budget,
         )
         return cls(
             journal=journal,
@@ -297,10 +290,6 @@ class SeedServer:
             self._cache_view(
                 published, self.master.version_view(published, base)
             )
-        if self.journal is not None:
-            # pinning is a durability barrier: a reader must never see
-            # state whose commits are still buffered by group commit
-            self.journal.flush()
         assert self._published is not None
         return self._published
 
@@ -379,8 +368,7 @@ class SeedServer:
         surviving = {str(v) for v in self.master.saved_versions()}
         for key in [k for k in self._views if k not in surviving]:
             del self._views[key]  # pragma: no cover - pins protect these
-        if self.journal is not None:
-            # a flush barrier always; bounds the file when a budget is set
+        if self.journal is not None and self.journal.byte_budget is not None:
             self.journal.enforce_budget()
         self.maintenance_runs += 1
         return stats

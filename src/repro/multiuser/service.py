@@ -209,7 +209,7 @@ class SeedService:
         drain_timeout_s: Optional[float] = None,
         final_checkpoint: bool = False,
     ) -> None:
-        """Graceful shutdown: refuse, drain, optionally flush, close.
+        """Graceful shutdown: refuse, drain, optionally save, close.
 
         New connections are refused first. Then the write lock is taken:
         holding it proves no check-in or maintenance pass is mid-apply,
@@ -217,13 +217,12 @@ class SeedService:
         due included — is refused. *drain_timeout_s* bounds each wait so
         a hung apply cannot wedge shutdown: its work is abandoned (the
         master rolls back on failure as usual, and an un-acked check-in's
-        journal record replays on the next open). A drained journal-bound
-        server then flushes the group-commit buffer, so a clean stop never
-        loses buffered commits, or with *final_checkpoint* (the ``repro
-        serve`` SIGTERM/SIGINT path) appends a final checkpoint and
-        compacts the journal; either way it closes the journal's file
-        handle. Last, every open connection is shut down and its thread
-        joined, which closes the sessions it opened.
+        journal record replays on the next open). With *final_checkpoint*
+        (the ``repro serve`` SIGTERM/SIGINT path) a drained journal-bound
+        server appends a final checkpoint and compacts the journal; either
+        way it closes the journal's file handle. Last, every open
+        connection is shut down and its thread joined, which closes the
+        sessions it opened.
         """
         listener, self._listener = self._listener, None
         if listener is None:
@@ -240,8 +239,6 @@ class SeedService:
             if drained and self.server.journal is not None:
                 if final_checkpoint:
                     self.server.journal.save_point()
-                else:
-                    self.server.journal.flush()  # a durability barrier
                 self.server.journal.close()
         finally:
             if drained:

@@ -1,7 +1,7 @@
 """Seeded journal histories whose bytes ``tests/golden/`` pins.
 
 Each history drives one journaled figure-3 database through the public
-API with the journal's clock pinned, so the same build writes the same
+API (a server's lease clock pinned), so the same build writes the same
 bytes every time. ``tests/test_golden_journals.py`` re-runs every
 history and compares the bytes with the committed file (the writer
 test), and loads every committed file through each reader (the reader
@@ -22,10 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import warnings
 from pathlib import Path
 from typing import Callable
 
 from repro.core import SeedDatabase, figure3_schema
+from repro.core.errors import RecoveryWarning
 from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict
 from repro.core.versions.compaction import RetentionPolicy
 from repro.core.versions.version_id import VersionId
@@ -47,15 +49,13 @@ RECOVERY_COUNTS = (
 
 
 def _clock() -> float:
-    """The pinned journal clock: group-commit deadlines never move."""
+    """The pinned server clock: session and lock leases never expire."""
     return 0.0
 
 
 def open_journal(path: Path) -> JournaledDatabase:
-    """A fresh journal at *path*, its clock pinned."""
-    return JournaledDatabase.open(
-        path, schema=figure3_schema(), name=path.stem, clock=_clock
-    )
+    """A fresh journal at *path*."""
+    return JournaledDatabase.open(path, schema=figure3_schema(), name=path.stem)
 
 
 def image_sha256(db: SeedDatabase) -> str:
@@ -302,6 +302,47 @@ def relabel_history(path: Path) -> JournaledDatabase:
     return journal
 
 
+def raw_restore_history(path: Path) -> JournaledDatabase:
+    """A raw ``restore`` record: ``restore_from_view`` brings back the
+    first version's items and leaves the version base where it is
+    (``"base": null``), so the edits after it and their version extend
+    the newest version, not the restored one."""
+    rng = random.Random(8)
+    journal = open_journal(path)
+    db = journal.db
+    with db.transaction():
+        _populate(db, rng, 6)
+    first = db.create_version()  # 1.0
+    for round_ in range(2):
+        _edit(db, rng, round_, 3)
+        db.create_version()  # 2.0, 3.0
+    db.restore_from_view(db.version_view(first))
+    _edit(db, rng, 2, 3)
+    db.create_version()  # 4.0, a child of 3.0
+    _edit(db, rng, 3, 2)
+    return journal
+
+
+def unknown_kind_history(path: Path) -> JournaledDatabase:
+    """A record of a kind this build does not know (as a newer build
+    would write one) between deltas: a load skips and counts it and
+    replays the deltas on both sides."""
+    rng = random.Random(9)
+    journal = open_journal(path)
+    db = journal.db
+    with db.transaction():
+        _populate(db, rng, 5)
+    _edit(db, rng, 0, 3)
+    db.create_version()
+    newer = RecordFile(path)
+    newer.append({"kind": "replica.hint", "note": "written by a newer build"})
+    newer.close()
+    for round_ in range(1, 3):
+        _edit(db, rng, round_, 3)
+    db.create_version()
+    return journal
+
+
 HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
     "txn": txn_history,
     "version": version_history,
@@ -310,6 +351,8 @@ HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
     "streamed": streamed_history,
     "maintain": maintain_history,
     "relabel": relabel_history,
+    "raw_restore": raw_restore_history,
+    "unknown_kind": unknown_kind_history,
 }
 
 
@@ -320,7 +363,10 @@ def write(name: str, directory: Path) -> dict:
     path.unlink(missing_ok=True)
     journal = HISTORIES[name](path)
     journal.close()
-    reopened = JournaledDatabase.open(path)
+    with warnings.catch_warnings():
+        # the unknown kind is surfaced on every load: expected here
+        warnings.simplefilter("ignore", RecoveryWarning)
+        reopened = JournaledDatabase.open(path)
     expected = {
         "image_sha256": image_sha256(reopened.db),
         "recovery": recovery_counts(reopened),

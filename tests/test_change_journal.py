@@ -1,4 +1,4 @@
-"""The change-capture seam: streamed images, group commit, unknown kinds.
+"""The change-capture seam: streamed images, strict durability, unknown kinds.
 
 Four claims, each tested against the monolithic reference or a
 durability oracle:
@@ -8,11 +8,9 @@ durability oracle:
   versioned, post-replay) to a canonical image *byte-identical* to
   `database_to_dict`'s, and streamed checkpoints load to the same
   state as monolithic ones;
-* **group-commit windows** — with a `GroupCommitPolicy` on a fake
-  clock, a crash loses at most the buffered partial batch (bounded by
-  `max_txns` / `max_bytes` / `max_delay_s`), and every barrier —
-  flush, checkpoint, compact, budget enforcement, change-event
-  appends, snapshot pins, service shutdown — loses nothing;
+* **strict durability** — every committed transaction, a server
+  master's direct ones included, is its own fsync'd record before the
+  commit returns;
 * **unknown record kinds** — a journal written by a newer build is
   skipped-and-surfaced (`RecoveryWarning`, or `StorageError` under
   ``strict=True``), never crashed on and never silently accepted;
@@ -37,7 +35,6 @@ from repro.core.errors import RecoveryWarning, SeedError, StorageError
 from repro.core.versions.compaction import RetentionPolicy
 from repro.core.versions.version_id import VersionId
 from repro.core.storage import (
-    GroupCommitPolicy,
     JournaledDatabase,
     RecordFile,
     database_from_records,
@@ -213,18 +210,6 @@ class TestVersionRecords:
             )
 
 
-def open_group(path, **kwargs):
-    clock = kwargs.pop("clock", None) or (lambda: 0.0)
-    policy = kwargs.pop(
-        "policy",
-        GroupCommitPolicy(max_txns=4, max_bytes=1 << 20, max_delay_s=1e9),
-    )
-    return JournaledDatabase.open(
-        path, schema=item_schema(), name="g",
-        group_commit=policy, clock=clock, **kwargs
-    )
-
-
 def commit(db, name, value):
     with db.transaction():
         obj = db.find_object(name) or db.create_object("Item", name)
@@ -236,139 +221,34 @@ def reopened_names(path):
     return {o.simple_name for o in journal.db.objects()}
 
 
-class TestGroupCommitWindows:
-    def test_crash_loses_at_most_the_buffered_batch(self, tmp_path):
-        path = tmp_path / "g.seed"
-        journal = open_group(path)
-        commit(journal.db, "A", "a")
-        commit(journal.db, "B", "b")
-        commit(journal.db, "C", "c")
-        assert journal.pending_txns() == 3  # < max_txns: still buffered
-        # the "crash": reopen from the bytes on disk — exactly the
-        # buffered partial batch is lost, nothing durable is
-        assert reopened_names(path) == set()
-        commit(journal.db, "D", "d")  # 4th commit: max_txns flush
-        assert journal.pending_txns() == 0
-        assert journal.group_flushes == 1
-        assert reopened_names(path) == {"A", "B", "C", "D"}
+class TestStrictDurability:
+    def test_every_commit_is_one_fsynced_record(self, tmp_path, monkeypatch):
+        from repro.multiuser import SeedServer
 
-    def test_max_bytes_bound(self, tmp_path):
-        path = tmp_path / "b.seed"
-        journal = open_group(
-            path,
-            policy=GroupCommitPolicy(
-                max_txns=10_000, max_bytes=256, max_delay_s=1e9
-            ),
-        )
-        commit(journal.db, "A", "x" * 300)  # one encoded record > 256B
-        assert journal.pending_txns() == 0  # flushed immediately
-        assert reopened_names(path) == {"A"}
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
 
-    def test_max_delay_bound_on_a_fake_clock(self, tmp_path):
-        now = [0.0]
-        path = tmp_path / "d.seed"
-        journal = open_group(
-            path,
-            clock=lambda: now[0],
-            policy=GroupCommitPolicy(
-                max_txns=10_000, max_bytes=1 << 30, max_delay_s=0.05
-            ),
-        )
-        commit(journal.db, "A", "a")
-        assert journal.pending_txns() == 1
-        now[0] = 0.04  # inside the window: still buffered
-        commit(journal.db, "B", "b")
-        assert journal.pending_txns() == 2
-        now[0] = 0.06  # the oldest buffered commit is now too old
-        commit(journal.db, "C", "c")
-        assert journal.pending_txns() == 0
-        assert reopened_names(path) == {"A", "B", "C"}
+        def kinds(path):
+            return [e.record["kind"] for e in RecordFile(path).decoded() if e.kind == "record"]
 
-    def test_barriers_lose_nothing(self, tmp_path):
-        barriers = {
-            "flush": lambda j: j.flush(),
-            "checkpoint": lambda j: j.checkpoint(),
-            "streamed_checkpoint": lambda j: j.checkpoint(streamed=True),
-            "compact": lambda j: j.compact(),
-            "enforce_budget": lambda j: j.enforce_budget(1),
-            "version_event": lambda j: j.db.create_version(),
-        }
-        for index, (name, barrier) in enumerate(barriers.items()):
-            path = tmp_path / f"bar{index}.seed"
-            journal = open_group(path)
-            commit(journal.db, "A", "a")
-            assert journal.pending_txns() == 1, name
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                barrier(journal)
-            assert journal.pending_txns() == 0, name
-            assert "A" in reopened_names(path), name
-
-    def test_change_event_drains_buffer_in_commit_order(self, tmp_path):
-        path = tmp_path / "o.seed"
-        journal = open_group(path)
-        commit(journal.db, "A", "a")
-        commit(journal.db, "B", "b")
-        journal.db.create_version()
-        kinds = [
-            event.record.get("kind")
-            for event in RecordFile(path).scan()
-            if event.kind == "record"
-        ]
-        assert kinds == ["image", "txn", "txn", "version"]
-        seqs = [
-            event.record.get("seq")
-            for event in RecordFile(path).scan()
-            if event.kind == "record" and "seq" in event.record
-        ]
-        assert seqs == sorted(seqs)
-        assert journal.group_flushes == 1  # one fsync for all three
-
-    def test_default_stays_strictly_per_commit(self, tmp_path):
         path = tmp_path / "strict.seed"
         journal = JournaledDatabase.open(path, schema=item_schema(), name="g")
-        assert journal.group_commit is None
+        fsyncs.clear()
         commit(journal.db, "A", "a")
-        assert journal.pending_txns() == 0
+        assert kinds(path) == ["image", "txn"] and len(fsyncs) == 1
         assert reopened_names(path) == {"A"}  # durable before return
+        journal.close()
 
-    def test_server_pin_is_a_barrier(self, tmp_path):
-        from repro.multiuser import SeedServer
-
-        path = tmp_path / "srv.seed"
-        server = SeedServer.open(
-            path,
-            schema=item_schema(),
-            group_commit=GroupCommitPolicy(
-                max_txns=100, max_bytes=1 << 30, max_delay_s=1e9
-            ),
-        )
-        server.master.create_object("Item", "A").set_value("a")
-        assert server.journal.pending_txns() > 0
-        server.publish_snapshot()  # the pin
-        assert server.journal.pending_txns() == 0
-        assert "A" in reopened_names(path)
-
-    def test_service_stop_flushes_without_checkpoint(self, tmp_path):
-        from repro.multiuser import SeedServer
-        from repro.multiuser.service import SeedService
-
-        path = tmp_path / "svc.seed"
-        server = SeedServer.open(
-            path,
-            schema=item_schema(),
-            group_commit=GroupCommitPolicy(
-                max_txns=100, max_bytes=1 << 30, max_delay_s=1e9
-            ),
-        )
-        service = SeedService(server, port=0)
-        with service:
-            server.master.create_object("Item", "A").set_value("a")
-            assert server.journal.pending_txns() > 0
-        # stop() ran with final_checkpoint=False: no new checkpoint,
-        # but the shutdown drain flushed the buffer
-        assert JournaledDatabase.open(path, name="g").checkpoints() == 1
-        assert "A" in reopened_names(path)
+        # a direct transaction on a server's master: its own record
+        # and fsync before the commit returns, like any other commit
+        served = tmp_path / "served.seed"
+        server = SeedServer.open(served, schema=item_schema())
+        fsyncs.clear()
+        commit(server.master, "B", "b")
+        assert kinds(served) == ["image", "txn"] and len(fsyncs) == 1
+        assert reopened_names(served) == {"B"}
+        server.journal.close()
 
 
 class TestUnknownRecordKinds:

@@ -193,30 +193,8 @@ class TestCommands:
         assert err.startswith("error: malformed image objects section")
         assert "Traceback" not in err
 
-    def test_serve_group_commit_uses_the_default_policy(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.core.errors import SeedError
-        from repro.core.storage import GroupCommitPolicy
-        from repro.multiuser.server import SeedServer
-
-        opened = SeedServer.open.__func__
-        policies = []
-
-        def spying_open(cls, path, **kwargs):
-            server = opened(cls, path, **kwargs)
-            policies.append(server.journal.group_commit)
-            server.journal.close()
-            raise SeedError("stopped before serving")
-
-        monkeypatch.setattr(SeedServer, "open", classmethod(spying_open))
-        journal = str(tmp_path / "served.seed")
-        assert main(["serve", journal, "--group-commit"]) == 1
-        assert main(["serve", journal]) == 1
-        assert policies == [GroupCommitPolicy(), None]
-        assert "stopped before serving" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag, value", [
+        ("--group-commit", None),
         ("--group-commit-txns", "8"),
         ("--group-commit-bytes", "65536"),
         ("--group-commit-delay", "0.05"),
@@ -225,8 +203,8 @@ class TestCommands:
         self, tmp_path, capsys, flag, value
     ):
         with pytest.raises(SystemExit) as usage:
-            main(["serve", str(tmp_path / "served.seed"), "--group-commit",
-                  flag, value])
+            main(["serve", str(tmp_path / "served.seed"), flag,
+                  *([] if value is None else [value])])
         assert usage.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 

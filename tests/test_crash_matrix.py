@@ -32,7 +32,6 @@ import pytest
 from repro.core import SchemaBuilder
 from repro.core.errors import RecoveryWarning
 from repro.core.storage import (
-    GroupCommitPolicy,
     JournaledDatabase,
     RecordFile,
     database_to_dict,
@@ -510,11 +509,10 @@ def matrix_schema_v2():
 
 
 class RecordCorpus:
-    """Per-record oracle for a journal with image groups and batches.
+    """Per-record oracle for a journal with streamed image groups.
 
     Unlike :class:`Corpus` (whose boundaries are one-record appends),
-    group-commit batches land several records in one append and a
-    streamed checkpoint is a multi-record group — so the oracle tracks
+    a streamed checkpoint is a multi-record group — so the oracle tracks
     the committed state *per record*: ``rec_states[i]`` is the state
     once records ``0..i`` are durable. Image-family records are state
     no-ops (they carry the state current at their append), which makes
@@ -583,43 +581,29 @@ class RecordCorpus:
 
 @pytest.fixture(scope="module")
 def change_corpus(tmp_path_factory):
-    """Schema/restore/version deltas interleaved with group-commit
-    batches, a mid-stream auto-compaction, and a streamed checkpoint —
-    all driven through the live change-capture seam."""
+    """Schema/restore/version deltas interleaved with direct commits, a
+    mid-stream auto-compaction, and a streamed checkpoint — all driven
+    through the live change-capture seam."""
     path = tmp_path_factory.mktemp("crash") / "change.seed"
     record_file = RecordFile(path)
     journal = JournaledDatabase.open(
-        path,
-        schema=matrix_schema(),
-        name="central",
-        group_commit=GroupCommitPolicy(
-            max_txns=3, max_bytes=1 << 20, max_delay_s=1e9
-        ),
-        clock=lambda: 0.0,
+        path, schema=matrix_schema(), name="central"
     )
     db = journal.db
     empty_state = canonical(db)
     rec_states = []
-    pending_states = []
 
     def count_records():
         return sum(1 for e in record_file.scan() if e.kind == "record")
 
-    def buffered():
-        # a committed-but-buffered txn: its record will land at the
-        # next flush, in commit order, carrying this state
-        pending_states.append(canonical(db))
-
     def sync():
-        # align the per-record oracle with what is actually on disk
+        # align the per-record oracle with what is on disk: every record
+        # appended since the last sync carries the current state
         count = count_records()
         if count < len(rec_states):
             # the journal auto-compacted down to one fresh image
             assert count == 1
             rec_states.clear()
-            pending_states.clear()
-        while len(rec_states) < count and pending_states:
-            rec_states.append(pending_states.pop(0))
         current = canonical(db)
         while len(rec_states) < count:
             rec_states.append(current)
@@ -627,42 +611,40 @@ def change_corpus(tmp_path_factory):
 
     sync()  # the initial image
 
-    # a batch that flushes by max_txns (3 commits, one fsync)
+    # three commits, each its own fsync'd record before it returns
     with db.transaction():
         db.create_object("Item", "A").set_value("a1")
-    buffered()
+    sync()
     with db.transaction():
         db.create_object("Item", "B").set_value("b1")
-    buffered()
+    sync()
     with db.transaction():
         db.get_object("A").set_value("a2")
-    buffered()
     sync()
-    assert not pending_states  # the third commit flushed the batch
 
-    # mid-stream auto-compaction: the next flush trips the budget, so
-    # the journal checkpoints and rewrites down to one fresh image
-    journal.byte_budget = record_file.size_bytes()
+    # mid-stream auto-compaction: the third commit's append trips the
+    # budget, so the journal checkpoints and rewrites down to one
+    # fresh image
     with db.transaction():
         db.get_object("B").set_value("b2")
-    buffered()
+    sync()
     with db.transaction():
         db.create_object("Item", "C").set_value("c1")
-    buffered()
+    sync()
+    journal.byte_budget = record_file.size_bytes()
     with db.transaction():
         db.get_object("C").set_value("c2")
-    buffered()
     journal.byte_budget = None
     sync()
+    assert len(rec_states) == 1
 
-    # two buffered commits drained by the version delta's append (one
-    # fsync'd batch: txn, txn, version — file order = commit order)
+    # two commits, then the version delta (file order = commit order)
     with db.transaction():
         db.get_object("A").set_value("a3")
-    buffered()
+    sync()
     with db.transaction():
         db.get_object("B").set_value("b3")
-    buffered()
+    sync()
     v1 = db.create_version()
     sync()
 
@@ -670,35 +652,31 @@ def change_corpus(tmp_path_factory):
     db.migrate_schema(matrix_schema_v2())
     sync()
 
-    # a batch under the migrated schema, flushed by max_txns
+    # commits under the migrated schema
     with db.transaction():
         db.create_object("Extra", "X").set_value("x1")
-    buffered()
+    sync()
     with db.transaction():
         db.get_object("A").set_value("a4")
-    buffered()
+    sync()
     with db.transaction():
         db.get_object("C").set_value("c3")
-    buffered()
     sync()
-    assert not pending_states
 
     # a relationship created vague, then re-classified in its own
     # transaction (its role bindings change names: source/target ->
-    # origin/dest), then a third commit to flush the batch
+    # origin/dest), then a third commit
     with db.transaction():
         link = db.relate(
             "Link", source=db.get_object("A"), target=db.get_object("B")
         )
-    buffered()
+    sync()
     with db.transaction():
         link.reclassify("Strong")
-    buffered()
+    sync()
     with db.transaction():
         db.get_object("B").set_value("b4")
-    buffered()
     sync()
-    assert not pending_states
 
     db.create_version()
     sync()
@@ -711,14 +689,12 @@ def change_corpus(tmp_path_factory):
     journal.checkpoint(streamed=True)
     sync()
 
-    # deltas past the streamed group, flushed explicitly (barrier)
+    # deltas past the streamed group
     with db.transaction():
         db.get_object("A").set_value("a5")
-    buffered()
+    sync()
     with db.transaction():
         db.get_object("C").set_value("c4")
-    buffered()
-    journal.flush()
     sync()
 
     records = [
@@ -735,7 +711,7 @@ def change_corpus(tmp_path_factory):
     kinds = [kind for __, ___, kind, ____ in records]
     # sanity: the corpus has the advertised shape — the compacted base
     # up front, then schema/restore/version deltas interleaved with
-    # group-commit batches and a streamed checkpoint group
+    # direct commits and a streamed checkpoint group
     assert kinds[0] == "image"  # the auto-compaction's fresh base
     assert kinds.count("image") == 1
     assert kinds.count("schema") == 1
@@ -752,7 +728,7 @@ def change_corpus(tmp_path_factory):
 class TestChangeDeltaCrashMatrix:
     """Exhaustive sweeps over the change-delta corpus: schema, restore,
     and version mutations recover from the journal with zero
-    checkpoints, through batches, compaction, and streamed images."""
+    checkpoints, through direct commits, compaction, and streamed images."""
 
     def test_every_truncation_recovers_the_committed_prefix(
         self, change_corpus, tmp_path

@@ -214,11 +214,6 @@ def _seeded(path):
 WRITER_TABLE = {
     "append": (lambda rf, ranges: rf.append({"n": "a"}), 1, _recs() + [{"n": "a"}]),
     "append_many": (lambda rf, ranges: rf.append_many(_recs()), 1, _recs() * 2),
-    "append_encoded": (
-        lambda rf, ranges: rf.append_encoded([RecordFile.encode(r) for r in _recs()]),
-        1,
-        _recs() * 2,
-    ),
     "append_stream": (
         lambda rf, ranges: rf.append_stream(iter(_recs())), N, _recs() * 2,
     ),
@@ -252,7 +247,6 @@ class TestTheOneWriter:
         rf = RecordFile(tmp_path / "j.seed")
         with FaultPlan() as plan:
             assert rf.append_many([]) == 0
-            assert rf.append_encoded([]) == 0
         assert plan.hits == {}
         assert not rf.exists()
 

@@ -101,8 +101,6 @@ ALLOWED = {
         "feature", "the gaps of one item in a report"),
     "core.query.predicates.in_class": (
         "feature", "function form of the InClass predicate"),
-    "core.storage.engine.JournaledDatabase.pending_txns": (
-        "feature", "the txn records group commit holds in memory, not yet durable"),
     "multiuser.service.ServiceClient.ping": (
         "wire", "the client side of the service's ping request"),
 }
