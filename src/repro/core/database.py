@@ -1501,8 +1501,8 @@ class SeedDatabase:
     def compact(self, policy: Optional[RetentionPolicy] = None) -> CompactionStats:
         """Compact the version store (chain squashing + snapshots).
 
-        Uses :attr:`VersionManager.retention` unless *policy* is given;
-        see :mod:`repro.core.versions.compaction` for the knobs. Views
+        Uses the default :class:`RetentionPolicy` unless *policy* is
+        given; see :mod:`repro.core.versions.compaction` for the knobs. Views
         of every surviving version are unchanged. Returns the pass's
         :class:`~repro.core.versions.compaction.CompactionStats`; a
         pass that changed something is a ``"compact"`` change event.
@@ -1511,7 +1511,7 @@ class SeedDatabase:
             raise TransactionError("cannot compact inside a transaction")
         if self._bulk is not None:
             raise TransactionError("cannot compact inside a bulk batch")
-        policy = policy or self.versions.retention
+        policy = policy or RetentionPolicy()
         stats = self.versions.compact(policy)
         if stats.changed:
             self._emit_change("compact", policy)

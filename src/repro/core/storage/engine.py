@@ -138,15 +138,10 @@ its **base unit** — the byte range (and streamed-group id) of the
 newest image, as :meth:`~JournaledDatabase.checkpoint` appended it or
 :meth:`~JournaledDatabase.open` found it: bytes before it are
 superseded (a load never replays them), everything from it on is the
-live tail. A ``byte_budget`` (set on the journal and nowhere else) is
-checked against that on every append. When total file
-size exceeds the budget, the journal auto-compacts — first appending a
-fresh checkpoint if the live tail alone exceeds the budget, so the
-rewrite actually shrinks the file. When the base image alone is over
-the budget, that checkpoint waits until the deltas after it are at
-least as large as the image. The trigger points are post-commit
-(after a record's effects are already applied in memory) and explicit
-maintenance (:meth:`~JournaledDatabase.enforce_budget`) — never inside
+live tail. A ``byte_budget`` (set on the journal and nowhere else)
+bounds the file: :meth:`~JournaledDatabase.enforce_budget` states the
+bound and keeps it, after every commit (a record's effects are already
+applied in memory) and on explicit maintenance — never inside
 :meth:`~JournaledDatabase.append_delta`, where a checkpoint would
 supersede a write-ahead record whose apply has not happened yet.
 Compaction copies frames: it hands
@@ -873,9 +868,18 @@ class JournaledDatabase:
         be brought under it: checkpointing then would rewrite the whole
         file on every commit, so the checkpoint waits until the deltas
         after the base are at least as large as the image they would
-        fold into, and the file stays under about twice the image — the
-        budget bounds amplification, it cannot make the data smaller
-        than itself.
+        fold into.
+
+        **The bound.** On return the file holds at most ``max(budget,
+        2 * image - 1)`` bytes, *image* being the size of its base unit
+        (the newest image) by then: the budget while the image fits in
+        half of it, else less than twice the image — the budget bounds
+        amplification, it cannot make the data smaller than itself.
+        With a :attr:`byte_budget`, every commit ends in this call (a
+        check-in too, applied or rejected), so the bound holds between
+        commits; :meth:`checkpoint` and the damage step-over of
+        :meth:`open` append an image without it. While a call runs, the
+        file also holds the fresh image, and the rewrite its copy.
         """
         if budget is None:
             budget = self.byte_budget

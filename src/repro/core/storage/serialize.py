@@ -495,7 +495,7 @@ def _version_json(version: VersionId) -> bytes:
 _BETWEEN = b"}]},"
 
 
-def _entry_piece(state: bytes, materialized: bool) -> bytes:
+def _entry_piece(state: bytes, materialized: bool = False) -> bytes:
     """One entry of a cell's ``states`` list up to its version label
     (*state* as the kernel encoded it)."""
     return b'{%b"state":%b,"version":' % (
@@ -682,53 +682,50 @@ def version_delta_from_db(
 ) -> bytes:
     """Serialise one committed ``create_version`` (``version`` record).
 
-    Captured *after* the manager recorded the snapshot: the delta
+    Captured *after* the manager recorded the version: the delta
     carries the version's identity (id, parent, schema version,
     snapshot flag) plus exactly the cell states the store holds for it,
     read from the store's per-version index at O(states of the version)
-    — in record order: the dirty-item deltas in sorted key order, then
-    any states an online snapshot consolidation materialized. Replay
-    records them in that order, and since only the dirty items can open
-    new cells (a materialized state copies one an existing cell already
-    holds), the replayed store lists its cells in the same order as the
-    live one: the canonical image is byte-identical.
+    — the dirty-item deltas in sorted key order. Replay records them in
+    that order, so the replayed store lists its cells in the same order
+    as the live one: the canonical image is byte-identical.
+    ``create_version`` materializes nothing, so no cell is marked
+    ``"materialized"`` and ``"snapshot"`` is false; the reader
+    (:func:`apply_version_delta`) still honours both marks, which
+    journals written while snapshots were also taken online hold.
 
     Returns the delta's canonical JSON (``{"cells": [{"id", "kind",
-    "materialized"?, "state"}, ...], "parent", "schema_version",
-    "snapshot", "version"}``), joined from the state kernel's bytes.
+    "state"}, ...], "parent", "schema_version", "snapshot",
+    "version"}``), joined from the state kernel's bytes.
 
-    With *fragments*, a recorded (not materialized) state whose item
-    has a kept image member is not encoded again: it is the item's live
-    state, which that member encodes (:meth:`ImageFragments.state_of`).
-    Usually a ``txn`` record has just made it. A materialized state,
-    or an item without a member, goes through the state kernel. Every
-    cell this version opened — its one entry is the state just written
-    — is kept there, made from the same bytes; a cell that grew by this
-    entry at its end has the same bytes spliced onto its fragment
-    (:meth:`ImageFragments.splice_cell`).
+    With *fragments*, a recorded state whose item has a kept image
+    member is not encoded again: it is the item's live state, which
+    that member encodes (:meth:`ImageFragments.state_of`). Usually a
+    ``txn`` record has just made it. An item without a member goes
+    through the state kernel. Every cell this version opened — its one
+    entry is the state just written — is kept there, made from the same
+    bytes; a cell that grew by this entry at its end has the same bytes
+    spliced onto its fragment (:meth:`ImageFragments.splice_cell`).
     """
     store = db.versions.store
     version = _version_json(vid)
     slot = store._slot_of.get(vid)  # noqa: SLF001
     cells = []
-    for key, state, materialized in store.states_at(vid):
+    for key, state, __ in store.states_at(vid):
         kind, item_id = key
         blob = None
-        if fragments is not None and not materialized:
+        if fragments is not None:
             blob = fragments.state_of(kind, item_id)
         if blob is None:
             blob = _encode_state(kind, state)[0]
-        cells.append(b'{"id":%d,"kind":%b,%b"state":%b}' % (
-            item_id,
-            _KINDS[kind],
-            b'"materialized":true,' if materialized else b"",
-            blob,
+        cells.append(b'{"id":%d,"kind":%b,"state":%b}' % (
+            item_id, _KINDS[kind], blob,
         ))
         if fragments is not None:
             if len(store._cells[key]) == 1:  # noqa: SLF001
-                fragments.keep_cell(key, blob, materialized, slot)
+                fragments.keep_cell(key, blob, slot)
             else:
-                fragments.splice_cell(key, blob, materialized, slot)
+                fragments.splice_cell(key, blob, slot)
     parent = db.versions.tree.parent(vid)
     encode = RecordFile.encode
     return _json_object({
@@ -859,8 +856,9 @@ class ImageFragments:
     state (:meth:`keep_item` for every item a ``txn`` or ``restore``
     delta carries, :meth:`keep_cell` for every cell a ``version`` delta
     opens), *extended* where a ``version`` delta adds an entry at a
-    cell's end (:meth:`splice_cell`) and where snapshot consolidation
-    does (:meth:`cells_materialized`: the next join encodes only that
+    cell's end (:meth:`splice_cell`: never a materialized entry) and
+    where a compaction pass's snapshot consolidation does
+    (:meth:`cells_materialized`: the next join encodes only that
     entry's state), and *dropped* wherever state is written otherwise:
     the writer reports the key (:meth:`item_changed`,
     :meth:`cell_changed`).
@@ -944,25 +942,18 @@ class ImageFragments:
             _member(kind, item_id, state, split)
         )
 
-    def keep_cell(
-        self, key: ItemKey, state: bytes, materialized: bool, slot: int
-    ) -> None:
+    def keep_cell(self, key: ItemKey, state: bytes, slot: int) -> None:
         """Keep a cell whose one entry — the encoded *state*, in delta
-        *slot* — a record has just encoded."""
-        piece = _entry_piece(state, materialized)
-        self._cells[key] = (_opened(key, piece), self._label(slot))
+        *slot* — a ``version`` record has just encoded."""
+        self._cells[key] = (_opened(key, _entry_piece(state)), self._label(slot))
 
-    def splice_cell(
-        self, key: ItemKey, state: bytes, materialized: bool, slot: int
-    ) -> None:
+    def splice_cell(self, key: ItemKey, state: bytes, slot: int) -> None:
         """Extend the fragment of a cell that grew at its end by the
-        entry a record has just encoded, in delta *slot*. A cell not
-        open keeps no fragment: the next save point encodes it."""
-        self._grown.pop(key, None)
+        entry a ``version`` record has just encoded, in delta *slot*. A
+        cell not open keeps no fragment: the next save point encodes it."""
         fragment = self._open.pop(key, None)
         if fragment is not None:
-            piece = _entry_piece(state, materialized)
-            self._cells[key] = self._spliced(fragment, piece, slot)
+            self._cells[key] = self._spliced(fragment, _entry_piece(state), slot)
 
     def _spliced(self, fragment: tuple, piece: bytes, slot: int) -> tuple:
         """*fragment* with the entry *piece*, in delta *slot*, added at its end."""

@@ -34,10 +34,9 @@ Policy knobs:
     enable/disable squashing (default on);
 ``snapshot_interval``
     materialize a snapshot every K versions along each chain
-    (0 = disabled, the default). When set on
-    :attr:`VersionManager.retention`, ``create_version`` consolidates
-    *online*: the snapshot is taken the moment a chain grows K versions
-    past the last one;
+    (0 = disabled, the default). Consolidation runs only inside a
+    compaction pass: ``create_version`` stores the delta and nothing
+    else;
 ``keep_last``
     never squash the newest N versions (they are what users select);
 ``pins``
@@ -63,7 +62,7 @@ Entry points: :meth:`repro.core.database.SeedDatabase.compact` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.core.errors import VersionError
 from repro.core.versions.store import ItemKey
@@ -169,7 +168,7 @@ class Compactor:
         Leaves and branch points structure the tree (and only interior
         single-child versions can be spliced at all); the current base
         anchors the live state; pins and the newest ``keep_last``
-        versions are user-facing retention; schema boundaries are kept
+        versions are what users keep; schema boundaries are kept
         because folding a state across one would re-interpret it under
         the successor's schema version.
         """
@@ -347,22 +346,3 @@ class Compactor:
         stats.stored_states_after = manager.store.stored_state_count()
         return stats
 
-
-def auto_snapshot(manager: "VersionManager", version: VersionId) -> Optional[int]:
-    """Online consolidation hook for ``create_version``.
-
-    When the manager's retention policy sets ``snapshot_interval`` and
-    the freshly saved *version* is the K-th since the nearest snapshot
-    on its chain (the same spacing counter the offline pass uses), its
-    full state is materialized right away — chain walks then never
-    exceed K+1 versions. Returns the number of states added, or None
-    when no snapshot was due.
-    """
-    interval = manager.retention.snapshot_interval
-    if interval <= 0:
-        return None
-    chain = manager.tree.chain(version)
-    if manager.store.versions_since_snapshot(chain) < interval:
-        return None
-    added = manager.store.materialize_snapshot(version, chain)
-    return added

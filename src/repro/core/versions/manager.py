@@ -19,9 +19,8 @@ Responsibilities (paper, "Versions"):
   schema.
 * **Compaction** — :meth:`compact` squashes unreferenced chain runs and
   consolidates snapshots under a
-  :class:`~repro.core.versions.compaction.RetentionPolicy`; with
-  :attr:`retention` setting a ``snapshot_interval``, ``create_version``
-  consolidates online so chain walks stay O(K).
+  :class:`~repro.core.versions.compaction.RetentionPolicy`, offline:
+  ``create_version`` stores the delta only.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.core.versions.compaction import (
     CompactionStats,
     Compactor,
     RetentionPolicy,
-    auto_snapshot,
 )
 from repro.core.versions.store import ItemKey, ItemState, VersionStore
 from repro.core.versions.tree import VersionTree
@@ -61,9 +59,6 @@ class VersionManager:
         self.schema_versions: list["Schema"] = [database.schema]
         #: data version -> index into :attr:`schema_versions`
         self.schema_version_of: dict[VersionId, int] = {}
-        #: compaction policy; ``snapshot_interval`` > 0 also turns on
-        #: online snapshot consolidation in :meth:`create_version`
-        self.retention = RetentionPolicy()
 
     # -- snapshots ---------------------------------------------------------
 
@@ -86,7 +81,6 @@ class VersionManager:
             vid, self.current_base, self._db.collect_dirty_states(),
             len(self.schema_versions) - 1,
         )
-        auto_snapshot(self, vid)
         return vid
 
     def add_version(
@@ -118,14 +112,14 @@ class VersionManager:
     def compact(self, policy: Optional[RetentionPolicy] = None) -> CompactionStats:
         """Squash unreferenced chains and consolidate snapshots.
 
-        Uses :attr:`retention` unless an explicit *policy* is given.
+        Uses the default :class:`RetentionPolicy` unless *policy* is given.
         Every surviving version's view is unchanged; only squashed
         versions (which the policy guarantees nobody references)
         disappear from the history. Safe at any time outside a
         transaction — the entry point used by applications is
         :meth:`repro.core.database.SeedDatabase.compact`.
         """
-        return Compactor(self, policy or self.retention).run()
+        return Compactor(self, policy or RetentionPolicy()).run()
 
     # -- selection / alternatives ------------------------------------------------
 

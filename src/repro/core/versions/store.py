@@ -54,10 +54,12 @@ their cells' version order, reports nothing: no entry's state, flag or
 place changed, only its label.
 
 Compaction support (see :mod:`repro.core.versions.compaction`): a
-version may be marked as a **snapshot** — it then holds the *complete*
-resolved state of every item existing on its chain (tombstones
-included), so :meth:`state_on_chain` stops walking as soon as it passes
-a snapshot version instead of descending to the chain root. With a
+compaction pass may mark a version as a **snapshot** (a replay restores
+the mark; ``create_version`` records the delta only) — it then holds
+the *complete* resolved state of every item existing on its chain
+(tombstones included), so :meth:`state_on_chain` stops walking as soon
+as it passes a snapshot version instead of descending to the chain
+root. With a
 snapshot every ``K`` versions, chain walks cost O(K) instead of
 O(chain length). Tombstone collection visits only the store's
 :meth:`tombstone_candidates`: keys that ever received a tombstone
@@ -278,21 +280,6 @@ class VersionStore:
             if version in self._snapshots:
                 break
         return distance
-
-    def versions_since_snapshot(self, chain: list[VersionId]) -> int:
-        """Chain-tip versions *since* (exclusive) the nearest snapshot.
-
-        This is the spacing counter snapshot consolidation uses — the
-        online hook and the offline pass both materialize once it
-        reaches the policy interval, so the two place snapshots
-        identically on identical histories.
-        """
-        count = 0
-        for version in reversed(chain):
-            if version in self._snapshots:
-                break
-            count += 1
-        return count
 
     def fold_version(self, version: VersionId, into: VersionId) -> tuple[int, int]:
         """Move the states of *version* into its surviving descendant.

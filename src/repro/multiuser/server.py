@@ -562,6 +562,8 @@ class SeedServer:
                 # lost to a crash too, replay re-fails the delta
                 # deterministically — same committed state either way
                 self.journal.append_abort(seq)
+                if self.journal.byte_budget is not None:
+                    self.journal.enforce_budget()
             raise
         self.locks.release(token)
         self._standing.pop(token, None)

@@ -5,14 +5,19 @@ API (a server's lease clock pinned), so the same build writes the same
 bytes every time. ``tests/test_golden_journals.py`` re-runs every
 history and compares the bytes with the committed file (the writer
 test), and loads every committed file through each reader (the reader
-test).
+test). The files of :data:`READER_ONLY` have no history here: no
+writer of this build makes their records any more, so only the reader
+test reads them.
 
-Regenerate the files (only when on-disk bytes change on purpose: add a
-new generation, never rewrite an old file)::
+Write the file of a new history (a deliberate format change adds a new
+generation beside the old files; it never rewrites one)::
 
-    PYTHONPATH=src python tests/_golden_gen.py
+    PYTHONPATH=src python tests/_golden_gen.py [NAME ...]
 
-which writes ``tests/golden/NAME.seed`` and, next to it,
+Without names it writes every history whose ``tests/golden/NAME.seed``
+does not exist yet and leaves every existing file as it is; a name
+given on the command line is written even when its file exists. Each
+written history gives ``tests/golden/NAME.seed`` and, next to it,
 ``tests/golden/NAME.json``: the SHA-256 of the canonical image the
 journal loads to and the counts of its ``RecoveryInfo``.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 import warnings
 from pathlib import Path
 from typing import Callable
@@ -29,6 +35,7 @@ from typing import Callable
 from repro.core import SeedDatabase, figure3_schema
 from repro.core.errors import RecoveryWarning
 from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict
+from repro.core.values import INTEGER, STRING
 from repro.core.versions.compaction import RetentionPolicy
 from repro.core.versions.version_id import VersionId
 from repro.multiuser import SeedServer
@@ -343,6 +350,34 @@ def unknown_kind_history(path: Path) -> JournaledDatabase:
     return journal
 
 
+def schema_history(path: Path) -> JournaledDatabase:
+    """``schema`` records: a schema migration between edits and
+    versions, a save point (its image holds both schema versions), then
+    a second migration, with edits of the new dependents after each."""
+    rng = random.Random(11)
+    journal = open_journal(path)
+    db = journal.db
+    with db.transaction():
+        _populate(db, rng, 5)
+    db.create_version()
+    _edit(db, rng, 0, 3)
+    noted = db.schema.copy("noted")
+    noted.entity_class("Data").add_dependent("Note", "0..1", value_sort=STRING)
+    db.migrate_schema(noted)
+    db.get_object("D0").add_sub_object("Note", "after the first migration")
+    _edit(db, rng, 1, 3)
+    db.create_version()
+    journal.save_point()
+    _edit(db, rng, 2, 3)
+    ranked = db.schema.copy("ranked")
+    ranked.entity_class("Action").add_dependent("Rank", "0..1", value_sort=INTEGER)
+    db.migrate_schema(ranked)
+    db.get_object("A1").add_sub_object("Rank", 1)
+    db.create_version()
+    _edit(db, rng, 3, 2)
+    return journal
+
+
 HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
     "txn": txn_history,
     "version": version_history,
@@ -353,6 +388,24 @@ HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
     "relabel": relabel_history,
     "raw_restore": raw_restore_history,
     "unknown_kind": unknown_kind_history,
+    "schema": schema_history,
+}
+
+#: committed files that no history of this build writes: name -> the
+#: build that wrote it and what its history did
+READER_ONLY: dict[str, str] = {
+    "materialized_version": (
+        "Written at commit b84c252, the last build that consolidated "
+        "snapshots inside create_version, with the version manager's "
+        "online policy set to RetentionPolicy(snapshot_interval=2) and "
+        "the helpers of this module. Seed 10: 5 populated "
+        "actions, 1.0; edits, 2.0 (an online snapshot); edits of items "
+        "materialized at 2.0, 3.0; a save point (its image holds the "
+        "materialized entries); edits, 4.0 (an online snapshot: its "
+        "version record carries 19 cells marked materialized and "
+        "snapshot true); edits of items materialized at 4.0, 5.0; an "
+        "unsaved transaction."
+    ),
 }
 
 
@@ -375,14 +428,21 @@ def write(name: str, directory: Path) -> dict:
     return expected
 
 
-def main() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    for name in HISTORIES:
-        expected = write(name, GOLDEN)
-        (GOLDEN / f"{name}.json").write_text(json.dumps(expected, indent=2) + "\n")
-        size = (GOLDEN / f"{name}.seed").stat().st_size
+def main(names: list[str], directory: Path = GOLDEN) -> None:
+    """Write the files of the histories *names*, or of every history
+    whose file does not exist in *directory* yet."""
+    unknown = [name for name in names if name not in HISTORIES]
+    if unknown:
+        raise SystemExit(f"no history writes {', '.join(unknown)}")
+    directory.mkdir(exist_ok=True)
+    for name in names or HISTORIES:
+        if not names and (directory / f"{name}.seed").exists():
+            continue
+        expected = write(name, directory)
+        (directory / f"{name}.json").write_text(json.dumps(expected, indent=2) + "\n")
+        size = (directory / f"{name}.seed").stat().st_size
         print(f"{name}.seed: {size} bytes, image {expected['image_sha256'][:12]}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -173,21 +173,6 @@ class PerKeyStore:
                 break
         return distance
 
-    def versions_since_snapshot(self, chain: list[VersionId]) -> int:
-        """Chain-tip versions *since* (exclusive) the nearest snapshot.
-
-        This is the spacing counter snapshot consolidation uses — the
-        online hook and the offline pass both materialize once it
-        reaches the policy interval, so the two place snapshots
-        identically on identical histories.
-        """
-        count = 0
-        for version in reversed(chain):
-            if version in self._snapshots:
-                break
-            count += 1
-        return count
-
     def fold_version(self, version: VersionId, into: VersionId) -> tuple[int, int]:
         """Move the states of *version* into its surviving descendant.
 

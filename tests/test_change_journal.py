@@ -158,16 +158,15 @@ class TestStreamedImageEquivalence:
 
 class TestVersionRecords:
     def test_record_ordered_cells_replay_byte_identical(self, tmp_path):
-        """A ``version`` record lists its cells in record order — the
-        sorted dirty keys, then whatever online consolidation
-        materialized — and a journal of such records reopens to the
-        live database's canonical image, cell order included."""
+        """A ``version`` record lists the states the version recorded,
+        in sorted key order, and a journal of such records with a
+        snapshot consolidation between them reopens to the live
+        database's canonical image, cell order included."""
         path = tmp_path / "versions.seed"
         journal = JournaledDatabase.open(
             path, schema=figure3_schema(), name="vr"
         )
         db = journal.db
-        db.versions.retention = RetentionPolicy(snapshot_interval=2)
         oldest = db.create_object("Action", "Oldest")
         described = oldest.add_sub_object("Description", "first")
         for round_number in range(4):
@@ -175,7 +174,10 @@ class TestVersionRecords:
             data = db.create_object("Data", f"Flow{round_number}")
             db.relate("Access", {"data": data, "by": oldest})
             db.create_version()
-        described.set_value("edited late")  # a dirty key with an old cell
+            if round_number == 1:
+                db.compact(RetentionPolicy(squash_chains=False, snapshot_interval=2))
+        # a dirty key whose cell holds a materialized entry
+        described.set_value("edited late")
         db.create_object("Action", "Newest")
         db.create_version()
         store = db.versions.store
@@ -185,22 +187,21 @@ class TestVersionRecords:
             if record.get("kind") == "version"
         ]
         assert len(records) == len(db.saved_versions()) >= 5
-        materialized_cells = 0
         for delta in records:
             keys = [(cell["kind"], cell["id"]) for cell in delta["cells"]]
-            recorded = [
-                key
-                for key, cell in zip(keys, delta["cells"])
-                if not cell.get("materialized")
-            ]
-            assert recorded == sorted(recorded)
-            assert keys[: len(recorded)] == recorded
-            materialized_cells += len(keys) - len(recorded)
+            assert keys == sorted(keys)
+            assert not any("materialized" in cell for cell in delta["cells"])
+            assert delta["snapshot"] is False
             version = VersionId.parse(delta["version"])
-            assert keys == list(store.keys_in_version(version))
-            assert delta["snapshot"] == store.is_snapshot(version)
-        assert materialized_cells  # consolidation rode in a record
-        assert [d["snapshot"] for d in records].count(True) >= 2
+            assert keys == [
+                key for key, __, flag in store.states_at(version) if not flag
+            ]
+        materialized = sum(
+            flag for version in db.saved_versions()
+            for __, __, flag in store.states_at(version)
+        )
+        assert materialized, "the consolidation materialized nothing"
+        assert store.snapshot_versions() == [VersionId.parse("2.0")]
         reopened = JournaledDatabase.open(path).db
         assert canonical_bytes(reopened) == canonical_bytes(db)
         assert list(reopened.versions.store.keys()) == list(store.keys())

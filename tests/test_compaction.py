@@ -339,7 +339,7 @@ def test_image_roundtrip_preserves_compacted_store(seed):
 
 
 # ---------------------------------------------------------------------------
-# retention protections and cooperation with version operations
+# what squashing protects, and cooperation with version operations
 # ---------------------------------------------------------------------------
 
 
@@ -410,47 +410,26 @@ class TestRetention:
         for version in db.saved_versions():
             db.version_view(version)
 
-    def test_online_snapshot_consolidation_bounds_walks(self):
-        db = SeedDatabase(figure2_schema(), "auto")
-        db.versions.retention = RetentionPolicy(snapshot_interval=4)
+    def test_snapshot_consolidation_bounds_walks(self):
+        db = SeedDatabase(figure2_schema(), "spaced")
         db.create_object("Data", "D")
         db.create_version()
         for i in range(20):
             db.create_object("Data", f"D{i}")
             db.create_version()
-        store = db.versions.store
-        assert store.snapshot_versions()  # auto-created along the chain
-        tip_chain = db.versions.tree.chain(db.saved_versions()[-1])
-        assert store.distance_to_snapshot(tip_chain) <= 4
-        # and the tip view equals a brute walk without snapshots
         reference = clone(db)
-        reference.versions.store._snapshots.clear()  # noqa: SLF001
+        db.compact(RetentionPolicy(squash_chains=False, snapshot_interval=4))
+        store = db.versions.store
+        # every 4th version along the chain, counted from the root
+        assert [str(v) for v in store.snapshot_versions()] == [
+            "4.0", "8.0", "12.0", "16.0", "20.0",
+        ]
         tip = db.saved_versions()[-1]
+        assert store.distance_to_snapshot(db.versions.tree.chain(tip)) <= 4
+        # and the tip view equals a walk of the chain without snapshots
         assert dict(db.version_view(tip).item_states()) == dict(
             reference.version_view(tip).item_states()
         )
-
-    def test_online_and_offline_snapshots_agree(self):
-        # identical histories, interval 4: the create_version hook and
-        # a single offline pass must place snapshots at the same versions
-        online = SeedDatabase(figure2_schema(), "online")
-        online.versions.retention = RetentionPolicy(snapshot_interval=4)
-        offline = SeedDatabase(figure2_schema(), "offline")
-        for i in range(13):
-            online.create_object("Data", f"D{i}")
-            online.create_version()
-            offline.create_object("Data", f"D{i}")
-            offline.create_version()
-        offline.compact(
-            RetentionPolicy(squash_chains=False, snapshot_interval=4)
-        )
-        assert (
-            online.versions.store.snapshot_versions()
-            == offline.versions.store.snapshot_versions()
-        )
-        assert [str(v) for v in online.versions.store.snapshot_versions()] == [
-            "4.0", "8.0", "12.0",
-        ]
 
     def test_compact_refused_inside_transaction(self):
         from repro.core.errors import TransactionError
@@ -733,7 +712,6 @@ class TestPerVersionIndex:
     def test_random_database_operations_and_image_round_trips(self, seed):
         rng = random.Random(seed + 77)
         db = build_random_versioned_db(seed)
-        db.versions.retention = RetentionPolicy(snapshot_interval=3)
         for __ in range(4):
             roll = rng.random()
             if roll < 0.5:
@@ -752,7 +730,12 @@ class TestPerVersionIndex:
             else:
                 db.create_object("Data", f"Late{rng.randrange(10**9)}")
                 db.create_version()
+                db.compact(RetentionPolicy(squash_chains=False, snapshot_interval=3))
             assert_index_matches_cells(db.versions.store)
+        store = db.versions.store
+        assert any(
+            flag for key in store.keys() for __, __, flag in store.entries_of(key)
+        ), "no materialized entry reaches the round trips"
         for loaded in (clone(db), database_from_records(iter_image_records(db))):
             assert_index_matches_cells(loaded.versions.store)
             for version in db.saved_versions():

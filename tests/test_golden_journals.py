@@ -15,7 +15,10 @@ the histories of ``tests/_golden_gen.py``, and are never rewritten:
   the committed bytes, byte for byte.
 
 A change that alters on-disk bytes on purpose adds a new generation of
-files beside these and keeps them as reader fixtures.
+files beside these and keeps them as reader fixtures. A file whose
+records no writer of this build makes any more (``READER_ONLY`` in
+``tests/_golden_gen.py``) has no history: only the reader test and the
+save-point test read it.
 """
 
 from __future__ import annotations
@@ -26,12 +29,16 @@ from contextlib import contextmanager
 
 import pytest
 
-from _golden_gen import GOLDEN, HISTORIES, image_sha256, recovery_counts
+import _golden_gen
+from _golden_gen import GOLDEN, HISTORIES, READER_ONLY, image_sha256, recovery_counts
 from repro.core.errors import RecoveryWarning
 from repro.core.storage import JournaledDatabase, load_database
 from repro.multiuser import SeedServer
 
-NAMES = sorted(HISTORIES)
+#: the files the histories of this build write
+WRITTEN = sorted(HISTORIES)
+#: every committed file
+NAMES = sorted([*HISTORIES, *READER_ONLY])
 
 
 def expected(name: str) -> dict:
@@ -51,6 +58,7 @@ def surfaced(name: str):
 
 
 def test_every_history_has_a_small_committed_file():
+    assert not HISTORIES.keys() & READER_ONLY.keys()
     files = sorted(path.stem for path in GOLDEN.glob("*.seed"))
     assert files == NAMES
     sizes = [(GOLDEN / f"{name}.seed").stat().st_size for name in NAMES]
@@ -94,7 +102,39 @@ def test_a_server_opens_the_committed_file(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_a_save_point_keeps_the_committed_image(name, tmp_path):
+    copy = tmp_path / f"{name}.seed"
+    shutil.copyfile(GOLDEN / f"{name}.seed", copy)
+    with surfaced(name) as how:
+        journal = JournaledDatabase.open(copy, **how)
+    journal.save_point()
+    journal.close()
+    reopened = JournaledDatabase.open(copy, strict=True)
+    try:
+        assert image_sha256(reopened.db) == expected(name)["image_sha256"]
+    finally:
+        reopened.close()
+
+
+@pytest.mark.parametrize("name", WRITTEN)
 def test_the_history_writes_the_committed_bytes(name, tmp_path):
     path = tmp_path / f"{name}.seed"
     HISTORIES[name](path).close()
     assert path.read_bytes() == (GOLDEN / f"{name}.seed").read_bytes()
+
+
+def test_the_generator_writes_only_missing_or_named_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(_golden_gen, "HISTORIES", {
+        name: HISTORIES[name] for name in ("txn", "version")
+    })
+    kept = tmp_path / "txn.seed"
+    kept.write_bytes(b"an existing file")
+    _golden_gen.main([], tmp_path)
+    assert kept.read_bytes() == b"an existing file"
+    assert not (tmp_path / "txn.json").exists()
+    assert (tmp_path / "version.seed").read_bytes() == (GOLDEN / "version.seed").read_bytes()
+    assert json.loads((tmp_path / "version.json").read_text()) == expected("version")
+    _golden_gen.main(["txn"], tmp_path)
+    assert kept.read_bytes() == (GOLDEN / "txn.seed").read_bytes()
+    with pytest.raises(SystemExit, match="materialized_version"):
+        _golden_gen.main(["materialized_version"], tmp_path)

@@ -780,12 +780,13 @@ def test_a_cell_grown_at_every_version_is_spliced_each_time(tmp_path, encode_spy
     assert last_frame_payload(journal.path) == full_image(db)
 
 
-def test_cells_grown_by_online_snapshots_are_spliced(tmp_path, encode_spy):
-    """Online snapshot consolidation grows every cell by a materialized
-    entry; the ``version`` record splices those too."""
+def test_cells_grown_by_snapshots_between_versions_are_spliced(tmp_path, encode_spy):
+    """A consolidation right after each version grows every cell by a
+    materialized entry at every second version; the ``version`` record
+    splices its own entries and the next join the materialized ones,
+    encoding only their states."""
     journal = JournaledDatabase.open(tmp_path / "j.seed", schema=figure3_schema())
     db = journal.db
-    db.versions.retention = RetentionPolicy(snapshot_interval=2)
     for index in range(6):
         db.create_object("Data", f"D{index}")
     db.create_version()
@@ -793,10 +794,14 @@ def test_cells_grown_by_online_snapshots_are_spliced(tmp_path, encode_spy):
     for step in range(4):
         db.rename(db.get_object(f"D{step}"), f"Renamed{step}")
         vid = db.create_version()
-        materialized += sum(m for __, __, m in db.versions.store.states_at(vid))
+        stats = db.compact(RetentionPolicy(squash_chains=False, snapshot_interval=2))
+        flags = sum(m for __, __, m in db.versions.store.states_at(vid))
+        assert flags == stats.snapshot_states_added
+        materialized += flags
         encode_spy.clear()
         journal.checkpoint()
-        _encodes_no_state(encode_spy)
+        assert len(encode_spy.states) == flags
+        assert _item_records(encode_spy.values) == []
         assert last_frame_payload(journal.path) == full_image(db)
     assert materialized == 10  # 5 unedited items at each of two snapshots
 
@@ -923,25 +928,23 @@ def _renamed_twice(db) -> None:
 
 
 def _snapshot_moved(db) -> None:
-    """An online snapshot at 2.0 materializes X and Y there; the fold
-    moves both entries, flag and all, and Z's change to 3.0."""
-    db.versions.retention = RetentionPolicy(snapshot_interval=2)
+    """A snapshot at 2.0 materializes X and Y there; the fold moves
+    both entries, flag and all, and Z's change to 3.0."""
     db.create_object("Data", "Z")
-    db.create_version()  # 2.0, materialized X and Y
-    db.versions.retention = RetentionPolicy()
+    db.create_version()  # 2.0
+    db.compact(RetentionPolicy(squash_chains=False, snapshot_interval=2))
     db.create_object("Data", "W")
     db.create_version()
 
 
 def _change_onto_a_snapshot(db) -> None:
-    """X changes at 2.0 and 3.0 is an online snapshot: the fold
-    discards X's change and flips 3.0's materialized entry to a change."""
-    db.versions.retention = RetentionPolicy(snapshot_interval=3)
+    """X changes at 2.0 and 3.0 is a snapshot: the fold discards X's
+    change and flips 3.0's materialized entry to a change."""
     db.rename(db.get_object("X"), "X2")
     db.create_version()  # 2.0
     db.create_object("Data", "Z")
-    db.create_version()  # 3.0, a snapshot: X and Y materialized
-    db.versions.retention = RetentionPolicy()
+    db.create_version()  # 3.0
+    db.compact(RetentionPolicy(squash_chains=False, snapshot_interval=3))
 
 
 def _branch_that_reorders(db) -> None:
@@ -1202,11 +1205,13 @@ def _migrate(journal, description) -> None:
 
 
 def _restore(journal, description) -> None:
-    """A raw restore of the first version leaves the live items unlike
-    the chain the next version materializes: a kept member of such an
-    item (the save point fills them) is not that version's state."""
+    """A raw restore of the first version replaces the live records of
+    items whose cells hold materialized entries: the save point fills
+    their members again, and the next version records the restored
+    states."""
     db = journal.db
-    db.versions.retention = RetentionPolicy(snapshot_interval=1)
+    stats = db.compact(RetentionPolicy(squash_chains=False, snapshot_interval=1))
+    assert stats.snapshot_states_added
     db.restore_from_view(db.version_view(db.saved_versions()[0]))
     journal.checkpoint()
     # the restore replaced the records: held handles are stale

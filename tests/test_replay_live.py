@@ -30,6 +30,7 @@ from repro.core.storage import (
 from repro.core.storage.engine import KNOWN_RECORD_KINDS
 from repro.core.storage.serialize import restore_delta_from_db, state_to_dict
 from repro.core.versions.compaction import RetentionPolicy
+from repro.core.versions.version_id import VersionId
 
 
 def image(db) -> bytes:
@@ -109,13 +110,20 @@ def test_a_compaction_that_changes_nothing_appends_nothing(journal):
 
 def test_the_compact_record_holds_the_resolved_policy(journal):
     db = journal.db
-    db.versions.retention = RetentionPolicy(keep_last=1, pins=["2.0"])
-    db.compact()
+    db.compact(RetentionPolicy(keep_last=1, pins=["2.0"]))
     delta = RecordFile(journal.path).decoded()
     record = [e.record for e in delta if e.kind == "record"][-1]
     assert record["kind"] == "compact"
     assert record["delta"]["pins"] == ["2.0"]
     assert record["delta"]["keep_last"] == 1
+    assert_reopen_is_live(journal)
+
+
+def test_a_compaction_without_a_policy_records_the_default(journal):
+    assert journal.db.compact().squashed_versions == [VersionId.parse("1.0")]
+    *__, record = RecordFile(journal.path).records()
+    assert record["kind"] == "compact"
+    assert RetentionPolicy(**record["delta"]) == RetentionPolicy()
     assert_reopen_is_live(journal)
 
 

@@ -64,6 +64,10 @@ class Twins:
         spy_drops(self.ref.versions.store, self.drops[1])
         self.squashed: list[VersionId] = []
         self.stats: list = []
+        #: K > 0: every version is followed by a snapshot consolidation
+        #: at interval K (squashing off); states it materialized
+        self.interval = 0
+        self.materialized = 0
         self.both(self._populate)
 
     @property
@@ -117,7 +121,14 @@ class Twins:
                 explicit = VersionId.parse(f"{rng.randint(1, 60)}.{rng.randint(0, 3)}")
                 if db.versions.exists(explicit):
                     explicit = None
-        return db.create_version(explicit)
+        version = db.create_version(explicit)
+        if self.interval:
+            stats = db.compact(
+                RetentionPolicy(squash_chains=False, snapshot_interval=self.interval)
+            )
+            if db is self.live:
+                self.materialized += stats.snapshot_states_added
+        return version
 
     def _branch(self, db, rng) -> None:
         if db.saved_versions():
@@ -132,8 +143,8 @@ class Twins:
         if leaves:
             db.delete_version(rng.choice(leaves))
 
-    def _online(self, db, rng) -> None:
-        db.versions.retention = RetentionPolicy(snapshot_interval=rng.choice((0, 0, 3, 4)))
+    def _consolidating(self, db, rng) -> None:
+        self.interval = rng.choice((0, 0, 3, 4))
 
     def _compact(self, db, rng):
         saved = db.saved_versions()
@@ -168,8 +179,8 @@ class Twins:
             self.both(self._delete)
             return "delete"
         if roll < 0.78:
-            self.both(self._online)
-            return "online"
+            self.both(self._consolidating)
+            return "consolidating"
         if roll < 0.93:
             live, ref = self.both(self._compact)
             assert live == ref, "the passes report different CompactionStats"
@@ -188,9 +199,7 @@ class Twins:
         self.journal.close()
         self.journal = JournaledDatabase.open(self.journal.path)
         self.live = self.journal.db
-        # the online snapshot policy is a setting, not journaled, and a
-        # load allocates ids after the highest it read
-        self.live.versions.retention = self.ref.versions.retention
+        # a load allocates ids after the highest it read
         self.ref._next_id = self.live._next_id  # noqa: SLF001
         spy_drops(self.live.versions.store, self.drops[0])
 
@@ -326,7 +335,11 @@ def test_the_slot_store_equals_the_per_key_reference(tmp_path):
             twins.journal.close()
             seen["drops"] += len(twins.drops[0])
             seen["snapshots"] += sum(len(stats.snapshots_created) for stats in twins.stats)
-    for what in ("renamed", "reordered", "reused", "snapshots", "drops", "reopen"):
+            seen["materialized after a version"] += twins.materialized
+    for what in (
+        "renamed", "reordered", "reused", "snapshots", "drops", "reopen",
+        "materialized after a version",
+    ):
         assert seen[what], seen
 
 

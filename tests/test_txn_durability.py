@@ -8,11 +8,13 @@ byte-level recovery sweeps; these tests pin the API behaviour.
 """
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
 from repro.core import RecoveryWarning, SchemaBuilder
-from repro.core.errors import StorageError
+from repro.core.errors import SeedError, StorageError
 from repro.core.faults import FaultPlan
 from repro.core.storage import JournaledDatabase, RecordFile, database_to_dict
 from repro.core.versions.compaction import RetentionPolicy
@@ -309,6 +311,58 @@ class TestByteBudget:
             assert server.journal._file.size_bytes() < 2 * 6_000
         reopened = JournaledDatabase.open(server.journal.path)
         assert reopened.db.find_object("W11") is not None
+
+    def test_the_stated_bound_holds_while_the_image_outgrows_the_budget(
+        self, tmp_path
+    ):
+        """``enforce_budget``'s bound, ``max(budget, 2 * image - 1)``
+        bytes with *image* the size of the base unit, after every write
+        of a server whose image grows to many times its budget: direct
+        transactions, applied and rejected check-ins, versions and
+        maintenance."""
+        budget = 6_000
+        server = SeedServer.open(
+            tmp_path / "grown.journal", schema=item_schema(), byte_budget=budget
+        )
+        journal, master = server.journal, server.master
+        rng = random.Random(4)
+        seen = Counter()
+        size = journal._file.size_bytes()  # noqa: SLF001
+        for index in range(300):
+            roll = rng.random()
+            if roll < 0.4:
+                with master.transaction():
+                    item = master.create_object("Item", f"T{index}")
+                    item.set_value("x" * rng.randint(5, 60))
+            elif roll < 0.85:
+                client = server.connect(f"c{index}")
+                if roll < 0.7:
+                    client.check_out().create_object("Item", f"C{index}")
+                    client.check_in()
+                else:
+                    name = rng.choice(master.objects("Item")).name
+                    local = client.check_out(name)
+                    master.get_object(name).set_value(f"raced {index}")
+                    local.get_object(name).set_value("too late")
+                    with pytest.raises(SeedError):
+                        client.check_in()
+                    seen["rejected"] += 1
+                server.disconnect(f"c{index}")
+            elif roll < 0.95:
+                master.create_version()
+            else:
+                server.maintain()
+            before, size = size, journal._file.size_bytes()  # noqa: SLF001
+            base = journal._base  # noqa: SLF001
+            image = base.end - base.offset
+            assert size <= max(budget, 2 * image - 1), (index, size, image)
+            if size < before:
+                seen["shrunk, image over budget" if image > budget else "shrunk"] += 1
+        assert image > 5 * budget
+        assert seen["rejected"] and seen["shrunk"] and seen["shrunk, image over budget"]
+        expected = canonical(master)
+        journal.close()
+        assert canonical(JournaledDatabase.open(journal.path).db) == expected
 
     def test_maintain_enforces_policy_budget(self, tmp_path):
         # the budget has one home, the journal: maintain() enforces

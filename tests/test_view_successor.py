@@ -483,18 +483,26 @@ class TestFallBacks:
 
 @pytest.mark.parametrize("seed", range(5))
 def test_successors_interleaved_with_compaction(seed):
-    """Online consolidation makes some versions *snapshots* (their delta
-    is the complete state), squashing folds versions into their child and
-    tombstone GC drops cells — a successor must equal the cold view
-    through all of it, and held views must not move."""
+    """Consolidation right after each version makes some versions
+    *snapshots* (their delta is the complete state), squashing folds
+    versions into their child and tombstone GC drops cells — a successor
+    must equal the cold view through all of it, and held views must not
+    move."""
     rng = random.Random(seed + 500)
     history = History(seed + 40)
     db = history.db
-    db.versions.retention = RetentionPolicy(snapshot_interval=2)
-    view = db.version_view(history.version(5))
+    materialized = 0
+
+    def consolidated(version):
+        nonlocal materialized
+        stats = db.compact(RetentionPolicy(squash_chains=False, snapshot_interval=2))
+        materialized += stats.snapshot_states_added
+        return version
+
+    view = db.version_view(consolidated(history.version(5)))
     held = [(view, observe(view))]
     for round_number in range(24):
-        version = history.version(rng.randint(1, 6))
+        version = consolidated(history.version(rng.randint(1, 6)))
         view = db.version_view(version, base=view)
         assert observe(view) == observe(db.version_view(version)), (
             f"round {round_number}, version {version}, seed {seed}"
@@ -517,6 +525,7 @@ def test_successors_interleaved_with_compaction(seed):
                 derived = db.version_view(survivor, base=db.version_view(parent))
                 assert observe(derived) == observe(db.version_view(survivor))
     assert db.versions.store.snapshot_versions()
+    assert materialized, "no version was consolidated between derivations"
     for pinned, answers in held:
         assert observe(pinned) == answers
 
