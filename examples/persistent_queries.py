@@ -87,6 +87,9 @@ def main() -> None:
     read_only = readers.difference(writers)
     print("\nactions that only read:",
           [o.simple_name for o in read_only.distinct_objects("action")])
+    either = readers.union(writers)
+    print("actions that read or write:",
+          [o.simple_name for o in either.distinct_objects("action")])
 
     # ------------------------------------------------------------------
     # journaled mode: every committed mutation survives a crash

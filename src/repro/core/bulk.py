@@ -51,8 +51,8 @@ derives every item afresh on the compiled rules.
 
     * :func:`load_item_states` — **wholesale replace** (registries
       emptied first, one index rebuild after): the one restore
-      (``SeedDatabase._restore``: ``restore_from_view``,
-      ``select_version`` and the replay of ``restore`` deltas), the
+      (``SeedDatabase._restore``: ``select_version`` and the replay
+      of ``restore`` deltas), the
       image decoder (``database_from_records``, which
       ``database_from_dict`` feeds), multi-user check-out;
     * ``serialize.apply_txn_delta`` — **upsert** of a journaled

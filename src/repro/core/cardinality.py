@@ -87,32 +87,12 @@ class Cardinality:
         """True when at least one item is eventually required (min >= 1)."""
         return self.minimum >= 1
 
-    def admits(self, count: int) -> bool:
-        """True when *count* items satisfy both bounds (final-state check)."""
-        if count < self.minimum:
-            return False
-        return self.maximum is None or count <= self.maximum
-
     def allows_more(self, count: int) -> bool:
         """True when one more item may be added to *count* existing ones.
 
         This is the consistency half: only the maximum matters.
         """
         return self.maximum is None or count < self.maximum
-
-    def widens(self, other: "Cardinality") -> bool:
-        """True when this cardinality admits every count *other* admits.
-
-        Used when validating generalization hierarchies: a generalized
-        association may legitimately carry *different* cardinalities than
-        its specializations (paper, figure 3 discussion), so widening is
-        informational, not enforced.
-        """
-        if self.minimum > other.minimum:
-            return False
-        if self.maximum is None:
-            return True
-        return other.maximum is not None and other.maximum <= self.maximum
 
     def __str__(self) -> str:
         maximum = "*" if self.maximum is None else str(self.maximum)

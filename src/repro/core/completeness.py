@@ -56,7 +56,7 @@ mandatory attributes; a participation gap's text is rendered once
 per role and count. The table, and the gap map with it, is dropped by
 :meth:`invalidate`, when ``db.schema`` is replaced and when the schema
 generation moves (``add_dependent``, ``specialize`` and
-``remove_specialization`` change a schema in place). One kernel,
+``set_covering`` change a schema in place). One kernel,
 :meth:`~CompletenessEngine.object_gaps`, serves the prime and the
 refresh: an object without pattern influence has its own live children
 counted in place and its participations read from the index maps. An
@@ -170,10 +170,6 @@ class CompletenessReport:
     def by_kind(self, kind: str) -> list[Gap]:
         """All gaps of one category."""
         return [gap for gap in self.gaps if gap.kind == kind]
-
-    def for_item(self, item_ref: str) -> list[Gap]:
-        """All gaps concerning the item referenced by *item_ref*."""
-        return [gap for gap in self.gaps if gap.item == item_ref]
 
     def kinds(self) -> dict[str, int]:
         """Histogram of gap kinds (for reports and benchmarks)."""

@@ -402,10 +402,7 @@ class ConsistencyEngine:
     # -- attached procedures ----------------------------------------------------------
 
     def run_attached_procedures(
-        self,
-        item: object,
-        operation: str,
-        detail: Optional[dict] = None,
+        self, item: object, operation: str
     ) -> list[Violation]:
         """Run every attached procedure observing *operation* on *item*.
 
@@ -433,7 +430,6 @@ class ConsistencyEngine:
                 operation=operation,
                 item=item,
                 element=element,
-                detail=dict(detail or {}),
             )
             try:
                 messages = procedure.run(context)

@@ -316,9 +316,9 @@ class SeedDatabase:
         #:   rolled-back transactions never reach the sink;
         #: * ``"schema"`` — a completed :meth:`migrate_schema` (payload:
         #:   ``(new_schema, schema_version_index)``);
-        #: * ``"restore"`` — a completed :meth:`restore_from_view` or
-        #:   :meth:`select_version` (payload: the base moved to, or
-        #:   ``None``);
+        #: * ``"restore"`` — a completed :meth:`select_version`
+        #:   (payload: the base moved to; ``None`` only when replay
+        #:   re-runs a raw restore an earlier build journaled);
         #: * ``"version"`` / ``"delete_version"`` — a completed
         #:   :meth:`create_version` / :meth:`delete_version` (payload:
         #:   the :class:`VersionId`);
@@ -1223,10 +1223,9 @@ class SeedDatabase:
             obj = child
         return obj
 
-    def objects_by_name_prefix(
-        self, prefix: str, *, include_patterns: bool = False
-    ) -> list[SeedObject]:
-        """Live independent objects whose name starts with *prefix*.
+    def objects_by_name_prefix(self, prefix: str) -> list[SeedObject]:
+        """Live independent objects (patterns excluded) whose name
+        starts with *prefix*.
 
         Bisects the sorted name index: O(log n + |matches|), results in
         name order.
@@ -1234,9 +1233,8 @@ class SeedDatabase:
         results = []
         for name in self.indexes.names_with_prefix(prefix):
             obj = self._objects[self._name_index[name]]
-            if obj.is_pattern and not include_patterns:
-                continue
-            results.append(obj)
+            if not obj.is_pattern:
+                results.append(obj)
         return results
 
     def get_object(
@@ -1560,15 +1558,6 @@ class SeedDatabase:
         """Reset dirty tracking (version-manager hook)."""
         self._dirty.clear()
 
-    def restore_from_view(self, view: VersionView) -> None:
-        """Replace the live state with a saved version's state; the
-        version base stays where it is (:meth:`select_version` moves it).
-
-        Live object/relationship handles held by callers become stale;
-        re-fetch by name.
-        """
-        self._restore(*view.states())
-
     def _restore(
         self,
         object_states: Iterable[tuple[int, Any]],
@@ -1578,8 +1567,9 @@ class SeedDatabase:
     ) -> None:
         """The one restore: replace every item from frozen states, and
         move the version base to *base* unless it is None. Serves
-        :meth:`restore_from_view`, ``select_version`` and the replay of
-        a ``restore`` record. One-shot: the state materializer of
+        ``select_version`` and the replay of a ``restore`` record (whose
+        ``"version"`` is null when an earlier build's raw restore wrote
+        it: the base stays). One-shot: the state materializer of
         :mod:`repro.core.bulk` wires everything and rebuilds the
         pattern/index layers exactly once.
         """

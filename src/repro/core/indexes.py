@@ -43,9 +43,9 @@ Derived on read: :meth:`distinct_participants` is the size of a
 ``participation`` map; :meth:`normal_edges` reads the endpoints of a
 family's ``family_rids``; :meth:`successors` keeps, of the database's
 incidence list of the node, the family's normal relationships that bind
-it at position 0 — O(degree). :func:`brute_value_counts`,
-:func:`brute_participation_distinct` and :func:`brute_relationships` are
-the brute-force recounts the equivalence tests compare against.
+it at position 0 — O(degree). :func:`brute_objects` and
+:func:`brute_relationships` are the full scans the equivalence tests
+compare the extents against.
 
 Invariants (checked by :meth:`IndexLayer.verify` and the equivalence
 tests in ``tests/test_indexes.py``):
@@ -104,8 +104,6 @@ __all__ = [
     "IndexLayer",
     "brute_objects",
     "brute_relationships",
-    "brute_value_counts",
-    "brute_participation_distinct",
     "prefix_upper_bound",
     "value_key",
 ]
@@ -539,56 +537,42 @@ class IndexLayer:
         self._ensure_fresh()
         return sum(len(bucket) for bucket in self.extent.values())
 
-    def _merged_value_counts(
-        self, wanted: "EntityClass", include_specials: bool
-    ) -> dict[tuple, int]:
-        merged: dict[tuple, int] = dict(
-            self.value_counts.get(wanted.full_name, ())
-        )
-        if include_specials:
-            for special in wanted.all_specials():
-                for key, count in self.value_counts.get(
-                    special.full_name, {}
-                ).items():
-                    merged[key] = merged.get(key, 0) + count
-        return merged
-
     def value_histogram(
-        self,
-        wanted: "EntityClass",
-        include_specials: bool = True,
-        k: int = TOP_K,
+        self, wanted: "EntityClass"
     ) -> tuple[list[tuple[tuple, int]], int, int]:
-        """Top-K + remainder view of a class's defined-value distribution.
+        """Top-K + remainder view of the defined-value distribution of
+        *wanted* and its specializations.
 
         Returns ``(top, remainder_count, remainder_distinct)`` where
-        *top* holds the K most frequent ``(value key, count)`` pairs
-        (count-descending, key-ascending for determinism) and the
+        *top* holds the :data:`TOP_K` most frequent ``(value key,
+        count)`` pairs (count-descending, key-ascending for
+        determinism) and the
         remainder buckets summarize everything else. Full ranked view
         (O(distinct · log distinct)) for introspection and tests; the
         planner asks :meth:`value_frequency`, which answers
         single-value questions exactly from the maintained counters.
         """
         self._ensure_fresh()
-        merged = self._merged_value_counts(wanted, include_specials)
+        merged: dict[tuple, int] = {}
+        for element in (wanted, *wanted.all_specials()):
+            for key, count in self.value_counts.get(element.full_name, {}).items():
+                merged[key] = merged.get(key, 0) + count
         ranked = sorted(merged.items(), key=lambda item: (-item[1], repr(item[0])))
-        top = ranked[:k]
-        rest = ranked[k:]
+        top = ranked[:TOP_K]
+        rest = ranked[TOP_K:]
         return top, sum(count for __, count in rest), len(rest)
 
-    def value_frequency(
-        self, wanted: "EntityClass", value: object, include_specials: bool = True
-    ) -> float:
-        """Live objects of *wanted* holding *value*: the maintained
-        count, exact (0.0 for a value never seen), one hash lookup per
-        class of the rollup. The planner calls this per Select estimate
-        and the plan cache on every hit."""
+    def value_frequency(self, wanted: "EntityClass", value: object) -> float:
+        """Live objects of *wanted* or its specializations holding
+        *value*: the maintained count, exact (0.0 for a value never
+        seen), one hash lookup per class of the rollup. The planner
+        calls this per Select estimate and the plan cache on every
+        hit."""
         self._ensure_fresh()
         key = value_key(value)
         count = self.value_counts.get(wanted.full_name, {}).get(key, 0)
-        if include_specials:
-            for special in wanted.all_specials():
-                count += self.value_counts.get(special.full_name, {}).get(key, 0)
+        for special in wanted.all_specials():
+            count += self.value_counts.get(special.full_name, {}).get(key, 0)
         return float(count)
 
     def total_value_frequency(self, value: object) -> float:
@@ -597,21 +581,17 @@ class IndexLayer:
         key = value_key(value)
         return float(sum(bucket.get(key, 0) for bucket in self.value_counts.values()))
 
-    def defined_count(
-        self, wanted: "EntityClass", include_specials: bool = True
-    ) -> int:
-        """Live objects of *wanted* holding any defined value.
+    def defined_count(self, wanted: "EntityClass") -> int:
+        """Live objects of *wanted* or its specializations holding any
+        defined value.
 
         Sums the class buckets directly — no merged-dict allocation,
         since the planner calls this per Select estimate.
         """
         self._ensure_fresh()
         total = sum(self.value_counts.get(wanted.full_name, {}).values())
-        if include_specials:
-            for special in wanted.all_specials():
-                total += sum(
-                    self.value_counts.get(special.full_name, {}).values()
-                )
+        for special in wanted.all_specials():
+            total += sum(self.value_counts.get(special.full_name, {}).values())
         return total
 
     def total_defined(self) -> int:
@@ -830,37 +810,6 @@ def brute_objects(
                 continue
         results.append(obj)
     return results
-
-
-def brute_value_counts(db: "SeedDatabase") -> dict[str, dict[tuple, int]]:
-    """Full-scan recount of the per-class value histograms.
-
-    The reference :attr:`IndexLayer.value_counts` must equal after any
-    sequence of mutations — covers exactly the objects the extents
-    hold (live, pattern-context included), defined values only.
-    """
-    counts: dict[str, dict[tuple, int]] = {}
-    for obj in db.all_objects_raw():
-        if obj.deleted or obj.value is None:
-            continue
-        bucket = counts.setdefault(obj.entity_class.full_name, {})
-        key = value_key(obj.value)
-        bucket[key] = bucket.get(key, 0) + 1
-    return counts
-
-
-def brute_participation_distinct(db: "SeedDatabase") -> dict[tuple[str, int], int]:
-    """Full-scan recount of the distinct-participant counters."""
-    participants: dict[tuple[str, int], set[int]] = {}
-    for rel in db.all_relationships_raw():
-        if rel.deleted or rel.in_pattern_context:
-            continue
-        for element in rel.association.kind_chain():
-            for position in (0, 1):
-                participants.setdefault((element.name, position), set()).add(
-                    rel.bound_at(position).oid
-                )
-    return {key: len(oids) for key, oids in participants.items()}
 
 
 def brute_relationships(

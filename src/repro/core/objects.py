@@ -190,24 +190,22 @@ class SeedObject:
             if not child.deleted
         ]
 
-    def sub_object(self, role: str, index: Optional[int] = None) -> "SeedObject":
-        """The live sub-object in *role* (with *index* when several exist).
+    def sub_object(self, role: str) -> "SeedObject":
+        """The first live sub-object in *role*.
 
         Raises :class:`SeedError` when no such sub-object exists; use
-        :meth:`find_sub_object` for an optional lookup.
+        :meth:`find_sub_object` for an optional or indexed lookup.
         """
-        found = self.find_sub_object(role, index)
+        found = self.find_sub_object(role)
         if found is None:
-            raise SeedError(
-                f"object {self.name} has no sub-object {role!r}"
-                + (f"[{index}]" if index is not None else "")
-            )
+            raise SeedError(f"object {self.name} has no sub-object {role!r}")
         return found
 
     def find_sub_object(
         self, role: str, index: Optional[int] = None
     ) -> Optional["SeedObject"]:
-        """Like :meth:`sub_object` but returns None when absent."""
+        """The live sub-object in *role* (with *index* when several
+        exist), or None when absent."""
         candidates = [c for c in self._children.get(role, ()) if not c.deleted]
         if not candidates:
             return None

@@ -48,7 +48,6 @@ __all__ = [
     "both",
     "either",
     "name_prefix",
-    "in_class",
     "has_value",
     "value_is",
     "participates_in",
@@ -163,7 +162,7 @@ class InClass(ObjectPredicate):
 
     def describe(self) -> str:
         exact = "" if self.include_specials else ", exact"
-        return f"in_class({self.class_name}{exact})"
+        return f"InClass({self.class_name}{exact})"
 
 
 @dataclass(frozen=True)
@@ -259,11 +258,6 @@ def either(*predicates: Predicate) -> Or:
 def name_prefix(prefix: str) -> NamePrefix:
     """Match objects whose full dotted name starts with *prefix*."""
     return NamePrefix(prefix)
-
-
-def in_class(class_name: str, *, include_specials: bool = True) -> InClass:
-    """Match instances of *class_name* (specializations count by default)."""
-    return InClass(class_name, include_specials)
 
 
 def has_value(_obj: Optional[SeedObject] = None) -> Any:

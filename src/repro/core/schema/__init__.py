@@ -29,8 +29,6 @@ from repro.core.schema.element import SchemaElement
 from repro.core.schema.entity_class import EntityClass
 from repro.core.schema.generalization import (
     check_reclassification,
-    common_general,
-    remove_specialization,
     set_covering,
     specialize,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "EntityClass",
     "Schema",
     "check_reclassification",
-    "common_general",
-    "remove_specialization",
     "set_covering",
     "specialize",
 ]

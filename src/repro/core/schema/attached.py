@@ -21,7 +21,7 @@ the name, and loading re-binds it against the registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.errors import SchemaError
@@ -53,15 +53,12 @@ class UpdateContext:
         item: the object or relationship being updated (post-state for
             create/update, pre-state for delete).
         element: the schema element the procedure is attached to.
-        detail: operation-specific extras, e.g. the new class on a
-            reclassify or the new value on a value update.
     """
 
     database: Any
     operation: str
     item: Any
     element: "SchemaElement"
-    detail: dict = field(default_factory=dict)
 
 
 @dataclass

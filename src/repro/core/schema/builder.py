@@ -159,9 +159,9 @@ class SchemaBuilder:
 
     # -- hierarchies -----------------------------------------------------------
 
-    def covering(self, general: str, flag: bool = True) -> "SchemaBuilder":
+    def covering(self, general: str) -> "SchemaBuilder":
         """Mark the generalization rooted at *general* as covering."""
-        set_covering(self._schema.element(general), flag)
+        set_covering(self._schema.element(general))
         return self
 
     # -- attached procedures ------------------------------------------------------

@@ -29,8 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SchemaElement", "schema_changed", "schema_generation"]
 
-#: advanced by every ``specialize``, ``remove_specialization``,
-#: ``set_covering``, ``add_dependent``, ``Schema.add_class`` and
+#: advanced by every ``specialize``, ``set_covering``,
+#: ``add_dependent``, ``Schema.add_class`` and
 #: ``Schema.add_association``; facts compiled and schema checks passed
 #: under an older value are stale
 _generation = 0
@@ -168,18 +168,6 @@ class SchemaElement:
                 f"{self.kind} {self._name!r}"
             )
         self.attached_procedures.append(procedure)
-
-    def detach(self, procedure_name: str) -> None:
-        """Remove the attached procedure named *procedure_name*."""
-        remaining = [
-            proc for proc in self.attached_procedures if proc.name != procedure_name
-        ]
-        if len(remaining) == len(self.attached_procedures):
-            raise SchemaError(
-                f"no procedure {procedure_name!r} attached to "
-                f"{self.kind} {self._name!r}"
-            )
-        self.attached_procedures = remaining
 
     def procedures_including_inherited(self) -> Iterator["AttachedProcedure"]:
         """Yield procedures of this element and of all its generals.

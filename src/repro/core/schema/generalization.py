@@ -7,8 +7,8 @@ a well-defined home (``Thing``, ``Access``); as knowledge becomes more
 precise, items are *moved down* the hierarchy to a specialization
 (``Data``, then ``OutputData``; ``Access``, then ``Write``).
 
-This module provides the linking/unlinking primitives (kept out of the
-element classes so that linking rules live in one place), hierarchy
+This module provides the linking primitives (kept out of the element
+classes so that linking rules live in one place), hierarchy
 validation, and the legality rules for re-classification used by
 :mod:`repro.core.classify`.
 
@@ -20,8 +20,6 @@ completeness reports.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.errors import ClassificationError, SchemaError
 from repro.core.schema.association import Association
 from repro.core.schema.element import SchemaElement, schema_changed
@@ -29,9 +27,7 @@ from repro.core.schema.entity_class import EntityClass
 
 __all__ = [
     "specialize",
-    "remove_specialization",
     "set_covering",
-    "common_general",
     "check_reclassification",
     "validate_hierarchy",
 ]
@@ -108,40 +104,20 @@ def _check_association_specialization(general: Association, special: Association
             )
 
 
-def remove_specialization(special: SchemaElement) -> None:
-    """Detach *special* from its general (inverse of :func:`specialize`)."""
-    general = special.general
-    if general is None:
-        raise SchemaError(f"{special.kind} {special.name!r} has no general")
-    general.specials = [el for el in general.specials if el is not special]
-    special.general = None
-    schema_changed()
-
-
-def set_covering(general: SchemaElement, covering: bool = True) -> None:
+def set_covering(general: SchemaElement) -> None:
     """Declare the generalization rooted at *general* as covering.
 
     Covering means every instance of *general* must finally be
     specialized into one of its specializations (completeness
     information, paper section "Incomplete data").
     """
-    if covering and not general.specials:
+    if not general.specials:
         raise SchemaError(
             f"{general.kind} {general.name!r} has no specializations; "
             "a covering condition would be unsatisfiable"
         )
-    general.covering = covering
+    general.covering = True
     schema_changed()
-
-
-def common_general(
-    first: SchemaElement, second: SchemaElement
-) -> Optional[SchemaElement]:
-    """The most specific element both arguments are kinds of, if any."""
-    for element in second.kinds():
-        if first.is_kind_of(element):
-            return element
-    return None
 
 
 def check_reclassification(

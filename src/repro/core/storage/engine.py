@@ -63,11 +63,12 @@ in one journal file:
 * **mutation deltas** — the non-transactional mutators journal
   through the same seam: ``{"kind": "schema", ...}`` (a completed
   ``migrate_schema``: the serialized new schema + migration stats),
-  ``{"kind": "restore", ...}`` (a completed ``restore_from_view`` or
-  ``select_version``: the restored items and the base moved to, or
-  null), ``{"kind": "version", ...}`` (a completed ``create_version``:
-  the snapshot's recorded cells), ``{"kind": "delete_version", ...}``
-  (the deleted version id), ``{"kind": "compact", ...}`` (a
+  ``{"kind": "restore", ...}`` (a completed ``select_version``: the
+  restored items and the base moved to; replay still reads the null
+  base of an earlier build's raw restore), ``{"kind": "version", ...}``
+  (a completed ``create_version``: the snapshot's recorded cells),
+  ``{"kind": "delete_version", ...}`` (the deleted version id),
+  ``{"kind": "compact", ...}`` (a
   ``SeedDatabase.compact`` pass that changed something: the resolved
   ``RetentionPolicy``, pins included). Each appends exactly one record
   before control returns, so these operations are durable with

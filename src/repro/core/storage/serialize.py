@@ -19,7 +19,7 @@ records' ``thaw``. :func:`database_from_records` is the one image
 decoder; :func:`database_from_dict` only re-shapes a monolithic image
 into that stream.
 
-A state is encoded once, by one kernel: :func:`encode_state` writes a
+A state is encoded once, by one kernel: :func:`_encode_state` writes a
 frozen state's canonical JSON straight from its fields, byte for byte
 what ``RecordFile.encode(state_to_dict(kind, state))`` writes (the
 oracle). The ``txn`` and ``version`` deltas are joined from its bytes,
@@ -83,7 +83,6 @@ __all__ = [
     "apply_version_delta",
     "state_to_dict",
     "state_from_dict",
-    "encode_state",
 ]
 
 FORMAT_VERSION = 1
@@ -431,18 +430,12 @@ def _relationship_json(state: RelationshipState) -> tuple[str, int]:
 
 
 def _encode_state(kind: str, state: Any) -> tuple[bytes, int]:
-    """The state kernel: :func:`encode_state`'s bytes, plus the offset
-    where the item's id key goes in its image member (before
+    """The state kernel: one frozen state's canonical JSON bytes, plus
+    the offset where the item's id key goes in its image member (before
     ``"parent"`` in an object, before the closing brace in a
     relationship — see :func:`_member`)."""
     text, split = (_object_json if kind == "o" else _relationship_json)(state)
     return text.encode("ascii"), split
-
-
-def encode_state(kind: str, state: Any) -> bytes:
-    """Canonical JSON bytes of one frozen item state: byte for byte
-    ``RecordFile.encode(state_to_dict(kind, state))``."""
-    return _encode_state(kind, state)[0]
 
 
 #: an item kind as a JSON string, and the id member an image splices
@@ -1155,12 +1148,10 @@ def _image_dict_records(data: dict) -> Iterator[dict]:
         raise _malformed(section, exc, "section") from exc
 
 
-def database_from_dict(
-    data: dict, registry: Optional[ProcedureRegistry] = None
-) -> SeedDatabase:
+def database_from_dict(data: dict) -> SeedDatabase:
     """Rebuild a database (inverse of :func:`database_to_dict`): the
     dict replays as its record stream into :func:`database_from_records`."""
-    return database_from_records(_image_dict_records(data), registry)
+    return database_from_records(_image_dict_records(data))
 
 
 # ---------------------------------------------------------------------------

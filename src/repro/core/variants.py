@@ -16,8 +16,6 @@ subsystem): a variants family coexists inside one database state.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.database import SeedDatabase
 from repro.core.errors import VariantError
 from repro.core.objects import SeedObject
@@ -62,7 +60,6 @@ class VariantFamily:
         common_bindings: dict[str, SeedObject],
         *,
         variant_role: str,
-        attributes: Optional[dict] = None,
     ) -> SeedRelationship:
         """Declare a relationship every variant must share.
 
@@ -90,9 +87,7 @@ class VariantFamily:
         )
         bindings = dict(common_bindings)
         bindings[variant_role] = pattern
-        relationship = self._db.relate(
-            association, bindings, attributes=attributes, pattern=True
-        )
+        relationship = self._db.relate(association, bindings, pattern=True)
         self._pattern_objects.append(pattern)
         self._pattern_relationships.append(relationship)
         for variant in self._variants:
@@ -137,17 +132,6 @@ class VariantFamily:
             self._db.inherit(pattern, variant)
         self._variants.append(variant)
         return variant
-
-    def remove_variant(self, variant: SeedObject) -> None:
-        """Detach *variant* from the family (inherits links removed)."""
-        if variant not in self._variants:
-            raise VariantError(
-                f"object {variant.name} is not a variant of family "
-                f"{self.name!r}"
-            )
-        for pattern in self._pattern_objects:
-            self._db.uninherit(pattern, variant)
-        self._variants.remove(variant)
 
     # -- queries ----------------------------------------------------------------
 

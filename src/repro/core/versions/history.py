@@ -82,9 +82,9 @@ class HistoryNavigator:
         key: ItemKey,
         *,
         beginning_with: Optional[str | VersionId] = None,
-        include_tombstones: bool = True,
     ) -> list[ItemHistoryEntry]:
-        """All stored versions of one item, oldest first.
+        """All stored versions of one item, oldest first, tombstones
+        included.
 
         ``beginning_with`` implements the paper's "find all versions of
         object 'AlarmHandler', beginning with version 2.0": entries with
@@ -93,14 +93,11 @@ class HistoryNavigator:
         threshold = (
             VersionId.parse(beginning_with) if beginning_with is not None else None
         )
-        entries = [
+        return [
             ItemHistoryEntry(version, state)
             for version, state in self._manager.states_of_item(key)
             if threshold is None or not version < threshold
         ]
-        if not include_tombstones:
-            entries = [entry for entry in entries if not entry.deleted]
-        return entries
 
     def versions_of_object_named(
         self, name: str, *, beginning_with: Optional[str | VersionId] = None

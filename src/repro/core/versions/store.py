@@ -26,8 +26,6 @@ at O(states at that version): :meth:`states_at` hands it to the journal
 record and to successor views, :meth:`resolve_chain` overlays the
 chain's deltas without visiting cells of other branches, and
 ``drop_version`` costs O(states of the version dropped).
-:meth:`keys_in_version_scan` is the retained cell scan the index is
-tested against.
 
 **The renaming fold.** Chain squashing folds a version into its
 surviving child (:meth:`fold_version`). The store moves the entries of
@@ -511,15 +509,6 @@ class VersionStore:
         """
         slot = self._slot_of.get(version)
         return iter(() if slot is None else self._by_slot[slot])
-
-    def keys_in_version_scan(self, version: VersionId) -> Iterator[ItemKey]:
-        """Cell-scan reference for :meth:`keys_in_version` (the pre-index
-        path): one pass over every cell. Retained as the oracle the
-        per-version index is tested against."""
-        slot = self._slot_of.get(version)
-        for key, cell in self._cells.items():
-            if slot in cell:
-                yield key
 
     def mark_materialized(self, version: VersionId, key: ItemKey) -> None:
         """Flag a stored state as snapshot-materialized (image load)."""

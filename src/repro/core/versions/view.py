@@ -115,11 +115,11 @@ class ViewObject:
         """Live sub-objects in this version, optionally of one role."""
         return self._view.children_of(self.oid, role)
 
-    def sub_object(self, role: str, index: Optional[int] = None) -> "ViewObject":
-        """One sub-object by role and optional index (raises when absent)."""
-        for child in self.sub_objects(role):
-            if index is None or child.state.index == index:
-                return child
+    def sub_object(self, role: str) -> "ViewObject":
+        """The first sub-object in *role* (raises when absent)."""
+        children = self.sub_objects(role)
+        if children:
+            return children[0]
         raise VersionError(
             f"object {self.name} has no sub-object {role!r} in version "
             f"{self._view.version}"

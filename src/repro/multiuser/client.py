@@ -213,6 +213,6 @@ class SeedClient(CopyHolder):
 
     # -- local versions ("kept locally under control of the user") -------------------------
 
-    def save_local_version(self, version: Optional[str] = None) -> VersionId:
+    def save_local_version(self) -> VersionId:
         """Snapshot the local copy (user-controlled local versions)."""
-        return self.local.create_version(version)
+        return self.local.create_version()

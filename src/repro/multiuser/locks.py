@@ -17,13 +17,13 @@ Lease semantics (multi-user liveness)
 -------------------------------------
 
 A crashed client must not hold its write locks forever. When the table
-is built with ``lease_seconds`` (or an acquisition passes an explicit
-lease), every lock carries an expiry on the injectable ``clock``:
+is built with ``lease_seconds``, every lock carries an expiry on the
+injectable ``clock``:
 
 * an **expired** lock is invisible — ``holder`` reports it free, and a
   conflicting :meth:`LockTable.acquire` *reclaims* it (purged, counted
   in :attr:`LockTable.reclaimed`);
-* a live client keeps its locks alive by touching them with
+* a live client keeps its locks alive by touching them all with
   :meth:`LockTable.renew` (check-in does not renew — a client that lets
   its lease lapse must expect to lose the race);
 * a client whose lease expired can no longer check in changes to the
@@ -45,9 +45,6 @@ from repro.core.errors import LockError
 from repro.core.versions.store import ItemKey
 
 __all__ = ["LockTable"]
-
-#: "use the table default" sentinel for per-acquisition leases
-_DEFAULT = object()
 
 
 class LockTable:
@@ -78,10 +75,6 @@ class LockTable:
 
     # -- lease plumbing -----------------------------------------------------
 
-    def _expiry(self, lease) -> Optional[float]:
-        seconds = self._lease if lease is _DEFAULT else lease
-        return None if seconds is None else self._clock() + seconds
-
     def default_expiry(self) -> Optional[float]:
         """Expiry on this table's clock for a lease granted now.
 
@@ -90,7 +83,7 @@ class LockTable:
         — so a client whose lease lapsed loses not only its locks but
         also the right to inject create-only packages.
         """
-        return self._expiry(_DEFAULT)
+        return None if self._lease is None else self._clock() + self._lease
 
     def is_expired(self, expiry: Optional[float]) -> bool:
         """True when *expiry* (from :meth:`default_expiry`) has passed."""
@@ -108,13 +101,7 @@ class LockTable:
 
     # -- acquisition --------------------------------------------------------
 
-    def acquire(
-        self,
-        client_id: str,
-        keys: Iterable[ItemKey],
-        *,
-        lease_seconds=_DEFAULT,
-    ) -> None:
+    def acquire(self, client_id: str, keys: Iterable[ItemKey]) -> None:
         """Lock *keys* for *client_id*, all or nothing.
 
         Re-acquiring one's own lock is idempotent (and refreshes its
@@ -137,58 +124,27 @@ class LockTable:
             raise LockError(
                 f"client {self._alias(client_id)!r} cannot lock: {description}"
             )
-        expiry = self._expiry(lease_seconds)
+        expiry = self.default_expiry()
         for key in wanted:
             entry = self._locks.get(key)
             if entry is not None and self._live_holder(key) is None:
                 self.reclaimed += 1  # expired lock of a dead client
             self._locks[key] = (client_id, expiry)
 
-    def renew(
-        self,
-        client_id: str,
-        keys: Optional[Iterable[ItemKey]] = None,
-        *,
-        lease_seconds=_DEFAULT,
-    ) -> int:
-        """Extend the lease on *keys* (or all held locks); returns count.
-
-        Renewing a lock whose lease already expired raises
-        :class:`~repro.core.errors.LockError` — the client must assume
-        it lost the item and check out again.
+    def renew(self, client_id: str) -> int:
+        """Extend the lease on every lock *client_id* still holds; returns
+        the count. A lock whose lease already expired is not renewed —
+        the client must assume it lost the item and check out again.
         """
-        if keys is None:
-            to_renew = self.held_by(client_id)
-        else:
-            to_renew = []
-            for key in keys:
-                if self._live_holder(key) != client_id:
-                    raise LockError(
-                        f"client {self._alias(client_id)!r} no longer holds "
-                        f"the lock on {key} (released or lease expired)"
-                    )
-                to_renew.append(key)
-        expiry = self._expiry(lease_seconds)
+        to_renew = self.held_by(client_id)
+        expiry = self.default_expiry()
         for key in to_renew:
             self._locks[key] = (client_id, expiry)
         return len(to_renew)
 
-    def release(self, client_id: str, keys: Optional[Iterable[ItemKey]] = None) -> int:
-        """Release *keys* (or all of the client's locks); returns the count."""
-        if keys is None:
-            to_release = self.held_by(client_id)
-        else:
-            to_release = []
-            for key in keys:
-                holder = self._live_holder(key)
-                if holder is None:
-                    continue
-                if holder != client_id:
-                    raise LockError(
-                        f"client {self._alias(client_id)!r} does not hold "
-                        f"the lock on {key}"
-                    )
-                to_release.append(key)
+    def release(self, client_id: str) -> int:
+        """Release all of the client's locks; returns the count."""
+        to_release = self.held_by(client_id)
         for key in to_release:
             del self._locks[key]
         return len(to_release)

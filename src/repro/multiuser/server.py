@@ -89,7 +89,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CheckOutTicket", "SeedServer"]
 
-#: pinned snapshot views kept hot by default (oldest evicted first)
+#: pinned snapshot views kept hot (oldest evicted first, never the
+#: publication)
 DEFAULT_SNAPSHOT_CACHE = 8
 
 
@@ -122,7 +123,6 @@ class SeedServer:
         lease_seconds: Optional[float] = None,
         session_seconds: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
-        snapshot_cache_size: int = DEFAULT_SNAPSHOT_CACHE,
     ) -> None:
         if journal is not None:
             self.journal: Optional[JournaledDatabase] = journal
@@ -149,7 +149,6 @@ class SeedServer:
         #: published snapshot views by version string, oldest first
         self._views: "OrderedDict[str, VersionView]" = OrderedDict()
         self._published: Optional[VersionId] = None
-        self.snapshot_cache_size = max(1, snapshot_cache_size)
         # -- service counters (diagnostics, surfaced by `repro serve`) --
         self.checkins_applied = 0
         self.checkins_rejected = 0
@@ -230,8 +229,8 @@ class SeedServer:
 
         Returns the number of locks renewed. A dead session raises
         :class:`~repro.core.errors.SessionError`; locks whose lease
-        already lapsed raise :class:`~repro.core.errors.LockError` via
-        the lock table (the client must check out again).
+        already lapsed are not renewed (the client must check out
+        again).
         """
         self.sessions.validate(token)
         renewed = self.locks.renew(token)
@@ -255,9 +254,7 @@ class SeedServer:
 
     # -- MVCC snapshot reads -------------------------------------------------
 
-    def publish_snapshot(
-        self, version: Optional[str | VersionId] = None
-    ) -> VersionId:
+    def publish_snapshot(self) -> VersionId:
         """Materialize (and cache) a consistent read view of the master.
 
         Creates a global version when the master changed since the last
@@ -272,11 +269,7 @@ class SeedServer:
         so a publication costs O(pages + items the check-in changed):
         a copy of the page directories, not of the master's tables.
         """
-        if (
-            version is not None
-            or self._published is None
-            or self.master.has_unsaved_changes()
-        ):
+        if self._published is None or self.master.has_unsaved_changes():
             # the view published last is the new version's parent view
             # whenever versions are only created here: deriving from it
             # costs O(change) (any other base falls back to a cold build)
@@ -285,7 +278,7 @@ class SeedServer:
                 if self._published is None
                 else self._views.get(str(self._published))
             )
-            published = self.master.create_version(version)
+            published = self.master.create_version()
             self._published = published
             self._cache_view(
                 published, self.master.version_view(published, base)
@@ -322,7 +315,7 @@ class SeedServer:
             if not build:
                 raise VersionError(
                     f"snapshot {key} is no longer pinned (cache holds the "
-                    f"newest {self.snapshot_cache_size}); pin a fresh one"
+                    f"newest {DEFAULT_SNAPSHOT_CACHE}); pin a fresh one"
                 )
             view = self.master.version_view(vid)
             self._cache_view(
@@ -336,13 +329,8 @@ class SeedServer:
         self._views[key] = view
         self._views.move_to_end(key)
         published = None if self._published is None else str(self._published)
-        while len(self._views) > self.snapshot_cache_size:
-            for candidate in self._views:
-                if candidate != published:
-                    del self._views[candidate]
-                    break
-            else:  # pragma: no cover - cache of 1 holding the publication
-                break
+        while len(self._views) > DEFAULT_SNAPSHOT_CACHE:
+            del self._views[next(k for k in self._views if k != published)]
 
     def pinned_snapshots(self) -> list[str]:
         """Version strings of the snapshot views currently cached."""
@@ -410,8 +398,7 @@ class SeedServer:
         retrievable from the server and updatable by whoever owns the
         other end's lock set). Collected through the incidence index —
         O(copied objects + their incident relationships), not
-        O(all relationships in the master) per check-out
-        (:meth:`closure_keys_scan` is the retained scan reference).
+        O(all relationships in the master) per check-out.
         """
         objects, oids = self._closure_objects(roots)
         keys: list[ItemKey] = [("o", obj.oid) for obj in objects]
@@ -428,20 +415,6 @@ class SeedServer:
                     copied_rids.add(rel.rid)
         # ascending rid = master creation order, identical to the scan
         keys.extend(("r", rid) for rid in sorted(copied_rids))
-        return objects, keys
-
-    def closure_keys_scan(
-        self, roots: list[SeedObject]
-    ) -> tuple[list[SeedObject], list[ItemKey]]:
-        """Reference implementation of :meth:`closure_keys`: one pass over
-        every relationship in the master (the pre-PR-7 behaviour), kept
-        for the equivalence suite."""
-        objects, oids = self._closure_objects(roots)
-        keys: list[ItemKey] = [("o", obj.oid) for obj in objects]
-        for rel in self.master.relationships(include_patterns=True):
-            endpoint_oids = [obj.oid for obj in rel.bound_objects()]
-            if all(oid in oids for oid in endpoint_oids):
-                keys.append(("r", rel.rid))
         return objects, keys
 
     @staticmethod
@@ -576,11 +549,9 @@ class SeedServer:
 
     # -- global versions -------------------------------------------------------------------
 
-    def create_global_version(
-        self, version: Optional[str | VersionId] = None
-    ) -> VersionId:
+    def create_global_version(self) -> VersionId:
         """Snapshot the central database (server-controlled versions)."""
-        return self.master.create_version(version)
+        return self.master.create_version()
 
     def global_versions(self) -> list[VersionId]:
         """All server-side versions."""

@@ -75,20 +75,13 @@ class SessionManager:
         *,
         session_seconds: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
-        token_factory: Optional[Callable[[str, int], str]] = None,
     ) -> None:
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
         self._live_by_client: dict[str, str] = {}  # client_id -> token
         self._session_seconds = session_seconds
         self._clock = clock if clock is not None else time.monotonic
-        self._token_factory = token_factory or self._default_token
         self._minted = 0
         self._closed_retained = 0
-
-    @staticmethod
-    def _default_token(client_id: str, serial: int) -> str:
-        # serial guarantees uniqueness; the random half is the credential
-        return f"s{serial}.{secrets.token_hex(8)}"
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -101,9 +94,8 @@ class SessionManager:
                 f"(token {live.token!r})"
             )
         self._minted += 1
-        token = self._token_factory(client_id, self._minted)
-        if token in self._sessions:
-            raise SessionError(f"token factory repeated token {token!r}")
+        # the serial makes a token unique; the random half is the credential
+        token = f"s{self._minted}.{secrets.token_hex(8)}"
         now = self._clock()
         session = Session(
             token=token, client_id=client_id, opened_at=now, last_seen=now
@@ -144,7 +136,7 @@ class SessionManager:
             and session.last_seen + self._session_seconds <= self._clock()
         )
 
-    def validate(self, token: str, *, touch: bool = True) -> Session:
+    def validate(self, token: str) -> Session:
         """The live session behind *token*, or :class:`SessionError`.
 
         Every server operation calls this first — the zombie-client fix:
@@ -164,9 +156,8 @@ class SessionManager:
                 f"session of client {session.client_id!r} expired after "
                 f"{self._session_seconds}s idle; reconnect for a fresh token"
             )
-        if touch:
-            session.last_seen = self._clock()
-            session.operations += 1
+        session.last_seen = self._clock()
+        session.operations += 1
         return session
 
     def is_live(self, token: str) -> bool:

@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-def render_object_tree(obj: SeedObject, *, show_values: bool = True) -> str:
+def render_object_tree(obj: SeedObject) -> str:
     """Indented rendering of one object with all its sub-objects.
 
     Reproduces the containment half of figure 1: the object, its
@@ -34,7 +34,7 @@ def render_object_tree(obj: SeedObject, *, show_values: bool = True) -> str:
     def walk(node: SeedObject, depth: int) -> None:
         label = str(node.own_part) if depth else str(node.name)
         suffix = ""
-        if show_values and node.value is not None:
+        if node.value is not None:
             rendered = node.entity_class.value_sort.format(node.value)
             suffix = f' = "{rendered}"'
         lines.append("  " * depth + f"{label}: {node.entity_class.full_name}{suffix}")

@@ -25,7 +25,6 @@ operational interface:
 
 from __future__ import annotations
 
-import datetime
 from typing import Optional
 
 from repro.core.completeness import CompletenessReport
@@ -172,15 +171,6 @@ class SpadesTool:
     def annotate(self, name: str, note: str) -> SeedObject:
         """Attach a free-text note to any specification item."""
         return self.db.get_object(name).add_sub_object("Note", note)
-
-    def set_revised(self, name: str, on: datetime.date) -> None:
-        """Stamp an item's revision date."""
-        obj = self.db.get_object(name)
-        revised = obj.find_sub_object("Revised")
-        if revised is None:
-            obj.add_sub_object("Revised", on)
-        else:
-            revised.set_value(on)
 
     # ------------------------------------------------------------------
     # refinement (vague -> precise)

@@ -27,7 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import shutil
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from typing import Callable
@@ -310,10 +312,12 @@ def relabel_history(path: Path) -> JournaledDatabase:
 
 
 def raw_restore_history(path: Path) -> JournaledDatabase:
-    """A raw ``restore`` record: ``restore_from_view`` brings back the
-    first version's items and leaves the version base where it is
+    """A raw ``restore`` record: the routine its replay runs,
+    ``SeedDatabase._restore`` with no base, brings back the first
+    version's items and leaves the version base where it is
     (``"base": null``), so the edits after it and their version extend
-    the newest version, not the restored one."""
+    the newest version, not the restored one. No product operation
+    writes such a record any more; the reader replays it forever."""
     rng = random.Random(8)
     journal = open_journal(path)
     db = journal.db
@@ -323,7 +327,7 @@ def raw_restore_history(path: Path) -> JournaledDatabase:
     for round_ in range(2):
         _edit(db, rng, round_, 3)
         db.create_version()  # 2.0, 3.0
-    db.restore_from_view(db.version_view(first))
+    db._restore(*db.version_view(first).states())  # noqa: SLF001
     _edit(db, rng, 2, 3)
     db.create_version()  # 4.0, a child of 3.0
     _edit(db, rng, 3, 2)
@@ -378,6 +382,50 @@ def schema_history(path: Path) -> JournaledDatabase:
     return journal
 
 
+def torn_tail_history(path: Path) -> JournaledDatabase:
+    """A crash mid-append: the last ``txn`` frame is cut half-way. Every
+    commit before it recovers, silently; ``JournaledDatabase.open``
+    cuts the torn bytes before it appends."""
+    rng = random.Random(12)
+    journal = open_journal(path)
+    db = journal.db
+    with db.transaction():
+        _populate(db, rng, 5)
+    db.create_version()
+    for round_ in range(3):
+        _edit(db, rng, round_, 3)
+    journal.close()
+    last = list(RecordFile(path).scan())[-1]
+    with path.open("r+b") as file:
+        file.truncate((last.offset + last.end) // 2)
+    return journal
+
+
+def flipped_byte_history(path: Path) -> JournaledDatabase:
+    """Bit rot after the base: one byte flipped inside the second
+    ``txn`` frame after a checkpoint. A load replays the base and the
+    delta before the damage, stops there and surfaces it;
+    ``JournaledDatabase.open`` checkpoints what it recovered behind the
+    damaged bytes and leaves them for ``repro fsck --salvage``."""
+    rng = random.Random(13)
+    journal = open_journal(path)
+    db = journal.db
+    with db.transaction():
+        _populate(db, rng, 5)
+    db.create_version()
+    journal.checkpoint()
+    for round_ in range(3):
+        _edit(db, rng, round_, 3)
+    journal.close()
+    frames = list(RecordFile(path).scan())
+    base = max(i for i, frame in enumerate(frames) if frame.record["kind"] == "image")
+    hit = frames[base + 2]
+    data = bytearray(path.read_bytes())
+    data[(hit.offset + hit.end) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+    return journal
+
+
 HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
     "txn": txn_history,
     "version": version_history,
@@ -389,6 +437,8 @@ HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
     "raw_restore": raw_restore_history,
     "unknown_kind": unknown_kind_history,
     "schema": schema_history,
+    "torn_tail": torn_tail_history,
+    "flipped_byte": flipped_byte_history,
 }
 
 #: committed files that no history of this build writes: name -> the
@@ -416,15 +466,19 @@ def write(name: str, directory: Path) -> dict:
     path.unlink(missing_ok=True)
     journal = HISTORIES[name](path)
     journal.close()
-    with warnings.catch_warnings():
-        # the unknown kind is surfaced on every load: expected here
-        warnings.simplefilter("ignore", RecoveryWarning)
-        reopened = JournaledDatabase.open(path)
-    expected = {
-        "image_sha256": image_sha256(reopened.db),
-        "recovery": recovery_counts(reopened),
-    }
-    reopened.close()
+    with tempfile.TemporaryDirectory() as scratch:
+        # an open may cut or append: it reads a copy
+        copy = Path(scratch) / path.name
+        shutil.copyfile(path, copy)
+        with warnings.catch_warnings():
+            # unknown kinds and damage are surfaced on every load
+            warnings.simplefilter("ignore", RecoveryWarning)
+            reopened = JournaledDatabase.open(copy)
+        expected = {
+            "image_sha256": image_sha256(reopened.db),
+            "recovery": recovery_counts(reopened),
+        }
+        reopened.close()
     return expected
 
 

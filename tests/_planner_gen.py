@@ -20,12 +20,12 @@ from repro.core.errors import SeedError
 from repro.core.query.algebra import Relation, extent, relationship_relation
 from repro.core.query.planner import on, plan
 from repro.core.query.predicates import (
+    InClass,
     Not,
     ObjectPredicate,
     both,
     either,
     has_value,
-    in_class,
     name_prefix,
     participates_in,
 )
@@ -149,7 +149,7 @@ def _object_predicate(rng: random.Random):
     if roll == 0:
         return name_prefix(rng.choice(NAME_PREFIXES))
     if roll == 1:
-        return in_class(rng.choice(CLASS_CHOICES))
+        return InClass(rng.choice(CLASS_CHOICES))
     if roll == 2:
         return participates_in(rng.choice(ASSOC_CHOICES))
     if roll == 3:
@@ -164,10 +164,10 @@ def _object_predicate(rng: random.Random):
     return rng.choice(
         (
             either(
-                in_class(rng.choice(CLASS_CHOICES)),
+                InClass(rng.choice(CLASS_CHOICES)),
                 name_prefix(rng.choice(NAME_PREFIXES)),
             ),
-            Not(in_class(rng.choice(CLASS_CHOICES))),
+            Not(InClass(rng.choice(CLASS_CHOICES))),
         )
     )
 

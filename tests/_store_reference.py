@@ -8,6 +8,8 @@ cell's other entries. :func:`collect_tombstones_full_walk` is the
 tombstone collector that walks every tombstoned live record and every
 store key. ``tests/test_store_slots.py`` runs seeded histories against
 both and compares the results after every pass.
+:func:`keys_in_version_scan` is the cell scan the slot store's
+per-version index (``VersionStore.keys_in_version``) is tested against.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Any, Iterable, Iterator, KeysView, Optional
 
 from repro.core.errors import VersionError
 from repro.core.versions.compaction import CompactionStats, Compactor
-from repro.core.versions.store import ItemKey, ItemState
+from repro.core.versions.store import ItemKey, ItemState, VersionStore
 from repro.core.versions.version_id import VersionId
 
 
@@ -340,14 +342,6 @@ class PerKeyStore:
         """
         return iter(self._by_version.get(version, ()))
 
-    def keys_in_version_scan(self, version: VersionId) -> Iterator[ItemKey]:
-        """Cell-scan reference for :meth:`keys_in_version` (the pre-index
-        path): one pass over every cell. Retained as the oracle the
-        per-version index is tested against."""
-        for key, cell in self._cells.items():
-            if version in cell:
-                yield key
-
     def mark_materialized(self, version: VersionId, key: ItemKey) -> None:
         """Flag a stored state as snapshot-materialized (image load)."""
         at_version = self._by_version.get(version, {})
@@ -405,6 +399,15 @@ class PerKeyStore:
     def cell_count(self) -> int:
         """Number of items with at least one stored state."""
         return len(self._cells)
+
+
+def keys_in_version_scan(store: VersionStore, version: VersionId) -> Iterator[ItemKey]:
+    """Cell-scan reference for ``VersionStore.keys_in_version`` (the
+    pre-index path): one pass over every cell of *store*."""
+    slot = store._slot_of.get(version)  # noqa: SLF001
+    for key, cell in store._cells.items():  # noqa: SLF001
+        if slot in cell:
+            yield key
 
 
 def _at_end(cell: dict[VersionId, ItemState], version: VersionId) -> bool:

@@ -41,13 +41,6 @@ class TestConstruction:
 
 
 class TestSemantics:
-    def test_admits_respects_both_bounds(self):
-        card = Cardinality.parse("1..3")
-        assert not card.admits(0)
-        assert card.admits(1)
-        assert card.admits(3)
-        assert not card.admits(4)
-
     def test_allows_more_is_max_only(self):
         card = Cardinality.parse("2..3")
         # consistency half: minimum is irrelevant here
@@ -61,12 +54,6 @@ class TestSemantics:
     def test_mandatory(self):
         assert Cardinality.parse("1..*").is_mandatory
         assert not Cardinality.parse("0..1").is_mandatory
-
-    def test_widens(self):
-        assert Cardinality.parse("0..*").widens(Cardinality.parse("1..3"))
-        assert not Cardinality.parse("1..*").widens(Cardinality.parse("0..1"))
-        assert not Cardinality.parse("0..2").widens(Cardinality.parse("0..3"))
-        assert not Cardinality.parse("0..2").widens(Cardinality.parse("0..*"))
 
     def test_str_roundtrip(self):
         for text in ("0..16", "1..*", "0..1", "3..3"):

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from _store_reference import keys_in_version_scan
 from repro.core import SeedDatabase, figure2_schema
 from repro.core.errors import VersionError
 from repro.core.storage.serialize import (
@@ -636,7 +637,7 @@ def assert_index_matches_cells(store: VersionStore) -> None:
     for version in versions:
         indexed = list(store.keys_in_version(version))
         assert len(indexed) == len(set(indexed))
-        assert sorted(indexed) == sorted(store.keys_in_version_scan(version))
+        assert sorted(indexed) == sorted(keys_in_version_scan(store, version))
         for key, state, materialized in store.states_at(version):
             assert (version, state, materialized) in by_cell[key]
     assert store.stored_state_count() == sum(map(len, by_cell.values()))

@@ -131,12 +131,6 @@ class TestReportApi:
         assert report.summary() == "complete"
         assert "no missing information" in report.render()
 
-    def test_for_item_filter(self, fig2_db):
-        fig2_db.create_object("Data", "Alarms")
-        fig2_db.create_object("Action", "Bare")
-        report = fig2_db.check_completeness()
-        assert {g.item for g in report.for_item("Alarms")} == {"Alarms"}
-
     def test_require_complete_raises_with_report(self, fig2_db):
         fig2_db.create_object("Data", "Alarms")
         with pytest.raises(CompletenessError) as excinfo:

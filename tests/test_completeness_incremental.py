@@ -24,7 +24,7 @@ from repro.core.completeness import CompletenessEngine
 from repro.core.errors import SeedError
 from repro.core.schema import set_covering
 from repro.core.schema.entity_class import EntityClass
-from repro.core.schema.generalization import remove_specialization, specialize
+from repro.core.schema.generalization import specialize
 from repro.core.values import STRING
 from repro.spades import spades_schema
 
@@ -93,14 +93,14 @@ class TestBasicIncrements:
         assert_equivalent(fig2_db)
         fig2_db.delete(rel)
         assert_equivalent(fig2_db)
-        assert fig2_db.check_completeness().for_item("D")
+        assert any(gap.item == "D" for gap in fig2_db.check_completeness().gaps)
 
     def test_deleting_object_clears_its_gaps(self, fig2_db):
         data = fig2_db.create_object("Data", "D")
         fig2_db.check_completeness()  # prime with the gap present
         fig2_db.delete(data)
         assert_equivalent(fig2_db)
-        assert not fig2_db.check_completeness().for_item("D")
+        assert not any(gap.item == "D" for gap in fig2_db.check_completeness().gaps)
 
     def test_rename_relabels_gaps(self, fig2_db):
         fig2_db.create_object("Data", "Before")
@@ -108,8 +108,8 @@ class TestBasicIncrements:
         fig2_db.rename(fig2_db.get_object("Before"), "After")
         assert_equivalent(fig2_db)
         report = fig2_db.check_completeness()
-        assert report.for_item("After")
-        assert not report.for_item("Before")
+        assert any(gap.item == "After" for gap in report.gaps)
+        assert not any(gap.item == "Before" for gap in report.gaps)
 
     def test_reclassify_and_covering(self, fig3_db):
         thing = fig3_db.create_object("Data", "Vague")
@@ -155,7 +155,7 @@ class TestTransactionsAndBulkPaths:
         fig2_db.create_version()
         fig2_db.select_version(version)
         assert_equivalent(fig2_db)
-        assert not fig2_db.check_completeness().for_item("Later")
+        assert not any(gap.item == "Later" for gap in fig2_db.check_completeness().gaps)
 
     def test_schema_migration_invalidates(self, fig2_db):
         fig2_db.create_object("Data", "D")
@@ -190,7 +190,7 @@ class TestTransactionsAndBulkPaths:
         fig3_db.create_object("Data", "Later")
         fig3_db.select_version(before, discard_changes=True)
         assert_equivalent(fig3_db, "(after selecting back across the boundary)")
-        assert not fig3_db.check_completeness().for_item("Later")
+        assert not any(gap.item == "Later" for gap in fig3_db.check_completeness().gaps)
         fig3_db.migrate_schema(figure3_schema())
         assert_equivalent(fig3_db, "(after migrating back)")
         report = fig3_db.check_completeness()
@@ -246,17 +246,18 @@ class TestSchemaChangedInPlace:
             "sub-object-minimum"
         )] == ["Named.Label"]
 
-    def test_remove_specialization(self):
+    def test_specialize_widens_a_covering(self):
         db = SeedDatabase(spades_schema(), name="t")
         db.create_object("Thing", "T1")
         db.create_object("Module", "M1")
         before = db.check_completeness().by_kind("covering")
         assert before[0].message.endswith("(to one of: Data, Action, Module)")
-        remove_specialization(db.schema.entity_class("Module"))
+        interface = db.schema.add_class(EntityClass("Interface"))
+        specialize(db.schema.entity_class("Thing"), interface)
         db.create_object("Thing", "T2")
         self.assert_report_is_scan(db)
-        assert [gap.message[-len("Data, Action)"):] for gap in db.check_completeness()
-                .by_kind("covering")] == ["Data, Action)", "Data, Action)"]
+        assert [gap.message[-len("Module, Interface)"):] for gap in db.check_completeness()
+                .by_kind("covering")] == ["Module, Interface)", "Module, Interface)"]
 
 
 class TestAssembledReportCache:
@@ -285,10 +286,10 @@ class TestAssembledReportCache:
         self.warm(fig2_db)
         with fig2_db.transaction():
             fig2_db.create_object("Data", "Added")
-        assert fig2_db.check_completeness().for_item("Added")
+        assert any(gap.item == "Added" for gap in fig2_db.check_completeness().gaps)
         assert_equivalent(fig2_db, "after a commit on a cached report")
         fig2_db.delete(fig2_db.get_object("Added"))
-        assert not fig2_db.check_completeness().for_item("Added")
+        assert not any(gap.item == "Added" for gap in fig2_db.check_completeness().gaps)
         assert_equivalent(fig2_db, "after healing a cached report")
 
     def test_rollback_after_cache(self, fig2_db):
@@ -305,8 +306,8 @@ class TestAssembledReportCache:
         with fig2_db.bulk():
             fig2_db.create_object("Data", "Batched")
             # read-your-writes inside the batch: the scan answers
-            assert fig2_db.check_completeness().for_item("Batched")
-        assert fig2_db.check_completeness().for_item("Batched")
+            assert any(gap.item == "Batched" for gap in fig2_db.check_completeness().gaps)
+        assert any(gap.item == "Batched" for gap in fig2_db.check_completeness().gaps)
         assert_equivalent(fig2_db, "after a bulk finalize on a cached report")
 
     def test_schema_migration_after_cache(self, fig2_db):
@@ -314,7 +315,7 @@ class TestAssembledReportCache:
         fig2_db.migrate_schema(figure3_schema())
         assert_equivalent(fig2_db, "after a migration on a cached report")
         fig2_db.create_object("OutputData", "Out")
-        assert fig2_db.check_completeness().for_item("Out")
+        assert any(gap.item == "Out" for gap in fig2_db.check_completeness().gaps)
         assert_equivalent(fig2_db)
 
 
@@ -343,7 +344,7 @@ class TestPatterns:
         x = fig2_db.create_object("Data", "X")
         fig2_db.relate("Read", {"from": x, "by": pattern})
         fig2_db.check_completeness()  # prime: X lacks the participation
-        assert fig2_db.check_completeness().for_item("X")
+        assert any(gap.item == "X" for gap in fig2_db.check_completeness().gaps)
         inheritor = fig2_db.create_object("Action", "I")
         inheritor.add_sub_object("Description", "d")
         fig2_db.check_completeness()
@@ -351,16 +352,16 @@ class TestPatterns:
         assert_equivalent(fig2_db, "(after inherit)")
         read_gaps = [
             gap
-            for gap in fig2_db.check_completeness().for_item("X")
-            if gap.element == "Read"
+            for gap in fig2_db.check_completeness().gaps
+            if gap.item == "X" and gap.element == "Read"
         ]
         assert not read_gaps  # the virtual participation fills the minimum
         fig2_db.uninherit(pattern, inheritor)
         assert_equivalent(fig2_db, "(after uninherit)")
         # X's gap is back — a stale map here would falsely report it filled
         assert any(
-            gap.element == "Read"
-            for gap in fig2_db.check_completeness().for_item("X")
+            gap.item == "X" and gap.element == "Read"
+            for gap in fig2_db.check_completeness().gaps
         )
 
     def test_deleting_inheritor_updates_pattern_neighbours(self, fig2_db):
@@ -374,8 +375,8 @@ class TestPatterns:
         fig2_db.delete(inheritor)
         assert_equivalent(fig2_db, "(after deleting the inheritor)")
         assert any(
-            gap.element == "Read"
-            for gap in fig2_db.check_completeness().for_item("X")
+            gap.item == "X" and gap.element == "Read"
+            for gap in fig2_db.check_completeness().gaps
         )
 
     def test_mark_and_unmark_pattern(self, fig2_db):
@@ -383,10 +384,10 @@ class TestPatterns:
         fig2_db.check_completeness()
         fig2_db.mark_pattern(data)
         assert_equivalent(fig2_db)  # gaps vanish with pattern status
-        assert not fig2_db.check_completeness().for_item("D")
+        assert not any(gap.item == "D" for gap in fig2_db.check_completeness().gaps)
         fig2_db.unmark_pattern(data)
         assert_equivalent(fig2_db)
-        assert fig2_db.check_completeness().for_item("D")
+        assert any(gap.item == "D" for gap in fig2_db.check_completeness().gaps)
 
 
 # ---------------------------------------------------------------------------

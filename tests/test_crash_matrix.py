@@ -834,7 +834,7 @@ def history_corpus(tmp_path_factory):
     one_record(edit, "B", "b1")
     v2 = one_record(db.create_version)
     one_record(db.select_version, v1)  # v2 is now a leaf off the base
-    one_record(db.restore_from_view, db.version_view(v2))  # base stays
+    one_record(db._restore, *db.version_view(v2).states())  # noqa: SLF001 - base stays
     one_record(db.delete_version, v2)
     # created and deleted in one unit: only a tombstone is ever
     # stored, so compaction collects it

@@ -95,17 +95,6 @@ class TestProcedureRegistry:
         with pytest.raises(SchemaError, match="unknown operations"):
             AttachedProcedure("bad", lambda ctx: None, operations=("explode",))
 
-    def test_detach(self):
-        from repro.core.schema.entity_class import EntityClass
-
-        entity_class = EntityClass("A")
-        proc = AttachedProcedure("p", lambda ctx: None)
-        entity_class.attach(proc)
-        entity_class.detach("p")
-        assert entity_class.attached_procedures == []
-        with pytest.raises(SchemaError, match="no procedure"):
-            entity_class.detach("p")
-
     def test_double_attach_rejected(self):
         from repro.core.schema.entity_class import EntityClass
 

@@ -12,7 +12,13 @@ the histories of ``tests/_golden_gen.py``, and are never rewritten:
   ``RecoveryInfo`` counts: strictly, unless the file holds a record of
   an unknown kind, which a load must surface as a warning;
 * **writer test** — re-running each history with this build writes
-  the committed bytes, byte for byte.
+  the committed bytes, byte for byte;
+* **damage tests** — ``torn_tail`` ends in a half-written frame and
+  ``flipped_byte`` holds one flipped byte in a delta after the base.
+  Opened to go on writing (a journal, a server), the torn copy loses
+  exactly its torn bytes and a commit after the open survives a
+  reopen; the flipped copy recovers the committed image and keeps the
+  damaged bytes, which ``repro fsck --salvage`` then removes.
 
 A change that alters on-disk bytes on purpose adds a new generation of
 files beside these and keeps them as reader fixtures. A file whose
@@ -31,8 +37,9 @@ import pytest
 
 import _golden_gen
 from _golden_gen import GOLDEN, HISTORIES, READER_ONLY, image_sha256, recovery_counts
+from repro.cli import main as cli_main
 from repro.core.errors import RecoveryWarning
-from repro.core.storage import JournaledDatabase, load_database
+from repro.core.storage import JournaledDatabase, RecordFile, load_database
 from repro.multiuser import SeedServer
 
 #: the files the histories of this build write
@@ -48,12 +55,19 @@ def expected(name: str) -> dict:
 @contextmanager
 def surfaced(name: str):
     """Expect the load inside to surface file *name*'s unknown records
-    (as a :class:`RecoveryWarning`), or nothing; yields the keyword
-    arguments the load takes: strict for a file with nothing to surface."""
-    if not expected(name)["recovery"]["unknown_records"]:
+    or the deltas its damage cost (as a :class:`RecoveryWarning`), or
+    nothing; yields the keyword arguments the load takes: strict for a
+    file with nothing to surface (a torn tail is ordinary crash
+    recovery, so it surfaces nothing)."""
+    recovery = expected(name)["recovery"]
+    if recovery["unknown_records"]:
+        match = "unknown kind"
+    elif recovery["skipped_deltas"]:
+        match = "past corruption"
+    else:
         yield {"strict": True}
         return
-    with pytest.warns(RecoveryWarning, match="unknown kind"):
+    with pytest.warns(RecoveryWarning, match=match):
         yield {}
 
 
@@ -112,6 +126,58 @@ def test_a_save_point_keeps_the_committed_image(name, tmp_path):
     reopened = JournaledDatabase.open(copy, strict=True)
     try:
         assert image_sha256(reopened.db) == expected(name)["image_sha256"]
+    finally:
+        reopened.close()
+
+
+#: the two ways a program opens a journal to go on writing
+OPENERS = {
+    "journal": JournaledDatabase.open,
+    "server": lambda path: SeedServer.open(path).journal,
+}
+
+
+@pytest.mark.parametrize("opener", OPENERS)
+def test_open_cuts_a_torn_tail_and_a_later_commit_survives(opener, tmp_path):
+    copy = tmp_path / "torn_tail.seed"
+    shutil.copyfile(GOLDEN / "torn_tail.seed", copy)
+    torn = copy.read_bytes()
+    intact_end = [e for e in RecordFile(copy).scan() if e.kind == "record"][-1].end
+    assert intact_end < len(torn)
+    journal = OPENERS[opener](copy)
+    try:
+        # only the torn bytes go, before anything is appended
+        assert copy.read_bytes() == torn[:intact_end]
+        assert image_sha256(journal.db) == expected("torn_tail")["image_sha256"]
+        journal.db.create_object("Data", "AfterTheCut")
+    finally:
+        journal.close()
+    reopened = JournaledDatabase.open(copy, strict=True)
+    try:
+        assert reopened.db.find_object("AfterTheCut") is not None
+    finally:
+        reopened.close()
+
+
+@pytest.mark.parametrize("opener", OPENERS)
+def test_open_steps_over_a_flipped_byte_and_leaves_it_for_salvage(opener, tmp_path):
+    copy = tmp_path / "flipped_byte.seed"
+    shutil.copyfile(GOLDEN / "flipped_byte.seed", copy)
+    damaged = copy.read_bytes()
+    with pytest.warns(RecoveryWarning, match="past corruption"):
+        journal = OPENERS[opener](copy)
+    try:
+        assert image_sha256(journal.db) == expected("flipped_byte")["image_sha256"]
+        # the recovered state is checkpointed behind the damaged bytes
+        assert copy.read_bytes().startswith(damaged)
+        journal.db.create_object("Data", "AfterTheDamage")
+    finally:
+        journal.close()
+    assert cli_main(["fsck", str(copy)]) == 2
+    assert cli_main(["fsck", str(copy), "--salvage"]) == 0
+    reopened = JournaledDatabase.open(copy, strict=True)
+    try:
+        assert reopened.db.find_object("AfterTheDamage") is not None
     finally:
         reopened.close()
 

@@ -407,7 +407,8 @@ class History:
         """A raw restore of a saved version's view: the base stays."""
         versions = self.db.saved_versions()
         if versions:
-            self.db.restore_from_view(self.db.version_view(self.rng.choice(versions)))
+            view = self.db.version_view(self.rng.choice(versions))
+            self.db._restore(*view.states())  # noqa: SLF001 - a raw restore
 
     def migrate(self) -> None:
         schema = self.db.schema.copy(self.name("v"))
@@ -1212,7 +1213,7 @@ def _restore(journal, description) -> None:
     db = journal.db
     stats = db.compact(RetentionPolicy(squash_chains=False, snapshot_interval=1))
     assert stats.snapshot_states_added
-    db.restore_from_view(db.version_view(db.saved_versions()[0]))
+    db._restore(*db.version_view(db.saved_versions()[0]).states())  # noqa: SLF001
     journal.checkpoint()
     # the restore replaced the records: held handles are stale
     assert db.get_object("A0").sub_objects("Description")[0].value == "v1"

@@ -28,13 +28,10 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import brute_participation_distinct
 from repro.core import SeedDatabase, figure3_schema
 from repro.core.errors import ConsistencyError, SeedError
-from repro.core.indexes import (
-    brute_objects,
-    brute_participation_distinct,
-    brute_relationships,
-)
+from repro.core.indexes import brute_objects, brute_relationships
 from repro.core.query.retrieval import Retrieval
 from repro.core.schema.builder import SchemaBuilder
 from repro.spades import spades_schema

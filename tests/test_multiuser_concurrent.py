@@ -28,6 +28,7 @@ import pytest
 from repro.core.errors import LockError, VersionError
 from repro.core.versions import view as view_module
 from repro.multiuser import SeedServer, SeedService, ServiceClient
+from repro.multiuser.server import DEFAULT_SNAPSHOT_CACHE
 from repro.spades import spades_schema
 from test_view_successor import observe
 
@@ -319,7 +320,7 @@ def test_pinned_reads_under_concurrent_publication(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
     # the cache evicted, and the readers pinned along the way
-    assert len(cold) == 65 > server.snapshot_cache_size
+    assert len(cold) == 65 > DEFAULT_SNAPSHOT_CACHE
     assert len({str(view.version) for view, __ in pins}) > 1
     for view, answers in pins:
         assert observe(view) == answers

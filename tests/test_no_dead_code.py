@@ -20,6 +20,16 @@ An unreached definition that no scope names at all, not even a test, is
 dead code: delete it together with its ``__all__`` entry. One that only
 tests reach must be deleted with its tests, or carry a tag and a reason
 in ``ALLOWED``.
+
+The same walk records the defaulted parameters of every public function
+and method under ``src/repro`` and every call outside ``tests/``. A
+parameter is set when a call by the function's name passes it by
+keyword, by position, or through ``*args`` / ``**kwargs`` forwarding;
+``C(...)``, ``cls(...)`` inside ``C`` and ``super().__init__(...)``
+inside a subclass of ``C`` call ``C.__init__``. A parameter no call
+outside ``tests/`` sets selects nothing the product runs: delete it
+with the branch it selects and the tests of that branch, or carry a
+tag and a reason in ``ALLOWED_PARAMS``.
 """
 
 from __future__ import annotations
@@ -35,22 +45,11 @@ _WORD = re.compile(r"[A-Za-z_]\w*")
 
 #: Definitions the product does not reach, kept on purpose: qualified
 #: name (module under ``repro``, then the enclosing classes) → (tag,
-#: reason). ``oracle``: a reference implementation tests compare the
-#: product with. ``fault-hook``: failpoint control for the crash tests.
+#: reason). ``fault-hook``: failpoint control for the crash tests.
 #: ``feature``: a public operation no entry point calls yet. ``wire``:
 #: part of the service protocol's client side.
-TAGS = {"oracle", "fault-hook", "feature", "wire"}
+TAGS = {"fault-hook", "feature", "wire"}
 ALLOWED = {
-    "core.indexes.brute_participation_distinct": (
-        "oracle", "full-scan reference for IndexLayer.distinct_participants"),
-    "core.indexes.brute_value_counts": (
-        "oracle", "full-scan reference for the value histograms"),
-    "core.versions.store.VersionStore.keys_in_version_scan": (
-        "oracle", "cell-scan reference for VersionStore.keys_in_version"),
-    "multiuser.server.SeedServer.closure_keys_scan": (
-        "oracle", "full-scan reference for the indexed check-out closure"),
-    "core.storage.serialize.encode_state": (
-        "oracle", "one state's bytes; equals RecordFile.encode(state_to_dict(...))"),
     "core.faults.armed": (
         "fault-hook", "whether a FaultPlan is armed (failpoints are live)"),
     "core.faults.FaultPlan": (
@@ -61,14 +60,6 @@ ALLOWED = {
         "fault-hook", "arms a FaultPlan process-wide (failpoints go live)"),
     "core.faults.disarm": (
         "fault-hook", "disarms the active FaultPlan"),
-    "core.cardinality.Cardinality.admits": (
-        "feature", "whether a count meets both bounds (the final-state check)"),
-    "core.cardinality.Cardinality.widens": (
-        "feature", "generalization cardinality relation of figure 3, informational"),
-    "core.database.SeedDatabase.restore_from_view": (
-        "feature", "replaces the live state with a saved version's, base unmoved"),
-    "spades.tool.SpadesTool.set_revised": (
-        "feature", "stamps an item's revision date (Thing.Revised)"),
     "core.versions.history.HistoryNavigator.alternatives_of": (
         "feature", "the sibling versions of a version (figure 4)"),
     "core.versions.history.HistoryNavigator.line_of": (
@@ -81,29 +72,125 @@ ALLOWED = {
         "feature", "what HistoryNavigator.diff returns"),
     "core.versions.history.HistoryNavigator.versions_of_object_named": (
         "feature", "the version history of a named independent object"),
-    "core.variants.VariantFamily.remove_variant": (
-        "feature", "detaches a variant from its family (figure 5)"),
-    "core.schema.element.SchemaElement.detach": (
-        "feature", "removes an attached procedure by name"),
-    "core.schema.generalization.remove_specialization": (
-        "feature", "the inverse of specialize; calls schema_changed()"),
-    "core.schema.generalization.common_general": (
-        "feature", "the nearest common generalization of two elements"),
-    "core.schema.attached.attached_procedure": (
-        "feature", "decorator registering a function as an attached procedure"),
-    "core.schema.attached.AttachedProcedure": (
-        "feature", "a named integrity procedure a schema element can carry"),
-    "core.query.algebra.Relation.union": (
-        "feature", "the algebra's union operator"),
-    "core.query.planner.Plan.union": (
-        "feature", "the planner's union operator"),
-    "core.completeness.CompletenessReport.for_item": (
-        "feature", "the gaps of one item in a report"),
-    "core.query.predicates.in_class": (
-        "feature", "function form of the InClass predicate"),
     "multiuser.service.ServiceClient.ping": (
         "wire", "the client side of the service's ping request"),
 }
+
+#: Defaulted parameters of public functions no call outside ``tests/``
+#: sets, kept on purpose: ``qualified.name(parameter)`` → (tag, reason).
+#: ``test-seam``: lets a test replace what the product takes from the
+#: environment. ``fault-hook``: failpoint scheduling. ``deployment``:
+#: a setting an operator or an embedding program chooses. ``safety``:
+#: a stricter mode than the default recovery. ``oracle``: selects the
+#: reference path tests compare with, or belongs to a comparator that
+#: leaves ``src/`` later. ``feature``: an option of a public operation
+#: no entry point sets yet.
+PARAM_TAGS = {"test-seam", "fault-hook", "deployment", "safety", "oracle", "feature"}
+_QUERY_FLAG = (
+    "feature",
+    "query-layer flag carried through plan nodes, shard specs and "
+    "plan-cache keys; ROADMAP item 13 reworks them",
+)
+_COMPARATOR = "oracle", "a comparator; leaves src/ with repro.baselines (item 1b)"
+_REGISTRY = (
+    "deployment",
+    "a program that keeps its attached procedures in a registry of its own",
+)
+ALLOWED_PARAMS = {
+    "baselines.handcoded.HandCodedSpecStore.add_flow(times)": _COMPARATOR,
+    "baselines.strictstore.StrictStore.__init__(name)": _COMPARATOR,
+    "workloads.evolution.run_evolution(note_role)": (
+        "oracle", "the evolution comparator; leaves src/ in item 1b"),
+    "core.faults.FaultPlan.crash(at)": (
+        "fault-hook", "which hit of the failpoint crashes"),
+    "core.faults.FaultPlan.fail_io(at)": (
+        "fault-hook", "which hit of the failpoint fails"),
+    "core.faults.FaultPlan.fail_io(errno_code)": (
+        "fault-hook", "the errno the injected OSError carries"),
+    "core.faults.FaultPlan.torn_write(at)": (
+        "fault-hook", "which hit of the failpoint tears its write"),
+    "core.indexes.brute_objects(include_patterns)": (
+        "oracle", "full-scan reference; query_mix calls it (item 1a)"),
+    "core.indexes.brute_objects(include_specials)": (
+        "oracle", "full-scan reference; query_mix calls it (item 1a)"),
+    "core.query.planner.Plan.execute(optimized)": (
+        "oracle", "the unoptimized plan the equivalence suites compare with"),
+    "core.query.planner.Plan.explain(optimized)": (
+        "oracle", "renders the unoptimized plan beside the optimized one"),
+    "core.query.algebra.extent(include_specials)": _QUERY_FLAG,
+    "core.query.algebra.relationship_relation(include_specials)": _QUERY_FLAG,
+    "core.query.planner.PlanBuilder.extent(include_specials)": _QUERY_FLAG,
+    "core.query.planner.PlanBuilder.relationship(include_specials)": _QUERY_FLAG,
+    "core.query.planner.PlanBuilder.relationship(with_attributes)": _QUERY_FLAG,
+    "core.query.retrieval.Retrieval.instances(include_specials)": _QUERY_FLAG,
+    "core.query.predicates.has_value(_obj)": (
+        "feature", "has_value is itself a predicate: a scan calls it with "
+        "the object through a variable"),
+    "core.schema.attached.attached_procedure(registry)": _REGISTRY,
+    "core.schema.builder.SchemaBuilder.attach(registry)": _REGISTRY,
+    "core.storage.engine.JournaledDatabase.open(registry)": _REGISTRY,
+    "core.storage.engine.load_database(registry)": _REGISTRY,
+    "core.storage.engine.load_database(strict)": (
+        "safety", "raise on a damaged journal instead of recovering"),
+    "core.storage.recordfile.RecordFile.records(strict)": (
+        "safety", "raise on a damaged frame instead of stopping before it"),
+    "core.storage.engine.JournaledDatabase.enforce_budget(budget)": (
+        "deployment", "a one-off bound other than the journal's byte_budget"),
+    "multiuser.server.SeedServer.__init__(name)": (
+        "deployment", "names an in-memory master, as open(name) names a "
+        "journaled one"),
+    "multiuser.server.SeedServer.open(clock)": (
+        "test-seam", "the lease clock; tests drive expiry with a fake one"),
+    "core.identifiers.DottedName.child(index)": (
+        "feature", "the name of one sub-object of a multi-valued role"),
+    "core.objects.SeedObject.add_sub_object(index)": (
+        "feature", "places a sub-object at an explicit index of its role"),
+    "core.objects.SeedObject.relationships(role)": (
+        "feature", "narrows an object's relationships to the ones binding "
+        "it in one role"),
+    "core.schema.schema.Schema.copy(name)": (
+        "feature", "names the evolved schema a migration binds"),
+    "core.versions.history.HistoryNavigator.versions_of_object_named(beginning_with)": (
+        "feature", "the history entry point of ALLOWED; item 3 calls it"),
+    "spades.tool.SpadesTool.refine_flow_to_write(times)": (
+        "feature", "records the number of writes a refinement learns"),
+    "spades.tool.SpadesTool.refine_flow_to_write(error_handling)": (
+        "feature", "records the error handling a refinement learns"),
+    "spades.tool.SpadesTool.refine_to_action(description)": (
+        "feature", "analyst_session sets it through its operation table, "
+        "which a scan by name cannot follow"),
+}
+
+
+class _Found:
+    """What the one walk finds.
+
+    ``defined`` and ``uses`` feed the reach check (see ``_Uses``).
+    ``params`` maps the qualified name of a public function or method
+    under ``src/repro`` to ``(the name a call uses, [(parameter,
+    position or None), ...])`` for its defaulted parameters; the
+    position does not count ``self`` or ``cls``, and an ``__init__`` is
+    called by its class's name. ``calls`` holds ``(callee names,
+    positional count, any *args, keyword names)`` for every call
+    outside ``tests/``, where a ``None`` keyword is ``**kwargs``.
+    ``bases`` maps a class name to the names of its bases.
+    """
+
+    def __init__(self):
+        self.defined: dict = {}
+        self.uses: dict = {None: (set(), set()), TESTS: (set(), set())}
+        self.params: dict = {}
+        self.calls: list = []
+        self.bases: dict = {}
+
+
+def _callee(node) -> str:
+    """The name a call or a base goes by: ``f``, ``x.f`` and ``f(...)`` are ``f``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
 
 
 def _trees(directory: Path):
@@ -125,32 +212,89 @@ class _Uses(ast.NodeVisitor):
     ``cls``.
     """
 
-    def __init__(self, top: str, module: str, defined: dict, uses: dict, lazy: bool):
+    def __init__(self, top: str, module: str, found: "_Found", lazy: bool):
         self.in_src, self.strings = top == "src", top == "bench"
+        self.in_tests = top == "tests"
         self.lazy = self.in_src and lazy  # annotations are never evaluated
-        self.defined, self.uses = defined, uses
-        self.scope = TESTS if top == "tests" else None
+        self.found, self.defined, self.uses = found, found.defined, found.uses
+        self.scope = TESTS if self.in_tests else None
         self.prefix, self.in_class = module, False
+        self.public, self.klass = True, None  # klass: the enclosing class
 
     def _define(self, node):
+        is_class = isinstance(node, ast.ClassDef)
+        if is_class:
+            self.found.bases.setdefault(node.name, set()).update(
+                _callee(base) for base in node.bases
+            )
         if not self.in_src:
-            return self.generic_visit(node)
+            return self._walk(node, is_class, self.scope, self.prefix)
         qual = f"{self.prefix}.{node.name}"
         self.defined[qual] = (node.name, self.scope, self.in_class)
         self.uses[qual] = (set(), set())
-        outer = self.scope, self.prefix, self.in_class
+        if not is_class and self.public and (
+            node.name == "__init__" or not node.name.startswith("_")
+        ):
+            self._parameters(qual, node)
+        self._walk(node, is_class, qual, qual)
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _define
+
+    def _walk(self, node, is_class, scope, prefix):
+        outer = self.scope, self.prefix, self.in_class, self.public, self.klass
         for field, value in ast.iter_fields(node):
             if field == "returns" and self.lazy:
                 continue
             if field == "body":  # decorators, bases and defaults run outside
-                self.scope, self.prefix = qual, qual
-                self.in_class = isinstance(node, ast.ClassDef)
+                self.scope, self.prefix, self.in_class = scope, prefix, is_class
+                if is_class:
+                    self.public = self.public and not node.name.startswith("_")
+                    self.klass = node.name
+                else:
+                    self.public = False  # what a function nests is not API
             for item in value if isinstance(value, list) else [value]:
                 if isinstance(item, ast.AST):
                     self.visit(item)
-            self.scope, self.prefix, self.in_class = outer
+            self.scope, self.prefix, self.in_class, self.public, self.klass = outer
 
-    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _define
+    def _parameters(self, qual: str, node) -> None:
+        """Records the defaulted parameters of a public function or method."""
+        args = node.args
+        positional = args.posonlyargs + args.args
+        static = any(_callee(d) == "staticmethod" for d in node.decorator_list)
+        skip = 1 if self.in_class and not static else 0  # self or cls
+        first = len(positional) - len(args.defaults)
+        defaulted = [
+            (arg.arg, index - skip)
+            for index, arg in enumerate(positional)
+            if index >= first
+        ] + [
+            (arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        if defaulted:
+            # an __init__ is called by its class's name
+            key = qual.split(".")[-2] if node.name == "__init__" else node.name
+            self.found.params[qual] = (key, defaulted)
+
+    def visit_Call(self, node):
+        if not self.in_tests:
+            func, names = node.func, (_callee(node.func),)
+            if isinstance(func, ast.Name) and func.id == "cls" and self.klass:
+                names = (self.klass,)
+            elif (
+                isinstance(func, ast.Attribute)
+                and func.attr == "__init__"
+                and isinstance(func.value, ast.Call)
+                and _callee(func.value.func) == "super"
+                and self.klass
+            ):
+                names = tuple(self.found.bases[self.klass])
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            self.found.calls.append((names, len(node.args), starred, keywords))
+        self.generic_visit(node)
 
     def visit_arg(self, node):
         if not self.lazy:
@@ -187,10 +331,9 @@ class _Uses(ast.NodeVisitor):
             self.uses[None][0].update(_WORD.findall(node.value))
 
 
-def _scan(root: Path = ROOT) -> tuple[dict, dict]:
-    """One walk over every scanned directory: ``(defined, uses)``."""
-    defined: dict = {}
-    uses: dict = {None: (set(), set()), TESTS: (set(), set())}
+def _scan(root: Path = ROOT) -> _Found:
+    """One walk over every scanned directory."""
+    found = _Found()
     package = root / "src" / "repro"
     for top in SCANNED:
         for path, tree in _trees(root / top):
@@ -203,8 +346,8 @@ def _scan(root: Path = ROOT) -> tuple[dict, dict]:
                 and any(alias.name == "annotations" for alias in node.names)
                 for node in tree.body
             )
-            _Uses(top, module, defined, uses, lazy).visit(tree)
-    return defined, uses
+            _Uses(top, module, found, lazy).visit(tree)
+    return found
 
 
 def _unreached_of(defined: dict, uses: dict) -> set[str]:
@@ -229,7 +372,8 @@ def _unreached_of(defined: dict, uses: dict) -> set[str]:
 
 
 def _unreached(root: Path = ROOT) -> set[str]:
-    return _unreached_of(*_scan(root))
+    found = _scan(root)
+    return _unreached_of(found.defined, found.uses)
 
 
 def _dead(defined: dict, uses: dict, unreached: set[str]) -> list[str]:
@@ -238,8 +382,54 @@ def _dead(defined: dict, uses: dict, unreached: set[str]) -> list[str]:
     return sorted(qual for qual in unreached if defined[qual][0] not in named)
 
 
+def _unset_of(found: _Found) -> set[str]:
+    """The defaulted public parameters no call outside ``tests/`` sets,
+    as ``qualified.name(parameter)``.
+
+    Calls resolve by name, leniently: ``x.f(...)`` and ``f(...)`` match
+    every ``f``; ``C(...)``, ``cls(...)`` inside ``C`` and
+    ``super().__init__(...)`` inside a subclass of ``C`` match
+    ``C.__init__``, or the ``__init__`` it inherits.
+    """
+    by_name: dict = {}
+    for qual, (key, _) in found.params.items():
+        by_name.setdefault(key, []).append(qual)
+    inits = {qual.split(".")[-2] for qual in found.params if qual.endswith(".__init__")}
+
+    def targets(name: str, seen: set) -> list[str]:
+        quals = list(by_name.get(name, ()))
+        if name in found.bases and name not in inits and name not in seen:
+            seen.add(name)
+            for base in found.bases[name]:
+                quals += [q for q in targets(base, seen) if q.endswith(".__init__")]
+        return quals
+
+    set_: set[str] = set()
+    for names, count, starred, keywords in found.calls:
+        for name in names:
+            for qual in targets(name, set()):
+                for param, position in found.params[qual][1]:
+                    if (
+                        param in keywords
+                        or None in keywords
+                        or (position is not None and (starred or position < count))
+                    ):
+                        set_.add(f"{qual}({param})")
+    every = {
+        f"{qual}({param})"
+        for qual, (_, defaulted) in found.params.items()
+        for param, _ in defaulted
+    }
+    return every - set_
+
+
+def _unset(root: Path = ROOT) -> set[str]:
+    return _unset_of(_scan(root))
+
+
 def test_every_definition_is_reached_by_the_product():
-    defined, uses = _scan()
+    found = _scan()
+    defined, uses = found.defined, found.uses
     unreached = _unreached_of(defined, uses)
     dead = _dead(defined, uses, unreached)
     new = sorted(unreached - ALLOWED.keys())
@@ -259,7 +449,26 @@ def test_every_definition_is_reached_by_the_product():
     assert {tag for tag, _ in ALLOWED.values()} <= TAGS
 
 
-# -- the second check on small made-up trees ---------------------------------
+def _param_findings(unset: set[str], allowed: dict) -> tuple[list[str], list[str]]:
+    """``(unset and untagged, tagged but set or gone)``."""
+    return sorted(unset - allowed.keys()), sorted(allowed.keys() - unset)
+
+
+def test_every_parameter_is_set_by_the_product():
+    new, stale = _param_findings(_unset(), ALLOWED_PARAMS)
+    assert not new, (
+        "no call outside tests/ sets these parameters; delete each with the "
+        "branch it selects and its tests, or tag it in ALLOWED_PARAMS:\n"
+        + "\n".join(new)
+    )
+    assert not stale, (
+        "ALLOWED_PARAMS names what a call now sets or what is gone:\n"
+        + "\n".join(stale)
+    )
+    assert {tag for tag, _ in ALLOWED_PARAMS.values()} <= PARAM_TAGS
+
+
+# -- the checks on small made-up trees -----------------------------------------
 
 
 def _unreached_in(tmp_path: Path, files: dict[str, str]) -> set[str]:
@@ -291,7 +500,8 @@ def test_what_no_scope_names_is_dead(tmp_path):
     }
     unreached = _unreached_in(tmp_path, files)
     assert unreached == {"m.f", "m.g", "m.h"}
-    assert _dead(*_scan(tmp_path), unreached) == ["m.g"]
+    found = _scan(tmp_path)
+    assert _dead(found.defined, found.uses, unreached) == ["m.g"]
 
 
 def test_an_import_or_all_entry_inside_src_is_not_a_use(tmp_path):
@@ -405,3 +615,94 @@ def test_an_annotation_that_never_runs_is_not_a_use(tmp_path):
     assert _unreached_in(tmp_path, files) == {"kinds.Arg", "kinds.Ret", "kinds.Field"}
     (tmp_path / "src/repro/m.py").write_text(uses, encoding="utf-8")
     assert _unreached(tmp_path) == set()
+
+
+def _unset_in(tmp_path: Path, files: dict[str, str]) -> set[str]:
+    _unreached_in(tmp_path, files)
+    return _unset(tmp_path)
+
+
+_SETTABLE = "def f(a, x=1, *, y=2):\n    return a + x + y\n"
+
+
+def test_a_keyword_sets_a_parameter(tmp_path):
+    files = {"src/repro/m.py": _SETTABLE, "examples/use.py": "from repro.m import f\nf(0)\n"}
+    assert _unset_in(tmp_path, files) == {"m.f(x)", "m.f(y)"}
+    (tmp_path / "examples/use.py").write_text("import repro.m as m\nm.f(0, y=3, x=4)\n")
+    assert _unset(tmp_path) == set()
+
+
+def test_a_position_sets_a_parameter_but_not_self(tmp_path):
+    module = (
+        _SETTABLE
+        + "class Box:\n"
+        + "    def put(self, item=None, spare=None):\n        return item\n"
+    )
+    use = "from repro.m import Box, f\nf(0, 1)\nBox().put(2)\n"
+    files = {"src/repro/m.py": module, "bench/use.py": use}
+    assert _unset_in(tmp_path, files) == {"m.f(y)", "m.Box.put(spare)"}
+
+
+def test_forwarding_sets_every_parameter_it_can_reach(tmp_path):
+    module = (
+        _SETTABLE
+        + "def by_keywords(**options):\n    return f(0, **options)\n\n"
+        + "def by_position(*args):\n    return f(*args)\n"
+    )
+    files = {"src/repro/m.py": module, "examples/use.py": "import repro.m\n"}
+    # **options reaches both, *args the positional one only
+    assert _unset_in(tmp_path, files) == set()
+    (tmp_path / "src/repro/m.py").write_text(
+        _SETTABLE + "def by_position(*args):\n    return f(*args)\n"
+    )
+    assert _unset(tmp_path) == {"m.f(y)"}
+
+
+def test_cls_and_super_call_the_class_init(tmp_path):
+    module = (
+        "class Base:\n"
+        "    def __init__(self, size=1, tag=None):\n        self.size = size\n"
+        "    @classmethod\n"
+        "    def large(cls):\n        return cls(size=64)\n\n"
+        "class Tagged(Base):\n"
+        "    def __init__(self, label=''):\n"
+        "        super().__init__(tag=label)\n\n"
+        "class Plain(Base):\n    pass\n"
+    )
+    files = {"src/repro/m.py": module, "examples/use.py": "from repro.m import Tagged\nTagged()\n"}
+    assert _unset_in(tmp_path, files) == {"m.Tagged.__init__(label)"}
+    # a subclass without an __init__ of its own passes to its base's
+    (tmp_path / "examples/use.py").write_text("from repro.m import Plain\nPlain(label='x')\n")
+    assert _unset(tmp_path) == {"m.Tagged.__init__(label)"}
+    (tmp_path / "examples/use.py").write_text("from repro.m import Tagged\nTagged('x')\n")
+    assert _unset(tmp_path) == set()
+
+
+def test_a_parameter_only_a_test_sets_is_reported(tmp_path):
+    files = {
+        "src/repro/m.py": _SETTABLE,
+        "examples/use.py": "from repro.m import f\nf(0, 1)\n",
+        "tests/test_m.py": "from repro.m import f\n\ndef test_f():\n    assert f(0, y=5) == 6\n",
+    }
+    unset = _unset_in(tmp_path, files)
+    assert unset == {"m.f(y)"}
+    assert _param_findings(unset, {}) == (["m.f(y)"], [])
+
+
+def test_a_stale_allowed_params_entry_is_reported(tmp_path):
+    files = {"src/repro/m.py": _SETTABLE, "examples/use.py": "from repro.m import f\nf(0, 1, y=2)\n"}
+    unset = _unset_in(tmp_path, files)
+    allowed = {"m.f(y)": ("feature", "set now"), "m.gone(z)": ("feature", "deleted")}
+    assert _param_findings(unset, allowed) == ([], ["m.f(y)", "m.gone(z)"])
+
+
+def test_private_and_nested_functions_are_not_api(tmp_path):
+    module = (
+        "def _helper(x=1):\n    return x\n\n"
+        "class _Hidden:\n    def run(self, x=1):\n        return x\n\n"
+        "def outer():\n"
+        "    def inner(x=1):\n        return x\n"
+        "    return inner() + _helper() + _Hidden().run()\n"
+    )
+    files = {"src/repro/m.py": module, "examples/use.py": "from repro.m import outer\nouter()\n"}
+    assert _unset_in(tmp_path, files) == set()

@@ -703,7 +703,8 @@ class History:
     def restore(self) -> None:
         versions = self.db.saved_versions()
         if versions:
-            self.db.restore_from_view(self.db.version_view(self.rng.choice(versions)))
+            view = self.db.version_view(self.rng.choice(versions))
+            self.db._restore(*view.states())  # noqa: SLF001 - a raw restore
 
     def migrate(self) -> None:
         schema = self.db.schema

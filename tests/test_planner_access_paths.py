@@ -33,7 +33,7 @@ from repro.core.query.planner import (
     on,
     plan,
 )
-from repro.core.query.predicates import both, in_class, name_prefix
+from repro.core.query.predicates import InClass, both, name_prefix
 from repro.spades.tool import SpadesTool
 from repro.workloads.drivers import load_into_spades
 from repro.workloads.specgen import SpecShape, generate_spec
@@ -269,12 +269,12 @@ class TestRewriteSites:
         assert family_rows == []
 
     def test_conjunction_keeps_the_rest_as_filter(self, db):
-        test = both(name_prefix("Alarm"), in_class("Data"))
+        test = both(name_prefix("Alarm"), InClass("Data"))
         query = plan(db).relationship("Access").select(on("data", test))
         (join,) = _index_joins(query)
         assert join.drive.prefix == "Alarm"
         label = query.explain().splitlines()[0]
-        assert "filter data: in_class(Data)" in label and "name^=" not in label
+        assert "filter data: InClass(Data)" in label and "name^=" not in label
         eager = relationship_relation(db, "Access").select(on("data", test))
         assert len(eager.rows) > 0
         assert row_multiset(query.execute()) == row_multiset(eager)

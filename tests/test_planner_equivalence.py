@@ -39,8 +39,8 @@ from repro.core.query.planner import (
     plan,
 )
 from repro.core.query.predicates import (
+    InClass,
     has_value,
-    in_class,
     name_prefix,
     participates_in,
     value_is,
@@ -164,7 +164,7 @@ class TestDirectedEquivalence:
 
     def test_class_narrowing_equals_predicate_scan(self):
         db = population(3)
-        predicate = on("d", in_class("OutputData"))
+        predicate = on("d", InClass("OutputData"))
         eager = extent(db, "Data", column="d").select(predicate)
         planned = plan(db).extent("Data", column="d").select(predicate)
         assert "ExtentScan OutputData" in planned.explain()
@@ -266,7 +266,7 @@ class TestChunkedScans:
             [
                 has_value(),
                 value_is(f"t{rng.randrange(5)}"),
-                in_class("Rare"),
+                InClass("Rare"),
                 participates_in("Links", "src"),
                 FunctionPredicate(_third, "third"),
             ],
@@ -294,7 +294,7 @@ class TestChunkedScans:
     def test_relationship_rows_and_order_match_eager_and_brute(self, db, seed):
         rng = random.Random(seed)
         role = rng.choice(("src", "dst"))
-        test = rng.choice((in_class("Rare"), FunctionPredicate(_third, "third")))
+        test = rng.choice((InClass("Rare"), FunctionPredicate(_third, "third")))
         filtered = seed % 2 == 0
         eager = relationship_relation(db, "Links")
         planned = plan(db).relationship("Links")

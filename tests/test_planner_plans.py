@@ -30,7 +30,7 @@ from repro.core.query.planner import (
     on,
     plan,
 )
-from repro.core.query.predicates import both, in_class, name_prefix
+from repro.core.query.predicates import InClass, both, name_prefix
 from repro.core.query.retrieval import Retrieval
 from repro.spades.model import spades_schema
 
@@ -65,7 +65,7 @@ class TestGoldenPlans:
         query = (
             plan(db)
             .extent("Data", column="d")
-            .select(on("d", both(name_prefix("Al"), in_class("OutputData"))))
+            .select(on("d", both(name_prefix("Al"), InClass("OutputData"))))
         )
         assert query.explain() == (
             "ExtentScan OutputData as d prefix='Al'  est~1"
@@ -126,7 +126,7 @@ class TestGoldenPlans:
             plan(db)
             .extent("Data", column="d")
             .values("d", "Text.Selector", into="sel")
-            .select(on("d", in_class("OutputData")))
+            .select(on("d", InClass("OutputData")))
         )
         assert query.explain() == "\n".join(
             [
@@ -278,11 +278,11 @@ class TestRetrievalWiring:
         result = retrieval.plan().extent("Data", column="d").execute()
         assert len(result) == 3
 
-    def test_select_in_class_uses_extent(self, db):
+    def test_select_by_class_uses_extent(self, db):
         retrieval = Retrieval(db)
-        indexed = retrieval.select(in_class("Data"))
+        indexed = retrieval.select(InClass("Data"))
         brute = [
-            obj for obj in db.iter_objects() if in_class("Data")(obj)
+            obj for obj in db.iter_objects() if InClass("Data")(obj)
         ]
         assert [o.oid for o in indexed] == [o.oid for o in brute]
 
@@ -296,11 +296,11 @@ class TestRetrievalWiring:
         ]
         assert [o.oid for o in indexed] == [o.oid for o in brute]
 
-    def test_instances_narrowed_by_in_class(self, db):
+    def test_instances_narrowed_by_class(self, db):
         retrieval = Retrieval(db)
-        narrowed = retrieval.instances("Data", in_class("OutputData"))
+        narrowed = retrieval.instances("Data", InClass("OutputData"))
         assert [o.simple_name for o in narrowed] == ["Alarms"]
-        implied = retrieval.instances("OutputData", in_class("Data"))
+        implied = retrieval.instances("OutputData", InClass("Data"))
         assert [o.simple_name for o in implied] == ["Alarms"]
 
     def test_by_name_prefix_deep(self, db):

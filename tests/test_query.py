@@ -5,10 +5,10 @@ import pytest
 from repro.core import QueryError, SeedDatabase
 from repro.core.query import Relation, Retrieval, extent, relationship_relation
 from repro.core.query.predicates import (
+    InClass,
     Not,
     both,
     either,
-    in_class,
     name_prefix,
     participates_in,
     value_is,
@@ -49,7 +49,7 @@ class TestRetrieval:
         retrieval = Retrieval(query_db)
         data = retrieval.instances("Data")
         assert {o.simple_name for o in data} == {"Alarms", "Status", "Config"}
-        outputs = retrieval.instances("Data", in_class("OutputData"))
+        outputs = retrieval.instances("Data", InClass("OutputData"))
         assert [o.simple_name for o in outputs] == ["Alarms"]
         strict = retrieval.instances("Data", include_specials=False)
         assert [o.simple_name for o in strict] == ["Config"]
@@ -78,11 +78,11 @@ class TestRetrieval:
 class TestPredicates:
     def test_combinators(self, query_db):
         retrieval = Retrieval(query_db)
-        p = both(in_class("Data"), name_prefix("A"))
+        p = both(InClass("Data"), name_prefix("A"))
         assert [o.simple_name for o in retrieval.select(p)] == ["Alarms"]
         q = either(name_prefix("Config"), name_prefix("Status"))
         assert {o.simple_name for o in retrieval.select(q)} == {"Config", "Status"}
-        r = both(in_class("Data"), Not(in_class("OutputData")))
+        r = both(InClass("Data"), Not(InClass("OutputData")))
         assert {o.simple_name for o in retrieval.select(r)} == {"Config", "Status"}
 
     def test_value_predicates(self, query_db):

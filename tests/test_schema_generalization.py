@@ -8,8 +8,6 @@ from repro.core.schema.association import Association, Role
 from repro.core.schema.entity_class import EntityClass
 from repro.core.schema.generalization import (
     check_reclassification,
-    common_general,
-    remove_specialization,
     set_covering,
     specialize,
 )
@@ -100,47 +98,16 @@ class TestLinks:
         with pytest.raises(SchemaError, match="independent"):
             specialize(other, text)
 
-    def test_remove_specialization(self, hierarchy):
-        thing, data, __, __, __ = hierarchy
-        # first detach data's own specials to keep the test focused
-        remove_specialization(data.specials[0])
-        remove_specialization(data.specials[0])
-        remove_specialization(data)
-        assert data.general is None
-        assert data not in thing.specials
-
-    def test_remove_without_general(self):
-        with pytest.raises(SchemaError, match="has no general"):
-            remove_specialization(EntityClass("Lonely"))
-
-
 class TestCovering:
     def test_set_covering(self, hierarchy):
         thing = hierarchy[0]
         set_covering(thing)
         assert thing.covering
-        set_covering(thing, False)
-        assert not thing.covering
 
     def test_covering_without_specials_rejected(self):
         lonely = EntityClass("Lonely")
         with pytest.raises(SchemaError, match="unsatisfiable"):
             set_covering(lonely)
-
-
-class TestCommonGeneral:
-    def test_siblings(self, hierarchy):
-        __, data, input_data, output_data, action = hierarchy
-        assert common_general(input_data, output_data) is data
-        assert common_general(input_data, action).name == "Thing"
-
-    def test_unrelated(self, hierarchy):
-        other = EntityClass("Other")
-        assert common_general(hierarchy[0], other) is None
-
-    def test_self(self, hierarchy):
-        data = hierarchy[1]
-        assert common_general(data, data) is data
 
 
 class TestReclassificationRules:
@@ -221,9 +188,7 @@ class TestCompiledFacts:
         check()
         middle.add_dependent("Added", "0..2")  # nearer than base's
         check()
-        remove_specialization(middle)
-        check()
-        specialize(base, middle)
+        set_covering(middle)
         check()
         general = schema.associations[0]
         special = schema.add_association(
@@ -236,15 +201,6 @@ class TestCompiledFacts:
         check()
         specialize(general, special)
         check()
-        remove_specialization(special)
-        check()
-        for element in [*schema.classes, *schema.associations]:
-            if element.general is not None:
-                above = element.general
-                remove_specialization(element)
-                check()
-                specialize(above, element)
-                check()
 
     def test_a_migrated_database_answers_from_the_new_schema(self):
         db = SeedDatabase(figure2_schema(), "migrating")
@@ -314,13 +270,11 @@ class TestCheckMemo:
         elif roll < 0.55 and associations:
             pending = [a for a in associations if a not in schema.associations]
             schema.add_association(rng.choice(pending or associations))
-        elif roll < 0.65:
+        elif roll < 0.7:
             general, special = rng.sample(classes, 2)
             specialize(general, special)
-        elif roll < 0.75:
-            remove_specialization(rng.choice(classes + associations))
         elif roll < 0.9:
-            set_covering(rng.choice(classes), rng.random() < 0.7)
+            set_covering(rng.choice(classes))
         else:
             rng.choice(classes).add_dependent(f"D{count}", "0..*")
 

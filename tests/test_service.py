@@ -29,6 +29,7 @@ from repro.core.errors import (
     VersionError,
 )
 from repro.multiuser import SeedServer, SeedService, ServiceClient
+from repro.multiuser import server as server_module
 from repro.multiuser.checkin import package_to_dict
 from repro.multiuser.protocol import (
     ERROR_CODES,
@@ -418,8 +419,9 @@ class TestMVCCReads:
             release.set()
             server.apply_check_in = original
 
-    def test_evicted_pin_errors_and_repins(self):
-        server = make_server(snapshot_cache_size=2)
+    def test_evicted_pin_errors_and_repins(self, monkeypatch):
+        monkeypatch.setattr(server_module, "DEFAULT_SNAPSHOT_CACHE", 2)
+        server = make_server()
         with SeedService(server, maintain_every=0) as service:
             with ServiceClient.for_service(service, "reader") as reader, \
                     ServiceClient.for_service(service, "writer") as writer:
@@ -466,7 +468,7 @@ class TestMVCCReads:
                 local.create_object("Data", f"Alarms{round_number}")
             writer.check_in()
 
-        assert service.server.snapshot_cache_size == 8
+        assert server_module.DEFAULT_SNAPSHOT_CACHE == 8
         with ServiceClient.for_service(service, "reader") as reader, \
                 ServiceClient.for_service(service, "writer") as writer:
             pinned = reader.pin()

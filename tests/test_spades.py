@@ -1,7 +1,5 @@
 """Tests for the SPADES miniature: tool, text language, reports."""
 
-import datetime
-
 import pytest
 
 from repro.core import CompletenessError, SeedError
@@ -77,16 +75,6 @@ class TestTool:
         report = alarm_tool.dataflow_report()
         assert "? AlarmHandler accesses Alarms" in report
         assert "R AlarmHandler reads ProcessData" in report
-
-    def test_set_revised(self, alarm_tool):
-        alarm_tool.set_revised("Alarms", datetime.date(1986, 3, 1))
-        revised = alarm_tool.db.get_object("Alarms").sub_object("Revised")
-        assert revised.value == datetime.date(1986, 3, 1)
-        alarm_tool.set_revised("Alarms", datetime.date(1986, 4, 1))
-        assert (
-            alarm_tool.db.get_object("Alarms").sub_object("Revised").value
-            == datetime.date(1986, 4, 1)
-        )
 
     def test_allocate_to_module(self, alarm_tool):
         alarm_tool.declare_module("KernelModule", "Modula-2")

@@ -1,7 +1,9 @@
 """The state kernel writes what the generic encoder writes, byte for byte.
 
-``serialize.encode_state`` spells a frozen ``ObjectState`` /
-``RelationshipState`` as canonical JSON straight from its fields; every
+The state kernel, ``serialize._encode_state`` (called through
+``encode_state`` in ``tests/_oracles.py``), spells a frozen
+``ObjectState`` / ``RelationshipState`` as canonical JSON straight from
+its fields; every
 ``txn`` and ``version`` record and every image fragment is joined from
 its bytes. The oracle is the dict codec through the one encoder,
 ``RecordFile.encode(state_to_dict(kind, state))``, and for an image
@@ -27,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import encode_state
 from repro.core.errors import StorageError
 from repro.core.objects import ObjectState
 from repro.core.relationships import RelationshipState
@@ -37,7 +40,6 @@ from repro.core.storage.serialize import (
     _object_record,
     _relationship_record,
     _unspliced,
-    encode_state,
     state_to_dict,
 )
 

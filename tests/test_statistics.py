@@ -6,8 +6,8 @@ Three contracts are exercised here:
   per-class value histograms (``IndexLayer.value_counts``) and
   distinct-participant counts (:meth:`IndexLayer.distinct_participants`,
   the sizes of the ``participation`` maps) equal the
-  brute-force recounts (:func:`repro.core.indexes.brute_value_counts`,
-  :func:`~repro.core.indexes.brute_participation_distinct`) after
+  brute-force recounts (``brute_value_counts`` and
+  ``brute_participation_distinct`` in ``tests/_oracles.py``) after
   arbitrary mutation, transaction-rollback, bulk, version, and
   compaction scripts.
 * **Histogram-costed planner equivalence** — with the statistics-driven
@@ -27,14 +27,11 @@ import random
 
 import pytest
 
+from _oracles import brute_participation_distinct, brute_value_counts
 from _planner_gen import build_population, random_query, row_multiset
-from repro.core import SeedDatabase, figure3_schema
+from repro.core import SeedDatabase, figure3_schema, indexes
 from repro.core.errors import ConsistencyError, SeedError
-from repro.core.indexes import (
-    brute_participation_distinct,
-    brute_value_counts,
-    prefix_upper_bound,
-)
+from repro.core.indexes import prefix_upper_bound
 from repro.core.query import planner
 from repro.core.query.planner import (
     Join,
@@ -48,8 +45,8 @@ from repro.core.query.planner import (
     plan_cache,
 )
 from repro.core.query.predicates import (
+    InClass,
     has_value,
-    in_class,
     name_prefix,
     participates_in,
     value_is,
@@ -298,11 +295,10 @@ class TestHistogramAccessors:
                 db.set_value(obj, f"cold{i}")
         return db
 
-    def test_top_k_plus_remainder(self, db):
+    def test_top_k_plus_remainder(self, db, monkeypatch):
+        monkeypatch.setattr(indexes, "TOP_K", 2)
         wanted = db.schema.entity_class("Label")
-        top, remainder_count, remainder_distinct = db.indexes.value_histogram(
-            wanted, k=2
-        )
+        top, remainder_count, remainder_distinct = db.indexes.value_histogram(wanted)
         assert [(key[1], count) for key, count in top] == [
             ("hot", 12),
             ("warm", 6),
@@ -595,7 +591,7 @@ class TestDriftAwareCache:
             assert getattr(db.indexes, accessor)(*args) == value
 
     def test_mass_reclassification_reoptimizes(self):
-        # `in_class` on a role column of a RelScan, no extent scan in
+        # `InClass` on a role column of a RelScan, no extent scan in
         # the query: its selectivity is extent_size(Hot) / total_objects
         # — the re-classification the paper is about must drift the plan
         builder = SchemaBuilder("reclass")
@@ -618,12 +614,12 @@ class TestDriftAwareCache:
         query = (
             plan(db)
             .relationship("Covers")
-            .select(on("note", in_class("Hot")))
+            .select(on("note", InClass("Hot")))
             .join(plan(db).relationship("Cites"))
         )
         cache = plan_cache(db)
         stale = query.optimized()
-        assert "Select note: in_class(Hot)  est~1\n" in query.explain()
+        assert "Select note: InClass(Hot)  est~1\n" in query.explain()
         assert isinstance(stale.left, Select)  # builds the one selected row
         for thing in things[:250]:
             db.reclassify(thing, "Hot")

@@ -125,19 +125,6 @@ class TestGuards:
         with pytest.raises(VariantError, match="already a variant"):
             family.add_variant(alpine)
 
-    def test_remove_variant(self, config_family):
-        db, family, __, __, alpine, __ = config_family
-        family.remove_variant(alpine)
-        assert alpine not in family.variants
-        assert db.navigate(alpine, "AllocatedTo", "module") == []
-
-    def test_remove_unknown_rejected(self, config_family):
-        db, family, *__ = config_family
-        stranger = db.create_object("Action", "Stranger")
-        stranger.add_sub_object("Description", "x")
-        with pytest.raises(VariantError, match="not a variant"):
-            family.remove_variant(stranger)
-
     def test_bad_role_rejected(self, config_family):
         db, family, kernel, *__ = config_family
         with pytest.raises(VariantError, match="no role"):

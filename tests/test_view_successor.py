@@ -26,6 +26,7 @@ from repro.core.versions.compaction import RetentionPolicy
 from repro.core.versions import view as view_module
 from repro.core.versions.store import VersionStore
 from repro.multiuser import SeedServer
+from repro.multiuser.server import DEFAULT_SNAPSHOT_CACHE
 from repro.spades import spades_schema
 
 
@@ -587,10 +588,10 @@ def _publish_after_a_k_item_check_in(path, roots, counted_resolves):
     assert len(master._objects) == 2 * roots  # noqa: SLF001
     server.publish_snapshot()  # the cold first pin
     # fill the view cache, so that the publication also evicts
-    for i in range(server.snapshot_cache_size):
+    for i in range(DEFAULT_SNAPSHOT_CACHE):
         master.set_value(master.get_object(f"Act{i + 10:05d}.Description"), "x")
         server.publish_snapshot()
-    assert len(server.pinned_snapshots()) == server.snapshot_cache_size
+    assert len(server.pinned_snapshots()) == DEFAULT_SNAPSHOT_CACHE
     client = server.connect("writer")
     local = client.check_out("Act00007", "Act00008")
     local.set_value(local.get_object("Act00007.Description"), "edited")
@@ -613,7 +614,7 @@ def _publish_after_a_k_item_check_in(path, roots, counted_resolves):
     # recorded, and no other
     assert 0 < len(cells.read) <= k
     assert master.versions.delta_size(version) == k
-    assert len(server.pinned_snapshots()) == server.snapshot_cache_size
+    assert len(server.pinned_snapshots()) == DEFAULT_SNAPSHOT_CACHE
     view = server.snapshot(version, build=False)
     assert view.object_count() == 2 * roots + 1
     assert view.get("Act00007.Description").value == "edited"
