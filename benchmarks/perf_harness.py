@@ -41,10 +41,9 @@ name-prefix selection on a role column and a three-way chain written
 worst-first, the planner's name-index and incidence-index reads
 (``IndexJoin``) against the eager algebra's scans — and the PR-15
 scenario ``publish_snapshot``: what a server builds per accepted
-check-in (the new version's journal record and its pinned view), from
-the version's own states — the store's per-version index and a
-successor of the previous view — against a full-store scan plus a cold
-view build.
+check-in (its published view), from the states the check-in changed —
+a successor of the previous view — against a view built cold from the
+whole live master.
 Results are written to ``BENCH_PR15.json`` at the repository root so
 future PRs have a perf trajectory to compare against
 (``BENCH_PR1.json``..``BENCH_PR10.json`` hold the earlier runs, and
@@ -79,7 +78,6 @@ import json
 import statistics
 import sys
 import time
-from operator import itemgetter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -95,10 +93,7 @@ from repro.core.query.planner import execute_node, on, plan, plan_cache  # noqa:
 from repro.core.query.predicates import name_prefix, value_is  # noqa: E402
 from repro.core.query.retrieval import Retrieval  # noqa: E402
 from repro.core.schema.builder import SchemaBuilder  # noqa: E402
-from repro.core.storage.serialize import (  # noqa: E402
-    state_to_dict,
-    version_delta_from_db,
-)
+from repro.core.versions.view import VersionView  # noqa: E402
 
 FULL_SIZES = (1_000, 10_000, 50_000)
 QUICK_SIZES = (1_000,)
@@ -704,38 +699,26 @@ def bench_checkout_cold(size: int, repeats: int) -> dict:
     }
 
 
-def version_cells_scan(db: SeedDatabase, vid) -> list[dict]:
-    """The pre-PR-15 way to list a ``version`` record's cells, kept as
-    the reference: walks every cell of the store to find the states
-    recorded at *vid* (so they come in store order, not record order)."""
-    store = db.versions.store
-    cells = []
-    for key in store.keys():
-        kind, item_id = key
-        for version, state, materialized in store.entries_of(key):
-            if version != vid:
-                continue
-            cell = {"kind": kind, "id": item_id, "state": state_to_dict(kind, state)}
-            if materialized:
-                cell["materialized"] = True
-            cells.append(cell)
-    return cells
+def cold_live_view(db: SeedDatabase) -> VersionView:
+    """The reference publication: a view built cold from every live
+    item of *db*, each frozen now (no base, no changed-key feed)."""
+    states = [(("o", obj.oid), obj.freeze()) for obj in db.all_objects_raw()]
+    states += [(("r", rel.rid), rel.freeze()) for rel in db.all_relationships_raw()]
+    return VersionView("cold", db.schema, states)
 
 
 def bench_publish_snapshot(size: int, repeats: int) -> dict:
-    """Per-publication artefacts: O(change) vs a pass over the master.
+    """Per-publication cost: O(change) vs a pass over the master.
 
     A journal-bound server with ``size`` objects in the master; each
-    round checks in three new items and publishes. What a publication
-    builds beyond ``create_version`` itself is the ``version`` journal
-    record and the pinned view. Since PR 15 both come from the states
-    stored at the new version: the record through the store's
-    per-version index, the view as a successor of the previously
-    published view (tables copied, the delta applied). The reference is
-    what every publication did before: :func:`version_cells_scan` over
-    every store cell plus a cold ``version_view`` resolving the whole
-    chain. ``publish_ms`` is one whole ``publish_snapshot`` call
-    (version creation, journal append and flush included).
+    round checks in three new items and publishes. A publication is not
+    a version: the live states of the items the check-in changed are
+    laid over the view published before it (a successor view: page
+    directories copied, the changed states applied), with no version
+    and no journal record. The reference is what a publication costs
+    without that base: :func:`cold_live_view`, a view built cold from
+    every live item of the master, which also checks the publication.
+    ``publish_ms`` is one whole ``publish_snapshot`` call.
     """
     import tempfile
 
@@ -760,33 +743,29 @@ def bench_publish_snapshot(size: int, repeats: int) -> dict:
             for item in range(3):
                 local.create_object("Note", f"Delta{round_number}x{item}")
             client.check_in()
+            base = server.snapshot(server.latest_snapshot())
+            changed = set(server._touched)  # noqa: SLF001 - what it lays
             started = time.perf_counter()
-            version = server.publish_snapshot()
+            snapshot = server.publish_snapshot()
             publish_samples.append(time.perf_counter() - started)
             server.disconnect(f"writer{round_number}")
-        base = server.snapshot(master.versions.tree.parent(version), build=False)
-        published = server.snapshot(version, build=False)
+        published = server.snapshot(snapshot)
         assert list(published.item_states()) == list(
-            master.version_view(version).item_states()
+            cold_live_view(master).item_states()
         )
-        by_key = itemgetter("kind", "id")
-        assert sorted(
-            json.loads(version_delta_from_db(master, version))["cells"], key=by_key
-        ) == sorted(version_cells_scan(master, version), key=by_key)
+        server.journal.close()
 
         def incremental() -> None:
-            version_delta_from_db(master, version)
-            master.version_view(version, base)
+            master.versions.view("successor", base, changed)
 
         def full_pass() -> None:
-            version_cells_scan(master, version)
-            master.version_view(version)
+            cold_live_view(master)
 
         successor = median_time(incremental, few)
         cold = median_time(full_pass, few)
         return {
             "objects": size,
-            "states_touched": master.versions.delta_size(version),
+            "states_touched": len(changed),
             "publish_ms": round(statistics.median(publish_samples[1:]) * 1e3, 3),
             "incremental_ms": round(successor * 1e3, 3),
             "full_pass_ms": round(cold * 1e3, 3),

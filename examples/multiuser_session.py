@@ -6,7 +6,9 @@ real concurrent service: ``connect`` mints a session *token* — the
 credential every check-out/check-in presents — the lock table is keyed
 by token (a stale pre-disconnect handle can never touch its successor's
 locks), and retrieval runs against *pinned snapshot views* that stay
-consistent while check-ins apply.
+consistent while check-ins apply. Each accepted check-in publishes a
+new snapshot (``p1``, ``p2``, ...); global versions are the ones the
+server's owner creates.
 
 This script runs the service in-process on an ephemeral port. The same
 service runs standalone against a durable journal with::
@@ -44,7 +46,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # serve it: many concurrent clients over the wire protocol
     # ------------------------------------------------------------------
-    with SeedService(server, maintain_every=2) as service:
+    with SeedService(server) as service:
         host, port = service.address
         print(f"\nserving on {host}:{port} (JSON lines over a socket)")
 
@@ -106,7 +108,7 @@ def main() -> None:
         print(f"\nloader checked in 80 new objects; service stats:")
         stats = loader.stats()
         print(f"  check-ins applied: {stats['checkins_applied']}, "
-              f"maintenance runs: {stats['maintenance_runs']}, "
+              f"published snapshot: {stats['published']}, "
               f"snapshot reads served: {stats['reads_served']}")
 
         for client in (alice, carol, reader, zombie, loader):

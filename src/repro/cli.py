@@ -105,7 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="serve a journal-bound database to concurrent wire clients "
-             "(one thread per connection)")
+             "(one thread per connection)",
+        description="Each accepted check-in is one fsync'd journal record "
+                    "and publishes the snapshot readers pin and read without "
+                    "the write lock. No check-in makes a version, and "
+                    "nothing compacts on a schedule (see `repro compact`).")
     serve.add_argument("journal", type=Path,
                        help="journal file (created if missing)")
     serve.add_argument("--host", default="127.0.0.1",
@@ -119,9 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--session-seconds", type=float, default=300.0,
                        metavar="S",
                        help="idle session expiry (default: 300)")
-    serve.add_argument("--maintain-every", type=int, default=8, metavar="N",
-                       help="compaction after every N accepted "
-                            "check-ins (default: 8; 0 = never)")
     serve.add_argument("--journal-byte-budget", type=int, default=None,
                        metavar="BYTES",
                        help="auto-checkpoint-and-compact the journal "
@@ -326,12 +327,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         session_seconds=args.session_seconds,
         byte_budget=args.journal_byte_budget,
     )
-    service = SeedService(
-        server,
-        host=args.host,
-        port=args.port,
-        maintain_every=args.maintain_every,
-    )
+    service = SeedService(server, host=args.host, port=args.port)
     shutdown = threading.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, lambda *__: shutdown.set())

@@ -205,10 +205,16 @@ def load_item_states(
     """Replace *db*'s item records wholesale from frozen states.
 
     Empties the registries, restarts ids at *next_id_floor*, wires the
-    states, and rebuilds the index layer once. Dirty tracking and
-    completeness invalidation stay with the caller — checkout clears
-    them, image load restores them from the image.
+    states, and rebuilds the index layer once. Each item dropped is
+    reported to a bound ``_state_sink``, as each item wired is. Dirty
+    tracking and completeness invalidation stay with the caller.
     """
+    sink = db._state_sink  # noqa: SLF001
+    if sink is not None:
+        for oid in db._objects:  # noqa: SLF001
+            sink(("o", oid))
+        for rid in db._relationships:  # noqa: SLF001
+            sink(("r", rid))
     db._objects.clear()  # noqa: SLF001
     db._relationships.clear()  # noqa: SLF001
     db._name_index.clear()  # noqa: SLF001

@@ -332,10 +332,11 @@ class SeedDatabase:
         self._change_sink: Optional[Any] = None
         #: called with the key of every item whose state may have been
         #: written: each key a unit of work touched, committed or rolled
-        #: back (before the change sink hears of a commit), and each
-        #: item :func:`~repro.core.bulk.wire_item_states` thawed. None
-        #: unless a journal keeps encoded image fragments (it drops the
-        #: item's fragment)
+        #: back (before the change sink hears of a commit), each item
+        #: :func:`~repro.core.bulk.wire_item_states` thawed, and each
+        #: item a restore dropped. None unless a journal's image
+        #: fragments, a server's publication or a local copy's check-in
+        #: package follow item states
         self._state_sink: Optional[Callable[[ItemKey], None]] = None
         #: goes up wherever live item state may change: on entry to every
         #: primitive update, in every rollback and record drop, in
@@ -1482,13 +1483,11 @@ class SeedDatabase:
             raise TransactionError("cannot select a version inside a bulk batch")
         return self.versions.select_version(version, discard_changes=discard_changes)
 
-    def version_view(
-        self, version: str | VersionId, base: Optional[VersionView] = None
-    ) -> VersionView:
-        """Read-only view of a saved version (*base*: the parent
-        version's view to derive it from at O(change), see
-        :meth:`VersionManager.view`)."""
-        return self.versions.view(version, base)
+    def version_view(self, version: str | VersionId) -> VersionView:
+        """Read-only view of a saved version, built cold (deriving one
+        from its parent's view is :meth:`VersionManager.view` with
+        ``base``)."""
+        return self.versions.view(version)
 
     def delete_version(self, version: str | VersionId) -> None:
         """Delete a leaf version."""

@@ -36,7 +36,7 @@ from repro.core.versions.compaction import (
 from repro.core.versions.store import ItemKey, ItemState, VersionStore
 from repro.core.versions.tree import VersionTree
 from repro.core.versions.version_id import VersionId
-from repro.core.versions.view import VersionView
+from repro.core.versions.view import GONE, VersionView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.database import SeedDatabase
@@ -148,9 +148,12 @@ class VersionManager:
     # -- views -----------------------------------------------------------------------
 
     def view(
-        self, version: str | VersionId, base: Optional[VersionView] = None
+        self,
+        version: str | VersionId,
+        base: Optional[VersionView] = None,
+        changed: Optional[Iterable[ItemKey]] = None,
     ) -> VersionView:
-        """A read-only view of a saved version.
+        """A read-only view of a saved version, or of the current state.
 
         With *base* the view of the version's parent (under the same
         schema version), the result is derived from it at O(pages +
@@ -163,7 +166,26 @@ class VersionManager:
         *base* itself is never modified. (*base* is matched by version
         id: pass only views this manager built, and not one held across
         a ``delete_version`` of its own version.)
+
+        With *changed* given, the view is of the current state, labelled
+        *version*: the live states of the items *changed* names are laid
+        over *base*, an earlier current-state view under the same
+        schema, at O(pages + change); without such a base it is built
+        cold from every live item.
         """
+        if changed is not None:
+            db = self._db
+            tables = {"o": db._objects, "r": db._relationships}  # noqa: SLF001
+            if base is None or base.schema is not db.schema:
+                base = None
+                changed = [(kind, item_id) for kind in tables for item_id in tables[kind]]
+            states = (
+                # an item a restore dropped is gone from the view
+                (key, GONE if item is None else item.freeze())
+                for key in sorted(changed)
+                for item in (tables[key[0]].get(key[1]),)
+            )
+            return VersionView(version, db.schema, states, base)
         vid = VersionId.parse(version)
         if vid not in self.tree:
             raise VersionError(f"version {vid} does not exist")

@@ -43,13 +43,16 @@ is never written — the delta's changes go to copies — so the base view,
 which may be a reader's pin read on another thread, does not change.
 Every ordered container is kept in ascending id order, whichever way
 the view was built: a successor answers every retrieval with the same
-items in the same order as the cold view of the same version.
+items in the same order as the cold view of the same version. A view
+of the *current* state (a server's publication) is built the same two
+ways, from live states.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from itertools import chain
+from types import SimpleNamespace
 from typing import Any, Iterable, Iterator, Optional, TYPE_CHECKING
 
 from repro.core.errors import VersionError
@@ -63,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.schema.element import SchemaElement
     from repro.core.schema.schema import Schema
 
-__all__ = ["ViewObject", "ViewRelationship", "VersionView"]
+__all__ = ["GONE", "ViewObject", "ViewRelationship", "VersionView"]
 
 
 class ViewObject:
@@ -225,6 +228,10 @@ NAME_BUCKETS = 256
 #: what a page past the end of a directory reads as (never written)
 _NO_PAGE: dict = {}
 
+#: the state of an item that no longer exists (a restore dropped it):
+#: laid over a view, it removes the item like a tombstone
+GONE = SimpleNamespace(deleted=True)
+
 
 class _Writes:
     """Write access to one paged table while a view is derived.
@@ -316,7 +323,7 @@ class VersionView:
 
     def __init__(
         self,
-        version: VersionId,
+        version: VersionId | str,
         schema: "Schema",
         states: Iterable[tuple[ItemKey, ItemState]],
         base: Optional["VersionView"] = None,
@@ -548,10 +555,7 @@ class VersionView:
 
     def object_by_oid(self, oid: int) -> Optional[ViewObject]:
         """The object with *oid* if visible in this version."""
-        try:
-            state = self._object_pages[oid >> PAGE_SHIFT].get(oid)
-        except IndexError:  # past the last page
-            return None
+        state = self.state_of(("o", oid))
         return None if state is None else ViewObject(oid, state, self)
 
     def objects(
@@ -624,6 +628,15 @@ class VersionView:
             if names is None or state.association_name in names:
                 result.append(ViewRelationship(rid, state, self))
         return result
+
+    def state_of(self, key: ItemKey) -> Optional[ItemState]:
+        """The frozen state of item *key* (None when not visible)."""
+        kind, item_id = key
+        pages = self._object_pages if kind == "o" else self._relationship_pages
+        try:
+            return pages[item_id >> PAGE_SHIFT].get(item_id)
+        except IndexError:  # past the last page
+            return None
 
     def object_count(self) -> int:
         """Number of visible objects."""

@@ -254,23 +254,30 @@ def build_package(
     local: SeedDatabase,
     baseline_objects: dict[int, ObjectState],
     baseline_relationships: dict[int, RelationshipState],
+    changed: set[ItemKey],
 ) -> CheckInPackage:
-    """Diff a client's local copy against its check-out baseline."""
+    """Diff a client's local copy against its check-out baseline.
+
+    *changed* holds the key of every item whose state may have been
+    written since the copy was materialized (its state sink's reports):
+    only those items are frozen and compared, in registry order, so the
+    package is the one a diff of every item gives. An item changed and
+    changed back, or created and deleted again, leaves nothing.
+    """
     package = CheckInPackage()
-    for obj in local.all_objects_raw():
-        state = obj.freeze()
-        before = baseline_objects.get(obj.oid)
-        if before is None:
-            if not state.deleted:  # created-then-deleted never leaves the client
-                package.created_objects.append((obj.oid, state))
-        elif state != before:
-            package.modified_objects.append((obj.oid, before, state))
-    for rel in local.all_relationships_raw():
-        state = rel.freeze()
-        before = baseline_relationships.get(rel.rid)
-        if before is None:
-            if not state.deleted:
-                package.created_relationships.append((rel.rid, state))
-        elif state != before:
-            package.modified_relationships.append((rel.rid, before, state))
+    for kind, registry, baseline, created, modified in (
+        ("o", local._objects, baseline_objects,  # noqa: SLF001
+         package.created_objects, package.modified_objects),
+        ("r", local._relationships, baseline_relationships,  # noqa: SLF001
+         package.created_relationships, package.modified_relationships),
+    ):
+        wanted = {item_id for item_kind, item_id in changed if item_kind == kind}
+        for item_id in filter(wanted.__contains__, registry):  # registry order
+            state = registry[item_id].freeze()
+            before = baseline.get(item_id)
+            if before is None:
+                if not state.deleted:  # created-then-deleted never leaves the client
+                    created.append((item_id, state))
+            elif state != before:
+                modified.append((item_id, before, state))
     return package

@@ -31,6 +31,7 @@ from repro.core.errors import SeedError
 from repro.core.objects import ObjectState, SeedObject
 from repro.core.relationships import RelationshipState
 from repro.core.schema.schema import Schema
+from repro.core.versions.store import ItemKey
 from repro.core.versions.version_id import VersionId
 from repro.multiuser.checkin import CheckInPackage, build_package
 
@@ -58,26 +59,32 @@ def materialize_ticket(
         iter(ticket.relationships),
         next_id_floor=ticket.next_id_floor,
     )
-    local.clear_dirty()
+    # unsaved: the copy's first local version holds every item, so that
+    # selecting it restores the copy
+    local._dirty.update(ticket.keys)  # noqa: SLF001
     return local
 
 
 class CopyHolder:
     """The copy-holding state machine of a client, kept once.
 
-    Check-out materializes a private local database and remembers the
-    baseline it was copied from; check-in diffs the copy against that
-    baseline and ships the package; abandon drops it. A subclass says
-    only how the server is reached — :meth:`_fetch_ticket`,
-    :meth:`_submit_package`, :meth:`_release_copy` — and what the copy
-    is built from: ``schema`` (the master's) and ``_origin`` (the local
-    database is named ``<origin>@<client id>``).
+    Check-out materializes a private local database, remembers the
+    baseline it was copied from, and from then on collects the key of
+    every item the copy's state sink reports; check-in diffs just those
+    items against that baseline and ships the package; abandon drops
+    it. A subclass says only how the server is reached —
+    :meth:`_fetch_ticket`, :meth:`_submit_package`,
+    :meth:`_release_copy` — and what the copy is built from: ``schema``
+    (the master's) and ``_origin`` (the local database is named
+    ``<origin>@<client id>``).
     """
 
     def __init__(self) -> None:
         self._local: Optional[SeedDatabase] = None
         self._baseline_objects: dict[int, ObjectState] = {}
         self._baseline_relationships: dict[int, RelationshipState] = {}
+        #: keys of the local items written since materialization
+        self._changed: set[ItemKey] = set()
 
     # -- how the server is reached (the subclass's whole job) ---------------
 
@@ -133,6 +140,8 @@ class CopyHolder:
         )
         self._baseline_objects = dict(ticket.objects)
         self._baseline_relationships = dict(ticket.relationships)
+        self._changed = set()
+        self._local._state_sink = self._changed.add  # noqa: SLF001
         return self._local
 
     # -- check-in ---------------------------------------------------------------------
@@ -146,7 +155,10 @@ class CopyHolder:
         survive so the client can repair and retry.
         """
         package = build_package(
-            self.local, self._baseline_objects, self._baseline_relationships
+            self.local,
+            self._baseline_objects,
+            self._baseline_relationships,
+            self._changed,
         )
         translation = self._submit_package(package)
         self._drop_copy()
@@ -163,6 +175,7 @@ class CopyHolder:
         self._local = None
         self._baseline_objects = {}
         self._baseline_relationships = {}
+        self._changed = set()
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         state = "holding copy" if self.has_copy else "idle"

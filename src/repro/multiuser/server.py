@@ -22,37 +22,42 @@ cannot check in anything (create-only packages included) or touch the
 successor session's locks.
 
 **MVCC snapshot reads.** :meth:`publish_snapshot` publishes a
-consistent read view from the version store (which already keeps every
-committed state); :meth:`snapshot` serves pinned views from a bounded
-cache. Publication is O(pages + change): the new version's journal
-record and its view are both built from the states the version store
-indexes under that version — the view as a *successor* of the view
-published before it (:meth:`VersionManager.view
-<repro.core.versions.manager.VersionManager.view>` with ``base``), so
-no pass over the master happens per accepted check-in. A view's tables
-are paged (:mod:`repro.core.versions.view`): the successor copies the
-page directories and the pages the check-in wrote, and shares every
-other page, the frozen item states and every child and incidence list
-the check-in did not touch with the pinned view. That view is still
-immutable, because states are frozen and a page or list the successor
-has to change is replaced by a copy rather than edited; evicting it
-frees only the pages no younger view shares. Reads against a pinned
-view therefore never block on (and are never torn by) an in-flight
-check-in, ``bulk()`` batch or publication. The wire layer
+consistent read view of the master's current state; :meth:`snapshot`
+serves pinned views from a bounded cache. A publication is not a
+version: the master's state sink reports every item a commit, a
+rollback or a restore may have written (check-ins and direct master
+transactions alike), and the next publication lays the live states of
+just those items over the view published before it
+(:meth:`VersionManager.view
+<repro.core.versions.manager.VersionManager.view>` with ``changed``),
+at O(pages + change) and with nothing written to the journal. It is
+named by a server-local snapshot id (``p1``, ``p2``, ...), which no
+restart keeps. A view's tables are paged
+(:mod:`repro.core.versions.view`): the successor copies the page
+directories and the pages the change wrote, and shares every other
+page, the frozen item states and every child and incidence list with
+the pinned view, which never changes. Reads against a pinned view
+therefore never block on (and are never torn by) an in-flight
+check-in, ``bulk()`` batch or publication. A check-out ticket takes
+its frozen states from the standing publication too. The wire layer
 (:mod:`repro.multiuser.service`) serves each connection on its own
-thread: a check-in applies on the thread that read it, under the write
-lock, while the other connections' threads keep answering snapshot
-reads without it.
+thread: a check-in applies and publishes under the write lock, while
+the other connections' threads pin and read without it (a pin takes
+it only to publish a change made outside a wire check-in,
+:meth:`publication_stale`).
 
-**Background maintenance.** :meth:`maintain` runs version-store
-compaction + tombstone GC between check-ins (the service schedules it
-automatically), pinning every cached snapshot so pinned readers survive
-the squash.
+**Global versions** are the ones people make ("kept ... globally
+under control of the user and the server"):
+:meth:`create_global_version` and the ``repro`` commands; no check-in
+mints one, and ``master.version_view`` reads them. :meth:`maintain`
+compacts the version store (chain squashing and tombstone GC) on
+demand.
 
 Durability: bind a
 :class:`~repro.core.storage.engine.JournaledDatabase` (``journal=`` or
 :meth:`open`) and accepted check-ins are durable at O(change) via
-write-ahead deltas — and so are *direct* master transactions, through
+write-ahead deltas, one fsync'd ``checkin`` record each — and so
+are *direct* master transactions, through
 the journal's post-commit txn sink (suspended while a check-in package
 applies, since the check-in delta already covers those commits).
 :meth:`maintain` additionally enforces the journal's ``byte_budget``
@@ -66,7 +71,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
@@ -89,9 +94,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CheckOutTicket", "SeedServer"]
 
-#: pinned snapshot views kept hot (oldest evicted first, never the
-#: publication)
-DEFAULT_SNAPSHOT_CACHE = 8
+#: publications kept readable (oldest evicted first, never the standing
+#: one). A reader's pin survives this many later check-ins; a view costs
+#: only the pages no neighbour shares, so the window is kept wide
+DEFAULT_SNAPSHOT_CACHE = 16
 
 
 @dataclass
@@ -146,9 +152,23 @@ class SeedServer:
         #: session token -> standing expiry (None = leaseless standing);
         #: standing is the right to check a copy back in
         self._standing: dict[str, Optional[float]] = {}
-        #: published snapshot views by version string, oldest first
+        #: the newest publications by snapshot id, oldest first
         self._views: "OrderedDict[str, VersionView]" = OrderedDict()
-        self._published: Optional[VersionId] = None
+        #: the standing publication's snapshot id
+        self._published: Optional[str] = None
+        self._publications = 0
+        #: keys of items whose state may have changed since the standing
+        #: publication, fed by the master's state sink (beside a
+        #: journal's image fragments)
+        touched: set[ItemKey] = set()
+        self._touched = touched
+        fragments = self.master._state_sink  # noqa: SLF001 - the seam
+
+        def report(key: ItemKey) -> None:
+            touched.add(key)
+            fragments(key)
+
+        self.master._state_sink = touched.add if fragments is None else report  # noqa: SLF001
         # -- service counters (diagnostics, surfaced by `repro serve`) --
         self.checkins_applied = 0
         self.checkins_rejected = 0
@@ -254,108 +274,80 @@ class SeedServer:
 
     # -- MVCC snapshot reads -------------------------------------------------
 
-    def publish_snapshot(self) -> VersionId:
-        """Materialize (and cache) a consistent read view of the master.
+    def publish_snapshot(self) -> str:
+        """Publish a consistent read view of the master; returns its
+        snapshot id.
 
-        Creates a global version when the master changed since the last
-        publication (or none exists yet); otherwise the existing
-        publication stands. Returns the published version id. Writers
-        call this after each accepted check-in; readers pin whatever is
-        published and keep reading it — a
-        :class:`~repro.core.versions.view.VersionView` is immutable, so
-        pinned reads proceed while the next check-in or ``bulk()``
-        batch is applying. The new view is derived from the previously
-        published one and shares every page the check-in did not write,
-        so a publication costs O(pages + items the check-in changed):
-        a copy of the page directories, not of the master's tables.
+        When an item may have changed since the standing publication (or
+        none exists), the live states of the changed items are laid over
+        it: a successor view at O(pages + change), with no version and
+        no journal record. Readers pin whatever is published; a view is
+        immutable, so pinned reads proceed while the next check-in
+        applies.
         """
-        if self._published is None or self.master.has_unsaved_changes():
-            # the view published last is the new version's parent view
-            # whenever versions are only created here: deriving from it
-            # costs O(change) (any other base falls back to a cold build)
-            base = (
-                None
-                if self._published is None
-                else self._views.get(str(self._published))
-            )
-            published = self.master.create_version()
-            self._published = published
-            self._cache_view(
-                published, self.master.version_view(published, base)
-            )
-        assert self._published is not None
+        if not self.publication_stale():
+            return self._published
+        self._publications += 1
+        snapshot = f"p{self._publications}"
+        base = self._views.get(self._published)
+        self._views[snapshot] = self.master.versions.view(snapshot, base, self._touched)
+        self._touched.clear()
+        # cached before it stands: a lock-free pin may read it at once
+        self._published = snapshot
+        while len(self._views) > DEFAULT_SNAPSHOT_CACHE:
+            self._views.popitem(last=False)  # the oldest; never the newest
+        return snapshot
+
+    def publication_stale(self) -> bool:
+        """True when the master may differ from the standing publication:
+        nothing is published yet, a commit, rollback or restore touched
+        an item since (a direct master transaction included), or the
+        schema migrated. Safe to ask without the write lock."""
+        base = self._views.get(self._published)
+        return (
+            base is None
+            or bool(self._touched)
+            or base.schema is not self.master.schema
+        )
+
+    def latest_snapshot(self) -> Optional[str]:
+        """The standing publication's snapshot id (None before the first)."""
         return self._published
 
-    def latest_snapshot(self) -> Optional[VersionId]:
-        """The currently published snapshot version (None before first)."""
-        return self._published
-
-    def snapshot(
-        self,
-        version: Optional[str | VersionId] = None,
-        *,
-        build: bool = True,
-    ) -> VersionView:
-        """A pinned read view: the published snapshot, or *version*.
-
-        With ``build=False`` only cached views are served — the wire
-        service's reader path uses this so a read can never fall back
-        to materializing from the version store concurrently with a
-        writer; an evicted pin asks the client to re-pin instead.
-        """
-        if version is None:
-            vid = self.publish_snapshot() if build else self._published
-            if vid is None:
-                raise VersionError("no snapshot published yet")
-        else:
-            vid = version
-        key = str(vid)
+    def snapshot(self, version: Optional[str] = None) -> VersionView:
+        """A pinned read view: the publication standing now (published
+        first if the master changed), or the cached publication
+        *version* — a snapshot id (``p<N>``), never a global version id
+        (``master.version_view`` reads those). Nothing is ever rebuilt,
+        so a read never materializes anything beside a writer: an
+        evicted pin raises :class:`~repro.core.errors.VersionError`, and
+        the reader pins afresh."""
+        key = self.publish_snapshot() if version is None else version
         view = self._views.get(key)
         if view is None:
-            if not build:
-                raise VersionError(
-                    f"snapshot {key} is no longer pinned (cache holds the "
-                    f"newest {DEFAULT_SNAPSHOT_CACHE}); pin a fresh one"
-                )
-            view = self.master.version_view(vid)
-            self._cache_view(
-                vid if isinstance(vid, VersionId) else VersionId.parse(key),
-                view,
+            raise VersionError(
+                f"snapshot {key} is no longer pinned (cache holds the "
+                f"newest {DEFAULT_SNAPSHOT_CACHE} publications); pin a fresh "
+                "one (a global version is read with master.version_view)"
             )
         return view
 
-    def _cache_view(self, version: VersionId, view: VersionView) -> None:
-        key = str(version)
-        self._views[key] = view
-        self._views.move_to_end(key)
-        published = None if self._published is None else str(self._published)
-        while len(self._views) > DEFAULT_SNAPSHOT_CACHE:
-            del self._views[next(k for k in self._views if k != published)]
-
     def pinned_snapshots(self) -> list[str]:
-        """Version strings of the snapshot views currently cached."""
+        """Snapshot ids of the cached publications."""
         return list(self._views)
 
-    # -- background maintenance ----------------------------------------------
+    # -- maintenance ---------------------------------------------------------
 
     def maintain(self) -> CompactionStats:
-        """Compact the version store between check-ins.
+        """Compact the version store (nothing schedules this).
 
         Runs chain squashing, snapshot consolidation, and tombstone GC
-        under :data:`~repro.core.versions.compaction.DEFAULT_MAINTENANCE`,
-        with every cached snapshot version pinned so concurrent pinned
-        readers survive; stale cache entries for squashed-away versions
-        are dropped afterwards. When the journal carries a ``byte_budget``,
-        the journal file is bounded too — checkpoint-then-compact once
-        it exceeds the budget. The wire service schedules this
-        automatically every ``maintain_every`` accepted check-ins.
+        under :data:`~repro.core.versions.compaction.DEFAULT_MAINTENANCE`.
+        A publication is no version, so pinned readers are untouched.
+        When the journal carries a ``byte_budget``, the journal file is
+        bounded too.
         """
-        stats = self.master.compact(
-            replace(DEFAULT_MAINTENANCE, pins=frozenset(self._views))
-        )
-        surviving = {str(v) for v in self.master.saved_versions()}
-        for key in [k for k in self._views if k not in surviving]:
-            del self._views[key]  # pragma: no cover - pins protect these
+        stats = self.master.compact(DEFAULT_MAINTENANCE)
         if self.journal is not None and self.journal.byte_budget is not None:
             self.journal.enforce_budget()
         self.maintenance_runs += 1
@@ -363,72 +355,49 @@ class SeedServer:
 
     # -- check-out -----------------------------------------------------------
 
-    def resolve_roots(self, names: Iterable[str]) -> list[SeedObject]:
-        """Root objects of a check-out: named roots plus inherited patterns.
+    def closure(
+        self, names: Iterable[str]
+    ) -> tuple[list[SeedObject], list[ItemKey]]:
+        """The copy set of a check-out: the named objects' roots with
+        their sub-trees, and every relationship among the copied
+        objects.
 
         A copy must be self-contained to be checked for consistency
         locally, so every pattern a copied object inherits joins the
         copy set (with *its* sub-tree and relationships, recursively).
+        One walk of each sub-tree finds those patterns and lists the
+        objects. Returns (objects, item keys incl. relationships).
+        Relationships with only one endpoint in the set are *not*
+        copied (they remain retrievable from the server and updatable
+        by whoever owns the other end's lock set). Collected through
+        the incidence index — O(copied objects + their incident
+        relationships), not O(all relationships in the master).
         """
         master = self.master
-        roots: list[SeedObject] = []
-        seen_roots: set[int] = set()
+        objects: list[SeedObject] = []
+        oids: set[int] = set()
         frontier = [
             master.get_object(name, include_patterns=True) for name in names
         ]
         while frontier:
-            obj = frontier.pop()
-            root = obj.root
-            if root.oid in seen_roots:
+            root = frontier.pop().root
+            if root.oid in oids:
                 continue
-            seen_roots.add(root.oid)
-            roots.append(root)
             for node in root.walk():
+                oids.add(node.oid)
+                objects.append(node)
                 frontier.extend(master.patterns.patterns_of(node))
-        return roots
-
-    def closure_keys(
-        self, roots: list[SeedObject]
-    ) -> tuple[list[SeedObject], list[ItemKey]]:
-        """The copy set of a check-out: root objects, their sub-trees, and
-        every relationship among the copied objects.
-
-        Returns (objects, item keys incl. relationships). Relationships
-        with only one endpoint in the set are *not* copied (they remain
-        retrievable from the server and updatable by whoever owns the
-        other end's lock set). Collected through the incidence index —
-        O(copied objects + their incident relationships), not
-        O(all relationships in the master) per check-out.
-        """
-        objects, oids = self._closure_objects(roots)
         keys: list[ItemKey] = [("o", obj.oid) for obj in objects]
         copied_rids: set[int] = set()
         for obj in objects:
-            for rel in self.master.relationships_of_object(
-                obj, include_patterns=True
-            ):
+            for rel in master.relationships_of_object(obj, include_patterns=True):
                 if rel.rid in copied_rids:
                     continue
-                if all(
-                    bound.oid in oids for bound in rel.bound_objects()
-                ):
+                if all(bound.oid in oids for bound in rel.bound_objects()):
                     copied_rids.add(rel.rid)
         # ascending rid = master creation order, identical to the scan
         keys.extend(("r", rid) for rid in sorted(copied_rids))
         return objects, keys
-
-    @staticmethod
-    def _closure_objects(
-        roots: list[SeedObject],
-    ) -> tuple[list[SeedObject], set[int]]:
-        objects: list[SeedObject] = []
-        oids: set[int] = set()
-        for root in roots:
-            for node in root.walk():
-                if node.oid not in oids:
-                    oids.add(node.oid)
-                    objects.append(node)
-        return objects, oids
 
     def check_out(self, token: str, names: Iterable[str]) -> CheckOutTicket:
         """Lock the named objects' closure for the session behind *token*.
@@ -437,7 +406,9 @@ class SeedServer:
         locks (all or nothing), records check-out *standing* (stamped
         with the same lease expiry as the locks), and returns the
         frozen copy set. In-process and wire clients both materialize
-        their local database from this ticket.
+        their local database from this ticket. States come from the
+        standing publication; only an item changed since, or one it
+        does not show, is frozen here.
         """
         session = self.sessions.validate(token)
         if token in self._standing:
@@ -445,17 +416,28 @@ class SeedServer:
                 f"client {session.client_id!r} already holds a copy; check "
                 "it in or abandon it first"
             )
-        roots = self.resolve_roots(names)
-        objects, keys = self.closure_keys(roots)
+        objects, keys = self.closure(names)
         self.locks.acquire(token, keys)
         self._standing[token] = self.locks.default_expiry()
         master = self.master
-        copied_rids = [item_id for kind, item_id in keys if kind == "r"]
+        published = self._views.get(self._published)
+        current = published is not None and published.schema is master.schema
+
+        def frozen(key: ItemKey, item) -> object:
+            state = None
+            if current and key not in self._touched:
+                state = published.state_of(key)
+            return item.freeze() if state is None else state
+
+        relationships = master._relationships  # noqa: SLF001
+        count = len(objects)
         return CheckOutTicket(
-            objects=[(obj.oid, obj.freeze()) for obj in objects],
+            objects=[
+                (obj.oid, frozen(key, obj)) for key, obj in zip(keys, objects)
+            ],
             relationships=[
-                (rid, master._relationships[rid].freeze())  # noqa: SLF001
-                for rid in copied_rids
+                (key[1], frozen(key, relationships[key[1]]))
+                for key in keys[count:]
             ],
             keys=keys,
             # fresh local ids must not collide with *any* master id
@@ -550,7 +532,8 @@ class SeedServer:
     # -- global versions -------------------------------------------------------------------
 
     def create_global_version(self) -> VersionId:
-        """Snapshot the central database (server-controlled versions)."""
+        """Snapshot the central database (server-controlled versions);
+        the one way a server mints a version."""
         return self.master.create_version()
 
     def global_versions(self) -> list[VersionId]:

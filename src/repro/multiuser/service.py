@@ -6,21 +6,26 @@ serving each accepted connection on its own blocking thread. The
 concurrency model mirrors the paper's two-level sketch:
 
 * **writes are serialized** — connect/disconnect, renew, check-out,
-  check-in with its snapshot publication, abandon and pin run under
-  one ``threading.Lock``, on the thread that read their frame; the
-  master database is single-writer by construction;
-* **reads never wait for writers** — retrieval runs against *pinned
-  snapshot views* (fully materialized, immutable
-  :class:`~repro.core.versions.view.VersionView` objects) without the
-  lock, so a reader holding a pin keeps getting consistent answers on
-  its own thread while a check-in — even a large or stalled one — is
-  applying on another;
-* **maintenance runs between check-ins** — the connection whose
-  check-in is the ``maintain_every``-th since the last pass sends its
-  acknowledgement, then runs a
-  :meth:`~repro.multiuser.server.SeedServer.maintain` pass (compaction
-  + tombstone GC) under the write lock before it reads its next frame,
-  with every pinned snapshot protected.
+  check-in with its snapshot publication, and abandon run under one
+  ``threading.Lock``, on the thread that read their frame; the master
+  database is single-writer by construction. A check-in is one
+  fsync'd ``checkin`` journal record, and it publishes the states it
+  changed before the lock is released
+  (:meth:`~repro.multiuser.server.SeedServer.publish_snapshot`);
+* **reads never wait for writers** — ``pin`` hands out the standing
+  publication and retrieval runs against *pinned snapshot views*
+  (fully materialized, immutable
+  :class:`~repro.core.versions.view.VersionView` objects), both
+  without the lock, so a reader holding a pin keeps getting
+  consistent answers on its own thread while a check-in — even a
+  large or stalled one — is applying on another. A pin takes the lock
+  only when the master changed since the last publication (the first
+  pin, or a change the server's owner made directly) and publishes.
+
+Nothing is scheduled between check-ins: no check-in mints a version,
+so the version store does not grow with them, and compaction is the
+server owner's call (:meth:`~repro.multiuser.server.SeedServer.maintain`,
+``repro compact``).
 
 No lock is held while a frame is read or an answer sent. Past
 :data:`~repro.multiuser.protocol.MAX_CONNECTIONS` open connections, a
@@ -75,9 +80,6 @@ from repro.multiuser.server import CheckOutTicket, SeedServer
 
 __all__ = ["SeedService", "ServiceClient"]
 
-#: accepted check-ins between maintenance passes (0 = never)
-DEFAULT_MAINTAIN_EVERY = 8
-
 
 def _view_object_summary(obj) -> dict[str, Any]:
     """The JSON summary of one snapshot-view object."""
@@ -130,7 +132,7 @@ class _Connection:
     has drained the service the write is refused instead.
     """
 
-    __slots__ = ("service", "sock", "tokens", "op", "lock_wait", "maintain_due")
+    __slots__ = ("service", "sock", "tokens", "op", "lock_wait")
 
     def __init__(self, service: "SeedService", sock: socket.socket) -> None:
         self.service = service
@@ -138,7 +140,6 @@ class _Connection:
         self.tokens: set[str] = set()  #: sessions this connection opened
         self.op: Optional[str] = None  #: the op of the checked request
         self.lock_wait = 0.0  #: its seconds waiting for the write lock
-        self.maintain_due = False  #: run a pass once the ack is out
 
     def __enter__(self) -> None:
         lock = self.service._write_lock
@@ -163,27 +164,21 @@ class SeedService:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        maintain_every: int = DEFAULT_MAINTAIN_EVERY,
     ) -> None:
         self.server = server
         self.host = host
         self.port = port  # 0 = ephemeral; real port known once started
-        self.maintain_every = maintain_every
         self._listener: Optional[socket.socket] = None
         self._acceptor: Optional[threading.Thread] = None
         self._write_lock = threading.Lock()
         self._stopped = False  #: set by stop(): every later write is refused
-        self._accepted_since_maintain = 0
         self._counter_lock = threading.Lock()
         self._connections: dict[_Connection, threading.Thread] = {}
-        # -- service counters (stats op / `repro serve` log); the write
-        # lock guards the maintenance ones, the counter lock the rest --
+        # -- service counters (stats op / `repro serve` log), under the
+        # counter lock --
         self.requests_served = 0
         self.reads_served = 0
         self.connections_refused = 0
-        self.maintenance_scheduled = 0
-        self.maintenance_failures = 0
-        self.maintenance_error: Optional[str] = None  #: the last failure
         #: op -> [requests, server seconds, write-lock wait seconds]
         self._op_times = {op: [0, 0.0, 0.0] for op in REQUEST_FIELDS}
 
@@ -212,9 +207,8 @@ class SeedService:
         """Graceful shutdown: refuse, drain, optionally save, close.
 
         New connections are refused first. Then the write lock is taken:
-        holding it proves no check-in or maintenance pass is mid-apply,
-        and every write that reaches it later — a maintenance pass still
-        due included — is refused. *drain_timeout_s* bounds each wait so
+        holding it proves no check-in is mid-apply, and every write that
+        reaches it later is refused. *drain_timeout_s* bounds each wait so
         a hung apply cannot wedge shutdown: its work is abandoned (the
         master rolls back on failure as usual, and an un-acked check-in's
         journal record replays on the next open). With *final_checkpoint*
@@ -326,12 +320,7 @@ class SeedService:
                         times[2] += conn.lock_wait
                         if conn.op == "read" and response["ok"]:
                             self.reads_served += 1
-                try:
-                    conn.sock.sendall(frame)
-                finally:  # the ack first; then the pass, sent or not
-                    if conn.maintain_due:
-                        conn.maintain_due = False
-                        self._maintain()
+                conn.sock.sendall(frame)
         except OSError:
             pass  # stop() or a vanished peer: on to session cleanup
         finally:
@@ -396,20 +385,12 @@ class SeedService:
             # a rejected apply raises before anything is published
             translation = self.server.apply_check_in(request["token"], package)
             version = self.server.publish_snapshot()
-            self._accepted_since_maintain += 1
-            if (
-                self.maintain_every
-                and self._accepted_since_maintain >= self.maintain_every
-            ):
-                self._accepted_since_maintain = 0
-                self.maintenance_scheduled += 1
-                conn.maintain_due = True
         return ok_response(
             {
                 "translation": [
                     [local, master] for local, master in translation.items()
                 ],
-                "version": str(version),
+                "version": version,
             }
         )
 
@@ -421,20 +402,22 @@ class SeedService:
     # -- MVCC reads (never queue on the write lock) --------------------------
 
     def _op_pin(self, request, conn) -> dict[str, Any]:
-        """Publish-or-reuse the current snapshot; returns its version.
-
-        Publication may create a version (a write), so it serializes
-        with the writers; subsequent ``read`` ops against the pinned
-        version run lock-free.
-        """
-        with conn:
-            version = self.server.publish_snapshot()
-        return ok_response({"version": str(version)})
+        """The standing publication's snapshot id, read without the
+        write lock: every wire check-in publishes before it releases the
+        lock. Only when the master changed since the last publication
+        (the first pin, an in-process check-in, a direct transaction,
+        restore or schema migration by the server's owner, or a check-in
+        still applying) does the pin take the lock and publish."""
+        server = self.server
+        if server.publication_stale():
+            with conn:
+                server.publish_snapshot()
+        return ok_response({"version": server.latest_snapshot()})
 
     def _op_read(self, request, conn) -> dict[str, Any]:
         # cached-only: a read never materializes a view concurrently
         # with a writer; an evicted pin errors and the client re-pins
-        view = self.server.snapshot(request["version"], build=False)
+        view = self.server.snapshot(request["version"])
         query = request["query"]
         kind = query["kind"]
         if kind == "find":
@@ -464,9 +447,7 @@ class SeedService:
                 "checkins_applied": server.checkins_applied,
                 "checkins_rejected": server.checkins_rejected,
                 "maintenance_runs": server.maintenance_runs,
-                "maintenance_failures": self.maintenance_failures,
-                "maintenance_error": self.maintenance_error,
-                "published": None if published is None else str(published),
+                "published": published,
                 "pinned": server.pinned_snapshots(),
             }
         with self._counter_lock:
@@ -480,19 +461,6 @@ class SeedService:
                 },
             )
         return ok_response(result)
-
-    # -- maintenance between check-ins ---------------------------------------
-
-    def _maintain(self) -> None:
-        """The pass a check-in made due; a failure is counted, not raised."""
-        with self._write_lock:
-            if self._stopped:
-                return  # the journal is closed; the pass is dropped
-            try:
-                self.server.maintain()
-            except Exception as exc:  # the connection keeps serving
-                self.maintenance_failures += 1
-                self.maintenance_error = f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +477,8 @@ class ServiceClient(CopyHolder):
     materializes a local :class:`~repro.core.database.SeedDatabase`
     copy from the wire ticket, ``check_in`` diffs it against the
     baseline and ships the package. The
-    read surface is MVCC: ``pin`` publishes-or-reuses a snapshot and
-    subsequent ``find``/``objects``/``counts`` answer from that pinned
+    read surface is MVCC: ``pin`` takes the standing publication's
+    snapshot id and subsequent ``find``/``objects``/``counts`` answer from that pinned
     version until ``pin`` is called again — consistent-as-of-pin by
     construction. One socket per client; instances are not shared
     across threads (each worker opens its own).
@@ -621,7 +589,7 @@ class ServiceClient(CopyHolder):
     # -- MVCC reads ----------------------------------------------------------
 
     def pin(self) -> str:
-        """Pin the current published snapshot; reads answer from it."""
+        """Pin the standing publication; reads answer from it."""
         self.pinned = self._call("pin")["version"]
         return self.pinned
 

@@ -218,18 +218,15 @@ def streamed_history(path: Path) -> JournaledDatabase:
     return journal
 
 
-def maintain_history(path: Path) -> JournaledDatabase:
-    """A journaled server: ``checkin`` records, each check-in published,
-    server maintenance every 8 check-ins, one ``delete_version``, then a
-    checkpoint of both kinds.
-
-    Every maintenance pass folds the baseline version (the ingest) into
-    its child again: the baseline carrier is never pinned. Check-ins
-    edit descriptions, create data objects and delete earlier ones, so
-    the passes also collect tombstones. After the 20th check-in the
-    master is rebased on the version before the newest, the next
-    check-in branches there, and the abandoned leaf is deleted."""
-    rng = random.Random(6)
+def publish_history(path: Path) -> JournaledDatabase:
+    """A journaled server whose check-ins publish snapshots: every
+    check-in is one ``checkin`` record and its publication writes
+    nothing. After the 8th check-in the server's owner creates the one
+    global version (1.0, the ingest and the first eight check-ins); after
+    the 12th a reader pins the publication; after the 16th a maintenance
+    pass runs, which leaves that pin as it was. Check-ins edit descriptions, create data objects
+    and delete earlier ones. Then a checkpoint of both kinds."""
+    rng = random.Random(8)
     server = SeedServer(journal=open_journal(path), clock=_clock)
     master = server.master
     with master.bulk():
@@ -237,10 +234,7 @@ def maintain_history(path: Path) -> JournaledDatabase:
     server.publish_snapshot()
     client = server.connect("writer")
     created: list[str] = []
-    for number in range(24):
-        if number == 20:
-            leaf = server.latest_snapshot()
-            master.select_version(master.versions.tree.parent(leaf))
+    for number in range(16):
         action = f"A{rng.randrange(3)}"
         doomed = created.pop(0) if created and rng.random() < 0.4 else None
         local = client.check_out(action, *([doomed] if doomed else []))
@@ -252,10 +246,12 @@ def maintain_history(path: Path) -> JournaledDatabase:
             local.create_object("Data", created[-1])
         client.check_in()
         server.publish_snapshot()
-        if number == 20:
-            master.delete_version(leaf)
-        if number % 8 == 7:
-            server.maintain()
+        if number == 7:
+            server.create_global_version()
+        if number == 11:
+            pinned = server.snapshot()
+    server.maintain()
+    assert server.snapshot(pinned.version) is pinned
     server.disconnect("writer")
     server.checkpoint()
     server.journal.checkpoint(streamed=True)
@@ -432,7 +428,7 @@ HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
     "compact": compact_history,
     "image": image_history,
     "streamed": streamed_history,
-    "maintain": maintain_history,
+    "publish": publish_history,
     "relabel": relabel_history,
     "raw_restore": raw_restore_history,
     "unknown_kind": unknown_kind_history,
@@ -444,6 +440,22 @@ HISTORIES: dict[str, Callable[[Path], JournaledDatabase]] = {
 #: committed files that no history of this build writes: name -> the
 #: build that wrote it and what its history did
 READER_ONLY: dict[str, str] = {
+    "maintain": (
+        "Written at commit fdfbdc7, the last build whose server minted a "
+        "global version per publication, with the helpers of this "
+        "module. Seed 6: 3 populated actions in one bulk batch, then "
+        "published (1.0); 24 check-ins through one client, each "
+        "checking out an action (and, 40 % of the time, an object "
+        "created earlier, which it deletes), setting the description, "
+        "and creating a data object 60 % of the time; each check-in was "
+        "published as a version (a checkin record, then a version "
+        "record), and after every 8th the server ran maintain() with "
+        "the cached publications pinned (compact records). Before the "
+        "21st check-in the master selected the parent of the newest "
+        "version, and after it deleted that abandoned leaf "
+        "(restore and delete_version records). Then a monolithic and a "
+        "streamed checkpoint."
+    ),
     "materialized_version": (
         "Written at commit b84c252, the last build that consolidated "
         "snapshots inside create_version, with the version manager's "

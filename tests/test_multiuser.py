@@ -178,6 +178,26 @@ class TestLocalAndGlobalVersions:
         notes = [c.value for c in alarms_view.sub_objects("Note")]
         assert notes == ["draft 1"]
 
+    def test_selecting_the_first_local_version_restores_the_copy(self, server):
+        def states(db):
+            return {
+                **{("o", obj.oid): obj.freeze() for obj in db.all_objects_raw()},
+                **{("r", rel.rid): rel.freeze() for rel in db.all_relationships_raw()},
+            }
+
+        alice = server.connect("alice")
+        local = alice.check_out("Alarms", "AlarmHandler")
+        copy = states(local)
+        first = alice.save_local_version()
+        assert dict(local.version_view(first).item_states()) == copy
+        local.get_object("Alarms").add_sub_object("Note", "dropped by the select")
+        local.select_version(first, discard_changes=True)
+        assert states(local) == copy
+        local.get_object("Alarms").add_sub_object("Note", "kept")
+        alice.check_in()
+        notes = server.master.get_object("Alarms").sub_objects("Note")
+        assert [note.value for note in notes] == ["kept"]
+
     def test_global_versions_under_server_control(self, server):
         alice = server.connect("alice")
         local = alice.check_out("Alarms")

@@ -1,9 +1,9 @@
 """Randomized concurrency harness: N wire clients against one service.
 
 Each client thread runs a seeded random mix of MVCC snapshot reads,
-contended check-outs (retried a few times), check-ins, and abandons,
-while the service runs background
-compaction between check-ins. Two oracles close the loop:
+contended check-outs (retried a few times), check-ins, and abandons;
+every accepted check-in publishes a successor of the standing
+snapshot. Three oracles close the loop:
 
 * **snapshot consistency** — within one pin, every read answers
   identically no matter how many check-ins commit around it (a pin that
@@ -13,7 +13,9 @@ compaction between check-ins. Two oracles close the loop:
   acceptance order against an identical fresh master, produce the same
   final live state as the concurrent run (``apply_to`` is deterministic
   given the master state, and the service serializes writers, so the
-  concurrent schedule must equal its own serialization).
+  concurrent schedule must equal its own serialization);
+* **publication** — the snapshot standing at the end equals a view
+  built cold from the live master.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.core.versions import view as view_module
 from repro.multiuser import SeedServer, SeedService, ServiceClient
 from repro.multiuser.server import DEFAULT_SNAPSHOT_CACHE
 from repro.spades import spades_schema
+from _oracles import cold_live_view
 from test_view_successor import observe
 
 CLIENTS = 6
@@ -187,7 +190,7 @@ def test_concurrent_schedule_equals_its_serialization(seed):
     server = RecordingServer(spades_schema())
     populate(server.master)
     server.create_global_version()
-    with SeedService(server, maintain_every=3) as service:
+    with SeedService(server) as service:
         workers = [
             ClientWorker(service, f"worker{i}", seed) for i in range(CLIENTS)
         ]
@@ -197,14 +200,6 @@ def test_concurrent_schedule_equals_its_serialization(seed):
             worker.join(timeout=60)
         errors = [exc for worker in workers for exc in worker.errors]
         assert not errors, errors
-        # wait out any maintenance pass still queued behind the lock
-        deadline = time.monotonic() + 5
-        while (
-            service.maintenance_scheduled
-            > server.maintenance_runs + service.maintenance_failures
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.01)
 
     # the run did real work on every axis
     commits = sum(worker.commits for worker in workers)
@@ -218,13 +213,14 @@ def test_concurrent_schedule_equals_its_serialization(seed):
 
     replayed = replay_serially(server.accepted)
     assert live_fingerprint(server.master) == live_fingerprint(replayed)
+    assert observe(server.snapshot()) == observe(cold_live_view(server.master))
 
 
 def test_contention_actually_happened():
     """The harness is only meaningful if check-outs really collide."""
     server = RecordingServer(spades_schema())
     populate(server.master)
-    with SeedService(server, maintain_every=0) as service:
+    with SeedService(server) as service:
         workers = [
             ClientWorker(service, f"worker{i}", seed=42)
             for i in range(CLIENTS)
@@ -247,18 +243,19 @@ def test_contention_actually_happened():
 
 def test_pinned_reads_under_concurrent_publication(monkeypatch):
     """Reader threads re-read every view they pin while a writer thread
-    checks in, publishes a successor view per check-in and runs
-    maintenance: each pinned view keeps answering what it answered at
-    pin time, which is what the cold view of its version answers. The
-    publication derives each view from the one before, sharing every
-    page it did not write; pages of four ids make that sharing fine
-    grained on this small master, and a short switch interval makes the
-    threads interleave inside a derivation."""
+    checks in, publishes a successor view per check-in, and every 8
+    check-ins creates a global version and runs maintenance: each
+    pinned view keeps answering what it answered at pin time, which is
+    what a view built cold from the live master answered when it was
+    published. The publication derives each view from the one before,
+    sharing every page it did not write; pages of four ids make that
+    sharing fine grained on this small master, and a short switch
+    interval makes the threads interleave inside a derivation."""
     monkeypatch.setattr(view_module, "PAGE_SHIFT", 2)
     server = SeedServer(spades_schema())
     populate(server.master)
     first = server.publish_snapshot()
-    cold = {str(first): observe(server.master.version_view(first))}
+    cold = {first: observe(cold_live_view(server.master))}
     pins: list = []
     errors: list[BaseException] = []
     done = threading.Event()
@@ -281,8 +278,9 @@ def test_pinned_reads_under_concurrent_publication(monkeypatch):
                     action.add_sub_object("Note", f"note {number}")
                 client.check_in()
                 version = server.publish_snapshot()
-                cold[str(version)] = observe(server.master.version_view(version))
+                cold[version] = observe(cold_live_view(server.master))
                 if number % 8 == 7:
+                    server.create_global_version()
                     server.maintain()
         except BaseException as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
@@ -294,7 +292,7 @@ def test_pinned_reads_under_concurrent_publication(monkeypatch):
         try:
             while not done.is_set():
                 try:
-                    view = server.snapshot(server.latest_snapshot(), build=False)
+                    view = server.snapshot(server.latest_snapshot())
                 except VersionError:
                     continue  # evicted between the two calls: pin afresh
                 held.append((view, observe(view)))

@@ -115,7 +115,7 @@ def test_the_probe_answers_what_the_parser_answers(before, after, texts):
     views = [
         db.version_view(first),
         db.version_view(second),
-        db.version_view(second, base=db.version_view(first)),
+        db.versions.view(second, db.version_view(first)),
     ]
     for name in _queries(db, texts):
         _check_database(db, name)

@@ -39,6 +39,7 @@ from repro.multiuser.protocol import (
     encode_message,
 )
 from repro.spades import spades_schema
+from repro.core.values import STRING
 
 
 def populate(master):
@@ -68,7 +69,7 @@ def wait_until(predicate, timeout=5.0, interval=0.01):
 
 @pytest.fixture
 def service():
-    with SeedService(make_server(), maintain_every=0) as running:
+    with SeedService(make_server()) as running:
         yield running
 
 
@@ -307,7 +308,7 @@ def journaled_service(tmp_path_factory):
     path = tmp_path_factory.mktemp("wire") / "central.seed"
     server = SeedServer.open(path, schema=spades_schema())
     populate(server.master)
-    with SeedService(server, maintain_every=0) as running:
+    with SeedService(server) as running:
         with ServiceClient.for_service(running, "holder", timeout=5.0) as holder:
             holder.check_out("Alarms")
             yield running, holder, path
@@ -422,7 +423,7 @@ class TestMVCCReads:
     def test_evicted_pin_errors_and_repins(self, monkeypatch):
         monkeypatch.setattr(server_module, "DEFAULT_SNAPSHOT_CACHE", 2)
         server = make_server()
-        with SeedService(server, maintain_every=0) as service:
+        with SeedService(server) as service:
             with ServiceClient.for_service(service, "reader") as reader, \
                     ServiceClient.for_service(service, "writer") as writer:
                 stale = reader.pin()
@@ -439,8 +440,8 @@ class TestMVCCReads:
     def test_pin_answers_the_same_until_the_cache_moves_past_it(self, service):
         """Each check-in publishes a successor of the reader's pinned
         view and edits the very objects the reader reads: the pin's
-        answers stay byte-identical for the 7 further publications the
-        8-view cache holds beside it, and the 8th evicts it."""
+        answers stay byte-identical for the further publications the
+        view cache holds beside it, and the next one evicts it."""
 
         def answers(reader):
             return json.dumps(
@@ -468,62 +469,127 @@ class TestMVCCReads:
                 local.create_object("Data", f"Alarms{round_number}")
             writer.check_in()
 
-        assert server_module.DEFAULT_SNAPSHOT_CACHE == 8
+        cache = server_module.DEFAULT_SNAPSHOT_CACHE
         with ServiceClient.for_service(service, "reader") as reader, \
                 ServiceClient.for_service(service, "writer") as writer:
             pinned = reader.pin()
             before = answers(reader)
             assert b"handles" in before
-            for round_number in range(7):
+            for round_number in range(cache - 1):
                 edit(writer, round_number)
                 assert answers(reader) == before
             assert reader.pinned == pinned
             assert pinned in writer.stats()["pinned"]
-            edit(writer, 7)  # the 9th view: the pin is the oldest, evicted
+            edit(writer, cache - 1)  # one view too many: the pin, the oldest, goes
             with pytest.raises(VersionError, match="no longer pinned"):
                 reader.counts()
             assert reader.pin() != pinned
-            assert reader.find("AlarmHandler.Description")["value"] == "round 7"
+            assert reader.find("AlarmHandler.Description")["value"] == f"round {cache - 1}"
             assert reader.find("Sensor") is None
 
 
-class TestBackgroundMaintenance:
-    def test_maintenance_runs_between_check_ins(self):
-        server = make_server()
-        with SeedService(server, maintain_every=2) as service:
-            with ServiceClient.for_service(service, "writer") as writer:
-                for i in range(4):
-                    local = writer.check_out()
-                    local.create_object("Data", f"Gen{i}")
-                    writer.check_in()
-                assert wait_until(lambda: server.maintenance_runs >= 1)
-                # pinned snapshots survived compaction
-                stats = writer.stats()
-                assert stats["published"] in stats["pinned"]
-            # the master is intact after compaction
-            assert server.find_object("Gen3") is not None
+class TestPublication:
+    """A check-in publishes what it changed; a pin never waits for the
+    write lock; no check-in mints a version or a second record."""
 
-    def test_pinned_reader_survives_compaction(self):
+    def test_a_pin_does_not_wait_for_the_write_lock(self, service):
+        with ServiceClient.for_service(service, "reader") as reader:
+            first = reader.pin()  # publishes: nothing was published yet
+            pinned = []
+            with service._write_lock:  # noqa: SLF001 - a writer mid-apply
+                thread = threading.Thread(target=lambda: pinned.append(reader.pin()))
+                thread.start()
+                thread.join(timeout=10)
+                assert pinned == [first]
+                assert reader.counts() == (5, 1)
+            assert reader.stats()["ops"]["pin"]["lock_wait_s"] == 0
+
+    def test_a_check_in_publishes_and_mints_no_version(self, service):
+        server = service.server
+        versions = server.global_versions()
+        with ServiceClient.for_service(service, "reader") as reader, \
+                ServiceClient.for_service(service, "writer") as writer:
+            before = reader.pin()
+            local = writer.check_out("Sensor")
+            local.get_object("Sensor.Description").set_value("published")
+            writer.check_in()
+            after = reader.pin()
+            assert after != before
+            assert reader.find("Sensor.Description")["value"] == "published"
+            assert writer.stats()["published"] == after
+        assert server.global_versions() == versions
+
+    def test_a_journaled_check_in_appends_one_record(self, tmp_path):
+        server = SeedServer.open(tmp_path / "one.seed", schema=spades_schema())
+        populate(server.master)
+        with SeedService(server) as running:
+            with ServiceClient.for_service(running, "writer") as writer:
+                writer.pin()
+                local = writer.check_out("Alarms")
+                local.create_object("Data", "OneRecord")
+                records = server.journal._file.records  # noqa: SLF001
+                before = len(list(records()))
+                writer.check_in()
+                kinds = [record["kind"] for record in list(records())[before:]]
+        assert kinds == ["checkin"]
+
+    def test_a_pin_publishes_what_the_owner_changed_directly(self, service):
+        server = service.server
+        with ServiceClient.for_service(service, "reader") as reader:
+            first = reader.pin()
+            with service._write_lock:  # noqa: SLF001 - the owner's own edit
+                with server.master.transaction():
+                    server.master.create_object("Data", "Direct")
+            assert server.publication_stale()
+            second = reader.pin()
+            assert second != first
+            assert reader.find("Direct") is not None
+            assert not server.publication_stale()
+            migrated = server.master.schema.copy("tagged")
+            migrated.entity_class("Data").add_dependent(
+                "Tag", "0..1", value_sort=STRING
+            )
+            with service._write_lock:  # noqa: SLF001
+                server.master.migrate_schema(migrated)
+            third = reader.pin()
+            assert third != second
+            assert server.snapshot(third).schema is server.master.schema
+            assert reader.pin() == third  # nothing changed: no publication
+
+    def test_a_global_version_id_is_no_snapshot_id(self, service):
+        with ServiceClient.for_service(service, "reader") as reader:
+            reader.pin()
+            assert service.server.global_versions()
+            reader.pinned = "1.0"
+            with pytest.raises(VersionError, match="master.version_view"):
+                reader.counts()
+
+    def test_a_pinned_reader_survives_an_explicit_maintain(self):
         server = make_server()
-        with SeedService(server, maintain_every=1) as service:
+        with SeedService(server) as service:
             with ServiceClient.for_service(service, "reader") as reader, \
                     ServiceClient.for_service(service, "writer") as writer:
                 reader.pin()
                 before = reader.counts()
-                local = writer.check_out()
-                local.create_object("Data", "AfterPin")
-                writer.check_in()
-                assert wait_until(lambda: server.maintenance_runs >= 1)
-                # compaction pinned every cached snapshot: the reader's
-                # view still answers, consistent as of its pin
+                for name in ("AfterPin", "AndAgain"):
+                    local = writer.check_out()
+                    local.create_object("Data", name)
+                    writer.check_in()
+                    server.create_global_version()
+                with service._write_lock:  # noqa: SLF001
+                    server.maintain()
+                assert server.maintenance_runs == 1
+                # the publication is no version: the squash cannot touch
+                # it, and the reader's view answers as of its pin
                 assert reader.counts() == before
+                reader.pin()
+                assert reader.find("AndAgain") is not None
 
 
 class TestThreadPerConnection:
     """Each connection is served on its own thread: the counters every
-    thread writes stay exact, a failing maintenance pass is counted
-    rather than fatal, the connection cap holds, and a stop leaves no
-    thread or socket behind."""
+    thread writes stay exact, the connection cap holds, and a stop
+    leaves no thread or socket behind."""
 
     def test_counters_are_exact_under_concurrent_clients(self, service):
         clients = [ServiceClient.for_service(service) for _ in range(4)]
@@ -561,54 +627,6 @@ class TestThreadPerConnection:
             for client in clients:
                 client.close()
 
-    def test_one_pass_per_maintain_every_check_ins_across_writers(self):
-        server = make_server()
-        with SeedService(server, maintain_every=2) as service:
-            def commit(name):
-                with ServiceClient.for_service(service, name) as writer:
-                    for i in range(4):
-                        local = writer.check_out()
-                        local.create_object("Data", f"{name}{i}")
-                        writer.check_in()
-
-            writers = [
-                threading.Thread(target=commit, args=(f"W{n}",))
-                for n in range(2)
-            ]
-            for thread in writers:
-                thread.start()
-            for thread in writers:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in writers)
-            assert server.checkins_applied == 8
-            assert wait_until(lambda: server.maintenance_runs == 4)
-            assert service.maintenance_scheduled == 4
-
-    def test_a_failing_maintenance_pass_is_counted_not_fatal(
-        self, monkeypatch
-    ):
-        server = make_server()
-
-        def broken_maintain():
-            raise OSError("disk gone")
-
-        monkeypatch.setattr(server, "maintain", broken_maintain)
-        with SeedService(server, maintain_every=1) as service:
-            with ServiceClient.for_service(service, "writer") as writer:
-                local = writer.check_out()
-                local.create_object("Data", "BeforeTheFailure")
-                writer.check_in()  # acknowledged before the pass runs
-                # the same connection reads its next frame afterwards
-                assert writer.ping()
-                assert wait_until(
-                    lambda: writer.stats()["maintenance_failures"] == 1
-                )
-                assert writer.stats()["maintenance_error"] == "OSError: disk gone"
-                local = writer.check_out()
-                local.create_object("Data", "AfterTheFailure")
-                writer.check_in()
-            assert server.find_object("AfterTheFailure") is not None
-
     def test_connections_past_the_cap_get_a_typed_error(
         self, service, monkeypatch
     ):
@@ -644,7 +662,7 @@ class TestThreadPerConnection:
             assert writer.stats()["ops"]["check_out"]["count"] == 3
 
     def test_stop_leaves_no_connection_thread_or_socket(self):
-        service = SeedService(make_server(), maintain_every=0)
+        service = SeedService(make_server())
         service.start_in_thread()
         clients = [ServiceClient.for_service(service, f"c{i}") for i in range(3)]
         try:

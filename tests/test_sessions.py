@@ -241,9 +241,8 @@ class TestClosureEquivalence:
     )
     def test_closure_keys_equals_scan(self, names):
         server = self.make_rich_server()
-        roots = server.resolve_roots(names)
-        via_index = server.closure_keys(roots)
-        via_scan = closure_keys_scan(server, roots)
+        via_index = server.closure(names)
+        via_scan = closure_keys_scan(server, names)
         assert [o.oid for o in via_index[0]] == [o.oid for o in via_scan[0]]
         assert via_index[1] == via_scan[1]
 

@@ -345,7 +345,8 @@ def test_the_slot_store_equals_the_per_key_reference(tmp_path):
 
 def _server(tmp_path, items: int) -> SeedServer:
     """A journaled figure-3 master with *items* baseline actions (each
-    with a description, a data object and a flow), published."""
+    with a description, a data object and a flow), saved as a global
+    version."""
     server = SeedServer.open(tmp_path / f"master-{items}.seed", schema=figure3_schema())
     master = server.master
     with master.bulk():
@@ -354,7 +355,7 @@ def _server(tmp_path, items: int) -> SeedServer:
             action.add_sub_object("Description", f"does {index}")
             data = master.create_object("Data", f"D{index}")
             master.relate("Access", {"data": data, "by": action})
-    server.publish_snapshot()
+    server.create_global_version()
     return server
 
 
@@ -401,7 +402,7 @@ def _maintenance_costs(tmp_path, items: int) -> list[tuple]:
         if rng.random() < 0.5:
             local.create_object("Data", f"N{number}")
         client.check_in()
-        server.publish_snapshot()
+        server.create_global_version()
         if number % 8 == 7:
             before, sink.keys = _entries(store), 0
             stats = server.maintain()
@@ -435,7 +436,7 @@ def test_a_maintenance_pass_rewrites_no_kept_cell_fragment(tmp_path):
         local = client.check_out(f"A{number}")
         local.set_value(local.get_object(f"A{number}.Description"), f"check-in {number}")
         client.check_in()
-        server.publish_snapshot()
+        server.create_global_version()
     server.journal.checkpoint()
     before = dict(fragments._cells)  # noqa: SLF001
     renamed = []

@@ -9,8 +9,9 @@ retrieval — as *lists*, so iteration order is part of it — the base view
 (a reader's pin) is not changed by deriving from it and shares every
 page the delta did not write, an unusable base falls back to the cold
 build instead of failing, and a publication after a *k*-item check-in
-reads O(k) cells and allocates about as much on a master ten times
-larger.
+reads no store cell, writes no record and allocates about as much on a
+master ten times larger (a global version of the same check-in reads
+O(k) cells).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core.versions.store import VersionStore
 from repro.multiuser import SeedServer
 from repro.multiuser.server import DEFAULT_SNAPSHOT_CACHE
 from repro.spades import spades_schema
+from _oracles import cold_live_view
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +241,11 @@ def test_successor_equals_cold_for_every_version(seed, versions, edits):
         parent = db.versions.tree.parent(version)
         cold = observe(db.version_view(version), names)
         if parent is None:
-            assert observe(db.version_view(version, base=None), names) == cold
+            assert observe(db.versions.view(version, None), names) == cold
             continue
         base = db.version_view(parent)
         before = observe(base, names)
-        successor = db.version_view(version, base=base)
+        successor = db.versions.view(version, base)
         derived += 1
         assert observe(successor, names) == cold, f"view of {version} (seed {seed})"
         assert observe(base, names) == before, f"base {parent} moved (seed {seed})"
@@ -258,7 +260,7 @@ def test_chain_of_forty_successors_and_pins_that_never_move(seed):
     pinned = [(view, observe(view))]
     for __ in range(40):
         version = history.version(4)
-        view = history.db.version_view(version, base=view)
+        view = history.db.versions.view(version, view)
         pinned.append((view, observe(view)))
     names = all_names(history.db)
     assert observe(view, names) == observe(history.db.version_view(version), names)
@@ -300,7 +302,7 @@ def test_views_share_states_and_untouched_lists(monkeypatch):
     parent = history.roots("Data", "InputData", "OutputData")[0]
     child = parent.add_sub_object("Text")
     version = history.db.create_version()
-    successor = history.db.version_view(version, base=base)
+    successor = history.db.versions.view(version, base)
     assert successor.object_by_oid(obj.oid) is not None
     assert base.object_by_oid(obj.oid) is None
     delta = list(history.db.versions.store.states_at(version))
@@ -397,7 +399,7 @@ class TestFallBacks:
         second = history.version(5)
         base = history.db.version_view(first)
         del counted_resolves[:]
-        successor = history.db.version_view(second, base=base)
+        successor = history.db.versions.view(second, base)
         assert counted_resolves == []
         assert observe(successor) == observe(history.db.version_view(second))
 
@@ -411,12 +413,12 @@ class TestFallBacks:
         wrong = history.db.version_view(trunk)
         cold = observe(history.db.version_view(branch))
         del counted_resolves[:]
-        assert observe(history.db.version_view(branch, base=wrong)) == cold
+        assert observe(history.db.versions.view(branch, wrong)) == cold
         assert len(counted_resolves) == 1  # built cold
         # ... and the fork's own view is a usable base for both children
         base = history.db.version_view(fork)
-        assert observe(history.db.version_view(branch, base=base)) == cold
-        assert observe(history.db.version_view(trunk, base=base)) == observe(
+        assert observe(history.db.versions.view(branch, base)) == cold
+        assert observe(history.db.versions.view(trunk, base)) == observe(
             history.db.version_view(trunk)
         )
 
@@ -425,7 +427,7 @@ class TestFallBacks:
         versions = [history.version(4) for __ in range(3)]
         grandparent = history.db.version_view(versions[0])
         del counted_resolves[:]
-        view = history.db.version_view(versions[2], base=grandparent)
+        view = history.db.versions.view(versions[2], grandparent)
         assert len(counted_resolves) == 1
         assert observe(view) == observe(history.db.version_view(versions[2]))
 
@@ -441,13 +443,13 @@ class TestFallBacks:
         )
         assert history.db.saved_versions() == [versions[1], versions[5]]
         del counted_resolves[:]
-        view = history.db.version_view(versions[5], base=stale)
+        view = history.db.versions.view(versions[5], stale)
         assert len(counted_resolves) == 1
         assert observe(view) == expected
         # the new parent (the squash run's surviving ancestor) works
         parent = history.db.versions.tree.parent(versions[5])
         base = history.db.version_view(parent)
-        assert observe(history.db.version_view(versions[5], base=base)) == expected
+        assert observe(history.db.versions.view(versions[5], base)) == expected
 
     def test_schema_version_boundary(self, counted_resolves):
         history = History(10)
@@ -457,21 +459,21 @@ class TestFallBacks:
         base = history.db.version_view(before)
         assert history.db.versions.tree.parent(after) == before
         del counted_resolves[:]
-        view = history.db.version_view(after, base=base)
+        view = history.db.versions.view(after, base)
         assert len(counted_resolves) == 1
         assert view.schema is history.db.schema and base.schema is not view.schema
         assert observe(view) == observe(history.db.version_view(after))
         # within the new schema version successors derive again
         later = history.version(4)
         del counted_resolves[:]
-        derived = history.db.version_view(later, base=view)
+        derived = history.db.versions.view(later, view)
         assert counted_resolves == []
         assert observe(derived) == observe(history.db.version_view(later))
 
     def test_no_base(self, counted_resolves):
         history = History(12)
         version = history.version(5)
-        assert observe(history.db.version_view(version, base=None)) == observe(
+        assert observe(history.db.versions.view(version, None)) == observe(
             history.db.version_view(version)
         )
         assert len(counted_resolves) == 2
@@ -504,7 +506,7 @@ def test_successors_interleaved_with_compaction(seed):
     held = [(view, observe(view))]
     for round_number in range(24):
         version = consolidated(history.version(rng.randint(1, 6)))
-        view = db.version_view(version, base=view)
+        view = db.versions.view(version, view)
         assert observe(view) == observe(db.version_view(version)), (
             f"round {round_number}, version {version}, seed {seed}"
         )
@@ -523,7 +525,7 @@ def test_successors_interleaved_with_compaction(seed):
                 parent = db.versions.tree.parent(survivor)
                 if parent is None:
                     continue
-                derived = db.version_view(survivor, base=db.version_view(parent))
+                derived = db.versions.view(survivor, db.version_view(parent))
                 assert observe(derived) == observe(db.version_view(survivor))
     assert db.versions.store.snapshot_versions()
     assert materialized, "no version was consolidated between derivations"
@@ -578,7 +580,8 @@ class _CountingCells(dict):
 def _publish_after_a_k_item_check_in(path, roots, counted_resolves):
     """Publish a 3-item check-in on a master of *roots* described
     actions whose view cache is full; returns the ``tracemalloc`` peak
-    of the publication, in bytes."""
+    of the publication, in bytes. A global version of the same check-in
+    is then derived from its parent's view as a successor too."""
     server = SeedServer.open(path, schema=spades_schema())
     master = server.master
     with master.bulk():
@@ -587,10 +590,12 @@ def _publish_after_a_k_item_check_in(path, roots, counted_resolves):
             action.add_sub_object("Description", f"does {i}")
     assert len(master._objects) == 2 * roots  # noqa: SLF001
     server.publish_snapshot()  # the cold first pin
+    server.create_global_version()
     # fill the view cache, so that the publication also evicts
     for i in range(DEFAULT_SNAPSHOT_CACHE):
         master.set_value(master.get_object(f"Act{i + 10:05d}.Description"), "x")
         server.publish_snapshot()
+    parent = server.create_global_version()
     assert len(server.pinned_snapshots()) == DEFAULT_SNAPSHOT_CACHE
     client = server.connect("writer")
     local = client.check_out("Act00007", "Act00008")
@@ -602,25 +607,35 @@ def _publish_after_a_k_item_check_in(path, roots, counted_resolves):
     store = master.versions.store
     cells = store._cells = _CountingCells(store._cells)  # noqa: SLF001
     del counted_resolves[:]
+    size = path.stat().st_size
     tracemalloc.start()
     try:
-        version = server.publish_snapshot()
+        snapshot = server.publish_snapshot()
         __, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # a publication is no version: no store cell read, no record written
     assert counted_resolves == []
-    assert cells.passes == 0
-    # the journal record and the successor view read the k cells just
-    # recorded, and no other
-    assert 0 < len(cells.read) <= k
-    assert master.versions.delta_size(version) == k
+    assert cells.passes == 0 and not cells.read
+    assert path.stat().st_size == size
     assert len(server.pinned_snapshots()) == DEFAULT_SNAPSHOT_CACHE
-    view = server.snapshot(version, build=False)
+    view = server.snapshot(snapshot)
     assert view.object_count() == 2 * roots + 1
     assert view.get("Act00007.Description").value == "edited"
-    assert list(view.item_states()) == list(
-        master.version_view(version).item_states()
-    )
+    assert list(view.item_states()) == list(cold_live_view(master).item_states())
+    # the global version's record and successor view read the k cells
+    # just recorded, and no other
+    base = master.version_view(parent)
+    del counted_resolves[:]
+    cells.read.clear()
+    version = server.create_global_version()
+    successor = master.versions.view(version, base)
+    assert counted_resolves == []
+    assert cells.passes == 0
+    assert 0 < len(cells.read) <= k
+    assert master.versions.delta_size(version) == k
+    assert list(successor.item_states()) == list(view.item_states())
+    server.journal.close()
     return peak
 
 
