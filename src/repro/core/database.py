@@ -1495,11 +1495,13 @@ class SeedDatabase:
         self.versions.delete_version(vid)
         self._emit_change("delete_version", vid)
 
-    def compact(self, policy: Optional[RetentionPolicy] = None) -> CompactionStats:
+    def compact(self, policy: RetentionPolicy) -> CompactionStats:
         """Compact the version store (chain squashing + snapshots).
 
-        Uses the default :class:`RetentionPolicy` unless *policy* is
-        given; see :mod:`repro.core.versions.compaction` for the knobs. Views
+        *policy* says what to keep; see
+        :mod:`repro.core.versions.compaction` for the knobs (the product
+        passes :data:`~repro.core.versions.compaction.DEFAULT_MAINTENANCE`,
+        ``repro compact`` with its pins added). Views
         of every surviving version are unchanged. Returns the pass's
         :class:`~repro.core.versions.compaction.CompactionStats`; a
         pass that changed something is a ``"compact"`` change event.

@@ -185,15 +185,6 @@ class DottedName:
         """Compose the name of a sub-object in role *name* (with *index*)."""
         return DottedName(self.parts + (NamePart(name, index),))
 
-    def role_path(self) -> tuple[str, ...]:
-        """The dependent-class names along the path, ignoring indices.
-
-        For ``Alarms.Text.Body.Keywords[1]`` this is
-        ``("Text", "Body", "Keywords")`` — the path used to look the
-        corresponding dependent classes up in the schema.
-        """
-        return tuple(part.name for part in self.parts[1:])
-
     # -- protocol --------------------------------------------------------
 
     def __iter__(self) -> Iterator[NamePart]:

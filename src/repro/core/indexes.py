@@ -321,12 +321,7 @@ class IndexLayer:
             result.update(self.extent.get(special.full_name, ()))
         return sorted(result)
 
-    def extent_shards(
-        self,
-        wanted: "EntityClass",
-        shards: int,
-        include_specials: bool = True,
-    ) -> list[list[int]]:
+    def extent_shards(self, wanted: "EntityClass", shards: int) -> list[list[int]]:
         """Shard-stable partition of an extent's oids into *shards* lists.
 
         The sorted oid list is cut into contiguous, near-equal slices —
@@ -335,7 +330,7 @@ class IndexLayer:
         repeated calls against unchanged data partition identically
         (shard-stable).
         """
-        return _split_ids(self.extent_oids(wanted, include_specials), shards)
+        return _split_ids(self.extent_oids(wanted), shards)
 
     def family_relationship_shards(
         self, root_name: str, shards: int
@@ -489,17 +484,14 @@ class IndexLayer:
     # statistics (cost-model accessors for the query planner)
     # ------------------------------------------------------------------
 
-    def extent_size(self, wanted: "EntityClass", include_specials: bool = True) -> int:
-        """Number of live instances of *wanted* without materializing them.
-
-        With ``include_specials`` the generalization rollup is summed;
-        exact-class buckets are disjoint so the sum is exact.
-        """
+    def extent_size(self, wanted: "EntityClass") -> int:
+        """Number of live instances of *wanted*, specializations included,
+        without materializing them (exact-class buckets are disjoint, so
+        the sum of the rollup is exact)."""
         self._ensure_fresh()
         total = len(self.extent.get(wanted.full_name, ()))
-        if include_specials:
-            for special in wanted.all_specials():
-                total += len(self.extent.get(special.full_name, ()))
+        for special in wanted.all_specials():
+            total += len(self.extent.get(special.full_name, ()))
         return total
 
     def association_size(self, element_name: str) -> int:
@@ -593,11 +585,6 @@ class IndexLayer:
         for special in wanted.all_specials():
             total += sum(self.value_counts.get(special.full_name, {}).values())
         return total
-
-    def total_defined(self) -> int:
-        """:meth:`defined_count` over every class (untraceable columns)."""
-        self._ensure_fresh()
-        return sum(sum(bucket.values()) for bucket in self.value_counts.values())
 
     def distinct_participants(
         self, element_name: str, position: Optional[int] = None

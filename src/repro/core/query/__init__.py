@@ -1,18 +1,20 @@
 """Query layer: by-name retrieval, predicates, the ER algebra, planner.
 
 * :class:`~repro.core.query.retrieval.Retrieval` — the prototype-level
-  retrieval operations (by name, class extents, navigation chains);
-* :mod:`~repro.core.query.predicates` — composable, optimizer-readable
-  object predicates;
+  retrieval operations (by name, by name prefix, class extents,
+  navigation chains);
+* :mod:`~repro.core.query.predicates` — the optimizer-readable object
+  predicates queries build (name prefix, value equality,
+  participation, conjunction);
 * :mod:`~repro.core.query.algebra` — the entity-relationship algebra
-  extension (select/project/join/union/difference over class extents
-  and relationship relations), evaluated eagerly — the reference
-  implementation;
-* :mod:`~repro.core.query.planner` — the cost-based planner: the same
-  algebra built as a logical plan, optimized with index-layer
-  statistics (selection pushdown, indexed scans, joins ordered by what
-  they read, index joins) and executed through streaming generators
-  over fused scan leaves;
+  extension (select/project/rename/join/union/difference over class
+  extents and relationship relations), evaluated eagerly — the
+  reference implementation;
+* :mod:`~repro.core.query.planner` — the cost-based planner: the
+  select/project/rename/join part of that algebra built as a logical
+  plan, optimized with index-layer statistics (selection pushdown,
+  indexed scans, joins ordered by what they read, index joins) and
+  executed through streaming generators over fused scan leaves;
 * :mod:`~repro.core.query.parallel` — the fused scan kernel every
   ``Select``-over-scan leaf runs through: in-thread for plain plans,
   fanned over a warm forked worker pool where the planner finds a scan

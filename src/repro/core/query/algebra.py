@@ -10,8 +10,12 @@ as the suitable formalism. This module implements a compact ER algebra:
 * :func:`relationship_relation` builds a two-column relation from an
   association's instances (columns named by the roles);
 * relations compose with ``select``, ``project``, ``rename``, ``join``
-  (natural join on shared columns, by object identity), ``union``,
-  ``difference``, and ``values`` (dereference a role path into values).
+  (natural join on shared columns, by object identity), ``union`` and
+  ``difference``.
+
+The planner (:mod:`repro.core.query.planner`) builds ``select``,
+``project``, ``rename`` and ``join``; this eager algebra is the
+reference it is checked against.
 
 The paper's incomplete-data semantics hold: "Taking joins or cartesian
 products is not affected by undefined items. This is due to the fact
@@ -34,35 +38,14 @@ __all__ = [
     "Relation",
     "extent",
     "relationship_relation",
-    "dereference",
     "relationship_row",
 ]
-
-
-def dereference(obj: SeedObject, steps: Sequence[str]) -> Iterator[Any]:
-    """Defined values at a role path below *obj* (undefined skipped).
-
-    Shared by the eager :meth:`Relation.values` and the planner's
-    streaming ``Values`` operator so the two evaluation paths cannot
-    drift apart.
-    """
-    frontier = [obj]
-    for step in steps:
-        frontier = [
-            child
-            for node in frontier
-            for child in node.effective_sub_objects(step)
-        ]
-    for node in frontier:
-        if node.value is not None:
-            yield node.value
 
 
 def relationship_row(rel: Any, attributes: Sequence[str]) -> tuple:
     """The relation row of one relationship: both bindings + attributes.
 
-    Shared by :func:`relationship_relation` and the planner's
-    association scans (full and incidence-indexed).
+    Used by :func:`relationship_relation`.
     """
     if not attributes:
         return rel.endpoints()
@@ -184,31 +167,6 @@ class Relation:
                 rows.append(row)
         return Relation(self.columns, tuple(rows))
 
-    def values(self, column: str, role_path: str, into: str) -> "Relation":
-        """Add a column of values dereferenced from an object column.
-
-        ``rel.values("from", "Text.Selector", into="selector")`` pulls
-        each object's (first defined) ``Text.Selector`` value; rows whose
-        object lacks a defined value are dropped — undefined matches
-        nothing.
-        """
-        source = self._index(column)
-        if not role_path:
-            # "".split(".") is [""], which silently matched no role and
-            # dropped every row; reject the degenerate path instead
-            raise QueryError("empty role path")
-        if into in self.columns:
-            raise QueryError(f"duplicate column names: {self.columns + (into,)}")
-        steps = role_path.split(".")
-        rows = []
-        for row in self.rows:
-            obj = row[source]
-            if not isinstance(obj, SeedObject):
-                raise QueryError(f"column {column!r} does not hold objects")
-            for value in dereference(obj, steps):
-                rows.append(row + (value,))
-        return Relation(self.columns + (into,), tuple(rows))
-
     # -- inspection --------------------------------------------------------------------
 
     def column(self, name: str) -> list[Any]:
@@ -260,27 +218,16 @@ class Relation:
 
 
 def extent(
-    db: SeedDatabase,
-    class_name: str,
-    *,
-    column: Optional[str] = None,
-    include_specials: bool = True,
+    db: SeedDatabase, class_name: str, *, column: Optional[str] = None
 ) -> Relation:
     """One-column relation of a class's live instances."""
     name = column or class_name.lower()
-    rows = tuple(
-        (obj,)
-        for obj in db.iter_objects(class_name, include_specials=include_specials)
-    )
+    rows = tuple((obj,) for obj in db.iter_objects(class_name))
     return Relation((name,), rows)
 
 
 def relationship_relation(
-    db: SeedDatabase,
-    association: str,
-    *,
-    include_specials: bool = True,
-    with_attributes: Sequence[str] = (),
+    db: SeedDatabase, association: str, *, with_attributes: Sequence[str] = ()
 ) -> Relation:
     """Two-column relation of an association's instances.
 
@@ -296,8 +243,6 @@ def relationship_relation(
     columns = (first_role, second_role) + tuple(with_attributes)
     rows = tuple(
         relationship_row(rel, with_attributes)
-        for rel in db.iter_relationships(
-            association, include_specials=include_specials
-        )
+        for rel in db.iter_relationships(association)
     )
     return Relation(columns, rows)

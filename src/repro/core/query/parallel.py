@@ -4,8 +4,8 @@ A *shardable scan* — zero or more ``Select`` nodes over a bare extent or
 association scan, what the planner decomposes into a :class:`ShardSpec`
 — is evaluated by exactly one piece of code, :func:`run_kernel`: a tight
 loop over a sorted id list that checks liveness (deleted /
-pattern-context rows are skipped), ``include_specials`` family
-membership, and the peeled predicates inline, without a generator per
+pattern-context rows are skipped), family membership, and the peeled
+predicates inline, without a generator per
 operator. The id list comes from the :class:`~repro.core.indexes.
 IndexLayer`, which already maintains every class extent and association
 family as a sorted id set.
@@ -36,8 +36,7 @@ searches a cached column of its range's values with ``list.index`` —
 in C — and hands only the ids found there to :func:`run_kernel`. The
 search compares with the same ``==`` as the test, plus an identity
 shortcut, so the candidates are a superset of the matches, in id
-order; the kernel then re-applies liveness, ``include_specials`` and
-every peeled test, so it alone still decides each row, and the rows
+order; the kernel then re-applies liveness and every peeled test, so it alone still decides each row, and the rows
 and their order are those of a scan of the whole range.
 
 **Where a pool runs.** The planner places a ``Parallel`` node only
@@ -110,15 +109,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn, Optional
 from repro.core import faults
 from repro.core.errors import QueryError
 from repro.core.objects import SeedObject
-from repro.core.query.algebra import relationship_row
-from repro.core.query.predicates import (
-    And,
-    HasValue,
-    NamePrefix,
-    Not,
-    Or,
-    ValueEquals,
-)
+from repro.core.query.predicates import And, NamePrefix, ValueEquals
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner imports us)
     from repro.core.database import SeedDatabase
@@ -222,8 +213,8 @@ def _cpus() -> int:
 class ShardSpec:
     """A shardable scan, decomposed by the planner.
 
-    ``kind`` is ``"extent"`` (one object column) or ``"rel"`` (role
-    columns plus attributes). ``cell_tests`` are the peeled
+    ``kind`` is ``"extent"`` (one object column) or ``"rel"`` (the two
+    role columns). ``cell_tests`` are the peeled
     column-bound predicates as ``(column index, cell predicate)``
     pairs; ``row_tests`` are opaque row-dict predicates. Both apply in
     the order given (predicates are pure, so order only matters for
@@ -232,8 +223,6 @@ class ShardSpec:
 
     kind: str
     name: str
-    include_specials: bool
-    with_attributes: tuple[str, ...]
     columns: tuple[str, ...]
     cell_tests: tuple[tuple[int, Any], ...]
     row_tests: tuple[Any, ...]
@@ -257,20 +246,12 @@ def _specialize(predicate: Any) -> Callable[[SeedObject], bool]:
             return value is not None and value == expected
 
         return value_test
-    if isinstance(predicate, HasValue):
-        return lambda obj: obj.value is not None
     if isinstance(predicate, NamePrefix):
         prefix = predicate.prefix
         return lambda obj: str(obj.name).startswith(prefix)
     if isinstance(predicate, And):
         parts = tuple(_specialize(part) for part in predicate.parts)
         return lambda obj: all(part(obj) for part in parts)
-    if isinstance(predicate, Or):
-        parts = tuple(_specialize(part) for part in predicate.parts)
-        return lambda obj: any(part(obj) for part in parts)
-    if isinstance(predicate, Not):
-        inner = _specialize(predicate.part)
-        return lambda obj: not inner(obj)
     return predicate
 
 
@@ -280,7 +261,7 @@ def run_kernel(db: "SeedDatabase", spec: ShardSpec, ids: list[int]) -> list[tupl
     The one implementation of a shardable scan. Rows come out in *ids*
     order with ``SeedDatabase.iter_objects`` / ``iter_relationships``
     row-level semantics (deleted and pattern-context rows skipped,
-    ``include_specials`` family membership), so the concatenation of
+    specializations included), so the concatenation of
     consecutive id ranges is row-equal to one call over the whole list.
     """
     if spec.kind == "extent":
@@ -363,8 +344,7 @@ def _rel_kernel(db: "SeedDatabase", spec: ShardSpec, ids: list[int]) -> list[tup
     # sibling association's rows
     relationships = db._relationships  # noqa: SLF001 - kernel-internal hot path
     wanted = db.schema.association(spec.name)
-    family = {wanted, *wanted.all_specials()} if spec.include_specials else {wanted}
-    attributes = spec.with_attributes
+    family = {wanted, *wanted.all_specials()}
     keep = row_filter(spec)
     rows: list[tuple] = []
     append = rows.append
@@ -372,7 +352,7 @@ def _rel_kernel(db: "SeedDatabase", spec: ShardSpec, ids: list[int]) -> list[tup
         rel = relationships[rid]
         if rel.association not in family or rel.deleted or rel.in_pattern_context:
             continue
-        row = relationship_row(rel, attributes)
+        row = rel.endpoints()
         if keep is None or keep(row):
             append(row)
     return rows
@@ -408,24 +388,22 @@ def _scan_ids(db: "SeedDatabase", spec: ShardSpec, shards: int) -> list[list[int
     """The spec's base scan ids, cut into *shards* consecutive ranges.
 
     Association scans shard at family granularity (like the index); the
-    kernel applies the ``include_specials`` association check per row.
+    kernel applies the association check per row.
     """
     if spec.kind == "extent":
         wanted = db.schema.entity_class(spec.name)
-        return db.indexes.extent_shards(wanted, shards, spec.include_specials)
+        return db.indexes.extent_shards(wanted, shards)
     root_name = db.schema.association(spec.name).family_root().name
     return db.indexes.family_relationship_shards(root_name, shards)
 
 
-def scan_size(
-    db: "SeedDatabase", kind: str, name: str, include_specials: bool = True
-) -> int:
+def scan_size(db: "SeedDatabase", kind: str, name: str) -> int:
     """Rows the kernel reads for a base scan: the length of the id list
     :func:`_scan_ids` cuts up — for an association scan the whole
     family's, whichever member is asked for. The unit of the planner's
     read-cost model and the input of :func:`pool_pays`."""
     if kind == "extent":
-        return db.indexes.extent_size(db.schema.entity_class(name), include_specials)
+        return db.indexes.extent_size(db.schema.entity_class(name))
     root_name = db.schema.association(name).family_root().name
     return db.indexes.family_size(root_name)
 
@@ -547,7 +525,7 @@ def _shard_reply(
     equality scan has read it.
     """
     try:
-        key = (spec.kind, spec.name, spec.include_specials, shards)
+        key = (spec.kind, spec.name, shards)
         cut = cuts.get(key)
         if cut is None:
             cut = cuts[key] = _scan_ids(db, spec, shards)
@@ -637,7 +615,7 @@ def run_sharded(db: "SeedDatabase", spec: ShardSpec, *, shards: int) -> list[tup
     """
     # the ranges are filled first to last: with fewer ids than shards,
     # only the first scan_size of them are non-empty
-    busy = min(scan_size(db, spec.kind, spec.name, spec.include_specials), shards)
+    busy = min(scan_size(db, spec.kind, spec.name), shards)
     if busy > 1:
         try:
             return _run_pooled(db, spec, busy, shards)

@@ -7,30 +7,19 @@ a planned evaluation path with three layers:
 
 1. **Logical plans** — a small tree of immutable nodes
    (:class:`ExtentScan`, :class:`RelScan`, :class:`Select`,
-   :class:`Project`, :class:`Rename`, :class:`Join`, :class:`Union`,
-   :class:`Difference`, :class:`Values`) built through :func:`plan`,
-   whose builder mirrors the ``Relation`` API method for method.
+   :class:`Project`, :class:`Rename`, :class:`Join`) built through
+   :func:`plan`, whose builder mirrors the part of the ``Relation`` API
+   that queries use (``select``/``project``/``rename``/``join``).
 
 2. **A cost-based optimizer** that reads cardinality statistics from the
    PR-1 :class:`~repro.core.indexes.IndexLayer` (extent sizes,
    association counters, name-prefix counts, and — since PR 5 — the
    maintained value and participation histograms) to
 
-   * push selections below joins, unions, differences, renames,
-     projections, and value dereferences;
-   * rewrite recognizable predicates into indexed scans — a
-     :class:`~repro.core.query.predicates.NamePrefix` selection over an
-     extent of independent classes becomes a bisected
-     ``objects_by_name_prefix`` range scan, and an
-     :class:`~repro.core.query.predicates.InClass` selection narrows the
-     scanned extent (``extent_oids``);
-   * apply **semi-join reduction to value dereferences** —
-     ``Join(Values(A), B)`` hoists the Values above the join when the
-     dereferenced column is not a join column and the join's estimated
-     output does not exceed the dereference input (fan-out joins stay
-     put), so the probe side is reduced by the join keys *before* role
-     paths materialize values (only surviving rows pay the
-     dereference);
+   * push selections below joins, renames and projections;
+   * rewrite a :class:`~repro.core.query.predicates.NamePrefix`
+     selection over an extent of independent classes into a bisected
+     ``objects_by_name_prefix`` range scan;
    * order join chains — of two factors as of ten — by what each step
      **reads**, and pick every step's join method (below), always
      preferring join partners that share a column (no accidental
@@ -41,8 +30,7 @@ a planned evaluation path with three layers:
      association whose role classes are all independent is read from
      the name index (:class:`IndexJoin` from the objects named ``p*``)
      when that reads fewer than half the rows the scan would —
-     wherever the selection sits (join input, under a rename, union
-     arm).
+     wherever the selection sits (join input, under a rename).
 
    **Read-cost model.** Output estimates say how many rows a subtree
    returns; they do not say what producing them costs — ``σ by:
@@ -72,10 +60,9 @@ a planned evaluation path with three layers:
    **Statistics model (PR 5).** Selection selectivities are no longer a
    fixed 1/3: structured predicates are costed from maintained
    statistics — ``NamePrefix`` from the bisected name-index count,
-   ``InClass`` from extent sizes, ``HasValue`` / ``ValueEquals`` from
-   the per-class value counters (exact counts),
+   ``ValueEquals`` from the per-class value counters (exact counts),
    ``ParticipatesIn`` from the distinct-participant counters, and
-   ``And``/``Or``/``Not`` compose by the independence rules. Join
+   ``And`` multiplies its parts' selectivities. Join
    output sizes use the containment-of-value-sets estimate
    ``|L|·|R| / ∏ max(V(L,c), V(R,c))`` over per-column distinct counts
    (extent rows are distinct; role columns read the participation
@@ -91,11 +78,10 @@ a planned evaluation path with three layers:
    O(chunk), and a consumer that stops early stops the scan. The
    executor itself only scans the bisected name-index slice of a
    prefix-rewritten extent. Above the leaves, selections (over
-   anything that is not a bare scan), projections, renames, value
-   dereferences, and the probe side of every join stream; only
-   pipeline breakers materialize (the build side of a join — chosen as
-   the smaller estimated input — the subtrahend of a difference, and
-   the duplicate-elimination sets of union/projection). A hash
+   anything that is not a bare scan), projections, renames and the
+   probe side of every join stream; only pipeline breakers materialize
+   (the build side of a join — chosen as the smaller estimated input —
+   and the duplicate-elimination set of a projection). A hash
    :class:`Join` builds its left input and probes with its right. An
    :class:`IndexJoin` never scans its association: it streams the
    driving side, fetches each driving object's incident relationships
@@ -153,8 +139,7 @@ testing.
    layer, runs one kernel call per non-empty range on the warm forked
    pool, and merges in range order — the in-thread row order. The node
    is a pipeline breaker, so everything above
-   (``Project``/``Union``/``Difference``, join probe/build) streams
-   unchanged. Worker failures are bounded by failpoints and a result
+   (``Project``, join probe/build) streams unchanged. Worker failures are bounded by failpoints and a result
    timeout, after which the scan just runs in-thread (see
    :mod:`repro.core.query.parallel`). A plan is pooled or not by how it
    was built — ``plan(db, config)`` or ``plan(db)`` — and cached plans
@@ -172,20 +157,15 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from repro.core.database import SeedDatabase
 from repro.core.errors import QueryError
 from repro.core.objects import SeedObject
-from repro.core.query.algebra import Relation, dereference, relationship_row
+from repro.core.query.algebra import Relation
 from repro.core.query import parallel as kernel
 from repro.core.query.parallel import ParallelConfig, ShardSpec
 from repro.core.query.predicates import (
     And,
-    HasValue,
-    InClass,
     NamePrefix,
-    Not,
-    Or,
     ParticipatesIn,
     ValueEquals,
     describe_predicate,
-    narrowed_class,
 )
 
 __all__ = [
@@ -203,9 +183,6 @@ __all__ = [
     "Project",
     "Rename",
     "Join",
-    "Union",
-    "Difference",
-    "Values",
     "Reorder",
     "IndexJoin",
     "Parallel",
@@ -296,7 +273,6 @@ class ExtentScan(PlanNode):
 
     class_name: str
     column: str
-    include_specials: bool = True
     prefix: Optional[str] = None
 
 
@@ -305,8 +281,6 @@ class RelScan(PlanNode):
     """Scan an association's instances into a two-column relation."""
 
     association: str
-    include_specials: bool = True
-    with_attributes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,32 +313,6 @@ class Join(PlanNode):
 
     left: PlanNode
     right: PlanNode
-
-
-@dataclass(frozen=True, eq=False)
-class Union(PlanNode):
-    """Set union of two same-column relations."""
-
-    left: PlanNode
-    right: PlanNode
-
-
-@dataclass(frozen=True, eq=False)
-class Difference(PlanNode):
-    """Set difference of two same-column relations."""
-
-    left: PlanNode
-    right: PlanNode
-
-
-@dataclass(frozen=True, eq=False)
-class Values(PlanNode):
-    """Dereference a role path of an object column into a value column."""
-
-    child: PlanNode
-    column: str
-    role_path: str
-    into: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,8 +360,7 @@ def _columns_of(db: SeedDatabase, node: PlanNode) -> tuple[str, ...]:
     if isinstance(node, ExtentScan):
         return (node.column,)
     if isinstance(node, RelScan):
-        assoc = db.schema.association(node.association)
-        return assoc.role_names() + node.with_attributes
+        return db.schema.association(node.association).role_names()
     if isinstance(node, (Project, Reorder)):
         return node.columns
     columns = _columns_of(db, node.children[0])
@@ -423,9 +370,7 @@ def _columns_of(db: SeedDatabase, node: PlanNode) -> tuple[str, ...]:
     if isinstance(node, (Join, IndexJoin)):
         right = _columns_of(db, node.children[1])
         return columns + tuple(column for column in right if column not in columns)
-    if isinstance(node, Values):
-        return columns + (node.into,)
-    return columns  # pass-through nodes; both sides of a union / difference
+    return columns  # pass-through nodes
 
 
 def _family_is_independent(db: SeedDatabase, scan: ExtentScan) -> bool:
@@ -437,9 +382,7 @@ def _family_is_independent(db: SeedDatabase, scan: ExtentScan) -> bool:
     wanted = db.schema.entity_class(scan.class_name)
     if not wanted.is_independent:
         return False
-    if scan.include_specials:
-        return all(special.is_independent for special in wanted.all_specials())
-    return True
+    return all(special.is_independent for special in wanted.all_specials())
 
 
 # ----------------------------------------------------------------------
@@ -454,8 +397,7 @@ DEFAULT_SELECTIVITY = 1 / 3
 def _column_class(db: SeedDatabase, node: PlanNode, column: str) -> Optional[str]:
     """Class name of the objects a column carries, traced to its scan.
 
-    ``None`` when the column cannot be traced (value columns, attribute
-    columns, the ``into`` output of a Values node).
+    ``None`` when the column cannot be traced.
     """
     if isinstance(node, ExtentScan):
         return node.class_name if column == node.column else None
@@ -464,8 +406,6 @@ def _column_class(db: SeedDatabase, node: PlanNode, column: str) -> Optional[str
         roles = assoc.role_names()
         if column in roles:
             return assoc.role_at(roles.index(column)).target.full_name
-        return None
-    if isinstance(node, Values) and column == node.into:
         return None
     return _column_class(db, *_column_source(db, node, column))
 
@@ -499,40 +439,21 @@ def _predicate_selectivity(
         for part in predicate.parts:
             selectivity *= _predicate_selectivity(db, part, class_name)
         return selectivity
-    if isinstance(predicate, Or):
-        miss = 1.0
-        for part in predicate.parts:
-            miss *= 1.0 - _predicate_selectivity(db, part, class_name)
-        return 1.0 - miss
-    if isinstance(predicate, Not):
-        return max(
-            0.0, 1.0 - _predicate_selectivity(db, predicate.part, class_name)
-        )
     if isinstance(predicate, NamePrefix):
         total = indexes.name_count()
         if not total:
             return DEFAULT_SELECTIVITY
         return indexes.name_prefix_count(predicate.prefix) / total
-    if isinstance(predicate, InClass):
-        total = indexes.total_objects()
-        if not total:
-            return DEFAULT_SELECTIVITY
-        wanted = db.schema.entity_class(predicate.class_name)
-        return indexes.extent_size(wanted, predicate.include_specials) / total
-    if isinstance(predicate, (HasValue, ValueEquals)):
+    if isinstance(predicate, ValueEquals):
         wanted = (
             db.schema.entity_class(class_name) if class_name is not None else None
         )
         if wanted is not None:
             total = indexes.extent_size(wanted)
-            defined = indexes.defined_count(wanted)
         else:  # aggregate over every class
             total = indexes.total_objects()
-            defined = indexes.total_defined()
         if not total:
             return DEFAULT_SELECTIVITY
-        if isinstance(predicate, HasValue):
-            return defined / total
         try:
             if wanted is not None:
                 matching = indexes.value_frequency(wanted, predicate.expected)
@@ -586,7 +507,7 @@ def _estimate_uncached(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -
     indexes = db.indexes
     if isinstance(node, ExtentScan):
         wanted = db.schema.entity_class(node.class_name)
-        size = indexes.extent_size(wanted, node.include_specials)
+        size = indexes.extent_size(wanted)
         if node.prefix is not None:
             size = min(size, indexes.name_prefix_count(node.prefix))
         return size
@@ -616,10 +537,7 @@ def _estimate_uncached(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -
                 )
             return max(1, (left * right) // denominator) if left and right else 0
         return left * right
-    if isinstance(node, Union):
-        return _estimate(db, node.left, memo) + _estimate(db, node.right, memo)
-    # pass-through nodes keep their input's rows; so, at most, does the
-    # minuend of a difference
+    # pass-through nodes keep their input's rows
     return _estimate(db, node.children[0], memo)
 
 
@@ -641,14 +559,8 @@ def _distinct_of(
                 assoc.name, roles.index(column)
             )
         return _estimate(db, node, memo)
-    if isinstance(node, ExtentScan) or (
-        isinstance(node, Values) and column == node.into
-    ):
+    if isinstance(node, ExtentScan):
         return _estimate(db, node, memo)
-    if isinstance(node, Union):
-        return _distinct_of(db, node.left, column, memo) + _distinct_of(
-            db, node.right, column, memo
-        )
     distinct = _distinct_of(db, *_column_source(db, node, column), memo)
     if isinstance(node, (Select, Join, IndexJoin)):  # the nodes that drop rows
         return min(distinct, _estimate(db, node, memo))
@@ -663,14 +575,12 @@ def _distinct_of(
 def optimize(
     db: SeedDatabase, node: PlanNode, parallel: Optional[ParallelConfig] = None
 ) -> PlanNode:
-    """Full rewrite pipeline: pushdown, indexed scans, semi-join
-    reduction for value dereferences, join order, join methods and
-    association access paths, and — when a
+    """Full rewrite pipeline: pushdown, indexed scans, join order, join
+    methods and association access paths, and — when a
     :class:`ParallelConfig` is given — pooling of the shardable scans
     large enough to pay for it (see module docstring, layer 5)."""
     node = _push_selections(db, node)
     node = _rewrite_scans(db, node)
-    node = _reduce_values_joins(db, node)
     node = _plan_joins(db, node)
     if parallel is not None:
         node = _parallelize(db, node, parallel)
@@ -721,11 +631,9 @@ def _sink(
     """Place *predicate* as low in *node*'s tree as it stays sound."""
     column = predicate.column if isinstance(predicate, ColumnPredicate) else None
 
-    if isinstance(node, (Select, Union, Difference)):
+    if isinstance(node, Select):
         # below sibling selections, so scans end up directly under their
-        # filters (predicates are pure; order cannot matter); and
-        # σ(A ∪ B) = σA ∪ σB, σ(A − B) = σA − σB (key-equal rows give
-        # equal predicate results, so filtering the subtrahend is sound)
+        # filters (predicates are pure; order cannot matter)
         return _rebuilt(node, _sink, db, predicate)
     if column is None:
         # opaque row predicate: only the pushes above are sound
@@ -734,10 +642,8 @@ def _sink(
         inverse = {new: old for old, new in node.renames}
         renamed = ColumnPredicate(inverse.get(column, column), predicate.predicate)
         return _rebuilt(node, _sink, db, renamed)
-    if (
-        isinstance(node, Reorder)
-        or (isinstance(node, Project) and column in node.columns)
-        or (isinstance(node, Values) and column != node.into)
+    if isinstance(node, Reorder) or (
+        isinstance(node, Project) and column in node.columns
     ):
         return _rebuilt(node, _sink, db, predicate)
     if isinstance(node, Join):
@@ -774,16 +680,6 @@ def _absorb_into_scan(
                 # incompatible prefixes: provably empty, but keep the
                 # filter (no dedicated empty node) — it matches nothing
                 residual.append(part)
-        elif (
-            isinstance(part, InClass)
-            and part.include_specials
-            and scan.include_specials
-        ):
-            target = narrowed_class(db, scan.class_name, part)
-            if target is None:
-                residual.append(part)
-            else:  # narrowed, or implied (target == scanned class)
-                scan = replace(scan, class_name=target)
         else:
             residual.append(part)
     if not residual:
@@ -792,81 +688,11 @@ def _absorb_into_scan(
     return Select(scan, ColumnPredicate(predicate.column, remaining))
 
 
-def _reduce_values_joins(db: SeedDatabase, node: PlanNode) -> PlanNode:
-    """Semi-join reduction for ``values()`` role paths.
-
-    ``Join(Values(A), B)`` dereferences the role path for *every* row
-    of A, including rows the join then discards. Hoisting the Values
-    above the join — sound whenever the dereferenced ``into`` column is
-    not a join column, since the added column is computed row-locally
-    from a column the join preserves — means the probe side is reduced
-    by the join keys first and only surviving rows materialize values:
-
-        Join(Values(A), B)  →  Reorder(Values(Join(A, B)))
-
-    The Reorder restores the original column layout (Values appends its
-    column last). Applied bottom-up so stacked Values and Values on
-    both sides all hoist; the join reorderer then sees the bare join
-    chain and can reorder through it.
-    """
-    node = _rebuilt(node, _reduce_values_joins, db)
-    hoisted = _hoist_values(db, node)
-    if hoisted is node:
-        return node
-    original = _columns_of(db, node)
-    if _columns_of(db, hoisted) != original:
-        hoisted = Reorder(hoisted, original)
-    return hoisted
-
-
-def _strip_reorders(node: PlanNode) -> PlanNode:
-    while isinstance(node, Reorder):
-        node = node.child
-    return node
-
-
-def _hoist_values(db: SeedDatabase, node: PlanNode) -> PlanNode:
-    """Pull Values nodes out of a join tree (see _reduce_values_joins).
-
-    Reorder wrappers (from inner hoists) are looked through — they only
-    permute columns, and the caller restores the final layout anyway.
-    A hoist only pays when the join *reduces* (or keeps) the Values
-    input: on a fan-out join, dereferencing after the join would run
-    the role path once per joined row instead of once per input row,
-    so those stay put (estimate-gated).
-    """
-    if not isinstance(node, Join):
-        return node
-    left = _strip_reorders(node.left)
-    right = _strip_reorders(node.right)
-
-    def reduces(values_node: Values, other: PlanNode) -> bool:
-        memo: dict[int, int] = {}
-        joined = Join(values_node.child, other)
-        return _estimate(db, joined, memo) <= _estimate(
-            db, values_node.child, memo
-        )
-
-    if (
-        isinstance(left, Values)
-        and left.into not in _columns_of(db, right)
-        and reduces(left, right)
-    ):
-        return left.with_children([_hoist_values(db, Join(left.child, right))])
-    if (
-        isinstance(right, Values)
-        and right.into not in _columns_of(db, left)
-        and reduces(right, left)
-    ):
-        return right.with_children([_hoist_values(db, Join(left, right.child))])
-    return node
-
-
 def _plan_joins(db: SeedDatabase, node: PlanNode) -> PlanNode:
     """Order maximal join chains by what each step reads, pick every
     step's join method, and give every selection over an association
     scan its cheaper access path — wherever it sits: join input, under
-    a rename, union arm (see the module docstring, layer 2)."""
+    a rename (see the module docstring, layer 2)."""
     if isinstance(node, Select):
         base = _rel_base(node)
         if base is not None:
@@ -900,8 +726,7 @@ def _plan_joins(db: SeedDatabase, node: PlanNode) -> PlanNode:
         }
         keepalive.extend(joined for __, joined in steps.values())
         # output sizes come from the same containment-of-value-sets
-        # estimate the rest of the optimizer uses, so this loop and the
-        # Values-hoist gate agree about the same join's size
+        # estimate the rest of the optimizer uses
         chosen = candidates[0]
         if len(candidates) > 1:
             chosen = min(
@@ -999,10 +824,8 @@ def _scanned_rows(db: SeedDatabase, base: PlanNode) -> int:
     """Rows the kernel reads to scan *base* (a bare extent or
     association scan), whatever is selected from them."""
     if isinstance(base, ExtentScan):
-        return kernel.scan_size(
-            db, "extent", base.class_name, base.include_specials
-        )
-    return kernel.scan_size(db, "rel", base.association, base.include_specials)
+        return kernel.scan_size(db, "extent", base.class_name)
+    return kernel.scan_size(db, "rel", base.association)
 
 
 def _probe_cost(
@@ -1084,7 +907,7 @@ def _conjuncts(predicate: Any) -> tuple:
 def _name_index_drive(assoc: Any, column: str, prefix: NamePrefix) -> ExtentScan:
     """The name-index scan of the objects a role can bind named ``p*``."""
     target = assoc.role_at(assoc.role_names().index(column)).target
-    return ExtentScan(target.full_name, column, True, prefix.prefix)
+    return ExtentScan(target.full_name, column, prefix.prefix)
 
 
 def _name_index_path(
@@ -1155,8 +978,6 @@ def _shard_spec(db: SeedDatabase, node: PlanNode) -> Optional[ShardSpec]:
         return ShardSpec(
             kind="extent",
             name=node.class_name,
-            include_specials=node.include_specials,
-            with_attributes=(),
             columns=columns,
             cell_tests=tuple(cell_tests),
             row_tests=tuple(row_tests),
@@ -1165,8 +986,6 @@ def _shard_spec(db: SeedDatabase, node: PlanNode) -> Optional[ShardSpec]:
         return ShardSpec(
             kind="rel",
             name=node.association,
-            include_specials=node.include_specials,
-            with_attributes=node.with_attributes,
             columns=columns,
             cell_tests=tuple(cell_tests),
             row_tests=tuple(row_tests),
@@ -1395,12 +1214,6 @@ class _Executor:
             yield from self._join(node)
         elif isinstance(node, IndexJoin):
             yield from self._index_join(node)
-        elif isinstance(node, Union):
-            yield from self._union(node)
-        elif isinstance(node, Difference):
-            yield from self._difference(node)
-        elif isinstance(node, Values):
-            yield from self._values(node)
         elif isinstance(node, Parallel):
             yield from self._parallel(node)
         else:  # pragma: no cover - exhaustive
@@ -1412,12 +1225,8 @@ class _Executor:
         """The bisected name-index scan (the one scan with no id list)."""
         wanted = self._db.schema.entity_class(node.class_name)
         for obj in self._db.objects_by_name_prefix(node.prefix):
-            if node.include_specials:
-                if not obj.entity_class.is_kind_of(wanted):
-                    continue
-            elif obj.entity_class is not wanted:
-                continue
-            yield (obj,)
+            if obj.entity_class.is_kind_of(wanted):
+                yield (obj,)
 
     def _parallel(self, node: Parallel) -> Iterator[tuple]:
         """Fan the child's kernel over the worker pool.
@@ -1525,48 +1334,15 @@ class _Executor:
         lookup) keeps self-loop relationships correct; the incidence
         list names a self-loop once per end, and it is one row.
         """
-        wanted = self._db.schema.association(scan.name)
         loops: set[int] = set()
         for rel in self._db.relationships_of_object(anchor, scan.name):
-            if not scan.include_specials and rel.association is not wanted:
-                continue
             if rel.bound_at(position).oid != anchor.oid:
                 continue
             if rel.bound_at(1 - position).oid == anchor.oid:
                 if rel.rid in loops:
                     continue
                 loops.add(rel.rid)
-            yield relationship_row(rel, scan.with_attributes)
-
-    def _union(self, node: Union) -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for side in (node.left, node.right):
-            for row in self.rows(side):
-                key = tuple(_cell_key(cell) for cell in row)
-                if key not in seen:
-                    seen.add(key)
-                    yield row
-
-    def _difference(self, node: Difference) -> Iterator[tuple]:
-        exclude = {
-            tuple(_cell_key(cell) for cell in row) for row in self.rows(node.right)
-        }
-        for row in self.rows(node.left):
-            key = tuple(_cell_key(cell) for cell in row)
-            if key not in exclude:
-                exclude.add(key)  # set semantics: first occurrence only
-                yield row
-
-    def _values(self, node: Values) -> Iterator[tuple]:
-        child_columns = _columns_of(self._db, node.child)
-        source = child_columns.index(node.column)
-        steps = node.role_path.split(".")
-        for row in self.rows(node.child):
-            obj = row[source]
-            if not isinstance(obj, SeedObject):
-                raise QueryError(f"column {node.column!r} does not hold objects")
-            for value in dereference(obj, steps):
-                yield row + (value,)
+            yield rel.endpoints()
 
 
 def execute_node(db: SeedDatabase, node: PlanNode) -> Relation:
@@ -1589,8 +1365,6 @@ def _node_label(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -> str:
     estimate = _estimate(db, node, memo)
     if isinstance(node, ExtentScan):
         detail = f"ExtentScan {node.class_name} as {node.column}"
-        if not node.include_specials:
-            detail += " exact"
         if node.prefix is not None:
             detail += f" prefix={node.prefix!r}"
     elif isinstance(node, RelScan):
@@ -1616,12 +1390,8 @@ def _node_label(db: SeedDatabase, node: PlanNode, memo: dict[int, int]) -> str:
             filters.append(describe_predicate(scan.predicate))
             scan = scan.child
         detail = f"IndexJoin {scan.association}.{node.column}"
-        if not scan.include_specials:
-            detail += " exact"
         if filters:
             detail += f" filter {' and '.join(reversed(filters))}"
-    elif isinstance(node, Values):
-        detail = f"Values {node.column}.{node.role_path} -> {node.into}"
     elif isinstance(node, Parallel):
         per_shard = _scanned_rows(db, _scan_base(node.child)) // node.shards
         detail = (
@@ -1673,9 +1443,9 @@ def explain(db: SeedDatabase, node: PlanNode) -> str:
 class Plan:
     """An immutable logical query plan bound to one database.
 
-    Composes exactly like :class:`~repro.core.query.algebra.Relation`
-    (``select``/``project``/``rename``/``join``/``union``/``difference``/
-    ``values``) but builds a plan tree instead of evaluating; call
+    Composes like :class:`~repro.core.query.algebra.Relation` for the
+    operations queries use (``select``/``project``/``rename``/``join``)
+    but builds a plan tree instead of evaluating; call
     :meth:`execute` for a materialized ``Relation``, :meth:`rows` to
     stream, or :meth:`explain` for the optimized plan tree.
     """
@@ -1737,31 +1507,6 @@ class Plan:
         self._require_same_db(other)
         return Plan(self._db, Join(self.node, other.node), self._parallel)
 
-    def union(self, other: "Plan") -> "Plan":
-        """Set union (columns must match)."""
-        self._require_same_db(other)
-        self._require_same_columns(other)
-        return Plan(self._db, Union(self.node, other.node), self._parallel)
-
-    def difference(self, other: "Plan") -> "Plan":
-        """Set difference (columns must match)."""
-        self._require_same_db(other)
-        self._require_same_columns(other)
-        return Plan(self._db, Difference(self.node, other.node), self._parallel)
-
-    def values(self, column: str, role_path: str, into: str) -> "Plan":
-        """Add a column of values dereferenced from an object column."""
-        self._require_column(column)
-        if not role_path:
-            raise QueryError("empty role path")
-        if into in self.columns:
-            raise QueryError(f"duplicate column names: {self.columns + (into,)}")
-        return Plan(
-            self._db,
-            Values(self.node, column, role_path, into),
-            self._parallel,
-        )
-
     # -- evaluation ----------------------------------------------------
 
     def optimized(self) -> PlanNode:
@@ -1808,12 +1553,6 @@ class Plan:
                 f"no column {column!r} (columns: {', '.join(columns)})"
             )
 
-    def _require_same_columns(self, other: "Plan") -> None:
-        if self.columns != other.columns:
-            raise QueryError(
-                f"column mismatch: {self.columns} vs {other.columns}"
-            )
-
     def _require_same_db(self, other: "Plan") -> None:
         if other._db is not self._db:
             raise QueryError("cannot combine plans over different databases")
@@ -1832,39 +1571,16 @@ class PlanBuilder:
         self._db = db
         self._parallel = parallel
 
-    def extent(
-        self,
-        class_name: str,
-        *,
-        column: Optional[str] = None,
-        include_specials: bool = True,
-    ) -> Plan:
+    def extent(self, class_name: str, *, column: Optional[str] = None) -> Plan:
         """One-column plan over a class's live instances."""
         self._db.schema.entity_class(class_name)  # validate early
         name = column or class_name.lower()
-        return Plan(
-            self._db,
-            ExtentScan(class_name, name, include_specials),
-            self._parallel,
-        )
+        return Plan(self._db, ExtentScan(class_name, name), self._parallel)
 
-    def relationship(
-        self,
-        association: str,
-        *,
-        include_specials: bool = True,
-        with_attributes: Sequence[str] = (),
-    ) -> Plan:
+    def relationship(self, association: str) -> Plan:
         """Two-column plan over an association's instances."""
-        assoc = self._db.schema.association(association)  # validate early
-        columns = assoc.role_names() + tuple(with_attributes)
-        if len(set(columns)) != len(columns):
-            raise QueryError(f"duplicate column names: {columns}")
-        return Plan(
-            self._db,
-            RelScan(association, include_specials, tuple(with_attributes)),
-            self._parallel,
-        )
+        self._db.schema.association(association)  # validate early
+        return Plan(self._db, RelScan(association), self._parallel)
 
 
 def plan(

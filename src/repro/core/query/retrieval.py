@@ -8,11 +8,9 @@ slightly richer retrieval style tools actually need (name prefixes,
 class extents with predicates, role navigation chains) without yet
 being the full algebra (see :mod:`repro.core.query.algebra`).
 
-Retrieval is wired through the planner's indexed access paths: complex
-queries start from :meth:`Retrieval.plan`, and the simple operations
-recognize :class:`~repro.core.query.predicates.InClass` /
-:class:`~repro.core.query.predicates.NamePrefix` predicates and serve
-them from the extent / sorted-name indexes instead of scanning.
+Name prefixes are served from the sorted name index and class extents
+from the extent index; complex queries start from
+:meth:`Retrieval.plan`, the planner's indexed access paths.
 """
 
 from __future__ import annotations
@@ -20,16 +18,10 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.core.database import SeedDatabase
-from repro.core.errors import SeedError
 from repro.core.objects import SeedObject
 from repro.core.query.parallel import ParallelConfig
 from repro.core.query.planner import PlanBuilder
-from repro.core.query.predicates import (
-    InClass,
-    NamePrefix,
-    Predicate,
-    narrowed_class,
-)
+from repro.core.query.predicates import Predicate
 
 __all__ = ["Retrieval"]
 
@@ -68,68 +60,17 @@ class Retrieval:
         """
         return self._db.objects_by_name_prefix(prefix)
 
-    def by_name_prefix_deep(self, prefix: str) -> list[SeedObject]:
-        """All objects (any depth) whose dotted name starts with *prefix*.
-
-        Unlike :meth:`by_name_prefix` this includes sub-objects
-        (``Alarms.Text[0].Selector``); like it, the candidate roots come
-        from the bisected name index, so only the matching subtrees are
-        walked. Results come in creation (oid) order, matching what a
-        full scan with a :class:`NamePrefix` predicate yields.
-        """
-        results: list[SeedObject] = []
-        # roots whose own name already starts with the prefix: their
-        # whole subtrees match (descendant names extend the root's name)
-        for root in self._db.objects_by_name_prefix(prefix):
-            results.extend(
-                node for node in root.walk() if not node.in_pattern_context
-            )
-        # roots whose name is a strict prefix of the requested one: the
-        # prefix reaches into their subtree, so filter while walking
-        for length in range(1, len(prefix)):
-            try:
-                root = self._db.find_object(prefix[:length])
-            except SeedError:  # partial prefix is not a parseable name
-                continue
-            if root is None or root.parent is not None:
-                continue
-            results.extend(
-                node
-                for node in root.walk()
-                if not node.in_pattern_context
-                and str(node.name).startswith(prefix)
-            )
-        results.sort(key=lambda obj: obj.oid)
-        return results
-
     # -- class extents ----------------------------------------------------------
 
     def iter_instances(
-        self,
-        class_name: str,
-        where: Optional[Predicate] = None,
-        *,
-        include_specials: bool = True,
+        self, class_name: str, where: Optional[Predicate] = None
     ) -> Iterator[SeedObject]:
         """Lazily yield instances of a class, optionally predicate-filtered.
 
         Backed by the extent index: consumers that stop early (or only
-        count) never materialise the full extent list. A structured
-        :class:`InClass` predicate narrows the scanned extent instead of
-        testing every instance.
+        count) never materialise the full extent list.
         """
-        if (
-            isinstance(where, InClass)
-            and where.include_specials
-            and include_specials
-        ):
-            target = narrowed_class(self._db, class_name, where)
-            if target is not None:  # narrowed sub-extent, or implied
-                yield from self._db.iter_objects(target)
-                return
-        extent = self._db.iter_objects(
-            class_name, include_specials=include_specials
-        )
+        extent = self._db.iter_objects(class_name)
         if where is None:
             yield from extent
             return
@@ -138,34 +79,10 @@ class Retrieval:
                 yield obj
 
     def instances(
-        self,
-        class_name: str,
-        where: Optional[Predicate] = None,
-        *,
-        include_specials: bool = True,
+        self, class_name: str, where: Optional[Predicate] = None
     ) -> list[SeedObject]:
         """Instances of a class, optionally filtered by a predicate."""
-        return list(
-            self.iter_instances(
-                class_name, where, include_specials=include_specials
-            )
-        )
-
-    def select(self, where: Predicate) -> list[SeedObject]:
-        """All live objects satisfying *where*.
-
-        Structured predicates use the index layer: :class:`InClass`
-        reads the class extent (generalization rollup included) and
-        :class:`NamePrefix` bisects the name index, each O(|answer|)
-        instead of O(|database|).
-        """
-        if isinstance(where, InClass):
-            return self._db.objects(
-                where.class_name, include_specials=where.include_specials
-            )
-        if isinstance(where, NamePrefix):
-            return self.by_name_prefix_deep(where.prefix)
-        return [obj for obj in self._db.iter_objects() if where(obj)]
+        return list(self.iter_instances(class_name, where))
 
     # -- navigation ------------------------------------------------------------------
 

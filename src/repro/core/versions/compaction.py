@@ -51,9 +51,10 @@ Policy knobs:
     invisible in all of them either way; only per-item history
     operations stop listing it (that is the point of the collection).
 
-The product runs one policy, :data:`DEFAULT_MAINTENANCE`: the server's
-background maintenance and ``repro compact`` (which adds the user's
-``--pin`` versions).
+The product runs one policy, :data:`DEFAULT_MAINTENANCE`:
+``SeedServer.maintain()`` when an operator asks for it, and ``repro
+compact`` (which adds the user's ``--pin`` versions). Every compaction
+names its policy.
 
 Entry points: :meth:`repro.core.database.SeedDatabase.compact` /
 :meth:`repro.core.versions.manager.VersionManager.compact`.
@@ -103,8 +104,8 @@ class RetentionPolicy:
         )
 
 
-#: the policy the product compacts with: the server between check-ins,
-#: and ``repro compact`` with the user's pins added
+#: the policy the product compacts with: ``SeedServer.maintain()`` on
+#: demand, and ``repro compact`` with the user's pins added
 DEFAULT_MAINTENANCE = RetentionPolicy(
     squash_chains=True, snapshot_interval=16, keep_last=2, gc_tombstones=True
 )

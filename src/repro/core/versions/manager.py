@@ -109,17 +109,16 @@ class VersionManager:
 
     # -- compaction --------------------------------------------------------
 
-    def compact(self, policy: Optional[RetentionPolicy] = None) -> CompactionStats:
-        """Squash unreferenced chains and consolidate snapshots.
+    def compact(self, policy: RetentionPolicy) -> CompactionStats:
+        """Squash unreferenced chains and consolidate snapshots under *policy*.
 
-        Uses the default :class:`RetentionPolicy` unless *policy* is given.
         Every surviving version's view is unchanged; only squashed
         versions (which the policy guarantees nobody references)
         disappear from the history. Safe at any time outside a
         transaction — the entry point used by applications is
         :meth:`repro.core.database.SeedDatabase.compact`.
         """
-        return Compactor(self, policy or RetentionPolicy()).run()
+        return Compactor(self, policy).run()
 
     # -- selection / alternatives ------------------------------------------------
 

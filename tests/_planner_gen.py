@@ -20,31 +20,18 @@ from repro.core.errors import SeedError
 from repro.core.query.algebra import Relation, extent, relationship_relation
 from repro.core.query.planner import on, plan
 from repro.core.query.predicates import (
-    InClass,
-    Not,
     ObjectPredicate,
     both,
-    either,
-    has_value,
     name_prefix,
     participates_in,
+    value_is,
 )
 from repro.spades.tool import SpadesTool
 from repro.workloads.drivers import load_into_spades
 from repro.workloads.specgen import SpecShape, generate_spec
 
-OBJ = "obj"
-VAL = "val"
-
 CLASS_CHOICES = ("Thing", "Data", "InputData", "OutputData", "Action", "Module")
 ASSOC_CHOICES = ("Access", "Read", "Write", "Contained", "Triggers", "AllocatedTo")
-ROLE_PATHS = (
-    "Text.Selector",
-    "Text.Body.Contents",
-    "Text.Body.Keywords",
-    "Note",
-    "Description",
-)
 NAME_PREFIXES = ("Handle", "Mo", "Al", "S", "Con", "Up", "X", "Alarm0")
 
 
@@ -61,6 +48,29 @@ class FunctionPredicate(ObjectPredicate):
 
     def describe(self) -> str:
         return self.description
+
+
+@dataclass(frozen=True)
+class Not(ObjectPredicate):
+    """Negation, opaque to the planner (the product builds none)."""
+
+    part: Callable[[object], object]
+
+    def __call__(self, obj) -> bool:
+        return not self.part(obj)
+
+    def describe(self) -> str:
+        return f"not {self.part.describe()}"
+
+
+def in_class(class_name: str) -> FunctionPredicate:
+    """Instances of *class_name*, specializations included (opaque)."""
+
+    def test(obj) -> bool:
+        wanted = obj._database.schema.entity_class(class_name)  # noqa: SLF001
+        return obj.entity_class.is_kind_of(wanted)
+
+    return FunctionPredicate(test, f"in_class({class_name})")
 
 
 def build_population(seed: int):
@@ -118,26 +128,13 @@ def build_population(seed: int):
 class BothWays:
     """One logical query held as eager result + logical plan."""
 
-    def __init__(self, relation: Relation, planned, kinds: dict[str, str]):
+    def __init__(self, relation: Relation, planned):
         self.relation = relation
         self.plan = planned
-        self.kinds = kinds
 
     @property
     def columns(self):
         return self.relation.columns
-
-
-def _is_alarmish(value) -> bool:
-    return isinstance(value, str) and "a" in value
-
-
-def _is_even_int(value) -> bool:
-    return isinstance(value, int) and value % 2 == 0
-
-
-def _is_defined(value) -> bool:
-    return value is not None
 
 
 def _short_name(obj) -> bool:
@@ -149,11 +146,11 @@ def _object_predicate(rng: random.Random):
     if roll == 0:
         return name_prefix(rng.choice(NAME_PREFIXES))
     if roll == 1:
-        return InClass(rng.choice(CLASS_CHOICES))
+        return in_class(rng.choice(CLASS_CHOICES))
     if roll == 2:
         return participates_in(rng.choice(ASSOC_CHOICES))
     if roll == 3:
-        return has_value()
+        return value_is(rng.choice(("Representation", "Summary")))
     if roll == 4:
         return FunctionPredicate(_short_name, "short_name")
     if roll == 5:  # conjunction with an indexable part: exercises the
@@ -163,159 +160,50 @@ def _object_predicate(rng: random.Random):
         )
     return rng.choice(
         (
-            either(
-                InClass(rng.choice(CLASS_CHOICES)),
-                name_prefix(rng.choice(NAME_PREFIXES)),
-            ),
-            Not(InClass(rng.choice(CLASS_CHOICES))),
+            Not(name_prefix(rng.choice(NAME_PREFIXES))),
+            Not(in_class(rng.choice(CLASS_CHOICES))),
         )
     )
-
-
-def _value_predicate(rng: random.Random):
-    fn, label = rng.choice(
-        (
-            (_is_alarmish, "alarmish"),
-            (_is_even_int, "even_int"),
-            (_is_defined, "defined"),
-        )
-    )
-    return FunctionPredicate(fn, label)
 
 
 def _leaf(rng: random.Random, db, fresh) -> BothWays:
     if rng.random() < 0.45:
         class_name = rng.choice(CLASS_CHOICES)
         column = f"c{next(fresh)}"
-        include_specials = rng.random() < 0.85
         return BothWays(
-            extent(db, class_name, column=column, include_specials=include_specials),
-            plan(db).extent(
-                class_name, column=column, include_specials=include_specials
-            ),
-            {column: OBJ},
+            extent(db, class_name, column=column),
+            plan(db).extent(class_name, column=column),
         )
-    return _leaf_of(rng, db, rng.choice(ASSOC_CHOICES))
+    return _leaf_of(db, rng.choice(ASSOC_CHOICES))
 
 
-def _leaf_of(rng: random.Random, db, association: str) -> BothWays:
-    attributes = (
-        ("NumberOfWrites",)
-        if association == "Write" and rng.random() < 0.5
-        else ()
-    )
-    relation = relationship_relation(db, association, with_attributes=attributes)
-    kinds = {relation.columns[0]: OBJ, relation.columns[1]: OBJ}
-    for attribute in attributes:
-        kinds[attribute] = VAL
+def _leaf_of(db, association: str) -> BothWays:
     return BothWays(
-        relation,
-        plan(db).relationship(association, with_attributes=attributes),
-        kinds,
+        relationship_relation(db, association), plan(db).relationship(association)
     )
 
 
 def _apply_select(rng: random.Random, query: BothWays) -> BothWays:
-    column = rng.choice(sorted(query.kinds))
-    if query.kinds[column] == OBJ:
-        predicate = on(column, _object_predicate(rng))
-    else:
-        predicate = on(column, _value_predicate(rng))
-    return BothWays(
-        query.relation.select(predicate),
-        query.plan.select(predicate),
-        query.kinds,
-    )
+    predicate = on(rng.choice(sorted(query.columns)), _object_predicate(rng))
+    return BothWays(query.relation.select(predicate), query.plan.select(predicate))
 
 
 def _apply_project(rng: random.Random, query: BothWays) -> BothWays:
     columns = list(query.columns)
     kept = rng.sample(columns, rng.randrange(1, len(columns) + 1))
-    return BothWays(
-        query.relation.project(*kept),
-        query.plan.project(*kept),
-        {column: query.kinds[column] for column in kept},
-    )
+    return BothWays(query.relation.project(*kept), query.plan.project(*kept))
 
 
 def _apply_rename(rng: random.Random, query: BothWays, fresh) -> BothWays:
-    old = rng.choice(sorted(query.kinds))
+    old = rng.choice(sorted(query.columns))
     new = f"n{next(fresh)}"
-    kinds = dict(query.kinds)
-    kinds[new] = kinds.pop(old)
     return BothWays(
-        query.relation.rename(**{old: new}),
-        query.plan.rename(**{old: new}),
-        kinds,
-    )
-
-
-def _apply_values(rng: random.Random, query: BothWays, fresh) -> BothWays:
-    object_columns = sorted(
-        column for column, kind in query.kinds.items() if kind == OBJ
-    )
-    if not object_columns:
-        return query
-    column = rng.choice(object_columns)
-    role_path = rng.choice(ROLE_PATHS)
-    into = f"v{next(fresh)}"
-    kinds = dict(query.kinds)
-    kinds[into] = VAL
-    return BothWays(
-        query.relation.values(column, role_path, into=into),
-        query.plan.values(column, role_path, into=into),
-        kinds,
+        query.relation.rename(**{old: new}), query.plan.rename(**{old: new})
     )
 
 
 def _apply_join(left: BothWays, right: BothWays) -> BothWays:
-    kinds = dict(right.kinds)
-    kinds.update(left.kinds)  # shared columns keep the left side's kind
-    return BothWays(
-        left.relation.join(right.relation),
-        left.plan.join(right.plan),
-        kinds,
-    )
-
-
-def _apply_set_op(rng: random.Random, query: BothWays, op: str) -> BothWays:
-    # derive a same-columns operand: either a filtered copy or the query
-    # itself (self-union / self-difference edge cases)
-    if rng.random() < 0.7:
-        other = _apply_select(rng, query)
-    else:
-        other = query
-    if op == "union":
-        return BothWays(
-            query.relation.union(other.relation),
-            query.plan.union(other.plan),
-            query.kinds,
-        )
-    return BothWays(
-        query.relation.difference(other.relation),
-        query.plan.difference(other.plan),
-        query.kinds,
-    )
-
-
-def _read_write_union(rng: random.Random, db, fresh) -> BothWays:
-    """Union of Read and Write renamed onto common columns."""
-    column = f"u{next(fresh)}"
-    reads_eager = relationship_relation(db, "Read").rename(**{"from": column})
-    writes_eager = relationship_relation(db, "Write").rename(to=column)
-    reads_plan = plan(db).relationship("Read").rename(**{"from": column})
-    writes_plan = plan(db).relationship("Write").rename(to=column)
-    if rng.random() < 0.5:
-        return BothWays(
-            reads_eager.union(writes_eager),
-            reads_plan.union(writes_plan),
-            {column: OBJ, "by": OBJ},
-        )
-    return BothWays(
-        reads_eager.difference(writes_eager),
-        reads_plan.difference(writes_plan),
-        {column: OBJ, "by": OBJ},
-    )
+    return BothWays(left.relation.join(right.relation), left.plan.join(right.plan))
 
 
 def _role_prefix_query(rng: random.Random, db) -> BothWays:
@@ -328,7 +216,7 @@ def _role_prefix_query(rng: random.Random, db) -> BothWays:
     index path to win, and the association is the left factor as often
     as the right one.
     """
-    query = _leaf_of(rng, db, rng.choice(ASSOC_CHOICES))
+    query = _leaf_of(db, rng.choice(ASSOC_CHOICES))
     role = rng.choice(query.columns[:2])
     bound = [str(row[query.columns.index(role)].name) for row in query.relation.rows]
     if bound and rng.random() < 0.8:
@@ -342,26 +230,20 @@ def _role_prefix_query(rng: random.Random, db) -> BothWays:
     predicate = on(role, test)
     shape = rng.randrange(4)
     if shape == 0:
-        return BothWays(
-            query.relation.select(predicate), query.plan.select(predicate), query.kinds
-        )
+        return BothWays(query.relation.select(predicate), query.plan.select(predicate))
     class_name = rng.choice(CLASS_CHOICES)
     extent_side = BothWays(
-        extent(db, class_name, column=role),
-        plan(db).extent(class_name, column=role),
-        {role: OBJ},
+        extent(db, class_name, column=role), plan(db).extent(class_name, column=role)
     )
     if shape == 1:  # selection below the join, association on the right
         selected = BothWays(
-            query.relation.select(predicate), query.plan.select(predicate), query.kinds
+            query.relation.select(predicate), query.plan.select(predicate)
         )
         return _apply_join(extent_side, selected)
     joined = (
         _apply_join(extent_side, query) if shape == 2 else _apply_join(query, extent_side)
     )
-    return BothWays(
-        joined.relation.select(predicate), joined.plan.select(predicate), joined.kinds
-    )
+    return BothWays(joined.relation.select(predicate), joined.plan.select(predicate))
 
 
 def random_query(rng: random.Random, db, depth: int = 0, fresh=None) -> BothWays:
@@ -376,13 +258,9 @@ def random_query(rng: random.Random, db, depth: int = 0, fresh=None) -> BothWays
             "select",
             "project",
             "rename",
-            "values",
             "join",
             "join",
             "chain_join",
-            "union",
-            "difference",
-            "rw_setop",
             "role_prefix",
         )
     )
@@ -392,8 +270,6 @@ def random_query(rng: random.Random, db, depth: int = 0, fresh=None) -> BothWays
         return _apply_project(rng, random_query(rng, db, depth + 1, fresh))
     if op == "rename":
         return _apply_rename(rng, random_query(rng, db, depth + 1, fresh), fresh)
-    if op == "values":
-        return _apply_values(rng, random_query(rng, db, depth + 1, fresh), fresh)
     if op == "join":
         return _apply_join(
             random_query(rng, db, depth + 1, fresh),
@@ -407,13 +283,7 @@ def random_query(rng: random.Random, db, depth: int = 0, fresh=None) -> BothWays
         if rng.random() < 0.6:
             query = _apply_select(rng, query)
         return query
-    if op == "rw_setop":
-        return _read_write_union(rng, db, fresh)
-    if op == "role_prefix":
-        return _role_prefix_query(rng, db)
-    return _apply_set_op(
-        rng, random_query(rng, db, depth + 1, fresh), op
-    )
+    return _role_prefix_query(rng, db)
 
 
 def row_multiset(relation: Relation) -> Counter:

@@ -39,6 +39,7 @@ from repro.core.errors import (
 from repro.core.schema.builder import SchemaBuilder
 from repro.core.storage.serialize import database_to_dict
 from repro.core.variants import VariantFamily
+from repro.core.versions.compaction import RetentionPolicy
 from repro.spades import spades_schema
 from repro.workloads.specgen import SpecShape, generate_spec
 
@@ -432,7 +433,7 @@ class TestBatchSemantics:
             with pytest.raises(TransactionError, match="bulk batch"):
                 fig2_db.select_version("1.0")
             with pytest.raises(TransactionError, match="bulk batch"):
-                fig2_db.compact()
+                fig2_db.compact(RetentionPolicy())
             with pytest.raises(TransactionError, match="bulk batch"):
                 fig2_db.migrate_schema(figure3_schema())
             with pytest.raises(TransactionError, match="nested"):
@@ -796,7 +797,6 @@ class TestBulkLoad:
 
 @pytest.mark.parametrize("seed", range(6))
 def test_resolve_chain_matches_per_cell_walks(seed):
-    from repro.core.versions.compaction import RetentionPolicy
 
     rng = random.Random(seed)
     db = SeedDatabase(figure3_schema(), f"chain-{seed}")

@@ -438,7 +438,16 @@ class TestRetention:
         db = self.linear_db(3)
         with pytest.raises(TransactionError):
             with db.transaction():
-                db.compact()
+                db.compact(RetentionPolicy())
+
+    def test_every_compaction_names_its_policy(self):
+        db = self.linear_db(3)
+        versions_before = [str(v) for v in db.saved_versions()]
+        with pytest.raises(TypeError, match="policy"):
+            db.compact()  # type: ignore[call-arg]
+        with pytest.raises(TypeError, match="policy"):
+            db.versions.compact()  # type: ignore[call-arg]
+        assert [str(v) for v in db.saved_versions()] == versions_before
 
     def test_policy_validation(self):
         with pytest.raises(VersionError):
@@ -450,7 +459,7 @@ class TestRetention:
         # default policy: squash only, keep the newest two versions
         db = self.linear_db(5)
         reference = clone(db)
-        stats = db.compact()
+        stats = db.compact(RetentionPolicy())
         assert stats.snapshots_created == []
         for version in db.saved_versions():
             assert dict(db.version_view(version).item_states()) == dict(

@@ -105,10 +105,6 @@ class TestDottedName:
         name = DottedName.parse("Alarms").child("Text").child("Keywords", 0)
         assert str(name) == "Alarms.Text.Keywords[0]"
 
-    def test_role_path_strips_indices(self):
-        name = DottedName.parse("Alarms.Text[2].Body.Keywords[1]")
-        assert name.role_path() == ("Text", "Body", "Keywords")
-
     def test_of_mixed_components(self):
         name = DottedName.of("A", NamePart("B"), ("C", 3))
         assert str(name) == "A.B.C[3]"

@@ -489,7 +489,6 @@ class TestMaxCodePointPrefixes:
         assert populated.indexes.names_with_prefix(prefix) == expected
         assert populated.indexes.name_prefix_count(prefix) == len(expected)
         assert retrieval.by_name_prefix(prefix) == []
-        assert retrieval.by_name_prefix_deep(prefix) == []
 
     def test_max_code_point_names_in_the_index(self, populated):
         # the index layer itself accepts arbitrary strings (it mirrors

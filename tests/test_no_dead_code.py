@@ -16,6 +16,13 @@ module-level function is not reached by an attribute of ``self`` or
 ``cls``. Dunders (Python calls them) and the ``_op_*`` wire handlers,
 which ``SeedService._dispatch`` reaches through ``getattr``, are exempt.
 
+A class must also be built. A reached class is unreached after all when
+no reached scope outside ``tests/`` constructs it and no class under
+``src/`` subclasses it. A construction is a call by the class's name,
+``cls(...)`` inside the class, ``super().__init__(...)`` inside a
+subclass, or a ``raise`` of it. Names still resolve by name alone: a
+call ``x.union(...)`` reaches every ``union``, whatever ``x`` is.
+
 An unreached definition that no scope names at all, not even a test, is
 dead code: delete it together with its ``__all__`` entry. One that only
 tests reach must be deleted with its tests, or carry a tag and a reason
@@ -56,6 +63,9 @@ ALLOWED = {
         "fault-hook", "the seeded schedule of faults the crash tests arm"),
     "core.faults._Fault": (
         "fault-hook", "one scheduled fault of a FaultPlan"),
+    "core.faults.TornWrite": (
+        "fault-hook", "what an armed FaultPlan raises to tear a write; "
+        "only the plan builds it"),
     "core.faults.arm": (
         "fault-hook", "arms a FaultPlan process-wide (failpoints go live)"),
     "core.faults.disarm": (
@@ -86,11 +96,6 @@ ALLOWED = {
 #: leaves ``src/`` later. ``feature``: an option of a public operation
 #: no entry point sets yet.
 PARAM_TAGS = {"test-seam", "fault-hook", "deployment", "safety", "oracle", "feature"}
-_QUERY_FLAG = (
-    "feature",
-    "query-layer flag carried through plan nodes, shard specs and "
-    "plan-cache keys; ROADMAP item 13 reworks them",
-)
 _COMPARATOR = "oracle", "a comparator; leaves src/ with repro.baselines (item 1b)"
 _REGISTRY = (
     "deployment",
@@ -117,15 +122,6 @@ ALLOWED_PARAMS = {
         "oracle", "the unoptimized plan the equivalence suites compare with"),
     "core.query.planner.Plan.explain(optimized)": (
         "oracle", "renders the unoptimized plan beside the optimized one"),
-    "core.query.algebra.extent(include_specials)": _QUERY_FLAG,
-    "core.query.algebra.relationship_relation(include_specials)": _QUERY_FLAG,
-    "core.query.planner.PlanBuilder.extent(include_specials)": _QUERY_FLAG,
-    "core.query.planner.PlanBuilder.relationship(include_specials)": _QUERY_FLAG,
-    "core.query.planner.PlanBuilder.relationship(with_attributes)": _QUERY_FLAG,
-    "core.query.retrieval.Retrieval.instances(include_specials)": _QUERY_FLAG,
-    "core.query.predicates.has_value(_obj)": (
-        "feature", "has_value is itself a predicate: a scan calls it with "
-        "the object through a variable"),
     "core.schema.attached.attached_procedure(registry)": _REGISTRY,
     "core.schema.builder.SchemaBuilder.attach(registry)": _REGISTRY,
     "core.storage.engine.JournaledDatabase.open(registry)": _REGISTRY,
@@ -174,6 +170,10 @@ class _Found:
     positional count, any *args, keyword names)`` for every call
     outside ``tests/``, where a ``None`` keyword is ``**kwargs``.
     ``bases`` maps a class name to the names of its bases.
+    ``classes`` holds the qualified names of the classes under
+    ``src/repro``, ``subclassed`` the names of the bases of those
+    classes, and ``constructs`` maps a scope outside ``tests/`` to the
+    names of the classes it constructs.
     """
 
     def __init__(self):
@@ -182,6 +182,9 @@ class _Found:
         self.params: dict = {}
         self.calls: list = []
         self.bases: dict = {}
+        self.classes: set = set()
+        self.subclassed: set = set()
+        self.constructs: dict = {}
 
 
 def _callee(node) -> str:
@@ -231,6 +234,9 @@ class _Uses(ast.NodeVisitor):
             return self._walk(node, is_class, self.scope, self.prefix)
         qual = f"{self.prefix}.{node.name}"
         self.defined[qual] = (node.name, self.scope, self.in_class)
+        if is_class:
+            self.found.classes.add(qual)
+            self.found.subclassed.update(_callee(base) for base in node.bases)
         self.uses[qual] = (set(), set())
         if not is_class and self.public and (
             node.name == "__init__" or not node.name.startswith("_")
@@ -294,7 +300,16 @@ class _Uses(ast.NodeVisitor):
             starred = any(isinstance(arg, ast.Starred) for arg in node.args)
             keywords = {kw.arg for kw in node.keywords}
             self.found.calls.append((names, len(node.args), starred, keywords))
+            self._constructs(names)
         self.generic_visit(node)
+
+    def visit_Raise(self, node):
+        if not self.in_tests and isinstance(node.exc, (ast.Name, ast.Attribute)):
+            self._constructs((_callee(node.exc),))  # ``raise E`` builds an E
+        self.generic_visit(node)
+
+    def _constructs(self, names) -> None:
+        self.found.constructs.setdefault(self.scope, set()).update(names)
 
     def visit_arg(self, node):
         if not self.lazy:
@@ -350,9 +365,14 @@ def _scan(root: Path = ROOT) -> _Found:
     return found
 
 
-def _unreached_of(defined: dict, uses: dict) -> set[str]:
+def _unreached_of(found: _Found) -> set[str]:
+    """The outermost definitions no reached scope names, and the named
+    classes that nothing reached builds and nothing under ``src/``
+    subclasses (see the module docstring)."""
+    defined, uses, constructs = found.defined, found.uses, found.constructs
     live: set[str] = set()
     names, members = set(uses[None][0]), set(uses[None][1])
+    built = set(constructs.get(None, ()))
     grew = True
     while grew:
         grew = False
@@ -363,8 +383,14 @@ def _unreached_of(defined: dict, uses: dict) -> set[str]:
                 live.add(qual)
                 names |= uses[qual][0]
                 members |= uses[qual][1]
+                built |= constructs.get(qual, set())
                 grew = True
-    return {
+    unbuilt = {
+        qual
+        for qual in found.classes & live
+        if defined[qual][0] not in built | found.subclassed
+    }
+    return unbuilt | {
         qual
         for qual, (_, scope, _) in defined.items()
         if qual not in live and (scope is None or scope in live)
@@ -372,8 +398,7 @@ def _unreached_of(defined: dict, uses: dict) -> set[str]:
 
 
 def _unreached(root: Path = ROOT) -> set[str]:
-    found = _scan(root)
-    return _unreached_of(found.defined, found.uses)
+    return _unreached_of(_scan(root))
 
 
 def _dead(defined: dict, uses: dict, unreached: set[str]) -> list[str]:
@@ -430,7 +455,7 @@ def _unset(root: Path = ROOT) -> set[str]:
 def test_every_definition_is_reached_by_the_product():
     found = _scan()
     defined, uses = found.defined, found.uses
-    unreached = _unreached_of(defined, uses)
+    unreached = _unreached_of(found)
     dead = _dead(defined, uses, unreached)
     new = sorted(unreached - ALLOWED.keys())
     stale = sorted(ALLOWED.keys() - unreached)
@@ -439,8 +464,8 @@ def test_every_definition_is_reached_by_the_product():
         + "\n".join(dead)
     )
     assert not new, (
-        "only tests reach these; delete them with their tests, or tag them "
-        "in ALLOWED:\n" + "\n".join(new)
+        "only tests reach these (or, for a class, build them); delete them "
+        "with their tests, or tag them in ALLOWED:\n" + "\n".join(new)
     )
     assert not stale, (
         "ALLOWED names what the product now reaches or what is gone:\n"
@@ -580,7 +605,7 @@ def test_dunders_and_wire_handlers_are_exempt(tmp_path):
     )
     assert _unreached_in(
         tmp_path,
-        {"src/repro/m.py": module, "examples/serve.py": "from repro.m import Service\n"},
+        {"src/repro/m.py": module, "examples/serve.py": "from repro.m import Service\nService()\n"},
     ) == {"m.Service.unused"}
 
 
@@ -606,7 +631,7 @@ def test_an_annotation_that_never_runs_is_not_a_use(tmp_path):
         "def f(x: Arg) -> Ret:\n    return x\n\n"
         "limit: Field = 1\n"
     )
-    kinds = "class Arg:\n    pass\n\nclass Ret:\n    pass\n\nclass Field:\n    pass\n"
+    kinds = "def Arg():\n    pass\n\ndef Ret():\n    pass\n\ndef Field():\n    pass\n"
     files = {
         "src/repro/kinds.py": kinds,
         "src/repro/m.py": "from __future__ import annotations\n" + uses,
@@ -615,6 +640,60 @@ def test_an_annotation_that_never_runs_is_not_a_use(tmp_path):
     assert _unreached_in(tmp_path, files) == {"kinds.Arg", "kinds.Ret", "kinds.Field"}
     (tmp_path / "src/repro/m.py").write_text(uses, encoding="utf-8")
     assert _unreached(tmp_path) == set()
+
+
+def test_a_class_only_a_test_constructs_is_unreached(tmp_path):
+    # the product names Shape (an isinstance test) but never builds one
+    module = (
+        "class Shape:\n    pass\n\n"
+        "def is_shape(x):\n    return isinstance(x, Shape)\n"
+    )
+    files = {
+        "src/repro/m.py": module,
+        "examples/use.py": "from repro.m import is_shape\nis_shape(1)\n",
+        "tests/test_m.py": "from repro.m import Shape, is_shape\n\n"
+        "def test_shape():\n    assert is_shape(Shape())\n",
+    }
+    assert _unreached_in(tmp_path, files) == {"m.Shape"}
+    (tmp_path / "examples/use.py").write_text(
+        "from repro.m import Shape, is_shape\nis_shape(Shape())\n"
+    )
+    assert _unreached(tmp_path) == set()
+
+
+def test_cls_in_a_reached_classmethod_builds_the_class(tmp_path):
+    module = (
+        "class Box:\n"
+        "    @classmethod\n"
+        "    def empty(cls):\n        return cls()\n"
+    )
+    files = {"src/repro/m.py": module, "examples/use.py": "from repro.m import Box\nBox.empty()\n"}
+    assert _unreached_in(tmp_path, files) == set()
+
+
+def test_a_subclassed_base_need_not_be_built(tmp_path):
+    module = (
+        "class Base:\n    pass\n\n"
+        "class Leaf(Base):\n    pass\n\n"
+        "def make():\n    return Leaf()\n"
+    )
+    files = {"src/repro/m.py": module, "examples/use.py": "from repro.m import make, Base\nmake()\n"}
+    assert _unreached_in(tmp_path, files) == set()
+
+
+def test_a_raised_exception_class_is_built(tmp_path):
+    module = (
+        "class Refused(Exception):\n    pass\n\n"
+        "def check(ok):\n"
+        "    if not ok:\n        raise Refused\n"
+    )
+    files = {"src/repro/m.py": module, "examples/use.py": "from repro.m import check\ncheck(True)\n"}
+    assert _unreached_in(tmp_path, files) == set()
+    # a raise in code the product never reaches builds nothing
+    (tmp_path / "examples/use.py").write_text(
+        "from repro.m import Refused\ntry:\n    pass\nexcept Refused:\n    pass\n"
+    )
+    assert _unreached(tmp_path) == {"m.Refused", "m.check"}
 
 
 def _unset_in(tmp_path: Path, files: dict[str, str]) -> set[str]:

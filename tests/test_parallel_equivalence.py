@@ -52,15 +52,10 @@ from repro.core.query.planner import (
 )
 from repro.core.query.predicates import (
     And,
-    HasValue,
-    InClass,
     NamePrefix,
-    Not,
-    Or,
     ParticipatesIn,
     ValueEquals,
     both,
-    has_value,
     name_prefix,
     value_is,
 )
@@ -105,6 +100,10 @@ def _exit_in_worker(obj) -> bool:
 
 def _name_ends_in_0_or_2(obj) -> bool:
     return str(obj.name).endswith(("0", "2"))
+
+
+def _has_a_value(obj) -> bool:
+    return obj.value is not None
 
 
 def _not_tag4(row) -> bool:
@@ -232,11 +231,12 @@ class TestDirectedSemantics:
     def test_structured_and_opaque_predicates_compose(self):
         db = small_db()
         opaque = FunctionPredicate(_name_ends_in_0_or_2, "name-suffix")
+        defined = FunctionPredicate(_has_a_value, "defined")
 
         def query(builder):
             return (
                 builder.extent("Note", column="note")
-                .select(on("note", both(has_value(), name_prefix("N"))))
+                .select(on("note", both(defined, name_prefix("N"))))
                 .select(on("note", opaque))
                 .select(_not_tag4)
             )
@@ -275,7 +275,7 @@ class TestCostModel:
         query = (
             plan(db, ParallelConfig())
             .extent("Note", column="note")
-            .select(on("note", has_value()))
+            .select(on("note", value_is("tag1")))
         )
         assert count_parallel(query.optimized()) == 0
 
@@ -534,19 +534,24 @@ class TestProcessBackendHygiene:
         "predicate",
         [
             NamePrefix("Al"),
-            InClass("Note"),
-            InClass("Note", include_specials=False),
-            HasValue(),
             ValueEquals("tag3"),
             ParticipatesIn("Covers"),
             ParticipatesIn("Covers", "doc"),
-            And((NamePrefix("N"), HasValue())),
-            Or((ValueEquals("a"), ValueEquals("b"))),
-            Not(NamePrefix("X")),
+            And((NamePrefix("N"), ValueEquals("tag3"))),
+            NamePrefix(""),
+            ValueEquals(3),
+            ValueEquals(None),
+            And((ParticipatesIn("Covers", "note"), NamePrefix("N"))),
+            And((NamePrefix("N"), And((ValueEquals("a"), ParticipatesIn("Covers"))))),
         ],
     )
     def test_structured_predicates_pickle_round_trip(self, predicate):
-        assert pickle.loads(pickle.dumps(predicate)) == predicate
+        # a worker must key, cost and render what it receives as the
+        # parent does: equal, equally hashed, equally described
+        restored = pickle.loads(pickle.dumps(predicate))
+        assert restored == predicate
+        assert hash(restored) == hash(predicate)
+        assert restored.describe() == predicate.describe()
 
     def test_parallel_config_pickles_and_hashes(self):
         config = ParallelConfig(shards=7)

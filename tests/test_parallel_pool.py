@@ -66,13 +66,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _MAIN_PID = os.getpid()
 
 
-def scan(kind, name, *tests, include_specials=True, attributes=()) -> ShardSpec:
+def scan(kind, name, *tests) -> ShardSpec:
     """A kernel spec: one base scan, *tests* peeled onto its first column."""
-    columns = ("x",) if kind == "extent" else ("first", "second", *attributes)
-    return ShardSpec(
-        kind, name, include_specials, attributes, columns,
-        tuple((0, test) for test in tests), (),
-    )
+    columns = ("x",) if kind == "extent" else ("first", "second")
+    return ShardSpec(kind, name, columns, tuple((0, test) for test in tests), ())
 
 
 def pooled(db, spec) -> list[tuple]:
@@ -237,10 +234,7 @@ class TestTeardown:
             for name in ("A", "B"):
                 db.create_object("Note", name)
             parallel.TIMEOUT_S = 0.2
-            spec = ShardSpec(
-                "extent", "Note", True, (), ("note",),
-                ((0, sleeper),), (),
-            )
+            spec = ShardSpec("extent", "Note", ("note",), ((0, sleeper),), ())
             rows = parallel.run_sharded(db, spec, shards=2)
             print(len(rows), parallel.stats.fallbacks)
             """
@@ -342,8 +336,7 @@ def typed():
 def extent_scan(name, *cell_tests, row_tests=()) -> ShardSpec:
     """An extent spec with *cell_tests* on its one column, in order."""
     return ShardSpec(
-        "extent", name, True, (), ("x",),
-        tuple((0, test) for test in cell_tests), tuple(row_tests),
+        "extent", name, ("x",), tuple((0, test) for test in cell_tests), tuple(row_tests)
     )
 
 
@@ -517,14 +510,14 @@ def oracle_schema(drafts_are_data: bool):
 
 
 #: each sees a different kind of change: membership and liveness
-#: (creation, deletion, patterns, migration), exact class, values,
-#: names, relationships and their attributes
+#: (creation, deletion, patterns, migration), class, values, names,
+#: relationships
 ORACLE_SCANS = (
     scan("extent", "Thing"),
-    scan("extent", "Data", include_specials=False),
+    scan("extent", "Data"),
     scan("extent", "Action.Description", ValueEquals("a")),
     scan("extent", "Thing", NamePrefix("R")),
-    scan("rel", "Access", attributes=("Count",)),
+    scan("rel", "Access"),
 )
 VALUES = ("a", "b", None)
 

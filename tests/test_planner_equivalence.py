@@ -24,6 +24,7 @@ import pytest
 from _planner_gen import (
     FunctionPredicate,
     build_population,
+    in_class,
     random_query,
     row_multiset,
 )
@@ -39,8 +40,6 @@ from repro.core.query.planner import (
     plan,
 )
 from repro.core.query.predicates import (
-    InClass,
-    has_value,
     name_prefix,
     participates_in,
     value_is,
@@ -140,19 +139,25 @@ class TestDirectedEquivalence:
 
     def test_undefined_values_match_nothing(self):
         # populations create Selector sub-objects with no value; both
-        # paths must drop those rows rather than yield None cells
+        # paths must drop those rows, even for an expected None
         db = population(1)
-        eager = extent(db, "Data", column="d").values(
-            "d", "Text.Selector", into="selector"
-        )
-        planned = (
-            plan(db)
-            .extent("Data", column="d")
-            .values("d", "Text.Selector", into="selector")
-        )
-        result = planned.execute()
-        assert row_multiset(result) == row_multiset(eager)
-        assert all(cell is not None for cell in result.column("selector"))
+        selectors = extent(db, "Data.Text.Selector", column="s")
+        assert None in [obj.value for obj in selectors.column("s")]
+        for expected in ("Representation", None):
+            predicate = on("s", value_is(expected))
+            eager = selectors.select(predicate)
+            planned = plan(db).extent("Data.Text.Selector", column="s").select(predicate)
+            assert row_multiset(planned.execute()) == row_multiset(eager)
+            assert all(obj.value == expected for obj in eager.column("s"))
+        assert len(eager) == 0
+
+    def test_specialization_extent_equals_predicate_scan(self):
+        db = population(3)
+        eager = extent(db, "Thing", column="d").select(on("d", in_class("Data")))
+        planned = plan(db).extent("Data", column="d")
+        assert planned.explain() == f"ExtentScan Data as d  est~{len(eager)}"
+        assert len(eager) > 0
+        assert row_multiset(planned.execute()) == row_multiset(eager)
 
     def test_indexed_prefix_scan_equals_predicate_scan(self):
         db = population(2)
@@ -160,14 +165,6 @@ class TestDirectedEquivalence:
         eager = extent(db, "Thing", column="thing").select(predicate)
         planned = plan(db).extent("Thing", column="thing").select(predicate)
         assert "prefix='Al'" in planned.explain()
-        assert row_multiset(planned.execute()) == row_multiset(eager)
-
-    def test_class_narrowing_equals_predicate_scan(self):
-        db = population(3)
-        predicate = on("d", InClass("OutputData"))
-        eager = extent(db, "Data", column="d").select(predicate)
-        planned = plan(db).extent("Data", column="d").select(predicate)
-        assert "ExtentScan OutputData" in planned.explain()
         assert row_multiset(planned.execute()) == row_multiset(eager)
 
     def test_selection_pushed_below_multiway_join(self):
@@ -234,6 +231,10 @@ def _third(obj) -> bool:
     return obj.oid % 3 == 0
 
 
+def _has_a_value(obj) -> bool:
+    return obj.value is not None
+
+
 class TestChunkedScans:
     """The in-thread kernel over scans longer than one chunk."""
 
@@ -261,22 +262,19 @@ class TestChunkedScans:
     def test_extent_rows_and_order_match_eager_and_brute(self, db, seed):
         rng = random.Random(seed)
         class_name = rng.choice(("Item", "Rare", "Item.Tag"))
-        include_specials = rng.random() < 0.7
         tests = rng.sample(
             [
-                has_value(),
+                FunctionPredicate(_has_a_value, "defined"),
                 value_is(f"t{rng.randrange(5)}"),
-                InClass("Rare"),
+                in_class("Rare"),
                 participates_in("Links", "src"),
                 FunctionPredicate(_third, "third"),
             ],
             rng.randrange(3),
         )
-        eager = extent(db, class_name, column="x", include_specials=include_specials)
-        planned = plan(db).extent(
-            class_name, column="x", include_specials=include_specials
-        )
-        brute = brute_objects(db, class_name, include_specials=include_specials)
+        eager = extent(db, class_name, column="x")
+        planned = plan(db).extent(class_name, column="x")
+        brute = brute_objects(db, class_name)
         for test in tests:
             eager = eager.select(on("x", test))
             planned = planned.select(on("x", test))
@@ -294,7 +292,7 @@ class TestChunkedScans:
     def test_relationship_rows_and_order_match_eager_and_brute(self, db, seed):
         rng = random.Random(seed)
         role = rng.choice(("src", "dst"))
-        test = rng.choice((InClass("Rare"), FunctionPredicate(_third, "third")))
+        test = rng.choice((in_class("Rare"), FunctionPredicate(_third, "third")))
         filtered = seed % 2 == 0
         eager = relationship_relation(db, "Links")
         planned = plan(db).relationship("Links")

@@ -26,11 +26,10 @@ from repro.core.query.planner import (
     RelScan,
     Reorder,
     Select,
-    Union,
     on,
     plan,
 )
-from repro.core.query.predicates import InClass, both, name_prefix
+from repro.core.query.predicates import both, name_prefix, participates_in
 from repro.core.query.retrieval import Retrieval
 from repro.spades.model import spades_schema
 
@@ -62,14 +61,48 @@ def db():
 
 class TestGoldenPlans:
     def test_conjunction_absorbed_into_indexed_scan(self, db):
+        # the longer of two compatible prefixes drives the scan; what is
+        # not a prefix stays a filter over the scanned rows
+        absorbed = (
+            plan(db)
+            .extent("Data", column="d")
+            .select(on("d", both(name_prefix("Al"), name_prefix("Alarm"))))
+        )
+        assert absorbed.explain() == "ExtentScan Data as d prefix='Alarm'  est~1"
         query = (
             plan(db)
             .extent("Data", column="d")
-            .select(on("d", both(name_prefix("Al"), InClass("OutputData"))))
+            .select(
+                on("d", both(name_prefix("Al"), participates_in("Write", "to")))
+            )
         )
-        assert query.explain() == (
-            "ExtentScan OutputData as d prefix='Al'  est~1"
+        assert query.explain() == "\n".join(
+            [
+                "Select d: participates_in(Write, to)  est~1",
+                "└─ ExtentScan Data as d prefix='Al'  est~1",
+            ]
         )
+        assert [row[0].simple_name for row in query.execute().rows] == ["Alarms"]
+
+    def test_selection_pushed_through_renames(self, db):
+        query = (
+            plan(db)
+            .relationship("Read")
+            .rename(**{"from": "d"})
+            .rename(by="reader")
+            .select(on("reader", name_prefix("Hand")))
+        )
+        assert query.explain() == "\n".join(
+            [
+                "Rename by->reader  est~1",
+                "└─ Rename from->d  est~1",
+                "   └─ Select by: name^='Hand'  est~1",
+                "      └─ RelScan Read (from, by)  est~2",
+            ]
+        )
+        assert [
+            (row[0].simple_name, row[1].simple_name) for row in query.execute().rows
+        ] == [("Status", "Handler")]
 
     def test_selection_pushed_through_multiway_join(self, db):
         query = (
@@ -104,37 +137,6 @@ class TestGoldenPlans:
                 "         └─ RelScan Write (to, by)  est~1",
             ]
         )
-
-    def test_selection_pushed_through_union_and_renames(self, db):
-        reads = plan(db).relationship("Read").rename(**{"from": "d"})
-        writes = plan(db).relationship("Write").rename(to="d")
-        query = reads.union(writes).select(on("by", name_prefix("Hand")))
-        assert query.explain() == "\n".join(
-            [
-                "Union  est~2",
-                "├─ Rename from->d  est~1",
-                "│  └─ Select by: name^='Hand'  est~1",
-                "│     └─ RelScan Read (from, by)  est~2",
-                "└─ Rename to->d  est~1",
-                "   └─ Select by: name^='Hand'  est~1",
-                "      └─ RelScan Write (to, by)  est~1",
-            ]
-        )
-
-    def test_selection_pushed_below_values(self, db):
-        query = (
-            plan(db)
-            .extent("Data", column="d")
-            .values("d", "Text.Selector", into="sel")
-            .select(on("d", InClass("OutputData")))
-        )
-        assert query.explain() == "\n".join(
-            [
-                "Values d.Text.Selector -> sel  est~1",
-                "└─ ExtentScan OutputData as d  est~1",
-            ]
-        )
-
 
 class TestDeterminism:
     def test_explain_stable_across_calls_and_plan_objects(self, db):
@@ -230,12 +232,6 @@ class TestOptimizerSoundness:
         base = plan(db).extent("Data", column="d")
         with pytest.raises(QueryError, match="no column"):
             base.project("nope")
-        with pytest.raises(QueryError, match="column mismatch"):
-            base.union(plan(db).extent("Action", column="a"))
-        with pytest.raises(QueryError, match="empty role path"):
-            base.values("d", "", into="v")
-        with pytest.raises(QueryError, match="duplicate column"):
-            base.values("d", "Text.Selector", into="d")
         with pytest.raises(QueryError, match="duplicate column"):
             plan(db).relationship("Access").rename(data="by")
         with pytest.raises(QueryError, match="duplicate column"):
@@ -251,9 +247,6 @@ class TestStatisticsAccessors:
             wanted = db.schema.entity_class(class_name)
             assert db.indexes.extent_size(wanted) == len(
                 brute_objects(db, class_name)
-            )
-            assert db.indexes.extent_size(wanted, include_specials=False) == len(
-                brute_objects(db, class_name, include_specials=False)
             )
 
     def test_association_size(self):
@@ -278,41 +271,28 @@ class TestRetrievalWiring:
         result = retrieval.plan().extent("Data", column="d").execute()
         assert len(result) == 3
 
-    def test_select_by_class_uses_extent(self, db):
+    def test_by_name_prefix_uses_name_index(self, db):
         retrieval = Retrieval(db)
-        indexed = retrieval.select(InClass("Data"))
-        brute = [
-            obj for obj in db.iter_objects() if InClass("Data")(obj)
-        ]
-        assert [o.oid for o in indexed] == [o.oid for o in brute]
+        indexed = retrieval.by_name_prefix("Al")
+        brute = sorted(
+            (
+                obj
+                for obj in db.iter_objects()
+                if obj.parent is None and str(obj.name).startswith("Al")
+            ),
+            key=lambda obj: str(obj.name),
+        )
+        assert [o.oid for o in indexed] == [o.oid for o in brute] != []
+        # sub-objects are not in the name index
+        assert retrieval.by_name_prefix("Alarms.Text") == []
 
-    def test_select_name_prefix_uses_name_index(self, db):
+    def test_instances_of_a_specialization(self, db):
         retrieval = Retrieval(db)
-        indexed = retrieval.select(name_prefix("Alarms.Text"))
-        brute = [
-            obj
-            for obj in db.iter_objects()
-            if str(obj.name).startswith("Alarms.Text")
-        ]
-        assert [o.oid for o in indexed] == [o.oid for o in brute]
-
-    def test_instances_narrowed_by_class(self, db):
-        retrieval = Retrieval(db)
-        narrowed = retrieval.instances("Data", InClass("OutputData"))
-        assert [o.simple_name for o in narrowed] == ["Alarms"]
-        implied = retrieval.instances("OutputData", InClass("Data"))
-        assert [o.simple_name for o in implied] == ["Alarms"]
-
-    def test_by_name_prefix_deep(self, db):
-        retrieval = Retrieval(db)
-        deep = retrieval.by_name_prefix_deep("Alarms.Text[0].B")
-        assert [str(o.name) for o in deep] == [
-            "Alarms.Text[0].Body",
-            "Alarms.Text[0].Body.Contents",
-        ]
-        shallow_and_deep = retrieval.by_name_prefix_deep("Al")
-        assert str(shallow_and_deep[0].name) == "Alarms"
-        assert len(shallow_and_deep) == 5  # Alarms + its 4 sub-objects
+        assert [o.simple_name for o in retrieval.instances("OutputData")] == ["Alarms"]
+        data = {o.simple_name for o in retrieval.instances("Data")}
+        assert data == {"Alarms", "Status", "Config"}
+        lazy = retrieval.iter_instances("Data", participates_in("Read"))
+        assert [o.simple_name for o in lazy] == ["Status"]
 
 
 class TestPlanCache:
@@ -473,7 +453,7 @@ class TestTreeWalk:
         )
 
     def test_index_join_scan_side_is_a_child_but_not_a_branch(self, db):
-        drive = ExtentScan("Action", "by", True, "Han")
+        drive = ExtentScan("Action", "by", "Han")
         scan = Select(RelScan("Read"), on("from", name_prefix("St")))
         join = IndexJoin(drive, scan, "by")
         assert join.children == (drive, scan)

@@ -8,10 +8,8 @@ hold for any cell type because keys are computed uniformly).
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.errors import QueryError
 from repro.core.query.algebra import Relation
 
 cells = st.one_of(st.integers(-5, 5), st.text(max_size=3), st.booleans())
@@ -189,15 +187,3 @@ class TestJoinEdgeCases:
         # planner's streaming join must reproduce exactly
         dupes = Relation(("a",), ((1,), (1,)))
         assert dupes.join(dupes).rows == ((1,), (1,), (1,), (1,))
-
-
-class TestValuesEdgeCases:
-    def test_empty_role_path_is_rejected(self):
-        relation = Relation(("a",), ())
-        with pytest.raises(QueryError, match="empty role path"):
-            relation.values("a", "", into="v")
-
-    def test_duplicate_target_column_is_rejected(self):
-        relation = Relation(AB, ())
-        with pytest.raises(QueryError, match="duplicate column"):
-            relation.values("a", "Text.Selector", into="b")

@@ -4,11 +4,9 @@ import pytest
 
 from repro.core import QueryError, SeedDatabase
 from repro.core.query import Relation, Retrieval, extent, relationship_relation
+from repro.core.query.planner import on
 from repro.core.query.predicates import (
-    InClass,
-    Not,
     both,
-    either,
     name_prefix,
     participates_in,
     value_is,
@@ -49,10 +47,19 @@ class TestRetrieval:
         retrieval = Retrieval(query_db)
         data = retrieval.instances("Data")
         assert {o.simple_name for o in data} == {"Alarms", "Status", "Config"}
-        outputs = retrieval.instances("Data", InClass("OutputData"))
-        assert [o.simple_name for o in outputs] == ["Alarms"]
-        strict = retrieval.instances("Data", include_specials=False)
-        assert [o.simple_name for o in strict] == ["Config"]
+
+    def test_iter_instances_is_lazy(self, query_db):
+        # a consumer that stops early tests only what it has read
+        seen = []
+
+        def spy(obj):
+            seen.append(obj.simple_name)
+            return True
+
+        instances = Retrieval(query_db).iter_instances("Data", spy)
+        assert seen == []
+        first = next(instances)
+        assert seen == [first.simple_name]
 
     def test_navigation_chain(self, query_db):
         retrieval = Retrieval(query_db)
@@ -77,18 +84,24 @@ class TestRetrieval:
 
 class TestPredicates:
     def test_combinators(self, query_db):
-        retrieval = Retrieval(query_db)
-        p = both(InClass("Data"), name_prefix("A"))
-        assert [o.simple_name for o in retrieval.select(p)] == ["Alarms"]
-        q = either(name_prefix("Config"), name_prefix("Status"))
-        assert {o.simple_name for o in retrieval.select(q)} == {"Config", "Status"}
-        r = both(InClass("Data"), Not(InClass("OutputData")))
-        assert {o.simple_name for o in retrieval.select(r)} == {"Config", "Status"}
+        data = extent(query_db, "Data", column="d")
+        written = both(name_prefix("A"), participates_in("Write", "to"))
+        assert [o.simple_name for o in data.select(on("d", written)).column("d")] == [
+            "Alarms"
+        ]
+        # a conjunction fails as soon as one part does
+        unread = both(name_prefix("A"), participates_in("Read"))
+        assert len(data.select(on("d", unread))) == 0
+        assert written.describe() == "(name^='A' and participates_in(Write, to))"
 
     def test_value_predicates(self, query_db):
-        retrieval = Retrieval(query_db)
-        hits = retrieval.select(value_is("Representation"))
-        assert [str(h.name) for h in hits] == ["Alarms.Text[0].Selector"]
+        descriptions = extent(query_db, "Action.Description", column="text")
+        hits = descriptions.select(on("text", value_is("handles things")))
+        assert [str(o.name) for o in hits.column("text")] == ["Handler.Description"]
+        # an undefined value matches nothing, not even an expected None
+        text = query_db.get_object("Alarms").sub_objects("Text")[0]
+        assert text.value is None
+        assert not value_is(None)(text)
 
     def test_participates_in(self, query_db):
         retrieval = Retrieval(query_db)
@@ -164,13 +177,6 @@ class TestAlgebra:
         assert {o.simple_name for o in only_readers.distinct_objects("by")} == {
             "Monitor",
         }
-
-    def test_values_dereference(self, query_db):
-        data = extent(query_db, "Data", column="d")
-        with_selector = data.values("d", "Text.Selector", into="selector")
-        assert with_selector.column("selector") == ["Representation"]
-        # objects lacking the value are dropped, not padded with None
-        assert len(with_selector) == 1
 
     def test_column_errors(self, query_db):
         relation = extent(query_db, "Data")

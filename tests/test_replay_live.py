@@ -32,7 +32,6 @@ from repro.core.storage import (
 from repro.core.storage.engine import KNOWN_RECORD_KINDS
 from repro.core.storage.serialize import restore_delta_from_db, state_to_dict
 from repro.core.versions.compaction import RetentionPolicy
-from repro.core.versions.version_id import VersionId
 
 
 def image(db) -> bytes:
@@ -121,11 +120,12 @@ def test_the_compact_record_holds_the_resolved_policy(journal):
     assert_reopen_is_live(journal)
 
 
-def test_a_compaction_without_a_policy_records_the_default(journal):
-    assert journal.db.compact().squashed_versions == [VersionId.parse("1.0")]
-    *__, record = RecordFile(journal.path).records()
-    assert record["kind"] == "compact"
-    assert RetentionPolicy(**record["delta"]) == RetentionPolicy()
+def test_a_compaction_without_a_policy_is_refused(journal):
+    # the journal never records a policy nobody chose
+    before = kinds(journal.path)
+    with pytest.raises(TypeError, match="policy"):
+        journal.db.compact()  # type: ignore[call-arg]
+    assert kinds(journal.path) == before
     assert_reopen_is_live(journal)
 
 

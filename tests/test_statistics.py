@@ -11,8 +11,8 @@ Three contracts are exercised here:
   arbitrary mutation, transaction-rollback, bulk, version, and
   compaction scripts.
 * **Histogram-costed planner equivalence** — with the statistics-driven
-  cost model (selection selectivities, distinct-based join estimates,
-  semi-join reduction for ``values()``) the planner's output stays
+  cost model (selection selectivities, distinct-based join estimates)
+  the planner's output stays
   row-multiset identical to the eager ER algebra on the PR-2 random
   query generator.
 * **Drift-aware plan cache** — a plan cached against a near-empty
@@ -34,19 +34,13 @@ from repro.core.errors import ConsistencyError, SeedError
 from repro.core.indexes import prefix_upper_bound
 from repro.core.query import planner
 from repro.core.query.planner import (
-    Join,
-    RelScan,
-    Reorder,
     Select,
-    Values,
     execute_node,
     on,
     plan,
     plan_cache,
 )
 from repro.core.query.predicates import (
-    InClass,
-    has_value,
     name_prefix,
     participates_in,
     value_is,
@@ -315,7 +309,6 @@ class TestHistogramAccessors:
         assert db.indexes.value_frequency(wanted, "unseen") == 0.0
         # the all-class sums behind an untraceable column agree
         assert db.indexes.total_value_frequency("hot") == 12.0
-        assert db.indexes.total_defined() == db.indexes.defined_count(wanted)
         assert db.indexes.name_count() == len(db.indexes.names)
 
     def test_defined_count_tracks_clears(self, db):
@@ -382,51 +375,6 @@ class TestHistogramCostedPlannerEquivalence:
         assert rare.explain().startswith("Select")
         assert "est~1\n" in rare.explain() + "\n"
 
-    def test_values_semi_join_reduction(self):
-        db = build_population(36)
-        query = (
-            plan(db)
-            .extent("Data", column="d")
-            .values("d", "Text.Selector", into="sel")
-            .join(plan(db).relationship("Read").rename(**{"from": "d"}))
-        )
-        optimized = query.optimized()
-        # the Values was hoisted above the join: the probe side is
-        # reduced by the join keys before any role path materializes
-        node = optimized
-        while isinstance(node, Reorder):
-            node = node.child
-        assert isinstance(node, Values)
-        assert isinstance(node.child, Join)
-        # and the rewrite is sound
-        raw = query.execute(optimized=False)
-        assert row_multiset(query.execute()) == row_multiset(raw)
-
-    def test_values_fanout_join_not_hoisted(self):
-        # hoisting past a fan-out join would dereference once per
-        # joined row instead of once per input row: the estimate gate
-        # must keep the Values below the join
-        db = SeedDatabase(value_schema(), "fanout")
-        things = [db.create_object("Thing", f"T{i}") for i in range(30)]
-        for i in range(3):
-            data = db.create_object("Data", f"D{i}")
-            data.add_sub_object("Note", f"note {i}")
-            for thing in things:
-                db.relate("Uses", used=data, by=thing)
-        query = (
-            plan(db)
-            .extent("Data", column="d")
-            .values("d", "Note", into="sel")
-            .join(plan(db).relationship("Uses").rename(used="d"))
-        )
-        optimized = query.optimized()
-        node = optimized
-        while isinstance(node, Reorder):
-            node = node.child
-        assert isinstance(node, Join), "fan-out join must not hoist Values"
-        raw = query.execute(optimized=False)
-        assert row_multiset(query.execute()) == row_multiset(raw)
-
     def test_unhashable_expected_value_falls_back_to_default(self):
         # value_is([1, 2]) is a valid (always-false) filter; the
         # histogram cannot key it, but costing must not crash —
@@ -442,22 +390,6 @@ class TestHistogramCostedPlannerEquivalence:
         )
         assert query.execute().rows == ()
         assert "est~" in query.explain()
-
-    def test_values_on_join_column_not_hoisted_unsoundly(self):
-        db = build_population(37)
-        left = plan(db).extent("Data", column="d").values(
-            "d", "Text.Selector", into="shared"
-        )
-        right = (
-            plan(db)
-            .extent("Data", column="e")
-            .values("e", "Text.Selector", into="shared")
-            .rename(e="f")
-        )
-        query = left.join(right)  # joins on the dereferenced column
-        raw = query.execute(optimized=False)
-        assert row_multiset(query.execute()) == row_multiset(raw)
-
 
 # ----------------------------------------------------------------------
 # drift-aware plan cache
@@ -582,7 +514,7 @@ class TestDriftAwareCache:
         # what an index join into the association is costed from
         assert ("family_size", "Covers") in reads
         assert ("distinct_participants", "Covers", 0) in reads
-        assert ("extent_size", note, True) in reads
+        assert ("extent_size", note) in reads
         # prefix selectivity: pure name churn must be able to drift
         assert ("name_prefix_count", "Hot") in reads
         assert ("name_count",) in reads
@@ -591,9 +523,9 @@ class TestDriftAwareCache:
             assert getattr(db.indexes, accessor)(*args) == value
 
     def test_mass_reclassification_reoptimizes(self):
-        # `InClass` on a role column of a RelScan, no extent scan in
-        # the query: its selectivity is extent_size(Hot) / total_objects
-        # — the re-classification the paper is about must drift the plan
+        # the extent of a specialization sizes the scan that drives the
+        # joins: the re-classification the paper is about must drift
+        # the plan from index probes to hash joins
         builder = SchemaBuilder("reclass")
         builder.entity_class("Thing")
         builder.entity_class("Hot", specializes="Thing")
@@ -611,22 +543,26 @@ class TestDriftAwareCache:
             db.relate("Covers", note=thing, doc=docs[i % 30])
         for i, doc in enumerate(docs):
             db.relate("Cites", doc=doc, source=docs[(i + 1) % 30])
+        db.reclassify(things[0], "Hot")
         query = (
             plan(db)
-            .relationship("Covers")
-            .select(on("note", InClass("Hot")))
+            .extent("Hot", column="note")
+            .join(plan(db).relationship("Covers"))
             .join(plan(db).relationship("Cites"))
         )
         cache = plan_cache(db)
         stale = query.optimized()
-        assert "Select note: InClass(Hot)  est~1\n" in query.explain()
-        assert isinstance(stale.left, Select)  # builds the one selected row
-        for thing in things[:250]:
+        assert query.optimized() is stale
+        assert query.explain().startswith("IndexJoin Cites.doc  est~1\n")
+        for thing in things[1:250]:
             db.reclassify(thing, "Hot")
-        fresh = query.optimized()
+        query.optimized()
         assert cache.reoptimizations == 1
-        # 227 selected rows now: the 30 citations are the build side
-        assert isinstance(fresh, Reorder) and isinstance(fresh.child.left, RelScan)
+        assert "ExtentScan Hot as note  est~250" in query.explain()
+        assert "IndexJoin" not in query.explain()
+        raw = query.execute(optimized=False)
+        assert len(raw) == 250
+        assert row_multiset(query.execute()) == row_multiset(raw)
 
     def test_role_participation_drift_reoptimizes(self):
         # `participates_in(assoc, role=...)` on a role column is costed
